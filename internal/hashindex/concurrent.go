@@ -1,7 +1,6 @@
 package hashindex
 
 import (
-	"encoding/binary"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -40,8 +39,7 @@ type ConcurrentTable struct {
 	// tables instead report ErrFull once Len() reaches capHint, matching
 	// Table's semantics. AutoGrow tables ignore it.
 	capHint   int
-	retries   atomic.Int64 // seqlock re-reads + epoch restarts (observability)
-	retryHook func(int64)  // optional observer; set via OnRetry before sharing
+	retryHook func(int64) // observer of seqlock re-reads + epoch restarts; set via OnRetry before sharing
 	stripes   [numStripes]cstripe
 }
 
@@ -129,20 +127,11 @@ func (t *ConcurrentTable) Len() int {
 	return int(n)
 }
 
-// LoadFactor returns live entries / capacity.
-func (t *ConcurrentTable) LoadFactor() float64 {
-	return float64(t.Len()) / float64(t.Capacity())
-}
-
-// ReadRetries returns the cumulative count of seqlock re-reads and epoch
-// restarts Gets have performed — a direct measure of read/write collision
-// on the table.
-func (t *ConcurrentTable) ReadRetries() int64 { return t.retries.Load() }
-
-// OnRetry installs an observer called once per read retry (the firmware
-// feeds its stats counter and telemetry through it). Must be set before
-// the table is shared with readers; the retry path is rare by design, so
-// the indirect call costs nothing on the common path.
+// OnRetry installs an observer called once per read retry — a seqlock
+// re-read or an epoch restart, the measure of read/write collision on the
+// table (the firmware feeds its stats counter and telemetry through it).
+// Must be set before the table is shared with readers; the retry path is
+// rare by design, so the indirect call costs nothing on the common path.
 func (t *ConcurrentTable) OnRetry(fn func(int64)) { t.retryHook = fn }
 
 // Get looks up key without acquiring any lock. probes counts slots scanned
@@ -156,7 +145,6 @@ func (t *ConcurrentTable) Get(key uint64) (val uint64, probes int, err error) {
 		// A stripe grow may have swapped the array mid-probe; everything
 		// read came from the frozen old epoch, so restart on the new one.
 		if !ok || s.arr.Load() != arr {
-			t.retries.Add(1)
 			if t.retryHook != nil {
 				t.retryHook(1)
 			}
@@ -222,7 +210,7 @@ func writeSlot(sl *cslot, key, val uint64, st uint32) {
 // Put inserts or updates key. probes counts slots scanned; existed reports
 // whether the key was already present.
 func (t *ConcurrentTable) Put(key, val uint64) (probes int, existed bool, err error) {
-	_, probes, existed, err = t.Upsert(key, val)
+	_, probes, existed, err = t.upsert(key, val, true)
 	return
 }
 
@@ -230,6 +218,26 @@ func (t *ConcurrentTable) Put(key, val uint64) (probes int, existed bool, err er
 // previous value when the key already existed (see Table.Upsert for why
 // the fused form exists).
 func (t *ConcurrentTable) Upsert(key, val uint64) (old uint64, probes int, existed bool, err error) {
+	return t.upsert(key, val, true)
+}
+
+// LoadOrStore returns key's value when it is present (loaded == true) and
+// stores val otherwise, in a single probe sequence. It is the insert the
+// version-chain directory needs: a resident key's entry is never rewritten,
+// so the push of a new version costs one probe sequence whether or not the
+// key is new.
+func (t *ConcurrentTable) LoadOrStore(key, val uint64) (actual uint64, probes int, loaded bool, err error) {
+	actual, probes, loaded, err = t.upsert(key, val, false)
+	if err == nil && !loaded {
+		actual = val
+	}
+	return
+}
+
+// upsert is the one insert/update probe sequence behind Put, Upsert and
+// LoadOrStore. A resident key is rewritten only when overwrite is set; its
+// current value is returned either way.
+func (t *ConcurrentTable) upsert(key, val uint64, overwrite bool) (old uint64, probes int, existed bool, err error) {
 	h := hash(key)
 	s := &t.stripes[h>>stripeShift]
 	s.mu.Lock()
@@ -262,7 +270,9 @@ func (t *ConcurrentTable) Upsert(key, val uint64) (old uint64, probes int, exist
 		case slotUsed:
 			if sl.key.Load() == key {
 				old = sl.val.Load()
-				writeSlot(sl, key, val, slotUsed)
+				if overwrite {
+					writeSlot(sl, key, val, slotUsed)
+				}
 				return old, p, true, nil
 			}
 		}
@@ -342,8 +352,9 @@ func (s *cstripe) grow(newCap int) *cslots {
 // Range calls fn for every live entry until fn returns false. Each slot is
 // read under its seqlock, so no torn pair is ever surfaced, but the scan
 // as a whole is not an atomic snapshot: entries mutated mid-scan may be
-// seen in either state. The firmware only Ranges with writers quiesced
-// (serialization, snapshot credit, namespace delete).
+// seen in either state. The firmware Ranges with writers quiesced or
+// excluded by ns.mu (serialization for swap-out, key enumeration,
+// orphan-family pruning).
 func (t *ConcurrentTable) Range(fn func(key, val uint64) bool) {
 	for si := range t.stripes {
 		arr := t.stripes[si].arr.Load()
@@ -368,73 +379,4 @@ func (t *ConcurrentTable) Range(fn func(key, val uint64) bool) {
 			}
 		}
 	}
-}
-
-// Clone returns a deep copy (snapshot support). It takes every stripe's
-// writer lock, so the copy is a point-in-time snapshot of the whole table.
-func (t *ConcurrentTable) Clone() *ConcurrentTable {
-	c := &ConcurrentTable{autoGrow: t.autoGrow, capHint: t.capHint}
-	for i := range t.stripes {
-		s := &t.stripes[i]
-		s.mu.Lock()
-		arr := s.arr.Load()
-		na := newCSlots(len(arr.slot))
-		for j := range arr.slot {
-			sl := &arr.slot[j]
-			na.slot[j].key.Store(sl.key.Load())
-			na.slot[j].val.Store(sl.val.Load())
-			na.slot[j].state.Store(sl.state.Load())
-		}
-		c.stripes[i].arr.Store(na)
-		c.stripes[i].used.Store(s.used.Load())
-		c.stripes[i].ghosts = s.ghosts
-		s.mu.Unlock()
-	}
-	return c
-}
-
-// MemoryBytes estimates the table's DRAM footprint (ConcurrentEntryBytes
-// per slot: the seqlock counter costs 8 bytes over Table's packed slots,
-// and the state field pads to a word — see the per-entry cost constants in
-// versions.go).
-func (t *ConcurrentTable) MemoryBytes() int { return t.Capacity() * ConcurrentEntryBytes }
-
-// Serialize writes the live entries in the same flat format as
-// Table.Serialize (8-byte count, then key/val pairs), so swapped-out
-// tables round-trip between the two implementations.
-func (t *ConcurrentTable) Serialize() []byte {
-	out := make([]byte, 8, 8+16*t.Len())
-	n := uint64(0)
-	var kv [16]byte
-	t.Range(func(k, v uint64) bool {
-		binary.LittleEndian.PutUint64(kv[0:8], k)
-		binary.LittleEndian.PutUint64(kv[8:16], v)
-		out = append(out, kv[:]...)
-		n++
-		return true
-	})
-	binary.LittleEndian.PutUint64(out, n)
-	return out
-}
-
-// DeserializeConcurrent rebuilds a concurrent table from Serialize output
-// (either implementation's), sized for the given target load factor.
-func DeserializeConcurrent(b []byte, targetLoad float64, autoGrow bool) (*ConcurrentTable, error) {
-	flat, err := Deserialize(b, targetLoad)
-	if err != nil {
-		return nil, err
-	}
-	if targetLoad <= 0 || targetLoad > 1 {
-		targetLoad = 0.75
-	}
-	t := NewConcurrent(int(float64(flat.Len())/targetLoad)+8, autoGrow)
-	var perr error
-	flat.Range(func(k, v uint64) bool {
-		if _, _, err := t.Put(k, v); err != nil {
-			perr = err
-			return false
-		}
-		return true
-	})
-	return t, perr
 }

@@ -210,44 +210,6 @@ func TestConcurrentGrowUnderReaders(t *testing.T) {
 	}
 }
 
-// TestConcurrentSerializeRoundTrip checks Serialize/DeserializeConcurrent
-// interop with the flat Table format in both directions.
-func TestConcurrentSerializeRoundTrip(t *testing.T) {
-	ct := NewConcurrent(32, true)
-	for k := uint64(0); k < 500; k++ {
-		ct.Put(k, k^0xabcd)
-	}
-	ct.Delete(17)
-	ct.Delete(400)
-
-	// Concurrent → flat.
-	flat, err := Deserialize(ct.Serialize(), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.Len() != ct.Len() {
-		t.Fatalf("flat.Len = %d, want %d", flat.Len(), ct.Len())
-	}
-	// Flat → concurrent.
-	back, err := DeserializeConcurrent(flat.Serialize(), 0.5, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != ct.Len() {
-		t.Fatalf("back.Len = %d, want %d", back.Len(), ct.Len())
-	}
-	ct.Range(func(k, v uint64) bool {
-		got, _, err := back.Get(k)
-		if err != nil || got != v {
-			t.Fatalf("round trip lost key %d: (%d, %v), want %d", k, got, err, v)
-		}
-		return true
-	})
-	if _, _, err := back.Get(17); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("deleted key 17 resurrected: %v", err)
-	}
-}
-
 // TestConcurrentFixedCapacityFull checks ErrFull semantics without
 // AutoGrow: a stripe that fills rejects further inserts but existing keys
 // stay updatable.

@@ -1,28 +1,23 @@
-// Package hashindex implements the per-namespace mapping tables KAML keeps
-// in on-SSD DRAM (paper §IV-C): open-addressing hash tables from 64-bit
-// application keys to packed physical locations.
+// Package hashindex implements the mapping tables KAML keeps in on-SSD DRAM
+// (paper §IV-C): open-addressing hash tables from 64-bit application keys to
+// packed physical locations, and the per-key version chains built over them.
 //
-// The table deliberately exposes how many entries each operation scanned
+// The tables deliberately expose how many entries each operation scanned
 // ("probes"): the firmware charges controller CPU time per probed entry,
 // which is what makes Get bandwidth degrade as the table's load factor grows
 // (paper Fig. 5a). Capacity is fixed at construction unless AutoGrow is set,
 // mirroring the paper's fixed 1024 MB table experiments.
 //
-// Two implementations share those semantics. Table is the plain
-// single-threaded form, still used for serialization scratch and by callers
-// that do their own locking. ConcurrentTable is the form the firmware mounts
-// per namespace: striped sub-tables with per-slot sequence counters
-// (seqlock), giving lock-free Gets that race mutations safely — the
-// firmware's read path calls ConcurrentTable.Get with NO lock held, while
-// mutations are serialized per namespace AND per stripe (see concurrent.go
-// and the lock-hierarchy comment in internal/kamlssd/device.go).
+// ConcurrentTable is the form the firmware mounts: striped sub-tables with
+// per-slot sequence counters (seqlock), giving lock-free Gets that race
+// mutations safely. VersionChains (versions.go) is the namespace's one
+// mapping table: a Directory — a ConcurrentTable by default — from key to
+// the key's chain of retained versions, newest first. Table is the plain
+// single-threaded form of the same probe sequence; it remains as the
+// reference the seqlock table is tested against.
 package hashindex
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // ErrFull is returned by Put when the table has no free slot.
 var ErrFull = errors.New("hashindex: table full")
@@ -37,9 +32,8 @@ const (
 )
 
 // Table is a fixed-capacity open-addressing hash table with linear probing
-// and tombstone deletion. It is not safe for concurrent use — callers that
-// share one (the swap-in/swap-out scratch path) serialize access
-// themselves; the firmware's live per-namespace tables are ConcurrentTable.
+// and tombstone deletion. It is not safe for concurrent use; the firmware's
+// live tables are ConcurrentTable.
 type Table struct {
 	keys     []uint64
 	vals     []uint64
@@ -104,51 +98,12 @@ func (t *Table) Get(key uint64) (val uint64, probes int, err error) {
 // Put inserts or updates key. probes is the number of slots scanned;
 // existed reports whether the key was already present.
 func (t *Table) Put(key, val uint64) (probes int, existed bool, err error) {
-	if t.AutoGrow && t.used+t.ghosts >= len(t.keys)*3/4 {
-		t.rehash(len(t.keys) * 2)
-	}
-	i := hash(key) & t.mask
-	firstFree := -1
-	for p := 1; p <= len(t.keys); p++ {
-		switch t.state[i] {
-		case slotEmpty:
-			if firstFree >= 0 {
-				i = uint64(firstFree)
-				t.ghosts--
-			}
-			t.keys[i] = key
-			t.vals[i] = val
-			t.state[i] = slotUsed
-			t.used++
-			return p, false, nil
-		case slotTombstone:
-			if firstFree < 0 {
-				firstFree = int(i)
-			}
-		case slotUsed:
-			if t.keys[i] == key {
-				t.vals[i] = val
-				return p, true, nil
-			}
-		}
-		i = (i + 1) & t.mask
-	}
-	if firstFree >= 0 {
-		t.keys[firstFree] = key
-		t.vals[firstFree] = val
-		t.state[firstFree] = slotUsed
-		t.ghosts--
-		t.used++
-		return len(t.keys), false, nil
-	}
-	return len(t.keys), false, ErrFull
+	_, probes, existed, err = t.Upsert(key, val)
+	return
 }
 
 // Upsert inserts or updates key in a single probe sequence and returns the
-// previous value when the key already existed. It is Get+Put fused: the
-// firmware's Put supersede path needs the old location to adjust valid-byte
-// accounting, and probing the table twice for it would double the charged
-// DRAM accesses (and the wall-clock work) of every update.
+// previous value when the key already existed.
 func (t *Table) Upsert(key, val uint64) (old uint64, probes int, existed bool, err error) {
 	if t.AutoGrow && t.used+t.ghosts >= len(t.keys)*3/4 {
 		t.rehash(len(t.keys) * 2)
@@ -245,63 +200,5 @@ func (t *Table) rehash(newCap int) {
 	}
 }
 
-// Clone returns a deep copy of the table (snapshot support).
-func (t *Table) Clone() *Table {
-	c := &Table{
-		keys:     append([]uint64(nil), t.keys...),
-		vals:     append([]uint64(nil), t.vals...),
-		state:    append([]uint8(nil), t.state...),
-		mask:     t.mask,
-		used:     t.used,
-		ghosts:   t.ghosts,
-		AutoGrow: t.AutoGrow,
-	}
-	return c
-}
-
 // Compact rebuilds the table at its current capacity to drop tombstones.
 func (t *Table) Compact() { t.rehash(len(t.keys)) }
-
-// MemoryBytes estimates the table's DRAM footprint (TableEntryBytes per
-// slot; see the per-entry cost constants in versions.go).
-func (t *Table) MemoryBytes() int { return len(t.keys) * TableEntryBytes }
-
-// Serialize writes the table's live entries in a flat format:
-// 8-byte count, then (key, val) pairs. Used when the firmware swaps an
-// idle namespace's table out to flash (paper §IV-C).
-func (t *Table) Serialize() []byte {
-	out := make([]byte, 8, 8+16*t.used)
-	binary.LittleEndian.PutUint64(out, uint64(t.used))
-	var kv [16]byte
-	t.Range(func(k, v uint64) bool {
-		binary.LittleEndian.PutUint64(kv[0:8], k)
-		binary.LittleEndian.PutUint64(kv[8:16], v)
-		out = append(out, kv[:]...)
-		return true
-	})
-	return out
-}
-
-// Deserialize rebuilds a table from Serialize output, sized to hold the
-// entries at the given target load factor.
-func Deserialize(b []byte, targetLoad float64) (*Table, error) {
-	if len(b) < 8 {
-		return nil, errors.New("hashindex: short serialization")
-	}
-	n := binary.LittleEndian.Uint64(b)
-	if uint64(len(b)-8) < n*16 {
-		return nil, fmt.Errorf("hashindex: %d entries but only %d bytes", n, len(b)-8)
-	}
-	if targetLoad <= 0 || targetLoad > 1 {
-		targetLoad = 0.75
-	}
-	t := New(int(float64(n)/targetLoad) + 8)
-	for i := uint64(0); i < n; i++ {
-		k := binary.LittleEndian.Uint64(b[8+i*16:])
-		v := binary.LittleEndian.Uint64(b[16+i*16:])
-		if _, _, err := t.Put(k, v); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}

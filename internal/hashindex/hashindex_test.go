@@ -152,41 +152,6 @@ func TestCompactDropsTombstones(t *testing.T) {
 	}
 }
 
-func TestSerializeRoundTrip(t *testing.T) {
-	tb := New(256)
-	rng := rand.New(rand.NewSource(3))
-	want := map[uint64]uint64{}
-	for i := 0; i < 150; i++ {
-		k, v := rng.Uint64(), rng.Uint64()
-		want[k] = v
-		tb.Put(k, v)
-	}
-	got, err := Deserialize(tb.Serialize(), 0.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != tb.Len() {
-		t.Fatalf("len %d != %d", got.Len(), tb.Len())
-	}
-	for k, v := range want {
-		gv, _, err := got.Get(k)
-		if err != nil || gv != v {
-			t.Fatalf("key %d: %v %d", k, err, gv)
-		}
-	}
-}
-
-func TestDeserializeErrors(t *testing.T) {
-	if _, err := Deserialize([]byte{1, 2, 3}, 0.75); err == nil {
-		t.Fatal("short input accepted")
-	}
-	b := make([]byte, 8)
-	b[0] = 10 // claims 10 entries, provides none
-	if _, err := Deserialize(b, 0.75); err == nil {
-		t.Fatal("truncated entries accepted")
-	}
-}
-
 func TestRangeVisitsAll(t *testing.T) {
 	tb := New(64)
 	for i := 0; i < 40; i++ {

@@ -3,17 +3,18 @@
 //
 // The firmware manages the flash array as a set of append-only logs, one
 // active append point per log, striped over the array's chips. Applications
-// create key-value namespaces; each namespace owns a hash mapping table
-// (key -> physical location) in on-SSD DRAM and is assigned a subset of the
-// logs. Put atomically inserts or updates a batch of variable-sized records:
-// phase 1 lands the batch in battery-backed NVRAM and updates the indices to
-// point at the NVRAM copies (logical commit — the host is acknowledged
-// here); phase 2 programs sealed pages to flash in the background; phase 3
-// swings each index entry to its flash address unless a newer version
-// superseded it mid-flight. Get resolves a key through the namespace index
-// and serves the value from NVRAM or flash. A per-log garbage collector
-// reclaims blocks chosen by low erase count and low valid-byte count,
-// re-validating every scanned record against the index (§IV-E).
+// create key-value namespaces; each namespace owns one mapping table in
+// on-SSD DRAM — a directory from key to the key's chain of retained
+// versions, whose head is the key's current physical location — and is
+// assigned a subset of the logs. Put atomically inserts or updates a batch
+// of variable-sized records: phase 1 lands the batch in battery-backed NVRAM
+// and pushes a version naming the NVRAM copy onto each key's chain (logical
+// commit — the host is acknowledged here); phase 2 programs sealed pages to
+// flash in the background; phase 3 swings each version to its flash address.
+// Get resolves a key through the mapping table and serves the value from
+// NVRAM or flash. A per-log garbage collector reclaims blocks chosen by low
+// erase count and low valid-byte count, re-validating every scanned record
+// against the mapping table (§IV-E).
 //
 // # Lock hierarchy
 //
@@ -22,13 +23,13 @@
 // concurrency model"). Outer to inner:
 //
 //	d.mu   (RWMutex)  namespace map + family membership. Readers: per-op
-//	                  namespace lookup, flusher/GC index installs (which
+//	                  namespace lookup, flusher/GC installs (which
 //	                  must see a frozen snapshot family). Writers: create/
-//	                  delete/snapshot namespace, legacy Crash.
-//	ns.mu  (RWMutex)  one per namespace: index identity (which table is
-//	                  mounted), round-robin cursor, swap state. Put, GC
-//	                  installs, and recovery take the write lock; Get does
-//	                  NOT take it — see "The read contract" below.
+//	                  delete/snapshot namespace.
+//	ns.mu  (RWMutex)  one per namespace: mapping-table mutation and
+//	                  residency (swap state), round-robin cursor. Put, GC
+//	                  installs, and swap-out/reload take the write lock;
+//	                  Get does NOT take it — see "The read contract" below.
 //	lg.mu  (Mutex)    one per log: packer, pending records, sealed queue,
 //	                  append points, free lists, per-block valid-byte
 //	                  accounting. spaceCv (queue backpressure) rides on it.
@@ -40,29 +41,32 @@
 // record at a time; valid-byte credits lock the owning log internally).
 // The key-lock table and the closed/crashed flags sit outside the
 // hierarchy: key locks are acquired with no other lock held, and the flags
-// are atomics. No actor holds ns.mu while waiting for queue space or free
+// are atomics. Three plain (non-simulation) mutexes are leaves: d.pinMu, the
+// hash directory's stripe locks and a tree directory's treeDir.mu guard pure
+// memory operations, may be taken under any lock above, and are never held
+// across another lock, a flash operation or a sleep. No actor holds ns.mu while waiting for queue space or free
 // blocks — that is what lets the flusher take ns.mu to install flash
 // locations while a Put is blocked on backpressure.
 //
 // # The read contract
 //
-// Get's index lookup acquires no lock. Each namespace publishes a
-// lock-free read handle (namespace.reader, an atomic pointer to the
-// seqlock table in internal/hashindex); execGet probes it directly and
-// the per-slot sequence counters make racing mutations safe — a reader
-// can never observe a torn key/value pair, only a fully published state
-// from before or after the racing write. ns.mu therefore no longer
-// serializes reads against writes on the table's CONTENT; it still
-// serializes everything about the table's IDENTITY (mount, swap-out,
-// reload, restore all go through namespace.setIndex under the write
-// lock) and still orders mutators against each other, which the
-// valid-byte accounting depends on. Tree-indexed and swapped-out
-// namespaces publish a nil handle, and those Gets fall back to
-// ns.mu.RLock exactly as before. One obligation follows: every index
-// mutation MUST go through the mounted table in place (never
-// copy-and-replace) so the handle a reader loaded stays current; the
-// only identity swaps are swap-out/reload/restore, whose flash I/O
-// cannot complete while any same-instant reader is still probing.
+// Every read — a root Get, a snapshot Get, GetAt, an SI transaction read —
+// is the same routine (readVersion, mvcc.go): resolve the key in the
+// family's mapping table as of a timestamp (noCutoff for a root Get), fetch
+// the value from NVRAM or flash with no firmware lock held, and resolve
+// again to catch a record that moved mid-read. The resolution acquires no
+// firmware lock: the directory probe runs under the seqlock protocol of
+// internal/hashindex (a reader can never observe a torn entry, only a fully
+// published state from before or after a racing write; a tree directory
+// guards itself with a plain memory lock), and the chain walk reads atomic
+// node fields. ns.mu therefore does not order reads against writes; it
+// orders mutators against each other, which the valid-byte accounting
+// depends on, and it guards the table's residency. One obligation follows:
+// every mapping-table mutation goes through the mounted table in place. The
+// table is replaced only when it is swapped out to flash or reloaded, both
+// of which take flash I/O that cannot complete while a same-instant reader
+// is mid-resolution; a reader that finds the table swapped out reloads it
+// first (the swapped-family rule, DESIGN.md §14).
 package kamlssd
 
 import (
@@ -239,9 +243,9 @@ type Stats struct {
 	NVRAMHits              int64 // Gets served from NVRAM
 	Programs               int64
 	GCCopies, GCErases     int64
-	// IndexProbes counts mapping-table slots scanned. Put's supersede path
-	// is a single upsert (one probe sequence per record, not a Get+Put
-	// pair), so updates charge the same probes as lookups.
+	// IndexProbes counts mapping-table entries scanned: the directory probe
+	// sequence of a Get or of a Put's version push (one per record), and the
+	// chain hops of a read at an explicit timestamp.
 	IndexProbes int64
 	// IndexReadRetries counts seqlock re-reads and epoch restarts on the
 	// lock-free Get path — a direct measure of read/write collision on the
@@ -279,17 +283,24 @@ type Stats struct {
 }
 
 // family groups a writable root namespace with the snapshots pinned
-// against it. It owns the per-key version chains (internal/hashindex
-// VersionChains) holding every retained version of every key the root has
-// ever written. The struct deliberately outlives the root namespace
-// object's map entry: snapshot shells hold a direct pointer, so deleting
-// the origin leaves their point-in-time reads fully functional
-// (TestDeleteOriginKeepsSnapshot). Chain mutations are serialized by
-// root.mu — the root namespace object is retained here for exactly that
-// lock even after deletion.
+// against it. It owns the mapping table (internal/hashindex VersionChains):
+// one directory from key to the chain of every retained version of the key,
+// the head being the root's current view. The struct deliberately outlives
+// the root namespace object's map entry: snapshot shells hold a direct
+// pointer, so deleting the origin leaves their point-in-time reads fully
+// functional (TestDeleteOriginKeepsSnapshot). Table mutations and residency
+// are serialized by root.mu — the root namespace object is retained here
+// for exactly that lock, and for the swap state, even after deletion.
 type family struct {
-	root   *namespace
-	chains *hashindex.VersionChains
+	root *namespace
+	// chains is the mounted mapping table, nil while it is swapped out to
+	// flash. Readers load it with no lock and go through Device.mounted,
+	// which reloads a swapped-out table first; it is stored under root.mu.
+	chains atomic.Pointer[hashindex.VersionChains]
+	// kind and capacity are the directory's shape, for rebuilding it on
+	// reload. Immutable.
+	kind     IndexKind
+	capacity int
 	// rootLive is false once DeleteNamespace removed the root: pruning then
 	// stops protecting chain heads, so versions survive only while a pinned
 	// snapshot sees them. Guarded by d.mu.
@@ -300,19 +311,17 @@ type family struct {
 type namespace struct {
 	id uint32
 
-	// mu guards index identity, rr, and the swap state below. Put,
-	// installs, GC swings, and recovery take the write lock. Get does NOT
-	// take it: reads go through the lock-free handle in reader (below) and
-	// fall back to the read lock only for tree indexes and swapped-out
-	// tables.
+	// mu guards rr and, on a family root, the family's mapping table:
+	// mutations of it and the swap state below. Put, installs, GC swings,
+	// swap-out and reload take the write lock. Reads do NOT take it (see the
+	// package comment).
 	mu *sim.RWMutex
 
-	index   nsIndex
 	logIDs  []int
-	rr      int // round-robin cursor over logIDs
-	swapped bool
-	loading bool // an actor is reloading the index from flash
-	// swapPages holds the flash pages of a swapped-out index.
+	rr      int  // round-robin cursor over logIDs
+	swapped bool // family root only: the mapping table is on flash
+	loading bool // an actor is reloading it
+	// swapPages holds the flash pages of a swapped-out mapping table.
 	swapPages []flash.PPN
 	// origin is the family root whose records this namespace references
 	// (non-zero only for snapshots); readonly marks snapshots.
@@ -325,49 +334,24 @@ type namespace struct {
 	// Immutable after creation.
 	cutoff uint64
 
-	// fam is the version-chain family this namespace belongs to: its own
-	// for writable roots, the origin's for snapshot shells. Immutable after
-	// creation. Snapshot shells (readonly, index == nil) resolve every read
-	// through fam.chains at their cutoff timestamp.
+	// fam is the family this namespace belongs to: its own for writable
+	// roots, the origin's for snapshot shells. Immutable after creation.
+	// Every read resolves through fam's mapping table at cutoff.
 	fam *family
 
 	// pendingBatches counts Put batches that have validated this namespace
 	// but not yet committed or aborted. SnapshotNamespace waits for zero so
-	// a clone never captures a half-staged batch (batch atomicity would
-	// otherwise leak into the snapshot's point-in-time view).
+	// a snapshot never pins a half-staged batch (batch atomicity would
+	// otherwise leak into the snapshot's point-in-time view), and swap-out
+	// refuses while it is non-zero.
 	pendingBatches atomic.Int64
-
-	// reader is the lock-free read handle: the seqlock table backing index,
-	// or nil when the index is swapped out, still loading, or a tree (those
-	// Gets fall back to ns.mu.RLock). Published by setIndex under ns.mu (or
-	// before the namespace is visible); loaded by execGet with no lock.
-	// Mutators write the table in place, so a handle loaded just before a
-	// mutation still observes every completed write — the seqlock makes the
-	// race itself safe, and any state change that could make the handle
-	// stale (swap-out, reload, delete) involves flash I/O, which cannot
-	// complete while a reader is mid-probe on the shared virtual clock.
-	reader atomic.Pointer[hashindex.ConcurrentTable]
-
-	// onIndexRetry feeds seqlock read-retry counts into the device's stats
-	// and telemetry; set once by newNamespace, attached to each table by
-	// setIndex before the table is published.
-	onIndexRetry func(int64)
 }
 
-// setIndex installs idx as the namespace's mapping table and publishes (or
-// clears) the lock-free read handle. Call with ns.mu write-held, or before
-// the namespace is reachable.
-func (ns *namespace) setIndex(idx nsIndex) {
-	ns.index = idx
-	if idx == nil {
-		ns.reader.Store(nil)
-		return
-	}
-	rt := lockFreeReader(idx)
-	if rt != nil && ns.onIndexRetry != nil {
-		rt.OnRetry(ns.onIndexRetry)
-	}
-	ns.reader.Store(rt)
+// newFamily mounts an empty mapping table of the given shape for root.
+func (d *Device) newFamily(root *namespace, kind IndexKind, capacity int, live bool) *family {
+	fam := &family{root: root, kind: kind, capacity: capacity, rootLive: live}
+	fam.chains.Store(hashindex.NewVersionChainsOver(d.newDirectory(kind, capacity)))
+	return fam
 }
 
 // New builds a KAML device on the array and transport and starts its
@@ -401,8 +385,7 @@ func New(arr *flash.Array, ctrl *nvme.Controller, cfg Config) *Device {
 	return d
 }
 
-// initLocks builds the device's lock hierarchy (shared by New, Recover,
-// Restore).
+// initLocks builds the device's lock hierarchy (shared by New and Recover).
 func (d *Device) initLocks() {
 	d.mu = d.eng.NewRWMutex("kaml-dev")
 	d.nvMu = d.eng.NewMutex("kaml-nvram")
@@ -411,14 +394,9 @@ func (d *Device) initLocks() {
 }
 
 // newNamespace allocates the in-DRAM shell of a namespace, including its
-// index lock.
+// lock.
 func (d *Device) newNamespace(id uint32) *namespace {
-	ns := &namespace{id: id, mu: d.eng.NewRWMutex(fmt.Sprintf("kaml-ns%d", id))}
-	ns.onIndexRetry = func(n int64) {
-		addStat(&d.stats.IndexReadRetries, n)
-		d.met.addIndexReadRetries(n)
-	}
-	return ns
+	return &namespace{id: id, mu: d.eng.NewRWMutex(fmt.Sprintf("kaml-ns%d", id))}
 }
 
 // startActors launches the command pipeline, one flusher per log, and the
@@ -635,9 +613,8 @@ func (d *Device) CreateNamespace(attrs NamespaceAttrs) (uint32, error) {
 		d.nv.nextNSID++
 		d.nvMu.Unlock()
 		ns := d.newNamespace(id)
-		ns.setIndex(newIndex(attrs.Index, capacity, d.cfg.AutoGrowIndex))
 		ns.cutoff = noCutoff
-		ns.fam = &family{root: ns, chains: hashindex.NewVersionChains(capacity), rootLive: true}
+		ns.fam = d.newFamily(ns, attrs.Index, capacity, true)
 		d.families[id] = ns.fam
 		nLogs := attrs.NumLogs
 		if nLogs <= 0 || nLogs > len(d.logs) {
@@ -681,11 +658,9 @@ func (d *Device) DeleteNamespace(id uint32) error {
 		fam := ns.fam
 		if fam.root == ns {
 			fam.rootLive = false
-			ns.mu.Lock()
-			if !ns.swapped && ns.index != nil {
-				d.met.addIndexEntries(-ns.index.Len())
+			if ch := fam.chains.Load(); ch != nil {
+				d.met.addIndexEntries(-ch.Keys())
 			}
-			ns.mu.Unlock()
 		}
 		if d.familyRefsLocked(fam) == 0 {
 			delete(d.families, fam.root.id)
@@ -693,7 +668,8 @@ func (d *Device) DeleteNamespace(id uint32) error {
 		// Versions invisible to every surviving pin (for a dead root that
 		// includes the chain heads) release their flash space now; the
 		// per-block valid-byte accounting keeps GC victim scoring honest.
-		d.pruneFamilyLocked(fam)
+		pins, floor := d.pinsAppend(nil)
+		d.pruneFamily(fam, pins, floor, fam.rootLive)
 	})
 	return err
 }
@@ -778,15 +754,14 @@ func (d *Device) IndexLoadFactor(id uint32) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	if ns.swapped {
+	if ns.origin != 0 || ns.fam.kind == IndexTree {
+		return 0, nil // a snapshot shell mounts no table; a tree has no load factor
+	}
+	ch := ns.fam.chains.Load()
+	if ch == nil {
 		return 0, ErrSwappedOut
 	}
-	if ns.index == nil {
-		return 0, nil // snapshot shell: reads resolve through version chains
-	}
-	return ns.index.LoadFactor(), nil
+	return ch.LoadFactor(), nil
 }
 
 // location packs a record's physical position into a hashindex value.

@@ -1,8 +1,10 @@
 package kamlssd
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/kaml-ssd/kaml/internal/flash"
 	"github.com/kaml-ssd/kaml/internal/record"
@@ -180,7 +182,14 @@ func (d *Device) collectBlock(lg *logState, chipIdx, block int) {
 		}
 		for _, pl := range placed {
 			loc := flashLoc(ppn, pl.StartChunk, pl.NumChunks)
-			if d.recordLive(pl.Record, loc) {
+			isLive, lerr := d.recordLive(pl.Record, loc)
+			if lerr != nil {
+				// The record's family is swapped out and its table could not
+				// be reloaded: liveness is unknown, so the victim must not be
+				// erased. Abandon it; a later GC pass retries.
+				return
+			}
+			if isLive {
 				live = append(live, gcRecord{rec: pl.Record, oldLoc: loc})
 				addStat(&d.stats.GCCopies, 1)
 				d.met.addGCCopiedBytes(lg.id, int64(pl.NumChunks*d.cfg.ChunkSize))
@@ -203,7 +212,7 @@ func (d *Device) collectBlock(lg *logState, chipIdx, block int) {
 	}
 
 	if d.relocateRecords(lg, live) != nil || d.relocateIndexPages(lg, liveIndexPages) != nil {
-		return // power cut mid-relocation: the victim must not be erased
+		return // power cut (or failed reload) mid-relocation: the victim must not be erased
 	}
 
 	first := d.arr.BlockPPN(ch, chip, block, 0)
@@ -288,16 +297,19 @@ func (lg *logState) gcCapacityPages() int {
 // because a snapshot cutoff or transaction pin can still see it. Pruning
 // (mvcc.go) is what turns superseded versions into garbage; a family whose
 // members are all deleted has no chains entry, so its records are dead.
-// The chain walk is lock-free and exact even while the root's mapping
-// table is swapped out (chains stay DRAM-resident).
-func (d *Device) recordLive(rec record.Record, loc location) bool {
+// The chain walk is lock-free; a swapped-out family is reloaded first.
+func (d *Device) recordLive(rec record.Record, loc location) (bool, error) {
 	d.mu.RLock()
 	fam := d.families[rec.Namespace]
 	d.mu.RUnlock()
 	if fam == nil {
-		return false
+		return false, nil
 	}
-	return fam.chains.VersionAtLoc(rec.Key, uint64(loc)) != nil
+	ch, err := d.mounted(fam)
+	if err != nil {
+		return false, err
+	}
+	return ch.VersionAtLoc(rec.Key, uint64(loc)) != nil, nil
 }
 
 // gcProgram programs one GC-stream page, rewriting on injected program
@@ -333,7 +345,7 @@ func (d *Device) gcProgram(lg *logState, data, oob []byte) (flash.PPN, error) {
 }
 
 // relocateRecords packs live records into fresh pages on the log's GC
-// stream and swings index entries, re-validating each record at install
+// stream and swings their chain nodes, re-validating each record at install
 // time (it may have been superseded while GC was running).
 func (d *Device) relocateRecords(lg *logState, live []gcRecord) error {
 	packer := record.NewPacker(d.fc.PageSize, d.cfg.ChunkSize)
@@ -359,22 +371,22 @@ func (d *Device) relocateRecords(lg *logState, live []gcRecord) error {
 			if fam == nil {
 				continue // family deleted mid-GC: dead on arrival
 			}
-			fam.root.mu.Lock()
-			node := fam.chains.VersionAtLoc(g.rec.Key, uint64(g.oldLoc))
-			if node == nil {
-				fam.root.mu.Unlock()
-				continue // version superseded and pruned mid-GC
+			// The family may have been swapped out since the liveness scan
+			// mounted it; the reload reads flash with d.mu read-held, which
+			// only delays namespace create/delete.
+			ch, lerr := d.lockMounted(fam)
+			if lerr != nil {
+				d.mu.RUnlock()
+				return lerr
 			}
-			node.SetLoc(uint64(newLoc))
-			// The root's mapping table mirrors the chain head's location;
-			// swing it too when this version is the one it names.
-			if !fam.root.swapped && fam.root.index != nil {
-				cur, _, err := fam.root.index.Get(g.rec.Key)
-				if err == nil && location(cur) == g.oldLoc {
-					_, _, _ = fam.root.index.Put(g.rec.Key, uint64(newLoc))
-				}
+			node := ch.VersionAtLoc(g.rec.Key, uint64(g.oldLoc))
+			if node != nil {
+				node.SetLoc(uint64(newLoc))
 			}
 			fam.root.mu.Unlock()
+			if node == nil {
+				continue // version superseded and pruned mid-GC
+			}
 			d.discountValid(g.oldLoc)
 			d.creditValid(newLoc)
 		}
@@ -395,7 +407,7 @@ func (d *Device) relocateRecords(lg *logState, live []gcRecord) error {
 }
 
 // relocateIndexPages rewrites live swapped-index pages and updates the
-// owning namespace's page list. The old OOB (bitmap, type, magic, CRC) is
+// owning family root's page list. The old OOB (bitmap, type, magic, CRC) is
 // carried over verbatim — the data is byte-identical, so it stays valid.
 func (d *Device) relocateIndexPages(lg *logState, pages []flash.PPN) error {
 	for _, old := range pages {
@@ -412,14 +424,14 @@ func (d *Device) relocateIndexPages(lg *logState, pages []flash.PPN) error {
 		}
 		addStat(&d.stats.Programs, 1)
 		d.mu.RLock()
-		for _, ns := range d.namespacesSorted() {
-			ns.mu.Lock()
-			for i, p := range ns.swapPages {
+		for _, root := range d.rootsSorted() {
+			root.mu.Lock()
+			for i, p := range root.swapPages {
 				if p == old {
-					ns.swapPages[i] = ppn
+					root.swapPages[i] = ppn
 				}
 			}
-			ns.mu.Unlock()
+			root.mu.Unlock()
 		}
 		d.mu.RUnlock()
 	}
@@ -431,22 +443,26 @@ func (d *Device) relocateIndexPages(lg *logState, pages []flash.PPN) error {
 func (d *Device) indexPageLive(ppn flash.PPN) bool {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	for _, ns := range d.namespacesSorted() {
-		ns.mu.RLock()
-		for _, p := range ns.swapPages {
-			if p == ppn {
-				ns.mu.RUnlock()
-				return true
-			}
+	for _, root := range d.rootsSorted() {
+		root.mu.RLock()
+		live := slices.Contains(root.swapPages, ppn)
+		root.mu.RUnlock()
+		if live {
+			return true
 		}
-		ns.mu.RUnlock()
 	}
 	return false
 }
 
-// isPageWritten lets the flusher tolerate replaying a program after crash
-// recovery (the page content is deterministic, so an already-written page
-// means the pre-crash program completed).
-func isPageWritten(err error) bool {
-	return errors.Is(err, flash.ErrPageWritten)
+// rootsSorted returns every family's root ordered by ID — including a
+// deleted root whose snapshots keep the family, and with it a swapped-out
+// table's pages, alive. Sorted because callers lock each root in turn (see
+// namespacesSorted). Called with d.mu held.
+func (d *Device) rootsSorted() []*namespace {
+	out := make([]*namespace, 0, len(d.families))
+	for _, fam := range d.families {
+		out = append(out, fam.root)
+	}
+	slices.SortFunc(out, func(a, b *namespace) int { return cmp.Compare(a.id, b.id) })
+	return out
 }

@@ -1,6 +1,8 @@
 package kamlssd
 
 import (
+	"sync"
+
 	"github.com/kaml-ssd/kaml/internal/btree"
 	"github.com/kaml-ssd/kaml/internal/hashindex"
 )
@@ -21,163 +23,6 @@ const (
 	IndexTree
 )
 
-// nsIndex is the firmware's view of a mapping table. `probes` counts DRAM
-// accesses so the controller can charge CPU time per operation.
-type nsIndex interface {
-	Get(key uint64) (val uint64, probes int, err error)
-	Put(key, val uint64) (probes int, existed bool, err error)
-	// Upsert is Get+Put in one probe sequence: it stores val and returns
-	// the superseded value, so Put's hot path charges one lookup, not two.
-	Upsert(key, val uint64) (old uint64, probes int, existed bool, err error)
-	Delete(key uint64) (probes int, err error)
-	Range(fn func(key, val uint64) bool)
-	Len() int
-	Capacity() int
-	LoadFactor() float64
-	Serialize() []byte
-	Clone() nsIndex
-	Kind() IndexKind
-}
-
-// newIndex builds a mapping table of the given kind.
-func newIndex(kind IndexKind, capacity int, autoGrow bool) nsIndex {
-	switch kind {
-	case IndexTree:
-		return &treeIndex{t: btree.New()}
-	default:
-		return &hashIdx{t: hashindex.NewConcurrent(capacity, autoGrow)}
-	}
-}
-
-// lockFreeReader returns the seqlock table backing idx when it supports
-// lock-free Gets, or nil (tree indexes, nil index). The read path publishes
-// this through namespace.reader so execGet can probe without ns.mu.
-func lockFreeReader(idx nsIndex) *hashindex.ConcurrentTable {
-	if h, ok := idx.(*hashIdx); ok {
-		return h.t
-	}
-	return nil
-}
-
-// deserializeIndex rebuilds a table from Serialize output.
-func deserializeIndex(kind IndexKind, blob []byte, capacity int, autoGrow bool) (nsIndex, error) {
-	switch kind {
-	case IndexTree:
-		base, err := hashindex.Deserialize(blob, 0.5)
-		if err != nil {
-			return nil, err
-		}
-		ti := &treeIndex{t: btree.New()}
-		base.Range(func(k, v uint64) bool {
-			ti.t.Put(k, v)
-			return true
-		})
-		return ti, nil
-	default:
-		tbl, err := hashindex.Deserialize(blob, 0)
-		if err != nil {
-			return nil, err
-		}
-		if tbl.Capacity() > capacity {
-			capacity = tbl.Capacity()
-		}
-		ct := hashindex.NewConcurrent(capacity, autoGrow)
-		var perr error
-		tbl.Range(func(k, v uint64) bool {
-			_, _, perr = ct.Put(k, v)
-			return perr == nil
-		})
-		if perr != nil {
-			return nil, perr
-		}
-		return &hashIdx{t: ct}, nil
-	}
-}
-
-// hashIdx adapts hashindex.ConcurrentTable to nsIndex. Mutations are
-// additionally serialized by ns.mu (the table's stripe locks alone would
-// admit interleavings the firmware's valid-byte accounting can't tolerate);
-// Gets go straight to the seqlock table with no lock at all.
-type hashIdx struct {
-	t *hashindex.ConcurrentTable
-}
-
-func (h *hashIdx) Get(key uint64) (uint64, int, error)    { return h.t.Get(key) }
-func (h *hashIdx) Put(key, val uint64) (int, bool, error) { return h.t.Put(key, val) }
-func (h *hashIdx) Upsert(key, val uint64) (uint64, int, bool, error) {
-	return h.t.Upsert(key, val)
-}
-func (h *hashIdx) Delete(key uint64) (int, error)  { return h.t.Delete(key) }
-func (h *hashIdx) Range(fn func(k, v uint64) bool) { h.t.Range(fn) }
-func (h *hashIdx) Len() int                        { return h.t.Len() }
-func (h *hashIdx) Capacity() int                   { return h.t.Capacity() }
-func (h *hashIdx) LoadFactor() float64             { return h.t.LoadFactor() }
-func (h *hashIdx) Serialize() []byte               { return h.t.Serialize() }
-func (h *hashIdx) Clone() nsIndex                  { return &hashIdx{t: h.t.Clone()} }
-func (h *hashIdx) Kind() IndexKind                 { return IndexHash }
-
-// treeIndex adapts btree.Tree to nsIndex. Probe counts are the tree depth
-// (each level is one DRAM node access).
-type treeIndex struct {
-	t *btree.Tree
-}
-
-func (ti *treeIndex) Get(key uint64) (uint64, int, error) {
-	v, err := ti.t.Get(key)
-	if err != nil {
-		return 0, ti.t.Depth(), hashindex.ErrNotFound
-	}
-	return v, ti.t.Depth(), nil
-}
-
-func (ti *treeIndex) Put(key, val uint64) (int, bool, error) {
-	existed := ti.t.Put(key, val)
-	return ti.t.Depth(), existed, nil
-}
-
-func (ti *treeIndex) Upsert(key, val uint64) (uint64, int, bool, error) {
-	// The tree has no fused read-write op; one descent reads, the second
-	// writes, but both traverse the same root-to-leaf path so the charged
-	// probe count stays one tree depth.
-	old, err := ti.t.Get(key)
-	existed := err == nil
-	ti.t.Put(key, val)
-	return old, ti.t.Depth(), existed, nil
-}
-
-func (ti *treeIndex) Delete(key uint64) (int, error) {
-	if err := ti.t.Delete(key); err != nil {
-		return ti.t.Depth(), hashindex.ErrNotFound
-	}
-	return ti.t.Depth(), nil
-}
-
-func (ti *treeIndex) Range(fn func(k, v uint64) bool) { ti.t.Ascend(fn) }
-func (ti *treeIndex) Len() int                        { return ti.t.Len() }
-func (ti *treeIndex) Capacity() int                   { return ti.t.Len() }
-func (ti *treeIndex) LoadFactor() float64             { return 0 }
-func (ti *treeIndex) Kind() IndexKind                 { return IndexTree }
-
-func (ti *treeIndex) Serialize() []byte {
-	// Reuse the flat (count, key, val) format via a throwaway hash table.
-	tmp := hashindex.New(ti.t.Len() * 2)
-	tmp.AutoGrow = true
-	ti.t.Ascend(func(k, v uint64) bool {
-		_, _, err := tmp.Put(k, v)
-		return err == nil
-	})
-	return tmp.Serialize()
-}
-
-func (ti *treeIndex) Clone() nsIndex {
-	c := &treeIndex{t: btree.New()}
-	ti.t.Ascend(func(k, v uint64) bool {
-		c.t.Put(k, v)
-		return true
-	})
-	return c
-}
-
 // String names the kind for diagnostics.
 func (k IndexKind) String() string {
 	if k == IndexTree {
@@ -185,3 +30,79 @@ func (k IndexKind) String() string {
 	}
 	return "hash"
 }
+
+// newDirectory builds the empty key directory a family's version chains are
+// mounted over. The hash kind is the seqlock table at the namespace's
+// capacity, so ErrIndexFull and the load-factor probe curve come from it;
+// its read retries feed the device's counters.
+func (d *Device) newDirectory(kind IndexKind, capacity int) hashindex.Directory {
+	if kind == IndexTree {
+		return &treeDir{t: btree.New()}
+	}
+	t := hashindex.NewConcurrent(capacity, d.cfg.AutoGrowIndex)
+	t.OnRetry(d.noteIndexRetry)
+	return t
+}
+
+// noteIndexRetry counts seqlock read retries on the lock-free read path.
+func (d *Device) noteIndexRetry(n int64) {
+	addStat(&d.stats.IndexReadRetries, n)
+	d.met.addIndexReadRetries(n)
+}
+
+// treeDir adapts btree.Tree to hashindex.Directory. Probe counts are the
+// tree depth (each level is one DRAM node access). The tree itself is not
+// safe for concurrent use, so the adapter carries a plain RWMutex — pure
+// memory operations under it, the counterpart of the hash table's stripe
+// locks and, like them, a leaf of the lock hierarchy (device.go) — which is
+// what lets chain readers treat both kinds alike.
+type treeDir struct {
+	mu sync.RWMutex
+	t  *btree.Tree
+}
+
+func (td *treeDir) Get(key uint64) (uint64, int, error) {
+	td.mu.RLock()
+	defer td.mu.RUnlock()
+	v, err := td.t.Get(key)
+	if err != nil {
+		return 0, td.t.Depth(), hashindex.ErrNotFound
+	}
+	return v, td.t.Depth(), nil
+}
+
+func (td *treeDir) LoadOrStore(key, val uint64) (uint64, int, bool, error) {
+	td.mu.Lock()
+	defer td.mu.Unlock()
+	if cur, err := td.t.Get(key); err == nil {
+		return cur, td.t.Depth(), true, nil
+	}
+	td.t.Put(key, val)
+	return val, td.t.Depth(), false, nil
+}
+
+func (td *treeDir) Delete(key uint64) (int, error) {
+	td.mu.Lock()
+	defer td.mu.Unlock()
+	if err := td.t.Delete(key); err != nil {
+		return td.t.Depth(), hashindex.ErrNotFound
+	}
+	return td.t.Depth(), nil
+}
+
+// Range visits the entries in key order under the read lock: fn must not
+// call back into the directory or block on a simulation primitive.
+func (td *treeDir) Range(fn func(key, val uint64) bool) {
+	td.mu.RLock()
+	defer td.mu.RUnlock()
+	td.t.Ascend(fn)
+}
+
+func (td *treeDir) Len() int {
+	td.mu.RLock()
+	defer td.mu.RUnlock()
+	return td.t.Len()
+}
+
+// Capacity is the entry count: a tree occupies what it holds.
+func (td *treeDir) Capacity() int { return td.Len() }

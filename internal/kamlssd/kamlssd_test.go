@@ -52,6 +52,15 @@ func withRig(t *testing.T, fc flash.Config, mod func(*Config), fn func(r *rig)) 
 	r.e.Wait()
 }
 
+// powerCycle cuts power to dev, waits for its actors to halt, and recovers
+// a fresh device from what survives: the flash array and dev's NVRAM. Call
+// from a simulation actor.
+func powerCycle(dev *Device, arr *flash.Array, ctrl *nvme.Controller) (*Device, error) {
+	dev.PowerFail()
+	dev.AwaitHalt()
+	return Recover(arr, ctrl, dev.Config(), dev.NVRAM())
+}
+
 func val(key uint64, size int) []byte {
 	v := make([]byte, size)
 	for i := range v {
@@ -524,10 +533,9 @@ func TestCrashRecoveryPreservesAckedPuts(t *testing.T) {
 			}
 		}
 		// Power cut: nothing flushed (except full pages sealed en route).
-		st := dev.Crash()
-		dev2, err := Restore(arr, ctrl, cfg, st)
+		dev2, err := powerCycle(dev, arr, ctrl)
 		if err != nil {
-			t.Errorf("restore: %v", err)
+			t.Errorf("recover: %v", err)
 			return
 		}
 		defer dev2.Close()
@@ -569,10 +577,9 @@ func TestCrashMidFlushReplaysInflight(t *testing.T) {
 		}
 		// Crash while flushers are busy: some pages programmed, some
 		// in flight, some still in NVRAM.
-		st := dev.Crash()
-		dev2, err := Restore(arr, ctrl, cfg, st)
+		dev2, err := powerCycle(dev, arr, ctrl)
 		if err != nil {
-			t.Errorf("restore: %v", err)
+			t.Errorf("recover: %v", err)
 			return
 		}
 		defer dev2.Close()

@@ -259,9 +259,7 @@ func (d *Device) flusherLoop(lg *logState) {
 		lg.mu.Unlock()
 
 		err := d.arr.ProgramPage(sp.ppn, sp.data, sp.oob)
-		if err != nil && !isPageWritten(err) {
-			// isPageWritten means a pre-crash program completed before the
-			// sealed page was replayed from NVRAM; the content matches.
+		if err != nil {
 			if errors.Is(err, flash.ErrPowerCut) {
 				// Power died mid-program. The records are safe in NVRAM;
 				// recovery replays them. Exit without installing anything.
@@ -325,27 +323,27 @@ func (d *Device) flusherLoop(lg *logState) {
 // stays readable at pinned timestamps until pruned — and its flash space
 // is credited exactly once here (prune discounts it later). A version
 // already pruned or aborted is absent from the chain: its flash copy is
-// dead on arrival and never credited. The root's mapping table mirrors the
-// chain head, so the table entry is swung only when it still names this
-// version's NVRAM location. Called with d.mu read-held and no namespace or
-// log lock.
+// dead on arrival and never credited. So is every record that lands while
+// the family's table is swapped out: swap-out refuses while any linked
+// version is NVRAM-resident, so only a record whose node is already gone (an
+// aborted batch's, say) can still be in a packer then, and the table is not
+// reloaded to learn that. Called with d.mu read-held and no namespace or log
+// lock.
 func (d *Device) installFlashLoc(pr pendingRec, ppn flash.PPN) {
 	nchunks := (pr.size + d.cfg.ChunkSize - 1) / d.cfg.ChunkSize
 	loc := flashLoc(ppn, pr.chunk, nchunks)
 	if fam := d.families[pr.ns]; fam != nil {
 		fam.root.mu.Lock()
-		if node := fam.chains.VersionAtLoc(pr.key, uint64(nvramLoc(pr.seq))); node != nil {
-			node.SetLoc(uint64(loc))
-			if !fam.root.swapped && fam.root.index != nil {
-				cur, _, err := fam.root.index.Get(pr.key)
-				if err == nil && location(cur) == nvramLoc(pr.seq) {
-					_, _, _ = fam.root.index.Put(pr.key, uint64(loc))
-				}
+		swung := false
+		if ch := fam.chains.Load(); ch != nil {
+			if node := ch.VersionAtLoc(pr.key, uint64(nvramLoc(pr.seq))); node != nil {
+				node.SetLoc(uint64(loc))
+				swung = true
 			}
-			fam.root.mu.Unlock()
+		}
+		fam.root.mu.Unlock()
+		if swung {
 			d.creditValid(loc)
-		} else {
-			fam.root.mu.Unlock()
 		}
 	}
 	// Release the NVRAM copy — unless its batch has not committed yet, in

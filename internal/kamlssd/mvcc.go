@@ -11,16 +11,16 @@ import (
 	"github.com/kaml-ssd/kaml/internal/record"
 )
 
-// This file is the device's MVCC surface. The commit-timestamp oracle is
-// the NVRAM sequence counter: every record of a Put batch is stamped with a
-// seq from the contiguous range the batch reserved at begin, and the
-// batch's NVRAM commit marker is what makes those timestamps "committed".
-// Each family root keeps a per-key version chain (hashindex.VersionChains)
-// of every retained (commitTS, location) pair; the namespace mapping table
-// is reduced to a mirror of each chain's head so the zero-contention Get
-// path is untouched. Snapshots, GetAt time-travel reads, and SI
-// transactions all resolve reads by walking a chain to the newest committed
-// version at-or-before a pinned timestamp — no lock, no clone.
+// This file is the device's MVCC surface and its one read routine. The
+// commit-timestamp oracle is the NVRAM sequence counter: every record of a
+// Put batch is stamped with a seq from the contiguous range the batch
+// reserved at begin, and the batch's NVRAM commit marker is what makes those
+// timestamps "committed". Each family's mapping table (hashindex
+// VersionChains) keeps, per key, the chain of every retained (commitTS,
+// location) pair. A root Get, a snapshot Get, a GetAt time-travel read and
+// an SI transaction read all resolve the same way — walk the key's chain to
+// the newest committed version at-or-before a timestamp — with no lock and
+// no clone; only the timestamp differs (noCutoff for a root Get).
 
 // CommitTS returns the device's current commit timestamp (the NVRAM
 // sequence counter). Timestamps below it may still belong to in-flight
@@ -38,11 +38,19 @@ func (d *Device) CommitTS() uint64 {
 // behind — an in-flight batch. This is the begin-timestamp source for SI
 // transactions. The caller must release the pin with ReleasePin; while
 // pinned, version pruning keeps every version visible at the timestamp.
+//
+// The pin is registered under the same hold of nvMu that reads the settled
+// timestamp, and every pruner reads its pin set and the settled timestamp
+// under one hold too (pinsAppend). A pruner therefore either sees this pin
+// or read a settled timestamp no newer than the one returned here — and it
+// keeps everything visible at or after that floor. That is the pin-floor
+// invariant: no interleaving lets a prune take the version a transaction
+// that begins during it will read.
 func (d *Device) PinCurrent() uint64 {
 	d.nvMu.Lock()
 	ts := d.nv.settledSeq()
-	d.nvMu.Unlock()
 	d.pinTS(ts)
+	d.nvMu.Unlock()
 	return ts
 }
 
@@ -66,43 +74,42 @@ func (d *Device) ReleasePin(ts uint64) {
 	d.pinMu.Unlock()
 }
 
-// pinsLocked gathers every pinned commit timestamp — snapshot cutoffs plus
-// transient pins — ascending and deduplicated. The list is global rather
-// than per-family: a foreign family's pin at worst retains a few extra
-// versions until the next prune. Caller holds d.mu (read or write).
-func (d *Device) pinsLocked() []uint64 {
-	return d.pinsAppend(make([]uint64, 0, 8))
-}
-
-// pinsAppend is pinsLocked into a caller-owned buffer (overwritten from
-// the start), so steady-state callers avoid the per-pass allocation.
-func (d *Device) pinsAppend(pins []uint64) []uint64 {
+// pinsAppend gathers into pins (overwritten from the start, so steady-state
+// callers avoid the per-pass allocation) every pinned timestamp — snapshot
+// cutoffs and transient pins, ascending and deduplicated — and returns the
+// settled floor read together with them: a transaction that begins after
+// this call pins a timestamp >= floor, so the pruner keeps what floor and
+// every later timestamp sees as well (hashindex PruneBelow). The list is
+// global rather than per-family: a foreign family's pin at worst retains a
+// few extra versions until the next prune. Caller holds d.mu (read or
+// write).
+func (d *Device) pinsAppend(pins []uint64) ([]uint64, uint64) {
 	pins = pins[:0]
 	for _, ns := range d.namespaces {
 		if ns.readonly && ns.cutoff != noCutoff {
 			pins = append(pins, ns.cutoff)
 		}
 	}
+	// One hold of nvMu covers the floor and the transient pins; PinCurrent
+	// registers under the same lock (see there).
+	d.nvMu.Lock()
+	floor := d.nv.settledSeq()
 	d.pinMu.Lock()
 	for ts := range d.pins {
 		pins = append(pins, ts)
 	}
 	d.pinMu.Unlock()
+	d.nvMu.Unlock()
 	slices.Sort(pins)
-	out := pins[:0]
-	for i, p := range pins {
-		if i == 0 || p != pins[i-1] {
-			out = append(out, p)
-		}
-	}
-	return out
+	return slices.Compact(pins), floor
 }
 
-// snapshotPins is pinsLocked for callers not holding d.mu.
-func (d *Device) snapshotPins() []uint64 {
+// snapshotPins is pinsAppend into a fresh buffer, for callers not holding
+// d.mu.
+func (d *Device) snapshotPins() ([]uint64, uint64) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.pinsLocked()
+	return d.pinsAppend(make([]uint64, 0, 8))
 }
 
 // versionDead releases the flash space of a pruned version. NVRAM-resident
@@ -114,14 +121,20 @@ func (d *Device) versionDead(_ uint64, loc uint64) {
 	}
 }
 
-// pruneFamilyLocked prunes fam's chains against the currently pinned
-// timestamps. Chain heads are protected only while the family root is
-// alive. Caller holds d.mu.
-func (d *Device) pruneFamilyLocked(fam *family) {
-	pins := d.pinsLocked()
-	keepHead := fam.rootLive
+// pruneFamily runs one prune pass over fam's mounted chains (a swapped-out
+// family is left for the first prune after its reload). Chain heads are
+// protected only while the family root is alive, and a deleted root has no
+// floor either: nobody can begin a read of it, and its snapshots read at
+// their cutoffs, which are pins.
+func (d *Device) pruneFamily(fam *family, pins []uint64, floor uint64, keepHead bool) {
+	if !keepHead {
+		floor = hashindex.NoFloor
+	}
 	fam.root.mu.Lock()
-	n := fam.chains.PruneAll(pins, keepHead, d.versionDead, d.chainLenObs)
+	n := 0
+	if ch := fam.chains.Load(); ch != nil {
+		n = ch.PruneAll(pins, floor, keepHead, d.versionDead, d.chainLenObs)
+	}
 	fam.root.mu.Unlock()
 	d.notePruned(n)
 }
@@ -145,13 +158,10 @@ func (d *Device) pruneFamilies() {
 	for _, f := range fams {
 		keep = append(keep, f.rootLive)
 	}
-	pins := d.pinsAppend(d.gcPrunePins)
+	pins, floor := d.pinsAppend(d.gcPrunePins)
 	d.mu.RUnlock()
 	for i, f := range fams {
-		f.root.mu.Lock()
-		n := f.chains.PruneAll(pins, keep[i], d.versionDead, d.chainLenObs)
-		f.root.mu.Unlock()
-		d.notePruned(n)
+		d.pruneFamily(f, pins, floor, keep[i])
 	}
 	d.gcPruneFams, d.gcPruneKeep, d.gcPrunePins = fams, keep, pins
 }
@@ -186,7 +196,7 @@ func (d *Device) GetAt(nsID uint32, key uint64, ts uint64) ([]byte, error) {
 	d.pinTS(ts)
 	defer d.ReleasePin(ts)
 	addStat(&d.stats.Gets, 1)
-	return d.readPinned(ns.fam, key, ts)
+	return d.readVersion(ns, key, ts, true)
 }
 
 // LatestCommittedSeq returns the commit timestamp of the key's newest
@@ -198,7 +208,11 @@ func (d *Device) LatestCommittedSeq(nsID uint32, key uint64) (uint64, error) {
 	if lerr != nil {
 		return 0, lerr
 	}
-	if v := ns.fam.chains.LatestCommitted(key); v != nil {
+	ch, lerr := d.mounted(ns.fam)
+	if lerr != nil {
+		return 0, lerr
+	}
+	if v := ch.LatestCommitted(key); v != nil {
 		return v.Seq, nil
 	}
 	return 0, nil
@@ -211,18 +225,53 @@ func (d *Device) VersionStats(nsID uint32) (keys, versions, maxChain int, err er
 	if lerr != nil {
 		return 0, 0, 0, lerr
 	}
-	ch := ns.fam.chains
-	ch.Range(func(k uint64, _ *hashindex.Version) bool {
-		if l := ch.ChainLen(k); l > 0 {
-			keys++
-			versions += l
-			if l > maxChain {
-				maxChain = l
-			}
+	ch, lerr := d.mounted(ns.fam)
+	if lerr != nil {
+		return 0, 0, 0, lerr
+	}
+	ch.Range(func(_ uint64, head *hashindex.Version) bool {
+		l := 0
+		for v := head; v != nil; v = v.Prev() {
+			l++
+		}
+		keys++
+		versions += l
+		if l > maxChain {
+			maxChain = l
 		}
 		return true
 	})
 	return keys, versions, maxChain, nil
+}
+
+// mounted returns fam's mapping table, reloading it from flash first when
+// it is swapped out — the one rule for every chain access (reads, GC
+// liveness and relocation; DESIGN.md §14). Called with no namespace or log
+// lock held.
+func (d *Device) mounted(fam *family) (*hashindex.VersionChains, error) {
+	for {
+		if ch := fam.chains.Load(); ch != nil {
+			return ch, nil
+		}
+		if err := d.loadIndex(fam); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// lockMounted is mounted for a mutator: it returns with fam.root.mu
+// write-held, so the table cannot be swapped out before the mutation lands.
+func (d *Device) lockMounted(fam *family) (*hashindex.VersionChains, error) {
+	for {
+		if _, err := d.mounted(fam); err != nil {
+			return nil, err
+		}
+		fam.root.mu.Lock()
+		if ch := fam.chains.Load(); ch != nil {
+			return ch, nil
+		}
+		fam.root.mu.Unlock()
+	}
 }
 
 // nvFetch copies a staged value out of NVRAM under the NVRAM lock (the
@@ -260,50 +309,102 @@ func (d *Device) nvFetch(loc location) (v []byte, hit bool, err error) {
 	}
 }
 
-// readPinned resolves key against fam's version chains at commit timestamp
-// ts and fetches the value from NVRAM or flash. It is the shared engine
-// behind snapshot Gets, GetAt, and SI transaction reads. The chain walk is
-// lock-free; a pending version at-or-before ts is waited out exactly like
-// execGet's uncommitted-NVRAM window. The flash read is optimistic: GC may
-// relocate the record mid-read, so the chain is re-resolved afterwards and
-// the read retried on movement.
-func (d *Device) readPinned(fam *family, key uint64, ts uint64) ([]byte, error) {
-	addStat(&d.stats.PinnedReads, 1)
-	charged := false
-	var err error
-	resolve := func() (location, bool) {
-		for {
-			loc, hops, rerr := fam.chains.GetAtOrBefore(key, ts)
-			if !charged {
-				charged = true
-				addStat(&d.stats.IndexProbes, int64(hops))
-				d.ctrl.ComputeProbes(hops)
-			}
-			if rerr == nil {
-				return location(loc), true
-			}
-			if errors.Is(rerr, hashindex.ErrNotFound) {
-				err = fmt.Errorf("%w: ns %d key %d @%d", ErrKeyNotFound, fam.root.id, key, ts)
-				return 0, false
-			}
-			// ErrPendingVersion: a version <= ts is staged but its batch is
-			// undecided. Wait for the commit marker or the rollback.
-			if d.crashed.Load() || !d.arr.Powered() {
-				d.noticePowerLoss()
-				err = ErrPowerLoss
-				return 0, false
-			}
-			d.eng.Sleep(d.cfg.FlushPoll)
-		}
-	}
+// versionRead is one read in flight: which key, in whose view, as of when.
+type versionRead struct {
+	d      *Device
+	ns     *namespace
+	key    uint64
+	ts     uint64
+	pinned bool // explicit timestamp (snapshot, GetAt, SI): charge chain hops
+	// charged is set once the first resolution has been billed;
+	// re-resolutions after a concurrent install or GC move retrace hot
+	// cache lines and are free.
+	charged bool
+	// chain is the key's anchor in table, kept from the first resolution so
+	// that later ones — every read re-validates after its flash read — skip
+	// the directory probe. It is trusted only while table is still the
+	// family's mounted one and the anchor still has a head.
+	table *hashindex.VersionChains
+	chain hashindex.Chain
+}
 
-	loc, ok := resolve()
-	if !ok {
+// resolve returns the location of the newest committed version of the key
+// at-or-before the read's timestamp. A pending version at-or-before it is
+// waited out — execPut pushes versions record by record before the batch's
+// single commit point, so the chain can briefly name a value that is not
+// yet, and might never be, committed; serving it would be a dirty read. The
+// writer ends the wait in bounded virtual time by stamping the version
+// committed or popping it.
+func (r *versionRead) resolve() (location, error) {
+	d := r.d
+	for {
+		var head *hashindex.Version
+		if r.table == r.ns.fam.chains.Load() {
+			head = r.chain.Head() // nil before the first lookup
+		}
+		probes := 0
+		if head == nil {
+			ch, err := d.mounted(r.ns.fam)
+			if err != nil {
+				return 0, err
+			}
+			r.table = ch
+			r.chain, probes = ch.Lookup(r.key)
+			head = r.chain.Head()
+		}
+		loc, hops, rerr := head.AtOrBefore(r.ts)
+		if !r.charged {
+			// A root Get pays for the directory probe sequence (the Fig. 5a
+			// load-factor curve); a read at an explicit timestamp pays for
+			// the chain nodes it visited.
+			r.charged = true
+			n := probes
+			if r.pinned {
+				n = hops
+			}
+			addStat(&d.stats.IndexProbes, int64(n))
+			d.ctrl.ComputeProbes(n)
+		}
+		switch {
+		case rerr == nil:
+			return location(loc), nil
+		case errors.Is(rerr, hashindex.ErrNotFound):
+			if r.pinned {
+				return 0, fmt.Errorf("%w: ns %d key %d @%d", ErrKeyNotFound, r.ns.id, r.key, r.ts)
+			}
+			return 0, fmt.Errorf("%w: ns %d key %d", ErrKeyNotFound, r.ns.id, r.key)
+		}
+		// ErrPendingVersion: wait for the commit marker or the rollback.
+		if d.crashed.Load() || !d.arr.Powered() {
+			d.noticePowerLoss()
+			return 0, ErrPowerLoss
+		}
+		d.eng.Sleep(d.cfg.FlushPoll)
+	}
+}
+
+// readVersion is the firmware's one read routine: it resolves key in ns's
+// family as of commit timestamp ts and fetches the value from NVRAM or
+// flash. A root Get passes ts = noCutoff; snapshot Gets, GetAt and SI
+// transaction reads pass their pinned timestamp (pinned, which selects the
+// charging rule and counts the read in PinnedReads). The flash read is
+// optimistic: it happens without any firmware lock, so GC may relocate the
+// record (and erase or rewrite the block) mid-read; the chain is re-resolved
+// afterwards and the read retried on movement — the firmware equivalent of
+// the baseline's LBA-range locks, without their per-command cost (§V-B).
+func (d *Device) readVersion(ns *namespace, key, ts uint64, pinned bool) ([]byte, error) {
+	if pinned {
+		addStat(&d.stats.PinnedReads, 1)
+	}
+	r := versionRead{d: d, ns: ns, key: key, ts: ts, pinned: pinned}
+	loc, err := r.resolve()
+	if err != nil {
 		return nil, err
 	}
 	readRetries := 0
 	for attempt := 0; ; attempt++ {
 		if !loc.isFlash() {
+			// Logically committed but still in NVRAM; serve from the buffer.
 			v, hit, verr := d.nvFetch(loc)
 			if verr != nil {
 				return nil, verr
@@ -314,13 +415,17 @@ func (d *Device) readPinned(fam *family, key uint64, ts uint64) ([]byte, error) 
 			}
 			// Installed to flash between the chain walk and now; the chain
 			// node's location was swung, so re-resolve.
-			if loc, ok = resolve(); !ok {
+			if loc, err = r.resolve(); err != nil {
 				return nil, err
 			}
 			continue
 		}
 		data, _, rerr := d.arr.ReadPage(loc.ppn())
 		if rerr != nil {
+			// Either the block was erased under us (GC), power was cut, or
+			// the medium returned a transient read error (fault injection).
+			// A transient error retries the same location a few times; a
+			// relocation re-resolves through the chain.
 			if errors.Is(rerr, flash.ErrPowerCut) {
 				d.noticePowerLoss()
 				return nil, ErrPowerLoss
@@ -330,8 +435,8 @@ func (d *Device) readPinned(fam *family, key uint64, ts uint64) ([]byte, error) 
 				addStat(&d.stats.ReadRetries, 1)
 				continue
 			}
-			cur, ok2 := resolve()
-			if !ok2 {
+			cur, err := r.resolve()
+			if err != nil {
 				return nil, err
 			}
 			if cur == loc || attempt > 16 {
@@ -340,8 +445,8 @@ func (d *Device) readPinned(fam *family, key uint64, ts uint64) ([]byte, error) 
 			loc = cur
 			continue
 		}
-		cur, ok2 := resolve()
-		if !ok2 {
+		cur, err := r.resolve()
+		if err != nil {
 			return nil, err
 		}
 		if cur != loc {
@@ -352,9 +457,11 @@ func (d *Device) readPinned(fam *family, key uint64, ts uint64) ([]byte, error) 
 		if derr != nil {
 			return nil, derr
 		}
-		if rec.Namespace != fam.root.id || rec.Key != key {
-			return nil, fmt.Errorf("kamlssd: version chain corruption: ns %d key %d @%d resolved to ns %d key %d",
-				fam.root.id, key, ts, rec.Namespace, rec.Key)
+		// Records are written under the family root, so that is the ID the
+		// on-flash header carries, whichever member is reading.
+		if root := ns.fam.root.id; rec.Namespace != root || rec.Key != key {
+			return nil, fmt.Errorf("kamlssd: mapping table corruption: ns %d key %d @%d resolved to ns %d key %d",
+				root, key, ts, rec.Namespace, rec.Key)
 		}
 		return rec.Value, nil
 	}

@@ -5,6 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
+
+	"github.com/kaml-ssd/kaml/internal/flash"
+	"github.com/kaml-ssd/kaml/internal/nvme"
+	"github.com/kaml-ssd/kaml/internal/sim"
 )
 
 // Time travel: every overwrite leaves a readable version while a pin (here
@@ -165,4 +170,82 @@ func TestGetAtClampsToSnapshotCutoff(t *testing.T) {
 			t.Fatalf("root GetAt(now): %q %v, want new", v, gerr)
 		}
 	})
+}
+
+// The pin-floor regression. While an older batch is still unsettled,
+// PinCurrent returns a timestamp below a newer, already committed overwrite
+// of a key — and the version that timestamp sees must have survived the
+// overwrite's own prune. Before the settled floor became an implicit pin the
+// overwrite pruned it (no pin was registered yet), and the read below found
+// no version at all: the "key not found on hot rows" SI failure.
+func TestPinFloorKeepsVersionBehindUnsettledBatch(t *testing.T) {
+	fc := testFlashConfig()
+	e := sim.NewEngine()
+	e.Serialize(1)
+	arr := flash.New(e, fc)
+	ctrl := nvme.New(e, nvme.DefaultConfig())
+	cfg := DefaultConfig(fc)
+	cfg.NumLogs = 4
+	dev := New(arr, ctrl, cfg)
+	e.Go("main", func() {
+		defer dev.Close()
+		slow, err := dev.CreateNamespace(NamespaceAttrs{NumLogs: 1})
+		if err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		hot, err := dev.CreateNamespace(NamespaceAttrs{})
+		if err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		if err := dev.Put(one(hot, 7, []byte("old"))); err != nil {
+			t.Errorf("put old: %v", err)
+			return
+		}
+		// Eight half-page records on a single log outrun its sealed-page
+		// queue, so the batch parks mid-stage — its timestamps reserved, its
+		// commit marker unwritten — until a flash program completes.
+		batch := make([]PutRecord, 8)
+		for i := range batch {
+			batch[i] = PutRecord{Namespace: slow, Key: uint64(i), Value: val(uint64(i), 3500)}
+		}
+		done := e.NewWaitGroup()
+		done.Add(1)
+		e.Go("slow-batch", func() {
+			defer done.Done()
+			if err := dev.Put(batch); err != nil {
+				t.Errorf("slow batch: %v", err)
+			}
+		})
+		defer done.Wait()
+		for i := 0; ; i++ {
+			ts := dev.PinCurrent()
+			dev.ReleasePin(ts)
+			if ts < dev.CommitTS() {
+				break // a batch is in flight: the settled timestamp trails
+			}
+			if i > 10000 {
+				t.Error("setup: the slow batch never parked unsettled")
+				return
+			}
+			e.Sleep(time.Microsecond)
+		}
+		// The overwrite lands on the hot namespace's next log, which is idle.
+		if err := dev.Put(one(hot, 7, []byte("new"))); err != nil {
+			t.Errorf("put new: %v", err)
+			return
+		}
+		ts := dev.PinCurrent()
+		defer dev.ReleasePin(ts)
+		if newSeq, _ := dev.LatestCommittedSeq(hot, 7); ts >= newSeq {
+			t.Errorf("setup: pinned %d, not below the overwrite at %d", ts, newSeq)
+			return
+		}
+		v, err := dev.GetAt(hot, 7, ts)
+		if err != nil || string(v) != "old" {
+			t.Errorf("GetAt(ts %d) = %q, %v; want the version the pin sees, \"old\"", ts, v, err)
+		}
+	})
+	e.Wait()
 }

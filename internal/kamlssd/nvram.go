@@ -60,14 +60,14 @@ func putStaging(buf []byte) {
 // Staged value buffers come from a pool: a value is copied in once at stage
 // time and the buffer is recycled when the entry is released (installed,
 // aborted, or dropped), so the steady-state Put path allocates nothing for
-// staging. Readers must copy out under nvMu — value() returns the pooled
+// staging. Readers must copy out under nvMu — valueState returns the pooled
 // buffer itself.
 type NVRAM struct {
 	nextNSID  uint32
 	nvSeq     uint64
 	nextBatch uint64
 
-	// staged mirrors len(values) atomically so the read path can answer
+	// staged tracks len(values) atomically so the read path can answer
 	// "is anything staged at all?" without taking nvMu: zero means every
 	// valueState probe would miss, which is exactly the hot case of a
 	// read-mostly workload (all values flushed to flash). Every site that
@@ -232,15 +232,6 @@ func (nv *NVRAM) installed(seq uint64) {
 			delete(nv.batches, e.batch)
 		}
 	}
-}
-
-// value returns the staged bytes for seq.
-func (nv *NVRAM) value(seq uint64) ([]byte, bool) {
-	e, ok := nv.values[seq]
-	if !ok {
-		return nil, false
-	}
-	return e.val, true
 }
 
 // valueState returns the staged bytes for seq together with whether the

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/kaml-ssd/kaml/internal/cmdq"
-	"github.com/kaml-ssd/kaml/internal/flash"
 	"github.com/kaml-ssd/kaml/internal/hashindex"
 	"github.com/kaml-ssd/kaml/internal/record"
 )
@@ -16,15 +15,12 @@ import (
 // failed with an injected (transient) medium error before giving up.
 const maxReadRetries = 4
 
-// undoEntry remembers a key's pre-batch index state for atomic rollback,
-// and the staged version-chain node for commit stamping / abort popping.
+// undoEntry remembers one staged version of a batch: commit stamps it,
+// rollback pops it off its key's chain.
 type undoEntry struct {
-	ns      *namespace
-	key     uint64
-	existed bool
-	oldVal  uint64
-	seq     uint64
-	node    *hashindex.Version
+	ns   *namespace
+	key  uint64
+	node *hashindex.Version
 }
 
 // PutRecord is one element of an atomic Put batch (Table I: Put takes
@@ -51,14 +47,11 @@ func (d *Device) Get(nsID uint32, key uint64) ([]byte, error) {
 	return res.Value, res.Err
 }
 
-// execGet is the firmware's Get handler; it runs on a pipeline worker.
-//
-// The index lookup is lock-free: it probes the namespace's seqlock table
-// through the atomic reader handle, so concurrent Gets — on the same
-// namespace or different ones — touch no firmware lock at all (§V-D; the
-// seqlock protocol lives in hashindex/concurrent.go). The ns.mu.RLock
-// path survives only as the fallback for tree indexes and for tables
-// swapped out to flash.
+// execGet is the firmware's Get handler; it runs on a pipeline worker (or,
+// for a synchronous Get, on the caller). A root namespace reads its newest
+// committed version, a snapshot shell the newest at or below its pinned
+// cutoff — the same routine either way (readVersion, mvcc.go), and no
+// firmware lock on the way (§V-D).
 func (d *Device) execGet(nsID uint32, key uint64) ([]byte, error) {
 	if d.closed.Load() {
 		return nil, d.closedErr()
@@ -68,151 +61,7 @@ func (d *Device) execGet(nsID uint32, key uint64) ([]byte, error) {
 		return nil, lerr
 	}
 	addStat(&d.stats.Gets, 1)
-	if ns.origin != 0 {
-		// Snapshot shell: no mapping table of its own. Resolve through the
-		// family's version chains at the snapshot's pinned commit timestamp
-		// (snapshot.go); the walk is lock-free like the root's index probe.
-		return d.readPinned(ns.fam, key, ns.cutoff)
-	}
-
-	// lookup resolves the key's current location. Only the first probe
-	// sequence is charged (re-resolutions after a concurrent install or GC
-	// move retrace hot cache lines).
-	var err error
-	charged := false
-	lookup := func() (location, bool) {
-		for {
-			var val uint64
-			var probes int
-			var gerr error
-			if rt := ns.reader.Load(); rt != nil {
-				// Fast path: no lock. A handle loaded here stays valid for
-				// the whole probe — retiring it (swap-out, reload, delete)
-				// takes flash I/O, which cannot complete while this actor
-				// is running, and mutations land in the table in place.
-				val, probes, gerr = rt.Get(key)
-			} else {
-				ns.mu.RLock()
-				if ns.swapped {
-					ns.mu.RUnlock()
-					if lerr := d.loadIndex(nsID); lerr != nil {
-						err = lerr
-						return 0, false
-					}
-					continue
-				}
-				val, probes, gerr = ns.index.Get(key)
-				ns.mu.RUnlock()
-			}
-			if !charged {
-				charged = true
-				addStat(&d.stats.IndexProbes, int64(probes))
-				d.ctrl.ComputeProbes(probes)
-			}
-			if gerr != nil {
-				err = fmt.Errorf("%w: ns %d key %d", ErrKeyNotFound, nsID, key)
-				return 0, false
-			}
-			return location(val), true
-		}
-	}
-	// nvValue (d.nvFetch) copies a staged value out under the NVRAM lock.
-	// A staged value whose batch has no commit marker yet is NOT served:
-	// execPut installs index entries record by record (phase 1b) before
-	// the batch's single commit point, so the index can briefly point at
-	// a value that is not yet — and might never be — committed. Serving
-	// it would be a dirty read; nvFetch waits out the window instead (see
-	// mvcc.go — the pinned read path shares the same protocol).
-	nvValue := d.nvFetch
-
-	loc, ok := lookup()
-	if !ok {
-		return nil, err
-	}
-	if !loc.isFlash() {
-		// Logically committed but still in NVRAM; serve from the buffer.
-		v, hit, verr := nvValue(loc)
-		if verr != nil {
-			return nil, verr
-		}
-		if hit {
-			addStat(&d.stats.NVRAMHits, 1)
-			return v, nil
-		}
-		// The flusher installed the flash location between our index
-		// read and now (or the staging batch rolled back); fall through
-		// with a fresh lookup.
-		if loc, ok = lookup(); !ok {
-			return nil, err
-		}
-	}
-
-	// Optimistic read: the page read happens without any firmware lock,
-	// so GC may relocate the record (and erase or rewrite the block)
-	// mid-read. Re-validate the index afterwards and retry on movement —
-	// the firmware equivalent of the baseline's LBA-range locks, without
-	// their per-command cost (§V-B).
-	readRetries := 0
-	for attempt := 0; ; attempt++ {
-		if !loc.isFlash() {
-			// Moved back into NVRAM by a concurrent update.
-			v, hit, verr := nvValue(loc)
-			if verr != nil {
-				return nil, verr
-			}
-			if hit {
-				return v, nil
-			}
-			if loc, ok = lookup(); !ok {
-				return nil, err
-			}
-			continue
-		}
-		data, _, rerr := d.arr.ReadPage(loc.ppn())
-		if rerr != nil {
-			// Either the block was erased under us (GC), power was cut,
-			// or the medium returned a transient read error (fault
-			// injection). A transient error retries the same location a
-			// few times; a relocation re-resolves through the index.
-			if errors.Is(rerr, flash.ErrPowerCut) {
-				d.noticePowerLoss()
-				return nil, ErrPowerLoss
-			}
-			if errors.Is(rerr, flash.ErrInjectedFailure) && readRetries < maxReadRetries {
-				readRetries++
-				addStat(&d.stats.ReadRetries, 1)
-				continue
-			}
-			cur, ok2 := lookup()
-			if !ok2 {
-				return nil, err
-			}
-			if cur == loc || attempt > 16 {
-				return nil, rerr
-			}
-			loc = cur
-			continue
-		}
-		cur, ok2 := lookup()
-		if !ok2 {
-			return nil, err
-		}
-		if cur != loc {
-			loc = cur
-			continue
-		}
-		rec, derr := record.At(data, loc.chunk(), d.cfg.ChunkSize)
-		if derr != nil {
-			return nil, derr
-		}
-		// Snapshot namespaces share records written under their origin,
-		// so the on-flash header carries the family root's ID.
-		if rec.Namespace != familyRoot(ns) || rec.Key != key {
-			return nil, fmt.Errorf("kamlssd: index corruption: ns %d key %d resolved to ns %d key %d",
-				nsID, key, rec.Namespace, rec.Key)
-		}
-		return rec.Value, nil
-	}
+	return d.readVersion(ns, key, ns.cutoff, ns.origin != 0)
 }
 
 // Put atomically inserts or updates a batch of records (Table I). The call
@@ -274,30 +123,35 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 		if ns.readonly {
 			return fmt.Errorf("%w: %d", ErrReadOnly, r.Namespace)
 		}
+		// Mount the mapping table and mark the batch in flight under one
+		// hold of ns.mu, so swap-out — which refuses a namespace with a
+		// batch in flight — cannot slip between the two.
 		for {
 			ns.mu.RLock()
 			sw := ns.swapped
+			if !sw {
+				ns.pendingBatches.Add(1)
+			}
 			ns.mu.RUnlock()
 			if !sw {
 				break
 			}
-			if lerr := d.loadIndex(r.Namespace); lerr != nil {
+			if lerr := d.loadIndex(ns.fam); lerr != nil {
 				return lerr
 			}
 		}
-		ns.pendingBatches.Add(1)
 		nss[r.Namespace] = ns
 	}
 	d.keyLks.lockAll(keys)
 
-	// Phase 1b: stage every record in NVRAM under an open batch, point
-	// the index at the NVRAM copies, and route the records to logs.
-	// The batch is logically committed only when its NVRAM commit
-	// marker is written after the loop — a power cut at ANY earlier
-	// point leaves the batch uncommitted and recovery discards it
-	// whole, which is what makes multi-record Put atomic. Old index
-	// values are remembered so a mid-batch failure (mapping table
-	// full, power cut) rolls back atomically.
+	// Phase 1b: stage every record in NVRAM under an open batch, push a
+	// pending version naming the NVRAM copy onto each key's chain, and
+	// route the records to logs. The batch is logically committed only
+	// when its NVRAM commit marker is written after the loop — a power
+	// cut at ANY earlier point leaves the batch uncommitted and recovery
+	// discards it whole, which is what makes multi-record Put atomic. The
+	// pushed nodes are remembered so a mid-batch failure (mapping table
+	// full, power cut) pops them again.
 	// Reserving the batch's whole seq range here — before any staging —
 	// keeps commit timestamps batch-contiguous: a snapshot or SI pin taken
 	// at the current seq can never split the batch (see NVRAM.beginBatch).
@@ -333,7 +187,7 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 			// commit-stamped now — a reader pinned inside the widened window
 			// would otherwise wait forever on a "pending" version.
 			if len(undo) > 0 {
-				undo[0].ns.fam.chains.Commit(undo[0].node)
+				undo[0].ns.fam.chains.Load().Commit(undo[0].node)
 			}
 			// The window must span several reader scheduling points to be
 			// findable in a small seed budget. The lock-free read path cut
@@ -365,41 +219,32 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 			stagedAt = d.eng.NowCheap()
 		}
 
-		// One upsert does the supersede lookup and the NVRAM-location
-		// install in a single probe sequence (the old Get+Put pair
-		// probed the table twice per update). The table entry is a mirror
-		// of the key's chain head; the superseded version stays alive in
-		// the chain — its flash space is released at prune time, not here.
+		// One push does the directory lookup (or insert) and publishes the
+		// NVRAM location, in a single probe sequence. The superseded version
+		// stays alive in the chain — its flash space is released at prune
+		// time, not here. The table is mounted: the batch is marked in
+		// flight, which swap-out respects.
 		ns.mu.Lock()
-		old, probes, existed, perr := ns.index.Upsert(r.Key, uint64(nvramLoc(seq)))
+		node, probes, isNew, perr := ns.fam.chains.Load().PushProbed(r.Key, seq, uint64(nvramLoc(seq)))
 		if perr != nil {
 			ns.mu.Unlock()
-			// Mapping table full: atomicity demands all-or-nothing, so
-			// restore every already-staged entry to its previous value.
-			return abort(fmt.Errorf("%w: ns %d", ErrIndexFull, r.Namespace))
-		}
-		node, verr := ns.fam.chains.Push(r.Key, seq, uint64(nvramLoc(seq)))
-		if verr != nil {
-			// Unreachable by construction (key locks serialize per-key
-			// pushes and seqs are monotone), but fail atomically if it ever
-			// trips: restore the mirror entry and roll the batch back.
-			if existed {
-				_, _, _ = ns.index.Put(r.Key, old)
-			} else {
-				_, _ = ns.index.Delete(r.Key)
+			// Atomicity demands all-or-nothing: pop every version this batch
+			// already pushed. A full table is the one expected cause (key
+			// locks serialize per-key pushes and seqs are monotone).
+			if errors.Is(perr, hashindex.ErrFull) {
+				perr = fmt.Errorf("%w: ns %d", ErrIndexFull, r.Namespace)
 			}
-			ns.mu.Unlock()
-			return abort(fmt.Errorf("kamlssd: version push ns %d key %d: %w", r.Namespace, r.Key, verr))
+			return abort(perr)
 		}
 		lgID := ns.logIDs[ns.rr%len(ns.logIDs)]
 		ns.rr++
 		ns.mu.Unlock()
 
 		totalProbes += probes
-		if !existed {
+		if isNew {
 			newKeys++
 		}
-		undo = append(undo, undoEntry{ns: ns, key: r.Key, existed: existed, oldVal: old, seq: seq, node: node})
+		undo = append(undo, undoEntry{ns: ns, key: r.Key, node: node})
 
 		rec := record.Record{Namespace: r.Namespace, Key: r.Key, Seq: seq, Value: r.Value}
 		lg := d.logs[lgID]
@@ -446,15 +291,16 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 	// Stamp every staged version committed (lock-free state stores — the
 	// key locks are still held, so no competing mutation can interleave),
 	// then prune each touched chain: versions superseded by this batch die
-	// now unless a snapshot or transaction pin still sees them.
+	// now unless a snapshot, a transaction pin or the settled floor still
+	// sees them.
 	for _, u := range undo {
-		u.ns.fam.chains.Commit(u.node)
+		u.ns.fam.chains.Load().Commit(u.node)
 	}
-	pins := d.snapshotPins()
+	pins, floor := d.snapshotPins()
 	pruned := 0
 	for _, u := range undo {
 		u.ns.mu.Lock()
-		pruned += u.ns.fam.chains.Prune(u.key, pins, true, d.versionDead)
+		pruned += u.ns.fam.chains.Load().PruneBelow(u.key, pins, floor, true, d.versionDead)
 		u.ns.mu.Unlock()
 	}
 	d.notePruned(pruned)
@@ -479,24 +325,20 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 }
 
 // rollbackStaged undoes phase-1b staging for the already-staged prefix of
-// a batch whose later record failed (mapping table full, power cut).
-// Index entries are restored to their pre-batch values; records already
-// routed to a packer become garbage automatically because the flusher's
-// install CAS no longer matches, and the caller's abortBatch marks their
-// sequences so recovery never resurrects flash copies. The batch's key
-// locks are still held, so no concurrent Put can interleave.
+// a batch whose later record failed (mapping table full, power cut): each
+// staged version is popped off its chain, which re-exposes the version it
+// superseded — or, for a key the batch introduced, frees the key's table
+// slot. Racing chain walkers skip aborted nodes and re-resolve. Records
+// already routed to a packer become garbage automatically because the
+// flusher finds no chain node to install, and the caller's abortBatch marks
+// their sequences so recovery never resurrects flash copies. The superseded
+// version was never discounted (that happens at prune time), so there is
+// nothing to credit back. The batch's key locks are still held, so no
+// concurrent Put can interleave.
 func (d *Device) rollbackStaged(undo []undoEntry) {
 	for _, u := range undo {
 		u.ns.mu.Lock()
-		if u.existed {
-			_, _, _ = u.ns.index.Put(u.key, u.oldVal)
-		} else {
-			_, _ = u.ns.index.Delete(u.key)
-		}
-		// Pop the staged version: racing chain walkers skip aborted nodes
-		// and re-resolve. The superseded version was never discounted (that
-		// happens at prune time now), so there is nothing to credit back.
-		u.ns.fam.chains.Abort(u.key, u.node)
+		u.ns.fam.chains.Load().Abort(u.key, u.node)
 		u.ns.mu.Unlock()
 	}
 }
@@ -517,12 +359,14 @@ func (d *Device) Flush() {
 	}
 }
 
-// NamespaceKeys returns every key in the namespace's mapping table in
-// ascending order. It is the shard-migration hook: a migrator snapshots a
+// NamespaceKeys returns every key the namespace holds, in ascending order:
+// the keys of the family's mapping table with a version inside the
+// namespace's view (everything for a root, the pinned cutoff for a
+// snapshot). It is the shard-migration hook: a migrator snapshots a
 // namespace, enumerates the snapshot's frozen key set with this call, and
 // streams each record to the destination device with Get+Put while new
 // writes keep flowing to the origin (internal/cluster). Controller time is
-// charged proportional to the table scan, like a snapshot's bulk copy.
+// charged proportional to the keys returned.
 func (d *Device) NamespaceKeys(nsID uint32) ([]uint64, error) {
 	if d.closed.Load() {
 		return nil, d.closedErr()
@@ -531,42 +375,22 @@ func (d *Device) NamespaceKeys(nsID uint32) ([]uint64, error) {
 	if lerr != nil {
 		return nil, lerr
 	}
+	ch, lerr := d.mounted(ns.fam)
+	if lerr != nil {
+		return nil, lerr
+	}
 	var keys []uint64
-	var err error
 	d.ctrl.Submit(func() {
-		if ns.origin != 0 {
-			// Snapshot shell: enumerate the family chains, keeping keys with
-			// a committed version inside the snapshot's pinned view.
-			ch := ns.fam.chains
-			ch.Range(func(key uint64, _ *hashindex.Version) bool {
-				if _, _, gerr := ch.GetAtOrBefore(key, ns.cutoff); gerr == nil {
-					keys = append(keys, key)
-				}
-				return true
-			})
-			d.ctrl.ComputeProbes(len(keys) / 64)
-			return
-		}
-		ns.mu.RLock()
-		if ns.swapped {
-			ns.mu.RUnlock()
-			err = ErrSwappedOut
-			return
-		}
-		keys = make([]uint64, 0, ns.index.Len())
-		ns.index.Range(func(key, _ uint64) bool {
-			keys = append(keys, key)
+		ch.Range(func(key uint64, head *hashindex.Version) bool {
+			if _, _, gerr := head.AtOrBefore(ns.cutoff); !errors.Is(gerr, hashindex.ErrNotFound) {
+				keys = append(keys, key)
+			}
 			return true
 		})
-		probes := ns.index.Len()
-		ns.mu.RUnlock()
-		d.ctrl.ComputeProbes(probes / 64)
+		d.ctrl.ComputeProbes(len(keys) / 64)
 	})
-	if err != nil {
-		return nil, err
-	}
-	// The hash table ranges in slot order; sort so migration copy order —
-	// and with it the virtual-time schedule — never depends on hash layout.
+	// The directory ranges in slot order; sort so migration copy order — and
+	// with it the virtual-time schedule — never depends on hash layout.
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys, nil
 }
@@ -578,21 +402,10 @@ func (d *Device) Exists(nsID uint32, key uint64) (bool, error) {
 	if lerr != nil {
 		return false, lerr
 	}
-	if ns.origin != 0 {
-		_, _, err := ns.fam.chains.GetAtOrBefore(key, ns.cutoff)
-		if errors.Is(err, hashindex.ErrNotFound) {
-			return false, nil
-		}
-		return err == nil, nil
+	ch, lerr := d.mounted(ns.fam)
+	if lerr != nil {
+		return false, lerr
 	}
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	if ns.swapped {
-		return false, ErrSwappedOut
-	}
-	_, _, err := ns.index.Get(key)
-	if errors.Is(err, hashindex.ErrNotFound) {
-		return false, nil
-	}
-	return err == nil, nil
+	_, _, _, err := ch.GetAtOrBefore(key, ns.cutoff)
+	return !errors.Is(err, hashindex.ErrNotFound), nil
 }

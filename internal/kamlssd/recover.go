@@ -6,25 +6,22 @@ import (
 	"sort"
 
 	"github.com/kaml-ssd/kaml/internal/flash"
-	"github.com/kaml-ssd/kaml/internal/hashindex"
 	"github.com/kaml-ssd/kaml/internal/nvme"
 	"github.com/kaml-ssd/kaml/internal/record"
 )
 
 // Recover rebuilds a device after a power cut from the two artifacts that
-// survive one: the flash array and the battery-backed NVRAM. Unlike the
-// legacy Restore (state.go), which replays a DRAM snapshot, Recover trusts
-// nothing volatile — every version chain, mapping table, the log allocator,
-// and the valid-byte accounting are reconstructed by scanning the logs,
-// exactly as real firmware would after power loss (paper §IV-D: "the
-// firmware recovers using the data in the non-volatile buffers" plus a log
-// scan).
+// survive one: the flash array and the battery-backed NVRAM. Recover trusts
+// nothing volatile — every mapping table, the log allocator, and the
+// valid-byte accounting are reconstructed by scanning the logs, exactly as
+// real firmware would after power loss (paper §IV-D: "the firmware recovers
+// using the data in the non-volatile buffers" plus a log scan).
 //
 // The protocol, in order:
 //
 //  1. Recreate every namespace from the NVRAM catalog: writable roots with
-//     empty indices and empty version chains, snapshots as index-less
-//     shells pinned at their persisted cutoff. (Swapped-out tables are
+//     an empty mapping table, snapshots as table-less shells pinned at
+//     their persisted cutoff. (Swapped-out tables are
 //     recovered unswapped; their stale flash pages fail the liveness check
 //     and become garbage.)
 //  2. Discard staged values of batches that never committed: their Puts
@@ -41,8 +38,8 @@ import (
 //  5. Merge the surviving committed NVRAM values into the candidate set
 //     (a staged value beats an older flash copy at the same boundary),
 //     rebuild each family's version chains oldest-first from the selected
-//     candidates, mirror chain heads into the root indices, and restore
-//     valid-byte accounting per retained version. Then restart the
+//     candidates, and restore valid-byte accounting per retained version.
+//     Then restart the
 //     background actors and re-stage the still-NVRAM-resident values into
 //     packers for programming.
 //
@@ -70,7 +67,7 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 	// 1. Namespaces from the catalog (sorted for determinism; a root's ID
 	// is always smaller than its snapshots', so families exist before their
 	// shells). The scan (steps 1-4) is single-threaded — no actor runs
-	// until step 5 — so the indices, allocator, and stats need no locking.
+	// until step 5 — so the tables, allocator, and stats need no locking.
 	for _, m := range nv.sortedCatalog() {
 		nLogs := m.numLogs
 		if nLogs <= 0 || nLogs > len(d.logs) {
@@ -84,8 +81,7 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 			ns.logIDs = append(ns.logIDs, i)
 		}
 		if m.origin == 0 {
-			ns.setIndex(newIndex(m.kind, m.capacity, cfg.AutoGrowIndex))
-			ns.fam = &family{root: ns, chains: hashindex.NewVersionChains(m.capacity), rootLive: true}
+			ns.fam = d.newFamily(ns, m.kind, m.capacity, true)
 			d.families[m.id] = ns.fam
 		} else {
 			// Snapshot shell. Its origin may have been deleted pre-crash
@@ -95,7 +91,7 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 			if fam == nil {
 				root := d.newNamespace(m.origin)
 				root.cutoff = noCutoff
-				fam = &family{root: root, chains: hashindex.NewVersionChains(m.capacity)}
+				fam = d.newFamily(root, m.kind, m.capacity, false)
 				d.families[m.origin] = fam
 			}
 			ns.fam = fam
@@ -158,9 +154,8 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 	}
 
 	// 5b. Build the version chains oldest-first from the selected
-	// candidates, mirror chain heads into the live roots' mapping tables,
-	// and restore per-block valid-byte accounting (one credit per retained
-	// flash version).
+	// candidates and restore per-block valid-byte accounting (one credit per
+	// retained flash version).
 	if err := cr.build(d); err != nil {
 		return nil, err
 	}
@@ -172,8 +167,8 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 	// Seed the index-population gauge from the rebuilt mapping tables (the
 	// registry is fresh; incremental updates resume from here).
 	for _, m := range nv.sortedCatalog() {
-		if ns := d.namespaces[m.id]; ns.index != nil {
-			d.met.addIndexEntries(ns.index.Len())
+		if m.origin == 0 {
+			d.met.addIndexEntries(d.families[m.id].chains.Load().Keys())
 		}
 	}
 	if err := d.restageNVRAM(replay); err != nil {
@@ -245,9 +240,8 @@ func (cr *chainRebuild) offer(rootID uint32, key, seq, loc uint64) bool {
 }
 
 // build pushes the selected candidates into each family's chains in
-// ascending seq order, mirrors chain heads into live root indices, credits
-// the flash footprint of every retained version, and counts recovered
-// flash records.
+// ascending seq order, credits the flash footprint of every retained
+// version, and counts recovered flash records.
 func (cr *chainRebuild) build(d *Device) error {
 	roots := make([]uint32, 0, len(cr.best))
 	for id := range cr.best {
@@ -255,7 +249,7 @@ func (cr *chainRebuild) build(d *Device) error {
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
 	for _, rootID := range roots {
-		fam := d.families[rootID]
+		chains := d.families[rootID].chains.Load()
 		perKey := cr.best[rootID]
 		keys := make([]uint64, 0, len(perKey))
 		for k := range perKey {
@@ -273,25 +267,18 @@ func (cr *chainRebuild) build(d *Device) error {
 				}
 			}
 			sort.Slice(vs, func(i, j int) bool { return vs[i].seq < vs[j].seq })
-			var head verCand
 			for i, c := range vs {
 				if i > 0 && c.seq == vs[i-1].seq {
 					continue
 				}
-				node, err := fam.chains.Push(key, c.seq, c.loc)
+				node, err := chains.Push(key, c.seq, c.loc)
 				if err != nil {
 					return fmt.Errorf("kamlssd: recovery chain ns %d key %d: %w", rootID, key, err)
 				}
-				fam.chains.Commit(node)
-				head = c
+				chains.Commit(node)
 				if loc := location(c.loc); loc.isFlash() {
 					d.creditValid(loc)
 					d.stats.RecoveredRecords++
-				}
-			}
-			if fam.rootLive && head.seq != 0 {
-				if _, _, err := fam.root.index.Put(key, head.loc); err != nil {
-					return fmt.Errorf("kamlssd: recovery overflowed ns %d index: %w", rootID, err)
 				}
 			}
 		}

@@ -3,7 +3,6 @@ package kamlssd
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ErrReadOnly reports a Put against a snapshot namespace.
@@ -14,7 +13,7 @@ var ErrReadOnly = errors.New("kamlssd: namespace is a read-only snapshot")
 // provide additional services like snapshots". Because flash pages are
 // immutable and every retained version of a key stays reachable through the
 // family's version chains (mvcc.go), a snapshot is nothing more than a
-// PINNED COMMIT TIMESTAMP: the snapshot namespace is an index-less shell
+// PINNED COMMIT TIMESTAMP: the snapshot namespace is a table-less shell
 // whose reads resolve "newest version at-or-before my cutoff" against the
 // origin's chains, updates to the origin diverge naturally (they push newer
 // versions), and pruning/GC keep a version alive while any snapshot's
@@ -121,21 +120,4 @@ func familyRoot(ns *namespace) uint32 {
 		return ns.origin
 	}
 	return ns.id
-}
-
-// familyMembers returns every live namespace that may reference records
-// written under root (the root itself plus its snapshots), ordered by ID —
-// callers take per-namespace locks while iterating, and a map-order walk
-// would make the lock-acquisition schedule differ from run to run, breaking
-// the model checker's same-seed-same-history guarantee. Called with d.mu
-// held (read or write).
-func (d *Device) familyMembers(root uint32) []*namespace {
-	var out []*namespace
-	for _, ns := range d.namespaces {
-		if ns.id == root || ns.origin == root {
-			out = append(out, ns)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
 }

@@ -142,6 +142,50 @@ func TestDeleteOriginKeepsSnapshot(t *testing.T) {
 	})
 }
 
+// Deleting a namespace releases the flash space of every version no
+// surviving snapshot sees — the chain heads included: a deleted root has no
+// settled floor to keep them, because nobody can begin a read of it. The
+// per-block valid-byte counters GC scores victims by must say so.
+func TestDeleteNamespaceDiscountsItsVersions(t *testing.T) {
+	withRig(t, testFlashConfig(), nil, func(r *rig) {
+		validBytes := func() (n int64) {
+			for _, lg := range r.dev.logs {
+				lg.mu.Lock()
+				for _, lc := range lg.chips {
+					for _, b := range lc.blocks {
+						n += b.validBytes
+					}
+				}
+				lg.mu.Unlock()
+			}
+			return n
+		}
+		ns, _ := r.dev.CreateNamespace(NamespaceAttrs{})
+		for k := uint64(0); k < 50; k++ {
+			r.dev.Put(one(ns, k, val(k, 200)))
+		}
+		r.dev.Flush()
+		snap, _ := r.dev.SnapshotNamespace(ns)
+		for k := uint64(0); k < 10; k++ {
+			r.dev.Put(one(ns, k, val(k+100, 200))) // versions only the root sees
+		}
+		r.dev.Flush()
+		perRecord := validBytes() / 60
+		if err := r.dev.DeleteNamespace(ns); err != nil {
+			t.Fatal(err)
+		}
+		if got := validBytes(); got != 50*perRecord {
+			t.Fatalf("valid bytes after deleting the root: %d, want the snapshot's 50 records (%d)", got, 50*perRecord)
+		}
+		if err := r.dev.DeleteNamespace(snap); err != nil {
+			t.Fatal(err)
+		}
+		if got := validBytes(); got != 0 {
+			t.Fatalf("valid bytes after deleting the whole family: %d", got)
+		}
+	})
+}
+
 func TestDeleteSnapshotReleasesRecords(t *testing.T) {
 	fc := testFlashConfig()
 	withRig(t, fc, func(c *Config) { c.NumLogs = 2 }, func(r *rig) {
@@ -194,10 +238,9 @@ func TestSnapshotSurvivesCrash(t *testing.T) {
 		snap, _ := r.dev.SnapshotNamespace(ns)
 		r.dev.Put(one(ns, 3, []byte("post-snapshot")))
 
-		st := r.dev.Crash()
-		dev2, err := Restore(r.arr, r.ctrl, r.dev.Config(), st)
+		dev2, err := powerCycle(r.dev, r.arr, r.ctrl)
 		if err != nil {
-			t.Errorf("restore: %v", err)
+			t.Errorf("recover: %v", err)
 			return
 		}
 		defer dev2.Close()
@@ -280,10 +323,9 @@ func TestTreeIndexCrashRestore(t *testing.T) {
 		for k := uint64(0); k < 80; k++ {
 			r.dev.Put(one(ns, k, val(k, 250)))
 		}
-		st := r.dev.Crash()
-		dev2, err := Restore(r.arr, r.ctrl, r.dev.Config(), st)
+		dev2, err := powerCycle(r.dev, r.arr, r.ctrl)
 		if err != nil {
-			t.Errorf("restore: %v", err)
+			t.Errorf("recover: %v", err)
 			return
 		}
 		defer dev2.Close()
