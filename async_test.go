@@ -6,7 +6,43 @@ import (
 	"testing"
 
 	kaml "github.com/kaml-ssd/kaml"
+	"github.com/kaml-ssd/kaml/internal/kamlssd"
 )
+
+// TestSubmitPutBatchContract pins the one batch contract at the one place it
+// is checked — the firmware boundary, reached here without the kaml wrapper —
+// and that the public sentinel names are the firmware's.
+func TestSubmitPutBatchContract(t *testing.T) {
+	withDevice(t, func(dev *kaml.Device) {
+		ns, _ := dev.CreateNamespace(kaml.NamespaceOptions{})
+		rec := func(key uint64, n int) kaml.Record {
+			return kaml.Record{Namespace: ns, Key: key, Value: make([]byte, n)}
+		}
+		for _, tc := range []struct {
+			name  string
+			batch []kaml.Record
+			want  error
+		}{
+			{"empty", nil, kamlssd.ErrEmptyBatch},
+			{"duplicate", []kaml.Record{rec(7, 1), rec(8, 1), rec(7, 1)}, kamlssd.ErrBadBatch},
+			{"oversize", []kaml.Record{rec(1, 1), rec(2, kaml.SmallOptions().Flash.PageSize)}, kamlssd.ErrValueTooLarge},
+			{"valid", []kaml.Record{rec(1, 1), rec(2, 1)}, nil},
+		} {
+			err := dev.Raw().SubmitPut(tc.batch).Wait().Err
+			if !errors.Is(err, tc.want) || (tc.want == nil && err != nil) {
+				t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+			}
+			if errors.Is(err, kaml.ErrDuplicateKey) != errors.Is(err, kamlssd.ErrBadBatch) ||
+				errors.Is(err, kaml.ErrEmptyBatch) != errors.Is(err, kamlssd.ErrEmptyBatch) {
+				t.Errorf("%s: kaml and kamlssd sentinels disagree on %v", tc.name, err)
+			}
+			// A rejected batch leaves nothing behind.
+			if _, gerr := dev.Get(ns, 8); tc.want != nil && !errors.Is(gerr, kaml.ErrKeyNotFound) {
+				t.Errorf("%s: rejected batch leaked a record: %v", tc.name, gerr)
+			}
+		}
+	})
+}
 
 func TestPutBatchRejectsEmpty(t *testing.T) {
 	withDevice(t, func(dev *kaml.Device) {

@@ -196,7 +196,7 @@ func main() {
 		if ops := experiments.OpsCompleted() - ops0; ops > 0 {
 			allocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(ops)
 		}
-		fmt.Printf("(%s took %.1fs wall-clock, %.0f allocs/op)\n\n",
+		fmt.Printf("(%s took %.1fs wall-clock, %.3g allocs/op)\n\n",
 			e.id, elapsed.Seconds(), allocsPerOp)
 		je := jsonExperiment{
 			ID: e.id, Description: e.desc,

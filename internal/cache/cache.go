@@ -61,15 +61,18 @@ type Cache struct {
 	// true outside the model checker's lost-update self-test. Guarded by mu.
 	siValidate bool
 
-	stats Stats
-
-	// Telemetry instruments (nil when the device runs without telemetry).
-	siCommits, siAborts, siValFails *telemetry.Counter
+	// The cache's counted events, one cell each: Stats() is a view of them,
+	// and the device's registry (when it has one) lists the three SI cells.
+	// siAborts covers every SI abort — wait-die, validation kill and explicit
+	// Abort alike; validation kills additionally count in siValFails.
+	hits, misses, evictions         telemetry.Counter
+	commits, aborts, dies           telemetry.Counter
+	siCommits, siAborts, siValFails telemetry.Counter
 }
 
-// Stats counts cache activity. Commits/Aborts cover both isolation levels;
-// the SI* fields break out the snapshot-isolation share, with
-// SIValidationFails counting first-committer-wins kills specifically.
+// Stats is a snapshot of cache activity. Commits/Aborts cover both
+// isolation levels; the SI* fields break out the snapshot-isolation share,
+// with SIValidationFails counting first-committer-wins kills specifically.
 type Stats struct {
 	Hits, Misses          int64
 	Evictions             int64
@@ -119,33 +122,11 @@ func New(dev *kamlssd.Device, cfg Config) *Cache {
 		reg.Help("kaml_si_commits_total", "Snapshot-isolation transactions committed.")
 		reg.Help("kaml_si_aborts_total", "Snapshot-isolation transactions aborted (all causes).")
 		reg.Help("kaml_si_validation_failures_total", "SI writes killed by first-committer-wins validation.")
-		c.siCommits = reg.Counter("kaml_si_commits_total")
-		c.siAborts = reg.Counter("kaml_si_aborts_total")
-		c.siValFails = reg.Counter("kaml_si_validation_failures_total")
+		reg.AdoptCounter(&c.siCommits, "kaml_si_commits_total")
+		reg.AdoptCounter(&c.siAborts, "kaml_si_aborts_total")
+		reg.AdoptCounter(&c.siValFails, "kaml_si_validation_failures_total")
 	}
 	return c
-}
-
-// noteSICommit/noteSIAbort/noteSIValidationFail export SI outcomes to
-// telemetry (no-ops without a registry). noteSIAbort covers every SI abort
-// — wait-die, validation kill, and explicit Abort alike; validation
-// failures additionally count in noteSIValidationFail.
-func (c *Cache) noteSICommit() {
-	if c.siCommits != nil {
-		c.siCommits.Inc()
-	}
-}
-
-func (c *Cache) noteSIAbort() {
-	if c.siAborts != nil {
-		c.siAborts.Inc()
-	}
-}
-
-func (c *Cache) noteSIValidationFail() {
-	if c.siValFails != nil {
-		c.siValFails.Inc()
-	}
 }
 
 // Device returns the underlying KAML SSD.
@@ -153,9 +134,12 @@ func (c *Cache) Device() *kamlssd.Device { return c.dev }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	return Stats{
+		Hits: c.hits.Value(), Misses: c.misses.Value(), Evictions: c.evictions.Value(),
+		Commits: c.commits.Value(), Aborts: c.aborts.Value(), Dies: c.dies.Value(),
+		SICommits: c.siCommits.Value(), SIAborts: c.siAborts.Value(),
+		SIValidationFails: c.siValFails.Value(),
+	}
 }
 
 // HitRatio returns hits/(hits+misses) so far.
@@ -183,11 +167,11 @@ func (c *Cache) lookup(k ckey) ([]byte, bool) {
 	defer c.mu.Unlock()
 	e, ok := c.entries[k]
 	if !ok {
-		c.stats.Misses++
+		c.misses.Inc()
 		return nil, false
 	}
 	c.lru.MoveToFront(e.elt)
-	c.stats.Hits++
+	c.hits.Inc()
 	return append([]byte(nil), e.val...), true
 }
 
@@ -212,7 +196,7 @@ func (c *Cache) install(k ckey, val []byte) {
 		c.lru.Remove(tail)
 		delete(c.entries, victim.k)
 		c.size -= int64(len(victim.val))
-		c.stats.Evictions++
+		c.evictions.Inc()
 	}
 }
 
@@ -348,9 +332,7 @@ func (t *Txn) Commit() error {
 	}
 	t.state = stateCommitted
 	t.c.lm.ReleaseAll(t.lt)
-	t.c.mu.Lock()
-	t.c.stats.Commits++
-	t.c.mu.Unlock()
+	t.c.commits.Inc()
 	return nil
 }
 
@@ -364,9 +346,7 @@ func (t *Txn) Abort() {
 	t.writes = nil
 	t.order = nil
 	t.c.lm.ReleaseAll(t.lt)
-	t.c.mu.Lock()
-	t.c.stats.Aborts++
-	t.c.mu.Unlock()
+	t.c.aborts.Inc()
 }
 
 // die is the wait-die abort path (counted separately so experiments can
@@ -377,10 +357,8 @@ func (t *Txn) die() {
 	t.writes = nil
 	t.order = nil
 	t.c.lm.ReleaseAll(t.lt)
-	t.c.mu.Lock()
-	t.c.stats.Aborts++
-	t.c.stats.Dies++
-	t.c.mu.Unlock()
+	t.c.aborts.Inc()
+	t.c.dies.Inc()
 	t.c.lm.Backoff()
 }
 

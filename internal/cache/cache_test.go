@@ -15,6 +15,11 @@ import (
 )
 
 func newCache(capacity int64, gran int) (*sim.Engine, *Cache) {
+	return newCacheOver(capacity, gran, nil)
+}
+
+// newCacheOver is newCache with a hook to adjust the firmware config.
+func newCacheOver(capacity int64, gran int, mod func(*kamlssd.Config)) (*sim.Engine, *Cache) {
 	fc := flash.DefaultConfig()
 	fc.Channels = 4
 	fc.ChipsPerChannel = 2
@@ -25,6 +30,9 @@ func newCache(capacity int64, gran int) (*sim.Engine, *Cache) {
 	ctrl := nvme.New(e, nvme.DefaultConfig())
 	cfg := kamlssd.DefaultConfig(fc)
 	cfg.NumLogs = 4
+	if mod != nil {
+		mod(&cfg)
+	}
 	dev := kamlssd.New(arr, ctrl, cfg)
 	return e, New(dev, Config{CapacityBytes: capacity, RecordsPerLock: gran})
 }

@@ -110,7 +110,7 @@ func (t *SITxn) write(table uint32, key uint64, value []byte) error {
 	k := ckey{ns: table, key: key}
 	if _, mine := t.writes[k]; !mine {
 		if err := t.c.lm.Acquire(t.lt, table, key, lockmgr.Exclusive); err != nil {
-			t.finish(&t.c.stats.SIAborts, true)
+			t.finish(true)
 			return fmt.Errorf("%w: %v", storage.ErrAborted, err)
 		}
 		// First-committer-wins, checked at lock acquisition: with the X-lock
@@ -122,15 +122,12 @@ func (t *SITxn) write(table uint32, key uint64, value []byte) error {
 		if validate {
 			seq, err := t.c.dev.LatestCommittedSeq(table, key)
 			if err != nil && !errors.Is(err, kamlssd.ErrKeyNotFound) {
-				t.finish(&t.c.stats.SIAborts, true)
+				t.finish(true)
 				return err
 			}
 			if err == nil && seq > t.beginTS {
-				t.c.mu.Lock()
-				t.c.stats.SIValidationFails++
-				t.c.mu.Unlock()
-				t.finish(&t.c.stats.SIAborts, true)
-				t.c.noteSIValidationFail()
+				t.c.siValFails.Inc()
+				t.finish(true)
 				return fmt.Errorf("%w: snapshot ts %d overwritten at ts %d (first committer wins)",
 					storage.ErrAborted, t.beginTS, seq)
 			}
@@ -169,11 +166,8 @@ func (t *SITxn) Commit() error {
 	}
 	t.state = stateCommitted
 	t.finishLocksAndPin()
-	t.c.mu.Lock()
-	t.c.stats.Commits++
-	t.c.stats.SICommits++
-	t.c.mu.Unlock()
-	t.c.noteSICommit()
+	t.c.commits.Inc()
+	t.c.siCommits.Inc()
 	return nil
 }
 
@@ -182,7 +176,7 @@ func (t *SITxn) Abort() {
 	if t.state != stateActive {
 		return
 	}
-	t.finish(&t.c.stats.SIAborts, false)
+	t.finish(false)
 }
 
 // Free implements storage.Tx; an active transaction is aborted.
@@ -194,23 +188,18 @@ func (t *SITxn) Free() {
 }
 
 // finish moves the transaction to ABORTED, releasing every resource and
-// bumping the given abort counter (plus the shared Aborts/Dies counters);
-// backoff additionally sleeps the wait-die backoff so an older conflicting
+// counting the abort; backoff (a concurrency-control kill) additionally
+// counts a die and sleeps the wait-die backoff so an older conflicting
 // transaction gets a lock-free window before the retry.
-func (t *SITxn) finish(counter *int64, backoff bool) {
+func (t *SITxn) finish(backoff bool) {
 	t.state = stateAborted
 	t.writes = nil
 	t.order = nil
 	t.finishLocksAndPin()
-	t.c.mu.Lock()
-	t.c.stats.Aborts++
-	*counter++
+	t.c.aborts.Inc()
+	t.c.siAborts.Inc()
 	if backoff {
-		t.c.stats.Dies++
-	}
-	t.c.mu.Unlock()
-	t.c.noteSIAbort()
-	if backoff {
+		t.c.dies.Inc()
 		t.c.lm.Backoff()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/kaml-ssd/kaml/internal/kamlssd"
 	"github.com/kaml-ssd/kaml/internal/sim"
 	"github.com/kaml-ssd/kaml/internal/storage"
 )
@@ -120,58 +121,99 @@ func TestSIReaderAndWriterBothSucceed(t *testing.T) {
 }
 
 func TestSIFirstCommitterWins(t *testing.T) {
-	withCache(t, 1<<20, 1, func(e *sim.Engine, c *Cache) {
-		tbl, err := c.CreateTable("t", storage.TableHint{ExpectedRows: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed := c.Begin()
-		if err := seed.Insert(tbl, 7, []byte{0}); err != nil {
-			t.Fatal(err)
-		}
-		if err := seed.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		seed.Free()
+	withCache(t, 1<<20, 1, func(_ *sim.Engine, c *Cache) { lostUpdateAttempt(t, c) })
+}
 
-		// Classic lost-update attempt: both read the counter under the same
-		// snapshot, both try to increment. The second writer must abort.
-		t1 := c.BeginSI()
-		t2 := c.BeginSI()
-		v1, _ := t1.Read(tbl, 7)
-		v2, _ := t2.Read(tbl, 7)
-		if v1[0] != 0 || v2[0] != 0 {
-			t.Fatalf("setup reads: %v %v", v1, v2)
-		}
-		if err := t1.Update(tbl, 7, []byte{v1[0] + 1}); err != nil {
-			t.Fatalf("t1 update: %v", err)
-		}
-		if err := t1.Commit(); err != nil {
-			t.Fatalf("t1 commit: %v", err)
-		}
-		t1.Free()
-		err = t2.Update(tbl, 7, []byte{v2[0] + 1})
-		if !errors.Is(err, storage.ErrAborted) {
-			t.Fatalf("t2 update after t1 commit: err=%v, want ErrAborted", err)
-		}
-		t2.Free()
+// TestOneCellPerEvent checks that the three SI events with both a Stats()
+// field and a registry series are one cell each: after the lost-update
+// schedule the two names read the same non-zero value, and Stats() still
+// counts over a device with telemetry disabled. (The firmware's and the
+// pipeline's five such events have the same test in internal/kamlssd.)
+func TestOneCellPerEvent(t *testing.T) {
+	for _, disabled := range []bool{false, true} {
+		e, c := newCacheOver(1<<20, 1, func(cfg *kamlssd.Config) { cfg.DisableTelemetry = disabled })
+		e.Go("test", func() {
+			defer c.Close()
+			lostUpdateAttempt(t, c)
+			st, reg := c.Stats(), c.Device().Telemetry()
+			if (reg == nil) != disabled {
+				t.Fatalf("Telemetry() = %v with DisableTelemetry=%v", reg, disabled)
+			}
+			for _, ev := range []struct {
+				name          string
+				stats, series int64
+			}{
+				{"SICommits", st.SICommits, reg.Counter("kaml_si_commits_total").Value()},
+				{"SIAborts", st.SIAborts, reg.Counter("kaml_si_aborts_total").Value()},
+				{"SIValidationFails", st.SIValidationFails, reg.Counter("kaml_si_validation_failures_total").Value()},
+			} {
+				if ev.stats == 0 {
+					t.Errorf("DisableTelemetry=%v: Stats().%s = 0", disabled, ev.name)
+				}
+				if !disabled && ev.series != ev.stats {
+					t.Errorf("%s: Stats() says %d, its registry series %d", ev.name, ev.stats, ev.series)
+				}
+			}
+		})
+		e.Wait()
+	}
+}
 
-		// The committed value reflects exactly one increment.
-		chk := c.BeginSI()
-		v, rerr := chk.Read(tbl, 7)
-		if rerr != nil || v[0] != 1 {
-			t.Fatalf("final value: %v %v, want [1]", v, rerr)
-		}
-		chk.Free()
+// lostUpdateAttempt runs the classic lost-update schedule — two SI
+// transactions increment one counter from the same snapshot — and checks
+// first-committer-wins stops the second. It leaves at least one SI commit,
+// abort and validation failure counted.
+func lostUpdateAttempt(t *testing.T, c *Cache) {
+	tbl, err := c.CreateTable("t", storage.TableHint{ExpectedRows: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := c.Begin()
+	if err := seed.Insert(tbl, 7, []byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	seed.Free()
 
-		st := c.Stats()
-		if st.SIValidationFails < 1 {
-			t.Fatalf("SIValidationFails = %d, want >= 1", st.SIValidationFails)
-		}
-		if st.SICommits < 1 || st.SIAborts < 1 {
-			t.Fatalf("SICommits=%d SIAborts=%d, want both >= 1", st.SICommits, st.SIAborts)
-		}
-	})
+	// Classic lost-update attempt: both read the counter under the same
+	// snapshot, both try to increment. The second writer must abort.
+	t1 := c.BeginSI()
+	t2 := c.BeginSI()
+	v1, _ := t1.Read(tbl, 7)
+	v2, _ := t2.Read(tbl, 7)
+	if v1[0] != 0 || v2[0] != 0 {
+		t.Fatalf("setup reads: %v %v", v1, v2)
+	}
+	if err := t1.Update(tbl, 7, []byte{v1[0] + 1}); err != nil {
+		t.Fatalf("t1 update: %v", err)
+	}
+	if err := t1.Commit(); err != nil {
+		t.Fatalf("t1 commit: %v", err)
+	}
+	t1.Free()
+	err = t2.Update(tbl, 7, []byte{v2[0] + 1})
+	if !errors.Is(err, storage.ErrAborted) {
+		t.Fatalf("t2 update after t1 commit: err=%v, want ErrAborted", err)
+	}
+	t2.Free()
+
+	// The committed value reflects exactly one increment.
+	chk := c.BeginSI()
+	v, rerr := chk.Read(tbl, 7)
+	if rerr != nil || v[0] != 1 {
+		t.Fatalf("final value: %v %v, want [1]", v, rerr)
+	}
+	chk.Free()
+
+	st := c.Stats()
+	if st.SIValidationFails < 1 {
+		t.Fatalf("SIValidationFails = %d, want >= 1", st.SIValidationFails)
+	}
+	if st.SICommits < 1 || st.SIAborts < 1 {
+		t.Fatalf("SICommits=%d SIAborts=%d, want both >= 1", st.SICommits, st.SIAborts)
+	}
 }
 
 // With validation disabled (the model checker's defect-injection hook) the

@@ -83,10 +83,11 @@ type Scenario struct {
 	Txns           [][][]txnOp
 	RecordsPerLock int
 
-	// SplitCommitBug enables the firmware's test-only atomicity bug
-	// (kamlssd.TestingSplitBatchCommit): multi-record batches commit in two
-	// halves, so a cut — or a concurrently created snapshot — can observe a
-	// torn batch. The harness's self-test proves the checker catches it.
+	// SplitCommitBug makes the runner break batch atomicity on purpose: an
+	// opBatch is recorded as one PutBatch but issued as two device Puts (see
+	// splitBatch), so a cut — or a concurrently created snapshot — can
+	// observe a torn batch. The harness's self-test proves the checker
+	// catches it; the firmware has no such switch.
 	SplitCommitBug bool
 
 	// SIMode runs every transaction worker under snapshot isolation
@@ -185,9 +186,6 @@ func runScenario(sc *Scenario, eng *sim.Engine, rec *Recorder) error {
 		return fmt.Errorf("open: %w", err)
 	}
 	dev.SetHistoryTap(rec)
-	if sc.SplitCommitBug {
-		dev.Raw().TestingSplitBatchCommit(true)
-	}
 
 	nsCount := sc.NSCount
 	if nsCount < 1 {
@@ -328,7 +326,13 @@ func runScenario(sc *Scenario, eng *sim.Engine, rec *Recorder) error {
 					tag := nextTag(actor)
 					recs[i] = kaml.Record{Namespace: nsOf(k), Key: k, Value: EncodeValue(tag, vsize(tag))}
 				}
-				if !step(d.PutBatch(recs)) {
+				var err error
+				if sc.SplitCommitBug {
+					err = splitBatch(d, rec, recs)
+				} else {
+					err = d.PutBatch(recs)
+				}
+				if !step(err) {
 					return
 				}
 			case opBurst:
@@ -445,9 +449,6 @@ func runScenario(sc *Scenario, eng *sim.Engine, rec *Recorder) error {
 			if rerr != nil {
 				return nil, fmt.Errorf("reopen: %w", rerr)
 			}
-			if sc.SplitCommitBug {
-				re.Raw().TestingSplitBatchCommit(true)
-			}
 			aerr := audit(re)
 			if aerr == nil {
 				return re, nil
@@ -528,10 +529,28 @@ func runScenario(sc *Scenario, eng *sim.Engine, rec *Recorder) error {
 	return nil
 }
 
+// splitBatch is the armed atomicity self-test's fault, synthesised here so
+// the firmware's commit loop carries no test branch: the history records
+// ONE atomic PutBatch while the device sees the first record committed by
+// its own Put, a pause, then the rest — bypassing the tap, so rec sees only
+// the batch. The pause must span several reader scheduling points to be
+// findable in a small seed budget: 80µs is a couple of whole Gets, enough
+// for readers, snapshots and power cuts to land between the halves.
+func splitBatch(d *kaml.Device, rec *Recorder, recs []kaml.Record) error {
+	id := rec.OpInvoked(kaml.OpPutBatch, 0, recs)
+	err := d.Raw().Put(recs[:1])
+	if err == nil && len(recs) > 1 {
+		d.Sleep(80 * time.Microsecond)
+		err = d.Raw().Put(recs[1:])
+	}
+	rec.OpCompleted(id, 0, nil, err)
+	return err
+}
+
 // GenScenario derives a random-but-reproducible scenario from seed: device
 // geometry, concurrency shape, fault plan, and worker programs, sized to
-// roughly ops operations total. bug additionally arms the firmware's
-// test-only split-batch-commit defect and biases the workload toward the
+// roughly ops operations total. bug additionally arms the runner's
+// split-batch defect (splitBatch) and biases the workload toward the
 // batch+snapshot+cut shapes that expose it.
 func GenScenario(seed int64, ops int, bug bool) *Scenario {
 	rng := rand.New(rand.NewSource(seed))
@@ -623,7 +642,10 @@ func GenScenario(seed int64, ops int, bug bool) *Scenario {
 					used[k] = true
 					keys = append(keys, k)
 				}
-				if rng.Intn(12) == 0 {
+				// Not in an armed run: splitBatch would turn the rejected
+				// batch into two accepted writes. (The draw still happens, so
+				// both modes consume the same random stream.)
+				if rng.Intn(12) == 0 && !bug {
 					keys = append(keys, keys[0]) // deliberate duplicate: must be rejected
 				}
 				op = opSpec{Kind: opBatch, Keys: keys}

@@ -33,10 +33,11 @@ func TestRepeatRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestInjectedBugCaughtAndShrunk arms the firmware's test-only
-// split-batch-commit defect, proves the explorer finds it within a bounded
-// seed budget, and that the shrinker reduces the failing scenario to a
-// small reproducer that still fails.
+// TestInjectedBugCaughtAndShrunk arms the runner's split-batch fault
+// (splitBatch: one recorded PutBatch issued as two device Puts), proves the
+// explorer finds it within a bounded seed budget (seed 0 catches it), and
+// that the shrinker reduces the failing scenario to a small reproducer that
+// still fails.
 func TestInjectedBugCaughtAndShrunk(t *testing.T) {
 	var fail *Failure
 	for seed := int64(0); seed < 30; seed++ {

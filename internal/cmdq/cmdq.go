@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"github.com/kaml-ssd/kaml/internal/sim"
+	"github.com/kaml-ssd/kaml/internal/telemetry"
 )
 
 // ErrClosed reports a command submitted after the pipeline shut down.
@@ -84,7 +85,9 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// Record is one key-value record of a write command.
+// Record is one key-value record of a write command — the one put-record
+// type: kamlssd.PutRecord and kaml.Record alias it, so a batch travels from
+// the public API to the NVRAM commit as the slice the caller built.
 type Record struct {
 	Namespace uint32
 	Key       uint64
@@ -219,11 +222,11 @@ type Config struct {
 	// ClosedErr is returned by commands rejected after Close (default
 	// ErrClosed). Fail overrides it with the poison error.
 	ClosedErr error
-	// Metrics, when non-nil, enables telemetry: per-stage lifecycle
-	// histograms, occupancy gauge, backpressure and coalescer counters
-	// (see NewMetrics). Nil disables all instrumentation, including the
-	// per-command timestamp reads.
-	Metrics *Metrics
+	// Registry, when non-nil, exports the pipeline's counters under their
+	// series names and turns on tracing: per-stage lifecycle histograms and
+	// the per-command timestamp reads that feed them (see export). The
+	// counters count either way; Stats reads the same cells.
+	Registry *telemetry.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -278,7 +281,12 @@ type Pipeline struct {
 	eng  *sim.Engine
 	cfg  Config
 	exec func(*Command) Result
-	m    *Metrics // nil when telemetry is disabled
+
+	// Tracing, nil/empty without Config.Registry: the histograms and the
+	// registry rare ops register their stage series in on first use.
+	reg          *telemetry.Registry
+	batchRecords *telemetry.Histogram
+	stage        [numOps][numStages]*telemetry.Histogram
 
 	mu         *sim.Mutex
 	notFull    *sim.Cond // occupancy < Depth
@@ -309,14 +317,17 @@ type Pipeline struct {
 
 	wg *sim.WaitGroup
 
-	// Stats. Updated under mu (pipeline state transitions already
-	// serialize on it) but stored atomically so Stats() never takes a sim
-	// lock — final-report paths read it from outside the simulation.
-	submitted, completed    atomic.Int64
-	coalescedPuts           atomic.Int64
-	batchCommits, batchRecs atomic.Int64
-	maxOcc                  atomic.Int64
-	occSum, occSamples      atomic.Int64
+	// Counted events, one cell each: Stats() reads them without a sim lock
+	// (final-report paths run outside the simulation), and the cells with a
+	// series name are the ones the registry exports (see export).
+	submitted, completed        atomic.Int64
+	batchRecs                   atomic.Int64
+	maxOcc                      atomic.Int64
+	occSum, occSamples          atomic.Int64
+	depth                       telemetry.Gauge   // occupancy as last reserved/released
+	backpressure                telemetry.Counter // Submits that parked on a full pipeline
+	batchCommits, coalescedPuts telemetry.Counter
+	completionFlocks            telemetry.Counter // batched completion deliveries
 }
 
 // New builds a pipeline and starts its worker actors. exec runs firmware
@@ -328,7 +339,6 @@ func New(eng *sim.Engine, cfg Config, exec func(*Command) Result) *Pipeline {
 		eng:   eng,
 		cfg:   cfg,
 		exec:  exec,
-		m:     cfg.Metrics,
 		mu:    eng.NewMutex("cmdq"),
 		coMap: make(map[int]*coalescer),
 		wg:    eng.NewWaitGroup(),
@@ -336,6 +346,9 @@ func New(eng *sim.Engine, cfg Config, exec func(*Command) Result) *Pipeline {
 	p.notFull = eng.NewCond(p.mu)
 	p.work = eng.NewCond(p.mu)
 	p.inlineIdle = eng.NewCond(p.mu)
+	if cfg.Registry != nil {
+		p.export(cfg.Registry)
+	}
 	for i := 0; i < cfg.Workers; i++ {
 		p.wg.Add(1)
 		eng.Go(fmt.Sprintf("cmdq-worker%d", i), p.workerLoop)
@@ -351,7 +364,7 @@ func (p *Pipeline) Submit(cmd *Command) *Future {
 	p.mu.Lock()
 	waited, ok := p.reserveLocked()
 	if waited {
-		p.m.noteBackpressure()
+		p.backpressure.Inc()
 	}
 	if !ok {
 		err := p.shutdownErrLocked()
@@ -360,7 +373,7 @@ func (p *Pipeline) Submit(cmd *Command) *Future {
 	}
 	fut := newFuture(p.eng)
 	t := task{cmd: cmd, fut: fut}
-	if p.m != nil {
+	if p.reg != nil {
 		t.at = p.eng.NowCheap()
 	}
 	if (cmd.Op == OpPut || cmd.Op == OpPutBatch) && p.cfg.CoalesceWindow > 0 {
@@ -393,7 +406,7 @@ func (p *Pipeline) RunDirect(cmd *Command) Result {
 		p.mu.Lock()
 		waited, ok := p.reserveLocked()
 		if waited {
-			p.m.noteBackpressure()
+			p.backpressure.Inc()
 		}
 		if !ok {
 			err := p.shutdownErrLocked()
@@ -403,13 +416,13 @@ func (p *Pipeline) RunDirect(cmd *Command) Result {
 		p.mu.Unlock()
 	}
 	var res Result
-	if p.m != nil {
+	if p.reg != nil {
 		at := p.eng.NowCheap()
 		res = p.exec(cmd)
 		now := p.eng.NowCheap()
-		p.m.observeStage(cmd.Op, stageQueue, 0)
-		p.m.observeStage(cmd.Op, stageExec, now-at)
-		p.m.observeStage(cmd.Op, stageTotal, now-at)
+		p.observeStage(cmd.Op, stageQueue, 0)
+		p.observeStage(cmd.Op, stageExec, now-at)
+		p.observeStage(cmd.Op, stageTotal, now-at)
 	} else {
 		res = p.exec(cmd)
 	}
@@ -491,7 +504,7 @@ func (p *Pipeline) reserveFast() bool {
 		}
 		p.occSum.Add(c)
 		p.occSamples.Add(1)
-		p.m.setDepth(int(c))
+		p.depth.Set(c)
 		return true
 	}
 }
@@ -523,10 +536,10 @@ func (p *Pipeline) reserveLocked() (waited, ok bool) {
 // is one atomic publish (plus a wakeup for waiters that actually parked).
 // Called with p.mu NOT held.
 func (p *Pipeline) completeAll(tasks []task, results []Result) {
-	if p.m != nil {
+	if p.reg != nil {
 		now := p.eng.NowCheap()
 		for _, t := range tasks {
-			p.m.observeStage(t.cmd.Op, stageTotal, now-t.at)
+			p.observeStage(t.cmd.Op, stageTotal, now-t.at)
 		}
 	}
 	for i, t := range tasks {
@@ -543,8 +556,8 @@ func (p *Pipeline) completeAll(tasks []task, results []Result) {
 func (p *Pipeline) release(n int) {
 	now := p.occ.Add(-int64(n))
 	p.completed.Add(int64(n))
-	p.m.setDepth(int(now))
-	p.m.noteCompletionBatch()
+	p.depth.Set(now)
+	p.completionFlocks.Inc()
 	if p.bpWaiters.Load() > 0 {
 		p.mu.Lock()
 		if n == 1 {
@@ -575,13 +588,13 @@ func (p *Pipeline) workerLoop() {
 		var res Result
 		if poison != nil {
 			res = Result{Err: poison}
-		} else if p.m != nil {
+		} else if p.reg != nil {
 			start := p.eng.NowCheap()
-			p.m.observeStage(t.cmd.Op, stageQueue, start-t.at)
+			p.observeStage(t.cmd.Op, stageQueue, start-t.at)
 			res = p.exec(t.cmd)
 			now := p.eng.NowCheap()
-			p.m.observeStage(t.cmd.Op, stageExec, now-start)
-			p.m.observeStage(t.cmd.Op, stageTotal, now-t.at)
+			p.observeStage(t.cmd.Op, stageExec, now-start)
+			p.observeStage(t.cmd.Op, stageTotal, now-t.at)
 		} else {
 			res = p.exec(t.cmd)
 		}
@@ -694,19 +707,19 @@ func (c *coalescer) loop() {
 			}
 		default:
 			var start time.Duration
-			if p.m != nil {
+			if p.reg != nil {
 				start = p.eng.NowCheap()
 				for _, t := range tasks {
-					p.m.observeStage(t.cmd.Op, stageCoalesce, start-t.at)
+					p.observeStage(t.cmd.Op, stageCoalesce, start-t.at)
 				}
 			}
 			res := p.exec(&Command{Op: OpPutBatch, Records: batch, Merged: len(tasks)})
-			if p.m != nil {
+			if p.reg != nil {
 				// The group commit's exec is the NVRAM batch commit; charge
 				// its latency to every merged command.
 				d := p.eng.NowCheap() - start
 				for _, t := range tasks {
-					p.m.observeStage(t.cmd.Op, stageExec, d)
+					p.observeStage(t.cmd.Op, stageExec, d)
 				}
 			}
 			if res.Err != nil && len(tasks) > 1 {
@@ -724,12 +737,12 @@ func (c *coalescer) loop() {
 				}
 				break
 			}
-			p.batchCommits.Add(1)
+			p.batchCommits.Inc()
 			p.batchRecs.Add(int64(len(batch)))
+			p.batchRecords.Observe(int64(len(batch)))
 			if len(tasks) > 1 {
 				p.coalescedPuts.Add(int64(len(tasks)))
 			}
-			p.m.noteCommit(len(batch), len(tasks))
 			for i := range results {
 				results[i] = res
 			}
@@ -752,45 +765,25 @@ func (c *coalescer) records() int {
 }
 
 // cutLocked carves the next batch off the pending queue: a FIFO prefix
-// bounded by MaxBatchRecords that stays free of duplicate (namespace, key)
-// pairs — the firmware's atomic batch rejects duplicates, and an innocent
+// bounded by MaxBatchRecords in which no two commands share a (namespace,
+// key) — the firmware's atomic batch rejects duplicates, and an innocent
 // writer must never fail because a coalesced neighbor touched the same key.
+// Each command's own records were checked at submission, so only the
+// cross-command pairs that merging creates are compared; a lone command —
+// nearly every cut below queue depth 2 — commits the caller's slice as is.
 // An oversized submitted batch is taken alone (never split). Caller holds
 // p.mu.
 func (c *coalescer) cutLocked() ([]Record, []task) {
-	var (
-		batch []Record
-		seen  = make(map[uint64]map[uint64]bool) // ns -> key set
-		n     int
-	)
-	dup := func(recs []Record) bool {
-		for _, r := range recs {
-			if seen[uint64(r.Namespace)][r.Key] {
-				return true
-			}
-		}
-		return false
-	}
-	take := 0
-	for _, t := range c.pend {
+	batch := c.pend[0].cmd.Records
+	batch = batch[:len(batch):len(batch)] // a merge copies; it never appends into the caller's array
+	take := 1
+	for _, t := range c.pend[1:] {
 		recs := t.cmd.Records
-		if take > 0 && (n+len(recs) > c.p.cfg.MaxBatchRecords || dup(recs)) {
+		if len(batch)+len(recs) > c.p.cfg.MaxBatchRecords || sharesKey(batch, recs) {
 			break
 		}
-		for _, r := range recs {
-			ks := seen[uint64(r.Namespace)]
-			if ks == nil {
-				ks = make(map[uint64]bool)
-				seen[uint64(r.Namespace)] = ks
-			}
-			ks[r.Key] = true
-			batch = append(batch, r)
-		}
-		n += len(recs)
+		batch = append(batch, recs...)
 		take++
-		if n >= c.p.cfg.MaxBatchRecords {
-			break
-		}
 	}
 	tasks := append([]task(nil), c.pend[:take]...)
 	c.pend = c.pend[take:]
@@ -798,6 +791,20 @@ func (c *coalescer) cutLocked() ([]Record, []task) {
 		c.born = c.p.eng.NowCheap() // restart the window for the remainder
 	}
 	return batch, tasks
+}
+
+// sharesKey reports whether any record of recs names a (namespace, key)
+// already in batch. batch is below MaxBatchRecords whenever this runs, so
+// the pairwise scan is bounded and allocates nothing.
+func sharesKey(batch, recs []Record) bool {
+	for _, r := range recs {
+		for _, b := range batch {
+			if b.Key == r.Key && b.Namespace == r.Namespace {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Close stops accepting commands, executes everything already accepted
@@ -846,8 +853,8 @@ func (p *Pipeline) Stats() Stats {
 	s := Stats{
 		Submitted:     p.submitted.Load(),
 		Completed:     p.completed.Load(),
-		CoalescedPuts: p.coalescedPuts.Load(),
-		BatchCommits:  p.batchCommits.Load(),
+		CoalescedPuts: p.coalescedPuts.Value(),
+		BatchCommits:  p.batchCommits.Value(),
 		BatchRecords:  p.batchRecs.Load(),
 		MaxOccupancy:  p.maxOcc.Load(),
 	}

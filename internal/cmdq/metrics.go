@@ -29,29 +29,11 @@ var stageNames = [numStages]string{"queue", "coalesce", "exec", "total"}
 // numOps sizes the per-op instrument tables (Op values start at 1).
 const numOps = int(OpDeleteNS) + 1
 
-// Metrics holds the pipeline's pre-resolved telemetry instruments. Resolve
-// once with NewMetrics at device startup and pass via Config.Metrics; every
-// hot-path record is then an atomic add with no registry lookup. A nil
-// *Metrics disables all instrumentation (including the eng.Now timestamp
-// reads), which is the baseline for the telemetry overhead budget.
-type Metrics struct {
-	depth            *telemetry.Gauge   // current occupancy (bounded by Depth)
-	backpressure     *telemetry.Counter // Submits that parked on a full pipeline
-	batchRecords     *telemetry.Histogram
-	batchCommits     *telemetry.Counter
-	coalescedPuts    *telemetry.Counter
-	completionFlocks *telemetry.Counter // batched completion deliveries
-
-	stage [numOps][numStages]*telemetry.Histogram
-	reg   *telemetry.Registry // for lazily registering rare (admin) op series
-}
-
-// NewMetrics registers the pipeline's instruments in r. Returns nil when r
-// is nil so a disabled registry disables cmdq tracing wholesale.
-func NewMetrics(r *telemetry.Registry) *Metrics {
-	if r == nil {
-		return nil
-	}
+// export lists the pipeline's cells in r under their series names and
+// resolves the histograms, which exist only while a registry does: with
+// Config.Registry nil the counters still count (Stats reads them) but
+// nothing is traced — every timestamp read is behind p.reg != nil.
+func (p *Pipeline) export(r *telemetry.Registry) {
 	r.Help("kaml_cmdq_occupancy", "Commands submitted but not yet completed.")
 	r.Help("kaml_cmdq_backpressure_waits_total", "Submit calls that parked because the pipeline was at Depth.")
 	r.Help("kaml_cmdq_batch_records", "Records per coalescer group commit.")
@@ -59,71 +41,36 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 	r.Help("kaml_cmdq_coalesced_puts_total", "Write commands that shared a batch commit with at least one other.")
 	r.Help("kaml_cmdq_completion_batches_total", "Completion deliveries; each releases one drained batch's occupancy with a single queue-space wakeup.")
 	r.Help("kaml_cmdq_stage_seconds", "Per-stage command latency (virtual time) by op and lifecycle stage.")
-	m := &Metrics{
-		depth:            r.Gauge("kaml_cmdq_occupancy"),
-		backpressure:     r.Counter("kaml_cmdq_backpressure_waits_total"),
-		batchRecords:     r.Histogram("kaml_cmdq_batch_records", telemetry.UnitNone),
-		batchCommits:     r.Counter("kaml_cmdq_batch_commits_total"),
-		coalescedPuts:    r.Counter("kaml_cmdq_coalesced_puts_total"),
-		completionFlocks: r.Counter("kaml_cmdq_completion_batches_total"),
-	}
+	r.AdoptGauge(&p.depth, "kaml_cmdq_occupancy")
+	r.AdoptCounter(&p.backpressure, "kaml_cmdq_backpressure_waits_total")
+	p.batchRecords = r.Histogram("kaml_cmdq_batch_records", telemetry.UnitNone)
+	r.AdoptCounter(&p.batchCommits, "kaml_cmdq_batch_commits_total")
+	r.AdoptCounter(&p.coalescedPuts, "kaml_cmdq_coalesced_puts_total")
+	r.AdoptCounter(&p.completionFlocks, "kaml_cmdq_completion_batches_total")
+	p.reg = r
 	// Eagerly register the stage series that matter for scraping (Get and
 	// Put cover the hot path; the rest register on first use).
 	for _, op := range []Op{OpGet, OpPut, OpPutBatch, OpSnapshot} {
 		for st := 0; st < numStages; st++ {
-			m.stageHist(op, st, r)
+			p.stageHist(op, st)
 		}
 	}
-	m.reg = r
-	return m
 }
 
-func (m *Metrics) stageHist(op Op, st int, r *telemetry.Registry) *telemetry.Histogram {
-	h := r.Histogram("kaml_cmdq_stage_seconds", telemetry.UnitSeconds,
+func (p *Pipeline) stageHist(op Op, st int) *telemetry.Histogram {
+	h := p.reg.Histogram("kaml_cmdq_stage_seconds", telemetry.UnitSeconds,
 		"op", op.String(), "stage", stageNames[st])
-	m.stage[op][st] = h
+	p.stage[op][st] = h
 	return h
 }
 
-func (m *Metrics) observeStage(op Op, st int, d time.Duration) {
-	if m == nil {
-		return
-	}
-	h := m.stage[op][st]
+// observeStage records one stage latency, registering a rare (admin) op's
+// series on first use. Callers hold p.reg != nil — it guards their
+// timestamp reads.
+func (p *Pipeline) observeStage(op Op, st int, d time.Duration) {
+	h := p.stage[op][st]
 	if h == nil {
-		h = m.stageHist(op, st, m.reg)
+		h = p.stageHist(op, st)
 	}
 	h.ObserveDuration(d)
-}
-
-func (m *Metrics) setDepth(occ int) {
-	if m == nil {
-		return
-	}
-	m.depth.Set(int64(occ))
-}
-
-func (m *Metrics) noteBackpressure() {
-	if m == nil {
-		return
-	}
-	m.backpressure.Inc()
-}
-
-func (m *Metrics) noteCompletionBatch() {
-	if m == nil {
-		return
-	}
-	m.completionFlocks.Inc()
-}
-
-func (m *Metrics) noteCommit(records, mergedCmds int) {
-	if m == nil {
-		return
-	}
-	m.batchCommits.Inc()
-	m.batchRecords.Observe(int64(records))
-	if mergedCmds > 1 {
-		m.coalescedPuts.Add(int64(mergedCmds))
-	}
 }

@@ -24,7 +24,7 @@ func TestStageHistogramsTraceLifecycle(t *testing.T) {
 		Depth: 32, Workers: 2,
 		CoalesceWindow:  10 * time.Microsecond,
 		MaxBatchRecords: 16,
-		Metrics:         NewMetrics(reg),
+		Registry:        reg,
 	}, rec.exec)
 	wg := eng.NewWaitGroup()
 	for i := 0; i < gets; i++ {
@@ -54,7 +54,7 @@ func TestStageHistogramsTraceLifecycle(t *testing.T) {
 		wg.Wait()
 		p.Close()
 
-		m := p.m
+		m := p
 		check := func(op Op, st int, want int64) {
 			t.Helper()
 			if got := m.stage[op][st].Count(); got != want {
@@ -102,7 +102,7 @@ func TestBackpressureCounter(t *testing.T) {
 	eng := sim.NewEngine()
 	rec := newRecorder(eng, 50*time.Microsecond)
 	reg := telemetry.NewRegistry()
-	p := New(eng, Config{Depth: 1, Workers: 1, Metrics: NewMetrics(reg)}, rec.exec)
+	p := New(eng, Config{Depth: 1, Workers: 1, Registry: reg}, rec.exec)
 	wg := eng.NewWaitGroup()
 	for i := 0; i < 4; i++ {
 		i := i
@@ -117,7 +117,7 @@ func TestBackpressureCounter(t *testing.T) {
 	eng.Go("main", func() {
 		wg.Wait()
 		p.Close()
-		if p.m.backpressure.Value() == 0 {
+		if p.backpressure.Value() == 0 {
 			t.Error("no backpressure waits recorded at depth 1 with 4 submitters")
 		}
 	})

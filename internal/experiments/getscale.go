@@ -23,8 +23,8 @@ const (
 const getScaleTrials = 3
 
 // GetScaleResult is one cell of the read-scaling sweep, exported so
-// kamlbench can emit the sweep as machine-readable JSON (the BENCH_PR7
-// artifact and the CI smoke job consume it).
+// kamlbench can emit the sweep as machine-readable JSON (the CI smoke job
+// consumes it).
 type GetScaleResult struct {
 	Workers int `json:"workers"`
 	// GetsPerSec is the median wall-clock throughput across the trials;

@@ -350,6 +350,7 @@ func blockLatency(size, n, iters int, kind string) *stats.Histogram {
 			}
 			h.Add(r.eng.Now() - start)
 		}
+		opsDone.Add(int64(iters))
 	})
 	r.eng.Wait()
 	return h
@@ -381,6 +382,7 @@ func kamlLatency(size, n int, load float64, iters int) (get, put, insert *stats.
 			_ = r.dev.Put([]kamlssd.PutRecord{{Namespace: ns, Key: uint64(n + i), Value: val}})
 			insert.Add(r.eng.Now() - start)
 		}
+		opsDone.Add(3 * int64(iters)) // the Get, Put and insert loops
 	})
 	r.eng.Wait()
 	return get, put, insert

@@ -252,6 +252,7 @@ func Conflicts(s Scale) *Table {
 	for _, l := range []int{1, 4, 16, 64, 256, 1024} {
 		cf := analytic.ExpectedConflictsUniform(n, k, l)
 		mc := analytic.SimulateConflictsUniform(n, k, l, trials, rng)
+		opsDone.Add(int64(trials) * n) // every trial simulates n update requests
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", l), fmt.Sprintf("%.4f", cf), fmt.Sprintf("%.4f", mc),
 		})

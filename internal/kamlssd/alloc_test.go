@@ -69,15 +69,27 @@ func TestGetAllocBudget(t *testing.T) {
 	t.Logf("flushed Get: %.1f allocs/op (budget %d)", got, getAllocBudget)
 }
 
-// putAllocBudget bounds a single-record 256 B Put. Writes inherently
-// allocate (the NVRAM stages a private copy of the value, batch and undo
-// bookkeeping, packer chunks), so this is a coarser regression tripwire
-// than the Get budget, sized ~50% above the measured steady state.
-const putAllocBudget = 48
+// The write-path budgets: allocations of one synchronous 256 B Put and of
+// one 4-record PutBatch, each pinned at the measured steady state plus one
+// of slack (the parent of the single-path change measured 33 and 49 for the
+// same calls). Writes inherently allocate — the NVRAM stages a private copy
+// of each value, batch and undo bookkeeping, the future, packer chunks — so
+// these guard the path rather than claim a number: if one trips, something
+// started copying, re-validating or re-counting a Put on its way down.
+const (
+	putAllocBudget      = 29
+	putBatchAllocBudget = 42
+)
 
-// TestPutAllocBudget pins the write-path allocation count so pipeline or
-// staging changes that start allocating per record get caught.
-func TestPutAllocBudget(t *testing.T) {
+func TestPutAllocBudget(t *testing.T)      { testPutAllocs(t, 1, putAllocBudget) }
+func TestPutBatchAllocBudget(t *testing.T) { testPutAllocs(t, 4, putBatchAllocBudget) }
+
+// testPutAllocs measures dev.Put of an n-record batch (the batch slice is
+// built outside the measured call, as a caller's would be).
+func testPutAllocs(t *testing.T, n int, budget float64) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under the race detector; the budget is exact")
+	}
 	const keys = 64
 	e := sim.NewEngine()
 	arr := flash.New(e, testFlashConfig())
@@ -93,27 +105,33 @@ func TestPutAllocBudget(t *testing.T) {
 			t.Errorf("create: %v", err)
 			return
 		}
-		v := val(3, 256)
+		batch, v := make([]PutRecord, n), val(3, 256)
+		var k uint64
+		put := func() error {
+			for i := range batch {
+				batch[i] = PutRecord{Namespace: ns, Key: k % keys, Value: v}
+				k++
+			}
+			return dev.Put(batch)
+		}
 		for i := 0; i < 2*keys; i++ {
-			if err := dev.Put(one(ns, uint64(i)%keys, v)); err != nil {
+			if err := put(); err != nil {
 				t.Errorf("warmup put: %v", err)
 				return
 			}
 		}
-		var k uint64
 		got = testing.AllocsPerRun(256, func() {
-			if err := dev.Put(one(ns, k%keys, v)); err != nil {
+			if err := put(); err != nil {
 				t.Errorf("put: %v", err)
 			}
-			k++
 		})
 	})
 	e.Wait()
 	if t.Failed() {
 		return
 	}
-	if got > putAllocBudget {
-		t.Fatalf("Put allocates %.1f/op, budget %d", got, putAllocBudget)
+	if got > budget {
+		t.Fatalf("%d-record Put allocates %.1f/op, budget %.0f", n, got, budget)
 	}
-	t.Logf("Put: %.1f allocs/op (budget %d)", got, putAllocBudget)
+	t.Logf("%d-record Put: %.1f allocs/op (budget %.0f)", n, got, budget)
 }

@@ -92,9 +92,14 @@ var (
 	ErrKeyNotFound   = errors.New("kamlssd: key not found")
 	ErrClosed        = errors.New("kamlssd: device closed")
 	ErrValueTooLarge = errors.New("kamlssd: value exceeds one flash page")
-	ErrBadBatch      = errors.New("kamlssd: malformed Put batch")
-	ErrIndexFull     = errors.New("kamlssd: namespace mapping table full")
-	ErrSwappedOut    = errors.New("kamlssd: namespace index swapped out")
+	// ErrEmptyBatch and ErrBadBatch are the two ways a Put batch breaks the
+	// batch contract (checkBatch): no records, or one (namespace, key) named
+	// twice — the firmware cannot order two writes to one key inside a
+	// single atomic batch.
+	ErrEmptyBatch = errors.New("kamlssd: empty Put batch")
+	ErrBadBatch   = errors.New("kamlssd: duplicate key in Put batch")
+	ErrIndexFull  = errors.New("kamlssd: namespace mapping table full")
+	ErrSwappedOut = errors.New("kamlssd: namespace index swapped out")
 	// ErrPowerLoss reports an operation interrupted by a power cut. A Put
 	// that returns it was NOT acknowledged: recovery discards the batch.
 	ErrPowerLoss = errors.New("kamlssd: power lost")
@@ -126,11 +131,13 @@ type Config struct {
 	// concurrency-shape knob.
 	CoalesceShards int
 
-	// DisableTelemetry turns off the device's telemetry registry (counters,
-	// gauges, per-stage latency histograms). The default — telemetry on —
-	// is cheap enough to leave enabled (atomic adds on the hot path, no
-	// allocations); disabling exists for the overhead benchmark and for
-	// harnesses that build thousands of short-lived devices.
+	// DisableTelemetry turns off the device's telemetry registry: nothing is
+	// exported, the latency histograms do not exist and the timestamp reads
+	// that feed them are skipped. The counters behind Stats() count either
+	// way. The default — telemetry on — is cheap enough to leave enabled
+	// (atomic adds on the hot path, no allocations); disabling exists for
+	// the overhead benchmark and for harnesses that build thousands of
+	// short-lived devices.
 	DisableTelemetry bool
 }
 
@@ -214,30 +221,27 @@ type Device struct {
 	// by its coalescer (see pipeline.go for the submission glue).
 	pipe *cmdq.Pipeline
 
-	// tel is the device's telemetry registry; met holds the firmware's
-	// pre-resolved instruments (nil when Config.DisableTelemetry). Both
-	// are pure atomics — safe to scrape from plain goroutines outside the
-	// simulation without stalling the virtual clock.
-	tel *telemetry.Registry
-	met *devMetrics
+	// ctr holds the firmware's counted events, one cell each (metrics.go).
+	// tel is the device's telemetry registry — a directory of those cells
+	// plus the three histograms below, all nil when Config.DisableTelemetry.
+	// Everything is pure atomics — safe to scrape from plain goroutines
+	// outside the simulation without stalling the virtual clock.
+	ctr          counters
+	tel          *telemetry.Registry
+	flashInstall *telemetry.Histogram // NVRAM stage -> flash index swing, per record
+	gcPause      *telemetry.Histogram // one victim collection, scan to erase
+	chainLen     *telemetry.Histogram // version-chain length at prune time, per key
 
 	closed       atomic.Bool
 	crashed      atomic.Bool  // power-cut: actors exit without draining
 	closeBegun   atomic.Bool  // Close entered; pipeline drain in progress
 	flushersLive atomic.Int64 // flusher actors still running; GC outlives them
 	stopped      *sim.WaitGroup
-
-	// splitCommit is a test-only switch (TestingSplitBatchCommit) that
-	// deliberately breaks multi-record batch atomicity so the model
-	// checker's own detection can be validated. Never set in production.
-	splitCommit atomic.Bool
-
-	stats Stats
 }
 
-// Stats counts firmware activity. Internally every field is updated with
-// atomic adds — actors woken at the same virtual instant genuinely run in
-// parallel — and Stats() returns an atomically-loaded snapshot.
+// Stats is a snapshot of firmware activity: a view of the device's counter
+// cells (metrics.go), which actors woken at the same virtual instant bump
+// in parallel.
 type Stats struct {
 	Gets, Puts, PutRecords int64
 	NVRAMHits              int64 // Gets served from NVRAM
@@ -390,7 +394,7 @@ func (d *Device) initLocks() {
 	d.mu = d.eng.NewRWMutex("kaml-dev")
 	d.nvMu = d.eng.NewMutex("kaml-nvram")
 	d.keyLks = newKeyLockTable(d.eng)
-	d.chainLenObs = func(l int) { d.met.observeChainLen(l) }
+	d.chainLenObs = func(l int) { d.chainLen.Observe(int64(l)) }
 }
 
 // newNamespace allocates the in-DRAM shell of a namespace, including its
@@ -404,7 +408,7 @@ func (d *Device) newNamespace(id uint32) *namespace {
 func (d *Device) startActors() {
 	if !d.cfg.DisableTelemetry {
 		d.tel = telemetry.NewRegistry()
-		d.met = newDevMetrics(d.tel, len(d.logs))
+		d.export(d.tel)
 	}
 	d.pipe = cmdq.New(d.eng, cmdq.Config{
 		Depth:           d.cfg.PipelineDepth,
@@ -413,7 +417,7 @@ func (d *Device) startActors() {
 		MaxBatchRecords: d.cfg.MaxCoalesceRecords,
 		CoalesceShards:  d.cfg.CoalesceShards,
 		ClosedErr:       ErrClosed,
-		Metrics:         cmdq.NewMetrics(d.tel),
+		Registry:        d.tel,
 	}, d.execCommand)
 	d.stopped = d.eng.NewWaitGroup()
 	d.flushersLive.Store(int64(len(d.logs)))
@@ -470,22 +474,11 @@ func (d *Device) lookupNS(id uint32) (*namespace, error) {
 	return ns, nil
 }
 
-// addStat atomically bumps one device counter.
-func addStat(p *int64, n int64) { atomic.AddInt64(p, n) }
-
-// noteNVRAMLocked refreshes the NVRAM-occupancy gauge. Called with d.nvMu
-// held (the staged-value map is guarded by it).
-func (d *Device) noteNVRAMLocked() {
-	if d.met != nil {
-		d.met.setNVRAMStaged(len(d.nv.values))
-	}
-}
-
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() Stats {
-	s := &d.stats
+	c := &d.ctr
 	ps := d.pipe.Stats()
-	return Stats{
+	st := Stats{
 		PipelineSubmitted: ps.Submitted,
 		PipelineCompleted: ps.Completed,
 		CoalescedPuts:     ps.CoalescedPuts,
@@ -494,27 +487,43 @@ func (d *Device) Stats() Stats {
 		PipelineMaxQueue:  ps.MaxOccupancy,
 		PipelineMeanQueue: ps.MeanOccupancy,
 
-		Gets:               atomic.LoadInt64(&s.Gets),
-		Puts:               atomic.LoadInt64(&s.Puts),
-		PutRecords:         atomic.LoadInt64(&s.PutRecords),
-		NVRAMHits:          atomic.LoadInt64(&s.NVRAMHits),
-		Programs:           atomic.LoadInt64(&s.Programs),
-		GCCopies:           atomic.LoadInt64(&s.GCCopies),
-		GCErases:           atomic.LoadInt64(&s.GCErases),
-		IndexProbes:        atomic.LoadInt64(&s.IndexProbes),
-		IndexReadRetries:   atomic.LoadInt64(&s.IndexReadRetries),
-		BytesWritten:       atomic.LoadInt64(&s.BytesWritten),
-		FlashBytesWritten:  atomic.LoadInt64(&s.FlashBytesWritten),
-		ProgramRetries:     atomic.LoadInt64(&s.ProgramRetries),
-		ReadRetries:        atomic.LoadInt64(&s.ReadRetries),
-		BlocksRetired:      atomic.LoadInt64(&s.BlocksRetired),
-		VersionsPruned:     atomic.LoadInt64(&s.VersionsPruned),
-		PinnedReads:        atomic.LoadInt64(&s.PinnedReads),
-		RecoveredRecords:   atomic.LoadInt64(&s.RecoveredRecords),
-		ReplayedValues:     atomic.LoadInt64(&s.ReplayedValues),
-		DroppedUncommitted: atomic.LoadInt64(&s.DroppedUncommitted),
-		TornPagesSkipped:   atomic.LoadInt64(&s.TornPagesSkipped),
+		Gets:               c.gets.Value(),
+		Puts:               c.puts.Value(),
+		PutRecords:         c.putRecords.Value(),
+		NVRAMHits:          c.nvramHits.Value(),
+		Programs:           c.programs.Value(),
+		GCCopies:           c.gcCopies.Value(),
+		IndexProbes:        c.indexProbes.Value(),
+		IndexReadRetries:   c.indexReadRetries.Value(),
+		BytesWritten:       c.bytesWritten.Value(),
+		FlashBytesWritten:  c.flashBytes.Value(),
+		ProgramRetries:     c.programRetries.Value(),
+		ReadRetries:        c.readRetries.Value(),
+		BlocksRetired:      c.blocksRetired.Value(),
+		VersionsPruned:     c.versionsPruned.Value(),
+		PinnedReads:        c.pinnedReads.Value(),
+		RecoveredRecords:   c.recoveredRecords.Value(),
+		ReplayedValues:     c.replayedValues.Value(),
+		DroppedUncommitted: c.droppedUncommitted.Value(),
+		TornPagesSkipped:   c.tornPagesSkipped.Value(),
 	}
+	for _, lg := range d.logs {
+		st.GCErases += lg.gcErases.Value()
+	}
+	return st
+}
+
+// programPage programs one flash page and, when the program succeeds,
+// counts it — the one place a page program is counted, whichever stream
+// issued it (host flush, GC relocation of records or index pages, table
+// swap-out, recovery padding), so Programs x PageSize is FlashBytesWritten.
+func (d *Device) programPage(ppn flash.PPN, data, oob []byte) error {
+	err := d.arr.ProgramPage(ppn, data, oob)
+	if err == nil {
+		d.ctr.programs.Inc()
+		d.ctr.flashBytes.Add(int64(d.fc.PageSize))
+	}
+	return err
 }
 
 // PowerFail cuts power: the flash array stops accepting operations, the
@@ -659,7 +668,7 @@ func (d *Device) DeleteNamespace(id uint32) error {
 		if fam.root == ns {
 			fam.rootLive = false
 			if ch := fam.chains.Load(); ch != nil {
-				d.met.addIndexEntries(-ch.Keys())
+				d.ctr.indexEntries.Add(-int64(ch.Keys()))
 			}
 		}
 		if d.familyRefsLocked(fam) == 0 {
@@ -739,14 +748,6 @@ func (d *Device) namespacesSorted() []*namespace {
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
-
-// TestingSplitBatchCommit, when enabled, deliberately BREAKS the atomic
-// multi-record Put protocol: the first record of every multi-record batch
-// is committed under its own NVRAM marker before the rest is staged, with a
-// widened virtual-time window in between. It exists solely so the model
-// checker's test suite can prove the harness detects (and shrinks) a real
-// atomicity violation; nothing in the firmware ever sets it.
-func (d *Device) TestingSplitBatchCommit(on bool) { d.splitCommit.Store(on) }
 
 // IndexLoadFactor reports the namespace mapping table's load factor.
 func (d *Device) IndexLoadFactor(id uint32) (float64, error) {

@@ -58,10 +58,10 @@ func (d *Device) gcLoop() {
 			if done || !ok {
 				break
 			}
-			if d.met != nil {
+			if d.tel != nil {
 				start := d.eng.NowCheap()
 				d.collectBlock(work, chipIdx, block)
-				d.met.observeGCPause(d.eng.NowCheap() - start)
+				d.gcPause.ObserveDuration(d.eng.NowCheap() - start)
 			} else {
 				d.collectBlock(work, chipIdx, block)
 			}
@@ -80,7 +80,7 @@ func (d *Device) victim(lg *logState) (chipIdx, block int, ok bool) {
 		ch, chip := lg.chipAddr(ci)
 		for b := range lc.blocks {
 			bm := &lc.blocks[b]
-			if d.met != nil && !bm.retired {
+			if !bm.retired {
 				// Refresh the log's wear-spread gauges while we are already
 				// walking every block (the same erase counters drive victim
 				// scoring below).
@@ -122,7 +122,8 @@ func (d *Device) victim(lg *logState) (chipIdx, block int, ok bool) {
 		}
 	}
 	if wearMax >= 0 {
-		d.met.setWearSpread(lg.id, wearMin, wearMax)
+		lg.wearMin.Set(wearMin)
+		lg.wearMax.Set(wearMax)
 	}
 	return chipIdx, block, ok
 }
@@ -151,7 +152,7 @@ func (d *Device) collectBlock(lg *logState, chipIdx, block int) {
 			if err == nil || !errors.Is(err, flash.ErrInjectedFailure) || tries >= maxReadRetries {
 				break
 			}
-			addStat(&d.stats.ReadRetries, 1)
+			d.ctr.readRetries.Inc()
 		}
 		if err != nil {
 			if errors.Is(err, flash.ErrPowerCut) {
@@ -191,8 +192,8 @@ func (d *Device) collectBlock(lg *logState, chipIdx, block int) {
 			}
 			if isLive {
 				live = append(live, gcRecord{rec: pl.Record, oldLoc: loc})
-				addStat(&d.stats.GCCopies, 1)
-				d.met.addGCCopiedBytes(lg.id, int64(pl.NumChunks*d.cfg.ChunkSize))
+				d.ctr.gcCopies.Inc()
+				lg.gcCopiedBytes.Add(int64(pl.NumChunks * d.cfg.ChunkSize))
 			}
 		}
 	}
@@ -230,13 +231,11 @@ func (d *Device) collectBlock(lg *logState, chipIdx, block int) {
 		d.nvMu.Lock()
 		d.nv.retireBlock(first)
 		d.nvMu.Unlock()
-		addStat(&d.stats.BlocksRetired, 1)
-		addStat(&d.stats.GCErases, 1)
-		d.met.incGCErases(lg.id)
+		d.ctr.blocksRetired.Inc()
+		lg.gcErases.Inc()
 		return
 	}
-	addStat(&d.stats.GCErases, 1)
-	d.met.incGCErases(lg.id)
+	lg.gcErases.Inc()
 	lg.mu.Lock()
 	bm := &lg.chips[chipIdx].blocks[block]
 	bm.sealed = false
@@ -257,7 +256,7 @@ func (d *Device) collectBlock(lg *logState, chipIdx, block int) {
 		d.nvMu.Lock()
 		d.nv.retireBlock(first)
 		d.nvMu.Unlock()
-		addStat(&d.stats.BlocksRetired, 1)
+		d.ctr.blocksRetired.Inc()
 	}
 }
 
@@ -324,7 +323,7 @@ func (d *Device) gcProgram(lg *logState, data, oob []byte) (flash.PPN, error) {
 		if err != nil {
 			panic(fmt.Sprintf("kamlssd: GC of log %d cannot allocate: %v", lg.id, err))
 		}
-		perr := d.arr.ProgramPage(ppn, data, oob)
+		perr := d.programPage(ppn, data, oob)
 		if perr == nil {
 			return ppn, nil
 		}
@@ -335,7 +334,7 @@ func (d *Device) gcProgram(lg *logState, data, oob []byte) (flash.PPN, error) {
 		if !errors.Is(perr, flash.ErrInjectedFailure) {
 			panic(fmt.Sprintf("kamlssd: GC program: %v", perr))
 		}
-		addStat(&d.stats.ProgramRetries, 1)
+		d.ctr.programRetries.Inc()
 		if flg, lc, b := d.blockOf(ppn); lc != nil {
 			flg.mu.Lock()
 			lc.blocks[b].progFailed++
@@ -359,8 +358,6 @@ func (d *Device) relocateRecords(lg *logState, live []gcRecord) error {
 		if perr != nil {
 			return perr
 		}
-		addStat(&d.stats.Programs, 1)
-		addStat(&d.stats.FlashBytesWritten, int64(d.fc.PageSize))
 		// Hold the device read lock across the install loop so namespace
 		// creation/deletion can't observe a half-swung page (same reason as
 		// the flusher's install, log.go).
@@ -422,7 +419,6 @@ func (d *Device) relocateIndexPages(lg *logState, pages []flash.PPN) error {
 		if perr != nil {
 			return perr
 		}
-		addStat(&d.stats.Programs, 1)
 		d.mu.RLock()
 		for _, root := range d.rootsSorted() {
 			root.mu.Lock()

@@ -40,14 +40,8 @@ func (d *Device) newDirectory(kind IndexKind, capacity int) hashindex.Directory 
 		return &treeDir{t: btree.New()}
 	}
 	t := hashindex.NewConcurrent(capacity, d.cfg.AutoGrowIndex)
-	t.OnRetry(d.noteIndexRetry)
+	t.OnRetry(d.ctr.indexReadRetries.Add)
 	return t
-}
-
-// noteIndexRetry counts seqlock read retries on the lock-free read path.
-func (d *Device) noteIndexRetry(n int64) {
-	addStat(&d.stats.IndexReadRetries, n)
-	d.met.addIndexReadRetries(n)
 }
 
 // treeDir adapts btree.Tree to hashindex.Directory. Probe counts are the

@@ -8,6 +8,7 @@ import (
 	"github.com/kaml-ssd/kaml/internal/flash"
 	"github.com/kaml-ssd/kaml/internal/record"
 	"github.com/kaml-ssd/kaml/internal/sim"
+	"github.com/kaml-ssd/kaml/internal/telemetry"
 )
 
 // logState is one append-only log: a subset of the array's chips, an NVRAM
@@ -40,6 +41,12 @@ type logState struct {
 	nextChip   int // rotate block allocation across the log's chips
 
 	freeBlocks int
+
+	// The log's counted events and wear spread, one cell each; the registry
+	// lists them under a log="<id>" label (metrics.go).
+	gcCopiedBytes    telemetry.Counter // valid bytes relocated out of victims
+	gcErases         telemetry.Counter // victim erases (incl. failed-erase retirements)
+	wearMin, wearMax telemetry.Gauge   // erase-count spread, refreshed at each victim scan
 }
 
 type logChip struct {
@@ -258,7 +265,7 @@ func (d *Device) flusherLoop(lg *logState) {
 		lg.inflight = &sp
 		lg.mu.Unlock()
 
-		err := d.arr.ProgramPage(sp.ppn, sp.data, sp.oob)
+		err := d.programPage(sp.ppn, sp.data, sp.oob)
 		if err != nil {
 			if errors.Is(err, flash.ErrPowerCut) {
 				// Power died mid-program. The records are safe in NVRAM;
@@ -277,7 +284,7 @@ func (d *Device) flusherLoop(lg *logState) {
 			// program strictly in order — so it re-enters the back of the
 			// queue with a freshly allocated page. No data is lost: the
 			// values are still in NVRAM and the index still points there.
-			addStat(&d.stats.ProgramRetries, 1)
+			d.ctr.programRetries.Inc()
 			lg.mu.Lock()
 			if flg, lc, b := d.blockOf(sp.ppn); lc != nil && flg == lg {
 				lc.blocks[b].progFailed++
@@ -299,8 +306,6 @@ func (d *Device) flusherLoop(lg *logState) {
 			continue
 		}
 
-		addStat(&d.stats.Programs, 1)
-		addStat(&d.stats.FlashBytesWritten, int64(d.fc.PageSize))
 		// Hold the device read lock across the whole install so namespace
 		// creation/snapshot (writers) observe either none or all of this
 		// page's index swings — a snapshot taken mid-install could otherwise
@@ -351,10 +356,10 @@ func (d *Device) installFlashLoc(pr pendingRec, ppn flash.PPN) {
 	// this flash record belongs to an unfinished batch.
 	d.nvMu.Lock()
 	d.nv.installed(pr.seq)
-	d.noteNVRAMLocked()
+	d.ctr.nvramStaged.Set(int64(len(d.nv.values)))
 	d.nvMu.Unlock()
-	if d.met != nil && pr.staged > 0 {
-		d.met.observeFlashInstall(d.eng.NowCheap() - pr.staged)
+	if pr.staged > 0 {
+		d.flashInstall.ObserveDuration(d.eng.NowCheap() - pr.staged)
 	}
 }
 

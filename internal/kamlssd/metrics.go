@@ -2,47 +2,49 @@ package kamlssd
 
 import (
 	"strconv"
-	"time"
 
 	"github.com/kaml-ssd/kaml/internal/telemetry"
 )
 
-// devMetrics holds the firmware's pre-resolved telemetry instruments.
-// Everything is registered eagerly at device startup — including one
-// series per log — so a scrape taken before any traffic still shows the
-// full metric surface (the CI smoke test depends on that). A nil
-// *devMetrics disables firmware instrumentation entirely; every method
-// below is nil-receiver safe, and the timestamp reads feeding the
-// histograms are skipped when disabled (see execPut / installFlashLoc).
+// counters is every event the firmware counts, one cell per event. The
+// device owns the cells and bumps them directly whether or not anything is
+// exported; Stats() is a view of them, and the cells with a series name are
+// the ones the registry lists (export). The per-log cells — GC erases and
+// copied bytes, wear spread — live on their logState.
+type counters struct {
+	gets, puts, putRecords   telemetry.Counter
+	nvramHits                telemetry.Counter
+	programs, gcCopies       telemetry.Counter
+	indexProbes              telemetry.Counter
+	indexReadRetries         telemetry.Counter // seqlock read retries on the lock-free Get path
+	bytesWritten, flashBytes telemetry.Counter
+	programRetries           telemetry.Counter
+	readRetries              telemetry.Counter
+	blocksRetired            telemetry.Counter
+	versionsPruned           telemetry.Counter // MVCC versions reclaimed (no snapshot/txn sees them)
+	pinnedReads              telemetry.Counter
+
+	recoveredRecords, replayedValues     telemetry.Counter
+	droppedUncommitted, tornPagesSkipped telemetry.Counter
+
+	nvramStaged  telemetry.Gauge // values resident in battery-backed NVRAM
+	indexEntries telemetry.Gauge // live mapping-table entries, all namespaces
+}
+
+// export lists the firmware's cells in r and resolves its histograms.
+// Everything is registered eagerly at device startup — including one series
+// per log — so a scrape taken before any traffic still shows the full
+// metric surface (the CI smoke test depends on that). The histograms exist
+// only while a registry does: with Config.DisableTelemetry they stay nil
+// (a nil histogram drops its samples) and the timestamp reads feeding them
+// are skipped behind d.tel != nil (see execPut / installFlashLoc / gcLoop).
 //
 // Command latencies (Get/Put/Snapshot, per lifecycle stage) are recorded
 // by the pipeline itself — kaml_cmdq_stage_seconds{op,stage} — because the
 // pipeline owns the submit and completion edges; the firmware records what
 // only it can see: NVRAM occupancy, index population, the NVRAM→flash
 // install lag, and per-log GC/wear state.
-type devMetrics struct {
-	nvramStaged  *telemetry.Gauge     // values resident in battery-backed NVRAM
-	indexEntries *telemetry.Gauge     // live mapping-table entries, all namespaces
-	indexRetries *telemetry.Counter   // seqlock read retries on the lock-free Get path
-	flashInstall *telemetry.Histogram // NVRAM stage -> flash index swing, per record
-	gcPause      *telemetry.Histogram // one victim collection, scan to erase
-
-	versionsPruned *telemetry.Counter   // MVCC versions reclaimed (no snapshot/txn sees them)
-	chainLen       *telemetry.Histogram // version-chain length at prune time, per key
-
-	// Per-log series, indexed by log ID.
-	gcCopiedBytes []*telemetry.Counter // valid bytes relocated out of victims
-	gcErases      []*telemetry.Counter // victim erases (incl. failed-erase retirements)
-	wearMin       []*telemetry.Gauge   // erase-count spread across the log's blocks,
-	wearMax       []*telemetry.Gauge   // refreshed at each victim scan
-}
-
-// newDevMetrics registers the firmware instruments in r (nil r → nil
-// metrics, telemetry off).
-func newDevMetrics(r *telemetry.Registry, numLogs int) *devMetrics {
-	if r == nil {
-		return nil
-	}
+func (d *Device) export(r *telemetry.Registry) {
 	r.Help("kaml_ssd_nvram_staged_values", "Values staged in battery-backed NVRAM awaiting flash install.")
 	r.Help("kaml_ssd_index_entries", "Live mapping-table entries across all namespaces.")
 	r.Help("kaml_ssd_index_read_retries_total", "Seqlock re-reads and epoch restarts on the lock-free index read path.")
@@ -54,96 +56,18 @@ func newDevMetrics(r *telemetry.Registry, numLogs int) *devMetrics {
 	r.Help("kaml_gc_erases_total", "GC block erases, per log.")
 	r.Help("kaml_wear_erase_min", "Minimum block erase count observed in the log at the last victim scan.")
 	r.Help("kaml_wear_erase_max", "Maximum block erase count observed in the log at the last victim scan.")
-	m := &devMetrics{
-		nvramStaged:    r.Gauge("kaml_ssd_nvram_staged_values"),
-		indexEntries:   r.Gauge("kaml_ssd_index_entries"),
-		indexRetries:   r.Counter("kaml_ssd_index_read_retries_total"),
-		flashInstall:   r.Histogram("kaml_ssd_flash_install_seconds", telemetry.UnitSeconds),
-		gcPause:        r.Histogram("kaml_gc_pause_seconds", telemetry.UnitSeconds),
-		versionsPruned: r.Counter("kaml_mvcc_versions_pruned_total"),
-		chainLen:       r.Histogram("kaml_mvcc_chain_length", telemetry.UnitNone),
-		gcCopiedBytes:  make([]*telemetry.Counter, numLogs),
-		gcErases:       make([]*telemetry.Counter, numLogs),
-		wearMin:        make([]*telemetry.Gauge, numLogs),
-		wearMax:        make([]*telemetry.Gauge, numLogs),
+	r.AdoptGauge(&d.ctr.nvramStaged, "kaml_ssd_nvram_staged_values")
+	r.AdoptGauge(&d.ctr.indexEntries, "kaml_ssd_index_entries")
+	r.AdoptCounter(&d.ctr.indexReadRetries, "kaml_ssd_index_read_retries_total")
+	d.flashInstall = r.Histogram("kaml_ssd_flash_install_seconds", telemetry.UnitSeconds)
+	d.gcPause = r.Histogram("kaml_gc_pause_seconds", telemetry.UnitSeconds)
+	r.AdoptCounter(&d.ctr.versionsPruned, "kaml_mvcc_versions_pruned_total")
+	d.chainLen = r.Histogram("kaml_mvcc_chain_length", telemetry.UnitNone)
+	for _, lg := range d.logs {
+		lbl := strconv.Itoa(lg.id)
+		r.AdoptCounter(&lg.gcCopiedBytes, "kaml_gc_copied_bytes_total", "log", lbl)
+		r.AdoptCounter(&lg.gcErases, "kaml_gc_erases_total", "log", lbl)
+		r.AdoptGauge(&lg.wearMin, "kaml_wear_erase_min", "log", lbl)
+		r.AdoptGauge(&lg.wearMax, "kaml_wear_erase_max", "log", lbl)
 	}
-	for i := 0; i < numLogs; i++ {
-		lbl := strconv.Itoa(i)
-		m.gcCopiedBytes[i] = r.Counter("kaml_gc_copied_bytes_total", "log", lbl)
-		m.gcErases[i] = r.Counter("kaml_gc_erases_total", "log", lbl)
-		m.wearMin[i] = r.Gauge("kaml_wear_erase_min", "log", lbl)
-		m.wearMax[i] = r.Gauge("kaml_wear_erase_max", "log", lbl)
-	}
-	return m
-}
-
-func (m *devMetrics) setNVRAMStaged(n int) {
-	if m == nil {
-		return
-	}
-	m.nvramStaged.Set(int64(n))
-}
-
-func (m *devMetrics) addIndexReadRetries(n int64) {
-	if m == nil {
-		return
-	}
-	m.indexRetries.Add(n)
-}
-
-func (m *devMetrics) addIndexEntries(delta int) {
-	if m == nil {
-		return
-	}
-	m.indexEntries.Add(int64(delta))
-}
-
-func (m *devMetrics) observeFlashInstall(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.flashInstall.ObserveDuration(d)
-}
-
-func (m *devMetrics) observeGCPause(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.gcPause.ObserveDuration(d)
-}
-
-func (m *devMetrics) addVersionsPruned(n int64) {
-	if m == nil {
-		return
-	}
-	m.versionsPruned.Add(n)
-}
-
-func (m *devMetrics) observeChainLen(n int) {
-	if m == nil {
-		return
-	}
-	m.chainLen.Observe(int64(n))
-}
-
-func (m *devMetrics) addGCCopiedBytes(log int, n int64) {
-	if m == nil {
-		return
-	}
-	m.gcCopiedBytes[log].Add(n)
-}
-
-func (m *devMetrics) incGCErases(log int) {
-	if m == nil {
-		return
-	}
-	m.gcErases[log].Inc()
-}
-
-func (m *devMetrics) setWearSpread(log int, min, max int64) {
-	if m == nil {
-		return
-	}
-	m.wearMin[log].Set(min)
-	m.wearMax[log].Set(max)
 }

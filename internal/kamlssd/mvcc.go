@@ -136,7 +136,7 @@ func (d *Device) pruneFamily(fam *family, pins []uint64, floor uint64, keepHead 
 		n = ch.PruneAll(pins, floor, keepHead, d.versionDead, d.chainLenObs)
 	}
 	fam.root.mu.Unlock()
-	d.notePruned(n)
+	d.ctr.versionsPruned.Add(int64(n))
 }
 
 // pruneFamilies runs one prune pass over every family. It is called from
@@ -166,13 +166,6 @@ func (d *Device) pruneFamilies() {
 	d.gcPruneFams, d.gcPruneKeep, d.gcPrunePins = fams, keep, pins
 }
 
-func (d *Device) notePruned(n int) {
-	if n > 0 {
-		addStat(&d.stats.VersionsPruned, int64(n))
-		d.met.addVersionsPruned(int64(n))
-	}
-}
-
 // GetAt serves the newest version of key whose commit timestamp is <= ts —
 // KAML's time-travel read (Table I extension). The read acquires no lock
 // and never conflicts with writers: the chain walk is lock-free and the
@@ -195,7 +188,7 @@ func (d *Device) GetAt(nsID uint32, key uint64, ts uint64) ([]byte, error) {
 	d.ctrl.Submission()
 	d.pinTS(ts)
 	defer d.ReleasePin(ts)
-	addStat(&d.stats.Gets, 1)
+	d.ctr.gets.Inc()
 	return d.readVersion(ns, key, ts, true)
 }
 
@@ -362,7 +355,7 @@ func (r *versionRead) resolve() (location, error) {
 			if r.pinned {
 				n = hops
 			}
-			addStat(&d.stats.IndexProbes, int64(n))
+			d.ctr.indexProbes.Add(int64(n))
 			d.ctrl.ComputeProbes(n)
 		}
 		switch {
@@ -394,7 +387,7 @@ func (r *versionRead) resolve() (location, error) {
 // the baseline's LBA-range locks, without their per-command cost (§V-B).
 func (d *Device) readVersion(ns *namespace, key, ts uint64, pinned bool) ([]byte, error) {
 	if pinned {
-		addStat(&d.stats.PinnedReads, 1)
+		d.ctr.pinnedReads.Inc()
 	}
 	r := versionRead{d: d, ns: ns, key: key, ts: ts, pinned: pinned}
 	loc, err := r.resolve()
@@ -410,7 +403,7 @@ func (d *Device) readVersion(ns *namespace, key, ts uint64, pinned bool) ([]byte
 				return nil, verr
 			}
 			if hit {
-				addStat(&d.stats.NVRAMHits, 1)
+				d.ctr.nvramHits.Inc()
 				return v, nil
 			}
 			// Installed to flash between the chain walk and now; the chain
@@ -432,7 +425,7 @@ func (d *Device) readVersion(ns *namespace, key, ts uint64, pinned bool) ([]byte
 			}
 			if errors.Is(rerr, flash.ErrInjectedFailure) && readRetries < maxReadRetries {
 				readRetries++
-				addStat(&d.stats.ReadRetries, 1)
+				d.ctr.readRetries.Inc()
 				continue
 			}
 			cur, err := r.resolve()

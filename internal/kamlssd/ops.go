@@ -24,12 +24,10 @@ type undoEntry struct {
 }
 
 // PutRecord is one element of an atomic Put batch (Table I: Put takes
-// parallel arrays of namespace IDs, keys, values, and lengths).
-type PutRecord struct {
-	Namespace uint32
-	Key       uint64
-	Value     []byte
-}
+// parallel arrays of namespace IDs, keys, values, and lengths). It is the
+// pipeline's record type under the firmware's name: a batch is never
+// converted on its way down.
+type PutRecord = cmdq.Record
 
 // Get retrieves the value stored under (nsID, key). The value is served
 // from NVRAM if the record's latest version has not reached flash yet,
@@ -60,7 +58,7 @@ func (d *Device) execGet(nsID uint32, key uint64) ([]byte, error) {
 	if lerr != nil {
 		return nil, lerr
 	}
-	addStat(&d.stats.Gets, 1)
+	d.ctr.gets.Inc()
 	return d.readVersion(ns, key, ns.cutoff, ns.origin != 0)
 }
 
@@ -72,7 +70,8 @@ func (d *Device) execGet(nsID uint32, key uint64) ([]byte, error) {
 // Per-key atomicity comes from the key-lock table; the namespace lock is
 // held per record (never across queue-space waits), so Puts to different
 // namespaces — or to the same namespace routed to different logs — only
-// serialize on the log they land on.
+// serialize on the log they land on. The batch contract and the rule about
+// not mutating the slice are SubmitPut's.
 func (d *Device) Put(batch []PutRecord) error {
 	return d.SubmitPut(batch).Wait().Err
 }
@@ -81,23 +80,14 @@ func (d *Device) Put(batch []PutRecord) error {
 // worker for a directly-dispatched batch (merged == 0), or on a coalescer
 // actor for a group commit carrying several merged Put commands (merged ==
 // how many; the records of one merged command are contiguous, and the
-// coalescer guarantees the merged batch is free of duplicate keys).
-func (d *Device) execPut(batch []cmdq.Record, merged int) error {
-	// Phase 1a: lock every touched index entry, in sorted order.
-	keys := make([]nskey, 0, len(batch))
-	for _, r := range batch {
-		keys = append(keys, nskey{ns: r.Namespace, key: r.Key})
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ns != keys[j].ns {
-			return keys[i].ns < keys[j].ns
-		}
-		return keys[i].key < keys[j].key
-	})
-	for i := 1; i < len(keys); i++ {
-		if keys[i] == keys[i-1] {
-			return fmt.Errorf("%w: duplicate key %d in batch", ErrBadBatch, keys[i].key)
-		}
+// coalescer's cut keeps a merged batch free of duplicate keys).
+func (d *Device) execPut(batch []PutRecord, merged int) error {
+	// Phase 1a: lock every touched index entry, in sorted order. The sort
+	// puts a repeated key next to itself, so the duplicate scan that guards
+	// the key locks against self-deadlock costs one pass over it.
+	keys, err := lockOrder(batch)
+	if err != nil {
+		return err
 	}
 
 	if d.closed.Load() {
@@ -165,38 +155,12 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 		d.rollbackStaged(undo)
 		d.nvMu.Lock()
 		d.nv.abortBatch(batchID)
-		d.noteNVRAMLocked()
+		d.ctr.nvramStaged.Set(int64(len(d.nv.values)))
 		d.nvMu.Unlock()
 		d.keyLks.unlockAll(keys)
 		return aerr
 	}
-	for i, r := range batch {
-		if i == 1 && d.splitCommit.Load() {
-			// Test-only atomicity hole (TestingSplitBatchCommit): commit
-			// the first record under its own marker, reopen a fresh batch
-			// for the rest, and widen the window with a sleep so readers,
-			// snapshots, and power cuts can land inside it. abort() below
-			// rolls back only the still-open batch, so a cut here leaves
-			// the first record committed — exactly the partial-batch
-			// visibility the model checker must catch.
-			d.nvMu.Lock()
-			d.nv.commitBatch(batchID)
-			batchID, seqCur = d.nv.beginBatch(len(batch) - 1)
-			d.nvMu.Unlock()
-			// The first record's marker is durable, so its version node is
-			// commit-stamped now — a reader pinned inside the widened window
-			// would otherwise wait forever on a "pending" version.
-			if len(undo) > 0 {
-				undo[0].ns.fam.chains.Load().Commit(undo[0].node)
-			}
-			// The window must span several reader scheduling points to be
-			// findable in a small seed budget. The lock-free read path cut
-			// a Get to ~5 yield points, so the original 2µs window had
-			// become near-invisible to the serialized explorer (first catch
-			// past seed 40); at 80µs — a couple of whole Gets — seed 1
-			// catches it, keeping the self-test cheap even under -race.
-			d.eng.Sleep(80 * time.Microsecond)
-		}
+	for _, r := range batch {
 		// sealPacker below may release the log mutex while blocked on
 		// queue space; a power cut can land in that window. Acknowledging
 		// this batch after the cut would break crash consistency, so
@@ -212,10 +176,10 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 		seqCur++
 		d.nvMu.Lock()
 		d.nv.stage(seq, r.Namespace, r.Key, r.Value, batchID)
-		d.noteNVRAMLocked()
+		d.ctr.nvramStaged.Set(int64(len(d.nv.values)))
 		d.nvMu.Unlock()
 		var stagedAt time.Duration
-		if d.met != nil {
+		if d.tel != nil {
 			stagedAt = d.eng.NowCheap()
 		}
 
@@ -277,7 +241,7 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 			lg.workCv.Signal() // arm the flusher's batching timer
 		}
 		lg.mu.Unlock()
-		addStat(&d.stats.BytesWritten, int64(len(r.Value)))
+		d.ctr.bytesWritten.Add(int64(len(r.Value)))
 	}
 	if d.crashed.Load() || !d.arr.Powered() {
 		d.noticePowerLoss()
@@ -303,17 +267,17 @@ func (d *Device) execPut(batch []cmdq.Record, merged int) error {
 		pruned += u.ns.fam.chains.Load().PruneBelow(u.key, pins, floor, true, d.versionDead)
 		u.ns.mu.Unlock()
 	}
-	d.notePruned(pruned)
+	d.ctr.versionsPruned.Add(int64(pruned))
 	// A group commit acknowledges every merged Put command at once; Puts
 	// counts logical commands, not commits (CoalescerBatches counts those).
 	cmds := merged
 	if cmds < 1 {
 		cmds = 1
 	}
-	addStat(&d.stats.Puts, int64(cmds))
-	addStat(&d.stats.PutRecords, int64(len(batch)))
-	addStat(&d.stats.IndexProbes, int64(totalProbes))
-	d.met.addIndexEntries(newKeys)
+	d.ctr.puts.Add(int64(cmds))
+	d.ctr.putRecords.Add(int64(len(batch)))
+	d.ctr.indexProbes.Add(int64(totalProbes))
+	d.ctr.indexEntries.Add(int64(newKeys))
 	d.keyLks.unlockAll(keys)
 	// Put's index lookups run on the controller's lookup engine and
 	// overlap with the NVRAM DMA, so the charged CPU work is the fixed

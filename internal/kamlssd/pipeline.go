@@ -1,7 +1,9 @@
 package kamlssd
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/kaml-ssd/kaml/internal/cmdq"
 	"github.com/kaml-ssd/kaml/internal/record"
@@ -23,44 +25,66 @@ func (d *Device) SubmitGet(nsID uint32, key uint64) *cmdq.Future {
 }
 
 // SubmitPut enqueues an atomic Put batch and returns its completion future.
-// The batch is validated before submission — a malformed batch must fail
-// its own future immediately, never a coalesced neighbor's. Single-record
+// This is the firmware boundary every writer crosses (kaml, cache, cluster
+// and kvproto all arrive here), so the batch contract is checked here and
+// only here: a malformed batch fails its own future at once — never a
+// coalesced neighbor's — and costs no device round trip. Single-record
 // batches (and batches small enough to share a commit) may be merged with
 // concurrent Puts into one NVRAM batch commit by the pipeline's coalescer.
+//
+// The pipeline takes the slice itself, not a copy: like the values it
+// names, batch must not be mutated until the future's Wait has returned.
 func (d *Device) SubmitPut(batch []PutRecord) *cmdq.Future {
+	if err := d.checkBatch(batch); err != nil {
+		return cmdq.Resolved(d.eng, cmdq.Result{Err: err})
+	}
+	op := cmdq.OpPut
+	if len(batch) > 1 {
+		op = cmdq.OpPutBatch
+	}
+	d.ctrl.Submission()
+	return d.pipe.Submit(&cmdq.Command{Op: op, Records: batch})
+}
+
+// checkBatch is the Put batch contract: at least one record
+// (ErrEmptyBatch), no (namespace, key) named twice (ErrBadBatch), every
+// value within one flash page (ErrValueTooLarge). The duplicate check's
+// sorted key copy is its one allocation; a single record allocates nothing.
+func (d *Device) checkBatch(batch []PutRecord) error {
 	if len(batch) == 0 {
-		return cmdq.Resolved(d.eng, cmdq.Result{})
+		return ErrEmptyBatch
+	}
+	if len(batch) > 1 {
+		if _, err := lockOrder(batch); err != nil {
+			return err
+		}
 	}
 	maxVal := d.fc.PageSize - record.HeaderSize
 	for _, r := range batch {
 		if len(r.Value) > maxVal {
-			return cmdq.Resolved(d.eng, cmdq.Result{
-				Err: fmt.Errorf("%w: %d bytes", ErrValueTooLarge, len(r.Value)),
-			})
+			return fmt.Errorf("%w: %d bytes", ErrValueTooLarge, len(r.Value))
 		}
 	}
-	if len(batch) > 1 {
-		seen := make(map[nskey]bool, len(batch))
-		for _, r := range batch {
-			k := nskey{ns: r.Namespace, key: r.Key}
-			if seen[k] {
-				return cmdq.Resolved(d.eng, cmdq.Result{
-					Err: fmt.Errorf("%w: duplicate key %d in batch", ErrBadBatch, r.Key),
-				})
-			}
-			seen[k] = true
-		}
-	}
-	recs := make([]cmdq.Record, len(batch))
+	return nil
+}
+
+// lockOrder returns the batch's (namespace, key) pairs in key-lock order,
+// or ErrBadBatch naming the first pair that appears twice — sorted,
+// duplicates are neighbors.
+func lockOrder(batch []PutRecord) ([]nskey, error) {
+	keys := make([]nskey, len(batch))
 	for i, r := range batch {
-		recs[i] = cmdq.Record{Namespace: r.Namespace, Key: r.Key, Value: r.Value}
+		keys[i] = nskey{ns: r.Namespace, key: r.Key}
 	}
-	op := cmdq.OpPut
-	if len(recs) > 1 {
-		op = cmdq.OpPutBatch
+	slices.SortFunc(keys, func(a, b nskey) int {
+		return cmp.Or(cmp.Compare(a.ns, b.ns), cmp.Compare(a.key, b.key))
+	})
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
+			return nil, fmt.Errorf("%w: ns %d key %d", ErrBadBatch, keys[i].ns, keys[i].key)
+		}
 	}
-	d.ctrl.Submission()
-	return d.pipe.Submit(&cmdq.Command{Op: op, Records: recs})
+	return keys, nil
 }
 
 // SubmitSnapshot enqueues a snapshot command; the new namespace ID arrives

@@ -100,7 +100,7 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 	}
 
 	// 2. Uncommitted batches vanish whole.
-	d.stats.DroppedUncommitted = int64(nv.dropUncommitted())
+	d.ctr.droppedUncommitted.Add(int64(nv.dropUncommitted()))
 
 	// 3 + 4. Scan the logs and rebuild the allocator.
 	cr := newChainRebuild(d)
@@ -165,10 +165,10 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 	// values into packers.
 	d.startActors()
 	// Seed the index-population gauge from the rebuilt mapping tables (the
-	// registry is fresh; incremental updates resume from here).
+	// device's cells are fresh; incremental updates resume from here).
 	for _, m := range nv.sortedCatalog() {
 		if m.origin == 0 {
-			d.met.addIndexEntries(d.families[m.id].chains.Load().Keys())
+			d.ctr.indexEntries.Add(int64(d.families[m.id].chains.Load().Keys()))
 		}
 	}
 	if err := d.restageNVRAM(replay); err != nil {
@@ -278,7 +278,7 @@ func (cr *chainRebuild) build(d *Device) error {
 				chains.Commit(node)
 				if loc := location(c.loc); loc.isFlash() {
 					d.creditValid(loc)
-					d.stats.RecoveredRecords++
+					d.ctr.recoveredRecords.Inc()
 				}
 			}
 		}
@@ -298,21 +298,21 @@ func (d *Device) scanBlock(lg *logState, cr *chainRebuild, ch, chip, b, n int) e
 			if err == nil || !errors.Is(err, flash.ErrInjectedFailure) || tries >= maxReadRetries {
 				break
 			}
-			d.stats.ReadRetries++
+			d.ctr.readRetries.Inc()
 		}
 		if err != nil {
 			if errors.Is(err, flash.ErrInjectedFailure) {
 				// A persistently unreadable page: skip it. Any record whose
 				// newest copy sat there is served by an older copy or the
 				// NVRAM replay (committed data is in NVRAM until installed).
-				d.stats.TornPagesSkipped++
+				d.ctr.tornPagesSkipped.Inc()
 				continue
 			}
 			return fmt.Errorf("kamlssd: recovery scan ppn %d: %w", ppn, err)
 		}
 		ptype, ok := checkOOB(oob, data)
 		if !ok {
-			d.stats.TornPagesSkipped++
+			d.ctr.tornPagesSkipped.Inc()
 			continue
 		}
 		if ptype != pageTypeRecord {
@@ -347,15 +347,15 @@ func (d *Device) padBlock(lc *logChip, ch, chip, b int) error {
 		if n >= d.fc.PagesPerBlock {
 			return nil
 		}
-		err := d.arr.ProgramPage(d.arr.BlockPPN(ch, chip, b, n), data, oob)
+		err := d.programPage(d.arr.BlockPPN(ch, chip, b, n), data, oob)
 		switch {
 		case err == nil:
 		case errors.Is(err, flash.ErrInjectedFailure):
-			d.stats.ProgramRetries++
+			d.ctr.programRetries.Inc()
 		case errors.Is(err, flash.ErrWornOut):
 			lc.blocks[b].retired = true
 			d.nv.retireBlock(first)
-			d.stats.BlocksRetired++
+			d.ctr.blocksRetired.Inc()
 			return nil
 		default:
 			return fmt.Errorf("kamlssd: recovery pad block: %w", err)
@@ -426,7 +426,7 @@ func (d *Device) restageNVRAM(replay []uint64) error {
 		})
 		lg.workCv.Signal()
 		lg.mu.Unlock()
-		addStat(&d.stats.ReplayedValues, 1)
+		d.ctr.replayedValues.Inc()
 	}
 	return nil
 }

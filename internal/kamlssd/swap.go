@@ -90,7 +90,7 @@ func (d *Device) SwapOutIndex(nsID uint32) error {
 		if err != nil {
 			return err
 		}
-		if err := d.arr.ProgramPage(ppn, blob[off:end], d.buildOOB(nil, pageTypeIndex, blob[off:end])); err != nil {
+		if err := d.programPage(ppn, blob[off:end], d.buildOOB(nil, pageTypeIndex, blob[off:end])); err != nil {
 			return err
 		}
 		pages = append(pages, ppn)

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"strings"
 	"sync"
@@ -13,7 +12,6 @@ import (
 
 	kaml "github.com/kaml-ssd/kaml"
 	"github.com/kaml-ssd/kaml/internal/cluster"
-	"github.com/kaml-ssd/kaml/internal/telemetry"
 )
 
 // Cluster protocol. Each node of a cluster.Cluster runs one ClusterServer
@@ -36,28 +34,20 @@ import (
 
 // ClusterServer exposes one node of a cluster over the framed protocol.
 type ClusterServer struct {
+	listener
 	cl   *cluster.Cluster
 	node int
-	ln   net.Listener
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-
-	inFlight *telemetry.Gauge
-	writerQ  *telemetry.Gauge
-	warnOnce sync.Once
 }
 
 // NewClusterServer wraps node `node` of cl.
 func NewClusterServer(cl *cluster.Cluster, node int) *ClusterServer {
-	s := &ClusterServer{cl: cl, node: node, conns: make(map[net.Conn]struct{})}
+	s := &ClusterServer{listener: listener{who: fmt.Sprintf("kvproto: node %d", node)}, cl: cl, node: node}
 	if r := cl.Telemetry(); r != nil {
 		r.Help("kaml_cluster_srv_inflight_requests", "Framed commands admitted and executing, all connections, per node.")
 		r.Help("kaml_cluster_srv_writer_queue_depth", "Completions queued for connection writers, all connections, per node.")
 		id := fmt.Sprintf("%d", node)
-		s.inFlight = r.Gauge("kaml_cluster_srv_inflight_requests", "node", id)
-		s.writerQ = r.Gauge("kaml_cluster_srv_writer_queue_depth", "node", id)
+		r.AdoptGauge(&s.inFlight, "kaml_cluster_srv_inflight_requests", "node", id)
+		r.AdoptGauge(&s.writerQ, "kaml_cluster_srv_writer_queue_depth", "node", id)
 	}
 	return s
 }
@@ -65,48 +55,9 @@ func NewClusterServer(cl *cluster.Cluster, node int) *ClusterServer {
 // Serve accepts connections until the listener closes. Unlike the
 // single-device server there is no text protocol: the first line must be
 // the KVP2 handshake.
-func (s *ClusterServer) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		go s.handle(conn)
-	}
-}
-
-// Close stops the listener and open connections.
-func (s *ClusterServer) Close() {
-	s.mu.Lock()
-	s.closed = true
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-}
+func (s *ClusterServer) Serve(ln net.Listener) error { return s.serve(ln, s.handle) }
 
 func (s *ClusterServer) handle(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	line, err := r.ReadString('\n')
@@ -117,19 +68,10 @@ func (s *ClusterServer) handle(conn net.Conn) {
 	if err := w.Flush(); err != nil {
 		return
 	}
-	serveFramed(s, conn, r, w)
+	serveFramed(s, &s.listener, conn, r, w)
 }
 
 func (s *ClusterServer) goExec(fn func()) { s.cl.Go(fn) }
-func (s *ClusterServer) pumpGauges() (*telemetry.Gauge, *telemetry.Gauge) {
-	return s.inFlight, s.writerQ
-}
-func (s *ClusterServer) warnBacklog(depth int) {
-	s.warnOnce.Do(func() {
-		log.Printf("kvproto: node %d writer queue reached %d completions (bound %d); a client is not reading responses — admission paused until the backlog drains",
-			s.node, depth, maxWriterQueue)
-	})
-}
 
 // movedPayload encodes a redirect.
 func movedPayload(epoch uint64, shard int, node int) []byte {

@@ -6,12 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"sync"
 
 	kaml "github.com/kaml-ssd/kaml"
-	"github.com/kaml-ssd/kaml/internal/telemetry"
 )
 
 // The framed protocol (v2). A client opts in by sending the text line
@@ -161,26 +159,17 @@ func statsLine(st kaml.Stats) string {
 }
 
 // framedBackend is what a framed connection needs from whoever owns the
-// storage: a way to run a command as a simulation actor, the command
-// decoder/executor itself, and the shared telemetry hooks. Server (one
-// device) and ClusterServer (one node of a cluster) both implement it, so
-// the delicate reader/writer pump below exists exactly once.
+// storage: a way to run a command as a simulation actor and the command
+// decoder/executor itself. Server (one device) and ClusterServer (one node
+// of a cluster) both implement it, so the delicate reader/writer pump below
+// exists exactly once; the gauges and the backlog warning it reports to are
+// the shared listener's.
 type framedBackend interface {
-	goExec(fn func())                                 // spawn fn as a simulation actor
-	exec(kind byte, payload []byte) (byte, []byte)    // decode + run one frame (on an actor)
-	pumpGauges() (inFlight, writerQ *telemetry.Gauge) // nil-safe instruments
-	warnBacklog(depth int)
+	goExec(fn func())                              // spawn fn as a simulation actor
+	exec(kind byte, payload []byte) (byte, []byte) // decode + run one frame (on an actor)
 }
 
-func (s *Server) goExec(fn func())                                 { s.dev.Go(fn) }
-func (s *Server) exec(kind byte, payload []byte) (byte, []byte)    { return s.execFrame(kind, payload) }
-func (s *Server) pumpGauges() (*telemetry.Gauge, *telemetry.Gauge) { return s.inFlight, s.writerQ }
-func (s *Server) warnBacklog(depth int)                            { s.warnWriterBacklog(depth) }
-
-// handleFramed serves one connection after the KVP2 handshake.
-func (s *Server) handleFramed(conn net.Conn, r *bufio.Reader, w *bufio.Writer) {
-	serveFramed(s, conn, r, w)
-}
+func (s *Server) goExec(fn func()) { s.dev.Go(fn) }
 
 // serveFramed pumps one framed connection. A reader
 // loop (this goroutine) admits up to maxInFlight commands, each executing
@@ -199,8 +188,7 @@ func (s *Server) handleFramed(conn net.Conn, r *bufio.Reader, w *bufio.Writer) {
 // unconditionally. respCond therefore has two classes of waiters (the
 // writer waiting for work, the reader waiting for drain), so every wakeup
 // is a Broadcast.
-func serveFramed(b framedBackend, conn net.Conn, r *bufio.Reader, w *bufio.Writer) {
-	inFlightG, writerQG := b.pumpGauges()
+func serveFramed(b framedBackend, l *listener, conn net.Conn, r *bufio.Reader, w *bufio.Writer) {
 	type resp struct {
 		status  byte
 		id      uint64
@@ -237,7 +225,7 @@ func serveFramed(b framedBackend, conn net.Conn, r *bufio.Reader, w *bufio.Write
 			respQ = spare[:0]
 			respCond.Broadcast() // a reader may be parked on the bound
 			respMu.Unlock()
-			writerQG.Add(int64(-len(batch)))
+			l.writerQ.Add(int64(-len(batch)))
 			if !broken {
 				for _, rp := range batch {
 					if err := writeFrame(w, rp.status, rp.id, rp.payload); err != nil {
@@ -274,13 +262,13 @@ func serveFramed(b framedBackend, conn net.Conn, r *bufio.Reader, w *bufio.Write
 		}
 		respMu.Lock()
 		for len(respQ) >= maxWriterQueue && !respEOF {
-			b.warnBacklog(len(respQ))
+			l.warnBacklog(len(respQ))
 			respCond.Wait()
 		}
 		respMu.Unlock()
 		slots <- struct{}{}
 		outstanding.Add(1)
-		inFlightG.Add(1)
+		l.inFlight.Add(1)
 		b.goExec(func() {
 			defer outstanding.Done()
 			status, pl := b.exec(kind, *bufp)
@@ -292,8 +280,8 @@ func serveFramed(b framedBackend, conn net.Conn, r *bufio.Reader, w *bufio.Write
 			respQ = append(respQ, resp{status, id, pl})
 			respMu.Unlock()
 			respCond.Broadcast()
-			writerQG.Add(1)
-			inFlightG.Add(-1)
+			l.writerQ.Add(1)
+			l.inFlight.Add(-1)
 			<-slots
 		})
 	}
@@ -308,19 +296,8 @@ func serveFramed(b framedBackend, conn net.Conn, r *bufio.Reader, w *bufio.Write
 	<-writerDone
 }
 
-// warnWriterBacklog logs — once per server — that a connection's completion
-// backlog hit the admission bound, which almost always means a client is
-// pipelining requests without reading responses.
-func (s *Server) warnWriterBacklog(depth int) {
-	s.warnOnce.Do(func() {
-		log.Printf("kvproto: writer queue reached %d completions (bound %d); a client is not reading responses — admission paused until the backlog drains",
-			depth, maxWriterQueue)
-	})
-}
-
-// execFrame decodes and executes one framed request. Runs on a simulation
-// actor.
-func (s *Server) execFrame(kind byte, payload []byte) (byte, []byte) {
+// exec decodes and executes one framed request. Runs on a simulation actor.
+func (s *Server) exec(kind byte, payload []byte) (byte, []byte) {
 	bad := func() (byte, []byte) { return stErr, []byte("bad frame") }
 	switch kind {
 	case reqGet:

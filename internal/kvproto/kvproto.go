@@ -18,13 +18,17 @@
 // line is "KVP2\n" switches to length-prefixed binary frames carrying
 // request IDs, letting a client pipeline many commands on one connection
 // with out-of-order completion — the protocol-level mirror of the device's
-// submission/completion queues. Client speaks v2; TextClient keeps the
-// serial text flavor.
+// submission/completion queues. Client speaks v2, and it is the only client:
+// the text flavor is server-side only, there for `nc`, shell scripts and
+// CI's admin smoke to type at.
 //
 // The server bridges real network goroutines onto the device's simulated
 // clock: each request executes as a short-lived simulation actor while the
 // connection goroutine (text) or completion writer (framed) waits on real
-// channels.
+// channels. Server (one device) and ClusterServer (one node of a cluster)
+// differ only in how they greet a connection and execute a frame; the
+// accept/track/close loop (listener) and the framed pump (serveFramed)
+// exist once.
 package kvproto
 
 import (
@@ -32,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"strconv"
 	"strings"
@@ -44,72 +49,105 @@ import (
 // MaxValueLen bounds a PUT payload.
 const MaxValueLen = 1 << 20
 
-// Server serves the protocol over a listener.
-type Server struct {
-	dev *kaml.Device
-	ln  net.Listener
+// listener is the accept/track/close skeleton of a server, plus the state
+// every connection's framed pump shares. Server and ClusterServer embed it.
+type listener struct {
+	who string // log prefix naming the server ("kvproto", "kvproto: node 2")
 
 	mu     sync.Mutex
+	ln     net.Listener
 	closed bool
 	conns  map[net.Conn]struct{}
 
-	// Telemetry (nil instruments when the device's registry is disabled).
 	// inFlight counts framed commands admitted but not yet completed across
 	// all connections; writerQ is the total backlog of completions waiting
-	// for connection writer goroutines. warnOnce fires the one-time
-	// writer-backlog warning (see handleFramed).
-	inFlight *telemetry.Gauge
-	writerQ  *telemetry.Gauge
+	// for connection writer goroutines. Both are cells the server owns; the
+	// registry, when there is one, lists them. warnOnce fires the one-time
+	// writer-backlog warning (see serveFramed).
+	inFlight telemetry.Gauge
+	writerQ  telemetry.Gauge
 	warnOnce sync.Once
 }
 
-// NewServer wraps an open device.
-func NewServer(dev *kaml.Device) *Server {
-	s := &Server{dev: dev, conns: make(map[net.Conn]struct{})}
-	if r := dev.Telemetry(); r != nil {
-		r.Help("kaml_srv_inflight_requests", "Framed commands admitted and executing on the device, all connections.")
-		r.Help("kaml_srv_writer_queue_depth", "Completions queued for connection writer goroutines, all connections.")
-		s.inFlight = r.Gauge("kaml_srv_inflight_requests")
-		s.writerQ = r.Gauge("kaml_srv_writer_queue_depth")
-	}
-	return s
-}
-
-// Serve accepts connections until the listener closes.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
+// serve accepts connections until the listener closes, running handle for
+// each on its own goroutine and closing and forgetting the connection when
+// handle returns.
+func (l *listener) serve(ln net.Listener, handle func(net.Conn)) error {
+	l.mu.Lock()
+	l.ln = ln
+	l.mu.Unlock()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
+			l.mu.Lock()
+			closed := l.closed
+			l.mu.Unlock()
 			if closed {
 				return nil
 			}
 			return err
 		}
-		s.mu.Lock()
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		go s.handle(conn)
+		l.mu.Lock()
+		if l.conns == nil {
+			l.conns = make(map[net.Conn]struct{})
+		}
+		l.conns[conn] = struct{}{}
+		l.mu.Unlock()
+		go func() {
+			defer func() {
+				conn.Close()
+				l.mu.Lock()
+				delete(l.conns, conn)
+				l.mu.Unlock()
+			}()
+			handle(conn)
+		}()
 	}
 }
 
 // Close stops the listener and open connections.
-func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	if s.ln != nil {
-		s.ln.Close()
+func (l *listener) Close() {
+	l.mu.Lock()
+	l.closed = true
+	if l.ln != nil {
+		l.ln.Close()
 	}
-	for c := range s.conns {
+	for c := range l.conns {
 		c.Close()
 	}
-	s.mu.Unlock()
+	l.mu.Unlock()
 }
+
+// warnBacklog logs — once per server — that a connection's completion
+// backlog hit the admission bound, which almost always means a client is
+// pipelining requests without reading responses.
+func (l *listener) warnBacklog(depth int) {
+	l.warnOnce.Do(func() {
+		log.Printf("%s: writer queue reached %d completions (bound %d); a client is not reading responses — admission paused until the backlog drains",
+			l.who, depth, maxWriterQueue)
+	})
+}
+
+// Server serves the protocol over a listener.
+type Server struct {
+	listener
+	dev *kaml.Device
+}
+
+// NewServer wraps an open device.
+func NewServer(dev *kaml.Device) *Server {
+	s := &Server{listener: listener{who: "kvproto"}, dev: dev}
+	if r := dev.Telemetry(); r != nil {
+		r.Help("kaml_srv_inflight_requests", "Framed commands admitted and executing on the device, all connections.")
+		r.Help("kaml_srv_writer_queue_depth", "Completions queued for connection writer goroutines, all connections.")
+		r.AdoptGauge(&s.inFlight, "kaml_srv_inflight_requests")
+		r.AdoptGauge(&s.writerQ, "kaml_srv_writer_queue_depth")
+	}
+	return s
+}
+
+// Serve accepts connections until the listener closes.
+func (s *Server) Serve(ln net.Listener) error { return s.serve(ln, s.handle) }
 
 // runOnDevice executes fn as a simulation actor and waits for it.
 func (s *Server) runOnDevice(fn func()) {
@@ -122,12 +160,6 @@ func (s *Server) runOnDevice(fn func()) {
 }
 
 func (s *Server) handle(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	for {
@@ -147,7 +179,7 @@ func (s *Server) handle(conn net.Conn) {
 			if err := w.Flush(); err != nil {
 				return
 			}
-			s.handleFramed(conn, r, w)
+			serveFramed(s, &s.listener, conn, r, w)
 			return
 		case "CREATE":
 			s.cmdCreate(w, fields)
@@ -287,160 +319,4 @@ func (s *Server) cmdStats(w io.Writer) {
 	var st kaml.Stats
 	s.runOnDevice(func() { st = s.dev.Stats() })
 	fmt.Fprintf(w, "%s\n", statsLine(st))
-}
-
-// TextClient is a minimal serial client for the legacy text protocol. A
-// transport error poisons it: the in-flight request fails, and every later
-// call fails fast with the same error — the reply stream can no longer be
-// trusted to line up with requests.
-type TextClient struct {
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-	mu   sync.Mutex
-	err  error // first transport error; sticky
-}
-
-// DialText connects to a server with the text protocol.
-func DialText(addr string) (*TextClient, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewTextClient(conn), nil
-}
-
-// NewTextClient wraps an established connection.
-func NewTextClient(conn net.Conn) *TextClient {
-	return &TextClient{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
-}
-
-// Close closes the connection.
-func (c *TextClient) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err == nil {
-		fmt.Fprintf(c.w, "QUIT\n")
-		c.w.Flush()
-	}
-	return c.conn.Close()
-}
-
-// fail poisons the client with the first transport error. Caller holds
-// c.mu.
-func (c *TextClient) fail(err error) error {
-	if c.err == nil {
-		c.err = err
-		c.conn.Close()
-	}
-	return c.err
-}
-
-func (c *TextClient) roundTrip(req string) (string, error) {
-	if c.err != nil {
-		return "", c.err
-	}
-	if _, err := c.w.WriteString(req); err != nil {
-		return "", c.fail(err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return "", c.fail(err)
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", c.fail(err)
-	}
-	return strings.TrimSpace(line), nil
-}
-
-func parseErr(resp string) error {
-	if strings.HasPrefix(resp, "ERR ") {
-		return errors.New(resp[4:])
-	}
-	return fmt.Errorf("kvproto: unexpected response %q", resp)
-}
-
-// CreateNamespace asks the server for a new namespace.
-func (c *TextClient) CreateNamespace(expectedKeys int) (uint32, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	resp, err := c.roundTrip(fmt.Sprintf("CREATE %d\n", expectedKeys))
-	if err != nil {
-		return 0, err
-	}
-	var ns uint32
-	if _, err := fmt.Sscanf(resp, "NS %d", &ns); err != nil {
-		return 0, parseErr(resp)
-	}
-	return ns, nil
-}
-
-// Put stores a value.
-func (c *TextClient) Put(ns uint32, key uint64, val []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
-	}
-	fmt.Fprintf(c.w, "PUT %d %d %d\n", ns, key, len(val))
-	c.w.Write(val)
-	if err := c.w.Flush(); err != nil {
-		return c.fail(err)
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return c.fail(err)
-	}
-	if strings.TrimSpace(line) != "OK" {
-		return parseErr(strings.TrimSpace(line))
-	}
-	return nil
-}
-
-// Get fetches a value.
-func (c *TextClient) Get(ns uint32, key uint64) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	resp, err := c.roundTrip(fmt.Sprintf("GET %d %d\n", ns, key))
-	if err != nil {
-		return nil, err
-	}
-	if resp == "ERR not-found" {
-		return nil, ErrNotFound
-	}
-	var n int
-	if _, err := fmt.Sscanf(resp, "VAL %d", &n); err != nil {
-		return nil, parseErr(resp)
-	}
-	val := make([]byte, n)
-	if _, err := io.ReadFull(c.r, val); err != nil {
-		return nil, c.fail(err)
-	}
-	// trailing newline
-	if _, err := c.r.ReadString('\n'); err != nil {
-		return nil, c.fail(err)
-	}
-	return val, nil
-}
-
-// Snapshot asks the server to snapshot a namespace.
-func (c *TextClient) Snapshot(ns uint32) (uint32, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	resp, err := c.roundTrip(fmt.Sprintf("SNAPSHOT %d\n", ns))
-	if err != nil {
-		return 0, err
-	}
-	var snap uint32
-	if _, err := fmt.Sscanf(resp, "NS %d", &snap); err != nil {
-		return 0, parseErr(resp)
-	}
-	return snap, nil
-}
-
-// Stats fetches the server's device counters as a raw line.
-func (c *TextClient) Stats() (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.roundTrip("STATS\n")
 }

@@ -118,24 +118,18 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestProtocolErrors(t *testing.T) {
 	_, addr := startServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	c := NewTextClient(conn)
-	defer c.Close()
+	c := dialText(t, addr)
 
 	// Unknown namespace.
-	if err := c.Put(99, 1, []byte("x")); err == nil {
-		t.Fatal("put to missing namespace accepted")
+	if resp := c.send(t, "PUT 99 1 1\nx"); !strings.HasPrefix(resp, "ERR ") {
+		t.Fatalf("put to missing namespace answered %q", resp)
 	}
 	// Raw garbage command still keeps the connection alive.
-	if _, err := c.roundTrip("BOGUS\n"); err != nil {
-		t.Fatal(err)
+	if resp := c.send(t, "BOGUS\n"); !strings.HasPrefix(resp, "ERR unknown command") {
+		t.Fatalf("garbage command answered %q", resp)
 	}
-	if _, err := c.CreateNamespace(10); err != nil {
-		t.Fatalf("connection broken after bad command: %v", err)
+	if resp := c.send(t, "CREATE 10\n"); !strings.HasPrefix(resp, "NS ") {
+		t.Fatalf("connection broken after bad command: %q", resp)
 	}
 }
 

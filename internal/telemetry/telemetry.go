@@ -394,8 +394,10 @@ func (r *Registry) Help(name, help string) {
 	r.mu.Unlock()
 }
 
-// lookup returns (creating if needed) the metric under name+labels.
-func (r *Registry) lookup(name string, kind Kind, unit Unit, labels []string) *metric {
+// lookup returns (creating if needed) the metric under name+labels. A new
+// counter or gauge series wraps the given cell when one is passed (Adopt*),
+// else a freshly allocated one.
+func (r *Registry) lookup(name string, kind Kind, unit Unit, labels []string, c *Counter, g *Gauge) *metric {
 	key := metricKey(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -408,9 +410,13 @@ func (r *Registry) lookup(name string, kind Kind, unit Unit, labels []string) *m
 	m := &metric{name: name, labels: append([]string(nil), labels...), kind: kind, unit: unit}
 	switch kind {
 	case KindCounter:
-		m.counter = &Counter{}
+		if m.counter = c; c == nil {
+			m.counter = &Counter{}
+		}
 	case KindGauge:
-		m.gauge = &Gauge{}
+		if m.gauge = g; g == nil {
+			m.gauge = &Gauge{}
+		}
 	case KindHistogram:
 		m.hist = &Histogram{}
 	}
@@ -425,7 +431,7 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, KindCounter, UnitNone, labels).counter
+	return r.lookup(name, KindCounter, UnitNone, labels, nil, nil).counter
 }
 
 // Gauge returns (creating if needed) the named gauge.
@@ -433,7 +439,26 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, KindGauge, UnitNone, labels).gauge
+	return r.lookup(name, KindGauge, UnitNone, labels, nil, nil).gauge
+}
+
+// AdoptCounter lists c under name+labels. c is a cell its component owns
+// (a struct field it increments whether or not anything is exported); the
+// registry becomes a directory entry for that same cell — a scrape, a
+// later Counter(name, labels...) and the owner's own Stats() all read one
+// value. A series that already exists keeps its cell (a second cache over
+// one device stays private). No-op on a nil registry.
+func (r *Registry) AdoptCounter(c *Counter, name string, labels ...string) {
+	if r != nil {
+		r.lookup(name, KindCounter, UnitNone, labels, c, nil)
+	}
+}
+
+// AdoptGauge is AdoptCounter for a gauge cell.
+func (r *Registry) AdoptGauge(g *Gauge, name string, labels ...string) {
+	if r != nil {
+		r.lookup(name, KindGauge, UnitNone, labels, nil, g)
+	}
 }
 
 // Histogram returns (creating if needed) the named histogram with the given
@@ -442,7 +467,7 @@ func (r *Registry) Histogram(name string, unit Unit, labels ...string) *Histogra
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, KindHistogram, unit, labels).hist
+	return r.lookup(name, KindHistogram, unit, labels, nil, nil).hist
 }
 
 // MetricSnap is one instrument's state in a Snapshot.

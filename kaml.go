@@ -65,11 +65,11 @@ var (
 	// ErrEmptyBatch reports a PutBatch with no records; an empty atomic
 	// write is almost always a caller bug, so it is rejected rather than
 	// trivially acknowledged.
-	ErrEmptyBatch = errors.New("kaml: empty batch")
+	ErrEmptyBatch = kamlssd.ErrEmptyBatch
 	// ErrDuplicateKey reports a PutBatch naming the same (namespace, key)
 	// twice. The firmware cannot order two writes to one key within a
 	// single atomic batch, so the batch is rejected before submission.
-	ErrDuplicateKey = errors.New("kaml: duplicate key in batch")
+	ErrDuplicateKey = kamlssd.ErrBadBatch
 	// ErrTxnAborted reports a transaction killed by concurrency control;
 	// retry it.
 	ErrTxnAborted = storage.ErrAborted
@@ -491,45 +491,23 @@ func (d *Device) Put(ns Namespace, key uint64, value []byte) error {
 	return err
 }
 
-// Record is one element of an atomic batch Put.
+// Record is one element of an atomic batch Put. It is the same type all the
+// way down (kamlssd.PutRecord, cmdq.Record): a batch is handed to the
+// device as the slice the caller built.
 type Record = kamlssd.PutRecord
-
-// validateBatch enforces the PutBatch contract: at least one record and no
-// repeated (namespace, key). Checked host-side so a malformed batch fails
-// fast with a typed error instead of costing a device round trip.
-func validateBatch(records []Record) error {
-	if len(records) == 0 {
-		return ErrEmptyBatch
-	}
-	if len(records) > 1 {
-		seen := make(map[[2]uint64]struct{}, len(records))
-		for _, r := range records {
-			k := [2]uint64{uint64(r.Namespace), r.Key}
-			if _, dup := seen[k]; dup {
-				return fmt.Errorf("%w: ns %d key %d", ErrDuplicateKey, r.Namespace, r.Key)
-			}
-			seen[k] = struct{}{}
-		}
-	}
-	return nil
-}
 
 // PutBatch atomically inserts or updates several key-value pairs, possibly
 // across namespaces — the paper's multi-part atomic write. Batches must be
-// non-empty (ErrEmptyBatch) and free of repeated keys (ErrDuplicateKey).
+// non-empty (ErrEmptyBatch) and free of repeated keys (ErrDuplicateKey);
+// the firmware checks both on submission (kamlssd.SubmitPut), before the
+// batch costs a device round trip.
 func (d *Device) PutBatch(records []Record) error {
 	t := d.tap
 	if t == nil {
-		if err := validateBatch(records); err != nil {
-			return err
-		}
 		return d.dev.Put(records)
 	}
 	id := t.OpInvoked(OpPutBatch, 0, records)
-	err := validateBatch(records)
-	if err == nil {
-		err = d.dev.Put(records)
-	}
+	err := d.dev.Put(records)
 	t.OpCompleted(id, 0, nil, err)
 	return err
 }
@@ -608,15 +586,13 @@ func (d *Device) AsyncPut(ns Namespace, key uint64, value []byte) *PutFuture {
 
 // AsyncPutBatch submits an atomic multi-record write and returns a future.
 // Validation failures (ErrEmptyBatch, ErrDuplicateKey) surface through the
-// future's Wait, never through a neighboring command.
+// future's Wait, never through a neighboring command. The device takes the
+// records slice itself, not a copy: like the values it names, it must not
+// be mutated until Wait has returned.
 func (d *Device) AsyncPutBatch(records []Record) *PutFuture {
 	fut := &PutFuture{tap: d.tap}
 	if fut.tap != nil {
 		fut.id = fut.tap.OpInvoked(OpPutBatch, 0, records)
-	}
-	if err := validateBatch(records); err != nil {
-		fut.f = cmdq.Resolved(d.eng, cmdq.Result{Err: err})
-		return fut
 	}
 	fut.f = d.dev.SubmitPut(records)
 	return fut
@@ -810,9 +786,9 @@ type Stats = kamlssd.Stats
 // Stats returns device counters (programs, GC activity, probes, ...).
 func (d *Device) Stats() Stats { return d.dev.Stats() }
 
-// Telemetry returns the device's metrics registry (counters, gauges,
-// per-stage latency histograms), or nil when
-// Options.Firmware.DisableTelemetry is set. The registry is read with
+// Telemetry returns the device's metrics registry — a directory of the
+// counter cells behind Stats plus the per-stage latency histograms — or nil
+// when Options.Firmware.DisableTelemetry is set. The registry is read with
 // atomic snapshots only, so scraping it from plain goroutines (an HTTP
 // admin endpoint, a bench reporter) never touches the simulation's clock
 // or locks.
