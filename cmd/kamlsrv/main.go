@@ -40,6 +40,7 @@ import (
 	"github.com/kaml-ssd/kaml/internal/admin"
 	"github.com/kaml-ssd/kaml/internal/cluster"
 	"github.com/kaml-ssd/kaml/internal/kvproto"
+	"github.com/kaml-ssd/kaml/internal/telemetry"
 )
 
 func main() {
@@ -114,8 +115,12 @@ func main() {
 
 	// Final device counters, for post-mortems on what the run did.
 	st := dev.Stats()
-	log.Printf("final stats: gets=%d puts=%d put_records=%d programs=%d gc_erases=%d nvram_hits=%d program_retries=%d blocks_retired=%d",
-		st.Gets, st.Puts, st.PutRecords, st.Programs, st.GCErases, st.NVRAMHits, st.ProgramRetries, st.BlocksRetired)
+	// Mean page fill: chunks holding records over chunks per page, across
+	// every page that left NVRAM (zero pages, or telemetry off, prints 0).
+	fill := dev.Telemetry().Histogram("kaml_ssd_sealed_page_chunks", telemetry.UnitNone).Snapshot()
+	meanFill := fill.Mean() / float64(opts.Flash.PageSize/opts.Firmware.ChunkSize)
+	log.Printf("final stats: gets=%d puts=%d put_records=%d programs=%d gc_erases=%d nvram_hits=%d program_retries=%d blocks_retired=%d pages_sealed=%d mean_page_fill=%.2f",
+		st.Gets, st.Puts, st.PutRecords, st.Programs, st.GCErases, st.NVRAMHits, st.ProgramRetries, st.BlocksRetired, fill.N, meanFill)
 	log.Printf("pipeline stats: submitted=%d completed=%d coalesced_puts=%d coalescer_batches=%d coalescer_records=%d max_queue=%d mean_queue=%.2f",
 		st.PipelineSubmitted, st.PipelineCompleted, st.CoalescedPuts, st.CoalescerBatches, st.CoalescerRecords, st.PipelineMaxQueue, st.PipelineMeanQueue)
 	if reg := dev.Telemetry(); reg != nil {

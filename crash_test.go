@@ -62,20 +62,67 @@ func verifyTorture(dev *kaml.Device, keys uint64, ns kaml.Namespace, expected ma
 	return nil
 }
 
-func TestCrashRecoveryTorture(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		t.Run(fmt.Sprintf("seed=%02d", seed), func(t *testing.T) {
-			runTortureSeed(t, seed)
-		})
+// tortureCoverage is what one torture seed's first power cut exercised. The
+// sweeps assert totals over all seeds (checkCoverage): pages leave NVRAM
+// only when full, so a fault plan written for a busier flusher can quietly
+// turn into a test of an idle one — every cut landing on a quiet array with
+// everything either on flash or in NVRAM, none in between.
+type tortureCoverage struct {
+	// midProgram: the fault plan's own cut fired during the workload on a
+	// page program (a count-based cut trips on the Nth program attempt), or
+	// recovery found a torn page on flash.
+	midProgram bool
+	// replayed: recovery re-staged at least one committed value from NVRAM.
+	replayed bool
+}
+
+// coverageTotals accumulates tortureCoverage over a sweep.
+type coverageTotals struct{ seeds, midProgram, replayed int }
+
+func (c *coverageTotals) add(cov tortureCoverage) {
+	c.seeds++
+	if cov.midProgram {
+		c.midProgram++
+	}
+	if cov.replayed {
+		c.replayed++
 	}
 }
 
-func runTortureSeed(t *testing.T, seed int64) {
+// check fails the sweep unless at least minMidProgram cuts landed on a page
+// program (or left a torn page) and at least half the seeds replayed NVRAM.
+func (c *coverageTotals) check(t *testing.T, minMidProgram int) {
+	t.Helper()
+	t.Logf("coverage over %d seeds: %d cuts mid-program or torn, %d seeds replayed NVRAM values",
+		c.seeds, c.midProgram, c.replayed)
+	if c.midProgram < minMidProgram {
+		t.Errorf("only %d of %d cuts landed on a page program or left a torn page, want >= %d: retune the fault plans",
+			c.midProgram, c.seeds, minMidProgram)
+	}
+	if 2*c.replayed < c.seeds {
+		t.Errorf("only %d of %d seeds replayed a value from NVRAM, want at least half", c.replayed, c.seeds)
+	}
+}
+
+func TestCrashRecoveryTorture(t *testing.T) {
+	var total coverageTotals
+	for seed := int64(0); seed < 50; seed++ {
+		t.Run(fmt.Sprintf("seed=%02d", seed), func(t *testing.T) {
+			total.add(runTortureSeed(t, seed))
+		})
+	}
+	// 42 of the 50 plans are count-based and fire inside the workload; a few
+	// time-based ones tear a page as well (46 here; 45 before pages packed).
+	total.check(t, 40)
+}
+
+func runTortureSeed(t *testing.T, seed int64) tortureCoverage {
 	rng := rand.New(rand.NewSource(seed))
 
 	// Vary the fault plan across seeds: cut point, torn page on cut,
 	// program failures, read failures, time-based instead of count-based
-	// cuts. The workload programs ~60 pages, so count cuts land inside it.
+	// cuts. The workload fills and programs 74-79 pages (values average five
+	// chunks, a dozen records to a page), so every count cut lands inside it.
 	plan := &kaml.FaultPlan{Seed: seed, CutAfterPrograms: 5 + rng.Intn(60)}
 	if seed%3 == 0 {
 		plan.TornPageOnCut = true
@@ -99,27 +146,29 @@ func runTortureSeed(t *testing.T, seed int64) {
 	}
 
 	expected := make(map[kaml.Namespace]map[uint64][]byte)
+	var cov tortureCoverage
 	var failure error
 	dev.Go(func() {
-		failure = tortureRun(dev, rng, seed, expected)
+		cov, failure = tortureRun(dev, rng, seed, plan.CutAfterPrograms > 0, expected)
 	})
 	dev.Wait()
 	if failure != nil {
 		t.Fatal(failure)
 	}
+	return cov
 }
 
 // tortureRun is the body of the torture test's single application actor:
 // workload until the power cut, then crash, recover, verify, write more,
 // crash again, recover again, verify again.
-func tortureRun(dev *kaml.Device, rng *rand.Rand, seed int64, expected map[kaml.Namespace]map[uint64][]byte) error {
+func tortureRun(dev *kaml.Device, rng *rand.Rand, seed int64, countCut bool, expected map[kaml.Namespace]map[uint64][]byte) (cov tortureCoverage, _ error) {
 	ns, err := dev.CreateNamespace(kaml.NamespaceOptions{ExpectedKeys: 2 * tortureKeys})
 	if err != nil {
-		return err
+		return cov, err
 	}
 	ns2, err := dev.CreateNamespace(kaml.NamespaceOptions{ExpectedKeys: 2 * tortureKeys2})
 	if err != nil {
-		return err
+		return cov, err
 	}
 	expected[ns] = make(map[uint64][]byte)
 	expected[ns2] = make(map[uint64][]byte)
@@ -170,16 +219,17 @@ workload:
 		case err == nil:
 			commit(batch)
 		case errors.Is(err, kaml.ErrPowerLoss):
-			break workload // unacknowledged: must NOT be visible after recovery
+			cov.midProgram = countCut // the plan's Nth program tripped the cut
+			break workload            // unacknowledged: must NOT be visible after recovery
 		default:
-			return fmt.Errorf("batch %d: %w", batchID, err)
+			return cov, fmt.Errorf("batch %d: %w", batchID, err)
 		}
 		// Interleave reads so read-fault plans exercise the retry path.
 		if batchID%17 == 0 {
 			k := uint64(rng.Intn(tortureKeys))
 			if _, err := dev.Get(ns, k); err != nil &&
 				!errors.Is(err, kaml.ErrKeyNotFound) && !errors.Is(err, kaml.ErrPowerLoss) {
-				return fmt.Errorf("get during workload: %w", err)
+				return cov, fmt.Errorf("get during workload: %w", err)
 			}
 		}
 	}
@@ -226,12 +276,14 @@ workload:
 
 	re, err := recoverVerified(dev)
 	if err != nil {
-		return err
+		return cov, err
 	}
+	st := re.Stats()
+	cov.midProgram = cov.midProgram || st.TornPagesSkipped > 0
+	cov.replayed = st.ReplayedValues > 0
 	if n := len(expected[ns]) + len(expected[ns2]); n > 0 {
-		st := re.Stats()
 		if st.RecoveredRecords+st.ReplayedValues == 0 {
-			return fmt.Errorf("%d keys committed but recovery found nothing (stats %+v)", n, st)
+			return cov, fmt.Errorf("%d keys committed but recovery found nothing (stats %+v)", n, st)
 		}
 	}
 
@@ -244,19 +296,19 @@ workload:
 		err := re.Put(ns, k, val)
 		if errors.Is(err, kaml.ErrPowerLoss) {
 			if re, err = recoverVerified(re); err != nil {
-				return err
+				return cov, err
 			}
 			continue // unacknowledged; expected unchanged
 		}
 		if err != nil {
-			return fmt.Errorf("put after recovery: %w", err)
+			return cov, fmt.Errorf("put after recovery: %w", err)
 		}
 		expected[ns][k] = val
 	}
 	re2, err := recoverVerified(re)
 	if err != nil {
-		return fmt.Errorf("second recovery: %w", err)
+		return cov, fmt.Errorf("second recovery: %w", err)
 	}
 	re2.Close()
-	return nil
+	return cov, nil
 }

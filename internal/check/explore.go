@@ -12,6 +12,7 @@ import (
 	"github.com/kaml-ssd/kaml/internal/flash"
 	"github.com/kaml-ssd/kaml/internal/kamlssd"
 	"github.com/kaml-ssd/kaml/internal/nvme"
+	"github.com/kaml-ssd/kaml/internal/record"
 	"github.com/kaml-ssd/kaml/internal/sim"
 )
 
@@ -106,6 +107,12 @@ type RunResult struct {
 	Events     []Event
 	History    []byte // deterministic text rendering (Recorder.Serialize)
 	Violations []Violation
+	// PlanCutMidRun reports that the fault plan's program-count cut
+	// (Scenario.CutAfterPrograms) struck while the workers were running —
+	// not in the final drain, and not never. The explorer's tests assert it
+	// over a sweep so the generator's cut range cannot silently fall out of
+	// step with how many pages a workload programs.
+	PlanCutMidRun bool
 }
 
 // Failed reports whether the run produced a definite violation
@@ -126,11 +133,12 @@ func Run(sc *Scenario) *RunResult {
 	eng.Serialize(sc.Seed)
 	rec := NewRecorder(eng.Now)
 	var harnessErr error
+	var planCut bool
 	eng.Go("root", func() {
-		harnessErr = runScenario(sc, eng, rec)
+		harnessErr = runScenario(sc, eng, rec, &planCut)
 	})
 	eng.Wait()
-	res := &RunResult{Events: rec.Events(), History: rec.Serialize()}
+	res := &RunResult{Events: rec.Events(), History: rec.Serialize(), PlanCutMidRun: planCut}
 	if sc.SIMode {
 		res.Violations = CheckHistorySI(res.Events)
 	} else {
@@ -179,8 +187,9 @@ func (sc *Scenario) options(eng *sim.Engine) kaml.Options {
 	return opts
 }
 
-// runScenario is the root actor's body.
-func runScenario(sc *Scenario, eng *sim.Engine, rec *Recorder) error {
+// runScenario is the root actor's body. It sets *planCut when the fault
+// plan's count-based cut strikes mid-run (RunResult.PlanCutMidRun).
+func runScenario(sc *Scenario, eng *sim.Engine, rec *Recorder, planCut *bool) error {
 	dev, err := kaml.Open(sc.options(eng))
 	if err != nil {
 		return fmt.Errorf("open: %w", err)
@@ -501,6 +510,9 @@ func runScenario(sc *Scenario, eng *sim.Engine, rec *Recorder) error {
 			return fe
 		}
 		if dead() || round == sc.CutRound {
+			if sc.CutAfterPrograms > 0 && round != sc.CutRound {
+				*planCut = true
+			}
 			cutOnce = true
 			re, rerr := reopenAudited(dev)
 			if rerr != nil {
@@ -568,8 +580,10 @@ func GenScenario(seed int64, ops int, bug bool) *Scenario {
 		MaxCoalesceRecords: 4 + rng.Intn(13),
 		CoalesceShards:     1 + rng.Intn(4),
 
-		NSCount:   1 + rng.Intn(2),
-		ValueSize: 16 + rng.Intn(48),
+		NSCount: 1 + rng.Intn(2),
+		// 16 B to 1 KB: one to nine of a page's 64 chunks, so some workloads
+		// fill pages by the dozen and others hardly at all.
+		ValueSize: (16 + rng.Intn(48)) << rng.Intn(5),
 		CutRound:  -1,
 		FaultSeed: seed,
 	}
@@ -593,7 +607,13 @@ func GenScenario(seed int64, ops int, bug bool) *Scenario {
 		// A cut: either the nemesis actor (virtual-time) or the fault
 		// plan's program-count trigger (guaranteed mid-write).
 		if rng.Intn(3) == 0 {
-			sc.CutAfterPrograms = 3 + rng.Intn(40)
+			// A page is programmed only once it is full, so the cut is drawn
+			// from the pages this workload fills — about one record per op —
+			// not from a fixed range: the first half of them, so the cut lands
+			// with workers still running (TestCountCutsLandMidRun).
+			chunks := (record.HeaderSize + sc.ValueSize + record.DefaultChunkSize - 1) / record.DefaultChunkSize
+			pages := ops * chunks * record.DefaultChunkSize / flash.DefaultConfig().PageSize
+			sc.CutAfterPrograms = 1 + rng.Intn(max(1, pages/2))
 			if rng.Intn(3) == 0 {
 				sc.TornPageOnCut = true
 			}

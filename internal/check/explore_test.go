@@ -62,3 +62,29 @@ func TestInjectedBugCaughtAndShrunk(t *testing.T) {
 		fail.Scenario.Seed, before, small.opCount(), small,
 		FormatViolations(res.Violations))
 }
+
+// TestCountCutsLandMidRun guards the generator's program-count cuts against
+// going vacuous: the firmware programs a page only when it is full, so a cut
+// range out of step with the pages a workload fills would fire in the final
+// drain, or never, and the sweep would quietly stop testing cuts mid-write.
+func TestCountCutsLandMidRun(t *testing.T) {
+	plans, fired := 0, 0
+	for seed := int64(0); seed < 100; seed++ {
+		sc := GenScenario(seed, 150, false)
+		if sc.CutAfterPrograms == 0 {
+			continue
+		}
+		plans++
+		res := Run(sc)
+		if res.Failed() {
+			t.Fatalf("seed %d failed:\n%s\n%s", seed, sc, FormatViolations(res.Violations))
+		}
+		if res.PlanCutMidRun {
+			fired++
+		}
+	}
+	t.Logf("%d of %d count-based cuts struck with workers running", fired, plans)
+	if plans < 5 || 4*fired < 3*plans {
+		t.Fatalf("%d of %d count-based cuts struck mid-run, want at least 5 plans and 3 in 4 firing", fired, plans)
+	}
+}

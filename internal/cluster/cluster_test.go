@@ -236,8 +236,14 @@ func TestFailoverSurvivesPrimaryKill(t *testing.T) {
 func TestFailoverOrganicFault(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 7
+	// Pages leave NVRAM only when full, and a 48 B value is one of a page's
+	// 64 chunks: fault-free, this workload makes the four nodes program
+	// 14 / 3 / 22 / 18 pages (seed 7 hashes few keys to node 1). The victim
+	// is the busiest node and the cut its 10th program, so it dies with more
+	// than half of its writes still to come.
+	const victim = 2
 	cfg.DeviceFaults = make([]*kaml.FaultPlan, cfg.Nodes)
-	cfg.DeviceFaults[1] = &kaml.FaultPlan{Seed: 7, CutAfterPrograms: 40}
+	cfg.DeviceFaults[victim] = &kaml.FaultPlan{Seed: 7, CutAfterPrograms: 10}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -249,8 +255,9 @@ func TestFailoverOrganicFault(t *testing.T) {
 		defer c.Close()
 		a := &ackLog{acked: make(map[uint64]uint64)}
 		runWriters(t, c, a, 4, 64, 8)
-		if !c.Node(1).Down() {
-			t.Error("node 1 never died despite its fault plan")
+		if !c.Node(victim).Down() {
+			t.Errorf("node %d never died despite its fault plan (%d pages programmed)",
+				victim, c.Node(victim).Dev.Stats().Programs)
 		}
 		verifyAcked(t, c, a)
 	})

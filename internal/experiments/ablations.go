@@ -243,9 +243,9 @@ func AblationWriteAmp(s Scale) *Table {
 	const size = 512
 
 	// Both devices are driven with 8 concurrent writers (the paper's
-	// bandwidth configuration) so offered load keeps flash pages full;
-	// otherwise the NVRAM flush timer seals near-empty pages and write
-	// amplification measures the timer, not the layout.
+	// bandwidth configuration). KAML programs full pages at any offered
+	// load (pages leave NVRAM when they fill), so its figure is the layout:
+	// 5-chunk records leave 4 of 64 chunks unused, plus GC relocation.
 	const workers = 8
 
 	var rows [2][]string

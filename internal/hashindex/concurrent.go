@@ -243,7 +243,14 @@ func (t *ConcurrentTable) upsert(key, val uint64, overwrite bool) (old uint64, p
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	arr := s.arr.Load()
-	if t.autoGrow && int(s.used.Load())+s.ghosts >= len(arr.slot)*3/4 {
+	switch used := int(s.used.Load()); {
+	case t.autoGrow && used+s.ghosts >= len(arr.slot)*3/4:
+		arr = s.grow(len(arr.slot) * 2)
+	case used == len(arr.slot) && !t.insertFull():
+		// A fixed-capacity table's keys can hash unevenly enough to fill one
+		// stripe before the table holds capHint entries (a 40-key table is 5
+		// keys per 8-slot stripe on average). That is imbalance, not
+		// exhaustion: the budget is capHint, so give the stripe room.
 		arr = s.grow(len(arr.slot) * 2)
 	}
 	i := h & arr.mask

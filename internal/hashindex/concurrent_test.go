@@ -239,6 +239,27 @@ func TestConcurrentFixedCapacityFull(t *testing.T) {
 	}
 }
 
+// TestConcurrentFixedCapacityHoldsItsBudget checks the other half of the
+// contract: a fixed-capacity table accepts capHint keys however unevenly
+// they hash across the stripes (a 40-key table averages 5 keys per 8-slot
+// stripe, and one stripe overflowing used to fail the insert with the table
+// a third empty), and still refuses the key after that.
+func TestConcurrentFixedCapacityHoldsItsBudget(t *testing.T) {
+	for _, capacity := range []int{40, 53, 64, 100, 1000} {
+		for base := uint64(0); base < 200; base += 7 {
+			ct := NewConcurrent(capacity, false)
+			for i := 0; i < capacity; i++ {
+				if _, _, err := ct.Put(base*1_000_003+uint64(i), 1); err != nil {
+					t.Fatalf("capacity %d base %d: key %d of %d: %v", capacity, base, i+1, capacity, err)
+				}
+			}
+			if _, _, err := ct.Put(^uint64(0), 1); !errors.Is(err, ErrFull) {
+				t.Fatalf("capacity %d: key %d accepted (err=%v), want ErrFull", capacity, capacity+1, err)
+			}
+		}
+	}
+}
+
 func BenchmarkConcurrentTableGet(b *testing.B) {
 	ct := NewConcurrent(1<<16, false)
 	for k := uint64(0); k < 1<<15; k++ {

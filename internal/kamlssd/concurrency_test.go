@@ -26,9 +26,7 @@ func TestConcurrentStress(t *testing.T) {
 		rounds  = 16
 		readers = 2
 	)
-	r := newRig(testFlashConfig(), func(cfg *Config) {
-		cfg.FlushPoll = 20 * time.Microsecond
-	})
+	r := newRig(testFlashConfig(), nil)
 	r.e.Go("stress-main", func() {
 		defer r.dev.Close()
 		nsIDs := make([]uint32, numNS)

@@ -27,14 +27,14 @@
 //	                  must see a frozen snapshot family). Writers: create/
 //	                  delete/snapshot namespace.
 //	ns.mu  (RWMutex)  one per namespace: mapping-table mutation and
-//	                  residency (swap state), round-robin cursor. Put, GC
+//	                  residency (swap state), log assignment. Put, GC
 //	                  installs, and swap-out/reload take the write lock;
 //	                  Get does NOT take it — see "The read contract" below.
 //	lg.mu  (Mutex)    one per log: packer, pending records, sealed queue,
 //	                  append points, free lists, per-block valid-byte
 //	                  accounting. spaceCv (queue backpressure) rides on it.
 //	d.nvMu (Mutex)    the NVRAM region: staged values, batches, catalog,
-//	                  bad-block table.
+//	                  bad-block table. drainCv (Flush) rides on it.
 //
 // An actor may acquire locks only downward in that order, at most one
 // namespace lock and one log lock at a time (Put touches namespaces one
@@ -107,10 +107,9 @@ var (
 
 // Config tunes the KAML firmware.
 type Config struct {
-	NumLogs          int           // append streams; paper sweeps 16..64 (Fig. 8)
-	ChunkSize        int           // record allocation unit within a page
-	QueueDepthPerLog int           // sealed NVRAM pages a log may buffer before Put blocks
-	FlushPoll        time.Duration // max time a partially-filled page waits in NVRAM
+	NumLogs          int // append streams; paper sweeps 16..64 (Fig. 8)
+	ChunkSize        int // record allocation unit within a page
+	QueueDepthPerLog int // sealed NVRAM pages a log may buffer before Put blocks
 	GCPoll           time.Duration
 	GCLowWater       int // free blocks per log that trigger GC
 	GCHighWater      int
@@ -147,7 +146,6 @@ func DefaultConfig(fc flash.Config) Config {
 		NumLogs:          fc.Channels,
 		ChunkSize:        record.DefaultChunkSize,
 		QueueDepthPerLog: 2,
-		FlushPoll:        50 * time.Microsecond,
 		GCPoll:           200 * time.Microsecond,
 		GCLowWater:       3,
 		GCHighWater:      5,
@@ -160,6 +158,12 @@ func DefaultConfig(fc flash.Config) Config {
 		MaxCoalesceRecords: 16,
 	}
 }
+
+// retryBackoff is how long an actor waits between looks at a window another
+// actor closes in bounded virtual time: a Put batch between its first staged
+// record and its commit marker (pinned readers, snapshot creation), or a
+// mapping-table reload in progress.
+const retryBackoff = 50 * time.Microsecond
 
 // NamespaceAttrs configure CreateNamespace.
 type NamespaceAttrs struct {
@@ -216,6 +220,12 @@ type Device struct {
 	nvMu   *sim.Mutex
 	keyLks *keyLockTable
 
+	// drainers counts Flush callers waiting on drainCv (on nvMu) for
+	// nv.unflushed() to reach zero. While it is non-zero the flushers seal
+	// open pages as soon as they hold a record (log.go).
+	drainers atomic.Int64
+	drainCv  *sim.Cond
+
 	// pipe is the asynchronous command pipeline: Get/Put/Snapshot commands
 	// are executed by its worker actors, small concurrent Puts are merged
 	// by its coalescer (see pipeline.go for the submission glue).
@@ -223,7 +233,7 @@ type Device struct {
 
 	// ctr holds the firmware's counted events, one cell each (metrics.go).
 	// tel is the device's telemetry registry — a directory of those cells
-	// plus the three histograms below, all nil when Config.DisableTelemetry.
+	// plus the four histograms below, all nil when Config.DisableTelemetry.
 	// Everything is pure atomics — safe to scrape from plain goroutines
 	// outside the simulation without stalling the virtual clock.
 	ctr          counters
@@ -231,6 +241,7 @@ type Device struct {
 	flashInstall *telemetry.Histogram // NVRAM stage -> flash index swing, per record
 	gcPause      *telemetry.Histogram // one victim collection, scan to erase
 	chainLen     *telemetry.Histogram // version-chain length at prune time, per key
+	sealedChunks *telemetry.Histogram // chunks used in each page leaving the packer
 
 	closed       atomic.Bool
 	crashed      atomic.Bool  // power-cut: actors exit without draining
@@ -315,14 +326,18 @@ type family struct {
 type namespace struct {
 	id uint32
 
-	// mu guards rr and, on a family root, the family's mapping table:
+	// mu guards logIDs and, on a family root, the family's mapping table:
 	// mutations of it and the swap state below. Put, installs, GC swings,
 	// swap-out and reload take the write lock. Reads do NOT take it (see the
 	// package comment).
 	mu *sim.RWMutex
 
-	logIDs  []int
-	rr      int  // round-robin cursor over logIDs
+	logIDs []int
+	// rr is the cursor over logIDs: the namespace appends to
+	// logIDs[rr%len] until a record of its seals that log's page, then moves
+	// on (appendRecord). Atomic because it advances under the log lock,
+	// which nests inside mu.
+	rr      atomic.Uint64
 	swapped bool // family root only: the mapping table is on flash
 	loading bool // an actor is reloading it
 	// swapPages holds the flash pages of a swapped-out mapping table.
@@ -393,6 +408,7 @@ func New(arr *flash.Array, ctrl *nvme.Controller, cfg Config) *Device {
 func (d *Device) initLocks() {
 	d.mu = d.eng.NewRWMutex("kaml-dev")
 	d.nvMu = d.eng.NewMutex("kaml-nvram")
+	d.drainCv = d.eng.NewCond(d.nvMu)
 	d.keyLks = newKeyLockTable(d.eng)
 	d.chainLenObs = func(l int) { d.chainLen.Observe(int64(l)) }
 }
@@ -558,6 +574,9 @@ func (d *Device) noticePowerLoss() {
 		lg.workCv.Broadcast()
 		lg.mu.Unlock()
 	}
+	d.nvMu.Lock()
+	d.drainCv.Broadcast() // Flush gives up on a dead device
+	d.nvMu.Unlock()
 	// Poison the command pipeline last: queued and future commands fail
 	// with ErrPowerLoss instead of executing, and submitters blocked on
 	// backpressure wake up. Non-blocking, so this is safe from any actor
@@ -713,7 +732,7 @@ func (d *Device) SetNamespaceLogs(id uint32, n int) error {
 	for i := 0; i < n; i++ {
 		ns.logIDs = append(ns.logIDs, i)
 	}
-	ns.rr = 0
+	ns.rr.Store(0)
 	ns.mu.Unlock()
 	d.nvMu.Lock()
 	if m := d.nv.catalog[id]; m != nil {

@@ -100,7 +100,13 @@ func TestDeleteNamespaceFreesSpaceForGC(t *testing.T) {
 	fc := testFlashConfig()
 	withRig(t, fc, func(c *Config) { c.NumLogs = 2 }, func(r *rig) {
 		raw := fc.TotalPages() * fc.PageSize
-		fill := raw / 2 / 1000 // half the device per namespace
+		// Half the device per namespace — by bytes and, now that pages pack,
+		// by pages too: eight 1000 B values fill a page exactly, so a round is
+		// 262 of the 512 pages and four rounds cannot fit without reclaim.
+		// Every seal here is an exact-fit seal, which is what makes this the
+		// test that catches a log cursor that only moves on "does not fit"
+		// (all pages to one log, GC shuffling full blocks, over-commit panic).
+		fill := raw / 2 / 1000
 		for round := 0; round < 4; round++ {
 			ns, err := r.dev.CreateNamespace(NamespaceAttrs{})
 			if err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"github.com/kaml-ssd/kaml/internal/cmdq"
 	"github.com/kaml-ssd/kaml/internal/flash"
@@ -122,7 +121,7 @@ func TestGetAfterFlushReadsFlash(t *testing.T) {
 }
 
 func TestGetFromNVRAMBeforeFlush(t *testing.T) {
-	withRig(t, testFlashConfig(), func(c *Config) { c.FlushPoll = time.Second }, func(r *rig) {
+	withRig(t, testFlashConfig(), nil, func(r *rig) {
 		ns, _ := r.dev.CreateNamespace(NamespaceAttrs{})
 		if err := r.dev.Put(one(ns, 1, val(1, 100))); err != nil {
 			t.Fatal(err)
@@ -522,7 +521,6 @@ func TestCrashRecoveryPreservesAckedPuts(t *testing.T) {
 	ctrl := nvme.New(e, nvme.DefaultConfig())
 	cfg := DefaultConfig(fc)
 	cfg.NumLogs = 4
-	cfg.FlushPoll = 10 * time.Second // keep everything in NVRAM
 	dev := New(arr, ctrl, cfg)
 	e.Go("crash-test", func() {
 		ns, _ := dev.CreateNamespace(NamespaceAttrs{})
@@ -565,7 +563,6 @@ func TestCrashMidFlushReplaysInflight(t *testing.T) {
 	ctrl := nvme.New(e, nvme.DefaultConfig())
 	cfg := DefaultConfig(fc)
 	cfg.NumLogs = 2
-	cfg.FlushPoll = 30 * time.Microsecond
 	dev := New(arr, ctrl, cfg)
 	e.Go("crash-test", func() {
 		ns, _ := dev.CreateNamespace(NamespaceAttrs{})

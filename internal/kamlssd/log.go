@@ -17,6 +17,13 @@ import (
 // strictly sequential append stream, which is why the log count bounds the
 // device's concurrent program operations (the effect behind Fig. 8).
 //
+// A record is durable at its batch's NVRAM commit marker, so the open page
+// has no reason to leave NVRAM early: it is sealed when the next record does
+// not fit, when it becomes exactly full, or when somebody asks for the log
+// to be drained (Flush, Close) — never on a timer. The log therefore holds
+// at most QueueDepthPerLog+2 pages of records in NVRAM: the open page, the
+// sealed queue, and the page being programmed.
+//
 // Every field below mu is guarded by mu, the per-log lock of the device's
 // hierarchy (see device.go): Puts routed to different logs, and each log's
 // flusher, contend only here, never on a device-wide lock.
@@ -29,12 +36,12 @@ type logState struct {
 	chips []*logChip
 
 	packer      *record.Packer
-	pending     []pendingRec  // records in the open packer
-	packerBorn  time.Duration // virtual time the first record entered the packer
+	pending     []pendingRec // records in the open packer
+	pageSeq     uint64       // pages sealed so far: the open page's identity across a wait
 	sealedQueue []sealedPage
 	inflight    *sealedPage // page the flusher is programming right now
 	spaceCv     *sim.Cond   // on mu: queue has room / device closed
-	workCv      *sim.Cond   // on mu: packer or queue non-empty / device closed
+	workCv      *sim.Cond   // on mu: sealed page queued / drain requested / device closed
 
 	activeHost *appendPoint
 	activeGC   *appendPoint
@@ -44,10 +51,24 @@ type logState struct {
 
 	// The log's counted events and wear spread, one cell each; the registry
 	// lists them under a log="<id>" label (metrics.go).
-	gcCopiedBytes    telemetry.Counter // valid bytes relocated out of victims
-	gcErases         telemetry.Counter // victim erases (incl. failed-erase retirements)
-	wearMin, wearMax telemetry.Gauge   // erase-count spread, refreshed at each victim scan
+	gcCopiedBytes    telemetry.Counter                // valid bytes relocated out of victims
+	gcErases         telemetry.Counter                // victim erases (incl. failed-erase retirements)
+	wearMin, wearMax telemetry.Gauge                  // erase-count spread, refreshed at each victim scan
+	sealed           [numSealCauses]telemetry.Counter // pages that left the packer, by why
 }
+
+// sealCause says why an open page left NVRAM's packer for the program queue.
+type sealCause int
+
+const (
+	sealFull  sealCause = iota // the last record filled the page exactly
+	sealNoFit                  // the next record did not fit
+	sealDrain                  // Flush asked for the log to be drained
+	sealClose                  // orderly shutdown
+	numSealCauses
+)
+
+var sealCauseNames = [numSealCauses]string{"full", "nofit", "drain", "close"}
 
 type logChip struct {
 	global int // chip index in the array (channel*ChipsPerChannel+chip)
@@ -168,16 +189,19 @@ func (lg *logState) openBlock() (*appendPoint, error) {
 	return nil, fmt.Errorf("kamlssd: log %d out of free blocks", lg.id)
 }
 
-// sealPacker moves the open packer into the sealed queue, assigning its
-// flash page now so programs stay in block order. Blocks (releasing lg.mu)
+// sealPacker moves the open packer — which the caller found non-empty —
+// into the sealed queue, assigning its flash page now so programs stay in
+// block order, and counts the seal under its cause. Blocks (releasing lg.mu)
 // while the queue is full — this is the NVRAM backpressure that ties host
 // Put bandwidth to the log's append bandwidth. Called with lg.mu held and
 // no namespace lock (the flusher that drains the queue needs namespace
 // locks to install flash locations); returns with lg.mu held.
-func (lg *logState) sealPacker() {
-	for {
-		if lg.packer.Empty() {
-			return // another actor sealed it while we waited
+func (lg *logState) sealPacker(cause sealCause) {
+	for page := lg.pageSeq; ; {
+		if lg.pageSeq != page {
+			// Another actor sealed the page while we waited; the open one is a
+			// later page that the caller never judged ready to go.
+			return
 		}
 		if len(lg.sealedQueue) < lg.d.cfg.QueueDepthPerLog || lg.d.closed.Load() {
 			break
@@ -189,6 +213,14 @@ func (lg *logState) sealPacker() {
 		// its records survive in NVRAM and recovery replays them.
 		return
 	}
+	if lg.packer.FreeChunks() == 0 {
+		// Whoever seals a full page — its filler, or a writer that met it full
+		// while the filler waited above — it left because it was full.
+		cause = sealFull
+	}
+	lg.sealed[cause].Inc()
+	lg.d.sealedChunks.Observe(int64(lg.d.fc.PageSize/lg.d.cfg.ChunkSize - lg.packer.FreeChunks()))
+	lg.pageSeq++
 	// Capture the page image and its pending descriptors atomically: the
 	// free-block wait below releases the log mutex, and records added to
 	// the fresh packer meanwhile must not leak into this sealed page.
@@ -217,9 +249,58 @@ func (lg *logState) sealPacker() {
 	lg.workCv.Signal() // wake an idle flusher
 }
 
+// route returns the log ns is appending to right now and the cursor value
+// that chose it. Called with ns.mu held (logIDs).
+func (d *Device) route(ns *namespace) (*logState, uint64) {
+	cur := ns.rr.Load()
+	return d.logs[ns.logIDs[cur%uint64(len(ns.logIDs))]], cur
+}
+
+// appendRecord adds one NVRAM-staged record to the open page of lg, the log
+// route picked for ns at cursor value cur. It is the tail of Put's phase 1b
+// and of recovery's re-staging alike. The page is sealed when the record
+// does not fit or fills it exactly, and every seal moves the namespace on to
+// its next log — the cursor advances per page, not per record, so records
+// pack, and a namespace's pages stay balanced across its logs to within one
+// (an exact-fit seal counts: a cursor that moved only on "does not fit"
+// would pin a namespace of page-dividing records to one log). The cursor
+// moves before the seal, which may block on this log's sealed queue: the
+// namespace's next record then goes to a log with room. Fails only on a
+// power cut, with the record not routed. Called with no lock held.
+func (d *Device) appendRecord(ns *namespace, lg *logState, cur uint64, rec record.Record, staged time.Duration) error {
+	size := rec.EncodedSize()
+	lg.mu.Lock()
+	// sealPacker may release lg.mu while blocked on queue space or free
+	// blocks, and another writer can refill the fresh packer in that window —
+	// so sealing does not guarantee the record fits on the next check.
+	for !lg.packer.Fits(size) {
+		ns.rr.CompareAndSwap(cur, cur+1)
+		lg.sealPacker(sealNoFit)
+		if d.crashed.Load() {
+			// sealPacker bailed without draining; the packer may still be full.
+			lg.mu.Unlock()
+			return ErrPowerLoss
+		}
+	}
+	chunk := lg.packer.Add(rec)
+	lg.pending = append(lg.pending, pendingRec{
+		ns: rec.Namespace, key: rec.Key, seq: rec.Seq,
+		chunk: chunk, size: size, staged: staged,
+	})
+	switch {
+	case lg.packer.FreeChunks() == 0:
+		ns.rr.CompareAndSwap(cur, cur+1)
+		lg.sealPacker(sealFull)
+	case d.drainers.Load() > 0:
+		lg.workCv.Signal() // a Flush is waiting for this record too
+	}
+	lg.mu.Unlock()
+	return nil
+}
+
 // flusherLoop programs sealed pages in order and installs flash locations.
-// It also seals a partially-filled packer whose oldest record has waited
-// longer than FlushPoll (the paper's "internal timer").
+// It seals a partially-filled packer only on request: while a Flush is
+// waiting (d.drainers) or at Close.
 func (d *Device) flusherLoop(lg *logState) {
 	defer func() {
 		d.flushersLive.Add(-1)
@@ -230,10 +311,11 @@ func (d *Device) flusherLoop(lg *logState) {
 			return
 		}
 		lg.mu.Lock()
-		// Fully idle: block until a Put routes work here (or shutdown),
-		// rather than polling — idle flusher wakeups dominated the
-		// simulation's host CPU profile before.
-		for len(lg.sealedQueue) == 0 && lg.packer.Empty() && !d.closed.Load() {
+		// Idle: block until there is a sealed page to program, a drain request
+		// for a non-empty open page, or shutdown. An open page by itself is not
+		// work — its records are durable where they are.
+		for len(lg.sealedQueue) == 0 && !d.closed.Load() &&
+			(lg.packer.Empty() || d.drainers.Load() == 0) {
 			lg.workCv.Wait()
 		}
 		if d.crashed.Load() {
@@ -245,14 +327,11 @@ func (d *Device) flusherLoop(lg *logState) {
 				lg.mu.Unlock()
 				return // closed and fully drained
 			}
-			if d.closed.Load() || d.eng.NowCheap()-lg.packerBorn >= d.cfg.FlushPoll {
-				lg.sealPacker()
-			} else {
-				// Partially-filled page: give the batching timer its window.
-				lg.mu.Unlock()
-				d.eng.Sleep(d.cfg.FlushPoll)
-				continue
+			cause := sealDrain
+			if d.closed.Load() {
+				cause = sealClose
 			}
+			lg.sealPacker(cause)
 		}
 		if len(lg.sealedQueue) == 0 {
 			// sealPacker bailed out (power cut, or a Put actor sealed and the
@@ -315,6 +394,11 @@ func (d *Device) flusherLoop(lg *logState) {
 			d.installFlashLoc(pr, sp.ppn)
 		}
 		d.mu.RUnlock()
+		if d.drainers.Load() > 0 {
+			d.nvMu.Lock()
+			d.wakeDrainedLocked()
+			d.nvMu.Unlock()
+		}
 		lg.mu.Lock()
 		lg.inflight = nil
 		lg.spaceCv.Broadcast()

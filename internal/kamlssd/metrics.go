@@ -10,7 +10,7 @@ import (
 // device owns the cells and bumps them directly whether or not anything is
 // exported; Stats() is a view of them, and the cells with a series name are
 // the ones the registry lists (export). The per-log cells — GC erases and
-// copied bytes, wear spread — live on their logState.
+// copied bytes, wear spread, sealed pages by cause — live on their logState.
 type counters struct {
 	gets, puts, putRecords   telemetry.Counter
 	nvramHits                telemetry.Counter
@@ -49,6 +49,8 @@ func (d *Device) export(r *telemetry.Registry) {
 	r.Help("kaml_ssd_index_entries", "Live mapping-table entries across all namespaces.")
 	r.Help("kaml_ssd_index_read_retries_total", "Seqlock re-reads and epoch restarts on the lock-free index read path.")
 	r.Help("kaml_ssd_flash_install_seconds", "Per-record latency from NVRAM staging to the flash index swing (virtual time).")
+	r.Help("kaml_ssd_pages_sealed_total", "Record pages that left the NVRAM packer for the program queue, per log and cause (full, nofit, drain, close).")
+	r.Help("kaml_ssd_sealed_page_chunks", "Chunks holding records in each sealed page (of PageSize/ChunkSize).")
 	r.Help("kaml_gc_pause_seconds", "Duration of one GC victim collection (virtual time).")
 	r.Help("kaml_mvcc_versions_pruned_total", "Dead MVCC versions unlinked from the version chains.")
 	r.Help("kaml_mvcc_chain_length", "Per-key version-chain length observed at each pruning pass.")
@@ -63,11 +65,15 @@ func (d *Device) export(r *telemetry.Registry) {
 	d.gcPause = r.Histogram("kaml_gc_pause_seconds", telemetry.UnitSeconds)
 	r.AdoptCounter(&d.ctr.versionsPruned, "kaml_mvcc_versions_pruned_total")
 	d.chainLen = r.Histogram("kaml_mvcc_chain_length", telemetry.UnitNone)
+	d.sealedChunks = r.Histogram("kaml_ssd_sealed_page_chunks", telemetry.UnitNone)
 	for _, lg := range d.logs {
 		lbl := strconv.Itoa(lg.id)
 		r.AdoptCounter(&lg.gcCopiedBytes, "kaml_gc_copied_bytes_total", "log", lbl)
 		r.AdoptCounter(&lg.gcErases, "kaml_gc_erases_total", "log", lbl)
 		r.AdoptGauge(&lg.wearMin, "kaml_wear_erase_min", "log", lbl)
 		r.AdoptGauge(&lg.wearMax, "kaml_wear_erase_max", "log", lbl)
+		for c := range lg.sealed {
+			r.AdoptCounter(&lg.sealed[c], "kaml_ssd_pages_sealed_total", "log", lbl, "cause", sealCauseNames[c])
+		}
 	}
 }

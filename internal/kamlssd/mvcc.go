@@ -298,7 +298,7 @@ func (d *Device) nvFetch(loc location) (v []byte, hit bool, err error) {
 			d.noticePowerLoss()
 			return nil, false, ErrPowerLoss
 		}
-		d.eng.Sleep(d.cfg.FlushPoll)
+		d.eng.Sleep(retryBackoff)
 	}
 }
 
@@ -372,7 +372,7 @@ func (r *versionRead) resolve() (location, error) {
 			d.noticePowerLoss()
 			return 0, ErrPowerLoss
 		}
-		d.eng.Sleep(d.cfg.FlushPoll)
+		d.eng.Sleep(retryBackoff)
 	}
 }
 

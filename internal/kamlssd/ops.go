@@ -156,12 +156,13 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 		d.nvMu.Lock()
 		d.nv.abortBatch(batchID)
 		d.ctr.nvramStaged.Set(int64(len(d.nv.values)))
+		d.wakeDrainedLocked() // the dropped values may be the last a Flush awaits
 		d.nvMu.Unlock()
 		d.keyLks.unlockAll(keys)
 		return aerr
 	}
 	for _, r := range batch {
-		// sealPacker below may release the log mutex while blocked on
+		// appendRecord below may release the log mutex while blocked on
 		// queue space; a power cut can land in that window. Acknowledging
 		// this batch after the cut would break crash consistency, so
 		// re-check before every record and again before the commit
@@ -200,8 +201,7 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 			}
 			return abort(perr)
 		}
-		lgID := ns.logIDs[ns.rr%len(ns.logIDs)]
-		ns.rr++
+		lg, cur := d.route(ns)
 		ns.mu.Unlock()
 
 		totalProbes += probes
@@ -211,36 +211,9 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 		undo = append(undo, undoEntry{ns: ns, key: r.Key, node: node})
 
 		rec := record.Record{Namespace: r.Namespace, Key: r.Key, Seq: seq, Value: r.Value}
-		lg := d.logs[lgID]
-		lg.mu.Lock()
-		// sealPacker may release lg.mu while blocked on queue space or
-		// free blocks, and another writer can refill the fresh packer in
-		// that window — so sealing does not guarantee the record fits on
-		// the next check. Loop until it does.
-		for !lg.packer.Fits(rec.EncodedSize()) {
-			lg.sealPacker()
-			if d.crashed.Load() {
-				// sealPacker bailed without draining; the packer may still
-				// be full, so the record cannot be routed. Abort the batch.
-				lg.mu.Unlock()
-				return abort(ErrPowerLoss)
-			}
+		if aerr := d.appendRecord(ns, lg, cur, rec, stagedAt); aerr != nil {
+			return abort(aerr)
 		}
-		if lg.packer.Empty() {
-			lg.packerBorn = d.eng.NowCheap()
-		}
-		chunk := lg.packer.Add(rec)
-		lg.pending = append(lg.pending, pendingRec{
-			ns: r.Namespace, key: r.Key, seq: seq,
-			chunk: chunk, size: rec.EncodedSize(),
-			staged: stagedAt,
-		})
-		if lg.packer.FreeChunks() == 0 {
-			lg.sealPacker()
-		} else {
-			lg.workCv.Signal() // arm the flusher's batching timer
-		}
-		lg.mu.Unlock()
 		d.ctr.bytesWritten.Add(int64(len(r.Value)))
 	}
 	if d.crashed.Load() || !d.arr.Powered() {
@@ -307,19 +280,37 @@ func (d *Device) rollbackStaged(undo []undoEntry) {
 	}
 }
 
-// Flush blocks until every logically-committed record has been programmed
-// to flash and its index entry points at flash. Mainly for tests and for
-// orderly shutdown; KAML's durability does not depend on it (NVRAM is
-// battery-backed).
+// Flush drains the device: it returns once every record staged in NVRAM —
+// in particular every Put acknowledged before the call — has been programmed
+// to flash and its index entry points there. It is the one way, short of
+// Close, to make a partially-filled page leave NVRAM: while a Flush waits,
+// every flusher seals its log's open page as soon as it holds a record.
+// KAML's durability does not depend on it (NVRAM is battery-backed); callers
+// use it to settle the flash layout — after a preload, before swapping a
+// mapping table out, before measuring reads from flash. Returns early on a
+// power cut.
 func (d *Device) Flush() {
-	for {
-		d.nvMu.Lock()
-		busy := d.nv.unflushed() > 0 && !d.crashed.Load()
-		d.nvMu.Unlock()
-		if !busy {
-			return
-		}
-		d.eng.Sleep(d.cfg.FlushPoll)
+	d.drainers.Add(1)
+	for _, lg := range d.logs {
+		lg.mu.Lock()
+		lg.workCv.Signal()
+		lg.mu.Unlock()
+	}
+	d.nvMu.Lock()
+	for d.nv.unflushed() > 0 && !d.crashed.Load() {
+		d.drainCv.Wait()
+	}
+	d.nvMu.Unlock()
+	d.drainers.Add(-1)
+}
+
+// wakeDrainedLocked wakes the Flush callers once nothing staged still awaits
+// its flash copy. Whoever releases staged values while d.drainers is
+// non-zero calls it: the flusher after installing a page, a Put batch that
+// aborts. Called with nvMu held.
+func (d *Device) wakeDrainedLocked() {
+	if d.drainers.Load() > 0 && d.nv.unflushed() == 0 {
+		d.drainCv.Broadcast()
 	}
 }
 

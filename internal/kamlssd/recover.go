@@ -160,9 +160,9 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 		return nil, err
 	}
 
-	// 5c. Actors first (re-staging below can seal pages, which needs
-	// running flushers to drain the queue), then route the surviving NVRAM
-	// values into packers.
+	// 5c. Actors first (re-staging below seals the pages it fills, which
+	// needs running flushers to drain the queue), then route the surviving
+	// NVRAM values into packers.
 	d.startActors()
 	// Seed the index-population gauge from the rebuilt mapping tables (the
 	// device's cells are fresh; incremental updates resume from here).
@@ -364,9 +364,10 @@ func (d *Device) padBlock(lc *logChip, ch, chip, b int) error {
 }
 
 // restageNVRAM routes the surviving NVRAM-resident values — already
-// selected into the version chains by the recovery merge — into packers so
-// the flushers program them to flash. Runs with the actors live, so it
-// follows the normal lock hierarchy.
+// selected into the version chains by the recovery merge — into packers,
+// through the same appendRecord as Put: they pack into full pages and stay
+// in NVRAM until their page fills or the device is drained. Runs with the
+// actors live, so it follows the normal lock hierarchy.
 func (d *Device) restageNVRAM(replay []uint64) error {
 	for _, seq := range replay {
 		d.nvMu.Lock()
@@ -400,32 +401,14 @@ func (d *Device) restageNVRAM(replay []uint64) error {
 			d.nvMu.Unlock()
 			continue
 		}
+		route.mu.RLock()
+		lg, cur := d.route(route)
+		route.mu.RUnlock()
+		// staged == 0: a replay must not pollute the install-latency histogram.
 		rec := record.Record{Namespace: e.ns, Key: e.key, Seq: seq, Value: e.val}
-		route.mu.Lock()
-		li := route.logIDs[route.rr%len(route.logIDs)]
-		route.rr++
-		route.mu.Unlock()
-		lg := d.logs[li]
-		lg.mu.Lock()
-		// sealPacker may release lg.mu while waiting for queue space; loop
-		// until the record fits under a continuous hold.
-		for !lg.packer.Fits(rec.EncodedSize()) {
-			lg.sealPacker()
-			if d.crashed.Load() {
-				lg.mu.Unlock()
-				return ErrPowerLoss
-			}
+		if err := d.appendRecord(route, lg, cur, rec, 0); err != nil {
+			return err
 		}
-		if lg.packer.Empty() {
-			lg.packerBorn = d.eng.Now()
-		}
-		chunk := lg.packer.Add(rec)
-		lg.pending = append(lg.pending, pendingRec{
-			ns: e.ns, key: e.key, seq: seq,
-			chunk: chunk, size: rec.EncodedSize(),
-		})
-		lg.workCv.Signal()
-		lg.mu.Unlock()
 		d.ctr.replayedValues.Inc()
 	}
 	return nil

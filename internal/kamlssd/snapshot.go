@@ -57,7 +57,7 @@ func (d *Device) execSnapshot(nsID uint32) (uint32, error) {
 			// device lock, since draining the batch may need the flusher
 			// (which installs under d.mu.RLock).
 			d.mu.Unlock()
-			d.eng.Sleep(d.cfg.FlushPoll)
+			d.eng.Sleep(retryBackoff)
 			continue
 		}
 		src.mu.Lock()
@@ -67,7 +67,7 @@ func (d *Device) execSnapshot(nsID uint32) (uint32, error) {
 			// may already have staged a prefix — retry.
 			src.mu.Unlock()
 			d.mu.Unlock()
-			d.eng.Sleep(d.cfg.FlushPoll)
+			d.eng.Sleep(retryBackoff)
 			continue
 		}
 		if src.swapped {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 )
 
 func TestSnapshotIsPointInTime(t *testing.T) {
@@ -61,10 +60,10 @@ func TestSnapshotOfMissingNamespace(t *testing.T) {
 }
 
 func TestSnapshotCapturesNVRAMResidentWrites(t *testing.T) {
-	// A Put acknowledged microseconds before the snapshot may still sit in
-	// NVRAM; the snapshot must observe it, and the flusher must swing the
+	// A Put acknowledged before the snapshot still sits in NVRAM (its page is
+	// not full); the snapshot must observe it, and the flusher must swing the
 	// snapshot's index entry to flash too.
-	withRig(t, testFlashConfig(), func(c *Config) { c.FlushPoll = 5 * time.Millisecond }, func(r *rig) {
+	withRig(t, testFlashConfig(), nil, func(r *rig) {
 		ns, _ := r.dev.CreateNamespace(NamespaceAttrs{})
 		r.dev.Put(one(ns, 7, []byte("buffered")))
 		snap, err := r.dev.SnapshotNamespace(ns)

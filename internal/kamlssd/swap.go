@@ -139,7 +139,7 @@ func (d *Device) loadIndex(fam *family) error {
 			return d.finishLoad(fam, pages)
 		}
 		root.mu.Unlock()
-		d.eng.Sleep(d.cfg.FlushPoll) // another actor is loading; wait
+		d.eng.Sleep(retryBackoff) // another actor is loading; wait
 	}
 }
 

@@ -84,6 +84,12 @@ type FinalReport struct {
 	Recoveries       int64 `json:"recoveries"`
 	RecoveryFailures int64 `json:"recovery_failures"`
 
+	// Flash faults the firmware absorbed, summed over every device
+	// generation (device target only): failed programs rewritten, torn or
+	// unreadable pages skipped by recovery scans.
+	ProgramRetries int64 `json:"program_retries,omitempty"`
+	TornPages      int64 `json:"torn_pages,omitempty"`
+
 	// Cluster end state (cluster target only).
 	Failovers   int64 `json:"failovers,omitempty"`
 	ShardsLive  int   `json:"shards_live,omitempty"`

@@ -108,6 +108,8 @@ type runner struct {
 	powerCuts        int64
 	recoveries       int64
 	recoveryFailures int64
+	// Flash faults absorbed, tallied at the end of each device generation.
+	programRetries, tornPages int64
 
 	stats    []*phaseStats
 	clStart  []cluster.Status // per-phase start/end counter snapshots
@@ -470,9 +472,17 @@ func (r *runner) devicePowerCut(torn bool) {
 	r.cmu.Unlock()
 
 	dev.TriggerPowerCut(torn)
+	if torn {
+		// A page is programmed only when it is full, so the next flash op is
+		// almost always a read, which tears nothing. A torn-page cut asks
+		// for a program to be caught mid-flight: start a drain, and the
+		// first page it programs trips the armed cut.
+		r.eng.Go("traffic-drain", dev.Flush)
+	}
 	r.eng.Sleep(200 * time.Microsecond) // let an in-flight flash op trip it
 	dev.PowerCut()                      // idle device: force the outage anyway
 	img := dev.Crash()
+	r.tallyFaults(dev)
 
 	var nd *kaml.Device
 	var err error
@@ -776,7 +786,18 @@ func (r *runner) quiesce() {
 		}
 		r.snapTelemetry()
 		dev.Close()
+		r.tallyFaults(dev)
 	}
+}
+
+// tallyFaults adds a halted device generation's absorbed flash faults to the
+// run's totals.
+func (r *runner) tallyFaults(dev *kaml.Device) {
+	st := dev.Stats()
+	r.cmu.Lock()
+	r.programRetries += st.ProgramRetries
+	r.tornPages += st.TornPagesSkipped
+	r.cmu.Unlock()
 }
 
 // setFaultProbsQuiet is setFaultProbs tolerant of a dead device.
@@ -837,6 +858,8 @@ func (r *runner) buildReport() *Report {
 		PowerCuts:        r.powerCuts,
 		Recoveries:       r.recoveries,
 		RecoveryFailures: r.recoveryFailures,
+		ProgramRetries:   r.programRetries,
+		TornPages:        r.tornPages,
 	}
 	if r.clFinal != nil {
 		rep.Final.Failovers = r.clFinal.Failovers

@@ -248,6 +248,15 @@ type Final struct {
 	TelemetryMonotone bool   `json:"telemetry_monotone,omitempty"`
 	MaxFailovers      *int64 `json:"max_failovers,omitempty"`
 	MinAckedWrites    int64  `json:"min_acked_writes,omitempty"`
+	// MinProgramRetries and MinTornPages (device target) require the
+	// scenario's flash faults to have actually fired: that many failed
+	// programs rewritten, that many torn pages met by a recovery scan. A
+	// fault ramp multiplies per-program probabilities by how many pages the
+	// workload programs, and the firmware programs a page only when it is
+	// full — without these floors a retuned workload can leave the ramp
+	// with nothing to bite and the scenario passing vacuously.
+	MinProgramRetries int64 `json:"min_program_retries,omitempty"`
+	MinTornPages      int64 `json:"min_torn_pages,omitempty"`
 }
 
 // Parse decodes a scenario strictly: unknown fields are rejected so a

@@ -364,6 +364,14 @@ func evaluate(sc *Scenario, rep *Report) {
 		add("final.min_acked_writes", fr.AckedWrites >= f.MinAckedWrites,
 			fmt.Sprintf("%d acked writes, floor %d", fr.AckedWrites, f.MinAckedWrites))
 	}
+	if f.MinProgramRetries > 0 {
+		add("final.min_program_retries", fr.ProgramRetries >= f.MinProgramRetries,
+			fmt.Sprintf("%d program retries, floor %d", fr.ProgramRetries, f.MinProgramRetries))
+	}
+	if f.MinTornPages > 0 {
+		add("final.min_torn_pages", fr.TornPages >= f.MinTornPages,
+			fmt.Sprintf("%d torn pages skipped, floor %d", fr.TornPages, f.MinTornPages))
+	}
 
 	rep.Passed = true
 	for _, a := range rep.Assertions {

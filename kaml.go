@@ -607,9 +607,13 @@ func (d *Device) NamespaceKeys(ns Namespace) ([]uint64, error) {
 	return d.dev.NamespaceKeys(ns)
 }
 
-// Flush waits until every acknowledged Put has reached flash. KAML's
-// durability does not require it (the staging buffers are battery-backed);
-// it exists for tests and orderly shutdown.
+// Flush drains the device: it returns once every acknowledged Put is on
+// flash and the index points there. KAML's durability does not require it
+// (the staging buffers are battery-backed) — but it is the drain point: a
+// record otherwise leaves the staging buffers only when the page it shares
+// with its neighbours fills, so a quiet device keeps its last few records
+// in NVRAM indefinitely. Call it to settle the flash layout: after a bulk
+// load, before measuring reads from flash, before swapping an index out.
 func (d *Device) Flush() { d.dev.Flush() }
 
 // TuneNamespaceLogs changes how many logs serve the namespace (Fig. 8).

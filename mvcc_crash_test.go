@@ -21,8 +21,15 @@ import (
 
 const mvccTortureKeys = 24
 
+// mvccValSize makes a record five of a page's 64 chunks, so a page seals —
+// and a program goes out — every twelve records: the 24-key base generation
+// is two pages and the overwrite storm about thirty more. (At 32 bytes a
+// record is one chunk, the whole workload is six pages, and a count-based
+// cut has almost nothing to land on.)
+const mvccValSize = 600
+
 func mvccVal(seed int64, gen int, key uint64) []byte {
-	v := make([]byte, 32)
+	v := make([]byte, mvccValSize)
 	v[0], v[1], v[2] = byte(seed), byte(gen), byte(key)
 	for i := 3; i < len(v); i++ {
 		v[i] = byte(int(key)*31 + gen*7 + i)
@@ -31,21 +38,28 @@ func mvccVal(seed int64, gen int, key uint64) []byte {
 }
 
 func TestMVCCSnapshotCrashTorture(t *testing.T) {
+	var total coverageTotals
 	for seed := int64(0); seed < 50; seed++ {
 		t.Run(fmt.Sprintf("seed=%02d", seed), func(t *testing.T) {
-			runMVCCTortureSeed(t, seed)
+			total.add(runMVCCTortureSeed(t, seed))
 		})
 	}
+	// 42 of the 50 plans are count-based and every one fires inside the
+	// workload (see the cut range below).
+	total.check(t, 40)
 }
 
-func runMVCCTortureSeed(t *testing.T, seed int64) {
+func runMVCCTortureSeed(t *testing.T, seed int64) tortureCoverage {
 	rng := rand.New(rand.NewSource(seed))
 
-	// The base generation plus the snapshot program ~30 pages; the
-	// overwrite storm programs a few hundred more. Spread the cuts so some
-	// land during the base write, many inside the overwrite storm (where
-	// snapshot-pinned versions are at stake), and some during recovery.
-	plan := &kaml.FaultPlan{Seed: seed, CutAfterPrograms: 10 + rng.Intn(120)}
+	// Pages are programmed only when full (mvccValSize): the base generation
+	// programs one page before the snapshot and seals a second, and the
+	// overwrite storm about 29 more (30 or 31 in all, by seed). Every
+	// count-based cut therefore fires inside the workload — the first few
+	// around the base write and the snapshot, the rest inside the storm,
+	// where snapshot-pinned versions are at stake; the time-based plans
+	// below cover cuts during recovery.
+	plan := &kaml.FaultPlan{Seed: seed, CutAfterPrograms: 1 + rng.Intn(28)}
 	if seed%3 == 1 {
 		plan.TornPageOnCut = true
 	}
@@ -60,20 +74,22 @@ func runMVCCTortureSeed(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var cov tortureCoverage
 	var failure error
 	dev.Go(func() {
-		failure = mvccTortureRun(dev, rng, seed)
+		cov, failure = mvccTortureRun(dev, rng, seed, plan.CutAfterPrograms > 0)
 	})
 	dev.Wait()
 	if failure != nil {
 		t.Fatal(failure)
 	}
+	return cov
 }
 
-func mvccTortureRun(dev *kaml.Device, rng *rand.Rand, seed int64) error {
+func mvccTortureRun(dev *kaml.Device, rng *rand.Rand, seed int64, countCut bool) (cov tortureCoverage, _ error) {
 	ns, err := dev.CreateNamespace(kaml.NamespaceOptions{ExpectedKeys: 2 * mvccTortureKeys})
 	if err != nil {
-		return err
+		return cov, err
 	}
 
 	expected := make(map[uint64][]byte) // root: last acknowledged value
@@ -156,6 +172,7 @@ func mvccTortureRun(dev *kaml.Device, rng *rand.Rand, seed int64) error {
 	// put routes through Put or a small batch, modeling acknowledgments
 	// exactly like the base torture test: only acked writes enter expected.
 	cut := false
+	firstLife := true // still on the device the fault plan was opened with
 	put := func(gen int, keys ...uint64) error {
 		recs := make([]kaml.Record, len(keys))
 		for i, k := range keys {
@@ -175,6 +192,7 @@ func mvccTortureRun(dev *kaml.Device, rng *rand.Rand, seed int64) error {
 			return nil
 		case errors.Is(perr, kaml.ErrPowerLoss):
 			cut = true
+			cov.midProgram = cov.midProgram || (countCut && firstLife)
 			return nil
 		default:
 			return fmt.Errorf("gen %d put %v: %w", gen, keys, perr)
@@ -184,7 +202,7 @@ func mvccTortureRun(dev *kaml.Device, rng *rand.Rand, seed int64) error {
 	// Phase 1: base generation, then the durable snapshot.
 	for k := uint64(0); k < mvccTortureKeys && !cut; k++ {
 		if err := put(0, k); err != nil {
-			return err
+			return cov, err
 		}
 	}
 	if !cut {
@@ -199,7 +217,7 @@ func mvccTortureRun(dev *kaml.Device, rng *rand.Rand, seed int64) error {
 		case errors.Is(serr, kaml.ErrPowerLoss):
 			cut = true
 		default:
-			return fmt.Errorf("snapshot: %w", serr)
+			return cov, fmt.Errorf("snapshot: %w", serr)
 		}
 	}
 
@@ -211,10 +229,10 @@ func mvccTortureRun(dev *kaml.Device, rng *rand.Rand, seed int64) error {
 			if rng.Intn(4) == 0 {
 				k2 := (k + 1 + uint64(rng.Intn(mvccTortureKeys-1))) % mvccTortureKeys
 				if err := put(gen, k, k2); err != nil {
-					return err
+					return cov, err
 				}
 			} else if err := put(gen, k); err != nil {
-				return err
+				return cov, err
 			}
 		}
 	}
@@ -223,8 +241,12 @@ func mvccTortureRun(dev *kaml.Device, rng *rand.Rand, seed int64) error {
 	// root and the snapshot's frozen view.
 	re, err := recoverVerified(dev)
 	if err != nil {
-		return err
+		return cov, err
 	}
+	firstLife = false
+	st := re.Stats()
+	cov.midProgram = cov.midProgram || st.TornPagesSkipped > 0
+	cov.replayed = st.ReplayedValues > 0
 
 	// Phase 4: the recovered device keeps version semantics: more
 	// overwrites must not disturb the snapshot, and a second crash+recovery
@@ -233,16 +255,16 @@ func mvccTortureRun(dev *kaml.Device, rng *rand.Rand, seed int64) error {
 	cut = false
 	for i := 0; i < 30 && !cut; i++ {
 		if err := put(100+i, uint64(rng.Intn(mvccTortureKeys))); err != nil {
-			return err
+			return cov, err
 		}
 	}
 	if err := verify(dev); err != nil && !errors.Is(err, kaml.ErrPowerLoss) {
-		return fmt.Errorf("after post-recovery writes: %w", err)
+		return cov, fmt.Errorf("after post-recovery writes: %w", err)
 	}
 	re2, err := recoverVerified(dev)
 	if err != nil {
-		return fmt.Errorf("second recovery: %w", err)
+		return cov, fmt.Errorf("second recovery: %w", err)
 	}
 	re2.Close()
-	return nil
+	return cov, nil
 }
