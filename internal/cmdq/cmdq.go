@@ -575,7 +575,7 @@ func (p *Pipeline) workerLoop() {
 	p.mu.Lock()
 	for {
 		for len(p.queue) == 0 && !p.closing {
-			p.work.Wait()
+			p.work.WaitIdle()
 		}
 		if len(p.queue) == 0 {
 			p.mu.Unlock()
@@ -656,7 +656,7 @@ func (c *coalescer) loop() {
 	p.mu.Lock()
 	for {
 		for len(c.pend) == 0 && !p.closing {
-			c.cv.Wait()
+			c.cv.WaitIdle()
 		}
 		if len(c.pend) == 0 {
 			p.mu.Unlock()

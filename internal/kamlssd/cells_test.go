@@ -113,7 +113,7 @@ func TestEveryFlashProgramCounted(t *testing.T) {
 		if !lc.blocks[block].sealed {
 			t.Fatal("the block holding the swapped tables never sealed")
 		}
-		r.dev.collectBlock(lg, slices.Index(lg.chips, lc), block)
+		newCollector(r.dev, lg).collectBlock(slices.Index(lg.chips, lc), block)
 		for i, root := range roots {
 			if !root.swapped || len(root.swapPages) != 1 || root.swapPages[0] == before[i] {
 				t.Fatalf("ns %d: GC did not relocate its index page (%v -> %v)", root.id, before[i], root.swapPages)

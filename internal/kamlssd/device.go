@@ -12,9 +12,10 @@
 // commit — the host is acknowledged here); phase 2 programs sealed pages to
 // flash in the background; phase 3 swings each version to its flash address.
 // Get resolves a key through the mapping table and serves the value from
-// NVRAM or flash. A per-log garbage collector reclaims blocks chosen by low
-// erase count and low valid-byte count, re-validating every scanned record
-// against the mapping table (§IV-E).
+// NVRAM or flash. Each log has its own garbage collector, woken when the
+// log runs short of erased blocks, which reclaims blocks chosen by low erase
+// count and low valid-byte count, re-validating every scanned record against
+// the mapping table (§IV-E).
 //
 // # Lock hierarchy
 //
@@ -32,7 +33,9 @@
 //	                  Get does NOT take it — see "The read contract" below.
 //	lg.mu  (Mutex)    one per log: packer, pending records, sealed queue,
 //	                  append points, free lists, per-block valid-byte
-//	                  accounting. spaceCv (queue backpressure) rides on it.
+//	                  accounting. spaceCv (queue backpressure), workCv (the
+//	                  flusher), freeCv (writers out of erased blocks) and
+//	                  gcCv (the collector) ride on it.
 //	d.nvMu (Mutex)    the NVRAM region: staged values, batches, catalog,
 //	                  bad-block table. drainCv (Flush) rides on it.
 //
@@ -107,12 +110,11 @@ var (
 
 // Config tunes the KAML firmware.
 type Config struct {
-	NumLogs          int // append streams; paper sweeps 16..64 (Fig. 8)
-	ChunkSize        int // record allocation unit within a page
-	QueueDepthPerLog int // sealed NVRAM pages a log may buffer before Put blocks
-	GCPoll           time.Duration
-	GCLowWater       int // free blocks per log that trigger GC
-	GCHighWater      int
+	NumLogs          int  // append streams; paper sweeps 16..64 (Fig. 8)
+	ChunkSize        int  // record allocation unit within a page
+	QueueDepthPerLog int  // sealed NVRAM pages a log may buffer before Put blocks
+	GCLowWater       int  // free blocks per log below which its collector wakes
+	GCHighWater      int  // ... and up to which it then collects
 	DefaultIndexCap  int  // default per-namespace mapping-table capacity
 	AutoGrowIndex    bool // let mapping tables grow (off for paper experiments)
 
@@ -146,7 +148,6 @@ func DefaultConfig(fc flash.Config) Config {
 		NumLogs:          fc.Channels,
 		ChunkSize:        record.DefaultChunkSize,
 		QueueDepthPerLog: 2,
-		GCPoll:           200 * time.Microsecond,
 		GCLowWater:       3,
 		GCHighWater:      5,
 		DefaultIndexCap:  1 << 16,
@@ -202,11 +203,6 @@ type Device struct {
 	pinMu sync.Mutex
 	pins  map[uint64]int
 
-	// GC-actor-only scratch for the per-cycle prune pass (gcLoop is the
-	// sole caller of pruneFamilies), so an idle cycle allocates nothing.
-	gcPruneFams []*family
-	gcPruneKeep []bool
-	gcPrunePins []uint64
 	chainLenObs func(int)
 
 	logs []*logState
@@ -233,7 +229,7 @@ type Device struct {
 
 	// ctr holds the firmware's counted events, one cell each (metrics.go).
 	// tel is the device's telemetry registry — a directory of those cells
-	// plus the four histograms below, all nil when Config.DisableTelemetry.
+	// plus the five histograms below, all nil when Config.DisableTelemetry.
 	// Everything is pure atomics — safe to scrape from plain goroutines
 	// outside the simulation without stalling the virtual clock.
 	ctr          counters
@@ -242,11 +238,14 @@ type Device struct {
 	gcPause      *telemetry.Histogram // one victim collection, scan to erase
 	chainLen     *telemetry.Histogram // version-chain length at prune time, per key
 	sealedChunks *telemetry.Histogram // chunks used in each page leaving the packer
+	// freeBlockWait is how long a seal — on the Put actor or on the flusher —
+	// waited for its log's collector to return an erased block (hostPPN).
+	freeBlockWait *telemetry.Histogram
 
 	closed       atomic.Bool
 	crashed      atomic.Bool  // power-cut: actors exit without draining
 	closeBegun   atomic.Bool  // Close entered; pipeline drain in progress
-	flushersLive atomic.Int64 // flusher actors still running; GC outlives them
+	flushersLive atomic.Int64 // flusher actors still running; the collectors outlive them
 	stopped      *sim.WaitGroup
 }
 
@@ -374,7 +373,7 @@ func (d *Device) newFamily(root *namespace, kind IndexKind, capacity int, live b
 }
 
 // New builds a KAML device on the array and transport and starts its
-// background actors (one flusher per log plus one GC actor). Close must be
+// background actors (one flusher and one collector per log). Close must be
 // called before draining the simulation.
 func New(arr *flash.Array, ctrl *nvme.Controller, cfg Config) *Device {
 	fc := arr.Config()
@@ -419,8 +418,8 @@ func (d *Device) newNamespace(id uint32) *namespace {
 	return &namespace{id: id, mu: d.eng.NewRWMutex(fmt.Sprintf("kaml-ns%d", id))}
 }
 
-// startActors launches the command pipeline, one flusher per log, and the
-// GC actor.
+// startActors launches the command pipeline and, per log, one flusher and
+// one collector.
 func (d *Device) startActors() {
 	if !d.cfg.DisableTelemetry {
 		d.tel = telemetry.NewRegistry()
@@ -439,11 +438,10 @@ func (d *Device) startActors() {
 	d.flushersLive.Store(int64(len(d.logs)))
 	for _, lg := range d.logs {
 		lg := lg
-		d.stopped.Add(1)
+		d.stopped.Add(2)
 		d.eng.Go(fmt.Sprintf("kaml-flush%d", lg.id), func() { d.flusherLoop(lg) })
+		d.eng.Go(fmt.Sprintf("kaml-gc%d", lg.id), newCollector(d, lg).loop)
 	}
-	d.stopped.Add(1)
-	d.eng.Go("kaml-gc", d.gcLoop)
 }
 
 // buildLogs partitions the array's chips across the configured logs.
@@ -552,27 +550,25 @@ func (d *Device) PowerFail() {
 	d.noticePowerLoss()
 }
 
-// AwaitHalt blocks until the device's background actors — flushers, GC,
-// and the command pipeline — have exited.
+// AwaitHalt blocks until the device's background actors — flushers,
+// collectors, and the command pipeline — have exited.
 func (d *Device) AwaitHalt() {
 	d.stopped.Wait()
 	d.pipe.Join()
 }
 
 // noticePowerLoss marks the device crashed after an actor observed the
-// array powered off, and wakes every actor blocked on queue space so it
-// can exit. Idempotent. Callers must not hold any log mutex (the broadcast
-// takes each in turn so parked waiters cannot miss the wakeup).
+// array powered off, and wakes every actor blocked on a log condition —
+// queue space, work, a free block, the collector's wake-up — so it can exit.
+// Idempotent. Callers must not hold any log mutex (the broadcast takes each
+// in turn so parked waiters cannot miss the wakeup).
 func (d *Device) noticePowerLoss() {
 	if d.crashed.Swap(true) {
 		return
 	}
 	d.closed.Store(true)
 	for _, lg := range d.logs {
-		lg.mu.Lock()
-		lg.spaceCv.Broadcast()
-		lg.workCv.Broadcast()
-		lg.mu.Unlock()
+		lg.wakeAll()
 	}
 	d.nvMu.Lock()
 	d.drainCv.Broadcast() // Flush gives up on a dead device
@@ -611,10 +607,7 @@ func (d *Device) Close() {
 		return // power was cut during the drain; actors are already exiting
 	}
 	for _, lg := range d.logs {
-		lg.mu.Lock()
-		lg.spaceCv.Broadcast()
-		lg.workCv.Broadcast()
-		lg.mu.Unlock()
+		lg.wakeAll()
 	}
 	d.stopped.Wait()
 }

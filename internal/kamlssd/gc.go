@@ -18,63 +18,106 @@ const (
 	pageTypeIndex  = 1
 )
 
-// gcLoop watches every log's free-block count and collects victims when a
-// log falls below the low watermark (§IV-E).
-func (d *Device) gcLoop() {
+// collector is one log's garbage collector (§IV-E): an actor that sleeps
+// until its log falls below GCLowWater and then reclaims victims until the
+// log is back at GCHighWater, concurrently with the other logs' collectors.
+// Beside the loop it owns the scratch a collection needs — the prune pass's
+// lists, the scan's record lists, one relocation page buffer — for life, so
+// a collection allocates only what it hands to others.
+type collector struct {
+	d  *Device
+	lg *logState
+
+	// Prune-pass scratch (pruneFamilies).
+	fams []*family
+	keep []bool
+	pins []uint64
+
+	// Per-victim scratch: the live records and index pages the scan found,
+	// the records of the relocation page being filled, and that page's
+	// buffer (the flash array copies what it is given to program).
+	live       []gcRecord
+	indexPages []flash.PPN
+	group      []gcRecord
+	packer     *record.Packer
+}
+
+func newCollector(d *Device, lg *logState) *collector {
+	return &collector{d: d, lg: lg, packer: record.NewPacker(d.fc.PageSize, d.cfg.ChunkSize)}
+}
+
+// gcStopped reports whether the collectors should exit. They outlive Close
+// until every flusher has drained — the final flushes may need a block
+// freed — so the last flusher to exit wakes them (flusherLoop); a crash stops
+// them at once.
+func (d *Device) gcStopped() bool {
+	return d.crashed.Load() || (d.closed.Load() && d.flushersLive.Load() == 0)
+}
+
+// loop is the collector actor. Nothing in it ticks: it blocks on the log's
+// gcCv, which openBlock signals when a block opened takes the log below the
+// low watermark, gcRetry when a starved log may have a victim again, and
+// shutdown. The predicate is tested before the first wait, because a log can
+// come up below its watermark (Recover rebuilds the free lists and pads
+// every partially-programmed block) or end a cycle there, and then nobody
+// would ever signal it.
+func (c *collector) loop() {
+	d, lg := c.d, c.lg
 	defer d.stopped.Done()
 	for {
-		// GC outlives Close until every flusher has drained: the final
-		// flushes may need GC to free blocks. A crash stops it immediately.
-		if d.crashed.Load() || (d.closed.Load() && d.flushersLive.Load() == 0) {
+		lg.mu.Lock()
+		for !d.gcStopped() && (lg.freeBlocks >= d.cfg.GCLowWater || lg.gcStarved) {
+			lg.gcCv.WaitIdle()
+		}
+		lg.mu.Unlock()
+		if d.gcStopped() {
 			return
 		}
-		// One prune pass per cycle: versions no pin can see release their
-		// flash space, which is what lets the victim scoring below find
-		// them as garbage (snapshot-aware GC, DESIGN.md §14).
-		d.pruneFamilies()
-		var work *logState
-		for _, lg := range d.logs {
-			lg.mu.Lock()
-			low := lg.freeBlocks < d.cfg.GCLowWater
-			lg.mu.Unlock()
-			if low {
-				work = lg
-				break
-			}
-		}
-		if work == nil {
-			d.eng.Sleep(d.cfg.GCPoll)
-			continue
-		}
+		d.ctr.gcActive.Add(1)
+		// One prune pass per wake-up, before the first victim is chosen:
+		// versions no pin can see release their flash space, which is what
+		// lets the victim scoring below find them as garbage (snapshot-aware
+		// GC, DESIGN.md §14).
+		c.pruneFamilies()
 		for {
-			work.mu.Lock()
-			done := work.freeBlocks >= d.cfg.GCHighWater || d.crashed.Load()
+			lg.mu.Lock()
+			done := lg.freeBlocks >= d.cfg.GCHighWater || d.crashed.Load()
 			var chipIdx, block int
 			ok := false
 			if !done {
-				chipIdx, block, ok = d.victim(work)
+				chipIdx, block, ok = d.victim(lg)
+				// No victim on a log that needs one: park until gcRetry says
+				// the answer may have changed (set under the same hold of
+				// lg.mu as the scan, so no such event can fall between).
+				lg.gcStarved = !ok
 			}
-			work.mu.Unlock()
+			lg.mu.Unlock()
 			if done || !ok {
 				break
 			}
 			if d.tel != nil {
 				start := d.eng.NowCheap()
-				d.collectBlock(work, chipIdx, block)
+				c.collectBlock(chipIdx, block)
 				d.gcPause.ObserveDuration(d.eng.NowCheap() - start)
 			} else {
-				d.collectBlock(work, chipIdx, block)
+				c.collectBlock(chipIdx, block)
 			}
 		}
-		d.eng.Sleep(d.cfg.GCPoll)
+		d.ctr.gcActive.Add(-1)
 	}
 }
 
 // victim picks the sealed block with the lowest combined score of valid
 // bytes and erase count ("low erase counts and small amounts of valid
-// data", §IV-E). Called with lg.mu held.
+// data", §IV-E), among the blocks whose collection frees anything. Called
+// with lg.mu held.
 func (d *Device) victim(lg *logState) (chipIdx, block int, ok bool) {
 	best := int64(1) << 62
+	// A block whose live payload would refill as many pages as its erase
+	// frees is no victim: collecting it copies a block into a block, and on a
+	// log that holds nothing else the loop would repeat until the GC stream
+	// ran dry.
+	gainful := int64(d.fc.PagesPerBlock-1) * int64(d.fc.PageSize)
 	wearMin, wearMax := int64(1)<<62, int64(-1)
 	for ci, lc := range lg.chips {
 		ch, chip := lg.chipAddr(ci)
@@ -92,7 +135,7 @@ func (d *Device) victim(lg *logState) (chipIdx, block int, ok bool) {
 					wearMax = e
 				}
 			}
-			if !bm.sealed || bm.retired {
+			if !bm.sealed || bm.retired || bm.validBytes > gainful {
 				continue
 			}
 			// A block is sealed when its last page is *allocated*, but the
@@ -136,12 +179,20 @@ type gcRecord struct {
 }
 
 // collectBlock scans one victim block, relocates its live data, erases it,
-// and returns it to the log's free list. Called with no locks held; every
-// index check and install takes namespace locks per record.
-func (d *Device) collectBlock(lg *logState, chipIdx, block int) {
+// and returns it to the log's free list, waking the writers that wait for
+// one. Called with no locks held; every index check and install takes
+// namespace locks per record.
+func (c *collector) collectBlock(chipIdx, block int) {
+	d, lg := c.d, c.lg
 	ch, chip := lg.chipAddr(chipIdx)
-	var live []gcRecord
-	var liveIndexPages []flash.PPN // swapped index pages needing relocation
+	live := c.live[:0]
+	liveIndexPages := c.indexPages[:0] // swapped index pages needing relocation
+	defer func() {
+		// Keep the lists' storage, not what they point at: a parked collector
+		// must not pin a victim's worth of page images.
+		clear(live)
+		c.live, c.indexPages = live, liveIndexPages
+	}()
 
 	for page := 0; page < d.fc.PagesPerBlock; page++ {
 		ppn := d.arr.BlockPPN(ch, chip, block, page)
@@ -212,7 +263,7 @@ func (d *Device) collectBlock(lg *logState, chipIdx, block int) {
 			lg.id, needPages, capacity))
 	}
 
-	if d.relocateRecords(lg, live) != nil || d.relocateIndexPages(lg, liveIndexPages) != nil {
+	if c.relocateRecords(live) != nil || d.relocateIndexPages(lg, liveIndexPages) != nil {
 		return // power cut (or failed reload) mid-relocation: the victim must not be erased
 	}
 
@@ -250,6 +301,7 @@ func (d *Device) collectBlock(lg *logState, chipIdx, block int) {
 	} else {
 		lg.chips[chipIdx].free = append(lg.chips[chipIdx].free, block)
 		lg.freeBlocks++
+		lg.freeCv.Broadcast()
 	}
 	lg.mu.Unlock()
 	if retire {
@@ -346,14 +398,18 @@ func (d *Device) gcProgram(lg *logState, data, oob []byte) (flash.PPN, error) {
 // relocateRecords packs live records into fresh pages on the log's GC
 // stream and swings their chain nodes, re-validating each record at install
 // time (it may have been superseded while GC was running).
-func (d *Device) relocateRecords(lg *logState, live []gcRecord) error {
-	packer := record.NewPacker(d.fc.PageSize, d.cfg.ChunkSize)
-	var group []gcRecord
+func (c *collector) relocateRecords(live []gcRecord) error {
+	d, lg, packer := c.d, c.lg, c.packer
+	group := c.group[:0]
+	defer func() {
+		clear(group[:cap(group)]) // as in collectBlock: keep the storage only
+		c.group = group
+	}()
 	flush := func() error {
 		if packer.Empty() {
 			return nil
 		}
-		data, bitmap := packer.Finish()
+		data, bitmap := packer.FinishReuse()
 		ppn, perr := d.gcProgram(lg, data, d.buildOOB(bitmap, pageTypeRecord, data))
 		if perr != nil {
 			return perr
@@ -388,7 +444,7 @@ func (d *Device) relocateRecords(lg *logState, live []gcRecord) error {
 			d.creditValid(newLoc)
 		}
 		d.mu.RUnlock()
-		group = nil
+		group = group[:0]
 		return nil
 	}
 	for _, g := range live {

@@ -30,7 +30,19 @@ type rig struct {
 }
 
 func newRig(fc flash.Config, mod func(*Config)) *rig {
+	return newRigOn(sim.NewEngine(), fc, mod)
+}
+
+// newSerialRig is newRig on a serialized engine: one actor runs at a time,
+// drawn by a PRNG seeded with seed, so virtual-time measurements repeat
+// exactly.
+func newSerialRig(seed int64, fc flash.Config, mod func(*Config)) *rig {
 	e := sim.NewEngine()
+	e.Serialize(seed)
+	return newRigOn(e, fc, mod)
+}
+
+func newRigOn(e *sim.Engine, fc flash.Config, mod func(*Config)) *rig {
 	arr := flash.New(e, fc)
 	ctrl := nvme.New(e, nvme.DefaultConfig())
 	cfg := DefaultConfig(fc)

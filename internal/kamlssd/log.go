@@ -13,9 +13,10 @@ import (
 
 // logState is one append-only log: a subset of the array's chips, an NVRAM
 // page buffer accumulating records (the packer), a bounded queue of sealed
-// pages awaiting program, and exactly one flusher actor — so each log is a
+// pages awaiting program, exactly one flusher actor — so each log is a
 // strictly sequential append stream, which is why the log count bounds the
-// device's concurrent program operations (the effect behind Fig. 8).
+// device's concurrent program operations (the effect behind Fig. 8) — and
+// exactly one collector actor reclaiming its blocks (gc.go).
 //
 // A record is durable at its batch's NVRAM commit marker, so the open page
 // has no reason to leave NVRAM early: it is sealed when the next record does
@@ -48,6 +49,21 @@ type logState struct {
 	nextChip   int // rotate block allocation across the log's chips
 
 	freeBlocks int
+	// The log's collector and the writers that wait for it meet on two
+	// conditions, each signalled by the event itself, under mu — nothing
+	// polls. freeCv: collectBlock returned a block to the free list (or power
+	// was cut); a seal out of erased blocks waits here (hostPPN). gcCv: a
+	// block was opened below GCLowWater, something collectible may have
+	// appeared on a starved log, or the device is stopping; the collector
+	// waits here (collector.loop).
+	freeCv *sim.Cond
+	gcCv   *sim.Cond
+	// gcStarved is set by the collector when the log is below its watermark
+	// but holds no victim worth collecting — every sealed block is still being
+	// programmed or installed, or would refill as many pages as its erase
+	// frees. Whatever can change that clears it and wakes the collector
+	// (gcRetry): the flusher finishing a page, a version of this log's dying.
+	gcStarved bool
 
 	// The log's counted events and wear spread, one cell each; the registry
 	// lists them under a log="<id>" label (metrics.go).
@@ -117,6 +133,8 @@ func newLogState(d *Device, id int) *logState {
 	lg.mu = d.eng.NewMutex(fmt.Sprintf("kaml-log%d", id))
 	lg.spaceCv = d.eng.NewCond(lg.mu)
 	lg.workCv = d.eng.NewCond(lg.mu)
+	lg.freeCv = d.eng.NewCond(lg.mu)
+	lg.gcCv = d.eng.NewCond(lg.mu)
 	return lg
 }
 
@@ -169,8 +187,10 @@ func (lg *logState) nextPPN(forGC bool) (flash.PPN, error) {
 	return ppn, nil
 }
 
-// openBlock pops a free block, rotating across the log's chips. Called with
-// lg.mu held.
+// openBlock pops a free block, rotating across the log's chips, and wakes
+// the log's collector when that takes the log below its low watermark — the
+// host and the GC stream both consume free blocks here and nowhere else.
+// Called with lg.mu held.
 func (lg *logState) openBlock() (*appendPoint, error) {
 	for tries := 0; tries < len(lg.chips); tries++ {
 		ci := lg.nextChip
@@ -180,6 +200,9 @@ func (lg *logState) openBlock() (*appendPoint, error) {
 			b := lc.free[0]
 			lc.free = lc.free[1:]
 			lg.freeBlocks--
+			if lg.freeBlocks < lg.d.cfg.GCLowWater {
+				lg.gcCv.Signal()
+			}
 			if lc.blocks[b].retired {
 				continue
 			}
@@ -187,6 +210,61 @@ func (lg *logState) openBlock() (*appendPoint, error) {
 		}
 	}
 	return nil, fmt.Errorf("kamlssd: log %d out of free blocks", lg.id)
+}
+
+// hostPPN is nextPPN for the host stream that waits, while the log is out of
+// erased blocks, for the log's collector to return one — the paper's
+// free-block watermark backpressure, and the one place a seal (on the Put
+// actor or on the flusher) stalls behind garbage collection; the stall is
+// observed in kaml_ssd_free_block_wait_seconds. Nobody has to wake the
+// collector from here: the host stream stops at gcReserveBlocks, which is
+// below GCLowWater, so the block that took the log there signalled gcCv, and
+// a collector that has parked since is starved and waits for gcRetry.
+// Reports false on a power cut. Called with lg.mu held, which the wait
+// releases; returns with it held.
+func (lg *logState) hostPPN() (flash.PPN, bool) {
+	ppn, err := lg.nextPPN(false)
+	if err == nil {
+		return ppn, true
+	}
+	d := lg.d
+	var start time.Duration
+	if d.tel != nil {
+		start = d.eng.NowCheap()
+	}
+	for err != nil {
+		lg.freeCv.Wait()
+		if d.crashed.Load() {
+			return 0, false
+		}
+		ppn, err = lg.nextPPN(false)
+	}
+	if d.tel != nil {
+		d.freeBlockWait.ObserveDuration(d.eng.NowCheap() - start)
+	}
+	return ppn, true
+}
+
+// wakeAll makes every actor waiting on one of the log's conditions re-test
+// its predicate against a device that is stopping (Close, power loss, the
+// last flusher's exit).
+func (lg *logState) wakeAll() {
+	lg.mu.Lock()
+	lg.spaceCv.Broadcast()
+	lg.workCv.Broadcast()
+	lg.freeCv.Broadcast()
+	lg.gcCv.Broadcast()
+	lg.mu.Unlock()
+}
+
+// gcRetry tells a starved collector to look again: something that can make a
+// victim eligible or gainful just happened on this log. Called with lg.mu
+// held.
+func (lg *logState) gcRetry() {
+	if lg.gcStarved {
+		lg.gcStarved = false
+		lg.gcCv.Signal()
+	}
 }
 
 // sealPacker moves the open packer — which the caller found non-empty —
@@ -228,17 +306,9 @@ func (lg *logState) sealPacker(cause sealCause) {
 	oob := lg.d.buildOOB(bitmap, pageTypeRecord, data)
 	pend := lg.pending
 	lg.pending = nil
-	ppn, err := lg.nextPPN(false)
-	for err != nil {
-		// The log is out of erased blocks; wait for GC to reclaim some.
-		// (This is the paper's free-block watermark backpressure.)
-		lg.mu.Unlock()
-		lg.d.eng.Sleep(lg.d.cfg.GCPoll)
-		lg.mu.Lock()
-		if lg.d.crashed.Load() {
-			return // records stay in NVRAM for recovery
-		}
-		ppn, err = lg.nextPPN(false)
+	ppn, ok := lg.hostPPN()
+	if !ok {
+		return // power cut: records stay in NVRAM for recovery
 	}
 	lg.sealedQueue = append(lg.sealedQueue, sealedPage{
 		ppn:     ppn,
@@ -303,7 +373,13 @@ func (d *Device) appendRecord(ns *namespace, lg *logState, cur uint64, rec recor
 // waiting (d.drainers) or at Close.
 func (d *Device) flusherLoop(lg *logState) {
 	defer func() {
-		d.flushersLive.Add(-1)
+		if d.flushersLive.Add(-1) == 0 {
+			// The collectors outlive the flushers (gcStopped); the last one
+			// out tells them there is nobody left to free blocks for.
+			for _, l := range d.logs {
+				l.wakeAll()
+			}
+		}
 		d.stopped.Done()
 	}()
 	for {
@@ -316,7 +392,7 @@ func (d *Device) flusherLoop(lg *logState) {
 		// work — its records are durable where they are.
 		for len(lg.sealedQueue) == 0 && !d.closed.Load() &&
 			(lg.packer.Empty() || d.drainers.Load() == 0) {
-			lg.workCv.Wait()
+			lg.workCv.WaitIdle()
 		}
 		if d.crashed.Load() {
 			lg.mu.Unlock()
@@ -368,19 +444,15 @@ func (d *Device) flusherLoop(lg *logState) {
 			if flg, lc, b := d.blockOf(sp.ppn); lc != nil && flg == lg {
 				lc.blocks[b].progFailed++
 			}
-			ppn, aerr := lg.nextPPN(false)
-			for aerr != nil {
+			lg.inflight = nil
+			lg.gcRetry() // the consumed page may have completed its block
+			ppn, ok := lg.hostPPN()
+			if !ok {
 				lg.mu.Unlock()
-				d.eng.Sleep(d.cfg.GCPoll)
-				if d.crashed.Load() {
-					return
-				}
-				lg.mu.Lock()
-				ppn, aerr = lg.nextPPN(false)
+				return
 			}
 			sp.ppn = ppn
 			lg.sealedQueue = append(lg.sealedQueue, sp)
-			lg.inflight = nil
 			lg.mu.Unlock()
 			continue
 		}
@@ -402,6 +474,7 @@ func (d *Device) flusherLoop(lg *logState) {
 		lg.mu.Lock()
 		lg.inflight = nil
 		lg.spaceCv.Broadcast()
+		lg.gcRetry() // the page's block may just have become collectible
 		lg.mu.Unlock()
 	}
 }
@@ -472,6 +545,7 @@ func (d *Device) discountValid(loc location) {
 	if lc.blocks[b].validBytes < 0 {
 		lc.blocks[b].validBytes = 0
 	}
+	lg.gcRetry() // the block may just have become worth collecting
 	lg.mu.Unlock()
 }
 

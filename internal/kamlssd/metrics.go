@@ -29,6 +29,7 @@ type counters struct {
 
 	nvramStaged  telemetry.Gauge // values resident in battery-backed NVRAM
 	indexEntries telemetry.Gauge // live mapping-table entries, all namespaces
+	gcActive     telemetry.Gauge // collectors out of their wait: pruning or reclaiming
 }
 
 // export lists the firmware's cells in r and resolves its histograms.
@@ -37,7 +38,8 @@ type counters struct {
 // metric surface (the CI smoke test depends on that). The histograms exist
 // only while a registry does: with Config.DisableTelemetry they stay nil
 // (a nil histogram drops its samples) and the timestamp reads feeding them
-// are skipped behind d.tel != nil (see execPut / installFlashLoc / gcLoop).
+// are skipped behind d.tel != nil (see execPut / installFlashLoc / hostPPN /
+// collector.loop).
 //
 // Command latencies (Get/Put/Snapshot, per lifecycle stage) are recorded
 // by the pipeline itself — kaml_cmdq_stage_seconds{op,stage} — because the
@@ -51,7 +53,9 @@ func (d *Device) export(r *telemetry.Registry) {
 	r.Help("kaml_ssd_flash_install_seconds", "Per-record latency from NVRAM staging to the flash index swing (virtual time).")
 	r.Help("kaml_ssd_pages_sealed_total", "Record pages that left the NVRAM packer for the program queue, per log and cause (full, nofit, drain, close).")
 	r.Help("kaml_ssd_sealed_page_chunks", "Chunks holding records in each sealed page (of PageSize/ChunkSize).")
+	r.Help("kaml_ssd_free_block_wait_seconds", "Time a page seal (on the Put actor or the flusher) waited for its log's collector to return an erased block (virtual time).")
 	r.Help("kaml_gc_pause_seconds", "Duration of one GC victim collection (virtual time).")
+	r.Help("kaml_gc_collectors_active", "Per-log collectors currently pruning or reclaiming (the rest wait for their log to run low).")
 	r.Help("kaml_mvcc_versions_pruned_total", "Dead MVCC versions unlinked from the version chains.")
 	r.Help("kaml_mvcc_chain_length", "Per-key version-chain length observed at each pruning pass.")
 	r.Help("kaml_gc_copied_bytes_total", "Valid bytes relocated out of GC victim blocks, per log.")
@@ -62,7 +66,9 @@ func (d *Device) export(r *telemetry.Registry) {
 	r.AdoptGauge(&d.ctr.indexEntries, "kaml_ssd_index_entries")
 	r.AdoptCounter(&d.ctr.indexReadRetries, "kaml_ssd_index_read_retries_total")
 	d.flashInstall = r.Histogram("kaml_ssd_flash_install_seconds", telemetry.UnitSeconds)
+	d.freeBlockWait = r.Histogram("kaml_ssd_free_block_wait_seconds", telemetry.UnitSeconds)
 	d.gcPause = r.Histogram("kaml_gc_pause_seconds", telemetry.UnitSeconds)
+	r.AdoptGauge(&d.ctr.gcActive, "kaml_gc_collectors_active")
 	r.AdoptCounter(&d.ctr.versionsPruned, "kaml_mvcc_versions_pruned_total")
 	d.chainLen = r.Histogram("kaml_mvcc_chain_length", telemetry.UnitNone)
 	d.sealedChunks = r.Histogram("kaml_ssd_sealed_page_chunks", telemetry.UnitNone)

@@ -139,16 +139,16 @@ func (d *Device) pruneFamily(fam *family, pins []uint64, floor uint64, keepHead 
 	d.ctr.versionsPruned.Add(int64(n))
 }
 
-// pruneFamilies runs one prune pass over every family. It is called from
-// the GC loop each cycle — and only from there, which is what lets it keep
-// its working set in device-level scratch buffers: an idle cycle (nothing
-// to prune) must not allocate, or the GC ticker would tax every
-// measurement window on the device (the Get alloc budget caught exactly
-// that).
-func (d *Device) pruneFamilies() {
+// pruneFamilies runs one prune pass over every family. A collector calls it
+// at each wake-up, on scratch it owns, so a pass that finds nothing to prune
+// allocates nothing. Collectors woken together each run one; family by
+// family they serialize on the root's lock, and the first one through leaves
+// the others an empty dirty set.
+func (c *collector) pruneFamilies() {
+	d := c.d
 	d.mu.RLock()
-	fams := d.gcPruneFams[:0]
-	keep := d.gcPruneKeep[:0]
+	fams := c.fams[:0]
+	keep := c.keep[:0]
 	for _, f := range d.families {
 		fams = append(fams, f)
 	}
@@ -158,12 +158,12 @@ func (d *Device) pruneFamilies() {
 	for _, f := range fams {
 		keep = append(keep, f.rootLive)
 	}
-	pins, floor := d.pinsAppend(d.gcPrunePins)
+	pins, floor := d.pinsAppend(c.pins)
 	d.mu.RUnlock()
 	for i, f := range fams {
 		d.pruneFamily(f, pins, floor, keep[i])
 	}
-	d.gcPruneFams, d.gcPruneKeep, d.gcPrunePins = fams, keep, pins
+	c.fams, c.keep, c.pins = fams, keep, pins
 }
 
 // GetAt serves the newest version of key whose commit timestamp is <= ts —

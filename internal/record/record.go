@@ -137,13 +137,23 @@ func (p *Packer) Add(r Record) int {
 // Finish returns the page image (padded to the full page size) and the
 // 8-byte OOB bitmap, then resets the packer for the next page.
 func (p *Packer) Finish() (data []byte, oob []byte) {
+	data, oob = p.FinishReuse()
+	p.data = make([]byte, 0, p.pageSize)
+	return data, oob
+}
+
+// FinishReuse is Finish for a caller that is done with the page image before
+// it adds the next record (a flash program copies what it is given): the
+// packer keeps its page buffer, and the next Add overwrites the returned
+// image.
+func (p *Packer) FinishReuse() (data []byte, oob []byte) {
 	data = p.data
 	if len(data) < p.pageSize {
 		data = append(data, make([]byte, p.pageSize-len(data))...)
 	}
 	oob = make([]byte, 8)
 	binary.LittleEndian.PutUint64(oob, p.bitmap)
-	p.data = make([]byte, 0, p.pageSize)
+	p.data = data[:0]
 	p.bitmap = 0
 	p.used = 0
 	p.count = 0

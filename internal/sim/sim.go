@@ -12,6 +12,21 @@
 // The one rule actors must follow: any blocking interaction between actors
 // must go through a sim primitive. Blocking on a plain channel or sync.Mutex
 // while registered would stall the clock.
+//
+// # Idle is not deadlock
+//
+// "Every actor parked and no timer pending" has two meanings, and the engine
+// tells them apart by what the parked actors wait for, not by a clock. A
+// service actor blocked until somebody hands it work — a flusher with nothing
+// to program, a collector whose log has free blocks, a queue worker with an
+// empty queue — parks with Cond.WaitIdle. When every parked actor is in such
+// a wait the simulation is idle: nothing inside it can make progress and
+// nothing needs to, the clock stands still at no host cost, and the next
+// Go() from outside resumes it. When at least one actor is parked in any
+// other wait (a mutex, a semaphore, a plain Cond.Wait, a wait group) with no
+// timer pending, somebody expects progress that can no longer come: that is
+// a stall, reported after stallTimeout of wall-clock time with a dump of who
+// waits on what and which of those waits are idle ones.
 package sim
 
 import (
@@ -36,9 +51,12 @@ type Engine struct {
 	timers   timerHeap
 	seq      uint64 // tiebreak for timers at equal deadlines (determinism)
 
-	// waiters parked on mutexes/conds/semaphores; tracked only so that a
-	// true deadlock produces a diagnostic instead of a silent hang.
-	parked map[*parkToken]string
+	// waiters parked on mutexes/conds/semaphores, each with what it waits on;
+	// tracked so that a stall is told from idleness (idleParked counts the
+	// tokens parked in an idle wait, parkToken.idle) and produces a
+	// diagnostic instead of a silent hang.
+	parked     map[*parkToken]string
+	idleParked int
 
 	// Serialized scheduling (see Serialize): at most one actor executes at
 	// a time and every wakeup is deferred into ready, from which the next
@@ -174,8 +192,9 @@ func (e *Engine) Sleep(d time.Duration) {
 	tok.park()
 }
 
-// blockLocked marks the calling actor as parked and, if it was the last
-// runnable actor, lets the engine pick what runs next. Caller holds e.mu.
+// blockLocked marks the calling actor as parked on why and, if it was the
+// last runnable actor, lets the engine pick what runs next. Caller holds
+// e.mu.
 func (e *Engine) blockLocked(tok *parkToken, why string) {
 	e.parked[tok] = why
 	e.runnable--
@@ -188,6 +207,10 @@ func (e *Engine) blockLocked(tok *parkToken, why string) {
 // the actor is only queued; it starts running when dispatchLocked draws it.
 // Caller holds e.mu.
 func (e *Engine) wakeLocked(tok *parkToken) {
+	if tok.idle {
+		tok.idle = false
+		e.idleParked--
+	}
 	delete(e.parked, tok)
 	if e.serial {
 		e.ready = append(e.ready, tok)
@@ -229,18 +252,20 @@ func (e *Engine) dispatchLocked() {
 // advanceLocked pops every timer due at the earliest deadline and wakes its
 // actor. Caller holds e.mu.
 //
-// If no timers exist while actors are parked, the simulation has stalled.
-// That is usually a deadlock — but it also happens transiently while a
-// non-actor goroutine (a constructor, a network handler) is between Go()
-// calls: the actors it already spawned may all park before the one that
-// owns the first timer exists. So a stall arms a real-time watchdog
-// instead of panicking immediately; any Go() or wake disarms it, and a
-// stall that persists for stallTimeout of wall-clock time is reported as
-// a deadlock with a state dump.
+// If no timers exist while an actor is parked in anything but an idle wait,
+// the simulation has stalled (see "Idle is not deadlock" in the package
+// comment; with only idle waits parked it is merely idle and the engine
+// does nothing until the next Go()). A stall is usually a deadlock — but it
+// also happens transiently while a non-actor goroutine (a constructor, a
+// network handler) is between Go() calls: the actors it already spawned may
+// all park before the one that owns the first timer exists. So a stall arms
+// a real-time watchdog instead of panicking immediately; any Go() or wake
+// disarms it, and a stall that persists for stallTimeout of wall-clock time
+// is reported as a deadlock with a state dump.
 func (e *Engine) advanceLocked() {
 	if len(e.timers) == 0 {
-		if len(e.parked) == 0 {
-			return // all actors exited or exiting
+		if len(e.parked) == e.idleParked {
+			return // idle, or all actors exited or exiting
 		}
 		e.armWatchdogLocked()
 		return
@@ -270,7 +295,7 @@ func (e *Engine) armWatchdogLocked() {
 	time.AfterFunc(stallTimeout, func() {
 		e.mu.Lock()
 		e.watchdogArmed = false
-		stalled := e.runnable == 0 && len(e.timers) == 0 && len(e.ready) == 0 && len(e.parked) > 0
+		stalled := e.runnable == 0 && len(e.timers) == 0 && len(e.ready) == 0 && len(e.parked) > e.idleParked
 		if !stalled {
 			e.mu.Unlock()
 			return
@@ -293,7 +318,11 @@ func (e *Engine) stateLocked() string {
 	fmt.Fprintf(&b, "  now=%v actors=%d runnable=%d parked=%d timers=%d\n",
 		e.now, e.actors, e.runnable, len(e.parked), len(e.timers))
 	reasons := make(map[string]int)
-	for _, why := range e.parked {
+	for tok, why := range e.parked {
+		why = fmt.Sprintf("%q", why)
+		if tok.idle {
+			why += " (idle wait)"
+		}
 		reasons[why]++
 	}
 	keys := make([]string, 0, len(reasons))
@@ -302,7 +331,7 @@ func (e *Engine) stateLocked() string {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Fprintf(&b, "  parked on %q: %d\n", k, reasons[k])
+		fmt.Fprintf(&b, "  parked on %s: %d\n", k, reasons[k])
 	}
 	return b.String()
 }
@@ -315,6 +344,10 @@ func (e *Engine) stateLocked() string {
 // largest allocation source in the whole simulator.
 type parkToken struct {
 	ch chan struct{}
+	// idle marks a token parked in an idle wait (Cond.WaitIdle): a wait for
+	// work, which an otherwise quiescent simulation may sit in forever. Set
+	// and cleared under Engine.mu, between blockLocked and wakeLocked.
+	idle bool
 }
 
 var parkTokenPool = sync.Pool{

@@ -320,6 +320,71 @@ func TestStallDuringExternalSpawnIsTolerated(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 }
 
+// Idle is not deadlock: actors parked only in idle waits never report,
+// however long they sit there; one actor parked in an ordinary wait beside
+// them still does, and the report says which waits are the idle ones.
+func TestIdleWaitsAreNotADeadlock(t *testing.T) {
+	old := stallTimeout
+	stallTimeout = 50 * time.Millisecond
+	defer func() { stallTimeout = old }()
+
+	e := NewEngine()
+	reported := make(chan string, 1)
+	e.onDeadlock = func(msg string) { reported <- msg }
+
+	svc := e.NewMutex("svc")
+	work := e.NewCond(svc)
+	stop := false
+	for i := 0; i < 3; i++ {
+		e.Go("service", func() {
+			svc.Lock()
+			for !stop {
+				work.WaitIdle()
+			}
+			svc.Unlock()
+		})
+	}
+	select {
+	case msg := <-reported:
+		t.Fatalf("an engine with only idle waits parked reported: %s", msg)
+	case <-time.After(4 * stallTimeout):
+	}
+
+	// Somebody who expects progress nobody can make.
+	cl := e.NewMutex("client")
+	reply := e.NewCond(cl)
+	replied := false
+	e.Go("client", func() {
+		cl.Lock()
+		for !replied {
+			reply.Wait()
+		}
+		cl.Unlock()
+	})
+	select {
+	case msg := <-reported:
+		for _, want := range []string{"deadlock", `"cond:client": 1`, `"cond:svc" (idle wait): 3`} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("report lacks %q:\n%s", want, msg)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("an ordinary wait parked beside idle ones was never reported")
+	}
+
+	e.Go("release", func() {
+		cl.Lock()
+		replied = true
+		reply.Signal()
+		cl.Unlock()
+		svc.Lock()
+		stop = true
+		work.Broadcast()
+		svc.Unlock()
+	})
+	e.Wait()
+}
+
 func TestTimersAreDeterministic(t *testing.T) {
 	// Actors with DISTINCT deadlines wake strictly in deadline order, each
 	// alone (the engine advances to one instant at a time), so the

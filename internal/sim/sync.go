@@ -82,7 +82,16 @@ func (e *Engine) NewCond(l *Mutex) *Cond { return &Cond{L: l} }
 
 // Wait atomically releases c.L, parks the actor until Signal/Broadcast,
 // then reacquires c.L before returning.
-func (c *Cond) Wait() {
+func (c *Cond) Wait() { c.wait(false) }
+
+// WaitIdle is Wait for a service actor with nothing to do: it waits for
+// work, not for progress it has been promised. A simulation whose parked
+// actors are all in idle waits is idle, not deadlocked (see the package
+// comment) — so use it only where "nobody ever signals" is a legitimate
+// outcome.
+func (c *Cond) WaitIdle() { c.wait(true) }
+
+func (c *Cond) wait(idle bool) {
 	e := c.L.e
 	tok := newParkToken()
 	e.mu.Lock()
@@ -94,6 +103,10 @@ func (c *Cond) Wait() {
 		e.wakeLocked(next)
 	} else {
 		c.L.locked = false
+	}
+	if idle {
+		tok.idle = true
+		e.idleParked++
 	}
 	e.blockLocked(tok, "cond:"+c.L.name)
 	e.mu.Unlock()
