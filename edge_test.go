@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	kaml "github.com/kaml-ssd/kaml"
+	"github.com/kaml-ssd/kaml/internal/flash"
 	"github.com/kaml-ssd/kaml/internal/kamlssd"
 )
 
@@ -227,6 +229,71 @@ func TestSnapshotDuringGroupCommit(t *testing.T) {
 				}
 			}
 			dev.Close()
+			return nil
+		}()
+	})
+	dev.Wait()
+	if failure != nil {
+		t.Fatal(failure)
+	}
+}
+
+// TestReopenAfterPowerCutDuringRecovery cuts power a second time while Reopen
+// has one scanner reading each chip. That Reopen must fail with the cut — not
+// hang on, or leak, a scanner that never heard of it (dev.Wait below would not
+// return) — and the image must still be whole: the next Reopen succeeds,
+// replays the writes that were in NVRAM at the first cut, and every
+// acknowledged value reads back.
+func TestReopenAfterPowerCutDuringRecovery(t *testing.T) {
+	dev, err := kaml.Open(kaml.SmallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failure error
+	dev.Go(func() {
+		failure = func() error {
+			ns, err := dev.CreateNamespace(kaml.NamespaceOptions{ExpectedKeys: 1024})
+			if err != nil {
+				return err
+			}
+			val := func(key uint64) []byte {
+				return bytes.Repeat([]byte{byte(key), byte(key >> 8)}, 500)
+			}
+			const flushed, keys = 800, 812 // a hundred pages on flash, a page and a half in NVRAM
+			for key := uint64(0); key < keys; key++ {
+				if key == flushed {
+					dev.Flush()
+				}
+				if err := dev.Put(ns, key, val(key)); err != nil {
+					return fmt.Errorf("put %d: %w", key, err)
+				}
+			}
+			img := dev.Crash()
+			// A dozen pages per chip take over a millisecond to scan.
+			dev.Go(func() {
+				dev.Sleep(300 * time.Microsecond)
+				dev.TriggerPowerCut(false)
+			})
+			if re, err := kaml.Reopen(img); !errors.Is(err, flash.ErrPowerCut) {
+				if err == nil {
+					re.Close()
+				}
+				return fmt.Errorf("Reopen with power cut mid-scan returned %v, want flash.ErrPowerCut", err)
+			}
+			re, err := kaml.Reopen(img)
+			if err != nil {
+				return fmt.Errorf("second Reopen: %w", err)
+			}
+			defer re.Close()
+			if st := re.Stats(); st.ReplayedValues == 0 || st.RecoveredRecords < flushed {
+				return fmt.Errorf("second Reopen replayed %d values and rebuilt %d records, want some and at least %d",
+					st.ReplayedValues, st.RecoveredRecords, flushed)
+			}
+			for key := uint64(0); key < keys; key++ {
+				if got, err := re.Get(ns, key); err != nil || !bytes.Equal(got, val(key)) {
+					return fmt.Errorf("acknowledged key %d lost across the two cuts: %v", key, err)
+				}
+			}
 			return nil
 		}()
 	})

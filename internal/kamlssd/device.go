@@ -229,7 +229,7 @@ type Device struct {
 
 	// ctr holds the firmware's counted events, one cell each (metrics.go).
 	// tel is the device's telemetry registry — a directory of those cells
-	// plus the five histograms below, all nil when Config.DisableTelemetry.
+	// plus the six histograms below, all nil when Config.DisableTelemetry.
 	// Everything is pure atomics — safe to scrape from plain goroutines
 	// outside the simulation without stalling the virtual clock.
 	ctr          counters
@@ -241,6 +241,7 @@ type Device struct {
 	// freeBlockWait is how long a seal — on the Put actor or on the flusher —
 	// waited for its log's collector to return an erased block (hostPPN).
 	freeBlockWait *telemetry.Histogram
+	recoveryTime  *telemetry.Histogram // one Recover, log scan to actors started
 
 	closed       atomic.Bool
 	crashed      atomic.Bool  // power-cut: actors exit without draining
@@ -284,6 +285,10 @@ type Stats struct {
 	ReplayedValues     int64 // NVRAM values re-staged for flushing
 	DroppedUncommitted int64 // staged values of never-committed batches
 	TornPagesSkipped   int64 // pages failing OOB magic/CRC during the scan
+	// RecoveryScannedPages counts the programmed pages the scan read,
+	// RecoveryPaddedPages the pages it then consumed padding partial blocks.
+	RecoveryScannedPages int64
+	RecoveryPaddedPages  int64
 
 	// Command pipeline (internal/cmdq; sampled from the pipeline rather
 	// than updated by actors).
@@ -520,6 +525,9 @@ func (d *Device) Stats() Stats {
 		ReplayedValues:     c.replayedValues.Value(),
 		DroppedUncommitted: c.droppedUncommitted.Value(),
 		TornPagesSkipped:   c.tornPagesSkipped.Value(),
+
+		RecoveryScannedPages: c.scannedPages.Value(),
+		RecoveryPaddedPages:  c.paddedPages.Value(),
 	}
 	for _, lg := range d.logs {
 		st.GCErases += lg.gcErases.Value()

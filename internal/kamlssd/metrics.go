@@ -24,8 +24,11 @@ type counters struct {
 	versionsPruned           telemetry.Counter // MVCC versions reclaimed (no snapshot/txn sees them)
 	pinnedReads              telemetry.Counter
 
+	// Recovery: what Recover found and did on the way to this device (all
+	// zero on a device that New built).
 	recoveredRecords, replayedValues     telemetry.Counter
 	droppedUncommitted, tornPagesSkipped telemetry.Counter
+	scannedPages, paddedPages            telemetry.Counter
 
 	nvramStaged  telemetry.Gauge // values resident in battery-backed NVRAM
 	indexEntries telemetry.Gauge // live mapping-table entries, all namespaces
@@ -54,6 +57,13 @@ func (d *Device) export(r *telemetry.Registry) {
 	r.Help("kaml_ssd_pages_sealed_total", "Record pages that left the NVRAM packer for the program queue, per log and cause (full, nofit, drain, close).")
 	r.Help("kaml_ssd_sealed_page_chunks", "Chunks holding records in each sealed page (of PageSize/ChunkSize).")
 	r.Help("kaml_ssd_free_block_wait_seconds", "Time a page seal (on the Put actor or the flusher) waited for its log's collector to return an erased block (virtual time).")
+	r.Help("kaml_recovery_seconds", "Duration of the power-failure recovery that built this device, log scan to actors started (virtual time; no sample on a device that never crashed).")
+	r.Help("kaml_recovery_scanned_pages_total", "Programmed flash pages the recovery scan read.")
+	r.Help("kaml_recovery_padded_pages_total", "Pages recovery programmed (or lost to a failed program) padding partially-programmed blocks so they could be sealed.")
+	r.Help("kaml_recovery_torn_pages_total", "Pages the recovery scan skipped: OOB magic/CRC mismatch, or unreadable after every retry.")
+	r.Help("kaml_recovery_records_total", "Record versions recovery rebuilt into the mapping tables from the flash scan.")
+	r.Help("kaml_recovery_replayed_values_total", "Committed NVRAM values recovery re-staged for programming.")
+	r.Help("kaml_recovery_dropped_uncommitted_total", "NVRAM values recovery discarded because their batch never committed.")
 	r.Help("kaml_gc_pause_seconds", "Duration of one GC victim collection (virtual time).")
 	r.Help("kaml_gc_collectors_active", "Per-log collectors currently pruning or reclaiming (the rest wait for their log to run low).")
 	r.Help("kaml_mvcc_versions_pruned_total", "Dead MVCC versions unlinked from the version chains.")
@@ -67,6 +77,13 @@ func (d *Device) export(r *telemetry.Registry) {
 	r.AdoptCounter(&d.ctr.indexReadRetries, "kaml_ssd_index_read_retries_total")
 	d.flashInstall = r.Histogram("kaml_ssd_flash_install_seconds", telemetry.UnitSeconds)
 	d.freeBlockWait = r.Histogram("kaml_ssd_free_block_wait_seconds", telemetry.UnitSeconds)
+	d.recoveryTime = r.Histogram("kaml_recovery_seconds", telemetry.UnitSeconds)
+	r.AdoptCounter(&d.ctr.scannedPages, "kaml_recovery_scanned_pages_total")
+	r.AdoptCounter(&d.ctr.paddedPages, "kaml_recovery_padded_pages_total")
+	r.AdoptCounter(&d.ctr.tornPagesSkipped, "kaml_recovery_torn_pages_total")
+	r.AdoptCounter(&d.ctr.recoveredRecords, "kaml_recovery_records_total")
+	r.AdoptCounter(&d.ctr.replayedValues, "kaml_recovery_replayed_values_total")
+	r.AdoptCounter(&d.ctr.droppedUncommitted, "kaml_recovery_dropped_uncommitted_total")
 	d.gcPause = r.Histogram("kaml_gc_pause_seconds", telemetry.UnitSeconds)
 	r.AdoptGauge(&d.ctr.gcActive, "kaml_gc_collectors_active")
 	r.AdoptCounter(&d.ctr.versionsPruned, "kaml_mvcc_versions_pruned_total")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"github.com/kaml-ssd/kaml/internal/flash"
 	"github.com/kaml-ssd/kaml/internal/nvme"
@@ -26,15 +27,22 @@ import (
 //     and become garbage.)
 //  2. Discard staged values of batches that never committed: their Puts
 //     were not acknowledged, so the whole batch must vanish (atomicity).
-//  3. Scan every programmed page of every block, newest-sequence-wins per
+//  3. Scan every programmed page of every block, one scanner actor per
+//     chip — the chip is the unit the array serializes on, so the scan runs
+//     at the array's bandwidth: the busiest channel's transfers, or the
+//     busiest chip's senses and padding programs, whichever is longer. A
+//     scanner reads its chip's pages, skips those failing the OOB
+//     magic/CRC (torn or garbage) and those still unreadable after the
+//     retries, and lists the records it finds; aborted sequences are
+//     ignored.
+//  4. Rebuild the allocator, in the same pass: retired blocks stay out of
+//     service, empty blocks become free, partially-programmed blocks are
+//     padded and sealed so GC can reclaim the waste — each scanner for its
+//     own chip. The recovering actor then joins the scanners' lists in
+//     scan order (log, chip, block, page, chunk), newest-sequence-wins per
 //     pin boundary: for each family the interesting timestamps are its
-//     snapshot cutoffs plus "now" (the root's head), and the scan keeps,
-//     per key, the newest record at or below each boundary. Pages failing
-//     the OOB magic/CRC (torn or garbage) are skipped; aborted sequences
-//     are ignored.
-//  4. Rebuild the allocator: retired blocks stay out of service, empty
-//     blocks become free, partially-programmed blocks are padded and
-//     sealed so GC can reclaim the waste.
+//     snapshot cutoffs plus "now" (the root's head), and the join keeps,
+//     per key, the newest record at or below each boundary.
 //  5. Merge the surviving committed NVRAM values into the candidate set
 //     (a staged value beats an older flash copy at the same boundary),
 //     rebuild each family's version chains oldest-first from the selected
@@ -43,7 +51,18 @@ import (
 //     background actors and re-stage the still-NVRAM-resident values into
 //     packers for programming.
 //
+// Who owns what. Until step 5 starts the device's actors, the recovering
+// actor owns everything — tables, allocator, NVRAM — and takes no lock, with
+// one exception: while the scanners of steps 3-4 run it only waits for them.
+// A scanner writes nothing but its own chipScan and its own chip's logChip
+// (free list, block states); the NVRAM maps it consults (bad blocks, aborted
+// sequences) are read-only until the join, and the counter cells it bumps
+// are atomics. Everything shared that the scan feeds — the candidate set,
+// the logs' free-block counts, the bad-block table — is written at the
+// join, by the recovering actor, after every scanner has exited.
+//
 // The configuration and flash geometry must match the pre-crash device.
+// Call from a simulation actor.
 func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*Device, error) {
 	arr.PowerOn()
 	fc := arr.Config()
@@ -63,11 +82,11 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 	}
 	d.initLocks()
 	d.buildLogs()
+	began := d.eng.NowCheap() // for kaml_recovery_seconds, observed once the registry exists
 
 	// 1. Namespaces from the catalog (sorted for determinism; a root's ID
 	// is always smaller than its snapshots', so families exist before their
-	// shells). The scan (steps 1-4) is single-threaded — no actor runs
-	// until step 5 — so the tables, allocator, and stats need no locking.
+	// shells).
 	for _, m := range nv.sortedCatalog() {
 		nLogs := m.numLogs
 		if nLogs <= 0 || nLogs > len(d.logs) {
@@ -104,38 +123,8 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 
 	// 3 + 4. Scan the logs and rebuild the allocator.
 	cr := newChainRebuild(d)
-	for _, lg := range d.logs {
-		lg.freeBlocks = 0
-		for ci := range lg.chips {
-			lc := lg.chips[ci]
-			ch, chip := lg.chipAddr(ci)
-			lc.free = lc.free[:0]
-			for b := range lc.blocks {
-				lc.blocks[b] = blockMeta{}
-				first := arr.BlockPPN(ch, chip, b, 0)
-				if nv.isRetired(first) {
-					lc.blocks[b].retired = true
-					continue
-				}
-				n := arr.ProgrammedPages(first)
-				if n == 0 {
-					lc.free = append(lc.free, b)
-					lg.freeBlocks++
-					continue
-				}
-				if err := d.scanBlock(lg, cr, ch, chip, b, n); err != nil {
-					return nil, err
-				}
-				if n < fc.PagesPerBlock {
-					if err := d.padBlock(lc, ch, chip, b); err != nil {
-						return nil, err
-					}
-				}
-				if !lc.blocks[b].retired {
-					lc.blocks[b].sealed = true
-				}
-			}
-		}
+	if err := d.scanLogs(cr); err != nil {
+		return nil, err
 	}
 
 	// 5a. Merge committed NVRAM values into the candidate set; a value
@@ -164,6 +153,7 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 	// needs running flushers to drain the queue), then route the surviving
 	// NVRAM values into packers.
 	d.startActors()
+	d.recoveryTime.ObserveDuration(d.eng.NowCheap() - began)
 	// Seed the index-population gauge from the rebuilt mapping tables (the
 	// device's cells are fresh; incremental updates resume from here).
 	for _, m := range nv.sortedCatalog() {
@@ -286,50 +276,174 @@ func (cr *chainRebuild) build(d *Device) error {
 	return nil
 }
 
-// scanBlock reads the programmed prefix of one block and offers every
-// surviving record to the chain rebuild.
-func (d *Device) scanBlock(lg *logState, cr *chainRebuild, ch, chip, b, n int) error {
-	for page := 0; page < n; page++ {
-		ppn := d.arr.BlockPPN(ch, chip, b, page)
-		var data, oob []byte
-		var err error
-		for tries := 0; ; tries++ {
-			data, oob, err = d.arr.ReadPage(ppn)
-			if err == nil || !errors.Is(err, flash.ErrInjectedFailure) || tries >= maxReadRetries {
-				break
-			}
-			d.ctr.readRetries.Inc()
+// scanRec is one record a scanner found: what chainRebuild.offer takes.
+type scanRec struct {
+	ns       uint32
+	key, seq uint64
+	loc      location
+}
+
+// chipScan is one scanner's chip and what it found there. Only its scanner
+// touches it until the scanner has exited.
+type chipScan struct {
+	lg        *logState
+	lc        *logChip
+	ch, chip  int
+	pagesLeft int         // programmed pages not yet read
+	recs      []scanRec   // surviving records, in (block, page, chunk) order
+	wornOut   []flash.PPN // blocks padding found worn out, for the bad-block table
+	err       error
+}
+
+// scanLogs is steps 3 and 4: one scanner actor per chip reads the chip's
+// programmed pages and rebuilds the chip's share of the allocator, all chips
+// at once; then the caller's actor joins what they found, in scan order.
+//
+// The order matters. offer keeps the first copy of a sequence it is shown,
+// and two copies exist whenever the cut fell between a GC relocation's
+// program and its victim's erase; merging in arrival order would pick a
+// schedule-dependent copy and credit a schedule-dependent block. Joined in
+// (log, chip, block, page, chunk) order, the offers are those of one actor
+// walking the array — the same chains, locations, valid bytes and free lists
+// whichever scanner ran when.
+//
+// A scanner that fails raises failed, which the others poll once per page,
+// so a dead array is not read to the end; scanLogs returns only after every
+// scanner has exited, with the first error in scan order.
+func (d *Device) scanLogs(cr *chainRebuild) error {
+	var scans []*chipScan
+	var failed atomic.Bool
+	exited := d.eng.NewWaitGroup()
+	for _, lg := range d.logs {
+		lg.freeBlocks = 0 // recounted at the join
+		for ci, lc := range lg.chips {
+			sc := &chipScan{lg: lg, lc: lc}
+			sc.ch, sc.chip = lg.chipAddr(ci)
+			scans = append(scans, sc)
+			exited.Add(1)
+			d.eng.Go(fmt.Sprintf("kaml-scan%d", lc.global), func() {
+				defer exited.Done()
+				if sc.err = d.scanChip(sc, &failed); sc.err != nil {
+					failed.Store(true)
+				}
+			})
 		}
-		if err != nil {
-			if errors.Is(err, flash.ErrInjectedFailure) {
-				// A persistently unreadable page: skip it. Any record whose
-				// newest copy sat there is served by an older copy or the
-				// NVRAM replay (committed data is in NVRAM until installed).
-				d.ctr.tornPagesSkipped.Inc()
-				continue
-			}
-			return fmt.Errorf("kamlssd: recovery scan ppn %d: %w", ppn, err)
+	}
+	exited.Wait()
+	for _, sc := range scans {
+		if sc.err != nil {
+			return sc.err
 		}
-		ptype, ok := checkOOB(oob, data)
-		if !ok {
-			d.ctr.tornPagesSkipped.Inc()
+	}
+	for _, sc := range scans {
+		sc.lg.freeBlocks += len(sc.lc.free)
+		for _, first := range sc.wornOut {
+			d.nv.retireBlock(first)
+		}
+		for _, r := range sc.recs {
+			cr.offer(r.ns, r.key, r.seq, uint64(r.loc))
+		}
+		sc.recs = nil // the candidate set is all that outlives the join
+	}
+	return nil
+}
+
+// scanChip walks one chip's blocks: a retired block stays out of service, an
+// empty one goes on the free list, and any other has its programmed prefix
+// read, is padded if partial, and is sealed. Runs on the chip's scanner;
+// returns early, with nothing, once another scanner has failed.
+func (d *Device) scanChip(sc *chipScan, failed *atomic.Bool) error {
+	lc := sc.lc
+	lc.free = lc.free[:0]
+	programmed := make([]int, len(lc.blocks))
+	for b := range lc.blocks {
+		lc.blocks[b] = blockMeta{}
+		first := d.arr.BlockPPN(sc.ch, sc.chip, b, 0)
+		if d.nv.isRetired(first) {
+			lc.blocks[b].retired = true
 			continue
 		}
-		if ptype != pageTypeRecord {
-			continue // stale swapped-index page; dead after recovery
+		programmed[b] = d.arr.ProgrammedPages(first)
+		if programmed[b] == 0 {
+			lc.free = append(lc.free, b)
 		}
-		placed, perr := record.Parse(data, oob, d.cfg.ChunkSize)
-		if perr != nil {
-			return fmt.Errorf("kamlssd: recovery parse ppn %d: %w", ppn, perr)
+		sc.pagesLeft += programmed[b]
+	}
+	for b, n := range programmed {
+		if n == 0 {
+			continue
 		}
-		for _, pl := range placed {
-			seq := pl.Record.Seq
-			if seq == 0 || d.nv.isAborted(seq) {
-				continue // padding record, rolled-back or uncommitted batch
+		for page := 0; page < n; page++ {
+			if failed.Load() {
+				return nil
 			}
-			loc := flashLoc(ppn, pl.StartChunk, pl.NumChunks)
-			cr.offer(pl.Record.Namespace, pl.Record.Key, seq, uint64(loc))
+			if err := d.scanPage(sc, d.arr.BlockPPN(sc.ch, sc.chip, b, page)); err != nil {
+				return err
+			}
+			sc.pagesLeft--
 		}
+		if n < d.fc.PagesPerBlock {
+			if err := d.padBlock(sc, b); err != nil {
+				return err
+			}
+		}
+		if !lc.blocks[b].retired {
+			lc.blocks[b].sealed = true
+		}
+	}
+	return nil
+}
+
+// scanPage reads one programmed page and lists every surviving record on it.
+func (d *Device) scanPage(sc *chipScan, ppn flash.PPN) error {
+	d.ctr.scannedPages.Inc()
+	var data, oob []byte
+	var err error
+	for tries := 0; ; tries++ {
+		data, oob, err = d.arr.ReadPage(ppn)
+		if err == nil || !errors.Is(err, flash.ErrInjectedFailure) || tries >= maxReadRetries {
+			break
+		}
+		d.ctr.readRetries.Inc()
+	}
+	if err != nil {
+		if errors.Is(err, flash.ErrInjectedFailure) {
+			// A persistently unreadable page: skip it. Any record whose
+			// newest copy sat there is served by an older copy or the
+			// NVRAM replay (committed data is in NVRAM until installed).
+			d.ctr.tornPagesSkipped.Inc()
+			return nil
+		}
+		return fmt.Errorf("kamlssd: recovery scan ppn %d: %w", ppn, err)
+	}
+	ptype, ok := checkOOB(oob, data)
+	if !ok {
+		d.ctr.tornPagesSkipped.Inc()
+		return nil
+	}
+	if ptype != pageTypeRecord {
+		return nil // stale swapped-index page; dead after recovery
+	}
+	placed, perr := record.Parse(data, oob, d.cfg.ChunkSize)
+	if perr != nil {
+		return fmt.Errorf("kamlssd: recovery parse ppn %d: %w", ppn, perr)
+	}
+	if sc.recs == nil && len(placed) > 0 {
+		// Size the list once, from the first page holding records: a chip's
+		// pages are packed alike, so this page's count times the pages still
+		// to read is about what the chip holds (and at most a record per
+		// chunk). append covers a chip that proves uneven.
+		sc.recs = make([]scanRec, 0, len(placed)*sc.pagesLeft)
+	}
+	for _, pl := range placed {
+		seq := pl.Record.Seq
+		if seq == 0 || d.nv.isAborted(seq) {
+			continue // padding record, rolled-back or uncommitted batch
+		}
+		sc.recs = append(sc.recs, scanRec{
+			ns: pl.Record.Namespace, key: pl.Record.Key, seq: seq,
+			loc: flashLoc(ppn, pl.StartChunk, pl.NumChunks),
+		})
 	}
 	return nil
 }
@@ -338,28 +452,29 @@ func (d *Device) scanBlock(lg *logState, cr *chainRebuild, ch, chip, b, n int) e
 // (bitmap 0 => no records; seq never matches) so the block can be sealed
 // and later reclaimed. Programs consumed by injected failures still
 // advance the block; a worn-out block is retired instead.
-func (d *Device) padBlock(lc *logChip, ch, chip, b int) error {
+func (d *Device) padBlock(sc *chipScan, b int) error {
 	data := make([]byte, d.fc.PageSize)
 	oob := d.buildOOB(nil, pageTypeRecord, data)
-	first := d.arr.BlockPPN(ch, chip, b, 0)
+	first := d.arr.BlockPPN(sc.ch, sc.chip, b, 0)
 	for {
 		n := d.arr.ProgrammedPages(first)
 		if n >= d.fc.PagesPerBlock {
 			return nil
 		}
-		err := d.programPage(d.arr.BlockPPN(ch, chip, b, n), data, oob)
+		err := d.programPage(d.arr.BlockPPN(sc.ch, sc.chip, b, n), data, oob)
 		switch {
 		case err == nil:
 		case errors.Is(err, flash.ErrInjectedFailure):
 			d.ctr.programRetries.Inc()
 		case errors.Is(err, flash.ErrWornOut):
-			lc.blocks[b].retired = true
-			d.nv.retireBlock(first)
+			sc.lc.blocks[b].retired = true
+			sc.wornOut = append(sc.wornOut, first)
 			d.ctr.blocksRetired.Inc()
 			return nil
 		default:
 			return fmt.Errorf("kamlssd: recovery pad block: %w", err)
 		}
+		d.ctr.paddedPages.Inc() // programmed or failed, the page is spent
 	}
 }
 

@@ -1,0 +1,657 @@
+package kamlssd
+
+import (
+	"bytes"
+	"cmp"
+	"errors"
+	"fmt"
+	"maps"
+	"reflect"
+	"slices"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/kaml-ssd/kaml/internal/faultinject"
+	"github.com/kaml-ssd/kaml/internal/flash"
+	"github.com/kaml-ssd/kaml/internal/hashindex"
+	"github.com/kaml-ssd/kaml/internal/nvme"
+	"github.com/kaml-ssd/kaml/internal/record"
+	"github.com/kaml-ssd/kaml/internal/sim"
+	"github.com/kaml-ssd/kaml/internal/telemetry"
+)
+
+// Tests for the recovery scan (recover.go, steps 3-4): one scanner per chip
+// recovers at the array's bandwidth, recovers the state one actor walking the
+// array would whichever scanner runs when, leaks nothing and loses nothing
+// when power is cut again mid-recovery, and rides out read faults. Every test
+// but the first runs at eight, two and one chips per log, on a free-running
+// engine among others: under -race that is the check that scanners share
+// nothing they write.
+
+var scanNumLogs = []int{1, 4, 8}
+
+// scanLoad fills a device page by page: seven overwrites of a small hot set
+// and one once-written cold key per page, so every block keeps a little live
+// data however much of it has turned to garbage.
+type scanLoad struct {
+	t    *testing.T
+	dev  *Device
+	ns   uint32
+	puts uint64
+	last map[uint64][]byte // the last acknowledged value of each key
+}
+
+func newScanLoad(t *testing.T, dev *Device) *scanLoad {
+	t.Helper()
+	ns, err := dev.CreateNamespace(NamespaceAttrs{})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	return &scanLoad{t: t, dev: dev, ns: ns, last: make(map[uint64][]byte)}
+}
+
+func (w *scanLoad) put(n int) {
+	w.t.Helper()
+	for ; n > 0; n-- {
+		key := w.puts % 56
+		if w.puts%8 == 7 {
+			key = 1<<20 + w.puts
+		}
+		v := val(w.puts, churnValue)
+		if err := w.dev.Put(one(w.ns, key, v)); err != nil {
+			w.t.Fatalf("put %d: %v", w.puts, err)
+		}
+		w.last[key] = v
+		w.puts++
+	}
+}
+
+// checkAll reads every key back from dev.
+func (w *scanLoad) checkAll(dev *Device) {
+	w.t.Helper()
+	for key, want := range w.last {
+		if got, err := dev.Get(w.ns, key); err != nil || !bytes.Equal(got, want) {
+			w.t.Errorf("acknowledged key %d reads back wrong after recovery: %v", key, err)
+			return
+		}
+	}
+}
+
+// crashImage is what a power cut leaves behind — every programmed page and
+// the NVRAM — detached from the engine it happened on, so that one cut can be
+// recovered on any engine, any number of times.
+type crashImage struct {
+	fc    flash.Config
+	cfg   Config
+	pages []imagePage // in (chip, block, page) order
+	nv    *NVRAM      // pristine: load hands out copies
+}
+
+type imagePage struct {
+	ppn       flash.PPN
+	data, oob []byte
+}
+
+// captureImage reads a halted device's array back. Call from an actor.
+func captureImage(t *testing.T, dev *Device, arr *flash.Array) *crashImage {
+	t.Helper()
+	arr.SetInjector(nil)
+	arr.PowerOn()
+	img := &crashImage{fc: arr.Config(), cfg: dev.Config(), nv: cloneNVRAM(dev.NVRAM())}
+	for first := flash.PPN(0); int(first) < img.fc.TotalPages(); first += flash.PPN(img.fc.PagesPerBlock) {
+		for p := 0; p < arr.ProgrammedPages(first); p++ {
+			ppn := first + flash.PPN(p)
+			data, oob, err := arr.ReadPage(ppn)
+			if err != nil {
+				t.Fatalf("capture ppn %d: %v", ppn, err)
+			}
+			img.pages = append(img.pages, imagePage{ppn, data, oob})
+		}
+	}
+	return img
+}
+
+// load programs the image onto a fresh array on e and copies its NVRAM. Call
+// from an actor of e.
+func (img *crashImage) load(t *testing.T, e *sim.Engine) (*flash.Array, *nvme.Controller, *NVRAM) {
+	t.Helper()
+	arr := flash.New(e, img.fc)
+	for _, p := range img.pages {
+		if err := arr.ProgramPage(p.ppn, p.data, p.oob); err != nil {
+			t.Fatalf("load ppn %d: %v", p.ppn, err)
+		}
+	}
+	return arr, nvme.New(e, nvme.DefaultConfig()), cloneNVRAM(img.nv)
+}
+
+func cloneNVRAM(nv *NVRAM) *NVRAM {
+	c := NewNVRAM()
+	c.nextNSID, c.nvSeq, c.nextBatch = nv.nextNSID, nv.nvSeq, nv.nextBatch
+	c.staged.Store(nv.staged.Load())
+	for seq, e := range nv.values {
+		ce := *e
+		ce.val = slices.Clone(e.val)
+		c.values[seq] = &ce
+	}
+	for id, b := range nv.batches {
+		cb := *b
+		cb.seqs = slices.Clone(b.seqs)
+		c.batches[id] = &cb
+	}
+	for _, m := range nv.catalog {
+		c.putNS(*m)
+	}
+	maps.Copy(c.aborted, nv.aborted)
+	maps.Copy(c.badBlocks, nv.badBlocks)
+	return c
+}
+
+// onEngine runs fn as the only root actor of a fresh engine — serialized
+// with seed, or free-running when seed is 0 — and returns when the engine has
+// no actor left: a scanner that outlived its Recover would hang it (and the
+// engine would say who, five seconds later).
+func onEngine(seed int64, fn func(e *sim.Engine)) {
+	e := sim.NewEngine()
+	if seed != 0 {
+		e.Serialize(seed)
+	}
+	e.Go("test", func() { fn(e) })
+	e.Wait()
+}
+
+func scheduleName(seed int64) string {
+	if seed == 0 {
+		return "free-running"
+	}
+	return fmt.Sprintf("serialized seed %d", seed)
+}
+
+// cutImage is the ordinary crash: most of the load flushed, the rest still
+// in NVRAM or on its way to flash when the power goes.
+func cutImage(t *testing.T, nLogs int) (*crashImage, *scanLoad) {
+	t.Helper()
+	var img *crashImage
+	var w *scanLoad
+	r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = nLogs })
+	r.e.Go("test", func() {
+		w = newScanLoad(t, r.dev)
+		w.put(200 * 8)
+		r.dev.Flush()
+		w.put(3*8 + 5)
+		r.dev.PowerFail()
+		r.dev.AwaitHalt()
+		img = captureImage(t, r.dev, r.arr)
+	})
+	r.e.Wait()
+	return img, w
+}
+
+// Recovery is as fast as the array allows: no slower than half again the
+// time its busiest chip needs to sense its pages and program its padding, or
+// its busiest channel to move its pages, whichever is longer. (One actor
+// reading chip after chip took the sum over all chips: 5.5 times as long here,
+// 52 times on the paper's 64 chips.)
+func TestRecoveryRunsAtArrayBandwidth(t *testing.T) {
+	fc := testFlashConfig()
+	r := newSerialRig(1, fc, nil)
+	r.e.Go("test", func() {
+		w := newScanLoad(t, r.dev)
+		w.put(150 * 8)
+		r.dev.Flush()
+		var floor time.Duration
+		var pages, pads int64
+		xfer := fc.TransferTime(fc.PageSize + fc.OOBSize)
+		for ch := 0; ch < fc.Channels; ch++ {
+			var bus time.Duration
+			for chip := 0; chip < fc.ChipsPerChannel; chip++ {
+				var busy time.Duration
+				for b := 0; b < fc.BlocksPerChip; b++ {
+					n := r.arr.ProgrammedPages(r.arr.BlockPPN(ch, chip, b, 0))
+					pad := 0
+					if n > 0 {
+						pad = fc.PagesPerBlock - n
+					}
+					pages, pads = pages+int64(n), pads+int64(pad)
+					busy += time.Duration(n)*fc.ReadLatency + time.Duration(pad)*fc.ProgramLatency
+					bus += time.Duration(n+pad) * xfer
+				}
+				floor = max(floor, busy)
+			}
+			floor = max(floor, bus)
+		}
+		if pages < 150 || pads == 0 {
+			t.Fatalf("setup: %d pages and %d partial-block pages on flash, want at least 150 and some", pages, pads)
+		}
+
+		r.dev.PowerFail()
+		r.dev.AwaitHalt()
+		start := r.e.Now()
+		dev2, err := Recover(r.arr, r.ctrl, r.dev.Config(), r.dev.NVRAM())
+		if err != nil {
+			t.Errorf("recover: %v", err)
+			return
+		}
+		defer dev2.Close()
+		took := r.e.Now() - start
+		t.Logf("%d pages scanned and %d padded in %v; the array's floor is %v", pages, pads, took, floor)
+		if took < floor || took > floor*3/2 {
+			t.Errorf("recovery took %v, want between the array's floor %v and 1.5 times that", took, floor)
+		}
+		st := dev2.Stats()
+		if st.RecoveryScannedPages != pages || st.RecoveryPaddedPages != pads {
+			t.Errorf("Stats() says %d pages scanned and %d padded, the array %d and %d",
+				st.RecoveryScannedPages, st.RecoveryPaddedPages, pages, pads)
+		}
+		for series, stat := range map[string]int64{
+			"kaml_recovery_scanned_pages_total":       st.RecoveryScannedPages,
+			"kaml_recovery_padded_pages_total":        st.RecoveryPaddedPages,
+			"kaml_recovery_torn_pages_total":          st.TornPagesSkipped,
+			"kaml_recovery_records_total":             st.RecoveredRecords,
+			"kaml_recovery_replayed_values_total":     st.ReplayedValues,
+			"kaml_recovery_dropped_uncommitted_total": st.DroppedUncommitted,
+		} {
+			if n := dev2.Telemetry().Counter(series).Value(); n != stat {
+				t.Errorf("%s reads %d, its Stats() field %d: one cell per event", series, n, stat)
+			}
+		}
+		if st.RecoveredRecords == 0 {
+			t.Error("Stats() says recovery rebuilt no record")
+		}
+		h := dev2.Telemetry().Histogram("kaml_recovery_seconds", telemetry.UnitSeconds)
+		if h.Count() != 1 || time.Duration(h.Sum()) != took {
+			t.Errorf("kaml_recovery_seconds holds %d samples summing to %v, want the one recovery of %v",
+				h.Count(), time.Duration(h.Sum()), took)
+		}
+		if n := r.dev.Telemetry().Histogram("kaml_recovery_seconds", telemetry.UnitSeconds).Count(); n != 0 {
+			t.Errorf("the device that never crashed reports %d recoveries", n)
+		}
+		w.checkAll(dev2)
+	})
+	r.e.Wait()
+}
+
+// cutOnErase cuts power at the first erase: after a collector has programmed
+// its victim's live records somewhere else, before the victim is gone.
+type cutOnErase struct{ fired atomic.Bool }
+
+func (c *cutOnErase) Decide(op flash.Op, _ flash.PPN, _ time.Duration) flash.Verdict {
+	if op == flash.OpErase && !c.fired.Swap(true) {
+		return flash.VerdictPowerCut
+	}
+	return flash.VerdictOK
+}
+
+// relocationCutImage is a crash between a GC relocation's program and its
+// victim's erase: the victim's live records are on flash twice, under one
+// sequence number each, and where a log has several chips the two copies sit
+// on different ones. Everything is flushed, a snapshot pins old versions, and
+// the collectors never wake by themselves (GCLowWater 0), so a device
+// recovered from it stays exactly as Recover left it.
+func relocationCutImage(t *testing.T, nLogs int) *crashImage {
+	t.Helper()
+	var img *crashImage
+	r := newSerialRig(1, testFlashConfig(), func(c *Config) {
+		c.NumLogs, c.GCLowWater, c.GCHighWater = nLogs, 0, 0
+	})
+	r.e.Go("test", func() {
+		d := r.dev
+		w := newScanLoad(t, d)
+		w.put(80 * 8)
+		if _, err := d.SnapshotNamespace(w.ns); err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		w.put(120 * 8)
+		d.Flush()
+		// The victim: log 0's first full block on a chip the GC stream will
+		// not open its next block on.
+		lg := d.logs[0]
+		lg.mu.Lock()
+		victimChip, victimBlock := -1, -1
+		for ci, lc := range lg.chips {
+			if ci == lg.nextChip && len(lg.chips) > 1 {
+				continue
+			}
+			ch, chip := lg.chipAddr(ci)
+			for b := range lc.blocks {
+				if victimChip < 0 && lc.blocks[b].sealed && r.arr.ProgrammedPages(r.arr.BlockPPN(ch, chip, b, 0)) == d.fc.PagesPerBlock {
+					victimChip, victimBlock = ci, b
+				}
+			}
+		}
+		lg.mu.Unlock()
+		if victimChip < 0 {
+			t.Fatal("setup: log 0 has no full block to collect")
+		}
+		r.arr.SetInjector(&cutOnErase{})
+		newCollector(d, lg).collectBlock(victimChip, victimBlock)
+		if !d.crashed.Load() || d.Stats().GCCopies == 0 {
+			t.Fatalf("setup: collecting the victim copied %d records and crashed=%v, want a cut at its erase",
+				d.Stats().GCCopies, d.crashed.Load())
+		}
+		d.AwaitHalt()
+		img = captureImage(t, d, r.arr)
+		if n := len(img.nv.values); n != 0 {
+			t.Fatalf("setup: %d values still in NVRAM after Flush", n)
+		}
+	})
+	r.e.Wait()
+	return img
+}
+
+// recovered is everything the recovery scan decides.
+type recovered struct {
+	versions   []versionAt // every version the chains retain, sorted
+	blocks     []blockMeta // chip-major: [chip*BlocksPerChip+block]
+	free       [][]int     // each chip's free list, in order
+	freeBlocks []int       // per log
+	records    int64       // Stats().RecoveredRecords
+}
+
+type versionAt struct {
+	root     uint32
+	key, seq uint64
+	loc      location
+}
+
+func (s *recovered) sortVersions() {
+	slices.SortFunc(s.versions, func(a, b versionAt) int {
+		return cmp.Or(cmp.Compare(a.root, b.root), cmp.Compare(a.key, b.key), cmp.Compare(a.seq, b.seq))
+	})
+}
+
+// diff names the first thing two recovered states disagree on.
+func (s *recovered) diff(o *recovered) string {
+	switch {
+	case reflect.DeepEqual(s, o):
+		return ""
+	case s.records != o.records || len(s.versions) != len(o.versions):
+		return fmt.Sprintf("%d records in %d versions against %d in %d", s.records, len(s.versions), o.records, len(o.versions))
+	case !reflect.DeepEqual(s.free, o.free) || !reflect.DeepEqual(s.freeBlocks, o.freeBlocks):
+		return fmt.Sprintf("free lists %v (%v per log) against %v (%v)", s.free, s.freeBlocks, o.free, o.freeBlocks)
+	}
+	for i, v := range s.versions {
+		if v != o.versions[i] {
+			return fmt.Sprintf("version %+v against %+v", v, o.versions[i])
+		}
+	}
+	perChip := len(s.blocks) / len(s.free)
+	for i, b := range s.blocks {
+		if b != o.blocks[i] {
+			return fmt.Sprintf("chip %d block %d is %+v against %+v", i/perChip, i%perChip, b, o.blocks[i])
+		}
+	}
+	return "something this function does not look at"
+}
+
+// recoveredOf reads the state of a device Recover has just returned.
+func recoveredOf(dev *Device) *recovered {
+	fc := dev.fc
+	s := &recovered{
+		blocks:  make([]blockMeta, fc.Chips()*fc.BlocksPerChip),
+		free:    make([][]int, fc.Chips()),
+		records: dev.Stats().RecoveredRecords,
+	}
+	for _, lg := range dev.logs {
+		lg.mu.Lock()
+		s.freeBlocks = append(s.freeBlocks, lg.freeBlocks)
+		for _, lc := range lg.chips {
+			copy(s.blocks[lc.global*fc.BlocksPerChip:], lc.blocks)
+			s.free[lc.global] = append([]int{}, lc.free...)
+		}
+		lg.mu.Unlock()
+	}
+	dev.mu.RLock()
+	for root, fam := range dev.families {
+		fam.chains.Load().Range(func(key uint64, v *hashindex.Version) bool {
+			for ; v != nil; v = v.Prev() {
+				s.versions = append(s.versions, versionAt{root, key, v.Seq, location(v.Loc())})
+			}
+			return true
+		})
+	}
+	dev.mu.RUnlock()
+	s.sortVersions()
+	return s
+}
+
+// referenceScan is the scan as one actor ran it before there was a scanner
+// per chip, reduced to what an image with nothing in NVRAM needs: walk the
+// array in (log, chip, block, page, chunk) order and keep, per key and pin
+// boundary, the newest record at or below the boundary — the first one met
+// when a sequence is on flash twice. It is the reference the per-chip scan is
+// held to. dups counts the sequences it met twice, apart of them on two chips.
+func referenceScan(t *testing.T, img *crashImage) (s *recovered, dups, apart int) {
+	t.Helper()
+	fc, nLogs := img.fc, img.cfg.NumLogs
+	programmed := make(map[flash.PPN][]imagePage) // by the block's first page
+	for _, p := range img.pages {
+		first := p.ppn - p.ppn%flash.PPN(fc.PagesPerBlock)
+		programmed[first] = append(programmed[first], p)
+	}
+	bounds := make(map[uint32][]uint64) // per family root: its pins' cutoffs and its head, ascending
+	for _, m := range img.nv.catalog {
+		root := cmp.Or(m.origin, m.id)
+		bounds[root] = append(bounds[root], m.cutoff)
+	}
+	for root, bs := range bounds {
+		slices.Sort(bs)
+		bounds[root] = slices.Compact(bs)
+	}
+	type keyOf struct {
+		root uint32
+		key  uint64
+	}
+	best := make(map[keyOf][]versionAt)
+	seen := make(map[uint64]flash.PPN)
+	s = &recovered{
+		blocks:     make([]blockMeta, fc.Chips()*fc.BlocksPerChip),
+		free:       make([][]int, fc.Chips()),
+		freeBlocks: make([]int, nLogs),
+	}
+	for lg := 0; lg < nLogs; lg++ {
+		for chip := lg; chip < fc.Chips(); chip += nLogs {
+			s.free[chip] = []int{}
+			for b := 0; b < fc.BlocksPerChip; b++ {
+				first := flash.PPN((chip*fc.BlocksPerChip + b) * fc.PagesPerBlock)
+				meta := &s.blocks[chip*fc.BlocksPerChip+b]
+				switch {
+				case img.nv.isRetired(first):
+					meta.retired = true
+					continue
+				case len(programmed[first]) == 0:
+					s.free[chip] = append(s.free[chip], b)
+					s.freeBlocks[lg]++
+					continue
+				}
+				meta.sealed = true
+				for _, p := range programmed[first] {
+					ptype, ok := checkOOB(p.oob, p.data)
+					if !ok || ptype != pageTypeRecord {
+						continue
+					}
+					placed, err := record.Parse(p.data, p.oob, img.cfg.ChunkSize)
+					if err != nil {
+						t.Fatalf("reference parse ppn %d: %v", p.ppn, err)
+					}
+					for _, pl := range placed {
+						rec := pl.Record
+						if rec.Seq == 0 || img.nv.isAborted(rec.Seq) {
+							continue
+						}
+						if at, twice := seen[rec.Seq]; twice {
+							dups++
+							if int(at)/fc.PagesPerChip() != chip {
+								apart++
+							}
+						}
+						seen[rec.Seq] = p.ppn
+						k := keyOf{rec.Namespace, rec.Key}
+						if best[k] == nil {
+							best[k] = make([]versionAt, len(bounds[rec.Namespace]))
+						}
+						for i, bound := range bounds[rec.Namespace] {
+							if rec.Seq <= bound && rec.Seq > best[k][i].seq {
+								best[k][i] = versionAt{rec.Namespace, rec.Key, rec.Seq, flashLoc(p.ppn, pl.StartChunk, pl.NumChunks)}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, cands := range best {
+		for i, v := range cands {
+			if v.seq == 0 || i > 0 && v.seq == cands[i-1].seq {
+				continue // nothing at or below this boundary, or the version below it again
+			}
+			s.versions = append(s.versions, v)
+			s.blocks[int(v.loc.ppn())/fc.PagesPerBlock].validBytes += int64(v.loc.nchunks() * img.cfg.ChunkSize)
+			s.records++
+		}
+	}
+	s.sortVersions()
+	return s, dups, apart
+}
+
+// Whichever scanner runs when, recovery rebuilds what one actor walking the
+// array would: every version's location, every block's accounting, every free
+// list — with sequences that are on flash twice, on two chips, to choose
+// between.
+func TestRecoveredStateSameWhateverSchedule(t *testing.T) {
+	for _, nLogs := range scanNumLogs {
+		t.Run(fmt.Sprintf("NumLogs=%d", nLogs), func(t *testing.T) {
+			img := relocationCutImage(t, nLogs)
+			want, dups, apart := referenceScan(t, img)
+			t.Logf("%d pages, %d versions retained, %d sequences on flash twice (%d of them on two chips)",
+				len(img.pages), len(want.versions), dups, apart)
+			if dups == 0 || (apart == 0) != (nLogs == img.fc.Chips()) {
+				t.Fatalf("setup: %d sequences on flash twice, %d of them on two chips", dups, apart)
+			}
+			for seed := int64(0); seed <= 5; seed++ {
+				onEngine(seed, func(e *sim.Engine) {
+					arr, ctrl, nv := img.load(t, e)
+					dev, err := Recover(arr, ctrl, img.cfg, nv)
+					if err != nil {
+						t.Errorf("%s: recover: %v", scheduleName(seed), err)
+						return
+					}
+					defer dev.Close()
+					if diff := want.diff(recoveredOf(dev)); diff != "" {
+						t.Errorf("%s: the reference scan and Recover disagree: %s", scheduleName(seed), diff)
+					}
+				})
+			}
+		})
+	}
+}
+
+// A power cut in the middle of recovery — on a padding program, or at an
+// instant when every scanner is reading — fails that recovery with the cut
+// itself, leaves no scanner behind, and costs nothing: the next recovery
+// replays and rebuilds what an undisturbed one does.
+func TestPowerCutDuringRecovery(t *testing.T) {
+	for _, nLogs := range scanNumLogs {
+		img, w := cutImage(t, nLogs)
+		var undisturbed Stats
+		onEngine(0, func(e *sim.Engine) {
+			arr, ctrl, nv := img.load(t, e)
+			dev, err := Recover(arr, ctrl, img.cfg, nv)
+			if err != nil {
+				t.Fatalf("NumLogs=%d: undisturbed recover: %v", nLogs, err)
+			}
+			undisturbed = dev.Stats()
+			dev.Close()
+		})
+		if undisturbed.ReplayedValues == 0 || undisturbed.RecoveryPaddedPages < 2 {
+			t.Fatalf("NumLogs=%d setup: an undisturbed recovery replays %d values and pads %d pages, want some and two",
+				nLogs, undisturbed.ReplayedValues, undisturbed.RecoveryPaddedPages)
+		}
+		for _, cut := range []struct {
+			name string
+			plan func(now time.Duration) faultinject.Config
+		}{
+			{"on a padding program", func(time.Duration) faultinject.Config {
+				return faultinject.Config{CutAfterPrograms: 2}
+			}},
+			{"mid-scan", func(now time.Duration) faultinject.Config {
+				return faultinject.Config{CutAtTime: now + 500*time.Microsecond}
+			}},
+		} {
+			for _, seed := range []int64{0, 1} {
+				t.Run(fmt.Sprintf("NumLogs=%d/%s/%s", nLogs, cut.name, scheduleName(seed)), func(t *testing.T) {
+					onEngine(seed, func(e *sim.Engine) {
+						arr, ctrl, nv := img.load(t, e)
+						arr.SetInjector(faultinject.New(cut.plan(e.Now())))
+						dev, err := Recover(arr, ctrl, img.cfg, nv)
+						if !errors.Is(err, flash.ErrPowerCut) {
+							if err == nil {
+								dev.Close()
+							}
+							t.Errorf("recovery with power cut %s returned %v, want flash.ErrPowerCut", cut.name, err)
+							return
+						}
+						dev, err = Recover(arr, ctrl, img.cfg, nv)
+						if err != nil {
+							t.Errorf("second recover: %v", err)
+							return
+						}
+						defer dev.Close()
+						st := dev.Stats()
+						if st.ReplayedValues != undisturbed.ReplayedValues || st.RecoveredRecords != undisturbed.RecoveredRecords {
+							t.Errorf("after the cut recovery replayed %d values and rebuilt %d records, undisturbed %d and %d",
+								st.ReplayedValues, st.RecoveredRecords, undisturbed.ReplayedValues, undisturbed.RecoveredRecords)
+						}
+						w.checkAll(dev)
+					})
+				})
+			}
+		}
+	}
+}
+
+// Read faults during the scan: a read is retried, a page that stays unreadable
+// is skipped and both are counted, by eight scanners drawing from one fault
+// plan. Recovery still succeeds, and nothing whose acknowledged value was
+// still in NVRAM is lost.
+func TestRecoveryScanRidesOutReadFaults(t *testing.T) {
+	for _, nLogs := range scanNumLogs {
+		img, w := cutImage(t, nLogs)
+		inNVRAM := make(map[uint64]bool)
+		for _, e := range img.nv.values {
+			if bytes.Equal(e.val, w.last[e.key]) {
+				inNVRAM[e.key] = true
+			}
+		}
+		if len(inNVRAM) == 0 {
+			t.Fatalf("NumLogs=%d setup: no key's last acknowledged value is in NVRAM at the cut", nLogs)
+		}
+		for _, seed := range []int64{0, 1} {
+			t.Run(fmt.Sprintf("NumLogs=%d/%s", nLogs, scheduleName(seed)), func(t *testing.T) {
+				onEngine(seed, func(e *sim.Engine) {
+					arr, ctrl, nv := img.load(t, e)
+					// Three reads in five fail: one page in thirteen fails all five.
+					plan := faultinject.New(faultinject.Config{Seed: 1, ReadFailProb: 0.6})
+					arr.SetInjector(plan)
+					dev, err := Recover(arr, ctrl, img.cfg, nv)
+					if err != nil {
+						t.Errorf("recover: %v", err)
+						return
+					}
+					defer dev.Close()
+					plan.SetProbs(0, 0, 0)
+					st := dev.Stats()
+					t.Logf("%d pages scanned: %d reads retried, %d pages skipped", st.RecoveryScannedPages, st.ReadRetries, st.TornPagesSkipped)
+					if st.ReadRetries == 0 || st.TornPagesSkipped == 0 {
+						t.Errorf("%d reads retried and %d pages skipped, want some of each", st.ReadRetries, st.TornPagesSkipped)
+					}
+					for key := range inNVRAM {
+						if got, err := dev.Get(w.ns, key); err != nil || !bytes.Equal(got, w.last[key]) {
+							t.Errorf("key %d, acknowledged and still in NVRAM at the cut, reads back wrong: %v", key, err)
+						}
+					}
+				})
+			})
+		}
+	}
+}

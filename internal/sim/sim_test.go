@@ -32,12 +32,22 @@ func TestSleepZeroIsNoop(t *testing.T) {
 	e.Wait()
 }
 
+// together spawns the actors of a test that asserts on virtual instants from
+// one root actor: the clock cannot move while the root runs, so all of them
+// start at the same instant. Spawned one by one from the test goroutine, the
+// first could park — and the clock advance — before the next existed.
+func together(e *Engine, spawn func()) {
+	e.Go("root", spawn)
+	e.Wait()
+}
+
 func TestParallelSleepersOverlap(t *testing.T) {
 	e := NewEngine()
 	var end1, end2 time.Duration
-	e.Go("a", func() { e.Sleep(10 * time.Millisecond); end1 = e.Now() })
-	e.Go("b", func() { e.Sleep(10 * time.Millisecond); end2 = e.Now() })
-	e.Wait()
+	together(e, func() {
+		e.Go("a", func() { e.Sleep(10 * time.Millisecond); end1 = e.Now() })
+		e.Go("b", func() { e.Sleep(10 * time.Millisecond); end2 = e.Now() })
+	})
 	if end1 != 10*time.Millisecond || end2 != 10*time.Millisecond {
 		t.Fatalf("ends %v %v, want both 10ms (parallel)", end1, end2)
 	}
@@ -47,17 +57,14 @@ func TestMutexSerializesUse(t *testing.T) {
 	e := NewEngine()
 	m := e.NewMutex("chip")
 	var ends []time.Duration
-	done := e.NewWaitGroup()
-	for i := 0; i < 3; i++ {
-		done.Add(1)
-		e.Go("w", func() {
-			defer done.Done()
-			m.Use(10 * time.Millisecond)
-			ends = append(ends, e.Now())
-		})
-	}
-	e.Go("join", func() { done.Wait() })
-	e.Wait()
+	together(e, func() {
+		for i := 0; i < 3; i++ {
+			e.Go("w", func() {
+				m.Use(10 * time.Millisecond)
+				ends = append(ends, e.Now())
+			})
+		}
+	})
 	if len(ends) != 3 {
 		t.Fatalf("got %d ends", len(ends))
 	}
@@ -153,14 +160,15 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	e := NewEngine()
 	s := e.NewSemaphore("cores", 2)
 	ends := make([]time.Duration, 4) // indexed: jobs may finish at the same instant
-	for i := 0; i < 4; i++ {
-		i := i
-		e.Go("job", func() {
-			s.Use(10 * time.Millisecond)
-			ends[i] = e.Now()
-		})
-	}
-	e.Wait()
+	together(e, func() {
+		for i := 0; i < 4; i++ {
+			i := i
+			e.Go("job", func() {
+				s.Use(10 * time.Millisecond)
+				ends[i] = e.Now()
+			})
+		}
+	})
 	// 4 jobs, 2 permits, 10ms each: finish at 10,10,20,20.
 	var at10, at20 int
 	for _, d := range ends {
@@ -183,23 +191,24 @@ func TestRWMutexReadersShareWritersExclude(t *testing.T) {
 	m := e.NewRWMutex("rw")
 	readEnds := make([]time.Duration, 3) // indexed: readers finish together
 	var writeEnd time.Duration
-	for i := 0; i < 3; i++ {
-		i := i
-		e.Go("r", func() {
-			m.RLock()
-			e.Sleep(10 * time.Millisecond)
-			readEnds[i] = e.Now()
-			m.RUnlock()
+	together(e, func() {
+		for i := 0; i < 3; i++ {
+			i := i
+			e.Go("r", func() {
+				m.RLock()
+				e.Sleep(10 * time.Millisecond)
+				readEnds[i] = e.Now()
+				m.RUnlock()
+			})
+		}
+		e.Go("w", func() {
+			e.Sleep(time.Millisecond) // arrive after readers hold the lock
+			m.Lock()
+			e.Sleep(5 * time.Millisecond)
+			writeEnd = e.Now()
+			m.Unlock()
 		})
-	}
-	e.Go("w", func() {
-		e.Sleep(time.Millisecond) // arrive after readers hold the lock
-		m.Lock()
-		e.Sleep(5 * time.Millisecond)
-		writeEnd = e.Now()
-		m.Unlock()
 	})
-	e.Wait()
 	for _, r := range readEnds {
 		if r != 10*time.Millisecond {
 			t.Fatalf("reader end %v, want 10ms (shared)", r)
@@ -241,20 +250,19 @@ func TestWaitGroup(t *testing.T) {
 	wg := e.NewWaitGroup()
 	sum := 0
 	var joined time.Duration
-	for i := 1; i <= 3; i++ {
-		i := i
-		wg.Add(1)
-		e.Go("job", func() {
-			e.Sleep(time.Duration(i) * time.Millisecond)
-			sum += i
-			wg.Done()
-		})
-	}
-	e.Go("join", func() {
+	together(e, func() {
+		for i := 1; i <= 3; i++ {
+			i := i
+			wg.Add(1)
+			e.Go("job", func() {
+				e.Sleep(time.Duration(i) * time.Millisecond)
+				sum += i
+				wg.Done()
+			})
+		}
 		wg.Wait()
 		joined = e.Now()
 	})
-	e.Wait()
 	if sum != 6 {
 		t.Fatalf("sum=%d", sum)
 	}

@@ -83,6 +83,10 @@ type FinalReport struct {
 	PowerCuts        int64 `json:"power_cuts"`
 	Recoveries       int64 `json:"recoveries"`
 	RecoveryFailures int64 `json:"recovery_failures"`
+	// RecoveryMS is the virtual time spent inside kaml.Reopen, summed over
+	// the scenario's recoveries (device target; absent when nothing was
+	// recovered): the part of each outage the firmware is answerable for.
+	RecoveryMS float64 `json:"recovery_ms,omitempty"`
 
 	// Flash faults the firmware absorbed, summed over every device
 	// generation (device target only): failed programs rewritten, torn or

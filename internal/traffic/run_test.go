@@ -170,6 +170,29 @@ func TestBrokenSLOFixture(t *testing.T) {
 	}
 }
 
+// TestRecoveryBudget holds a scenario's recovery to a budget it cannot meet:
+// the report must state the time spent in recovery and the run must fail on
+// final.max_recovery_ms, by name, and on nothing else.
+func TestRecoveryBudget(t *testing.T) {
+	sc, err := scenarios.Load("si-mix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Assert.Final.MaxRecoveryMS = 0.001
+	rep, err := traffic.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Final.RecoveryMS <= 0 {
+		t.Fatalf("report states %v ms in recovery after %d recoveries", rep.Final.RecoveryMS, rep.Final.Recoveries)
+	}
+	for _, a := range rep.Assertions {
+		if a.Passed == (a.Name == "final.max_recovery_ms") {
+			t.Errorf("assertion %s passed=%v (%s): want the recovery budget, and only it, to fail", a.Name, a.Passed, a.Detail)
+		}
+	}
+}
+
 // TestSampledHistoryNonTrivial makes sure the acceptance suite is not
 // vacuous: a run records sampled events for the checkers, including
 // writes and the final read-back.

@@ -108,6 +108,7 @@ type runner struct {
 	powerCuts        int64
 	recoveries       int64
 	recoveryFailures int64
+	recoveryTime     time.Duration // inside kaml.Reopen, every attempt
 	// Flash faults absorbed, tallied at the end of each device generation.
 	programRetries, tornPages int64
 
@@ -486,6 +487,7 @@ func (r *runner) devicePowerCut(torn bool) {
 
 	var nd *kaml.Device
 	var err error
+	began := r.eng.Now()
 	for attempt := 0; attempt < 4; attempt++ {
 		if nd, err = kaml.Reopen(img); err == nil {
 			break
@@ -499,6 +501,7 @@ func (r *runner) devicePowerCut(torn bool) {
 		nd, err = kaml.Reopen(img)
 	}
 	r.cmu.Lock()
+	r.recoveryTime += r.eng.Now() - began
 	if err != nil {
 		r.recoveryFailures++
 	} else {
@@ -858,6 +861,7 @@ func (r *runner) buildReport() *Report {
 		PowerCuts:        r.powerCuts,
 		Recoveries:       r.recoveries,
 		RecoveryFailures: r.recoveryFailures,
+		RecoveryMS:       float64(r.recoveryTime.Microseconds()) / 1000,
 		ProgramRetries:   r.programRetries,
 		TornPages:        r.tornPages,
 	}

@@ -257,6 +257,13 @@ type Final struct {
 	// with nothing to bite and the scenario passing vacuously.
 	MinProgramRetries int64 `json:"min_program_retries,omitempty"`
 	MinTornPages      int64 `json:"min_torn_pages,omitempty"`
+	// MaxRecoveryMS (device target) bounds the outage the scenario's power
+	// cuts cause: the virtual time spent inside kaml.Reopen, summed over
+	// every recovery — the report's recovery_ms. Recovery reads every
+	// programmed page, one scanner per chip; a budget of a few times what
+	// the scenario measures fails the run if that ever becomes one actor
+	// reading chip after chip again.
+	MaxRecoveryMS float64 `json:"max_recovery_ms,omitempty"`
 }
 
 // Parse decodes a scenario strictly: unknown fields are rejected so a
@@ -339,7 +346,7 @@ func (sc *Scenario) Validate() error {
 		return fail("no phases")
 	}
 
-	usesTxns := false
+	usesTxns, cutsPower := false, false
 	cursor := int64(0) // absolute virtual ms
 	for i := range sc.Phases {
 		ph := &sc.Phases[i]
@@ -428,6 +435,7 @@ func (sc *Scenario) Validate() error {
 			}
 			switch ev.Kind {
 			case EventPowerCut:
+				cutsPower = true
 				if cluster && ev.Node < -1 {
 					return atEv("node %d invalid (-1 = primary of shard)", ev.Node)
 				}
@@ -486,6 +494,11 @@ func (sc *Scenario) Validate() error {
 	}
 	if sc.Assert.Final.SIAxioms && !usesTxns {
 		return fail("assertions: final.si_axioms set but no phase mixes si_txn")
+	}
+	if ms := sc.Assert.Final.MaxRecoveryMS; ms < 0 {
+		return fail("assertions: final.max_recovery_ms %g is negative", ms)
+	} else if ms > 0 && (cluster || !cutsPower) {
+		return fail("assertions: final.max_recovery_ms set but nothing is recovered (needs the device target and a power_cut event)")
 	}
 	return nil
 }

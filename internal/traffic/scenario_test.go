@@ -37,18 +37,33 @@ func TestParseValid(t *testing.T) {
 	}
 }
 
+// withPowerCut is validScenario with a power cut scheduled and the outage it
+// causes bounded.
+func withPowerCut(budget string) string {
+	s := strings.Replace(validScenario(), `"keys": {"dist": "uniform"}
+    }`, `"keys": {"dist": "uniform"},
+      "events": [{"at_ms": 5, "kind": "power_cut"}]
+    }`, 1)
+	return strings.Replace(s, `"final": {}`, `"final": {"max_recovery_ms": `+budget+`}`, 1)
+}
+
 func TestParseCanonicalRoundTrips(t *testing.T) {
-	sc, err := Parse([]byte(validScenario()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := sc.Canonical()
-	sc2, err := Parse(c1)
-	if err != nil {
-		t.Fatalf("reparse of canonical form: %v", err)
-	}
-	if !bytes.Equal(c1, sc2.Canonical()) {
-		t.Fatal("canonical form is not a fixed point")
+	for _, doc := range []string{validScenario(), withPowerCut("12.5")} {
+		sc, err := Parse([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c1 := sc.Canonical()
+		sc2, err := Parse(c1)
+		if err != nil {
+			t.Fatalf("reparse of canonical form: %v", err)
+		}
+		if !bytes.Equal(c1, sc2.Canonical()) {
+			t.Fatal("canonical form is not a fixed point")
+		}
+		if budget := `"max_recovery_ms": 12.5`; strings.Contains(doc, budget) != bytes.Contains(c1, []byte(budget)) {
+			t.Fatalf("canonical form mislaid the recovery budget:\n%s", c1)
+		}
 	}
 }
 
@@ -142,6 +157,21 @@ func TestMalformedScenarios(t *testing.T) {
 			mut(`"assertions": {"final": {}}`,
 				`"assertions": {"final": {"si_axioms": true}}`),
 			`final.si_axioms set but no phase mixes si_txn`,
+		},
+		{
+			"negative recovery budget",
+			withPowerCut("-1"),
+			`assertions: final.max_recovery_ms -1 is negative`,
+		},
+		{
+			"recovery budget with nothing to recover",
+			mut(`"assertions": {"final": {}}`, `"assertions": {"final": {"max_recovery_ms": 10}}`),
+			`assertions: final.max_recovery_ms set but nothing is recovered`,
+		},
+		{
+			"recovery budget on the cluster target",
+			strings.Replace(withPowerCut("10"), `{"kind": "device"}`, `{"kind": "cluster", "nodes": 2, "shards": 2, "replication": 2}`, 1),
+			`assertions: final.max_recovery_ms set but nothing is recovered`,
 		},
 		{
 			"zero duration",

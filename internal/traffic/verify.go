@@ -372,6 +372,10 @@ func evaluate(sc *Scenario, rep *Report) {
 		add("final.min_torn_pages", fr.TornPages >= f.MinTornPages,
 			fmt.Sprintf("%d torn pages skipped, floor %d", fr.TornPages, f.MinTornPages))
 	}
+	if f.MaxRecoveryMS > 0 {
+		add("final.max_recovery_ms", fr.RecoveryMS <= f.MaxRecoveryMS,
+			fmt.Sprintf("%.3f ms in recovery, budget %.3f", fr.RecoveryMS, f.MaxRecoveryMS))
+	}
 
 	rep.Passed = true
 	for _, a := range rep.Assertions {
