@@ -121,23 +121,16 @@ type Result struct {
 // the virtual clock until the command completes; it is safe to Wait from
 // multiple actors and to Wait repeatedly.
 //
-// The fast path is lock-free: complete publishes the result with one atomic
-// store, and a Wait or Ready that arrives afterwards returns without
-// touching a sim primitive. The mutex/cond pair a blocking Wait parks on is
-// created lazily by the first waiter that actually needs to block — under a
-// loaded pipeline most completions resolve before their waiter gets there,
-// so the common future never allocates (or contends on) either.
+// The future parks on a sim.Latch it carries by value: complete writes the
+// result and opens the latch, which is one atomic store unless somebody is
+// already parked, and a Wait that arrives afterwards returns without touching
+// the engine. Neither side allocates — under a loaded pipeline most
+// completions resolve before their waiter gets there, and the ones that do
+// not park with no mutex or condition of their own.
 type Future struct {
-	eng   *sim.Engine
-	ready atomic.Uint32              // 1 once res is published
-	park  atomic.Pointer[futurePark] // installed by the first blocking waiter
-	res   Result
-}
-
-// futurePark is the parking lot a blocking Wait rides on.
-type futurePark struct {
-	mu *sim.Mutex
-	cv *sim.Cond
+	eng  *sim.Engine
+	done sim.Latch // opened once res is written
+	res  Result
 }
 
 func newFuture(eng *sim.Engine) *Future {
@@ -149,53 +142,26 @@ func newFuture(eng *sim.Engine) *Future {
 // pipeline.
 func Resolved(eng *sim.Engine, res Result) *Future {
 	f := newFuture(eng)
-	f.res = res
-	f.ready.Store(1)
+	f.complete(res)
 	return f
 }
 
 // Wait blocks the calling actor until the command completes and returns its
 // result.
 func (f *Future) Wait() Result {
-	if f.ready.Load() != 0 {
-		return f.res
-	}
-	pk := f.park.Load()
-	if pk == nil {
-		n := &futurePark{mu: f.eng.NewMutex("cmdq-fut")}
-		n.cv = f.eng.NewCond(n.mu)
-		if f.park.CompareAndSwap(nil, n) {
-			pk = n
-		} else {
-			pk = f.park.Load() // another waiter won the install race
-		}
-	}
-	pk.mu.Lock()
-	for f.ready.Load() == 0 {
-		pk.cv.Wait()
-	}
-	pk.mu.Unlock()
+	f.done.Wait(f.eng)
 	return f.res
 }
 
 // Ready reports whether the command has already completed.
-func (f *Future) Ready() bool { return f.ready.Load() != 0 }
+func (f *Future) Ready() bool { return f.done.IsOpen() }
 
-// complete publishes res and wakes any parked waiters. The ready/park
-// accesses are seq-cst, which closes the race with a concurrent Wait: if
-// complete's park.Load sees nil, the waiter's park install came later in
-// the total order, so the waiter's next ready check sees 1 and it never
-// blocks; if complete sees the parking lot, its broadcast runs under the
-// lot's mutex and so cannot slip between a waiter's ready check and its
-// cv.Wait.
+// complete publishes res and wakes any parked waiters. The latch's open is
+// the publication: res is written before it, and a waiter reads res only
+// after it has seen the latch open.
 func (f *Future) complete(res Result) {
 	f.res = res
-	f.ready.Store(1)
-	if pk := f.park.Load(); pk != nil {
-		pk.mu.Lock()
-		pk.cv.Broadcast()
-		pk.mu.Unlock()
-	}
+	f.done.Open(f.eng)
 }
 
 // Config tunes a pipeline.
@@ -426,6 +392,7 @@ func (p *Pipeline) RunDirect(cmd *Command) Result {
 	} else {
 		res = p.exec(cmd)
 	}
+	p.completed.Add(1)
 	p.release(1)
 	return res
 }
@@ -532,9 +499,16 @@ func (p *Pipeline) reserveLocked() (waited, ok bool) {
 	}
 }
 
-// completeAll resolves a drained batch's futures. Lock-free: each complete
-// is one atomic publish (plus a wakeup for waiters that actually parked).
-// Called with p.mu NOT held.
+// completeAll counts a drained batch's commands completed and then resolves
+// their futures. Lock-free: each complete is one atomic publish (plus a
+// wakeup for waiters that actually parked). Called with p.mu NOT held.
+//
+// Counting comes first so that an actor which has waited on every future it
+// submitted reads Stats().Completed == Submitted: a future published before
+// its count would let the waiter run, and read the counters, in between. The
+// occupancy release (release) still follows the publish, so the wakeups a
+// completion delivers keep their order: the future's waiter first, then a
+// submitter parked on queue space.
 func (p *Pipeline) completeAll(tasks []task, results []Result) {
 	if p.reg != nil {
 		now := p.eng.NowCheap()
@@ -542,6 +516,7 @@ func (p *Pipeline) completeAll(tasks []task, results []Result) {
 			p.observeStage(t.cmd.Op, stageTotal, now-t.at)
 		}
 	}
+	p.completed.Add(int64(len(tasks)))
 	for i, t := range tasks {
 		t.fut.complete(results[i])
 	}
@@ -552,10 +527,11 @@ func (p *Pipeline) completeAll(tasks []task, results []Result) {
 // instead of one broadcast per command. Entirely lock-free unless a
 // submitter is actually parked: bpWaiters registration precedes every claim
 // attempt and park, so a waiter this release fails to see is one whose own
-// claim attempt will see the freed slot. Called WITHOUT p.mu held.
+// claim attempt will see the freed slot. The commands were counted completed
+// before their results were published (completeAll). Called WITHOUT p.mu
+// held.
 func (p *Pipeline) release(n int) {
 	now := p.occ.Add(-int64(n))
-	p.completed.Add(int64(n))
 	p.depth.Set(now)
 	p.completionFlocks.Inc()
 	if p.bpWaiters.Load() > 0 {
@@ -598,6 +574,7 @@ func (p *Pipeline) workerLoop() {
 		} else {
 			res = p.exec(t.cmd)
 		}
+		p.completed.Add(1) // counted before it is published: see completeAll
 		t.fut.complete(res)
 		// The occupancy release is lock-free; only the next dequeue needs
 		// the pipeline lock back.

@@ -133,3 +133,40 @@ func TestPowerCutTornProgram(t *testing.T) {
 		}
 	})
 }
+
+// A program that fails — injected failure, power cut, torn power cut — never
+// takes the caller's buffers: they come back untouched, the consumed page
+// (if any) does not share them, and the same buffers program cleanly on the
+// next page. The flusher's re-queue path depends on this: it retries the
+// very page image whose program just failed.
+func TestFailedProgramLeavesBuffersReusable(t *testing.T) {
+	for _, v := range []Verdict{VerdictFail, VerdictPowerCut, VerdictPowerCutTorn} {
+		run(t, smallConfig(), func(e *sim.Engine, a *Array) {
+			fc := a.Config()
+			payload := bytes.Repeat([]byte{0x3c}, fc.PageSize)
+			oob := []byte{1, 2, 3, 4}
+			wantData, wantOOB := bytes.Clone(payload), bytes.Clone(oob)
+			a.SetInjector(&scriptInjector{op: OpProgram, plan: []Verdict{v}})
+			p := a.BlockPPN(0, 0, 0, 0)
+			if err := a.ProgramPage(p, payload, oob); err == nil {
+				t.Fatalf("verdict %d: program succeeded", v)
+			}
+			a.PowerOn()
+			if !bytes.Equal(payload, wantData) || !bytes.Equal(oob, wantOOB) {
+				t.Fatalf("verdict %d: the failed program changed the caller's buffers", v)
+			}
+			if a.ProgrammedPages(p) == 1 {
+				if stored, _, err := a.ReadPage(p); err != nil || &stored[0] == &payload[0] {
+					t.Fatalf("verdict %d: the consumed page shares the caller's buffer (%v)", v, err)
+				}
+				p++
+			}
+			if err := a.ProgramPage(p, payload, oob); err != nil {
+				t.Fatalf("verdict %d: reprogramming the same buffers: %v", v, err)
+			}
+			if got, gotOOB, err := a.ReadPage(p); err != nil || !bytes.Equal(got, wantData) || !bytes.Equal(gotOOB, wantOOB) {
+				t.Fatalf("verdict %d: the retried page reads back wrong (%v)", v, err)
+			}
+		})
+	}
+}

@@ -9,6 +9,18 @@
 // and charges realistic virtual time for every operation: chips serve one
 // read/program/erase at a time, and all chips on a channel share that
 // channel's data bus for transfers.
+//
+// # Page ownership
+//
+// A page's bytes are copied at most once on their way through the array,
+// and usually not at all. ProgramPage keeps the buffers it is handed — the
+// caller gives them up on success — and ReadPage returns those very buffers.
+// Both sides therefore treat a programmed page as immutable, which is what
+// NAND guarantees anyway: nothing changes a page between its program and
+// its block's erase, and an erase drops the page's buffers instead of
+// zeroing them, so a slice somebody still holds keeps reading the old
+// contents. A controller that re-parses a page in place (a collector's
+// victim scan) may hand out slices of it for as long as it likes.
 package flash
 
 import (
@@ -295,13 +307,12 @@ func (a *Array) locate(p PPN) (*chipState, *blockState, Addr, error) {
 	return cs, &cs.blocks[addr.Block], addr, nil
 }
 
-// ReadPage reads a full page (data + OOB). The returned slices alias the
-// array's internal storage and MUST be treated as immutable by the caller —
-// flash pages never change between program and erase, and an erase replaces
-// the backing buffers rather than zeroing them, so the contents stay stable
-// for as long as the caller holds them. Returning the internal buffers
-// avoids an 8 KB copy per read, the single largest allocation on the
-// firmware's hot path.
+// ReadPage reads a full page (data + OOB; the OOB as long as it was
+// programmed). The returned slices are the page itself and MUST be treated
+// as immutable by the caller — flash pages never change between program and
+// erase, and an erase drops the page's buffers rather than zeroing them, so
+// the contents stay stable for as long as the caller holds them (see the
+// package comment).
 // Timing: chip busy for ReadLatency, then the channel bus is held while the
 // page transfers to the controller.
 func (a *Array) ReadPage(p PPN) (data, oob []byte, err error) {
@@ -335,8 +346,18 @@ func (a *Array) ReadPage(p PPN) (data, oob []byte, err error) {
 	return data, oob, nil
 }
 
-// ProgramPage writes a full page. data must be at most PageSize bytes and
-// oob at most OOBSize bytes; both are padded to full length internally.
+// ProgramPage writes a page. data must be at most PageSize bytes and oob at
+// most OOBSize bytes.
+//
+// The array keeps what it is handed instead of copying it: on success the
+// caller gives up data and oob, and must not write to either again — the
+// page is immutable until an erase drops it, exactly like a slice ReadPage
+// returns. A full-size data buffer is stored as is; a short one is padded
+// once, into a fresh page. The OOB is stored as programmed, not padded to
+// OOBSize. On any error the caller keeps both buffers, untouched: a failed
+// or torn program stores fresh buffers of its own, so the payload can be
+// programmed again elsewhere.
+//
 // Timing: the channel bus is held for the transfer, then the chip is busy
 // for ProgramLatency.
 func (a *Array) ProgramPage(p PPN, data, oob []byte) error {
@@ -387,12 +408,14 @@ func (a *Array) ProgramPage(p PPN, data, oob []byte) error {
 		return fmt.Errorf("%w: torn program ppn %d", ErrPowerCut, p)
 	}
 	a.eng.Sleep(a.cfg.ProgramLatency)
-	stored := make([]byte, a.cfg.PageSize)
-	copy(stored, data)
-	soob := make([]byte, a.cfg.OOBSize)
-	copy(soob, oob)
-	bs.data[addr.Page] = stored
-	bs.oob[addr.Page] = soob
+	if len(data) < a.cfg.PageSize {
+		padded := make([]byte, a.cfg.PageSize)
+		copy(padded, data)
+		data = padded
+	}
+	// Full-length, capacity-capped views: nothing can append through them.
+	bs.data[addr.Page] = data[:a.cfg.PageSize:a.cfg.PageSize]
+	bs.oob[addr.Page] = oob[:len(oob):len(oob)]
 	bs.nextPage.Add(1)
 	a.programs.Add(1)
 	return nil
@@ -428,7 +451,7 @@ func (a *Array) EraseBlock(p PPN) error {
 	if a.cfg.EraseEndurance > 0 && int(bs.erases.Load()) > a.cfg.EraseEndurance {
 		return fmt.Errorf("%w: chip %d/%d block %d", ErrWornOut, addr.Channel, addr.Chip, addr.Block)
 	}
-	// Replace (never zero) the page buffers: readers that fetched a slice
+	// Drop (never zero) the page buffers: readers that fetched a slice
 	// from ReadPage before the erase keep a stable view of the old contents.
 	for i := range bs.data {
 		bs.data[i] = nil

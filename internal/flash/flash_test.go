@@ -246,3 +246,35 @@ func TestStatsCount(t *testing.T) {
 		}
 	})
 }
+
+// A full page is kept, not copied: ReadPage returns the very buffer
+// ProgramPage was handed, and the OOB as long as it was programmed. A short
+// page is padded into a page of its own, leaving the caller's slice alone.
+func TestProgramKeepsTheCallersPage(t *testing.T) {
+	run(t, smallConfig(), func(e *sim.Engine, a *Array) {
+		full := bytes.Repeat([]byte{0x5e}, a.Config().PageSize)
+		oob := []byte{9, 8, 7}
+		p := a.BlockPPN(0, 0, 0, 0)
+		if err := a.ProgramPage(p, full, oob); err != nil {
+			t.Fatal(err)
+		}
+		got, gotOOB, err := a.ReadPage(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &got[0] != &full[0] || len(got) != len(full) || cap(got) != len(full) {
+			t.Error("ReadPage does not return the programmed page itself")
+		}
+		if !bytes.Equal(gotOOB, oob) {
+			t.Errorf("OOB reads back as %v, want %v as programmed", gotOOB, oob)
+		}
+		short := make([]byte, 10, a.Config().PageSize)
+		if err := a.ProgramPage(p+1, short, nil); err != nil {
+			t.Fatal(err)
+		}
+		padded, _, err := a.ReadPage(p + 1)
+		if err != nil || len(padded) != a.Config().PageSize || &padded[0] == &short[0] {
+			t.Errorf("a short page is not padded into a page of its own (%v)", err)
+		}
+	})
+}

@@ -22,8 +22,9 @@ const (
 // until its log falls below GCLowWater and then reclaims victims until the
 // log is back at GCHighWater, concurrently with the other logs' collectors.
 // Beside the loop it owns the scratch a collection needs — the prune pass's
-// lists, the scan's record lists, one relocation page buffer — for life, so
-// a collection allocates only what it hands to others.
+// lists, the scan's record lists, the relocation packer — for life, so a
+// collection allocates only what it hands to others: the relocation pages,
+// which go to flash as they are.
 type collector struct {
 	d  *Device
 	lg *logState
@@ -33,9 +34,12 @@ type collector struct {
 	keep []bool
 	pins []uint64
 
-	// Per-victim scratch: the live records and index pages the scan found,
-	// the records of the relocation page being filled, and that page's
-	// buffer (the flash array copies what it is given to program).
+	// Per-victim scratch: one page's parsed records, the live records and
+	// index pages the scan found, the records of the relocation page being
+	// filled, and its packer. Parsed and live records alias the victim's
+	// pages (record.AppendParsed): the only copy of a value is the one
+	// relocation packs.
+	placed     []record.Placed
 	live       []gcRecord
 	indexPages []flash.PPN
 	group      []gcRecord
@@ -185,13 +189,15 @@ type gcRecord struct {
 func (c *collector) collectBlock(chipIdx, block int) {
 	d, lg := c.d, c.lg
 	ch, chip := lg.chipAddr(chipIdx)
+	placed := c.placed[:0]
 	live := c.live[:0]
 	liveIndexPages := c.indexPages[:0] // swapped index pages needing relocation
 	defer func() {
 		// Keep the lists' storage, not what they point at: a parked collector
 		// must not pin a victim's worth of page images.
+		clear(placed[:cap(placed)]) // each page re-slices it: clear past len
 		clear(live)
-		c.live, c.indexPages = live, liveIndexPages
+		c.placed, c.live, c.indexPages = placed, live, liveIndexPages
 	}()
 
 	for page := 0; page < d.fc.PagesPerBlock; page++ {
@@ -228,7 +234,8 @@ func (c *collector) collectBlock(chipIdx, block int) {
 			}
 			continue
 		}
-		placed, perr := record.Parse(data, oob, d.cfg.ChunkSize)
+		var perr error
+		placed, perr = record.AppendParsed(placed[:0], data, oob, d.cfg.ChunkSize)
 		if perr != nil {
 			panic(fmt.Sprintf("kamlssd: GC parse %d: %v", ppn, perr))
 		}
@@ -409,7 +416,7 @@ func (c *collector) relocateRecords(live []gcRecord) error {
 		if packer.Empty() {
 			return nil
 		}
-		data, bitmap := packer.FinishReuse()
+		data, bitmap := packer.Finish()
 		ppn, perr := d.gcProgram(lg, data, d.buildOOB(bitmap, pageTypeRecord, data))
 		if perr != nil {
 			return perr

@@ -76,6 +76,10 @@ type NVRAM struct {
 
 	values  map[uint64]*nvEntry // staged values by sequence
 	batches map[uint64]*nvBatch
+	// open holds the first reserved seq of every batch that has neither
+	// committed nor aborted, by batch ID: what settledSeq needs, without
+	// walking the committed batches that still wait for flash.
+	open map[uint64]uint64
 	// aborted remembers sequences whose records must be ignored if ever
 	// seen on flash: rolled-back batches and values dropped as uncommitted
 	// during recovery. Entries are rare (index-full rollbacks and cut
@@ -124,6 +128,7 @@ func NewNVRAM() *NVRAM {
 		nextNSID:  1,
 		values:    make(map[uint64]*nvEntry),
 		batches:   make(map[uint64]*nvBatch),
+		open:      make(map[uint64]uint64),
 		aborted:   make(map[uint64]struct{}),
 		catalog:   make(map[uint32]*nsMeta),
 		badBlocks: make(map[flash.PPN]struct{}),
@@ -140,6 +145,7 @@ func (nv *NVRAM) beginBatch(n int) (batch, firstSeq uint64) {
 	nv.nextBatch++
 	firstSeq = nv.nvSeq + 1
 	nv.batches[nv.nextBatch] = &nvBatch{first: firstSeq}
+	nv.open[nv.nextBatch] = firstSeq
 	nv.nvSeq += uint64(n)
 	return nv.nextBatch, firstSeq
 }
@@ -148,12 +154,14 @@ func (nv *NVRAM) beginBatch(n int) (batch, firstSeq uint64) {
 // at or below it: every seq <= settledSeq belongs to a batch that already
 // committed or aborted (or is an unused reservation gap). SI begin
 // timestamps come from here so a transaction's snapshot can never be
-// fractured by a batch that was mid-stage at begin.
+// fractured by a batch that was mid-stage at begin. Every Put reads it (its
+// prune pins), so it walks only the open batches — a handful, one per Put in
+// flight — not every committed batch still waiting for its flash installs.
 func (nv *NVRAM) settledSeq() uint64 {
 	ts := nv.nvSeq
-	for _, b := range nv.batches {
-		if !b.committed && b.first-1 < ts {
-			ts = b.first - 1
+	for _, first := range nv.open {
+		if first-1 < ts {
+			ts = first - 1
 		}
 	}
 	return ts
@@ -178,6 +186,7 @@ func (nv *NVRAM) commitBatch(batch uint64) {
 		return
 	}
 	b.committed = true
+	delete(nv.open, batch)
 	for _, seq := range b.seqs {
 		if e := nv.values[seq]; e != nil && e.installed {
 			delete(nv.values, seq)
@@ -208,6 +217,7 @@ func (nv *NVRAM) abortBatch(batch uint64) {
 		nv.aborted[seq] = struct{}{}
 	}
 	delete(nv.batches, batch)
+	delete(nv.open, batch)
 }
 
 // installed records that seq's flash copy is now pointed at by the index.
@@ -285,6 +295,7 @@ func (nv *NVRAM) dropUncommitted() int {
 			nv.aborted[seq] = struct{}{}
 		}
 		delete(nv.batches, id)
+		delete(nv.open, id)
 	}
 	return dropped
 }

@@ -289,11 +289,18 @@ type chipScan struct {
 	lg        *logState
 	lc        *logChip
 	ch, chip  int
-	pagesLeft int         // programmed pages not yet read
-	recs      []scanRec   // surviving records, in (block, page, chunk) order
-	wornOut   []flash.PPN // blocks padding found worn out, for the bad-block table
+	pagesLeft int             // programmed pages not yet read
+	placed    []record.Placed // the page being parsed, in place (scratch)
+	recs      []scanRec       // surviving records, in (block, page, chunk) order
+	wornOut   []flash.PPN     // blocks padding found worn out, for the bad-block table
+	pad       padPage         // shared by every scanner
 	err       error
 }
+
+// padPage is the empty record page (bitmap 0, so no records) recovery pads
+// partial blocks with. Flash keeps what it programs and never changes it, so
+// one image serves every padding program of every scanner.
+type padPage struct{ data, oob []byte }
 
 // scanLogs is steps 3 and 4: one scanner actor per chip reads the chip's
 // programmed pages and rebuilds the chip's share of the allocator, all chips
@@ -314,10 +321,12 @@ func (d *Device) scanLogs(cr *chainRebuild) error {
 	var scans []*chipScan
 	var failed atomic.Bool
 	exited := d.eng.NewWaitGroup()
+	pad := padPage{data: make([]byte, d.fc.PageSize)}
+	pad.oob = d.buildOOB(nil, pageTypeRecord, pad.data)
 	for _, lg := range d.logs {
 		lg.freeBlocks = 0 // recounted at the join
 		for ci, lc := range lg.chips {
-			sc := &chipScan{lg: lg, lc: lc}
+			sc := &chipScan{lg: lg, lc: lc, pad: pad}
 			sc.ch, sc.chip = lg.chipAddr(ci)
 			scans = append(scans, sc)
 			exited.Add(1)
@@ -343,7 +352,7 @@ func (d *Device) scanLogs(cr *chainRebuild) error {
 		for _, r := range sc.recs {
 			cr.offer(r.ns, r.key, r.seq, uint64(r.loc))
 		}
-		sc.recs = nil // the candidate set is all that outlives the join
+		sc.recs, sc.placed = nil, nil // the candidate set is all that outlives the join
 	}
 	return nil
 }
@@ -424,7 +433,8 @@ func (d *Device) scanPage(sc *chipScan, ppn flash.PPN) error {
 	if ptype != pageTypeRecord {
 		return nil // stale swapped-index page; dead after recovery
 	}
-	placed, perr := record.Parse(data, oob, d.cfg.ChunkSize)
+	placed, perr := record.AppendParsed(sc.placed[:0], data, oob, d.cfg.ChunkSize)
+	sc.placed = placed
 	if perr != nil {
 		return fmt.Errorf("kamlssd: recovery parse ppn %d: %w", ppn, perr)
 	}
@@ -449,19 +459,17 @@ func (d *Device) scanPage(sc *chipScan, ppn flash.PPN) error {
 }
 
 // padBlock fills a partially-programmed block with empty record pages
-// (bitmap 0 => no records; seq never matches) so the block can be sealed
-// and later reclaimed. Programs consumed by injected failures still
-// advance the block; a worn-out block is retired instead.
+// (sc.pad) so the block can be sealed and later reclaimed. Programs consumed
+// by injected failures still advance the block; a worn-out block is retired
+// instead.
 func (d *Device) padBlock(sc *chipScan, b int) error {
-	data := make([]byte, d.fc.PageSize)
-	oob := d.buildOOB(nil, pageTypeRecord, data)
 	first := d.arr.BlockPPN(sc.ch, sc.chip, b, 0)
 	for {
 		n := d.arr.ProgrammedPages(first)
 		if n >= d.fc.PagesPerBlock {
 			return nil
 		}
-		err := d.programPage(d.arr.BlockPPN(sc.ch, sc.chip, b, n), data, oob)
+		err := d.programPage(d.arr.BlockPPN(sc.ch, sc.chip, b, n), sc.pad.data, sc.pad.oob)
 		switch {
 		case err == nil:
 		case errors.Is(err, flash.ErrInjectedFailure):

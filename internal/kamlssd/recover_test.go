@@ -139,6 +139,7 @@ func cloneNVRAM(nv *NVRAM) *NVRAM {
 		cb.seqs = slices.Clone(b.seqs)
 		c.batches[id] = &cb
 	}
+	maps.Copy(c.open, nv.open)
 	for _, m := range nv.catalog {
 		c.putNS(*m)
 	}
@@ -280,6 +281,57 @@ func (c *cutOnErase) Decide(op flash.Op, _ flash.PPN, _ time.Duration) flash.Ver
 		return flash.VerdictPowerCut
 	}
 	return flash.VerdictOK
+}
+
+// firstProgram gives the array's first program the verdict v.
+type firstProgram struct {
+	v     flash.Verdict
+	fired atomic.Bool
+}
+
+func (f *firstProgram) Decide(op flash.Op, _ flash.PPN, _ time.Duration) flash.Verdict {
+	if op == flash.OpProgram && !f.fired.Swap(true) {
+		return f.v
+	}
+	return flash.VerdictOK
+}
+
+// A program that fails or is torn leaves a page the scans skip. Flash keeps
+// the page it is handed instead of a copy, so this checks that it keeps no
+// part of it on failure: the consumed page fails checkOOB (zeroed OOB), while
+// the record page the caller still holds passes it, ready to be programmed
+// again.
+func TestTornAndFailedPagesFailCheckOOB(t *testing.T) {
+	for _, v := range []flash.Verdict{flash.VerdictFail, flash.VerdictPowerCutTorn} {
+		r := newSerialRig(1, testFlashConfig(), nil)
+		r.e.Go("test", func() {
+			d := r.dev
+			p := record.NewPacker(d.fc.PageSize, d.cfg.ChunkSize)
+			for k := uint64(1); p.Fits(record.HeaderSize + 300); k++ {
+				p.Add(record.Record{Namespace: 1, Key: k, Seq: k, Value: val(k, 300)})
+			}
+			data, bitmap := p.Finish()
+			oob := d.buildOOB(bitmap, pageTypeRecord, data)
+			ppn := r.arr.BlockPPN(0, 0, d.fc.BlocksPerChip-1, 0) // a block no log has opened
+			r.arr.SetInjector(&firstProgram{v: v})
+			if err := r.arr.ProgramPage(ppn, data, oob); err == nil {
+				t.Errorf("verdict %d: program succeeded", v)
+			}
+			r.arr.SetInjector(nil)
+			r.arr.PowerOn()
+			stored, storedOOB, err := r.arr.ReadPage(ppn)
+			if err != nil {
+				t.Errorf("verdict %d: the consumed page: %v", v, err)
+			} else if _, ok := checkOOB(storedOOB, stored); ok {
+				t.Errorf("verdict %d: the consumed page passes checkOOB", v)
+			}
+			if ptype, ok := checkOOB(oob, data); !ok || ptype != pageTypeRecord {
+				t.Errorf("verdict %d: the caller's page no longer passes checkOOB", v)
+			}
+			d.Close()
+		})
+		r.e.Wait()
+	}
 }
 
 // relocationCutImage is a crash between a GC relocation's program and its

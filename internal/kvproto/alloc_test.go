@@ -46,3 +46,45 @@ func TestFrameCodecAllocBudget(t *testing.T) {
 	}
 	t.Logf("frame round trip: %.1f allocs/op (budget %d)", got, frameCodecAllocBudget)
 }
+
+// clientRoundTripAllocBudget bounds one framed Put and one Get, end to end
+// and on every goroutine — client encode, loopback socket, server pump,
+// device, reply, client decode: the measured steady state (32; 46 while
+// every simulated park allocated) plus one.
+const clientRoundTripAllocBudget = 33
+
+// TestClientRoundTripAllocBudget pins the framed client's round trip.
+func TestClientRoundTripAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under the race detector; the budget is exact")
+	}
+	_, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ns, err := c.CreateNamespace(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := bytes.Repeat([]byte{0x5a}, 256)
+	var key uint64
+	roundTrip := func() {
+		key = (key + 1) % 256
+		if err := c.Put(ns, key, val); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+		if got, err := c.Get(ns, key); err != nil || !bytes.Equal(got, val) {
+			t.Fatalf("get: %v", err)
+		}
+	}
+	for i := 0; i < 512; i++ {
+		roundTrip()
+	}
+	got := testing.AllocsPerRun(1000, roundTrip)
+	if got > clientRoundTripAllocBudget {
+		t.Fatalf("framed Put + Get allocates %.1f/op, budget %d", got, clientRoundTripAllocBudget)
+	}
+	t.Logf("framed Put + Get: %.1f allocs/op (budget %d)", got, clientRoundTripAllocBudget)
+}

@@ -8,8 +8,9 @@ import (
 // FuzzRecordParse fuzzes the on-flash page parser (the GC's view of a page:
 // raw data + OOB bitmap, paper §IV-E). Parse over arbitrary inputs must
 // never panic and never read out of bounds; whatever it accepts must be
-// internally consistent: records sit where the bitmap says, decode again
-// via At, and survive a Marshal/Unmarshal round trip.
+// internally consistent: records sit where the bitmap says, their values
+// are the page's own bytes (decoded in place), decode again via At, and
+// survive a Marshal/Unmarshal round trip.
 func FuzzRecordParse(f *testing.F) {
 	// Seed with a genuine two-record page at the default geometry.
 	p := NewPacker(1024, DefaultChunkSize)
@@ -39,6 +40,9 @@ func FuzzRecordParse(f *testing.F) {
 			if pl.Record.EncodedSize() > pl.NumChunks*chunkSize {
 				t.Fatalf("record of %d bytes reported in %d chunks of %d",
 					pl.Record.EncodedSize(), pl.NumChunks, chunkSize)
+			}
+			if v := pl.Record.Value; len(v) > 0 && &v[0] != &data[pl.StartChunk*chunkSize+HeaderSize] {
+				t.Fatalf("record at chunk %d: value is not the page's own bytes", pl.StartChunk)
 			}
 			// The same record must decode via the Get path.
 			at, err := At(data, pl.StartChunk, chunkSize)

@@ -6,6 +6,12 @@
 // 8-byte bitmap stored in the page's OOB region has bit i set iff chunk i is
 // the last chunk of a record, which lets the garbage collector re-parse any
 // page without consulting the index.
+//
+// A page is built once and parsed in place. Packer.Finish hands over the
+// page image it built, to be programmed as it is; AppendParsed returns
+// records whose values alias the page they were parsed from, into a slice
+// the caller reuses. The one value that is copied out is the one a Get
+// returns (At).
 package record
 
 import (
@@ -52,8 +58,20 @@ func (r Record) Marshal(dst []byte) []byte {
 	return append(dst, r.Value...)
 }
 
-// Unmarshal decodes a record that starts at the beginning of b.
+// Unmarshal decodes a record that starts at the beginning of b into a
+// value of its own: the result does not alias b.
 func Unmarshal(b []byte) (Record, error) {
+	r, err := decode(b)
+	if err != nil {
+		return Record{}, err
+	}
+	r.Value = append([]byte(nil), r.Value...)
+	return r, nil
+}
+
+// decode decodes a record that starts at the beginning of b in place: the
+// result's Value aliases b.
+func decode(b []byte) (Record, error) {
 	if len(b) < HeaderSize {
 		return Record{}, errors.New("record: short header")
 	}
@@ -61,11 +79,12 @@ func Unmarshal(b []byte) (Record, error) {
 	if int(vlen) > len(b)-HeaderSize {
 		return Record{}, fmt.Errorf("record: value length %d exceeds buffer %d", vlen, len(b)-HeaderSize)
 	}
+	end := HeaderSize + int(vlen)
 	return Record{
 		Namespace: binary.LittleEndian.Uint32(b[0:4]),
 		Key:       binary.LittleEndian.Uint64(b[4:12]),
 		Seq:       binary.LittleEndian.Uint64(b[12:20]),
-		Value:     append([]byte(nil), b[HeaderSize:HeaderSize+int(vlen)]...),
+		Value:     b[HeaderSize:end:end],
 	}, nil
 }
 
@@ -135,25 +154,17 @@ func (p *Packer) Add(r Record) int {
 }
 
 // Finish returns the page image (padded to the full page size) and the
-// 8-byte OOB bitmap, then resets the packer for the next page.
+// 8-byte OOB bitmap, then resets the packer for the next page. The image is
+// the caller's: the packer starts the next page in a buffer of its own, so
+// the image can go to flash as it is (flash.ProgramPage keeps it).
 func (p *Packer) Finish() (data []byte, oob []byte) {
-	data, oob = p.FinishReuse()
-	p.data = make([]byte, 0, p.pageSize)
-	return data, oob
-}
-
-// FinishReuse is Finish for a caller that is done with the page image before
-// it adds the next record (a flash program copies what it is given): the
-// packer keeps its page buffer, and the next Add overwrites the returned
-// image.
-func (p *Packer) FinishReuse() (data []byte, oob []byte) {
 	data = p.data
 	if len(data) < p.pageSize {
 		data = append(data, make([]byte, p.pageSize-len(data))...)
 	}
 	oob = make([]byte, 8)
 	binary.LittleEndian.PutUint64(oob, p.bitmap)
-	p.data = data[:0]
+	p.data = make([]byte, 0, p.pageSize)
 	p.bitmap = 0
 	p.used = 0
 	p.count = 0
@@ -168,14 +179,25 @@ type Placed struct {
 }
 
 // Parse decodes a packed page back into its records using the OOB bitmap,
-// exactly as the firmware's GC does (paper §IV-E).
+// exactly as the firmware's GC does (paper §IV-E). It is AppendParsed into a
+// fresh slice.
 func Parse(data, oob []byte, chunkSize int) ([]Placed, error) {
+	return AppendParsed(nil, data, oob, chunkSize)
+}
+
+// AppendParsed decodes a packed page in place and appends its records to
+// dst, a slice the caller owns and may reuse from page to page. Each
+// record's Value aliases data — nothing is copied — so it stays valid for as
+// long as data does: for a page read from flash, for as long as the caller
+// holds the page (see package flash). A caller that keeps a value past that,
+// or writes to it, copies it first; relocation copies the live ones when it
+// packs them into their new page.
+func AppendParsed(dst []Placed, data, oob []byte, chunkSize int) ([]Placed, error) {
 	if len(oob) < 8 {
-		return nil, errors.New("record: OOB too short for bitmap")
+		return dst, errors.New("record: OOB too short for bitmap")
 	}
 	bitmap := binary.LittleEndian.Uint64(oob[:8])
 	chunks := len(data) / chunkSize
-	var out []Placed
 	start := 0
 	for i := 0; i < chunks && i < 64; i++ {
 		if bitmap&(1<<uint(i)) == 0 {
@@ -183,20 +205,21 @@ func Parse(data, oob []byte, chunkSize int) ([]Placed, error) {
 		}
 		lo, hi := start*chunkSize, (i+1)*chunkSize
 		if hi > len(data) {
-			return nil, fmt.Errorf("record: bitmap points past page (%d > %d)", hi, len(data))
+			return dst, fmt.Errorf("record: bitmap points past page (%d > %d)", hi, len(data))
 		}
-		r, err := Unmarshal(data[lo:hi])
+		r, err := decode(data[lo:hi])
 		if err != nil {
-			return nil, fmt.Errorf("record: chunk %d..%d: %w", start, i, err)
+			return dst, fmt.Errorf("record: chunk %d..%d: %w", start, i, err)
 		}
-		out = append(out, Placed{Record: r, StartChunk: start, NumChunks: i + 1 - start})
+		dst = append(dst, Placed{Record: r, StartChunk: start, NumChunks: i + 1 - start})
 		start = i + 1
 	}
-	return out, nil
+	return dst, nil
 }
 
 // At decodes the single record starting at startChunk in the page, used by
-// Get when the index stores a (PPN, chunk) location.
+// Get when the index stores a (PPN, chunk) location. The value is copied out
+// of the page: it is handed to the host, which may keep or modify it.
 func At(data []byte, startChunk, chunkSize int) (Record, error) {
 	lo := startChunk * chunkSize
 	if lo >= len(data) {

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/kaml-ssd/kaml/internal/flash"
+	"github.com/kaml-ssd/kaml/internal/sim"
 )
 
 func TestMarshalUnmarshalRoundTrip(t *testing.T) {
@@ -196,4 +199,85 @@ func TestParseBadOOB(t *testing.T) {
 	if _, err := Parse(make([]byte, 1024), []byte{1, 2}, 128); err == nil {
 		t.Fatal("short OOB accepted")
 	}
+}
+
+// AppendParsed decodes in place into the caller's slice: each value is a
+// capacity-capped window of the page (appending to one cannot overwrite the
+// next record), the slice's earlier entries stay, and a slice with room
+// takes a page's records with no allocation at all.
+func TestAppendParsedDecodesInPlace(t *testing.T) {
+	p := NewPacker(1024, 128)
+	p.Add(Record{Key: 1, Value: []byte("first")})
+	p.Add(Record{Key: 2, Value: []byte("second")})
+	data, oob := p.Finish()
+	dst := make([]Placed, 1, 8)
+	dst[0].StartChunk = -1
+	placed, err := AppendParsed(dst, data, oob, 128)
+	if err != nil || len(placed) != 3 || placed[0].StartChunk != -1 {
+		t.Fatalf("AppendParsed = %d entries, %v; want the caller's entry and two records", len(placed), err)
+	}
+	for _, pl := range placed[1:] {
+		v := pl.Record.Value
+		if &v[0] != &data[pl.StartChunk*128+HeaderSize] || cap(v) != len(v) {
+			t.Errorf("key %d: value is not a capped window of the page", pl.Record.Key)
+		}
+	}
+	_ = append(placed[1].Record.Value, "!!!"...)
+	if got, _ := At(data, placed[2].StartChunk, 128); string(got.Value) != "second" {
+		t.Errorf("appending to a parsed value overwrote the next record: %q", got.Value)
+	}
+	scratch := make([]Placed, 0, 8)
+	if n := testing.AllocsPerRun(100, func() { scratch, _ = AppendParsed(scratch[:0], data, oob, 128) }); n != 0 {
+		t.Errorf("AppendParsed into a slice with room allocates %.1f times", n)
+	}
+}
+
+// Finish hands its page over: the packer builds the next page in a buffer of
+// its own, so a page already handed to flash never changes.
+func TestFinishHandsOverThePage(t *testing.T) {
+	p := NewPacker(1024, 128)
+	p.Add(Record{Key: 1, Value: []byte("kept")})
+	data, _ := p.Finish()
+	before := bytes.Clone(data)
+	p.Add(Record{Key: 2, Value: []byte("next page")})
+	p.Finish()
+	if !bytes.Equal(data, before) {
+		t.Fatal("building the next page changed the one Finish returned")
+	}
+}
+
+// The values AppendParsed returns alias the flash page they were parsed
+// from, and stay readable after the page's block is erased and reprogrammed:
+// an erase drops the array's buffers, it never zeroes them.
+func TestParsedValuesSurviveErase(t *testing.T) {
+	fc := flash.DefaultConfig()
+	e := sim.NewEngine()
+	arr := flash.New(e, fc)
+	e.Go("test", func() {
+		p := NewPacker(fc.PageSize, DefaultChunkSize)
+		want := bytes.Repeat([]byte{0xc3}, 700)
+		p.Add(Record{Namespace: 1, Key: 7, Seq: 9, Value: want})
+		page, oob := p.Finish()
+		if err := arr.ProgramPage(0, page, oob); err != nil {
+			t.Fatal(err)
+		}
+		data, rOOB, err := arr.ReadPage(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		placed, err := AppendParsed(nil, data, rOOB, DefaultChunkSize)
+		if err != nil || len(placed) != 1 {
+			t.Fatalf("parse: %d records, %v", len(placed), err)
+		}
+		if err := arr.EraseBlock(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := arr.ProgramPage(0, bytes.Repeat([]byte{0xff}, fc.PageSize), nil); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(placed[0].Record.Value, want) {
+			t.Error("a parsed value changed when its block was erased and reprogrammed")
+		}
+	})
+	e.Wait()
 }

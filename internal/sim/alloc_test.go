@@ -1,0 +1,149 @@
+package sim
+
+import (
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// parkAllocs measures the allocations per call of op — a call that parks at
+// least once — on one actor of a fresh engine, with partner running beside
+// it. setup builds both on the engine. Every goroutine's allocations count,
+// the partner's included. The measured actor sets stop when it is done and
+// calls op once more, so a partner that loops until stop can still finish the
+// exchange it is in. The first calls warm the token pool and the queues'
+// storage.
+func parkAllocs(t *testing.T, setup func(e *Engine, stop *atomic.Bool) (op, partner func())) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under the race detector; the count is exact")
+	}
+	var stop atomic.Bool
+	var got float64
+	e := NewEngine()
+	op, partner := setup(e, &stop)
+	together(e, func() {
+		if partner != nil {
+			e.Go("partner", partner)
+		}
+		e.Go("measured", func() {
+			for i := 0; i < parkWarmup; i++ {
+				op()
+			}
+			got = testing.AllocsPerRun(parkRuns, op)
+			stop.Store(true)
+			op()
+		})
+	})
+	return got
+}
+
+const (
+	parkWarmup = 64
+	parkRuns   = 1000
+	parkCalls  = parkWarmup + parkRuns + 1 + 1 // AllocsPerRun makes one extra call, parkAllocs one more
+)
+
+// A park allocates nothing in steady state: not a Sleep's timer, not the
+// queue slot of a contended lock or a condition wait, not the reason the
+// stall dump would print, and not a one-shot event's wait.
+func TestParksDoNotAllocate(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(e *Engine, stop *atomic.Bool) (op, partner func())
+	}{
+		{"Sleep", func(e *Engine, _ *atomic.Bool) (op, partner func()) {
+			return func() { e.Sleep(time.Microsecond) }, nil
+		}},
+		// Each holds the mutex across a sleep, so every Lock but the first
+		// finds it held and parks until the other's Unlock hands it over.
+		{"contended Mutex handoff", func(e *Engine, stop *atomic.Bool) (op, partner func()) {
+			m := e.NewMutex("m")
+			use := func() { m.Lock(); e.Sleep(time.Microsecond); m.Unlock() }
+			return use, func() {
+				for !stop.Load() {
+					use()
+				}
+			}
+		}},
+		// Ping-pong on one condition: each waits for its turn, passes the
+		// turn on and signals.
+		{"Cond wait and signal", func(e *Engine, stop *atomic.Bool) (op, partner func()) {
+			m := e.NewMutex("m")
+			c := e.NewCond(m)
+			turn := 0
+			step := func(me int) {
+				m.Lock()
+				for turn != me {
+					c.Wait()
+				}
+				turn = 1 - me
+				c.Signal()
+				m.Unlock()
+			}
+			return func() { step(0) }, func() {
+				for !stop.Load() {
+					step(1)
+				}
+			}
+		}},
+		// The partner opens each latch a microsecond after the measured actor
+		// has parked on it.
+		{"blocked Latch wait", func(e *Engine, _ *atomic.Bool) (op, partner func()) {
+			latches := make([]Latch, parkCalls)
+			next := 0
+			return func() {
+					latches[next].Wait(e)
+					next++
+				}, func() {
+					for i := range latches {
+						e.Sleep(time.Microsecond)
+						latches[i].Open(e)
+					}
+				}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := parkAllocs(t, tc.setup); got != 0 {
+				t.Errorf("%s allocates %.2f times per call, want 0", tc.name, got)
+			}
+		})
+	}
+}
+
+// A latch parks every waiter until it opens, wakes them all at the instant
+// it opens, and lets every later wait through at once.
+func TestLatch(t *testing.T) {
+	e := NewEngine()
+	var l Latch
+	woke := make([]time.Duration, 3) // indexed: the waiters run together
+	var opened, late time.Duration
+	together(e, func() {
+		for i := range woke {
+			e.Go("waiter", func() {
+				l.Wait(e)
+				woke[i] = e.Now()
+			})
+		}
+		e.Sleep(time.Millisecond)
+		if l.IsOpen() {
+			t.Error("latch open before Open")
+		}
+		opened = e.Now()
+		l.Open(e)
+		l.Open(e) // idempotent
+		e.Go("late", func() {
+			l.Wait(e)
+			late = e.Now()
+		})
+	})
+	for i, at := range woke {
+		if at != opened {
+			t.Errorf("waiter %d went through at %v, want when the latch opened (%v)", i, at, opened)
+		}
+	}
+	if late != opened {
+		t.Errorf("a wait on an open latch returned at %v, want at once (%v)", late, opened)
+	}
+}

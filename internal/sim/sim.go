@@ -27,10 +27,18 @@
 // timer pending, somebody expects progress that can no longer come: that is
 // a stall, reported after stallTimeout of wall-clock time with a dump of who
 // waits on what and which of those waits are idle ones.
+//
+// # Parking allocates nothing
+//
+// Every simulated request parks and wakes a handful of times, so a park is
+// on the host's hot path. In steady state none allocates: park tokens are
+// pooled, a Sleep's timer lives by value in the engine's heap, each
+// primitive's wait queue keeps its storage, the reason a parked actor gives
+// the stall dump is a string its primitive built once, and a one-shot event
+// (Latch) parks a completion's waiter with no mutex or condition of its own.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -186,15 +194,16 @@ func (e *Engine) Sleep(d time.Duration) {
 	tok := newParkToken()
 	e.mu.Lock()
 	e.seq++
-	heap.Push(&e.timers, &timer{when: e.now + d, seq: e.seq, tok: tok})
+	e.timers.push(timer{when: e.now + d, seq: e.seq, tok: tok})
 	e.blockLocked(tok, "sleep")
 	e.mu.Unlock()
 	tok.park()
 }
 
 // blockLocked marks the calling actor as parked on why and, if it was the
-// last runnable actor, lets the engine pick what runs next. Caller holds
-// e.mu.
+// last runnable actor, lets the engine pick what runs next. why is a string
+// the primitive built once, at construction, so a park concatenates nothing.
+// Caller holds e.mu.
 func (e *Engine) blockLocked(tok *parkToken, why string) {
 	e.parked[tok] = why
 	e.runnable--
@@ -277,8 +286,7 @@ func (e *Engine) advanceLocked() {
 	e.now = first
 	e.nowCheap.Store(int64(first))
 	for len(e.timers) > 0 && e.timers[0].when == first {
-		t := heap.Pop(&e.timers).(*timer)
-		e.wakeLocked(t.tok)
+		e.wakeLocked(e.timers.pop().tok)
 	}
 }
 
@@ -371,22 +379,55 @@ type timer struct {
 	tok  *parkToken
 }
 
-type timerHeap []*timer
+// timerHeap is a binary min-heap of pending timers ordered by (when, seq).
+// Timers live in it by value, so arming one allocates nothing once the
+// slice has grown to the simulation's usual number of sleepers. The keys are
+// unique (seq breaks ties), so the pop order is the same whatever the heap's
+// internal layout.
+type timerHeap []timer
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
+func (h timerHeap) less(i, j int) bool {
 	if h[i].when != h[j].when {
 		return h[i].when < h[j].when
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x interface{}) { *h = append(*h, x.(*timer)) }
-func (h *timerHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+
+func (h *timerHeap) push(t timer) {
+	*h = append(*h, t)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest timer. The heap must not be empty.
+func (h *timerHeap) pop() timer {
+	s := *h
+	n := len(s) - 1
+	t := s[0]
+	s[0] = s[n]
+	s[n] = timer{} // drop the token reference
+	s = s[:n]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && s.less(r, child) {
+			child = r
+		}
+		if !s.less(child, i) {
+			break
+		}
+		s[i], s[child] = s[child], s[i]
+		i = child
+	}
+	*h = s
 	return t
 }

@@ -1,6 +1,47 @@
 package sim
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
+
+// waitQueue is the FIFO of actors parked on one primitive. It keeps its
+// storage across parks — a pop advances head instead of re-slicing the
+// array away, and a push compacts before it would grow — so a primitive
+// that parks allocates nothing once its queue has reached its usual depth.
+type waitQueue struct {
+	toks []*parkToken
+	head int
+}
+
+func (q *waitQueue) len() int { return len(q.toks) - q.head }
+
+func (q *waitQueue) push(tok *parkToken) {
+	if q.head > 0 && len(q.toks) == cap(q.toks) {
+		n := copy(q.toks, q.toks[q.head:])
+		clear(q.toks[n:])
+		q.toks, q.head = q.toks[:n], 0
+	}
+	q.toks = append(q.toks, tok)
+}
+
+// pop removes the oldest waiter. The queue must not be empty.
+func (q *waitQueue) pop() *parkToken {
+	tok := q.toks[q.head]
+	q.toks[q.head] = nil
+	q.head++
+	if q.head == len(q.toks) {
+		q.toks, q.head = q.toks[:0], 0
+	}
+	return tok
+}
+
+// wakeAllLocked wakes every waiter, oldest first. Caller holds e.mu.
+func (q *waitQueue) wakeAllLocked(e *Engine) {
+	for q.len() > 0 {
+		e.wakeLocked(q.pop())
+	}
+}
 
 // Mutex is a FIFO mutual-exclusion lock for actors. FIFO ordering keeps the
 // simulation deterministic and models a fair hardware arbiter (flash channel,
@@ -9,12 +50,13 @@ type Mutex struct {
 	e       *Engine
 	locked  bool
 	name    string
-	waiters []*parkToken
+	why     string // park reason, "mutex:<name>"
+	waiters waitQueue
 }
 
 // NewMutex returns an unlocked mutex owned by engine e.
 func (e *Engine) NewMutex(name string) *Mutex {
-	return &Mutex{e: e, name: name}
+	return &Mutex{e: e, name: name, why: "mutex:" + name}
 }
 
 // Lock blocks the calling actor until the mutex is available.
@@ -27,8 +69,8 @@ func (m *Mutex) Lock() {
 		return
 	}
 	tok := newParkToken()
-	m.waiters = append(m.waiters, tok)
-	e.blockLocked(tok, "mutex:"+m.name)
+	m.waiters.push(tok)
+	e.blockLocked(tok, m.why)
 	e.mu.Unlock()
 	tok.park()
 }
@@ -53,14 +95,18 @@ func (m *Mutex) Unlock() {
 		e.mu.Unlock()
 		panic("sim: unlock of unlocked Mutex " + m.name)
 	}
-	if len(m.waiters) > 0 {
-		tok := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		e.wakeLocked(tok) // lock stays held, ownership transfers
+	m.unlockLocked()
+	e.mu.Unlock()
+}
+
+// unlockLocked releases a held mutex: ownership transfers to the oldest
+// waiter if there is one. Caller holds e.mu.
+func (m *Mutex) unlockLocked() {
+	if m.waiters.len() > 0 {
+		m.e.wakeLocked(m.waiters.pop()) // lock stays held, ownership transfers
 	} else {
 		m.locked = false
 	}
-	e.mu.Unlock()
 }
 
 // Use acquires the mutex, holds it for d of virtual time, and releases it.
@@ -74,11 +120,12 @@ func (m *Mutex) Use(d time.Duration) {
 // Cond is a condition variable tied to a Mutex, with FIFO wakeup.
 type Cond struct {
 	L       *Mutex
-	waiters []*parkToken
+	why     string // park reason, "cond:<mutex name>"
+	waiters waitQueue
 }
 
 // NewCond returns a condition variable whose Wait releases and reacquires l.
-func (e *Engine) NewCond(l *Mutex) *Cond { return &Cond{L: l} }
+func (e *Engine) NewCond(l *Mutex) *Cond { return &Cond{L: l, why: "cond:" + l.name} }
 
 // Wait atomically releases c.L, parks the actor until Signal/Broadcast,
 // then reacquires c.L before returning.
@@ -95,20 +142,13 @@ func (c *Cond) wait(idle bool) {
 	e := c.L.e
 	tok := newParkToken()
 	e.mu.Lock()
-	c.waiters = append(c.waiters, tok)
-	// Release the mutex inline (same logic as Unlock, under e.mu already).
-	if len(c.L.waiters) > 0 {
-		next := c.L.waiters[0]
-		c.L.waiters = c.L.waiters[1:]
-		e.wakeLocked(next)
-	} else {
-		c.L.locked = false
-	}
+	c.waiters.push(tok)
+	c.L.unlockLocked()
 	if idle {
 		tok.idle = true
 		e.idleParked++
 	}
-	e.blockLocked(tok, "cond:"+c.L.name)
+	e.blockLocked(tok, c.why)
 	e.mu.Unlock()
 	tok.park()
 	c.L.Lock()
@@ -118,10 +158,8 @@ func (c *Cond) wait(idle bool) {
 func (c *Cond) Signal() {
 	e := c.L.e
 	e.mu.Lock()
-	if len(c.waiters) > 0 {
-		tok := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		e.wakeLocked(tok)
+	if c.waiters.len() > 0 {
+		e.wakeLocked(c.waiters.pop())
 	}
 	e.mu.Unlock()
 }
@@ -130,10 +168,7 @@ func (c *Cond) Signal() {
 func (c *Cond) Broadcast() {
 	e := c.L.e
 	e.mu.Lock()
-	for _, tok := range c.waiters {
-		e.wakeLocked(tok)
-	}
-	c.waiters = nil
+	c.waiters.wakeAllLocked(e)
 	e.mu.Unlock()
 }
 
@@ -141,9 +176,9 @@ func (c *Cond) Broadcast() {
 // identical servers such as controller CPU cores or DMA engines.
 type Semaphore struct {
 	e       *Engine
-	name    string
+	why     string // park reason, "sem:<name>"
 	avail   int
-	waiters []*parkToken
+	waiters waitQueue
 }
 
 // NewSemaphore returns a semaphore with n initial permits.
@@ -151,7 +186,7 @@ func (e *Engine) NewSemaphore(name string, n int) *Semaphore {
 	if n < 0 {
 		panic("sim: negative semaphore size")
 	}
-	return &Semaphore{e: e, name: name, avail: n}
+	return &Semaphore{e: e, why: "sem:" + name, avail: n}
 }
 
 // Acquire takes one permit, blocking if none are available.
@@ -164,8 +199,8 @@ func (s *Semaphore) Acquire() {
 		return
 	}
 	tok := newParkToken()
-	s.waiters = append(s.waiters, tok)
-	e.blockLocked(tok, "sem:"+s.name)
+	s.waiters.push(tok)
+	e.blockLocked(tok, s.why)
 	e.mu.Unlock()
 	tok.park()
 }
@@ -174,10 +209,8 @@ func (s *Semaphore) Acquire() {
 func (s *Semaphore) Release() {
 	e := s.e
 	e.mu.Lock()
-	if len(s.waiters) > 0 {
-		tok := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		e.wakeLocked(tok) // permit transfers to waiter
+	if s.waiters.len() > 0 {
+		e.wakeLocked(s.waiters.pop()) // permit transfers to waiter
 	} else {
 		s.avail++
 	}
@@ -195,29 +228,30 @@ func (s *Semaphore) Use(d time.Duration) {
 type RWMutex struct {
 	e            *Engine
 	name         string
+	rwhy, wwhy   string // park reasons, "rwmutex-r:<name>" and "rwmutex-w:<name>"
 	readers      int
 	writer       bool
-	readWaiters  []*parkToken
-	writeWaiters []*parkToken
+	readWaiters  waitQueue
+	writeWaiters waitQueue
 }
 
 // NewRWMutex returns an unlocked RWMutex owned by engine e.
 func (e *Engine) NewRWMutex(name string) *RWMutex {
-	return &RWMutex{e: e, name: name}
+	return &RWMutex{e: e, name: name, rwhy: "rwmutex-r:" + name, wwhy: "rwmutex-w:" + name}
 }
 
 // RLock acquires a shared lock.
 func (m *RWMutex) RLock() {
 	e := m.e
 	e.mu.Lock()
-	if !m.writer && len(m.writeWaiters) == 0 {
+	if !m.writer && m.writeWaiters.len() == 0 {
 		m.readers++
 		e.mu.Unlock()
 		return
 	}
 	tok := newParkToken()
-	m.readWaiters = append(m.readWaiters, tok)
-	e.blockLocked(tok, "rwmutex-r:"+m.name)
+	m.readWaiters.push(tok)
+	e.blockLocked(tok, m.rwhy)
 	e.mu.Unlock()
 	tok.park()
 }
@@ -247,8 +281,8 @@ func (m *RWMutex) Lock() {
 		return
 	}
 	tok := newParkToken()
-	m.writeWaiters = append(m.writeWaiters, tok)
-	e.blockLocked(tok, "rwmutex-w:"+m.name)
+	m.writeWaiters.push(tok)
+	e.blockLocked(tok, m.wwhy)
 	e.mu.Unlock()
 	tok.park()
 }
@@ -270,25 +304,20 @@ func (m *RWMutex) Unlock() {
 // queued readers. Caller holds e.mu and the lock is free.
 func (m *RWMutex) promoteLocked() {
 	e := m.e
-	if len(m.writeWaiters) > 0 {
-		tok := m.writeWaiters[0]
-		m.writeWaiters = m.writeWaiters[1:]
+	if m.writeWaiters.len() > 0 {
 		m.writer = true
-		e.wakeLocked(tok)
+		e.wakeLocked(m.writeWaiters.pop())
 		return
 	}
-	for _, tok := range m.readWaiters {
-		m.readers++
-		e.wakeLocked(tok)
-	}
-	m.readWaiters = nil
+	m.readers += m.readWaiters.len()
+	m.readWaiters.wakeAllLocked(e)
 }
 
 // WaitGroup lets an actor wait for a set of actors to finish, on virtual time.
 type WaitGroup struct {
 	e       *Engine
 	n       int
-	waiters []*parkToken
+	waiters waitQueue
 }
 
 // NewWaitGroup returns an empty wait group.
@@ -304,10 +333,7 @@ func (w *WaitGroup) Add(delta int) {
 		panic("sim: negative WaitGroup counter")
 	}
 	if w.n == 0 {
-		for _, tok := range w.waiters {
-			e.wakeLocked(tok)
-		}
-		w.waiters = nil
+		w.waiters.wakeAllLocked(e)
 	}
 	e.mu.Unlock()
 }
@@ -324,8 +350,71 @@ func (w *WaitGroup) Wait() {
 		return
 	}
 	tok := newParkToken()
-	w.waiters = append(w.waiters, tok)
+	w.waiters.push(tok)
 	e.blockLocked(tok, "waitgroup")
 	e.mu.Unlock()
 	tok.park()
+}
+
+// Latch is a one-shot event: Wait parks the calling actor until Open, and
+// every Wait after Open returns at once. It is what a completion future
+// needs and nothing more — no mutex to hold, no predicate to re-test — so
+// it lives inside the structure it guards: the zero value is a closed latch,
+// and neither opening it nor a Wait that parks on it allocates.
+//
+// Open is lock-free when nobody waits. The two atomics close the race
+// between them: a waiter marks the latch waited on, under the engine lock,
+// before it tests open; Open sets open before it tests waited. Whichever
+// store comes first in the (sequentially consistent) order, either the
+// waiter sees the latch open and does not park, or Open sees the mark and
+// takes the engine lock — which the waiter holds until it is queued.
+type Latch struct {
+	open   atomic.Bool
+	waited atomic.Bool
+	// The parked actors, guarded by the engine's lock. A latch is usually
+	// new (one per future) and waited on once, so the first waiter is held
+	// inline: a queue's first push would allocate its storage.
+	first   *parkToken
+	waiters waitQueue // waiters beyond the first
+}
+
+// IsOpen reports whether Open has been called.
+func (l *Latch) IsOpen() bool { return l.open.Load() }
+
+// Wait parks the calling actor until the latch is open.
+func (l *Latch) Wait(e *Engine) {
+	if l.open.Load() {
+		return
+	}
+	e.mu.Lock()
+	l.waited.Store(true)
+	if l.open.Load() {
+		e.mu.Unlock()
+		return
+	}
+	tok := newParkToken()
+	if l.first == nil {
+		l.first = tok
+	} else {
+		l.waiters.push(tok)
+	}
+	e.blockLocked(tok, "latch")
+	e.mu.Unlock()
+	tok.park()
+}
+
+// Open opens the latch and wakes every actor parked on it, oldest first.
+// Idempotent; callable from inside or outside the simulation.
+func (l *Latch) Open(e *Engine) {
+	l.open.Store(true)
+	if !l.waited.Load() {
+		return
+	}
+	e.mu.Lock()
+	if tok := l.first; tok != nil {
+		l.first = nil
+		e.wakeLocked(tok)
+	}
+	l.waiters.wakeAllLocked(e)
+	e.mu.Unlock()
 }
