@@ -42,6 +42,7 @@ package cmdq
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -87,7 +88,8 @@ func (o Op) String() string {
 
 // Record is one key-value record of a write command — the one put-record
 // type: kamlssd.PutRecord and kaml.Record alias it, so a batch travels from
-// the public API to the NVRAM commit as the slice the caller built.
+// the public API to the NVRAM commit without conversion, copied once, into
+// its future, by Submit.
 type Record struct {
 	Namespace uint32
 	Key       uint64
@@ -127,14 +129,40 @@ type Result struct {
 // the engine. Neither side allocates — under a loaded pipeline most
 // completions resolve before their waiter gets there, and the ones that do
 // not park with no mutex or condition of their own.
+//
+// A submitted future is also the command's storage in the pipeline: Submit
+// copies the command into it (hold), so a submission is this one allocation
+// and neither the caller's Command nor its records slice outlives the call.
 type Future struct {
 	eng  *sim.Engine
 	done sim.Latch // opened once res is written
 	res  Result
+
+	cmd Command       // the command as submitted; its Records are the future's own
+	one [1]Record     // a lone record rides here
+	at  time.Duration // submission timestamp (virtual clock) when tracing, zero otherwise
 }
 
 func newFuture(eng *sim.Engine) *Future {
 	return &Future{eng: eng}
+}
+
+// hold copies cmd into the future. A lone record goes inline and a larger
+// batch is copied once into a slice of its own, clipped to its length;
+// either way the copy has no spare capacity, so an append to it (a merge)
+// reallocates rather than writing into the future's array. The fields are
+// copied one by one: assigning *cmd whole would store the caller's records
+// slice and make it escape.
+func (f *Future) hold(cmd *Command) {
+	f.cmd = Command{Op: cmd.Op, Namespace: cmd.Namespace, Key: cmd.Key, Merged: cmd.Merged}
+	switch len(cmd.Records) {
+	case 0:
+	case 1:
+		f.one[0] = cmd.Records[0]
+		f.cmd.Records = f.one[:]
+	default:
+		f.cmd.Records = slices.Clip(append([]Record(nil), cmd.Records...))
+	}
 }
 
 // Resolved returns an already-completed future. Validation failures (and
@@ -234,14 +262,6 @@ type Stats struct {
 	MeanOccupancy float64
 }
 
-// task pairs a queued command with its future. at is the submission
-// timestamp (virtual clock) when tracing is enabled, zero otherwise.
-type task struct {
-	cmd *Command
-	fut *Future
-	at  time.Duration
-}
-
 // Pipeline is an asynchronous command pipeline over a single exec function.
 type Pipeline struct {
 	eng  *sim.Engine
@@ -258,7 +278,7 @@ type Pipeline struct {
 	notFull    *sim.Cond // occupancy < Depth
 	work       *sim.Cond // direct queue non-empty, or shutdown
 	inlineIdle *sim.Cond // no RunDirect execution in flight (shutdown drain)
-	queue      []task    // direct (non-coalesced) commands, FIFO
+	queue      []*Future // direct (non-coalesced) commands, FIFO
 
 	// occ is the current occupancy. It is atomic — not guarded by p.mu —
 	// so the direct path (RunDirect) can reserve and release slots with a
@@ -298,7 +318,8 @@ type Pipeline struct {
 
 // New builds a pipeline and starts its worker actors. exec runs firmware
 // work for one command on a worker (or coalescer) actor and must not retain
-// the command. Close or Fail must be called before draining the simulation.
+// the command or its records slice: both are reused once exec returns. Close
+// or Fail must be called before draining the simulation.
 func New(eng *sim.Engine, cfg Config, exec func(*Command) Result) *Pipeline {
 	cfg = cfg.withDefaults()
 	p := &Pipeline{
@@ -326,7 +347,13 @@ func New(eng *sim.Engine, cfg Config, exec func(*Command) Result) *Pipeline {
 // calling actor while the pipeline is at Depth outstanding commands. After
 // Close or Fail the returned future is already resolved with the shutdown
 // error.
+//
+// Submit copies the command into the future it returns, so the caller may
+// reuse cmd and its Records slice as soon as Submit returns. The record
+// values are not copied: they must stay unmodified until Wait returns.
 func (p *Pipeline) Submit(cmd *Command) *Future {
+	fut := newFuture(p.eng)
+	fut.hold(cmd)
 	p.mu.Lock()
 	waited, ok := p.reserveLocked()
 	if waited {
@@ -335,17 +362,16 @@ func (p *Pipeline) Submit(cmd *Command) *Future {
 	if !ok {
 		err := p.shutdownErrLocked()
 		p.mu.Unlock()
-		return Resolved(p.eng, Result{Err: err})
+		fut.complete(Result{Err: err})
+		return fut
 	}
-	fut := newFuture(p.eng)
-	t := task{cmd: cmd, fut: fut}
 	if p.reg != nil {
-		t.at = p.eng.NowCheap()
+		fut.at = p.eng.NowCheap()
 	}
-	if (cmd.Op == OpPut || cmd.Op == OpPutBatch) && p.cfg.CoalesceWindow > 0 {
-		p.coalescerLocked(p.shardOf(cmd)).addLocked(t)
+	if op := fut.cmd.Op; (op == OpPut || op == OpPutBatch) && p.cfg.CoalesceWindow > 0 {
+		p.coalescerLocked(p.shardOf(&fut.cmd)).addLocked(fut)
 	} else {
-		p.queue = append(p.queue, t)
+		p.queue = append(p.queue, fut)
 		p.work.Signal()
 	}
 	p.mu.Unlock()
@@ -509,7 +535,7 @@ func (p *Pipeline) reserveLocked() (waited, ok bool) {
 // occupancy release (release) still follows the publish, so the wakeups a
 // completion delivers keep their order: the future's waiter first, then a
 // submitter parked on queue space.
-func (p *Pipeline) completeAll(tasks []task, results []Result) {
+func (p *Pipeline) completeAll(tasks []*Future, results []Result) {
 	if p.reg != nil {
 		now := p.eng.NowCheap()
 		for _, t := range tasks {
@@ -518,7 +544,7 @@ func (p *Pipeline) completeAll(tasks []task, results []Result) {
 	}
 	p.completed.Add(int64(len(tasks)))
 	for i, t := range tasks {
-		t.fut.complete(results[i])
+		t.complete(results[i])
 	}
 }
 
@@ -567,15 +593,15 @@ func (p *Pipeline) workerLoop() {
 		} else if p.reg != nil {
 			start := p.eng.NowCheap()
 			p.observeStage(t.cmd.Op, stageQueue, start-t.at)
-			res = p.exec(t.cmd)
+			res = p.exec(&t.cmd)
 			now := p.eng.NowCheap()
 			p.observeStage(t.cmd.Op, stageExec, now-start)
 			p.observeStage(t.cmd.Op, stageTotal, now-t.at)
 		} else {
-			res = p.exec(t.cmd)
+			res = p.exec(&t.cmd)
 		}
 		p.completed.Add(1) // counted before it is published: see completeAll
-		t.fut.complete(res)
+		t.complete(res)
 		// The occupancy release is lock-free; only the next dequeue needs
 		// the pipeline lock back.
 		p.release(1)
@@ -590,8 +616,16 @@ type coalescer struct {
 	p     *Pipeline
 	shard int
 	cv    *sim.Cond // rides on p.mu: pending work or shutdown
-	pend  []task
+	pend  []*Future
 	born  time.Duration // arrival of the oldest pending write
+
+	// The cut in commit: its futures, its merged records, their results and
+	// the batch command, rebuilt in place by every cut. Only the shard's
+	// actor touches them, and exec retains none of them.
+	tasks   []*Future
+	batch   []Record
+	results []Result
+	cmd     Command
 }
 
 // coalescerLocked returns (creating if needed) the shard. Caller holds
@@ -609,7 +643,7 @@ func (p *Pipeline) coalescerLocked(shard int) *coalescer {
 }
 
 // addLocked queues a write on the shard. Caller holds p.mu.
-func (c *coalescer) addLocked(t task) {
+func (c *coalescer) addLocked(t *Future) {
 	if len(c.pend) == 0 {
 		c.born = c.p.eng.NowCheap()
 	}
@@ -676,7 +710,8 @@ func (c *coalescer) loop() {
 		poison := p.poison
 		p.mu.Unlock()
 
-		results := make([]Result, len(tasks))
+		results := slices.Grow(c.results[:0], len(tasks))[:len(tasks)]
+		c.results = results
 		switch {
 		case poison != nil:
 			for i := range results {
@@ -690,7 +725,8 @@ func (c *coalescer) loop() {
 					p.observeStage(t.cmd.Op, stageCoalesce, start-t.at)
 				}
 			}
-			res := p.exec(&Command{Op: OpPutBatch, Records: batch, Merged: len(tasks)})
+			c.cmd = Command{Op: OpPutBatch, Records: batch, Merged: len(tasks)}
+			res := p.exec(&c.cmd)
 			if p.reg != nil {
 				// The group commit's exec is the NVRAM batch commit; charge
 				// its latency to every merged command.
@@ -710,7 +746,7 @@ func (c *coalescer) loop() {
 				// future its own verdict: an innocent write must never fail
 				// because of what a coalesced neighbor did.
 				for i, t := range tasks {
-					results[i] = p.exec(t.cmd)
+					results[i] = p.exec(&t.cmd)
 				}
 				break
 			}
@@ -747,27 +783,37 @@ func (c *coalescer) records() int {
 // writer must never fail because a coalesced neighbor touched the same key.
 // Each command's own records were checked at submission, so only the
 // cross-command pairs that merging creates are compared; a lone command —
-// nearly every cut below queue depth 2 — commits the caller's slice as is.
-// An oversized submitted batch is taken alone (never split). Caller holds
-// p.mu.
-func (c *coalescer) cutLocked() ([]Record, []task) {
-	batch := c.pend[0].cmd.Records
-	batch = batch[:len(batch):len(batch)] // a merge copies; it never appends into the caller's array
+// nearly every cut below queue depth 2 — commits its future's records as
+// they are, and a merge copies into the shard's batch buffer. The cut's
+// futures move to the shard's task list and pend closes up in place, so a
+// steady cut allocates nothing. An oversized submitted batch is taken alone
+// (never split). Caller holds p.mu.
+func (c *coalescer) cutLocked() ([]Record, []*Future) {
+	first := c.pend[0].cmd.Records
+	batch := first
 	take := 1
 	for _, t := range c.pend[1:] {
 		recs := t.cmd.Records
 		if len(batch)+len(recs) > c.p.cfg.MaxBatchRecords || sharesKey(batch, recs) {
 			break
 		}
+		if take == 1 {
+			batch = append(c.batch[:0], first...)
+		}
 		batch = append(batch, recs...)
 		take++
 	}
-	tasks := append([]task(nil), c.pend[:take]...)
-	c.pend = c.pend[take:]
-	if len(c.pend) > 0 {
+	if take > 1 {
+		c.batch = batch
+	}
+	c.tasks = append(c.tasks[:0], c.pend[:take]...)
+	n := copy(c.pend, c.pend[take:])
+	clear(c.pend[n:])
+	c.pend = c.pend[:n]
+	if n > 0 {
 		c.born = c.p.eng.NowCheap() // restart the window for the remainder
 	}
-	return batch, tasks
+	return batch, c.tasks
 }
 
 // sharesKey reports whether any record of recs names a (namespace, key)

@@ -2,6 +2,7 @@ package cmdq
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -173,6 +174,85 @@ func TestMergedCommitFailureIsolated(t *testing.T) {
 	if st := p.Stats(); st.Completed != 2 {
 		t.Errorf("completed=%d, want 2", st.Completed)
 	}
+}
+
+// Back-to-back cuts share the shard's buffers — its task list, merged batch,
+// results and batch command — and every Submit below reuses one Command and
+// one records slice of the caller's. Still, each exec call sees exactly the
+// records of its own round, and each future gets the result of the call that
+// committed it: whether the cut before merged, stood alone or failed and was
+// re-executed command by command.
+func TestCoalescerCutsDoNotLeakIntoEachOther(t *testing.T) {
+	errBad := errors.New("read-only namespace")
+	const badKey = 666
+	eng := sim.NewEngine()
+	var calls [][]Record // the records of every exec call, copied
+	exec := func(cmd *Command) Result {
+		calls = append(calls, slices.Clone(cmd.Records))
+		for _, r := range cmd.Records {
+			if r.Key == badKey {
+				return Result{Err: errBad}
+			}
+		}
+		return Result{Namespace: uint32(len(calls))} // names the call
+	}
+	p := New(eng, Config{
+		Depth: 16, CoalesceWindow: 10 * time.Microsecond,
+		MaxBatchRecords: 16, CoalesceShards: 1,
+	}, exec)
+	rounds := []struct {
+		keys  []uint64
+		calls int // exec calls the round makes
+	}{
+		{[]uint64{1, 2, 3, 4}, 1},      // a merge
+		{[]uint64{5}, 1},               // a lone cut after it
+		{[]uint64{6, badKey, 7, 8}, 5}, // a failing merge, then each command alone
+		{[]uint64{9, 10}, 1},           // a merge after the failure
+		{[]uint64{11, 12, 13}, 1},      // a longer merge after a shorter one
+	}
+	eng.Go("main", func() {
+		defer p.Close()
+		var cmd Command
+		recs := make([]Record, 1)
+		for round, rd := range rounds {
+			first := len(calls)
+			// One submitter issues the round before parking, so it lands in one
+			// cut (the clock only advances once it parks in Wait).
+			futs := make([]*Future, len(rd.keys))
+			for i, k := range rd.keys {
+				recs[0] = Record{Namespace: 1, Key: k, Value: []byte{byte(round), byte(k)}}
+				cmd = Command{Op: OpPut, Records: recs}
+				futs[i] = p.Submit(&cmd)
+			}
+			for _, f := range futs {
+				f.Wait()
+			}
+			got := calls[first:]
+			if len(got) != rd.calls || len(got[0]) != len(rd.keys) {
+				t.Fatalf("round %d: exec calls %v, want %d with the first carrying all %d records",
+					round, got, rd.calls, len(rd.keys))
+			}
+			committedBy := map[uint64]uint32{}
+			for c, recs := range got {
+				for _, r := range recs {
+					if !slices.Contains(rd.keys, r.Key) || !slices.Equal(r.Value, []byte{byte(round), byte(r.Key)}) {
+						t.Errorf("round %d: exec call %d carries %+v, not a record of this round", round, c, r)
+					}
+					committedBy[r.Key] = uint32(first + c + 1)
+				}
+			}
+			for i, k := range rd.keys {
+				res := futs[i].Wait()
+				switch {
+				case k == badKey && !errors.Is(res.Err, errBad):
+					t.Errorf("round %d: the bad command got %+v, want errBad", round, res)
+				case k != badKey && (res.Err != nil || res.Namespace != committedBy[k]):
+					t.Errorf("round %d key %d: result %+v, want that of exec call %d", round, k, res, committedBy[k])
+				}
+			}
+		}
+	})
+	eng.Wait()
 }
 
 // A lone synchronous writer must not pay the full group-commit window: when

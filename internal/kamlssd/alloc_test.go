@@ -25,7 +25,7 @@ const getAllocBudget = 3
 // allocate nothing while the reader runs.
 func TestGetAllocBudget(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool is lossy under the race detector; the budget is exact")
+		t.Skip("the engine's park-token pool is lossy under the race detector; the budget is exact")
 	}
 	const keys = 64
 	e := sim.NewEngine()
@@ -75,16 +75,16 @@ func TestGetAllocBudget(t *testing.T) {
 }
 
 // The write-path budgets: allocations of one synchronous 256 B Put and of
-// one 4-record PutBatch, each pinned just above the measured steady state
-// (14 and 27-28; 25 and 40 before parks stopped allocating, 33 and 49 before
-// the single request path). Writes inherently allocate — the NVRAM entry of
-// each value, batch and undo bookkeeping, the future, the page a full packer
-// hands to flash — so these guard the path rather than claim a number: if
-// one trips, something started copying, re-validating or re-counting a Put
-// on its way down.
+// one 4-record PutBatch, each pinned one above the measured steady state (2
+// and 6; 14 and 28 while the NVRAM, the coalescer and execPut allocated their
+// bookkeeping per request, 25 and 40 before parks stopped allocating, 33 and
+// 49 before the single request path). A write allocates only what outlives
+// it: the future its caller waits on (which carries the command, a batch's
+// records copied once beside it) and a version node per record. The page a
+// full packer hands to flash comes once per page, under one per Put.
 const (
-	putAllocBudget      = 16
-	putBatchAllocBudget = 30
+	putAllocBudget      = 3
+	putBatchAllocBudget = 7
 )
 
 func TestPutAllocBudget(t *testing.T)      { testPutAllocs(t, 1, putAllocBudget) }
@@ -94,7 +94,7 @@ func TestPutBatchAllocBudget(t *testing.T) { testPutAllocs(t, 4, putBatchAllocBu
 // built outside the measured call, as a caller's would be).
 func testPutAllocs(t *testing.T, n int, budget float64) {
 	if raceEnabled {
-		t.Skip("sync.Pool is lossy under the race detector; the budget is exact")
+		t.Skip("the engine's park-token pool is lossy under the race detector; the budget is exact")
 	}
 	const keys = 64
 	e := sim.NewEngine()
@@ -140,6 +140,79 @@ func testPutAllocs(t *testing.T, n int, budget float64) {
 		t.Fatalf("%d-record Put allocates %.1f/op, budget %.0f", n, got, budget)
 	}
 	t.Logf("%d-record Put: %.1f allocs/op (budget %.0f)", n, got, budget)
+}
+
+// coalescedPutAllocBudget bounds what a merged single-record Put allocates,
+// every actor's share included — writer, coalescer, flusher: the measured
+// 2.27 (the future, the version node, a share of each page) plus one.
+const coalescedPutAllocBudget = 3.3
+
+// TestCoalescedPutAllocBudget measures the merge path, which the Put budget
+// above never takes — with one writer every cut commits alone. Eight writer
+// actors issue single-record Puts to keys no other writer touches, so the
+// coalescer merges what arrives together, and what the whole phase allocates
+// on every goroutine is charged to the Puts it ran.
+func TestCoalescedPutAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the engine's park-token pool is lossy under the race detector; the budget is exact")
+	}
+	const writers, putsEach = 8, 64
+	e := sim.NewEngine()
+	arr := flash.New(e, testFlashConfig())
+	ctrl := nvme.New(e, nvme.DefaultConfig())
+	cfg := DefaultConfig(testFlashConfig())
+	cfg.NumLogs = 4
+	dev := New(arr, ctrl, cfg)
+	var perPut, perCommit float64
+	e.Go("alloc-main", func() {
+		defer dev.Close()
+		ns, err := dev.CreateNamespace(NamespaceAttrs{})
+		if err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		v := val(3, 256)
+		phase := func() {
+			wg := e.NewWaitGroup()
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				e.Go("writer", func() {
+					defer wg.Done()
+					batch := make([]PutRecord, 1)
+					for i := 0; i < putsEach; i++ {
+						batch[0] = PutRecord{Namespace: ns, Key: uint64(w + writers*(i%8)), Value: v}
+						if err := dev.Put(batch); err != nil {
+							t.Errorf("put: %v", err)
+							return
+						}
+					}
+				})
+			}
+			wg.Wait()
+		}
+		phase() // warm the pools, the free lists and the coalescer's buffers
+		before := dev.Stats()
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		phase()
+		runtime.ReadMemStats(&ms1)
+		after := dev.Stats()
+		puts := after.Puts - before.Puts
+		perPut = float64(ms1.Mallocs-ms0.Mallocs) / float64(puts)
+		perCommit = float64(after.CoalescerRecords-before.CoalescerRecords) /
+			float64(after.CoalescerBatches-before.CoalescerBatches)
+	})
+	e.Wait()
+	if t.Failed() {
+		return
+	}
+	if perCommit <= 1 {
+		t.Fatalf("setup: %.2f records per commit, want a merge", perCommit)
+	}
+	if perPut > coalescedPutAllocBudget {
+		t.Fatalf("a coalesced Put allocates %.2f/op, budget %.1f", perPut, coalescedPutAllocBudget)
+	}
+	t.Logf("coalesced Put: %.2f allocs/op at %.2f records per commit (budget %.1f)", perPut, perCommit, coalescedPutAllocBudget)
 }
 
 // bytesAllocated reports how many heap bytes fn allocates, every goroutine's

@@ -156,7 +156,7 @@ func DefaultConfig(fc flash.Config) Config {
 		PipelineDepth:      128,
 		PipelineWorkers:    0, // min(depth, 32)
 		CoalesceWindow:     5 * time.Microsecond,
-		MaxCoalesceRecords: 16,
+		MaxCoalesceRecords: stackBatch,
 	}
 }
 

@@ -154,7 +154,7 @@ func (d *Device) victim(lg *logState) (chipIdx, block int, ok bool) {
 			// could erase a page that is about to become live. The flusher
 			// is strictly in-order, so checking its current in-flight page
 			// is sufficient.
-			if lg.inflight != nil {
+			if lg.inflight.data != nil {
 				a := d.arr.Decode(lg.inflight.ppn)
 				if a.Channel == ch && a.Chip == chip && a.Block == b {
 					continue

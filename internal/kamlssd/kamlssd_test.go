@@ -313,6 +313,60 @@ func TestCoalescedReadOnlyPutFailsAlone(t *testing.T) {
 	})
 }
 
+// A batch may name more namespaces than the stack buffers hold, in any
+// order. It commits whole, and whether it commits or a read-only namespace
+// rejects it, every namespace it marked in flight is released again.
+func TestBatchAcrossManyNamespaces(t *testing.T) {
+	withRig(t, testFlashConfig(), nil, func(r *rig) {
+		const nNS = stackBatch + 4
+		ids := make([]uint32, nNS)
+		for i := range ids {
+			ids[i], _ = r.dev.CreateNamespace(NamespaceAttrs{})
+		}
+		var batch []PutRecord
+		for k := uint64(0); k < 2; k++ {
+			for i := nNS - 1; i >= 0; i -= 2 {
+				batch = append(batch, PutRecord{Namespace: ids[i], Key: k, Value: val(k, 32)})
+			}
+			for i := 0; i < nNS; i += 2 {
+				batch = append(batch, PutRecord{Namespace: ids[i], Key: k, Value: val(k, 32)})
+			}
+		}
+		// A leaked mark would make snapshot creation wait forever, so check
+		// before taking one.
+		released := func(when string) {
+			for _, id := range ids {
+				ns, err := r.dev.lookupNS(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := ns.pendingBatches.Load(); n != 0 {
+					t.Fatalf("%s: ns %d still has %d batches marked in flight", when, id, n)
+				}
+			}
+		}
+		if err := r.dev.Put(batch); err != nil {
+			t.Fatal(err)
+		}
+		released("after commit")
+		for _, rec := range batch {
+			got, err := r.dev.Get(rec.Namespace, rec.Key)
+			if err != nil || !bytes.Equal(got, rec.Value) {
+				t.Fatalf("ns %d key %d: %v", rec.Namespace, rec.Key, err)
+			}
+		}
+		snap, err := r.dev.SnapshotNamespace(ids[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := append(batch[:nNS:nNS], PutRecord{Namespace: snap, Key: 9, Value: []byte("x")})
+		if err := r.dev.Put(bad); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("batch naming a snapshot: %v, want ErrReadOnly", err)
+		}
+		released("after rejection")
+	})
+}
+
 func TestBatchDuplicateKeyRejected(t *testing.T) {
 	withRig(t, testFlashConfig(), nil, func(r *rig) {
 		ns, _ := r.dev.CreateNamespace(NamespaceAttrs{})

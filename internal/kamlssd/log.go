@@ -40,9 +40,14 @@ type logState struct {
 	pending     []pendingRec // records in the open packer
 	pageSeq     uint64       // pages sealed so far: the open page's identity across a wait
 	sealedQueue []sealedPage
-	inflight    *sealedPage // page the flusher is programming right now
-	spaceCv     *sim.Cond   // on mu: queue has room / device closed
-	workCv      *sim.Cond   // on mu: sealed page queued / drain requested / device closed
+	// inflight is the page the flusher is programming right now, held by
+	// value; its data is nil while the flusher programs nothing.
+	inflight sealedPage
+	// spare holds emptied pending lists: the flusher returns a page's list
+	// once the page is installed, and the next seal opens its page with it.
+	spare   [][]pendingRec
+	spaceCv *sim.Cond // on mu: queue has room / device closed
+	workCv  *sim.Cond // on mu: sealed page queued / drain requested / device closed
 
 	activeHost *appendPoint
 	activeGC   *appendPoint
@@ -306,6 +311,10 @@ func (lg *logState) sealPacker(cause sealCause) {
 	oob := lg.d.buildOOB(bitmap, pageTypeRecord, data)
 	pend := lg.pending
 	lg.pending = nil
+	if n := len(lg.spare); n > 0 {
+		lg.pending = lg.spare[n-1]
+		lg.spare = lg.spare[:n-1]
+	}
 	ppn, ok := lg.hostPPN()
 	if !ok {
 		return // power cut: records stay in NVRAM for recovery
@@ -415,9 +424,13 @@ func (d *Device) flusherLoop(lg *logState) {
 			lg.mu.Unlock()
 			continue
 		}
+		// The queue closes up in place, so the next seal appends into the
+		// same array instead of regrowing it.
 		sp := lg.sealedQueue[0]
-		lg.sealedQueue = lg.sealedQueue[1:]
-		lg.inflight = &sp
+		n := copy(lg.sealedQueue, lg.sealedQueue[1:])
+		lg.sealedQueue[n] = sealedPage{}
+		lg.sealedQueue = lg.sealedQueue[:n]
+		lg.inflight = sp
 		lg.mu.Unlock()
 
 		err := d.programPage(sp.ppn, sp.data, sp.oob)
@@ -444,7 +457,7 @@ func (d *Device) flusherLoop(lg *logState) {
 			if flg, lc, b := d.blockOf(sp.ppn); lc != nil && flg == lg {
 				lc.blocks[b].progFailed++
 			}
-			lg.inflight = nil
+			lg.inflight = sealedPage{}
 			lg.gcRetry() // the consumed page may have completed its block
 			ppn, ok := lg.hostPPN()
 			if !ok {
@@ -472,7 +485,8 @@ func (d *Device) flusherLoop(lg *logState) {
 			d.nvMu.Unlock()
 		}
 		lg.mu.Lock()
-		lg.inflight = nil
+		lg.inflight = sealedPage{}
+		lg.spare = append(lg.spare, sp.pending[:0])
 		lg.spaceCv.Broadcast()
 		lg.gcRetry() // the page's block may just have become collectible
 		lg.mu.Unlock()

@@ -104,12 +104,12 @@ func (d *Device) pinsAppend(pins []uint64) ([]uint64, uint64) {
 	return slices.Compact(pins), floor
 }
 
-// snapshotPins is pinsAppend into a fresh buffer, for callers not holding
-// d.mu.
-func (d *Device) snapshotPins() ([]uint64, uint64) {
+// snapshotPins is pinsAppend for callers not holding d.mu: it gathers into
+// buf (a Put passes a stack buffer, so its pins cost no allocation).
+func (d *Device) snapshotPins(buf []uint64) ([]uint64, uint64) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.pinsAppend(make([]uint64, 0, 8))
+	return d.pinsAppend(buf)
 }
 
 // versionDead releases the flash space of a pruned version. NVRAM-resident

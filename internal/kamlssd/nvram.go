@@ -2,35 +2,10 @@ package kamlssd
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"github.com/kaml-ssd/kaml/internal/flash"
 )
-
-// stagingPool recycles NVRAM staging buffers. Buffers are allocated at the
-// device's max value size class on first use and re-sliced per value, so the
-// pool converges to a handful of page-sized byte slices per live batch.
-var stagingPool = sync.Pool{
-	New: func() any { return make([]byte, 0, 8192) },
-}
-
-// getStaging returns a pooled buffer holding a copy of val.
-func getStaging(val []byte) []byte {
-	buf := stagingPool.Get().([]byte)
-	if cap(buf) < len(val) {
-		buf = make([]byte, 0, len(val))
-	}
-	return append(buf[:0], val...)
-}
-
-// putStaging recycles a staging buffer. Callers must not touch the slice
-// afterwards.
-func putStaging(buf []byte) {
-	if buf != nil {
-		stagingPool.Put(buf[:0])
-	}
-}
 
 // NVRAM models the device's battery-backed memory region (paper §III-C,
 // §IV-D: "the staging buffers are non-volatile"). Everything in it survives
@@ -57,11 +32,14 @@ func putStaging(buf []byte) {
 // commit marker is modeled as a single atomic NVRAM write (an 8-byte flag),
 // the standard assumption for battery-backed commit records.
 //
-// Staged value buffers come from a pool: a value is copied in once at stage
-// time and the buffer is recycled when the entry is released (installed,
-// aborted, or dropped), so the steady-state Put path allocates nothing for
-// staging. Readers must copy out under nvMu — valueState returns the pooled
-// buffer itself.
+// Like the paper's fixed staging area, the region recycles its storage in
+// place: entries and batch records are held by value in their maps, a
+// batch's members are the seq range beginBatch reserved for it (no list of
+// its own), and staged value buffers come from a free list the NVRAM owns.
+// A value is copied in once at stage time and its buffer goes back on the
+// list when the entry is released (installed, aborted, dropped or
+// finished), so a steady-state Put allocates nothing here. Readers must
+// copy out under nvMu — valueState returns the buffer itself.
 type NVRAM struct {
 	nextNSID  uint32
 	nvSeq     uint64
@@ -74,8 +52,9 @@ type NVRAM struct {
 	// inserts into or deletes from the values map must keep it in step.
 	staged atomic.Int64
 
-	values  map[uint64]*nvEntry // staged values by sequence
-	batches map[uint64]*nvBatch
+	values  map[uint64]nvEntry // staged values by sequence
+	batches map[uint64]nvBatch
+	free    [][]byte // released staging buffers, reused by stage
 	// open holds the first reserved seq of every batch that has neither
 	// committed nor aborted, by batch ID: what settledSeq needs, without
 	// walking the committed batches that still wait for flash.
@@ -99,12 +78,13 @@ type nvEntry struct {
 	installed bool // flash copy installed before the batch committed
 }
 
-// nvBatch tracks one Put batch's commit state.
+// nvBatch tracks one Put batch's commit state. Its members are the staged
+// values among the n seqs from first on: nobody else stages in that range.
 type nvBatch struct {
 	committed bool
 	first     uint64 // first seq of the range reserved at beginBatch
-	seqs      []uint64
-	remaining int // staged values not yet durable on flash
+	n         uint64 // seqs reserved
+	remaining int    // staged values not yet durable on flash
 }
 
 // nsMeta is the catalog entry for one namespace.
@@ -126,8 +106,8 @@ const noCutoff = ^uint64(0)
 func NewNVRAM() *NVRAM {
 	return &NVRAM{
 		nextNSID:  1,
-		values:    make(map[uint64]*nvEntry),
-		batches:   make(map[uint64]*nvBatch),
+		values:    make(map[uint64]nvEntry),
+		batches:   make(map[uint64]nvBatch),
 		open:      make(map[uint64]uint64),
 		aborted:   make(map[uint64]struct{}),
 		catalog:   make(map[uint32]*nsMeta),
@@ -140,11 +120,12 @@ func NewNVRAM() *NVRAM {
 // seq. Reserving the whole range up front — before any record is staged —
 // means a snapshot pin taken at the current nvSeq can never split a batch:
 // either every record of the batch is ≤ the pin (and the pinned reader
-// waits for the batch's commit/abort decision) or none is.
+// waits for the batch's commit/abort decision) or none is. The range is
+// also the batch's membership: its values are the ones staged inside it.
 func (nv *NVRAM) beginBatch(n int) (batch, firstSeq uint64) {
 	nv.nextBatch++
 	firstSeq = nv.nvSeq + 1
-	nv.batches[nv.nextBatch] = &nvBatch{first: firstSeq}
+	nv.batches[nv.nextBatch] = nvBatch{first: firstSeq, n: uint64(n)}
 	nv.open[nv.nextBatch] = firstSeq
 	nv.nvSeq += uint64(n)
 	return nv.nextBatch, firstSeq
@@ -168,79 +149,116 @@ func (nv *NVRAM) settledSeq() uint64 {
 }
 
 // stage stores the value under a sequence number reserved by beginBatch.
-// Unused reserved seqs (a batch aborted mid-stage, or the split-commit test
-// path re-reserving) are harmless gaps in the timestamp space.
+// Reserved seqs never staged (a batch aborted mid-stage) are harmless gaps
+// in the timestamp space.
 func (nv *NVRAM) stage(seq uint64, ns uint32, key uint64, val []byte, batch uint64) {
-	nv.values[seq] = &nvEntry{ns: ns, key: key, val: getStaging(val), batch: batch}
+	nv.values[seq] = nvEntry{ns: ns, key: key, val: nv.copyIn(val), batch: batch}
 	nv.staged.Add(1)
 	b := nv.batches[batch]
-	b.seqs = append(b.seqs, seq)
 	b.remaining++
+	nv.batches[batch] = b
+}
+
+// copyIn returns a staging buffer holding a copy of val, recycled from the
+// free list when one is there. A recycled buffer too small for val is
+// dropped for one of val's size, so the buffers grow to the largest value
+// the workload stages and then stop allocating.
+func (nv *NVRAM) copyIn(val []byte) []byte {
+	var buf []byte
+	if n := len(nv.free); n > 0 {
+		buf = nv.free[n-1]
+		nv.free = nv.free[:n-1]
+	}
+	if cap(buf) < len(val) {
+		buf = make([]byte, 0, len(val))
+	}
+	return append(buf[:0], val...)
+}
+
+// release deletes seq's entry e and puts its buffer on the free list; the
+// caller accounts for it in e's batch.
+func (nv *NVRAM) release(seq uint64, e nvEntry) {
+	delete(nv.values, seq)
+	nv.staged.Add(-1)
+	nv.free = append(nv.free, e.val[:0])
+}
+
+// storeBatch writes batch record b back under id, or retires it once none
+// of its values still waits for flash.
+func (nv *NVRAM) storeBatch(id uint64, b nvBatch) {
+	if b.remaining == 0 {
+		delete(nv.batches, id)
+	} else {
+		nv.batches[id] = b
+	}
 }
 
 // commitBatch is the batch's commit point. Values whose flash copies were
 // installed while the batch was still open become fully durable now.
 func (nv *NVRAM) commitBatch(batch uint64) {
-	b := nv.batches[batch]
-	if b == nil {
+	b, ok := nv.batches[batch]
+	if !ok {
 		return
 	}
 	b.committed = true
 	delete(nv.open, batch)
-	for _, seq := range b.seqs {
-		if e := nv.values[seq]; e != nil && e.installed {
-			delete(nv.values, seq)
-			nv.staged.Add(-1)
-			putStaging(e.val)
+	for seq := b.first; seq < b.first+b.n; seq++ {
+		if e, ok := nv.values[seq]; ok && e.installed {
+			nv.release(seq, e)
 			b.remaining--
 		}
 	}
-	if b.remaining == 0 {
-		delete(nv.batches, batch)
-	}
+	nv.storeBatch(batch, b)
 }
 
 // abortBatch rolls back an uncommitted batch: its values are dropped and
 // their sequences remembered as aborted so copies that already reached
 // flash are never resurrected by recovery.
 func (nv *NVRAM) abortBatch(batch uint64) {
-	b := nv.batches[batch]
-	if b == nil {
+	b, ok := nv.batches[batch]
+	if !ok {
 		return
 	}
-	for _, seq := range b.seqs {
-		if e := nv.values[seq]; e != nil {
-			delete(nv.values, seq)
-			nv.staged.Add(-1)
-			putStaging(e.val)
-		}
-		nv.aborted[seq] = struct{}{}
-	}
+	nv.discard(b)
 	delete(nv.batches, batch)
 	delete(nv.open, batch)
+}
+
+// discard drops the staged values of uncommitted batch b and marks their
+// seqs aborted, returning how many it dropped. An uncommitted batch keeps
+// every value it staged until it commits or aborts (an install leaves a
+// marker), so the staged seqs of its range are exactly the ones present;
+// the rest were never staged, and nothing of theirs can be on flash.
+func (nv *NVRAM) discard(b nvBatch) int {
+	dropped := 0
+	for seq := b.first; seq < b.first+b.n; seq++ {
+		if e, ok := nv.values[seq]; ok {
+			nv.release(seq, e)
+			nv.aborted[seq] = struct{}{}
+			dropped++
+		}
+	}
+	return dropped
 }
 
 // installed records that seq's flash copy is now pointed at by the index.
 // Committed values are released; uncommitted ones are kept as markers so
 // recovery knows their flash copies belong to an unfinished batch.
 func (nv *NVRAM) installed(seq uint64) {
-	e := nv.values[seq]
-	if e == nil {
+	e, ok := nv.values[seq]
+	if !ok {
 		return
 	}
-	b := nv.batches[e.batch]
-	if b != nil && !b.committed {
+	b, open := nv.batches[e.batch]
+	if open && !b.committed {
 		e.installed = true
+		nv.values[seq] = e
 		return
 	}
-	delete(nv.values, seq)
-	nv.staged.Add(-1)
-	putStaging(e.val)
-	if b != nil {
+	nv.release(seq, e)
+	if open {
 		b.remaining--
-		if b.remaining == 0 {
-			delete(nv.batches, e.batch)
-		}
+		nv.storeBatch(e.batch, b)
 	}
 }
 
@@ -253,8 +271,8 @@ func (nv *NVRAM) valueState(seq uint64) (val []byte, committed bool, ok bool) {
 	if !found {
 		return nil, false, false
 	}
-	b := nv.batches[e.batch]
-	return e.val, b == nil || b.committed, true
+	b, open := nv.batches[e.batch]
+	return e.val, !open || b.committed, true
 }
 
 // unflushed counts staged values whose flash copy is not yet installed —
@@ -285,15 +303,7 @@ func (nv *NVRAM) dropUncommitted() int {
 		if b.committed {
 			continue
 		}
-		for _, seq := range b.seqs {
-			if e, ok := nv.values[seq]; ok {
-				delete(nv.values, seq)
-				nv.staged.Add(-1)
-				putStaging(e.val)
-				dropped++
-			}
-			nv.aborted[seq] = struct{}{}
-		}
+		dropped += nv.discard(b)
 		delete(nv.batches, id)
 		delete(nv.open, id)
 	}
@@ -304,18 +314,14 @@ func (nv *NVRAM) dropUncommitted() int {
 // (its sequence, or a newer one, is on flash for every interested
 // namespace).
 func (nv *NVRAM) finish(seq uint64) {
-	e := nv.values[seq]
-	if e == nil {
+	e, ok := nv.values[seq]
+	if !ok {
 		return
 	}
-	delete(nv.values, seq)
-	nv.staged.Add(-1)
-	putStaging(e.val)
-	if b := nv.batches[e.batch]; b != nil {
+	nv.release(seq, e)
+	if b, open := nv.batches[e.batch]; open {
 		b.remaining--
-		if b.remaining == 0 {
-			delete(nv.batches, e.batch)
-		}
+		nv.storeBatch(e.batch, b)
 	}
 }
 

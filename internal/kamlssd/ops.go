@@ -1,8 +1,10 @@
 package kamlssd
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -71,7 +73,7 @@ func (d *Device) execGet(nsID uint32, key uint64) ([]byte, error) {
 // held per record (never across queue-space waits), so Puts to different
 // namespaces — or to the same namespace routed to different logs — only
 // serialize on the log they land on. The batch contract and the rule about
-// not mutating the slice are SubmitPut's.
+// not mutating the values are SubmitPut's.
 func (d *Device) Put(batch []PutRecord) error {
 	return d.SubmitPut(batch).Wait().Err
 }
@@ -80,12 +82,16 @@ func (d *Device) Put(batch []PutRecord) error {
 // worker for a directly-dispatched batch (merged == 0), or on a coalescer
 // actor for a group commit carrying several merged Put commands (merged ==
 // how many; the records of one merged command are contiguous, and the
-// coalescer's cut keeps a merged batch free of duplicate keys).
+// coalescer's cut keeps a merged batch free of duplicate keys). Its
+// bookkeeping — key order, namespaces, undo list, prune pins — lives in
+// stack buffers sized for a batch within the coalescer's cap, so what a Put
+// allocates is what outlives it: the version nodes and the pages it fills.
 func (d *Device) execPut(batch []PutRecord, merged int) error {
 	// Phase 1a: lock every touched index entry, in sorted order. The sort
 	// puts a repeated key next to itself, so the duplicate scan that guards
 	// the key locks against self-deadlock costs one pass over it.
-	keys, err := lockOrder(batch)
+	var keyBuf [stackBatch]nskey
+	keys, err := lockOrder(batch, keyBuf[:0])
 	if err != nil {
 		return err
 	}
@@ -95,15 +101,26 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 	}
 	// Resolve and validate every namespace up front, and mark one
 	// in-flight batch per namespace so snapshot creation waits out
-	// half-staged batches (see SnapshotNamespace).
-	nss := make(map[uint32]*namespace, len(batch))
+	// half-staged batches (see SnapshotNamespace). The slots come from the
+	// sorted keys, so they ascend by ID and a record finds its namespace by
+	// binary search; they are filled in batch order.
+	var nsBuf [stackBatch]nsSlot
+	nss := nsBuf[:0]
+	for i, k := range keys {
+		if i == 0 || k.ns != keys[i-1].ns {
+			nss = append(nss, nsSlot{id: k.ns})
+		}
+	}
 	defer func() {
-		for _, ns := range nss {
-			ns.pendingBatches.Add(-1)
+		for _, s := range nss {
+			if s.ns != nil {
+				s.ns.pendingBatches.Add(-1)
+			}
 		}
 	}()
 	for _, r := range batch {
-		if _, ok := nss[r.Namespace]; ok {
+		slot := &nss[nsIndex(nss, r.Namespace)]
+		if slot.ns != nil {
 			continue
 		}
 		ns, lerr := d.lookupNS(r.Namespace)
@@ -130,7 +147,7 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 				return lerr
 			}
 		}
-		nss[r.Namespace] = ns
+		slot.ns = ns
 	}
 	d.keyLks.lockAll(keys)
 
@@ -150,7 +167,8 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 	d.nvMu.Unlock()
 	totalProbes := 0
 	newKeys := 0
-	undo := make([]undoEntry, 0, len(batch))
+	var undoBuf [stackBatch]undoEntry
+	undo := undoBuf[:0]
 	abort := func(aerr error) error {
 		d.rollbackStaged(undo)
 		d.nvMu.Lock()
@@ -171,7 +189,7 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 			d.noticePowerLoss()
 			return abort(ErrPowerLoss)
 		}
-		ns := nss[r.Namespace]
+		ns := nss[nsIndex(nss, r.Namespace)].ns
 
 		seq := seqCur
 		seqCur++
@@ -233,7 +251,8 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 	for _, u := range undo {
 		u.ns.fam.chains.Load().Commit(u.node)
 	}
-	pins, floor := d.snapshotPins()
+	var pinBuf [8]uint64
+	pins, floor := d.snapshotPins(pinBuf[:0])
 	pruned := 0
 	for _, u := range undo {
 		u.ns.mu.Lock()
@@ -259,6 +278,21 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 	d.ctrl.Compute(d.ctrl.Config().FirmwareFixedCost +
 		time.Duration(newKeys)*d.ctrl.Config().InsertCost)
 	return nil
+}
+
+// nsSlot is one namespace a Put batch names: its ID, and the namespace once
+// execPut has resolved and marked it.
+type nsSlot struct {
+	id uint32
+	ns *namespace
+}
+
+// nsIndex returns the index of id in nss, which ascends by ID and holds it.
+func nsIndex(nss []nsSlot, id uint32) int {
+	i, _ := slices.BinarySearchFunc(nss, id, func(s nsSlot, id uint32) int {
+		return cmp.Compare(s.id, id)
+	})
+	return i
 }
 
 // rollbackStaged undoes phase-1b staging for the already-staged prefix of

@@ -32,8 +32,9 @@ func (d *Device) SubmitGet(nsID uint32, key uint64) *cmdq.Future {
 // batches (and batches small enough to share a commit) may be merged with
 // concurrent Puts into one NVRAM batch commit by the pipeline's coalescer.
 //
-// The pipeline takes the slice itself, not a copy: like the values it
-// names, batch must not be mutated until the future's Wait has returned.
+// The pipeline copies the records into the future it returns, so the caller
+// may reuse batch once SubmitPut returns; the values the records name are not
+// copied and must stay unmodified until the future's Wait has returned.
 func (d *Device) SubmitPut(batch []PutRecord) *cmdq.Future {
 	if err := d.checkBatch(batch); err != nil {
 		return cmdq.Resolved(d.eng, cmdq.Result{Err: err})
@@ -48,14 +49,16 @@ func (d *Device) SubmitPut(batch []PutRecord) *cmdq.Future {
 
 // checkBatch is the Put batch contract: at least one record
 // (ErrEmptyBatch), no (namespace, key) named twice (ErrBadBatch), every
-// value within one flash page (ErrValueTooLarge). The duplicate check's
-// sorted key copy is its one allocation; a single record allocates nothing.
+// value within one flash page (ErrValueTooLarge). The duplicate check sorts
+// a copy of the keys on the stack, so a batch within the coalescer's cap
+// allocates nothing.
 func (d *Device) checkBatch(batch []PutRecord) error {
 	if len(batch) == 0 {
 		return ErrEmptyBatch
 	}
 	if len(batch) > 1 {
-		if _, err := lockOrder(batch); err != nil {
+		var buf [stackBatch]nskey
+		if _, err := lockOrder(batch, buf[:0]); err != nil {
 			return err
 		}
 	}
@@ -68,13 +71,19 @@ func (d *Device) checkBatch(batch []PutRecord) error {
 	return nil
 }
 
-// lockOrder returns the batch's (namespace, key) pairs in key-lock order,
-// or ErrBadBatch naming the first pair that appears twice — sorted,
-// duplicates are neighbors.
-func lockOrder(batch []PutRecord) ([]nskey, error) {
-	keys := make([]nskey, len(batch))
-	for i, r := range batch {
-		keys[i] = nskey{ns: r.Namespace, key: r.Key}
+// stackBatch is how many records the stack buffers of a Put's bookkeeping —
+// its sorted keys, its namespaces, its undo list — hold. DefaultConfig caps
+// a merged batch at it (MaxCoalesceRecords); a larger batch spills to the
+// heap.
+const stackBatch = 16
+
+// lockOrder appends the batch's (namespace, key) pairs to buf[:0] in
+// key-lock order, or returns ErrBadBatch naming the first pair that appears
+// twice — sorted, duplicates are neighbors.
+func lockOrder(batch []PutRecord, buf []nskey) ([]nskey, error) {
+	keys := buf[:0]
+	for _, r := range batch {
+		keys = append(keys, nskey{ns: r.Namespace, key: r.Key})
 	}
 	slices.SortFunc(keys, func(a, b nskey) int {
 		return cmp.Or(cmp.Compare(a.ns, b.ns), cmp.Compare(a.key, b.key))

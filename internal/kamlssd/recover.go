@@ -135,6 +135,7 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 	for _, seq := range seqs {
 		e := nv.values[seq]
 		e.installed = false // any pre-cut install died with the DRAM index
+		nv.values[seq] = e
 		if cr.offer(e.ns, e.key, seq, uint64(nvramLoc(seq))) {
 			replay = append(replay, seq)
 		} else {
@@ -494,9 +495,9 @@ func (d *Device) padBlock(sc *chipScan, b int) error {
 func (d *Device) restageNVRAM(replay []uint64) error {
 	for _, seq := range replay {
 		d.nvMu.Lock()
-		e := d.nv.values[seq]
+		e, ok := d.nv.values[seq]
 		d.nvMu.Unlock()
-		if e == nil {
+		if !ok {
 			continue
 		}
 		fam := d.families[e.ns]

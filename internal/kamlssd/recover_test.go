@@ -130,15 +130,10 @@ func cloneNVRAM(nv *NVRAM) *NVRAM {
 	c.nextNSID, c.nvSeq, c.nextBatch = nv.nextNSID, nv.nvSeq, nv.nextBatch
 	c.staged.Store(nv.staged.Load())
 	for seq, e := range nv.values {
-		ce := *e
-		ce.val = slices.Clone(e.val)
-		c.values[seq] = &ce
+		e.val = slices.Clone(e.val)
+		c.values[seq] = e
 	}
-	for id, b := range nv.batches {
-		cb := *b
-		cb.seqs = slices.Clone(b.seqs)
-		c.batches[id] = &cb
-	}
+	maps.Copy(c.batches, nv.batches)
 	maps.Copy(c.open, nv.open)
 	for _, m := range nv.catalog {
 		c.putNS(*m)

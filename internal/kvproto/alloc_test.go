@@ -49,9 +49,10 @@ func TestFrameCodecAllocBudget(t *testing.T) {
 
 // clientRoundTripAllocBudget bounds one framed Put and one Get, end to end
 // and on every goroutine — client encode, loopback socket, server pump,
-// device, reply, client decode: the measured steady state (32; 46 while
-// every simulated park allocated) plus one.
-const clientRoundTripAllocBudget = 33
+// device, reply, client decode: the measured steady state (19; 32 while the
+// device's write path allocated its bookkeeping per request, 46 while every
+// simulated park allocated) plus one.
+const clientRoundTripAllocBudget = 20
 
 // TestClientRoundTripAllocBudget pins the framed client's round trip.
 func TestClientRoundTripAllocBudget(t *testing.T) {

@@ -67,13 +67,17 @@ type LockID struct {
 	Unit  uint64
 }
 
-// Manager is the lock table.
+// Manager is the lock table. It recycles what it empties: a released lock
+// record goes on a free list with its maps emptied, and ReleaseAll clears a
+// transaction's held set in place, so a warm manager's Acquire and
+// ReleaseAll allocate nothing.
 type Manager struct {
 	eng            *sim.Engine
 	mu             *sim.Mutex
 	cv             *sim.Cond
 	recordsPerLock uint64
 	locks          map[LockID]*lockState
+	free           []*lockState // released lock records, both maps empty
 
 	acquires, waits, dies int64
 
@@ -205,7 +209,7 @@ func (m *Manager) Acquire(t *Txn, table uint32, key uint64, mode Mode) error {
 		}
 		ls := m.locks[id]
 		if ls == nil {
-			ls = &lockState{holders: make(map[uint64]Mode), waiting: make(map[uint64]Mode)}
+			ls = m.newLockStateLocked()
 			m.locks[id] = ls
 		}
 		conflict := false
@@ -257,11 +261,25 @@ func (m *Manager) Acquire(t *Txn, table uint32, key uint64, mode Mode) error {
 }
 
 // cleanupLocked drops the lock record once neither holders nor waiters
-// remain. Caller holds m.mu.
+// remain, onto the free list. Nobody keeps a record across a wait — Acquire
+// looks its lock up again after every wake-up — so a freed record is
+// unreachable. Caller holds m.mu.
 func (m *Manager) cleanupLocked(id LockID, ls *lockState) {
 	if len(ls.holders) == 0 && len(ls.waiting) == 0 {
 		delete(m.locks, id)
+		m.free = append(m.free, ls)
 	}
+}
+
+// newLockStateLocked returns an empty lock record, recycled when the free
+// list has one. Caller holds m.mu.
+func (m *Manager) newLockStateLocked() *lockState {
+	if n := len(m.free); n > 0 {
+		ls := m.free[n-1]
+		m.free = m.free[:n-1]
+		return ls
+	}
+	return &lockState{holders: make(map[uint64]Mode), waiting: make(map[uint64]Mode)}
 }
 
 func maxMode(ms ...Mode) Mode {
@@ -286,7 +304,7 @@ func (m *Manager) ReleaseAll(t *Txn) {
 			m.cleanupLocked(id, ls)
 		}
 	}
-	t.held = make(map[LockID]Mode)
+	clear(t.held)
 	m.cv.Broadcast()
 }
 

@@ -185,6 +185,40 @@ func TestReacquireAfterReleaseAll(t *testing.T) {
 	e.Wait()
 }
 
+// A warm manager recycles what it empties: an SS2PL cycle — a transaction
+// locking fresh lock units, upgrading one, then releasing everything —
+// allocates nothing, because ReleaseAll clears the held set in place and a
+// released lock record waits on the free list for the next fresh lock.
+func TestWarmAcquireReleaseDoesNotAllocate(t *testing.T) {
+	e := sim.NewEngine()
+	m := New(e, 1)
+	var got float64
+	e.Go("test", func() {
+		tx := m.NewTxn(1)
+		var key uint64
+		cycle := func() {
+			for i := uint64(0); i < 4; i++ {
+				if err := m.Acquire(tx, 0, key+i, Shared); err != nil {
+					t.Error(err)
+				}
+			}
+			if err := m.Acquire(tx, 0, key, Exclusive); err != nil {
+				t.Error(err)
+			}
+			m.ReleaseAll(tx)
+			key = (key + 4) % 64 // the next cycle's units are not this one's
+		}
+		for i := 0; i < 32; i++ {
+			cycle()
+		}
+		got = testing.AllocsPerRun(100, cycle)
+	})
+	e.Wait()
+	if got != 0 {
+		t.Fatalf("a warm Acquire + ReleaseAll cycle allocates %.2f times, want 0", got)
+	}
+}
+
 func TestStatsCount(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(e, 1)

@@ -33,6 +33,7 @@ package kaml
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -480,11 +481,13 @@ func (d *Device) GetAt(ns Namespace, key uint64, ts uint64) ([]byte, error) {
 
 // Put atomically inserts or updates a single key-value pair.
 func (d *Device) Put(ns Namespace, key uint64, value []byte) error {
-	recs := []kamlssd.PutRecord{{Namespace: ns, Key: key, Value: value}}
+	rec := [1]kamlssd.PutRecord{{Namespace: ns, Key: key, Value: value}}
 	t := d.tap
 	if t == nil {
-		return d.dev.Put(recs)
+		return d.dev.Put(rec[:]) // the device copies it: the record stays on the stack
 	}
+	// The tap may keep the slice it is shown, so it gets one of its own.
+	recs := []kamlssd.PutRecord{rec[0]}
 	id := t.OpInvoked(OpPut, 0, recs)
 	err := d.dev.Put(recs)
 	t.OpCompleted(id, ns, nil, err)
@@ -492,21 +495,23 @@ func (d *Device) Put(ns Namespace, key uint64, value []byte) error {
 }
 
 // Record is one element of an atomic batch Put. It is the same type all the
-// way down (kamlssd.PutRecord, cmdq.Record): a batch is handed to the
-// device as the slice the caller built.
+// way down (kamlssd.PutRecord, cmdq.Record): the device copies a batch's
+// records once, on submission, and never converts them.
 type Record = kamlssd.PutRecord
 
 // PutBatch atomically inserts or updates several key-value pairs, possibly
 // across namespaces — the paper's multi-part atomic write. Batches must be
 // non-empty (ErrEmptyBatch) and free of repeated keys (ErrDuplicateKey);
 // the firmware checks both on submission (kamlssd.SubmitPut), before the
-// batch costs a device round trip.
+// batch costs a device round trip. The device copies the records, not the
+// values they name: records may live on the caller's stack, and the values
+// must stay unmodified until PutBatch returns.
 func (d *Device) PutBatch(records []Record) error {
 	t := d.tap
 	if t == nil {
 		return d.dev.Put(records)
 	}
-	id := t.OpInvoked(OpPutBatch, 0, records)
+	id := t.OpInvoked(OpPutBatch, 0, slices.Clone(records)) // the tap may keep it
 	err := d.dev.Put(records)
 	t.OpCompleted(id, 0, nil, err)
 	return err
@@ -586,13 +591,13 @@ func (d *Device) AsyncPut(ns Namespace, key uint64, value []byte) *PutFuture {
 
 // AsyncPutBatch submits an atomic multi-record write and returns a future.
 // Validation failures (ErrEmptyBatch, ErrDuplicateKey) surface through the
-// future's Wait, never through a neighboring command. The device takes the
-// records slice itself, not a copy: like the values it names, it must not
-// be mutated until Wait has returned.
+// future's Wait, never through a neighboring command. The device copies the
+// records before this returns, so the slice may be reused at once; the
+// values it names must stay unmodified until Wait has returned.
 func (d *Device) AsyncPutBatch(records []Record) *PutFuture {
 	fut := &PutFuture{tap: d.tap}
 	if fut.tap != nil {
-		fut.id = fut.tap.OpInvoked(OpPutBatch, 0, records)
+		fut.id = fut.tap.OpInvoked(OpPutBatch, 0, slices.Clone(records))
 	}
 	fut.f = d.dev.SubmitPut(records)
 	return fut
