@@ -17,7 +17,7 @@ import (
 // (some plans also inject program/read failures or leave a torn page at
 // the cut). After Reopen, every committed batch must be fully readable and
 // no uncommitted batch may be visible, even partially. A second
-// crash+recovery round exercises blocks padded by the first recovery.
+// crash+recovery round exercises blocks the first recovery resumed.
 
 const (
 	tortureKeys  = 100 // key space of the primary namespace
@@ -288,8 +288,8 @@ workload:
 	}
 
 	// The recovered device must be fully usable: keep writing, then crash
-	// and recover a second time (exercises the blocks the first recovery
-	// padded and sealed).
+	// and recover a second time (exercises the partial blocks the first
+	// recovery left to be resumed).
 	for i := 0; i < 40; i++ {
 		k := uint64(rng.Intn(tortureKeys))
 		val := tortureVal(rng, seed, 1000+i, k)

@@ -239,8 +239,8 @@ func TestSnapshotDuringGroupCommit(t *testing.T) {
 }
 
 // TestReopenAfterPowerCutDuringRecovery cuts power a second time while Reopen
-// has one scanner reading each chip. That Reopen must fail with the cut — not
-// hang on, or leak, a scanner that never heard of it (dev.Wait below would not
+// has two readers on each chip. That Reopen must fail with the cut — not
+// hang on, or leak, a reader that never heard of it (dev.Wait below would not
 // return) — and the image must still be whole: the next Reopen succeeds,
 // replays the writes that were in NVRAM at the first cut, and every
 // acknowledged value reads back.

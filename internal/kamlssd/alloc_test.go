@@ -215,14 +215,15 @@ func TestCoalescedPutAllocBudget(t *testing.T) {
 	t.Logf("coalesced Put: %.2f allocs/op at %.2f records per commit (budget %.1f)", perPut, perCommit, coalescedPutAllocBudget)
 }
 
-// bytesAllocated reports how many heap bytes fn allocates, every goroutine's
-// included: call it from the only actor of a serialized engine that runs.
-func bytesAllocated(fn func()) int64 {
+// allocated reports how many heap bytes and objects fn allocates, every
+// goroutine's included: call it from the only actor of a serialized engine
+// that runs.
+func allocated(fn func()) (bytes, objects int64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()
 	runtime.ReadMemStats(&after)
-	return int64(after.TotalAlloc - before.TotalAlloc)
+	return int64(after.TotalAlloc - before.TotalAlloc), int64(after.Mallocs - before.Mallocs)
 }
 
 // The byte budgets of the two page scans. A collection reads its victim's
@@ -230,15 +231,25 @@ func bytesAllocated(fn func()) int64 {
 // relocation fills — a page image per relocated page, 1 024 B per record of
 // the 1000 B values these tests write, eight to a page — and a little
 // bookkeeping, not a copy of every value it parses, live or dead. A recovery
-// scan allocates what its chain rebuild keeps, 32 B a record, and pads every
-// partial block with one shared page. Measured: 1 040 B per relocated record
-// and 200-650 B per scanned page (the margin of two recoveries, so the
-// noise of Recover's fixed cost shows); before the scans parsed in place,
-// 10 281 and 9 138 — every parsed value copied, every relocation page copied
-// again by the flash program, and a fresh padding page per partial block.
+// scan allocates the lists it hands the join — each reader's, 32 B a record,
+// and the one they are appended into. Measured: 1 040 B per relocated record
+// and 550-650 B per scanned page of eight records (the margin of two
+// recoveries, so the noise of the fixed cost shows); before the scans parsed
+// in place, 10 281 and 9 138 — every parsed value copied, every relocation
+// page copied again by the flash program, and a fresh padding page per
+// partial block.
+//
+// The join's budgets, per record it keeps. It sorts the scan's list in
+// place and pushes each kept version into the key's cell, so at the margin
+// it allocates nothing: measured 0 B and 0 allocations a kept record (a
+// fixed ~14 KB in 7 allocations, however long the scan). The map-of-maps
+// candidate set the sort replaced took 160 B in 3.02 allocations, a
+// candidate slice per key and two sorted copies of each family's keys.
 const (
 	gcBytesPerRelocatedRecord = 1200
 	recoveryBytesPerPage      = 1000
+	joinBytesPerRecord        = 16
+	joinAllocsPerRecord       = 0.1
 )
 
 // TestGCCollectionByteBudget collects one victim block directly, the way its
@@ -268,7 +279,7 @@ func TestGCCollectionByteBudget(t *testing.T) {
 				t.Fatalf("setup: round %d found no victim", round)
 			}
 			copies := d.Stats().GCCopies
-			bytes := bytesAllocated(func() { c.collectBlock(chip, block) })
+			bytes, _ := allocated(func() { c.collectBlock(chip, block) })
 			relocated := d.Stats().GCCopies - copies
 			if relocated == 0 {
 				t.Fatalf("setup: round %d relocated nothing", round)
@@ -285,15 +296,17 @@ func TestGCCollectionByteBudget(t *testing.T) {
 	r.e.Wait()
 }
 
-// TestRecoveryScanByteBudget charges what Recover allocates to the pages its
-// scanners read, at the margin: Recover's fixed cost — the device's tables,
-// registry and actors — is the same for a short log and a long one, so the
-// difference between the two, per extra page, is what a scanned page costs.
+// TestRecoveryScanByteBudget charges what recovery allocates at the margin:
+// the fixed cost — the device's tables, the readers, the sort's counts — is
+// the same for a short log and a long one, so the difference between the
+// two is what the extra pages cost the scan (steps 1-4, scanDevice) and what
+// the extra records they hold cost the join.
 func TestRecoveryScanByteBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations would be counted")
 	}
-	recoverAfter := func(pages int) (bytes, scanned int64) {
+	type cost struct{ scanBytes, joinBytes, joinAllocs, pages, records int64 }
+	recoverAfter := func(pages int) (c cost) {
 		r := newSerialRig(1, testFlashConfig(), nil)
 		r.e.Go("test", func() {
 			w := newScanLoad(t, r.dev)
@@ -301,31 +314,39 @@ func TestRecoveryScanByteBudget(t *testing.T) {
 			r.dev.Flush()
 			r.dev.PowerFail()
 			r.dev.AwaitHalt()
-			var dev2 *Device
+			var d *Device
+			var recs []scanRec
 			var err error
-			bytes = bytesAllocated(func() { dev2, err = Recover(r.arr, r.ctrl, r.dev.Config(), r.dev.NVRAM()) })
+			c.scanBytes, _ = allocated(func() { d, recs, err = scanDevice(r.arr, r.ctrl, r.dev.Config(), r.dev.NVRAM()) })
 			if err != nil {
-				t.Errorf("recover: %v", err)
+				t.Errorf("scan: %v", err)
 				return
 			}
-			defer dev2.Close()
-			scanned = dev2.Stats().RecoveryScannedPages
-			if dev2.Stats().RecoveryPaddedPages == 0 {
-				t.Error("setup: no partial block to pad")
+			c.joinBytes, c.joinAllocs = allocated(func() { _, err = d.join(recs) })
+			if err != nil {
+				t.Errorf("join: %v", err)
 			}
-			w.checkAll(dev2)
+			c.pages, c.records = d.ctr.scannedPages.Value(), d.ctr.recoveredRecords.Value()
 		})
 		r.e.Wait()
-		return bytes, scanned
+		return c
 	}
-	shortB, shortP := recoverAfter(50)
-	longB, longP := recoverAfter(150)
+	short, long := recoverAfter(50), recoverAfter(150)
 	if t.Failed() {
 		return
 	}
-	perPage := (longB - shortB) / (longP - shortP)
-	t.Logf("recovery: %d B for %d scanned pages, %d B for %d: %d B per scanned page", shortB, shortP, longB, longP, perPage)
+	perPage := (long.scanBytes - short.scanBytes) / (long.pages - short.pages)
+	records := float64(long.records - short.records)
+	joinBytes := float64(long.joinBytes-short.joinBytes) / records
+	joinAllocs := float64(long.joinAllocs-short.joinAllocs) / records
+	t.Logf("scan: %d B for %d pages, %d B for %d: %d B per scanned page", short.scanBytes, short.pages, long.scanBytes, long.pages, perPage)
+	t.Logf("join: %d B in %d allocations for %d kept records, %d B in %d for %d: %.0f B and %.3f allocations per kept record",
+		short.joinBytes, short.joinAllocs, short.records, long.joinBytes, long.joinAllocs, long.records, joinBytes, joinAllocs)
 	if perPage > recoveryBytesPerPage {
-		t.Errorf("recovery allocates %d B per scanned page, budget %d", perPage, recoveryBytesPerPage)
+		t.Errorf("the scan allocates %d B per scanned page, budget %d", perPage, recoveryBytesPerPage)
+	}
+	if joinBytes > joinBytesPerRecord || joinAllocs > joinAllocsPerRecord {
+		t.Errorf("the join allocates %.0f B in %.3f allocations per kept record, budget %d B and %.2f",
+			joinBytes, joinAllocs, joinBytesPerRecord, joinAllocsPerRecord)
 	}
 }

@@ -281,14 +281,11 @@ type Stats struct {
 	PinnedReads    int64
 
 	// Recovery (populated by Recover on the post-crash device).
-	RecoveredRecords   int64 // index entries rebuilt from the flash scan
-	ReplayedValues     int64 // NVRAM values re-staged for flushing
-	DroppedUncommitted int64 // staged values of never-committed batches
-	TornPagesSkipped   int64 // pages failing OOB magic/CRC during the scan
-	// RecoveryScannedPages counts the programmed pages the scan read,
-	// RecoveryPaddedPages the pages it then consumed padding partial blocks.
-	RecoveryScannedPages int64
-	RecoveryPaddedPages  int64
+	RecoveredRecords     int64 // index entries rebuilt from the flash scan
+	ReplayedValues       int64 // NVRAM values re-staged for flushing
+	DroppedUncommitted   int64 // staged values of never-committed batches
+	TornPagesSkipped     int64 // pages failing OOB magic/CRC during the scan
+	RecoveryScannedPages int64 // programmed pages the scan read
 
 	// Command pipeline (internal/cmdq; sampled from the pipeline rather
 	// than updated by actors).
@@ -527,7 +524,6 @@ func (d *Device) Stats() Stats {
 		TornPagesSkipped:   c.tornPagesSkipped.Value(),
 
 		RecoveryScannedPages: c.scannedPages.Value(),
-		RecoveryPaddedPages:  c.paddedPages.Value(),
 	}
 	for _, lg := range d.logs {
 		st.GCErases += lg.gcErases.Value()
@@ -538,7 +534,7 @@ func (d *Device) Stats() Stats {
 // programPage programs one flash page and, when the program succeeds,
 // counts it — the one place a page program is counted, whichever stream
 // issued it (host flush, GC relocation of records or index pages, table
-// swap-out, recovery padding), so Programs x PageSize is FlashBytesWritten.
+// swap-out), so Programs x PageSize is FlashBytesWritten.
 func (d *Device) programPage(ppn flash.PPN, data, oob []byte) error {
 	err := d.arr.ProgramPage(ppn, data, oob)
 	if err == nil {

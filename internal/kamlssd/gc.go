@@ -62,8 +62,8 @@ func (d *Device) gcStopped() bool {
 // gcCv, which openBlock signals when a block opened takes the log below the
 // low watermark, gcRetry when a starved log may have a victim again, and
 // shutdown. The predicate is tested before the first wait, because a log can
-// come up below its watermark (Recover rebuilds the free lists and pads
-// every partially-programmed block) or end a cycle there, and then nobody
+// come up below its watermark (Recover rebuilds the free lists from what is
+// programmed, and opens no block) or end a cycle there, and then nobody
 // would ever signal it.
 func (c *collector) loop() {
 	d, lg := c.d, c.lg

@@ -52,6 +52,10 @@ type logState struct {
 	activeHost *appendPoint
 	activeGC   *appendPoint
 	nextChip   int // rotate block allocation across the log's chips
+	// resume holds the partially-programmed blocks recovery found, in scan
+	// order, each at its first unprogrammed page: openBlock hands them out
+	// before any erased block. They are neither free nor sealed.
+	resume []appendPoint
 
 	freeBlocks int
 	// The log's collector and the writers that wait for it meet on two
@@ -172,7 +176,7 @@ func (lg *logState) nextPPN(forGC bool) (flash.PPN, error) {
 		ap = &lg.activeGC
 	}
 	if *ap == nil {
-		if !forGC && lg.freeBlocks <= gcReserveBlocks {
+		if !forGC && len(lg.resume) == 0 && lg.freeBlocks <= gcReserveBlocks {
 			return 0, fmt.Errorf("kamlssd: log %d out of free blocks", lg.id)
 		}
 		cp, err := lg.openBlock()
@@ -192,11 +196,17 @@ func (lg *logState) nextPPN(forGC bool) (flash.PPN, error) {
 	return ppn, nil
 }
 
-// openBlock pops a free block, rotating across the log's chips, and wakes
-// the log's collector when that takes the log below its low watermark — the
-// host and the GC stream both consume free blocks here and nowhere else.
-// Called with lg.mu held.
+// openBlock resumes the next block on the log's resume list or, once that is
+// empty, pops a free block, rotating across the log's chips, and wakes the
+// log's collector when that takes the log below its low watermark — the host
+// and the GC stream both consume free blocks here and nowhere else. Called
+// with lg.mu held.
 func (lg *logState) openBlock() (*appendPoint, error) {
+	if len(lg.resume) > 0 {
+		ap := lg.resume[0]
+		lg.resume = lg.resume[1:]
+		return &ap, nil
+	}
 	for tries := 0; tries < len(lg.chips); tries++ {
 		ci := lg.nextChip
 		lg.nextChip = (lg.nextChip + 1) % len(lg.chips)

@@ -28,7 +28,7 @@ type counters struct {
 	// zero on a device that New built).
 	recoveredRecords, replayedValues     telemetry.Counter
 	droppedUncommitted, tornPagesSkipped telemetry.Counter
-	scannedPages, paddedPages            telemetry.Counter
+	scannedPages                         telemetry.Counter
 
 	nvramStaged  telemetry.Gauge // values resident in battery-backed NVRAM
 	indexEntries telemetry.Gauge // live mapping-table entries, all namespaces
@@ -59,7 +59,6 @@ func (d *Device) export(r *telemetry.Registry) {
 	r.Help("kaml_ssd_free_block_wait_seconds", "Time a page seal (on the Put actor or the flusher) waited for its log's collector to return an erased block (virtual time).")
 	r.Help("kaml_recovery_seconds", "Duration of the power-failure recovery that built this device, log scan to actors started (virtual time; no sample on a device that never crashed).")
 	r.Help("kaml_recovery_scanned_pages_total", "Programmed flash pages the recovery scan read.")
-	r.Help("kaml_recovery_padded_pages_total", "Pages recovery programmed (or lost to a failed program) padding partially-programmed blocks so they could be sealed.")
 	r.Help("kaml_recovery_torn_pages_total", "Pages the recovery scan skipped: OOB magic/CRC mismatch, or unreadable after every retry.")
 	r.Help("kaml_recovery_records_total", "Record versions recovery rebuilt into the mapping tables from the flash scan.")
 	r.Help("kaml_recovery_replayed_values_total", "Committed NVRAM values recovery re-staged for programming.")
@@ -79,7 +78,6 @@ func (d *Device) export(r *telemetry.Registry) {
 	d.freeBlockWait = r.Histogram("kaml_ssd_free_block_wait_seconds", telemetry.UnitSeconds)
 	d.recoveryTime = r.Histogram("kaml_recovery_seconds", telemetry.UnitSeconds)
 	r.AdoptCounter(&d.ctr.scannedPages, "kaml_recovery_scanned_pages_total")
-	r.AdoptCounter(&d.ctr.paddedPages, "kaml_recovery_padded_pages_total")
 	r.AdoptCounter(&d.ctr.tornPagesSkipped, "kaml_recovery_torn_pages_total")
 	r.AdoptCounter(&d.ctr.recoveredRecords, "kaml_recovery_records_total")
 	r.AdoptCounter(&d.ctr.replayedValues, "kaml_recovery_replayed_values_total")

@@ -332,16 +332,6 @@ func (nv *NVRAM) finish(seq uint64) {
 // still probe under nvMu.
 func (nv *NVRAM) hasStaged() bool { return nv.staged.Load() != 0 }
 
-// pendingSeqs returns the staged sequence numbers in ascending order.
-func (nv *NVRAM) pendingSeqs() []uint64 {
-	out := make([]uint64, 0, len(nv.values))
-	for seq := range nv.values {
-		out = append(out, seq)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // putNS records (or updates) a namespace catalog entry.
 func (nv *NVRAM) putNS(m nsMeta) {
 	cp := m

@@ -300,3 +300,13 @@ func TestSettledSeqMatchesFullScan(t *testing.T) {
 		}
 	}
 }
+
+// pendingSeqs returns the staged sequence numbers in ascending order.
+func (nv *NVRAM) pendingSeqs() []uint64 {
+	out := make([]uint64, 0, len(nv.values))
+	for seq := range nv.values {
+		out = append(out, seq)
+	}
+	slices.Sort(out)
+	return out
+}

@@ -1,9 +1,10 @@
 package kamlssd
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"github.com/kaml-ssd/kaml/internal/flash"
@@ -16,7 +17,8 @@ import (
 // nothing volatile — every mapping table, the log allocator, and the
 // valid-byte accounting are reconstructed by scanning the logs, exactly as
 // real firmware would after power loss (paper §IV-D: "the firmware recovers
-// using the data in the non-volatile buffers" plus a log scan).
+// using the data in the non-volatile buffers" plus a log scan). It reads the
+// array and writes nothing to it: no program, no erase.
 //
 // The protocol, in order:
 //
@@ -27,47 +29,64 @@ import (
 //     and become garbage.)
 //  2. Discard staged values of batches that never committed: their Puts
 //     were not acknowledged, so the whole batch must vanish (atomicity).
-//  3. Scan every programmed page of every block, one scanner actor per
-//     chip — the chip is the unit the array serializes on, so the scan runs
-//     at the array's bandwidth: the busiest channel's transfers, or the
-//     busiest chip's senses and padding programs, whichever is longer. A
-//     scanner reads its chip's pages, skips those failing the OOB
-//     magic/CRC (torn or garbage) and those still unreadable after the
-//     retries, and lists the records it finds; aborted sequences are
-//     ignored.
-//  4. Rebuild the allocator, in the same pass: retired blocks stay out of
-//     service, empty blocks become free, partially-programmed blocks are
-//     padded and sealed so GC can reclaim the waste — each scanner for its
-//     own chip. The recovering actor then joins the scanners' lists in
-//     scan order (log, chip, block, page, chunk), newest-sequence-wins per
-//     pin boundary: for each family the interesting timestamps are its
-//     snapshot cutoffs plus "now" (the root's head), and the join keeps,
-//     per key, the newest record at or below each boundary.
-//  5. Merge the surviving committed NVRAM values into the candidate set
-//     (a staged value beats an older flash copy at the same boundary),
-//     rebuild each family's version chains oldest-first from the selected
-//     candidates, and restore valid-byte accounting per retained version.
-//     Then restart the
-//     background actors and re-stage the still-NVRAM-resident values into
-//     packers for programming.
+//  3. Rebuild the allocator from the blocks' program counts: retired blocks
+//     stay out of service, empty blocks become free, full blocks are sealed,
+//     and a partially-programmed block goes on its log's resume list, to be
+//     appended to from its first unprogrammed page.
+//  4. Scan every programmed page, readersPerChip reader actors per chip, so
+//     the scan runs at the array's floor. A reader skips pages failing the
+//     OOB magic/CRC (torn or garbage) and those still unreadable after the
+//     retries, and lists the records it finds; aborted sequences are ignored.
+//  5. Join the readers' records and the committed NVRAM values into version
+//     chains (join), restart the background actors, and re-stage the NVRAM
+//     values the chains kept into packers for programming.
 //
 // Who owns what. Until step 5 starts the device's actors, the recovering
 // actor owns everything — tables, allocator, NVRAM — and takes no lock, with
-// one exception: while the scanners of steps 3-4 run it only waits for them.
-// A scanner writes nothing but its own chipScan and its own chip's logChip
-// (free list, block states); the NVRAM maps it consults (bad blocks, aborted
-// sequences) are read-only until the join, and the counter cells it bumps
-// are atomics. Everything shared that the scan feeds — the candidate set,
-// the logs' free-block counts, the bad-block table — is written at the
-// join, by the recovering actor, after every scanner has exited.
+// one exception: while the readers of step 4 run it only waits for them. A
+// reader writes nothing but its own pageReader; the NVRAM maps it consults
+// (aborted sequences) are read-only until the join, and the counter cells it
+// bumps are atomics.
 //
 // The configuration and flash geometry must match the pre-crash device.
 // Call from a simulation actor.
 func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*Device, error) {
+	began := arr.Engine().NowCheap() // for kaml_recovery_seconds, observed once the registry exists
+	d, recs, err := scanDevice(arr, ctrl, cfg, nv)
+	if err != nil {
+		return nil, err
+	}
+
+	// 5. Join the scan with the NVRAM into version chains, then actors first
+	// (re-staging below seals the pages it fills, which needs running
+	// flushers to drain the queue), then route the kept NVRAM values into
+	// packers.
+	replay, err := d.join(recs)
+	if err != nil {
+		return nil, err
+	}
+	d.startActors()
+	d.recoveryTime.ObserveDuration(d.eng.NowCheap() - began)
+	// Seed the index-population gauge from the rebuilt mapping tables (the
+	// device's cells are fresh; incremental updates resume from here).
+	for _, m := range nv.sortedCatalog() {
+		if m.origin == 0 {
+			d.ctr.indexEntries.Add(int64(d.families[m.id].chains.Load().Keys()))
+		}
+	}
+	if err := d.restageNVRAM(replay); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// scanDevice is steps 1 to 4 of Recover: a device with its namespaces and
+// allocator rebuilt and no actor started, and the records its scan found.
+func scanDevice(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*Device, []scanRec, error) {
 	arr.PowerOn()
 	fc := arr.Config()
 	if cfg.NumLogs <= 0 || cfg.NumLogs > fc.Chips() {
-		return nil, fmt.Errorf("kamlssd: recover with NumLogs %d, need 1..%d", cfg.NumLogs, fc.Chips())
+		return nil, nil, fmt.Errorf("kamlssd: recover with NumLogs %d, need 1..%d", cfg.NumLogs, fc.Chips())
 	}
 	d := &Device{
 		cfg:        cfg,
@@ -82,7 +101,6 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 	}
 	d.initLocks()
 	d.buildLogs()
-	began := d.eng.NowCheap() // for kaml_recovery_seconds, observed once the registry exists
 
 	// 1. Namespaces from the catalog (sorted for determinism; a root's ID
 	// is always smaller than its snapshots', so families exist before their
@@ -121,291 +139,216 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 	// 2. Uncommitted batches vanish whole.
 	d.ctr.droppedUncommitted.Add(int64(nv.dropUncommitted()))
 
-	// 3 + 4. Scan the logs and rebuild the allocator.
-	cr := newChainRebuild(d)
-	if err := d.scanLogs(cr); err != nil {
-		return nil, err
-	}
-
-	// 5a. Merge committed NVRAM values into the candidate set; a value
-	// superseded at every boundary — or already durable on flash — is
-	// released immediately.
-	seqs := nv.pendingSeqs()
-	var replay []uint64
-	for _, seq := range seqs {
-		e := nv.values[seq]
-		e.installed = false // any pre-cut install died with the DRAM index
-		nv.values[seq] = e
-		if cr.offer(e.ns, e.key, seq, uint64(nvramLoc(seq))) {
-			replay = append(replay, seq)
-		} else {
-			nv.finish(seq)
-		}
-	}
-
-	// 5b. Build the version chains oldest-first from the selected
-	// candidates and restore per-block valid-byte accounting (one credit per
-	// retained flash version).
-	if err := cr.build(d); err != nil {
-		return nil, err
-	}
-
-	// 5c. Actors first (re-staging below seals the pages it fills, which
-	// needs running flushers to drain the queue), then route the surviving
-	// NVRAM values into packers.
-	d.startActors()
-	d.recoveryTime.ObserveDuration(d.eng.NowCheap() - began)
-	// Seed the index-population gauge from the rebuilt mapping tables (the
-	// device's cells are fresh; incremental updates resume from here).
-	for _, m := range nv.sortedCatalog() {
-		if m.origin == 0 {
-			d.ctr.indexEntries.Add(int64(d.families[m.id].chains.Load().Keys()))
-		}
-	}
-	if err := d.restageNVRAM(replay); err != nil {
-		return nil, err
-	}
-	return d, nil
+	// 3 + 4. Rebuild the allocator and scan the logs.
+	recs, err := d.scanLogs()
+	return d, recs, err
 }
 
-// verCand is one candidate version seen during the recovery scan.
-type verCand struct{ seq, loc uint64 }
-
-// chainRebuild accumulates, per family root and key, the newest record
-// at-or-below each pin boundary. A family's boundaries are its snapshots'
-// cutoffs, ascending, plus noCutoff while the root is alive (the head).
-type chainRebuild struct {
-	bounds map[uint32][]uint64
-	best   map[uint32]map[uint64][]verCand
-}
-
-func newChainRebuild(d *Device) *chainRebuild {
-	cr := &chainRebuild{
-		bounds: make(map[uint32][]uint64, len(d.families)),
-		best:   make(map[uint32]map[uint64][]verCand, len(d.families)),
-	}
-	for rootID, fam := range d.families {
-		var bs []uint64
-		for _, ns := range d.namespaces {
-			if ns.fam == fam && ns.origin != 0 {
-				bs = append(bs, ns.cutoff)
-			}
-		}
-		if fam.rootLive {
-			bs = append(bs, noCutoff)
-		}
-		sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-		dd := bs[:0]
-		for i, b := range bs {
-			if i == 0 || b != bs[i-1] {
-				dd = append(dd, b)
-			}
-		}
-		cr.bounds[rootID] = dd
-		cr.best[rootID] = make(map[uint64][]verCand)
-	}
-	return cr
-}
-
-// offer records (seq, loc) as a candidate for every boundary it improves.
-// Returns false when the version is invisible at — or superseded at — every
-// boundary (i.e. it will not be retained).
-func (cr *chainRebuild) offer(rootID uint32, key, seq, loc uint64) bool {
-	bs, ok := cr.bounds[rootID]
-	if !ok || len(bs) == 0 {
-		return false // family fully deleted: every record is garbage
-	}
-	cands := cr.best[rootID][key]
-	if cands == nil {
-		cands = make([]verCand, len(bs))
-		cr.best[rootID][key] = cands
-	}
-	improved := false
-	for i, b := range bs {
-		if seq <= b && seq > cands[i].seq {
-			cands[i] = verCand{seq: seq, loc: loc}
-			improved = true
-		}
-	}
-	return improved
-}
-
-// build pushes the selected candidates into each family's chains in
-// ascending seq order, credits the flash footprint of every retained
-// version, and counts recovered flash records.
-func (cr *chainRebuild) build(d *Device) error {
-	roots := make([]uint32, 0, len(cr.best))
-	for id := range cr.best {
-		roots = append(roots, id)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	for _, rootID := range roots {
-		chains := d.families[rootID].chains.Load()
-		perKey := cr.best[rootID]
-		keys := make([]uint64, 0, len(perKey))
-		for k := range perKey {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, key := range keys {
-			cands := perKey[key]
-			// Distinct versions, ascending (the same version is typically the
-			// best at several adjacent boundaries).
-			vs := make([]verCand, 0, len(cands))
-			for _, c := range cands {
-				if c.seq != 0 {
-					vs = append(vs, c)
-				}
-			}
-			sort.Slice(vs, func(i, j int) bool { return vs[i].seq < vs[j].seq })
-			for i, c := range vs {
-				if i > 0 && c.seq == vs[i-1].seq {
-					continue
-				}
-				node, err := chains.Push(key, c.seq, c.loc)
-				if err != nil {
-					return fmt.Errorf("kamlssd: recovery chain ns %d key %d: %w", rootID, key, err)
-				}
-				chains.Commit(node)
-				if loc := location(c.loc); loc.isFlash() {
-					d.creditValid(loc)
-					d.ctr.recoveredRecords.Inc()
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// scanRec is one record a scanner found: what chainRebuild.offer takes.
+// scanRec is one record the scan found, or one committed NVRAM value. log
+// and loc are its scan position: the readers' (log, chip, block, page,
+// chunk), since a flash location orders by (chip, block, page, chunk), and
+// an NVRAM value sorts after all flash.
 type scanRec struct {
 	ns       uint32
+	log      uint32
 	key, seq uint64
 	loc      location
 }
 
-// chipScan is one scanner's chip and what it found there. Only its scanner
-// touches it until the scanner has exited.
-type chipScan struct {
-	lg        *logState
-	lc        *logChip
-	ch, chip  int
-	pagesLeft int             // programmed pages not yet read
-	placed    []record.Placed // the page being parsed, in place (scratch)
-	recs      []scanRec       // surviving records, in (block, page, chunk) order
-	wornOut   []flash.PPN     // blocks padding found worn out, for the bad-block table
-	pad       padPage         // shared by every scanner
-	err       error
+// nvramScanLog is the scan position's log for an NVRAM value: after every
+// log on flash.
+const nvramScanLog = ^uint32(0)
+
+// scanOrder is (namespace, key, seq descending, scan position): a key's
+// records newest first, and two copies of one sequence — a GC relocation's,
+// or a flash copy and its NVRAM value — in the order one actor walking the
+// array, and then the NVRAM, would meet them.
+func scanOrder(a, b scanRec) int {
+	switch {
+	case a.ns != b.ns:
+		return cmp.Compare(a.ns, b.ns)
+	case a.key != b.key:
+		return cmp.Compare(a.key, b.key)
+	case a.seq != b.seq:
+		return cmp.Compare(b.seq, a.seq)
+	case a.log != b.log:
+		return cmp.Compare(a.log, b.log)
+	}
+	return cmp.Compare(a.loc, b.loc)
 }
 
-// padPage is the empty record page (bitmap 0, so no records) recovery pads
-// partial blocks with. Flash keeps what it programs and never changes it, so
-// one image serves every padding program of every scanner.
-type padPage struct{ data, oob []byte }
+// scanDigit is byte d of the radix key (namespace, key): 0-7 the key's, 8-11
+// the namespace's.
+func scanDigit(r *scanRec, d int) int {
+	if d < 8 {
+		return int(byte(r.key >> (8 * d)))
+	}
+	return int(byte(r.ns >> (8 * (d - 8))))
+}
 
-// scanLogs is steps 3 and 4: one scanner actor per chip reads the chip's
-// programmed pages and rebuilds the chip's share of the allocator, all chips
-// at once; then the caller's actor joins what they found, in scan order.
+// sortScan puts recs, alike above radix byte d (11 for any list), in
+// scanOrder in place: a radix sort, most significant byte first, that skips
+// every byte a run of records shares and hands runs too short to be worth a
+// pass — a key's own records among them — to a comparison sort, which on the
+// whole scan cost the join twice as much.
+func sortScan(recs []scanRec, d int) {
+	for ; d >= 0 && len(recs) > 32; d-- {
+		var count [256]int
+		for i := range recs {
+			count[scanDigit(&recs[i], d)]++
+		}
+		if count[scanDigit(&recs[0], d)] == len(recs) {
+			continue
+		}
+		// Swap every record into its byte's bucket (American flag sort),
+		// then sort each bucket by the bytes below.
+		var next, end [256]int
+		at := 0
+		for v, n := range count {
+			next[v], at = at, at+n
+			end[v] = at
+		}
+		for v := range next {
+			for next[v] < end[v] {
+				b := scanDigit(&recs[next[v]], d)
+				if b != v {
+					recs[next[v]], recs[next[b]] = recs[next[b]], recs[next[v]]
+				}
+				next[b]++
+			}
+		}
+		for v, n := range count {
+			sortScan(recs[end[v]-n:end[v]], d-1)
+		}
+		return
+	}
+	slices.SortFunc(recs, scanOrder)
+}
+
+// readersPerChip is how many page reads a chip's scan keeps in flight. A
+// read is a sense that holds the chip, then a transfer that holds the
+// channel: one reader leaves the chip idle while its page crosses the
+// channel, two keep whichever stage is slower busy, and a third would only
+// queue behind them.
+const readersPerChip = 2
+
+// pageReader is one reader actor of step 4: it reads every readersPerChip-th
+// programmed page of its chip, in (block, page) order, starting at page
+// first of the chip's count. Only its actor touches it until it has exited.
+type pageReader struct {
+	log        uint32
+	ch, chip   int
+	programmed []int // pages programmed per block, shared read-only with the chip's other readers
+	first      int
+	pagesLeft  int             // pages of this reader's share not yet read
+	placed     []record.Placed // the page being parsed, in place (scratch)
+	recs       []scanRec       // surviving records, in (block, page, chunk) order
+	err        error
+}
+
+// scanLogs is steps 3 and 4: it rebuilds every chip's share of the
+// allocator and starts the chip's readers, all chips at once, and returns
+// their records once every reader has exited.
 //
-// The order matters. offer keeps the first copy of a sequence it is shown,
-// and two copies exist whenever the cut fell between a GC relocation's
-// program and its victim's erase; merging in arrival order would pick a
-// schedule-dependent copy and credit a schedule-dependent block. Joined in
-// (log, chip, block, page, chunk) order, the offers are those of one actor
-// walking the array — the same chains, locations, valid bytes and free lists
-// whichever scanner ran when.
-//
-// A scanner that fails raises failed, which the others poll once per page,
+// A reader that fails raises failed, which the others poll once per page,
 // so a dead array is not read to the end; scanLogs returns only after every
-// scanner has exited, with the first error in scan order.
-func (d *Device) scanLogs(cr *chainRebuild) error {
-	var scans []*chipScan
+// reader has exited, with the first error in scan order.
+func (d *Device) scanLogs() ([]scanRec, error) {
+	var readers []*pageReader
 	var failed atomic.Bool
 	exited := d.eng.NewWaitGroup()
-	pad := padPage{data: make([]byte, d.fc.PageSize)}
-	pad.oob = d.buildOOB(nil, pageTypeRecord, pad.data)
 	for _, lg := range d.logs {
-		lg.freeBlocks = 0 // recounted at the join
+		lg.freeBlocks, lg.resume = 0, nil
 		for ci, lc := range lg.chips {
-			sc := &chipScan{lg: lg, lc: lc, pad: pad}
-			sc.ch, sc.chip = lg.chipAddr(ci)
-			scans = append(scans, sc)
-			exited.Add(1)
-			d.eng.Go(fmt.Sprintf("kaml-scan%d", lc.global), func() {
-				defer exited.Done()
-				if sc.err = d.scanChip(sc, &failed); sc.err != nil {
-					failed.Store(true)
-				}
-			})
+			programmed, pages := d.rebuildChip(lg, ci)
+			for r := 0; r < readersPerChip; r++ {
+				rd := &pageReader{log: uint32(lg.id), programmed: programmed, first: r,
+					pagesLeft: (pages + readersPerChip - 1 - r) / readersPerChip}
+				rd.ch, rd.chip = lg.chipAddr(ci)
+				readers = append(readers, rd)
+				exited.Add(1)
+				d.eng.Go(fmt.Sprintf("kaml-scan%d.%d", lc.global, r), func() {
+					defer exited.Done()
+					if rd.err = d.readPages(rd, &failed); rd.err != nil {
+						failed.Store(true)
+					}
+				})
+			}
 		}
 	}
 	exited.Wait()
-	for _, sc := range scans {
-		if sc.err != nil {
-			return sc.err
+	n := 0
+	for _, rd := range readers {
+		if rd.err != nil {
+			return nil, rd.err
 		}
+		n += len(rd.recs)
 	}
-	for _, sc := range scans {
-		sc.lg.freeBlocks += len(sc.lc.free)
-		for _, first := range sc.wornOut {
-			d.nv.retireBlock(first)
-		}
-		for _, r := range sc.recs {
-			cr.offer(r.ns, r.key, r.seq, uint64(r.loc))
-		}
-		sc.recs, sc.placed = nil, nil // the candidate set is all that outlives the join
+	recs := make([]scanRec, 0, n+len(d.nv.values))
+	for _, rd := range readers {
+		recs = append(recs, rd.recs...)
 	}
-	return nil
+	return recs, nil
 }
 
-// scanChip walks one chip's blocks: a retired block stays out of service, an
-// empty one goes on the free list, and any other has its programmed prefix
-// read, is padded if partial, and is sealed. Runs on the chip's scanner;
-// returns early, with nothing, once another scanner has failed.
-func (d *Device) scanChip(sc *chipScan, failed *atomic.Bool) error {
-	lc := sc.lc
+// rebuildChip is step 3 for chip ci of lg: a retired block stays out of
+// service, an empty one goes on the free list, a full one is sealed, and a
+// partial one goes on the log's resume list at its first unprogrammed page —
+// NAND programs a block in order from wherever it stopped, so the block is
+// appended to, not padded. Returns the pages programmed per block and their
+// sum.
+func (d *Device) rebuildChip(lg *logState, ci int) (programmed []int, pages int) {
+	lc := lg.chips[ci]
+	ch, chip := lg.chipAddr(ci)
 	lc.free = lc.free[:0]
-	programmed := make([]int, len(lc.blocks))
+	programmed = make([]int, len(lc.blocks))
 	for b := range lc.blocks {
 		lc.blocks[b] = blockMeta{}
-		first := d.arr.BlockPPN(sc.ch, sc.chip, b, 0)
+		first := d.arr.BlockPPN(ch, chip, b, 0)
 		if d.nv.isRetired(first) {
 			lc.blocks[b].retired = true
 			continue
 		}
-		programmed[b] = d.arr.ProgrammedPages(first)
-		if programmed[b] == 0 {
+		n := d.arr.ProgrammedPages(first)
+		switch {
+		case n == 0:
 			lc.free = append(lc.free, b)
+		case n < d.fc.PagesPerBlock:
+			lg.resume = append(lg.resume, appendPoint{chip: ci, block: b, page: n})
+		default:
+			lc.blocks[b].sealed = true
 		}
-		sc.pagesLeft += programmed[b]
+		programmed[b], pages = n, pages+n
 	}
-	for b, n := range programmed {
-		if n == 0 {
-			continue
-		}
+	lg.freeBlocks += len(lc.free)
+	return programmed, pages
+}
+
+// readPages is a reader actor's loop; it returns early, with nothing, once
+// another reader has failed.
+func (d *Device) readPages(rd *pageReader, failed *atomic.Bool) error {
+	i := 0 // the chip's programmed pages, counted in scan order
+	for b, n := range rd.programmed {
 		for page := 0; page < n; page++ {
+			mine := i%readersPerChip == rd.first
+			i++
+			if !mine {
+				continue
+			}
 			if failed.Load() {
 				return nil
 			}
-			if err := d.scanPage(sc, d.arr.BlockPPN(sc.ch, sc.chip, b, page)); err != nil {
+			if err := d.scanPage(rd, d.arr.BlockPPN(rd.ch, rd.chip, b, page)); err != nil {
 				return err
 			}
-			sc.pagesLeft--
-		}
-		if n < d.fc.PagesPerBlock {
-			if err := d.padBlock(sc, b); err != nil {
-				return err
-			}
-		}
-		if !lc.blocks[b].retired {
-			lc.blocks[b].sealed = true
+			rd.pagesLeft--
 		}
 	}
 	return nil
 }
 
 // scanPage reads one programmed page and lists every surviving record on it.
-func (d *Device) scanPage(sc *chipScan, ppn flash.PPN) error {
+func (d *Device) scanPage(rd *pageReader, ppn flash.PPN) error {
 	d.ctr.scannedPages.Inc()
 	var data, oob []byte
 	var err error
@@ -434,61 +377,111 @@ func (d *Device) scanPage(sc *chipScan, ppn flash.PPN) error {
 	if ptype != pageTypeRecord {
 		return nil // stale swapped-index page; dead after recovery
 	}
-	placed, perr := record.AppendParsed(sc.placed[:0], data, oob, d.cfg.ChunkSize)
-	sc.placed = placed
+	placed, perr := record.AppendParsed(rd.placed[:0], data, oob, d.cfg.ChunkSize)
+	rd.placed = placed
 	if perr != nil {
 		return fmt.Errorf("kamlssd: recovery parse ppn %d: %w", ppn, perr)
 	}
-	if sc.recs == nil && len(placed) > 0 {
+	if rd.recs == nil && len(placed) > 0 {
 		// Size the list once, from the first page holding records: a chip's
 		// pages are packed alike, so this page's count times the pages still
-		// to read is about what the chip holds (and at most a record per
-		// chunk). append covers a chip that proves uneven.
-		sc.recs = make([]scanRec, 0, len(placed)*sc.pagesLeft)
+		// to read is about what the reader will find (and at most a record
+		// per chunk). append covers a chip that proves uneven.
+		rd.recs = make([]scanRec, 0, len(placed)*rd.pagesLeft)
 	}
 	for _, pl := range placed {
 		seq := pl.Record.Seq
 		if seq == 0 || d.nv.isAborted(seq) {
 			continue // padding record, rolled-back or uncommitted batch
 		}
-		sc.recs = append(sc.recs, scanRec{
-			ns: pl.Record.Namespace, key: pl.Record.Key, seq: seq,
+		rd.recs = append(rd.recs, scanRec{
+			ns: pl.Record.Namespace, log: rd.log, key: pl.Record.Key, seq: seq,
 			loc: flashLoc(ppn, pl.StartChunk, pl.NumChunks),
 		})
 	}
 	return nil
 }
 
-// padBlock fills a partially-programmed block with empty record pages
-// (sc.pad) so the block can be sealed and later reclaimed. Programs consumed
-// by injected failures still advance the block; a worn-out block is retired
-// instead.
-func (d *Device) padBlock(sc *chipScan, b int) error {
-	first := d.arr.BlockPPN(sc.ch, sc.chip, b, 0)
-	for {
-		n := d.arr.ProgrammedPages(first)
-		if n >= d.fc.PagesPerBlock {
-			return nil
-		}
-		err := d.programPage(d.arr.BlockPPN(sc.ch, sc.chip, b, n), sc.pad.data, sc.pad.oob)
-		switch {
-		case err == nil:
-		case errors.Is(err, flash.ErrInjectedFailure):
-			d.ctr.programRetries.Inc()
-		case errors.Is(err, flash.ErrWornOut):
-			sc.lc.blocks[b].retired = true
-			sc.wornOut = append(sc.wornOut, first)
-			d.ctr.blocksRetired.Inc()
-			return nil
-		default:
-			return fmt.Errorf("kamlssd: recovery pad block: %w", err)
-		}
-		d.ctr.paddedPages.Inc() // programmed or failed, the page is spent
+// join is step 5 up to the actors: it appends the committed NVRAM values to
+// the scan's records, sorts them once (scanOrder), and makes one pass per
+// key. For each pin boundary of the key's family, newest first, the pass
+// keeps the first record at or below it — so of two copies of a sequence
+// the first in scan order, and an NVRAM value only when no flash copy of its
+// sequence was found — and pushes the kept records onto the key's chain in
+// ascending seq, crediting each flash one to its block. It finishes every
+// NVRAM value it did not keep (superseded, durable on flash, or of a deleted
+// family) and returns the kept ones, ascending, for re-staging.
+func (d *Device) join(recs []scanRec) ([]uint64, error) {
+	for seq, e := range d.nv.values {
+		e.installed = false // any pre-cut install died with the DRAM index
+		d.nv.values[seq] = e
+		recs = append(recs, scanRec{ns: e.ns, log: nvramScanLog, key: e.key, seq: seq, loc: nvramLoc(seq)})
 	}
+	sortScan(recs, 11)
+	bounds := d.pinBounds()
+	var replay []uint64
+	var keep []scanRec // the key's kept records, newest first
+	for lo, hi := 0, 0; lo < len(recs); lo = hi {
+		bs := bounds[recs[lo].ns] // none: the family is gone, and every record is garbage
+		b := len(bs) - 1          // the highest boundary no record has met yet
+		keep = keep[:0]
+		for hi = lo; hi < len(recs) && recs[hi].ns == recs[lo].ns && recs[hi].key == recs[lo].key; hi++ {
+			r := recs[hi]
+			if b >= 0 && r.seq <= bs[b] {
+				keep = append(keep, r)
+			} else if !r.loc.isFlash() {
+				d.nv.finish(r.seq)
+			}
+			for b >= 0 && r.seq <= bs[b] {
+				b--
+			}
+		}
+		if len(keep) == 0 {
+			continue
+		}
+		chains := d.families[recs[lo].ns].chains.Load()
+		for j := len(keep) - 1; j >= 0; j-- {
+			r := keep[j]
+			node, err := chains.Push(r.key, r.seq, uint64(r.loc))
+			if err != nil {
+				return nil, fmt.Errorf("kamlssd: recovery chain ns %d key %d: %w", r.ns, r.key, err)
+			}
+			chains.Commit(node)
+			if r.loc.isFlash() {
+				d.creditValid(r.loc)
+				d.ctr.recoveredRecords.Inc()
+			} else {
+				replay = append(replay, r.seq)
+			}
+		}
+	}
+	slices.Sort(replay)
+	return replay, nil
+}
+
+// pinBounds returns each family's pin boundaries, ascending and distinct:
+// its snapshots' cutoffs, and noCutoff while the root is alive (the head).
+func (d *Device) pinBounds() map[uint32][]uint64 {
+	bounds := make(map[uint32][]uint64, len(d.families))
+	for rootID, fam := range d.families {
+		if fam.rootLive {
+			bounds[rootID] = append(bounds[rootID], noCutoff)
+		}
+	}
+	for _, ns := range d.namespaces {
+		if ns.origin != 0 {
+			bounds[ns.origin] = append(bounds[ns.origin], ns.cutoff)
+		}
+	}
+	for id, bs := range bounds {
+		slices.Sort(bs)
+		bounds[id] = slices.Compact(bs)
+	}
+	return bounds
 }
 
 // restageNVRAM routes the surviving NVRAM-resident values — already
-// selected into the version chains by the recovery merge — into packers,
+// pushed into the version chains by the join — into packers,
 // through the same appendRecord as Put: they pack into full pages and stay
 // in NVRAM until their page fills or the device is drained. Runs with the
 // actors live, so it follows the normal lock hierarchy.

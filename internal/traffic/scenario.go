@@ -260,7 +260,7 @@ type Final struct {
 	// MaxRecoveryMS (device target) bounds the outage the scenario's power
 	// cuts cause: the virtual time spent inside kaml.Reopen, summed over
 	// every recovery — the report's recovery_ms. Recovery reads every
-	// programmed page, one scanner per chip; a budget of a few times what
+	// programmed page, two readers per chip; a budget of a few times what
 	// the scenario measures fails the run if that ever becomes one actor
 	// reading chip after chip again.
 	MaxRecoveryMS float64 `json:"max_recovery_ms,omitempty"`

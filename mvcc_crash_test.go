@@ -250,7 +250,7 @@ func mvccTortureRun(dev *kaml.Device, rng *rand.Rand, seed int64, countCut bool)
 
 	// Phase 4: the recovered device keeps version semantics: more
 	// overwrites must not disturb the snapshot, and a second crash+recovery
-	// (exercising blocks the first recovery padded) must preserve it too.
+	// (exercising blocks the first recovery resumed) must preserve it too.
 	dev = re
 	cut = false
 	for i := 0; i < 30 && !cut; i++ {
