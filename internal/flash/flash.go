@@ -14,7 +14,8 @@
 //
 // A page's bytes are copied at most once on their way through the array,
 // and usually not at all. ProgramPage keeps the buffers it is handed — the
-// caller gives them up on success — and ReadPage returns those very buffers.
+// caller gives them up on success — and ReadPage returns those very buffers
+// (ReadRange a view into one).
 // Both sides therefore treat a programmed page as immutable, which is what
 // NAND guarantees anyway: nothing changes a page between its program and
 // its block's erase, and an erase drops the page's buffers instead of
@@ -307,6 +308,23 @@ func (a *Array) locate(p PPN) (*chipState, *blockState, Addr, error) {
 	return cs, &cs.blocks[addr.Block], addr, nil
 }
 
+// ECCSectorSize is how many data bytes one ECC codeword protects. The
+// controller decodes a page codeword by codeword, so a read moves over the
+// channel only the sectors that hold the bytes it asked for, each with its
+// share of the spare area, where its parity lives: at the default geometry
+// a sector is 1 024 + 256/8 = 1 056 B, 2.64 µs of a 400 MB/s bus, and a page
+// is eight of them. DESIGN.md §5 gives the reasons for the size.
+const ECCSectorSize = 1024
+
+// rangeTransfer returns how long the channel is held to move the ECC
+// sectors that bytes [off, off+n) of a page touch, spare share included.
+// The whole page is every sector: exactly PageSize + OOBSize bytes.
+func (c Config) rangeTransfer(off, n int) time.Duration {
+	sectors := (c.PageSize + ECCSectorSize - 1) / ECCSectorSize
+	touched := (off+n-1)/ECCSectorSize - off/ECCSectorSize + 1
+	return c.TransferTime((c.PageSize + c.OOBSize) * touched / sectors)
+}
+
 // ReadPage reads a full page (data + OOB; the OOB as long as it was
 // programmed). The returned slices are the page itself and MUST be treated
 // as immutable by the caller — flash pages never change between program and
@@ -314,8 +332,32 @@ func (a *Array) locate(p PPN) (*chipState, *blockState, Addr, error) {
 // the contents stay stable for as long as the caller holds them (see the
 // package comment).
 // Timing: chip busy for ReadLatency, then the channel bus is held while the
-// page transfers to the controller.
+// page transfers to the controller. Readers that need the OOB or every
+// record of a page use it; a reader that wants one record uses ReadRange.
 func (a *Array) ReadPage(p PPN) (data, oob []byte, err error) {
+	return a.read(p, 0, a.cfg.PageSize)
+}
+
+// ReadRange reads bytes [off, off+n) of a page's data. It senses the page
+// exactly as ReadPage does — the chip is busy for ReadLatency, and faults,
+// power cuts and unwritten pages fail it the same way — but holds the
+// channel only for the ECC sectors the range touches (ECCSectorSize). The
+// result is a capacity-capped view of the page, immutable like ReadPage's.
+// A range that is empty or leaves the page fails with ErrOutOfRange.
+func (a *Array) ReadRange(p PPN, off, n int) ([]byte, error) {
+	if off < 0 || n <= 0 || n > a.cfg.PageSize-off {
+		return nil, fmt.Errorf("%w: bytes [%d, %d) of a %d B page", ErrOutOfRange, off, off+n, a.cfg.PageSize)
+	}
+	data, _, err := a.read(p, off, n)
+	if err != nil {
+		return nil, err
+	}
+	return data[off : off+n : off+n], nil
+}
+
+// read senses page p and transfers the sectors holding bytes [off, off+n)
+// of it; it returns the whole page, which the caller narrows.
+func (a *Array) read(p PPN, off, n int) (data, oob []byte, err error) {
 	if !a.powered.Load() {
 		return nil, nil, fmt.Errorf("%w: read ppn %d", ErrPowerCut, p)
 	}
@@ -342,7 +384,7 @@ func (a *Array) ReadPage(p PPN) (data, oob []byte, err error) {
 	oob = bs.oob[addr.Page]
 	a.reads.Add(1)
 	cs.mu.Unlock()
-	a.channels[addr.Channel].Use(a.cfg.TransferTime(a.cfg.PageSize + a.cfg.OOBSize))
+	a.channels[addr.Channel].Use(a.cfg.rangeTransfer(off, n))
 	return data, oob, nil
 }
 

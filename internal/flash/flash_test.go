@@ -247,6 +247,105 @@ func TestStatsCount(t *testing.T) {
 	})
 }
 
+// ReadRange senses the page like ReadPage and then moves only the ECC
+// sectors its bytes touch: 1 056 B each (a 1 KiB codeword and its 32 B share
+// of the spare area), 2.64 µs on a 400 MB/s channel. Its failures are
+// ReadPage's, and what it returns is a view of the page that an append
+// cannot write through.
+func TestReadRangeChargesTheSectorsItTouches(t *testing.T) {
+	run(t, smallConfig(), func(e *sim.Engine, a *Array) {
+		fc := a.Config()
+		sector := 2640 * time.Nanosecond
+		if got := fc.TransferTime((fc.PageSize + fc.OOBSize) / 8); got != sector {
+			t.Fatalf("a sector transfers in %v, want %v", got, sector)
+		}
+		page := make([]byte, fc.PageSize)
+		for i := range page {
+			page[i] = byte(i * 7)
+		}
+		p := a.BlockPPN(0, 0, 0, 0)
+		if err := a.ProgramPage(p, bytes.Clone(page), []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		timed := func(off, n int) ([]byte, time.Duration) {
+			t.Helper()
+			start := e.Now()
+			got, err := a.ReadRange(p, off, n)
+			if err != nil {
+				t.Fatalf("ReadRange(%d, %d): %v", off, n, err)
+			}
+			if !bytes.Equal(got, page[off:off+n]) {
+				t.Fatalf("ReadRange(%d, %d) returned the wrong bytes", off, n)
+			}
+			return got, e.Now() - start
+		}
+		for _, c := range []struct {
+			name    string
+			off, n  int
+			sectors int
+		}{
+			{"inside one sector", 3 * 128, 128, 1},
+			{"straddling a boundary", ECCSectorSize - 64, 128, 2},
+			{"one whole sector", 2 * ECCSectorSize, ECCSectorSize, 1},
+			{"a 4 KB half page", fc.PageSize / 2, 4096, 4},
+		} {
+			if _, took := timed(c.off, c.n); took != fc.ReadLatency+time.Duration(c.sectors)*sector {
+				t.Errorf("%s: %v, want ReadLatency + %d × %v", c.name, took, c.sectors, sector)
+			}
+		}
+		start := e.Now()
+		if _, _, err := a.ReadPage(p); err != nil {
+			t.Fatal(err)
+		}
+		whole := e.Now() - start
+		if _, took := timed(0, fc.PageSize); took != whole || whole != fc.ReadLatency+8*sector {
+			t.Errorf("[0, PageSize) takes %v, ReadPage %v; want both ReadLatency + 8 × %v", took, whole, sector)
+		}
+
+		// A returned range is capacity-capped: appending copies it away
+		// instead of writing into the page behind it.
+		got, _ := timed(128, 128)
+		if cap(got) != len(got) {
+			t.Errorf("range has capacity %d beyond its %d bytes", cap(got), len(got))
+		}
+		_ = append(got, 0xff)
+		if stored, _, _ := a.ReadPage(p); stored[256] != page[256] {
+			t.Error("an append to a returned range wrote into the page")
+		}
+
+		for _, bad := range [][2]int{{0, 0}, {0, -1}, {-1, 128}, {fc.PageSize - 64, 128}, {fc.PageSize, 1}} {
+			if _, err := a.ReadRange(p, bad[0], bad[1]); !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("ReadRange(%d, %d): err=%v, want ErrOutOfRange", bad[0], bad[1], err)
+			}
+		}
+
+		// Failures are ReadPage's, and a read counts once.
+		reads := a.Stats().Reads
+		if _, err := a.ReadRange(a.BlockPPN(0, 0, 0, 1), 0, 128); !errors.Is(err, ErrPageNotWritten) {
+			t.Errorf("unwritten page: err=%v", err)
+		}
+		a.SetInjector(&scriptInjector{op: OpRead, plan: []Verdict{VerdictFail, VerdictPowerCut}})
+		start = e.Now()
+		if _, err := a.ReadRange(p, 0, 128); !errors.Is(err, ErrInjectedFailure) || e.Now()-start != fc.ReadLatency {
+			t.Errorf("injected failure: err=%v after %v, want ErrInjectedFailure after the sensing", err, e.Now()-start)
+		}
+		if _, err := a.ReadRange(p, 0, 128); !errors.Is(err, ErrPowerCut) || a.Powered() {
+			t.Errorf("injected power cut: err=%v, powered=%v", err, a.Powered())
+		}
+		if _, err := a.ReadRange(p, 0, 128); !errors.Is(err, ErrPowerCut) {
+			t.Errorf("read while off: err=%v", err)
+		}
+		a.PowerOn()
+		if s := a.Stats(); s.Reads != reads {
+			t.Errorf("failed reads counted: %d reads, want %d", s.Reads, reads)
+		}
+		timed(0, 128)
+		if s := a.Stats(); s.Reads != reads+1 {
+			t.Errorf("a range read counts %d reads, want 1", s.Reads-reads)
+		}
+	})
+}
+
 // A full page is kept, not copied: ReadPage returns the very buffer
 // ProgramPage was handed, and the OOB as long as it was programmed. A short
 // page is padded into a page of its own, leaving the caller's slice alone.

@@ -279,12 +279,12 @@ func (d *Device) ReadSector(lba int, buf []byte) error {
 		}
 		ppn := flash.PPN(int64(loc) / int64(d.spp))
 		slot := int(int64(loc) % int64(d.spp))
-		data, _, rerr := d.arr.ReadPage(ppn)
+		data, rerr := d.arr.ReadRange(ppn, slot*SectorSize, SectorSize)
 		if rerr != nil {
 			err = rerr
 			return
 		}
-		copy(buf, data[slot*SectorSize:(slot+1)*SectorSize])
+		copy(buf, data)
 	})
 	return err
 }
@@ -344,7 +344,7 @@ func (d *Device) WritePartial(lba, off int, data []byte) error {
 			// Read-modify-write against flash.
 			ppn := flash.PPN(int64(loc) / int64(d.spp))
 			slot := int(int64(loc) % int64(d.spp))
-			page, _, rerr := d.arr.ReadPage(ppn)
+			stored, rerr := d.arr.ReadRange(ppn, slot*SectorSize, SectorSize)
 			if rerr != nil {
 				err = rerr
 				return
@@ -352,7 +352,7 @@ func (d *Device) WritePartial(lba, off int, data []byte) error {
 			d.mu.Lock()
 			d.stats.RMWReads++
 			d.mu.Unlock()
-			copy(sector, page[slot*SectorSize:(slot+1)*SectorSize])
+			copy(sector, stored)
 		}
 		copy(sector[off:], data)
 		err = d.bufferSector(lba, sector)

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"time"
 
 	"github.com/kaml-ssd/kaml/internal/flash"
 	"github.com/kaml-ssd/kaml/internal/nvme"
@@ -383,8 +382,9 @@ func TestWriteBufferDrainRace(t *testing.T) {
 }
 
 func TestReadLatencyBudget(t *testing.T) {
-	// Sanity: a cold read costs about transport + range lock + flash read +
-	// transfer; make sure it lands in that envelope (no hidden stalls).
+	// A cold read costs transport + range lock + flash sensing + the transfer
+	// of the four ECC sectors that hold its 4 KB sector (half the page), to
+	// the nanosecond: no hidden stall, and no whole-page transfer.
 	withDevice(t, testFlashConfig(), func(e *sim.Engine, d *Device) {
 		if err := d.WriteSector(1, sectorFor(1, 1)); err != nil {
 			t.Fatal(err)
@@ -398,12 +398,11 @@ func TestReadLatencyBudget(t *testing.T) {
 		lat := e.Now() - start
 		fc := testFlashConfig()
 		nc := nvme.DefaultConfig()
-		min := fc.ReadLatency
-		max := fc.ReadLatency + fc.TransferTime(fc.PageSize+fc.OOBSize) +
-			d.cfg.RangeLockCost + nc.HostSoftware + nc.SubmissionLatency +
-			nc.CompletionLatency + 20*time.Microsecond
-		if lat < min || lat > max {
-			t.Fatalf("read latency %v outside [%v, %v]", lat, min, max)
+		xfer := fc.TransferTime((fc.PageSize + fc.OOBSize) / 2) // 4 of 8 codewords
+		want := nc.HostSoftware + nc.SubmissionLatency + d.cfg.RangeLockCost +
+			fc.ReadLatency + xfer + nc.CompletionLatency
+		if lat != want {
+			t.Fatalf("read latency %v, want %v (transfer %v)", lat, want, xfer)
 		}
 	})
 }

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/kaml-ssd/kaml/internal/cmdq"
 	"github.com/kaml-ssd/kaml/internal/flash"
 	"github.com/kaml-ssd/kaml/internal/nvme"
+	"github.com/kaml-ssd/kaml/internal/record"
 	"github.com/kaml-ssd/kaml/internal/sim"
 )
 
@@ -128,6 +130,63 @@ func TestGetAfterFlushReadsFlash(t *testing.T) {
 		st = r.dev.Stats()
 		if st.NVRAMHits != 0 {
 			t.Fatal("expected a flash read, not an NVRAM hit")
+		}
+	})
+}
+
+// An idle Get of a flushed record costs its fixed transport and firmware
+// charges plus one flash read of just the ECC sectors that hold the record,
+// to the nanosecond: submission + dispatch + probes × ProbeCost +
+// ReadLatency + sectors × 2.64 µs + completion. One log packs the records
+// in Put order, so they sit where the cases say: within one sector (at and
+// past chunk 0), across a sector boundary, and a 4 KB value over five.
+func TestIdleGetRunsAtItsRoofline(t *testing.T) {
+	fc := testFlashConfig()
+	nc := nvme.DefaultConfig()
+	sector := fc.TransferTime((fc.PageSize + fc.OOBSize) / (fc.PageSize / flash.ECCSectorSize))
+	cases := []struct {
+		name           string
+		key            uint64
+		size           int // value bytes
+		chunk, sectors int
+	}{
+		{"one chunk at chunk 0", 1, 100, 0, 1},
+		{"inside the first sector", 2, 5*128 - record.HeaderSize, 1, 1},
+		{"across a sector boundary", 3, 512, 6, 2},
+		{"a 4 KB value", 4, 4096, 11, 5},
+	}
+	withRig(t, fc, nil, func(r *rig) {
+		ns, _ := r.dev.CreateNamespace(NamespaceAttrs{NumLogs: 1})
+		for _, c := range cases {
+			if err := r.dev.Put(one(ns, c.key, val(c.key, c.size))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.dev.Flush()
+		root, _ := r.dev.lookupNS(ns)
+		for _, c := range cases {
+			chain, _ := root.fam.chains.Load().Lookup(c.key)
+			raw, _, err := chain.Head().AtOrBefore(noCutoff)
+			loc := location(raw)
+			if err != nil || !loc.isFlash() || loc.chunk() != c.chunk {
+				t.Fatalf("%s: key %d at %#x (%v), want flash chunk %d", c.name, c.key, raw, err, c.chunk)
+			}
+			before := r.dev.Stats()
+			start := r.e.Now()
+			got, err := r.dev.Get(ns, c.key)
+			took := r.e.Now() - start
+			if err != nil || !bytes.Equal(got, val(c.key, c.size)) {
+				t.Fatalf("%s: Get = %d bytes, %v; want the value", c.name, len(got), err)
+			}
+			after := r.dev.Stats()
+			probes := after.IndexProbes - before.IndexProbes
+			want := nc.HostSoftware + nc.SubmissionLatency + nc.FirmwareFixedCost +
+				time.Duration(probes)*nc.ProbeCost + fc.ReadLatency +
+				time.Duration(c.sectors)*sector + nc.CompletionLatency
+			if took != want || after.NVRAMHits != before.NVRAMHits {
+				t.Errorf("%s: idle Get took %v, want %v (%d probes, %d sectors of %v)",
+					c.name, took, want, probes, c.sectors, sector)
+			}
 		}
 	})
 }

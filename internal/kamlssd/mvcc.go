@@ -413,7 +413,10 @@ func (d *Device) readVersion(ns *namespace, key, ts uint64, pinned bool) ([]byte
 			}
 			continue
 		}
-		data, _, rerr := d.arr.ReadPage(loc.ppn())
+		// Only the record's own chunks cross the channel (the ECC sectors
+		// that hold them); the rest of the page stays in the chip.
+		cs := d.cfg.ChunkSize
+		data, rerr := d.arr.ReadRange(loc.ppn(), loc.chunk()*cs, loc.nchunks()*cs)
 		if rerr != nil {
 			// Either the block was erased under us (GC), power was cut, or
 			// the medium returned a transient read error (fault injection).
@@ -446,7 +449,7 @@ func (d *Device) readVersion(ns *namespace, key, ts uint64, pinned bool) ([]byte
 			loc = cur
 			continue
 		}
-		rec, derr := record.At(data, loc.chunk(), d.cfg.ChunkSize)
+		rec, derr := record.Unmarshal(data)
 		if derr != nil {
 			return nil, derr
 		}

@@ -13,7 +13,7 @@ import (
 	"github.com/kaml-ssd/kaml/internal/record"
 )
 
-// maxReadRetries bounds how many times Get re-issues a page read that
+// maxReadRetries bounds how many times Get re-issues a flash read that
 // failed with an injected (transient) medium error before giving up.
 const maxReadRetries = 4
 
@@ -33,7 +33,8 @@ type PutRecord = cmdq.Record
 
 // Get retrieves the value stored under (nsID, key). The value is served
 // from NVRAM if the record's latest version has not reached flash yet,
-// otherwise from a flash page read (paper §III, Table I).
+// otherwise from flash, reading only the record's chunks (paper §III,
+// Table I).
 //
 // Get executes on the calling actor through the pipeline's direct path
 // (cmdq.RunDirect): the command counts against queue depth and honors

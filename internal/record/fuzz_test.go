@@ -9,8 +9,9 @@ import (
 // raw data + OOB bitmap, paper §IV-E). Parse over arbitrary inputs must
 // never panic and never read out of bounds; whatever it accepts must be
 // internally consistent: records sit where the bitmap says, their values
-// are the page's own bytes (decoded in place), decode again via At, and
-// survive a Marshal/Unmarshal round trip.
+// are the page's own bytes (decoded in place), decode again from their own
+// chunks alone, as a Get reads them, and survive a Marshal/Unmarshal round
+// trip.
 func FuzzRecordParse(f *testing.F) {
 	// Seed with a genuine two-record page at the default geometry.
 	p := NewPacker(1024, DefaultChunkSize)
@@ -44,14 +45,15 @@ func FuzzRecordParse(f *testing.F) {
 			if v := pl.Record.Value; len(v) > 0 && &v[0] != &data[pl.StartChunk*chunkSize+HeaderSize] {
 				t.Fatalf("record at chunk %d: value is not the page's own bytes", pl.StartChunk)
 			}
-			// The same record must decode via the Get path.
-			at, err := At(data, pl.StartChunk, chunkSize)
+			// The same record must decode via the Get path: Unmarshal of
+			// exactly the chunks the index would name.
+			got, err := Unmarshal(data[pl.StartChunk*chunkSize : prevEnd*chunkSize])
 			if err != nil {
-				t.Fatalf("At(%d) rejected a record Parse accepted: %v", pl.StartChunk, err)
+				t.Fatalf("chunks %d..%d: Unmarshal rejected a record Parse accepted: %v", pl.StartChunk, prevEnd, err)
 			}
-			if at.Namespace != pl.Record.Namespace || at.Key != pl.Record.Key ||
-				at.Seq != pl.Record.Seq || !bytes.Equal(at.Value, pl.Record.Value) {
-				t.Fatalf("At(%d) decoded a different record than Parse", pl.StartChunk)
+			if got.Namespace != pl.Record.Namespace || got.Key != pl.Record.Key ||
+				got.Seq != pl.Record.Seq || !bytes.Equal(got.Value, pl.Record.Value) {
+				t.Fatalf("chunks %d..%d: Unmarshal decoded a different record than Parse", pl.StartChunk, prevEnd)
 			}
 			// And survive re-encoding.
 			round, err := Unmarshal(pl.Record.Marshal(nil))

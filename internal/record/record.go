@@ -11,7 +11,8 @@
 // page image it built, to be programmed as it is; AppendParsed returns
 // records whose values alias the page they were parsed from, into a slice
 // the caller reuses. The one value that is copied out is the one a Get
-// returns (At).
+// returns: the firmware reads just the record's chunks, which the index
+// names, and decodes them with Unmarshal.
 package record
 
 import (
@@ -215,15 +216,4 @@ func AppendParsed(dst []Placed, data, oob []byte, chunkSize int) ([]Placed, erro
 		start = i + 1
 	}
 	return dst, nil
-}
-
-// At decodes the single record starting at startChunk in the page, used by
-// Get when the index stores a (PPN, chunk) location. The value is copied out
-// of the page: it is handed to the host, which may keep or modify it.
-func At(data []byte, startChunk, chunkSize int) (Record, error) {
-	lo := startChunk * chunkSize
-	if lo >= len(data) {
-		return Record{}, fmt.Errorf("record: chunk %d out of page", startChunk)
-	}
-	return Unmarshal(data[lo:])
 }

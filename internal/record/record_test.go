@@ -133,7 +133,9 @@ func TestPackerResetAfterFinish(t *testing.T) {
 	}
 }
 
-func TestAtMatchesParse(t *testing.T) {
+// A Get reads only the chunks the index names and decodes them with
+// Unmarshal: a record's own chunks, cut out of the page, hold all of it.
+func TestUnmarshalOfChunksMatchesParse(t *testing.T) {
 	p := NewPacker(8192, 128)
 	var starts []int
 	var recs []Record
@@ -150,7 +152,7 @@ func TestAtMatchesParse(t *testing.T) {
 	}
 	data, _ := p.Finish()
 	for i, s := range starts {
-		got, err := At(data, s, 128)
+		got, err := Unmarshal(data[s*128 : (s+recs[i].Chunks(128))*128])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +225,7 @@ func TestAppendParsedDecodesInPlace(t *testing.T) {
 		}
 	}
 	_ = append(placed[1].Record.Value, "!!!"...)
-	if got, _ := At(data, placed[2].StartChunk, 128); string(got.Value) != "second" {
+	if got, _ := Unmarshal(data[placed[2].StartChunk*128:]); string(got.Value) != "second" {
 		t.Errorf("appending to a parsed value overwrote the next record: %q", got.Value)
 	}
 	scratch := make([]Placed, 0, 8)
