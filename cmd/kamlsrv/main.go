@@ -119,8 +119,8 @@ func main() {
 	// every page that left NVRAM (zero pages, or telemetry off, prints 0).
 	fill := dev.Telemetry().Histogram("kaml_ssd_sealed_page_chunks", telemetry.UnitNone).Snapshot()
 	meanFill := fill.Mean() / float64(opts.Flash.PageSize/opts.Firmware.ChunkSize)
-	// The foreground stall GC causes: how long page seals waited for their
-	// log's collector to return an erased block (virtual time; 0s if none did).
+	// The stall GC causes: how long the flushers waited for their log's
+	// collector to return an erased block (virtual time; 0s if none did).
 	blockWait := dev.Telemetry().Histogram("kaml_ssd_free_block_wait_seconds", telemetry.UnitSeconds).Snapshot()
 	log.Printf("final stats: gets=%d puts=%d put_records=%d programs=%d gc_erases=%d nvram_hits=%d program_retries=%d blocks_retired=%d pages_sealed=%d mean_page_fill=%.2f free_block_wait_p99=%v",
 		st.Gets, st.Puts, st.PutRecords, st.Programs, st.GCErases, st.NVRAMHits, st.ProgramRetries, st.BlocksRetired, fill.N, meanFill,

@@ -33,9 +33,10 @@
 //	                  Get does NOT take it — see "The read contract" below.
 //	lg.mu  (Mutex)    one per log: packer, pending records, sealed queue,
 //	                  append points, free lists, per-block valid-byte
-//	                  accounting. spaceCv (queue backpressure), workCv (the
-//	                  flusher), freeCv (writers out of erased blocks) and
-//	                  gcCv (the collector) ride on it.
+//	                  accounting. spaceCv (a writer waiting for the page it
+//	                  left to a full queue), workCv (the flusher), freeCv
+//	                  (the flusher out of erased blocks) and gcCv (the
+//	                  collector) ride on it.
 //	d.nvMu (Mutex)    the NVRAM region: staged values, batches, catalog,
 //	                  bad-block table. drainCv (Flush) rides on it.
 //
@@ -112,7 +113,7 @@ var (
 type Config struct {
 	NumLogs          int  // append streams; paper sweeps 16..64 (Fig. 8)
 	ChunkSize        int  // record allocation unit within a page
-	QueueDepthPerLog int  // sealed NVRAM pages a log may buffer before Put blocks
+	QueueDepthPerLog int  // sealed NVRAM pages a log may buffer before its writers move on
 	GCLowWater       int  // free blocks per log below which its collector wakes
 	GCHighWater      int  // ... and up to which it then collects
 	DefaultIndexCap  int  // default per-namespace mapping-table capacity
@@ -238,8 +239,8 @@ type Device struct {
 	gcPause      *telemetry.Histogram // one victim collection, scan to erase
 	chainLen     *telemetry.Histogram // version-chain length at prune time, per key
 	sealedChunks *telemetry.Histogram // chunks used in each page leaving the packer
-	// freeBlockWait is how long a seal — on the Put actor or on the flusher —
-	// waited for its log's collector to return an erased block (hostPPN).
+	// freeBlockWait is how long a flusher waited for its log's collector to
+	// return an erased block for the page it dequeued (hostPPN).
 	freeBlockWait *telemetry.Histogram
 	recoveryTime  *telemetry.Histogram // one Recover, log scan to actors started
 
@@ -268,6 +269,9 @@ type Stats struct {
 	IndexReadRetries  int64
 	BytesWritten      int64 // host payload bytes accepted
 	FlashBytesWritten int64 // pages programmed x page size (write amp)
+	// RecordsRerouted counts records a full sealed queue sent on to their
+	// namespace's next log (kaml_ssd_records_rerouted_total, all logs).
+	RecordsRerouted int64
 
 	// Fault handling.
 	ProgramRetries int64 // failed programs rewritten to a fresh page
@@ -527,6 +531,7 @@ func (d *Device) Stats() Stats {
 	}
 	for _, lg := range d.logs {
 		st.GCErases += lg.gcErases.Value()
+		st.RecordsRerouted += lg.rerouted.Value()
 	}
 	return st
 }

@@ -142,18 +142,19 @@ func (d *Device) victim(lg *logState) (chipIdx, block int, ok bool) {
 			if !bm.sealed || bm.retired || bm.validBytes > gainful {
 				continue
 			}
-			// A block is sealed when its last page is *allocated*, but the
-			// flusher may still be programming queued pages into it; erasing
-			// now would destroy them. Only fully-programmed blocks qualify.
+			// A block is sealed when its last page is *allocated*. Queued
+			// pages take their address only when the flusher dequeues them,
+			// so the one host page allocated but not yet programmed is the
+			// flusher's in-flight page; erasing its block now would destroy
+			// it. Only fully-programmed blocks qualify.
 			first := d.arr.BlockPPN(ch, chip, b, 0)
 			if d.arr.ProgrammedPages(first) < d.fc.PagesPerBlock {
 				continue
 			}
 			// The flusher may have finished programming the block's last
 			// page but not yet installed its index entries; collecting now
-			// could erase a page that is about to become live. The flusher
-			// is strictly in-order, so checking its current in-flight page
-			// is sufficient.
+			// could erase a page that is about to become live. That page is
+			// its in-flight one.
 			if lg.inflight.data != nil {
 				a := d.arr.Decode(lg.inflight.ppn)
 				if a.Channel == ch && a.Chip == chip && a.Block == b {

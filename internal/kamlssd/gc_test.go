@@ -250,20 +250,21 @@ func slowEraseConfig() flash.Config {
 	return fc
 }
 
-// freeBlockWaits is how many seals have waited for a collector so far.
+// freeBlockWaits is how many times a flusher has waited for its collector.
 func freeBlockWaits(d *Device) int64 {
 	return d.Telemetry().Histogram("kaml_ssd_free_block_wait_seconds", telemetry.UnitSeconds).Snapshot().N
 }
 
-// fillOpenBlock tops up log 0's open host block to its last page and leaves
-// one more record in the open NVRAM page: the next seal needs a block the
-// host stream may not take until the collector returns one.
+// fillOpenBlock puts until log 0's flusher has dequeued the last page of its
+// open host block, with records in the open NVRAM page that do not fill it:
+// the flusher's next page needs a block the host stream may not take until
+// the collector returns one.
 func (c *churner) fillOpenBlock() {
 	c.t.Helper()
 	lg := c.r.dev.logs[0]
 	for {
 		lg.mu.Lock()
-		atEnd := lg.activeHost == nil && lg.packer.Count() == 1
+		atEnd := lg.activeHost == nil && lg.packer.Count() > 0 && lg.packer.FreeChunks() > 0
 		lg.mu.Unlock()
 		if atEnd {
 			return
@@ -281,11 +282,11 @@ func TestCloseWhileFlusherWaitsForFreeBlock(t *testing.T) {
 		c, _ := churnUntilLow(t, r, 1)
 		c.fillOpenBlock()
 		if n := freeBlockWaits(r.dev); n != 0 {
-			t.Errorf("setup: %d seals already waited for a free block", n)
+			t.Errorf("setup: the flusher already waited %d times for a free block", n)
 		}
 		r.dev.Close()
 		if n := freeBlockWaits(r.dev); n != 1 {
-			t.Errorf("%d seals waited for a free block during Close, want the flusher's one", n)
+			t.Errorf("the flusher waited %d times for a free block during Close, want once", n)
 		}
 		if n := r.dev.logs[0].sealed[sealClose].Value(); n != 1 {
 			t.Errorf("%d pages sealed by Close on log 0, want 1", n)
@@ -297,31 +298,34 @@ func TestCloseWhileFlusherWaitsForFreeBlock(t *testing.T) {
 	r.e.Wait()
 }
 
-// A power cut reaches every wait: the writer parked for a free block fails
-// with ErrPowerLoss, the collectors — one mid-victim, three parked — exit,
-// and the device halts and recovers.
+// A power cut reaches every wait: the writer parked on a full queue, behind
+// the flusher parked for a free block, fails with ErrPowerLoss, the
+// collectors — one mid-victim, three parked — exit, and the device halts and
+// recovers.
 func TestPowerCutWakesFreeBlockAndCollectorWaits(t *testing.T) {
 	r := newSerialRig(1, slowEraseConfig(), nil)
 	r.e.Go("test", func() {
 		c, _ := churnUntilLow(t, r, 1)
 		c.fillOpenBlock()
-		// Seven more records fill the open page; sealing it parks the writer.
+		// The namespace has one log: its queue fills behind the flusher, and
+		// a writer left with a full page has no other log to go to.
 		var werr error
 		writer := r.e.NewWaitGroup()
 		writer.Add(1)
 		r.e.Go("writer", func() {
 			defer writer.Done()
-			for i := uint64(0); i < 8 && werr == nil; i++ {
+			for i := uint64(0); i < 64 && werr == nil; i++ {
 				werr = r.dev.Put(one(c.ns, c.keys+i, val(i, churnValue)))
 			}
 		})
-		r.e.Sleep(5 * time.Millisecond) // a tenth of the erase it waits for
+		r.e.Sleep(5 * time.Millisecond) // a tenth of the erase the flusher waits for
 		lg := r.dev.logs[0]
 		lg.mu.Lock()
-		free, open := lg.freeBlocks, lg.activeHost
+		free, open, left, queued := lg.freeBlocks, lg.activeHost, lg.sealWanted, len(lg.sealedQueue)
 		lg.mu.Unlock()
-		if free > gcReserveBlocks || open != nil {
-			t.Errorf("setup: log 0 has %d free blocks and an open block %v: the writer is not waiting", free, open)
+		if free > gcReserveBlocks || open != nil || !left || queued != r.dev.cfg.QueueDepthPerLog {
+			t.Errorf("setup: log 0 has %d free blocks, open block %v, a page left for the flusher %v and %d queued: the writer is not waiting",
+				free, open, left, queued)
 		}
 		dev2, err := powerCycle(r.dev, r.arr, r.ctrl)
 		if err != nil {

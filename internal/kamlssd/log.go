@@ -21,9 +21,15 @@ import (
 // A record is durable at its batch's NVRAM commit marker, so the open page
 // has no reason to leave NVRAM early: it is sealed when the next record does
 // not fit, when it becomes exactly full, or when somebody asks for the log
-// to be drained (Flush, Close) — never on a timer. The log therefore holds
-// at most QueueDepthPerLog+2 pages of records in NVRAM: the open page, the
-// sealed queue, and the page being programmed.
+// to be drained (Flush, Close) — never on a timer. A sealed page has no
+// flash address yet: the flusher gives it one when it dequeues it, so only
+// the flusher waits for an erased block. Nor does a writer wait for a full
+// sealed queue while another log of its namespace has room: it leaves its
+// full page to the flusher (sealWanted), which seals it as soon as a dequeue
+// makes room, and the record moves on (appendRecord). The log therefore
+// holds at most QueueDepthPerLog+2 pages of records in NVRAM: the open page,
+// the sealed queue, and the page being programmed (or waiting for its
+// block).
 //
 // Every field below mu is guarded by mu, the per-log lock of the device's
 // hierarchy (see device.go): Puts routed to different logs, and each log's
@@ -40,13 +46,17 @@ type logState struct {
 	pending     []pendingRec // records in the open packer
 	pageSeq     uint64       // pages sealed so far: the open page's identity across a wait
 	sealedQueue []sealedPage
+	// sealWanted marks an open page that a writer left because the sealed
+	// queue was full. Only a dequeue makes room, so the flusher seals the page
+	// right after one; until then the queue stays full.
+	sealWanted bool
 	// inflight is the page the flusher is programming right now, held by
 	// value; its data is nil while the flusher programs nothing.
 	inflight sealedPage
 	// spare holds emptied pending lists: the flusher returns a page's list
 	// once the page is installed, and the next seal opens its page with it.
 	spare   [][]pendingRec
-	spaceCv *sim.Cond // on mu: queue has room / device closed
+	spaceCv *sim.Cond // on mu: the flusher sealed a page a writer left / power cut
 	workCv  *sim.Cond // on mu: sealed page queued / drain requested / device closed
 
 	activeHost *appendPoint
@@ -58,11 +68,11 @@ type logState struct {
 	resume []appendPoint
 
 	freeBlocks int
-	// The log's collector and the writers that wait for it meet on two
+	// The log's collector and the flusher that waits for it meet on two
 	// conditions, each signalled by the event itself, under mu — nothing
 	// polls. freeCv: collectBlock returned a block to the free list (or power
-	// was cut); a seal out of erased blocks waits here (hostPPN). gcCv: a
-	// block was opened below GCLowWater, something collectible may have
+	// was cut); the flusher, out of erased blocks, waits here (hostPPN). gcCv:
+	// a block was opened below GCLowWater, something collectible may have
 	// appeared on a starved log, or the device is stopping; the collector
 	// waits here (collector.loop).
 	freeCv *sim.Cond
@@ -80,6 +90,7 @@ type logState struct {
 	gcErases         telemetry.Counter                // victim erases (incl. failed-erase retirements)
 	wearMin, wearMax telemetry.Gauge                  // erase-count spread, refreshed at each victim scan
 	sealed           [numSealCauses]telemetry.Counter // pages that left the packer, by why
+	rerouted         telemetry.Counter                // records sent on to their namespace's next log: the queue was full
 }
 
 // sealCause says why an open page left NVRAM's packer for the program queue.
@@ -126,6 +137,8 @@ type pendingRec struct {
 	staged time.Duration
 }
 
+// sealedPage is a page image on its way to flash. Its ppn is zero while it
+// waits in the sealed queue: the flusher assigns one when it dequeues it.
 type sealedPage struct {
 	ppn     flash.PPN
 	data    []byte
@@ -229,14 +242,15 @@ func (lg *logState) openBlock() (*appendPoint, error) {
 
 // hostPPN is nextPPN for the host stream that waits, while the log is out of
 // erased blocks, for the log's collector to return one — the paper's
-// free-block watermark backpressure, and the one place a seal (on the Put
-// actor or on the flusher) stalls behind garbage collection; the stall is
-// observed in kaml_ssd_free_block_wait_seconds. Nobody has to wake the
-// collector from here: the host stream stops at gcReserveBlocks, which is
-// below GCLowWater, so the block that took the log there signalled gcCv, and
-// a collector that has parked since is starved and waits for gcRetry.
-// Reports false on a power cut. Called with lg.mu held, which the wait
-// releases; returns with it held.
+// free-block watermark backpressure. Only the flusher calls it, for the page
+// it has just dequeued, so a stall behind garbage collection holds up this
+// log's programs, not a Put: the log's queue fills, and its writers move on
+// to their namespaces' other logs (appendRecord). The stall is observed in
+// kaml_ssd_free_block_wait_seconds. Nobody has to wake the collector from
+// here: the host stream stops at gcReserveBlocks, which is below GCLowWater,
+// so the block that took the log there signalled gcCv, and a collector that
+// has parked since is starved and waits for gcRetry. Reports false on a power
+// cut. Called with lg.mu held, which the wait releases; returns with it held.
 func (lg *logState) hostPPN() (flash.PPN, bool) {
 	ppn, err := lg.nextPPN(false)
 	if err == nil {
@@ -282,41 +296,27 @@ func (lg *logState) gcRetry() {
 	}
 }
 
-// sealPacker moves the open packer — which the caller found non-empty —
-// into the sealed queue, assigning its flash page now so programs stay in
-// block order, and counts the seal under its cause. Blocks (releasing lg.mu)
-// while the queue is full — this is the NVRAM backpressure that ties host
-// Put bandwidth to the log's append bandwidth. Called with lg.mu held and
-// no namespace lock (the flusher that drains the queue needs namespace
-// locks to install flash locations); returns with lg.mu held.
+// hasRoom reports whether the sealed queue can take another page. Called with
+// lg.mu held.
+func (lg *logState) hasRoom() bool {
+	return len(lg.sealedQueue) < lg.d.cfg.QueueDepthPerLog
+}
+
+// sealPacker moves the open packer — which the caller found non-empty — to
+// the back of the sealed queue and counts the seal under its cause. It never
+// waits: the page takes its flash address only when the flusher dequeues it,
+// and the caller has checked that the queue has room (or is the flusher
+// draining an empty queue). Called with lg.mu held.
 func (lg *logState) sealPacker(cause sealCause) {
-	for page := lg.pageSeq; ; {
-		if lg.pageSeq != page {
-			// Another actor sealed the page while we waited; the open one is a
-			// later page that the caller never judged ready to go.
-			return
-		}
-		if len(lg.sealedQueue) < lg.d.cfg.QueueDepthPerLog || lg.d.closed.Load() {
-			break
-		}
-		lg.spaceCv.Wait()
-	}
-	if lg.d.crashed.Load() {
-		// Power cut while waiting for queue space: leave the packer alone;
-		// its records survive in NVRAM and recovery replays them.
-		return
-	}
 	if lg.packer.FreeChunks() == 0 {
-		// Whoever seals a full page — its filler, or a writer that met it full
-		// while the filler waited above — it left because it was full.
+		// Whoever seals a full page — its filler, a writer that met it full, or
+		// the flusher that found it left full — it left because it was full.
 		cause = sealFull
 	}
 	lg.sealed[cause].Inc()
 	lg.d.sealedChunks.Observe(int64(lg.d.fc.PageSize/lg.d.cfg.ChunkSize - lg.packer.FreeChunks()))
 	lg.pageSeq++
-	// Capture the page image and its pending descriptors atomically: the
-	// free-block wait below releases the log mutex, and records added to
-	// the fresh packer meanwhile must not leak into this sealed page.
+	lg.sealWanted = false
 	data, bitmap := lg.packer.Finish()
 	oob := lg.d.buildOOB(bitmap, pageTypeRecord, data)
 	pend := lg.pending
@@ -325,17 +325,20 @@ func (lg *logState) sealPacker(cause sealCause) {
 		lg.pending = lg.spare[n-1]
 		lg.spare = lg.spare[:n-1]
 	}
-	ppn, ok := lg.hostPPN()
-	if !ok {
-		return // power cut: records stay in NVRAM for recovery
-	}
-	lg.sealedQueue = append(lg.sealedQueue, sealedPage{
-		ppn:     ppn,
-		data:    data,
-		oob:     oob,
-		pending: pend,
-	})
+	lg.sealedQueue = append(lg.sealedQueue, sealedPage{data: data, oob: oob, pending: pend})
 	lg.workCv.Signal() // wake an idle flusher
+}
+
+// sealOrLeave is a writer's seal: it seals the open page if the queue has
+// room and otherwise leaves it to the flusher, marked sealWanted. Reports
+// whether it sealed. Called with lg.mu held.
+func (lg *logState) sealOrLeave(cause sealCause) bool {
+	if lg.hasRoom() {
+		lg.sealPacker(cause)
+		return true
+	}
+	lg.sealWanted = true
+	return false
 }
 
 // route returns the log ns is appending to right now and the cursor value
@@ -350,26 +353,50 @@ func (d *Device) route(ns *namespace) (*logState, uint64) {
 // and of recovery's re-staging alike. The page is sealed when the record
 // does not fit or fills it exactly, and every seal moves the namespace on to
 // its next log — the cursor advances per page, not per record, so records
-// pack, and a namespace's pages stay balanced across its logs to within one
-// (an exact-fit seal counts: a cursor that moved only on "does not fit"
-// would pin a namespace of page-dividing records to one log). The cursor
-// moves before the seal, which may block on this log's sealed queue: the
-// namespace's next record then goes to a log with room. Fails only on a
-// power cut, with the record not routed. Called with no lock held.
+// pack, and while no queue is full a namespace's pages stay balanced across
+// its logs to within one (an exact-fit seal counts: a cursor that moved only
+// on "does not fit" would pin a namespace of page-dividing records to one
+// log). The cursor moves before the seal. A log whose sealed queue is full
+// keeps its page for its flusher to seal (sealOrLeave), and a record that
+// did not fit follows the cursor to the namespace's next log. Only a writer
+// that has met every log of its namespace full in a row — the device is
+// flash-bound — waits, on the last log's spaceCv, until that log's flusher
+// seals the page it left: the NVRAM backpressure that ties Put bandwidth to
+// the logs' append bandwidth. Fails only on a power cut, with the record not
+// routed. Called with no lock held.
 func (d *Device) appendRecord(ns *namespace, lg *logState, cur uint64, rec record.Record, staged time.Duration) error {
 	size := rec.EncodedSize()
+	full := 0 // logs met in a row with a full queue
 	lg.mu.Lock()
-	// sealPacker may release lg.mu while blocked on queue space or free
-	// blocks, and another writer can refill the fresh packer in that window —
-	// so sealing does not guarantee the record fits on the next check.
 	for !lg.packer.Fits(size) {
 		ns.rr.CompareAndSwap(cur, cur+1)
-		lg.sealPacker(sealNoFit)
+		if lg.sealOrLeave(sealNoFit) {
+			continue
+		}
+		full++
+		page := lg.pageSeq
+		lg.mu.Unlock()
+		ns.mu.RLock()
+		every := full >= len(ns.logIDs)
+		next, nextCur := d.route(ns)
+		ns.mu.RUnlock()
+		if !every {
+			lg.rerouted.Inc()
+			lg, cur = next, nextCur
+			lg.mu.Lock()
+			continue
+		}
+		lg.mu.Lock()
+		for lg.pageSeq == page && !d.crashed.Load() {
+			lg.spaceCv.Wait()
+		}
 		if d.crashed.Load() {
-			// sealPacker bailed without draining; the packer may still be full.
+			// Power cut while waiting: the record is staged but not routed;
+			// the caller aborts its batch.
 			lg.mu.Unlock()
 			return ErrPowerLoss
 		}
+		full = 0
 	}
 	chunk := lg.packer.Add(rec)
 	lg.pending = append(lg.pending, pendingRec{
@@ -379,7 +406,7 @@ func (d *Device) appendRecord(ns *namespace, lg *logState, cur uint64, rec recor
 	switch {
 	case lg.packer.FreeChunks() == 0:
 		ns.rr.CompareAndSwap(cur, cur+1)
-		lg.sealPacker(sealFull)
+		lg.sealOrLeave(sealFull)
 	case d.drainers.Load() > 0:
 		lg.workCv.Signal() // a Flush is waiting for this record too
 	}
@@ -388,8 +415,15 @@ func (d *Device) appendRecord(ns *namespace, lg *logState, cur uint64, rec recor
 }
 
 // flusherLoop programs sealed pages in order and installs flash locations.
-// It seals a partially-filled packer only on request: while a Flush is
-// waiting (d.drainers) or at Close.
+// A page takes its flash address when the flusher dequeues it (hostPPN): one
+// flusher per log allocating in queue order keeps every block programmed in
+// order, and a wait for an erased block stalls this log's programs, not a
+// writer. The dequeue is also the one thing that makes room in the queue, so
+// right after it the flusher seals a page a writer left full (sealWanted) —
+// if the queue has room then: a page whose program failed re-enters the
+// queue beyond its depth. It seals a partially-filled packer only on
+// request, into an empty queue: while a Flush is waiting (d.drainers) or at
+// Close.
 func (d *Device) flusherLoop(lg *logState) {
 	defer func() {
 		if d.flushersLive.Add(-1) == 0 {
@@ -428,18 +462,22 @@ func (d *Device) flusherLoop(lg *logState) {
 			}
 			lg.sealPacker(cause)
 		}
-		if len(lg.sealedQueue) == 0 {
-			// sealPacker bailed out (power cut, or a Put actor sealed and the
-			// queue already drained); re-evaluate from the top.
-			lg.mu.Unlock()
-			continue
-		}
 		// The queue closes up in place, so the next seal appends into the
 		// same array instead of regrowing it.
 		sp := lg.sealedQueue[0]
 		n := copy(lg.sealedQueue, lg.sealedQueue[1:])
 		lg.sealedQueue[n] = sealedPage{}
 		lg.sealedQueue = lg.sealedQueue[:n]
+		if lg.sealWanted && lg.hasRoom() {
+			lg.sealPacker(sealNoFit)
+			lg.spaceCv.Broadcast() // a writer waiting for that page goes on
+		}
+		ppn, ok := lg.hostPPN()
+		if !ok {
+			lg.mu.Unlock()
+			return // power cut: the records stay in NVRAM for recovery
+		}
+		sp.ppn = ppn
 		lg.inflight = sp
 		lg.mu.Unlock()
 
@@ -457,11 +495,11 @@ func (d *Device) flusherLoop(lg *logState) {
 			// Program failure: the page is consumed with garbage. Rewrite
 			// the payload at the log's next free page and remember the
 			// failure so GC retires the block once it drains (bad-block
-			// handling). The page cannot be retried in place — later queue
-			// entries already own the intervening page numbers and blocks
-			// program strictly in order — so it re-enters the back of the
-			// queue with a freshly allocated page. No data is lost: the
-			// values are still in NVRAM and the index still points there.
+			// handling). The consumed page cannot be retried — a block
+			// programs strictly in order — so the image re-enters the back of
+			// the queue without an address and takes the log's next page when
+			// it is dequeued again. No data is lost: the values are still in
+			// NVRAM and the index still points there.
 			d.ctr.programRetries.Inc()
 			lg.mu.Lock()
 			if flg, lc, b := d.blockOf(sp.ppn); lc != nil && flg == lg {
@@ -469,12 +507,7 @@ func (d *Device) flusherLoop(lg *logState) {
 			}
 			lg.inflight = sealedPage{}
 			lg.gcRetry() // the consumed page may have completed its block
-			ppn, ok := lg.hostPPN()
-			if !ok {
-				lg.mu.Unlock()
-				return
-			}
-			sp.ppn = ppn
+			sp.ppn = 0
 			lg.sealedQueue = append(lg.sealedQueue, sp)
 			lg.mu.Unlock()
 			continue
@@ -497,7 +530,6 @@ func (d *Device) flusherLoop(lg *logState) {
 		lg.mu.Lock()
 		lg.inflight = sealedPage{}
 		lg.spare = append(lg.spare, sp.pending[:0])
-		lg.spaceCv.Broadcast()
 		lg.gcRetry() // the page's block may just have become collectible
 		lg.mu.Unlock()
 	}

@@ -203,10 +203,11 @@ func TestPinFloorKeepsVersionBehindUnsettledBatch(t *testing.T) {
 			t.Errorf("put old: %v", err)
 			return
 		}
-		// Eight half-page records on a single log outrun its sealed-page
-		// queue, so the batch parks mid-stage — its timestamps reserved, its
-		// commit marker unwritten — until a flash program completes.
-		batch := make([]PutRecord, 8)
+		// Sixteen half-page records on a single log outrun its sealed-page
+		// queue and the page its flusher dequeues, so the batch parks
+		// mid-stage — its timestamps reserved, its commit marker unwritten —
+		// until a flash program completes.
+		batch := make([]PutRecord, 16)
 		for i := range batch {
 			batch[i] = PutRecord{Namespace: slow, Key: uint64(i), Value: val(uint64(i), 3500)}
 		}

@@ -84,8 +84,9 @@ func TestLonePutStaysInNVRAMUntilFlush(t *testing.T) {
 }
 
 // Eight 1000-byte values fill a page exactly, so every seal is an exact-fit
-// seal. The cursor must advance on those too: a namespace's pages stay
-// balanced across its logs to within one, after any number of Puts.
+// seal. The cursor must advance on those too: while no queue is full (one
+// writer never fills one here), a namespace's pages stay balanced across its
+// logs to within one, after any number of Puts.
 func TestExactFitSealsStayBalanced(t *testing.T) {
 	if c := (record.Record{Value: make([]byte, 1000)}).Chunks(record.DefaultChunkSize); c != 8 {
 		t.Fatalf("a 1000 B value takes %d chunks; this test needs 8 (64/8 fills a page exactly)", c)

@@ -1,0 +1,225 @@
+package kamlssd
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"github.com/kaml-ssd/kaml/internal/flash"
+)
+
+// Tests for a full sealed queue (log.go): a page takes its flash address
+// when the flusher dequeues it, so only the flusher waits for an erased
+// block; a writer that meets a full queue sends its record on to the
+// namespace's next log; and only a namespace whose every log is full holds
+// its writers back.
+
+// collectorsOff keeps every collector parked (GCLowWater 0): a log out of
+// erased blocks stays out until the test collects a victim itself.
+func collectorsOff(c *Config) { c.GCLowWater, c.GCHighWater = 0, 0 }
+
+// stalled reports whether lg's open page is left full for a flusher that
+// programs nothing: the flusher holds a dequeued page and waits for an
+// erased block, behind a full queue.
+func stalled(lg *logState) bool {
+	lg.mu.Lock()
+	defer lg.mu.Unlock()
+	return lg.sealWanted && lg.activeHost == nil && lg.inflight.data == nil
+}
+
+// stallLogs overwrites a page's worth of keys per log through ns until every
+// log in logs is stalled, one Put a millisecond: slower than a log programs,
+// so a queue fills only behind a flusher that waits for a block. With the
+// collectors off none comes back, and the overwrites leave the logs' first
+// blocks pure garbage for returnBlock. Reports whether the logs stalled.
+func stallLogs(t *testing.T, r *rig, ns uint32, logs []*logState) bool {
+	t.Helper()
+	keys := uint64(8 * len(logs))
+	for puts := uint64(0); puts < 10000; puts++ {
+		all := true
+		for _, lg := range logs {
+			all = all && stalled(lg)
+		}
+		if all {
+			return true
+		}
+		if err := r.dev.Put(one(ns, puts%keys, val(puts, churnValue))); err != nil {
+			t.Errorf("fill %d: %v", puts, err)
+			return false
+		}
+		r.e.Sleep(time.Millisecond)
+	}
+	t.Errorf("setup: the logs did not stall")
+	return false
+}
+
+// returnBlock collects lg's best victim the way its collector would, so the
+// flusher waiting for an erased block gets one.
+func returnBlock(t *testing.T, d *Device, lg *logState) {
+	t.Helper()
+	lg.mu.Lock()
+	chip, block, ok := d.victim(lg)
+	lg.mu.Unlock()
+	if !ok {
+		t.Errorf("setup: log %d has no victim", lg.id)
+		return
+	}
+	newCollector(d, lg).collectBlock(chip, block)
+}
+
+// failNextProgram is a fault plan that fails the first program it sees.
+type failNextProgram struct{ failed bool }
+
+func (f *failNextProgram) Decide(op flash.Op, _ flash.PPN, _ time.Duration) flash.Verdict {
+	if op == flash.OpProgram && !f.failed {
+		f.failed = true
+		return flash.VerdictFail
+	}
+	return flash.VerdictOK
+}
+
+// sealedSince is how many pages lg has sealed since it had sealed seq.
+func sealedSince(lg *logState, seq uint64) uint64 {
+	lg.mu.Lock()
+	defer lg.mu.Unlock()
+	return lg.pageSeq - seq
+}
+
+// A namespace spans four logs, and log 0's flusher waits for an erased block
+// behind a full queue. The namespace does not notice: each of its Puts takes
+// what a Put to the idle device took, and every record lands on logs 1-3.
+// Once a block comes back, log 0's flusher seals the page left for it as
+// soon as its queue has room — which a page whose program failed takes away
+// for one more dequeue.
+func TestFullLogDoesNotStallTheNamespace(t *testing.T) {
+	const puts = 200
+	r := newSerialRig(1, testFlashConfig(), collectorsOff)
+	r.e.Go("test", func() {
+		d, lg := r.dev, r.dev.logs[0]
+		defer d.Close()
+		wide, _ := d.CreateNamespace(NamespaceAttrs{NumLogs: 4})
+		narrow, _ := d.CreateNamespace(NamespaceAttrs{NumLogs: 1})
+		put := func(key uint64) time.Duration {
+			start := r.e.Now()
+			if err := d.Put(one(wide, key, val(key, churnValue))); err != nil {
+				t.Errorf("put %d: %v", key, err)
+				return -1
+			}
+			return r.e.Now() - start
+		}
+		idle := put(puts)
+		if !stallLogs(t, r, narrow, d.logs[:1]) {
+			return
+		}
+		lg.mu.Lock()
+		left, queued := lg.pageSeq, len(lg.sealedQueue)
+		lg.mu.Unlock()
+		if queued != d.cfg.QueueDepthPerLog {
+			t.Errorf("setup: log 0 queues %d pages, want a full queue of %d", queued, d.cfg.QueueDepthPerLog)
+			return
+		}
+
+		for k := uint64(0); k < puts; k++ {
+			if took := put(k); took != idle {
+				t.Errorf("Put %d took %v beside the stalled log, %v on the idle device", k, took, idle)
+				return
+			}
+		}
+		var landed int64
+		for _, other := range d.logs[1:] {
+			other.mu.Lock()
+			landed += 8*sealedPages(other) + int64(other.packer.Count())
+			other.mu.Unlock()
+		}
+		if n := sealedSince(lg, left); landed != puts || n != 0 {
+			t.Errorf("logs 1-3 hold %d records, want the %d Puts'; the stalled log 0 sealed %d pages", landed, puts, n)
+		}
+		rerouted := lg.rerouted.Value()
+		if rerouted == 0 || d.Stats().RecordsRerouted != rerouted ||
+			d.Telemetry().Counter("kaml_ssd_records_rerouted_total", "log", "0").Value() != rerouted {
+			t.Errorf("log 0 counted %d records rerouted, Stats %d", rerouted, d.Stats().RecordsRerouted)
+		}
+
+		// A block comes back and the first program into it fails: the failed
+		// page goes back into the queue and fills it, so the dequeue after the
+		// failure leaves the page that was left for the flusher where it is,
+		// and the next dequeue seals it.
+		returnBlock(t, d, lg)
+		r.arr.SetInjector(&failNextProgram{})
+		for end := r.e.Now() + 2*time.Millisecond; d.Stats().ProgramRetries == 0 && r.e.Now() < end; {
+			r.e.Sleep(10 * time.Microsecond)
+		}
+		if n := sealedSince(lg, left); d.Stats().ProgramRetries != 1 || n != 0 {
+			t.Errorf("after a failed program: %d retries and %d pages sealed, want 1 and none: the queue was full",
+				d.Stats().ProgramRetries, n)
+		}
+		r.e.Sleep(2 * time.Millisecond)
+		r.arr.SetInjector(nil)
+		if n := sealedSince(lg, left); n != 1 || stalled(lg) {
+			t.Errorf("log 0 sealed %d pages once a block came back, want the one left for its flusher", n)
+		}
+		for k := uint64(0); k <= puts; k++ {
+			if v, err := d.Get(wide, k); err != nil || string(v) != string(val(k, churnValue)) {
+				t.Errorf("key %d: %v", k, err)
+				return
+			}
+		}
+	})
+	r.e.Wait()
+}
+
+// Only a namespace whose every log has a full queue holds its writers back:
+// the device is flash-bound then, each writer's record waits staged in NVRAM
+// until a flusher seals the page left for it, and NVRAM stays within
+// TestNVRAMOccupancyBounded's bound. The writers go on once blocks come back.
+func TestAllLogsFullIsBackpressure(t *testing.T) {
+	const writers = 4
+	r := newSerialRig(1, testFlashConfig(), func(c *Config) {
+		c.NumLogs = 2
+		collectorsOff(c)
+	})
+	cfg := r.dev.Config()
+	bound := int64(cfg.NumLogs*(cfg.QueueDepthPerLog+2)*8 + writers)
+	r.e.Go("test", func() {
+		d := r.dev
+		defer d.Close()
+		ns, _ := d.CreateNamespace(NamespaceAttrs{})
+		if !stallLogs(t, r, ns, d.logs) {
+			return
+		}
+		wg := r.e.NewWaitGroup()
+		var done [writers]bool
+		for w := range done {
+			wg.Add(1)
+			r.e.Go(fmt.Sprintf("writer-%d", w), func() {
+				defer wg.Done()
+				key := uint64(1000 + w)
+				if err := d.Put(one(ns, key, val(key, churnValue))); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				done[w] = true
+			})
+		}
+		r.e.Sleep(10 * time.Millisecond)
+		for w, ok := range done {
+			if ok {
+				t.Errorf("writer %d finished with every queue full", w)
+			}
+		}
+		if staged := d.ctr.nvramStaged.Value(); staged > bound {
+			t.Errorf("%d records staged in NVRAM, bound %d", staged, bound)
+		}
+		for _, lg := range d.logs {
+			returnBlock(t, d, lg)
+		}
+		wg.Wait()
+		for w := range done {
+			key := uint64(1000 + w)
+			if v, err := d.Get(ns, key); err != nil || string(v) != string(val(key, churnValue)) {
+				t.Errorf("writer %d's key: %v", w, err)
+			}
+		}
+	})
+	r.e.Wait()
+}
