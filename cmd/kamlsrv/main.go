@@ -40,6 +40,7 @@ import (
 	"github.com/kaml-ssd/kaml/internal/admin"
 	"github.com/kaml-ssd/kaml/internal/cluster"
 	"github.com/kaml-ssd/kaml/internal/kvproto"
+	"github.com/kaml-ssd/kaml/internal/record"
 	"github.com/kaml-ssd/kaml/internal/telemetry"
 )
 
@@ -118,7 +119,7 @@ func main() {
 	// Mean page fill: chunks holding records over chunks per page, across
 	// every page that left NVRAM (zero pages, or telemetry off, prints 0).
 	fill := dev.Telemetry().Histogram("kaml_ssd_sealed_page_chunks", telemetry.UnitNone).Snapshot()
-	meanFill := fill.Mean() / float64(opts.Flash.PageSize/opts.Firmware.ChunkSize)
+	meanFill := fill.Mean() / float64(opts.Flash.PageSize/record.DefaultChunkSize)
 	// The stall GC causes: how long the flushers waited for their log's
 	// collector to return an erased block (virtual time; 0s if none did).
 	blockWait := dev.Telemetry().Histogram("kaml_ssd_free_block_wait_seconds", telemetry.UnitSeconds).Snapshot()

@@ -20,7 +20,7 @@ func newPool(frames int, force ForceFunc) (*sim.Engine, *blockdev.Device, *Pool)
 	e := sim.NewEngine()
 	arr := flash.New(e, fc)
 	ctrl := nvme.New(e, nvme.DefaultConfig())
-	dev := blockdev.New(ftl.New(arr, ctrl, ftl.DefaultConfig(fc)))
+	dev := blockdev.New(ftl.New(arr, ctrl))
 	return e, dev, New(dev, e, frames, force)
 }
 

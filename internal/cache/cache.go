@@ -33,13 +33,11 @@ type Config struct {
 	// RecordsPerLock is the locking granularity (1 = record-level; 16
 	// reproduces the coarse-grained ablation in Fig. 9).
 	RecordsPerLock int
-	// HostOpCost is the host CPU charged per transactional operation
-	// (lock manager, hash probe, copies) — ~tens of microseconds on the
-	// paper's 2009-era Xeon E5520 host.
-	HostOpCost time.Duration
 }
 
-// DefaultHostOpCost matches DESIGN.md §5.
+// DefaultHostOpCost is the host CPU charged per transactional operation
+// (lock manager, hash probe, copies) — ~tens of microseconds on the
+// paper's 2009-era Xeon E5520 host. It matches DESIGN.md §5.
 const DefaultHostOpCost = 12 * time.Microsecond
 
 // Cache is the caching layer. It implements storage.Engine.
@@ -101,9 +99,6 @@ func New(dev *kamlssd.Device, cfg Config) *Cache {
 	}
 	if cfg.RecordsPerLock < 1 {
 		cfg.RecordsPerLock = 1
-	}
-	if cfg.HostOpCost == 0 {
-		cfg.HostOpCost = DefaultHostOpCost
 	}
 	eng := dev.Engine()
 	c := &Cache{
@@ -254,7 +249,7 @@ func (t *Txn) Read(table uint32, key uint64) ([]byte, error) {
 	if t.state != stateActive {
 		return nil, storage.ErrTxnDone
 	}
-	t.c.eng.Sleep(t.c.cfg.HostOpCost)
+	t.c.eng.Sleep(DefaultHostOpCost)
 	if err := t.c.lm.Acquire(t.lt, table, key, lockmgr.Shared); err != nil {
 		t.die()
 		return nil, fmt.Errorf("%w: %v", storage.ErrAborted, err)
@@ -294,7 +289,7 @@ func (t *Txn) write(table uint32, key uint64, value []byte) error {
 	if t.state != stateActive {
 		return storage.ErrTxnDone
 	}
-	t.c.eng.Sleep(t.c.cfg.HostOpCost)
+	t.c.eng.Sleep(DefaultHostOpCost)
 	if err := t.c.lm.Acquire(t.lt, table, key, lockmgr.Exclusive); err != nil {
 		t.die()
 		return fmt.Errorf("%w: %v", storage.ErrAborted, err)
@@ -314,7 +309,7 @@ func (t *Txn) Commit() error {
 	if t.state != stateActive {
 		return storage.ErrTxnDone
 	}
-	t.c.eng.Sleep(t.c.cfg.HostOpCost)
+	t.c.eng.Sleep(DefaultHostOpCost)
 	if len(t.writes) > 0 {
 		batch := make([]kamlssd.PutRecord, 0, len(t.writes))
 		for _, k := range t.order {

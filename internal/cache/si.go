@@ -72,7 +72,7 @@ func (t *SITxn) Read(table uint32, key uint64) ([]byte, error) {
 	if t.state != stateActive {
 		return nil, storage.ErrTxnDone
 	}
-	t.c.eng.Sleep(t.c.cfg.HostOpCost)
+	t.c.eng.Sleep(DefaultHostOpCost)
 	k := ckey{ns: table, key: key}
 	if v, ok := t.writes[k]; ok {
 		return append([]byte(nil), v...), nil
@@ -106,7 +106,7 @@ func (t *SITxn) write(table uint32, key uint64, value []byte) error {
 	if t.state != stateActive {
 		return storage.ErrTxnDone
 	}
-	t.c.eng.Sleep(t.c.cfg.HostOpCost)
+	t.c.eng.Sleep(DefaultHostOpCost)
 	k := ckey{ns: table, key: key}
 	if _, mine := t.writes[k]; !mine {
 		if err := t.c.lm.Acquire(t.lt, table, key, lockmgr.Exclusive); err != nil {
@@ -146,7 +146,7 @@ func (t *SITxn) Commit() error {
 	if t.state != stateActive {
 		return storage.ErrTxnDone
 	}
-	t.c.eng.Sleep(t.c.cfg.HostOpCost)
+	t.c.eng.Sleep(DefaultHostOpCost)
 	if len(t.writes) > 0 {
 		batch := make([]kamlssd.PutRecord, 0, len(t.writes))
 		for _, k := range t.order {

@@ -110,7 +110,7 @@ func TestSIReaderAndWriterBothSucceed(t *testing.T) {
 					t.Fatalf("si read pass %d key %d: got %v, want pre-writer value", pass, k, v)
 				}
 			}
-			e.Sleep(c.cfg.HostOpCost)
+			e.Sleep(DefaultHostOpCost)
 		}
 		wg.Wait()
 		if err := si.Commit(); err != nil {

@@ -20,6 +20,10 @@
 //     keys, and concurrent writes are dual-written, so the move never
 //     blocks the write path except for one bounded cutover drain.
 //
+// Config chooses the topology, the device template and whether to hedge;
+// the network hop, the retry budget and the hedge delay's clamps are
+// constants of the router.
+//
 // Topology changes (failover, migration cutover) bump an epoch counter
 // and publish an immutable Topology snapshot through an atomic.Value, so
 // network servers and admin endpoints read routing state without touching
@@ -78,20 +82,24 @@ func (*indeterminateError) Unwrap() error { return kaml.ErrPowerLoss }
 type HedgeConfig struct {
 	// Enabled turns hedging on.
 	Enabled bool
-	// InitDelay is the hedge delay used until MinSamples reads have been
-	// observed. Default 500µs.
+	// InitDelay is the hedge delay used until hedgeMinSamples reads have
+	// been observed. Default 500µs.
 	InitDelay time.Duration
-	// MinDelay / MaxDelay clamp the telemetry-derived delay. Defaults
-	// 20µs / 5ms.
-	MinDelay time.Duration
-	MaxDelay time.Duration
-	// RefreshEvery is how many reads pass between p95 recomputations.
-	// Default 256.
-	RefreshEvery int64
-	// MinSamples is how many reads must be observed before the p95 is
-	// trusted over InitDelay. Default 64.
-	MinSamples int64
 }
+
+// Router constants. A read's hedge delay is the p95 of observed reads,
+// recomputed every hedgeRefreshEvery reads once hedgeMinSamples exist and
+// clamped to [hedgeMinDelay, hedgeMaxDelay].
+const (
+	netHop       = 10 * time.Microsecond // one-way router <-> device latency
+	maxAttempts  = 4                     // routing tries per command after replica failures
+	retryBackoff = 50 * time.Microsecond // base backoff between tries, times the attempt number
+
+	hedgeMinDelay     = 20 * time.Microsecond
+	hedgeMaxDelay     = 5 * time.Millisecond
+	hedgeRefreshEvery = 256
+	hedgeMinSamples   = 64
+)
 
 // Config describes a cluster.
 type Config struct {
@@ -111,16 +119,8 @@ type Config struct {
 	// node ID; nil entries mean no faults). The failover tests use this to
 	// cut power to a chosen device mid-workload.
 	DeviceFaults []*kaml.FaultPlan
-	// NetHop is the simulated one-way network latency between router and
-	// device. Default 10µs.
-	NetHop time.Duration
 	// Hedge tunes hedged reads.
 	Hedge HedgeConfig
-	// MaxAttempts bounds routing retries after a replica failure. Default 4.
-	MaxAttempts int
-	// RetryBackoff is the base virtual-time backoff between attempts
-	// (linearly scaled by attempt number). Default 50µs.
-	RetryBackoff time.Duration
 	// ExpectedKeysPerShard sizes each shard namespace's mapping table.
 	ExpectedKeysPerShard int
 	// Seed perturbs rendezvous placement.
@@ -152,29 +152,8 @@ func (cfg *Config) fillDefaults() error {
 	if cfg.Device.Flash.Channels == 0 {
 		cfg.Device = kaml.SmallOptions()
 	}
-	if cfg.NetHop == 0 {
-		cfg.NetHop = 10 * time.Microsecond
-	}
-	if cfg.MaxAttempts == 0 {
-		cfg.MaxAttempts = 4
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 50 * time.Microsecond
-	}
 	if cfg.Hedge.InitDelay == 0 {
 		cfg.Hedge.InitDelay = 500 * time.Microsecond
-	}
-	if cfg.Hedge.MinDelay == 0 {
-		cfg.Hedge.MinDelay = 20 * time.Microsecond
-	}
-	if cfg.Hedge.MaxDelay == 0 {
-		cfg.Hedge.MaxDelay = 5 * time.Millisecond
-	}
-	if cfg.Hedge.RefreshEvery == 0 {
-		cfg.Hedge.RefreshEvery = 256
-	}
-	if cfg.Hedge.MinSamples == 0 {
-		cfg.Hedge.MinSamples = 64
 	}
 	if cfg.Nodes < 1 || cfg.Shards < 1 {
 		return fmt.Errorf("cluster: need at least one node and one shard (have %d/%d)", cfg.Nodes, cfg.Shards)

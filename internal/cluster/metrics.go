@@ -59,7 +59,7 @@ func (c *Cluster) initMetrics() {
 // observeGet records one successful read and periodically re-derives the
 // hedge delay from the aggregate latency histogram's p95 — the
 // telemetry-driven half of the hedging policy. Recomputation is amortized
-// (every RefreshEvery reads) because a histogram snapshot walks every
+// (every hedgeRefreshEvery reads) because a histogram snapshot walks every
 // bucket.
 func (c *Cluster) observeGet(shardID int, d time.Duration) {
 	c.met.getAll.ObserveDuration(d)
@@ -67,17 +67,17 @@ func (c *Cluster) observeGet(shardID int, d time.Duration) {
 	if !c.cfg.Hedge.Enabled {
 		return
 	}
-	if n := c.reads.Add(1); n%c.cfg.Hedge.RefreshEvery == 0 {
+	if n := c.reads.Add(1); n%hedgeRefreshEvery == 0 {
 		snap := c.met.getAll.Snapshot()
-		if snap.N < c.cfg.Hedge.MinSamples {
+		if snap.N < hedgeMinSamples {
 			return
 		}
 		delay := time.Duration(snap.Quantile(0.95))
-		if delay < c.cfg.Hedge.MinDelay {
-			delay = c.cfg.Hedge.MinDelay
+		if delay < hedgeMinDelay {
+			delay = hedgeMinDelay
 		}
-		if delay > c.cfg.Hedge.MaxDelay {
-			delay = c.cfg.Hedge.MaxDelay
+		if delay > hedgeMaxDelay {
+			delay = hedgeMaxDelay
 		}
 		c.hedgeDelayNs.Store(int64(delay))
 	}

@@ -50,10 +50,10 @@ func (c *Cluster) get(key uint64) ([]byte, error) {
 	shardID := c.ShardOf(key)
 	sh := c.shards[shardID]
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			c.met.retries.Inc()
-			c.eng.Sleep(c.cfg.RetryBackoff * time.Duration(attempt))
+			c.eng.Sleep(retryBackoff * time.Duration(attempt))
 		}
 		sh.mu.Lock()
 		var prim, hedge replica
@@ -177,7 +177,7 @@ func (rr *raceRead) wait() ([]byte, error, bool) {
 // readFrom performs one replica read: a network hop, the device Get, and
 // failure detection (a dead device fails its node out of the topology).
 func (c *Cluster) readFrom(r replica, key uint64) ([]byte, error) {
-	c.eng.Sleep(c.cfg.NetHop)
+	c.eng.Sleep(netHop)
 	v, err := c.nodes[r.node].Dev.Get(r.ns, key)
 	if err != nil && isNodeDown(err) {
 		c.markDown(r.node)
@@ -201,10 +201,10 @@ func (c *Cluster) put(key uint64, value []byte) error {
 	}
 	sh := c.shards[c.ShardOf(key)]
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			c.met.retries.Inc()
-			c.eng.Sleep(c.cfg.RetryBackoff * time.Duration(attempt))
+			c.eng.Sleep(retryBackoff * time.Duration(attempt))
 		}
 		start := c.eng.NowCheap()
 		err, retryable := c.putOnce(sh, key, value)
@@ -279,7 +279,7 @@ func (c *Cluster) putOnce(sh *shard, key uint64, value []byte) (error, bool) {
 
 	// Fan-out: one network hop, then async puts so the replicas commit in
 	// parallel.
-	c.eng.Sleep(c.cfg.NetHop)
+	c.eng.Sleep(netHop)
 	futs := make([]*kaml.PutFuture, len(targets))
 	for i, t := range targets {
 		futs[i] = c.nodes[t.node].Dev.AsyncPut(t.ns, key, value)

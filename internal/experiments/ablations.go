@@ -131,7 +131,7 @@ func AblationCheckpoint(s Scale) *Table {
 		eng := sim.NewEngine()
 		arr := flash.New(eng, oltpFlash())
 		ctrl := nvme.New(eng, nvme.DefaultConfig())
-		dev := blockdev.New(ftl.New(arr, ctrl, ftl.DefaultConfig(oltpFlash())))
+		dev := blockdev.New(ftl.New(arr, ctrl))
 		scfg := shoremt.DefaultConfig()
 		scfg.PoolFrames = 2048
 		// A large log region plus one manual checkpoint after loading, so

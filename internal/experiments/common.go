@@ -181,7 +181,7 @@ func newBlockRig(fc flash.Config) *blockRig {
 	eng := sim.NewEngine()
 	arr := flash.New(eng, fc)
 	ctrl := nvme.New(eng, nvme.DefaultConfig())
-	return &blockRig{eng: eng, arr: arr, ctrl: ctrl, dev: ftl.New(arr, ctrl, ftl.DefaultConfig(fc))}
+	return &blockRig{eng: eng, arr: arr, ctrl: ctrl, dev: ftl.New(arr, ctrl)}
 }
 
 // measure runs `op` on `workers` concurrent actors for a warmup plus a
@@ -264,7 +264,7 @@ func newOLTPRig(kind engineKind, fc flash.Config, cacheBytes int64, recordsPerLo
 		})
 		r.closeFn = r.kaml.Close
 	case engineShore:
-		dev := blockdev.New(ftl.New(arr, ctrl, ftl.DefaultConfig(fc)))
+		dev := blockdev.New(ftl.New(arr, ctrl))
 		cfg := shoremt.DefaultConfig()
 		cfg.RecordsPerLock = shoreLockGran
 		cfg.PoolFrames = shorePoolFrames

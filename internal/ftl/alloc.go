@@ -98,10 +98,6 @@ func (ca *chipAlloc) popFree(a *allocator) (int, bool) {
 	return 0, false
 }
 
-// finishPage is a hook after a page program completes; currently bookkeeping
-// happens eagerly in allocPage, so this is a no-op kept for symmetry.
-func (a *allocator) finishPage(flash.PPN) {}
-
 func (a *allocator) meta(loc location) (*blockMeta, int) {
 	ppn := flash.PPN(int64(loc) / int64(a.spp))
 	slot := int(int64(loc) % int64(a.spp))

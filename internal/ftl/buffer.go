@@ -21,9 +21,6 @@ type bufEntry struct {
 }
 
 func newWriteBuffer(capacity int) *writeBuffer {
-	if capacity < 2 {
-		capacity = 2
-	}
 	return &writeBuffer{cap: capacity, data: make(map[int]*bufEntry)}
 }
 

@@ -14,6 +14,9 @@
 //     charging controller CPU time (the reason Get can beat read, §V-B).
 //   - A greedy garbage collector relocates valid sectors and erases blocks,
 //     balancing erase counts (wear leveling).
+//
+// The firmware has no options. New derives the exposed LBA count and the
+// GC watermarks from the flash geometry; everything else is a constant.
 package ftl
 
 import (
@@ -39,35 +42,14 @@ var (
 	ErrOutOfBlocks = errors.New("ftl: no free blocks (device over-filled)")
 )
 
-// Config tunes the baseline firmware.
-type Config struct {
-	NumLBAs            int           // logical 4 KB sectors exposed to the host
-	WriteBufferSectors int           // NV-DRAM write buffer capacity
-	FlushPoll          time.Duration // flusher wake interval
-	GCPoll             time.Duration // GC wake interval
-	GCLowWater         int           // total free blocks that trigger GC
-	GCHighWater        int           // GC collects until this many free blocks
-	RangeLockCost      time.Duration // firmware CPU per range-lock acquire
-	RangeLockShift     uint          // lba >> shift selects the lock stripe
-	DisableTelemetry   bool          // skip the metrics registry entirely
-}
-
-// DefaultConfig sizes the device so that the exposed LBA space is ~80% of
-// raw flash (20% over-provisioning for GC), per common SSD practice.
-func DefaultConfig(fc flash.Config) Config {
-	sectorsPerPage := fc.PageSize / SectorSize
-	raw := fc.TotalPages() * sectorsPerPage
-	return Config{
-		NumLBAs:            raw * 8 / 10,
-		WriteBufferSectors: 256,
-		FlushPoll:          20 * time.Microsecond,
-		GCPoll:             200 * time.Microsecond,
-		GCLowWater:         fc.Chips() * 2,
-		GCHighWater:        fc.Chips() * 3,
-		RangeLockCost:      36 * time.Microsecond,
-		RangeLockShift:     4, // 16-sector lock ranges
-	}
-}
+// Firmware constants of the baseline (DESIGN.md §5).
+const (
+	writeBufferSectors = 256                    // NV-DRAM write buffer capacity
+	flushPoll          = 20 * time.Microsecond  // flusher wake interval
+	gcPoll             = 200 * time.Microsecond // GC wake interval
+	rangeLockCost      = 36 * time.Microsecond  // firmware CPU per range-lock acquire
+	rangeLockShift     = 4                      // lba >> shift selects the lock stripe: 16-sector ranges
+)
 
 // location packs a sector's physical position: ppn*sectorsPerPage + slot.
 type location int64
@@ -76,13 +58,18 @@ const unmapped location = -1
 
 // Device is the baseline block device.
 type Device struct {
-	cfg  Config
 	fc   flash.Config
 	arr  *flash.Array
 	ctrl *nvme.Controller
 	eng  *sim.Engine
 
 	spp int // sectors per flash page
+
+	// numLBAs is the exposed sector count: 80% of raw flash, leaving 20%
+	// over-provisioning for GC, per common SSD practice. GC starts below
+	// gcLowWater free blocks and collects up to gcHighWater.
+	numLBAs                 int
+	gcLowWater, gcHighWater int
 
 	mu      *sim.Mutex // protects map, validity, allocator, buffer
 	dataCv  *sim.Cond  // buffer has data / closed
@@ -111,9 +98,9 @@ type Device struct {
 
 	stats Stats
 
-	// Telemetry (nil when Config.DisableTelemetry). The baseline exposes
-	// its GC economics so the paper's KAML-vs-block-SSD comparisons can be
-	// watched live next to the kamlssd series.
+	// Telemetry. The baseline exposes its GC economics so the paper's
+	// KAML-vs-block-SSD comparisons can be watched live next to the kamlssd
+	// series.
 	tel        *telemetry.Registry
 	gcCopied   *telemetry.Counter   // valid sectors relocated by GC
 	gcErased   *telemetry.Counter   // GC block erases
@@ -151,44 +138,45 @@ type Stats struct {
 // background flusher and GC actors. Callers must Close the device before
 // letting the simulation drain, or the engine will report the pollers as
 // leaked actors.
-func New(arr *flash.Array, ctrl *nvme.Controller, cfg Config) *Device {
+func New(arr *flash.Array, ctrl *nvme.Controller) *Device {
 	fc := arr.Config()
 	if fc.PageSize%SectorSize != 0 {
 		panic("ftl: page size not a multiple of the 4KB sector")
 	}
+	spp := fc.PageSize / SectorSize
 	d := &Device{
-		cfg:  cfg,
-		fc:   fc,
-		arr:  arr,
-		ctrl: ctrl,
-		eng:  arr.Engine(),
-		spp:  fc.PageSize / SectorSize,
+		fc:          fc,
+		arr:         arr,
+		ctrl:        ctrl,
+		eng:         arr.Engine(),
+		spp:         spp,
+		numLBAs:     fc.TotalPages() * spp * 8 / 10,
+		gcLowWater:  fc.Chips() * 2,
+		gcHighWater: fc.Chips() * 3,
 	}
 	d.mu = d.eng.NewMutex("ftl")
 	d.dataCv = d.eng.NewCond(d.mu)
 	d.spaceCv = d.eng.NewCond(d.mu)
-	d.mapTab = make([]location, cfg.NumLBAs)
+	d.mapTab = make([]location, d.numLBAs)
 	for i := range d.mapTab {
 		d.mapTab[i] = unmapped
 	}
-	d.buffer = newWriteBuffer(cfg.WriteBufferSectors)
+	d.buffer = newWriteBuffer(writeBufferSectors)
 	d.alloc = newAllocator(arr, d.spp)
-	n := (cfg.NumLBAs >> cfg.RangeLockShift) + 1
+	n := (d.numLBAs >> rangeLockShift) + 1
 	d.rangeLocks = make([]*sim.Mutex, n)
 	for i := range d.rangeLocks {
 		d.rangeLocks[i] = d.eng.NewMutex(fmt.Sprintf("ftl-range%d", i))
 	}
-	if !cfg.DisableTelemetry {
-		d.tel = telemetry.NewRegistry()
-		d.tel.Help("ftl_gc_copied_sectors_total", "Valid sectors relocated out of GC victim blocks.")
-		d.tel.Help("ftl_gc_erases_total", "GC block erases.")
-		d.tel.Help("ftl_gc_pause_seconds", "Duration of one GC victim collection (virtual time).")
-		d.tel.Help("ftl_free_blocks", "Allocator free-block count.")
-		d.gcCopied = d.tel.Counter("ftl_gc_copied_sectors_total")
-		d.gcErased = d.tel.Counter("ftl_gc_erases_total")
-		d.gcPause = d.tel.Histogram("ftl_gc_pause_seconds", telemetry.UnitSeconds)
-		d.freeBlocks = d.tel.Gauge("ftl_free_blocks")
-	}
+	d.tel = telemetry.NewRegistry()
+	d.tel.Help("ftl_gc_copied_sectors_total", "Valid sectors relocated out of GC victim blocks.")
+	d.tel.Help("ftl_gc_erases_total", "GC block erases.")
+	d.tel.Help("ftl_gc_pause_seconds", "Duration of one GC victim collection (virtual time).")
+	d.tel.Help("ftl_free_blocks", "Allocator free-block count.")
+	d.gcCopied = d.tel.Counter("ftl_gc_copied_sectors_total")
+	d.gcErased = d.tel.Counter("ftl_gc_erases_total")
+	d.gcPause = d.tel.Histogram("ftl_gc_pause_seconds", telemetry.UnitSeconds)
+	d.freeBlocks = d.tel.Gauge("ftl_free_blocks")
 	d.pendingByBlock = make(map[int]int)
 	d.chipQueues = make([]*chipQueue, fc.Chips())
 	d.stopped = d.eng.NewWaitGroup()
@@ -233,23 +221,22 @@ func (d *Device) Stats() Stats {
 	return d.stats
 }
 
-// Telemetry returns the device's metrics registry, or nil when
-// Config.DisableTelemetry.
+// Telemetry returns the device's metrics registry.
 func (d *Device) Telemetry() *telemetry.Registry { return d.tel }
 
 // Capacity returns the number of exposed 4 KB sectors.
-func (d *Device) Capacity() int { return d.cfg.NumLBAs }
+func (d *Device) Capacity() int { return d.numLBAs }
 
 // Engine returns the owning simulation engine.
 func (d *Device) Engine() *sim.Engine { return d.eng }
 
 func (d *Device) rangeLock(lba int) *sim.Mutex {
-	return d.rangeLocks[lba>>d.cfg.RangeLockShift]
+	return d.rangeLocks[lba>>rangeLockShift]
 }
 
 // ReadSector reads the 4 KB sector at lba into buf (len >= SectorSize).
 func (d *Device) ReadSector(lba int, buf []byte) error {
-	if lba < 0 || lba >= d.cfg.NumLBAs {
+	if lba < 0 || lba >= d.numLBAs {
 		return fmt.Errorf("%w: %d", ErrBadLBA, lba)
 	}
 	if len(buf) < SectorSize {
@@ -259,7 +246,7 @@ func (d *Device) ReadSector(lba int, buf []byte) error {
 	d.ctrl.Submit(func() {
 		// The firmware locks the LBA range so GC cannot migrate the sector
 		// mid-read; this charge is the overhead Get avoids.
-		d.ctrl.Compute(d.cfg.RangeLockCost)
+		d.ctrl.Compute(rangeLockCost)
 		rl := d.rangeLock(lba)
 		rl.Lock()
 		defer rl.Unlock()
@@ -293,7 +280,7 @@ func (d *Device) ReadSector(lba int, buf []byte) error {
 // is in the NV-DRAM write buffer (fast path, no flash in the critical path
 // unless the buffer is full).
 func (d *Device) WriteSector(lba int, data []byte) error {
-	if lba < 0 || lba >= d.cfg.NumLBAs {
+	if lba < 0 || lba >= d.numLBAs {
 		return fmt.Errorf("%w: %d", ErrBadLBA, lba)
 	}
 	if len(data) != SectorSize {
@@ -301,7 +288,7 @@ func (d *Device) WriteSector(lba int, data []byte) error {
 	}
 	var err error
 	d.ctrl.Submit(func() {
-		d.ctrl.Compute(d.cfg.RangeLockCost)
+		d.ctrl.Compute(rangeLockCost)
 		rl := d.rangeLock(lba)
 		rl.Lock()
 		defer rl.Unlock()
@@ -318,7 +305,7 @@ func (d *Device) WriteSector(lba int, data []byte) error {
 // sector from flash before merging, so the command's latency includes a
 // flash read (the baseline's small-write penalty).
 func (d *Device) WritePartial(lba, off int, data []byte) error {
-	if lba < 0 || lba >= d.cfg.NumLBAs {
+	if lba < 0 || lba >= d.numLBAs {
 		return fmt.Errorf("%w: %d", ErrBadLBA, lba)
 	}
 	if off < 0 || len(data) == 0 || off+len(data) > SectorSize {
@@ -326,7 +313,7 @@ func (d *Device) WritePartial(lba, off int, data []byte) error {
 	}
 	var err error
 	d.ctrl.Submit(func() {
-		d.ctrl.Compute(d.cfg.RangeLockCost)
+		d.ctrl.Compute(rangeLockCost)
 		rl := d.rangeLock(lba)
 		rl.Lock()
 		defer rl.Unlock()
@@ -385,7 +372,7 @@ func (d *Device) bufferSector(lba int, data []byte) error {
 // commit path viable at all (§V-A).
 func (d *Device) Flush() {
 	d.ctrl.Submit(func() {
-		d.ctrl.Compute(d.cfg.RangeLockCost / 4) // flush command bookkeeping
+		d.ctrl.Compute(rangeLockCost / 4) // flush command bookkeeping
 	})
 }
 
@@ -408,7 +395,7 @@ func (d *Device) flusherLoop() {
 		d.mu.Lock()
 		for d.buffer.len() == 0 && !d.closed {
 			d.mu.Unlock()
-			d.eng.Sleep(d.cfg.FlushPoll)
+			d.eng.Sleep(flushPoll)
 			d.mu.Lock()
 		}
 		if d.buffer.len() == 0 && d.closed {
@@ -427,7 +414,7 @@ func (d *Device) flusherLoop() {
 		ppn, err := d.alloc.allocPage(false)
 		for err != nil {
 			d.mu.Unlock()
-			d.eng.Sleep(d.cfg.GCPoll) // wait for GC to reclaim blocks
+			d.eng.Sleep(gcPoll) // wait for GC to reclaim blocks
 			d.mu.Lock()
 			ppn, err = d.alloc.allocPage(false)
 		}
@@ -503,7 +490,6 @@ func (d *Device) chipWriterLoop(chip int) {
 				d.alloc.invalidate(newLoc)
 			}
 		}
-		d.alloc.finishPage(job.ppn)
 		d.inflight--
 		bk := d.blockKey(job.ppn)
 		d.pendingByBlock[bk]--

@@ -25,8 +25,7 @@ func newTestDevice(fc flash.Config) (*sim.Engine, *Device) {
 	e := sim.NewEngine()
 	arr := flash.New(e, fc)
 	ctrl := nvme.New(e, nvme.DefaultConfig())
-	cfg := DefaultConfig(fc)
-	d := New(arr, ctrl, cfg)
+	d := New(arr, ctrl)
 	return e, d
 }
 
@@ -250,8 +249,7 @@ func TestGCSurvivesEraseFailure(t *testing.T) {
 	e := sim.NewEngine()
 	arr := flash.New(e, fc)
 	ctrl := nvme.New(e, nvme.DefaultConfig())
-	cfg := DefaultConfig(fc)
-	d := New(arr, ctrl, cfg)
+	d := New(arr, ctrl)
 	// Poison a handful of blocks: their next erase fails and the FTL must
 	// retire them and keep serving I/O.
 	for b := 0; b < 3; b++ {
@@ -399,7 +397,7 @@ func TestReadLatencyBudget(t *testing.T) {
 		fc := testFlashConfig()
 		nc := nvme.DefaultConfig()
 		xfer := fc.TransferTime((fc.PageSize + fc.OOBSize) / 2) // 4 of 8 codewords
-		want := nc.HostSoftware + nc.SubmissionLatency + d.cfg.RangeLockCost +
+		want := nc.HostSoftware + nc.SubmissionLatency + rangeLockCost +
 			fc.ReadLatency + xfer + nc.CompletionLatency
 		if lat != want {
 			t.Fatalf("read latency %v, want %v (transfer %v)", lat, want, xfer)

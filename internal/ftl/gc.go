@@ -14,23 +14,23 @@ func (d *Device) gcLoop() {
 	for {
 		d.mu.Lock()
 		// Keep collecting after Close until the flusher has drained: it may
-		// be starved for free blocks (its alloc-retry loop sleeps on GCPoll
+		// be starved for free blocks (its alloc-retry loop sleeps on gcPoll
 		// waiting for us), and exiting early would strand it forever.
 		done := d.closed && d.flushDone
 		free := d.alloc.freeBlockCount()
-		needGC := free < d.cfg.GCLowWater
+		needGC := free < d.gcLowWater
 		d.mu.Unlock()
 		d.freeBlocks.Set(int64(free))
 		if done {
 			return
 		}
 		if !needGC {
-			d.eng.Sleep(d.cfg.GCPoll)
+			d.eng.Sleep(gcPoll)
 			continue
 		}
 		for {
 			d.mu.Lock()
-			if d.alloc.freeBlockCount() >= d.cfg.GCHighWater || (d.closed && d.flushDone) {
+			if d.alloc.freeBlockCount() >= d.gcHighWater || (d.closed && d.flushDone) {
 				d.mu.Unlock()
 				break
 			}
@@ -39,15 +39,11 @@ func (d *Device) gcLoop() {
 			if !ok {
 				break // nothing sealed yet; wait for writes to seal blocks
 			}
-			if d.tel != nil {
-				start := d.eng.NowCheap()
-				d.collectBlock(chipIdx, block)
-				d.gcPause.ObserveDuration(d.eng.NowCheap() - start)
-			} else {
-				d.collectBlock(chipIdx, block)
-			}
+			start := d.eng.NowCheap()
+			d.collectBlock(chipIdx, block)
+			d.gcPause.ObserveDuration(d.eng.NowCheap() - start)
 		}
-		d.eng.Sleep(d.cfg.GCPoll)
+		d.eng.Sleep(gcPoll)
 	}
 }
 
@@ -110,7 +106,7 @@ func (d *Device) collectBlock(chipIdx, block int) {
 		group := live[start:end]
 		stripes := map[int]bool{}
 		for _, ls := range group {
-			stripes[ls.lba>>d.cfg.RangeLockShift] = true
+			stripes[ls.lba>>rangeLockShift] = true
 		}
 		order := make([]int, 0, len(stripes))
 		for s := range stripes {

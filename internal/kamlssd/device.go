@@ -112,20 +112,17 @@ var (
 // Config tunes the KAML firmware.
 type Config struct {
 	NumLogs          int  // append streams; paper sweeps 16..64 (Fig. 8)
-	ChunkSize        int  // record allocation unit within a page
 	QueueDepthPerLog int  // sealed NVRAM pages a log may buffer before its writers move on
 	GCLowWater       int  // free blocks per log below which its collector wakes
 	GCHighWater      int  // ... and up to which it then collects
-	DefaultIndexCap  int  // default per-namespace mapping-table capacity
 	AutoGrowIndex    bool // let mapping tables grow (off for paper experiments)
 
 	// Command pipeline (internal/cmdq). PipelineDepth bounds outstanding
-	// commands (submission backpressure); PipelineWorkers sets the executor
-	// actor count (0 = min(depth, 32)); CoalesceWindow is the group-commit
-	// window merging concurrent Puts into one NVRAM batch commit, capped at
+	// commands (submission backpressure) and sets the executor actor count
+	// to min(depth, 32); CoalesceWindow is the group-commit window merging
+	// concurrent Puts into one NVRAM batch commit, capped at
 	// MaxCoalesceRecords records.
 	PipelineDepth      int
-	PipelineWorkers    int
 	CoalesceWindow     time.Duration
 	MaxCoalesceRecords int
 	// CoalesceShards sets the number of independent key-hash coalescer
@@ -147,19 +144,24 @@ type Config struct {
 func DefaultConfig(fc flash.Config) Config {
 	return Config{
 		NumLogs:          fc.Channels,
-		ChunkSize:        record.DefaultChunkSize,
 		QueueDepthPerLog: 2,
 		GCLowWater:       3,
 		GCHighWater:      5,
-		DefaultIndexCap:  1 << 16,
 		AutoGrowIndex:    false,
 
 		PipelineDepth:      128,
-		PipelineWorkers:    0, // min(depth, 32)
 		CoalesceWindow:     5 * time.Microsecond,
 		MaxCoalesceRecords: stackBatch,
 	}
 }
+
+// chunkSize is the record allocation unit within a page, and
+// defaultIndexCap the mapping-table capacity of a namespace created
+// without one.
+const (
+	chunkSize       = record.DefaultChunkSize
+	defaultIndexCap = 1 << 16
+)
 
 // retryBackoff is how long an actor waits between looks at a window another
 // actor closes in bounded virtual time: a Put batch between its first staged
@@ -386,8 +388,8 @@ func New(arr *flash.Array, ctrl *nvme.Controller, cfg Config) *Device {
 	if cfg.NumLogs <= 0 || cfg.NumLogs > fc.Chips() {
 		panic(fmt.Sprintf("kamlssd: NumLogs %d must be in 1..%d", cfg.NumLogs, fc.Chips()))
 	}
-	if cfg.ChunkSize <= 0 || fc.PageSize%cfg.ChunkSize != 0 || fc.PageSize/cfg.ChunkSize > 64 {
-		panic("kamlssd: bad chunk size")
+	if fc.PageSize < chunkSize || fc.PageSize%chunkSize != 0 || fc.PageSize/chunkSize > 64 {
+		panic(fmt.Sprintf("kamlssd: page size %d is not 1..64 chunks of %d", fc.PageSize, chunkSize))
 	}
 	if fc.OOBSize < oobLen {
 		panic(fmt.Sprintf("kamlssd: OOB size %d < %d required for recovery metadata", fc.OOBSize, oobLen))
@@ -433,7 +435,6 @@ func (d *Device) startActors() {
 	}
 	d.pipe = cmdq.New(d.eng, cmdq.Config{
 		Depth:           d.cfg.PipelineDepth,
-		Workers:         d.cfg.PipelineWorkers,
 		CoalesceWindow:  d.cfg.CoalesceWindow,
 		MaxBatchRecords: d.cfg.MaxCoalesceRecords,
 		CoalesceShards:  d.cfg.CoalesceShards,
@@ -626,7 +627,7 @@ func (d *Device) Close() {
 func (d *Device) CreateNamespace(attrs NamespaceAttrs) (uint32, error) {
 	capacity := attrs.IndexCapacity
 	if capacity <= 0 {
-		capacity = d.cfg.DefaultIndexCap
+		capacity = defaultIndexCap
 	}
 	var id uint32
 	var err error

@@ -47,7 +47,7 @@ type collector struct {
 }
 
 func newCollector(d *Device, lg *logState) *collector {
-	return &collector{d: d, lg: lg, packer: record.NewPacker(d.fc.PageSize, d.cfg.ChunkSize)}
+	return &collector{d: d, lg: lg, packer: record.NewPacker(d.fc.PageSize, chunkSize)}
 }
 
 // gcStopped reports whether the collectors should exit. They outlive Close
@@ -162,7 +162,7 @@ func (d *Device) victim(lg *logState) (chipIdx, block int, ok bool) {
 				}
 			}
 			erases := int64(d.arr.EraseCount(d.arr.BlockPPN(ch, chip, b, 0)))
-			score := bm.validBytes + erases*int64(d.cfg.ChunkSize)*4
+			score := bm.validBytes + erases*int64(chunkSize)*4
 			if score < best {
 				best = score
 				chipIdx, block, ok = ci, b, true
@@ -236,7 +236,7 @@ func (c *collector) collectBlock(chipIdx, block int) {
 			continue
 		}
 		var perr error
-		placed, perr = record.AppendParsed(placed[:0], data, oob, d.cfg.ChunkSize)
+		placed, perr = record.AppendParsed(placed[:0], data, oob, chunkSize)
 		if perr != nil {
 			panic(fmt.Sprintf("kamlssd: GC parse %d: %v", ppn, perr))
 		}
@@ -252,7 +252,7 @@ func (c *collector) collectBlock(chipIdx, block int) {
 			if isLive {
 				live = append(live, gcRecord{rec: pl.Record, oldLoc: loc})
 				d.ctr.gcCopies.Inc()
-				lg.gcCopiedBytes.Add(int64(pl.NumChunks * d.cfg.ChunkSize))
+				lg.gcCopiedBytes.Add(int64(pl.NumChunks * chunkSize))
 			}
 		}
 	}
@@ -323,11 +323,11 @@ func (c *collector) collectBlock(chipIdx, block int) {
 // gcPagesNeeded estimates how many fresh pages relocating the victim's
 // live payload takes (records packed plus whole index pages).
 func gcPagesNeeded(d *Device, live []gcRecord, indexPages int) int {
-	chunksPerPage := d.fc.PageSize / d.cfg.ChunkSize
+	chunksPerPage := d.fc.PageSize / chunkSize
 	chunks := 0
 	pages := indexPages
 	for _, g := range live {
-		c := g.rec.Chunks(d.cfg.ChunkSize)
+		c := g.rec.Chunks(chunkSize)
 		if chunks+c > chunksPerPage {
 			pages++
 			chunks = 0

@@ -450,8 +450,8 @@ func TestValueTooLarge(t *testing.T) {
 }
 
 func TestIndexFullRollsBackAtomically(t *testing.T) {
-	withRig(t, testFlashConfig(), func(c *Config) { c.DefaultIndexCap = 8 }, func(r *rig) {
-		ns, _ := r.dev.CreateNamespace(NamespaceAttrs{})
+	withRig(t, testFlashConfig(), nil, func(r *rig) {
+		ns, _ := r.dev.CreateNamespace(NamespaceAttrs{IndexCapacity: 8})
 		// Fill the 8-slot table.
 		for k := uint64(0); k < 8; k++ {
 			if err := r.dev.Put(one(ns, k, []byte("v"))); err != nil {

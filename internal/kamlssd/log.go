@@ -150,7 +150,7 @@ func newLogState(d *Device, id int) *logState {
 	lg := &logState{
 		id:     id,
 		d:      d,
-		packer: record.NewPacker(d.fc.PageSize, d.cfg.ChunkSize),
+		packer: record.NewPacker(d.fc.PageSize, chunkSize),
 	}
 	lg.mu = d.eng.NewMutex(fmt.Sprintf("kaml-log%d", id))
 	lg.spaceCv = d.eng.NewCond(lg.mu)
@@ -314,7 +314,7 @@ func (lg *logState) sealPacker(cause sealCause) {
 		cause = sealFull
 	}
 	lg.sealed[cause].Inc()
-	lg.d.sealedChunks.Observe(int64(lg.d.fc.PageSize/lg.d.cfg.ChunkSize - lg.packer.FreeChunks()))
+	lg.d.sealedChunks.Observe(int64(lg.d.fc.PageSize/chunkSize - lg.packer.FreeChunks()))
 	lg.pageSeq++
 	lg.sealWanted = false
 	data, bitmap := lg.packer.Finish()
@@ -548,7 +548,7 @@ func (d *Device) flusherLoop(lg *logState) {
 // reloaded to learn that. Called with d.mu read-held and no namespace or log
 // lock.
 func (d *Device) installFlashLoc(pr pendingRec, ppn flash.PPN) {
-	nchunks := (pr.size + d.cfg.ChunkSize - 1) / d.cfg.ChunkSize
+	nchunks := (pr.size + chunkSize - 1) / chunkSize
 	loc := flashLoc(ppn, pr.chunk, nchunks)
 	if fam := d.families[pr.ns]; fam != nil {
 		fam.root.mu.Lock()
@@ -584,7 +584,7 @@ func (d *Device) creditValid(loc location) {
 		return
 	}
 	lg.mu.Lock()
-	lc.blocks[b].validBytes += int64(loc.nchunks() * d.cfg.ChunkSize)
+	lc.blocks[b].validBytes += int64(loc.nchunks() * chunkSize)
 	lg.mu.Unlock()
 }
 
@@ -597,7 +597,7 @@ func (d *Device) discountValid(loc location) {
 		return
 	}
 	lg.mu.Lock()
-	lc.blocks[b].validBytes -= int64(loc.nchunks() * d.cfg.ChunkSize)
+	lc.blocks[b].validBytes -= int64(loc.nchunks() * chunkSize)
 	if lc.blocks[b].validBytes < 0 {
 		lc.blocks[b].validBytes = 0
 	}

@@ -415,8 +415,7 @@ func (d *Device) readVersion(ns *namespace, key, ts uint64, pinned bool) ([]byte
 		}
 		// Only the record's own chunks cross the channel (the ECC sectors
 		// that hold them); the rest of the page stays in the chip.
-		cs := d.cfg.ChunkSize
-		data, rerr := d.arr.ReadRange(loc.ppn(), loc.chunk()*cs, loc.nchunks()*cs)
+		data, rerr := d.arr.ReadRange(loc.ppn(), loc.chunk()*chunkSize, loc.nchunks()*chunkSize)
 		if rerr != nil {
 			// Either the block was erased under us (GC), power was cut, or
 			// the medium returned a transient read error (fault injection).

@@ -377,7 +377,7 @@ func (d *Device) scanPage(rd *pageReader, ppn flash.PPN) error {
 	if ptype != pageTypeRecord {
 		return nil // stale swapped-index page; dead after recovery
 	}
-	placed, perr := record.AppendParsed(rd.placed[:0], data, oob, d.cfg.ChunkSize)
+	placed, perr := record.AppendParsed(rd.placed[:0], data, oob, chunkSize)
 	rd.placed = placed
 	if perr != nil {
 		return fmt.Errorf("kamlssd: recovery parse ppn %d: %w", ppn, perr)

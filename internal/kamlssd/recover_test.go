@@ -297,7 +297,7 @@ func TestTornAndFailedPagesFailCheckOOB(t *testing.T) {
 		r := newSerialRig(1, testFlashConfig(), nil)
 		r.e.Go("test", func() {
 			d := r.dev
-			p := record.NewPacker(d.fc.PageSize, d.cfg.ChunkSize)
+			p := record.NewPacker(d.fc.PageSize, chunkSize)
 			for k := uint64(1); p.Fits(record.HeaderSize + 300); k++ {
 				p.Add(record.Record{Namespace: 1, Key: k, Seq: k, Value: val(k, 300)})
 			}
@@ -523,7 +523,7 @@ func referenceScan(t *testing.T, img *crashImage) (s *recovered, dups, apart int
 					if !ok || ptype != pageTypeRecord {
 						continue
 					}
-					placed, err := record.Parse(p.data, p.oob, img.cfg.ChunkSize)
+					placed, err := record.Parse(p.data, p.oob, chunkSize)
 					if err != nil {
 						t.Fatalf("reference parse ppn %d: %v", p.ppn, err)
 					}
@@ -559,7 +559,7 @@ func referenceScan(t *testing.T, img *crashImage) (s *recovered, dups, apart int
 				continue // nothing at or below this boundary, or the version below it again
 			}
 			s.versions = append(s.versions, v)
-			s.blocks[int(v.loc.ppn())/fc.PagesPerBlock].validBytes += int64(v.loc.nchunks() * img.cfg.ChunkSize)
+			s.blocks[int(v.loc.ppn())/fc.PagesPerBlock].validBytes += int64(v.loc.nchunks() * chunkSize)
 			s.records++
 		}
 	}
@@ -812,7 +812,7 @@ func TestFirstSealResumesPartialBlock(t *testing.T) {
 					t.Errorf("NumLogs=%d: log %d's first seal is not on page %d of chip %d block %d: %v", nLogs, i, ap.page, ap.chip, ap.block, err)
 					continue
 				}
-				placed, err := record.Parse(data, oob, img.cfg.ChunkSize)
+				placed, err := record.Parse(data, oob, chunkSize)
 				if err != nil || len(placed) == 0 {
 					t.Errorf("NumLogs=%d: log %d's resumed page holds %d records (%v)", nLogs, i, len(placed), err)
 				}

@@ -114,7 +114,7 @@ func (d *Device) SwapOutIndex(nsID uint32) error {
 	ns.swapped = true
 	ns.fam.chains.Store(nil)
 	ns.mu.Unlock()
-	chunksPerPage := d.fc.PageSize / d.cfg.ChunkSize
+	chunksPerPage := d.fc.PageSize / chunkSize
 	for _, p := range pages {
 		d.creditValid(flashLoc(p, 0, chunksPerPage))
 	}
@@ -181,7 +181,7 @@ func (d *Device) finishLoad(fam *family, pages []flash.PPN) (err error) {
 	root.loading = false
 	root.swapPages = nil
 	root.mu.Unlock()
-	chunksPerPage := d.fc.PageSize / d.cfg.ChunkSize
+	chunksPerPage := d.fc.PageSize / chunkSize
 	for _, p := range swapPages {
 		d.discountValid(flashLoc(p, 0, chunksPerPage))
 	}

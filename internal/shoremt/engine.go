@@ -40,15 +40,13 @@ type Config struct {
 	LogPages        int           // WAL region length
 	RecordsPerLock  int           // 1 = record locks; >1 emulates coarse/page locks
 	CheckpointEvery time.Duration // 0 disables the background checkpointer
-	// HostOpCost is host CPU per transactional operation; higher than the
-	// KAML caching layer's because of the extra layers (B+tree descent,
-	// buffer-pool bookkeeping, slotted-page access) — §V-D.1's "extra
-	// layers of indirection".
-	HostOpCost time.Duration
-	// GroupCommit enables Aether-style consolidated log flushes (the
-	// tuned-Shore-MT configuration; see wal.Config.GroupCommit).
-	GroupCommit bool
 }
+
+// hostOpCost is host CPU per transactional operation; higher than the KAML
+// caching layer's because of the extra layers (B+tree descent, buffer-pool
+// bookkeeping, slotted-page access) — §V-D.1's "extra layers of
+// indirection".
+const hostOpCost = 18 * time.Microsecond
 
 // DefaultConfig sizes the engine for tests and benchmarks.
 func DefaultConfig() Config {
@@ -57,7 +55,6 @@ func DefaultConfig() Config {
 		LogPages:        128,
 		RecordsPerLock:  1,
 		CheckpointEvery: 50 * time.Millisecond,
-		HostOpCost:      18 * time.Microsecond,
 	}
 }
 
@@ -116,7 +113,7 @@ func New(dev *blockdev.Device, eng *sim.Engine, cfg Config) *Engine {
 		active:    make(map[uint64]*Txn),
 	}
 	e.mu = eng.NewMutex("shoremt")
-	e.log = wal.New(dev, eng, wal.Config{StartPage: 1, NumPages: cfg.LogPages, GroupCommit: cfg.GroupCommit})
+	e.log = wal.New(dev, eng, wal.Config{StartPage: 1, NumPages: cfg.LogPages})
 	e.pool = bufferpool.New(dev, eng, cfg.PoolFrames, func(lsn uint64) error {
 		return e.log.Force(wal.LSN(lsn))
 	})
@@ -224,22 +221,25 @@ func decodeRow(row []byte) (uint64, []byte, error) {
 // checkpointLoop periodically flushes dirty pages, writes a checkpoint
 // record with the catalog and active-transaction table, updates the master
 // record, and truncates the log. This background copying is the
-// "checkpointing ... can interfere with foreground activity" effect.
+// "checkpointing ... can interfere with foreground activity" effect. The
+// closed check follows the sleep: a Crash or Close that arrived meanwhile
+// must find the device as it was, not freshly checkpointed.
 func (e *Engine) checkpointLoop() {
 	defer e.stopped.Done()
-	for {
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
+	for !e.isClosed() {
+		e.eng.Sleep(e.cfg.CheckpointEvery)
+		if e.isClosed() {
 			return
 		}
-		e.mu.Unlock()
-		e.eng.Sleep(e.cfg.CheckpointEvery)
-		if err := e.Checkpoint(); err != nil {
-			// Log pressure or device trouble: retry next round.
-			continue
-		}
+		// An error is log pressure or device trouble: retry next round.
+		_ = e.Checkpoint()
 	}
+}
+
+func (e *Engine) isClosed() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.closed
 }
 
 // Checkpoint performs one fuzzy checkpoint.

@@ -48,7 +48,7 @@ func Recover(dev *blockdev.Device, eng *sim.Engine, cfg Config) (*Engine, error)
 		active:    make(map[uint64]*Txn),
 	}
 	e.mu = eng.NewMutex("shoremt")
-	e.log = wal.New(dev, eng, wal.Config{StartPage: 1, NumPages: cfg.LogPages, GroupCommit: cfg.GroupCommit})
+	e.log = wal.New(dev, eng, wal.Config{StartPage: 1, NumPages: cfg.LogPages})
 	e.pool = bufferpool.New(dev, eng, cfg.PoolFrames, func(lsn uint64) error {
 		return e.log.Force(wal.LSN(lsn))
 	})

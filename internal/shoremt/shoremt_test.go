@@ -25,7 +25,7 @@ func newEngine(mod func(*Config)) (*sim.Engine, *Engine) {
 	e := sim.NewEngine()
 	arr := flash.New(e, fc)
 	ctrl := nvme.New(e, nvme.DefaultConfig())
-	dev := blockdev.New(ftl.New(arr, ctrl, ftl.DefaultConfig(fc)))
+	dev := blockdev.New(ftl.New(arr, ctrl))
 	cfg := DefaultConfig()
 	cfg.PoolFrames = 64
 	cfg.LogPages = 64
@@ -305,6 +305,38 @@ func TestConcurrentTransfersConserveMoney(t *testing.T) {
 	e.Wait()
 }
 
+func TestCrashWritesNothingAfterPowerFailure(t *testing.T) {
+	// A crash is a power failure: the background checkpointer, asleep when
+	// it strikes, must not wake to flush the buffer pool to the device.
+	e, eng := newEngine(nil)
+	if eng.cfg.CheckpointEvery == 0 {
+		t.Fatal("the default config must run the checkpointer")
+	}
+	e.Go("main", func() {
+		defer eng.Device().Close()
+		tbl, err := eng.CreateTable("t", storage.TableHint{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for k := uint64(0); k < 20; k++ {
+			tx := eng.Begin()
+			tx.Insert(tbl, k, []byte(fmt.Sprintf("committed-%d", k)))
+			if err := tx.Commit(); err != nil {
+				t.Errorf("commit: %v", err)
+				return
+			}
+			tx.Free()
+		}
+		before := eng.Device().FTL().Stats().Writes
+		eng.Crash()
+		if after := eng.Device().FTL().Stats().Writes; after != before {
+			t.Errorf("the device took %d sector writes after the power failure", after-before)
+		}
+	})
+	e.Wait()
+}
+
 func TestCrashRecoveryCommittedSurvivesLoserRollsBack(t *testing.T) {
 	fc := flash.DefaultConfig()
 	fc.Channels = 4
@@ -314,7 +346,7 @@ func TestCrashRecoveryCommittedSurvivesLoserRollsBack(t *testing.T) {
 	e := sim.NewEngine()
 	arr := flash.New(e, fc)
 	ctrl := nvme.New(e, nvme.DefaultConfig())
-	dev := blockdev.New(ftl.New(arr, ctrl, ftl.DefaultConfig(fc)))
+	dev := blockdev.New(ftl.New(arr, ctrl))
 	cfg := DefaultConfig()
 	cfg.PoolFrames = 16 // small pool: dirty evictions exercise WAL rule
 	cfg.LogPages = 64

@@ -65,7 +65,7 @@ func (tx *Txn) Read(tableID uint32, key uint64) ([]byte, error) {
 	if tx.done {
 		return nil, storage.ErrTxnDone
 	}
-	tx.e.eng.Sleep(tx.e.cfg.HostOpCost)
+	tx.e.eng.Sleep(hostOpCost)
 	t, err := tx.e.lookupTable(tableID)
 	if err != nil {
 		return nil, err
@@ -104,7 +104,7 @@ func (tx *Txn) Update(tableID uint32, key uint64, value []byte) error {
 	if tx.done {
 		return storage.ErrTxnDone
 	}
-	tx.e.eng.Sleep(tx.e.cfg.HostOpCost)
+	tx.e.eng.Sleep(hostOpCost)
 	t, err := tx.e.lookupTable(tableID)
 	if err != nil {
 		return err
@@ -184,7 +184,7 @@ func (tx *Txn) Insert(tableID uint32, key uint64, value []byte) error {
 	if tx.done {
 		return storage.ErrTxnDone
 	}
-	tx.e.eng.Sleep(tx.e.cfg.HostOpCost)
+	tx.e.eng.Sleep(hostOpCost)
 	t, err := tx.e.lookupTable(tableID)
 	if err != nil {
 		return err
@@ -280,7 +280,7 @@ func (tx *Txn) Commit() error {
 	if tx.done {
 		return storage.ErrTxnDone
 	}
-	tx.e.eng.Sleep(tx.e.cfg.HostOpCost)
+	tx.e.eng.Sleep(hostOpCost)
 	if tx.lastLSN != wal.NilLSN {
 		rec := &wal.Record{Type: wal.TypeCommit, TxnID: tx.id, PrevLSN: tx.lastLSN}
 		lsn, err := tx.e.log.Append(rec)

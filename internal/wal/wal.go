@@ -3,7 +3,8 @@
 // for the baseline's commit bottleneck (§V-D.1): the log is centralized —
 // appends serialize on a global mutex, and a committing transaction holds
 // that mutex while it forces the log to the device, blocking every other
-// transaction even when their data does not conflict.
+// transaction even when their data does not conflict. Committers convoyed
+// on the mutex still share a flush: the first one's makes theirs durable.
 //
 // The log occupies a fixed, circular range of pages on the block device.
 // Records carry before- and after-images (physiological undo/redo), CLRs
@@ -16,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"time"
 
 	"github.com/kaml-ssd/kaml/internal/blockdev"
 	"github.com/kaml-ssd/kaml/internal/sim"
@@ -27,10 +27,6 @@ type LSN uint64
 
 // NilLSN marks "no LSN" (e.g., prevLSN of a transaction's first record).
 const NilLSN = LSN(0)
-
-// groupCommitWindow is how long a group-commit flusher waits for fellow
-// committers before writing, trading a little latency for batch size.
-const groupCommitWindow = 15 * time.Microsecond
 
 // Type tags a log record.
 type Type uint8
@@ -170,12 +166,6 @@ func Unmarshal(b []byte) (Record, int, error) {
 type Config struct {
 	StartPage int // first device page of the log region
 	NumPages  int // region length (circular)
-	// GroupCommit coalesces concurrent Forces: one flusher writes the
-	// shared tail for everyone who arrived while it worked (Aether-style
-	// consolidation, the optimization Shore-MT adopted from [20]). Off by
-	// default: the paper's §V-D.1 argument is about the plain centralized
-	// synchronous log.
-	GroupCommit bool
 }
 
 // Log is the centralized write-ahead log.
@@ -186,9 +176,7 @@ type Log struct {
 
 	// mu is the global log mutex: the contended resource the paper
 	// identifies. Appends, and crucially Force's device flush, hold it.
-	mu       *sim.Mutex
-	flushing bool      // a group-commit flush is in flight
-	flushCv  *sim.Cond // group-commit riders wait here
+	mu *sim.Mutex
 
 	page    []byte // current tail page image
 	pageOff int    // bytes used in the tail page
@@ -212,7 +200,6 @@ func New(dev *blockdev.Device, eng *sim.Engine, cfg Config) *Log {
 		mu:   eng.NewMutex("wal"),
 		page: make([]byte, blockdev.PageSize),
 	}
-	l.flushCv = eng.NewCond(l.mu)
 	// Reserve LSN 0 with a pad record so NilLSN (= 0) never collides with a
 	// real record in prevLSN/undoNext chains.
 	pad := (&Record{Type: TypePad}).Marshal()
@@ -278,74 +265,25 @@ func (l *Log) writeTailLocked() error {
 	return l.dev.WritePage(pageNo, l.page)
 }
 
-// Force makes the log durable through lsn.
-//
-// Without GroupCommit it holds the global log mutex across the device
-// write AND flush — the serialization §V-D.1 measures. With GroupCommit,
-// one committer flushes on behalf of every transaction that arrived while
-// it worked, and appends proceed concurrently with the device I/O.
+// Force makes the log durable through lsn. It holds the global log mutex
+// across the device write AND flush — the serialization §V-D.1 measures.
+// Committers queued on the mutex still share one flush: a Force whose LSN
+// the previous holder already made durable returns at once.
 func (l *Log) Force(lsn LSN) error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.forces++
 	if lsn < l.flushed {
-		l.mu.Unlock()
 		return nil
 	}
-	if !l.cfg.GroupCommit {
-		defer l.mu.Unlock()
-		if l.pageOff > 0 {
-			if err := l.writeTailLocked(); err != nil {
-				return err
-			}
-		}
-		l.dev.Flush()
-		l.flushed = l.tailLSN + LSN(l.pageOff)
-		return nil
-	}
-	for {
-		if l.flushed > lsn {
-			l.mu.Unlock()
-			return nil
-		}
-		if !l.flushing {
-			break
-		}
-		l.flushCv.Wait() // another committer is flushing; ride along
-	}
-	// Become the group's flusher. First hold the gate open briefly (the
-	// classic group-commit window) so concurrent committers' appends join
-	// this batch, then snapshot the tail and do the device I/O with the
-	// mutex released so appends continue.
-	l.flushing = true
-	l.mu.Unlock()
-	l.eng.Sleep(groupCommitWindow)
-	l.mu.Lock()
-	target := l.tailLSN + LSN(l.pageOff)
-	pageNo := l.cfg.StartPage + int(l.tailLSN/LSN(blockdev.PageSize))%l.cfg.NumPages
-	snap := append([]byte(nil), l.page[:l.pageOff]...)
-	l.pageWrites++
-	l.mu.Unlock()
-
-	var err error
-	if len(snap) > 0 {
-		if len(snap) < blockdev.PageSize {
-			err = l.dev.WritePrefix(pageNo, snap)
-		} else {
-			err = l.dev.WritePage(pageNo, snap)
+	if l.pageOff > 0 {
+		if err := l.writeTailLocked(); err != nil {
+			return err
 		}
 	}
-	if err == nil {
-		l.dev.Flush()
-	}
-
-	l.mu.Lock()
-	l.flushing = false
-	if err == nil && target > l.flushed {
-		l.flushed = target
-	}
-	l.flushCv.Broadcast()
-	l.mu.Unlock()
-	return err
+	l.dev.Flush()
+	l.flushed = l.tailLSN + LSN(l.pageOff)
+	return nil
 }
 
 // FlushedLSN returns the durable horizon.

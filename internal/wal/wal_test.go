@@ -22,7 +22,7 @@ func newLog(pages int) (*sim.Engine, *blockdev.Device, *Log) {
 	e := sim.NewEngine()
 	arr := flash.New(e, fc)
 	ctrl := nvme.New(e, nvme.DefaultConfig())
-	dev := blockdev.New(ftl.New(arr, ctrl, ftl.DefaultConfig(fc)))
+	dev := blockdev.New(ftl.New(arr, ctrl))
 	return e, dev, New(dev, e, Config{StartPage: 0, NumPages: pages})
 }
 
@@ -254,73 +254,11 @@ func TestIterateFromMidpoint(t *testing.T) {
 	})
 }
 
-func TestGroupCommitCoalescesForces(t *testing.T) {
-	// Both modes must coalesce a sustained commit stream into far fewer
-	// device flushes than commits: explicit group commit via the gathering
-	// window, and the plain mode via the flushed-horizon free ride (a
-	// Force whose LSN is already durable returns immediately — with
-	// zero-cost appends in the simulator, the log-mutex convoy batches
-	// waiters just as well). Group commit must not batch worse.
-	runCommitters := func(group bool) (time.Duration, int64) {
-		fc := flash.DefaultConfig()
-		fc.Channels = 2
-		fc.ChipsPerChannel = 2
-		fc.BlocksPerChip = 16
-		fc.PagesPerBlock = 16
-		e := sim.NewEngine()
-		arr := flash.New(e, fc)
-		ctrl := nvme.New(e, nvme.DefaultConfig())
-		dev := blockdev.New(ftl.New(arr, ctrl, ftl.DefaultConfig(fc)))
-		l := New(dev, e, Config{StartPage: 0, NumPages: 64, GroupCommit: group})
-		var elapsed time.Duration
-		var writes int64
-		e.Go("main", func() {
-			defer dev.Close()
-			start := e.Now()
-			wg := e.NewWaitGroup()
-			// A sustained commit stream: each worker repeatedly appends its
-			// own record and forces it, like transactions committing.
-			for i := 0; i < 8; i++ {
-				i := i
-				wg.Add(1)
-				e.Go("committer", func() {
-					defer wg.Done()
-					for r := 0; r < 25; r++ {
-						lsn, err := l.Append(&Record{Type: TypeCommit,
-							TxnID: uint64(i*100 + r), After: bytes.Repeat([]byte{1}, 64)})
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						if err := l.Force(lsn); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				})
-			}
-			wg.Wait()
-			elapsed = e.Now() - start
-			_, _, writes = l.Stats()
-		})
-		e.Wait()
-		return elapsed, writes
-	}
-	serialT, serialW := runCommitters(false)
-	groupT, groupW := runCommitters(true)
-	if serialW >= 200 || groupW >= 200 {
-		t.Fatalf("no batching: serial %d, group %d page writes for 200 commits", serialW, groupW)
-	}
-	if groupW > serialW*3/2 {
-		t.Fatalf("group commit batches worse: %d vs %d page writes", groupW, serialW)
-	}
-	if groupT > serialT*3/2 {
-		t.Fatalf("group commit much slower: %v vs %v", groupT, serialT)
-	}
-}
-
-func TestGroupCommitDurability(t *testing.T) {
-	// Records forced under group commit are readable via Iterate.
+func TestConvoyCoalescesForces(t *testing.T) {
+	// A sustained commit stream must cost far fewer device page writes than
+	// commits: a Force whose LSN is already durable returns immediately, so
+	// with zero-cost appends in the simulator the log-mutex convoy batches
+	// the committers queued behind one flush.
 	fc := flash.DefaultConfig()
 	fc.Channels = 2
 	fc.ChipsPerChannel = 2
@@ -329,8 +267,55 @@ func TestGroupCommitDurability(t *testing.T) {
 	e := sim.NewEngine()
 	arr := flash.New(e, fc)
 	ctrl := nvme.New(e, nvme.DefaultConfig())
-	dev := blockdev.New(ftl.New(arr, ctrl, ftl.DefaultConfig(fc)))
-	l := New(dev, e, Config{StartPage: 0, NumPages: 64, GroupCommit: true})
+	dev := blockdev.New(ftl.New(arr, ctrl))
+	l := New(dev, e, Config{StartPage: 0, NumPages: 64})
+	var writes int64
+	e.Go("main", func() {
+		defer dev.Close()
+		wg := e.NewWaitGroup()
+		// Each worker repeatedly appends its own record and forces it, like
+		// transactions committing.
+		for i := 0; i < 8; i++ {
+			i := i
+			wg.Add(1)
+			e.Go("committer", func() {
+				defer wg.Done()
+				for r := 0; r < 25; r++ {
+					lsn, err := l.Append(&Record{Type: TypeCommit,
+						TxnID: uint64(i*100 + r), After: bytes.Repeat([]byte{1}, 64)})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if err := l.Force(lsn); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			})
+		}
+		wg.Wait()
+		_, _, writes = l.Stats()
+	})
+	e.Wait()
+	if writes >= 200 {
+		t.Fatalf("no batching: %d page writes for 200 commits", writes)
+	}
+}
+
+func TestConcurrentForcesAllDurable(t *testing.T) {
+	// Records forced by concurrent committers, most of them riding on
+	// another's flush, are all readable via Iterate.
+	fc := flash.DefaultConfig()
+	fc.Channels = 2
+	fc.ChipsPerChannel = 2
+	fc.BlocksPerChip = 16
+	fc.PagesPerBlock = 16
+	e := sim.NewEngine()
+	arr := flash.New(e, fc)
+	ctrl := nvme.New(e, nvme.DefaultConfig())
+	dev := blockdev.New(ftl.New(arr, ctrl))
+	l := New(dev, e, Config{StartPage: 0, NumPages: 64})
 	e.Go("main", func() {
 		defer dev.Close()
 		wg := e.NewWaitGroup()

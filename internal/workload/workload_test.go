@@ -47,7 +47,7 @@ func eachEngine(t *testing.T, fn func(t *testing.T, e *sim.Engine, eng storage.E
 		e := sim.NewEngine()
 		arr := flash.New(e, smallFlash())
 		ctrl := nvme.New(e, nvme.DefaultConfig())
-		dev := blockdev.New(ftl.New(arr, ctrl, ftl.DefaultConfig(smallFlash())))
+		dev := blockdev.New(ftl.New(arr, ctrl))
 		cfg := shoremt.DefaultConfig()
 		cfg.LogPages = 128
 		cfg.PoolFrames = 512
