@@ -360,8 +360,7 @@ func (s *cstripe) grow(newCap int) *cslots {
 // read under its seqlock, so no torn pair is ever surfaced, but the scan
 // as a whole is not an atomic snapshot: entries mutated mid-scan may be
 // seen in either state. The firmware Ranges with writers quiesced or
-// excluded by ns.mu (serialization for swap-out, key enumeration,
-// orphan-family pruning).
+// excluded by ns.mu (key enumeration, orphan-family pruning).
 func (t *ConcurrentTable) Range(fn func(key, val uint64) bool) {
 	for si := range t.stripes {
 		arr := t.stripes[si].arr.Load()

@@ -1,7 +1,6 @@
 package hashindex
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -585,72 +584,4 @@ func (vc *VersionChains) pruneCandidates(keepNewest bool) []uint64 {
 		return true
 	})
 	return keys
-}
-
-// Serialize writes every committed node as a flat blob: an 8-byte chain
-// count, then per chain a key, a node count, and (seq, loc) pairs newest
-// first. Pending and aborted nodes are excluded — they are NVRAM state and
-// recover through the batch log, not the index image. This is the image the
-// firmware writes to flash when it swaps an idle family's index out.
-func (vc *VersionChains) Serialize() []byte {
-	out := make([]byte, 8)
-	chains := uint64(0)
-	var buf [16]byte
-	vc.Range(func(key uint64, head *Version) bool {
-		var committed []*Version
-		for n := head; n != nil; n = n.prev.Load() {
-			if VersionState(n.state.Load()) == VersionCommitted {
-				committed = append(committed, n)
-			}
-		}
-		if len(committed) == 0 {
-			return true
-		}
-		chains++
-		binary.LittleEndian.PutUint64(buf[0:8], key)
-		binary.LittleEndian.PutUint64(buf[8:16], uint64(len(committed)))
-		out = append(out, buf[:]...)
-		for _, n := range committed {
-			binary.LittleEndian.PutUint64(buf[0:8], n.Seq)
-			binary.LittleEndian.PutUint64(buf[8:16], n.loc.Load())
-			out = append(out, buf[:]...)
-		}
-		return true
-	})
-	binary.LittleEndian.PutUint64(out, chains)
-	return out
-}
-
-// DeserializeVersionChains rebuilds chains from Serialize output over dir,
-// which must be empty. Every node comes back committed.
-func DeserializeVersionChains(b []byte, dir Directory) (*VersionChains, error) {
-	if len(b) < 8 {
-		return nil, errors.New("hashindex: short version blob")
-	}
-	vc := NewVersionChainsOver(dir)
-	chains := binary.LittleEndian.Uint64(b)
-	off := 8
-	for i := uint64(0); i < chains; i++ {
-		if len(b)-off < 16 {
-			return nil, errors.New("hashindex: truncated version blob")
-		}
-		key := binary.LittleEndian.Uint64(b[off:])
-		cnt := binary.LittleEndian.Uint64(b[off+8:])
-		off += 16
-		if uint64(len(b)-off)/16 < cnt {
-			return nil, errors.New("hashindex: truncated version chain")
-		}
-		// Stored newest first; Push wants oldest first.
-		for j := int(cnt) - 1; j >= 0; j-- {
-			seq := binary.LittleEndian.Uint64(b[off+j*16:])
-			loc := binary.LittleEndian.Uint64(b[off+j*16+8:])
-			v, err := vc.Push(key, seq, loc)
-			if err != nil {
-				return nil, err
-			}
-			vc.Commit(v)
-		}
-		off += int(cnt) * 16
-	}
-	return vc, nil
 }

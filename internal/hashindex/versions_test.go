@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -232,35 +231,6 @@ func TestPruneNeverTouchesPending(t *testing.T) {
 	}
 }
 
-func TestVersionSerializeRoundTrip(t *testing.T) {
-	vc := NewVersionChains(16)
-	for key := uint64(1); key <= 5; key++ {
-		for s := uint64(1); s <= key; s++ {
-			v := mustPush(t, vc, key, s*7, key*1000+s)
-			vc.Commit(v)
-		}
-	}
-	mustPush(t, vc, 2, 100, 9999) // pending: must not round-trip
-	got, err := DeserializeVersionChains(vc.Serialize(), NewConcurrent(16, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for key := uint64(1); key <= 5; key++ {
-		if got.ChainLen(key) != int(key) {
-			t.Fatalf("key %d: len %d, want %d", key, got.ChainLen(key), key)
-		}
-		for s := uint64(1); s <= key; s++ {
-			loc, _, _, err := got.GetAtOrBefore(key, s*7)
-			if err != nil || loc != key*1000+s {
-				t.Fatalf("key %d ts %d: (%d, %v)", key, s*7, loc, err)
-			}
-		}
-	}
-	if got.Head(2).State() != VersionCommitted {
-		t.Fatal("pending node leaked through serialization")
-	}
-}
-
 // TestConcurrentSnapshotReads races lock-free timestamp reads against
 // pushes, commits, and prunes — the exact interleaving the firmware's
 // snapshot read path relies on. Run with -race.
@@ -386,24 +356,11 @@ func TestPruneBelowKeepsVersionsAboveFloor(t *testing.T) {
 	}
 }
 
-func TestDeserializeVersionChainsRejectsTruncation(t *testing.T) {
-	vc := NewVersionChains(8)
-	vc.Commit(mustPush(t, vc, 1, 10, 100))
-	vc.Commit(mustPush(t, vc, 1, 20, 200))
-	blob := vc.Serialize()
-	for _, n := range []int{3, 12, len(blob) - 1} {
-		if _, err := DeserializeVersionChains(blob[:n], NewConcurrent(8, false)); err == nil {
-			t.Fatalf("blob cut to %d of %d bytes accepted", n, len(blob))
-		}
-	}
-}
-
 // modelVersion is one retained version in the reference model.
 type modelVersion struct{ seq, loc uint64 }
 
 // TestVersionChainsModel drives random batches (push, then commit or abort
-// the lot), location swings, prunes and serialize round trips against a
-// fixed-capacity directory and checks every step against a reference map —
+// the lot), location swings and prunes against a fixed-capacity directory and checks every step against a reference map —
 // including that an aborted first write gives its directory slot back and
 // that a batch overflowing the directory rolls back completely — while
 // lock-free readers race the mutations. A location carries its key in the
@@ -415,9 +372,7 @@ func TestVersionChainsModel(t *testing.T) {
 		keySpace = 80 // more keys than slots, so batches do overflow
 		steps    = 6000
 	)
-	newDir := func() Directory { return NewConcurrent(capacity, false) }
-	var cur atomic.Pointer[VersionChains] // what readers load, as the firmware's family does
-	cur.Store(NewVersionChainsOver(newDir()))
+	vc := NewVersionChainsOver(NewConcurrent(capacity, false))
 	model := map[uint64][]modelVersion{} // key -> committed versions, oldest first
 	locOf := func(key, n uint64) uint64 { return key<<32 | n }
 
@@ -435,7 +390,7 @@ func TestVersionChainsModel(t *testing.T) {
 				default:
 				}
 				key := uint64(rng.Intn(keySpace))
-				loc, _, _, err := cur.Load().GetAtOrBefore(key, rng.Uint64())
+				loc, _, _, err := vc.GetAtOrBefore(key, rng.Uint64())
 				if err == nil && loc>>32 != key {
 					t.Errorf("reader of key %d was handed location %#x", key, loc)
 					return
@@ -446,7 +401,6 @@ func TestVersionChainsModel(t *testing.T) {
 
 	check := func(step int, what string) {
 		t.Helper()
-		vc := cur.Load()
 		if vc.Keys() != len(model) {
 			t.Fatalf("step %d (%s): %d directory entries, model has %d keys", step, what, vc.Keys(), len(model))
 		}
@@ -480,8 +434,7 @@ func TestVersionChainsModel(t *testing.T) {
 	var seq uint64
 	overflows := 0
 	for step := 0; step < steps; step++ {
-		vc := cur.Load()
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(9); {
 		case op < 6: // a batch of 1..4 distinct keys
 			type staged struct {
 				key uint64
@@ -528,7 +481,7 @@ func TestVersionChainsModel(t *testing.T) {
 				break
 			}
 			check(step, "set-loc")
-		case op < 9: // prune every key against random pins and a random floor
+		default: // prune every key against random pins and a random floor
 			pins := make([]uint64, rng.Intn(3))
 			for i := range pins {
 				pins[i] = uint64(rng.Int63n(int64(seq) + 2))
@@ -563,13 +516,6 @@ func TestVersionChainsModel(t *testing.T) {
 				model[key] = kept
 			}
 			check(step, "prune")
-		default: // swap out and back in
-			back, err := DeserializeVersionChains(vc.Serialize(), newDir())
-			if err != nil {
-				t.Fatalf("step %d: round trip: %v", step, err)
-			}
-			cur.Store(back)
-			check(step, "round-trip")
 		}
 	}
 	close(stop)

@@ -90,9 +90,6 @@ func FreeBytes(buf []byte) int {
 	return len(buf) - slotCount(buf)*slotSize - freeStart(buf)
 }
 
-// NumSlots returns the page's slot count (dead slots included).
-func NumSlots(buf []byte) int { return slotCount(buf) }
-
 // Insert places data in the page and returns its slot.
 func Insert(buf []byte, data []byte) (uint16, error) {
 	if len(data) > len(buf)-headerSize-slotSize {

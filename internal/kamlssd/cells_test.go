@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/kaml-ssd/kaml/internal/cmdq"
-	"github.com/kaml-ssd/kaml/internal/flash"
 )
 
 // TestOneCellPerEvent checks that the firmware and pipeline events which
@@ -74,57 +73,59 @@ func TestOneCellPerEvent(t *testing.T) {
 }
 
 // TestEveryFlashProgramCounted holds the firmware's program accounting to
-// the flash array's own: whichever stream programs a page — host flush,
-// swap-out of a mapping table, GC relocation of the swapped table's pages —
-// Stats().Programs counts it and FlashBytesWritten is Programs pages' worth,
-// or write amplification under-reports.
+// the flash array's own: whichever stream programs a page — host flush or
+// GC relocation — Stats().Programs counts it and FlashBytesWritten is
+// Programs pages' worth, or write amplification under-reports.
 func TestEveryFlashProgramCounted(t *testing.T) {
 	fc := testFlashConfig()
 	withRig(t, fc, func(c *Config) { c.NumLogs = 2 }, func(r *rig) {
-		// Host stream: a few flushed pages of ordinary records.
-		hot, _ := r.dev.CreateNamespace(NamespaceAttrs{})
-		for k := uint64(0); k < 40; k++ {
-			if err := r.dev.Put(one(hot, k, val(k, 1000))); err != nil {
+		// Host stream: page by page to alternate logs, eight records a page,
+		// until log 0's first block (the even pages of the first sixteen) is
+		// programmed and a page of the next one with it.
+		ns, _ := r.dev.CreateNamespace(NamespaceAttrs{})
+		keys := uint64((2*fc.PagesPerBlock + 2) * 8)
+		for k := uint64(0); k < keys; k++ {
+			if err := r.dev.Put(one(ns, k, val(k, churnValue))); err != nil {
 				t.Fatal(err)
 			}
 		}
 		r.dev.Flush()
-		// Swap-out stream: one block's worth of (empty) mapping tables, one
-		// index page each, which fills and seals the log's GC-stream block.
-		// The tables are empty because GC mounts a swapped table as soon as
-		// it meets one of its records (the liveness check needs the chains),
-		// and a mounted table has no index pages left to relocate.
-		var roots []*namespace
-		var before []flash.PPN
-		for i := 0; i < fc.PagesPerBlock; i++ {
-			id, _ := r.dev.CreateNamespace(NamespaceAttrs{IndexCapacity: 64})
-			if err := r.dev.SwapOutIndex(id); err != nil {
-				t.Fatal(err)
+		// Overwrite every other record of that block, so half of it is live.
+		for k := uint64(0); k < uint64(2*fc.PagesPerBlock*8); k += 2 {
+			if k/8%2 == 0 {
+				if err := r.dev.Put(one(ns, k, val(k+1, churnValue))); err != nil {
+					t.Fatal(err)
+				}
 			}
-			root := r.dev.namespaces[id]
-			if len(root.swapPages) != 1 {
-				t.Fatalf("swap-out of ns %d programmed %d index pages, want 1", id, len(root.swapPages))
-			}
-			roots = append(roots, root)
-			before = append(before, root.swapPages[0])
 		}
-		// Forced GC of that block: every page in it is a live index page.
-		lg, lc, block := r.dev.blockOf(before[0])
-		if !lc.blocks[block].sealed {
-			t.Fatal("the block holding the swapped tables never sealed")
+		r.dev.Flush()
+		// GC stream: a forced collection of the half-overwritten block.
+		loc := location(r.dev.namespaces[ns].fam.chains.Head(1).Loc())
+		lg, lc, block := r.dev.blockOf(loc.ppn())
+		if lg != r.dev.logs[0] || !lc.blocks[block].sealed {
+			t.Fatalf("key 1 is not in a sealed block of log 0 (log %d)", lg.id)
 		}
+		programs := r.arr.Stats().Programs
 		newCollector(r.dev, lg).collectBlock(slices.Index(lg.chips, lc), block)
-		for i, root := range roots {
-			if !root.swapped || len(root.swapPages) != 1 || root.swapPages[0] == before[i] {
-				t.Fatalf("ns %d: GC did not relocate its index page (%v -> %v)", root.id, before[i], root.swapPages)
-			}
-		}
 		st := r.dev.Stats()
+		if st.GCCopies == 0 || r.arr.Stats().Programs == programs {
+			t.Fatalf("GC copied %d records and programmed %d pages: it relocated nothing",
+				st.GCCopies, r.arr.Stats().Programs-programs)
+		}
 		if got := r.arr.Stats().Programs; st.Programs != got {
 			t.Errorf("Stats().Programs = %d, the flash array programmed %d pages", st.Programs, got)
 		}
 		if want := st.Programs * int64(fc.PageSize); st.FlashBytesWritten != want {
 			t.Errorf("FlashBytesWritten = %d, want Programs x PageSize = %d", st.FlashBytesWritten, want)
+		}
+		for k := uint64(0); k < keys; k++ {
+			want := val(k, churnValue)
+			if k < uint64(2*fc.PagesPerBlock*8) && k/8%2 == 0 && k%2 == 0 {
+				want = val(k+1, churnValue)
+			}
+			if v, err := r.dev.Get(ns, k); err != nil || string(v) != string(want) {
+				t.Fatalf("key %d after the collection: %v", k, err)
+			}
 		}
 	})
 }

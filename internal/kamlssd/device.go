@@ -27,10 +27,10 @@
 //	                  namespace lookup, flusher/GC installs (which
 //	                  must see a frozen snapshot family). Writers: create/
 //	                  delete/snapshot namespace.
-//	ns.mu  (RWMutex)  one per namespace: mapping-table mutation and
-//	                  residency (swap state), log assignment. Put, GC
-//	                  installs, and swap-out/reload take the write lock;
-//	                  Get does NOT take it — see "The read contract" below.
+//	ns.mu  (RWMutex)  one per namespace: mapping-table mutation and log
+//	                  assignment. Put and the flusher's and GC's installs
+//	                  take the write lock; Get does NOT take it — see "The
+//	                  read contract" below.
 //	lg.mu  (Mutex)    one per log: packer, pending records, sealed queue,
 //	                  append points, free lists, per-block valid-byte
 //	                  accounting. spaceCv (a writer waiting for the page it
@@ -65,12 +65,8 @@
 // guards itself with a plain memory lock), and the chain walk reads atomic
 // node fields. ns.mu therefore does not order reads against writes; it
 // orders mutators against each other, which the valid-byte accounting
-// depends on, and it guards the table's residency. One obligation follows:
-// every mapping-table mutation goes through the mounted table in place. The
-// table is replaced only when it is swapped out to flash or reloaded, both
-// of which take flash I/O that cannot complete while a same-instant reader
-// is mid-resolution; a reader that finds the table swapped out reloads it
-// first (the swapped-family rule, DESIGN.md §14).
+// depends on. A family's table is built once, when the family is, and is
+// never replaced: every mapping-table mutation goes through it in place.
 package kamlssd
 
 import (
@@ -103,7 +99,6 @@ var (
 	ErrEmptyBatch = errors.New("kamlssd: empty Put batch")
 	ErrBadBatch   = errors.New("kamlssd: duplicate key in Put batch")
 	ErrIndexFull  = errors.New("kamlssd: namespace mapping table full")
-	ErrSwappedOut = errors.New("kamlssd: namespace index swapped out")
 	// ErrPowerLoss reports an operation interrupted by a power cut. A Put
 	// that returns it was NOT acknowledged: recovery discards the batch.
 	ErrPowerLoss = errors.New("kamlssd: power lost")
@@ -165,8 +160,7 @@ const (
 
 // retryBackoff is how long an actor waits between looks at a window another
 // actor closes in bounded virtual time: a Put batch between its first staged
-// record and its commit marker (pinned readers, snapshot creation), or a
-// mapping-table reload in progress.
+// record and its commit marker (pinned readers, snapshot creation).
 const retryBackoff = 50 * time.Microsecond
 
 // NamespaceAttrs configure CreateNamespace.
@@ -310,19 +304,15 @@ type Stats struct {
 // the head being the root's current view. The struct deliberately outlives
 // the root namespace object's map entry: snapshot shells hold a direct
 // pointer, so deleting the origin leaves their point-in-time reads fully
-// functional (TestDeleteOriginKeepsSnapshot). Table mutations and residency
-// are serialized by root.mu — the root namespace object is retained here
-// for exactly that lock, and for the swap state, even after deletion.
+// functional (TestDeleteOriginKeepsSnapshot). Table mutations are
+// serialized by root.mu — the root namespace object is retained here for
+// exactly that lock, even after deletion.
 type family struct {
 	root *namespace
-	// chains is the mounted mapping table, nil while it is swapped out to
-	// flash. Readers load it with no lock and go through Device.mounted,
-	// which reloads a swapped-out table first; it is stored under root.mu.
-	chains atomic.Pointer[hashindex.VersionChains]
-	// kind and capacity are the directory's shape, for rebuilding it on
-	// reload. Immutable.
-	kind     IndexKind
-	capacity int
+	// chains is the mapping table, built by newFamily and never replaced.
+	// Readers use it with no lock; mutators hold root.mu.
+	chains *hashindex.VersionChains
+	kind   IndexKind // the directory's structure; immutable
 	// rootLive is false once DeleteNamespace removed the root: pruning then
 	// stops protecting chain heads, so versions survive only while a pinned
 	// snapshot sees them. Guarded by d.mu.
@@ -333,10 +323,9 @@ type family struct {
 type namespace struct {
 	id uint32
 
-	// mu guards logIDs and, on a family root, the family's mapping table:
-	// mutations of it and the swap state below. Put, installs, GC swings,
-	// swap-out and reload take the write lock. Reads do NOT take it (see the
-	// package comment).
+	// mu guards logIDs and, on a family root, mutations of the family's
+	// mapping table. Put, installs and GC swings take the write lock. Reads
+	// do NOT take it (see the package comment).
 	mu *sim.RWMutex
 
 	logIDs []int
@@ -344,11 +333,7 @@ type namespace struct {
 	// logIDs[rr%len] until a record of its seals that log's page, then moves
 	// on (appendRecord). Atomic because it advances under the log lock,
 	// which nests inside mu.
-	rr      atomic.Uint64
-	swapped bool // family root only: the mapping table is on flash
-	loading bool // an actor is reloading it
-	// swapPages holds the flash pages of a swapped-out mapping table.
-	swapPages []flash.PPN
+	rr atomic.Uint64
 	// origin is the family root whose records this namespace references
 	// (non-zero only for snapshots); readonly marks snapshots.
 	origin   uint32
@@ -368,16 +353,18 @@ type namespace struct {
 	// pendingBatches counts Put batches that have validated this namespace
 	// but not yet committed or aborted. SnapshotNamespace waits for zero so
 	// a snapshot never pins a half-staged batch (batch atomicity would
-	// otherwise leak into the snapshot's point-in-time view), and swap-out
-	// refuses while it is non-zero.
+	// otherwise leak into the snapshot's point-in-time view).
 	pendingBatches atomic.Int64
 }
 
-// newFamily mounts an empty mapping table of the given shape for root.
+// newFamily builds an empty mapping table of the given shape for root.
 func (d *Device) newFamily(root *namespace, kind IndexKind, capacity int, live bool) *family {
-	fam := &family{root: root, kind: kind, capacity: capacity, rootLive: live}
-	fam.chains.Store(hashindex.NewVersionChainsOver(d.newDirectory(kind, capacity)))
-	return fam
+	return &family{
+		root:     root,
+		chains:   hashindex.NewVersionChainsOver(d.newDirectory(kind, capacity)),
+		kind:     kind,
+		rootLive: live,
+	}
 }
 
 // New builds a KAML device on the array and transport and starts its
@@ -539,8 +526,8 @@ func (d *Device) Stats() Stats {
 
 // programPage programs one flash page and, when the program succeeds,
 // counts it — the one place a page program is counted, whichever stream
-// issued it (host flush, GC relocation of records or index pages, table
-// swap-out), so Programs x PageSize is FlashBytesWritten.
+// issued it (host flush or GC relocation), so Programs x PageSize is
+// FlashBytesWritten.
 func (d *Device) programPage(ppn flash.PPN, data, oob []byte) error {
 	err := d.arr.ProgramPage(ppn, data, oob)
 	if err == nil {
@@ -689,9 +676,7 @@ func (d *Device) DeleteNamespace(id uint32) error {
 		fam := ns.fam
 		if fam.root == ns {
 			fam.rootLive = false
-			if ch := fam.chains.Load(); ch != nil {
-				d.ctr.indexEntries.Add(-int64(ch.Keys()))
-			}
+			d.ctr.indexEntries.Add(-int64(fam.chains.Keys()))
 		}
 		if d.familyRefsLocked(fam) == 0 {
 			delete(d.families, fam.root.id)
@@ -780,11 +765,7 @@ func (d *Device) IndexLoadFactor(id uint32) (float64, error) {
 	if ns.origin != 0 || ns.fam.kind == IndexTree {
 		return 0, nil // a snapshot shell mounts no table; a tree has no load factor
 	}
-	ch := ns.fam.chains.Load()
-	if ch == nil {
-		return 0, ErrSwappedOut
-	}
-	return ch.LoadFactor(), nil
+	return ns.fam.chains.LoadFactor(), nil
 }
 
 // location packs a record's physical position into a hashindex value.

@@ -1,7 +1,6 @@
 package kamlssd
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -218,46 +217,5 @@ func TestGetConcurrentWithPutSameKey(t *testing.T) {
 			}
 		})
 		wg.Wait()
-	})
-}
-
-// TestSwapOutMissingNamespace covers the error path.
-func TestSwapOutMissingNamespace(t *testing.T) {
-	withRig(t, testFlashConfig(), nil, func(r *rig) {
-		if err := r.dev.SwapOutIndex(404); !errors.Is(err, ErrNoNamespace) {
-			t.Fatalf("err=%v", err)
-		}
-	})
-}
-
-// TestSwapOutSurvivesGC swaps an index out, churns another namespace hard
-// enough to trigger GC (which must relocate live index pages), and then
-// reloads.
-func TestSwapOutSurvivesGC(t *testing.T) {
-	fc := testFlashConfig()
-	withRig(t, fc, func(c *Config) { c.NumLogs = 2 }, func(r *rig) {
-		cold, _ := r.dev.CreateNamespace(NamespaceAttrs{IndexCapacity: 256})
-		for k := uint64(0); k < 100; k++ {
-			r.dev.Put(one(cold, k, val(k, 200)))
-		}
-		r.dev.Flush()
-		if err := r.dev.SwapOutIndex(cold); err != nil {
-			t.Fatal(err)
-		}
-		// Churn a hot namespace to force GC over the swapped pages' blocks.
-		hot, _ := r.dev.CreateNamespace(NamespaceAttrs{})
-		raw := fc.TotalPages() * fc.PageSize
-		for i := 0; i < raw/1000; i++ {
-			if err := r.dev.Put(one(hot, uint64(i%20), val(uint64(i), 1000))); err != nil {
-				t.Fatalf("churn: %v", err)
-			}
-		}
-		// The cold namespace must reload intact.
-		for k := uint64(0); k < 100; k++ {
-			v, err := r.dev.Get(cold, k)
-			if err != nil || len(v) != 200 {
-				t.Fatalf("cold key %d after GC: %v", k, err)
-			}
-		}
 	})
 }

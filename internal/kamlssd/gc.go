@@ -1,21 +1,11 @@
 package kamlssd
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 
 	"github.com/kaml-ssd/kaml/internal/flash"
 	"github.com/kaml-ssd/kaml/internal/record"
-)
-
-// Page-type marker stored in OOB byte 8 (the first 8 bytes hold the record
-// chunk bitmap). GC needs it to tell record pages from swapped-out index
-// pages when re-parsing a victim block.
-const (
-	pageTypeRecord = 0
-	pageTypeIndex  = 1
 )
 
 // collector is one log's garbage collector (§IV-E): an actor that sleeps
@@ -34,16 +24,15 @@ type collector struct {
 	keep []bool
 	pins []uint64
 
-	// Per-victim scratch: one page's parsed records, the live records and
-	// index pages the scan found, the records of the relocation page being
-	// filled, and its packer. Parsed and live records alias the victim's
-	// pages (record.AppendParsed): the only copy of a value is the one
-	// relocation packs.
-	placed     []record.Placed
-	live       []gcRecord
-	indexPages []flash.PPN
-	group      []gcRecord
-	packer     *record.Packer
+	// Per-victim scratch: one page's parsed records, the live records the
+	// scan found, the records of the relocation page being filled, and its
+	// packer. Parsed and live records alias the victim's pages
+	// (record.AppendParsed): the only copy of a value is the one relocation
+	// packs.
+	placed []record.Placed
+	live   []gcRecord
+	group  []gcRecord
+	packer *record.Packer
 }
 
 func newCollector(d *Device, lg *logState) *collector {
@@ -192,13 +181,12 @@ func (c *collector) collectBlock(chipIdx, block int) {
 	ch, chip := lg.chipAddr(chipIdx)
 	placed := c.placed[:0]
 	live := c.live[:0]
-	liveIndexPages := c.indexPages[:0] // swapped index pages needing relocation
 	defer func() {
 		// Keep the lists' storage, not what they point at: a parked collector
 		// must not pin a victim's worth of page images.
 		clear(placed[:cap(placed)]) // each page re-slices it: clear past len
 		clear(live)
-		c.placed, c.live, c.indexPages = placed, live, liveIndexPages
+		c.placed, c.live = placed, live
 	}()
 
 	for page := 0; page < d.fc.PagesPerBlock; page++ {
@@ -225,15 +213,8 @@ func (c *collector) collectBlock(chipIdx, block int) {
 			}
 			continue // unwritten page
 		}
-		ptype, ok := checkOOB(oob, data)
-		if !ok {
+		if !checkOOB(oob, data) {
 			continue // torn or garbage page: carries nothing live
-		}
-		if ptype == pageTypeIndex {
-			if d.indexPageLive(ppn) {
-				liveIndexPages = append(liveIndexPages, ppn)
-			}
-			continue
 		}
 		var perr error
 		placed, perr = record.AppendParsed(placed[:0], data, oob, chunkSize)
@@ -242,14 +223,7 @@ func (c *collector) collectBlock(chipIdx, block int) {
 		}
 		for _, pl := range placed {
 			loc := flashLoc(ppn, pl.StartChunk, pl.NumChunks)
-			isLive, lerr := d.recordLive(pl.Record, loc)
-			if lerr != nil {
-				// The record's family is swapped out and its table could not
-				// be reloaded: liveness is unknown, so the victim must not be
-				// erased. Abandon it; a later GC pass retries.
-				return
-			}
-			if isLive {
+			if d.recordLive(pl.Record, loc) {
 				live = append(live, gcRecord{rec: pl.Record, oldLoc: loc})
 				d.ctr.gcCopies.Inc()
 				lg.gcCopiedBytes.Add(int64(pl.NumChunks * chunkSize))
@@ -262,7 +236,7 @@ func (c *collector) collectBlock(chipIdx, block int) {
 	// already the least-live block, so infeasibility means the device is
 	// genuinely over-committed: even reclaiming the emptiest block cannot
 	// make forward progress. Fail loudly rather than losing data.
-	needPages := gcPagesNeeded(d, live, len(liveIndexPages))
+	needPages := gcPagesNeeded(d, live)
 	lg.mu.Lock()
 	capacity := lg.gcCapacityPages()
 	lg.mu.Unlock()
@@ -271,8 +245,8 @@ func (c *collector) collectBlock(chipIdx, block int) {
 			lg.id, needPages, capacity))
 	}
 
-	if c.relocateRecords(live) != nil || d.relocateIndexPages(lg, liveIndexPages) != nil {
-		return // power cut (or failed reload) mid-relocation: the victim must not be erased
+	if c.relocateRecords(live) != nil {
+		return // power cut mid-relocation: the victim must not be erased
 	}
 
 	first := d.arr.BlockPPN(ch, chip, block, 0)
@@ -321,11 +295,11 @@ func (c *collector) collectBlock(chipIdx, block int) {
 }
 
 // gcPagesNeeded estimates how many fresh pages relocating the victim's
-// live payload takes (records packed plus whole index pages).
-func gcPagesNeeded(d *Device, live []gcRecord, indexPages int) int {
+// live records takes, packed.
+func gcPagesNeeded(d *Device, live []gcRecord) int {
 	chunksPerPage := d.fc.PageSize / chunkSize
 	chunks := 0
-	pages := indexPages
+	pages := 0
 	for _, g := range live {
 		c := g.rec.Chunks(chunkSize)
 		if chunks+c > chunksPerPage {
@@ -356,19 +330,12 @@ func (lg *logState) gcCapacityPages() int {
 // because a snapshot cutoff or transaction pin can still see it. Pruning
 // (mvcc.go) is what turns superseded versions into garbage; a family whose
 // members are all deleted has no chains entry, so its records are dead.
-// The chain walk is lock-free; a swapped-out family is reloaded first.
-func (d *Device) recordLive(rec record.Record, loc location) (bool, error) {
+// The chain walk is lock-free.
+func (d *Device) recordLive(rec record.Record, loc location) bool {
 	d.mu.RLock()
 	fam := d.families[rec.Namespace]
 	d.mu.RUnlock()
-	if fam == nil {
-		return false, nil
-	}
-	ch, err := d.mounted(fam)
-	if err != nil {
-		return false, err
-	}
-	return ch.VersionAtLoc(rec.Key, uint64(loc)) != nil, nil
+	return fam != nil && fam.chains.VersionAtLoc(rec.Key, uint64(loc)) != nil
 }
 
 // gcProgram programs one GC-stream page, rewriting on injected program
@@ -418,7 +385,7 @@ func (c *collector) relocateRecords(live []gcRecord) error {
 			return nil
 		}
 		data, bitmap := packer.Finish()
-		ppn, perr := d.gcProgram(lg, data, d.buildOOB(bitmap, pageTypeRecord, data))
+		ppn, perr := d.gcProgram(lg, data, d.buildOOB(bitmap, data))
 		if perr != nil {
 			return perr
 		}
@@ -432,15 +399,8 @@ func (c *collector) relocateRecords(live []gcRecord) error {
 			if fam == nil {
 				continue // family deleted mid-GC: dead on arrival
 			}
-			// The family may have been swapped out since the liveness scan
-			// mounted it; the reload reads flash with d.mu read-held, which
-			// only delays namespace create/delete.
-			ch, lerr := d.lockMounted(fam)
-			if lerr != nil {
-				d.mu.RUnlock()
-				return lerr
-			}
-			node := ch.VersionAtLoc(g.rec.Key, uint64(g.oldLoc))
+			fam.root.mu.Lock()
+			node := fam.chains.VersionAtLoc(g.rec.Key, uint64(g.oldLoc))
 			if node != nil {
 				node.SetLoc(uint64(newLoc))
 			}
@@ -465,64 +425,4 @@ func (c *collector) relocateRecords(live []gcRecord) error {
 		group = append(group, g)
 	}
 	return flush()
-}
-
-// relocateIndexPages rewrites live swapped-index pages and updates the
-// owning family root's page list. The old OOB (bitmap, type, magic, CRC) is
-// carried over verbatim — the data is byte-identical, so it stays valid.
-func (d *Device) relocateIndexPages(lg *logState, pages []flash.PPN) error {
-	for _, old := range pages {
-		data, oob, err := d.arr.ReadPage(old)
-		if err != nil {
-			if errors.Is(err, flash.ErrPowerCut) {
-				return err
-			}
-			continue
-		}
-		ppn, perr := d.gcProgram(lg, data, oob[:oobLen])
-		if perr != nil {
-			return perr
-		}
-		d.mu.RLock()
-		for _, root := range d.rootsSorted() {
-			root.mu.Lock()
-			for i, p := range root.swapPages {
-				if p == old {
-					root.swapPages[i] = ppn
-				}
-			}
-			root.mu.Unlock()
-		}
-		d.mu.RUnlock()
-	}
-	return nil
-}
-
-// indexPageLive reports whether a swapped-index page is still referenced.
-// Takes the device and namespace read locks internally.
-func (d *Device) indexPageLive(ppn flash.PPN) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for _, root := range d.rootsSorted() {
-		root.mu.RLock()
-		live := slices.Contains(root.swapPages, ppn)
-		root.mu.RUnlock()
-		if live {
-			return true
-		}
-	}
-	return false
-}
-
-// rootsSorted returns every family's root ordered by ID — including a
-// deleted root whose snapshots keep the family, and with it a swapped-out
-// table's pages, alive. Sorted because callers lock each root in turn (see
-// namespacesSorted). Called with d.mu held.
-func (d *Device) rootsSorted() []*namespace {
-	out := make([]*namespace, 0, len(d.families))
-	for _, fam := range d.families {
-		out = append(out, fam.root)
-	}
-	slices.SortFunc(out, func(a, b *namespace) int { return cmp.Compare(a.id, b.id) })
-	return out
 }

@@ -31,8 +31,8 @@ func (k IndexKind) String() string {
 	return "hash"
 }
 
-// newDirectory builds the empty key directory a family's version chains are
-// mounted over. The hash kind is the seqlock table at the namespace's
+// newDirectory builds the empty key directory under a family's version
+// chains. The hash kind is the seqlock table at the namespace's
 // capacity, so ErrIndexFull and the load-factor probe curve come from it;
 // its read retries feed the device's counters.
 func (d *Device) newDirectory(kind IndexKind, capacity int) hashindex.Directory {

@@ -165,7 +165,7 @@ func TestIdleGetRunsAtItsRoofline(t *testing.T) {
 		r.dev.Flush()
 		root, _ := r.dev.lookupNS(ns)
 		for _, c := range cases {
-			chain, _ := root.fam.chains.Load().Lookup(c.key)
+			chain, _ := root.fam.chains.Lookup(c.key)
 			raw, _, err := chain.Head().AtOrBefore(noCutoff)
 			loc := location(raw)
 			if err != nil || !loc.isFlash() || loc.chunk() != c.chunk {
@@ -609,32 +609,6 @@ func TestSetNamespaceLogsClamps(t *testing.T) {
 		// Still writable after retuning.
 		if err := r.dev.Put(one(ns, 1, []byte("x"))); err != nil {
 			t.Fatal(err)
-		}
-	})
-}
-
-func TestIndexSwapOutAndReload(t *testing.T) {
-	withRig(t, testFlashConfig(), nil, func(r *rig) {
-		ns, _ := r.dev.CreateNamespace(NamespaceAttrs{IndexCapacity: 512})
-		for k := uint64(0); k < 100; k++ {
-			r.dev.Put(one(ns, k, val(k, 64)))
-		}
-		r.dev.Flush()
-		if err := r.dev.SwapOutIndex(ns); err != nil {
-			t.Fatal(err)
-		}
-		// Access auto-loads the index.
-		got, err := r.dev.Get(ns, 42)
-		if err != nil || !bytes.Equal(got, val(42, 64)) {
-			t.Fatalf("get after swap: %v", err)
-		}
-		// Puts work after reload too.
-		if err := r.dev.Put(one(ns, 200, []byte("fresh"))); err != nil {
-			t.Fatal(err)
-		}
-		got, _ = r.dev.Get(ns, 200)
-		if string(got) != "fresh" {
-			t.Fatal("post-reload put lost")
 		}
 	})
 }

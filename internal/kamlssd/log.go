@@ -318,7 +318,7 @@ func (lg *logState) sealPacker(cause sealCause) {
 	lg.pageSeq++
 	lg.sealWanted = false
 	data, bitmap := lg.packer.Finish()
-	oob := lg.d.buildOOB(bitmap, pageTypeRecord, data)
+	oob := lg.d.buildOOB(bitmap, data)
 	pend := lg.pending
 	lg.pending = nil
 	if n := len(lg.spare); n > 0 {
@@ -541,26 +541,19 @@ func (d *Device) flusherLoop(lg *logState) {
 // stays readable at pinned timestamps until pruned — and its flash space
 // is credited exactly once here (prune discounts it later). A version
 // already pruned or aborted is absent from the chain: its flash copy is
-// dead on arrival and never credited. So is every record that lands while
-// the family's table is swapped out: swap-out refuses while any linked
-// version is NVRAM-resident, so only a record whose node is already gone (an
-// aborted batch's, say) can still be in a packer then, and the table is not
-// reloaded to learn that. Called with d.mu read-held and no namespace or log
-// lock.
+// dead on arrival and never credited. Called with d.mu read-held and no
+// namespace or log lock.
 func (d *Device) installFlashLoc(pr pendingRec, ppn flash.PPN) {
 	nchunks := (pr.size + chunkSize - 1) / chunkSize
 	loc := flashLoc(ppn, pr.chunk, nchunks)
 	if fam := d.families[pr.ns]; fam != nil {
 		fam.root.mu.Lock()
-		swung := false
-		if ch := fam.chains.Load(); ch != nil {
-			if node := ch.VersionAtLoc(pr.key, uint64(nvramLoc(pr.seq))); node != nil {
-				node.SetLoc(uint64(loc))
-				swung = true
-			}
+		node := fam.chains.VersionAtLoc(pr.key, uint64(nvramLoc(pr.seq)))
+		if node != nil {
+			node.SetLoc(uint64(loc))
 		}
 		fam.root.mu.Unlock()
-		if swung {
+		if node != nil {
 			d.creditValid(loc)
 		}
 	}

@@ -121,8 +121,7 @@ func (d *Device) versionDead(_ uint64, loc uint64) {
 	}
 }
 
-// pruneFamily runs one prune pass over fam's mounted chains (a swapped-out
-// family is left for the first prune after its reload). Chain heads are
+// pruneFamily runs one prune pass over fam's chains. Chain heads are
 // protected only while the family root is alive, and a deleted root has no
 // floor either: nobody can begin a read of it, and its snapshots read at
 // their cutoffs, which are pins.
@@ -131,10 +130,7 @@ func (d *Device) pruneFamily(fam *family, pins []uint64, floor uint64, keepHead 
 		floor = hashindex.NoFloor
 	}
 	fam.root.mu.Lock()
-	n := 0
-	if ch := fam.chains.Load(); ch != nil {
-		n = ch.PruneAll(pins, floor, keepHead, d.versionDead, d.chainLenObs)
-	}
+	n := fam.chains.PruneAll(pins, floor, keepHead, d.versionDead, d.chainLenObs)
 	fam.root.mu.Unlock()
 	d.ctr.versionsPruned.Add(int64(n))
 }
@@ -201,11 +197,7 @@ func (d *Device) LatestCommittedSeq(nsID uint32, key uint64) (uint64, error) {
 	if lerr != nil {
 		return 0, lerr
 	}
-	ch, lerr := d.mounted(ns.fam)
-	if lerr != nil {
-		return 0, lerr
-	}
-	if v := ch.LatestCommitted(key); v != nil {
+	if v := ns.fam.chains.LatestCommitted(key); v != nil {
 		return v.Seq, nil
 	}
 	return 0, nil
@@ -218,11 +210,7 @@ func (d *Device) VersionStats(nsID uint32) (keys, versions, maxChain int, err er
 	if lerr != nil {
 		return 0, 0, 0, lerr
 	}
-	ch, lerr := d.mounted(ns.fam)
-	if lerr != nil {
-		return 0, 0, 0, lerr
-	}
-	ch.Range(func(_ uint64, head *hashindex.Version) bool {
+	ns.fam.chains.Range(func(_ uint64, head *hashindex.Version) bool {
 		l := 0
 		for v := head; v != nil; v = v.Prev() {
 			l++
@@ -235,36 +223,6 @@ func (d *Device) VersionStats(nsID uint32) (keys, versions, maxChain int, err er
 		return true
 	})
 	return keys, versions, maxChain, nil
-}
-
-// mounted returns fam's mapping table, reloading it from flash first when
-// it is swapped out — the one rule for every chain access (reads, GC
-// liveness and relocation; DESIGN.md §14). Called with no namespace or log
-// lock held.
-func (d *Device) mounted(fam *family) (*hashindex.VersionChains, error) {
-	for {
-		if ch := fam.chains.Load(); ch != nil {
-			return ch, nil
-		}
-		if err := d.loadIndex(fam); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// lockMounted is mounted for a mutator: it returns with fam.root.mu
-// write-held, so the table cannot be swapped out before the mutation lands.
-func (d *Device) lockMounted(fam *family) (*hashindex.VersionChains, error) {
-	for {
-		if _, err := d.mounted(fam); err != nil {
-			return nil, err
-		}
-		fam.root.mu.Lock()
-		if ch := fam.chains.Load(); ch != nil {
-			return ch, nil
-		}
-		fam.root.mu.Unlock()
-	}
 }
 
 // nvFetch copies a staged value out of NVRAM under the NVRAM lock (the
@@ -313,11 +271,10 @@ type versionRead struct {
 	// re-resolutions after a concurrent install or GC move retrace hot
 	// cache lines and are free.
 	charged bool
-	// chain is the key's anchor in table, kept from the first resolution so
-	// that later ones — every read re-validates after its flash read — skip
-	// the directory probe. It is trusted only while table is still the
-	// family's mounted one and the anchor still has a head.
-	table *hashindex.VersionChains
+	// chain is the key's anchor in the family's table, kept from the first
+	// resolution so that later ones — every read re-validates after its
+	// flash read — skip the directory probe. It is trusted only while the
+	// anchor still has a head.
 	chain hashindex.Chain
 }
 
@@ -331,18 +288,10 @@ type versionRead struct {
 func (r *versionRead) resolve() (location, error) {
 	d := r.d
 	for {
-		var head *hashindex.Version
-		if r.table == r.ns.fam.chains.Load() {
-			head = r.chain.Head() // nil before the first lookup
-		}
+		head := r.chain.Head() // nil before the first lookup
 		probes := 0
 		if head == nil {
-			ch, err := d.mounted(r.ns.fam)
-			if err != nil {
-				return 0, err
-			}
-			r.table = ch
-			r.chain, probes = ch.Lookup(r.key)
+			r.chain, probes = r.ns.fam.chains.Lookup(r.key)
 			head = r.chain.Head()
 		}
 		loc, hops, rerr := head.AtOrBefore(r.ts)

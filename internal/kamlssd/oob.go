@@ -11,8 +11,8 @@ import (
 // torn page (partial data, zeroed OOB) and a failed program leaves garbage;
 // both must be detected and skipped, never parsed.
 //
-//	bytes [0:8)   record chunk bitmap (record pages; zero for index pages)
-//	byte  [8]     page type (pageTypeRecord / pageTypeIndex)
+//	bytes [0:8)   record chunk bitmap
+//	byte  [8]     page type (always pageTypeRecord)
 //	bytes [9:11)  magic "KM" — absent on torn/garbage pages
 //	bytes [11:15) CRC32 (IEEE) of the full padded page data
 const (
@@ -22,16 +22,20 @@ const (
 	oobLen      = 15
 )
 
+// pageTypeRecord is the one page type the firmware writes: a page of packed
+// records. A page of any other type is rejected like a torn one.
+const pageTypeRecord = 0
+
 var oobMagic = [2]byte{'K', 'M'}
 
-// buildOOB assembles the full OOB for a page about to be programmed.
-// bitmap is the packer's 8-byte chunk bitmap (nil for non-record pages);
-// data is the page payload, padded with zeros to the page size for the CRC
-// so the checksum matches what a later full-page read returns.
-func (d *Device) buildOOB(bitmap []byte, ptype byte, data []byte) []byte {
+// buildOOB assembles the full OOB for a record page about to be programmed.
+// bitmap is the packer's 8-byte chunk bitmap; data is the page payload,
+// padded with zeros to the page size for the CRC so the checksum matches
+// what a later full-page read returns.
+func (d *Device) buildOOB(bitmap, data []byte) []byte {
 	oob := make([]byte, oobLen)
 	copy(oob, bitmap)
-	oob[oobTypeOff] = ptype
+	oob[oobTypeOff] = pageTypeRecord
 	oob[oobMagicOff] = oobMagic[0]
 	oob[oobMagicOff+1] = oobMagic[1]
 	crc := crc32.ChecksumIEEE(data)
@@ -42,18 +46,18 @@ func (d *Device) buildOOB(bitmap []byte, ptype byte, data []byte) []byte {
 	return oob
 }
 
-// checkOOB verifies a scanned page's magic and CRC against its data and
-// returns the page type. ok=false means the page is torn, garbage, or
-// pre-dates the integrity layout, and must not be parsed.
-func checkOOB(oob, data []byte) (ptype byte, ok bool) {
+// checkOOB verifies a scanned page's magic, type and CRC against its data.
+// false means the page is torn, garbage, not a record page, or pre-dates the
+// integrity layout, and must not be parsed.
+func checkOOB(oob, data []byte) bool {
 	if len(oob) < oobLen {
-		return 0, false
+		return false
 	}
 	if oob[oobMagicOff] != oobMagic[0] || oob[oobMagicOff+1] != oobMagic[1] {
-		return 0, false
+		return false
 	}
-	if crc32.ChecksumIEEE(data) != binary.LittleEndian.Uint32(oob[oobCRCOff:oobCRCOff+4]) {
-		return 0, false
+	if oob[oobTypeOff] != pageTypeRecord {
+		return false
 	}
-	return oob[oobTypeOff], true
+	return crc32.ChecksumIEEE(data) == binary.LittleEndian.Uint32(oob[oobCRCOff:oobCRCOff+4])
 }

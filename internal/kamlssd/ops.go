@@ -131,23 +131,12 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 		if ns.readonly {
 			return fmt.Errorf("%w: %d", ErrReadOnly, r.Namespace)
 		}
-		// Mount the mapping table and mark the batch in flight under one
-		// hold of ns.mu, so swap-out — which refuses a namespace with a
-		// batch in flight — cannot slip between the two.
-		for {
-			ns.mu.RLock()
-			sw := ns.swapped
-			if !sw {
-				ns.pendingBatches.Add(1)
-			}
-			ns.mu.RUnlock()
-			if !sw {
-				break
-			}
-			if lerr := d.loadIndex(ns.fam); lerr != nil {
-				return lerr
-			}
-		}
+		// Mark the batch in flight under ns.mu: snapshot creation, which
+		// write-locks it, then either sees the mark or takes its cutoff
+		// before this batch reserves a sequence.
+		ns.mu.RLock()
+		ns.pendingBatches.Add(1)
+		ns.mu.RUnlock()
 		slot.ns = ns
 	}
 	d.keyLks.lockAll(keys)
@@ -206,10 +195,9 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 		// One push does the directory lookup (or insert) and publishes the
 		// NVRAM location, in a single probe sequence. The superseded version
 		// stays alive in the chain — its flash space is released at prune
-		// time, not here. The table is mounted: the batch is marked in
-		// flight, which swap-out respects.
+		// time, not here.
 		ns.mu.Lock()
-		node, probes, isNew, perr := ns.fam.chains.Load().PushProbed(r.Key, seq, uint64(nvramLoc(seq)))
+		node, probes, isNew, perr := ns.fam.chains.PushProbed(r.Key, seq, uint64(nvramLoc(seq)))
 		if perr != nil {
 			ns.mu.Unlock()
 			// Atomicity demands all-or-nothing: pop every version this batch
@@ -250,14 +238,14 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 	// now unless a snapshot, a transaction pin or the settled floor still
 	// sees them.
 	for _, u := range undo {
-		u.ns.fam.chains.Load().Commit(u.node)
+		u.ns.fam.chains.Commit(u.node)
 	}
 	var pinBuf [8]uint64
 	pins, floor := d.snapshotPins(pinBuf[:0])
 	pruned := 0
 	for _, u := range undo {
 		u.ns.mu.Lock()
-		pruned += u.ns.fam.chains.Load().PruneBelow(u.key, pins, floor, true, d.versionDead)
+		pruned += u.ns.fam.chains.PruneBelow(u.key, pins, floor, true, d.versionDead)
 		u.ns.mu.Unlock()
 	}
 	d.ctr.versionsPruned.Add(int64(pruned))
@@ -310,7 +298,7 @@ func nsIndex(nss []nsSlot, id uint32) int {
 func (d *Device) rollbackStaged(undo []undoEntry) {
 	for _, u := range undo {
 		u.ns.mu.Lock()
-		u.ns.fam.chains.Load().Abort(u.key, u.node)
+		u.ns.fam.chains.Abort(u.key, u.node)
 		u.ns.mu.Unlock()
 	}
 }
@@ -321,9 +309,8 @@ func (d *Device) rollbackStaged(undo []undoEntry) {
 // Close, to make a partially-filled page leave NVRAM: while a Flush waits,
 // every flusher seals its log's open page as soon as it holds a record.
 // KAML's durability does not depend on it (NVRAM is battery-backed); callers
-// use it to settle the flash layout — after a preload, before swapping a
-// mapping table out, before measuring reads from flash. Returns early on a
-// power cut.
+// use it to settle the flash layout — after a preload, before measuring
+// reads from flash. Returns early on a power cut.
 func (d *Device) Flush() {
 	d.drainers.Add(1)
 	for _, lg := range d.logs {
@@ -365,13 +352,9 @@ func (d *Device) NamespaceKeys(nsID uint32) ([]uint64, error) {
 	if lerr != nil {
 		return nil, lerr
 	}
-	ch, lerr := d.mounted(ns.fam)
-	if lerr != nil {
-		return nil, lerr
-	}
 	var keys []uint64
 	d.ctrl.Submit(func() {
-		ch.Range(func(key uint64, head *hashindex.Version) bool {
+		ns.fam.chains.Range(func(key uint64, head *hashindex.Version) bool {
 			if _, _, gerr := head.AtOrBefore(ns.cutoff); !errors.Is(gerr, hashindex.ErrNotFound) {
 				keys = append(keys, key)
 			}
@@ -383,19 +366,4 @@ func (d *Device) NamespaceKeys(nsID uint32) ([]uint64, error) {
 	// with it the virtual-time schedule — never depends on hash layout.
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys, nil
-}
-
-// Exists reports whether the key is present without transferring the value
-// (diagnostic helper; not a paper command).
-func (d *Device) Exists(nsID uint32, key uint64) (bool, error) {
-	ns, lerr := d.lookupNS(nsID)
-	if lerr != nil {
-		return false, lerr
-	}
-	ch, lerr := d.mounted(ns.fam)
-	if lerr != nil {
-		return false, lerr
-	}
-	_, _, _, err := ch.GetAtOrBefore(key, ns.cutoff)
-	return !errors.Is(err, hashindex.ErrNotFound), nil
 }

@@ -24,9 +24,7 @@ import (
 //
 //  1. Recreate every namespace from the NVRAM catalog: writable roots with
 //     an empty mapping table, snapshots as table-less shells pinned at
-//     their persisted cutoff. (Swapped-out tables are
-//     recovered unswapped; their stale flash pages fail the liveness check
-//     and become garbage.)
+//     their persisted cutoff.
 //  2. Discard staged values of batches that never committed: their Puts
 //     were not acknowledged, so the whole batch must vanish (atomicity).
 //  3. Rebuild the allocator from the blocks' program counts: retired blocks
@@ -71,7 +69,7 @@ func Recover(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) (*D
 	// device's cells are fresh; incremental updates resume from here).
 	for _, m := range nv.sortedCatalog() {
 		if m.origin == 0 {
-			d.ctr.indexEntries.Add(int64(d.families[m.id].chains.Load().Keys()))
+			d.ctr.indexEntries.Add(int64(d.families[m.id].chains.Keys()))
 		}
 	}
 	if err := d.restageNVRAM(replay); err != nil {
@@ -369,13 +367,9 @@ func (d *Device) scanPage(rd *pageReader, ppn flash.PPN) error {
 		}
 		return fmt.Errorf("kamlssd: recovery scan ppn %d: %w", ppn, err)
 	}
-	ptype, ok := checkOOB(oob, data)
-	if !ok {
+	if !checkOOB(oob, data) {
 		d.ctr.tornPagesSkipped.Inc()
 		return nil
-	}
-	if ptype != pageTypeRecord {
-		return nil // stale swapped-index page; dead after recovery
 	}
 	placed, perr := record.AppendParsed(rd.placed[:0], data, oob, chunkSize)
 	rd.placed = placed
@@ -439,7 +433,7 @@ func (d *Device) join(recs []scanRec) ([]uint64, error) {
 		if len(keep) == 0 {
 			continue
 		}
-		chains := d.families[recs[lo].ns].chains.Load()
+		chains := d.families[recs[lo].ns].chains
 		for j := len(keep) - 1; j >= 0; j-- {
 			r := keep[j]
 			node, err := chains.Push(r.key, r.seq, uint64(r.loc))

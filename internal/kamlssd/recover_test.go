@@ -291,7 +291,8 @@ func (f *firstProgram) Decide(op flash.Op, _ flash.PPN, _ time.Duration) flash.V
 // the page it is handed instead of a copy, so this checks that it keeps no
 // part of it on failure: the consumed page fails checkOOB (zeroed OOB), while
 // the record page the caller still holds passes it, ready to be programmed
-// again.
+// again. A page whose magic and CRC hold but whose type is not a record
+// page's fails it too.
 func TestTornAndFailedPagesFailCheckOOB(t *testing.T) {
 	for _, v := range []flash.Verdict{flash.VerdictFail, flash.VerdictPowerCutTorn} {
 		r := newSerialRig(1, testFlashConfig(), nil)
@@ -302,7 +303,7 @@ func TestTornAndFailedPagesFailCheckOOB(t *testing.T) {
 				p.Add(record.Record{Namespace: 1, Key: k, Seq: k, Value: val(k, 300)})
 			}
 			data, bitmap := p.Finish()
-			oob := d.buildOOB(bitmap, pageTypeRecord, data)
+			oob := d.buildOOB(bitmap, data)
 			ppn := r.arr.BlockPPN(0, 0, d.fc.BlocksPerChip-1, 0) // a block no log has opened
 			r.arr.SetInjector(&firstProgram{v: v})
 			if err := r.arr.ProgramPage(ppn, data, oob); err == nil {
@@ -313,11 +314,16 @@ func TestTornAndFailedPagesFailCheckOOB(t *testing.T) {
 			stored, storedOOB, err := r.arr.ReadPage(ppn)
 			if err != nil {
 				t.Errorf("verdict %d: the consumed page: %v", v, err)
-			} else if _, ok := checkOOB(storedOOB, stored); ok {
+			} else if checkOOB(storedOOB, stored) {
 				t.Errorf("verdict %d: the consumed page passes checkOOB", v)
 			}
-			if ptype, ok := checkOOB(oob, data); !ok || ptype != pageTypeRecord {
+			if !checkOOB(oob, data) {
 				t.Errorf("verdict %d: the caller's page no longer passes checkOOB", v)
+			}
+			typed := append([]byte(nil), oob...)
+			typed[oobTypeOff] = 1
+			if checkOOB(typed, data) {
+				t.Errorf("verdict %d: a CRC-valid page of type 1 passes checkOOB", v)
 			}
 			d.Close()
 		})
@@ -450,7 +456,7 @@ func recoveredOf(dev *Device) *recovered {
 	}
 	dev.mu.RLock()
 	for root, fam := range dev.families {
-		fam.chains.Load().Range(func(key uint64, v *hashindex.Version) bool {
+		fam.chains.Range(func(key uint64, v *hashindex.Version) bool {
 			for ; v != nil; v = v.Prev() {
 				s.versions = append(s.versions, versionAt{root, key, v.Seq, location(v.Loc())})
 			}
@@ -519,8 +525,7 @@ func referenceScan(t *testing.T, img *crashImage) (s *recovered, dups, apart int
 					meta.sealed = true
 				}
 				for _, p := range programmed[first] {
-					ptype, ok := checkOOB(p.oob, p.data)
-					if !ok || ptype != pageTypeRecord {
+					if !checkOOB(p.oob, p.data) {
 						continue
 					}
 					placed, err := record.Parse(p.data, p.oob, chunkSize)

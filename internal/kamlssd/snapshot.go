@@ -70,11 +70,6 @@ func (d *Device) execSnapshot(nsID uint32) (uint32, error) {
 			d.eng.Sleep(retryBackoff)
 			continue
 		}
-		if src.swapped {
-			src.mu.Unlock()
-			d.mu.Unlock()
-			return 0, ErrSwappedOut
-		}
 
 		d.nvMu.Lock()
 		snapID = d.nv.nextNSID

@@ -295,25 +295,6 @@ func TestTreeIndexNamespace(t *testing.T) {
 	})
 }
 
-func TestTreeIndexSwapOutAndReload(t *testing.T) {
-	withRig(t, testFlashConfig(), nil, func(r *rig) {
-		ns, _ := r.dev.CreateNamespace(NamespaceAttrs{Index: IndexTree})
-		for k := uint64(0); k < 200; k++ {
-			r.dev.Put(one(ns, k, val(k, 150)))
-		}
-		r.dev.Flush()
-		if err := r.dev.SwapOutIndex(ns); err != nil {
-			t.Fatal(err)
-		}
-		for k := uint64(0); k < 200; k += 13 {
-			v, err := r.dev.Get(ns, k)
-			if err != nil || !bytes.Equal(v, val(k, 150)) {
-				t.Fatalf("after reload %d: %v", k, err)
-			}
-		}
-	})
-}
-
 func TestTreeIndexCrashRestore(t *testing.T) {
 	fc := testFlashConfig()
 	r := newRig(fc, nil)

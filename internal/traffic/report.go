@@ -140,7 +140,9 @@ func (r *Report) FirstFailure() (AssertionResult, bool) {
 }
 
 // summarizeLatencies reduces a sample set (µs) to the report quantiles.
-// Quantile rank is the nearest-rank method on the sorted samples.
+// Quantile rank is the nearest-rank method on the sorted samples: the
+// p-quantile of N samples is the ceil(p·N)-th smallest, the rule
+// stats.Histogram and telemetry's histograms use too.
 func summarizeLatencies(us []int64) Latency {
 	if len(us) == 0 {
 		return Latency{}
@@ -148,14 +150,8 @@ func summarizeLatencies(us []int64) Latency {
 	sorted := append([]int64(nil), us...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	q := func(p float64) int64 {
-		rank := int(p*float64(len(sorted))+0.5) - 1
-		if rank < 0 {
-			rank = 0
-		}
-		if rank >= len(sorted) {
-			rank = len(sorted) - 1
-		}
-		return sorted[rank]
+		rank := int(math.Ceil(p*float64(len(sorted)))) - 1
+		return sorted[min(max(rank, 0), len(sorted)-1)]
 	}
 	return Latency{
 		P50: q(0.50), P90: q(0.90), P95: q(0.95), P99: q(0.99),

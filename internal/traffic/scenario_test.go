@@ -250,3 +250,17 @@ func TestArrivalShapes(t *testing.T) {
 		t.Fatalf("diurnal trough %v", got)
 	}
 }
+
+// The report's quantiles are nearest-rank: of 1070 samples the p99 is the
+// 1060th smallest (ceil(0.99·1070)), not the 1059th that rounding the rank
+// gives.
+func TestSummarizeLatenciesNearestRank(t *testing.T) {
+	us := make([]int64, 1070)
+	for i := range us {
+		us[i] = int64(len(us) - i) // 1070 down to 1: the input order must not matter
+	}
+	want := Latency{P50: 535, P90: 963, P95: 1017, P99: 1060, Max: 1070}
+	if got := summarizeLatencies(us); got != want {
+		t.Fatalf("summarizeLatencies(1..1070) = %+v, want %+v", got, want)
+	}
+}

@@ -266,11 +266,5 @@ func (t *TPCC) Payment(rng *rand.Rand) error {
 	})
 }
 
-// StockTable and friends expose table IDs for tests.
-func (t *TPCC) StockTable() uint32 { return t.stock }
-
-// DistrictTable returns the district table ID.
-func (t *TPCC) DistrictTable() uint32 { return t.district }
-
 // OrdersTable returns the orders table ID.
 func (t *TPCC) OrdersTable() uint32 { return t.orders }

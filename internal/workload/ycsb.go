@@ -25,18 +25,13 @@ var YCSBMixes = map[byte]YCSBMix{
 }
 
 // YCSBConfig sizes a YCSB run. The paper uses 20M 1024-byte records; the
-// default scales that down for simulation (shape-preserving).
+// experiments scale that down for simulation (shape-preserving).
 type YCSBConfig struct {
 	Workload  byte // 'a', 'b', 'c', 'd', 'f'
 	Records   int
 	ValueSize int
 	// Uniform selects uniform instead of scrambled-zipfian requests.
 	Uniform bool
-}
-
-// DefaultYCSBConfig returns a laptop-scale configuration.
-func DefaultYCSBConfig(workload byte) YCSBConfig {
-	return YCSBConfig{Workload: workload, Records: 2000, ValueSize: 1024}
 }
 
 // YCSB drives one YCSB workload against a storage engine.

@@ -618,7 +618,7 @@ func (d *Device) NamespaceKeys(ns Namespace) ([]uint64, error) {
 // record otherwise leaves the staging buffers only when the page it shares
 // with its neighbours fills, so a quiet device keeps its last few records
 // in NVRAM indefinitely. Call it to settle the flash layout: after a bulk
-// load, before measuring reads from flash, before swapping an index out.
+// load, before measuring reads from flash.
 func (d *Device) Flush() { d.dev.Flush() }
 
 // TuneNamespaceLogs changes how many logs serve the namespace (Fig. 8).
