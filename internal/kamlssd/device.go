@@ -31,7 +31,7 @@
 //	                  assignment. Put and the flusher's and GC's installs
 //	                  take the write lock; Get does NOT take it — see "The
 //	                  read contract" below.
-//	lg.mu  (Mutex)    one per log: packer, pending records, sealed queue,
+//	lg.mu  (Mutex)    one per log: open pages, sealed queue,
 //	                  append points, free lists, per-block valid-byte
 //	                  accounting. spaceCv (a writer waiting for the page it
 //	                  left to a full queue), workCv (the flusher), freeCv
@@ -268,6 +268,9 @@ type Stats struct {
 	// RecordsRerouted counts records a full sealed queue sent on to their
 	// namespace's next log (kaml_ssd_records_rerouted_total, all logs).
 	RecordsRerouted int64
+	// HotPages counts pages sealed from the logs' hot host streams
+	// (kaml_ssd_hot_pages_total, all logs).
+	HotPages int64
 
 	// Fault handling.
 	ProgramRetries int64 // failed programs rewritten to a fresh page
@@ -520,6 +523,7 @@ func (d *Device) Stats() Stats {
 	for _, lg := range d.logs {
 		st.GCErases += lg.gcErases.Value()
 		st.RecordsRerouted += lg.rerouted.Value()
+		st.HotPages += lg.hotPages.Value()
 	}
 	return st
 }

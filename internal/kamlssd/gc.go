@@ -83,6 +83,11 @@ func (c *collector) loop() {
 				// the answer may have changed (set under the same hold of
 				// lg.mu as the scan, so no such event can fall between).
 				lg.gcStarved = !ok
+				if !ok {
+					// A flusher out of blocks may share its other host
+					// stream's open block now (nextPPN).
+					lg.freeCv.Broadcast()
+				}
 			}
 			lg.mu.Unlock()
 			if done || !ok {
@@ -269,8 +274,12 @@ func (c *collector) collectBlock(chipIdx, block int) {
 		return
 	}
 	lg.gcErases.Inc()
+	d.nvMu.Lock()
+	erased := d.nv.nvSeq
+	d.nvMu.Unlock()
 	lg.mu.Lock()
 	bm := &lg.chips[chipIdx].blocks[block]
+	lg.learnHotLife(bm, erased)
 	bm.sealed = false
 	bm.validBytes = 0
 	retire := bm.progFailed > 0
@@ -292,6 +301,19 @@ func (c *collector) collectBlock(chipIdx, block int) {
 		d.nvMu.Unlock()
 		d.ctr.blocksRetired.Inc()
 	}
+}
+
+// learnHotLife measures the lifetime of a host block the collector has just
+// erased, from its birth to erased, the NVRAM sequence at the erase: a hot
+// block's sets the log's hotLife, and so does a cold block's until a hot one
+// has been collected. A block whose birth the log did not see (recovered, or
+// the GC stream's: born 0) teaches nothing. Called with lg.mu held.
+func (lg *logState) learnHotLife(bm *blockMeta, erased uint64) {
+	if bm.born == 0 || (bm.stream == streamCold && lg.hotLearned) {
+		return
+	}
+	lg.hotLife = erased - bm.born
+	lg.hotLearned = lg.hotLearned || bm.stream == streamHot
 }
 
 // gcPagesNeeded estimates how many fresh pages relocating the victim's
@@ -318,8 +340,8 @@ func gcPagesNeeded(d *Device, live []gcRecord) int {
 // without another erase. Called with lg.mu held.
 func (lg *logState) gcCapacityPages() int {
 	pages := lg.freeBlocks * lg.d.fc.PagesPerBlock
-	if lg.activeGC != nil {
-		pages += lg.d.fc.PagesPerBlock - lg.activeGC.page
+	if gc := lg.active[streamGC]; gc != nil {
+		pages += lg.d.fc.PagesPerBlock - gc.page
 	}
 	return pages
 }
@@ -345,7 +367,7 @@ func (d *Device) recordLive(rec record.Record, loc location) bool {
 func (d *Device) gcProgram(lg *logState, data, oob []byte) (flash.PPN, error) {
 	for {
 		lg.mu.Lock()
-		ppn, err := lg.nextPPN(true)
+		ppn, err := lg.nextPPN(streamGC)
 		lg.mu.Unlock()
 		if err != nil {
 			panic(fmt.Sprintf("kamlssd: GC of log %d cannot allocate: %v", lg.id, err))

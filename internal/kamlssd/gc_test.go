@@ -264,7 +264,8 @@ func (c *churner) fillOpenBlock() {
 	lg := c.r.dev.logs[0]
 	for {
 		lg.mu.Lock()
-		atEnd := lg.activeHost == nil && lg.packer.Count() > 0 && lg.packer.FreeChunks() > 0
+		op := &lg.open[streamCold] // no block has been collected: nothing is hot
+		atEnd := lg.active[streamCold] == nil && op.packer.Count() > 0 && op.packer.FreeChunks() > 0
 		lg.mu.Unlock()
 		if atEnd {
 			return
@@ -321,7 +322,7 @@ func TestPowerCutWakesFreeBlockAndCollectorWaits(t *testing.T) {
 		r.e.Sleep(5 * time.Millisecond) // a tenth of the erase the flusher waits for
 		lg := r.dev.logs[0]
 		lg.mu.Lock()
-		free, open, left, queued := lg.freeBlocks, lg.activeHost, lg.sealWanted, len(lg.sealedQueue)
+		free, open, left, queued := lg.freeBlocks, lg.active[streamCold], lg.open[streamCold].sealWanted, len(lg.sealedQueue)
 		lg.mu.Unlock()
 		if free > gcReserveBlocks || open != nil || !left || queued != r.dev.cfg.QueueDepthPerLog {
 			t.Errorf("setup: log 0 has %d free blocks, open block %v, a page left for the flusher %v and %d queued: the writer is not waiting",

@@ -11,25 +11,32 @@ import (
 	"github.com/kaml-ssd/kaml/internal/telemetry"
 )
 
-// logState is one append-only log: a subset of the array's chips, an NVRAM
-// page buffer accumulating records (the packer), a bounded queue of sealed
-// pages awaiting program, exactly one flusher actor — so each log is a
-// strictly sequential append stream, which is why the log count bounds the
-// device's concurrent program operations (the effect behind Fig. 8) — and
-// exactly one collector actor reclaiming its blocks (gc.go).
+// logState is one append-only log: a subset of the array's chips, two NVRAM
+// pages accumulating records (one per host stream, see below), a bounded
+// queue of sealed pages awaiting program, exactly one flusher actor — so each
+// log is a strictly sequential program stream, which is why the log count
+// bounds the device's concurrent program operations (the effect behind
+// Fig. 8) — and exactly one collector actor reclaiming its blocks (gc.go).
 //
-// A record is durable at its batch's NVRAM commit marker, so the open page
+// A log appends to three streams, each with its own open block: two host
+// streams, cold and hot, and the collector's GC stream. A record goes to the
+// hot stream when its key was last rewritten within the lifetime of the
+// log's last collected hot block (streamFor): such a record is likely to die
+// before its block is collected, so a hot block dies nearly empty and the
+// cold blocks are not made victims by the rewrites mixed into them.
+//
+// A record is durable at its batch's NVRAM commit marker, so an open page
 // has no reason to leave NVRAM early: it is sealed when the next record does
 // not fit, when it becomes exactly full, or when somebody asks for the log
 // to be drained (Flush, Close) — never on a timer. A sealed page has no
-// flash address yet: the flusher gives it one when it dequeues it, so only
-// the flusher waits for an erased block. Nor does a writer wait for a full
-// sealed queue while another log of its namespace has room: it leaves its
-// full page to the flusher (sealWanted), which seals it as soon as a dequeue
-// makes room, and the record moves on (appendRecord). The log therefore
-// holds at most QueueDepthPerLog+2 pages of records in NVRAM: the open page,
-// the sealed queue, and the page being programmed (or waiting for its
-// block).
+// flash address yet: the flusher gives it one from its stream when it
+// dequeues it, so only the flusher waits for an erased block. Nor does a
+// writer wait for a full sealed queue while another log of its namespace has
+// room: it leaves its full page to the flusher (sealWanted), which seals it
+// as soon as a dequeue makes room, and the record moves on (appendRecord).
+// The log therefore holds at most QueueDepthPerLog+3 pages of records in
+// NVRAM: the two open pages, the sealed queue, and the page being programmed
+// (or waiting for its block).
 //
 // Every field below mu is guarded by mu, the per-log lock of the device's
 // hierarchy (see device.go): Puts routed to different logs, and each log's
@@ -42,14 +49,9 @@ type logState struct {
 
 	chips []*logChip
 
-	packer      *record.Packer
-	pending     []pendingRec // records in the open packer
-	pageSeq     uint64       // pages sealed so far: the open page's identity across a wait
+	open        [numHostStreams]openPage
+	pageSeq     uint64 // pages sealed so far: an open page's identity across a wait
 	sealedQueue []sealedPage
-	// sealWanted marks an open page that a writer left because the sealed
-	// queue was full. Only a dequeue makes room, so the flusher seals the page
-	// right after one; until then the queue stays full.
-	sealWanted bool
 	// inflight is the page the flusher is programming right now, held by
 	// value; its data is nil while the flusher programs nothing.
 	inflight sealedPage
@@ -59,22 +61,28 @@ type logState struct {
 	spaceCv *sim.Cond // on mu: the flusher sealed a page a writer left / power cut
 	workCv  *sim.Cond // on mu: sealed page queued / drain requested / device closed
 
-	activeHost *appendPoint
-	activeGC   *appendPoint
-	nextChip   int // rotate block allocation across the log's chips
+	active   [numStreams]*appendPoint // each stream's open block (nil: none)
+	nextChip int                      // rotate block allocation across the log's chips
 	// resume holds the partially-programmed blocks recovery found, in scan
 	// order, each at its first unprogrammed page: openBlock hands them out
 	// before any erased block. They are neither free nor sealed.
 	resume []appendPoint
+	// hotLife is the lifetime, in NVRAM seqs from its birth to its erase, of
+	// the last hot block the collector reclaimed — or, until one has been
+	// (hotLearned), of the last cold one. Zero on a new or recovered log: no
+	// record goes hot before a block of the log has been collected.
+	hotLife    uint64
+	hotLearned bool
 
 	freeBlocks int
 	// The log's collector and the flusher that waits for it meet on two
 	// conditions, each signalled by the event itself, under mu — nothing
-	// polls. freeCv: collectBlock returned a block to the free list (or power
-	// was cut); the flusher, out of erased blocks, waits here (hostPPN). gcCv:
-	// a block was opened below GCLowWater, something collectible may have
-	// appeared on a starved log, or the device is stopping; the collector
-	// waits here (collector.loop).
+	// polls. freeCv: collectBlock returned a block to the free list, the
+	// collector parked starved (the capacity edge of nextPPN may apply now),
+	// or power was cut; the flusher, out of erased blocks, waits here
+	// (hostPPN). gcCv: a block was opened below GCLowWater, something
+	// collectible may have appeared on a starved log, or the device is
+	// stopping; the collector waits here (collector.loop).
 	freeCv *sim.Cond
 	gcCv   *sim.Cond
 	// gcStarved is set by the collector when the log is below its watermark
@@ -90,7 +98,33 @@ type logState struct {
 	gcErases         telemetry.Counter                // victim erases (incl. failed-erase retirements)
 	wearMin, wearMax telemetry.Gauge                  // erase-count spread, refreshed at each victim scan
 	sealed           [numSealCauses]telemetry.Counter // pages that left the packer, by why
+	hotPages         telemetry.Counter                // of those, pages of the hot stream
 	rerouted         telemetry.Counter                // records sent on to their namespace's next log: the queue was full
+}
+
+// A log's append streams. The host streams index logState.open; all three
+// index logState.active.
+const (
+	streamCold = iota // host records whose key was not rewritten lately
+	streamHot         // host records whose key was (streamFor)
+	streamGC          // the collector's relocations
+
+	numHostStreams = streamGC
+	numStreams     = streamGC + 1
+)
+
+// openPage is one host stream's page filling in NVRAM.
+type openPage struct {
+	packer  *record.Packer
+	pending []pendingRec // records in the packer
+	// sealWanted marks a page that a writer left because the sealed queue was
+	// full. Only a dequeue makes room, so the flusher seals the page right
+	// after one; until then the queue stays full. leftAt is the log's pageSeq
+	// when the page was left: of two left pages the flusher seals the one
+	// left first, so a page refilled and left again after every dequeue
+	// cannot hold the other back.
+	sealWanted bool
+	leftAt     uint64
 }
 
 // sealCause says why an open page left NVRAM's packer for the program queue.
@@ -115,8 +149,12 @@ type logChip struct {
 type blockMeta struct {
 	sealed     bool
 	retired    bool
+	stream     int // the stream that opened the block; recovered blocks count as cold
 	validBytes int64
 	progFailed int // program failures observed in this block's current life
+	// born is the newest seq on the block's first page, set when a host
+	// stream allocates it; zero for a block whose birth this log did not see.
+	born uint64
 }
 
 type appendPoint struct {
@@ -138,19 +176,20 @@ type pendingRec struct {
 }
 
 // sealedPage is a page image on its way to flash. Its ppn is zero while it
-// waits in the sealed queue: the flusher assigns one when it dequeues it.
+// waits in the sealed queue: the flusher assigns one from the page's host
+// stream when it dequeues it.
 type sealedPage struct {
 	ppn     flash.PPN
+	stream  int
 	data    []byte
 	oob     []byte
 	pending []pendingRec
 }
 
 func newLogState(d *Device, id int) *logState {
-	lg := &logState{
-		id:     id,
-		d:      d,
-		packer: record.NewPacker(d.fc.PageSize, chunkSize),
+	lg := &logState{id: id, d: d}
+	for s := range lg.open {
+		lg.open[s].packer = record.NewPacker(d.fc.PageSize, chunkSize)
 	}
 	lg.mu = d.eng.NewMutex(fmt.Sprintf("kaml-log%d", id))
 	lg.spaceCv = d.eng.NewCond(lg.mu)
@@ -175,28 +214,39 @@ func (lg *logState) chipAddr(chipIdx int) (channel, chip int) {
 	return g / lg.d.fc.ChipsPerChannel, g % lg.d.fc.ChipsPerChannel
 }
 
-// gcReserveBlocks is how many free blocks per log the host append stream
+// gcReserveBlocks is how many free blocks per log the host append streams
 // must leave untouched so the garbage collector can always make progress
 // (relocating one victim can span two GC-stream blocks when the current
 // one is nearly full).
 const gcReserveBlocks = 2
 
-// nextPPN allocates the next sequential page of the stream (host or GC),
-// opening a fresh block when needed. Called with lg.mu held.
-func (lg *logState) nextPPN(forGC bool) (flash.PPN, error) {
-	ap := &lg.activeHost
-	if forGC {
-		ap = &lg.activeGC
-	}
+// nextPPN allocates the next sequential page of stream s, opening a fresh
+// block when needed. A host stream that needs a block while the log is at
+// its reserve and its collector is starved shares the other host stream's
+// open block, if it has one: two host streams hold two open blocks where one
+// stream held one, and without the share a log at that edge would wait for
+// a block that only the other stream's filling can make collectible. Called
+// with lg.mu held.
+func (lg *logState) nextPPN(s int) (flash.PPN, error) {
+	ap := &lg.active[s]
 	if *ap == nil {
-		if !forGC && len(lg.resume) == 0 && lg.freeBlocks <= gcReserveBlocks {
-			return 0, fmt.Errorf("kamlssd: log %d out of free blocks", lg.id)
+		if s != streamGC && len(lg.resume) == 0 && lg.freeBlocks <= gcReserveBlocks {
+			other := &lg.active[numHostStreams-1-s] // the other host stream's
+			if !lg.gcStarved || *other == nil {
+				return 0, fmt.Errorf("kamlssd: log %d out of free blocks", lg.id)
+			}
+			ap = other
+		} else {
+			cp, err := lg.openBlock()
+			if err != nil {
+				return 0, err
+			}
+			if cp.page == 0 {
+				bm := &lg.chips[cp.chip].blocks[cp.block]
+				bm.stream, bm.born = s, 0
+			}
+			*ap = cp
 		}
-		cp, err := lg.openBlock()
-		if err != nil {
-			return 0, err
-		}
-		*ap = cp
 	}
 	p := *ap
 	ch, chip := lg.chipAddr(p.chip)
@@ -240,7 +290,7 @@ func (lg *logState) openBlock() (*appendPoint, error) {
 	return nil, fmt.Errorf("kamlssd: log %d out of free blocks", lg.id)
 }
 
-// hostPPN is nextPPN for the host stream that waits, while the log is out of
+// hostPPN is nextPPN for a host stream that waits, while the log is out of
 // erased blocks, for the log's collector to return one — the paper's
 // free-block watermark backpressure. Only the flusher calls it, for the page
 // it has just dequeued, so a stall behind garbage collection holds up this
@@ -251,8 +301,8 @@ func (lg *logState) openBlock() (*appendPoint, error) {
 // so the block that took the log there signalled gcCv, and a collector that
 // has parked since is starved and waits for gcRetry. Reports false on a power
 // cut. Called with lg.mu held, which the wait releases; returns with it held.
-func (lg *logState) hostPPN() (flash.PPN, bool) {
-	ppn, err := lg.nextPPN(false)
+func (lg *logState) hostPPN(stream int) (flash.PPN, bool) {
+	ppn, err := lg.nextPPN(stream)
 	if err == nil {
 		return ppn, true
 	}
@@ -266,7 +316,7 @@ func (lg *logState) hostPPN() (flash.PPN, bool) {
 		if d.crashed.Load() {
 			return 0, false
 		}
-		ppn, err = lg.nextPPN(false)
+		ppn, err = lg.nextPPN(stream)
 	}
 	if d.tel != nil {
 		d.freeBlockWait.ObserveDuration(d.eng.NowCheap() - start)
@@ -302,43 +352,67 @@ func (lg *logState) hasRoom() bool {
 	return len(lg.sealedQueue) < lg.d.cfg.QueueDepthPerLog
 }
 
-// sealPacker moves the open packer — which the caller found non-empty — to
-// the back of the sealed queue and counts the seal under its cause. It never
-// waits: the page takes its flash address only when the flusher dequeues it,
-// and the caller has checked that the queue has room (or is the flusher
-// draining an empty queue). Called with lg.mu held.
-func (lg *logState) sealPacker(cause sealCause) {
-	if lg.packer.FreeChunks() == 0 {
+// sealPacker moves stream s's open page — which the caller found non-empty —
+// to the back of the sealed queue and counts the seal under its cause. It
+// never waits: the page takes its flash address only when the flusher
+// dequeues it, and the caller has checked that the queue has room (or is the
+// flusher draining an empty queue). Called with lg.mu held.
+func (lg *logState) sealPacker(s int, cause sealCause) {
+	op := &lg.open[s]
+	if op.packer.FreeChunks() == 0 {
 		// Whoever seals a full page — its filler, a writer that met it full, or
 		// the flusher that found it left full — it left because it was full.
 		cause = sealFull
 	}
 	lg.sealed[cause].Inc()
-	lg.d.sealedChunks.Observe(int64(lg.d.fc.PageSize/chunkSize - lg.packer.FreeChunks()))
+	if s == streamHot {
+		lg.hotPages.Inc()
+	}
+	lg.d.sealedChunks.Observe(int64(lg.d.fc.PageSize/chunkSize - op.packer.FreeChunks()))
 	lg.pageSeq++
-	lg.sealWanted = false
-	data, bitmap := lg.packer.Finish()
+	op.sealWanted = false
+	data, bitmap := op.packer.Finish()
 	oob := lg.d.buildOOB(bitmap, data)
-	pend := lg.pending
-	lg.pending = nil
+	pend := op.pending
+	op.pending = nil
 	if n := len(lg.spare); n > 0 {
-		lg.pending = lg.spare[n-1]
+		op.pending = lg.spare[n-1]
 		lg.spare = lg.spare[:n-1]
 	}
-	lg.sealedQueue = append(lg.sealedQueue, sealedPage{data: data, oob: oob, pending: pend})
+	lg.sealedQueue = append(lg.sealedQueue, sealedPage{stream: s, data: data, oob: oob, pending: pend})
 	lg.workCv.Signal() // wake an idle flusher
 }
 
-// sealOrLeave is a writer's seal: it seals the open page if the queue has
-// room and otherwise leaves it to the flusher, marked sealWanted. Reports
-// whether it sealed. Called with lg.mu held.
-func (lg *logState) sealOrLeave(cause sealCause) bool {
+// sealOrLeave is a writer's seal: it seals stream s's open page if the queue
+// has room and otherwise leaves it to the flusher, marked sealWanted.
+// Reports whether it sealed. Called with lg.mu held.
+func (lg *logState) sealOrLeave(s int, cause sealCause) bool {
 	if lg.hasRoom() {
-		lg.sealPacker(cause)
+		lg.sealPacker(s, cause)
 		return true
 	}
-	lg.sealWanted = true
+	if op := &lg.open[s]; !op.sealWanted {
+		op.sealWanted, op.leftAt = true, lg.pageSeq
+	}
 	return false
+}
+
+// openEmpty reports whether both open pages are empty. Called with lg.mu
+// held.
+func (lg *logState) openEmpty() bool {
+	return lg.open[streamCold].packer.Empty() && lg.open[streamHot].packer.Empty()
+}
+
+// streamFor is the host stream of a record with NVRAM sequence seq whose
+// key's previous version has sequence prev (zero for a new key): hot when
+// the key was rewritten within the lifetime of the log's last collected hot
+// block, because then this version too is likely to die before a block it
+// shares with such records is collected. Called with lg.mu held.
+func (lg *logState) streamFor(seq, prev uint64) int {
+	if prev != 0 && seq-prev < lg.hotLife {
+		return streamHot
+	}
+	return streamCold
 }
 
 // route returns the log ns is appending to right now and the cursor value
@@ -348,29 +422,32 @@ func (d *Device) route(ns *namespace) (*logState, uint64) {
 	return d.logs[ns.logIDs[cur%uint64(len(ns.logIDs))]], cur
 }
 
-// appendRecord adds one NVRAM-staged record to the open page of lg, the log
-// route picked for ns at cursor value cur. It is the tail of Put's phase 1b
-// and of recovery's re-staging alike. The page is sealed when the record
-// does not fit or fills it exactly, and every seal moves the namespace on to
-// its next log — the cursor advances per page, not per record, so records
-// pack, and while no queue is full a namespace's pages stay balanced across
-// its logs to within one (an exact-fit seal counts: a cursor that moved only
-// on "does not fit" would pin a namespace of page-dividing records to one
-// log). The cursor moves before the seal. A log whose sealed queue is full
+// appendRecord adds one NVRAM-staged record to an open page of lg, the log
+// route picked for ns at cursor value cur: the page of the host stream the
+// record's temperature picks on that log (streamFor, from prev, the seq of
+// the version it supersedes). It is the tail of Put's phase 1b and of
+// recovery's re-staging alike. The page is sealed when the record does not
+// fit or fills it exactly, and every seal moves the namespace on to its next
+// log — the cursor advances per page, not per record, so records pack, and
+// while no queue is full a namespace's pages stay balanced across its logs to
+// within one, whichever stream sealed them (an exact-fit seal counts: a
+// cursor that moved only on "does not fit" would pin a namespace of
+// page-dividing records to one log). The cursor moves before the seal. A log whose sealed queue is full
 // keeps its page for its flusher to seal (sealOrLeave), and a record that
-// did not fit follows the cursor to the namespace's next log. Only a writer
-// that has met every log of its namespace full in a row — the device is
-// flash-bound — waits, on the last log's spaceCv, until that log's flusher
-// seals the page it left: the NVRAM backpressure that ties Put bandwidth to
-// the logs' append bandwidth. Fails only on a power cut, with the record not
-// routed. Called with no lock held.
-func (d *Device) appendRecord(ns *namespace, lg *logState, cur uint64, rec record.Record, staged time.Duration) error {
+// did not fit follows the cursor to the namespace's next log, whose own
+// temperature judges it again. Only a writer that has met every log of its
+// namespace full in a row — the device is flash-bound — waits, on the last
+// log's spaceCv, until that log's flusher seals a page: the NVRAM
+// backpressure that ties Put bandwidth to the logs' append bandwidth. Fails
+// only on a power cut, with the record not routed. Called with no lock held.
+func (d *Device) appendRecord(ns *namespace, lg *logState, cur uint64, rec record.Record, prev uint64, staged time.Duration) error {
 	size := rec.EncodedSize()
 	full := 0 // logs met in a row with a full queue
 	lg.mu.Lock()
-	for !lg.packer.Fits(size) {
+	s := lg.streamFor(rec.Seq, prev)
+	for !lg.open[s].packer.Fits(size) {
 		ns.rr.CompareAndSwap(cur, cur+1)
-		if lg.sealOrLeave(sealNoFit) {
+		if lg.sealOrLeave(s, sealNoFit) {
 			continue
 		}
 		full++
@@ -384,6 +461,7 @@ func (d *Device) appendRecord(ns *namespace, lg *logState, cur uint64, rec recor
 			lg.rerouted.Inc()
 			lg, cur = next, nextCur
 			lg.mu.Lock()
+			s = lg.streamFor(rec.Seq, prev)
 			continue
 		}
 		lg.mu.Lock()
@@ -398,15 +476,16 @@ func (d *Device) appendRecord(ns *namespace, lg *logState, cur uint64, rec recor
 		}
 		full = 0
 	}
-	chunk := lg.packer.Add(rec)
-	lg.pending = append(lg.pending, pendingRec{
+	op := &lg.open[s]
+	chunk := op.packer.Add(rec)
+	op.pending = append(op.pending, pendingRec{
 		ns: rec.Namespace, key: rec.Key, seq: rec.Seq,
 		chunk: chunk, size: size, staged: staged,
 	})
 	switch {
-	case lg.packer.FreeChunks() == 0:
+	case op.packer.FreeChunks() == 0:
 		ns.rr.CompareAndSwap(cur, cur+1)
-		lg.sealOrLeave(sealFull)
+		lg.sealOrLeave(s, sealFull)
 	case d.drainers.Load() > 0:
 		lg.workCv.Signal() // a Flush is waiting for this record too
 	}
@@ -415,15 +494,16 @@ func (d *Device) appendRecord(ns *namespace, lg *logState, cur uint64, rec recor
 }
 
 // flusherLoop programs sealed pages in order and installs flash locations.
-// A page takes its flash address when the flusher dequeues it (hostPPN): one
-// flusher per log allocating in queue order keeps every block programmed in
-// order, and a wait for an erased block stalls this log's programs, not a
-// writer. The dequeue is also the one thing that makes room in the queue, so
-// right after it the flusher seals a page a writer left full (sealWanted) —
-// if the queue has room then: a page whose program failed re-enters the
-// queue beyond its depth. It seals a partially-filled packer only on
-// request, into an empty queue: while a Flush is waiting (d.drainers) or at
-// Close.
+// A page takes its flash address from its stream when the flusher dequeues
+// it (hostPPN): one flusher per log allocating in queue order keeps every
+// block programmed in order, and a wait for an erased block stalls this
+// log's programs, not a writer. The dequeue is also the one thing that makes
+// room in the queue, so right after it the flusher seals a page a writer
+// left full (sealWanted), the one left first if both were — if the queue has
+// room then: a page whose program failed re-enters the queue beyond its
+// depth. It seals a partially-filled
+// open page only on request, into an empty queue, one page per dequeue: while
+// a Flush is waiting (d.drainers) or at Close.
 func (d *Device) flusherLoop(lg *logState) {
 	defer func() {
 		if d.flushersLive.Add(-1) == 0 {
@@ -444,7 +524,7 @@ func (d *Device) flusherLoop(lg *logState) {
 		// for a non-empty open page, or shutdown. An open page by itself is not
 		// work — its records are durable where they are.
 		for len(lg.sealedQueue) == 0 && !d.closed.Load() &&
-			(lg.packer.Empty() || d.drainers.Load() == 0) {
+			(lg.openEmpty() || d.drainers.Load() == 0) {
 			lg.workCv.WaitIdle()
 		}
 		if d.crashed.Load() {
@@ -452,7 +532,7 @@ func (d *Device) flusherLoop(lg *logState) {
 			return
 		}
 		if len(lg.sealedQueue) == 0 {
-			if lg.packer.Empty() {
+			if lg.openEmpty() {
 				lg.mu.Unlock()
 				return // closed and fully drained
 			}
@@ -460,7 +540,11 @@ func (d *Device) flusherLoop(lg *logState) {
 			if d.closed.Load() {
 				cause = sealClose
 			}
-			lg.sealPacker(cause)
+			s := streamCold
+			if lg.open[s].packer.Empty() {
+				s = streamHot
+			}
+			lg.sealPacker(s, cause)
 		}
 		// The queue closes up in place, so the next seal appends into the
 		// same array instead of regrowing it.
@@ -468,14 +552,24 @@ func (d *Device) flusherLoop(lg *logState) {
 		n := copy(lg.sealedQueue, lg.sealedQueue[1:])
 		lg.sealedQueue[n] = sealedPage{}
 		lg.sealedQueue = lg.sealedQueue[:n]
-		if lg.sealWanted && lg.hasRoom() {
-			lg.sealPacker(sealNoFit)
-			lg.spaceCv.Broadcast() // a writer waiting for that page goes on
+		first := streamCold
+		if lg.open[streamHot].leftAt < lg.open[streamCold].leftAt {
+			first = streamHot // only a page that is sealWanted is sealed below
 		}
-		ppn, ok := lg.hostPPN()
+		for _, s := range [numHostStreams]int{first, numHostStreams - 1 - first} {
+			if lg.open[s].sealWanted && lg.hasRoom() {
+				lg.sealPacker(s, sealNoFit)
+				lg.spaceCv.Broadcast() // a writer waiting for that page goes on
+			}
+		}
+		ppn, ok := lg.hostPPN(sp.stream)
 		if !ok {
 			lg.mu.Unlock()
 			return // power cut: the records stay in NVRAM for recovery
+		}
+		if d.arr.Decode(ppn).Page == 0 {
+			_, lc, b := d.blockOf(ppn)
+			lc.blocks[b].born = newestSeq(sp.pending)
 		}
 		sp.ppn = ppn
 		lg.inflight = sp
@@ -533,6 +627,16 @@ func (d *Device) flusherLoop(lg *logState) {
 		lg.gcRetry() // the page's block may just have become collectible
 		lg.mu.Unlock()
 	}
+}
+
+// newestSeq is the highest NVRAM sequence among a page's records: the
+// birth of the block the page opens.
+func newestSeq(pending []pendingRec) uint64 {
+	var seq uint64
+	for _, pr := range pending {
+		seq = max(seq, pr.seq)
+	}
+	return seq
 }
 
 // installFlashLoc is phase 3 of Put for one record: swing the record's

@@ -10,8 +10,8 @@ import (
 // device owns the cells and bumps them directly whether or not anything is
 // exported; Stats() is a view of them, and the cells with a series name are
 // the ones the registry lists (export). The per-log cells — GC erases and
-// copied bytes, wear spread, sealed pages by cause, rerouted records — live
-// on their logState.
+// copied bytes, wear spread, sealed pages by cause, hot pages, rerouted
+// records — live on their logState.
 type counters struct {
 	gets, puts, putRecords   telemetry.Counter
 	nvramHits                telemetry.Counter
@@ -58,6 +58,7 @@ func (d *Device) export(r *telemetry.Registry) {
 	r.Help("kaml_ssd_pages_sealed_total", "Record pages that left the NVRAM packer for the program queue, per log and cause (full, nofit, drain, close).")
 	r.Help("kaml_ssd_sealed_page_chunks", "Chunks holding records in each sealed page (of PageSize/ChunkSize).")
 	r.Help("kaml_ssd_free_block_wait_seconds", "Time a log's flusher waited for its collector to return an erased block for the page it dequeued (virtual time).")
+	r.Help("kaml_ssd_hot_pages_total", "Pages sealed from the log's hot host stream (records whose key was rewritten within a hot block's lifetime), per log.")
 	r.Help("kaml_ssd_records_rerouted_total", "Records a full sealed queue sent on from this log to their namespace's next log, per log.")
 	r.Help("kaml_recovery_seconds", "Duration of the power-failure recovery that built this device, log scan to actors started (virtual time; no sample on a device that never crashed).")
 	r.Help("kaml_recovery_scanned_pages_total", "Programmed flash pages the recovery scan read.")
@@ -96,6 +97,7 @@ func (d *Device) export(r *telemetry.Registry) {
 		r.AdoptGauge(&lg.wearMin, "kaml_wear_erase_min", "log", lbl)
 		r.AdoptGauge(&lg.wearMax, "kaml_wear_erase_max", "log", lbl)
 		r.AdoptCounter(&lg.rerouted, "kaml_ssd_records_rerouted_total", "log", lbl)
+		r.AdoptCounter(&lg.hotPages, "kaml_ssd_hot_pages_total", "log", lbl)
 		for c := range lg.sealed {
 			r.AdoptCounter(&lg.sealed[c], "kaml_ssd_pages_sealed_total", "log", lbl, "cause", sealCauseNames[c])
 		}

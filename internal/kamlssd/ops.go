@@ -210,6 +210,10 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 		}
 		lg, cur := d.route(ns)
 		ns.mu.Unlock()
+		var prev uint64 // the superseded version's seq: the record's temperature
+		if p := node.Prev(); p != nil {
+			prev = p.Seq
+		}
 
 		totalProbes += probes
 		if isNew {
@@ -218,7 +222,7 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 		undo = append(undo, undoEntry{ns: ns, key: r.Key, node: node})
 
 		rec := record.Record{Namespace: r.Namespace, Key: r.Key, Seq: seq, Value: r.Value}
-		if aerr := d.appendRecord(ns, lg, cur, rec, stagedAt); aerr != nil {
+		if aerr := d.appendRecord(ns, lg, cur, rec, prev, stagedAt); aerr != nil {
 			return abort(aerr)
 		}
 		d.ctr.bytesWritten.Add(int64(len(r.Value)))

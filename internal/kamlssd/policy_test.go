@@ -24,6 +24,20 @@ func sealedPages(lg *logState) int64 {
 	return n
 }
 
+// leftPages reports whether some log holds an open page that a writer left
+// for its flusher to seal (sealWanted).
+func leftPages(d *Device) bool {
+	for _, lg := range d.logs {
+		lg.mu.Lock()
+		left := lg.open[streamCold].sealWanted || lg.open[streamHot].sealWanted
+		lg.mu.Unlock()
+		if left {
+			return true
+		}
+	}
+	return false
+}
+
 // A lone Put followed by nothing stays in NVRAM — readable, and never
 // programmed — for as long as nothing drains the device; it survives a power
 // cut; and Flush is what takes it to flash.
@@ -110,9 +124,10 @@ func TestExactFitSealsStayBalanced(t *testing.T) {
 }
 
 // Sixteen writers push a small device far faster than its flash programs.
-// NVRAM occupancy is bounded by construction — per log one open page, the
-// sealed queue and the page being programmed — plus one record per writer
-// (a Put stages its record before it routes it), with no watermark.
+// NVRAM occupancy is bounded by construction — per log an open page per host
+// stream, the sealed queue and the page being programmed — plus one record
+// per writer (a Put stages its record before it routes it), with no
+// watermark.
 func TestNVRAMOccupancyBounded(t *testing.T) {
 	const (
 		writers    = 16
@@ -121,7 +136,7 @@ func TestNVRAMOccupancyBounded(t *testing.T) {
 	)
 	r := newRig(testFlashConfig(), func(c *Config) { c.NumLogs = 2 })
 	cfg := r.dev.Config()
-	bound := int64(cfg.NumLogs*(cfg.QueueDepthPerLog+2)*8 + writers)
+	bound := int64(cfg.NumLogs*(numHostStreams+cfg.QueueDepthPerLog+1)*8 + writers)
 	r.e.Go("test", func() {
 		defer r.dev.Close()
 		ns, _ := r.dev.CreateNamespace(NamespaceAttrs{})
@@ -158,13 +173,20 @@ func TestNVRAMOccupancyBounded(t *testing.T) {
 		// (under ns.mu) and appending (under lg.mu) are not one step, so a
 		// record routed with a stale cursor lands on the log the namespace just
 		// left, and the storm can end with a partial open page on every log
-		// instead of on one — a full page fewer per extra partial one.
+		// instead of on one — a full page fewer per extra partial one. A page
+		// that filled behind a full queue is sealed by its flusher at the next
+		// dequeue, which may come after the last Put returned: wait for it.
+		for leftPages(r.dev) {
+			r.e.Sleep(10 * time.Microsecond)
+		}
 		var sealed, other, open int64
 		for _, lg := range r.dev.logs {
 			lg.mu.Lock()
 			sealed += lg.sealed[sealFull].Value()
 			other += sealedPages(lg) - lg.sealed[sealFull].Value()
-			open += int64(lg.packer.Count())
+			for s := range lg.open {
+				open += int64(lg.open[s].packer.Count())
+			}
 			lg.mu.Unlock()
 		}
 		if other != 0 {

@@ -516,8 +516,9 @@ func (d *Device) restageNVRAM(replay []uint64) error {
 		lg, cur := d.route(route)
 		route.mu.RUnlock()
 		// staged == 0: a replay must not pollute the install-latency histogram.
+		// prev == 0: a replay goes cold, as every recovered block counts.
 		rec := record.Record{Namespace: e.ns, Key: e.key, Seq: seq, Value: e.val}
-		if err := d.appendRecord(route, lg, cur, rec, 0); err != nil {
+		if err := d.appendRecord(route, lg, cur, rec, 0, 0); err != nil {
 			return err
 		}
 		d.ctr.replayedValues.Inc()

@@ -163,11 +163,12 @@ func (c *Client) readLoop(r *bufio.Reader) {
 }
 
 // poison records the first transport error and fails every outstanding
-// request with it. The pending channels have capacity 1, so delivery never
-// blocks. Transport deaths are branded ErrRetryable (a deliberate Close
-// is not): the request MAY have executed server-side, so only callers
-// with idempotent or cluster-replicated operations should retry.
-func (c *Client) poison(err error) {
+// request with it, and returns that verdict. The pending channels have
+// capacity 1, so delivery never blocks. Transport deaths are branded
+// ErrRetryable (a deliberate Close is not): the request MAY have executed
+// server-side, so only callers with idempotent or cluster-replicated
+// operations should retry.
+func (c *Client) poison(err error) error {
 	err = wrapRetryable(err)
 	c.mu.Lock()
 	if c.err == nil {
@@ -181,6 +182,7 @@ func (c *Client) poison(err error) {
 	for _, ch := range failed {
 		ch <- rframe{err: verdict}
 	}
+	return verdict
 }
 
 // completionChans pools the capacity-1 channels requests ride on. Each
@@ -222,8 +224,7 @@ func (c *Client) start(kind byte, payload []byte) (chan rframe, error) {
 	if err != nil {
 		// A mid-stream write error is a torn connection: this request AND
 		// every other outstanding one must fail, and the client stays dead.
-		c.poison(err)
-		return nil, err
+		return nil, c.poison(err)
 	}
 	return ch, nil
 }
@@ -253,8 +254,7 @@ func (c *Client) startNSKey(kind byte, ns uint32, key uint64, val []byte) (chan 
 	}
 	c.wmu.Unlock()
 	if err != nil {
-		c.poison(err)
-		return nil, err
+		return nil, c.poison(err)
 	}
 	return ch, nil
 }

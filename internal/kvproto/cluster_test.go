@@ -1,6 +1,7 @@
 package kvproto
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -190,5 +191,32 @@ func TestRetryableBranding(t *testing.T) {
 		t.Fatal("dial to closed port succeeded")
 	} else if !errors.Is(err, ErrRetryable) {
 		t.Fatalf("refused dial %v is not ErrRetryable", err)
+	}
+}
+
+// brokenPipe is a connection whose every write fails, as a torn one's does.
+type brokenPipe struct{ net.Conn }
+
+func (brokenPipe) Write([]byte) (int, error) { return 0, errors.New("write: broken pipe") }
+func (brokenPipe) Close() error              { return nil }
+
+// A request whose own frame write is the first to meet a torn connection
+// gets the verdict it poisoned the client with, branded retryable — both
+// the framed ops (start) and the hot Get/Put path (startNSKey).
+func TestWriteErrorIsRetryable(t *testing.T) {
+	for _, op := range []struct {
+		name string
+		do   func(c *Client) error
+	}{
+		{"create", func(c *Client) error { _, err := c.CreateNamespace(10); return err }},
+		{"put", func(c *Client) error { return c.Put(1, 1, []byte("x")) }},
+	} {
+		c := &Client{conn: brokenPipe{}, w: bufio.NewWriterSize(brokenPipe{}, 16), pending: make(map[uint64]chan rframe)}
+		if err := op.do(c); !errors.Is(err, ErrRetryable) {
+			t.Errorf("%s over a failing write returned %v, want ErrRetryable", op.name, err)
+		}
+		if err := op.do(c); !errors.Is(err, ErrRetryable) {
+			t.Errorf("%s on the poisoned client returned %v, want ErrRetryable", op.name, err)
+		}
 	}
 }
