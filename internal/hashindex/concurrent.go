@@ -6,9 +6,20 @@ import (
 	"sync/atomic"
 )
 
-// ConcurrentTable is the concurrency-safe variant of Table: the same
-// open-addressing, linear-probe, tombstone-deletion hash table, rebuilt so
-// that Get acquires no lock at all.
+// ConcurrentTable is an open-addressing, linear-probe, tombstone-deletion
+// hash table whose Get acquires no lock at all.
+//
+// Ordered probing. Every cluster (run of non-empty slots) is kept sorted
+// by (home slot, key) — Robin Hood hashing, or ordered linear probing
+// (Amble & Knuth). An insert walks from its key's home to the first slot
+// that does not sort before the key, reuses it in place if it holds a
+// tombstone, and otherwise shifts the run from there up to the next empty
+// slot or tombstone right by one. The occupied slots are the ones plain
+// linear probing would fill, so the sum of displacements — the mean probe
+// count of a hit — is unchanged; only its spread shrinks, and a lookup
+// stops at the first occupant that sorts after its key, so a miss costs
+// about what a hit costs. Without tombstones the layout is a function of
+// the key set alone, whatever the insertion order.
 //
 // Layout. The key space is split across a fixed number of stripes by the
 // top bits of the mixed hash; each stripe is an independent sub-table whose
@@ -18,6 +29,14 @@ import (
 // writer mutex; readers snapshot the counter, read the slot, and accept the
 // read only if the counter is still the same even value — otherwise they
 // re-read. A torn (half-written) key/val pair is therefore unobservable.
+//
+// A shift copies slots right to left, one seqlocked write each, so between
+// two writes the run holds one key twice and every instant's array is a
+// sorted layout of all the keys. A reader scans left to right and meets the
+// writer at most once: it sees old slots before the crossing and shifted
+// slots after it, finds a moving key at its old slot or the next one, and
+// never meets a false empty slot or an occupant that falsely sorts after
+// its key.
 //
 // Growth. AutoGrow rehashes one stripe at a time under its writer lock into
 // a freshly allocated slot array published through an atomic pointer — the
@@ -36,8 +55,8 @@ type ConcurrentTable struct {
 	// capHint is the requested logical capacity. Stripe arrays round up
 	// (power-of-two per stripe, minimum 8 slots), so without this budget a
 	// "NewConcurrent(8)" table would silently hold 64 entries; fixed-capacity
-	// tables instead report ErrFull once Len() reaches capHint, matching
-	// Table's semantics. AutoGrow tables ignore it.
+	// tables instead report ErrFull once Len() reaches capHint. AutoGrow
+	// tables ignore it.
 	capHint   int
 	retryHook func(int64) // observer of seqlock re-reads + epoch restarts; set via OnRetry before sharing
 	stripes   [numStripes]cstripe
@@ -135,7 +154,7 @@ func (t *ConcurrentTable) Len() int {
 func (t *ConcurrentTable) OnRetry(fn func(int64)) { t.retryHook = fn }
 
 // Get looks up key without acquiring any lock. probes counts slots scanned
-// (the firmware charges controller time per probe, exactly as for Table).
+// (the firmware charges controller time per probe).
 func (t *ConcurrentTable) Get(key uint64) (val uint64, probes int, err error) {
 	h := hash(key)
 	s := &t.stripes[h>>stripeShift]
@@ -183,13 +202,14 @@ func getProbe(arr *cslots, h, key uint64) (val uint64, probes int, found, ok boo
 			}
 			runtime.Gosched() // writer mid-update; let it finish
 		}
-		switch st {
-		case slotEmpty:
+		if st == slotEmpty {
 			return 0, p, false, true
-		case slotUsed:
-			if k == key {
-				return v, p, true, true
-			}
+		}
+		if st == slotUsed && k == key {
+			return v, p, true, true
+		}
+		if !sortsBefore(arr, i, k, key, uint64(p-1)) {
+			return 0, p, false, true // key would sit before this occupant
 		}
 		i = (i + 1) & arr.mask
 	}
@@ -215,8 +235,7 @@ func (t *ConcurrentTable) Put(key, val uint64) (probes int, existed bool, err er
 }
 
 // Upsert inserts or updates key in a single probe sequence and returns the
-// previous value when the key already existed (see Table.Upsert for why
-// the fused form exists).
+// previous value when the key already existed.
 func (t *ConcurrentTable) Upsert(key, val uint64) (old uint64, probes int, existed bool, err error) {
 	return t.upsert(key, val, true)
 }
@@ -243,58 +262,94 @@ func (t *ConcurrentTable) upsert(key, val uint64, overwrite bool) (old uint64, p
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	arr := s.arr.Load()
-	switch used := int(s.used.Load()); {
-	case t.autoGrow && used+s.ghosts >= len(arr.slot)*3/4:
-		arr = s.grow(len(arr.slot) * 2)
-	case used == len(arr.slot) && !t.insertFull():
-		// A fixed-capacity table's keys can hash unevenly enough to fill one
-		// stripe before the table holds capHint entries (a 40-key table is 5
-		// keys per 8-slot stripe on average). That is imbalance, not
-		// exhaustion: the budget is capHint, so give the stripe room.
-		arr = s.grow(len(arr.slot) * 2)
+	switch used, n := int(s.used.Load()), len(arr.slot); {
+	case t.autoGrow && used+s.ghosts >= n*3/4:
+		arr = s.grow(n * 2)
+	case used+s.ghosts == n && !t.insertFull():
+		// No empty slot is left, and an insert's shift needs one. A
+		// fixed-capacity table's keys can hash unevenly enough to fill one
+		// stripe before the table holds capHint entries (a 40-key table is
+		// 5 keys per 8-slot stripe on average). That is imbalance, not
+		// exhaustion: the budget is capHint, so give the stripe room. A
+		// stripe filled by tombstones is rebuilt at its size without them.
+		if used == n {
+			n *= 2
+		}
+		arr = s.grow(n)
 	}
-	i := h & arr.mask
-	firstFree := -1
+	i, probes, found := seek(arr, h, key)
+	if found {
+		sl := &arr.slot[i]
+		old = sl.val.Load()
+		if overwrite {
+			writeSlot(sl, key, val, slotUsed)
+		}
+		return old, probes, true, nil
+	}
+	// A stripe still without an empty slot here was not grown because the
+	// budget was spent; place would have nowhere to shift the run.
+	if t.insertFull() || int(s.used.Load())+s.ghosts == len(arr.slot) {
+		return 0, probes, false, ErrFull
+	}
+	if place(arr, i, key, val) {
+		s.ghosts--
+	}
+	s.used.Add(1)
+	return 0, probes, false, nil
+}
+
+// seek walks key's probe sequence under the stripe's writer lock. It
+// returns the slot holding key (found), or else the slot where ordered
+// probing places it: the first empty slot or occupant that does not sort
+// before key. probes counts the slots scanned.
+func seek(arr *cslots, h, key uint64) (i uint64, probes int, found bool) {
+	i = h & arr.mask
 	n := len(arr.slot)
 	for p := 1; p <= n; p++ {
 		sl := &arr.slot[i]
-		switch sl.state.Load() {
-		case slotEmpty:
-			if t.insertFull() {
-				return 0, p, false, ErrFull
-			}
-			if firstFree >= 0 {
-				sl = &arr.slot[firstFree]
-				s.ghosts--
-			}
-			writeSlot(sl, key, val, slotUsed)
-			s.used.Add(1)
-			return 0, p, false, nil
-		case slotTombstone:
-			if firstFree < 0 {
-				firstFree = int(i)
-			}
-		case slotUsed:
-			if sl.key.Load() == key {
-				old = sl.val.Load()
-				if overwrite {
-					writeSlot(sl, key, val, slotUsed)
-				}
-				return old, p, true, nil
-			}
+		st := sl.state.Load()
+		if st == slotEmpty {
+			return i, p, false
+		}
+		k := sl.key.Load()
+		if st == slotUsed && k == key {
+			return i, p, true
+		}
+		if !sortsBefore(arr, i, k, key, uint64(p-1)) {
+			return i, p, false
 		}
 		i = (i + 1) & arr.mask
 	}
-	if firstFree >= 0 {
-		if t.insertFull() {
-			return 0, n, false, ErrFull
-		}
-		writeSlot(&arr.slot[firstFree], key, val, slotUsed)
-		s.ghosts--
-		s.used.Add(1)
-		return 0, n, false, nil
+	return i, n, false
+}
+
+// sortsBefore reports whether occupant k of slot i comes before key in its
+// cluster's (home, key) order, key's probe having reached i at distance d.
+// An occupant nearer its own home than d has a later home; once the probe
+// meets one, key is not in the cluster.
+func sortsBefore(arr *cslots, i, k, key, d uint64) bool {
+	kd := (i - hash(k)) & arr.mask
+	return kd > d || (kd == d && k < key)
+}
+
+// place writes key into slot i, its place in the cluster's order, and
+// reports whether that consumed a tombstone. A tombstone at i is reused in
+// place; otherwise the run from i up to the next empty slot or tombstone
+// moves right by one slot. The copies go right to left, so a racing reader
+// finds every key (see ConcurrentTable). The caller holds the stripe's
+// writer lock and guarantees an empty slot.
+func place(arr *cslots, i, key, val uint64) (ghost bool) {
+	j := i
+	for arr.slot[j].state.Load() == slotUsed {
+		j = (j + 1) & arr.mask
 	}
-	return 0, n, false, ErrFull
+	ghost = arr.slot[j].state.Load() == slotTombstone
+	for ; j != i; j = (j - 1) & arr.mask {
+		src := &arr.slot[(j-1)&arr.mask]
+		writeSlot(&arr.slot[j], src.key.Load(), src.val.Load(), slotUsed)
+	}
+	writeSlot(&arr.slot[i], key, val, slotUsed)
+	return ghost
 }
 
 // Delete removes key. probes counts slots scanned.
@@ -304,24 +359,15 @@ func (t *ConcurrentTable) Delete(key uint64) (probes int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	arr := s.arr.Load()
-	i := h & arr.mask
-	n := len(arr.slot)
-	for p := 1; p <= n; p++ {
-		sl := &arr.slot[i]
-		switch sl.state.Load() {
-		case slotEmpty:
-			return p, ErrNotFound
-		case slotUsed:
-			if sl.key.Load() == key {
-				writeSlot(sl, sl.key.Load(), sl.val.Load(), slotTombstone)
-				s.used.Add(-1)
-				s.ghosts++
-				return p, nil
-			}
-		}
-		i = (i + 1) & arr.mask
+	i, probes, found := seek(arr, h, key)
+	if !found {
+		return probes, ErrNotFound
 	}
-	return n, ErrNotFound
+	sl := &arr.slot[i]
+	writeSlot(sl, key, sl.val.Load(), slotTombstone)
+	s.used.Add(-1)
+	s.ghosts++
+	return probes, nil
 }
 
 // grow rehashes the stripe into a fresh array of newCap slots (tombstones
@@ -340,16 +386,11 @@ func (s *cstripe) grow(newCap int) *cslots {
 		if sl.state.Load() != slotUsed {
 			continue
 		}
-		k, v := sl.key.Load(), sl.val.Load()
-		i := hash(k) & na.mask
-		for na.slot[i].state.Load() == slotUsed {
-			i = (i + 1) & na.mask
-		}
-		// Not yet published: no reader can see the new array, so plain
-		// ordered stores (no seq dance) suffice.
-		na.slot[i].key.Store(k)
-		na.slot[i].val.Store(v)
-		na.slot[i].state.Store(slotUsed)
+		// The same ordered insert as upsert's; no reader sees na before
+		// it is published, so its seqlock writes race nobody.
+		k := sl.key.Load()
+		i, _, _ := seek(na, hash(k), k)
+		place(na, i, k, sl.val.Load())
 	}
 	s.ghosts = 0
 	s.arr.Store(na)

@@ -8,51 +8,48 @@ import (
 	"testing"
 )
 
-// TestConcurrentMatchesTable drives an identical randomized op stream
-// through a ConcurrentTable and a plain Table and requires identical
-// results — same values, same found/not-found verdicts, same final
-// contents — across growth, tombstone churn, and reuse.
-func TestConcurrentMatchesTable(t *testing.T) {
+// TestConcurrentMatchesMap drives a randomized op stream through a
+// ConcurrentTable and a map and requires identical results — same values,
+// same found/not-found verdicts, same final contents — across growth,
+// tombstone churn, and reuse, with every cluster ordered at the end.
+func TestConcurrentMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ct := NewConcurrent(16, true)
-	ref := New(16)
-	ref.AutoGrow = true
+	ref := make(map[uint64]uint64)
 	const keySpace = 512
 	for op := 0; op < 20000; op++ {
 		key := uint64(rng.Intn(keySpace))
+		refVal, inRef := ref[key]
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3: // upsert
 			val := rng.Uint64()
-			oldC, _, existedC, errC := ct.Upsert(key, val)
-			oldR, _, existedR, errR := ref.Upsert(key, val)
-			if existedC != existedR || oldC != oldR || (errC == nil) != (errR == nil) {
-				t.Fatalf("op %d: Upsert(%d) diverged: concurrent (%d,%v,%v) vs ref (%d,%v,%v)",
-					op, key, oldC, existedC, errC, oldR, existedR, errR)
+			old, _, existed, err := ct.Upsert(key, val)
+			if err != nil || existed != inRef || (existed && old != refVal) {
+				t.Fatalf("op %d: Upsert(%d) = (%d,%v,%v), map has (%d,%v)", op, key, old, existed, err, refVal, inRef)
 			}
+			ref[key] = val
 		case 4: // delete
-			_, errC := ct.Delete(key)
-			_, errR := ref.Delete(key)
-			if (errC == nil) != (errR == nil) {
-				t.Fatalf("op %d: Delete(%d) diverged: %v vs %v", op, key, errC, errR)
+			if _, err := ct.Delete(key); (err == nil) != inRef {
+				t.Fatalf("op %d: Delete(%d) = %v, map has it: %v", op, key, err, inRef)
 			}
+			delete(ref, key)
 		default: // get
-			vC, _, errC := ct.Get(key)
-			vR, _, errR := ref.Get(key)
-			if vC != vR || (errC == nil) != (errR == nil) {
-				t.Fatalf("op %d: Get(%d) diverged: (%d,%v) vs (%d,%v)", op, key, vC, errC, vR, errR)
+			v, _, err := ct.Get(key)
+			if (err == nil) != inRef || v != refVal {
+				t.Fatalf("op %d: Get(%d) = (%d,%v), map has (%d,%v)", op, key, v, err, refVal, inRef)
 			}
 		}
 	}
-	if ct.Len() != ref.Len() {
-		t.Fatalf("Len diverged: %d vs %d", ct.Len(), ref.Len())
+	if ct.Len() != len(ref) {
+		t.Fatalf("Len diverged: %d vs %d", ct.Len(), len(ref))
 	}
-	ref.Range(func(k, v uint64) bool {
+	for k, v := range ref {
 		got, _, err := ct.Get(k)
 		if err != nil || got != v {
 			t.Fatalf("final content diverged at key %d: got (%d,%v), want %d", k, got, err, v)
 		}
-		return true
-	})
+	}
+	checkOrder(t, ct)
 }
 
 // checkVal derives the value a writer stores for (key, version): the low
@@ -86,13 +83,17 @@ func TestConcurrentRace(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 	var torn, stale atomic.Int64
+	// Each writer owns the keys congruent to its number: two writers racing
+	// on one key could leave the map and the table in opposite orders (a
+	// Put acknowledged after the other writer's Delete of the same key),
+	// and the final comparison would blame the table.
 	for w := 0; w < numWriters; w++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
+			rng := rand.New(rand.NewSource(int64(100 + w)))
 			for i := 0; i < opsPerG; i++ {
-				key := uint64(rng.Intn(keySpace))
+				key := uint64(rng.Intn(keySpace/numWriters)*numWriters + w)
 				if rng.Intn(8) == 0 {
 					refMu.Lock()
 					delete(ref, key)
@@ -108,7 +109,7 @@ func TestConcurrentRace(t *testing.T) {
 				ref[key] = uint64(version)
 				refMu.Unlock()
 			}
-		}(int64(100 + w))
+		}(w)
 	}
 	for r := 0; r < numReaders; r++ {
 		wg.Add(1)
@@ -156,6 +157,75 @@ func TestConcurrentRace(t *testing.T) {
 		if !checkValOK(key, val) {
 			t.Fatalf("post-race: key %d torn val %#x", key, val)
 		}
+	}
+}
+
+// TestOrderedInsertNeverHidesAKey races lock-free Gets against inserts that
+// shift runs of a dense stripe (run under -race in CI). In each round,
+// writers insert fresh keys into stripe 0 of a fresh fixed table, up to
+// load 0.9 of its 64 slots, so nearly every insert moves a long run;
+// readers Get keys whose insert was acknowledged before the read began, and
+// every one must be found with its value. A shift that copied left to
+// right would hide the key it had not yet re-written.
+func TestOrderedInsertNeverHidesAKey(t *testing.T) {
+	const (
+		stripeSlots = 64
+		numWriters  = 2
+		numReaders  = 2
+		perWriter   = stripeSlots * 9 / 10 / numWriters
+		rounds      = 100
+	)
+	var keys [numWriters][]uint64
+	for k, w := uint64(0), 0; len(keys[numWriters-1]) < perWriter; k++ {
+		if hash(k)>>stripeShift != 0 {
+			continue
+		}
+		if len(keys[w]) < perWriter {
+			keys[w] = append(keys[w], k)
+		}
+		w = (w + 1) % numWriters
+	}
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		ct := NewConcurrent(numStripes*stripeSlots, false) // never grows: no epoch swap
+		var acked [numWriters]atomic.Int64                 // keys[w][:acked[w]] are in the table
+		var wg sync.WaitGroup
+		var done atomic.Int32
+		for w := 0; w < numWriters; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				defer done.Add(1)
+				for i, k := range keys[w] {
+					if _, _, err := ct.Put(k, k*3+1); err != nil {
+						t.Errorf("Put(%d): %v", k, err)
+						return
+					}
+					acked[w].Store(int64(i + 1))
+				}
+			}(w)
+		}
+		for r := 0; r < numReaders; r++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for done.Load() < numWriters {
+					w := rng.Intn(numWriters)
+					hi := acked[w].Load()
+					if hi == 0 {
+						continue
+					}
+					k := keys[w][rng.Int63n(hi)]
+					v, _, err := ct.Get(k)
+					if err != nil || v != k*3+1 {
+						t.Errorf("round %d: key %d acknowledged before the read: Get = (%d, %v)", round, k, v, err)
+						return
+					}
+				}
+			}(int64(round*numReaders + r))
+		}
+		wg.Wait()
+		checkOrder(t, ct)
 	}
 }
 

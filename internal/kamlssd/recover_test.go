@@ -1003,3 +1003,58 @@ func TestNVRAMValueAlreadyOnFlashIsFinished(t *testing.T) {
 		})
 	}
 }
+
+// Ordered probing makes the mapping table's layout a function of its key
+// set, so the table recovery rebuilds in its own order is the one the device
+// had at the cut: every key's Get costs the probes it cost before. (Plain
+// linear probing places a key by insertion order, and the rebuild moved
+// them.)
+func TestRecoveredIndexProbesAsBefore(t *testing.T) {
+	const keys = 700 // load 0.68 of the 1024-slot table: long clusters
+	r := newRig(testFlashConfig(), nil)
+	r.e.Go("test", func() {
+		ns, err := r.dev.CreateNamespace(NamespaceAttrs{IndexCapacity: 1024})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		order := rand.New(rand.NewSource(3)).Perm(keys)
+		for i := 0; i < keys; i += 8 {
+			batch := make([]PutRecord, 0, 8)
+			for _, k := range order[i:min(i+8, keys)] {
+				batch = append(batch, PutRecord{Namespace: ns, Key: uint64(k), Value: val(uint64(k), 64)})
+			}
+			if err := r.dev.Put(batch); err != nil {
+				t.Errorf("put: %v", err)
+				return
+			}
+		}
+		probes := func(dev *Device) []int {
+			p := make([]int, keys)
+			for k := range p {
+				_, p[k] = dev.namespaces[ns].fam.chains.Lookup(uint64(k))
+			}
+			return p
+		}
+		before := probes(r.dev)
+		dev2, err := powerCycle(r.dev, r.arr, r.ctrl)
+		if err != nil {
+			t.Errorf("recover: %v", err)
+			return
+		}
+		defer dev2.Close()
+		after, moved := probes(dev2), 0
+		for k := range before {
+			if before[k] != after[k] {
+				if moved < 5 {
+					t.Errorf("key %d: %d probes before the cut, %d after recovery", k, before[k], after[k])
+				}
+				moved++
+			}
+		}
+		if moved > 0 {
+			t.Errorf("%d of %d keys changed probe count across recovery", moved, keys)
+		}
+	})
+	r.e.Wait()
+}

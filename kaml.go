@@ -412,7 +412,10 @@ type Namespace = uint32
 func (d *Device) CreateNamespace(opts NamespaceOptions) (Namespace, error) {
 	capacity := 0
 	if opts.ExpectedKeys > 0 {
-		capacity = opts.ExpectedKeys * 4 / 3 // ~0.75 load factor
+		// Each of the table's stripes rounds its share up to a power of two,
+		// so ExpectedKeys fill it to a load factor between 0.375 and 0.75
+		// (get-flash's 200 000 keys sit at 0.38).
+		capacity = opts.ExpectedKeys * 4 / 3
 	}
 	kind := kamlssd.IndexHash
 	if opts.TreeIndex {
