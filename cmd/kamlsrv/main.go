@@ -1,22 +1,14 @@
 // Command kamlsrv exposes a simulated KAML SSD as a networked key-value
-// store speaking kvproto: the line-oriented text protocol below, or the
-// framed pipelined v2 protocol for any connection whose first line is
-// "KVP2" (see internal/kvproto).
+// store speaking kvproto's one protocol, KVP2: a connection opens with the
+// line "KVP2", and then carries pipelined binary frames (the frame format
+// is in internal/kvproto/framed.go). Connect with kvproto.Dial; a
+// connection that opens with anything else is closed unanswered.
 //
 //	kamlsrv -addr 127.0.0.1:7040
 //
-// Try it with netcat:
-//
-//	$ printf 'CREATE 1000\nPUT 1 42 5\nhelloGET 1 42\nQUIT\n' | nc 127.0.0.1 7040
-//	NS 1
-//	OK
-//	VAL 5
-//	hello
-//	BYE
-//
 // With -cluster, kamlsrv instead serves a sharded, replicated cluster of
 // simulated devices (see internal/cluster): node i listens on the -addr
-// port plus i, every node speaks the framed KVP2 protocol only, and a
+// port plus i, every node's greeting carries the topology epoch, and a
 // request landing on the wrong node answers MOVED with the current
 // primary. Dial the whole node set with kvproto.DialCluster.
 //

@@ -64,8 +64,6 @@ const (
 	OpPut
 	OpPutBatch
 	OpSnapshot
-	OpCreateNS
-	OpDeleteNS
 )
 
 func (o Op) String() string {
@@ -78,10 +76,6 @@ func (o Op) String() string {
 		return "PutBatch"
 	case OpSnapshot:
 		return "Snapshot"
-	case OpCreateNS:
-		return "CreateNS"
-	case OpDeleteNS:
-		return "DeleteNS"
 	}
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
@@ -96,9 +90,9 @@ type Record struct {
 	Value     []byte
 }
 
-// Command is one typed request submitted to the pipeline. Get/Snapshot/
-// admin ops use Namespace and Key; writes carry Records (one for OpPut,
-// many for OpPutBatch).
+// Command is one typed request submitted to the pipeline. Get and Snapshot
+// use Namespace and Key; writes carry Records (one for OpPut, many for
+// OpPutBatch).
 type Command struct {
 	Op        Op
 	Namespace uint32
@@ -112,7 +106,7 @@ type Command struct {
 }
 
 // Result is a command's completion: the read value for Get, the created
-// namespace ID for Snapshot/CreateNS, and the terminal error if any.
+// namespace ID for Snapshot, and the terminal error if any.
 type Result struct {
 	Value     []byte
 	Namespace uint32
@@ -268,8 +262,8 @@ type Pipeline struct {
 	cfg  Config
 	exec func(*Command) Result
 
-	// Tracing, nil/empty without Config.Registry: the histograms and the
-	// registry rare ops register their stage series in on first use.
+	// Tracing, nil/empty without Config.Registry: the registry and the
+	// histograms export resolves in it.
 	reg          *telemetry.Registry
 	batchRecords *telemetry.Histogram
 	stage        [numOps][numStages]*telemetry.Histogram

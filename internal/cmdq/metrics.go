@@ -9,8 +9,8 @@ import (
 // Lifecycle stages traced per command. A command is timestamped at Submit
 // and at each transition; the deltas land in per-(op, stage) histograms:
 //
-//	queue    — submit → worker pickup (direct commands: Get, Snapshot,
-//	           admin; always zero for RunDirect commands, which never queue)
+//	queue    — submit → worker pickup (direct commands: Get, Snapshot;
+//	           always zero for RunDirect commands, which never queue)
 //	coalesce — submit → group-commit cut (coalesced writes: the window wait)
 //	exec     — the exec function's runtime; for writes this is the NVRAM
 //	           batch commit (flash install is asynchronous and measured by
@@ -27,7 +27,7 @@ const (
 var stageNames = [numStages]string{"queue", "coalesce", "exec", "total"}
 
 // numOps sizes the per-op instrument tables (Op values start at 1).
-const numOps = int(OpDeleteNS) + 1
+const numOps = int(OpSnapshot) + 1
 
 // export lists the pipeline's cells in r under their series names and
 // resolves the histograms, which exist only while a registry does: with
@@ -48,29 +48,16 @@ func (p *Pipeline) export(r *telemetry.Registry) {
 	r.AdoptCounter(&p.coalescedPuts, "kaml_cmdq_coalesced_puts_total")
 	r.AdoptCounter(&p.completionFlocks, "kaml_cmdq_completion_batches_total")
 	p.reg = r
-	// Eagerly register the stage series that matter for scraping (Get and
-	// Put cover the hot path; the rest register on first use).
-	for _, op := range []Op{OpGet, OpPut, OpPutBatch, OpSnapshot} {
+	for op := OpGet; int(op) < numOps; op++ {
 		for st := 0; st < numStages; st++ {
-			p.stageHist(op, st)
+			p.stage[op][st] = r.Histogram("kaml_cmdq_stage_seconds", telemetry.UnitSeconds,
+				"op", op.String(), "stage", stageNames[st])
 		}
 	}
 }
 
-func (p *Pipeline) stageHist(op Op, st int) *telemetry.Histogram {
-	h := p.reg.Histogram("kaml_cmdq_stage_seconds", telemetry.UnitSeconds,
-		"op", op.String(), "stage", stageNames[st])
-	p.stage[op][st] = h
-	return h
-}
-
-// observeStage records one stage latency, registering a rare (admin) op's
-// series on first use. Callers hold p.reg != nil — it guards their
-// timestamp reads.
+// observeStage records one stage latency. Callers hold p.reg != nil — it
+// guards their timestamp reads.
 func (p *Pipeline) observeStage(op Op, st int, d time.Duration) {
-	h := p.stage[op][st]
-	if h == nil {
-		h = p.stageHist(op, st)
-	}
-	h.ObserveDuration(d)
+	p.stage[op][st].ObserveDuration(d)
 }

@@ -1,12 +1,10 @@
 package kvproto
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -52,23 +50,12 @@ func NewClusterServer(cl *cluster.Cluster, node int) *ClusterServer {
 	return s
 }
 
-// Serve accepts connections until the listener closes. Unlike the
-// single-device server there is no text protocol: the first line must be
-// the KVP2 handshake.
-func (s *ClusterServer) Serve(ln net.Listener) error { return s.serve(ln, s.handle) }
+// Serve accepts connections until the listener closes.
+func (s *ClusterServer) Serve(ln net.Listener) error { return s.serve(ln, s) }
 
-func (s *ClusterServer) handle(conn net.Conn) {
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	line, err := r.ReadString('\n')
-	if err != nil || strings.TrimSpace(line) != Handshake {
-		return
-	}
-	fmt.Fprintf(w, "%s%d\n", epochReplyPrefix, s.cl.Epoch())
-	if err := w.Flush(); err != nil {
-		return
-	}
-	serveFramed(s, &s.listener, conn, r, w)
+// greeting carries the topology epoch as of the handshake.
+func (s *ClusterServer) greeting() string {
+	return fmt.Sprintf("%s%d\n", epochReplyPrefix, s.cl.Epoch())
 }
 
 func (s *ClusterServer) goExec(fn func()) { s.cl.Go(fn) }
@@ -87,7 +74,7 @@ func (s *ClusterServer) exec(kind byte, payload []byte) (byte, []byte) {
 	bad := func() (byte, []byte) { return stErr, []byte("bad frame") }
 	switch kind {
 	case reqGet, reqPut:
-		if len(payload) < 12 {
+		if len(payload) < 12 || kind == reqGet && len(payload) != 12 {
 			return bad()
 		}
 		if ns := binary.BigEndian.Uint32(payload[0:4]); ns != 0 {

@@ -119,6 +119,25 @@ func TestClusterMovedRedirect(t *testing.T) {
 	}
 }
 
+// TestClusterGetFrameIsExactly12Bytes: a cluster node, like a device
+// server, rejects a Get whose payload is not exactly namespace + key, even
+// when the key's shard is its own.
+func TestClusterGetFrameIsExactly12Bytes(t *testing.T) {
+	cl, addrs := startCluster(t)
+	key := uint64(5)
+	_, owner, _, ok := cl.PrimaryFor(key)
+	if !ok {
+		t.Fatal("no primary for key")
+	}
+	c := dialRaw(t, addrs[owner])
+	if st, pl := c.call(t, reqGet, append(nsKey(0, key), 0xEE)); st != stErr || string(pl) != "bad frame" {
+		t.Fatalf("13-byte Get answered status %d %q, want stErr \"bad frame\"", st, pl)
+	}
+	if st, pl := c.call(t, reqGet, nsKey(0, key)); st != stNotFound {
+		t.Fatalf("12-byte Get of a missing key answered status %d %q", st, pl)
+	}
+}
+
 // TestClusterClientFailover kills a shard primary and expects the cluster
 // client to chase MOVED redirects / refreshed topology to the survivor.
 func TestClusterClientFailover(t *testing.T) {

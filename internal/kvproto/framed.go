@@ -12,9 +12,10 @@ import (
 	kaml "github.com/kaml-ssd/kaml"
 )
 
-// The framed protocol (v2). A client opts in by sending the text line
-// "KVP2\n" as its first command; the server answers "OK KVP2\n" and the
-// connection switches to binary frames in both directions:
+// The KVP2 protocol. A client opens a connection with the line "KVP2\n";
+// the server greets it with "OK KVP2\n" (a cluster node with
+// "OK KVP2 EPOCH <n>\n") and the connection carries binary frames in both
+// directions from then on:
 //
 //	request:  u32 length | u8 op     | u64 reqID | payload
 //	response: u32 length | u8 status | u64 reqID | payload
@@ -25,8 +26,8 @@ import (
 // outstanding on one connection and match completions by ID, mirroring the
 // device's own submission/completion pipeline end to end.
 const (
-	// Handshake and HandshakeReply are the text-protocol escape hatch into
-	// framing.
+	// Handshake is the line that opens every connection; handshakeReply is
+	// a single-device server's greeting.
 	Handshake      = "KVP2"
 	handshakeReply = "OK KVP2\n"
 
@@ -148,7 +149,8 @@ func readFrame(r *bufio.Reader) (kind byte, id uint64, payload []byte, err error
 	return
 }
 
-// statsLine renders the STATS response shared by both protocol flavors.
+// statsLine renders a STATS response's payload, the same for a device and
+// for a cluster node's device.
 func statsLine(st kaml.Stats) string {
 	return fmt.Sprintf("STATS puts=%d gets=%d records=%d programs=%d gc_copies=%d gc_erases=%d "+
 		"pipeline_submitted=%d pipeline_completed=%d coalesced_puts=%d coalescer_batches=%d "+
@@ -158,18 +160,18 @@ func statsLine(st kaml.Stats) string {
 		st.PipelineMaxQueue, st.PipelineMeanQueue)
 }
 
-// framedBackend is what a framed connection needs from whoever owns the
-// storage: a way to run a command as a simulation actor and the command
-// decoder/executor itself. Server (one device) and ClusterServer (one node
-// of a cluster) both implement it, so the delicate reader/writer pump below
-// exists exactly once; the gauges and the backlog warning it reports to are
+// framedBackend is what a connection needs from whoever owns the storage:
+// the greeting that answers the handshake, a way to run a command as a
+// simulation actor, and the command decoder/executor itself. Server (one
+// device) and ClusterServer (one node of a cluster) both implement it, so
+// the handshake (listener.handle) and the delicate reader/writer pump below
+// exist exactly once; the gauges and the backlog warning it reports to are
 // the shared listener's.
 type framedBackend interface {
+	greeting() string                              // handshake reply line, newline included
 	goExec(fn func())                              // spawn fn as a simulation actor
 	exec(kind byte, payload []byte) (byte, []byte) // decode + run one frame (on an actor)
 }
-
-func (s *Server) goExec(fn func()) { s.dev.Go(fn) }
 
 // serveFramed pumps one framed connection. A reader
 // loop (this goroutine) admits up to maxInFlight commands, each executing

@@ -2,82 +2,13 @@ package kvproto
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 )
-
-// textConn types raw lines at the text flavor and reads the replies, the way
-// nc and CI's admin smoke do — the protocol has no client library.
-type textConn struct {
-	net.Conn
-	r *bufio.Reader
-}
-
-func dialText(t *testing.T, addr string) *textConn {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return &textConn{Conn: conn, r: bufio.NewReader(conn)}
-}
-
-// send writes req verbatim and returns the next reply line, trimmed.
-func (c *textConn) send(t *testing.T, req string) string {
-	t.Helper()
-	if _, err := io.WriteString(c, req); err != nil {
-		t.Fatal(err)
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		t.Fatalf("%q: %v", req, err)
-	}
-	return strings.TrimSpace(line)
-}
-
-// TestTextProtocolCompat types the text flavor at the same server the framed
-// clients use: the first line decides the flavor.
-func TestTextProtocolCompat(t *testing.T) {
-	_, addr := startServer(t)
-	c := dialText(t, addr)
-	var ns uint32
-	if resp := c.send(t, "CREATE 64\n"); !scan(resp, "NS %d", &ns) {
-		t.Fatalf("create: %q", resp)
-	}
-	val := bytes.Repeat([]byte{0x00, 0x0A, 0xFF}, 50) // binary-safe: NUL, newline, 0xFF
-	if resp := c.send(t, fmt.Sprintf("PUT %d 5 %d\n%s", ns, len(val), val)); resp != "OK" {
-		t.Fatalf("put: %q", resp)
-	}
-	var n int
-	if resp := c.send(t, fmt.Sprintf("GET %d 5\n", ns)); !scan(resp, "VAL %d", &n) || n != len(val) {
-		t.Fatalf("get: %q", resp)
-	}
-	got := make([]byte, n+1) // value plus the trailing newline
-	if _, err := io.ReadFull(c.r, got); err != nil || !bytes.Equal(got[:n], val) || got[n] != '\n' {
-		t.Fatalf("text get payload: %v", err)
-	}
-	if resp := c.send(t, fmt.Sprintf("GET %d 6\n", ns)); resp != "ERR not-found" {
-		t.Fatalf("get of a missing key: %q", resp)
-	}
-	if stats := c.send(t, "STATS\n"); !strings.Contains(stats, "pipeline_submitted=") {
-		t.Fatalf("text stats missing pipeline counters: %q", stats)
-	}
-	if resp := c.send(t, "QUIT\n"); resp != "BYE" {
-		t.Fatalf("quit: %q", resp)
-	}
-}
-
-func scan(resp, format string, v any) bool {
-	_, err := fmt.Sscanf(resp, format, v)
-	return err == nil
-}
 
 // TestPipelinedOutstanding keeps a window of commands in flight on ONE
 // connection and awaits the completions out of submission order.

@@ -40,6 +40,14 @@ func (h *Histogram) sort() {
 	}
 }
 
+// NearestRank is the one rank rule every quantile in the tree uses: the
+// zero-based index of the q-quantile among n > 0 sorted samples,
+// ceil(q·n) − 1, clamped to [0, n−1] (so q <= 0 is the minimum and q >= 1
+// the maximum).
+func NearestRank(q float64, n int) int {
+	return min(max(int(math.Ceil(q*float64(n)))-1, 0), n-1)
+}
+
 // Quantile returns the q-quantile (0 <= q <= 1) by nearest-rank, or 0 for
 // an empty histogram.
 func (h *Histogram) Quantile(q float64) time.Duration {
@@ -47,17 +55,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		return 0
 	}
 	h.sort()
-	if q <= 0 {
-		return h.samples[0]
-	}
-	if q >= 1 {
-		return h.samples[len(h.samples)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(h.samples)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return h.samples[idx]
+	return h.samples[NearestRank(q, len(h.samples))]
 }
 
 // Mean returns the arithmetic mean, or 0 for an empty histogram.

@@ -40,6 +40,24 @@ func TestQuantilesOnKnownData(t *testing.T) {
 	}
 }
 
+// TestNearestRank pins the rank rule and its clamps at both ends.
+func TestNearestRank(t *testing.T) {
+	for _, c := range []struct {
+		q    float64
+		n    int
+		want int
+	}{
+		{0.5, 1, 0}, {1, 1, 0},
+		{-1, 10, 0}, {0, 10, 0}, {0.1, 10, 0}, {0.11, 10, 1},
+		{0.5, 10, 4}, {0.9, 10, 8}, {0.99, 10, 9}, {1, 10, 9}, {2, 10, 9},
+		{0.99, 1070, 1059},
+	} {
+		if got := NearestRank(c.q, c.n); got != c.want {
+			t.Errorf("NearestRank(%v, %d) = %d, want %d", c.q, c.n, got, c.want)
+		}
+	}
+}
+
 func TestAddAfterQuantileResorts(t *testing.T) {
 	var h Histogram
 	h.Add(10 * time.Microsecond)

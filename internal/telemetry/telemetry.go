@@ -29,7 +29,6 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"strings"
@@ -37,6 +36,8 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
+
+	"github.com/kaml-ssd/kaml/internal/stats"
 )
 
 // Kind classifies an instrument for exposition.
@@ -279,20 +280,13 @@ func (s *HistSnapshot) Merge(other *HistSnapshot) {
 
 // Quantile returns the q-quantile (0..1) as the upper bound of the bucket
 // holding the q-th sample — within one bucket width of the exact
-// nearest-rank quantile. The rank convention (ceil(q*N)-1, zero-based)
-// matches internal/stats, so the only divergence from an exact reservoir
-// is the bucket quantization.
+// nearest-rank quantile. The rank is stats.NearestRank's, so the only
+// divergence from an exact reservoir is the bucket quantization.
 func (s *HistSnapshot) Quantile(q float64) int64 {
 	if s.N == 0 {
 		return 0
 	}
-	rank := int64(math.Ceil(q*float64(s.N))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= s.N {
-		rank = s.N - 1
-	}
+	rank := int64(stats.NearestRank(q, int(s.N)))
 	var seen int64
 	for i := range s.Buckets {
 		seen += s.Buckets[i]

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"github.com/kaml-ssd/kaml/internal/stats"
 )
 
 // Report is the artifact a scenario run produces. Every field derives
@@ -139,20 +141,16 @@ func (r *Report) FirstFailure() (AssertionResult, bool) {
 	return AssertionResult{}, false
 }
 
-// summarizeLatencies reduces a sample set (µs) to the report quantiles.
-// Quantile rank is the nearest-rank method on the sorted samples: the
-// p-quantile of N samples is the ceil(p·N)-th smallest, the rule
-// stats.Histogram and telemetry's histograms use too.
+// summarizeLatencies reduces a sample set (µs) to the report quantiles,
+// ranked by stats.NearestRank: the p-quantile of N samples is the
+// ceil(p·N)-th smallest.
 func summarizeLatencies(us []int64) Latency {
 	if len(us) == 0 {
 		return Latency{}
 	}
 	sorted := append([]int64(nil), us...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	q := func(p float64) int64 {
-		rank := int(math.Ceil(p*float64(len(sorted)))) - 1
-		return sorted[min(max(rank, 0), len(sorted)-1)]
-	}
+	q := func(p float64) int64 { return sorted[stats.NearestRank(p, len(sorted))] }
 	return Latency{
 		P50: q(0.50), P90: q(0.90), P95: q(0.95), P99: q(0.99),
 		Max: sorted[len(sorted)-1],
