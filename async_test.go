@@ -104,26 +104,24 @@ func TestAsyncPutGetFutures(t *testing.T) {
 				t.Fatalf("put %d not ready after Wait", i)
 			}
 		}
-		gets := make([]*kaml.GetFuture, 16)
-		for i := range gets {
-			gets[i] = dev.AsyncGet(ns, uint64(i))
-		}
-		for i, f := range gets {
-			v, err := f.Wait()
+		// A read runs on its caller; every acknowledged write is visible.
+		for i := range puts {
+			v, err := dev.Get(ns, uint64(i))
 			if err != nil || string(v) != fmt.Sprintf("v%d", i) {
 				t.Fatalf("get %d: %q %v", i, v, err)
 			}
 		}
-		if _, err := dev.AsyncGet(ns, 9999).Wait(); !errors.Is(err, kaml.ErrKeyNotFound) {
+		if _, err := dev.Get(ns, 9999); !errors.Is(err, kaml.ErrKeyNotFound) {
 			t.Fatalf("missing key: %v", err)
 		}
 	})
 }
 
 func TestAsyncConcurrentStress(t *testing.T) {
-	// Many actors each keep several commands in flight against overlapping
-	// keys; run under -race this exercises the pipeline's cross-actor
-	// future hand-off and the coalescer's merge path.
+	// Many actors each keep several writes in flight against overlapping
+	// keys and read them back; run under -race this exercises the pipeline's
+	// cross-actor future hand-off, the coalescer's merge path and reads
+	// running on their callers beside them.
 	withDevice(t, func(dev *kaml.Device) {
 		ns, _ := dev.CreateNamespace(kaml.NamespaceOptions{ExpectedKeys: 2048})
 		wg := dev.NewWaitGroup()
@@ -145,12 +143,8 @@ func TestAsyncConcurrentStress(t *testing.T) {
 							return
 						}
 					}
-					var gets [window]*kaml.GetFuture
 					for i := 0; i < window; i++ {
-						gets[i] = dev.AsyncGet(ns, uint64(a*window+i))
-					}
-					for i, f := range gets {
-						if _, err := f.Wait(); err != nil {
+						if _, err := dev.Get(ns, uint64(a*window+i)); err != nil {
 							t.Errorf("actor %d round %d get %d: %v", a, r, i, err)
 							return
 						}
@@ -178,7 +172,7 @@ func TestAsyncAfterCloseFails(t *testing.T) {
 		if err := dev.AsyncPut(ns, 1, []byte("x")).Wait(); !errors.Is(err, kaml.ErrClosed) {
 			t.Errorf("put after close: %v", err)
 		}
-		if _, err := dev.AsyncGet(ns, 1).Wait(); !errors.Is(err, kaml.ErrClosed) {
+		if _, err := dev.Get(ns, 1); !errors.Is(err, kaml.ErrClosed) {
 			t.Errorf("get after close: %v", err)
 		}
 	})

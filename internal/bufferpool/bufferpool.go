@@ -5,9 +5,11 @@
 package bufferpool
 
 import (
+	"cmp"
 	"container/list"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/kaml-ssd/kaml/internal/blockdev"
 	"github.com/kaml-ssd/kaml/internal/heapfile"
@@ -225,6 +227,8 @@ func (p *Pool) Unpin(f *Frame) {
 
 // FlushAll writes every unpinned dirty page back (checkpoint helper) and
 // returns the minimum recLSN among pages that remain dirty, or ^0 if none.
+// Pages are written in ascending page order, so a checkpoint's device
+// traffic does not depend on map iteration order.
 func (p *Pool) FlushAll() (minRecLSN uint64, err error) {
 	minRecLSN = ^uint64(0)
 	p.mu.Lock()
@@ -244,6 +248,7 @@ func (p *Pool) FlushAll() (minRecLSN uint64, err error) {
 		}
 	}
 	p.mu.Unlock()
+	slices.SortFunc(victims, func(a, b *Frame) int { return cmp.Compare(a.PageNo, b.PageNo) })
 	for _, f := range victims {
 		lsn := heapfile.PageLSN(f.Data)
 		if ferr := p.force(lsn); ferr != nil && err == nil {

@@ -190,6 +190,44 @@ func TestFlushAllCleansDirtyPages(t *testing.T) {
 	})
 }
 
+// A checkpoint writes its pages back in ascending page order, whatever
+// order they were dirtied in: the writebacks (and the WAL forces before
+// them) are then the same from run to run.
+func TestFlushAllWritesInPageOrder(t *testing.T) {
+	const pages = 20
+	pageOf := map[uint64]int{} // page LSN -> page number
+	var order []int
+	force := func(lsn uint64) error {
+		order = append(order, pageOf[lsn])
+		return nil
+	}
+	withPool(t, pages, force, func(e *sim.Engine, dev *blockdev.Device, p *Pool) {
+		for i := 0; i < pages; i++ {
+			pg := (i * 7) % pages   // dirtied out of order
+			lsn := uint64(1000 - i) // and with LSNs that fall as they go
+			pageOf[lsn] = pg
+			f, err := p.NewPage(pg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			heapfile.Insert(f.Data, []byte{byte(pg)})
+			p.MarkDirty(f, lsn)
+			p.Unpin(f)
+		}
+		if _, err := p.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(order) != pages {
+		t.Fatalf("FlushAll forced the log %d times, want %d", len(order), pages)
+	}
+	for i, pg := range order {
+		if pg != i {
+			t.Fatalf("writeback order %v, want pages 0..%d ascending", order, pages-1)
+		}
+	}
+}
+
 func TestDropAllLosesUnflushed(t *testing.T) {
 	withPool(t, 8, nil, func(e *sim.Engine, dev *blockdev.Device, p *Pool) {
 		f, _ := p.NewPage(3)

@@ -48,3 +48,31 @@ func TestBlockedFutureWaitDoesNotAllocate(t *testing.T) {
 		t.Errorf("a blocked Future.Wait allocates %.2f times, want 0", got)
 	}
 }
+
+// Submitting a direct command allocates its future and nothing else: the
+// command runs on the future's own copy, so neither the caller's Command nor
+// anything RunDirect touches escapes to the heap.
+func TestDirectSubmitAllocatesOnlyItsFuture(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under the race detector; the count is exact")
+	}
+	eng := sim.NewEngine()
+	p := New(eng, Config{}, func(cmd *Command) Result { return Result{Namespace: cmd.Namespace} })
+	var got float64
+	eng.Go("root", func() {
+		defer p.Close()
+		submit := func() {
+			if res := p.Submit(&Command{Op: OpGet, Namespace: 3, Key: 7}).Wait(); res.Err != nil || res.Namespace != 3 {
+				t.Errorf("get: %+v", res)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			submit()
+		}
+		got = testing.AllocsPerRun(1000, submit)
+	})
+	eng.Wait()
+	if got != 1 {
+		t.Errorf("Submit(Get).Wait allocates %.2f times, want 1 (its future)", got)
+	}
+}

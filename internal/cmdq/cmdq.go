@@ -1,17 +1,18 @@
 // Package cmdq implements the firmware's asynchronous command pipeline:
 // typed commands, a bounded submission queue with backpressure, completion
-// futures, and a per-namespace coalescer that merges small concurrent Puts
+// futures, and a sharded coalescer that merges small concurrent Puts
 // into multi-record batch commits.
 //
 // The paper's KAML interface is a set of NVMe vendor commands issued through
 // queue pairs; its headline numbers come from many outstanding commands
 // amortizing transport and flash latency. This package is the
-// device-internal half of that story: callers submit commands and receive a
-// Future immediately, worker actors execute them against the firmware, and
-// writes flow through a coalescer whose group-commit window turns N
-// concurrent single-record Puts into one multi-record NVRAM batch commit
-// (one commit marker, one completion charge — the write-coalescing design
-// the Host-SSD collaborative literature shows a concurrent KV store needs).
+// device-internal half of that story. Each command kind has one executor:
+// a direct command (Get, Snapshot) runs on the actor that issued it, so
+// reads reach queue depth through concurrent callers, and every write goes
+// to its shard's coalescer, whose group-commit window turns N concurrent
+// single-record Puts into one multi-record NVRAM batch commit (one commit
+// marker, one completion charge — the write-coalescing design the Host-SSD
+// collaborative literature shows a concurrent KV store needs).
 //
 // # Backpressure
 //
@@ -24,19 +25,17 @@
 //
 // Occupancy itself is an atomic counter, not mutex-guarded state: while the
 // pipeline has room, acceptance is one CAS and completion one subtract, and
-// the pipeline lock is touched only to route a command to its queue or
-// coalescer shard. RunDirect goes further and executes a direct command on
-// the calling actor, which leaves the synchronous read path with no
-// pipeline-induced parking at all (see the method comment).
+// the pipeline lock is touched only to hand a write to its coalescer shard.
+// A direct command therefore meets no pipeline-induced parking at all below
+// Depth (see RunDirect).
 //
 // # Determinism
 //
 // Everything blocks on sim primitives (FIFO mutexes, condition variables,
 // wait groups) and the coalescer's group-commit window is a virtual-clock
 // sleep, so a given schedule of submissions always produces the same batch
-// boundaries, the same completion order, and the same stats. Coalescers are
-// woken in creation order on shutdown to keep even teardown schedules
-// reproducible (map iteration order would not be).
+// boundaries, the same completion order, and the same stats. The coalescer
+// shards start, and are woken on shutdown, in shard order.
 package cmdq
 
 import (
@@ -57,8 +56,8 @@ var ErrClosed = errors.New("cmdq: pipeline closed")
 // Op identifies a command type.
 type Op uint8
 
-// Command opcodes. OpPut and OpPutBatch route through the coalescer; all
-// other ops execute directly on a pipeline worker.
+// Command opcodes. OpPut and OpPutBatch route through the coalescer; OpGet
+// and OpSnapshot are direct commands and execute on the submitting actor.
 const (
 	OpGet Op = iota + 1
 	OpPut
@@ -99,9 +98,10 @@ type Command struct {
 	Key       uint64
 	Records   []Record
 	// Merged is set by the coalescer on a group commit: the number of
-	// logical write commands whose records the batch carries. Zero for
-	// directly submitted commands, so exec functions keeping per-command
-	// stats should charge max(1, Merged) commands per call.
+	// logical write commands whose records the batch carries. Zero for a
+	// direct command and for a write re-executed alone after its group
+	// commit failed, so exec functions keeping per-command stats should
+	// charge max(1, Merged) commands per call.
 	Merged int
 }
 
@@ -191,11 +191,10 @@ type Config struct {
 	// Depth bounds occupancy (commands submitted but not completed);
 	// Submit blocks when the pipeline is full.
 	Depth int
-	// Workers is the number of executor actors (0 = min(Depth, 32)).
-	Workers int
 	// CoalesceWindow is how long the coalescer holds the first pending
-	// write hoping to merge more into the same batch commit (0 disables
-	// coalescing; writes then execute directly on a worker).
+	// write hoping to merge more into the same batch commit (0 cuts at
+	// once: a batch merges only the writes already pending when its shard
+	// runs).
 	CoalesceWindow time.Duration
 	// MaxBatchRecords caps a merged batch (0 = 16). A single submitted
 	// batch larger than the cap still commits — atomicity forbids
@@ -220,12 +219,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Depth <= 0 {
 		c.Depth = 128
-	}
-	if c.Workers <= 0 {
-		c.Workers = c.Depth
-		if c.Workers > 32 {
-			c.Workers = 32
-		}
 	}
 	if c.MaxBatchRecords <= 0 {
 		c.MaxBatchRecords = 16
@@ -270,14 +263,12 @@ type Pipeline struct {
 
 	mu         *sim.Mutex
 	notFull    *sim.Cond // occupancy < Depth
-	work       *sim.Cond // direct queue non-empty, or shutdown
 	inlineIdle *sim.Cond // no RunDirect execution in flight (shutdown drain)
-	queue      []*Future // direct (non-coalesced) commands, FIFO
 
 	// occ is the current occupancy. It is atomic — not guarded by p.mu —
 	// so the direct path (RunDirect) can reserve and release slots with a
 	// CAS instead of a sim-mutex round-trip; p.mu still serializes the
-	// backpressure slow path (parking on notFull) and all queue routing.
+	// backpressure slow path (parking on notFull) and the coalescer shards.
 	occ atomic.Int64
 	// bpWaiters counts actors registered for a queue-space wakeup. A waiter
 	// registers BEFORE each claim attempt and stays registered across its
@@ -288,14 +279,10 @@ type Pipeline struct {
 
 	closing  bool        // no new submissions; drain what was accepted
 	closingA atomic.Bool // mirrors closing for the lock-free RunDirect entry
-	poison   error       // non-nil: fail queued work instead of executing it
+	poison   error       // non-nil: fail pending writes instead of executing them
 
-	// coMap/coList index the coalescer shards; the slice keeps shutdown
-	// broadcasts in creation order for determinism.
-	coMap  map[int]*coalescer
-	coList []*coalescer
-
-	wg *sim.WaitGroup
+	shards []*coalescer   // indexed by shardOf
+	wg     *sim.WaitGroup // the shard actors
 
 	// Counted events, one cell each: Stats() reads them without a sim lock
 	// (final-report paths run outside the simulation), and the cells with a
@@ -310,37 +297,42 @@ type Pipeline struct {
 	completionFlocks            telemetry.Counter // batched completion deliveries
 }
 
-// New builds a pipeline and starts its worker actors. exec runs firmware
-// work for one command on a worker (or coalescer) actor and must not retain
-// the command or its records slice: both are reused once exec returns. Close
-// or Fail must be called before draining the simulation.
+// New builds a pipeline and starts one coalescer actor per shard. exec runs
+// firmware work for one command — on the submitting actor for a direct
+// command, on a shard's actor for a write — and must not retain the command
+// or its records slice: both are reused once exec returns. Close or Fail
+// must be called before draining the simulation.
 func New(eng *sim.Engine, cfg Config, exec func(*Command) Result) *Pipeline {
 	cfg = cfg.withDefaults()
 	p := &Pipeline{
-		eng:   eng,
-		cfg:   cfg,
-		exec:  exec,
-		mu:    eng.NewMutex("cmdq"),
-		coMap: make(map[int]*coalescer),
-		wg:    eng.NewWaitGroup(),
+		eng:  eng,
+		cfg:  cfg,
+		exec: exec,
+		mu:   eng.NewMutex("cmdq"),
+		wg:   eng.NewWaitGroup(),
 	}
 	p.notFull = eng.NewCond(p.mu)
-	p.work = eng.NewCond(p.mu)
 	p.inlineIdle = eng.NewCond(p.mu)
 	if cfg.Registry != nil {
 		p.export(cfg.Registry)
 	}
-	for i := 0; i < cfg.Workers; i++ {
+	p.shards = make([]*coalescer, cfg.CoalesceShards)
+	for i := range p.shards {
+		c := &coalescer{p: p, cv: eng.NewCond(p.mu)}
+		p.shards[i] = c
 		p.wg.Add(1)
-		eng.Go(fmt.Sprintf("cmdq-worker%d", i), p.workerLoop)
+		eng.Go(fmt.Sprintf("cmdq-coalesce%d", i), c.loop)
 	}
 	return p
 }
 
 // Submit accepts a command and returns its completion future, blocking the
-// calling actor while the pipeline is at Depth outstanding commands. After
-// Close or Fail the returned future is already resolved with the shutdown
-// error.
+// calling actor while the pipeline is at Depth outstanding commands. A
+// write is handed to its coalescer shard and the future resolves when its
+// batch commits. A direct command (Get, Snapshot) runs on the calling actor
+// through RunDirect, so the future Submit returns is already resolved.
+// After Close or Fail the returned future is already resolved with the
+// shutdown error.
 //
 // Submit copies the command into the future it returns, so the caller may
 // reuse cmd and its Records slice as soon as Submit returns. The record
@@ -348,13 +340,14 @@ func New(eng *sim.Engine, cfg Config, exec func(*Command) Result) *Pipeline {
 func (p *Pipeline) Submit(cmd *Command) *Future {
 	fut := newFuture(p.eng)
 	fut.hold(cmd)
-	p.mu.Lock()
-	waited, ok := p.reserveLocked()
-	if waited {
-		p.backpressure.Inc()
+	if op := fut.cmd.Op; op != OpPut && op != OpPutBatch {
+		// The future's own copy runs: handing exec the caller's cmd would
+		// make it escape, one more allocation per submission.
+		fut.complete(p.RunDirect(&fut.cmd))
+		return fut
 	}
-	if !ok {
-		err := p.shutdownErrLocked()
+	p.mu.Lock()
+	if err := p.reserveLocked(); err != nil {
 		p.mu.Unlock()
 		fut.complete(Result{Err: err})
 		return fut
@@ -362,25 +355,19 @@ func (p *Pipeline) Submit(cmd *Command) *Future {
 	if p.reg != nil {
 		fut.at = p.eng.NowCheap()
 	}
-	if op := fut.cmd.Op; (op == OpPut || op == OpPutBatch) && p.cfg.CoalesceWindow > 0 {
-		p.coalescerLocked(p.shardOf(&fut.cmd)).addLocked(fut)
-	} else {
-		p.queue = append(p.queue, fut)
-		p.work.Signal()
-	}
+	p.shards[p.shardOf(&fut.cmd)].addLocked(fut)
 	p.mu.Unlock()
 	return fut
 }
 
 // RunDirect executes a direct (non-coalesced) command synchronously on the
-// calling actor and returns its completed result. It is the zero-handoff
-// twin of Submit(cmd).Wait(): the command counts against Depth and honors
-// backpressure and shutdown exactly like a submitted one, but on an open,
-// non-full pipeline acceptance is a single atomic CAS and completion a
-// single atomic subtract — no worker wakeup, no future, no sim primitive
-// beyond what exec itself performs. The synchronous Get path rides this, so
-// a read's only remaining engine traffic is the flash access; concurrent
-// readers share nothing hotter than the occupancy counter.
+// calling actor and returns its result; it is the one executor of direct
+// commands, Submit's included. The command counts against Depth and honors
+// backpressure and shutdown like a write, but on an open, non-full pipeline
+// acceptance is a single atomic CAS and completion a single atomic subtract
+// — no handoff, no future, no sim primitive beyond what exec itself
+// performs. A read's only engine traffic is therefore the flash access, and
+// concurrent readers share nothing hotter than the occupancy counter.
 func (p *Pipeline) RunDirect(cmd *Command) Result {
 	// The inline registration is ordered before the closingA check, so a
 	// shutdown that does not observe this execution in drainInline is one
@@ -390,23 +377,17 @@ func (p *Pipeline) RunDirect(cmd *Command) Result {
 	if p.closingA.Load() || !p.reserveFast() {
 		// Full or closing: park under the lock exactly like Submit.
 		p.mu.Lock()
-		waited, ok := p.reserveLocked()
-		if waited {
-			p.backpressure.Inc()
-		}
-		if !ok {
-			err := p.shutdownErrLocked()
-			p.mu.Unlock()
+		err := p.reserveLocked()
+		p.mu.Unlock()
+		if err != nil {
 			return Result{Err: err}
 		}
-		p.mu.Unlock()
 	}
 	var res Result
 	if p.reg != nil {
 		at := p.eng.NowCheap()
 		res = p.exec(cmd)
 		now := p.eng.NowCheap()
-		p.observeStage(cmd.Op, stageQueue, 0)
 		p.observeStage(cmd.Op, stageExec, now-at)
 		p.observeStage(cmd.Op, stageTotal, now-at)
 	} else {
@@ -497,26 +478,35 @@ func (p *Pipeline) reserveFast() bool {
 }
 
 // reserveLocked claims one occupancy slot, parking the caller on queue space
-// while the pipeline is full. The bpWaiters registration brackets each claim
-// attempt AND the park that follows a failed one, which closes the race with
-// the lock-free release: a release that reads bpWaiters == 0 did so before
-// this waiter registered, so the waiter's own claim attempt — ordered after
-// its registration — observes the freed slot. Caller holds p.mu. ok is
-// false when the pipeline is closing.
-func (p *Pipeline) reserveLocked() (waited, ok bool) {
+// while the pipeline is full (counted once per parked command). The
+// bpWaiters registration brackets each claim attempt AND the park that
+// follows a failed one, which closes the race with the lock-free release: a
+// release that reads bpWaiters == 0 did so before this waiter registered, so
+// the waiter's own claim attempt — ordered after its registration — observes
+// the freed slot. Caller holds p.mu. It returns the shutdown error when the
+// pipeline is closing.
+func (p *Pipeline) reserveLocked() error {
+	waited := false
 	for {
 		if p.closing {
-			return waited, false
+			break
 		}
 		p.bpWaiters.Add(1)
 		if p.reserveFast() {
 			p.bpWaiters.Add(-1)
-			return waited, true
+			break
 		}
 		waited = true
 		p.notFull.Wait()
 		p.bpWaiters.Add(-1)
 	}
+	if waited {
+		p.backpressure.Inc()
+	}
+	if p.closing {
+		return p.shutdownErrLocked()
+	}
+	return nil
 }
 
 // completeAll counts a drained batch's commands completed and then resolves
@@ -565,53 +555,13 @@ func (p *Pipeline) release(n int) {
 	}
 }
 
-// workerLoop executes direct (non-coalesced) commands until shutdown.
-func (p *Pipeline) workerLoop() {
-	defer p.wg.Done()
-	p.mu.Lock()
-	for {
-		for len(p.queue) == 0 && !p.closing {
-			p.work.WaitIdle()
-		}
-		if len(p.queue) == 0 {
-			p.mu.Unlock()
-			return
-		}
-		t := p.queue[0]
-		p.queue = p.queue[1:]
-		poison := p.poison
-		p.mu.Unlock()
-		var res Result
-		if poison != nil {
-			res = Result{Err: poison}
-		} else if p.reg != nil {
-			start := p.eng.NowCheap()
-			p.observeStage(t.cmd.Op, stageQueue, start-t.at)
-			res = p.exec(&t.cmd)
-			now := p.eng.NowCheap()
-			p.observeStage(t.cmd.Op, stageExec, now-start)
-			p.observeStage(t.cmd.Op, stageTotal, now-t.at)
-		} else {
-			res = p.exec(&t.cmd)
-		}
-		p.completed.Add(1) // counted before it is published: see completeAll
-		t.complete(res)
-		// The occupancy release is lock-free; only the next dequeue needs
-		// the pipeline lock back.
-		p.release(1)
-		p.mu.Lock()
-	}
-}
-
 // coalescer merges pending writes for one shard into multi-record batch
-// commits. One flusher actor per shard, started lazily on the first write
-// it sees.
+// commits. One flusher actor per shard, started by New.
 type coalescer struct {
-	p     *Pipeline
-	shard int
-	cv    *sim.Cond // rides on p.mu: pending work or shutdown
-	pend  []*Future
-	born  time.Duration // arrival of the oldest pending write
+	p    *Pipeline
+	cv   *sim.Cond // rides on p.mu: pending work or shutdown
+	pend []*Future
+	born time.Duration // arrival of the oldest pending write
 
 	// The cut in commit: its futures, its merged records, their results and
 	// the batch command, rebuilt in place by every cut. Only the shard's
@@ -620,20 +570,6 @@ type coalescer struct {
 	batch   []Record
 	results []Result
 	cmd     Command
-}
-
-// coalescerLocked returns (creating if needed) the shard. Caller holds
-// p.mu.
-func (p *Pipeline) coalescerLocked(shard int) *coalescer {
-	if c, ok := p.coMap[shard]; ok {
-		return c
-	}
-	c := &coalescer{p: p, shard: shard, cv: p.eng.NewCond(p.mu)}
-	p.coMap[shard] = c
-	p.coList = append(p.coList, c)
-	p.wg.Add(1)
-	p.eng.Go(fmt.Sprintf("cmdq-coalesce%d", shard), c.loop)
-	return c
 }
 
 // addLocked queues a write on the shard. Caller holds p.mu.
@@ -825,18 +761,19 @@ func sharesKey(batch, recs []Record) bool {
 }
 
 // Close stops accepting commands, executes everything already accepted
-// (queued writes flush immediately, skipping their coalesce window), and
-// waits for the worker and coalescer actors to exit. Idempotent; call from
-// a simulation actor.
+// (pending writes flush immediately, skipping their coalesce window), and
+// waits for the coalescer actors and every RunDirect execution to finish.
+// Idempotent; call from a simulation actor.
 func (p *Pipeline) Close() {
 	p.broadcastShutdown(nil)
 	p.wg.Wait()
 	p.drainInline()
 }
 
-// Fail poisons the pipeline: queued and future commands complete with err
-// instead of executing. Non-blocking (the power-loss path calls it from
-// actors that must not park); pair with Join to wait for actor exit.
+// Fail poisons the pipeline: pending writes and future commands complete
+// with err instead of executing (a direct command already executing runs to
+// its end). Non-blocking (the power-loss path calls it from actors that
+// must not park); pair with Join to wait for actor exit.
 func (p *Pipeline) Fail(err error) {
 	p.broadcastShutdown(err)
 }
@@ -848,15 +785,14 @@ func (p *Pipeline) broadcastShutdown(poison error) {
 	}
 	p.closing = true
 	p.closingA.Store(true)
-	p.work.Broadcast()
 	p.notFull.Broadcast()
-	for _, c := range p.coList {
+	for _, c := range p.shards {
 		c.cv.Broadcast()
 	}
 	p.mu.Unlock()
 }
 
-// Join blocks until every pipeline actor has exited (they drain on Close,
+// Join blocks until every coalescer actor has exited (they drain on Close,
 // bail out on Fail) and every inline RunDirect execution has returned.
 func (p *Pipeline) Join() {
 	p.wg.Wait()

@@ -58,7 +58,7 @@ func TestFutureResolvesWithResult(t *testing.T) {
 func TestBackpressureBoundsOccupancy(t *testing.T) {
 	eng := sim.NewEngine()
 	rec := newRecorder(eng, 100*time.Microsecond)
-	p := New(eng, Config{Depth: 2, Workers: 2}, rec.exec)
+	p := New(eng, Config{Depth: 2}, rec.exec)
 	wg := eng.NewWaitGroup()
 	for i := 0; i < 6; i++ {
 		i := i
@@ -89,7 +89,7 @@ func TestCoalescerMergesConcurrentPuts(t *testing.T) {
 	eng := sim.NewEngine()
 	rec := newRecorder(eng, 20*time.Microsecond)
 	p := New(eng, Config{
-		Depth: 32, Workers: 4,
+		Depth:           32,
 		CoalesceWindow:  10 * time.Microsecond,
 		MaxBatchRecords: 16,
 	}, rec.exec)
@@ -362,17 +362,22 @@ func TestCloseDrainsThenRejects(t *testing.T) {
 	eng.Wait()
 }
 
+// Fail poisons the writes still pending on a shard: the one its coalescer
+// is executing completes, the ones behind it fail with the poison, and so
+// does every later submission, direct or not.
 func TestFailPoisonsQueuedCommands(t *testing.T) {
 	boom := errors.New("power lost")
 	eng := sim.NewEngine()
 	rec := newRecorder(eng, time.Millisecond)
-	p := New(eng, Config{Depth: 8, Workers: 1}, rec.exec)
+	p := New(eng, Config{Depth: 8, CoalesceShards: 1, MaxBatchRecords: 1}, rec.exec)
 	futs := make([]*Future, 3)
 	eng.Go("main", func() {
 		for i := range futs {
-			futs[i] = p.Submit(&Command{Op: OpGet, Key: uint64(i)})
+			futs[i] = p.Submit(&Command{Op: OpPut, Records: []Record{
+				{Namespace: 1, Key: uint64(i), Value: []byte("v")},
+			}})
 		}
-		eng.Sleep(10 * time.Microsecond) // let the worker start command 0
+		eng.Sleep(10 * time.Microsecond) // let the shard start command 0
 		p.Fail(boom)
 		p.Join()
 		if res := futs[0].Wait(); res.Err != nil {
@@ -386,6 +391,49 @@ func TestFailPoisonsQueuedCommands(t *testing.T) {
 		if res := p.Submit(&Command{Op: OpGet}).Wait(); !errors.Is(res.Err, boom) {
 			t.Errorf("post-fail submit: %v, want poison", res.Err)
 		}
+		if res := p.Submit(&Command{Op: OpPut, Records: []Record{{Namespace: 1, Key: 9}}}).Wait(); !errors.Is(res.Err, boom) {
+			t.Errorf("post-fail write: %v, want poison", res.Err)
+		}
 	})
 	eng.Wait()
+	if n := rec.calls.Load(); n != 1 {
+		t.Errorf("exec ran %d times, want 1 (only the command in flight at Fail)", n)
+	}
+}
+
+// A direct command runs on the actor that submits it, so concurrent readers
+// are bound by Depth alone: 64 Gets of 100µs each, submitted at once into a
+// pipeline of Depth 128, all finish 100µs later. An executor pool smaller
+// than the readers would make them take turns.
+func TestDirectCommandsBoundOnlyByDepth(t *testing.T) {
+	const readers, cost = 64, 100 * time.Microsecond
+	eng := sim.NewEngine()
+	rec := newRecorder(eng, cost)
+	p := New(eng, Config{Depth: 128}, rec.exec)
+	done := make([]time.Duration, readers)
+	eng.Go("main", func() {
+		// Spawned by one actor, so all of them start before the clock moves.
+		wg := eng.NewWaitGroup()
+		for i := range done {
+			wg.Add(1)
+			eng.Go("get", func() {
+				defer wg.Done()
+				if res := p.Submit(&Command{Op: OpGet, Key: uint64(i)}).Wait(); res.Err != nil || res.Value[0] != byte(i) {
+					t.Errorf("get %d: %+v", i, res)
+				}
+				done[i] = eng.Now()
+			})
+		}
+		wg.Wait()
+		p.Close()
+		if st := p.Stats(); st.MaxOccupancy != readers {
+			t.Errorf("max occupancy %d, want %d", st.MaxOccupancy, readers)
+		}
+	})
+	eng.Wait()
+	for i, at := range done {
+		if at != cost {
+			t.Errorf("get %d finished at %v, want %v", i, at, cost)
+		}
+	}
 }

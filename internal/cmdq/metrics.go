@@ -9,22 +9,20 @@ import (
 // Lifecycle stages traced per command. A command is timestamped at Submit
 // and at each transition; the deltas land in per-(op, stage) histograms:
 //
-//	queue    — submit → worker pickup (direct commands: Get, Snapshot;
-//	           always zero for RunDirect commands, which never queue)
-//	coalesce — submit → group-commit cut (coalesced writes: the window wait)
+//	coalesce — submit → group-commit cut (writes: the window wait)
 //	exec     — the exec function's runtime; for writes this is the NVRAM
 //	           batch commit (flash install is asynchronous and measured by
 //	           the firmware's flusher, see kamlssd metrics)
-//	total    — submit → future resolved
+//	total    — submit → future resolved; for a direct command, which runs
+//	           on its caller as soon as it is accepted, the same as exec
 const (
-	stageQueue = iota
-	stageCoalesce
+	stageCoalesce = iota
 	stageExec
 	stageTotal
 	numStages
 )
 
-var stageNames = [numStages]string{"queue", "coalesce", "exec", "total"}
+var stageNames = [numStages]string{"coalesce", "exec", "total"}
 
 // numOps sizes the per-op instrument tables (Op values start at 1).
 const numOps = int(OpSnapshot) + 1

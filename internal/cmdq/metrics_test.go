@@ -21,7 +21,7 @@ func TestStageHistogramsTraceLifecycle(t *testing.T) {
 	rec := newRecorder(eng, 25*time.Microsecond)
 	reg := telemetry.NewRegistry()
 	p := New(eng, Config{
-		Depth: 32, Workers: 2,
+		Depth:           32,
 		CoalesceWindow:  10 * time.Microsecond,
 		MaxBatchRecords: 16,
 		Registry:        reg,
@@ -61,16 +61,14 @@ func TestStageHistogramsTraceLifecycle(t *testing.T) {
 				t.Errorf("%v/%s count = %d, want %d", op, stageNames[st], got, want)
 			}
 		}
-		// Direct commands pass through queue+exec+total, never coalesce.
-		check(OpGet, stageQueue, gets)
+		// Direct commands pass through exec+total, never coalesce.
 		check(OpGet, stageExec, gets)
 		check(OpGet, stageTotal, gets)
 		check(OpGet, stageCoalesce, 0)
-		// Coalesced writes pass through coalesce+exec+total, never queue.
+		// Coalesced writes pass through coalesce+exec+total.
 		check(OpPut, stageCoalesce, puts)
 		check(OpPut, stageExec, puts)
 		check(OpPut, stageTotal, puts)
-		check(OpPut, stageQueue, 0)
 
 		// total spans submit→completion, so its mass dominates exec's.
 		sumExec := m.stage[OpGet][stageExec].Sum() + m.stage[OpPut][stageExec].Sum()
@@ -102,7 +100,7 @@ func TestBackpressureCounter(t *testing.T) {
 	eng := sim.NewEngine()
 	rec := newRecorder(eng, 50*time.Microsecond)
 	reg := telemetry.NewRegistry()
-	p := New(eng, Config{Depth: 1, Workers: 1, Registry: reg}, rec.exec)
+	p := New(eng, Config{Depth: 1, Registry: reg}, rec.exec)
 	wg := eng.NewWaitGroup()
 	for i := 0; i < 4; i++ {
 		i := i

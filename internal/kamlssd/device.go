@@ -113,10 +113,9 @@ type Config struct {
 	AutoGrowIndex    bool // let mapping tables grow (off for paper experiments)
 
 	// Command pipeline (internal/cmdq). PipelineDepth bounds outstanding
-	// commands (submission backpressure) and sets the executor actor count
-	// to min(depth, 32); CoalesceWindow is the group-commit window merging
-	// concurrent Puts into one NVRAM batch commit, capped at
-	// MaxCoalesceRecords records.
+	// commands (submission backpressure); CoalesceWindow is the group-commit
+	// window merging concurrent Puts into one NVRAM batch commit, capped at
+	// MaxCoalesceRecords records (0 cuts each batch at once).
 	PipelineDepth      int
 	CoalesceWindow     time.Duration
 	MaxCoalesceRecords int
@@ -574,10 +573,11 @@ func (d *Device) noticePowerLoss() {
 	d.nvMu.Lock()
 	d.drainCv.Broadcast() // Flush gives up on a dead device
 	d.nvMu.Unlock()
-	// Poison the command pipeline last: queued and future commands fail
-	// with ErrPowerLoss instead of executing, and submitters blocked on
+	// Poison the command pipeline last: pending writes and future commands
+	// fail with ErrPowerLoss instead of executing, and submitters blocked on
 	// backpressure wake up. Non-blocking, so this is safe from any actor
-	// (including pipeline workers noticing the cut mid-command).
+	// (including a coalescer or a direct command's caller noticing the cut
+	// mid-command).
 	if d.pipe != nil {
 		d.pipe.Fail(ErrPowerLoss)
 	}

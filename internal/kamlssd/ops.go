@@ -38,21 +38,19 @@ type PutRecord = cmdq.Record
 //
 // Get executes on the calling actor through the pipeline's direct path
 // (cmdq.RunDirect): the command counts against queue depth and honors
-// backpressure and shutdown exactly like a submitted one, but skips the
-// worker handoff and the future park/wake, so the flash access is the only
-// blocking step left on a synchronous read. SubmitGet is the asynchronous
-// form (it pipelines through the worker pool).
+// backpressure and shutdown like a write, but has no handoff and no future
+// to park on, so the flash access is the only blocking step of a read.
+// Reads reach queue depth through concurrent callers.
 func (d *Device) Get(nsID uint32, key uint64) ([]byte, error) {
 	d.ctrl.Submission()
 	res := d.pipe.RunDirect(&cmdq.Command{Op: cmdq.OpGet, Namespace: nsID, Key: key})
 	return res.Value, res.Err
 }
 
-// execGet is the firmware's Get handler; it runs on a pipeline worker (or,
-// for a synchronous Get, on the caller). A root namespace reads its newest
-// committed version, a snapshot shell the newest at or below its pinned
-// cutoff — the same routine either way (readVersion, mvcc.go), and no
-// firmware lock on the way (§V-D).
+// execGet is the firmware's Get handler; it runs on the caller. A root
+// namespace reads its newest committed version, a snapshot shell the newest
+// at or below its pinned cutoff — the same routine either way (readVersion,
+// mvcc.go), and no firmware lock on the way (§V-D).
 func (d *Device) execGet(nsID uint32, key uint64) ([]byte, error) {
 	if d.closed.Load() {
 		return nil, d.closedErr()
@@ -79,14 +77,15 @@ func (d *Device) Put(batch []PutRecord) error {
 	return d.SubmitPut(batch).Wait().Err
 }
 
-// execPut is the firmware's atomic-batch handler. It runs on a pipeline
-// worker for a directly-dispatched batch (merged == 0), or on a coalescer
-// actor for a group commit carrying several merged Put commands (merged ==
-// how many; the records of one merged command are contiguous, and the
-// coalescer's cut keeps a merged batch free of duplicate keys). Its
-// bookkeeping — key order, namespaces, undo list, prune pins — lives in
-// stack buffers sized for a batch within the coalescer's cap, so what a Put
-// allocates is what outlives it: the version nodes and the pages it fills.
+// execPut is the firmware's atomic-batch handler. It runs on a coalescer
+// actor, for a group commit carrying one or more merged Put commands
+// (merged == how many; the records of one merged command are contiguous,
+// and the coalescer's cut keeps a merged batch free of duplicate keys), or
+// for one command re-executed alone after its group commit failed (merged
+// == 0). Its bookkeeping — key order, namespaces, undo list, prune pins —
+// lives in stack buffers sized for a batch within the coalescer's cap, so
+// what a Put allocates is what outlives it: the version nodes and the pages
+// it fills.
 func (d *Device) execPut(batch []PutRecord, merged int) error {
 	// Phase 1a: lock every touched index entry, in sorted order. The sort
 	// puts a repeated key next to itself, so the duplicate scan that guards

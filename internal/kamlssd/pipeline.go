@@ -10,19 +10,12 @@ import (
 )
 
 // This file is the device's face of the asynchronous command pipeline
-// (internal/cmdq). SubmitGet/SubmitPut/SubmitSnapshot charge the NVMe
-// submission transfer in the calling actor, hand a typed command to the
-// pipeline, and return its completion future; the synchronous Get/Put/
-// SnapshotNamespace in ops.go and snapshot.go are thin Wait wrappers. The
-// exec* functions they dispatch to hold the firmware logic and run on
-// pipeline worker (or coalescer) actors.
-
-// SubmitGet enqueues a Get command and returns its completion future; the
-// read value arrives in Result.Value.
-func (d *Device) SubmitGet(nsID uint32, key uint64) *cmdq.Future {
-	d.ctrl.Submission()
-	return d.pipe.Submit(&cmdq.Command{Op: cmdq.OpGet, Namespace: nsID, Key: key})
-}
+// (internal/cmdq). Every command charges the NVMe submission transfer in
+// the calling actor. A write (SubmitPut) then goes to its coalescer shard
+// and returns a completion future, of which Put is a thin Wait wrapper; Get
+// and SnapshotNamespace (ops.go, snapshot.go) run their command on the
+// caller through cmdq.RunDirect. The exec* functions execCommand dispatches
+// to hold the firmware logic.
 
 // SubmitPut enqueues an atomic Put batch and returns its completion future.
 // This is the firmware boundary every writer crosses (kaml, cache, cluster
@@ -96,18 +89,11 @@ func lockOrder(batch []PutRecord, buf []nskey) ([]nskey, error) {
 	return keys, nil
 }
 
-// SubmitSnapshot enqueues a snapshot command; the new namespace ID arrives
-// in Result.Namespace.
-func (d *Device) SubmitSnapshot(nsID uint32) *cmdq.Future {
-	d.ctrl.Submission()
-	return d.pipe.Submit(&cmdq.Command{Op: cmdq.OpSnapshot, Namespace: nsID})
-}
-
 // execCommand dispatches one pipeline command to the firmware and charges
-// the completion transfer. It runs on a pipeline worker for direct commands
-// and on a coalescer actor for merged batch commits — so a batch that
-// carries N coalesced Puts charges one completion for all of them, the
-// amortized-CQE half of group commit.
+// the completion transfer. It runs on the caller for direct commands and on
+// a coalescer actor for merged batch commits — so a batch that carries N
+// coalesced Puts charges one completion for all of them, the amortized-CQE
+// half of group commit.
 func (d *Device) execCommand(cmd *cmdq.Command) cmdq.Result {
 	var res cmdq.Result
 	switch cmd.Op {

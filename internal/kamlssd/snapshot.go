@@ -3,6 +3,8 @@ package kamlssd
 import (
 	"errors"
 	"fmt"
+
+	"github.com/kaml-ssd/kaml/internal/cmdq"
 )
 
 // ErrReadOnly reports a Put against a snapshot namespace.
@@ -26,14 +28,15 @@ var ErrReadOnly = errors.New("kamlssd: namespace is a read-only snapshot")
 //
 // Creation waits out in-flight Put batches touching the source so the
 // pinned cutoff is settled: every version at or below it has its commit
-// decision (and commit stamp) already in place.
+// decision (and commit stamp) already in place. Like Get, the command runs
+// on the caller through the pipeline's direct path.
 func (d *Device) SnapshotNamespace(nsID uint32) (uint32, error) {
-	res := d.SubmitSnapshot(nsID).Wait()
+	d.ctrl.Submission()
+	res := d.pipe.RunDirect(&cmdq.Command{Op: cmdq.OpSnapshot, Namespace: nsID})
 	return res.Namespace, res.Err
 }
 
-// execSnapshot is the firmware's snapshot handler; it runs on a pipeline
-// worker.
+// execSnapshot is the firmware's snapshot handler; it runs on the caller.
 func (d *Device) execSnapshot(nsID uint32) (uint32, error) {
 	if d.closed.Load() {
 		return 0, d.closedErr()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -537,6 +538,59 @@ func TestManualCheckpointTruncatesLog(t *testing.T) {
 		}
 		tx.Commit()
 		tx.Free()
+	})
+	e.Wait()
+}
+
+// A fuzzy checkpoint reads every active transaction's first and last LSN
+// while the transactions keep logging — inserts, updates and the CLRs of a
+// rollback. Run under -race: the LSNs a transaction notes must be written
+// under the engine lock the checkpoint reads them under.
+func TestCheckpointReadsActiveTxnsUnderTheEngineLock(t *testing.T) {
+	e, eng := newEngine(func(c *Config) { c.CheckpointEvery = 0 })
+	e.Go("main", func() {
+		defer eng.Close()
+		tbl, _ := eng.CreateTable("t", storage.TableHint{})
+		row := bytes.Repeat([]byte{7}, 64)
+		done := e.NewWaitGroup()
+		var stop atomic.Bool
+		for w := 0; w < 4; w++ {
+			done.Add(1)
+			e.Go("txn", func() {
+				defer done.Done()
+				for i := 0; i < 40; i++ {
+					k := uint64(w*1000 + i)
+					tx := eng.Begin()
+					if err := tx.Insert(tbl, k, row); err != nil {
+						t.Errorf("insert %d: %v", k, err)
+						return
+					}
+					if err := tx.Update(tbl, k, row[:32]); err != nil {
+						t.Errorf("update %d: %v", k, err)
+						return
+					}
+					if i%2 == 0 {
+						tx.Abort()
+					} else if err := tx.Commit(); err != nil {
+						t.Errorf("commit %d: %v", k, err)
+						return
+					}
+					tx.Free()
+				}
+			})
+		}
+		e.Go("checkpointer", func() {
+			for !stop.Load() {
+				if err := eng.Checkpoint(); err != nil {
+					t.Errorf("checkpoint: %v", err)
+					return
+				}
+				e.Sleep(5 * time.Microsecond)
+			}
+		})
+		done.Wait()
+		stop.Store(true)
+		e.Sleep(time.Millisecond) // let the checkpointer see stop
 	})
 	e.Wait()
 }

@@ -267,11 +267,16 @@ func (tx *Txn) insertLocked(t *table, key uint64, value []byte) error {
 	return errors.New("shoremt: could not place row after 3 attempts")
 }
 
+// noteLSN records a log record the transaction appended. The fields are
+// written under the engine lock because a fuzzy checkpoint reads every
+// active transaction's LSNs under it; the transaction's own reads need none.
 func (tx *Txn) noteLSN(lsn wal.LSN) {
+	tx.e.mu.Lock()
 	if tx.firstLSN == wal.NilLSN {
 		tx.firstLSN = lsn
 	}
 	tx.lastLSN = lsn
+	tx.e.mu.Unlock()
 }
 
 // Commit implements storage.Tx: append COMMIT and force the log — the
@@ -342,7 +347,7 @@ func (tx *Txn) rollback() {
 	if tx.lastLSN != wal.NilLSN {
 		rec := &wal.Record{Type: wal.TypeAbort, TxnID: tx.id, PrevLSN: tx.lastLSN}
 		if lsn, err := tx.e.log.Append(rec); err == nil {
-			tx.lastLSN = lsn
+			tx.noteLSN(lsn)
 		}
 	}
 }
@@ -358,7 +363,7 @@ func (tx *Txn) undoUpdate(rec wal.Record) {
 	if err != nil {
 		return
 	}
-	tx.lastLSN = lsn
+	tx.noteLSN(lsn)
 	rid := heapfile.UnpackRID(rec.RID)
 	frame, err := tx.e.pool.Fetch(int(rid.Page))
 	if err != nil {
@@ -386,7 +391,7 @@ func (tx *Txn) undoInsert(rec wal.Record) {
 	if err != nil {
 		return
 	}
-	tx.lastLSN = lsn
+	tx.noteLSN(lsn)
 	rid := heapfile.UnpackRID(rec.RID)
 	frame, err := tx.e.pool.Fetch(int(rid.Page))
 	if err == nil {

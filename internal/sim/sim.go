@@ -18,9 +18,9 @@
 // "Every actor parked and no timer pending" has two meanings, and the engine
 // tells them apart by what the parked actors wait for, not by a clock. A
 // service actor blocked until somebody hands it work — a flusher with nothing
-// to program, a collector whose log has free blocks, a queue worker with an
-// empty queue — parks with Cond.WaitIdle. When every parked actor is in such
-// a wait the simulation is idle: nothing inside it can make progress and
+// to program, a collector whose log has free blocks, a coalescer shard with
+// no pending write — parks with Cond.WaitIdle. When every parked actor is in
+// such a wait the simulation is idle: nothing inside it can make progress and
 // nothing needs to, the clock stands still at no host cost, and the next
 // Go() from outside resumes it. When at least one actor is parked in any
 // other wait (a mutex, a semaphore, a plain Cond.Wait, a wait group) with no

@@ -520,32 +520,6 @@ func (d *Device) PutBatch(records []Record) error {
 	return err
 }
 
-// GetFuture is an in-flight AsyncGet. Wait parks the calling actor until
-// the device completes the command.
-type GetFuture struct {
-	f    *cmdq.Future
-	tap  HistoryTap
-	id   uint64
-	ns   Namespace
-	once sync.Once
-}
-
-// Wait blocks (on the virtual clock) until the Get completes.
-func (f *GetFuture) Wait() ([]byte, error) {
-	res := f.f.Wait()
-	if f.tap != nil {
-		// A history tap records the completion when the caller first
-		// observes it; a future never waited on stays pending in the
-		// history, which the checker treats as "may or may not have
-		// happened" — exactly its semantics.
-		f.once.Do(func() { f.tap.OpCompleted(f.id, f.ns, res.Value, res.Err) })
-	}
-	return res.Value, res.Err
-}
-
-// Ready reports, without blocking, whether the completion has arrived.
-func (f *GetFuture) Ready() bool { return f.f.Ready() }
-
 // PutFuture is an in-flight AsyncPut or AsyncPutBatch.
 type PutFuture struct {
 	f    *cmdq.Future
@@ -565,18 +539,6 @@ func (f *PutFuture) Wait() error {
 
 // Ready reports, without blocking, whether the completion has arrived.
 func (f *PutFuture) Ready() bool { return f.f.Ready() }
-
-// AsyncGet submits a Get and returns immediately with a future. Issuing
-// many before the first Wait keeps the device's command pipeline full —
-// the same queue-depth game a real NVMe host plays. Call from an actor.
-func (d *Device) AsyncGet(ns Namespace, key uint64) *GetFuture {
-	fut := &GetFuture{tap: d.tap, ns: ns}
-	if fut.tap != nil {
-		fut.id = fut.tap.OpInvoked(OpGet, 0, []Record{{Namespace: ns, Key: key}})
-	}
-	fut.f = d.dev.SubmitGet(ns, key)
-	return fut
-}
 
 // AsyncPut submits a single-record Put and returns immediately with a
 // future. Concurrent small AsyncPuts are candidates for the device's group

@@ -29,7 +29,7 @@ func TestPolicyStructFieldsArePinned(t *testing.T) {
 		{shoremt.Config{}, "PoolFrames LogPages RecordsPerLock CheckpointEvery"},
 		{wal.Config{}, "StartPage NumPages"},
 		{cache.Config{}, "CapacityBytes RecordsPerLock"},
-		{cmdq.Config{}, "Depth Workers CoalesceWindow MaxBatchRecords CoalesceShards ClosedErr Registry"},
+		{cmdq.Config{}, "Depth CoalesceWindow MaxBatchRecords CoalesceShards ClosedErr Registry"},
 		{kaml.Options{}, "Flash Transport Firmware Faults Engine"},
 		{kaml.NamespaceOptions{}, "ExpectedKeys Logs TreeIndex"},
 		{kaml.CacheOptions{}, "CapacityBytes RecordsPerLock"},
