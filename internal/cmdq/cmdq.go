@@ -11,8 +11,14 @@
 // reads reach queue depth through concurrent callers, and every write goes
 // to its shard's coalescer, whose group-commit window turns N concurrent
 // single-record Puts into one multi-record NVRAM batch commit (one commit
-// marker, one completion charge — the write-coalescing design the Host-SSD
-// collaborative literature shows a concurrent KV store needs).
+// marker — the write-coalescing design the Host-SSD collaborative literature
+// shows a concurrent KV store needs).
+//
+// A write's completion entry reaches the host a transfer after its commit:
+// exec says when (Result.Due), and the future opens at that instant on the
+// engine's clock (sim.Latch.OpenAt). The shard does not sleep through the
+// transfer — it cuts its next batch at once — and the command's occupancy
+// slot frees at the commit, so the transfer holds neither.
 //
 // # Backpressure
 //
@@ -111,6 +117,12 @@ type Result struct {
 	Value     []byte
 	Namespace uint32
 	Err       error
+	// Due is the virtual instant the completion reaches the host. exec sets
+	// it for a write, whose completion entry is still in transfer when the
+	// commit returns: the future opens then, and the shard that ran the
+	// commit cuts its next batch meanwhile. Zero, or an instant already
+	// past, opens the future at once.
+	Due time.Duration
 }
 
 // Future is a command's pending completion. Wait parks the calling actor on
@@ -175,15 +187,15 @@ func (f *Future) Wait() Result {
 	return f.res
 }
 
-// Ready reports whether the command has already completed.
-func (f *Future) Ready() bool { return f.done.IsOpen() }
+// Ready reports whether the command's completion has reached the host.
+func (f *Future) Ready() bool { return f.done.IsOpen(f.eng) }
 
-// complete publishes res and wakes any parked waiters. The latch's open is
-// the publication: res is written before it, and a waiter reads res only
-// after it has seen the latch open.
+// complete publishes res and wakes any parked waiters at res.Due (at once
+// if that has passed). The latch's open is the publication: res is written
+// before it, and a waiter reads res only after it has seen the latch open.
 func (f *Future) complete(res Result) {
 	f.res = res
-	f.done.Open(f.eng)
+	f.done.OpenAt(f.eng, res.Due)
 }
 
 // Config tunes a pipeline.
@@ -510,8 +522,9 @@ func (p *Pipeline) reserveLocked() error {
 }
 
 // completeAll counts a drained batch's commands completed and then resolves
-// their futures. Lock-free: each complete is one atomic publish (plus a
-// wakeup for waiters that actually parked). Called with p.mu NOT held.
+// their futures, each to open at its result's Due instant. Lock-free: each
+// complete is one atomic publish (plus a wakeup, or a timer, for waiters
+// that actually parked). Called with p.mu NOT held.
 //
 // Counting comes first so that an actor which has waited on every future it
 // submitted reads Stats().Completed == Submitted: a future published before
@@ -522,8 +535,8 @@ func (p *Pipeline) reserveLocked() error {
 func (p *Pipeline) completeAll(tasks []*Future, results []Result) {
 	if p.reg != nil {
 		now := p.eng.NowCheap()
-		for _, t := range tasks {
-			p.observeStage(t.cmd.Op, stageTotal, now-t.at)
+		for i, t := range tasks {
+			p.observeStage(t.cmd.Op, stageTotal, max(now, results[i].Due)-t.at)
 		}
 	}
 	p.completed.Add(int64(len(tasks)))

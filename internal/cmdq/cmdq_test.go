@@ -437,3 +437,44 @@ func TestDirectCommandsBoundOnlyByDepth(t *testing.T) {
 		}
 	}
 }
+
+// A write's completion entry reaches the host a transfer after its commit,
+// but the shard that ran the commit does not wait out the transfer. Of two
+// back-to-back batches on one shard — the second submitted while the first
+// commits — the second's exec starts at the first's commit, and each future
+// opens a transfer after its own commit.
+func TestCoalescerCutsTheNextBatchAtTheCommit(t *testing.T) {
+	const cost, cqe = 20 * time.Microsecond, 8 * time.Microsecond
+	eng := sim.NewEngine()
+	var starts, commits []time.Duration // only the shard's actor appends
+	p := New(eng, Config{Depth: 8, CoalesceShards: 1}, func(cmd *Command) Result {
+		starts = append(starts, eng.Now())
+		eng.Sleep(cost)
+		commits = append(commits, eng.Now())
+		return Result{Due: eng.Now() + cqe}
+	})
+	put := func(key uint64) *Command {
+		return &Command{Op: OpPut, Records: []Record{{Namespace: 1, Key: key, Value: []byte("v")}}}
+	}
+	eng.Go("main", func() {
+		defer p.Close()
+		a := p.Submit(put(1))
+		eng.Sleep(cost / 2) // a is committing
+		b := p.Submit(put(2))
+		eng.Sleep(cost/2 + cqe/2) // a has committed; its completion is in transfer
+		if a.Ready() {
+			t.Errorf("a's future is open %v after its commit, before its completion's transfer of %v", cqe/2, cqe)
+		}
+		if res := a.Wait(); res.Err != nil || len(commits) == 0 || eng.Now() != commits[0]+cqe {
+			t.Errorf("a completed at %v (%v), want its commit + %v", eng.Now(), res.Err, cqe)
+		}
+		if res := b.Wait(); res.Err != nil || len(commits) != 2 || eng.Now() != commits[1]+cqe {
+			t.Errorf("b completed at %v (%v), want its commit + %v", eng.Now(), res.Err, cqe)
+		}
+		if len(starts) != 2 || starts[1] != commits[0] {
+			t.Errorf("the batches ran from %v and committed at %v: the second should start at the first's commit",
+				starts, commits)
+		}
+	})
+	eng.Wait()
+}

@@ -13,8 +13,9 @@ import (
 //	exec     — the exec function's runtime; for writes this is the NVRAM
 //	           batch commit (flash install is asynchronous and measured by
 //	           the firmware's flusher, see kamlssd metrics)
-//	total    — submit → future resolved; for a direct command, which runs
-//	           on its caller as soon as it is accepted, the same as exec
+//	total    — submit → future open; for a write, up to its completion's
+//	           Due instant; for a direct command, which runs on its caller
+//	           as soon as it is accepted, the same as exec
 const (
 	stageCoalesce = iota
 	stageExec

@@ -49,15 +49,7 @@ func AblationIndexKind(s Scale) *Table {
 			defer r.dev.Close()
 			attrs := kamlssd.NamespaceAttrs{Index: kind}
 			if kind == kamlssd.IndexHash {
-				// Mapping tables round capacity to a power of two; pick the
-				// key count from the actual capacity so the load factor is
-				// exactly what the row claims.
-				capacity := 1
-				for capacity < int(float64(n)/load) {
-					capacity <<= 1
-				}
-				attrs.IndexCapacity = capacity
-				n = int(load * float64(capacity))
+				attrs.IndexCapacity, n = sizedTable(n, load)
 			}
 			ns, err := r.dev.CreateNamespace(attrs)
 			if err != nil {
@@ -257,7 +249,7 @@ func AblationWriteAmp(s Scale) *Table {
 		var payload, flashMB float64
 		r.eng.Go("main", func() {
 			defer r.dev.Close()
-			ns, err := kamlPreload(r, n, size, 0.4)
+			ns, keys, err := kamlPreload(r, n, size, 0.4)
 			if err != nil {
 				return
 			}
@@ -271,7 +263,7 @@ func AblationWriteAmp(s Scale) *Table {
 					rng := rand.New(rand.NewSource(int64(w)))
 					val := make([]byte, size)
 					for i := 0; i < churn/workers; i++ {
-						if err := r.dev.Put([]kamlssd.PutRecord{{Namespace: ns, Key: uint64(rng.Intn(n)), Value: val}}); err != nil {
+						if err := r.dev.Put([]kamlssd.PutRecord{{Namespace: ns, Key: uint64(rng.Intn(keys)), Value: val}}); err != nil {
 							return
 						}
 					}

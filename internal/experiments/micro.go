@@ -34,27 +34,40 @@ func microWindows(s Scale) (warm, window time.Duration) {
 	return warm, window
 }
 
-// kamlPreload creates a namespace whose mapping table reaches the target
-// load factor after inserting n keys, then inserts them.
-func kamlPreload(r *kamlRig, n int, valueSize int, load float64) (uint32, error) {
-	capacity := int(float64(n) / load)
-	ns, err := r.dev.CreateNamespace(kamlssd.NamespaceAttrs{IndexCapacity: capacity})
+// kamlPreload creates a namespace for about n keys whose mapping table is
+// at the target load factor once they are in, inserts them, and returns the
+// namespace and how many keys it holds (sizedTable).
+func kamlPreload(r *kamlRig, n int, valueSize int, load float64) (ns uint32, keys int, err error) {
+	capacity, keys := sizedTable(n, load)
+	ns, err = r.dev.CreateNamespace(kamlssd.NamespaceAttrs{IndexCapacity: capacity})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	val := make([]byte, valueSize)
 	const batch = 8
-	for base := 0; base < n; base += batch {
+	for base := 0; base < keys; base += batch {
 		recs := make([]kamlssd.PutRecord, 0, batch)
-		for k := base; k < base+batch && k < n; k++ {
+		for k := base; k < base+batch && k < keys; k++ {
 			recs = append(recs, kamlssd.PutRecord{Namespace: ns, Key: uint64(k), Value: val})
 		}
 		if err := r.dev.Put(recs); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
 	r.dev.Flush()
-	return ns, nil
+	return ns, keys, nil
+}
+
+// sizedTable returns the capacity and key count of a mapping table for
+// about n keys at load factor load. A table rounds its capacity up to a
+// power of two, so the capacity is rounded first and the key count taken
+// from it: the table's load factor is then the one its row claims.
+func sizedTable(n int, load float64) (capacity, keys int) {
+	capacity = 1
+	for capacity < int(float64(n)/load) {
+		capacity <<= 1
+	}
+	return capacity, int(load * float64(capacity))
 }
 
 // blockPreload fills the first n records' sectors. Records are laid out
@@ -219,18 +232,18 @@ func kamlBandwidth(size, n int, load float64, warm, window time.Duration) (get, 
 	r := newKAMLRig(microFlash(), nil)
 	r.eng.Go("main", func() {
 		defer r.dev.Close()
-		ns, err := kamlPreload(r, n, size, load)
+		ns, keys, err := kamlPreload(r, n, size, load)
 		if err != nil {
 			return
 		}
 		val := make([]byte, size)
 		ops := measure(r.eng, bandwidthWorkers, warm, window, func(w int, rng *rand.Rand) bool {
-			_, err := r.dev.Get(ns, uint64(rng.Intn(n)))
+			_, err := r.dev.Get(ns, uint64(rng.Intn(keys)))
 			return err == nil
 		})
 		get = mbps(ops, size, window)
 		ops = measure(r.eng, bandwidthWorkers, warm, window, func(w int, rng *rand.Rand) bool {
-			return r.dev.Put([]kamlssd.PutRecord{{Namespace: ns, Key: uint64(rng.Intn(n)), Value: val}}) == nil
+			return r.dev.Put([]kamlssd.PutRecord{{Namespace: ns, Key: uint64(rng.Intn(keys)), Value: val}}) == nil
 		})
 		put = mbps(ops, size, window)
 	})
@@ -361,7 +374,7 @@ func kamlLatency(size, n int, load float64, iters int) (get, put, insert *stats.
 	get, put, insert = &stats.Histogram{}, &stats.Histogram{}, &stats.Histogram{}
 	r.eng.Go("main", func() {
 		defer r.dev.Close()
-		ns, err := kamlPreload(r, n, size, load)
+		ns, keys, err := kamlPreload(r, n, size, load)
 		if err != nil {
 			return
 		}
@@ -369,17 +382,17 @@ func kamlLatency(size, n int, load float64, iters int) (get, put, insert *stats.
 		val := make([]byte, size)
 		for i := 0; i < iters; i++ {
 			start := r.eng.Now()
-			_, _ = r.dev.Get(ns, uint64(rng.Intn(n)))
+			_, _ = r.dev.Get(ns, uint64(rng.Intn(keys)))
 			get.Add(r.eng.Now() - start)
 		}
 		for i := 0; i < iters; i++ {
 			start := r.eng.Now()
-			_ = r.dev.Put([]kamlssd.PutRecord{{Namespace: ns, Key: uint64(rng.Intn(n)), Value: val}})
+			_ = r.dev.Put([]kamlssd.PutRecord{{Namespace: ns, Key: uint64(rng.Intn(keys)), Value: val}})
 			put.Add(r.eng.Now() - start)
 		}
 		for i := 0; i < iters; i++ {
 			start := r.eng.Now()
-			_ = r.dev.Put([]kamlssd.PutRecord{{Namespace: ns, Key: uint64(n + i), Value: val}})
+			_ = r.dev.Put([]kamlssd.PutRecord{{Namespace: ns, Key: uint64(keys + i), Value: val}})
 			insert.Add(r.eng.Now() - start)
 		}
 		opsDone.Add(3 * int64(iters)) // the Get, Put and insert loops
@@ -413,7 +426,7 @@ func Fig7(s Scale) []*Table {
 		var popTime time.Duration
 		r.eng.Go("main", func() {
 			defer r.dev.Close()
-			ns, err := kamlPreload(r, n, size, 0.4)
+			ns, keys, err := kamlPreload(r, n, size, 0.4)
 			if err != nil {
 				return
 			}
@@ -422,10 +435,10 @@ func Fig7(s Scale) []*Table {
 				// Distinct keys per batch (a batch may not contain the same
 				// key twice; the firmware rejects it).
 				recs := make([]kamlssd.PutRecord, 0, b)
-				base := rng.Intn(n)
+				base := rng.Intn(keys)
 				for i := 0; i < b; i++ {
 					recs = append(recs, kamlssd.PutRecord{
-						Namespace: ns, Key: uint64((base + i*97) % n), Value: val,
+						Namespace: ns, Key: uint64((base + i*97) % keys), Value: val,
 					})
 				}
 				return r.dev.Put(recs) == nil
@@ -484,7 +497,7 @@ func Fig8(s Scale) *Table {
 		var bw float64
 		r.eng.Go("main", func() {
 			defer r.dev.Close()
-			ns, err := kamlPreload(r, n, size, 0.4)
+			ns, keys, err := kamlPreload(r, n, size, 0.4)
 			if err != nil {
 				return
 			}
@@ -493,7 +506,7 @@ func Fig8(s Scale) *Table {
 			// host, are the bottleneck ("more logs can support more
 			// concurrent commands").
 			ops := measure(r.eng, 64, warm, window, func(w int, rng *rand.Rand) bool {
-				return r.dev.Put([]kamlssd.PutRecord{{Namespace: ns, Key: uint64(rng.Intn(n)), Value: val}}) == nil
+				return r.dev.Put([]kamlssd.PutRecord{{Namespace: ns, Key: uint64(rng.Intn(keys)), Value: val}}) == nil
 			})
 			bw = mbps(ops, size, window)
 		})

@@ -34,12 +34,12 @@ func qdSweepRaw(s Scale, depths []int) (getOps, putOps []int64, recsPerBatch []f
 			r := newKAMLRig(microFlash(), nil)
 			r.eng.Go("main", func() {
 				defer r.dev.Close()
-				ns, err := kamlPreload(r, n, qdValueSize, 0.4)
+				ns, keys, err := kamlPreload(r, n, qdValueSize, 0.4)
 				if err != nil {
 					return
 				}
 				getOps[i] = measure(r.eng, qd, warm, window, func(w int, rng *rand.Rand) bool {
-					_, err := r.dev.Get(ns, uint64(rng.Intn(n)))
+					_, err := r.dev.Get(ns, uint64(rng.Intn(keys)))
 					return err == nil
 				})
 			})

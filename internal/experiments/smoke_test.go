@@ -44,3 +44,26 @@ func TestSmokeFig10(t *testing.T) {
 	fmt.Println(Fig10(0.2).Render())
 	fmt.Println(Conflicts(0.2).Render())
 }
+
+// A preloaded table sits at the load factor its row is labelled with: the
+// table rounds its capacity up to a power of two, and the preload takes its
+// key count from the rounded capacity (Fig 5a's Get@0.7 once measured a
+// table at load 0.37).
+func TestPreloadReachesItsLoadFactor(t *testing.T) {
+	for _, load := range microLoads {
+		r := newKAMLRig(microFlash(), nil)
+		r.eng.Go("main", func() {
+			defer r.dev.Close()
+			ns, keys, err := kamlPreload(r, 300, 512, load)
+			if err != nil {
+				t.Errorf("load %.1f: preload: %v", load, err)
+				return
+			}
+			lf, err := r.dev.IndexLoadFactor(ns)
+			if err != nil || lf < load-0.02 || lf > load+0.02 {
+				t.Errorf("a table preloaded with %d keys for load %.1f sits at load %.3f (%v)", keys, load, lf, err)
+			}
+		})
+		r.eng.Wait()
+	}
+}

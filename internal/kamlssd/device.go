@@ -33,12 +33,13 @@
 //	                  read contract" below.
 //	lg.mu  (Mutex)    one per log: open pages, sealed queue,
 //	                  append points, free lists, per-block valid-byte
-//	                  accounting. spaceCv (a writer waiting for the page it
-//	                  left to a full queue), workCv (the flusher), freeCv
-//	                  (the flusher out of erased blocks) and gcCv (the
+//	                  accounting. workCv (the flusher), freeCv (the
+//	                  flusher out of erased blocks) and gcCv (the
 //	                  collector) ride on it.
 //	d.nvMu (Mutex)    the NVRAM region: staged values, batches, catalog,
-//	                  bad-block table. drainCv (Flush) rides on it.
+//	                  bad-block table. drainCv (Flush) and roomCv (a
+//	                  writer that met every log of its namespace full,
+//	                  waiting for any flusher to make room) ride on it.
 //
 // An actor may acquire locks only downward in that order, at most one
 // namespace lock and one log lock at a time (Put touches namespaces one
@@ -218,6 +219,15 @@ type Device struct {
 	drainers atomic.Int64
 	drainCv  *sim.Cond
 
+	// roomCv (on nvMu) is where a writer that met every log of its
+	// namespace full waits for any flusher to make room (awaitRoom).
+	// roomEvents counts the room events — a flusher sealing a page a writer
+	// left (madeRoom) — and roomWaiters the writers registered to hear of
+	// the next one, so a flusher takes nvMu only when one is.
+	roomCv      *sim.Cond
+	roomEvents  atomic.Uint64
+	roomWaiters atomic.Int64
+
 	// pipe is the asynchronous command pipeline: Get/Put/Snapshot commands
 	// are executed by its worker actors, small concurrent Puts are merged
 	// by its coalescer (see pipeline.go for the submission glue).
@@ -237,7 +247,10 @@ type Device struct {
 	// freeBlockWait is how long a flusher waited for its log's collector to
 	// return an erased block for the page it dequeued (hostPPN).
 	freeBlockWait *telemetry.Histogram
-	recoveryTime  *telemetry.Histogram // one Recover, log scan to actors started
+	// logFullWait is how long a writer that met every log of its namespace
+	// full waited for a flusher to make room (awaitRoom).
+	logFullWait  *telemetry.Histogram
+	recoveryTime *telemetry.Histogram // one Recover, log scan to actors started
 
 	closed       atomic.Bool
 	crashed      atomic.Bool  // power-cut: actors exit without draining
@@ -405,6 +418,7 @@ func (d *Device) initLocks() {
 	d.mu = d.eng.NewRWMutex("kaml-dev")
 	d.nvMu = d.eng.NewMutex("kaml-nvram")
 	d.drainCv = d.eng.NewCond(d.nvMu)
+	d.roomCv = d.eng.NewCond(d.nvMu)
 	d.keyLks = newKeyLockTable(d.eng)
 	d.chainLenObs = func(l int) { d.chainLen.Observe(int64(l)) }
 }
@@ -559,7 +573,8 @@ func (d *Device) AwaitHalt() {
 
 // noticePowerLoss marks the device crashed after an actor observed the
 // array powered off, and wakes every actor blocked on a log condition —
-// queue space, work, a free block, the collector's wake-up — so it can exit.
+// work, a free block, the collector's wake-up — or on a log with room, so it
+// can exit.
 // Idempotent. Callers must not hold any log mutex (the broadcast takes each
 // in turn so parked waiters cannot miss the wakeup).
 func (d *Device) noticePowerLoss() {
@@ -572,6 +587,7 @@ func (d *Device) noticePowerLoss() {
 	}
 	d.nvMu.Lock()
 	d.drainCv.Broadcast() // Flush gives up on a dead device
+	d.roomCv.Broadcast()  // and a writer waiting for a log with room on it
 	d.nvMu.Unlock()
 	// Poison the command pipeline last: pending writes and future commands
 	// fail with ErrPowerLoss instead of executing, and submitters blocked on

@@ -83,10 +83,15 @@ func (c *collector) loop() {
 				// the answer may have changed (set under the same hold of
 				// lg.mu as the scan, so no such event can fall between).
 				lg.gcStarved = !ok
-				if !ok {
+				switch {
+				case !ok:
 					// A flusher out of blocks may share its other host
 					// stream's open block now (nextPPN).
 					lg.freeCv.Broadcast()
+				case lg.hostChip(chipIdx):
+					d.ctr.gcVictimsHost.Inc()
+				default:
+					d.ctr.gcVictimsOther.Inc()
 				}
 			}
 			lg.mu.Unlock()
@@ -105,60 +110,67 @@ func (c *collector) loop() {
 	}
 }
 
-// victim picks the sealed block with the lowest combined score of valid
+// victim picks the block to collect among the sealed blocks whose collection
+// frees anything. The paper's pick is the lowest combined score of valid
 // bytes and erase count ("low erase counts and small amounts of valid
-// data", §IV-E), among the blocks whose collection frees anything. Called
-// with lg.mu held.
+// data", §IV-E). A victim's scan, relocation reads and erase hold its chip,
+// and this log's flusher programs the chips its host streams have open
+// blocks on, so a victim on one of those stalls the log's own programs:
+// when a candidate sits on a chip with no host stream's open block and has
+// no more erases than the paper's pick, the collector takes the best-scoring
+// such candidate instead. Otherwise — every candidate on a host chip, as on
+// a log with one chip, or none as little worn — it takes the paper's pick.
+// Called with lg.mu held.
 func (d *Device) victim(lg *logState) (chipIdx, block int, ok bool) {
-	best := int64(1) << 62
 	// A block whose live payload would refill as many pages as its erase
 	// frees is no victim: collecting it copies a block into a block, and on a
 	// log that holds nothing else the loop would repeat until the GC stream
 	// ran dry.
 	gainful := int64(d.fc.PagesPerBlock-1) * int64(d.fc.PageSize)
+	// candidate returns block b of chip ci's score and erase count, and
+	// whether it may be collected at all.
+	candidate := func(ci, b int, erases int64) (score int64, ok bool) {
+		bm := &lg.chips[ci].blocks[b]
+		if !bm.sealed || bm.retired || bm.validBytes > gainful {
+			return 0, false
+		}
+		ch, chip := lg.chipAddr(ci)
+		// A block is sealed when its last page is *allocated*. Queued
+		// pages take their address only when the flusher dequeues them,
+		// so the one host page allocated but not yet programmed is the
+		// flusher's in-flight page; erasing its block now would destroy
+		// it. Only fully-programmed blocks qualify.
+		first := d.arr.BlockPPN(ch, chip, b, 0)
+		if d.arr.ProgrammedPages(first) < d.fc.PagesPerBlock {
+			return 0, false
+		}
+		// The flusher may have finished programming the block's last
+		// page but not yet installed its index entries; collecting now
+		// could erase a page that is about to become live. That page is
+		// its in-flight one.
+		if lg.inflight.data != nil {
+			a := d.arr.Decode(lg.inflight.ppn)
+			if a.Channel == ch && a.Chip == chip && a.Block == b {
+				return 0, false
+			}
+		}
+		return bm.validBytes + erases*int64(chunkSize)*4, true
+	}
+	best := int64(1) << 62
+	var bestErases int64
 	wearMin, wearMax := int64(1)<<62, int64(-1)
 	for ci, lc := range lg.chips {
 		ch, chip := lg.chipAddr(ci)
 		for b := range lc.blocks {
-			bm := &lc.blocks[b]
-			if !bm.retired {
-				// Refresh the log's wear-spread gauges while we are already
-				// walking every block (the same erase counters drive victim
-				// scoring below).
-				e := int64(d.arr.EraseCount(d.arr.BlockPPN(ch, chip, b, 0)))
-				if e < wearMin {
-					wearMin = e
-				}
-				if e > wearMax {
-					wearMax = e
-				}
-			}
-			if !bm.sealed || bm.retired || bm.validBytes > gainful {
+			if lc.blocks[b].retired {
 				continue
 			}
-			// A block is sealed when its last page is *allocated*. Queued
-			// pages take their address only when the flusher dequeues them,
-			// so the one host page allocated but not yet programmed is the
-			// flusher's in-flight page; erasing its block now would destroy
-			// it. Only fully-programmed blocks qualify.
-			first := d.arr.BlockPPN(ch, chip, b, 0)
-			if d.arr.ProgrammedPages(first) < d.fc.PagesPerBlock {
-				continue
-			}
-			// The flusher may have finished programming the block's last
-			// page but not yet installed its index entries; collecting now
-			// could erase a page that is about to become live. That page is
-			// its in-flight one.
-			if lg.inflight.data != nil {
-				a := d.arr.Decode(lg.inflight.ppn)
-				if a.Channel == ch && a.Chip == chip && a.Block == b {
-					continue
-				}
-			}
-			erases := int64(d.arr.EraseCount(d.arr.BlockPPN(ch, chip, b, 0)))
-			score := bm.validBytes + erases*int64(chunkSize)*4
-			if score < best {
-				best = score
+			// The same erase counters refresh the log's wear-spread gauges
+			// while we are already walking every block.
+			e := int64(d.arr.EraseCount(d.arr.BlockPPN(ch, chip, b, 0)))
+			wearMin, wearMax = min(wearMin, e), max(wearMax, e)
+			if score, cand := candidate(ci, b, e); cand && score < best {
+				best, bestErases = score, e
 				chipIdx, block, ok = ci, b, true
 			}
 		}
@@ -167,7 +179,36 @@ func (d *Device) victim(lg *logState) (chipIdx, block int, ok bool) {
 		lg.wearMin.Set(wearMin)
 		lg.wearMax.Set(wearMax)
 	}
+	if !ok || !lg.hostChip(chipIdx) {
+		return chipIdx, block, ok
+	}
+	best = int64(1) << 62
+	for ci, lc := range lg.chips {
+		if lg.hostChip(ci) {
+			continue
+		}
+		ch, chip := lg.chipAddr(ci)
+		for b := range lc.blocks {
+			e := int64(d.arr.EraseCount(d.arr.BlockPPN(ch, chip, b, 0)))
+			if score, cand := candidate(ci, b, e); cand && e <= bestErases && score < best {
+				best = score
+				chipIdx, block = ci, b
+			}
+		}
+	}
 	return chipIdx, block, ok
+}
+
+// hostChip reports whether one of the log's host streams has its open block
+// on chip ci (an index into lg.chips): the chips the flusher programs next.
+// Called with lg.mu held.
+func (lg *logState) hostChip(ci int) bool {
+	for s := 0; s < numHostStreams; s++ {
+		if ap := lg.active[s]; ap != nil && ap.chip == ci {
+			return true
+		}
+	}
+	return false
 }
 
 // gcRecord is a still-valid record found in a victim block.

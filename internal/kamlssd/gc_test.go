@@ -109,6 +109,17 @@ func reclaimTime(t *testing.T, nLogs int) time.Duration {
 		_, firstLow := churnUntilLow(t, r, nLogs)
 		awaitHighWater(t, r, r.dev, nLogs, time.Second)
 		took = r.e.Now() - firstLow
+		// Every victim is counted once, by its chip, in /metrics.
+		var erases int64
+		for _, lg := range r.dev.logs {
+			erases += lg.gcErases.Value()
+		}
+		host := r.dev.Telemetry().Counter("kaml_gc_victims_total", "chip", "host").Value()
+		other := r.dev.Telemetry().Counter("kaml_gc_victims_total", "chip", "other").Value()
+		if erases == 0 || host+other != erases {
+			t.Errorf("kaml_gc_victims_total reads %d on host chips and %d on others; the collectors erased %d victims",
+				host, other, erases)
+		}
 	})
 	r.e.Wait()
 	return took
@@ -341,4 +352,138 @@ func TestPowerCutWakesFreeBlockAndCollectorWaits(t *testing.T) {
 		c.checkLast(dev2)
 	})
 	r.e.Wait()
+}
+
+// victimBlock is a sealed, fully programmed block the victim tests lay out
+// on a log: its chip (an index into the log's chips), block, live bytes and
+// erase count.
+type victimBlock struct {
+	chip, block int
+	valid       int64
+	erases      int
+}
+
+// layVictims makes each of blocks a collectable block of lg: erased
+// erases times, every page programmed, sealed with valid live bytes. The
+// host streams' open blocks go on the chips hostChips names (-1: the stream
+// has none). The collectors stay parked: the log never runs low.
+func layVictims(t *testing.T, d *Device, lg *logState, blocks []victimBlock, hostChips [numHostStreams]int) {
+	t.Helper()
+	for _, vb := range blocks {
+		ch, chip := lg.chipAddr(vb.chip)
+		first := d.arr.BlockPPN(ch, chip, vb.block, 0)
+		for i := 0; i < vb.erases; i++ {
+			if err := d.arr.EraseBlock(first); err != nil {
+				t.Fatalf("setup: erase: %v", err)
+			}
+		}
+		for p := 0; p < d.fc.PagesPerBlock; p++ {
+			if err := d.arr.ProgramPage(d.arr.BlockPPN(ch, chip, vb.block, p), []byte{1}, nil); err != nil {
+				t.Fatalf("setup: program: %v", err)
+			}
+		}
+		lg.mu.Lock()
+		bm := &lg.chips[vb.chip].blocks[vb.block]
+		bm.sealed, bm.validBytes = true, vb.valid
+		lg.mu.Unlock()
+	}
+	lg.mu.Lock()
+	for s, ci := range hostChips {
+		lg.active[s] = nil
+		if ci >= 0 {
+			lg.active[s] = &appendPoint{chip: ci, block: d.fc.BlocksPerChip - 1}
+		}
+	}
+	lg.mu.Unlock()
+}
+
+// pickVictim returns lg's victim as a victimBlock's chip and block.
+func pickVictim(t *testing.T, d *Device, lg *logState) (chip, block int) {
+	t.Helper()
+	lg.mu.Lock()
+	defer lg.mu.Unlock()
+	ci, b, ok := d.victim(lg)
+	if !ok {
+		t.Fatal("no victim")
+	}
+	return ci, b
+}
+
+// A victim's scan and erase hold its chip. Of the blocks as worn as the
+// paper's pick (lowest valid bytes + erases x 4 chunks, §IV-E), the collector
+// takes the best-scoring one on a chip where no host stream of its log has
+// its open block, so its log's flusher does not program behind its own
+// collector. It keeps the paper's pick when every candidate sits on a host
+// chip, and when every off-host-chip candidate is more worn.
+func TestVictimPrefersAChipNoHostStreamPrograms(t *testing.T) {
+	const chunk = int64(chunkSize)
+	cases := []struct {
+		name       string
+		host       [numHostStreams]int
+		blocks     []victimBlock
+		chip, blk  int
+		wantReason string
+	}{
+		{
+			name: "off a host chip",
+			host: [numHostStreams]int{0, -1},
+			blocks: []victimBlock{
+				{chip: 0, block: 0, valid: 0},                     // the paper's pick, on the cold stream's chip
+				{chip: 1, block: 0, valid: 6 * chunk},             // the best off-host-chip candidate
+				{chip: 2, block: 0, valid: 8 * chunk},             // a worse one
+				{chip: 3, block: 1, valid: 0, erases: 1},          // scores better, but more worn than the pick
+				{chip: 3, block: 0, valid: 40 * chunk, erases: 0}, // the worst
+			},
+			chip: 1, blk: 0,
+			wantReason: "the best-scoring candidate off every host chip, no more worn than the paper's pick",
+		},
+		{
+			name: "every candidate on a host chip",
+			host: [numHostStreams]int{1, 0},
+			blocks: []victimBlock{
+				{chip: 0, block: 0, valid: 4 * chunk},
+				{chip: 1, block: 0, valid: 2 * chunk}, // the paper's pick
+				{chip: 1, block: 1, valid: 8 * chunk},
+			},
+			chip: 1, blk: 0,
+			wantReason: "the paper's pick: no candidate is off a host chip",
+		},
+		{
+			name: "the off-host-chip candidates are more worn",
+			host: [numHostStreams]int{0, 0},
+			blocks: []victimBlock{
+				{chip: 0, block: 0, valid: 4 * chunk}, // the paper's pick: score 4 chunks
+				{chip: 2, block: 0, valid: 0, erases: 1},
+				{chip: 3, block: 0, valid: 0, erases: 2},
+			},
+			chip: 0, blk: 0,
+			wantReason: "the paper's pick: every off-host-chip candidate has more erases",
+		},
+		{
+			name: "no host stream has an open block",
+			host: [numHostStreams]int{-1, -1},
+			blocks: []victimBlock{
+				{chip: 0, block: 0, valid: 0},
+				{chip: 1, block: 0, valid: 4 * chunk},
+			},
+			chip: 0, blk: 0,
+			wantReason: "the paper's pick: no chip is a host chip",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			withRig(t, testFlashConfig(), func(c *Config) { c.NumLogs = 2 }, func(r *rig) {
+				d, lg := r.dev, r.dev.logs[0]
+				layVictims(t, d, lg, tc.blocks, tc.host)
+				if chip, blk := pickVictim(t, d, lg); chip != tc.chip || blk != tc.blk {
+					t.Errorf("victim is chip %d block %d, want chip %d block %d: %s",
+						chip, blk, tc.chip, tc.blk, tc.wantReason)
+				}
+				// Leave no open block naming a block the test made up.
+				lg.mu.Lock()
+				lg.active = [numStreams]*appendPoint{}
+				lg.mu.Unlock()
+			})
+		})
+	}
 }

@@ -57,9 +57,8 @@ type logState struct {
 	inflight sealedPage
 	// spare holds emptied pending lists: the flusher returns a page's list
 	// once the page is installed, and the next seal opens its page with it.
-	spare   [][]pendingRec
-	spaceCv *sim.Cond // on mu: the flusher sealed a page a writer left / power cut
-	workCv  *sim.Cond // on mu: sealed page queued / drain requested / device closed
+	spare  [][]pendingRec
+	workCv *sim.Cond // on mu: sealed page queued / drain requested / device closed
 
 	active   [numStreams]*appendPoint // each stream's open block (nil: none)
 	nextChip int                      // rotate block allocation across the log's chips
@@ -192,7 +191,6 @@ func newLogState(d *Device, id int) *logState {
 		lg.open[s].packer = record.NewPacker(d.fc.PageSize, chunkSize)
 	}
 	lg.mu = d.eng.NewMutex(fmt.Sprintf("kaml-log%d", id))
-	lg.spaceCv = d.eng.NewCond(lg.mu)
 	lg.workCv = d.eng.NewCond(lg.mu)
 	lg.freeCv = d.eng.NewCond(lg.mu)
 	lg.gcCv = d.eng.NewCond(lg.mu)
@@ -329,11 +327,52 @@ func (lg *logState) hostPPN(stream int) (flash.PPN, bool) {
 // last flusher's exit).
 func (lg *logState) wakeAll() {
 	lg.mu.Lock()
-	lg.spaceCv.Broadcast()
 	lg.workCv.Broadcast()
 	lg.freeCv.Broadcast()
 	lg.gcCv.Broadcast()
 	lg.mu.Unlock()
+}
+
+// awaitRoom parks a writer that has met every log of its namespace full until
+// a flusher makes room in any log, not only the last one it met: a room
+// event after the seen-th, the count the writer read at the first full log
+// of its round. Fails on a power cut. The wait is observed in
+// kaml_ssd_log_full_wait_seconds. Called with no lock held.
+func (d *Device) awaitRoom(seen uint64) error {
+	var start time.Duration
+	if d.tel != nil {
+		start = d.eng.NowCheap()
+	}
+	d.nvMu.Lock()
+	// Registered before the test, as cmdq's queue-space waiters are: a
+	// flusher that reads no waiter made its room event before this test,
+	// which then sees it.
+	d.roomWaiters.Add(1)
+	for d.roomEvents.Load() == seen && !d.crashed.Load() {
+		d.roomCv.Wait()
+	}
+	d.roomWaiters.Add(-1)
+	d.nvMu.Unlock()
+	if d.tel != nil {
+		d.logFullWait.ObserveDuration(d.eng.NowCheap() - start)
+	}
+	if d.crashed.Load() {
+		return ErrPowerLoss
+	}
+	return nil
+}
+
+// madeRoom is a room event: a flusher sealed a page that a writer left, so
+// its log takes records again. It wakes the writers waiting for a log with
+// room (awaitRoom), and takes nvMu for that only when one is registered.
+// Called with lg.mu held; nvMu nests inside it.
+func (d *Device) madeRoom() {
+	d.roomEvents.Add(1)
+	if d.roomWaiters.Load() > 0 {
+		d.nvMu.Lock()
+		d.roomCv.Broadcast()
+		d.nvMu.Unlock()
+	}
 }
 
 // gcRetry tells a starved collector to look again: something that can make a
@@ -432,17 +471,19 @@ func (d *Device) route(ns *namespace) (*logState, uint64) {
 // while no queue is full a namespace's pages stay balanced across its logs to
 // within one, whichever stream sealed them (an exact-fit seal counts: a
 // cursor that moved only on "does not fit" would pin a namespace of
-// page-dividing records to one log). The cursor moves before the seal. A log whose sealed queue is full
-// keeps its page for its flusher to seal (sealOrLeave), and a record that
-// did not fit follows the cursor to the namespace's next log, whose own
-// temperature judges it again. Only a writer that has met every log of its
-// namespace full in a row — the device is flash-bound — waits, on the last
-// log's spaceCv, until that log's flusher seals a page: the NVRAM
-// backpressure that ties Put bandwidth to the logs' append bandwidth. Fails
-// only on a power cut, with the record not routed. Called with no lock held.
+// page-dividing records to one log). The cursor moves before the seal. A
+// log whose sealed queue is full keeps its page for its flusher to seal
+// (sealOrLeave), and a record that did not fit follows the cursor to the
+// namespace's next log, whose own temperature judges it again. Only a writer
+// that has met every log of its namespace full in a row — the device is
+// flash-bound — waits (awaitRoom), until any flusher makes room, and then
+// follows the cursor again: the NVRAM backpressure that ties Put bandwidth
+// to the logs' append bandwidth. Fails only on a power cut, with the record
+// not routed. Called with no lock held.
 func (d *Device) appendRecord(ns *namespace, lg *logState, cur uint64, rec record.Record, prev uint64, staged time.Duration) error {
 	size := rec.EncodedSize()
 	full := 0 // logs met in a row with a full queue
+	var seen uint64
 	lg.mu.Lock()
 	s := lg.streamFor(rec.Seq, prev)
 	for !lg.open[s].packer.Fits(size) {
@@ -450,31 +491,30 @@ func (d *Device) appendRecord(ns *namespace, lg *logState, cur uint64, rec recor
 		if lg.sealOrLeave(s, sealNoFit) {
 			continue
 		}
-		full++
-		page := lg.pageSeq
+		if full++; full == 1 {
+			// Read under the first full log's lock: a room event on any log
+			// from here on is one this writer waits for, not one it missed.
+			seen = d.roomEvents.Load()
+		}
 		lg.mu.Unlock()
 		ns.mu.RLock()
 		every := full >= len(ns.logIDs)
 		next, nextCur := d.route(ns)
 		ns.mu.RUnlock()
-		if !every {
+		if every {
+			if err := d.awaitRoom(seen); err != nil {
+				return err // the record is staged but not routed; the caller aborts its batch
+			}
+			full = 0
+			ns.mu.RLock()
+			next, nextCur = d.route(ns)
+			ns.mu.RUnlock()
+		} else {
 			lg.rerouted.Inc()
-			lg, cur = next, nextCur
-			lg.mu.Lock()
-			s = lg.streamFor(rec.Seq, prev)
-			continue
 		}
+		lg, cur = next, nextCur
 		lg.mu.Lock()
-		for lg.pageSeq == page && !d.crashed.Load() {
-			lg.spaceCv.Wait()
-		}
-		if d.crashed.Load() {
-			// Power cut while waiting: the record is staged but not routed;
-			// the caller aborts its batch.
-			lg.mu.Unlock()
-			return ErrPowerLoss
-		}
-		full = 0
+		s = lg.streamFor(rec.Seq, prev)
 	}
 	op := &lg.open[s]
 	chunk := op.packer.Add(rec)
@@ -559,7 +599,7 @@ func (d *Device) flusherLoop(lg *logState) {
 		for _, s := range [numHostStreams]int{first, numHostStreams - 1 - first} {
 			if lg.open[s].sealWanted && lg.hasRoom() {
 				lg.sealPacker(s, sealNoFit)
-				lg.spaceCv.Broadcast() // a writer waiting for that page goes on
+				d.madeRoom()
 			}
 		}
 		ppn, ok := lg.hostPPN(sp.stream)

@@ -34,6 +34,10 @@ type counters struct {
 	nvramStaged  telemetry.Gauge // values resident in battery-backed NVRAM
 	indexEntries telemetry.Gauge // live mapping-table entries, all namespaces
 	gcActive     telemetry.Gauge // collectors out of their wait: pruning or reclaiming
+
+	// Victims collected, by whether a host stream of their log had its open
+	// block on their chip when the collector picked them (victim).
+	gcVictimsHost, gcVictimsOther telemetry.Counter
 }
 
 // export lists the firmware's cells in r and resolves its histograms.
@@ -58,6 +62,7 @@ func (d *Device) export(r *telemetry.Registry) {
 	r.Help("kaml_ssd_pages_sealed_total", "Record pages that left the NVRAM packer for the program queue, per log and cause (full, nofit, drain, close).")
 	r.Help("kaml_ssd_sealed_page_chunks", "Chunks holding records in each sealed page (of PageSize/ChunkSize).")
 	r.Help("kaml_ssd_free_block_wait_seconds", "Time a log's flusher waited for its collector to return an erased block for the page it dequeued (virtual time).")
+	r.Help("kaml_ssd_log_full_wait_seconds", "Time a writer that met every log of its namespace with a full sealed queue waited for a flusher to make room in one (virtual time).")
 	r.Help("kaml_ssd_hot_pages_total", "Pages sealed from the log's hot host stream (records whose key was rewritten within a hot block's lifetime), per log.")
 	r.Help("kaml_ssd_records_rerouted_total", "Records a full sealed queue sent on from this log to their namespace's next log, per log.")
 	r.Help("kaml_recovery_seconds", "Duration of the power-failure recovery that built this device, log scan to actors started (virtual time; no sample on a device that never crashed).")
@@ -67,6 +72,7 @@ func (d *Device) export(r *telemetry.Registry) {
 	r.Help("kaml_recovery_replayed_values_total", "Committed NVRAM values recovery re-staged for programming.")
 	r.Help("kaml_recovery_dropped_uncommitted_total", "NVRAM values recovery discarded because their batch never committed.")
 	r.Help("kaml_gc_pause_seconds", "Duration of one GC victim collection (virtual time).")
+	r.Help("kaml_gc_victims_total", "GC victims collected, by chip: \"host\" when one of the log's host streams had its open block on the victim's chip, \"other\" when none did.")
 	r.Help("kaml_gc_collectors_active", "Per-log collectors currently pruning or reclaiming (the rest wait for their log to run low).")
 	r.Help("kaml_mvcc_versions_pruned_total", "Dead MVCC versions unlinked from the version chains.")
 	r.Help("kaml_mvcc_chain_length", "Per-key version-chain length observed at each pruning pass.")
@@ -79,6 +85,7 @@ func (d *Device) export(r *telemetry.Registry) {
 	r.AdoptCounter(&d.ctr.indexReadRetries, "kaml_ssd_index_read_retries_total")
 	d.flashInstall = r.Histogram("kaml_ssd_flash_install_seconds", telemetry.UnitSeconds)
 	d.freeBlockWait = r.Histogram("kaml_ssd_free_block_wait_seconds", telemetry.UnitSeconds)
+	d.logFullWait = r.Histogram("kaml_ssd_log_full_wait_seconds", telemetry.UnitSeconds)
 	d.recoveryTime = r.Histogram("kaml_recovery_seconds", telemetry.UnitSeconds)
 	r.AdoptCounter(&d.ctr.scannedPages, "kaml_recovery_scanned_pages_total")
 	r.AdoptCounter(&d.ctr.tornPagesSkipped, "kaml_recovery_torn_pages_total")
@@ -87,6 +94,8 @@ func (d *Device) export(r *telemetry.Registry) {
 	r.AdoptCounter(&d.ctr.droppedUncommitted, "kaml_recovery_dropped_uncommitted_total")
 	d.gcPause = r.Histogram("kaml_gc_pause_seconds", telemetry.UnitSeconds)
 	r.AdoptGauge(&d.ctr.gcActive, "kaml_gc_collectors_active")
+	r.AdoptCounter(&d.ctr.gcVictimsHost, "kaml_gc_victims_total", "chip", "host")
+	r.AdoptCounter(&d.ctr.gcVictimsOther, "kaml_gc_victims_total", "chip", "other")
 	r.AdoptCounter(&d.ctr.versionsPruned, "kaml_mvcc_versions_pruned_total")
 	d.chainLen = r.Histogram("kaml_mvcc_chain_length", telemetry.UnitNone)
 	d.sealedChunks = r.Histogram("kaml_ssd_sealed_page_chunks", telemetry.UnitNone)

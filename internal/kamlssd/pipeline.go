@@ -90,10 +90,12 @@ func lockOrder(batch []PutRecord, buf []nskey) ([]nskey, error) {
 }
 
 // execCommand dispatches one pipeline command to the firmware and charges
-// the completion transfer. It runs on the caller for direct commands and on
-// a coalescer actor for merged batch commits — so a batch that carries N
-// coalesced Puts charges one completion for all of them, the amortized-CQE
-// half of group commit.
+// the completion transfer. A direct command runs on its caller, which pays
+// the transfer in full. A write runs on a coalescer actor, which does not:
+// its completion entry reaches the host CompletionLatency after the commit
+// (Result.Due), each merged command's on its own, and the shard meanwhile
+// cuts its next batch — the transfer holds neither the shard nor a
+// queue-pair slot.
 func (d *Device) execCommand(cmd *cmdq.Command) cmdq.Result {
 	var res cmdq.Result
 	switch cmd.Op {
@@ -101,6 +103,8 @@ func (d *Device) execCommand(cmd *cmdq.Command) cmdq.Result {
 		res.Value, res.Err = d.execGet(cmd.Namespace, cmd.Key)
 	case cmdq.OpPut, cmdq.OpPutBatch:
 		res.Err = d.execPut(cmd.Records, cmd.Merged)
+		res.Due = d.eng.NowCheap() + d.ctrl.Config().CompletionLatency
+		return res
 	case cmdq.OpSnapshot:
 		res.Namespace, res.Err = d.execSnapshot(cmd.Namespace)
 	default:

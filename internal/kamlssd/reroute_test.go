@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/kaml-ssd/kaml/internal/flash"
+	"github.com/kaml-ssd/kaml/internal/telemetry"
 )
 
 // Tests for a full sealed queue (log.go): a page takes its flash address
@@ -223,4 +224,76 @@ func TestAllLogsFullIsBackpressure(t *testing.T) {
 		}
 	})
 	r.e.Wait()
+}
+
+// A writer that met every log of its namespace full waits for the first log
+// that has room again, whichever it is — not for the last log it met. Both
+// logs are stalled; a block comes back to one of them only, and the writer
+// goes on as soon as that log's flusher seals the page left for it, while
+// the other log is still stalled. The wait is in
+// kaml_ssd_log_full_wait_seconds.
+func TestWriterWakesOnFirstLogWithRoom(t *testing.T) {
+	for room := range 2 {
+		t.Run(fmt.Sprintf("room on log %d", room), func(t *testing.T) {
+			r := newSerialRig(1, testFlashConfig(), func(c *Config) {
+				c.NumLogs = 2
+				collectorsOff(c)
+			})
+			r.e.Go("test", func() {
+				d := r.dev
+				defer d.Close()
+				ns, _ := d.CreateNamespace(NamespaceAttrs{})
+				if !stallLogs(t, r, ns, d.logs) {
+					return
+				}
+				const key = 1000
+				var done time.Duration
+				start := r.e.Now()
+				writer := r.e.NewWaitGroup()
+				writer.Add(1)
+				r.e.Go("writer", func() {
+					defer writer.Done()
+					if err := d.Put(one(ns, key, val(key, churnValue))); err != nil {
+						t.Errorf("writer: %v", err)
+						return
+					}
+					done = r.e.Now()
+				})
+				r.e.Sleep(time.Millisecond)
+				if done != 0 || d.roomWaiters.Load() != 1 {
+					t.Errorf("setup: the writer finished (%v) or is not waiting for room (%d waiters)",
+						done, d.roomWaiters.Load())
+					return
+				}
+				parked := r.e.Now()
+				lg, other := d.logs[room], d.logs[1-room]
+				left := sealedSince(lg, 0)
+				returnBlock(t, d, lg)
+				returned := r.e.Now()
+				for end := r.e.Now() + 10*time.Millisecond; done == 0 && r.e.Now() < end; {
+					r.e.Sleep(10 * time.Microsecond)
+				}
+				if done == 0 || !stalled(other) {
+					t.Errorf("with room on log %d only, the writer finished at %v (0: not at all) and log %d is stalled: %v",
+						room, done, other.id, stalled(other))
+				}
+				if sealedSince(lg, left) == 0 {
+					t.Errorf("log %d sealed no page once its block came back", room)
+				}
+				returnBlock(t, d, other) // let a writer still waiting finish
+				writer.Wait()
+				if v, err := d.Get(ns, key); err != nil || string(v) != string(val(key, churnValue)) {
+					t.Errorf("the writer's key: %v", err)
+				}
+				// The writer waited from before parked until after the block came
+				// back, and its Put took from start to done.
+				h := d.Telemetry().Histogram("kaml_ssd_log_full_wait_seconds", telemetry.UnitSeconds)
+				if waited := time.Duration(h.Sum()); h.Count() != 1 || waited < returned-parked || waited > done-start {
+					t.Errorf("kaml_ssd_log_full_wait_seconds holds %d waits of %v in all; want one of %v to %v",
+						h.Count(), waited, returned-parked, done-start)
+				}
+			})
+			r.e.Wait()
+		})
+	}
 }

@@ -127,7 +127,7 @@ func TestLatch(t *testing.T) {
 			})
 		}
 		e.Sleep(time.Millisecond)
-		if l.IsOpen() {
+		if l.IsOpen(e) {
 			t.Error("latch open before Open")
 		}
 		opened = e.Now()
@@ -146,4 +146,105 @@ func TestLatch(t *testing.T) {
 	if late != opened {
 		t.Errorf("a wait on an open latch returned at %v, want at once (%v)", late, opened)
 	}
+}
+
+// A latch opened at a later instant stays closed until it: the waiters
+// parked before the call and those that arrive between the call and the
+// instant all go through at the instant, a wait after it returns at once,
+// and the opener does not wait at all.
+func TestLatchOpenAt(t *testing.T) {
+	e := NewEngine()
+	var l Latch
+	const ahead = 8 * time.Microsecond
+	early := make([]time.Duration, 3) // parked before OpenAt
+	between := make([]time.Duration, 2)
+	var called, at, opener, late time.Duration
+	together(e, func() {
+		for i := range early {
+			e.Go("early", func() {
+				l.Wait(e)
+				early[i] = e.Now()
+			})
+		}
+		e.Sleep(time.Millisecond)
+		called = e.Now()
+		at = called + ahead
+		l.OpenAt(e, at)
+		opener = e.Now()
+		if l.IsOpen(e) {
+			t.Error("latch open before its instant")
+		}
+		for i := range between {
+			e.Go("between", func() {
+				e.Sleep(time.Duration(i+1) * time.Microsecond)
+				if l.IsOpen(e) {
+					t.Errorf("latch open %v before its instant", at-e.Now())
+				}
+				l.Wait(e)
+				between[i] = e.Now()
+			})
+		}
+		e.Sleep(ahead - time.Nanosecond)
+		if l.IsOpen(e) {
+			t.Error("latch open a nanosecond before its instant")
+		}
+		e.Sleep(time.Nanosecond)
+		if !l.IsOpen(e) {
+			t.Error("latch still closed at its instant")
+		}
+		e.Sleep(time.Microsecond)
+		l.Wait(e)
+		late = e.Now()
+	})
+	if opener != called {
+		t.Errorf("OpenAt took %v of the opener's time, want none", opener-called)
+	}
+	for i, w := range append(early, between...) {
+		if w != at {
+			t.Errorf("waiter %d went through at %v, want the latch's instant %v", i, w, at)
+		}
+	}
+	if late != at+time.Microsecond {
+		t.Errorf("a wait after the instant returned at %v, want at once (%v)", late, at+time.Microsecond)
+	}
+	for _, tc := range openAtParks {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := parkAllocs(t, tc.setup); got != 0 {
+				t.Errorf("a latch wait %s allocates %.2f times per call, want 0", tc.name, got)
+			}
+		})
+	}
+}
+
+// The two ways to wait on a latch opened ahead, neither of which allocates:
+// parked before OpenAt (the partner opens each latch a microsecond ahead,
+// after the measured actor has parked on it, and the parked waiter moves to
+// a timer), and arriving after it (the measured actor opens each latch a
+// microsecond ahead and then waits on it, sleeping on a timer of its own).
+var openAtParks = []struct {
+	name  string
+	setup func(e *Engine, stop *atomic.Bool) (op, partner func())
+}{
+	{"parked before OpenAt", func(e *Engine, _ *atomic.Bool) (op, partner func()) {
+		latches := make([]Latch, parkCalls)
+		next := 0
+		return func() {
+				latches[next].Wait(e)
+				next++
+			}, func() {
+				for i := range latches {
+					e.Sleep(time.Microsecond)
+					latches[i].OpenAt(e, e.Now()+time.Microsecond)
+				}
+			}
+	}},
+	{"waiting after OpenAt", func(e *Engine, _ *atomic.Bool) (op, partner func()) {
+		latches := make([]Latch, parkCalls)
+		next := 0
+		return func() {
+			latches[next].OpenAt(e, e.Now()+time.Microsecond)
+			latches[next].Wait(e)
+			next++
+		}, nil
+	}},
 }

@@ -356,46 +356,61 @@ func (w *WaitGroup) Wait() {
 	tok.park()
 }
 
-// Latch is a one-shot event: Wait parks the calling actor until Open, and
-// every Wait after Open returns at once. It is what a completion future
-// needs and nothing more — no mutex to hold, no predicate to re-test — so
-// it lives inside the structure it guards: the zero value is a closed latch,
-// and neither opening it nor a Wait that parks on it allocates.
+// Latch is a one-shot event: Wait parks the calling actor until the latch
+// opens, and every Wait after that returns at once. It is what a completion
+// future needs and nothing more — no mutex to hold, no predicate to re-test —
+// so it lives inside the structure it guards: the zero value is a closed
+// latch, and neither opening it nor a Wait that parks on it allocates.
 //
-// Open is lock-free when nobody waits. The two atomics close the race
+// A latch opens now (Open) or at a later instant of the virtual clock
+// (OpenAt): then IsOpen stays false until that instant, and every waiter —
+// parked before the call or arriving after it — sleeps on the engine's timer
+// heap until it. A completion that the device has decided but the host sees
+// only after a transfer is such an event: its opener goes on with its work
+// instead of sleeping through the transfer.
+//
+// Opening is lock-free when nobody waits. The two atomics close the race
 // between them: a waiter marks the latch waited on, under the engine lock,
-// before it tests open; Open sets open before it tests waited. Whichever
-// store comes first in the (sequentially consistent) order, either the
-// waiter sees the latch open and does not park, or Open sees the mark and
-// takes the engine lock — which the waiter holds until it is queued.
+// before it tests open; OpenAt stores the instant and then open before it
+// tests waited. Whichever store comes first in the (sequentially
+// consistent) order, either the waiter sees the latch open, with its
+// instant, and does not queue, or OpenAt sees the mark and takes the engine
+// lock — which the waiter holds until it is queued.
 type Latch struct {
 	open   atomic.Bool
+	at     atomic.Int64 // the instant the latch opens; stored before open
 	waited atomic.Bool
-	// The parked actors, guarded by the engine's lock. A latch is usually
-	// new (one per future) and waited on once, so the first waiter is held
-	// inline: a queue's first push would allocate its storage.
+	// The actors parked before the latch was opened, guarded by the
+	// engine's lock. A latch is usually new (one per future) and waited on
+	// once, so the first waiter is held inline: a queue's first push would
+	// allocate its storage.
 	first   *parkToken
 	waiters waitQueue // waiters beyond the first
 }
 
-// IsOpen reports whether Open has been called.
-func (l *Latch) IsOpen() bool { return l.open.Load() }
+// IsOpen reports whether the latch is open at e's current instant.
+func (l *Latch) IsOpen(e *Engine) bool {
+	return l.open.Load() && time.Duration(l.at.Load()) <= e.NowCheap()
+}
 
 // Wait parks the calling actor until the latch is open.
 func (l *Latch) Wait(e *Engine) {
-	if l.open.Load() {
+	if l.IsOpen(e) {
 		return
 	}
 	e.mu.Lock()
 	l.waited.Store(true)
-	if l.open.Load() {
+	if l.open.Load() && time.Duration(l.at.Load()) <= e.now {
 		e.mu.Unlock()
 		return
 	}
 	tok := newParkToken()
-	if l.first == nil {
+	switch {
+	case l.open.Load():
+		l.wakeAtLocked(e, tok, time.Duration(l.at.Load()))
+	case l.first == nil:
 		l.first = tok
-	} else {
+	default:
 		l.waiters.push(tok)
 	}
 	e.blockLocked(tok, "latch")
@@ -403,9 +418,16 @@ func (l *Latch) Wait(e *Engine) {
 	tok.park()
 }
 
-// Open opens the latch and wakes every actor parked on it, oldest first.
+// Open opens the latch now and wakes every actor parked on it, oldest first.
 // Idempotent; callable from inside or outside the simulation.
-func (l *Latch) Open(e *Engine) {
+func (l *Latch) Open(e *Engine) { l.OpenAt(e, 0) }
+
+// OpenAt opens the latch at virtual instant at — now, if at has passed. The
+// actors parked on it wake at that instant, oldest first, each on a timer
+// of its own. A latch opens once: call OpenAt (or Open, any number of
+// times) on it, not both. Callable from inside or outside the simulation.
+func (l *Latch) OpenAt(e *Engine, at time.Duration) {
+	l.at.Store(int64(at))
 	l.open.Store(true)
 	if !l.waited.Load() {
 		return
@@ -413,8 +435,24 @@ func (l *Latch) Open(e *Engine) {
 	e.mu.Lock()
 	if tok := l.first; tok != nil {
 		l.first = nil
-		e.wakeLocked(tok)
+		l.wakeAtLocked(e, tok, at)
 	}
-	l.waiters.wakeAllLocked(e)
+	for l.waiters.len() > 0 {
+		l.wakeAtLocked(e, l.waiters.pop(), at)
+	}
+	if e.runnable == 0 {
+		e.unblockLocked() // opened from outside with every actor parked
+	}
 	e.mu.Unlock()
+}
+
+// wakeAtLocked wakes a parked (or parking) waiter at instant at: now if it
+// has passed, otherwise on a timer in the engine's heap. Caller holds e.mu.
+func (l *Latch) wakeAtLocked(e *Engine, tok *parkToken, at time.Duration) {
+	if at <= e.now {
+		e.wakeLocked(tok)
+		return
+	}
+	e.seq++
+	e.timers.push(timer{when: at, seq: e.seq, tok: tok})
 }

@@ -543,7 +543,7 @@ func (f *PutFuture) Ready() bool { return f.f.Ready() }
 // AsyncPut submits a single-record Put and returns immediately with a
 // future. Concurrent small AsyncPuts are candidates for the device's group
 // commit: the coalescer may merge them into one multi-record NVRAM commit,
-// amortizing the per-command firmware and completion costs.
+// amortizing the per-command firmware cost and commit marker.
 func (d *Device) AsyncPut(ns Namespace, key uint64, value []byte) *PutFuture {
 	recs := []kamlssd.PutRecord{{Namespace: ns, Key: key, Value: value}}
 	fut := &PutFuture{tap: d.tap}
