@@ -31,16 +31,14 @@ func Ablations(s Scale) []*Table {
 // AblationIndexKind compares the per-namespace mapping-table structures
 // §IV-C allows: the default hash table (at several load factors) against a
 // B+tree, measured as single-thread Get latency. The hash table's cost
-// depends on its load factor; the tree's on its depth.
+// depends on its load factor; the tree's on its depth. Each cell is the mean
+// over every key of its table, read once in a seeded order, so a cell is the
+// table's mean Get and not a sample of it; the table does not depend on s.
 func AblationIndexKind(s Scale) *Table {
 	t := &Table{
 		ID:     "ablation-index",
 		Title:  "Get latency by mapping-table structure (us, 1 thread)",
 		Header: []string{"index", "n=2k", "n=20k"},
-	}
-	iters := int(150 * float64(s))
-	if iters < 50 {
-		iters = 50
 	}
 	measureGet := func(kind kamlssd.IndexKind, n int, load float64) float64 {
 		r := newKAMLRig(microFlash(), nil)
@@ -62,14 +60,14 @@ func AblationIndexKind(s Scale) *Table {
 				}
 			}
 			r.dev.Flush()
-			rng := rand.New(rand.NewSource(4))
+			order := rand.New(rand.NewSource(4)).Perm(n)
 			start := r.eng.Now()
-			for i := 0; i < iters; i++ {
-				if _, err := r.dev.Get(ns, uint64(rng.Intn(n))); err != nil {
+			for _, k := range order {
+				if _, err := r.dev.Get(ns, uint64(k)); err != nil {
 					return
 				}
 			}
-			avg = float64((r.eng.Now() - start).Microseconds()) / float64(iters)
+			avg = (r.eng.Now() - start).Seconds() * 1e6 / float64(n)
 		})
 		r.eng.Wait()
 		return avg

@@ -67,3 +67,17 @@ func TestPreloadReachesItsLoadFactor(t *testing.T) {
 		r.eng.Wait()
 	}
 }
+
+// The index ablation reads every key of each table once, so its cells are
+// the tables' mean Get latency: two runs print the same table, and so do two
+// scales.
+func TestAblationIndexKindIsRepeatable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long")
+	}
+	a, b := AblationIndexKind(0.1), AblationIndexKind(1)
+	if fmt.Sprint(a.Rows) != fmt.Sprint(b.Rows) {
+		t.Errorf("two runs of the index ablation differ:\n%s\n%s", a.Render(), b.Render())
+	}
+	t.Log("\n" + a.Render())
+}

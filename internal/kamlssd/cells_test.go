@@ -106,7 +106,7 @@ func TestEveryFlashProgramCounted(t *testing.T) {
 			t.Fatalf("key 1 is not in a sealed block of log 0 (log %d)", lg.id)
 		}
 		programs := r.arr.Stats().Programs
-		newCollector(r.dev, lg).collectBlock(slices.Index(lg.chips, lc), block)
+		newCollector(r.dev, lg).collectBlock(slices.Index(lg.chips, lc), block, 1)
 		st := r.dev.Stats()
 		if st.GCCopies == 0 || r.arr.Stats().Programs == programs {
 			t.Fatalf("GC copied %d records and programmed %d pages: it relocated nothing",

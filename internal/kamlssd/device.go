@@ -235,7 +235,7 @@ type Device struct {
 
 	// ctr holds the firmware's counted events, one cell each (metrics.go).
 	// tel is the device's telemetry registry — a directory of those cells
-	// plus the six histograms below, all nil when Config.DisableTelemetry.
+	// plus the histograms below, all nil when Config.DisableTelemetry.
 	// Everything is pure atomics — safe to scrape from plain goroutines
 	// outside the simulation without stalling the virtual clock.
 	ctr          counters
@@ -249,7 +249,10 @@ type Device struct {
 	freeBlockWait *telemetry.Histogram
 	// logFullWait is how long a writer that met every log of its namespace
 	// full waited for a flusher to make room (awaitRoom).
-	logFullWait  *telemetry.Histogram
+	logFullWait *telemetry.Histogram
+	// programWait is how much longer than its floor a flusher's program
+	// took, by the other job of its log on the page's chip (sharer).
+	programWait  [numWaitCauses]*telemetry.Histogram
 	recoveryTime *telemetry.Histogram // one Recover, log scan to actors started
 
 	closed       atomic.Bool

@@ -1,11 +1,14 @@
 package kamlssd
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/kaml-ssd/kaml/internal/flash"
 	"github.com/kaml-ssd/kaml/internal/record"
+	"github.com/kaml-ssd/kaml/internal/sim"
 )
 
 // collector is one log's garbage collector (§IV-E): an actor that sleeps
@@ -24,19 +27,31 @@ type collector struct {
 	keep []bool
 	pins []uint64
 
-	// Per-victim scratch: one page's parsed records, the live records the
-	// scan found, the records of the relocation page being filled, and its
-	// packer. Parsed and live records alias the victim's pages
-	// (record.AppendParsed): the only copy of a value is the one relocation
-	// packs.
+	// Per-victim scratch: the scan's readers, each with the records of the
+	// page it parses and the live records it found, the records of the
+	// relocation page being filled, and its packer. Parsed and live records
+	// alias the victim's pages (record.AppendParsed): the only copy of a
+	// value is the one relocation packs. scanned waits for the readers beside
+	// the collector's own, each an actor named scanName.
+	readers  [readersPerChip]victimReader
+	scanned  *sim.WaitGroup
+	scanName string
+	group    []gcRecord
+	packer   *record.Packer
+}
+
+// victimReader is one reader of a victim scan: it reads every n-th page of
+// the victim from page first, and lists the live records on them in page
+// order.
+type victimReader struct {
 	placed []record.Placed
 	live   []gcRecord
-	group  []gcRecord
-	packer *record.Packer
+	err    error // the read that ended the scan early: a power cut or a persistent read error
 }
 
 func newCollector(d *Device, lg *logState) *collector {
-	return &collector{d: d, lg: lg, packer: record.NewPacker(d.fc.PageSize, chunkSize)}
+	return &collector{d: d, lg: lg, packer: record.NewPacker(d.fc.PageSize, chunkSize),
+		scanned: d.eng.NewWaitGroup(), scanName: fmt.Sprintf("kaml-gc%d.scan", lg.id)}
 }
 
 // gcStopped reports whether the collectors should exit. They outlive Close
@@ -74,40 +89,57 @@ func (c *collector) loop() {
 		c.pruneFamilies()
 		for {
 			lg.mu.Lock()
-			done := lg.freeBlocks >= d.cfg.GCHighWater || d.crashed.Load()
-			var chipIdx, block int
-			ok := false
-			if !done {
-				chipIdx, block, ok = d.victim(lg)
-				// No victim on a log that needs one: park until gcRetry says
-				// the answer may have changed (set under the same hold of
-				// lg.mu as the scan, so no such event can fall between).
-				lg.gcStarved = !ok
-				switch {
-				case !ok:
-					// A flusher out of blocks may share its other host
-					// stream's open block now (nextPPN).
-					lg.freeCv.Broadcast()
-				case lg.hostChip(chipIdx):
-					d.ctr.gcVictimsHost.Inc()
-				default:
-					d.ctr.gcVictimsOther.Inc()
-				}
-			}
+			chipIdx, block, readers, ok := c.pick()
 			lg.mu.Unlock()
-			if done || !ok {
+			if !ok {
 				break
 			}
 			if d.tel != nil {
 				start := d.eng.NowCheap()
-				c.collectBlock(chipIdx, block)
+				c.collectBlock(chipIdx, block, readers)
 				d.gcPause.ObserveDuration(d.eng.NowCheap() - start)
 			} else {
-				c.collectBlock(chipIdx, block)
+				c.collectBlock(chipIdx, block, readers)
 			}
 		}
 		d.ctr.gcActive.Add(-1)
 	}
+}
+
+// pick is one step of a collection cycle: it ends the last victim's claim on
+// its chip and, while the log is below GCHighWater, picks the next victim
+// (victim) and claims its chip, so no block of the log opens beside it
+// (busyChip). The victim is scanned with readers reads in flight: two on a
+// chip no host stream of the log has its open block on, where a second read
+// delays nobody but the scan, one on a chip the flusher programs (scan).
+// Reports false when the cycle is over: the log is back at its high
+// watermark, the power is off, or no block is worth collecting — then the
+// collector parks until gcRetry says the answer may have changed, set under
+// the same hold of lg.mu as the search, so no such event can fall between.
+// Called with lg.mu held.
+func (c *collector) pick() (chipIdx, block, readers int, ok bool) {
+	d, lg := c.d, c.lg
+	lg.victimChip = noChip
+	if lg.freeBlocks >= d.cfg.GCHighWater || d.crashed.Load() {
+		return 0, 0, 0, false
+	}
+	chipIdx, block, ok = d.victim(lg)
+	lg.gcStarved = !ok
+	switch {
+	case !ok:
+		// A flusher out of blocks may share its other host stream's open
+		// block now (nextPPN).
+		lg.freeCv.Broadcast()
+		return 0, 0, 0, false
+	case lg.hostChip(chipIdx):
+		d.ctr.gcVictimsHost.Inc()
+		readers = 1
+	default:
+		d.ctr.gcVictimsOther.Inc()
+		readers = readersPerChip
+	}
+	lg.victimChip = chipIdx
+	return chipIdx, block, readers, true
 }
 
 // victim picks the block to collect among the sealed blocks whose collection
@@ -218,63 +250,26 @@ type gcRecord struct {
 	newChunk int
 }
 
-// collectBlock scans one victim block, relocates its live data, erases it,
-// and returns it to the log's free list, waking the writers that wait for
-// one. Called with no locks held; every index check and install takes
-// namespace locks per record.
-func (c *collector) collectBlock(chipIdx, block int) {
+// collectBlock scans one victim block with readers reads in flight (scan),
+// relocates its live data, erases it, and returns it to the log's free list,
+// waking the writers that wait for one. Called with no locks held; every
+// index check and install takes namespace locks per record.
+func (c *collector) collectBlock(chipIdx, block, readers int) {
 	d, lg := c.d, c.lg
 	ch, chip := lg.chipAddr(chipIdx)
-	placed := c.placed[:0]
-	live := c.live[:0]
 	defer func() {
 		// Keep the lists' storage, not what they point at: a parked collector
 		// must not pin a victim's worth of page images.
-		clear(placed[:cap(placed)]) // each page re-slices it: clear past len
-		clear(live)
-		c.placed, c.live = placed, live
+		for r := range c.readers {
+			rd := &c.readers[r]
+			clear(rd.placed[:cap(rd.placed)]) // each page re-slices it: clear past len
+			clear(rd.live)
+			rd.live, rd.err = rd.live[:0], nil
+		}
 	}()
-
-	for page := 0; page < d.fc.PagesPerBlock; page++ {
-		ppn := d.arr.BlockPPN(ch, chip, block, page)
-		var data, oob []byte
-		var err error
-		for tries := 0; ; tries++ {
-			data, oob, err = d.arr.ReadPage(ppn)
-			if err == nil || !errors.Is(err, flash.ErrInjectedFailure) || tries >= maxReadRetries {
-				break
-			}
-			d.ctr.readRetries.Inc()
-		}
-		if err != nil {
-			if errors.Is(err, flash.ErrPowerCut) {
-				d.noticePowerLoss()
-				return
-			}
-			if errors.Is(err, flash.ErrInjectedFailure) {
-				// Persistent read error: erasing now could destroy live
-				// records this scan never saw. Abandon the victim; a later
-				// GC pass retries it.
-				return
-			}
-			continue // unwritten page
-		}
-		if !checkOOB(oob, data) {
-			continue // torn or garbage page: carries nothing live
-		}
-		var perr error
-		placed, perr = record.AppendParsed(placed[:0], data, oob, chunkSize)
-		if perr != nil {
-			panic(fmt.Sprintf("kamlssd: GC parse %d: %v", ppn, perr))
-		}
-		for _, pl := range placed {
-			loc := flashLoc(ppn, pl.StartChunk, pl.NumChunks)
-			if d.recordLive(pl.Record, loc) {
-				live = append(live, gcRecord{rec: pl.Record, oldLoc: loc})
-				d.ctr.gcCopies.Inc()
-				lg.gcCopiedBytes.Add(int64(pl.NumChunks * chunkSize))
-			}
-		}
+	live, ok := c.scan(ch, chip, block, readers)
+	if !ok {
+		return // the victim must not be erased
 	}
 
 	// Feasibility: relocating this victim must fit the GC stream's
@@ -341,6 +336,90 @@ func (c *collector) collectBlock(chipIdx, block int) {
 		d.nv.retireBlock(first)
 		d.nvMu.Unlock()
 		d.ctr.blocksRetired.Inc()
+	}
+}
+
+// scan reads every page of a victim block and returns the live records on
+// them, in page order. A read is a sense that holds the chip, then a transfer
+// that holds the channel: with readers = readersPerChip one page senses while
+// the one before it transfers, as recovery's scan reads, so the chip senses
+// without a break. The collector asks for that only on a chip no flusher of
+// its log programs; on one that a flusher does, the scan reads one page at a
+// time, so a flusher's program waits behind at most one read. Reports false,
+// noticing a power cut, when a read failed for good: erasing then could
+// destroy live records the scan never saw, so the victim is abandoned and a
+// later pass retries it.
+func (c *collector) scan(ch, chip, block, readers int) ([]gcRecord, bool) {
+	d := c.d
+	for r := 1; r < readers; r++ {
+		c.scanned.Add(1)
+		d.eng.Go(c.scanName, func() {
+			defer c.scanned.Done()
+			c.readPages(&c.readers[r], ch, chip, block, r, readers)
+		})
+	}
+	c.readPages(&c.readers[0], ch, chip, block, 0, readers)
+	c.scanned.Wait()
+	for _, rd := range c.readers[:readers] {
+		if rd.err != nil {
+			if errors.Is(rd.err, flash.ErrPowerCut) {
+				d.noticePowerLoss()
+			}
+			return nil, false
+		}
+	}
+	live := c.readers[0].live
+	if readers > 1 {
+		for _, rd := range c.readers[1:readers] {
+			live = append(live, rd.live...)
+		}
+		// Each reader listed its own pages in order; location orders by page,
+		// then chunk.
+		slices.SortFunc(live, func(a, b gcRecord) int { return cmp.Compare(a.oldLoc, b.oldLoc) })
+		c.readers[0].live = live
+	}
+	return live, true
+}
+
+// readPages is one reader of a victim scan: it reads pages first, first+n,
+// ... of the block and lists the records still live on them, stopping at a
+// power cut or a page unreadable after every retry (rd.err).
+func (c *collector) readPages(rd *victimReader, ch, chip, block, first, n int) {
+	d, lg := c.d, c.lg
+	for page := first; page < d.fc.PagesPerBlock; page += n {
+		ppn := d.arr.BlockPPN(ch, chip, block, page)
+		var data, oob []byte
+		var err error
+		for tries := 0; ; tries++ {
+			data, oob, err = d.arr.ReadPage(ppn)
+			if err == nil || !errors.Is(err, flash.ErrInjectedFailure) || tries >= maxReadRetries {
+				break
+			}
+			d.ctr.readRetries.Inc()
+		}
+		if err != nil {
+			if errors.Is(err, flash.ErrPowerCut) || errors.Is(err, flash.ErrInjectedFailure) {
+				rd.err = err
+				return
+			}
+			continue // unwritten page
+		}
+		if !checkOOB(oob, data) {
+			continue // torn or garbage page: carries nothing live
+		}
+		var perr error
+		rd.placed, perr = record.AppendParsed(rd.placed[:0], data, oob, chunkSize)
+		if perr != nil {
+			panic(fmt.Sprintf("kamlssd: GC parse %d: %v", ppn, perr))
+		}
+		for _, pl := range rd.placed {
+			loc := flashLoc(ppn, pl.StartChunk, pl.NumChunks)
+			if d.recordLive(pl.Record, loc) {
+				rd.live = append(rd.live, gcRecord{rec: pl.Record, oldLoc: loc})
+				d.ctr.gcCopies.Inc()
+				lg.gcCopiedBytes.Add(int64(pl.NumChunks * chunkSize))
+			}
+		}
 	}
 }
 

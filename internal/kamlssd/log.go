@@ -62,6 +62,11 @@ type logState struct {
 
 	active   [numStreams]*appendPoint // each stream's open block (nil: none)
 	nextChip int                      // rotate block allocation across the log's chips
+	// victimChip is the chip (an index into chips) of the victim the log's
+	// collector is collecting, noChip while it collects none: the collector
+	// sets it when it picks a victim and clears it at its next pick and at the
+	// end of its cycle (collector.loop).
+	victimChip int
 	// resume holds the partially-programmed blocks recovery found, in scan
 	// order, each at its first unprogrammed page: openBlock hands them out
 	// before any erased block. They are neither free nor sealed.
@@ -112,6 +117,9 @@ const (
 	numStreams     = streamGC + 1
 )
 
+// noChip is logState.victimChip while the collector collects nothing.
+const noChip = -1
+
 // openPage is one host stream's page filling in NVRAM.
 type openPage struct {
 	packer  *record.Packer
@@ -138,6 +146,34 @@ const (
 )
 
 var sealCauseNames = [numSealCauses]string{"full", "nofit", "drain", "close"}
+
+// waitCause names the other job of a log on the chip of a page its flusher
+// programs: the time the program takes beyond its floor is counted under it
+// (kaml_ssd_program_wait_seconds).
+type waitCause int
+
+const (
+	waitVictim waitCause = iota // the victim the log's collector is collecting
+	waitGC                      // the GC stream's open block
+	waitOther                   // neither: the chip is the flusher's alone
+	numWaitCauses
+)
+
+var waitCauseNames = [numWaitCauses]string{"victim", "gc", "other"}
+
+// sharer is the cause a program of ppn, a page of this log, waits under.
+// Called with lg.mu held.
+func (lg *logState) sharer(ppn flash.PPN) waitCause {
+	a := lg.d.arr.Decode(ppn)
+	global := a.Channel*lg.d.fc.ChipsPerChannel + a.Chip
+	if lg.victimChip != noChip && lg.chips[lg.victimChip].global == global {
+		return waitVictim
+	}
+	if gc := lg.active[streamGC]; gc != nil && lg.chips[gc.chip].global == global {
+		return waitGC
+	}
+	return waitOther
+}
 
 type logChip struct {
 	global int // chip index in the array (channel*ChipsPerChannel+chip)
@@ -186,7 +222,7 @@ type sealedPage struct {
 }
 
 func newLogState(d *Device, id int) *logState {
-	lg := &logState{id: id, d: d}
+	lg := &logState{id: id, d: d, victimChip: noChip}
 	for s := range lg.open {
 		lg.open[s].packer = record.NewPacker(d.fc.PageSize, chunkSize)
 	}
@@ -235,7 +271,7 @@ func (lg *logState) nextPPN(s int) (flash.PPN, error) {
 			}
 			ap = other
 		} else {
-			cp, err := lg.openBlock()
+			cp, err := lg.openBlock(s)
 			if err != nil {
 				return 0, err
 			}
@@ -258,34 +294,78 @@ func (lg *logState) nextPPN(s int) (flash.PPN, error) {
 }
 
 // openBlock resumes the next block on the log's resume list or, once that is
-// empty, pops a free block, rotating across the log's chips, and wakes the
-// log's collector when that takes the log below its low watermark — the host
-// and the GC stream both consume free blocks here and nowhere else. Called
-// with lg.mu held.
-func (lg *logState) openBlock() (*appendPoint, error) {
+// empty, pops a free block for stream s. A log has four jobs — the two host
+// streams, the GC stream and the victim being collected — and each holds a
+// chip for its programs, reads or erase, so on a log with more chips than
+// streams the block comes from the first chip, in rotation, that holds no
+// job s must keep apart from (busyChip): the flusher then does not program
+// behind its own collector, nor the collector behind the flusher. When no
+// chip with a free block qualifies, and on a log too small to keep its jobs
+// apart, it takes the next chip in rotation that has one. Either way it wakes
+// the log's collector when that takes the log below its low watermark — the
+// host and the GC stream both consume free blocks here and nowhere else.
+// Called with lg.mu held.
+func (lg *logState) openBlock(s int) (*appendPoint, error) {
 	if len(lg.resume) > 0 {
 		ap := lg.resume[0]
 		lg.resume = lg.resume[1:]
 		return &ap, nil
 	}
-	for tries := 0; tries < len(lg.chips); tries++ {
-		ci := lg.nextChip
-		lg.nextChip = (lg.nextChip + 1) % len(lg.chips)
-		lc := lg.chips[ci]
-		for len(lc.free) > 0 {
-			b := lc.free[0]
-			lc.free = lc.free[1:]
-			lg.freeBlocks--
-			if lg.freeBlocks < lg.d.cfg.GCLowWater {
-				lg.gcCv.Signal()
-			}
-			if lc.blocks[b].retired {
+	n := len(lg.chips)
+	if n > numStreams {
+		for i := 0; i < n; i++ {
+			ci := (lg.nextChip + i) % n
+			if lg.busyChip(s, ci) {
 				continue
 			}
+			if b, ok := lg.popFree(ci); ok {
+				lg.nextChip = (ci + 1) % n
+				return &appendPoint{chip: ci, block: b}, nil
+			}
+		}
+	}
+	for tries := 0; tries < n; tries++ {
+		ci := lg.nextChip
+		lg.nextChip = (ci + 1) % n
+		if b, ok := lg.popFree(ci); ok {
 			return &appendPoint{chip: ci, block: b}, nil
 		}
 	}
 	return nil, fmt.Errorf("kamlssd: log %d out of free blocks", lg.id)
+}
+
+// busyChip reports whether chip ci holds a job of the log that stream s must
+// not open a block beside: the victim the collector is collecting, and for a
+// host stream the GC stream's open block, for the GC stream a host stream's.
+// The two host streams share the flusher, which programs one page at a
+// time, so they do not keep apart. Called with lg.mu held.
+func (lg *logState) busyChip(s, ci int) bool {
+	if ci == lg.victimChip {
+		return true
+	}
+	if s == streamGC {
+		return lg.hostChip(ci)
+	}
+	gc := lg.active[streamGC]
+	return gc != nil && gc.chip == ci
+}
+
+// popFree pops chip ci's next free block that is not retired, if it has one.
+// Called with lg.mu held.
+func (lg *logState) popFree(ci int) (block int, ok bool) {
+	lc := lg.chips[ci]
+	for len(lc.free) > 0 {
+		b := lc.free[0]
+		lc.free = lc.free[1:]
+		lg.freeBlocks--
+		if lg.freeBlocks < lg.d.cfg.GCLowWater {
+			lg.gcCv.Signal()
+		}
+		if !lc.blocks[b].retired {
+			return b, true
+		}
+	}
+	return 0, false
 }
 
 // hostPPN is nextPPN for a host stream that waits, while the log is out of
@@ -613,9 +693,20 @@ func (d *Device) flusherLoop(lg *logState) {
 		}
 		sp.ppn = ppn
 		lg.inflight = sp
+		var wait *telemetry.Histogram // nil while telemetry is off
+		var start time.Duration
+		if d.tel != nil {
+			wait, start = d.programWait[lg.sharer(ppn)], d.eng.NowCheap()
+		}
 		lg.mu.Unlock()
 
 		err := d.programPage(sp.ppn, sp.data, sp.oob)
+		if wait != nil && err == nil {
+			// What the program took beyond its page's transfer and
+			// ProgramLatency: the chip or channel was busy with another job.
+			floor := d.fc.ProgramLatency + d.fc.TransferTime(d.fc.PageSize+d.fc.OOBSize)
+			wait.ObserveDuration(d.eng.NowCheap() - start - floor)
+		}
 		if err != nil {
 			if errors.Is(err, flash.ErrPowerCut) {
 				// Power died mid-program. The records are safe in NVRAM;

@@ -47,7 +47,7 @@ type counters struct {
 // only while a registry does: with Config.DisableTelemetry they stay nil
 // (a nil histogram drops its samples) and the timestamp reads feeding them
 // are skipped behind d.tel != nil (see execPut / installFlashLoc / hostPPN /
-// collector.loop).
+// flusherLoop / collector.loop).
 //
 // Command latencies (Get/Put/Snapshot, per lifecycle stage) are recorded
 // by the pipeline itself — kaml_cmdq_stage_seconds{op,stage} — because the
@@ -62,6 +62,7 @@ func (d *Device) export(r *telemetry.Registry) {
 	r.Help("kaml_ssd_pages_sealed_total", "Record pages that left the NVRAM packer for the program queue, per log and cause (full, nofit, drain, close).")
 	r.Help("kaml_ssd_sealed_page_chunks", "Chunks holding records in each sealed page (of PageSize/ChunkSize).")
 	r.Help("kaml_ssd_free_block_wait_seconds", "Time a log's flusher waited for its collector to return an erased block for the page it dequeued (virtual time).")
+	r.Help("kaml_ssd_program_wait_seconds", "Time a log's flusher spent on a page program beyond ProgramLatency and the page's transfer, by the other job of its log on the page's chip: the victim its collector was collecting, the GC stream's open block, or neither (virtual time).")
 	r.Help("kaml_ssd_log_full_wait_seconds", "Time a writer that met every log of its namespace with a full sealed queue waited for a flusher to make room in one (virtual time).")
 	r.Help("kaml_ssd_hot_pages_total", "Pages sealed from the log's hot host stream (records whose key was rewritten within a hot block's lifetime), per log.")
 	r.Help("kaml_ssd_records_rerouted_total", "Records a full sealed queue sent on from this log to their namespace's next log, per log.")
@@ -86,6 +87,9 @@ func (d *Device) export(r *telemetry.Registry) {
 	d.flashInstall = r.Histogram("kaml_ssd_flash_install_seconds", telemetry.UnitSeconds)
 	d.freeBlockWait = r.Histogram("kaml_ssd_free_block_wait_seconds", telemetry.UnitSeconds)
 	d.logFullWait = r.Histogram("kaml_ssd_log_full_wait_seconds", telemetry.UnitSeconds)
+	for c := range d.programWait {
+		d.programWait[c] = r.Histogram("kaml_ssd_program_wait_seconds", telemetry.UnitSeconds, "cause", waitCauseNames[c])
+	}
 	d.recoveryTime = r.Histogram("kaml_recovery_seconds", telemetry.UnitSeconds)
 	r.AdoptCounter(&d.ctr.scannedPages, "kaml_recovery_scanned_pages_total")
 	r.AdoptCounter(&d.ctr.tornPagesSkipped, "kaml_recovery_torn_pages_total")

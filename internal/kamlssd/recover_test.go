@@ -373,7 +373,7 @@ func relocationCutImage(t *testing.T, nLogs int) *crashImage {
 			t.Fatal("setup: log 0 has no full block to collect")
 		}
 		r.arr.SetInjector(&cutOnErase{})
-		newCollector(d, lg).collectBlock(victimChip, victimBlock)
+		newCollector(d, lg).collectBlock(victimChip, victimBlock, 1)
 		if !d.crashed.Load() || d.Stats().GCCopies == 0 {
 			t.Fatalf("setup: collecting the victim copied %d records and crashed=%v, want a cut at its erase",
 				d.Stats().GCCopies, d.crashed.Load())
