@@ -45,35 +45,6 @@ import (
 	"github.com/kaml-ssd/kaml/scenarios"
 )
 
-type experiment struct {
-	id   string
-	desc string
-	run  func(experiments.Scale) []*experiments.Table
-}
-
-func catalog() []experiment {
-	wrap1 := func(f func(experiments.Scale) *experiments.Table) func(experiments.Scale) []*experiments.Table {
-		return func(s experiments.Scale) []*experiments.Table {
-			return []*experiments.Table{f(s)}
-		}
-	}
-	return []experiment{
-		{"fig5", "bandwidth: Get/Put vs read/write (Fetch, Update, Insert)", experiments.Fig5},
-		{"fig6", "latency: Get/Put vs read/write", experiments.Fig6},
-		{"fig7", "effect of Put batch size", experiments.Fig7},
-		{"fig8", "effect of number of logs", wrap1(experiments.Fig8)},
-		{"fig9", "OLTP: TPC-B and TPC-C, KAML vs Shore-MT", wrap1(experiments.Fig9)},
-		{"fig10", "YCSB A/B/C/D/F, KAML vs Shore-MT", wrap1(experiments.Fig10)},
-		{"conflicts", "locking-granularity conflict analysis (§V-D.2)", wrap1(experiments.Conflicts)},
-		{"ablations", "extra ablations: checkpoint interference, lock-granularity sweep, write amplification", experiments.Ablations},
-		{"qdsweep", "queue-depth sweep: pipelined Get/Put scaling and Put coalescing", wrap1(experiments.QDSweep)},
-		{"sisweep", "isolation sweep: SS2PL vs snapshot isolation, hot-key RMW abort rate and reader coexistence", experiments.SISweep},
-		{"getscale", "concurrent Get scaling: wall-clock gets/s and allocs per Get vs reader count", wrap1(experiments.GetScale)},
-		{"kamlcluster", "sharded replicated cluster: per-shard Get SLO with hedged reads, live migration, forced failover", wrap1(experiments.KamlCluster)},
-		{"traffic", "production traffic scenarios: all checked-in scenarios with per-phase stats and assertion verdicts", wrap1(experiments.TrafficScenarios)},
-	}
-}
-
 // jsonExperiment is one experiment's results in the -json report.
 type jsonExperiment struct {
 	ID          string               `json:"id"`
@@ -107,11 +78,11 @@ func main() {
 	scenario := flag.String("scenario", "", "run a traffic scenario (embedded name or JSON file path) instead of experiments")
 	flag.Parse()
 
-	cat := catalog()
+	cat := experiments.Catalog()
 	if *list {
 		fmt.Println("experiments:")
 		for _, e := range cat {
-			fmt.Printf("  %-12s %s\n", e.id, e.desc)
+			fmt.Printf("  %-12s %s\n", e.ID, e.Desc)
 		}
 		fmt.Println("\nscenarios (-scenario <name>):")
 		for _, name := range scenarios.Names() {
@@ -152,7 +123,7 @@ func main() {
 		for id := range want {
 			found := false
 			for _, e := range cat {
-				if e.id == id {
+				if e.ID == id {
 					found = true
 				}
 			}
@@ -176,16 +147,16 @@ func main() {
 		Cores:    runtime.NumCPU(),
 	}
 	for _, e := range cat {
-		if len(want) > 0 && !want[e.id] {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		fmt.Printf("--- running %s (%s) ---\n", e.id, e.desc)
+		fmt.Printf("--- running %s (%s) ---\n", e.ID, e.Desc)
 		telemetry.ResetGlobal()
 		var m0 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		ops0 := experiments.OpsCompleted()
 		start := time.Now()
-		tables := e.run(experiments.Scale(*scale))
+		tables := e.Run(experiments.Scale(*scale))
 		for _, tb := range tables {
 			fmt.Println(tb.Render())
 		}
@@ -197,9 +168,9 @@ func main() {
 			allocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(ops)
 		}
 		fmt.Printf("(%s took %.1fs wall-clock, %.3g allocs/op)\n\n",
-			e.id, elapsed.Seconds(), allocsPerOp)
+			e.ID, elapsed.Seconds(), allocsPerOp)
 		je := jsonExperiment{
-			ID: e.id, Description: e.desc,
+			ID: e.ID, Description: e.Desc,
 			WallSeconds: elapsed.Seconds(),
 			WallMS:      float64(elapsed.Microseconds()) / 1000,
 			AllocsPerOp: allocsPerOp,

@@ -51,9 +51,11 @@ func (t *Table) Render() string {
 		}
 	}
 	line := func(cells []string) {
+		var l strings.Builder
 		for i, c := range cells {
-			fmt.Fprintf(&b, "%-*s  ", widths[i], c)
+			fmt.Fprintf(&l, "%-*s  ", widths[i], c)
 		}
+		b.WriteString(strings.TrimRight(l.String(), " "))
 		b.WriteString("\n")
 	}
 	line(t.Header)
@@ -160,6 +162,7 @@ type kamlRig struct {
 
 func newKAMLRig(fc flash.Config, mod func(*kamlssd.Config)) *kamlRig {
 	eng := sim.NewEngine()
+	eng.Serialize(1)
 	arr := flash.New(eng, fc)
 	ctrl := nvme.New(eng, nvme.DefaultConfig())
 	cfg := kamlssd.DefaultConfig(fc)
@@ -179,6 +182,7 @@ type blockRig struct {
 
 func newBlockRig(fc flash.Config) *blockRig {
 	eng := sim.NewEngine()
+	eng.Serialize(1)
 	arr := flash.New(eng, fc)
 	ctrl := nvme.New(eng, nvme.DefaultConfig())
 	return &blockRig{eng: eng, arr: arr, ctrl: ctrl, dev: ftl.New(arr, ctrl)}
@@ -251,6 +255,7 @@ func newOLTPRig(kind engineKind, fc flash.Config, cacheBytes int64, recordsPerLo
 	shoreLockGran int, shorePoolFrames int) *oltpRig {
 
 	eng := sim.NewEngine()
+	eng.Serialize(1)
 	arr := flash.New(eng, fc)
 	ctrl := nvme.New(eng, nvme.DefaultConfig())
 	r := &oltpRig{eng: eng, kind: kind}

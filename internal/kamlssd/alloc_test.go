@@ -253,16 +253,15 @@ const (
 )
 
 // TestGCCollectionByteBudget collects one victim block directly, the way its
-// collector would (the collectors themselves never wake: GCLowWater 0), and
+// collector would (the collectors themselves never wake: collectorsOff), and
 // charges what the collection allocates to the records it relocated. The
 // first collection warms the collector's scratch; the second is measured.
 func TestGCCollectionByteBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations would be counted")
 	}
-	r := newSerialRig(1, testFlashConfig(), func(c *Config) {
-		c.NumLogs, c.GCLowWater, c.GCHighWater = 1, 0, 0
-	})
+	collectorsOff(t)
+	r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = 1 })
 	r.e.Go("test", func() {
 		d := r.dev
 		w := newScanLoad(t, d)

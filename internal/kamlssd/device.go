@@ -109,8 +109,6 @@ var (
 type Config struct {
 	NumLogs          int  // append streams; paper sweeps 16..64 (Fig. 8)
 	QueueDepthPerLog int  // sealed NVRAM pages a log may buffer before its writers move on
-	GCLowWater       int  // free blocks per log below which its collector wakes
-	GCHighWater      int  // ... and up to which it then collects
 	AutoGrowIndex    bool // let mapping tables grow (off for paper experiments)
 
 	// Command pipeline (internal/cmdq). PipelineDepth bounds outstanding
@@ -140,8 +138,6 @@ func DefaultConfig(fc flash.Config) Config {
 	return Config{
 		NumLogs:          fc.Channels,
 		QueueDepthPerLog: 2,
-		GCLowWater:       3,
-		GCHighWater:      5,
 		AutoGrowIndex:    false,
 
 		PipelineDepth:      128,
@@ -177,6 +173,9 @@ type Device struct {
 	arr  *flash.Array
 	ctrl *nvme.Controller
 	eng  *sim.Engine
+
+	// gcLow and gcHigh are every log's free-block watermarks (gcWater).
+	gcLow, gcHigh int
 
 	// mu guards the namespace map and family membership (see the package
 	// comment for the full hierarchy). Installs hold the read lock for the
@@ -457,11 +456,18 @@ func (d *Device) startActors() {
 	}
 }
 
+// gcWater gives the free-block watermarks of the devices New and Recover
+// build: gcLowFree and gcHighFree. Tests replace it to keep the collectors
+// parked, or collecting, for a test's length.
+var gcWater = func() (low, high int) { return gcLowFree, gcHighFree }
+
 // buildLogs partitions the array's chips across the configured logs.
 // Log i owns chips {c : c mod NumLogs == i}, giving each log its own
 // append bandwidth; the chips of one log sit on as few channels as
-// possible when NumLogs >= Channels (chip-per-log at 64 logs).
+// possible when NumLogs >= Channels (chip-per-log at 64 logs). It also sets
+// the watermarks the logs' collectors work to.
 func (d *Device) buildLogs() {
+	d.gcLow, d.gcHigh = gcWater()
 	n := d.cfg.NumLogs
 	d.logs = make([]*logState, n)
 	for i := 0; i < n; i++ {

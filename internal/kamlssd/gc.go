@@ -12,8 +12,9 @@ import (
 )
 
 // collector is one log's garbage collector (§IV-E): an actor that sleeps
-// until its log falls below GCLowWater and then reclaims victims until the
-// log is back at GCHighWater, concurrently with the other logs' collectors.
+// until its log falls below its low watermark and then reclaims victims until
+// the log is back at its high one, concurrently with the other logs'
+// collectors.
 // Beside the loop it owns the scratch a collection needs — the prune pass's
 // lists, the scan's record lists, the relocation packer — for life, so a
 // collection allocates only what it hands to others: the relocation pages,
@@ -74,7 +75,7 @@ func (c *collector) loop() {
 	defer d.stopped.Done()
 	for {
 		lg.mu.Lock()
-		for !d.gcStopped() && (lg.freeBlocks >= d.cfg.GCLowWater || lg.gcStarved) {
+		for !d.gcStopped() && (lg.freeBlocks >= d.gcLow || lg.gcStarved) {
 			lg.gcCv.WaitIdle()
 		}
 		lg.mu.Unlock()
@@ -107,8 +108,8 @@ func (c *collector) loop() {
 }
 
 // pick is one step of a collection cycle: it ends the last victim's claim on
-// its chip and, while the log is below GCHighWater, picks the next victim
-// (victim) and claims its chip, so no block of the log opens beside it
+// its chip and, while the log is below its high watermark, picks the next
+// victim (victim) and claims its chip, so no block of the log opens beside it
 // (busyChip). The victim is scanned with readers reads in flight: two on a
 // chip no host stream of the log has its open block on, where a second read
 // delays nobody but the scan, one on a chip the flusher programs (scan).
@@ -120,7 +121,7 @@ func (c *collector) loop() {
 func (c *collector) pick() (chipIdx, block, readers int, ok bool) {
 	d, lg := c.d, c.lg
 	lg.victimChip = noChip
-	if lg.freeBlocks >= d.cfg.GCHighWater || d.crashed.Load() {
+	if lg.freeBlocks >= d.gcHigh || d.crashed.Load() {
 		return 0, 0, 0, false
 	}
 	chipIdx, block, ok = d.victim(lg)
@@ -143,7 +144,9 @@ func (c *collector) pick() (chipIdx, block, readers int, ok bool) {
 }
 
 // victim picks the block to collect among the sealed blocks whose collection
-// frees anything. The paper's pick is the lowest combined score of valid
+// may free anything: not marked noGain, and whose valid bytes fill fewer
+// pages than a block holds (frees, on the lower bound of the pages its live
+// records pack into). The paper's pick is the lowest combined score of valid
 // bytes and erase count ("low erase counts and small amounts of valid
 // data", §IV-E). A victim's scan, relocation reads and erase hold its chip,
 // and this log's flusher programs the chips its host streams have open
@@ -154,16 +157,12 @@ func (c *collector) pick() (chipIdx, block, readers int, ok bool) {
 // a log with one chip, or none as little worn — it takes the paper's pick.
 // Called with lg.mu held.
 func (d *Device) victim(lg *logState) (chipIdx, block int, ok bool) {
-	// A block whose live payload would refill as many pages as its erase
-	// frees is no victim: collecting it copies a block into a block, and on a
-	// log that holds nothing else the loop would repeat until the GC stream
-	// ran dry.
-	gainful := int64(d.fc.PagesPerBlock-1) * int64(d.fc.PageSize)
+	pageSize := int64(d.fc.PageSize)
 	// candidate returns block b of chip ci's score and erase count, and
 	// whether it may be collected at all.
 	candidate := func(ci, b int, erases int64) (score int64, ok bool) {
 		bm := &lg.chips[ci].blocks[b]
-		if !bm.sealed || bm.retired || bm.validBytes > gainful {
+		if !bm.sealed || bm.retired || bm.noGain || !d.frees(int((bm.validBytes+pageSize-1)/pageSize)) {
 			return 0, false
 		}
 		ch, chip := lg.chipAddr(ci)
@@ -252,8 +251,11 @@ type gcRecord struct {
 
 // collectBlock scans one victim block with readers reads in flight (scan),
 // relocates its live data, erases it, and returns it to the log's free list,
-// waking the writers that wait for one. Called with no locks held; every
-// index check and install takes namespace locks per record.
+// waking the writers that wait for one. A victim whose live records would
+// program as many pages as its erase returns is left unerased and marked
+// noGain instead, so every collection frees at least a page. Called with no
+// locks held; every index check and install takes namespace locks per
+// record.
 func (c *collector) collectBlock(chipIdx, block, readers int) {
 	d, lg := c.d, c.lg
 	ch, chip := lg.chipAddr(chipIdx)
@@ -272,19 +274,19 @@ func (c *collector) collectBlock(chipIdx, block, readers int) {
 		return // the victim must not be erased
 	}
 
-	// Feasibility: relocating this victim must fit the GC stream's
-	// remaining capacity (current block tail + free blocks). The victim is
-	// already the least-live block, so infeasibility means the device is
-	// genuinely over-committed: even reclaiming the emptiest block cannot
-	// make forward progress. Fail loudly rather than losing data.
-	needPages := gcPagesNeeded(d, live)
-	lg.mu.Lock()
-	capacity := lg.gcCapacityPages()
-	lg.mu.Unlock()
-	if needPages > capacity {
-		panic(fmt.Sprintf("kamlssd: device over-committed: log %d GC needs %d pages, has %d — reduce the working set or add over-provisioning",
-			lg.id, needPages, capacity))
+	pages, bytes := gcPagesNeeded(d, live)
+	if !d.frees(pages) {
+		lg.mu.Lock()
+		// A version that died during the scan was counted live, and its
+		// discount, which clears the mark, has already come: leave the block
+		// unmarked for the next pick to scan again.
+		bm := &lg.chips[chipIdx].blocks[block]
+		bm.noGain = bm.validBytes >= bytes
+		lg.mu.Unlock()
+		return
 	}
+	d.ctr.gcCopies.Add(int64(len(live)))
+	lg.gcCopiedBytes.Add(bytes)
 
 	if c.relocateRecords(live) != nil {
 		return // power cut mid-relocation: the victim must not be erased
@@ -385,7 +387,7 @@ func (c *collector) scan(ch, chip, block, readers int) ([]gcRecord, bool) {
 // ... of the block and lists the records still live on them, stopping at a
 // power cut or a page unreadable after every retry (rd.err).
 func (c *collector) readPages(rd *victimReader, ch, chip, block, first, n int) {
-	d, lg := c.d, c.lg
+	d := c.d
 	for page := first; page < d.fc.PagesPerBlock; page += n {
 		ppn := d.arr.BlockPPN(ch, chip, block, page)
 		var data, oob []byte
@@ -416,8 +418,6 @@ func (c *collector) readPages(rd *victimReader, ch, chip, block, first, n int) {
 			loc := flashLoc(ppn, pl.StartChunk, pl.NumChunks)
 			if d.recordLive(pl.Record, loc) {
 				rd.live = append(rd.live, gcRecord{rec: pl.Record, oldLoc: loc})
-				d.ctr.gcCopies.Inc()
-				lg.gcCopiedBytes.Add(int64(pl.NumChunks * chunkSize))
 			}
 		}
 	}
@@ -436,12 +436,12 @@ func (lg *logState) learnHotLife(bm *blockMeta, erased uint64) {
 	lg.hotLearned = lg.hotLearned || bm.stream == streamHot
 }
 
-// gcPagesNeeded estimates how many fresh pages relocating the victim's
-// live records takes, packed.
-func gcPagesNeeded(d *Device, live []gcRecord) int {
+// gcPagesNeeded reports how many pages relocating the victim's live records
+// programs — a next-fit count in scan order, the packing relocateRecords
+// does — and the bytes of chunks they hold.
+func gcPagesNeeded(d *Device, live []gcRecord) (pages int, bytes int64) {
 	chunksPerPage := d.fc.PageSize / chunkSize
 	chunks := 0
-	pages := 0
 	for _, g := range live {
 		c := g.rec.Chunks(chunkSize)
 		if chunks+c > chunksPerPage {
@@ -449,22 +449,18 @@ func gcPagesNeeded(d *Device, live []gcRecord) int {
 			chunks = 0
 		}
 		chunks += c
+		bytes += int64(c * chunkSize)
 	}
 	if chunks > 0 {
 		pages++
 	}
-	return pages
+	return pages, bytes
 }
 
-// gcCapacityPages reports how many pages the GC stream can still program
-// without another erase. Called with lg.mu held.
-func (lg *logState) gcCapacityPages() int {
-	pages := lg.freeBlocks * lg.d.fc.PagesPerBlock
-	if gc := lg.active[streamGC]; gc != nil {
-		pages += lg.d.fc.PagesPerBlock - gc.page
-	}
-	return pages
-}
+// frees reports whether collecting a block frees anything: relocating its
+// live records programs pages pages of the GC stream, and its erase returns
+// a block's.
+func (d *Device) frees(pages int) bool { return pages < d.fc.PagesPerBlock }
 
 // recordLive implements §IV-E's validity rule under MVCC: a scanned record
 // is live iff its family's version chains still retain a version at exactly
@@ -527,7 +523,7 @@ func (c *collector) relocateRecords(live []gcRecord) error {
 			return nil
 		}
 		data, bitmap := packer.Finish()
-		ppn, perr := d.gcProgram(lg, data, d.buildOOB(bitmap, data))
+		ppn, perr := d.gcProgram(lg, data, buildOOB(bitmap, data))
 		if perr != nil {
 			return perr
 		}

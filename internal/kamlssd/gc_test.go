@@ -1,11 +1,15 @@
 package kamlssd
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"github.com/kaml-ssd/kaml/internal/flash"
+	"github.com/kaml-ssd/kaml/internal/record"
 	"github.com/kaml-ssd/kaml/internal/telemetry"
 )
 
@@ -52,7 +56,7 @@ func (c *churner) checkLast(dev *Device) {
 }
 
 // churnUntilLow churns until each of the first nLogs logs has been seen
-// below GCLowWater — page-wise round-robin takes them there within a few
+// below gcLowFree — page-wise round-robin takes them there within a few
 // pages of each other, with ten-odd blocks of pure garbage behind them — and
 // returns the churner and the instant the first log fell.
 func churnUntilLow(t *testing.T, r *rig, nLogs int) (c *churner, firstLow time.Duration) {
@@ -65,11 +69,11 @@ func churnUntilLow(t *testing.T, r *rig, nLogs int) (c *churner, firstLow time.D
 	fell := make([]bool, nLogs)
 	for n := 0; n < nLogs; {
 		if c.puts > 20*c.keys {
-			t.Fatalf("after %d Puts only %d of %d logs ever fell below GCLowWater", c.puts, n, nLogs)
+			t.Fatalf("after %d Puts only %d of %d logs ever fell below gcLowFree", c.puts, n, nLogs)
 		}
 		c.put()
 		for i, lg := range r.dev.logs[:nLogs] {
-			if !fell[i] && freeBlocksOf(lg) < r.dev.cfg.GCLowWater {
+			if !fell[i] && freeBlocksOf(lg) < gcLowFree {
 				if n == 0 {
 					firstLow = r.e.Now()
 				}
@@ -82,16 +86,16 @@ func churnUntilLow(t *testing.T, r *rig, nLogs int) (c *churner, firstLow time.D
 }
 
 // awaitHighWater blocks until each of the device's first nLogs logs is back
-// at GCHighWater, failing the test if that takes more than bound of virtual
+// at gcHighFree, failing the test if that takes more than bound of virtual
 // time.
 func awaitHighWater(t *testing.T, r *rig, dev *Device, nLogs int, bound time.Duration) {
 	t.Helper()
 	deadline := r.e.Now() + bound
 	for _, lg := range dev.logs[:nLogs] {
-		for freeBlocksOf(lg) < dev.cfg.GCHighWater {
+		for freeBlocksOf(lg) < gcHighFree {
 			if r.e.Now() > deadline {
-				t.Fatalf("log %d still has %d free blocks %v after going low, want GCHighWater %d",
-					lg.id, freeBlocksOf(lg), bound, dev.cfg.GCHighWater)
+				t.Fatalf("log %d still has %d free blocks %v after going low, want gcHighFree %d",
+					lg.id, freeBlocksOf(lg), bound, gcHighFree)
 			}
 			r.e.Sleep(20 * time.Microsecond)
 		}
@@ -99,7 +103,7 @@ func awaitHighWater(t *testing.T, r *rig, dev *Device, nLogs int, bound time.Dur
 }
 
 // reclaimTime is the virtual time from the first of nLogs logs falling below
-// GCLowWater until all of them are back at GCHighWater, with no writes after
+// gcLowFree until all of them are back at gcHighFree, with no writes after
 // the last one fell.
 func reclaimTime(t *testing.T, nLogs int) time.Duration {
 	var took time.Duration
@@ -130,7 +134,7 @@ func reclaimTime(t *testing.T, nLogs int) time.Duration {
 // after another and took four times as long as for one.)
 func TestLogsReclaimInParallel(t *testing.T) {
 	one, four := reclaimTime(t, 1), reclaimTime(t, 4)
-	t.Logf("back at GCHighWater after %v for one log, %v for four at once", one, four)
+	t.Logf("back at gcHighFree after %v for one log, %v for four at once", one, four)
 	if one <= 0 || four >= 2*one {
 		t.Errorf("four logs took %v to reclaim, one alone %v: want under twice as long", four, one)
 	}
@@ -152,7 +156,7 @@ func TestRecoveredLogCollectsUnprompted(t *testing.T) {
 		defer dev2.Close()
 		awaitHighWater(t, r, dev2, 1, 100*time.Millisecond)
 		if dev2.Stats().GCErases == 0 {
-			t.Error("setup: log 0 came up at GCHighWater already; the cut did not leave it low")
+			t.Error("setup: log 0 came up at gcHighFree already; the cut did not leave it low")
 		}
 		c.checkLast(dev2)
 	})
@@ -486,4 +490,142 @@ func TestVictimPrefersAChipNoHostStreamPrograms(t *testing.T) {
 			})
 		})
 	}
+}
+
+// Every collection frees at least a page, so the GC stream never needs more
+// room than the log's reserve and the last collections left it. Records that
+// do not divide a page — two 3 000 B or one 5 000 B value to a page — pass
+// the byte test before the scan with a block whose live records still pack
+// into every one of its pages; the collector leaves such a block unerased
+// (noGain). Each case fills the device to a share of its pages, overwrites
+// keys drawn uniformly, and reads every key back.
+func TestEveryCollectionFreesAPage(t *testing.T) {
+	const overwrites = 20000
+	cases := []struct {
+		logs, value int
+		fill        float64 // of the device's pages
+	}{
+		{2, 3000, 0.8},
+		{2, 5000, 0.8},
+		{1, 3000, 0.9},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%d logs x %d B at %.0f%%", tc.logs, tc.value, 100*tc.fill), func(t *testing.T) {
+			fc := testFlashConfig()
+			r := newSerialRig(1, fc, func(c *Config) { c.NumLogs = tc.logs })
+			r.e.Go("test", func() {
+				d := r.dev
+				defer d.Close()
+				ns, _ := d.CreateNamespace(NamespaceAttrs{})
+				perPage := fc.PageSize / chunkSize / record.Record{Value: make([]byte, tc.value)}.Chunks(chunkSize)
+				keys := uint64(tc.fill * float64(fc.TotalPages()*perPage))
+				last := make([]uint64, keys) // the seed of each key's newest value
+				put := func(k, seed uint64) bool {
+					if err := d.Put(one(ns, k, val(seed, tc.value))); err != nil {
+						t.Errorf("put %d: %v", k, err)
+						return false
+					}
+					last[k] = seed
+					return true
+				}
+				for k := range keys {
+					if !put(k, k) {
+						return
+					}
+				}
+				rng := rand.New(rand.NewSource(1))
+				for i := range uint64(overwrites) {
+					if !put(uint64(rng.Int63n(int64(keys))), keys+i) {
+						return
+					}
+				}
+				d.Flush()
+				for k := range keys {
+					if v, err := d.Get(ns, k); err != nil || !bytes.Equal(v, val(last[k], tc.value)) {
+						t.Errorf("key %d reads back wrong: %v", k, err)
+						return
+					}
+				}
+				var host int64
+				for _, lg := range d.logs {
+					host += sealedPages(lg)
+				}
+				st := d.Stats()
+				gcPages := st.Programs - host
+				t.Logf("%d erases, %d GC pages programmed", st.GCErases, gcPages)
+				if st.GCErases == 0 || gcPages > st.GCErases*int64(fc.PagesPerBlock-1) {
+					t.Errorf("the GC stream programmed %d pages for %d erases: want at least one page freed per collection",
+						gcPages, st.GCErases)
+				}
+			})
+			r.e.Wait()
+		})
+	}
+}
+
+// A victim that frees nothing is scanned once: the collector leaves it
+// unerased and marked, and does not pick it again until a version on it
+// dies. Eight 5 000 B records, one to a page, fill a block with five pages'
+// worth of bytes, so only the scan finds that they need all eight pages.
+func TestNoGainVictimIsScannedOnce(t *testing.T) {
+	setGCWater(t, 0, 1<<20) // the collectors stay parked; pick always looks
+	withRig(t, testFlashConfig(), func(c *Config) { c.NumLogs = 1 }, func(r *rig) {
+		const value = 5000
+		d, lg := r.dev, r.dev.logs[0]
+		ns, _ := d.CreateNamespace(NamespaceAttrs{})
+		for k := range uint64(d.fc.PagesPerBlock) {
+			if err := d.Put(one(ns, k, val(k, value))); err != nil {
+				t.Errorf("put %d: %v", k, err)
+				return
+			}
+		}
+		d.Flush()
+		c := newCollector(d, lg)
+		collect := func() bool {
+			lg.mu.Lock()
+			ci, b, readers, ok := c.pick()
+			lg.mu.Unlock()
+			if ok {
+				c.collectBlock(ci, b, readers)
+			}
+			return ok
+		}
+		victims := func() int64 { return d.ctr.gcVictimsHost.Value() + d.ctr.gcVictimsOther.Value() }
+		check := func(when string, wantVictims, wantErases, wantCopies int64) {
+			t.Helper()
+			if st := d.Stats(); victims() != wantVictims || st.GCErases != wantErases || st.GCCopies != wantCopies {
+				t.Errorf("%s: %d victims, %d erases, %d copies; want %d, %d, %d",
+					when, victims(), st.GCErases, st.GCCopies, wantVictims, wantErases, wantCopies)
+			}
+		}
+		if !collect() {
+			t.Error("setup: the full block is no victim")
+			return
+		}
+		check("after the scan", 1, 0, 0)
+		if collect() {
+			t.Error("the block that frees nothing was picked again")
+		}
+		check("after a second pick", 1, 0, 0)
+		// One version on the block dies: seven records pack into seven pages.
+		if err := d.Put(one(ns, 0, val(100, value))); err != nil {
+			t.Errorf("overwrite: %v", err)
+			return
+		}
+		d.Flush()
+		if !collect() {
+			t.Error("a version on the block died, yet it is no victim")
+			return
+		}
+		check("after a version died", 2, 1, int64(d.fc.PagesPerBlock-1))
+		for k := range uint64(d.fc.PagesPerBlock) {
+			want := val(k, value)
+			if k == 0 {
+				want = val(100, value)
+			}
+			if v, err := d.Get(ns, k); err != nil || !bytes.Equal(v, want) {
+				t.Errorf("key %d reads back wrong: %v", k, err)
+			}
+		}
+	})
 }

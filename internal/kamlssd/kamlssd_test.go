@@ -55,6 +55,21 @@ func newRigOn(e *sim.Engine, fc flash.Config, mod func(*Config)) *rig {
 	return &rig{e: e, arr: arr, ctrl: ctrl, dev: New(arr, ctrl, cfg)}
 }
 
+// setGCWater gives every device the test builds from here on, by New or by
+// Recover, the free-block watermarks low and high in place of gcLowFree and
+// gcHighFree.
+func setGCWater(t *testing.T, low, high int) {
+	t.Helper()
+	prev := gcWater
+	gcWater = func() (int, int) { return low, high }
+	t.Cleanup(func() { gcWater = prev })
+}
+
+// collectorsOff keeps the collectors of every device the test builds parked:
+// a log out of erased blocks stays out until the test collects a victim
+// itself.
+func collectorsOff(t *testing.T) { setGCWater(t, 0, 0) }
+
 func withRig(t *testing.T, fc flash.Config, mod func(*Config), fn func(r *rig)) {
 	t.Helper()
 	r := newRig(fc, mod)

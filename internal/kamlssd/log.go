@@ -84,7 +84,7 @@ type logState struct {
 	// polls. freeCv: collectBlock returned a block to the free list, the
 	// collector parked starved (the capacity edge of nextPPN may apply now),
 	// or power was cut; the flusher, out of erased blocks, waits here
-	// (hostPPN). gcCv: a block was opened below GCLowWater, something
+	// (hostPPN). gcCv: a block was opened below gcLowFree, something
 	// collectible may have appeared on a starved log, or the device is
 	// stopping; the collector waits here (collector.loop).
 	freeCv *sim.Cond
@@ -92,8 +92,9 @@ type logState struct {
 	// gcStarved is set by the collector when the log is below its watermark
 	// but holds no victim worth collecting — every sealed block is still being
 	// programmed or installed, or would refill as many pages as its erase
-	// frees. Whatever can change that clears it and wakes the collector
-	// (gcRetry): the flusher finishing a page, a version of this log's dying.
+	// frees (noGain). Whatever can change that clears it and wakes the
+	// collector (gcRetry): the flusher finishing a page, a version of this
+	// log's dying.
 	gcStarved bool
 
 	// The log's counted events and wear spread, one cell each; the registry
@@ -182,8 +183,13 @@ type logChip struct {
 }
 
 type blockMeta struct {
-	sealed     bool
-	retired    bool
+	sealed  bool
+	retired bool
+	// noGain marks a sealed block whose live records, scanned, would program
+	// a block's worth of pages: collecting it frees nothing, so the collector
+	// left it unerased (collectBlock). The next version on it to die clears
+	// the mark (discountValid).
+	noGain     bool
 	stream     int // the stream that opened the block; recovered blocks count as cold
 	validBytes int64
 	progFailed int // program failures observed in this block's current life
@@ -248,11 +254,17 @@ func (lg *logState) chipAddr(chipIdx int) (channel, chip int) {
 	return g / lg.d.fc.ChipsPerChannel, g % lg.d.fc.ChipsPerChannel
 }
 
-// gcReserveBlocks is how many free blocks per log the host append streams
-// must leave untouched so the garbage collector can always make progress
-// (relocating one victim can span two GC-stream blocks when the current
-// one is nearly full).
-const gcReserveBlocks = 2
+// A log's free-block thresholds. Its collector wakes below gcLowFree erased
+// blocks and collects up to gcHighFree. A host stream takes a block only
+// while the log has more than gcReserveBlocks, which leaves the GC stream
+// two blocks' worth of pages, and every collection programs fewer pages than
+// its erase returns (collectBlock): so at each victim's start the GC stream
+// has room for more pages than the victim can need.
+const (
+	gcLowFree       = 3
+	gcHighFree      = 5
+	gcReserveBlocks = 2
+)
 
 // nextPPN allocates the next sequential page of stream s, opening a fresh
 // block when needed. A host stream that needs a block while the log is at
@@ -358,7 +370,7 @@ func (lg *logState) popFree(ci int) (block int, ok bool) {
 		b := lc.free[0]
 		lc.free = lc.free[1:]
 		lg.freeBlocks--
-		if lg.freeBlocks < lg.d.cfg.GCLowWater {
+		if lg.freeBlocks < lg.d.gcLow {
 			lg.gcCv.Signal()
 		}
 		if !lc.blocks[b].retired {
@@ -375,7 +387,7 @@ func (lg *logState) popFree(ci int) (block int, ok bool) {
 // log's programs, not a Put: the log's queue fills, and its writers move on
 // to their namespaces' other logs (appendRecord). The stall is observed in
 // kaml_ssd_free_block_wait_seconds. Nobody has to wake the collector from
-// here: the host stream stops at gcReserveBlocks, which is below GCLowWater,
+// here: the host stream stops at gcReserveBlocks, which is below gcLowFree,
 // so the block that took the log there signalled gcCv, and a collector that
 // has parked since is starved and waits for gcRetry. Reports false on a power
 // cut. Called with lg.mu held, which the wait releases; returns with it held.
@@ -491,7 +503,7 @@ func (lg *logState) sealPacker(s int, cause sealCause) {
 	lg.pageSeq++
 	op.sealWanted = false
 	data, bitmap := op.packer.Finish()
-	oob := lg.d.buildOOB(bitmap, data)
+	oob := buildOOB(bitmap, data)
 	pend := op.pending
 	op.pending = nil
 	if n := len(lg.spare); n > 0 {
@@ -829,6 +841,7 @@ func (d *Device) discountValid(loc location) {
 	if lc.blocks[b].validBytes < 0 {
 		lc.blocks[b].validBytes = 0
 	}
+	lc.blocks[b].noGain = false
 	lg.gcRetry() // the block may just have become worth collecting
 	lg.mu.Unlock()
 }

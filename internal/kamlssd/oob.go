@@ -29,20 +29,16 @@ const pageTypeRecord = 0
 var oobMagic = [2]byte{'K', 'M'}
 
 // buildOOB assembles the full OOB for a record page about to be programmed.
-// bitmap is the packer's 8-byte chunk bitmap; data is the page payload,
-// padded with zeros to the page size for the CRC so the checksum matches
-// what a later full-page read returns.
-func (d *Device) buildOOB(bitmap, data []byte) []byte {
+// bitmap is the packer's 8-byte chunk bitmap; data is the page image
+// record.Packer.Finish returned, already padded to the page size, so the
+// checksum matches what a later full-page read returns.
+func buildOOB(bitmap, data []byte) []byte {
 	oob := make([]byte, oobLen)
 	copy(oob, bitmap)
 	oob[oobTypeOff] = pageTypeRecord
 	oob[oobMagicOff] = oobMagic[0]
 	oob[oobMagicOff+1] = oobMagic[1]
-	crc := crc32.ChecksumIEEE(data)
-	if pad := d.fc.PageSize - len(data); pad > 0 {
-		crc = crc32.Update(crc, crc32.IEEETable, make([]byte, pad))
-	}
-	binary.LittleEndian.PutUint32(oob[oobCRCOff:oobCRCOff+4], crc)
+	binary.LittleEndian.PutUint32(oob[oobCRCOff:oobCRCOff+4], crc32.ChecksumIEEE(data))
 	return oob
 }
 

@@ -303,7 +303,7 @@ func TestTornAndFailedPagesFailCheckOOB(t *testing.T) {
 				p.Add(record.Record{Namespace: 1, Key: k, Seq: k, Value: val(k, 300)})
 			}
 			data, bitmap := p.Finish()
-			oob := d.buildOOB(bitmap, data)
+			oob := buildOOB(bitmap, data)
 			ppn := r.arr.BlockPPN(0, 0, d.fc.BlocksPerChip-1, 0) // a block no log has opened
 			r.arr.SetInjector(&firstProgram{v: v})
 			if err := r.arr.ProgramPage(ppn, data, oob); err == nil {
@@ -335,14 +335,13 @@ func TestTornAndFailedPagesFailCheckOOB(t *testing.T) {
 // victim's erase: the victim's live records are on flash twice, under one
 // sequence number each, and where a log has several chips the two copies sit
 // on different ones. Everything is flushed, a snapshot pins old versions, and
-// the collectors never wake by themselves (GCLowWater 0), so a device
+// the collectors never wake by themselves (collectorsOff), so a device
 // recovered from it stays exactly as Recover left it.
 func relocationCutImage(t *testing.T, nLogs int) *crashImage {
 	t.Helper()
 	var img *crashImage
-	r := newSerialRig(1, testFlashConfig(), func(c *Config) {
-		c.NumLogs, c.GCLowWater, c.GCHighWater = nLogs, 0, 0
-	})
+	collectorsOff(t)
+	r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = nLogs })
 	r.e.Go("test", func() {
 		d := r.dev
 		w := newScanLoad(t, d)
@@ -846,15 +845,14 @@ func TestFirstSealResumesPartialBlock(t *testing.T) {
 
 // resumedCutImage is two cuts in a row: an ordinary cut, a recovery, more
 // load flushed into the blocks that recovery resumed, and a second cut with
-// nothing left in NVRAM. The collectors never wake (GCLowWater 0), so a
+// nothing left in NVRAM. The collectors never wake (collectorsOff), so a
 // device recovered from it stays as Recover left it.
 func resumedCutImage(t *testing.T, nLogs int) (*crashImage, *scanLoad) {
 	t.Helper()
 	var img *crashImage
 	var w *scanLoad
-	r := newSerialRig(1, testFlashConfig(), func(c *Config) {
-		c.NumLogs, c.GCLowWater, c.GCHighWater = nLogs, 0, 0
-	})
+	collectorsOff(t)
+	r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = nLogs })
 	r.e.Go("test", func() {
 		w = newScanLoad(t, r.dev)
 		w.put(100 * 8)

@@ -15,10 +15,6 @@ import (
 // namespace's next log; and only a namespace whose every log is full holds
 // its writers back.
 
-// collectorsOff keeps every collector parked (GCLowWater 0): a log out of
-// erased blocks stays out until the test collects a victim itself.
-func collectorsOff(c *Config) { c.GCLowWater, c.GCHighWater = 0, 0 }
-
 // stalled reports whether lg's open page is left full for a flusher that
 // programs nothing: the flusher holds a dequeued page and waits for an
 // erased block, behind a full queue. With the collectors off no block is
@@ -95,7 +91,8 @@ func sealedSince(lg *logState, seq uint64) uint64 {
 // for one more dequeue.
 func TestFullLogDoesNotStallTheNamespace(t *testing.T) {
 	const puts = 200
-	r := newSerialRig(1, testFlashConfig(), collectorsOff)
+	collectorsOff(t)
+	r := newSerialRig(1, testFlashConfig(), nil)
 	r.e.Go("test", func() {
 		d, lg := r.dev, r.dev.logs[0]
 		defer d.Close()
@@ -176,10 +173,8 @@ func TestFullLogDoesNotStallTheNamespace(t *testing.T) {
 // TestNVRAMOccupancyBounded's bound. The writers go on once blocks come back.
 func TestAllLogsFullIsBackpressure(t *testing.T) {
 	const writers = 4
-	r := newSerialRig(1, testFlashConfig(), func(c *Config) {
-		c.NumLogs = 2
-		collectorsOff(c)
-	})
+	collectorsOff(t)
+	r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = 2 })
 	cfg := r.dev.Config()
 	bound := int64(cfg.NumLogs*(numHostStreams+cfg.QueueDepthPerLog+1)*8 + writers)
 	r.e.Go("test", func() {
@@ -235,10 +230,8 @@ func TestAllLogsFullIsBackpressure(t *testing.T) {
 func TestWriterWakesOnFirstLogWithRoom(t *testing.T) {
 	for room := range 2 {
 		t.Run(fmt.Sprintf("room on log %d", room), func(t *testing.T) {
-			r := newSerialRig(1, testFlashConfig(), func(c *Config) {
-				c.NumLogs = 2
-				collectorsOff(c)
-			})
+			collectorsOff(t)
+			r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = 2 })
 			r.e.Go("test", func() {
 				d := r.dev
 				defer d.Close()

@@ -84,7 +84,7 @@ type Options struct {
 	Flash flash.Config
 	// Transport selects NVMe-layer latencies and controller resources.
 	Transport nvme.Config
-	// Firmware tunes the KAML FTL (log count, GC watermarks, ...).
+	// Firmware tunes the KAML FTL (log count, queue depths, coalescing, ...).
 	Firmware kamlssd.Config
 	// Faults, when non-nil, installs a deterministic fault plan on the
 	// flash array: seeded per-operation failure probabilities and/or a

@@ -23,7 +23,7 @@ func TestPolicyStructFieldsArePinned(t *testing.T) {
 		v      any
 		fields string
 	}{
-		{kamlssd.Config{}, "NumLogs QueueDepthPerLog GCLowWater GCHighWater AutoGrowIndex PipelineDepth CoalesceWindow MaxCoalesceRecords CoalesceShards DisableTelemetry"},
+		{kamlssd.Config{}, "NumLogs QueueDepthPerLog AutoGrowIndex PipelineDepth CoalesceWindow MaxCoalesceRecords CoalesceShards DisableTelemetry"},
 		{cluster.Config{}, "Nodes Shards ReplicationFactor Device DeviceFaults Hedge ExpectedKeysPerShard Seed Engine"},
 		{cluster.HedgeConfig{}, "Enabled InitDelay"},
 		{shoremt.Config{}, "PoolFrames LogPages RecordsPerLock CheckpointEvery"},
