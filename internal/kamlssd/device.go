@@ -251,7 +251,10 @@ type Device struct {
 	logFullWait *telemetry.Histogram
 	// programWait is how much longer than its floor a flusher's program
 	// took, by the other job of its log on the page's chip (sharer).
-	programWait  [numWaitCauses]*telemetry.Histogram
+	programWait [numWaitCauses]*telemetry.Histogram
+	// gcPhase is a relocated victim's collection by phase: its scan, what
+	// relocation took after the scan, its erase (collectBlock).
+	gcPhase      [numGCPhases]*telemetry.Histogram
 	recoveryTime *telemetry.Histogram // one Recover, log scan to actors started
 
 	closed       atomic.Bool

@@ -1,10 +1,9 @@
 package kamlssd
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
+	"time"
 
 	"github.com/kaml-ssd/kaml/internal/flash"
 	"github.com/kaml-ssd/kaml/internal/record"
@@ -29,29 +28,43 @@ type collector struct {
 	pins []uint64
 
 	// Per-victim scratch: the scan's readers, each with the records of the
-	// page it parses and the live records it found, the records of the
-	// relocation page being filled, and its packer. Parsed and live records
-	// alias the victim's pages (record.AppendParsed): the only copy of a
-	// value is the one relocation packs. scanned waits for the readers beside
-	// the collector's own, each an actor named scanName.
+	// page it parses and the live records it found, where each page's live
+	// records end in its reader's list (pageEnd, by victim page), the scan's
+	// live records in page order (live), the records of the relocation page
+	// being filled (group), and its packer. Parsed and live records alias the
+	// victim's pages (record.AppendParsed): the only copy of a value is the
+	// one relocation packs. The readers are actors named scanName, scanned
+	// waits for them, and each publishes a page's records under mu and
+	// signals pageRead, which the collector waits on for the next page it
+	// relocates (awaitPage).
 	readers  [readersPerChip]victimReader
+	nReaders int // readers of the current victim
+	pageEnd  []int
+	mu       *sim.Mutex
+	pageRead *sim.Cond
 	scanned  *sim.WaitGroup
 	scanName string
+	live     []gcRecord
 	group    []gcRecord
 	packer   *record.Packer
 }
 
 // victimReader is one reader of a victim scan: it reads every n-th page of
 // the victim from page first, and lists the live records on them in page
-// order.
+// order. It fills its list in a copy of its own and publishes the list under
+// collector.mu at each page's end, with next and, when it stops early, err.
 type victimReader struct {
 	placed []record.Placed
 	live   []gcRecord
-	err    error // the read that ended the scan early: a power cut or a persistent read error
+	next   int           // the next page of its share: the pages before it are listed
+	err    error         // the read that ended the scan early: a power cut or a persistent read error
+	end    time.Duration // when it published its last page (telemetry only)
 }
 
 func newCollector(d *Device, lg *logState) *collector {
+	mu := d.eng.NewMutex(fmt.Sprintf("kaml-gc%d", lg.id))
 	return &collector{d: d, lg: lg, packer: record.NewPacker(d.fc.PageSize, chunkSize),
+		pageEnd: make([]int, d.fc.PagesPerBlock), mu: mu, pageRead: d.eng.NewCond(mu),
 		scanned: d.eng.NewWaitGroup(), scanName: fmt.Sprintf("kaml-gc%d.scan", lg.id)}
 }
 
@@ -249,55 +262,88 @@ type gcRecord struct {
 	newChunk int
 }
 
-// collectBlock scans one victim block with readers reads in flight (scan),
+// A collection's phases, observed in kaml_gc_phase_seconds for each victim
+// that is relocated: the scan from the pick to its last page read, what
+// relocation took after that (the part the pipeline did not hide behind the
+// scan), and the erase.
+const (
+	phaseScan = iota
+	phaseRelocate
+	phaseErase
+	numGCPhases
+)
+
+var gcPhaseNames = [numGCPhases]string{"scan", "relocate", "erase"}
+
+// collectBlock scans one victim block with readers reads in flight,
 // relocates its live data, erases it, and returns it to the log's free list,
-// waking the writers that wait for one. A victim whose live records would
-// program as many pages as its erase returns is left unerased and marked
-// noGain instead, so every collection frees at least a page. Called with no
-// locks held; every index check and install takes namespace locks per
+// waking the writers that wait for one. When the log can keep the scan and
+// the relocation apart and the victim is known to free a page (pipelines),
+// each page's live records are relocated as soon as the page is read, so the
+// GC stream programs while the victim's later pages are still being read.
+// Otherwise the whole victim is scanned first (scan), and a victim whose live
+// records would program as many pages as its erase returns is left unerased
+// and marked noGain, so every collection frees at least a page. Called with
+// no locks held; every index check and install takes namespace locks per
 // record.
 func (c *collector) collectBlock(chipIdx, block, readers int) {
 	d, lg := c.d, c.lg
 	ch, chip := lg.chipAddr(chipIdx)
-	defer func() {
-		// Keep the lists' storage, not what they point at: a parked collector
-		// must not pin a victim's worth of page images.
-		for r := range c.readers {
-			rd := &c.readers[r]
-			clear(rd.placed[:cap(rd.placed)]) // each page re-slices it: clear past len
-			clear(rd.live)
-			rd.live, rd.err = rd.live[:0], nil
-		}
-	}()
-	live, ok := c.scan(ch, chip, block, readers)
-	if !ok {
-		return // the victim must not be erased
+	var start time.Duration
+	if d.tel != nil {
+		start = d.eng.NowCheap()
 	}
-
-	pages, bytes := gcPagesNeeded(d, live)
-	if !d.frees(pages) {
-		lg.mu.Lock()
-		// A version that died during the scan was counted live, and its
-		// discount, which clears the mark, has already come: leave the block
-		// unmarked for the next pick to scan again.
-		bm := &lg.chips[chipIdx].blocks[block]
-		bm.noGain = bm.validBytes >= bytes
-		lg.mu.Unlock()
+	lg.mu.Lock()
+	overlap := lg.pipelines(chipIdx, block)
+	lg.mu.Unlock()
+	defer c.endScan()
+	if overlap {
+		c.startScan(ch, chip, block, readers)
+		for page := range d.fc.PagesPerBlock {
+			recs, ok := c.awaitPage(page)
+			if !ok || c.relocate(recs) != nil {
+				return // the victim must not be erased
+			}
+		}
+	} else {
+		live, ok := c.scan(ch, chip, block, readers)
+		if !ok {
+			return // the victim must not be erased
+		}
+		if pages, bytes := gcPagesNeeded(d, live); !d.frees(pages) {
+			lg.mu.Lock()
+			// A version that died during the scan was counted live, and its
+			// discount, which clears the mark, has already come: leave the
+			// block unmarked for the next pick to scan again.
+			bm := &lg.chips[chipIdx].blocks[block]
+			bm.noGain = bm.validBytes >= bytes
+			lg.mu.Unlock()
+			return
+		}
+		if c.relocate(live) != nil {
+			return // power cut mid-relocation: the victim must not be erased
+		}
+	}
+	if c.flush() != nil {
 		return
 	}
-	d.ctr.gcCopies.Add(int64(len(live)))
-	lg.gcCopiedBytes.Add(bytes)
-
-	if c.relocateRecords(live) != nil {
-		return // power cut mid-relocation: the victim must not be erased
+	if d.tel != nil {
+		scanned, now := c.scanEnd(), d.eng.NowCheap()
+		d.gcPhase[phaseScan].ObserveDuration(scanned - start)
+		d.gcPhase[phaseRelocate].ObserveDuration(now - scanned)
+		start = now
 	}
 
 	first := d.arr.BlockPPN(ch, chip, block, 0)
-	if err := d.arr.EraseBlock(first); err != nil {
-		if errors.Is(err, flash.ErrPowerCut) {
-			d.noticePowerLoss()
-			return
-		}
+	err := d.arr.EraseBlock(first)
+	if errors.Is(err, flash.ErrPowerCut) {
+		d.noticePowerLoss()
+		return
+	}
+	if d.tel != nil {
+		d.gcPhase[phaseErase].ObserveDuration(d.eng.NowCheap() - start)
+	}
+	if err != nil {
 		// Erase failure: take the block out of service permanently. The
 		// retirement is recorded in NVRAM so recovery never reuses it.
 		lg.mu.Lock()
@@ -341,53 +387,152 @@ func (c *collector) collectBlock(chipIdx, block, readers int) {
 	}
 }
 
-// scan reads every page of a victim block and returns the live records on
-// them, in page order. A read is a sense that holds the chip, then a transfer
-// that holds the channel: with readers = readersPerChip one page senses while
-// the one before it transfers, as recovery's scan reads, so the chip senses
-// without a break. The collector asks for that only on a chip no flusher of
-// its log programs; on one that a flusher does, the scan reads one page at a
-// time, so a flusher's program waits behind at most one read. Reports false,
-// noticing a power cut, when a read failed for good: erasing then could
-// destroy live records the scan never saw, so the victim is abandoned and a
-// later pass retries it.
-func (c *collector) scan(ch, chip, block, readers int) ([]gcRecord, bool) {
-	d := c.d
-	for r := 1; r < readers; r++ {
+// pipelines reports whether the collector may relocate victim block of chip
+// ci page by page while the scan reads on. Three gates, each for a measured
+// reason:
+//   - the log has more chips than streams, so its jobs keep to chips of
+//     their own (openBlock); on a smaller log an overlap's programs land
+//     beside the scan and the flusher, and the records it copies early are
+//     more often rewritten before the victim would have been scanned;
+//   - the GC stream has its open block on another chip than the victim, or
+//     its programs would only queue behind the scan's reads;
+//   - twice the victim's valid bytes fit in one page less than a block: a
+//     next-fit packing programs fewer than 2 x bytes / PageSize + 1 pages
+//     (any two pages in a row hold more than a page's bytes), so the
+//     collection frees a page whatever the scan finds, and nothing it
+//     programs can be for a victim that gcPagesNeeded would have kept
+//     (noGain). Valid bytes bound the live records the scan can find: no
+//     record becomes live on a sealed, fully programmed block.
+//
+// Called with lg.mu held.
+func (lg *logState) pipelines(ci, block int) bool {
+	fc := &lg.d.fc
+	gc := lg.active[streamGC]
+	return len(lg.chips) > numStreams && gc != nil && gc.chip != ci &&
+		2*lg.chips[ci].blocks[block].validBytes <= int64(fc.PagesPerBlock-1)*int64(fc.PageSize)
+}
+
+// startScan starts the readers of a victim block: readers actors, each
+// reading every readers-th page (readPages). A read is a sense that holds
+// the chip, then a transfer that holds the channel: with readers =
+// readersPerChip one page senses while the one before it transfers, as
+// recovery's scan reads, so the chip senses without a break. The collector
+// asks for that only on a chip no flusher of its log programs; on one that a
+// flusher does, the scan reads one page at a time, so a flusher's program
+// waits behind at most one read. The collector itself reads nothing: it
+// relocates, and waits for pages with awaitPage or scan.
+func (c *collector) startScan(ch, chip, block, readers int) {
+	c.nReaders = readers
+	for r := range readers {
+		c.readers[r].next = r
 		c.scanned.Add(1)
-		d.eng.Go(c.scanName, func() {
+		c.d.eng.Go(c.scanName, func() {
 			defer c.scanned.Done()
 			c.readPages(&c.readers[r], ch, chip, block, r, readers)
 		})
 	}
-	c.readPages(&c.readers[0], ch, chip, block, 0, readers)
+}
+
+// scan reads every page of a victim block with readers reads in flight
+// (startScan) and returns the live records on them, in page order. Reports
+// false when a read failed for good: erasing then could destroy live records
+// the scan never saw, so the victim is abandoned and a later pass retries it.
+func (c *collector) scan(ch, chip, block, readers int) ([]gcRecord, bool) {
+	c.startScan(ch, chip, block, readers)
 	c.scanned.Wait()
-	for _, rd := range c.readers[:readers] {
-		if rd.err != nil {
-			if errors.Is(rd.err, flash.ErrPowerCut) {
-				d.noticePowerLoss()
-			}
-			return nil, false
-		}
+	if c.failed() {
+		return nil, false
 	}
-	live := c.readers[0].live
-	if readers > 1 {
-		for _, rd := range c.readers[1:readers] {
-			live = append(live, rd.live...)
-		}
-		// Each reader listed its own pages in order; location orders by page,
-		// then chunk.
-		slices.SortFunc(live, func(a, b gcRecord) int { return cmp.Compare(a.oldLoc, b.oldLoc) })
-		c.readers[0].live = live
+	live := c.live[:0]
+	for page := range c.d.fc.PagesPerBlock {
+		live = append(live, c.pageRecords(page)...)
 	}
+	c.live = live
 	return live, true
+}
+
+// awaitPage waits until the victim's page has been read and returns the live
+// records on it. Reports false as soon as any reader has stopped on a read
+// that failed for good: the collection is abandoned, and what it relocated
+// so far stays relocated.
+func (c *collector) awaitPage(page int) ([]gcRecord, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rd := &c.readers[page%c.nReaders]
+	for rd.next <= page && !c.failed() {
+		c.pageRead.Wait()
+	}
+	if c.failed() {
+		return nil, false
+	}
+	return c.pageRecords(page), true
+}
+
+// failed reports whether a reader of the current victim stopped on a failed
+// read. Called with c.mu held, or once the readers have exited.
+func (c *collector) failed() bool {
+	for _, rd := range c.readers[:c.nReaders] {
+		if rd.err != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// pageRecords is the live records of a victim page its reader has listed.
+// Called with c.mu held, or once the readers have exited.
+func (c *collector) pageRecords(page int) []gcRecord {
+	from := 0
+	if page >= c.nReaders {
+		from = c.pageEnd[page-c.nReaders]
+	}
+	return c.readers[page%c.nReaders].live[from:c.pageEnd[page]]
+}
+
+// scanEnd is when the current victim's last page was read. Called once every
+// page has been.
+func (c *collector) scanEnd() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var end time.Duration
+	for _, rd := range c.readers[:c.nReaders] {
+		end = max(end, rd.end)
+	}
+	return end
+}
+
+// endScan ends a collection: it waits for the readers to exit, notices a
+// power cut one of them met, and empties the scratch. It keeps the lists'
+// storage, not what they point at: a parked collector must not pin a
+// victim's worth of page images. A relocation page left half packed by an
+// abandoned collection is dropped; its records are still on the victim.
+func (c *collector) endScan() {
+	c.scanned.Wait()
+	for r := range c.readers {
+		rd := &c.readers[r]
+		if errors.Is(rd.err, flash.ErrPowerCut) {
+			c.d.noticePowerLoss()
+		}
+		clear(rd.placed[:cap(rd.placed)]) // each page re-slices it: clear past len
+		clear(rd.live)
+		rd.live, rd.err, rd.next, rd.end = rd.live[:0], nil, 0, 0
+	}
+	clear(c.live)
+	c.live = c.live[:0]
+	clear(c.group[:cap(c.group)])
+	c.group = c.group[:0]
+	if !c.packer.Empty() {
+		c.packer.Finish()
+	}
 }
 
 // readPages is one reader of a victim scan: it reads pages first, first+n,
 // ... of the block and lists the records still live on them, stopping at a
-// power cut or a page unreadable after every retry (rd.err).
+// power cut or a page unreadable after every retry (rd.err). It publishes
+// each page's records as soon as it has parsed them.
 func (c *collector) readPages(rd *victimReader, ch, chip, block, first, n int) {
 	d := c.d
+	live := rd.live
 	for page := first; page < d.fc.PagesPerBlock; page += n {
 		ppn := d.arr.BlockPPN(ch, chip, block, page)
 		var data, oob []byte
@@ -399,27 +544,34 @@ func (c *collector) readPages(rd *victimReader, ch, chip, block, first, n int) {
 			}
 			d.ctr.readRetries.Inc()
 		}
-		if err != nil {
-			if errors.Is(err, flash.ErrPowerCut) || errors.Is(err, flash.ErrInjectedFailure) {
-				rd.err = err
-				return
+		if errors.Is(err, flash.ErrPowerCut) || errors.Is(err, flash.ErrInjectedFailure) {
+			c.mu.Lock()
+			rd.err = err
+			c.pageRead.Signal()
+			c.mu.Unlock()
+			return
+		}
+		// An unwritten page, or a torn or garbage one, carries nothing live.
+		if err == nil && checkOOB(oob, data) {
+			var perr error
+			rd.placed, perr = record.AppendParsed(rd.placed[:0], data, oob, chunkSize)
+			if perr != nil {
+				panic(fmt.Sprintf("kamlssd: GC parse %d: %v", ppn, perr))
 			}
-			continue // unwritten page
-		}
-		if !checkOOB(oob, data) {
-			continue // torn or garbage page: carries nothing live
-		}
-		var perr error
-		rd.placed, perr = record.AppendParsed(rd.placed[:0], data, oob, chunkSize)
-		if perr != nil {
-			panic(fmt.Sprintf("kamlssd: GC parse %d: %v", ppn, perr))
-		}
-		for _, pl := range rd.placed {
-			loc := flashLoc(ppn, pl.StartChunk, pl.NumChunks)
-			if d.recordLive(pl.Record, loc) {
-				rd.live = append(rd.live, gcRecord{rec: pl.Record, oldLoc: loc})
+			for _, pl := range rd.placed {
+				loc := flashLoc(ppn, pl.StartChunk, pl.NumChunks)
+				if d.recordLive(pl.Record, loc) {
+					live = append(live, gcRecord{rec: pl.Record, oldLoc: loc})
+				}
 			}
 		}
+		c.mu.Lock()
+		rd.live, rd.next, c.pageEnd[page] = live, page+n, len(live)
+		if d.tel != nil {
+			rd.end = d.eng.NowCheap()
+		}
+		c.pageRead.Signal()
+		c.mu.Unlock()
 	}
 }
 
@@ -437,8 +589,8 @@ func (lg *logState) learnHotLife(bm *blockMeta, erased uint64) {
 }
 
 // gcPagesNeeded reports how many pages relocating the victim's live records
-// programs — a next-fit count in scan order, the packing relocateRecords
-// does — and the bytes of chunks they hold.
+// programs — a next-fit count in scan order, the packing relocate does —
+// and the bytes of chunks they hold.
 func gcPagesNeeded(d *Device, live []gcRecord) (pages int, bytes int64) {
 	chunksPerPage := d.fc.PageSize / chunkSize
 	chunks := 0
@@ -508,59 +660,63 @@ func (d *Device) gcProgram(lg *logState, data, oob []byte) (flash.PPN, error) {
 	}
 }
 
-// relocateRecords packs live records into fresh pages on the log's GC
-// stream and swings their chain nodes, re-validating each record at install
-// time (it may have been superseded while GC was running).
-func (c *collector) relocateRecords(live []gcRecord) error {
-	d, lg, packer := c.d, c.lg, c.packer
-	group := c.group[:0]
-	defer func() {
-		clear(group[:cap(group)]) // as in collectBlock: keep the storage only
-		c.group = group
-	}()
-	flush := func() error {
-		if packer.Empty() {
-			return nil
-		}
-		data, bitmap := packer.Finish()
-		ppn, perr := d.gcProgram(lg, data, buildOOB(bitmap, data))
-		if perr != nil {
-			return perr
-		}
-		// Hold the device read lock across the install loop so namespace
-		// creation/deletion can't observe a half-swung page (same reason as
-		// the flusher's install, log.go).
-		d.mu.RLock()
-		for _, g := range group {
-			newLoc := flashLoc(ppn, g.newChunk, g.oldLoc.nchunks())
-			fam := d.families[g.rec.Namespace]
-			if fam == nil {
-				continue // family deleted mid-GC: dead on arrival
-			}
-			fam.root.mu.Lock()
-			node := fam.chains.VersionAtLoc(g.rec.Key, uint64(g.oldLoc))
-			if node != nil {
-				node.SetLoc(uint64(newLoc))
-			}
-			fam.root.mu.Unlock()
-			if node == nil {
-				continue // version superseded and pruned mid-GC
-			}
-			d.discountValid(g.oldLoc)
-			d.creditValid(newLoc)
-		}
-		d.mu.RUnlock()
-		group = group[:0]
-		return nil
-	}
+// relocate packs live records into the relocation page, programming each
+// page the next record does not fit on (flush). Fails only on a power cut.
+func (c *collector) relocate(live []gcRecord) error {
 	for _, g := range live {
-		if !packer.Fits(g.rec.EncodedSize()) {
-			if err := flush(); err != nil {
+		if !c.packer.Fits(g.rec.EncodedSize()) {
+			if err := c.flush(); err != nil {
 				return err
 			}
 		}
-		g.newChunk = packer.Add(g.rec)
-		group = append(group, g)
+		g.newChunk = c.packer.Add(g.rec)
+		c.group = append(c.group, g)
 	}
-	return flush()
+	return nil
+}
+
+// flush programs the relocation page on the log's GC stream, if it holds
+// anything, and swings its records' chain nodes, re-validating each record
+// at install time (it may have been superseded while GC was running). The
+// records count as copies once their page is programmed.
+func (c *collector) flush() error {
+	d, lg := c.d, c.lg
+	if c.packer.Empty() {
+		return nil
+	}
+	data, bitmap := c.packer.Finish()
+	ppn, perr := d.gcProgram(lg, data, buildOOB(bitmap, data))
+	if perr != nil {
+		return perr
+	}
+	// Hold the device read lock across the install loop so namespace
+	// creation/deletion can't observe a half-swung page (same reason as
+	// the flusher's install, log.go).
+	var bytes int64
+	d.mu.RLock()
+	for _, g := range c.group {
+		bytes += int64(g.oldLoc.nchunks() * chunkSize)
+		newLoc := flashLoc(ppn, g.newChunk, g.oldLoc.nchunks())
+		fam := d.families[g.rec.Namespace]
+		if fam == nil {
+			continue // family deleted mid-GC: dead on arrival
+		}
+		fam.root.mu.Lock()
+		node := fam.chains.VersionAtLoc(g.rec.Key, uint64(g.oldLoc))
+		if node != nil {
+			node.SetLoc(uint64(newLoc))
+		}
+		fam.root.mu.Unlock()
+		if node == nil {
+			continue // version superseded and pruned mid-GC
+		}
+		d.discountValid(g.oldLoc)
+		d.creditValid(newLoc)
+	}
+	d.mu.RUnlock()
+	d.ctr.gcCopies.Add(int64(len(c.group)))
+	lg.gcCopiedBytes.Add(bytes)
+	clear(c.group) // keep the storage only
+	c.group = c.group[:0]
+	return nil
 }

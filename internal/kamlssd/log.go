@@ -309,14 +309,17 @@ func (lg *logState) nextPPN(s int) (flash.PPN, error) {
 // empty, pops a free block for stream s. A log has four jobs — the two host
 // streams, the GC stream and the victim being collected — and each holds a
 // chip for its programs, reads or erase, so on a log with more chips than
-// streams the block comes from the first chip, in rotation, that holds no
-// job s must keep apart from (busyChip): the flusher then does not program
-// behind its own collector, nor the collector behind the flusher. When no
-// chip with a free block qualifies, and on a log too small to keep its jobs
-// apart, it takes the next chip in rotation that has one. Either way it wakes
-// the log's collector when that takes the log below its low watermark — the
-// host and the GC stream both consume free blocks here and nowhere else.
-// Called with lg.mu held.
+// streams the block comes from a chip that holds no job s must keep apart
+// from (busyChip): the flusher then does not program behind its own
+// collector, nor the collector behind the flusher. A host stream first tries
+// the other host stream's chip: the two share the flusher, which programs one
+// page at a time, so sharing a chip costs them nothing and leaves the log's
+// other chips to the victim and the GC stream. Then it is the first such
+// chip in rotation. When no chip with a free block qualifies, and on a
+// log too small to keep its jobs apart, it takes the next chip in rotation
+// that has one. Either way it wakes the log's collector when that takes the
+// log below its low watermark — the host and the GC stream both consume free
+// blocks here and nowhere else. Called with lg.mu held.
 func (lg *logState) openBlock(s int) (*appendPoint, error) {
 	if len(lg.resume) > 0 {
 		ap := lg.resume[0]
@@ -325,6 +328,13 @@ func (lg *logState) openBlock(s int) (*appendPoint, error) {
 	}
 	n := len(lg.chips)
 	if n > numStreams {
+		if s != streamGC {
+			if other := lg.active[numHostStreams-1-s]; other != nil && !lg.busyChip(s, other.chip) {
+				if b, ok := lg.popFree(other.chip); ok {
+					return &appendPoint{chip: other.chip, block: b}, nil
+				}
+			}
+		}
 		for i := 0; i < n; i++ {
 			ci := (lg.nextChip + i) % n
 			if lg.busyChip(s, ci) {

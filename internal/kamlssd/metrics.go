@@ -47,7 +47,7 @@ type counters struct {
 // only while a registry does: with Config.DisableTelemetry they stay nil
 // (a nil histogram drops its samples) and the timestamp reads feeding them
 // are skipped behind d.tel != nil (see execPut / installFlashLoc / hostPPN /
-// flusherLoop / collector.loop).
+// flusherLoop / collector.loop / collectBlock).
 //
 // Command latencies (Get/Put/Snapshot, per lifecycle stage) are recorded
 // by the pipeline itself — kaml_cmdq_stage_seconds{op,stage} — because the
@@ -73,6 +73,7 @@ func (d *Device) export(r *telemetry.Registry) {
 	r.Help("kaml_recovery_replayed_values_total", "Committed NVRAM values recovery re-staged for programming.")
 	r.Help("kaml_recovery_dropped_uncommitted_total", "NVRAM values recovery discarded because their batch never committed.")
 	r.Help("kaml_gc_pause_seconds", "Duration of one GC victim collection (virtual time).")
+	r.Help("kaml_gc_phase_seconds", "One relocated GC victim's phases: scan, pick to its last page read; relocate, what relocation took after the scan (the tail the pipeline did not hide); erase (virtual time).")
 	r.Help("kaml_gc_victims_total", "GC victims collected, by chip: \"host\" when one of the log's host streams had its open block on the victim's chip, \"other\" when none did.")
 	r.Help("kaml_gc_collectors_active", "Per-log collectors currently pruning or reclaiming (the rest wait for their log to run low).")
 	r.Help("kaml_mvcc_versions_pruned_total", "Dead MVCC versions unlinked from the version chains.")
@@ -97,6 +98,9 @@ func (d *Device) export(r *telemetry.Registry) {
 	r.AdoptCounter(&d.ctr.replayedValues, "kaml_recovery_replayed_values_total")
 	r.AdoptCounter(&d.ctr.droppedUncommitted, "kaml_recovery_dropped_uncommitted_total")
 	d.gcPause = r.Histogram("kaml_gc_pause_seconds", telemetry.UnitSeconds)
+	for p := range d.gcPhase {
+		d.gcPhase[p] = r.Histogram("kaml_gc_phase_seconds", telemetry.UnitSeconds, "phase", gcPhaseNames[p])
+	}
 	r.AdoptGauge(&d.ctr.gcActive, "kaml_gc_collectors_active")
 	r.AdoptCounter(&d.ctr.gcVictimsHost, "kaml_gc_victims_total", "chip", "host")
 	r.AdoptCounter(&d.ctr.gcVictimsOther, "kaml_gc_victims_total", "chip", "other")
