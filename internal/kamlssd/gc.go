@@ -126,6 +126,10 @@ func (c *collector) loop() {
 // (busyChip). The victim is scanned with readers reads in flight: two on a
 // chip no host stream of the log has its open block on, where a second read
 // delays nobody but the scan, one on a chip the flusher programs (scan).
+// A victim whose relocation fits in the GC stream's open block
+// (relocationPages) is covered (gcCovered): its collection takes no free
+// block, so the pick wakes a flusher waiting for one, which may take the
+// reserve's second block now (hostReserve).
 // Reports false when the cycle is over: the log is back at its high
 // watermark, the power is off, or no block is worth collecting — then the
 // collector parks until gcRetry says the answer may have changed, set under
@@ -133,7 +137,7 @@ func (c *collector) loop() {
 // Called with lg.mu held.
 func (c *collector) pick() (chipIdx, block, readers int, ok bool) {
 	d, lg := c.d, c.lg
-	lg.victimChip = noChip
+	lg.victimChip, lg.gcCovered = noChip, false
 	if lg.freeBlocks >= d.gcHigh || d.crashed.Load() {
 		return 0, 0, 0, false
 	}
@@ -141,9 +145,6 @@ func (c *collector) pick() (chipIdx, block, readers int, ok bool) {
 	lg.gcStarved = !ok
 	switch {
 	case !ok:
-		// A flusher out of blocks may share its other host stream's open
-		// block now (nextPPN).
-		lg.freeCv.Broadcast()
 		return 0, 0, 0, false
 	case lg.hostChip(chipIdx):
 		d.ctr.gcVictimsHost.Inc()
@@ -153,6 +154,11 @@ func (c *collector) pick() (chipIdx, block, readers int, ok bool) {
 		readers = readersPerChip
 	}
 	lg.victimChip = chipIdx
+	if gc := lg.active[streamGC]; gc != nil &&
+		d.relocationPages(&lg.chips[chipIdx].blocks[block]) <= d.fc.PagesPerBlock-gc.page {
+		lg.gcCovered = true
+		lg.freeCv.Broadcast()
+	}
 	return chipIdx, block, readers, true
 }
 
@@ -362,10 +368,11 @@ func (c *collector) collectBlock(chipIdx, block, readers int) {
 	erased := d.nv.nvSeq
 	d.nvMu.Unlock()
 	lg.mu.Lock()
+	lg.gcCovered = false // the erase returns what a covered take borrowed
 	bm := &lg.chips[chipIdx].blocks[block]
 	lg.learnHotLife(bm, erased)
 	bm.sealed = false
-	bm.validBytes = 0
+	bm.validBytes, bm.maxChunks = 0, 0
 	retire := bm.progFailed > 0
 	if retire {
 		// The block ate at least one program during its last life; retire
@@ -607,6 +614,26 @@ func gcPagesNeeded(d *Device, live []gcRecord) (pages int, bytes int64) {
 		pages++
 	}
 	return pages, bytes
+}
+
+// relocationPages bounds the pages relocating block bm's live records can
+// program, whatever its scan finds live: those records are at most
+// bm.maxChunks chunks each and bm.validBytes in all, and the bound is the
+// smaller of two next-fit ones (gcPagesNeeded is next-fit). A page is closed
+// only by a record that does not fit on it, so with C chunks to a page every
+// page but the last holds more than C − maxChunks chunks: k pages of n chunks
+// have k ≤ (n − 1) ÷ (C − maxChunks + 1) + 1. And any two pages in a row hold
+// more than a page's chunks, so k < 2 × bytes ÷ PageSize + 1 (pipelines).
+// Called with the block's log's mu held.
+func (d *Device) relocationPages(bm *blockMeta) int {
+	chunks := int(bm.validBytes / chunkSize)
+	if chunks == 0 {
+		return 0
+	}
+	perPage := d.fc.PageSize / chunkSize
+	nextFit := (chunks-1)/(perPage-bm.maxChunks+1) + 1
+	pairwise := int(2*bm.validBytes/int64(d.fc.PageSize)) + 1
+	return min(nextFit, pairwise)
 }
 
 // frees reports whether collecting a block frees anything: relocating its

@@ -67,6 +67,13 @@ type logState struct {
 	// sets it when it picks a victim and clears it at its next pick and at the
 	// end of its cycle (collector.loop).
 	victimChip int
+	// gcCovered is set while the victim being collected is covered: the pages
+	// relocating it can program (relocationPages) fit in the GC stream's open
+	// block, so its collection needs no free block and a host stream may take
+	// the reserve's second one (hostReserve). The collector sets it at the
+	// pick and clears it when the victim's erase returns its block and at its
+	// next pick.
+	gcCovered bool
 	// resume holds the partially-programmed blocks recovery found, in scan
 	// order, each at its first unprogrammed page: openBlock hands them out
 	// before any erased block. They are neither free nor sealed.
@@ -82,9 +89,9 @@ type logState struct {
 	// The log's collector and the flusher that waits for it meet on two
 	// conditions, each signalled by the event itself, under mu — nothing
 	// polls. freeCv: collectBlock returned a block to the free list, the
-	// collector parked starved (the capacity edge of nextPPN may apply now),
-	// or power was cut; the flusher, out of erased blocks, waits here
-	// (hostPPN). gcCv: a block was opened below gcLowFree, something
+	// collector picked a covered victim (the reserve's second block is the
+	// host streams' now), or power was cut; the flusher, out of erased blocks,
+	// waits here (hostPPN). gcCv: a block was opened below gcLowFree, something
 	// collectible may have appeared on a starved log, or the device is
 	// stopping; the collector waits here (collector.loop).
 	freeCv *sim.Cond
@@ -192,6 +199,9 @@ type blockMeta struct {
 	noGain     bool
 	stream     int // the stream that opened the block; recovered blocks count as cold
 	validBytes int64
+	// maxChunks is the largest record, in chunks, credited to the block in its
+	// current life: no live record on it is longer (relocationPages).
+	maxChunks  int
 	progFailed int // program failures observed in this block's current life
 	// born is the newest seq on the block's first page, set when a host
 	// stream allocates it; zero for a block whose birth this log did not see.
@@ -256,33 +266,57 @@ func (lg *logState) chipAddr(chipIdx int) (channel, chip int) {
 
 // A log's free-block thresholds. Its collector wakes below gcLowFree erased
 // blocks and collects up to gcHighFree. A host stream takes a block only
-// while the log has more than gcReserveBlocks, which leaves the GC stream
-// two blocks' worth of pages, and every collection programs fewer pages than
-// its erase returns (collectBlock): so at each victim's start the GC stream
-// has room for more pages than the victim can need.
+// while the log has more than its reserve (hostReserve), which leaves the GC
+// stream room for more pages than the victim being collected can need, and
+// every collection programs fewer pages than its erase returns
+// (collectBlock): so at each victim's start the GC stream has that room too.
 const (
 	gcLowFree       = 3
 	gcHighFree      = 5
 	gcReserveBlocks = 2
 )
 
+// hostReserve is the number of free blocks a host stream leaves the log: it
+// opens a block only while the log has more. The GC stream's room C is its
+// free blocks' pages plus its open block's unprogrammed tail, and a victim's
+// relocation programs at most relocationPages(victim) < P pages of it, P to a
+// block. Normally the reserve is gcReserveBlocks, so a take leaves C ≥ 2P.
+// While the victim being collected is covered (gcCovered), one block fewer:
+// the take leaves C ≥ P + relocationPages(victim), the collection then takes
+// only its tail and returns P, and the next victim starts with C ≥ 2P all the
+// same. Either way the second P absorbs one retirement or abandoned
+// collection. Called with lg.mu held.
+func (lg *logState) hostReserve() int {
+	if lg.gcCovered {
+		return gcReserveBlocks - 1
+	}
+	return gcReserveBlocks
+}
+
 // nextPPN allocates the next sequential page of stream s, opening a fresh
 // block when needed. A host stream that needs a block while the log is at
-// its reserve and its collector is starved shares the other host stream's
-// open block, if it has one: two host streams hold two open blocks where one
-// stream held one, and without the share a log at that edge would wait for
-// a block that only the other stream's filling can make collectible. Called
-// with lg.mu held.
+// its reserve (hostReserve) shares the other host stream's open block, if it
+// has one, rather than wait: two host streams hold two open blocks where one
+// stream held one, so the block the collector needs next may be the other
+// stream's open one, whose pages queue behind the waiting page. The share
+// and a take from the reserve's second block are counted in
+// kaml_ssd_reserve_takes_total. Called with lg.mu held.
 func (lg *logState) nextPPN(s int) (flash.PPN, error) {
 	ap := &lg.active[s]
 	if *ap == nil {
-		if s != streamGC && len(lg.resume) == 0 && lg.freeBlocks <= gcReserveBlocks {
-			other := &lg.active[numHostStreams-1-s] // the other host stream's
-			if !lg.gcStarved || *other == nil {
+		reserve := s != streamGC && len(lg.resume) == 0 && lg.freeBlocks <= gcReserveBlocks
+		if reserve && lg.freeBlocks <= lg.hostReserve() {
+			ap = &lg.active[numHostStreams-1-s] // the other host stream's
+			if *ap == nil {
 				return 0, fmt.Errorf("kamlssd: log %d out of free blocks", lg.id)
 			}
-			ap = other
+			if lg.d.tel != nil {
+				lg.d.ctr.reserveShared.Inc()
+			}
 		} else {
+			if reserve && lg.d.tel != nil {
+				lg.d.ctr.reserveCovered.Inc()
+			}
 			cp, err := lg.openBlock(s)
 			if err != nil {
 				return 0, err
@@ -397,9 +431,9 @@ func (lg *logState) popFree(ci int) (block int, ok bool) {
 // log's programs, not a Put: the log's queue fills, and its writers move on
 // to their namespaces' other logs (appendRecord). The stall is observed in
 // kaml_ssd_free_block_wait_seconds. Nobody has to wake the collector from
-// here: the host stream stops at gcReserveBlocks, which is below gcLowFree,
-// so the block that took the log there signalled gcCv, and a collector that
-// has parked since is starved and waits for gcRetry. Reports false on a power
+// here: the host stream stops at its reserve, which is below gcLowFree, so
+// the block that took the log there signalled gcCv, and a collector that has
+// parked since is starved and waits for gcRetry. Reports false on a power
 // cut. Called with lg.mu held, which the wait releases; returns with it held.
 func (lg *logState) hostPPN(stream int) (flash.PPN, bool) {
 	ppn, err := lg.nextPPN(stream)
@@ -826,15 +860,18 @@ func (d *Device) installFlashLoc(pr pendingRec, ppn flash.PPN) {
 	}
 }
 
-// creditValid adds a record's footprint to its block's valid counter,
-// locking the owning log internally. Callers must hold no log mutex.
+// creditValid adds a record's footprint to its block's valid counter, and
+// its length to the block's longest, locking the owning log internally.
+// Callers must hold no log mutex.
 func (d *Device) creditValid(loc location) {
 	lg, lc, b := d.blockOf(loc.ppn())
 	if lc == nil {
 		return
 	}
 	lg.mu.Lock()
-	lc.blocks[b].validBytes += int64(loc.nchunks() * chunkSize)
+	bm := &lc.blocks[b]
+	bm.validBytes += int64(loc.nchunks() * chunkSize)
+	bm.maxChunks = max(bm.maxChunks, loc.nchunks())
 	lg.mu.Unlock()
 }
 

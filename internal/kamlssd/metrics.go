@@ -38,6 +38,12 @@ type counters struct {
 	// Victims collected, by whether a host stream of their log had its open
 	// block on their chip when the collector picked them (victim).
 	gcVictimsHost, gcVictimsOther telemetry.Counter
+
+	// Host-stream pages placed at a log's free-block reserve (nextPPN): blocks
+	// opened from the reserve's second block while the victim was covered,
+	// and pages put in the other host stream's open block. Counted only while
+	// telemetry is on.
+	reserveCovered, reserveShared telemetry.Counter
 }
 
 // export lists the firmware's cells in r and resolves its histograms.
@@ -63,6 +69,7 @@ func (d *Device) export(r *telemetry.Registry) {
 	r.Help("kaml_ssd_sealed_page_chunks", "Chunks holding records in each sealed page (of PageSize/ChunkSize).")
 	r.Help("kaml_ssd_free_block_wait_seconds", "Time a log's flusher waited for its collector to return an erased block for the page it dequeued (virtual time).")
 	r.Help("kaml_ssd_program_wait_seconds", "Time a log's flusher spent on a page program beyond ProgramLatency and the page's transfer, by the other job of its log on the page's chip: the victim its collector was collecting, the GC stream's open block, or neither (virtual time).")
+	r.Help("kaml_ssd_reserve_takes_total", "Host-stream takes at a log's free-block reserve: \"covered\" counts blocks opened from the reserve's second block while the victim being collected fits in the GC stream's open block, \"shared\" counts pages placed in the other host stream's open block.")
 	r.Help("kaml_ssd_log_full_wait_seconds", "Time a writer that met every log of its namespace with a full sealed queue waited for a flusher to make room in one (virtual time).")
 	r.Help("kaml_ssd_hot_pages_total", "Pages sealed from the log's hot host stream (records whose key was rewritten within a hot block's lifetime), per log.")
 	r.Help("kaml_ssd_records_rerouted_total", "Records a full sealed queue sent on from this log to their namespace's next log, per log.")
@@ -88,6 +95,8 @@ func (d *Device) export(r *telemetry.Registry) {
 	d.flashInstall = r.Histogram("kaml_ssd_flash_install_seconds", telemetry.UnitSeconds)
 	d.freeBlockWait = r.Histogram("kaml_ssd_free_block_wait_seconds", telemetry.UnitSeconds)
 	d.logFullWait = r.Histogram("kaml_ssd_log_full_wait_seconds", telemetry.UnitSeconds)
+	r.AdoptCounter(&d.ctr.reserveCovered, "kaml_ssd_reserve_takes_total", "how", "covered")
+	r.AdoptCounter(&d.ctr.reserveShared, "kaml_ssd_reserve_takes_total", "how", "shared")
 	for c := range d.programWait {
 		d.programWait[c] = r.Histogram("kaml_ssd_program_wait_seconds", telemetry.UnitSeconds, "cause", waitCauseNames[c])
 	}

@@ -563,7 +563,9 @@ func referenceScan(t *testing.T, img *crashImage) (s *recovered, dups, apart int
 				continue // nothing at or below this boundary, or the version below it again
 			}
 			s.versions = append(s.versions, v)
-			s.blocks[int(v.loc.ppn())/fc.PagesPerBlock].validBytes += int64(v.loc.nchunks() * chunkSize)
+			bm := &s.blocks[int(v.loc.ppn())/fc.PagesPerBlock]
+			bm.validBytes += int64(v.loc.nchunks() * chunkSize)
+			bm.maxChunks = max(bm.maxChunks, v.loc.nchunks())
 			s.records++
 		}
 	}

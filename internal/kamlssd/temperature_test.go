@@ -153,9 +153,9 @@ func TestRewritesGoHotAndDieThere(t *testing.T) {
 	r.e.Wait()
 }
 
-// At 3 000 keys the logs run at their reserve with starved collectors: a
-// host stream that needs a block there shares the other's open block, so
-// the split completes the churn that one host stream per log completed.
+// At 3 000 keys the logs run at their reserve: a host stream that needs a
+// block there shares the other's open block, so the split completes the
+// churn that one host stream per log completed.
 func TestSplitKeepsTheParentsCapacity(t *testing.T) {
 	r := newSerialRig(1, testFlashConfig(), nil)
 	r.e.Go("test", func() {
