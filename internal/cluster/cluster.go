@@ -410,9 +410,6 @@ func (c *Cluster) SetHistoryTap(t kaml.HistoryTap) { c.tap = t }
 // NumNodes returns the node count (live or not).
 func (c *Cluster) NumNodes() int { return len(c.nodes) }
 
-// NumShards returns the shard count.
-func (c *Cluster) NumShards() int { return len(c.shards) }
-
 // Node returns a node by ID.
 func (c *Cluster) Node(id int) *Node { return c.nodes[id] }
 

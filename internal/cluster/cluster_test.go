@@ -90,8 +90,8 @@ func TestClusterRoundTrip(t *testing.T) {
 		if st.Epoch == 0 {
 			t.Fatal("epoch never advanced past zero")
 		}
-		if len(st.Shards) != c.NumShards() {
-			t.Fatalf("status has %d shards, want %d", len(st.Shards), c.NumShards())
+		if len(st.Shards) != len(c.shards) {
+			t.Fatalf("status has %d shards, want %d", len(st.Shards), len(c.shards))
 		}
 		for _, sh := range st.Shards {
 			if len(sh.Replicas) != 2 {

@@ -21,7 +21,7 @@ import (
 //   - Mutations (Push, Commit, Abort, Prune) are serialized by the caller
 //     (the firmware holds the family root's ns.mu), exactly like
 //     ConcurrentTable mutations.
-//   - Reads (Head, GetAtOrBefore, LatestCommitted, VersionAtLoc, Range)
+//   - Reads (Head, AtOrBefore, LatestCommitted, VersionAtLoc, Range)
 //     take no lock of the caller's: the Directory's Get is safe against a
 //     racing mutation, its values number cells in a grow-only arena
 //     published through an atomic slice header, and every cell and node
@@ -57,7 +57,7 @@ type VersionState uint32
 const (
 	// VersionPending: staged in NVRAM, commit marker not yet written. A
 	// snapshot read at ts >= Seq cannot decide visibility until the batch
-	// commits or aborts; GetAtOrBefore reports it so the caller can wait.
+	// commits or aborts; AtOrBefore reports it so the caller can wait.
 	VersionPending VersionState = iota
 	// VersionCommitted: the batch's NVRAM commit marker is written; the
 	// version is durable and visible to any timestamp >= Seq.
@@ -364,24 +364,16 @@ func (vc *VersionChains) Head(key uint64) *Version {
 	return ch.Head()
 }
 
-// ErrPendingVersion is returned by GetAtOrBefore when visibility at the
+// ErrPendingVersion is returned by AtOrBefore when visibility at the
 // requested timestamp depends on a batch whose commit marker is not yet
 // written. The caller waits for the batch to settle and retries.
 var ErrPendingVersion = errors.New("hashindex: version pending commit")
 
-// GetAtOrBefore resolves key as of timestamp ts: the newest committed
-// version with Seq <= ts. probes counts directory entries scanned and hops
-// chain nodes visited (the firmware charges DRAM accesses for one or the
-// other). Lock-free. Returns ErrNotFound when no version <= ts exists, or
-// ErrPendingVersion when an undecided version <= ts blocks the answer.
-func (vc *VersionChains) GetAtOrBefore(key, ts uint64) (loc uint64, probes, hops int, err error) {
-	ch, probes := vc.Lookup(key)
-	loc, hops, err = ch.Head().AtOrBefore(ts)
-	return loc, probes, hops, err
-}
-
-// AtOrBefore is GetAtOrBefore's chain walk, starting at v (nil is the empty
-// chain). Range callers use it on the head they are handed.
+// AtOrBefore resolves a chain as of timestamp ts, starting at its head v
+// (nil is the empty chain): the newest committed version with Seq <= ts.
+// hops counts the chain nodes visited. Lock-free. Returns ErrNotFound when
+// no version <= ts exists, or ErrPendingVersion when an undecided version
+// <= ts blocks the answer.
 func (v *Version) AtOrBefore(ts uint64) (loc uint64, hops int, err error) {
 	for n := v; n != nil; n = n.prev.Load() {
 		hops++

@@ -19,20 +19,20 @@ func mustPush(t *testing.T, vc *VersionChains, key, seq, loc uint64) *Version {
 
 func TestVersionChainBasics(t *testing.T) {
 	vc := NewVersionChains(8)
-	if _, _, _, err := vc.GetAtOrBefore(1, 100); !errors.Is(err, ErrNotFound) {
+	if _, _, err := vc.Head(1).AtOrBefore(100); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("empty chain: want ErrNotFound, got %v", err)
 	}
 	v1 := mustPush(t, vc, 1, 10, 1000)
 	// Pending blocks visibility at ts >= seq...
-	if _, _, _, err := vc.GetAtOrBefore(1, 10); !errors.Is(err, ErrPendingVersion) {
+	if _, _, err := vc.Head(1).AtOrBefore(10); !errors.Is(err, ErrPendingVersion) {
 		t.Fatalf("pending head: want ErrPendingVersion, got %v", err)
 	}
 	// ...but not below it.
-	if _, _, _, err := vc.GetAtOrBefore(1, 9); !errors.Is(err, ErrNotFound) {
+	if _, _, err := vc.Head(1).AtOrBefore(9); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("below pending: want ErrNotFound, got %v", err)
 	}
 	vc.Commit(v1)
-	loc, _, _, err := vc.GetAtOrBefore(1, 10)
+	loc, _, err := vc.Head(1).AtOrBefore(10)
 	if err != nil || loc != 1000 {
 		t.Fatalf("committed read: got (%d, %v)", loc, err)
 	}
@@ -44,9 +44,9 @@ func TestVersionChainBasics(t *testing.T) {
 	for _, tc := range []struct {
 		ts, want uint64
 	}{{10, 1000}, {15, 1000}, {20, 2000}, {29, 2000}, {30, 3000}, {99, 3000}} {
-		loc, _, _, err := vc.GetAtOrBefore(1, tc.ts)
+		loc, _, err := vc.Head(1).AtOrBefore(tc.ts)
 		if err != nil || loc != tc.want {
-			t.Fatalf("GetAtOrBefore(ts=%d): got (%d, %v), want %d", tc.ts, loc, err, tc.want)
+			t.Fatalf("AtOrBefore(ts=%d): got (%d, %v), want %d", tc.ts, loc, err, tc.want)
 		}
 	}
 	if lc := vc.LatestCommitted(1); lc == nil || lc.Seq != 30 {
@@ -70,7 +70,7 @@ func TestVersionAbortUnlinks(t *testing.T) {
 	vc.Commit(v1)
 	v2 := mustPush(t, vc, 7, 6, 600)
 	vc.Abort(7, v2)
-	loc, _, _, err := vc.GetAtOrBefore(7, 100)
+	loc, _, err := vc.Head(7).AtOrBefore(100)
 	if err != nil || loc != 500 {
 		t.Fatalf("after abort: got (%d, %v), want 500", loc, err)
 	}
@@ -81,7 +81,7 @@ func TestVersionAbortUnlinks(t *testing.T) {
 	vc2 := NewVersionChains(8)
 	only := mustPush(t, vc2, 9, 1, 100)
 	vc2.Abort(9, only)
-	if _, _, _, err := vc2.GetAtOrBefore(9, 50); !errors.Is(err, ErrNotFound) {
+	if _, _, err := vc2.Head(9).AtOrBefore(50); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("empty-after-abort: want ErrNotFound, got %v", err)
 	}
 }
@@ -194,9 +194,9 @@ func TestPruneKeepsPinVisibleVersions(t *testing.T) {
 	for _, tc := range []struct {
 		ts, want uint64
 	}{{25, 200}, {40, 400}, {99, 500}} {
-		loc, _, _, err := vc.GetAtOrBefore(1, tc.ts)
+		loc, _, err := vc.Head(1).AtOrBefore(tc.ts)
 		if err != nil || loc != tc.want {
-			t.Fatalf("after prune GetAtOrBefore(%d): (%d, %v), want %d", tc.ts, loc, err, tc.want)
+			t.Fatalf("after prune AtOrBefore(%d): (%d, %v), want %d", tc.ts, loc, err, tc.want)
 		}
 	}
 	// No pins: everything but the newest committed version dies.
@@ -204,7 +204,7 @@ func TestPruneKeepsPinVisibleVersions(t *testing.T) {
 	if n != 2 || vc.ChainLen(1) != 1 {
 		t.Fatalf("final prune: pruned %d, len %d", n, vc.ChainLen(1))
 	}
-	loc, _, _, err := vc.GetAtOrBefore(1, 99)
+	loc, _, err := vc.Head(1).AtOrBefore(99)
 	if err != nil || loc != 500 {
 		t.Fatalf("head after full prune: (%d, %v)", loc, err)
 	}
@@ -279,7 +279,7 @@ func TestConcurrentSnapshotReads(t *testing.T) {
 				default:
 				}
 				for k := uint64(0); k < keys; k++ {
-					loc, _, _, err := vc.GetAtOrBefore(k, 1)
+					loc, _, err := vc.Head(k).AtOrBefore(1)
 					if err != nil || loc != k+1 {
 						t.Errorf("pinned read key %d: (%d, %v)", k, loc, err)
 						return
@@ -351,7 +351,7 @@ func TestPruneBelowKeepsVersionsAboveFloor(t *testing.T) {
 	if n := vc.PruneBelow(1, nil, 12, true, nil); n != 1 || vc.ChainLen(1) != 2 {
 		t.Fatalf("floor 12: pruned %d, len %d, want 1/2", n, vc.ChainLen(1))
 	}
-	if loc, _, _, err := vc.GetAtOrBefore(1, 12); err != nil || loc != 1000 {
+	if loc, _, err := vc.Head(1).AtOrBefore(12); err != nil || loc != 1000 {
 		t.Fatalf("read at 12: (%d, %v), want 1000", loc, err)
 	}
 }
@@ -390,7 +390,7 @@ func TestVersionChainsModel(t *testing.T) {
 				default:
 				}
 				key := uint64(rng.Intn(keySpace))
-				loc, _, _, err := vc.GetAtOrBefore(key, rng.Uint64())
+				loc, _, err := vc.Head(key).AtOrBefore(rng.Uint64())
 				if err == nil && loc>>32 != key {
 					t.Errorf("reader of key %d was handed location %#x", key, loc)
 					return

@@ -278,7 +278,7 @@ func TestGCCollectionByteBudget(t *testing.T) {
 				t.Fatalf("setup: round %d found no victim", round)
 			}
 			copies := d.Stats().GCCopies
-			bytes, _ := allocated(func() { c.collectBlock(chip, block, readersPerChip) })
+			bytes, _ := allocated(func() { c.collectBlock(chip, block) })
 			relocated := d.Stats().GCCopies - copies
 			if relocated == 0 {
 				t.Fatalf("setup: round %d relocated nothing", round)

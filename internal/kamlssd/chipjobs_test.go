@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,10 +16,10 @@ import (
 )
 
 // Tests for one job per chip: a log's host and GC streams open their blocks
-// off the chips its other jobs use (openBlock, busyChip), a victim no flusher
-// shares is scanned two reads at a time (collector.scan), a victim is
-// relocated while it is still being read where the log keeps the two apart
-// (collectBlock), a scan that fails leaves its victim in place, and with
+// off the chips its other jobs use (openBlock, busyChip), a victim is scanned
+// one page read at a time (collector.startScan), a victim is relocated while
+// it is still being read where the log keeps the two apart (collectBlock), a
+// scan that fails leaves its victim in place, and with
 // these rules the flushers of a log under garbage collection spend nearly
 // all their time programming.
 
@@ -106,23 +107,22 @@ func TestHostBlocksAvoidTheCollectorsChips(t *testing.T) {
 }
 
 // A victim's page read is a sense that holds its chip (ReadLatency) and a
-// transfer that holds its channel. On a chip no host stream programs, the
-// scan keeps two reads in flight, so the chip senses without a break and
-// only the last transfer shows; on a chip a host stream programs, it reads
-// one page at a time, so a flusher's program waits behind one read at most.
-func TestVictimScanKeepsTwoReadsInFlight(t *testing.T) {
+// transfer that holds its channel. The scan reads one page at a time, on a
+// chip a host stream programs and off one alike, so a flusher's program on
+// the victim's chip waits behind one read at most. The pick claims the
+// victim's chip (victimChip), so no block of the log opens beside it, and
+// counts the victim by whether a host stream programs its chip.
+func TestVictimScanReadsOnePageAtATime(t *testing.T) {
 	fc := testFlashConfig()
 	fc.PagesPerBlock = 32
-	pages := time.Duration(fc.PagesPerBlock)
-	transfer := fc.TransferTime(fc.PageSize + fc.OOBSize)
+	want := time.Duration(fc.PagesPerBlock) * (fc.ReadLatency + fc.TransferTime(fc.PageSize+fc.OOBSize))
 	cases := []struct {
-		name    string
-		host    [numHostStreams]int
-		readers int
-		want    time.Duration
+		name   string
+		host   [numHostStreams]int
+		onHost int64 // 1 when a host stream has its open block on the victim's chip
 	}{
-		{"off every host chip", [2]int{1, 2}, readersPerChip, pages*fc.ReadLatency + transfer},
-		{"on a host chip", [2]int{3, 0}, 1, pages * (fc.ReadLatency + transfer)},
+		{"off every host chip", [2]int{1, 2}, 0},
+		{"on a host chip", [2]int{3, 0}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -132,23 +132,27 @@ func TestVictimScanKeepsTwoReadsInFlight(t *testing.T) {
 				layVictims(t, d, lg, []victimBlock{{chip: 0, block: 0}}, tc.host)
 				c := newCollector(d, lg)
 				lg.mu.Lock()
-				ci, block, readers, ok := c.pick()
+				ci, block, ok := c.pick()
 				claimed := lg.victimChip
 				lg.mu.Unlock()
 				if !ok || ci != 0 || block != 0 || claimed != 0 {
 					t.Fatalf("picked chip %d block %d (ok %v), chip %d claimed: want the block laid on chip 0",
 						ci, block, ok, claimed)
 				}
-				if readers != tc.readers {
-					t.Errorf("the victim is scanned with %d reads in flight, want %d", readers, tc.readers)
+				if h, o := d.ctr.gcVictimsHost.Value(), d.ctr.gcVictimsOther.Value(); h != tc.onHost || o != 1-tc.onHost {
+					t.Errorf("kaml_gc_victims_total counts %d on a host chip, %d on another, want %d and %d", h, o, tc.onHost, 1-tc.onHost)
 				}
 				ch, chip := lg.chipAddr(ci)
 				start := r.e.Now()
-				if _, ok := c.scan(ch, chip, block, readers); !ok {
-					t.Fatal("the scan failed")
+				c.startScan(ch, chip, block)
+				c.scanned.Wait()
+				took, err := r.e.Now()-start, c.reader.err
+				c.endScan()
+				if err != nil {
+					t.Fatalf("the scan failed: %v", err)
 				}
-				if took := r.e.Now() - start; took != tc.want {
-					t.Errorf("a %d-page victim scans in %v, want %v", fc.PagesPerBlock, took, tc.want)
+				if took != want {
+					t.Errorf("a %d-page victim scans in %v, want %v", fc.PagesPerBlock, took, want)
 				}
 				lg.mu.Lock()
 				lg.active, lg.victimChip, lg.gcStarved = [numStreams]*appendPoint{}, noChip, false
@@ -177,16 +181,16 @@ func (f *failRead) Decide(op flash.Op, p flash.PPN, _ time.Duration) flash.Verdi
 	return flash.VerdictFail
 }
 
-// A two-reader scan that meets a power cut or a page it cannot read, on
-// either reader's share of the pages, abandons its victim: nothing is
-// relocated and the victim is not erased, both readers have exited when the
+// A scan that meets a power cut or a page it cannot read early, on the
+// victim's first page or a middle one, abandons its victim: nothing is
+// programmed and the victim is not erased, the reader has exited when the
 // collection returns, and every key reads back after recovery. A pipelined
 // collection that meets one late, after it has programmed relocation pages,
 // abandons its victim too: the records it moved stay moved, the index points
 // at their new copies, and every key reads back after recovery.
-func TestTwoReaderScanFailureKeepsTheVictim(t *testing.T) {
+func TestScanFailureKeepsTheVictim(t *testing.T) {
 	for _, cut := range []bool{false, true} {
-		for _, page := range []int{4, 5} { // the collector's share, the second reader's
+		for _, page := range []int{0, 4} {
 			t.Run(fmt.Sprintf("cut=%v/page=%d", cut, page), func(t *testing.T) {
 				collectorsOff(t)
 				r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = 2 })
@@ -220,7 +224,7 @@ func TestTwoReaderScanFailureKeepsTheVictim(t *testing.T) {
 					erases, programs := r.arr.EraseCount(first), r.arr.Stats().Programs
 					inj := &failRead{ppn: first + flash.PPN(page), cut: cut}
 					r.arr.SetInjector(inj)
-					newCollector(d, lg).collectBlock(vc, vb, readersPerChip)
+					newCollector(d, lg).collectBlock(vc, vb)
 					r.arr.SetInjector(nil)
 					if inj.fired.Load() == 0 {
 						t.Fatalf("setup: page %d of the victim was never read", page)
@@ -249,7 +253,7 @@ func TestTwoReaderScanFailureKeepsTheVictim(t *testing.T) {
 		}
 	}
 	for _, cut := range []bool{false, true} {
-		for _, back := range []int{2, 1} { // the first reader's last page, the second's
+		for _, back := range []int{2, 1} {
 			t.Run(fmt.Sprintf("cut=%v/late/page=P-%d", cut, back), func(t *testing.T) {
 				collectorsOff(t)
 				fc := testFlashConfig()
@@ -278,7 +282,7 @@ func TestTwoReaderScanFailureKeepsTheVictim(t *testing.T) {
 					erases := r.arr.EraseCount(first)
 					inj := &lateFailRead{failRead: failRead{ppn: first + flash.PPN(page), cut: cut}, arr: r.arr, gc: gcFirst}
 					r.arr.SetInjector(inj)
-					newCollector(d, lg).collectBlock(vc, vb, readersPerChip)
+					newCollector(d, lg).collectBlock(vc, vb)
 					r.arr.SetInjector(nil)
 					if inj.fired.Load() == 0 {
 						t.Fatalf("setup: page %d of the victim was never read", page)
@@ -367,22 +371,32 @@ func openGCBlock(t *testing.T, lg *logState, vc int) int {
 // victim on the bench geometry, whose GC block is on another chip, is
 // scanned and relocated in the longer of the two plus one program (the last
 // page's records can be programmed only after it is read), where the serial
-// collection takes their sum. A victim on a 2-chip log, and one whose valid
-// bytes do not guarantee that it frees a page, take exactly the serial time.
+// collection takes their sum. One whose GC block is on its own chip is
+// pipelined too, and takes less than the serial time. A victim on a 2-chip
+// log, and one whose relocation bound (relocationPages) is a block although
+// its live records pack into fewer pages, take exactly the serial time.
+// Every collection programs the pages gcPagesNeeded counts for the victim's
+// live records, no more than relocationPages bounds.
 func TestRelocationOverlapsTheScan(t *testing.T) {
 	fc := flash.DefaultConfig()
 	fc.BlocksPerChip, fc.PagesPerBlock = 16, 32
 	transfer := fc.TransferTime(fc.PageSize + fc.OOBSize)
 	program := fc.ProgramLatency + transfer
+	scan := time.Duration(fc.PagesPerBlock) * (fc.ReadLatency + transfer)
+	perPageChunks := fc.PageSize / chunkSize
 	cases := []struct {
-		name      string
-		logs      int // DefaultConfig's 64 chips over logs: 16 gives 4 chips a log, 32 gives 2
-		live      uint64
-		pipelined bool
+		name       string
+		logs       int    // DefaultConfig's 64 chips over logs: 16 gives 4 chips a log, 32 gives 2
+		chunks     int    // chunks of each record
+		live       uint64 // of each page's worth of keys, the first live stay live
+		big        bool   // key 0's first version has C/2+1 chunks, and its block is the victim
+		gcOnVictim bool   // the GC stream's open block is on the victim's chip
+		pipelined  bool
 	}{
-		{"4-chip log, GC block on another chip", 16, 3, true},
-		{"2-chip log", 32, 3, false},
-		{"valid bytes do not guarantee a gain", 16, 5, false},
+		{"4-chip log, GC block on another chip", 16, 8, 3, false, false, true},
+		{"GC block on the victim's chip", 16, 8, 3, false, true, true},
+		{"2-chip log", 32, 8, 3, false, false, false},
+		{"valid bytes do not guarantee a gain", 16, 4, 8, true, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -395,58 +409,93 @@ func TestRelocationOverlapsTheScan(t *testing.T) {
 				if err := d.SetNamespaceLogs(ns, 1); err != nil {
 					t.Fatalf("setup: %v", err)
 				}
-				// Three blocks of log 0, eight records a page, of which the
-				// first tc.live of every eight keys stay live.
-				keys := uint64(8 * fc.PagesPerBlock * 3)
+				// Three blocks of log 0, perPage records a page, of which
+				// the first tc.live of every perPage keys stay live.
+				perPage := uint64(perPageChunks / tc.chunks)
+				size := tc.chunks*chunkSize - record.HeaderSize
+				keys := perPage * uint64(fc.PagesPerBlock) * 3
+				value := func(k uint64, pass int) []byte {
+					if tc.big && k == 0 && pass == 0 {
+						return val(k, (perPageChunks/2+1)*chunkSize-record.HeaderSize)
+					}
+					return val(k+uint64(pass)*keys, size)
+				}
 				for pass, k := 0, uint64(0); pass < 2; k++ {
 					if k == keys {
 						pass, k = pass+1, 0
 						continue
 					}
-					if pass == 1 && k%8 < tc.live {
+					if pass == 1 && k%perPage < tc.live {
 						continue
 					}
-					if err := d.Put(one(ns, k, val(k+uint64(pass)*keys, churnValue))); err != nil {
+					if err := d.Put(one(ns, k, value(k, pass))); err != nil {
 						t.Fatalf("put %d: %v", k, err)
 					}
 				}
 				d.Flush()
 				lg := d.logs[0]
 				vc, vb := pickVictim(t, d, lg)
-				openGCBlock(t, lg, vc)
-				lg.mu.Lock()
-				pipelined, readers := lg.pipelines(vc, vb), readersPerChip
-				if lg.hostChip(vc) {
-					readers = 1
+				if tc.big {
+					_, lc, b := d.blockOf(location(d.families[ns].chains.Head(0).Loc()).ppn())
+					vc, vb = slices.Index(lg.chips, lc), b
 				}
+				if tc.gcOnVictim {
+					lg.mu.Lock()
+					b, ok := lg.popFree(vc)
+					if !ok {
+						t.Fatalf("setup: chip %d has no free block", vc)
+					}
+					lg.chips[vc].blocks[b].stream = streamGC
+					lg.active[streamGC], lg.victimChip = &appendPoint{chip: vc, block: b}, vc
+					lg.mu.Unlock()
+				} else {
+					openGCBlock(t, lg, vc)
+				}
+				// What the scan will find live, and so the pages the
+				// relocation must program.
+				pre := newCollector(d, lg)
+				ch, chip := lg.chipAddr(vc)
+				pre.startScan(ch, chip, vb)
+				pre.scanned.Wait()
+				need, _ := gcPagesNeeded(d, pre.reader.live)
+				pre.endScan()
+				lg.mu.Lock()
+				pipelined, bound := lg.pipelines(vc, vb), d.relocationPages(&lg.chips[vc].blocks[vb])
 				lg.mu.Unlock()
 				if pipelined != tc.pipelined {
 					t.Fatalf("setup: the victim is pipelined %v, want %v", pipelined, tc.pipelined)
 				}
-				scan := time.Duration(fc.PagesPerBlock)*fc.ReadLatency + transfer
-				if readers == 1 {
-					scan = time.Duration(fc.PagesPerBlock) * (fc.ReadLatency + transfer)
+				if need > bound {
+					t.Errorf("the victim's live records pack into %d pages, more than its bound %d", need, bound)
+				}
+				if tc.big && (bound < fc.PagesPerBlock || need >= fc.PagesPerBlock) {
+					t.Fatalf("setup: the victim is bounded by %d pages and packs into %d: want a block and fewer", bound, need)
 				}
 				start, programs := r.e.Now(), r.arr.Stats().Programs
-				newCollector(d, lg).collectBlock(vc, vb, readers)
+				newCollector(d, lg).collectBlock(vc, vb)
 				took := r.e.Now() - start - fc.EraseLatency
-				n := r.arr.Stats().Programs - programs
+				n := int(r.arr.Stats().Programs - programs)
 				if d.Stats().GCErases != 1 || n == 0 {
 					t.Fatalf("setup: %d erases, %d relocation pages: the victim was not collected", d.Stats().GCErases, n)
 				}
+				if n != need {
+					t.Errorf("the collection programmed %d pages, want the %d gcPagesNeeded counts", n, need)
+				}
 				relocation := time.Duration(n) * program
 				serial := scan + relocation
-				t.Logf("scan %v, %d relocation pages %v: collected in %v (serial %v)", scan, n, relocation, took, serial)
-				if !tc.pipelined && took != serial {
+				t.Logf("scan %v, %d relocation pages %v (bound %d): collected in %v (serial %v)", scan, n, relocation, bound, took, serial)
+				switch {
+				case !tc.pipelined && took != serial:
 					t.Errorf("scan and relocation took %v, want the serial %v", took, serial)
-				}
-				if bound := max(scan, relocation) + program + transfer; tc.pipelined && took > bound {
-					t.Errorf("scan and relocation took %v, want at most %v", took, bound)
+				case tc.gcOnVictim && took >= serial:
+					t.Errorf("scan and relocation took %v, want less than the serial %v", took, serial)
+				case tc.pipelined && !tc.gcOnVictim && took > max(scan, relocation)+program+transfer:
+					t.Errorf("scan and relocation took %v, want at most %v", took, max(scan, relocation)+program+transfer)
 				}
 				for k := range keys {
-					want := val(k+keys, churnValue)
-					if k%8 < tc.live {
-						want = val(k, churnValue)
+					want := value(k, 1)
+					if k%perPage < tc.live {
+						want = value(k, 0)
 					}
 					if v, err := d.Get(ns, k); err != nil || !bytes.Equal(v, want) {
 						t.Fatalf("key %d reads back wrong: %v", k, err)

@@ -27,36 +27,33 @@ type collector struct {
 	keep []bool
 	pins []uint64
 
-	// Per-victim scratch: the scan's readers, each with the records of the
-	// page it parses and the live records it found, where each page's live
-	// records end in its reader's list (pageEnd, by victim page), the scan's
-	// live records in page order (live), the records of the relocation page
-	// being filled (group), and its packer. Parsed and live records alias the
-	// victim's pages (record.AppendParsed): the only copy of a value is the
-	// one relocation packs. The readers are actors named scanName, scanned
-	// waits for them, and each publishes a page's records under mu and
-	// signals pageRead, which the collector waits on for the next page it
-	// relocates (awaitPage).
-	readers  [readersPerChip]victimReader
-	nReaders int // readers of the current victim
+	// Per-victim scratch: the scan's reader, with the records of the page it
+	// parses and the live records it found, where each page's live records
+	// end in its list (pageEnd, by victim page), the records of the
+	// relocation page being filled (group), and its packer. Parsed and live
+	// records alias the victim's pages (record.AppendParsed): the only copy of
+	// a value is the one relocation packs. The reader is an actor named
+	// scanName, scanned waits for it, and it publishes each page's records
+	// under mu and signals pageRead, which the collector waits on for the next
+	// page it relocates (awaitPage).
+	reader   victimReader
 	pageEnd  []int
 	mu       *sim.Mutex
 	pageRead *sim.Cond
 	scanned  *sim.WaitGroup
 	scanName string
-	live     []gcRecord
 	group    []gcRecord
 	packer   *record.Packer
 }
 
-// victimReader is one reader of a victim scan: it reads every n-th page of
-// the victim from page first, and lists the live records on them in page
-// order. It fills its list in a copy of its own and publishes the list under
-// collector.mu at each page's end, with next and, when it stops early, err.
+// victimReader is the reader of a victim scan: it reads the victim's pages
+// in order and lists the live records on them. It fills its list in a copy
+// of its own and publishes the list under collector.mu at each page's end,
+// with next and, when it stops early, err.
 type victimReader struct {
 	placed []record.Placed
 	live   []gcRecord
-	next   int           // the next page of its share: the pages before it are listed
+	next   int           // the next page to read: the pages before it are listed
 	err    error         // the read that ended the scan early: a power cut or a persistent read error
 	end    time.Duration // when it published its last page (telemetry only)
 }
@@ -103,17 +100,17 @@ func (c *collector) loop() {
 		c.pruneFamilies()
 		for {
 			lg.mu.Lock()
-			chipIdx, block, readers, ok := c.pick()
+			chipIdx, block, ok := c.pick()
 			lg.mu.Unlock()
 			if !ok {
 				break
 			}
 			if d.tel != nil {
 				start := d.eng.NowCheap()
-				c.collectBlock(chipIdx, block, readers)
+				c.collectBlock(chipIdx, block)
 				d.gcPause.ObserveDuration(d.eng.NowCheap() - start)
 			} else {
-				c.collectBlock(chipIdx, block, readers)
+				c.collectBlock(chipIdx, block)
 			}
 		}
 		d.ctr.gcActive.Add(-1)
@@ -123,10 +120,7 @@ func (c *collector) loop() {
 // pick is one step of a collection cycle: it ends the last victim's claim on
 // its chip and, while the log is below its high watermark, picks the next
 // victim (victim) and claims its chip, so no block of the log opens beside it
-// (busyChip). The victim is scanned with readers reads in flight: two on a
-// chip no host stream of the log has its open block on, where a second read
-// delays nobody but the scan, one on a chip the flusher programs (scan).
-// A victim whose relocation fits in the GC stream's open block
+// (busyChip). A victim whose relocation fits in the GC stream's open block
 // (relocationPages) is covered (gcCovered): its collection takes no free
 // block, so the pick wakes a flusher waiting for one, which may take the
 // reserve's second block now (hostReserve).
@@ -135,23 +129,21 @@ func (c *collector) loop() {
 // collector parks until gcRetry says the answer may have changed, set under
 // the same hold of lg.mu as the search, so no such event can fall between.
 // Called with lg.mu held.
-func (c *collector) pick() (chipIdx, block, readers int, ok bool) {
+func (c *collector) pick() (chipIdx, block int, ok bool) {
 	d, lg := c.d, c.lg
 	lg.victimChip, lg.gcCovered = noChip, false
 	if lg.freeBlocks >= d.gcHigh || d.crashed.Load() {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
 	chipIdx, block, ok = d.victim(lg)
 	lg.gcStarved = !ok
 	switch {
 	case !ok:
-		return 0, 0, 0, false
+		return 0, 0, false
 	case lg.hostChip(chipIdx):
 		d.ctr.gcVictimsHost.Inc()
-		readers = 1
 	default:
 		d.ctr.gcVictimsOther.Inc()
-		readers = readersPerChip
 	}
 	lg.victimChip = chipIdx
 	if gc := lg.active[streamGC]; gc != nil &&
@@ -159,7 +151,7 @@ func (c *collector) pick() (chipIdx, block, readers int, ok bool) {
 		lg.gcCovered = true
 		lg.freeCv.Broadcast()
 	}
-	return chipIdx, block, readers, true
+	return chipIdx, block, true
 }
 
 // victim picks the block to collect among the sealed blocks whose collection
@@ -281,18 +273,19 @@ const (
 
 var gcPhaseNames = [numGCPhases]string{"scan", "relocate", "erase"}
 
-// collectBlock scans one victim block with readers reads in flight,
-// relocates its live data, erases it, and returns it to the log's free list,
-// waking the writers that wait for one. When the log can keep the scan and
-// the relocation apart and the victim is known to free a page (pipelines),
-// each page's live records are relocated as soon as the page is read, so the
+// collectBlock scans one victim block, relocates its live data, erases it,
+// and returns it to the log's free list, waking the writers that wait for
+// one. A reader actor reads the victim's pages in order (startScan), and the
+// collector relocates each page's live records once the page is read
+// (awaitPage). When the log can keep the scan and the relocation apart and
+// the victim is known to free a page (pipelines), it starts at once, so the
 // GC stream programs while the victim's later pages are still being read.
-// Otherwise the whole victim is scanned first (scan), and a victim whose live
+// Otherwise it waits for the whole scan first, and a victim whose live
 // records would program as many pages as its erase returns is left unerased
 // and marked noGain, so every collection frees at least a page. Called with
 // no locks held; every index check and install takes namespace locks per
 // record.
-func (c *collector) collectBlock(chipIdx, block, readers int) {
+func (c *collector) collectBlock(chipIdx, block int) {
 	d, lg := c.d, c.lg
 	ch, chip := lg.chipAddr(chipIdx)
 	var start time.Duration
@@ -303,20 +296,13 @@ func (c *collector) collectBlock(chipIdx, block, readers int) {
 	overlap := lg.pipelines(chipIdx, block)
 	lg.mu.Unlock()
 	defer c.endScan()
-	if overlap {
-		c.startScan(ch, chip, block, readers)
-		for page := range d.fc.PagesPerBlock {
-			recs, ok := c.awaitPage(page)
-			if !ok || c.relocate(recs) != nil {
-				return // the victim must not be erased
-			}
-		}
-	} else {
-		live, ok := c.scan(ch, chip, block, readers)
-		if !ok {
+	c.startScan(ch, chip, block)
+	if !overlap {
+		c.scanned.Wait()
+		if c.reader.err != nil {
 			return // the victim must not be erased
 		}
-		if pages, bytes := gcPagesNeeded(d, live); !d.frees(pages) {
+		if pages, bytes := gcPagesNeeded(d, c.reader.live); !d.frees(pages) {
 			lg.mu.Lock()
 			// A version that died during the scan was counted live, and its
 			// discount, which clears the mark, has already come: leave the
@@ -326,15 +312,20 @@ func (c *collector) collectBlock(chipIdx, block, readers int) {
 			lg.mu.Unlock()
 			return
 		}
-		if c.relocate(live) != nil {
-			return // power cut mid-relocation: the victim must not be erased
+	}
+	for page := range d.fc.PagesPerBlock {
+		recs, ok := c.awaitPage(page)
+		if !ok || c.relocate(recs) != nil {
+			return // the victim must not be erased
 		}
 	}
 	if c.flush() != nil {
 		return
 	}
 	if d.tel != nil {
-		scanned, now := c.scanEnd(), d.eng.NowCheap()
+		// Every page has been read: the reader wrote end for the last time
+		// before it published the last page, which awaitPage saw under mu.
+		scanned, now := c.reader.end, d.eng.NowCheap()
 		d.gcPhase[phaseScan].ObserveDuration(scanned - start)
 		d.gcPhase[phaseRelocate].ObserveDuration(now - scanned)
 		start = now
@@ -395,137 +386,72 @@ func (c *collector) collectBlock(chipIdx, block, readers int) {
 }
 
 // pipelines reports whether the collector may relocate victim block of chip
-// ci page by page while the scan reads on. Three gates, each for a measured
+// ci page by page while the scan reads on. Two gates, each for a measured
 // reason:
 //   - the log has more chips than streams, so its jobs keep to chips of
 //     their own (openBlock); on a smaller log an overlap's programs land
 //     beside the scan and the flusher, and the records it copies early are
 //     more often rewritten before the victim would have been scanned;
-//   - the GC stream has its open block on another chip than the victim, or
-//     its programs would only queue behind the scan's reads;
-//   - twice the victim's valid bytes fit in one page less than a block: a
-//     next-fit packing programs fewer than 2 x bytes / PageSize + 1 pages
-//     (any two pages in a row hold more than a page's bytes), so the
-//     collection frees a page whatever the scan finds, and nothing it
-//     programs can be for a victim that gcPagesNeeded would have kept
-//     (noGain). Valid bytes bound the live records the scan can find: no
-//     record becomes live on a sealed, fully programmed block.
+//   - the victim's relocation bound is less than a block (relocationPages,
+//     frees), so the collection frees a page whatever the scan finds, and
+//     nothing it programs can be for a victim that gcPagesNeeded would have
+//     kept (noGain).
 //
 // Called with lg.mu held.
 func (lg *logState) pipelines(ci, block int) bool {
-	fc := &lg.d.fc
-	gc := lg.active[streamGC]
-	return len(lg.chips) > numStreams && gc != nil && gc.chip != ci &&
-		2*lg.chips[ci].blocks[block].validBytes <= int64(fc.PagesPerBlock-1)*int64(fc.PageSize)
+	d := lg.d
+	return len(lg.chips) > numStreams && d.frees(d.relocationPages(&lg.chips[ci].blocks[block]))
 }
 
-// startScan starts the readers of a victim block: readers actors, each
-// reading every readers-th page (readPages). A read is a sense that holds
-// the chip, then a transfer that holds the channel: with readers =
-// readersPerChip one page senses while the one before it transfers, as
-// recovery's scan reads, so the chip senses without a break. The collector
-// asks for that only on a chip no flusher of its log programs; on one that a
-// flusher does, the scan reads one page at a time, so a flusher's program
-// waits behind at most one read. The collector itself reads nothing: it
-// relocates, and waits for pages with awaitPage or scan.
-func (c *collector) startScan(ch, chip, block, readers int) {
-	c.nReaders = readers
-	for r := range readers {
-		c.readers[r].next = r
-		c.scanned.Add(1)
-		c.d.eng.Go(c.scanName, func() {
-			defer c.scanned.Done()
-			c.readPages(&c.readers[r], ch, chip, block, r, readers)
-		})
-	}
-}
-
-// scan reads every page of a victim block with readers reads in flight
-// (startScan) and returns the live records on them, in page order. Reports
-// false when a read failed for good: erasing then could destroy live records
-// the scan never saw, so the victim is abandoned and a later pass retries it.
-func (c *collector) scan(ch, chip, block, readers int) ([]gcRecord, bool) {
-	c.startScan(ch, chip, block, readers)
-	c.scanned.Wait()
-	if c.failed() {
-		return nil, false
-	}
-	live := c.live[:0]
-	for page := range c.d.fc.PagesPerBlock {
-		live = append(live, c.pageRecords(page)...)
-	}
-	c.live = live
-	return live, true
+// startScan starts the reader of a victim block (readPages). A read is a
+// sense that holds the chip, then a transfer that holds the channel, so a
+// flusher's program on the victim's chip waits behind one read at most. The
+// collector itself reads nothing: it relocates, and waits for pages with
+// awaitPage or for the whole scan with scanned.
+func (c *collector) startScan(ch, chip, block int) {
+	c.scanned.Add(1)
+	c.d.eng.Go(c.scanName, func() {
+		defer c.scanned.Done()
+		c.readPages(ch, chip, block)
+	})
 }
 
 // awaitPage waits until the victim's page has been read and returns the live
-// records on it. Reports false as soon as any reader has stopped on a read
-// that failed for good: the collection is abandoned, and what it relocated
-// so far stays relocated.
+// records on it. Reports false as soon as the reader has stopped on a read
+// that failed for good: erasing then could destroy live records the scan
+// never saw, so the collection is abandoned, what it relocated so far stays
+// relocated, and a later pass retries the victim.
 func (c *collector) awaitPage(page int) ([]gcRecord, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rd := &c.readers[page%c.nReaders]
-	for rd.next <= page && !c.failed() {
+	rd := &c.reader
+	for rd.next <= page && rd.err == nil {
 		c.pageRead.Wait()
 	}
-	if c.failed() {
+	if rd.err != nil {
 		return nil, false
 	}
-	return c.pageRecords(page), true
-}
-
-// failed reports whether a reader of the current victim stopped on a failed
-// read. Called with c.mu held, or once the readers have exited.
-func (c *collector) failed() bool {
-	for _, rd := range c.readers[:c.nReaders] {
-		if rd.err != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// pageRecords is the live records of a victim page its reader has listed.
-// Called with c.mu held, or once the readers have exited.
-func (c *collector) pageRecords(page int) []gcRecord {
 	from := 0
-	if page >= c.nReaders {
-		from = c.pageEnd[page-c.nReaders]
+	if page > 0 {
+		from = c.pageEnd[page-1]
 	}
-	return c.readers[page%c.nReaders].live[from:c.pageEnd[page]]
+	return rd.live[from:c.pageEnd[page]], true
 }
 
-// scanEnd is when the current victim's last page was read. Called once every
-// page has been.
-func (c *collector) scanEnd() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var end time.Duration
-	for _, rd := range c.readers[:c.nReaders] {
-		end = max(end, rd.end)
-	}
-	return end
-}
-
-// endScan ends a collection: it waits for the readers to exit, notices a
-// power cut one of them met, and empties the scratch. It keeps the lists'
-// storage, not what they point at: a parked collector must not pin a
-// victim's worth of page images. A relocation page left half packed by an
-// abandoned collection is dropped; its records are still on the victim.
+// endScan ends a collection: it waits for the reader to exit, notices a
+// power cut it met, and empties the scratch. It keeps the lists' storage,
+// not what they point at: a parked collector must not pin a victim's worth
+// of page images. A relocation page left half packed by an abandoned
+// collection is dropped; its records are still on the victim.
 func (c *collector) endScan() {
 	c.scanned.Wait()
-	for r := range c.readers {
-		rd := &c.readers[r]
-		if errors.Is(rd.err, flash.ErrPowerCut) {
-			c.d.noticePowerLoss()
-		}
-		clear(rd.placed[:cap(rd.placed)]) // each page re-slices it: clear past len
-		clear(rd.live)
-		rd.live, rd.err, rd.next, rd.end = rd.live[:0], nil, 0, 0
+	rd := &c.reader
+	if errors.Is(rd.err, flash.ErrPowerCut) {
+		c.d.noticePowerLoss()
 	}
-	clear(c.live)
-	c.live = c.live[:0]
+	clear(rd.placed[:cap(rd.placed)]) // each page re-slices it: clear past len
+	clear(rd.live)
+	rd.live, rd.err, rd.next, rd.end = rd.live[:0], nil, 0, 0
 	clear(c.group[:cap(c.group)])
 	c.group = c.group[:0]
 	if !c.packer.Empty() {
@@ -533,14 +459,14 @@ func (c *collector) endScan() {
 	}
 }
 
-// readPages is one reader of a victim scan: it reads pages first, first+n,
-// ... of the block and lists the records still live on them, stopping at a
-// power cut or a page unreadable after every retry (rd.err). It publishes
-// each page's records as soon as it has parsed them.
-func (c *collector) readPages(rd *victimReader, ch, chip, block, first, n int) {
-	d := c.d
+// readPages is the reader of a victim scan: it reads the block's pages in
+// order and lists the records still live on them, stopping at a power cut or
+// a page unreadable after every retry (rd.err). It publishes each page's
+// records as soon as it has parsed them.
+func (c *collector) readPages(ch, chip, block int) {
+	d, rd := c.d, &c.reader
 	live := rd.live
-	for page := first; page < d.fc.PagesPerBlock; page += n {
+	for page := range d.fc.PagesPerBlock {
 		ppn := d.arr.BlockPPN(ch, chip, block, page)
 		var data, oob []byte
 		var err error
@@ -573,7 +499,7 @@ func (c *collector) readPages(rd *victimReader, ch, chip, block, first, n int) {
 			}
 		}
 		c.mu.Lock()
-		rd.live, rd.next, c.pageEnd[page] = live, page+n, len(live)
+		rd.live, rd.next, c.pageEnd[page] = live, page+1, len(live)
 		if d.tel != nil {
 			rd.end = d.eng.NowCheap()
 		}
@@ -623,8 +549,9 @@ func gcPagesNeeded(d *Device, live []gcRecord) (pages int, bytes int64) {
 // only by a record that does not fit on it, so with C chunks to a page every
 // page but the last holds more than C − maxChunks chunks: k pages of n chunks
 // have k ≤ (n − 1) ÷ (C − maxChunks + 1) + 1. And any two pages in a row hold
-// more than a page's chunks, so k < 2 × bytes ÷ PageSize + 1 (pipelines).
-// Called with the block's log's mu held.
+// more than a page's chunks, so k < 2 × bytes ÷ PageSize + 1. Valid bytes
+// bound what the scan can find live: no record becomes live on a sealed,
+// fully programmed block. Called with the block's log's mu held.
 func (d *Device) relocationPages(bm *blockMeta) int {
 	chunks := int(bm.validBytes / chunkSize)
 	if chunks == 0 {

@@ -583,10 +583,10 @@ func TestNoGainVictimIsScannedOnce(t *testing.T) {
 		c := newCollector(d, lg)
 		collect := func() bool {
 			lg.mu.Lock()
-			ci, b, readers, ok := c.pick()
+			ci, b, ok := c.pick()
 			lg.mu.Unlock()
 			if ok {
-				c.collectBlock(ci, b, readers)
+				c.collectBlock(ci, b)
 			}
 			return ok
 		}

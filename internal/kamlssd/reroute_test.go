@@ -62,7 +62,7 @@ func returnBlock(t *testing.T, d *Device, lg *logState) {
 		t.Errorf("setup: log %d has no victim", lg.id)
 		return
 	}
-	newCollector(d, lg).collectBlock(chip, block, 1)
+	newCollector(d, lg).collectBlock(chip, block)
 }
 
 // failNextProgram is a fault plan that fails the first program it sees.

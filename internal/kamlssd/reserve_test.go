@@ -180,7 +180,7 @@ func TestRetirementDuringACoveredCollection(t *testing.T) {
 
 		c := newCollector(d, lg)
 		lg.mu.Lock()
-		vc, vb, readers, ok := c.pick()
+		vc, vb, ok := c.pick()
 		covered := lg.gcCovered
 		lg.mu.Unlock()
 		if !ok || !covered {
@@ -199,7 +199,7 @@ func TestRetirementDuringACoveredCollection(t *testing.T) {
 		first := r.arr.BlockPPN(ch, chip, vb, 0)
 		r.arr.InjectEraseFailure(first)
 		retired := d.ctr.blocksRetired.Value()
-		c.collectBlock(vc, vb, readers)
+		c.collectBlock(vc, vb)
 		lg.mu.Lock()
 		gone := lg.chips[vc].blocks[vb].retired
 		lg.mu.Unlock()
@@ -211,7 +211,7 @@ func TestRetirementDuringACoveredCollection(t *testing.T) {
 		}
 
 		lg.mu.Lock()
-		vc, vb, readers, ok = c.pick()
+		vc, vb, ok = c.pick()
 		lg.mu.Unlock()
 		if !ok {
 			t.Fatal("no next victim")
@@ -220,7 +220,7 @@ func TestRetirementDuringACoveredCollection(t *testing.T) {
 			t.Errorf("the next victim starts with C = %d pages, want at least P = %d", C, P)
 		}
 		erases := d.Stats().GCErases
-		c.collectBlock(vc, vb, readers) // panics "cannot allocate" if C fell short
+		c.collectBlock(vc, vb) // panics "cannot allocate" if C fell short
 		if d.Stats().GCErases != erases+1 {
 			t.Errorf("the next victim was not collected")
 		}

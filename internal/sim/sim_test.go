@@ -103,25 +103,6 @@ func TestMutexFIFOFairness(t *testing.T) {
 	}
 }
 
-func TestTryLock(t *testing.T) {
-	e := NewEngine()
-	m := e.NewMutex("m")
-	e.Go("a", func() {
-		if !m.TryLock() {
-			t.Error("first TryLock failed")
-		}
-		if m.TryLock() {
-			t.Error("second TryLock succeeded while held")
-		}
-		m.Unlock()
-		if !m.TryLock() {
-			t.Error("TryLock after Unlock failed")
-		}
-		m.Unlock()
-	})
-	e.Wait()
-}
-
 func TestCondSignalAndBroadcast(t *testing.T) {
 	e := NewEngine()
 	m := e.NewMutex("m")

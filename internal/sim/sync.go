@@ -75,18 +75,6 @@ func (m *Mutex) Lock() {
 	tok.park()
 }
 
-// TryLock acquires the mutex if it is free and reports whether it did.
-func (m *Mutex) TryLock() bool {
-	e := m.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if m.locked {
-		return false
-	}
-	m.locked = true
-	return true
-}
-
 // Unlock releases the mutex, handing it directly to the oldest waiter.
 func (m *Mutex) Unlock() {
 	e := m.e
