@@ -56,20 +56,28 @@ func main() {
 		os.Exit(replay(*seed, *ops, *bug, *si, *out, *shrink))
 	}
 
-	progress := func(string) {}
-	if *verbose {
-		progress = func(s string) { fmt.Println(s) }
-	}
 	explore := check.Explore
-	kind := "scenarios"
+	kind, prefix := "scenarios", ""
 	if *si {
 		explore = check.ExploreSI
-		kind = "SI scenarios"
+		kind, prefix = "SI scenarios", "si "
 	}
-	fail := explore(*base, *seeds, *ops, *bug, progress)
+	var hits, misses int64
+	fail := explore(*base, *seeds, *ops, *bug, func(sc *check.Scenario, res *check.RunResult) {
+		hits += res.CacheHits
+		misses += res.CacheMisses
+		if *verbose {
+			fmt.Printf("%sseed %d: %d events, %d violations\n", prefix, sc.Seed, len(res.Events), len(res.Violations))
+		}
+	})
 	if fail == nil {
 		fmt.Printf("ok: %d %s (seeds %d..%d, ~%d ops each), no violations\n",
 			*seeds, kind, *base, *base+int64(*seeds)-1, *ops)
+		if *si {
+			// Cache.Stats counts SI lookups: whether snapshot reads reached
+			// the cached-version path at all.
+			fmt.Printf("SI reads served by the record cache: %d, by the device: %d\n", hits, misses)
+		}
 		return
 	}
 	report(fail, *ops, *bug, *si, *out, *shrink)

@@ -5,11 +5,14 @@
 //
 // The cache is a hash table keyed by (namespace, key) with LRU eviction.
 // Reads probe the table; a miss issues a Get to the SSD and inserts the
-// result. Transactions keep private copies of their writes; at commit the
-// transaction manager issues a single atomic multi-record Put (the SSD's
-// durability point), installs the new versions in the cache, and releases
-// locks — so transactions with disjoint write sets commit fully in
-// parallel, unlike an ARIES engine serialized by a central log (§V-D.1).
+// result. Each entry carries the commit seq of its value, so a
+// snapshot-isolation read is served from the table too whenever the cached
+// value is the version its snapshot sees (si.go). Transactions keep private
+// copies of their writes; at commit the transaction manager issues a single
+// atomic multi-record Put (the SSD's durability point), installs the new
+// versions in the cache, and releases locks — so transactions with disjoint
+// write sets commit fully in parallel, unlike an ARIES engine serialized by
+// a central log (§V-D.1).
 package cache
 
 import (
@@ -68,7 +71,10 @@ type Cache struct {
 	siCommits, siAborts, siValFails telemetry.Counter
 }
 
-// Stats is a snapshot of cache activity. Commits/Aborts cover both
+// Stats is a snapshot of cache activity. Hits/Misses count the table
+// lookups of both isolation levels' reads (a transaction's read of its own
+// staged write looks nothing up); an SI read misses when the cached value
+// is not the version its snapshot sees. Commits/Aborts cover both
 // isolation levels; the SI* fields break out the snapshot-isolation share,
 // with SIValidationFails counting first-committer-wins kills specifically.
 type Stats struct {
@@ -84,9 +90,16 @@ type ckey struct {
 	key uint64
 }
 
+// entry is one cached record. A non-zero seq is the commit seq of val, and
+// says val is the key's newest committed version with no write to the key
+// in flight: a commit zeroes it before its Put and sets it from the Put's
+// completion after (commitWrites), and an SS2PL read miss, which holds the
+// key's S-lock, sets it from its Get. SS2PL reads serve val whatever seq
+// says; an SI read serves it only under a non-zero seq (lookup).
 type entry struct {
 	k   ckey
 	val []byte
+	seq uint64
 	elt *list.Element
 }
 
@@ -156,12 +169,17 @@ func (c *Cache) CreateTable(name string, hint storage.TableHint) (uint32, error)
 // Close shuts down the underlying device.
 func (c *Cache) Close() { c.dev.Close() }
 
-// lookup returns a copy of the cached value, if present, refreshing LRU.
-func (c *Cache) lookup(k ckey) ([]byte, bool) {
+// lookup returns a copy of the cached value, refreshing LRU, if it is the
+// version a read at commit timestamp ts sees. An SS2PL read passes
+// kamlssd.Latest and takes any cached value: its S-lock keeps writers out,
+// so the cached bytes are the newest committed version. A snapshot read
+// takes the value only when it is the newest committed version and was
+// committed at or before its snapshot (0 < seq <= ts).
+func (c *Cache) lookup(k ckey, ts uint64) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[k]
-	if !ok {
+	if !ok || ts != kamlssd.Latest && (e.seq == 0 || e.seq > ts) {
 		c.misses.Inc()
 		return nil, false
 	}
@@ -170,17 +188,19 @@ func (c *Cache) lookup(k ckey) ([]byte, bool) {
 	return append([]byte(nil), e.val...), true
 }
 
-// install puts a value into the cache, evicting LRU entries over capacity.
-// Committed data is already durable on the SSD, so eviction is free.
-func (c *Cache) install(k ckey, val []byte) {
+// install puts a value committed at seq into the cache, evicting LRU
+// entries over capacity. Committed data is already durable on the SSD, so
+// eviction is free.
+func (c *Cache) install(k ckey, val []byte, seq uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[k]; ok {
 		c.size += int64(len(val)) - int64(len(e.val))
 		e.val = append([]byte(nil), val...)
+		e.seq = seq
 		c.lru.MoveToFront(e.elt)
 	} else {
-		e := &entry{k: k, val: append([]byte(nil), val...)}
+		e := &entry{k: k, val: append([]byte(nil), val...), seq: seq}
 		e.elt = c.lru.PushFront(e)
 		c.entries[k] = e
 		c.size += int64(len(val))
@@ -193,6 +213,39 @@ func (c *Cache) install(k ckey, val []byte) {
 		c.size -= int64(len(victim.val))
 		c.evictions.Inc()
 	}
+}
+
+// commitWrites makes a write set durable with one atomic multi-record Put
+// and installs the new versions in the cache. The caller holds the X-lock
+// of every key in order, so no other writer touches them. Before the Put,
+// each cached entry of the write set loses its seq (keeping its bytes and
+// its LRU slot): from the group commit until the Put's completion reaches
+// the host, a snapshot that begins may already see the new version, so the
+// old value must not serve it. After the Put, the new values are installed
+// with the seq the completion names.
+func (c *Cache) commitWrites(order []ckey, writes map[ckey][]byte) error {
+	if len(order) == 0 {
+		return nil
+	}
+	batch := make([]kamlssd.PutRecord, 0, len(order))
+	for _, k := range order {
+		batch = append(batch, kamlssd.PutRecord{Namespace: k.ns, Key: k.key, Value: writes[k]})
+	}
+	c.mu.Lock()
+	for _, k := range order {
+		if e, ok := c.entries[k]; ok {
+			e.seq = 0
+		}
+	}
+	c.mu.Unlock()
+	res := c.dev.SubmitPut(batch).Wait()
+	if res.Err != nil {
+		return res.Err
+	}
+	for _, k := range order {
+		c.install(k, writes[k], res.Seq)
+	}
+	return nil
 }
 
 // Txn states (paper Fig. 2).
@@ -258,17 +311,17 @@ func (t *Txn) Read(table uint32, key uint64) ([]byte, error) {
 	if v, ok := t.writes[k]; ok {
 		return append([]byte(nil), v...), nil
 	}
-	if v, ok := t.c.lookup(k); ok {
+	if v, ok := t.c.lookup(k, kamlssd.Latest); ok {
 		return v, nil
 	}
-	v, err := t.c.dev.Get(table, key)
+	v, seq, err := t.c.dev.GetVersion(table, key, kamlssd.Latest)
 	if err != nil {
 		if errors.Is(err, kamlssd.ErrKeyNotFound) {
 			return nil, storage.ErrNotFound
 		}
 		return nil, err
 	}
-	t.c.install(k, v)
+	t.c.install(k, v, seq)
 	return append([]byte(nil), v...), nil
 }
 
@@ -310,20 +363,9 @@ func (t *Txn) Commit() error {
 		return storage.ErrTxnDone
 	}
 	t.c.eng.Sleep(DefaultHostOpCost)
-	if len(t.writes) > 0 {
-		batch := make([]kamlssd.PutRecord, 0, len(t.writes))
-		for _, k := range t.order {
-			batch = append(batch, kamlssd.PutRecord{
-				Namespace: k.ns, Key: k.key, Value: t.writes[k],
-			})
-		}
-		if err := t.c.dev.Put(batch); err != nil {
-			t.Abort()
-			return err
-		}
-		for _, k := range t.order {
-			t.c.install(k, t.writes[k])
-		}
+	if err := t.c.commitWrites(t.order, t.writes); err != nil {
+		t.Abort()
+		return err
 	}
 	t.state = stateCommitted
 	t.c.lm.ReleaseAll(t.lt)

@@ -20,12 +20,17 @@ func newCache(capacity int64, gran int) (*sim.Engine, *Cache) {
 
 // newCacheOver is newCache with a hook to adjust the firmware config.
 func newCacheOver(capacity int64, gran int, mod func(*kamlssd.Config)) (*sim.Engine, *Cache) {
+	e := sim.NewEngine()
+	return e, newCacheOn(e, capacity, gran, mod)
+}
+
+// newCacheOn is newCacheOver on a given engine.
+func newCacheOn(e *sim.Engine, capacity int64, gran int, mod func(*kamlssd.Config)) *Cache {
 	fc := flash.DefaultConfig()
 	fc.Channels = 4
 	fc.ChipsPerChannel = 2
 	fc.BlocksPerChip = 16
 	fc.PagesPerBlock = 16
-	e := sim.NewEngine()
 	arr := flash.New(e, fc)
 	ctrl := nvme.New(e, nvme.DefaultConfig())
 	cfg := kamlssd.DefaultConfig(fc)
@@ -34,7 +39,7 @@ func newCacheOver(capacity int64, gran int, mod func(*kamlssd.Config)) (*sim.Eng
 		mod(&cfg)
 	}
 	dev := kamlssd.New(arr, ctrl, cfg)
-	return e, New(dev, Config{CapacityBytes: capacity, RecordsPerLock: gran})
+	return New(dev, Config{CapacityBytes: capacity, RecordsPerLock: gran})
 }
 
 func withCache(t *testing.T, capacity int64, gran int, fn func(e *sim.Engine, c *Cache)) {

@@ -12,16 +12,21 @@ import (
 // This file implements snapshot-isolation (SI) transactions over the SSD's
 // MVCC machinery (internal/kamlssd/mvcc.go). Where the SS2PL Txn S-locks
 // every record it reads, an SI transaction pins the device's commit
-// timestamp at begin and serves every read from that snapshot — reads take
-// no locks, never block a writer, and never abort on read-read or
-// read-write conflicts. Writes still X-lock through the shared lock
-// manager (so SI and SS2PL transactions interoperate on the same tables)
-// and validate first-committer-wins at lock-acquisition time: if a
-// committed version newer than the transaction's snapshot exists, the
+// timestamp at begin and serves every read from that snapshot — from the
+// DRAM record cache when the cached value is the snapshot's version, else
+// from the device — so reads take no locks, never block a writer, and never
+// abort on read-read or read-write conflicts. Writes still X-lock through
+// the shared lock manager (so SI and SS2PL transactions interoperate on the
+// same tables) and validate first-committer-wins at lock-acquisition time:
+// if a committed version newer than the transaction's snapshot exists, the
 // transaction aborts with storage.ErrAborted. That check closes the lost-
 // update window; write-skew remains possible, as SI permits.
 
-// SITxn is a snapshot-isolation transaction.
+// SITxn is a snapshot-isolation transaction. Its reads probe the record
+// cache like an SS2PL transaction's, but a cached value serves one only if
+// it carries a commit seq at or before the snapshot (Read); its commit
+// keeps the cache's seqs exact the way an SS2PL commit does
+// (commitWrites).
 type SITxn struct {
 	c       *Cache
 	lt      *lockmgr.Txn // X-locks for the write set only
@@ -66,8 +71,10 @@ func (c *Cache) beginSIAt(lockTS uint64) *SITxn {
 // Read serves (table, key) from the transaction's snapshot — its own
 // staged write if present, else the newest version committed at or before
 // beginTS. No lock is taken and no conflict can abort the transaction
-// here. The DRAM record cache is bypassed: it holds only the latest
-// committed versions, which may be newer than this snapshot.
+// here. The DRAM record cache serves the read when its entry is that
+// version: the key's newest committed value, committed at or before
+// beginTS (0 < seq <= beginTS, see entry). Otherwise the device reads the
+// snapshot's version (GetAt); a value older than the newest is not cached.
 func (t *SITxn) Read(table uint32, key uint64) ([]byte, error) {
 	if t.state != stateActive {
 		return nil, storage.ErrTxnDone
@@ -76,6 +83,9 @@ func (t *SITxn) Read(table uint32, key uint64) ([]byte, error) {
 	k := ckey{ns: table, key: key}
 	if v, ok := t.writes[k]; ok {
 		return append([]byte(nil), v...), nil
+	}
+	if v, ok := t.c.lookup(k, t.beginTS); ok {
+		return v, nil
 	}
 	v, err := t.c.dev.GetAt(table, key, t.beginTS)
 	if err != nil {
@@ -139,30 +149,17 @@ func (t *SITxn) write(table uint32, key uint64, value []byte) error {
 }
 
 // Commit makes the write set durable with one atomic multi-record Put,
-// installs the new versions in the record cache, and releases the locks
-// and the snapshot pin. A read-only transaction commits without touching
-// the device.
+// installs the new versions in the record cache (commitWrites), and
+// releases the locks and the snapshot pin. A read-only transaction commits
+// without touching the device.
 func (t *SITxn) Commit() error {
 	if t.state != stateActive {
 		return storage.ErrTxnDone
 	}
 	t.c.eng.Sleep(DefaultHostOpCost)
-	if len(t.writes) > 0 {
-		batch := make([]kamlssd.PutRecord, 0, len(t.writes))
-		for _, k := range t.order {
-			batch = append(batch, kamlssd.PutRecord{
-				Namespace: k.ns, Key: k.key, Value: t.writes[k],
-			})
-		}
-		if err := t.c.dev.Put(batch); err != nil {
-			t.Abort()
-			return err
-		}
-		// The X-locks are still held, so these are the newest committed
-		// versions — safe to install in the latest-version cache.
-		for _, k := range t.order {
-			t.c.install(k, t.writes[k])
-		}
+	if err := t.c.commitWrites(t.order, t.writes); err != nil {
+		t.Abort()
+		return err
 	}
 	t.state = stateCommitted
 	t.finishLocksAndPin()

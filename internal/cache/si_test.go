@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/kaml-ssd/kaml/internal/kamlssd"
 	"github.com/kaml-ssd/kaml/internal/sim"
@@ -298,5 +299,129 @@ func TestSIWriterInteroperatesWithSS2PL(t *testing.T) {
 			t.Fatal(err)
 		}
 		older.Free()
+	})
+}
+
+// withSerialCache is withCache on a serialized engine: one actor runs at a
+// time, so a test can time an operation exactly and place an actor inside
+// another's window.
+func withSerialCache(t *testing.T, fn func(e *sim.Engine, c *Cache, tbl uint32)) {
+	t.Helper()
+	e := sim.NewEngine()
+	e.Serialize(1)
+	c := newCacheOn(e, 1<<20, 1, nil)
+	e.Go("test", func() {
+		defer c.Close()
+		tbl, err := c.CreateTable("t", storage.TableHint{ExpectedRows: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(e, c, tbl)
+	})
+	e.Wait()
+}
+
+// commitValue writes key = v through an SS2PL transaction.
+func commitValue(t *testing.T, c *Cache, tbl uint32, key uint64, v string) {
+	t.Helper()
+	tx := c.Begin()
+	if err := tx.Update(tbl, key, []byte(v)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx.Free()
+}
+
+// An SI read of a cached value committed at or before its snapshot is a
+// DRAM probe: the host's per-operation cost and no device Get.
+func TestSIReadOfACachedVersionSkipsTheDevice(t *testing.T) {
+	withSerialCache(t, func(e *sim.Engine, c *Cache, tbl uint32) {
+		commitValue(t, c, tbl, 1, "v1")
+		si := c.BeginSI()
+		defer si.Free()
+		gets, st := c.Device().Stats().Gets, c.Stats()
+		start := e.Now()
+		v, err := si.Read(tbl, 1)
+		if took := e.Now() - start; err != nil || string(v) != "v1" || took != DefaultHostOpCost {
+			t.Fatalf("SI read = %q, %v in %v; want v1 in %v", v, err, took, DefaultHostOpCost)
+		}
+		if n := c.Device().Stats().Gets - gets; n != 0 {
+			t.Fatalf("SI read of a cached version issued %d device Gets, want 0", n)
+		}
+		if after := c.Stats(); after.Hits != st.Hits+1 || after.Misses != st.Misses {
+			t.Fatalf("hits %d -> %d, misses %d -> %d; want one hit", st.Hits, after.Hits, st.Misses, after.Misses)
+		}
+	})
+}
+
+// A snapshot older than the cached version cannot use it: the read goes to
+// the device and returns the version the snapshot sees.
+func TestSIReadOlderThanTheCachedVersionReadsTheDevice(t *testing.T) {
+	withSerialCache(t, func(e *sim.Engine, c *Cache, tbl uint32) {
+		commitValue(t, c, tbl, 1, "v1")
+		si := c.BeginSI()
+		defer si.Free()
+		commitValue(t, c, tbl, 1, "v2") // cached, with a seq above si's snapshot
+		gets, st := c.Device().Stats().Gets, c.Stats()
+		v, err := si.Read(tbl, 1)
+		if err != nil || string(v) != "v1" {
+			t.Fatalf("SI read = %q, %v; want the snapshot's v1", v, err)
+		}
+		if n := c.Device().Stats().Gets - gets; n != 1 {
+			t.Fatalf("SI read of a newer cached version issued %d device Gets, want 1", n)
+		}
+		if after := c.Stats(); after.Misses != st.Misses+1 || after.Hits != st.Hits {
+			t.Fatalf("hits %d -> %d, misses %d -> %d; want one miss", st.Hits, after.Hits, st.Misses, after.Misses)
+		}
+	})
+}
+
+// A writer's group commit is visible to a snapshot taken before its
+// completion reaches the host, while the cache still holds the old value. A
+// commit therefore strips the cached entry's seq before its Put: an SI
+// transaction that begins inside that window must read the new value from
+// the device, not the old one from the cache.
+func TestSIReadInsideAWritersCompletionSeesTheCommit(t *testing.T) {
+	withSerialCache(t, func(e *sim.Engine, c *Cache, tbl uint32) {
+		commitValue(t, c, tbl, 1, "v1")
+		old, err := c.Device().LatestCommittedSeq(tbl, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doneAt time.Duration
+		wg := e.NewWaitGroup()
+		wg.Add(1)
+		e.Go("writer", func() {
+			defer wg.Done()
+			commitValue(t, c, tbl, 1, "v2")
+			doneAt = e.Now()
+		})
+		// Poll until the writer's group commit lands on the device.
+		for {
+			seq, err := c.Device().LatestCommittedSeq(tbl, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq > old {
+				break
+			}
+			e.Sleep(time.Microsecond)
+		}
+		si := c.BeginSI()
+		defer si.Free()
+		begun := e.Now()
+		v, err := si.Read(tbl, 1)
+		if err != nil || string(v) != "v2" {
+			t.Fatalf("SI read = %q, %v; want v2, committed before the snapshot", v, err)
+		}
+		wg.Wait()
+		// The read's cache probe runs a host op after the begin; the
+		// writer must still have been waiting for its completion then.
+		if doneAt <= begun+DefaultHostOpCost {
+			t.Fatalf("writer's commit returned at %v, before the read's probe at %v: the window was missed",
+				doneAt, begun+DefaultHostOpCost)
+		}
 	})
 }

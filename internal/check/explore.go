@@ -113,6 +113,11 @@ type RunResult struct {
 	// over a sweep so the generator's cut range cannot silently fall out of
 	// step with how many pages a workload programs.
 	PlanCutMidRun bool
+	// CacheHits and CacheMisses count the transaction reads the record cache
+	// served and those it sent to the device (kaml.Cache.Stats); under
+	// SIMode, the snapshot reads that found their version in DRAM and those
+	// that did not.
+	CacheHits, CacheMisses int64
 }
 
 // Failed reports whether the run produced a definite violation
@@ -133,12 +138,12 @@ func Run(sc *Scenario) *RunResult {
 	eng.Serialize(sc.Seed)
 	rec := NewRecorder(eng.Now)
 	var harnessErr error
-	var planCut bool
+	res := &RunResult{}
 	eng.Go("root", func() {
-		harnessErr = runScenario(sc, eng, rec, &planCut)
+		harnessErr = runScenario(sc, eng, rec, res)
 	})
 	eng.Wait()
-	res := &RunResult{Events: rec.Events(), History: rec.Serialize(), PlanCutMidRun: planCut}
+	res.Events, res.History = rec.Events(), rec.Serialize()
 	if sc.SIMode {
 		res.Violations = CheckHistorySI(res.Events)
 	} else {
@@ -187,9 +192,9 @@ func (sc *Scenario) options(eng *sim.Engine) kaml.Options {
 	return opts
 }
 
-// runScenario is the root actor's body. It sets *planCut when the fault
-// plan's count-based cut strikes mid-run (RunResult.PlanCutMidRun).
-func runScenario(sc *Scenario, eng *sim.Engine, rec *Recorder, planCut *bool) error {
+// runScenario is the root actor's body. It sets res.PlanCutMidRun when the
+// fault plan's count-based cut strikes mid-run, and res's cache counts.
+func runScenario(sc *Scenario, eng *sim.Engine, rec *Recorder, res *RunResult) error {
 	dev, err := kaml.Open(sc.options(eng))
 	if err != nil {
 		return fmt.Errorf("open: %w", err)
@@ -511,7 +516,7 @@ func runScenario(sc *Scenario, eng *sim.Engine, rec *Recorder, planCut *bool) er
 		}
 		if dead() || round == sc.CutRound {
 			if sc.CutAfterPrograms > 0 && round != sc.CutRound {
-				*planCut = true
+				res.PlanCutMidRun = true
 			}
 			cutOnce = true
 			re, rerr := reopenAudited(dev)
@@ -525,6 +530,10 @@ func runScenario(sc *Scenario, eng *sim.Engine, rec *Recorder, planCut *bool) er
 		}
 	}
 
+	if cache != nil {
+		st := cache.Stats()
+		res.CacheHits, res.CacheMisses = st.Hits, st.Misses
+	}
 	dev.Flush()
 	if err := audit(dev); err != nil {
 		// A fault-plan cut can fire this late; one recovery settles it.
@@ -809,22 +818,10 @@ func GenSIScenario(seed int64, ops int, bug bool) *Scenario {
 	return sc
 }
 
-// ExploreSI runs n snapshot-isolation scenarios (seeds baseSeed..) of
-// roughly ops steps each through CheckHistorySI and returns the first
-// failure, or nil if every history satisfies the SI axioms.
-func ExploreSI(baseSeed int64, n, ops int, bug bool, progress func(string)) *Failure {
-	for i := 0; i < n; i++ {
-		seed := baseSeed + int64(i)
-		sc := GenSIScenario(seed, ops, bug)
-		res := Run(sc)
-		if progress != nil {
-			progress(fmt.Sprintf("si seed %d: %d events, %d violations", seed, len(res.Events), len(res.Violations)))
-		}
-		if res.Failed() {
-			return &Failure{Scenario: sc, Result: res}
-		}
-	}
-	return nil
+// ExploreSI is Explore over snapshot-isolation scenarios (GenSIScenario),
+// each history checked against the SI axioms (CheckHistorySI).
+func ExploreSI(baseSeed int64, n, ops int, bug bool, visit func(*Scenario, *RunResult)) *Failure {
+	return explore(GenSIScenario, baseSeed, n, ops, bug, visit)
 }
 
 // Failure is one failing scenario with its result, as found by Explore.
@@ -835,14 +832,18 @@ type Failure struct {
 
 // Explore runs seeds scenarios (seeds baseSeed..baseSeed+n-1) of roughly
 // ops operations each and returns the first failure, or nil if all pass.
-// progress, when non-nil, receives one line per seed.
-func Explore(baseSeed int64, n, ops int, bug bool, progress func(string)) *Failure {
+// visit, when non-nil, is shown every scenario run and its result.
+func Explore(baseSeed int64, n, ops int, bug bool, visit func(*Scenario, *RunResult)) *Failure {
+	return explore(GenScenario, baseSeed, n, ops, bug, visit)
+}
+
+func explore(gen func(int64, int, bool) *Scenario, baseSeed int64, n, ops int, bug bool,
+	visit func(*Scenario, *RunResult)) *Failure {
 	for i := 0; i < n; i++ {
-		seed := baseSeed + int64(i)
-		sc := GenScenario(seed, ops, bug)
+		sc := gen(baseSeed+int64(i), ops, bug)
 		res := Run(sc)
-		if progress != nil {
-			progress(fmt.Sprintf("seed %d: %d events, %d violations", seed, len(res.Events), len(res.Violations)))
+		if visit != nil {
+			visit(sc, res)
 		}
 		if res.Failed() {
 			return &Failure{Scenario: sc, Result: res}

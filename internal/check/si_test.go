@@ -169,11 +169,20 @@ func TestSICheckerAxioms(t *testing.T) {
 }
 
 // Clean SI seeds: the real engine's snapshot-isolation transactions satisfy
-// every SI axiom across a sweep of seeded hot-key RMW schedules.
+// every SI axiom across a sweep of seeded hot-key RMW schedules, with
+// snapshot reads served both from the record cache and from the device.
 func TestSIExplorerCleanSeeds(t *testing.T) {
-	if fail := ExploreSI(0, 25, 400, false, nil); fail != nil {
+	var hits, misses int64
+	fail := ExploreSI(0, 25, 400, false, func(_ *Scenario, res *RunResult) {
+		hits += res.CacheHits
+		misses += res.CacheMisses
+	})
+	if fail != nil {
 		t.Fatalf("seed %d violates SI:\n%s\nscenario:\n%s",
 			fail.Scenario.Seed, FormatViolations(fail.Result.Violations), fail.Scenario)
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("SI reads served by the cache %d, by the device %d: want both paths explored", hits, misses)
 	}
 }
 

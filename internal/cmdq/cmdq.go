@@ -96,12 +96,14 @@ type Record struct {
 }
 
 // Command is one typed request submitted to the pipeline. Get and Snapshot
-// use Namespace and Key; writes carry Records (one for OpPut, many for
-// OpPutBatch).
+// use Namespace and Key, and a Get reads as of commit timestamp TS (the
+// newest version committed at or before it); writes carry Records (one for
+// OpPut, many for OpPutBatch).
 type Command struct {
 	Op        Op
 	Namespace uint32
 	Key       uint64
+	TS        uint64
 	Records   []Record
 	// Merged is set by the coalescer on a group commit: the number of
 	// logical write commands whose records the batch carries. Zero for a
@@ -117,6 +119,11 @@ type Result struct {
 	Value     []byte
 	Namespace uint32
 	Err       error
+	// Seq is the commit seq the command names, as an NVMe completion entry's
+	// result dword would: for a Get, the version it returned; for a write,
+	// the newest seq of the group commit that carried it (every merged
+	// command gets the same Result). Zero on error.
+	Seq uint64
 	// Due is the virtual instant the completion reaches the host. exec sets
 	// it for a write, whose completion entry is still in transfer when the
 	// commit returns: the future opens then, and the shard that ran the
@@ -160,7 +167,7 @@ func newFuture(eng *sim.Engine) *Future {
 // copied one by one: assigning *cmd whole would store the caller's records
 // slice and make it escape.
 func (f *Future) hold(cmd *Command) {
-	f.cmd = Command{Op: cmd.Op, Namespace: cmd.Namespace, Key: cmd.Key, Merged: cmd.Merged}
+	f.cmd = Command{Op: cmd.Op, Namespace: cmd.Namespace, Key: cmd.Key, TS: cmd.TS, Merged: cmd.Merged}
 	switch len(cmd.Records) {
 	case 0:
 	case 1:

@@ -62,8 +62,9 @@ func (d *Device) pinTS(ts uint64) {
 }
 
 // ReleasePin drops one reference to a transient pin taken by PinCurrent
-// (or internally by GetAt). Once a timestamp has no pin and no snapshot
-// cutoff, the versions only it could see become prunable.
+// (or internally by a read at a timestamp, execGet). Once a timestamp has
+// no pin and no snapshot cutoff, the versions only it could see become
+// prunable.
 func (d *Device) ReleasePin(ts uint64) {
 	d.pinMu.Lock()
 	if n := d.pins[ts]; n <= 1 {
@@ -163,29 +164,18 @@ func (c *collector) pruneFamilies() {
 }
 
 // GetAt serves the newest version of key whose commit timestamp is <= ts —
-// KAML's time-travel read (Table I extension). The read acquires no lock
+// KAML's time-travel read (Table I extension). It is GetVersion at ts, one
+// OpGet command like a Get, charged like one. The read acquires no lock
 // and never conflicts with writers: the chain walk is lock-free and the
 // timestamp is transiently pinned for the duration so pruning cannot pull
 // the resolved version out from under the flash read. Exactness is
 // guaranteed for timestamps that are durably pinned (a snapshot's cutoff,
 // an SI transaction's begin timestamp); for arbitrary historical
 // timestamps the answer is the oldest *retained* version at-or-before ts.
+// A ts of 0 is a timestamp like any other: it sees nothing.
 func (d *Device) GetAt(nsID uint32, key uint64, ts uint64) ([]byte, error) {
-	if d.closed.Load() {
-		return nil, d.closedErr()
-	}
-	ns, lerr := d.lookupNS(nsID)
-	if lerr != nil {
-		return nil, lerr
-	}
-	if ts > ns.cutoff {
-		ts = ns.cutoff // snapshot shells clamp to their pinned view
-	}
-	d.ctrl.Submission()
-	d.pinTS(ts)
-	defer d.ReleasePin(ts)
-	d.ctr.gets.Inc()
-	return d.readVersion(ns, key, ts, true)
+	v, _, err := d.GetVersion(nsID, key, ts)
+	return v, err
 }
 
 // LatestCommittedSeq returns the commit timestamp of the key's newest
@@ -327,21 +317,23 @@ func (r *versionRead) resolve() (location, error) {
 
 // readVersion is the firmware's one read routine: it resolves key in ns's
 // family as of commit timestamp ts and fetches the value from NVRAM or
-// flash. A root Get passes ts = noCutoff; snapshot Gets, GetAt and SI
-// transaction reads pass their pinned timestamp (pinned, which selects the
-// charging rule and counts the read in PinnedReads). The flash read is
-// optimistic: it happens without any firmware lock, so GC may relocate the
-// record (and erase or rewrite the block) mid-read; the chain is re-resolved
-// afterwards and the read retried on movement — the firmware equivalent of
-// the baseline's LBA-range locks, without their per-command cost (§V-B).
-func (d *Device) readVersion(ns *namespace, key, ts uint64, pinned bool) ([]byte, error) {
+// flash, returning it with its commit seq (the NVRAM location's, or the
+// on-flash record header's). A root Get passes ts = noCutoff; snapshot
+// Gets, GetAt and SI transaction reads pass their pinned timestamp (pinned,
+// which selects the charging rule and counts the read in PinnedReads). The
+// flash read is optimistic: it happens without any firmware lock, so GC may
+// relocate the record (and erase or rewrite the block) mid-read; the chain
+// is re-resolved afterwards and the read retried on movement — the
+// firmware equivalent of the baseline's LBA-range locks, without their
+// per-command cost (§V-B).
+func (d *Device) readVersion(ns *namespace, key, ts uint64, pinned bool) ([]byte, uint64, error) {
 	if pinned {
 		d.ctr.pinnedReads.Inc()
 	}
 	r := versionRead{d: d, ns: ns, key: key, ts: ts, pinned: pinned}
 	loc, err := r.resolve()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	readRetries := 0
 	for attempt := 0; ; attempt++ {
@@ -349,16 +341,16 @@ func (d *Device) readVersion(ns *namespace, key, ts uint64, pinned bool) ([]byte
 			// Logically committed but still in NVRAM; serve from the buffer.
 			v, hit, verr := d.nvFetch(loc)
 			if verr != nil {
-				return nil, verr
+				return nil, 0, verr
 			}
 			if hit {
 				d.ctr.nvramHits.Inc()
-				return v, nil
+				return v, loc.seq(), nil
 			}
 			// Installed to flash between the chain walk and now; the chain
 			// node's location was swung, so re-resolve.
 			if loc, err = r.resolve(); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			continue
 		}
@@ -372,7 +364,7 @@ func (d *Device) readVersion(ns *namespace, key, ts uint64, pinned bool) ([]byte
 			// relocation re-resolves through the chain.
 			if errors.Is(rerr, flash.ErrPowerCut) {
 				d.noticePowerLoss()
-				return nil, ErrPowerLoss
+				return nil, 0, ErrPowerLoss
 			}
 			if errors.Is(rerr, flash.ErrInjectedFailure) && readRetries < maxReadRetries {
 				readRetries++
@@ -381,17 +373,17 @@ func (d *Device) readVersion(ns *namespace, key, ts uint64, pinned bool) ([]byte
 			}
 			cur, err := r.resolve()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			if cur == loc || attempt > 16 {
-				return nil, rerr
+				return nil, 0, rerr
 			}
 			loc = cur
 			continue
 		}
 		cur, err := r.resolve()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if cur != loc {
 			loc = cur
@@ -399,14 +391,14 @@ func (d *Device) readVersion(ns *namespace, key, ts uint64, pinned bool) ([]byte
 		}
 		rec, derr := record.Unmarshal(data)
 		if derr != nil {
-			return nil, derr
+			return nil, 0, derr
 		}
 		// Records are written under the family root, so that is the ID the
 		// on-flash header carries, whichever member is reading.
 		if root := ns.fam.root.id; rec.Namespace != root || rec.Key != key {
-			return nil, fmt.Errorf("kamlssd: mapping table corruption: ns %d key %d @%d resolved to ns %d key %d",
+			return nil, 0, fmt.Errorf("kamlssd: mapping table corruption: ns %d key %d @%d resolved to ns %d key %d",
 				root, key, ts, rec.Namespace, rec.Key)
 		}
-		return rec.Value, nil
+		return rec.Value, rec.Seq, nil
 	}
 }

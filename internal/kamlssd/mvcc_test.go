@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/kaml-ssd/kaml/internal/cmdq"
 	"github.com/kaml-ssd/kaml/internal/flash"
 	"github.com/kaml-ssd/kaml/internal/nvme"
 	"github.com/kaml-ssd/kaml/internal/sim"
@@ -249,4 +250,104 @@ func TestPinFloorKeepsVersionBehindUnsettledBatch(t *testing.T) {
 		}
 	})
 	e.Wait()
+}
+
+// A completion names the commit seq of what it carries, as an NVMe CQE's
+// result dword would: a lone Put its record's, a Get the version it returned
+// (from NVRAM and from flash alike), and a merged group commit its newest
+// record's, which is at least each merged record's own.
+func TestCompletionCarriesTheCommitSeq(t *testing.T) {
+	r := newSerialRig(1, testFlashConfig(), nil)
+	r.e.Go("test", func() {
+		defer r.dev.Close()
+		ns, err := r.dev.CreateNamespace(NamespaceAttrs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := r.dev.SubmitPut(one(ns, 1, val(1, 100))).Wait()
+		latest, err := r.dev.LatestCommittedSeq(ns, 1)
+		if res.Err != nil || err != nil || res.Seq == 0 || res.Seq != latest {
+			t.Fatalf("lone Put: Result.Seq %d (%v), latest committed %d (%v)", res.Seq, res.Err, latest, err)
+		}
+		get := func(where string, nvram bool) {
+			hits := r.dev.Stats().NVRAMHits
+			v, seq, err := r.dev.GetVersion(ns, 1, Latest)
+			if err != nil || !bytes.Equal(v, val(1, 100)) || seq != latest {
+				t.Fatalf("Get from %s: seq %d, %v; want seq %d and the value", where, seq, err, latest)
+			}
+			if fromNVRAM := r.dev.Stats().NVRAMHits > hits; fromNVRAM != nvram {
+				t.Fatalf("Get from %s: served from NVRAM = %v", where, fromNVRAM)
+			}
+		}
+		get("NVRAM", true)
+		r.dev.Flush()
+		get("flash", false)
+
+		// Eight single-record Puts submitted together merge into group
+		// commits on the coalescer shards.
+		futs := make([]*cmdq.Future, 8)
+		for i := range futs {
+			k := uint64(10 + i)
+			futs[i] = r.dev.SubmitPut(one(ns, k, val(k, 100)))
+		}
+		merged := false
+		for i, f := range futs {
+			res := f.Wait()
+			own, err := r.dev.LatestCommittedSeq(ns, uint64(10+i))
+			if res.Err != nil || err != nil || res.Seq < own {
+				t.Fatalf("merged Put of key %d: Result.Seq %d (%v), its record's seq %d (%v)",
+					10+i, res.Seq, res.Err, own, err)
+			}
+			merged = merged || res.Seq > own
+		}
+		if !merged {
+			t.Fatal("no Put shared a group commit: the merged case went untested")
+		}
+	})
+	r.e.Wait()
+}
+
+// GetAt is a Get at a timestamp: one OpGet command through the pipeline, so
+// it takes a pipeline slot and pays the completion transfer as a Get does,
+// differing only in what its index walk charges (chain hops, not directory
+// probes).
+func TestGetAtRunsAsAGet(t *testing.T) {
+	nc := nvme.DefaultConfig()
+	r := newSerialRig(1, testFlashConfig(), nil)
+	r.e.Go("test", func() {
+		defer r.dev.Close()
+		ns, err := r.dev.CreateNamespace(NamespaceAttrs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.dev.Put(one(ns, 1, val(1, 100))); err != nil {
+			t.Fatal(err)
+		}
+		r.dev.Flush()
+		ts := r.dev.PinCurrent()
+		defer r.dev.ReleasePin(ts)
+		var took [2]time.Duration
+		for i, read := range []func() ([]byte, error){
+			func() ([]byte, error) { return r.dev.Get(ns, 1) },
+			func() ([]byte, error) { return r.dev.GetAt(ns, 1, ts) },
+		} {
+			before, start := r.dev.Stats(), r.e.Now()
+			v, err := read()
+			after := r.dev.Stats()
+			if err != nil || !bytes.Equal(v, val(1, 100)) {
+				t.Fatalf("read %d: %v", i, err)
+			}
+			if after.PipelineSubmitted != before.PipelineSubmitted+1 ||
+				after.PipelineCompleted != before.PipelineCompleted+1 {
+				t.Fatalf("read %d: pipeline submitted %d -> %d, completed %d -> %d; want one command",
+					i, before.PipelineSubmitted, after.PipelineSubmitted, before.PipelineCompleted, after.PipelineCompleted)
+			}
+			probes := after.IndexProbes - before.IndexProbes
+			took[i] = r.e.Now() - start - time.Duration(probes)*nc.ProbeCost
+		}
+		if took[0] != took[1] {
+			t.Fatalf("idle Get %v, idle GetAt %v (index charge aside); want equal", took[0], took[1])
+		}
+	})
+	r.e.Wait()
 }

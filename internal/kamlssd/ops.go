@@ -31,36 +31,61 @@ type undoEntry struct {
 // converted on its way down.
 type PutRecord = cmdq.Record
 
+// Latest is the timestamp of a read that wants the newest committed
+// version (GetVersion): above every commit seq, as a live namespace's
+// cutoff is.
+const Latest = noCutoff
+
 // Get retrieves the value stored under (nsID, key). The value is served
 // from NVRAM if the record's latest version has not reached flash yet,
 // otherwise from flash, reading only the record's chunks (paper §III,
 // Table I).
-//
-// Get executes on the calling actor through the pipeline's direct path
-// (cmdq.RunDirect): the command counts against queue depth and honors
-// backpressure and shutdown like a write, but has no handoff and no future
-// to park on, so the flash access is the only blocking step of a read.
-// Reads reach queue depth through concurrent callers.
 func (d *Device) Get(nsID uint32, key uint64) ([]byte, error) {
+	v, _, err := d.GetVersion(nsID, key, Latest)
+	return v, err
+}
+
+// GetVersion reads the newest version of (nsID, key) committed at or before
+// ts — Latest for the newest of all, as Get reads — and returns it with its
+// commit seq, which the completion carries (cmdq.Result.Seq). A read at any
+// other timestamp is GetAt's time-travel read.
+//
+// The read executes on the calling actor through the pipeline's direct path
+// (cmdq.RunDirect), as one OpGet command whatever its timestamp: the command
+// counts against queue depth, honors backpressure and shutdown like a write,
+// and pays the submission and completion transfers, but has no handoff and
+// no future to park on, so the flash access is the only blocking step of a
+// read. Reads reach queue depth through concurrent callers.
+func (d *Device) GetVersion(nsID uint32, key, ts uint64) ([]byte, uint64, error) {
 	d.ctrl.Submission()
-	res := d.pipe.RunDirect(&cmdq.Command{Op: cmdq.OpGet, Namespace: nsID, Key: key})
-	return res.Value, res.Err
+	res := d.pipe.RunDirect(&cmdq.Command{Op: cmdq.OpGet, Namespace: nsID, Key: key, TS: ts})
+	return res.Value, res.Seq, res.Err
 }
 
 // execGet is the firmware's Get handler; it runs on the caller. A root
-// namespace reads its newest committed version, a snapshot shell the newest
-// at or below its pinned cutoff — the same routine either way (readVersion,
-// mvcc.go), and no firmware lock on the way (§V-D).
-func (d *Device) execGet(nsID uint32, key uint64) ([]byte, error) {
+// namespace read at Latest resolves its newest committed version, a
+// snapshot shell the newest at or below its pinned cutoff, and a read at
+// an explicit timestamp the newest at or below the earlier of the two,
+// pinned for the read's duration so pruning cannot take the version it
+// resolves from under the flash read — the same routine every way
+// (readVersion, mvcc.go), and no firmware lock on the way (§V-D).
+func (d *Device) execGet(nsID uint32, key, ts uint64) ([]byte, uint64, error) {
 	if d.closed.Load() {
-		return nil, d.closedErr()
+		return nil, 0, d.closedErr()
 	}
 	ns, lerr := d.lookupNS(nsID)
 	if lerr != nil {
-		return nil, lerr
+		return nil, 0, lerr
 	}
 	d.ctr.gets.Inc()
-	return d.readVersion(ns, key, ns.cutoff, ns.origin != 0)
+	if ts == Latest {
+		return d.readVersion(ns, key, ns.cutoff, ns.origin != 0)
+	}
+	ts = min(ts, ns.cutoff) // a snapshot shell clamps to its pinned view
+	d.pinTS(ts)
+	v, seq, err := d.readVersion(ns, key, ts, true)
+	d.ReleasePin(ts)
+	return v, seq, err
 }
 
 // Put atomically inserts or updates a batch of records (Table I). The call
@@ -85,19 +110,22 @@ func (d *Device) Put(batch []PutRecord) error {
 // == 0). Its bookkeeping — key order, namespaces, undo list, prune pins —
 // lives in stack buffers sized for a batch within the coalescer's cap, so
 // what a Put allocates is what outlives it: the version nodes and the pages
-// it fills.
-func (d *Device) execPut(batch []PutRecord, merged int) error {
+// it fills. It returns the newest seq of the range the batch reserved, which
+// the completion of every command it carried names (cmdq.Result.Seq): no
+// settled timestamp falls inside a batch's range, so a snapshot sees that
+// seq exactly when it sees each of the batch's records.
+func (d *Device) execPut(batch []PutRecord, merged int) (uint64, error) {
 	// Phase 1a: lock every touched index entry, in sorted order. The sort
 	// puts a repeated key next to itself, so the duplicate scan that guards
 	// the key locks against self-deadlock costs one pass over it.
 	var keyBuf [stackBatch]nskey
 	keys, err := lockOrder(batch, keyBuf[:0])
 	if err != nil {
-		return err
+		return 0, err
 	}
 
 	if d.closed.Load() {
-		return d.closedErr()
+		return 0, d.closedErr()
 	}
 	// Resolve and validate every namespace up front, and mark one
 	// in-flight batch per namespace so snapshot creation waits out
@@ -125,10 +153,10 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 		}
 		ns, lerr := d.lookupNS(r.Namespace)
 		if lerr != nil {
-			return lerr
+			return 0, lerr
 		}
 		if ns.readonly {
-			return fmt.Errorf("%w: %d", ErrReadOnly, r.Namespace)
+			return 0, fmt.Errorf("%w: %d", ErrReadOnly, r.Namespace)
 		}
 		// Mark the batch in flight under ns.mu: snapshot creation, which
 		// write-locks it, then either sees the mark or takes its cutoff
@@ -176,7 +204,7 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 		// marker.
 		if d.crashed.Load() || !d.arr.Powered() {
 			d.noticePowerLoss()
-			return abort(ErrPowerLoss)
+			return 0, abort(ErrPowerLoss)
 		}
 		ns := nss[nsIndex(nss, r.Namespace)].ns
 
@@ -205,7 +233,7 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 			if errors.Is(perr, hashindex.ErrFull) {
 				perr = fmt.Errorf("%w: ns %d", ErrIndexFull, r.Namespace)
 			}
-			return abort(perr)
+			return 0, abort(perr)
 		}
 		lg, cur := d.route(ns)
 		ns.mu.Unlock()
@@ -222,13 +250,13 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 
 		rec := record.Record{Namespace: r.Namespace, Key: r.Key, Seq: seq, Value: r.Value}
 		if aerr := d.appendRecord(ns, lg, cur, rec, prev, stagedAt); aerr != nil {
-			return abort(aerr)
+			return 0, abort(aerr)
 		}
 		d.ctr.bytesWritten.Add(int64(len(r.Value)))
 	}
 	if d.crashed.Load() || !d.arr.Powered() {
 		d.noticePowerLoss()
-		return abort(ErrPowerLoss)
+		return 0, abort(ErrPowerLoss)
 	}
 	// Commit point: one atomic NVRAM write. From here the batch
 	// survives any crash; the host is acknowledged after this.
@@ -269,7 +297,7 @@ func (d *Device) execPut(batch []PutRecord, merged int) error {
 	// makes Insert slower than Update in Figs. 5c/6c).
 	d.ctrl.Compute(d.ctrl.Config().FirmwareFixedCost +
 		time.Duration(newKeys)*d.ctrl.Config().InsertCost)
-	return nil
+	return seqCur - 1, nil
 }
 
 // nsSlot is one namespace a Put batch names: its ID, and the namespace once

@@ -12,10 +12,11 @@ import (
 // This file is the device's face of the asynchronous command pipeline
 // (internal/cmdq). Every command charges the NVMe submission transfer in
 // the calling actor. A write (SubmitPut) then goes to its coalescer shard
-// and returns a completion future, of which Put is a thin Wait wrapper; Get
-// and SnapshotNamespace (ops.go, snapshot.go) run their command on the
-// caller through cmdq.RunDirect. The exec* functions execCommand dispatches
-// to hold the firmware logic.
+// and returns a completion future, of which Put is a thin Wait wrapper; a
+// read at any timestamp (GetVersion, under Get and GetAt) and
+// SnapshotNamespace (ops.go, snapshot.go) run their command on the caller
+// through cmdq.RunDirect. The exec* functions execCommand dispatches to hold
+// the firmware logic.
 
 // SubmitPut enqueues an atomic Put batch and returns its completion future.
 // This is the firmware boundary every writer crosses (kaml, cache, cluster
@@ -24,6 +25,10 @@ import (
 // coalesced neighbor's — and costs no device round trip. Single-record
 // batches (and batches small enough to share a commit) may be merged with
 // concurrent Puts into one NVRAM batch commit by the pipeline's coalescer.
+//
+// The future's Result.Seq is the newest commit seq of the group commit that
+// carried the batch: at least each of its records' seqs, and below every
+// record a later commit writes.
 //
 // The pipeline copies the records into the future it returns, so the caller
 // may reuse batch once SubmitPut returns; the values the records name are not
@@ -100,9 +105,9 @@ func (d *Device) execCommand(cmd *cmdq.Command) cmdq.Result {
 	var res cmdq.Result
 	switch cmd.Op {
 	case cmdq.OpGet:
-		res.Value, res.Err = d.execGet(cmd.Namespace, cmd.Key)
+		res.Value, res.Seq, res.Err = d.execGet(cmd.Namespace, cmd.Key, cmd.TS)
 	case cmdq.OpPut, cmdq.OpPutBatch:
-		res.Err = d.execPut(cmd.Records, cmd.Merged)
+		res.Seq, res.Err = d.execPut(cmd.Records, cmd.Merged)
 		res.Due = d.eng.NowCheap() + d.ctrl.Config().CompletionLatency
 		return res
 	case cmdq.OpSnapshot:

@@ -652,6 +652,13 @@ func (c *Cache) CreateTable(name string, expectedRows int) (Namespace, error) {
 // HitRatio reports the cache's hit ratio so far.
 func (c *Cache) HitRatio() float64 { return c.c.HitRatio() }
 
+// CacheStats counts the caching layer's events: the reads it served and
+// missed (both isolation levels), evictions, commits and aborts.
+type CacheStats = cache.Stats
+
+// Stats returns the cache's counters so far.
+func (c *Cache) Stats() CacheStats { return c.c.Stats() }
+
 // Txn is a transaction on the caching layer (paper Table II / Fig. 2).
 type Txn struct {
 	tx  storage.Tx
