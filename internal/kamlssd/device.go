@@ -553,17 +553,56 @@ func (d *Device) Stats() Stats {
 	return st
 }
 
-// programPage programs one flash page and, when the program succeeds,
-// counts it — the one place a page program is counted, whichever stream
-// issued it (host flush or GC relocation), so Programs x PageSize is
-// FlashBytesWritten.
+// programPage programs one flash page for either stream and applies the
+// program-fault policy; its callers only decide what to do next. A success is
+// counted here alone (Programs x PageSize is FlashBytesWritten), a power cut
+// marks the device crashed, and an injected failure, which consumes the page,
+// is counted and marks the block for retirement at its next erase
+// (collectBlock). Any other error is a firmware bug. Called with no lock held.
 func (d *Device) programPage(ppn flash.PPN, data, oob []byte) error {
 	err := d.arr.ProgramPage(ppn, data, oob)
-	if err == nil {
+	switch {
+	case err == nil:
 		d.ctr.programs.Inc()
 		d.ctr.flashBytes.Add(int64(d.fc.PageSize))
+	case errors.Is(err, flash.ErrPowerCut):
+		d.noticePowerLoss()
+	case errors.Is(err, flash.ErrInjectedFailure):
+		d.ctr.programRetries.Inc()
+		if lg, lc, b := d.blockOf(ppn); lc != nil {
+			lg.mu.Lock()
+			lc.blocks[b].progFailed++
+			lg.gcRetry()
+			lg.mu.Unlock()
+		}
+	default:
+		panic(fmt.Sprintf("kamlssd: program %d: %v", ppn, err))
 	}
 	return err
+}
+
+// readRecords reads page ppn whole and appends its records, which alias the
+// page, to placed: the one page read of the victim and recovery scans, which
+// filter the records themselves. It retries an injected read failure up to
+// maxReadRetries times; a page whose OOB does not check (torn, garbage,
+// consumed by a failed program) is torn and carries nothing.
+func (d *Device) readRecords(ppn flash.PPN, placed []record.Placed) (_ []record.Placed, torn bool, err error) {
+	var data, oob []byte
+	for tries := 0; ; tries++ {
+		data, oob, err = d.arr.ReadPage(ppn)
+		if err == nil || !errors.Is(err, flash.ErrInjectedFailure) || tries >= maxReadRetries {
+			break
+		}
+		d.ctr.readRetries.Inc()
+	}
+	if err != nil || !checkOOB(oob, data) {
+		return placed, err == nil, err
+	}
+	placed, err = record.AppendParsed(placed, data, oob, chunkSize)
+	if err != nil {
+		err = fmt.Errorf("kamlssd: parse ppn %d: %w", ppn, err)
+	}
+	return placed, false, err
 }
 
 // PowerFail cuts power: the flash array stops accepting operations, the

@@ -340,37 +340,26 @@ func (c *collector) collectBlock(chipIdx, block int) {
 	if d.tel != nil {
 		d.gcPhase[phaseErase].ObserveDuration(d.eng.NowCheap() - start)
 	}
-	if err != nil {
-		// Erase failure: take the block out of service permanently. The
-		// retirement is recorded in NVRAM so recovery never reuses it.
-		lg.mu.Lock()
-		lg.chips[chipIdx].blocks[block].retired = true
-		lg.chips[chipIdx].blocks[block].sealed = false
-		lg.mu.Unlock()
-		d.nvMu.Lock()
-		d.nv.retireBlock(first)
-		d.nvMu.Unlock()
-		d.ctr.blocksRetired.Inc()
-		lg.gcErases.Inc()
-		return
-	}
 	lg.gcErases.Inc()
-	d.nvMu.Lock()
-	erased := d.nv.nvSeq
-	d.nvMu.Unlock()
+	var erased uint64
+	if err == nil {
+		d.nvMu.Lock()
+		erased = d.nv.nvSeq
+		d.nvMu.Unlock()
+	}
 	lg.mu.Lock()
-	lg.gcCovered = false // the erase returns what a covered take borrowed
 	bm := &lg.chips[chipIdx].blocks[block]
-	lg.learnHotLife(bm, erased)
 	bm.sealed = false
-	bm.validBytes, bm.maxChunks = 0, 0
-	retire := bm.progFailed > 0
+	if err == nil {
+		lg.gcCovered = false // the erase returns what a covered take borrowed
+		lg.learnHotLife(bm, erased)
+		bm.validBytes, bm.maxChunks = 0, 0
+	}
+	// Bad-block policy: a block whose erase failed, or that ate a program in
+	// its last life (programPage), is retired for good, in NVRAM too.
+	retire := err != nil || bm.progFailed > 0
 	if retire {
-		// The block ate at least one program during its last life; retire
-		// it rather than risk further failures (conservative bad-block
-		// policy — the erase itself succeeded).
-		bm.retired = true
-		bm.progFailed = 0
+		bm.retired, bm.progFailed = true, 0
 	} else {
 		lg.chips[chipIdx].free = append(lg.chips[chipIdx].free, block)
 		lg.freeBlocks++
@@ -460,42 +449,28 @@ func (c *collector) endScan() {
 }
 
 // readPages is the reader of a victim scan: it reads the block's pages in
-// order and lists the records still live on them, stopping at a power cut or
-// a page unreadable after every retry (rd.err). It publishes each page's
-// records as soon as it has parsed them.
+// order (readRecords) and lists the records still live on them, stopping at a
+// page it cannot read or parse (rd.err). It publishes each page's records as
+// soon as it has parsed them.
 func (c *collector) readPages(ch, chip, block int) {
 	d, rd := c.d, &c.reader
 	live := rd.live
 	for page := range d.fc.PagesPerBlock {
 		ppn := d.arr.BlockPPN(ch, chip, block, page)
-		var data, oob []byte
 		var err error
-		for tries := 0; ; tries++ {
-			data, oob, err = d.arr.ReadPage(ppn)
-			if err == nil || !errors.Is(err, flash.ErrInjectedFailure) || tries >= maxReadRetries {
-				break
-			}
-			d.ctr.readRetries.Inc()
-		}
-		if errors.Is(err, flash.ErrPowerCut) || errors.Is(err, flash.ErrInjectedFailure) {
+		// A torn or garbage page carries nothing live.
+		rd.placed, _, err = d.readRecords(ppn, rd.placed[:0])
+		if err != nil {
 			c.mu.Lock()
 			rd.err = err
 			c.pageRead.Signal()
 			c.mu.Unlock()
 			return
 		}
-		// An unwritten page, or a torn or garbage one, carries nothing live.
-		if err == nil && checkOOB(oob, data) {
-			var perr error
-			rd.placed, perr = record.AppendParsed(rd.placed[:0], data, oob, chunkSize)
-			if perr != nil {
-				panic(fmt.Sprintf("kamlssd: GC parse %d: %v", ppn, perr))
-			}
-			for _, pl := range rd.placed {
-				loc := flashLoc(ppn, pl.StartChunk, pl.NumChunks)
-				if d.recordLive(pl.Record, loc) {
-					live = append(live, gcRecord{rec: pl.Record, oldLoc: loc})
-				}
+		for _, pl := range rd.placed {
+			loc := flashLoc(ppn, pl.StartChunk, pl.NumChunks)
+			if d.recordLive(pl.Record, loc) {
+				live = append(live, gcRecord{rec: pl.Record, oldLoc: loc})
 			}
 		}
 		c.mu.Lock()
@@ -582,10 +557,9 @@ func (d *Device) recordLive(rec record.Record, loc location) bool {
 	return fam != nil && fam.chains.VersionAtLoc(rec.Key, uint64(loc)) != nil
 }
 
-// gcProgram programs one GC-stream page, rewriting on injected program
-// failures (each failed page is consumed and its block marked for
-// retirement). Returns the PPN that finally holds the data, or an error on
-// power cut — the caller must then abandon the collection without erasing.
+// gcProgram programs one GC-stream page, again on the stream's next page
+// each time a program fails. Returns the PPN that holds the data, or an error
+// on power cut — the caller must then abandon the collection without erasing.
 func (d *Device) gcProgram(lg *logState, data, oob []byte) (flash.PPN, error) {
 	for {
 		lg.mu.Lock()
@@ -594,22 +568,9 @@ func (d *Device) gcProgram(lg *logState, data, oob []byte) (flash.PPN, error) {
 		if err != nil {
 			panic(fmt.Sprintf("kamlssd: GC of log %d cannot allocate: %v", lg.id, err))
 		}
-		perr := d.programPage(ppn, data, oob)
-		if perr == nil {
-			return ppn, nil
-		}
-		if errors.Is(perr, flash.ErrPowerCut) {
-			d.noticePowerLoss()
-			return 0, perr
-		}
-		if !errors.Is(perr, flash.ErrInjectedFailure) {
-			panic(fmt.Sprintf("kamlssd: GC program: %v", perr))
-		}
-		d.ctr.programRetries.Inc()
-		if flg, lc, b := d.blockOf(ppn); lc != nil {
-			flg.mu.Lock()
-			lc.blocks[b].progFailed++
-			flg.mu.Unlock()
+		err = d.programPage(ppn, data, oob)
+		if err == nil || errors.Is(err, flash.ErrPowerCut) {
+			return ppn, err
 		}
 	}
 }
@@ -651,21 +612,9 @@ func (c *collector) flush() error {
 	for _, g := range c.group {
 		bytes += int64(g.oldLoc.nchunks() * chunkSize)
 		newLoc := flashLoc(ppn, g.newChunk, g.oldLoc.nchunks())
-		fam := d.families[g.rec.Namespace]
-		if fam == nil {
-			continue // family deleted mid-GC: dead on arrival
+		if d.swing(g.rec.Namespace, g.rec.Key, g.oldLoc, newLoc) {
+			d.discountValid(g.oldLoc)
 		}
-		fam.root.mu.Lock()
-		node := fam.chains.VersionAtLoc(g.rec.Key, uint64(g.oldLoc))
-		if node != nil {
-			node.SetLoc(uint64(newLoc))
-		}
-		fam.root.mu.Unlock()
-		if node == nil {
-			continue // version superseded and pruned mid-GC
-		}
-		d.discountValid(g.oldLoc)
-		d.creditValid(newLoc)
 	}
 	d.mu.RUnlock()
 	d.ctr.gcCopies.Add(int64(len(c.group)))

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -628,4 +630,191 @@ func TestNoGainVictimIsScannedOnce(t *testing.T) {
 			}
 		}
 	})
+}
+
+// readsIn counts the reads of pages [from, to).
+type readsIn struct {
+	from, to flash.PPN
+	n        atomic.Int64
+}
+
+func (r *readsIn) Decide(op flash.Op, p flash.PPN, _ time.Duration) flash.Verdict {
+	if op == flash.OpRead && p >= r.from && p < r.to {
+		r.n.Add(1)
+	}
+	return flash.VerdictOK
+}
+
+// A victim page whose OOB checks but whose records do not parse — its bitmap
+// does not match its data — stops the scan as a page that cannot be read
+// does: the pages after it are not read, nothing is programmed, the victim is
+// not erased, and every key reads back after a power cycle. (The page's own
+// bitmap is put back first: recovery fails on a page that does not parse.)
+func TestUnparsablePageKeepsTheVictim(t *testing.T) {
+	collectorsOff(t)
+	const bad = 4
+	r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = 2 })
+	r.e.Go("test", func() {
+		d := r.dev
+		w := newScanLoad(t, d)
+		w.put(60 * 8)
+		d.Flush()
+		lg := d.logs[0]
+		vc, vb := pickVictim(t, d, lg)
+		lg.mu.Lock()
+		live := lg.chips[vc].blocks[vb].validBytes > 0
+		lg.mu.Unlock()
+		if !live {
+			t.Fatal("setup: the victim holds no live record: keeping it proves nothing")
+		}
+		ch, chip := lg.chipAddr(vc)
+		first := r.arr.BlockPPN(ch, chip, vb, 0)
+		// The array keeps the OOB it was programmed with: rewrite its bitmap
+		// in place so that chunk 0 alone ends a record, which cuts the page's
+		// first record (eight chunks) short.
+		data, oob, err := r.arr.ReadPage(first + bad)
+		if err != nil {
+			t.Fatalf("setup: read page %d: %v", bad, err)
+		}
+		saved := bytes.Clone(oob)
+		copy(oob, buildOOB([]byte{1, 0, 0, 0, 0, 0, 0, 0}, data))
+		if _, perr := record.Parse(data, oob, chunkSize); !checkOOB(oob, data) || perr == nil {
+			t.Fatalf("setup: page %d checks %v and parses (%v): want it to check and not parse", bad, checkOOB(oob, data), perr)
+		}
+		erases, programs := r.arr.EraseCount(first), r.arr.Stats().Programs
+		reads := &readsIn{from: first + bad + 1, to: first + flash.PPN(d.fc.PagesPerBlock)}
+		r.arr.SetInjector(reads)
+		newCollector(d, lg).collectBlock(vc, vb)
+		r.arr.SetInjector(nil)
+		if n := reads.n.Load(); n != 0 {
+			t.Errorf("the scan read %d pages after the one that does not parse", n)
+		}
+		if d.crashed.Load() {
+			t.Error("the device crashed")
+		}
+		if n := r.arr.EraseCount(first); n != erases || r.arr.ProgrammedPages(first) != d.fc.PagesPerBlock {
+			t.Errorf("the victim was erased (%d erases, was %d)", n, erases)
+		}
+		if n := r.arr.Stats().Programs - programs; n != 0 {
+			t.Errorf("the abandoned collection programmed %d pages", n)
+		}
+		copy(oob, saved)
+		dev2, err := powerCycle(d, r.arr, r.ctrl)
+		if err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		defer dev2.Close()
+		w.checkAll(dev2)
+	})
+	r.e.Wait()
+}
+
+// failProgramOf fails the first program of one page.
+type failProgramOf struct {
+	ppn   flash.PPN
+	fired atomic.Bool
+}
+
+func (f *failProgramOf) Decide(op flash.Op, p flash.PPN, _ time.Duration) flash.Verdict {
+	if op == flash.OpProgram && p == f.ppn && !f.fired.Swap(true) {
+		return flash.VerdictFail
+	}
+	return flash.VerdictOK
+}
+
+// A program that fails on the GC stream mid-relocation consumes its page
+// (programPage): it is counted once in ProgramRetries, the copy lands on the
+// stream's next page, and the collection goes on to erase its victim. The
+// block that ate the program is retired at its next erase, and every key
+// reads back after a power cycle.
+func TestGCProgramFailureRetiresItsBlock(t *testing.T) {
+	collectorsOff(t)
+	fc := testFlashConfig()
+	fc.PagesPerBlock = 16 // a victim's sixteen cold keys relocate into two pages at least
+	r := newSerialRig(1, fc, func(c *Config) { c.NumLogs = 2 })
+	r.e.Go("test", func() {
+		d := r.dev
+		w := newScanLoad(t, d)
+		w.put(8 * fc.PagesPerBlock * 2 * 10) // ten blocks a log
+		d.Flush()
+		lg := d.logs[0]
+		c := newCollector(d, lg)
+		vc, vb := pickVictim(t, d, lg)
+		gcChip := openGCBlock(t, lg, vc)
+		lg.mu.Lock()
+		gcBlock := lg.active[streamGC].block
+		failed := &lg.chips[gcChip].blocks[gcBlock]
+		lg.mu.Unlock()
+		ch, chip := lg.chipAddr(vc)
+		first := r.arr.BlockPPN(ch, chip, vb, 0)
+		gch, gchip := lg.chipAddr(gcChip)
+		gcFirst := r.arr.BlockPPN(gch, gchip, gcBlock, 0)
+		erases, before := r.arr.EraseCount(first), d.Stats()
+		inj := &failProgramOf{ppn: gcFirst + 1}
+		r.arr.SetInjector(inj)
+		c.collectBlock(vc, vb)
+		r.arr.SetInjector(nil)
+		if !inj.fired.Load() {
+			t.Fatal("setup: the relocation programmed fewer than two pages")
+		}
+		if n := d.Stats().ProgramRetries - before.ProgramRetries; n != 1 {
+			t.Errorf("ProgramRetries rose by %d, want 1", n)
+		}
+		if n := r.arr.EraseCount(first); n != erases+1 {
+			t.Errorf("the victim has %d erases, want %d", n, erases+1)
+		}
+		lg.mu.Lock()
+		progFailed := failed.progFailed
+		lg.mu.Unlock()
+		if progFailed != 1 {
+			t.Errorf("the GC block counts %d failed programs, want 1", progFailed)
+		}
+		// The consumed page carries nothing; the copies on the next page are
+		// the versions the index holds.
+		if _, torn, err := d.readRecords(gcFirst+1, nil); !torn || err != nil {
+			t.Errorf("the failed page reads torn=%v (%v), want torn", torn, err)
+		}
+		placed, torn, err := d.readRecords(gcFirst+2, nil)
+		if torn || err != nil || len(placed) == 0 {
+			t.Fatalf("the page after the failed one holds %d records (torn=%v, %v)", len(placed), torn, err)
+		}
+		fam := d.families[w.ns]
+		for _, pl := range placed {
+			if fam.chains.VersionAtLoc(pl.Record.Key, uint64(flashLoc(gcFirst+2, pl.StartChunk, pl.NumChunks))) == nil {
+				t.Errorf("key %d was relocated past the failed page, but the index does not point at the copy", pl.Record.Key)
+			}
+		}
+		// Collect until the GC stream has filled the block, then the block.
+		for {
+			lg.mu.Lock()
+			sealed := failed.sealed
+			lg.mu.Unlock()
+			if sealed {
+				break
+			}
+			c.collectBlock(pickVictim(t, d, lg))
+		}
+		retired, gcErases := d.Stats().BlocksRetired, r.arr.EraseCount(gcFirst)
+		c.collectBlock(gcChip, gcBlock)
+		if n := d.Stats().BlocksRetired - retired; n != 1 {
+			t.Errorf("collecting the block that ate a program retired %d blocks, want 1", n)
+		}
+		lg.mu.Lock()
+		isRetired, onFree := failed.retired, slices.Contains(lg.chips[gcChip].free, gcBlock)
+		lg.mu.Unlock()
+		if !isRetired || onFree || r.arr.EraseCount(gcFirst) != gcErases+1 {
+			t.Errorf("the block that ate a program: retired %v, on the free list %v, %d erases (was %d)",
+				isRetired, onFree, r.arr.EraseCount(gcFirst), gcErases)
+		}
+		dev2, err := powerCycle(d, r.arr, r.ctrl)
+		if err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		defer dev2.Close()
+		if !dev2.logs[0].chips[gcChip].blocks[gcBlock].retired {
+			t.Error("recovery put the retired block back in service")
+		}
+		w.checkAll(dev2)
+	})
+	r.e.Wait()
 }

@@ -345,13 +345,10 @@ func (lg *logState) nextPPN(s int) (flash.PPN, error) {
 // chip for its programs, reads or erase, so on a log with more chips than
 // streams the block comes from a chip that holds no job s must keep apart
 // from (busyChip): the flusher then does not program behind its own
-// collector, nor the collector behind the flusher. A host stream first tries
-// the other host stream's chip: the two share the flusher, which programs one
-// page at a time, so sharing a chip costs them nothing and leaves the log's
-// other chips to the victim and the GC stream. Then it is the first such
-// chip in rotation. When no chip with a free block qualifies, and on a
-// log too small to keep its jobs apart, it takes the next chip in rotation
-// that has one. Either way it wakes the log's collector when that takes the
+// collector, nor the collector behind the flusher: the first such chip in
+// rotation. When no chip with a free block qualifies, and on a log too small
+// to keep its jobs apart, it takes the next chip in rotation that has one.
+// Either way it wakes the log's collector when that takes the
 // log below its low watermark — the host and the GC stream both consume free
 // blocks here and nowhere else. Called with lg.mu held.
 func (lg *logState) openBlock(s int) (*appendPoint, error) {
@@ -362,13 +359,6 @@ func (lg *logState) openBlock(s int) (*appendPoint, error) {
 	}
 	n := len(lg.chips)
 	if n > numStreams {
-		if s != streamGC {
-			if other := lg.active[numHostStreams-1-s]; other != nil && !lg.busyChip(s, other.chip) {
-				if b, ok := lg.popFree(other.chip); ok {
-					return &appendPoint{chip: other.chip, block: b}, nil
-				}
-			}
-		}
 		for i := 0; i < n; i++ {
 			ci := (lg.nextChip + i) % n
 			if lg.busyChip(s, ci) {
@@ -763,31 +753,17 @@ func (d *Device) flusherLoop(lg *logState) {
 			floor := d.fc.ProgramLatency + d.fc.TransferTime(d.fc.PageSize+d.fc.OOBSize)
 			wait.ObserveDuration(d.eng.NowCheap() - start - floor)
 		}
+		if errors.Is(err, flash.ErrPowerCut) {
+			// The records are safe in NVRAM; recovery replays them. Exit
+			// without installing anything.
+			return
+		}
 		if err != nil {
-			if errors.Is(err, flash.ErrPowerCut) {
-				// Power died mid-program. The records are safe in NVRAM;
-				// recovery replays them. Exit without installing anything.
-				d.noticePowerLoss()
-				return
-			}
-			if !errors.Is(err, flash.ErrInjectedFailure) {
-				panic(fmt.Sprintf("kamlssd: log %d program %d: %v", lg.id, sp.ppn, err))
-			}
-			// Program failure: the page is consumed with garbage. Rewrite
-			// the payload at the log's next free page and remember the
-			// failure so GC retires the block once it drains (bad-block
-			// handling). The consumed page cannot be retried — a block
-			// programs strictly in order — so the image re-enters the back of
+			// The failed program consumed its page, so the image re-enters
 			// the queue without an address and takes the log's next page when
-			// it is dequeued again. No data is lost: the values are still in
-			// NVRAM and the index still points there.
-			d.ctr.programRetries.Inc()
+			// dequeued again; its values are still in NVRAM and indexed there.
 			lg.mu.Lock()
-			if flg, lc, b := d.blockOf(sp.ppn); lc != nil && flg == lg {
-				lc.blocks[b].progFailed++
-			}
 			lg.inflight = sealedPage{}
-			lg.gcRetry() // the consumed page may have completed its block
 			sp.ppn = 0
 			lg.sealedQueue = append(lg.sealedQueue, sp)
 			lg.mu.Unlock()
@@ -836,18 +812,7 @@ func newestSeq(pending []pendingRec) uint64 {
 // namespace or log lock.
 func (d *Device) installFlashLoc(pr pendingRec, ppn flash.PPN) {
 	nchunks := (pr.size + chunkSize - 1) / chunkSize
-	loc := flashLoc(ppn, pr.chunk, nchunks)
-	if fam := d.families[pr.ns]; fam != nil {
-		fam.root.mu.Lock()
-		node := fam.chains.VersionAtLoc(pr.key, uint64(nvramLoc(pr.seq)))
-		if node != nil {
-			node.SetLoc(uint64(loc))
-		}
-		fam.root.mu.Unlock()
-		if node != nil {
-			d.creditValid(loc)
-		}
-	}
+	d.swing(pr.ns, pr.key, nvramLoc(pr.seq), flashLoc(ppn, pr.chunk, nchunks))
 	// Release the NVRAM copy — unless its batch has not committed yet, in
 	// which case the entry stays as an uncommitted marker so recovery knows
 	// this flash record belongs to an unfinished batch.
@@ -858,6 +823,28 @@ func (d *Device) installFlashLoc(pr pendingRec, ppn flash.PPN) {
 	if pr.staged > 0 {
 		d.flashInstall.ObserveDuration(d.eng.NowCheap() - pr.staged)
 	}
+}
+
+// swing moves key's version at location from to location to and credits to's
+// block: the one chain swing, for the flusher's install and GC's relocation.
+// Reports false when no version is at from (pruned, aborted, or its family
+// deleted): the copy at to is dead on arrival. Called with d.mu read-held.
+func (d *Device) swing(ns uint32, key uint64, from, to location) bool {
+	fam := d.families[ns]
+	if fam == nil {
+		return false
+	}
+	fam.root.mu.Lock()
+	node := fam.chains.VersionAtLoc(key, uint64(from))
+	if node != nil {
+		node.SetLoc(uint64(to))
+	}
+	fam.root.mu.Unlock()
+	if node == nil {
+		return false
+	}
+	d.creditValid(to)
+	return true
 }
 
 // creditValid adds a record's footprint to its block's valid counter, and

@@ -345,36 +345,20 @@ func (d *Device) readPages(rd *pageReader, failed *atomic.Bool) error {
 	return nil
 }
 
-// scanPage reads one programmed page and lists every surviving record on it.
+// scanPage reads one programmed page (readRecords) and lists every surviving
+// record on it. A torn or persistently unreadable page is skipped: its records
+// are served by an older copy or the NVRAM replay. A page that does not
+// parse fails the recovery.
 func (d *Device) scanPage(rd *pageReader, ppn flash.PPN) error {
 	d.ctr.scannedPages.Inc()
-	var data, oob []byte
-	var err error
-	for tries := 0; ; tries++ {
-		data, oob, err = d.arr.ReadPage(ppn)
-		if err == nil || !errors.Is(err, flash.ErrInjectedFailure) || tries >= maxReadRetries {
-			break
-		}
-		d.ctr.readRetries.Inc()
-	}
-	if err != nil {
-		if errors.Is(err, flash.ErrInjectedFailure) {
-			// A persistently unreadable page: skip it. Any record whose
-			// newest copy sat there is served by an older copy or the
-			// NVRAM replay (committed data is in NVRAM until installed).
-			d.ctr.tornPagesSkipped.Inc()
-			return nil
-		}
-		return fmt.Errorf("kamlssd: recovery scan ppn %d: %w", ppn, err)
-	}
-	if !checkOOB(oob, data) {
+	placed, torn, err := d.readRecords(ppn, rd.placed[:0])
+	rd.placed = placed
+	switch {
+	case torn || errors.Is(err, flash.ErrInjectedFailure):
 		d.ctr.tornPagesSkipped.Inc()
 		return nil
-	}
-	placed, perr := record.AppendParsed(rd.placed[:0], data, oob, chunkSize)
-	rd.placed = placed
-	if perr != nil {
-		return fmt.Errorf("kamlssd: recovery parse ppn %d: %w", ppn, perr)
+	case err != nil:
+		return fmt.Errorf("kamlssd: recovery scan: %w", err)
 	}
 	if rd.recs == nil && len(placed) > 0 {
 		// Size the list once, from the first page holding records: a chip's
