@@ -37,9 +37,11 @@
 //	                  flusher out of erased blocks) and gcCv (the
 //	                  collector) ride on it.
 //	d.nvMu (Mutex)    the NVRAM region: staged values, batches, catalog,
-//	                  bad-block table. drainCv (Flush) and roomCv (a
-//	                  writer that met every log of its namespace full,
-//	                  waiting for any flusher to make room) ride on it.
+//	                  bad-block table. drainCv (Flush) and the conditions
+//	                  of the room event (a writer that met every log of
+//	                  its namespace full, waiting for any flusher to make
+//	                  room) and the batch-end event (a read or a snapshot
+//	                  that met a half-staged Put batch) ride on it.
 //
 // An actor may acquire locks only downward in that order, at most one
 // namespace lock and one log lock at a time (Put touches namespaces one
@@ -154,11 +156,6 @@ const (
 	defaultIndexCap = 1 << 16
 )
 
-// retryBackoff is how long an actor waits between looks at a window another
-// actor closes in bounded virtual time: a Put batch between its first staged
-// record and its commit marker (pinned readers, snapshot creation).
-const retryBackoff = 50 * time.Microsecond
-
 // NamespaceAttrs configure CreateNamespace.
 type NamespaceAttrs struct {
 	IndexCapacity int       // mapping-table capacity (0 = device default)
@@ -218,14 +215,16 @@ type Device struct {
 	drainers atomic.Int64
 	drainCv  *sim.Cond
 
-	// roomCv (on nvMu) is where a writer that met every log of its
-	// namespace full waits for any flusher to make room (awaitRoom).
-	// roomEvents counts the room events — a flusher sealing a page a writer
-	// left (madeRoom) — and roomWaiters the writers registered to hear of
-	// the next one, so a flusher takes nvMu only when one is.
-	roomCv      *sim.Cond
-	roomEvents  atomic.Uint64
-	roomWaiters atomic.Int64
+	// room is where a writer that met every log of its namespace full
+	// waits for any flusher to make room (awaitRoom): raised when a flusher
+	// seals a page a writer left (madeRoom).
+	room event
+	// batchEnd is where a read that met a pending version and a snapshot
+	// that met a half-staged batch wait for that batch to commit or abort
+	// (awaitBatchEnd): raised by execPut when it stamps a commit and when it
+	// releases its namespaces, which an aborted batch does right after its
+	// rollback.
+	batchEnd event
 
 	// pipe is the asynchronous command pipeline: Get/Put/Snapshot commands
 	// are executed by its worker actors, small concurrent Puts are merged
@@ -423,7 +422,8 @@ func (d *Device) initLocks() {
 	d.mu = d.eng.NewRWMutex("kaml-dev")
 	d.nvMu = d.eng.NewMutex("kaml-nvram")
 	d.drainCv = d.eng.NewCond(d.nvMu)
-	d.roomCv = d.eng.NewCond(d.nvMu)
+	d.room.cv = d.eng.NewCond(d.nvMu)
+	d.batchEnd.cv = d.eng.NewCond(d.nvMu)
 	d.keyLks = newKeyLockTable(d.eng)
 	d.chainLenObs = func(l int) { d.chainLen.Observe(int64(l)) }
 }
@@ -624,8 +624,8 @@ func (d *Device) AwaitHalt() {
 
 // noticePowerLoss marks the device crashed after an actor observed the
 // array powered off, and wakes every actor blocked on a log condition —
-// work, a free block, the collector's wake-up — or on a log with room, so it
-// can exit.
+// work, a free block, the collector's wake-up — on a log with room or on a
+// batch end, so it can exit.
 // Idempotent. Callers must not hold any log mutex (the broadcast takes each
 // in turn so parked waiters cannot miss the wakeup).
 func (d *Device) noticePowerLoss() {
@@ -637,8 +637,9 @@ func (d *Device) noticePowerLoss() {
 		lg.wakeAll()
 	}
 	d.nvMu.Lock()
-	d.drainCv.Broadcast() // Flush gives up on a dead device
-	d.roomCv.Broadcast()  // and a writer waiting for a log with room on it
+	d.drainCv.Broadcast()     // Flush gives up on a dead device
+	d.room.cv.Broadcast()     // and a writer waiting for a log with room on it
+	d.batchEnd.cv.Broadcast() // and a read or a snapshot waiting for a batch
 	d.nvMu.Unlock()
 	// Poison the command pipeline last: pending writes and future commands
 	// fail with ErrPowerLoss instead of executing, and submitters blocked on
@@ -648,6 +649,46 @@ func (d *Device) noticePowerLoss() {
 	if d.pipe != nil {
 		d.pipe.Fail(ErrPowerLoss)
 	}
+}
+
+// event is one firmware event that actors wait for by count: a waiter reads
+// seen before it tests what it waits for, and await parks it until an
+// occurrence after that one. Raising it costs an atomic add and load while
+// nobody waits; it takes the condition's lock only for a registered waiter,
+// so a run where nobody waits keeps its schedule.
+type event struct {
+	cv      *sim.Cond // on nvMu
+	n       atomic.Uint64
+	waiters atomic.Int64
+}
+
+// seen returns how many times the event has occurred.
+func (e *event) seen() uint64 { return e.n.Load() }
+
+// raise records an occurrence and wakes every registered waiter.
+func (e *event) raise() {
+	e.n.Add(1)
+	if e.waiters.Load() > 0 {
+		e.cv.L.Lock()
+		e.cv.Broadcast()
+		e.cv.L.Unlock()
+	}
+}
+
+// await parks until an occurrence after the seen-th or a power cut
+// (noticePowerLoss broadcasts every event's condition). Called with no lock
+// held.
+func (e *event) await(seen uint64, crashed *atomic.Bool) {
+	e.cv.L.Lock()
+	// Registered before the test, as cmdq's queue-space waiters are: a
+	// raiser that reads no waiter counted its occurrence before this test,
+	// which then sees it.
+	e.waiters.Add(1)
+	for e.n.Load() == seen && !crashed.Load() {
+		e.cv.Wait()
+	}
+	e.waiters.Add(-1)
+	e.cv.L.Unlock()
 }
 
 // closedErr returns the right error for an operation arriving after the

@@ -469,16 +469,7 @@ func (d *Device) awaitRoom(seen uint64) error {
 	if d.tel != nil {
 		start = d.eng.NowCheap()
 	}
-	d.nvMu.Lock()
-	// Registered before the test, as cmdq's queue-space waiters are: a
-	// flusher that reads no waiter made its room event before this test,
-	// which then sees it.
-	d.roomWaiters.Add(1)
-	for d.roomEvents.Load() == seen && !d.crashed.Load() {
-		d.roomCv.Wait()
-	}
-	d.roomWaiters.Add(-1)
-	d.nvMu.Unlock()
+	d.room.await(seen, &d.crashed)
 	if d.tel != nil {
 		d.logFullWait.ObserveDuration(d.eng.NowCheap() - start)
 	}
@@ -490,16 +481,8 @@ func (d *Device) awaitRoom(seen uint64) error {
 
 // madeRoom is a room event: a flusher sealed a page that a writer left, so
 // its log takes records again. It wakes the writers waiting for a log with
-// room (awaitRoom), and takes nvMu for that only when one is registered.
-// Called with lg.mu held; nvMu nests inside it.
-func (d *Device) madeRoom() {
-	d.roomEvents.Add(1)
-	if d.roomWaiters.Load() > 0 {
-		d.nvMu.Lock()
-		d.roomCv.Broadcast()
-		d.nvMu.Unlock()
-	}
-}
+// room (awaitRoom). Called with lg.mu held; nvMu nests inside it.
+func (d *Device) madeRoom() { d.room.raise() }
 
 // gcRetry tells a starved collector to look again: something that can make a
 // victim eligible or gainful just happened on this log. Called with lg.mu
@@ -620,7 +603,7 @@ func (d *Device) appendRecord(ns *namespace, lg *logState, cur uint64, rec recor
 		if full++; full == 1 {
 			// Read under the first full log's lock: a room event on any log
 			// from here on is one this writer waits for, not one it missed.
-			seen = d.roomEvents.Load()
+			seen = d.room.seen()
 		}
 		lg.mu.Unlock()
 		ns.mu.RLock()

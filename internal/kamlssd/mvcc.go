@@ -216,12 +216,12 @@ func (d *Device) VersionStats(nsID uint32) (keys, versions, maxChain int, err er
 }
 
 // nvFetch copies a staged value out of NVRAM under the NVRAM lock (the
-// buffer itself is pooled and may be recycled after release). A staged
+// buffer goes back on the NVRAM's free list at release). A staged
 // value whose batch has no commit marker yet is NOT served — that would be
-// a dirty read (the batch may still abort). The reader waits out the
-// window; the writer resolves it in bounded virtual time by either writing
-// the marker or rolling the chain back. hit is false when the location no
-// longer names a staged value (installed to flash, or rolled back).
+// a dirty read (the batch may still abort). The reader waits for the batch
+// to end (awaitBatchEnd): execPut writes the marker or rolls the chain back
+// and raises batchEnd. hit is false when the location no longer names a
+// staged value (installed to flash, or rolled back).
 func (d *Device) nvFetch(loc location) (v []byte, hit bool, err error) {
 	for {
 		if !d.nv.hasStaged() {
@@ -230,6 +230,7 @@ func (d *Device) nvFetch(loc location) (v []byte, hit bool, err error) {
 			// every value this location could name).
 			return nil, false, nil
 		}
+		seen := d.batchEnd.seen()
 		d.nvMu.Lock()
 		v, committed, ok := d.nv.valueState(loc.seq())
 		if ok && committed {
@@ -242,12 +243,23 @@ func (d *Device) nvFetch(loc location) (v []byte, hit bool, err error) {
 		if committed {
 			return v, true, nil
 		}
-		if d.crashed.Load() || !d.arr.Powered() {
-			d.noticePowerLoss()
-			return nil, false, ErrPowerLoss
+		if err := d.awaitBatchEnd(seen); err != nil {
+			return nil, false, err
 		}
-		d.eng.Sleep(retryBackoff)
 	}
+}
+
+// awaitBatchEnd parks a read or a snapshot that met a half-staged Put batch
+// until a batch ends after the seen-th end, the count it read before it
+// looked at the batch. execPut ends every batch it begins, by its commit or
+// its rollback, so the wait is bounded. Fails on a power cut.
+func (d *Device) awaitBatchEnd(seen uint64) error {
+	if d.crashed.Load() || !d.arr.Powered() {
+		d.noticePowerLoss()
+		return ErrPowerLoss
+	}
+	d.batchEnd.await(seen, &d.crashed)
+	return nil
 }
 
 // versionRead is one read in flight: which key, in whose view, as of when.
@@ -273,11 +285,12 @@ type versionRead struct {
 // waited out — execPut pushes versions record by record before the batch's
 // single commit point, so the chain can briefly name a value that is not
 // yet, and might never be, committed; serving it would be a dirty read. The
-// writer ends the wait in bounded virtual time by stamping the version
-// committed or popping it.
+// wait ends at the batch's end (awaitBatchEnd): execPut stamps the version
+// committed or pops it, then raises batchEnd.
 func (r *versionRead) resolve() (location, error) {
 	d := r.d
 	for {
+		seen := d.batchEnd.seen()
 		head := r.chain.Head() // nil before the first lookup
 		probes := 0
 		if head == nil {
@@ -306,12 +319,10 @@ func (r *versionRead) resolve() (location, error) {
 			}
 			return 0, fmt.Errorf("%w: ns %d key %d", ErrKeyNotFound, r.ns.id, r.key)
 		}
-		// ErrPendingVersion: wait for the commit marker or the rollback.
-		if d.crashed.Load() || !d.arr.Powered() {
-			d.noticePowerLoss()
-			return 0, ErrPowerLoss
+		// ErrPendingVersion: wait for the commit stamp or the rollback.
+		if err := d.awaitBatchEnd(seen); err != nil {
+			return 0, err
 		}
-		d.eng.Sleep(retryBackoff)
 	}
 }
 

@@ -145,6 +145,9 @@ func (d *Device) execPut(batch []PutRecord, merged int) (uint64, error) {
 				s.ns.pendingBatches.Add(-1)
 			}
 		}
+		// The batch's end for a snapshot waiting on its namespaces, and for
+		// a read of a version it popped if it aborted.
+		d.batchEnd.raise()
 	}()
 	for _, r := range batch {
 		slot := &nss[nsIndex(nss, r.Namespace)]
@@ -271,6 +274,7 @@ func (d *Device) execPut(batch []PutRecord, merged int) (uint64, error) {
 	for _, u := range undo {
 		u.ns.fam.chains.Commit(u.node)
 	}
+	d.batchEnd.raise() // a read waiting on a version of the batch takes it now
 	var pinBuf [8]uint64
 	pins, floor := d.snapshotPins(pinBuf[:0])
 	pruned := 0

@@ -28,8 +28,9 @@ var ErrReadOnly = errors.New("kamlssd: namespace is a read-only snapshot")
 //
 // Creation waits out in-flight Put batches touching the source so the
 // pinned cutoff is settled: every version at or below it has its commit
-// decision (and commit stamp) already in place. Like Get, the command runs
-// on the caller through the pipeline's direct path.
+// decision (and commit stamp) already in place. The wait ends at a batch's
+// end, when execPut releases the source (awaitBatchEnd). Like Get, the
+// command runs on the caller through the pipeline's direct path.
 func (d *Device) SnapshotNamespace(nsID uint32) (uint32, error) {
 	d.ctrl.Submission()
 	res := d.pipe.RunDirect(&cmdq.Command{Op: cmdq.OpSnapshot, Namespace: nsID})
@@ -48,6 +49,7 @@ func (d *Device) execSnapshot(nsID uint32) (uint32, error) {
 
 	var snapID uint32
 	for {
+		seen := d.batchEnd.seen()
 		d.mu.Lock()
 		src, ok := d.namespaces[nsID]
 		if !ok {
@@ -56,11 +58,14 @@ func (d *Device) execSnapshot(nsID uint32) (uint32, error) {
 		}
 		if src.pendingBatches.Load() > 0 {
 			// A Put batch has staged some but possibly not all of its
-			// records. Wait for it to commit or abort — without holding the
-			// device lock, since draining the batch may need the flusher
-			// (which installs under d.mu.RLock).
+			// records. Wait for its end — execPut raises batchEnd as it
+			// releases the namespace, committed or aborted — without
+			// holding the device lock, since draining the batch may need
+			// the flusher (which installs under d.mu.RLock).
 			d.mu.Unlock()
-			d.eng.Sleep(retryBackoff)
+			if err := d.awaitBatchEnd(seen); err != nil {
+				return 0, err
+			}
 			continue
 		}
 		src.mu.Lock()
@@ -70,7 +75,9 @@ func (d *Device) execSnapshot(nsID uint32) (uint32, error) {
 			// may already have staged a prefix — retry.
 			src.mu.Unlock()
 			d.mu.Unlock()
-			d.eng.Sleep(retryBackoff)
+			if err := d.awaitBatchEnd(seen); err != nil {
+				return 0, err
+			}
 			continue
 		}
 
