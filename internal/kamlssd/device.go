@@ -226,9 +226,10 @@ type Device struct {
 	// rollback.
 	batchEnd event
 
-	// pipe is the asynchronous command pipeline: Get/Put/Snapshot commands
-	// are executed by its worker actors, small concurrent Puts are merged
-	// by its coalescer (see pipeline.go for the submission glue).
+	// pipe is the asynchronous command pipeline: a Get or Snapshot runs on
+	// its caller (RunDirect), and every write runs on its coalescer shard,
+	// which merges small concurrent Puts (see pipeline.go for the
+	// submission glue).
 	pipe *cmdq.Pipeline
 
 	// ctr holds the firmware's counted events, one cell each (metrics.go).

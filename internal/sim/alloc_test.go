@@ -48,68 +48,110 @@ const (
 // queue slot of a contended lock or a condition wait, not the reason the
 // stall dump would print, and not a one-shot event's wait.
 func TestParksDoNotAllocate(t *testing.T) {
-	cases := []struct {
-		name  string
-		setup func(e *Engine, stop *atomic.Bool) (op, partner func())
-	}{
-		{"Sleep", func(e *Engine, _ *atomic.Bool) (op, partner func()) {
-			return func() { e.Sleep(time.Microsecond) }, nil
-		}},
-		// Each holds the mutex across a sleep, so every Lock but the first
-		// finds it held and parks until the other's Unlock hands it over.
-		{"contended Mutex handoff", func(e *Engine, stop *atomic.Bool) (op, partner func()) {
-			m := e.NewMutex("m")
-			use := func() { m.Lock(); e.Sleep(time.Microsecond); m.Unlock() }
-			return use, func() {
-				for !stop.Load() {
-					use()
-				}
-			}
-		}},
-		// Ping-pong on one condition: each waits for its turn, passes the
-		// turn on and signals.
-		{"Cond wait and signal", func(e *Engine, stop *atomic.Bool) (op, partner func()) {
-			m := e.NewMutex("m")
-			c := e.NewCond(m)
-			turn := 0
-			step := func(me int) {
-				m.Lock()
-				for turn != me {
-					c.Wait()
-				}
-				turn = 1 - me
-				c.Signal()
-				m.Unlock()
-			}
-			return func() { step(0) }, func() {
-				for !stop.Load() {
-					step(1)
-				}
-			}
-		}},
-		// The partner opens each latch a microsecond after the measured actor
-		// has parked on it.
-		{"blocked Latch wait", func(e *Engine, _ *atomic.Bool) (op, partner func()) {
-			latches := make([]Latch, parkCalls)
-			next := 0
-			return func() {
-					latches[next].Wait(e)
-					next++
-				}, func() {
-					for i := range latches {
-						e.Sleep(time.Microsecond)
-						latches[i].Open(e)
-					}
-				}
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range parks {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := parkAllocs(t, tc.setup); got != 0 {
 				t.Errorf("%s allocates %.2f times per call, want 0", tc.name, got)
 			}
 		})
 	}
+}
+
+// The same parks, and the latch waits of TestLatchOpenAt, allocate nothing
+// on a serialized engine either; a spawn allocates at most what it did while
+// every serialized actor was a goroutine of its own.
+func TestSerializedParksDoNotAllocate(t *testing.T) {
+	for _, tc := range append(parks[:len(parks):len(parks)], openAtParks...) {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := parkAllocs(t, serialized(tc.setup)); got != 0 {
+				t.Errorf("%s allocates %.2f times per call, want 0", tc.name, got)
+			}
+		})
+	}
+	t.Run("spawn", func(t *testing.T) {
+		got := parkAllocs(t, serialized(func(e *Engine, _ *atomic.Bool) (op, partner func()) {
+			wg := e.NewWaitGroup()
+			done := wg.Done
+			return func() {
+				wg.Add(1)
+				e.Go("spawned", done)
+				wg.Wait()
+			}, nil
+		}))
+		t.Logf("a serialized Go allocates %.2f times", got)
+		if got > spawnAllocs {
+			t.Errorf("a serialized Go allocates %.2f times, want at most %.2f", got, spawnAllocs)
+		}
+	})
+}
+
+// serialized makes a case's engine a serialized one, with seed 1.
+func serialized(setup func(e *Engine, stop *atomic.Bool) (op, partner func())) func(e *Engine, stop *atomic.Bool) (op, partner func()) {
+	return func(e *Engine, stop *atomic.Bool) (op, partner func()) {
+		e.Serialize(1)
+		return setup(e, stop)
+	}
+}
+
+// spawnAllocs is what a serialized Go allocated while each actor was a
+// goroutine of its own: the goroutine's closure.
+const spawnAllocs = 1.0
+
+// parks are the waits of TestParksDoNotAllocate.
+var parks = []struct {
+	name  string
+	setup func(e *Engine, stop *atomic.Bool) (op, partner func())
+}{
+	{"Sleep", func(e *Engine, _ *atomic.Bool) (op, partner func()) {
+		return func() { e.Sleep(time.Microsecond) }, nil
+	}},
+	// Each holds the mutex across a sleep, so every Lock but the first
+	// finds it held and parks until the other's Unlock hands it over.
+	{"contended Mutex handoff", func(e *Engine, stop *atomic.Bool) (op, partner func()) {
+		m := e.NewMutex("m")
+		use := func() { m.Lock(); e.Sleep(time.Microsecond); m.Unlock() }
+		return use, func() {
+			for !stop.Load() {
+				use()
+			}
+		}
+	}},
+	// Ping-pong on one condition: each waits for its turn, passes the
+	// turn on and signals.
+	{"Cond wait and signal", func(e *Engine, stop *atomic.Bool) (op, partner func()) {
+		m := e.NewMutex("m")
+		c := e.NewCond(m)
+		turn := 0
+		step := func(me int) {
+			m.Lock()
+			for turn != me {
+				c.Wait()
+			}
+			turn = 1 - me
+			c.Signal()
+			m.Unlock()
+		}
+		return func() { step(0) }, func() {
+			for !stop.Load() {
+				step(1)
+			}
+		}
+	}},
+	// The partner opens each latch a microsecond after the measured actor
+	// has parked on it.
+	{"blocked Latch wait", func(e *Engine, _ *atomic.Bool) (op, partner func()) {
+		latches := make([]Latch, parkCalls)
+		next := 0
+		return func() {
+				latches[next].Wait(e)
+				next++
+			}, func() {
+				for i := range latches {
+					e.Sleep(time.Microsecond)
+					latches[i].Open(e)
+				}
+			}
+	}},
 }
 
 // A latch parks every waiter until it opens, wakes them all at the instant

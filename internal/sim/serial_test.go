@@ -2,6 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"os"
+	"os/exec"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -74,3 +78,113 @@ func TestSerializeAfterSpawnPanics(t *testing.T) {
 	eng.Wait()
 	eng.Serialize(1)
 }
+
+// An actor that ends in runtime.Goexit (t.FailNow from an actor does) runs
+// its defers, and the engine carries on with the others, in either mode.
+func TestActorGoexitRunsDefersAndTheEngineCarriesOn(t *testing.T) {
+	for _, serial := range []bool{false, true} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			e := NewEngine()
+			if serial {
+				e.Serialize(1)
+			}
+			var deferred int
+			var last time.Duration
+			together(e, func() {
+				for i := 0; i < 3; i++ {
+					e.Go("goexit", func() {
+						defer func() { deferred++ }()
+						e.Sleep(time.Duration(i) * time.Microsecond)
+						runtime.Goexit()
+					})
+				}
+				e.Go("after", func() {
+					e.Sleep(5 * time.Microsecond)
+					last = e.Now()
+				})
+			})
+			if deferred != 3 || last != 5*time.Microsecond {
+				t.Errorf("serial=%v: %d of 3 defers ran and the last actor ended at %v, want all and 5µs", serial, deferred, last)
+			}
+			// The engine still serves a spawn from outside.
+			ran := false
+			e.Go("later", func() { e.Sleep(time.Microsecond); ran = true })
+			e.Wait()
+			if !ran {
+				t.Errorf("serial=%v: an actor spawned after the Goexits did not run", serial)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("serial=%v: the engine hung after an actor's Goexit", serial)
+		}
+	}
+}
+
+// Once Wait returns, none of the engine's goroutines is left: not its
+// actors, not the ones a serialized engine keeps for its next spawn.
+func TestWaitLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, serial := range []bool{false, true} {
+		e := NewEngine()
+		if serial {
+			e.Serialize(1)
+		}
+		for session := 0; session < 2; session++ {
+			together(e, func() {
+				wg := e.NewWaitGroup()
+				for i := 0; i < 32; i++ {
+					wg.Add(1)
+					e.Go("worker", func() {
+						defer wg.Done()
+						e.Sleep(time.Duration(i%5) * time.Microsecond)
+						if i%4 == 0 {
+							e.Go("child", func() { e.Sleep(time.Microsecond) })
+						}
+					})
+				}
+				wg.Wait()
+			})
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Wait, want at most the %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A panic in a serialized actor reaches the hub that resumed it, and the
+// hub's stack says nothing of where it began: the crash must still show the
+// actor's. The panic ends the process, so the test runs it in a child.
+func TestActorPanicShowsTheActorsStack(t *testing.T) {
+	if os.Getenv("SIM_PANIC_HELPER") == "1" {
+		e := NewEngine()
+		e.Serialize(1)
+		e.Go("panicker", func() {
+			e.Sleep(time.Microsecond)
+			panicInActor()
+		})
+		e.Wait()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestActorPanicShowsTheActorsStack$")
+	cmd.Env = append(os.Environ(), "SIM_PANIC_HELPER=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("the child survived its actor's panic:\n%s", out)
+	}
+	for _, want := range []string{"panic: actor panicked", "sim.panicInActor"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("the crash does not show %q:\n%s", want, out)
+		}
+	}
+}
+
+//go:noinline
+func panicInActor() { panic("actor panicked") }

@@ -2,12 +2,14 @@
 //
 // Everything in this repository that has a notion of time — flash chips,
 // NVMe transport, firmware CPUs, host "threads" running transactions —
-// executes on the virtual clock owned by an Engine. An actor is an ordinary
-// goroutine registered with the engine; whenever every actor is blocked in a
-// sim primitive (Sleep, Mutex, Cond, Semaphore, ...) the engine advances the
-// clock to the earliest pending timer and wakes the actors due at that
-// instant. Because no actor ever blocks on real I/O or real time, the whole
-// simulation is deterministic and runs as fast as the host CPU allows.
+// executes on the virtual clock owned by an Engine. An actor is a function
+// the engine runs on a stack of its own (Go): an ordinary goroutine on a
+// free-running engine, a coroutine on a serialized one (below). Whenever
+// every actor is blocked in a sim primitive (Sleep, Mutex, Cond, Semaphore,
+// ...) the engine advances the clock to the earliest pending timer and wakes
+// the actors due at that instant. Because no actor ever blocks on real I/O
+// or real time, the whole simulation is deterministic and runs as fast as
+// the host CPU allows.
 //
 // The one rule actors must follow: any blocking interaction between actors
 // must go through a sim primitive. Blocking on a plain channel or sync.Mutex
@@ -31,16 +33,37 @@
 // # Parking allocates nothing
 //
 // Every simulated request parks and wakes a handful of times, so a park is
-// on the host's hot path. In steady state none allocates: park tokens are
-// pooled, a Sleep's timer lives by value in the engine's heap, each
-// primitive's wait queue keeps its storage, the reason a parked actor gives
-// the stall dump is a string its primitive built once, and a one-shot event
+// on the host's hot path. None allocates: park tokens are pooled (a
+// serialized actor has its own), a Sleep's timer lives by value in the
+// engine's heap once the heap has grown, each primitive's wait queue is
+// linked through its waiters' tokens, the reason a parked actor gives the
+// stall dump is a string its primitive built once, and a one-shot event
 // (Latch) parks a completion's waiter with no mutex or condition of its own.
+//
+// # Serialized actors are coroutines
+//
+// A serialized engine (Serialize) runs one actor at a time, so handing the
+// CPU from one actor to the next needs no scheduler: each actor is a
+// coroutine (iter.Pull), and one hub goroutine per engine resumes the actor
+// the seeded draw picked. A parking actor draws its successor and yields it
+// to the hub, which resumes it at once — a direct switch, not a channel send
+// through the Go scheduler's run queue. When the draw picks the parking
+// actor itself (a lone sleeper whose timer is next), it returns without any
+// switch. The hub is started by a dispatch from outside the simulation (Go,
+// or Latch.OpenAt with every actor parked) and ends when nothing is drawn.
+// An actor's coroutine outlives its function: it waits in the engine's pool
+// and runs the next spawned function, so a Go that finds one allocates
+// nothing, and the pool's coroutines end when the engine's last actor
+// exits. A Go that finds none pays for a new coroutine (about a dozen
+// allocations in iter.Pull) once per actor alive at the same time. How
+// actors switch never reaches the draws: a seed fixes the schedule, and
+// TestScheduleFingerprint pins it.
 package sim
 
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -59,20 +82,32 @@ type Engine struct {
 	timers   timerHeap
 	seq      uint64 // tiebreak for timers at equal deadlines (determinism)
 
-	// waiters parked on mutexes/conds/semaphores, each with what it waits on;
-	// tracked so that a stall is told from idleness (idleParked counts the
-	// tokens parked in an idle wait, parkToken.idle) and produces a
-	// diagnostic instead of a silent hang.
-	parked     map[*parkToken]string
+	// waiters parked on mutexes/conds/semaphores, each token carrying what
+	// it waits on and its slot here; tracked so that a stall is told from
+	// idleness (idleParked counts the tokens parked in an idle wait,
+	// parkToken.idle) and produces a diagnostic instead of a silent hang.
+	parked     []*parkToken
 	idleParked int
 
 	// Serialized scheduling (see Serialize): at most one actor executes at
 	// a time and every wakeup is deferred into ready, from which the next
 	// actor is drawn by the seeded schedRng once the current one parks.
+	// Each actor is a coroutine (see "Serialized actors are coroutines").
 	serial   bool
 	schedRng *rand.Rand
 	ready    []*parkToken // woken (or freshly spawned) actors awaiting dispatch
 	spawned  bool         // any actor ever started (guards late Serialize)
+	drawn    *parkToken   // dispatched, not yet taken for a resume
+	running  *actor       // the actor resumed last; set before its resume, read by it
+	handoff  *actor       // what a yielding actor drew, for the hub to resume next
+	hubUp    bool         // a hub goroutine is resuming actors
+	free     waitQueue    // tokens of the actors whose function has ended, for the next Go
+	spare    []actor      // actors not yet made, carved actorBlock at a time
+
+	// Bound once in NewEngine, so that starting the hub or a coroutine
+	// allocates no method value.
+	hub  func()                    // e.runHub
+	loop func(func(struct{}) bool) // e.runActor: every actor coroutine's body
 
 	idle          chan struct{} // closed & replaced each time actors reaches zero
 	watchdogArmed bool          // a stall watchdog timer is pending
@@ -81,10 +116,9 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and no actors.
 func NewEngine() *Engine {
-	return &Engine{
-		parked: make(map[*parkToken]string),
-		idle:   make(chan struct{}),
-	}
+	e := &Engine{idle: make(chan struct{})}
+	e.hub, e.loop = e.runHub, e.runActor
+	return e
 }
 
 // Now returns the current virtual time.
@@ -130,28 +164,29 @@ func (e *Engine) Go(name string, fn func()) {
 	e.actors++
 	e.spawned = true
 	if e.serial {
-		tok := newParkToken()
-		e.ready = append(e.ready, tok)
+		var a *actor
+		if !e.free.empty() {
+			a = e.free.pop().a
+		} else {
+			a = e.newActor()
+		}
+		a.fn = fn
+		e.ready = append(e.ready, &a.tok)
 		if e.runnable == 0 {
 			e.dispatchLocked()
 		}
 		e.mu.Unlock()
-		go func() {
-			tok.park()
-			defer e.exit(name)
-			fn()
-		}()
 		return
 	}
 	e.runnable++
 	e.mu.Unlock()
 	go func() {
-		defer e.exit(name)
+		defer e.exit()
 		fn()
 	}()
 }
 
-func (e *Engine) exit(name string) {
+func (e *Engine) exit() {
 	if r := recover(); r != nil {
 		// Re-panic immediately WITHOUT touching e.mu: the panic may have
 		// been raised inside a primitive that still holds it (deadlock
@@ -191,25 +226,39 @@ func (e *Engine) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	tok := newParkToken()
+	tok := e.token()
 	e.mu.Lock()
 	e.seq++
 	e.timers.push(timer{when: e.now + d, seq: e.seq, tok: tok})
-	e.blockLocked(tok, "sleep")
-	e.mu.Unlock()
-	tok.park()
+	e.parkLocked(tok, "sleep")
 }
 
-// blockLocked marks the calling actor as parked on why and, if it was the
-// last runnable actor, lets the engine pick what runs next. why is a string
-// the primitive built once, at construction, so a park concatenates nothing.
-// Caller holds e.mu.
-func (e *Engine) blockLocked(tok *parkToken, why string) {
-	e.parked[tok] = why
+// parkLocked parks the calling actor on tok, which the caller has put where
+// its waker finds it, and returns once it is woken (and, serialized, drawn).
+// If it was the last runnable actor, the engine first picks what runs next.
+// why is a string the primitive built once, at construction, so a park
+// concatenates nothing. Caller holds e.mu; parkLocked releases it.
+func (e *Engine) parkLocked(tok *parkToken, why string) {
+	tok.why, tok.slot = why, int32(len(e.parked))
+	e.parked = append(e.parked, tok)
 	e.runnable--
 	if e.runnable == 0 {
 		e.unblockLocked()
 	}
+	if !e.serial {
+		e.mu.Unlock()
+		<-tok.ch
+		parkTokenPool.Put(tok)
+		return
+	}
+	if e.drawn == tok { // the draw picked the parking actor: it runs on
+		e.drawn = nil
+		e.mu.Unlock()
+		return
+	}
+	e.handoff = e.takeLocked()
+	e.mu.Unlock()
+	tok.a.yield(struct{}{})
 }
 
 // wakeLocked transfers a parked actor back to runnable. In serialized mode
@@ -220,7 +269,10 @@ func (e *Engine) wakeLocked(tok *parkToken) {
 		tok.idle = false
 		e.idleParked--
 	}
-	delete(e.parked, tok)
+	last := e.parked[len(e.parked)-1]
+	e.parked[tok.slot], last.slot = last, tok.slot
+	e.parked[len(e.parked)-1] = nil
+	e.parked = e.parked[:len(e.parked)-1]
 	if e.serial {
 		e.ready = append(e.ready, tok)
 		return
@@ -246,8 +298,10 @@ func (e *Engine) unblockLocked() {
 	}
 }
 
-// dispatchLocked releases one actor drawn at seeded-random from the ready
-// queue. Caller holds e.mu; serialized mode only.
+// dispatchLocked draws one actor at seeded-random from the ready queue for
+// the hub to resume, and starts the hub if none runs: a dispatch from
+// outside the simulation (Go, or Latch.OpenAt with every actor parked).
+// Caller holds e.mu; serialized mode only.
 func (e *Engine) dispatchLocked() {
 	i := e.schedRng.Intn(len(e.ready))
 	tok := e.ready[i]
@@ -255,7 +309,143 @@ func (e *Engine) dispatchLocked() {
 	e.ready[len(e.ready)-1] = nil
 	e.ready = e.ready[:len(e.ready)-1]
 	e.runnable++
-	tok.ch <- struct{}{}
+	e.drawn = tok
+	if !e.hubUp {
+		e.hubUp = true
+		go e.hub()
+	}
+}
+
+// takeLocked takes the drawn actor, if any, as the one about to run.
+// Caller holds e.mu.
+func (e *Engine) takeLocked() *actor {
+	tok := e.drawn
+	if tok == nil {
+		return nil
+	}
+	e.drawn = nil
+	e.running = tok.a
+	return tok.a
+}
+
+// runHub resumes the drawn actors until nothing is drawn. A resumed actor runs
+// until it parks or its function ends, and leaves in e.handoff the actor it
+// drew itself, or nil; on nil the hub takes what a call from outside drew
+// since, or ends. The switches order e.handoff's write before its read.
+func (e *Engine) runHub() {
+	var a *actor
+	defer func() {
+		// iter.Pull passes an actor's runtime.Goexit on to the coroutine's
+		// resumer: this hub ends with it, and a new one carries on.
+		if a != nil && a.goexited {
+			go e.hub()
+		}
+	}()
+	for {
+		e.mu.Lock()
+		a = e.takeLocked()
+		if a == nil {
+			e.hubUp = false
+			e.mu.Unlock()
+			return
+		}
+		e.mu.Unlock()
+		for a != nil {
+			a.resume()
+			a, e.handoff = e.handoff, nil
+		}
+	}
+}
+
+// actor is an actor of a serialized engine: a coroutine that the hub
+// resumes and that yields back to it when it parks or its function ends.
+// An actor whose function has ended waits in the engine's free list to run
+// the next spawned one; those coroutines end when the engine's last actor
+// exits.
+type actor struct {
+	tok      parkToken // the actor's one park token; tok.a is the actor
+	fn       func()    // the spawned function, nil while free
+	resume   func() (struct{}, bool)
+	yield    func(struct{}) bool
+	goexited bool // fn ended in runtime.Goexit, which ends the coroutine
+}
+
+// actorBlock is how many actors newActor allocates at once: a burst of
+// spawns that finds no free coroutine pays one allocation per block for the
+// actors beside their coroutines' own, and an engine leaves at most a block
+// less one unused.
+const actorBlock = 8
+
+// runActor is the body of every actor's coroutine. The hub resumes a new
+// coroutine for its actor's first function, so e.running is that actor. It
+// runs one spawned function after another, yielding to the hub in between,
+// until it is resumed with no function to run.
+func (e *Engine) runActor(yield func(struct{}) bool) {
+	a := e.running
+	a.yield = yield
+	for a.fn != nil && e.run(a) {
+		yield(struct{}{})
+	}
+}
+
+// run runs a's function and retires it from the engine's actors. It reports
+// whether a went back to the free list.
+func (e *Engine) run(a *actor) (freed bool) {
+	ended := false
+	defer func() {
+		if !ended {
+			if r := recover(); r != nil {
+				// As in exit: no e.mu. iter.Pull re-panics on the hub,
+				// whose stack says nothing of where the panic began.
+				panic(actorPanic{r, debug.Stack()})
+			}
+			a.goexited = true
+		}
+		freed = e.retire(a, ended)
+	}()
+	a.fn()
+	ended = true
+	return
+}
+
+// actorPanic is a serialized actor's panic value with the actor's stack.
+type actorPanic struct {
+	v     any
+	stack []byte
+}
+
+func (p actorPanic) Error() string {
+	return fmt.Sprintf("%v\n\nactor's goroutine at the panic:\n%s", p.v, p.stack)
+}
+
+// retire counts a's function as ended and lets the engine pick what runs
+// next. An actor whose function returned goes on the free list and hands
+// the hub the draw; after runtime.Goexit the draw is left for the next hub.
+// The engine's last actor ends the free coroutines instead, resuming each
+// with no function.
+func (e *Engine) retire(a *actor, returned bool) (freed bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	a.fn = nil
+	e.actors--
+	e.runnable--
+	if e.actors == 0 {
+		for !e.free.empty() {
+			e.free.pop().a.resume()
+		}
+		close(e.idle)
+		e.idle = make(chan struct{})
+		return false
+	}
+	if e.runnable == 0 {
+		e.unblockLocked()
+	}
+	if !returned {
+		return false
+	}
+	e.free.push(&a.tok)
+	e.handoff = e.takeLocked()
+	return true
 }
 
 // advanceLocked pops every timer due at the earliest deadline and wakes its
@@ -326,8 +516,8 @@ func (e *Engine) stateLocked() string {
 	fmt.Fprintf(&b, "  now=%v actors=%d runnable=%d parked=%d timers=%d\n",
 		e.now, e.actors, e.runnable, len(e.parked), len(e.timers))
 	reasons := make(map[string]int)
-	for tok, why := range e.parked {
-		why = fmt.Sprintf("%q", why)
+	for _, tok := range e.parked {
+		why := fmt.Sprintf("%q", tok.why)
 		if tok.idle {
 			why += " (idle wait)"
 		}
@@ -344,17 +534,25 @@ func (e *Engine) stateLocked() string {
 	return b.String()
 }
 
-// parkToken is the rendezvous for one parked actor. Tokens are pooled: a
-// wakeup is a buffered send (not a close), so a token and its channel are
-// reusable the moment the parked actor has received the wakeup and called
-// park. Every park would otherwise allocate a fresh channel — on the hot
-// path (each virtual sleep, each contended primitive) that is the single
-// largest allocation source in the whole simulator.
+// parkToken is the rendezvous for one parked actor. A serialized actor has
+// one token of its own (actor.tok), which the hub resumes it by. A
+// free-running actor parks on a pooled token: a wakeup is a buffered send
+// on ch (not a close), so a token and its channel are reusable the moment
+// the parked actor has received the wakeup. Every park would otherwise
+// allocate a fresh channel — on the hot path (each virtual sleep, each
+// contended primitive) that is the single largest allocation source in the
+// whole simulator. Each token receives exactly one wakeup per park: every
+// wake path (timer pop, mutex handoff, cond signal) removes the token from
+// its wait structure before it wakes it.
 type parkToken struct {
-	ch chan struct{}
+	ch   chan struct{} // free-running only
+	a    *actor        // serialized only
+	why  string        // what the token is parked on
+	next *parkToken    // the next in its wait queue (waitQueue)
+	slot int32         // its index in Engine.parked while parked
 	// idle marks a token parked in an idle wait (Cond.WaitIdle): a wait for
 	// work, which an otherwise quiescent simulation may sit in forever. Set
-	// and cleared under Engine.mu, between blockLocked and wakeLocked.
+	// and cleared under Engine.mu, between parkLocked and wakeLocked.
 	idle bool
 }
 
@@ -362,15 +560,14 @@ var parkTokenPool = sync.Pool{
 	New: func() any { return &parkToken{ch: make(chan struct{}, 1)} },
 }
 
-func newParkToken() *parkToken { return parkTokenPool.Get().(*parkToken) }
-
-// park blocks until the token's wakeup arrives, then recycles the token.
-// Callers must not touch tok afterwards. Each token receives exactly one
-// wakeup per park: every wake path (timer pop, mutex handoff, cond signal,
-// dispatch) removes the token from its wait structure before sending.
-func (tok *parkToken) park() {
-	<-tok.ch
-	parkTokenPool.Put(tok)
+// token returns the token the calling actor parks on: its own when the
+// engine is serialized, one from the pool otherwise. Callers must not touch
+// it once the park returns.
+func (e *Engine) token() *parkToken {
+	if e.serial {
+		return &e.running.tok
+	}
+	return parkTokenPool.Get().(*parkToken)
 }
 
 type timer struct {

@@ -1,46 +1,48 @@
 package sim
 
 import (
+	"strings"
 	"sync/atomic"
 	"time"
 )
 
-// waitQueue is the FIFO of actors parked on one primitive. It keeps its
-// storage across parks — a pop advances head instead of re-slicing the
-// array away, and a push compacts before it would grow — so a primitive
-// that parks allocates nothing once its queue has reached its usual depth.
+// waitQueue is the FIFO of actors parked on one primitive, linked through
+// their tokens (parkToken.next). A parked actor waits on one primitive at a
+// time, so a token is in at most one queue, and a park allocates no queue
+// storage, however deep the queue grows.
 type waitQueue struct {
-	toks []*parkToken
-	head int
+	head, tail *parkToken
 }
 
-func (q *waitQueue) len() int { return len(q.toks) - q.head }
+func (q *waitQueue) empty() bool { return q.head == nil }
 
 func (q *waitQueue) push(tok *parkToken) {
-	if q.head > 0 && len(q.toks) == cap(q.toks) {
-		n := copy(q.toks, q.toks[q.head:])
-		clear(q.toks[n:])
-		q.toks, q.head = q.toks[:n], 0
+	if q.tail == nil {
+		q.head = tok
+	} else {
+		q.tail.next = tok
 	}
-	q.toks = append(q.toks, tok)
+	q.tail = tok
 }
 
 // pop removes the oldest waiter. The queue must not be empty.
 func (q *waitQueue) pop() *parkToken {
-	tok := q.toks[q.head]
-	q.toks[q.head] = nil
-	q.head++
-	if q.head == len(q.toks) {
-		q.toks, q.head = q.toks[:0], 0
+	tok := q.head
+	q.head, tok.next = tok.next, nil
+	if q.head == nil {
+		q.tail = nil
 	}
 	return tok
 }
 
-// wakeAllLocked wakes every waiter, oldest first. Caller holds e.mu.
-func (q *waitQueue) wakeAllLocked(e *Engine) {
-	for q.len() > 0 {
+// wakeAllLocked wakes every waiter, oldest first, and returns how many.
+// Caller holds e.mu.
+func (q *waitQueue) wakeAllLocked(e *Engine) int {
+	n := 0
+	for ; !q.empty(); n++ {
 		e.wakeLocked(q.pop())
 	}
+	return n
 }
 
 // Mutex is a FIFO mutual-exclusion lock for actors. FIFO ordering keeps the
@@ -49,15 +51,16 @@ func (q *waitQueue) wakeAllLocked(e *Engine) {
 type Mutex struct {
 	e       *Engine
 	locked  bool
-	name    string
 	why     string // park reason, "mutex:<name>"
 	waiters waitQueue
 }
 
 // NewMutex returns an unlocked mutex owned by engine e.
 func (e *Engine) NewMutex(name string) *Mutex {
-	return &Mutex{e: e, name: name, why: "mutex:" + name}
+	return &Mutex{e: e, why: "mutex:" + name}
 }
+
+func (m *Mutex) name() string { return strings.TrimPrefix(m.why, "mutex:") }
 
 // Lock blocks the calling actor until the mutex is available.
 func (m *Mutex) Lock() {
@@ -68,11 +71,9 @@ func (m *Mutex) Lock() {
 		e.mu.Unlock()
 		return
 	}
-	tok := newParkToken()
+	tok := e.token()
 	m.waiters.push(tok)
-	e.blockLocked(tok, m.why)
-	e.mu.Unlock()
-	tok.park()
+	e.parkLocked(tok, m.why)
 }
 
 // Unlock releases the mutex, handing it directly to the oldest waiter.
@@ -81,7 +82,7 @@ func (m *Mutex) Unlock() {
 	e.mu.Lock()
 	if !m.locked {
 		e.mu.Unlock()
-		panic("sim: unlock of unlocked Mutex " + m.name)
+		panic("sim: unlock of unlocked Mutex " + m.name())
 	}
 	m.unlockLocked()
 	e.mu.Unlock()
@@ -90,7 +91,7 @@ func (m *Mutex) Unlock() {
 // unlockLocked releases a held mutex: ownership transfers to the oldest
 // waiter if there is one. Caller holds e.mu.
 func (m *Mutex) unlockLocked() {
-	if m.waiters.len() > 0 {
+	if !m.waiters.empty() {
 		m.e.wakeLocked(m.waiters.pop()) // lock stays held, ownership transfers
 	} else {
 		m.locked = false
@@ -113,7 +114,7 @@ type Cond struct {
 }
 
 // NewCond returns a condition variable whose Wait releases and reacquires l.
-func (e *Engine) NewCond(l *Mutex) *Cond { return &Cond{L: l, why: "cond:" + l.name} }
+func (e *Engine) NewCond(l *Mutex) *Cond { return &Cond{L: l, why: "cond:" + l.name()} }
 
 // Wait atomically releases c.L, parks the actor until Signal/Broadcast,
 // then reacquires c.L before returning.
@@ -128,7 +129,7 @@ func (c *Cond) WaitIdle() { c.wait(true) }
 
 func (c *Cond) wait(idle bool) {
 	e := c.L.e
-	tok := newParkToken()
+	tok := e.token()
 	e.mu.Lock()
 	c.waiters.push(tok)
 	c.L.unlockLocked()
@@ -136,9 +137,7 @@ func (c *Cond) wait(idle bool) {
 		tok.idle = true
 		e.idleParked++
 	}
-	e.blockLocked(tok, c.why)
-	e.mu.Unlock()
-	tok.park()
+	e.parkLocked(tok, c.why)
 	c.L.Lock()
 }
 
@@ -146,7 +145,7 @@ func (c *Cond) wait(idle bool) {
 func (c *Cond) Signal() {
 	e := c.L.e
 	e.mu.Lock()
-	if c.waiters.len() > 0 {
+	if !c.waiters.empty() {
 		e.wakeLocked(c.waiters.pop())
 	}
 	e.mu.Unlock()
@@ -186,18 +185,16 @@ func (s *Semaphore) Acquire() {
 		e.mu.Unlock()
 		return
 	}
-	tok := newParkToken()
+	tok := e.token()
 	s.waiters.push(tok)
-	e.blockLocked(tok, s.why)
-	e.mu.Unlock()
-	tok.park()
+	e.parkLocked(tok, s.why)
 }
 
 // Release returns one permit, handing it directly to the oldest waiter.
 func (s *Semaphore) Release() {
 	e := s.e
 	e.mu.Lock()
-	if s.waiters.len() > 0 {
+	if !s.waiters.empty() {
 		e.wakeLocked(s.waiters.pop()) // permit transfers to waiter
 	} else {
 		s.avail++
@@ -215,7 +212,6 @@ func (s *Semaphore) Use(d time.Duration) {
 // RWMutex is a writer-preferring readers-writer lock for actors.
 type RWMutex struct {
 	e            *Engine
-	name         string
 	rwhy, wwhy   string // park reasons, "rwmutex-r:<name>" and "rwmutex-w:<name>"
 	readers      int
 	writer       bool
@@ -225,23 +221,23 @@ type RWMutex struct {
 
 // NewRWMutex returns an unlocked RWMutex owned by engine e.
 func (e *Engine) NewRWMutex(name string) *RWMutex {
-	return &RWMutex{e: e, name: name, rwhy: "rwmutex-r:" + name, wwhy: "rwmutex-w:" + name}
+	return &RWMutex{e: e, rwhy: "rwmutex-r:" + name, wwhy: "rwmutex-w:" + name}
 }
+
+func (m *RWMutex) name() string { return strings.TrimPrefix(m.rwhy, "rwmutex-r:") }
 
 // RLock acquires a shared lock.
 func (m *RWMutex) RLock() {
 	e := m.e
 	e.mu.Lock()
-	if !m.writer && m.writeWaiters.len() == 0 {
+	if !m.writer && m.writeWaiters.empty() {
 		m.readers++
 		e.mu.Unlock()
 		return
 	}
-	tok := newParkToken()
+	tok := e.token()
 	m.readWaiters.push(tok)
-	e.blockLocked(tok, m.rwhy)
-	e.mu.Unlock()
-	tok.park()
+	e.parkLocked(tok, m.rwhy)
 }
 
 // RUnlock releases a shared lock.
@@ -251,7 +247,7 @@ func (m *RWMutex) RUnlock() {
 	m.readers--
 	if m.readers < 0 {
 		e.mu.Unlock()
-		panic("sim: RUnlock without RLock on " + m.name)
+		panic("sim: RUnlock without RLock on " + m.name())
 	}
 	if m.readers == 0 {
 		m.promoteLocked()
@@ -268,11 +264,9 @@ func (m *RWMutex) Lock() {
 		e.mu.Unlock()
 		return
 	}
-	tok := newParkToken()
+	tok := e.token()
 	m.writeWaiters.push(tok)
-	e.blockLocked(tok, m.wwhy)
-	e.mu.Unlock()
-	tok.park()
+	e.parkLocked(tok, m.wwhy)
 }
 
 // Unlock releases the exclusive lock.
@@ -281,7 +275,7 @@ func (m *RWMutex) Unlock() {
 	e.mu.Lock()
 	if !m.writer {
 		e.mu.Unlock()
-		panic("sim: Unlock of unlocked RWMutex " + m.name)
+		panic("sim: Unlock of unlocked RWMutex " + m.name())
 	}
 	m.writer = false
 	m.promoteLocked()
@@ -292,13 +286,12 @@ func (m *RWMutex) Unlock() {
 // queued readers. Caller holds e.mu and the lock is free.
 func (m *RWMutex) promoteLocked() {
 	e := m.e
-	if m.writeWaiters.len() > 0 {
+	if !m.writeWaiters.empty() {
 		m.writer = true
 		e.wakeLocked(m.writeWaiters.pop())
 		return
 	}
-	m.readers += m.readWaiters.len()
-	m.readWaiters.wakeAllLocked(e)
+	m.readers += m.readWaiters.wakeAllLocked(e)
 }
 
 // WaitGroup lets an actor wait for a set of actors to finish, on virtual time.
@@ -337,11 +330,9 @@ func (w *WaitGroup) Wait() {
 		e.mu.Unlock()
 		return
 	}
-	tok := newParkToken()
+	tok := e.token()
 	w.waiters.push(tok)
-	e.blockLocked(tok, "waitgroup")
-	e.mu.Unlock()
-	tok.park()
+	e.parkLocked(tok, "waitgroup")
 }
 
 // Latch is a one-shot event: Wait parks the calling actor until the latch
@@ -369,11 +360,8 @@ type Latch struct {
 	at     atomic.Int64 // the instant the latch opens; stored before open
 	waited atomic.Bool
 	// The actors parked before the latch was opened, guarded by the
-	// engine's lock. A latch is usually new (one per future) and waited on
-	// once, so the first waiter is held inline: a queue's first push would
-	// allocate its storage.
-	first   *parkToken
-	waiters waitQueue // waiters beyond the first
+	// engine's lock.
+	waiters waitQueue
 }
 
 // IsOpen reports whether the latch is open at e's current instant.
@@ -392,18 +380,14 @@ func (l *Latch) Wait(e *Engine) {
 		e.mu.Unlock()
 		return
 	}
-	tok := newParkToken()
+	tok := e.token()
 	switch {
 	case l.open.Load():
 		l.wakeAtLocked(e, tok, time.Duration(l.at.Load()))
-	case l.first == nil:
-		l.first = tok
 	default:
 		l.waiters.push(tok)
 	}
-	e.blockLocked(tok, "latch")
-	e.mu.Unlock()
-	tok.park()
+	e.parkLocked(tok, "latch")
 }
 
 // Open opens the latch now and wakes every actor parked on it, oldest first.
@@ -421,11 +405,7 @@ func (l *Latch) OpenAt(e *Engine, at time.Duration) {
 		return
 	}
 	e.mu.Lock()
-	if tok := l.first; tok != nil {
-		l.first = nil
-		l.wakeAtLocked(e, tok, at)
-	}
-	for l.waiters.len() > 0 {
+	for !l.waiters.empty() {
 		l.wakeAtLocked(e, l.waiters.pop(), at)
 	}
 	if e.runnable == 0 {
