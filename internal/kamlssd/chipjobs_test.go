@@ -65,23 +65,32 @@ func TestHostBlocksAvoidTheCollectorsChips(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			withRig(t, testFlashConfig(), func(c *Config) { c.NumLogs = tc.logs }, func(r *rig) {
-				d, lg := r.dev, r.dev.logs[0]
+				lg := r.dev.logs[0]
 				lg.mu.Lock()
 				defer lg.mu.Unlock()
-				// Open blocks on a block the test made up, which no stream
-				// opens (openBlock pops from the front of the free lists).
+				// The streams' open blocks, and every free block of the chips
+				// tc.empty names, are taken off the free lists through the
+				// ledger, and go back at the end.
+				var taken []*appendPoint
+				take := func(ci int) *appendPoint {
+					b, ok := lg.space.popFree(ci)
+					if !ok {
+						return nil
+					}
+					taken = append(taken, &appendPoint{chip: ci, block: b})
+					return taken[len(taken)-1]
+				}
 				at := func(ci int) *appendPoint {
 					if ci == none {
 						return nil
 					}
-					return &appendPoint{chip: ci, block: d.fc.BlocksPerChip - 1}
+					return take(ci)
 				}
 				lg.active = [numStreams]*appendPoint{at(tc.host[0]), at(tc.host[1]), at(tc.gc)}
 				lg.victimChip, lg.nextChip = tc.victim, tc.next
-				emptied := make(map[int][]int)
 				for _, ci := range tc.empty {
-					emptied[ci], lg.chips[ci].free = lg.chips[ci].free, nil
-					lg.freeBlocks -= len(emptied[ci])
+					for take(ci) != nil {
+					}
 				}
 				var got []int
 				for range tc.want {
@@ -90,15 +99,13 @@ func TestHostBlocksAvoidTheCollectorsChips(t *testing.T) {
 						t.Fatalf("open: %v", err)
 					}
 					got = append(got, ap.chip)
-					lg.chips[ap.chip].free = append(lg.chips[ap.chip].free, ap.block) // back, for the next test
-					lg.freeBlocks++
+					lg.space.pushFree(ap.chip, ap.block) // back, for the next test
 				}
 				if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 					t.Errorf("stream %d opens its blocks on chips %v, want %v", tc.stream, got, tc.want)
 				}
-				for ci, free := range emptied {
-					lg.chips[ci].free = free
-					lg.freeBlocks += len(free)
+				for _, ap := range taken {
+					lg.space.pushFree(ap.chip, ap.block)
 				}
 				lg.active, lg.victimChip = [numStreams]*appendPoint{}, noChip
 			})
@@ -441,7 +448,7 @@ func TestRelocationOverlapsTheScan(t *testing.T) {
 				}
 				if tc.gcOnVictim {
 					lg.mu.Lock()
-					b, ok := lg.popFree(vc)
+					b, ok := lg.space.popFree(vc)
 					if !ok {
 						t.Fatalf("setup: chip %d has no free block", vc)
 					}
@@ -457,10 +464,10 @@ func TestRelocationOverlapsTheScan(t *testing.T) {
 				ch, chip := lg.chipAddr(vc)
 				pre.startScan(ch, chip, vb)
 				pre.scanned.Wait()
-				need, _ := gcPagesNeeded(d, pre.reader.live)
+				need, _ := lg.space.gcPagesNeeded(pre.reader.live)
 				pre.endScan()
 				lg.mu.Lock()
-				pipelined, bound := lg.pipelines(vc, vb), d.relocationPages(&lg.chips[vc].blocks[vb])
+				pipelined, bound := lg.pipelines(vc, vb), lg.space.relocationPages(&lg.chips[vc].blocks[vb])
 				lg.mu.Unlock()
 				if pipelined != tc.pipelined {
 					t.Fatalf("setup: the victim is pipelined %v, want %v", pipelined, tc.pipelined)

@@ -32,9 +32,9 @@
 //	                  take the write lock; Get does NOT take it — see "The
 //	                  read contract" below.
 //	lg.mu  (Mutex)    one per log: open pages, sealed queue,
-//	                  append points, free lists, per-block valid-byte
-//	                  accounting. workCv (the flusher), freeCv (the
-//	                  flusher out of erased blocks) and gcCv (the
+//	                  append points, the space ledger (space.go: free
+//	                  lists, valid bytes). workCv (the flusher), freeCv
+//	                  (the flusher out of erased blocks) and gcCv (the
 //	                  collector) ride on it.
 //	d.nvMu (Mutex)    the NVRAM region: staged values, batches, catalog,
 //	                  bad-block table. drainCv (Flush) and the conditions
@@ -170,9 +170,6 @@ type Device struct {
 	arr  *flash.Array
 	ctrl *nvme.Controller
 	eng  *sim.Engine
-
-	// gcLow and gcHigh are every log's free-block watermarks (gcWater).
-	gcLow, gcHigh int
 
 	// mu guards the namespace map and family membership (see the package
 	// comment for the full hierarchy). Installs hold the read lock for the
@@ -401,25 +398,16 @@ func New(arr *flash.Array, ctrl *nvme.Controller, cfg Config) *Device {
 	if fc.OOBSize < oobLen {
 		panic(fmt.Sprintf("kamlssd: OOB size %d < %d required for recovery metadata", fc.OOBSize, oobLen))
 	}
-	d := &Device{
-		cfg:        cfg,
-		fc:         fc,
-		arr:        arr,
-		ctrl:       ctrl,
-		eng:        arr.Engine(),
-		namespaces: make(map[uint32]*namespace),
-		families:   make(map[uint32]*family),
-		pins:       make(map[uint64]int),
-		nv:         NewNVRAM(),
-	}
-	d.initLocks()
-	d.buildLogs()
+	d := newDevice(arr, ctrl, cfg, NewNVRAM())
 	d.startActors()
 	return d
 }
 
-// initLocks builds the device's lock hierarchy (shared by New and Recover).
-func (d *Device) initLocks() {
+// newDevice builds a device's lock hierarchy and its logs, every block free,
+// and starts no actor (shared by New and Recover).
+func newDevice(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) *Device {
+	d := &Device{cfg: cfg, fc: arr.Config(), arr: arr, ctrl: ctrl, eng: arr.Engine(), nv: nv,
+		namespaces: make(map[uint32]*namespace), families: make(map[uint32]*family), pins: make(map[uint64]int)}
 	d.mu = d.eng.NewRWMutex("kaml-dev")
 	d.nvMu = d.eng.NewMutex("kaml-nvram")
 	d.drainCv = d.eng.NewCond(d.nvMu)
@@ -427,6 +415,8 @@ func (d *Device) initLocks() {
 	d.batchEnd.cv = d.eng.NewCond(d.nvMu)
 	d.keyLks = newKeyLockTable(d.eng)
 	d.chainLenObs = func(l int) { d.chainLen.Observe(int64(l)) }
+	d.buildLogs()
+	return d
 }
 
 // newNamespace allocates the in-DRAM shell of a namespace, including its
@@ -460,18 +450,11 @@ func (d *Device) startActors() {
 	}
 }
 
-// gcWater gives the free-block watermarks of the devices New and Recover
-// build: gcLowFree and gcHighFree. Tests replace it to keep the collectors
-// parked, or collecting, for a test's length.
-var gcWater = func() (low, high int) { return gcLowFree, gcHighFree }
-
 // buildLogs partitions the array's chips across the configured logs.
 // Log i owns chips {c : c mod NumLogs == i}, giving each log its own
 // append bandwidth; the chips of one log sit on as few channels as
-// possible when NumLogs >= Channels (chip-per-log at 64 logs). It also sets
-// the watermarks the logs' collectors work to.
+// possible when NumLogs >= Channels (chip-per-log at 64 logs).
 func (d *Device) buildLogs() {
-	d.gcLow, d.gcHigh = gcWater()
 	n := d.cfg.NumLogs
 	d.logs = make([]*logState, n)
 	for i := 0; i < n; i++ {
@@ -479,7 +462,7 @@ func (d *Device) buildLogs() {
 	}
 	for c := 0; c < d.fc.Chips(); c++ {
 		lg := d.logs[c%n]
-		lg.addChip(c, d.fc.BlocksPerChip)
+		lg.space.addChip(c, d.fc.BlocksPerChip)
 	}
 }
 
@@ -570,12 +553,11 @@ func (d *Device) programPage(ppn flash.PPN, data, oob []byte) error {
 		d.noticePowerLoss()
 	case errors.Is(err, flash.ErrInjectedFailure):
 		d.ctr.programRetries.Inc()
-		if lg, lc, b := d.blockOf(ppn); lc != nil {
-			lg.mu.Lock()
-			lc.blocks[b].progFailed++
-			lg.gcRetry()
-			lg.mu.Unlock()
-		}
+		lg, lc, b := d.blockOf(ppn)
+		lg.mu.Lock()
+		lc.blocks[b].progFailed++
+		lg.space.gcRetry()
+		lg.mu.Unlock()
 	default:
 		panic(fmt.Sprintf("kamlssd: program %d: %v", ppn, err))
 	}
@@ -747,18 +729,12 @@ func (d *Device) CreateNamespace(attrs NamespaceAttrs) (uint32, error) {
 		ns.cutoff = noCutoff
 		ns.fam = d.newFamily(ns, attrs.Index, capacity, true)
 		d.families[id] = ns.fam
-		nLogs := attrs.NumLogs
-		if nLogs <= 0 || nLogs > len(d.logs) {
-			nLogs = len(d.logs) // by default all logs serve every namespace
-		}
-		for i := 0; i < nLogs; i++ {
-			ns.logIDs = append(ns.logIDs, i)
-		}
+		ns.logIDs = d.firstLogs(attrs.NumLogs) // by default all logs serve every namespace
 		d.namespaces[id] = ns
 		d.nvMu.Lock()
 		d.nv.putNS(nsMeta{
 			id: id, kind: attrs.Index, capacity: capacity,
-			numLogs: nLogs, cutoff: noCutoff,
+			numLogs: len(ns.logIDs), cutoff: noCutoff,
 		})
 		d.nvMu.Unlock()
 	})
@@ -803,6 +779,19 @@ func (d *Device) DeleteNamespace(id uint32) error {
 	return err
 }
 
+// firstLogs lists the IDs of the device's first n logs, or of all of them
+// when n is not in 1..NumLogs.
+func (d *Device) firstLogs(n int) []int {
+	if n <= 0 || n > len(d.logs) {
+		n = len(d.logs)
+	}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
 // familyRefsLocked counts live namespaces still referencing fam. Called
 // with d.mu held.
 func (d *Device) familyRefsLocked(fam *family) int {
@@ -822,17 +811,9 @@ func (d *Device) SetNamespaceLogs(id uint32, n int) error {
 	if err != nil {
 		return err
 	}
-	if n < 1 {
-		n = 1
-	}
-	if n > len(d.logs) {
-		n = len(d.logs)
-	}
+	n = min(max(n, 1), len(d.logs))
 	ns.mu.Lock()
-	ns.logIDs = ns.logIDs[:0]
-	for i := 0; i < n; i++ {
-		ns.logIDs = append(ns.logIDs, i)
-	}
+	ns.logIDs = d.firstLogs(n)
 	ns.rr.Store(0)
 	ns.mu.Unlock()
 	d.nvMu.Lock()

@@ -74,18 +74,17 @@ func (d *Device) gcStopped() bool {
 }
 
 // loop is the collector actor. Nothing in it ticks: it blocks on the log's
-// gcCv, which openBlock signals when a block opened takes the log below the
-// low watermark, gcRetry when a starved log may have a victim again, and
-// shutdown. The predicate is tested before the first wait, because a log can
-// come up below its watermark (Recover rebuilds the free lists from what is
-// programmed, and opens no block) or end a cycle there, and then nobody
-// would ever signal it.
+// gcCv until the ledger has work for it (space.wantsGC). popFree signals
+// gcCv when it takes the log below the low watermark, gcRetry when a starved
+// log may have a victim again, and so does shutdown. The predicate is tested
+// before the first wait: a log can come up low (Recover rebuilds the free
+// lists and opens no block) or end a cycle there, and nobody signals it.
 func (c *collector) loop() {
 	d, lg := c.d, c.lg
 	defer d.stopped.Done()
 	for {
 		lg.mu.Lock()
-		for !d.gcStopped() && (lg.freeBlocks >= d.gcLow || lg.gcStarved) {
+		for !d.gcStopped() && !lg.space.wantsGC() {
 			lg.gcCv.WaitIdle()
 		}
 		lg.mu.Unlock()
@@ -105,13 +104,9 @@ func (c *collector) loop() {
 			if !ok {
 				break
 			}
-			if d.tel != nil {
-				start := d.eng.NowCheap()
-				c.collectBlock(chipIdx, block)
-				d.gcPause.ObserveDuration(d.eng.NowCheap() - start)
-			} else {
-				c.collectBlock(chipIdx, block)
-			}
+			start := d.telNow()
+			c.collectBlock(chipIdx, block)
+			d.since(d.gcPause, start)
 		}
 		d.ctr.gcActive.Add(-1)
 	}
@@ -120,23 +115,19 @@ func (c *collector) loop() {
 // pick is one step of a collection cycle: it ends the last victim's claim on
 // its chip and, while the log is below its high watermark, picks the next
 // victim (victim) and claims its chip, so no block of the log opens beside it
-// (busyChip). A victim whose relocation fits in the GC stream's open block
-// (relocationPages) is covered (gcCovered): its collection takes no free
-// block, so the pick wakes a flusher waiting for one, which may take the
-// reserve's second block now (hostReserve).
-// Reports false when the cycle is over: the log is back at its high
-// watermark, the power is off, or no block is worth collecting — then the
-// collector parks until gcRetry says the answer may have changed, set under
-// the same hold of lg.mu as the search, so no such event can fall between.
-// Called with lg.mu held.
+// (busyChip), and lets the ledger cover it (space.cover). Reports false when
+// the cycle is over: the log is back at its high watermark, the power is
+// off, or no block is worth collecting — then the collector parks until
+// gcRetry, starved under the same hold of lg.mu as the search, so no event
+// can fall between. Called with lg.mu held.
 func (c *collector) pick() (chipIdx, block int, ok bool) {
 	d, lg := c.d, c.lg
-	lg.victimChip, lg.gcCovered = noChip, false
-	if lg.freeBlocks >= d.gcHigh || d.crashed.Load() {
+	lg.victimChip = noChip
+	if !lg.space.nextVictim() || d.crashed.Load() {
 		return 0, 0, false
 	}
 	chipIdx, block, ok = d.victim(lg)
-	lg.gcStarved = !ok
+	lg.space.setStarved(!ok)
 	switch {
 	case !ok:
 		return 0, 0, false
@@ -146,34 +137,27 @@ func (c *collector) pick() (chipIdx, block int, ok bool) {
 		d.ctr.gcVictimsOther.Inc()
 	}
 	lg.victimChip = chipIdx
-	if gc := lg.active[streamGC]; gc != nil &&
-		d.relocationPages(&lg.chips[chipIdx].blocks[block]) <= d.fc.PagesPerBlock-gc.page {
-		lg.gcCovered = true
-		lg.freeCv.Broadcast()
-	}
+	lg.space.cover(&lg.chips[chipIdx].blocks[block], lg.active[streamGC])
 	return chipIdx, block, true
 }
 
-// victim picks the block to collect among the sealed blocks whose collection
-// may free anything: not marked noGain, and whose valid bytes fill fewer
-// pages than a block holds (frees, on the lower bound of the pages its live
-// records pack into). The paper's pick is the lowest combined score of valid
-// bytes and erase count ("low erase counts and small amounts of valid
-// data", §IV-E). A victim's scan, relocation reads and erase hold its chip,
-// and this log's flusher programs the chips its host streams have open
-// blocks on, so a victim on one of those stalls the log's own programs:
+// victim picks the block to collect among those whose collection may free
+// anything (space.collectible). The paper's pick is the lowest combined
+// score of valid bytes and erase count ("low erase counts and small amounts
+// of valid data", §IV-E). A victim's scan, relocation reads and erase hold
+// its chip, and this log's flusher programs the chips its host streams have
+// open blocks on, so a victim on one of those stalls the log's own programs:
 // when a candidate sits on a chip with no host stream's open block and has
 // no more erases than the paper's pick, the collector takes the best-scoring
 // such candidate instead. Otherwise — every candidate on a host chip, as on
 // a log with one chip, or none as little worn — it takes the paper's pick.
 // Called with lg.mu held.
 func (d *Device) victim(lg *logState) (chipIdx, block int, ok bool) {
-	pageSize := int64(d.fc.PageSize)
 	// candidate returns block b of chip ci's score and erase count, and
 	// whether it may be collected at all.
 	candidate := func(ci, b int, erases int64) (score int64, ok bool) {
 		bm := &lg.chips[ci].blocks[b]
-		if !bm.sealed || bm.retired || bm.noGain || !d.frees(int((bm.validBytes+pageSize-1)/pageSize)) {
+		if !lg.space.collectible(bm) {
 			return 0, false
 		}
 		ch, chip := lg.chipAddr(ci)
@@ -190,11 +174,8 @@ func (d *Device) victim(lg *logState) (chipIdx, block int, ok bool) {
 		// page but not yet installed its index entries; collecting now
 		// could erase a page that is about to become live. That page is
 		// its in-flight one.
-		if lg.inflight.data != nil {
-			a := d.arr.Decode(lg.inflight.ppn)
-			if a.Channel == ch && a.Chip == chip && a.Block == b {
-				return 0, false
-			}
+		if in := lg.inflight.ppn; lg.inflight.data != nil && in-in%flash.PPN(d.fc.PagesPerBlock) == first {
+			return 0, false
 		}
 		return bm.validBytes + erases*int64(chunkSize)*4, true
 	}
@@ -274,10 +255,9 @@ const (
 var gcPhaseNames = [numGCPhases]string{"scan", "relocate", "erase"}
 
 // collectBlock scans one victim block, relocates its live data, erases it,
-// and returns it to the log's free list, waking the writers that wait for
-// one. A reader actor reads the victim's pages in order (startScan), and the
-// collector relocates each page's live records once the page is read
-// (awaitPage). When the log can keep the scan and the relocation apart and
+// and hands it back to the ledger (space.reclaim). A reader actor reads the
+// victim's pages in order (startScan), and the collector relocates each
+// page's live records once the page is read (awaitPage). When the log can keep the scan and the relocation apart and
 // the victim is known to free a page (pipelines), it starts at once, so the
 // GC stream programs while the victim's later pages are still being read.
 // Otherwise it waits for the whole scan first, and a victim whose live
@@ -288,10 +268,7 @@ var gcPhaseNames = [numGCPhases]string{"scan", "relocate", "erase"}
 func (c *collector) collectBlock(chipIdx, block int) {
 	d, lg := c.d, c.lg
 	ch, chip := lg.chipAddr(chipIdx)
-	var start time.Duration
-	if d.tel != nil {
-		start = d.eng.NowCheap()
-	}
+	start := d.telNow()
 	lg.mu.Lock()
 	overlap := lg.pipelines(chipIdx, block)
 	lg.mu.Unlock()
@@ -302,13 +279,9 @@ func (c *collector) collectBlock(chipIdx, block int) {
 		if c.reader.err != nil {
 			return // the victim must not be erased
 		}
-		if pages, bytes := gcPagesNeeded(d, c.reader.live); !d.frees(pages) {
+		if pages, bytes := lg.space.gcPagesNeeded(c.reader.live); !lg.space.frees(pages) {
 			lg.mu.Lock()
-			// A version that died during the scan was counted live, and its
-			// discount, which clears the mark, has already come: leave the
-			// block unmarked for the next pick to scan again.
-			bm := &lg.chips[chipIdx].blocks[block]
-			bm.noGain = bm.validBytes >= bytes
+			lg.space.markNoGain(&lg.chips[chipIdx].blocks[block], bytes)
 			lg.mu.Unlock()
 			return
 		}
@@ -337,9 +310,7 @@ func (c *collector) collectBlock(chipIdx, block int) {
 		d.noticePowerLoss()
 		return
 	}
-	if d.tel != nil {
-		d.gcPhase[phaseErase].ObserveDuration(d.eng.NowCheap() - start)
-	}
+	d.since(d.gcPhase[phaseErase], start)
 	lg.gcErases.Inc()
 	var erased uint64
 	if err == nil {
@@ -348,23 +319,11 @@ func (c *collector) collectBlock(chipIdx, block int) {
 		d.nvMu.Unlock()
 	}
 	lg.mu.Lock()
-	bm := &lg.chips[chipIdx].blocks[block]
-	bm.sealed = false
 	if err == nil {
-		lg.gcCovered = false // the erase returns what a covered take borrowed
-		lg.learnHotLife(bm, erased)
-		bm.validBytes, bm.maxChunks = 0, 0
+		lg.learnHotLife(&lg.chips[chipIdx].blocks[block], erased)
 	}
-	// Bad-block policy: a block whose erase failed, or that ate a program in
-	// its last life (programPage), is retired for good, in NVRAM too.
-	retire := err != nil || bm.progFailed > 0
-	if retire {
-		bm.retired, bm.progFailed = true, 0
-	} else {
-		lg.chips[chipIdx].free = append(lg.chips[chipIdx].free, block)
-		lg.freeBlocks++
-		lg.freeCv.Broadcast()
-	}
+	retire := lg.space.reclaim(chipIdx, block, err == nil)
+	lg.checkSpace()
 	lg.mu.Unlock()
 	if retire {
 		d.nvMu.Lock()
@@ -388,8 +347,7 @@ func (c *collector) collectBlock(chipIdx, block int) {
 //
 // Called with lg.mu held.
 func (lg *logState) pipelines(ci, block int) bool {
-	d := lg.d
-	return len(lg.chips) > numStreams && d.frees(d.relocationPages(&lg.chips[ci].blocks[block]))
+	return len(lg.chips) > numStreams && lg.space.frees(lg.space.relocationPages(&lg.chips[ci].blocks[block]))
 }
 
 // startScan starts the reader of a victim block (readPages). A read is a
@@ -495,53 +453,6 @@ func (lg *logState) learnHotLife(bm *blockMeta, erased uint64) {
 	lg.hotLife = erased - bm.born
 	lg.hotLearned = lg.hotLearned || bm.stream == streamHot
 }
-
-// gcPagesNeeded reports how many pages relocating the victim's live records
-// programs — a next-fit count in scan order, the packing relocate does —
-// and the bytes of chunks they hold.
-func gcPagesNeeded(d *Device, live []gcRecord) (pages int, bytes int64) {
-	chunksPerPage := d.fc.PageSize / chunkSize
-	chunks := 0
-	for _, g := range live {
-		c := g.rec.Chunks(chunkSize)
-		if chunks+c > chunksPerPage {
-			pages++
-			chunks = 0
-		}
-		chunks += c
-		bytes += int64(c * chunkSize)
-	}
-	if chunks > 0 {
-		pages++
-	}
-	return pages, bytes
-}
-
-// relocationPages bounds the pages relocating block bm's live records can
-// program, whatever its scan finds live: those records are at most
-// bm.maxChunks chunks each and bm.validBytes in all, and the bound is the
-// smaller of two next-fit ones (gcPagesNeeded is next-fit). A page is closed
-// only by a record that does not fit on it, so with C chunks to a page every
-// page but the last holds more than C − maxChunks chunks: k pages of n chunks
-// have k ≤ (n − 1) ÷ (C − maxChunks + 1) + 1. And any two pages in a row hold
-// more than a page's chunks, so k < 2 × bytes ÷ PageSize + 1. Valid bytes
-// bound what the scan can find live: no record becomes live on a sealed,
-// fully programmed block. Called with the block's log's mu held.
-func (d *Device) relocationPages(bm *blockMeta) int {
-	chunks := int(bm.validBytes / chunkSize)
-	if chunks == 0 {
-		return 0
-	}
-	perPage := d.fc.PageSize / chunkSize
-	nextFit := (chunks-1)/(perPage-bm.maxChunks+1) + 1
-	pairwise := int(2*bm.validBytes/int64(d.fc.PageSize)) + 1
-	return min(nextFit, pairwise)
-}
-
-// frees reports whether collecting a block frees anything: relocating its
-// live records programs pages pages of the GC stream, and its erase returns
-// a block's.
-func (d *Device) frees(pages int) bool { return pages < d.fc.PagesPerBlock }
 
 // recordLive implements §IV-E's validity rule under MVCC: a scanned record
 // is live iff its family's version chains still retain a version at exactly

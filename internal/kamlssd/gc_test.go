@@ -27,7 +27,7 @@ const churnValue = 1000
 func freeBlocksOf(lg *logState) int {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
-	return lg.freeBlocks
+	return lg.space.freeBlocks
 }
 
 // churner overwrites a working set of four blocks' worth of keys per log,
@@ -800,7 +800,7 @@ func TestGCProgramFailureRetiresItsBlock(t *testing.T) {
 			t.Errorf("collecting the block that ate a program retired %d blocks, want 1", n)
 		}
 		lg.mu.Lock()
-		isRetired, onFree := failed.retired, slices.Contains(lg.chips[gcChip].free, gcBlock)
+		isRetired, onFree := failed.retired, slices.Contains(lg.chips[gcChip].freeList, gcBlock)
 		lg.mu.Unlock()
 		if !isRetired || onFree || r.arr.EraseCount(gcFirst) != gcErases+1 {
 			t.Errorf("the block that ate a program: retired %v, on the free list %v, %d erases (was %d)",

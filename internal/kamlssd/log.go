@@ -45,9 +45,8 @@ type logState struct {
 	id int
 	d  *Device
 
-	mu *sim.Mutex
-
-	chips []*logChip
+	mu    *sim.Mutex
+	space // the free lists, the free count and the blocks' space (space.go)
 
 	open        [numHostStreams]openPage
 	pageSeq     uint64 // pages sealed so far: an open page's identity across a wait
@@ -63,46 +62,14 @@ type logState struct {
 	active   [numStreams]*appendPoint // each stream's open block (nil: none)
 	nextChip int                      // rotate block allocation across the log's chips
 	// victimChip is the chip (an index into chips) of the victim the log's
-	// collector is collecting, noChip while it collects none: the collector
-	// sets it when it picks a victim and clears it at its next pick and at the
-	// end of its cycle (collector.loop).
+	// collector is collecting, noChip between victims (collector.pick).
 	victimChip int
-	// gcCovered is set while the victim being collected is covered: the pages
-	// relocating it can program (relocationPages) fit in the GC stream's open
-	// block, so its collection needs no free block and a host stream may take
-	// the reserve's second one (hostReserve). The collector sets it at the
-	// pick and clears it when the victim's erase returns its block and at its
-	// next pick.
-	gcCovered bool
-	// resume holds the partially-programmed blocks recovery found, in scan
-	// order, each at its first unprogrammed page: openBlock hands them out
-	// before any erased block. They are neither free nor sealed.
-	resume []appendPoint
 	// hotLife is the lifetime, in NVRAM seqs from its birth to its erase, of
 	// the last hot block the collector reclaimed — or, until one has been
 	// (hotLearned), of the last cold one. Zero on a new or recovered log: no
 	// record goes hot before a block of the log has been collected.
 	hotLife    uint64
 	hotLearned bool
-
-	freeBlocks int
-	// The log's collector and the flusher that waits for it meet on two
-	// conditions, each signalled by the event itself, under mu — nothing
-	// polls. freeCv: collectBlock returned a block to the free list, the
-	// collector picked a covered victim (the reserve's second block is the
-	// host streams' now), or power was cut; the flusher, out of erased blocks,
-	// waits here (hostPPN). gcCv: a block was opened below gcLowFree, something
-	// collectible may have appeared on a starved log, or the device is
-	// stopping; the collector waits here (collector.loop).
-	freeCv *sim.Cond
-	gcCv   *sim.Cond
-	// gcStarved is set by the collector when the log is below its watermark
-	// but holds no victim worth collecting — every sealed block is still being
-	// programmed or installed, or would refill as many pages as its erase
-	// frees (noGain). Whatever can change that clears it and wakes the
-	// collector (gcRetry): the flusher finishing a page, a version of this
-	// log's dying.
-	gcStarved bool
 
 	// The log's counted events and wear spread, one cell each; the registry
 	// lists them under a log="<id>" label (metrics.go).
@@ -184,18 +151,16 @@ func (lg *logState) sharer(ppn flash.PPN) waitCause {
 }
 
 type logChip struct {
-	global int // chip index in the array (channel*ChipsPerChannel+chip)
-	free   []int
-	blocks []blockMeta
+	global   int   // chip index in the array (channel*ChipsPerChannel+chip)
+	freeList []int // erased blocks, oldest first
+	blocks   []blockMeta
 }
 
 type blockMeta struct {
 	sealed  bool
 	retired bool
-	// noGain marks a sealed block whose live records, scanned, would program
-	// a block's worth of pages: collecting it frees nothing, so the collector
-	// left it unerased (collectBlock). The next version on it to die clears
-	// the mark (discountValid).
+	// noGain marks a sealed block whose scanned live records fill a block's
+	// pages, left unerased (collectBlock) until a version on it dies.
 	noGain     bool
 	stream     int // the stream that opened the block; recovered blocks count as cold
 	validBytes int64
@@ -244,19 +209,10 @@ func newLogState(d *Device, id int) *logState {
 	}
 	lg.mu = d.eng.NewMutex(fmt.Sprintf("kaml-log%d", id))
 	lg.workCv = d.eng.NewCond(lg.mu)
-	lg.freeCv = d.eng.NewCond(lg.mu)
-	lg.gcCv = d.eng.NewCond(lg.mu)
+	low, high := gcWater()
+	lg.space = space{fc: &d.fc, low: low, high: high, freeCv: d.eng.NewCond(lg.mu),
+		gcCv: d.eng.NewCond(lg.mu), tally: make([]uint8, d.fc.BlocksPerChip)}
 	return lg
-}
-
-func (lg *logState) addChip(global, blocks int) {
-	lc := &logChip{global: global}
-	lc.blocks = make([]blockMeta, blocks)
-	for b := 0; b < blocks; b++ {
-		lc.free = append(lc.free, b)
-	}
-	lg.chips = append(lg.chips, lc)
-	lg.freeBlocks += blocks
 }
 
 func (lg *logState) chipAddr(chipIdx int) (channel, chip int) {
@@ -264,48 +220,16 @@ func (lg *logState) chipAddr(chipIdx int) (channel, chip int) {
 	return g / lg.d.fc.ChipsPerChannel, g % lg.d.fc.ChipsPerChannel
 }
 
-// A log's free-block thresholds. Its collector wakes below gcLowFree erased
-// blocks and collects up to gcHighFree. A host stream takes a block only
-// while the log has more than its reserve (hostReserve), which leaves the GC
-// stream room for more pages than the victim being collected can need, and
-// every collection programs fewer pages than its erase returns
-// (collectBlock): so at each victim's start the GC stream has that room too.
-const (
-	gcLowFree       = 3
-	gcHighFree      = 5
-	gcReserveBlocks = 2
-)
-
-// hostReserve is the number of free blocks a host stream leaves the log: it
-// opens a block only while the log has more. The GC stream's room C is its
-// free blocks' pages plus its open block's unprogrammed tail, and a victim's
-// relocation programs at most relocationPages(victim) < P pages of it, P to a
-// block. Normally the reserve is gcReserveBlocks, so a take leaves C ≥ 2P.
-// While the victim being collected is covered (gcCovered), one block fewer:
-// the take leaves C ≥ P + relocationPages(victim), the collection then takes
-// only its tail and returns P, and the next victim starts with C ≥ 2P all the
-// same. Either way the second P absorbs one retirement or abandoned
-// collection. Called with lg.mu held.
-func (lg *logState) hostReserve() int {
-	if lg.gcCovered {
-		return gcReserveBlocks - 1
-	}
-	return gcReserveBlocks
-}
-
 // nextPPN allocates the next sequential page of stream s, opening a fresh
-// block when needed. A host stream that needs a block while the log is at
-// its reserve (hostReserve) shares the other host stream's open block, if it
-// has one, rather than wait: two host streams hold two open blocks where one
-// stream held one, so the block the collector needs next may be the other
-// stream's open one, whose pages queue behind the waiting page. The share
-// and a take from the reserve's second block are counted in
+// block when needed. A host stream the reserve refuses a block (space.take)
+// shares the other host stream's open block, if it has one, rather than
+// wait: the block the collector needs next may be that one, whose pages
+// queue behind the waiting page. Shares and covered takes are counted in
 // kaml_ssd_reserve_takes_total. Called with lg.mu held.
 func (lg *logState) nextPPN(s int) (flash.PPN, error) {
 	ap := &lg.active[s]
 	if *ap == nil {
-		reserve := s != streamGC && len(lg.resume) == 0 && lg.freeBlocks <= gcReserveBlocks
-		if reserve && lg.freeBlocks <= lg.hostReserve() {
+		if open, covered := lg.space.take(s); !open {
 			ap = &lg.active[numHostStreams-1-s] // the other host stream's
 			if *ap == nil {
 				return 0, fmt.Errorf("kamlssd: log %d out of free blocks", lg.id)
@@ -314,7 +238,7 @@ func (lg *logState) nextPPN(s int) (flash.PPN, error) {
 				lg.d.ctr.reserveShared.Inc()
 			}
 		} else {
-			if reserve && lg.d.tel != nil {
+			if covered && lg.d.tel != nil {
 				lg.d.ctr.reserveCovered.Inc()
 			}
 			cp, err := lg.openBlock(s)
@@ -343,14 +267,12 @@ func (lg *logState) nextPPN(s int) (flash.PPN, error) {
 // empty, pops a free block for stream s. A log has four jobs — the two host
 // streams, the GC stream and the victim being collected — and each holds a
 // chip for its programs, reads or erase, so on a log with more chips than
-// streams the block comes from a chip that holds no job s must keep apart
-// from (busyChip): the flusher then does not program behind its own
-// collector, nor the collector behind the flusher: the first such chip in
-// rotation. When no chip with a free block qualifies, and on a log too small
-// to keep its jobs apart, it takes the next chip in rotation that has one.
-// Either way it wakes the log's collector when that takes the
-// log below its low watermark — the host and the GC stream both consume free
-// blocks here and nowhere else. Called with lg.mu held.
+// streams the block comes from the first chip in rotation that holds no job
+// s must keep apart from (busyChip), so the flusher does not program behind
+// its own collector, nor the collector behind the flusher. When no chip with
+// a free block qualifies, and on a log too small to keep its jobs apart, it
+// takes the next chip in rotation that has one. Both the host and the GC
+// stream take free blocks here (popFree) alone. Called with lg.mu held.
 func (lg *logState) openBlock(s int) (*appendPoint, error) {
 	if len(lg.resume) > 0 {
 		ap := lg.resume[0]
@@ -364,7 +286,7 @@ func (lg *logState) openBlock(s int) (*appendPoint, error) {
 			if lg.busyChip(s, ci) {
 				continue
 			}
-			if b, ok := lg.popFree(ci); ok {
+			if b, ok := lg.space.popFree(ci); ok {
 				lg.nextChip = (ci + 1) % n
 				return &appendPoint{chip: ci, block: b}, nil
 			}
@@ -373,7 +295,7 @@ func (lg *logState) openBlock(s int) (*appendPoint, error) {
 	for tries := 0; tries < n; tries++ {
 		ci := lg.nextChip
 		lg.nextChip = (ci + 1) % n
-		if b, ok := lg.popFree(ci); ok {
+		if b, ok := lg.space.popFree(ci); ok {
 			return &appendPoint{chip: ci, block: b}, nil
 		}
 	}
@@ -396,24 +318,6 @@ func (lg *logState) busyChip(s, ci int) bool {
 	return gc != nil && gc.chip == ci
 }
 
-// popFree pops chip ci's next free block that is not retired, if it has one.
-// Called with lg.mu held.
-func (lg *logState) popFree(ci int) (block int, ok bool) {
-	lc := lg.chips[ci]
-	for len(lc.free) > 0 {
-		b := lc.free[0]
-		lc.free = lc.free[1:]
-		lg.freeBlocks--
-		if lg.freeBlocks < lg.d.gcLow {
-			lg.gcCv.Signal()
-		}
-		if !lc.blocks[b].retired {
-			return b, true
-		}
-	}
-	return 0, false
-}
-
 // hostPPN is nextPPN for a host stream that waits, while the log is out of
 // erased blocks, for the log's collector to return one — the paper's
 // free-block watermark backpressure. Only the flusher calls it, for the page
@@ -421,20 +325,16 @@ func (lg *logState) popFree(ci int) (block int, ok bool) {
 // log's programs, not a Put: the log's queue fills, and its writers move on
 // to their namespaces' other logs (appendRecord). The stall is observed in
 // kaml_ssd_free_block_wait_seconds. Nobody has to wake the collector from
-// here: the host stream stops at its reserve, which is below gcLowFree, so
-// the block that took the log there signalled gcCv, and a collector that has
-// parked since is starved and waits for gcRetry. Reports false on a power
-// cut. Called with lg.mu held, which the wait releases; returns with it held.
+// here: the reserve is below gcLowFree, so the pop that took the log there
+// signalled gcCv, and a collector parked since is starved (gcRetry). Reports
+// false on a power cut. Called with lg.mu held, which the wait releases.
 func (lg *logState) hostPPN(stream int) (flash.PPN, bool) {
 	ppn, err := lg.nextPPN(stream)
 	if err == nil {
 		return ppn, true
 	}
 	d := lg.d
-	var start time.Duration
-	if d.tel != nil {
-		start = d.eng.NowCheap()
-	}
+	start := d.telNow()
 	for err != nil {
 		lg.freeCv.Wait()
 		if d.crashed.Load() {
@@ -442,9 +342,7 @@ func (lg *logState) hostPPN(stream int) (flash.PPN, bool) {
 		}
 		ppn, err = lg.nextPPN(stream)
 	}
-	if d.tel != nil {
-		d.freeBlockWait.ObserveDuration(d.eng.NowCheap() - start)
-	}
+	d.since(d.freeBlockWait, start)
 	return ppn, true
 }
 
@@ -465,14 +363,9 @@ func (lg *logState) wakeAll() {
 // of its round. Fails on a power cut. The wait is observed in
 // kaml_ssd_log_full_wait_seconds. Called with no lock held.
 func (d *Device) awaitRoom(seen uint64) error {
-	var start time.Duration
-	if d.tel != nil {
-		start = d.eng.NowCheap()
-	}
+	start := d.telNow()
 	d.room.await(seen, &d.crashed)
-	if d.tel != nil {
-		d.logFullWait.ObserveDuration(d.eng.NowCheap() - start)
-	}
+	d.since(d.logFullWait, start)
 	if d.crashed.Load() {
 		return ErrPowerLoss
 	}
@@ -483,16 +376,6 @@ func (d *Device) awaitRoom(seen uint64) error {
 // its log takes records again. It wakes the writers waiting for a log with
 // room (awaitRoom). Called with lg.mu held; nvMu nests inside it.
 func (d *Device) madeRoom() { d.room.raise() }
-
-// gcRetry tells a starved collector to look again: something that can make a
-// victim eligible or gainful just happened on this log. Called with lg.mu
-// held.
-func (lg *logState) gcRetry() {
-	if lg.gcStarved {
-		lg.gcStarved = false
-		lg.gcCv.Signal()
-	}
-}
 
 // hasRoom reports whether the sealed queue can take another page. Called with
 // lg.mu held.
@@ -770,7 +653,7 @@ func (d *Device) flusherLoop(lg *logState) {
 		lg.mu.Lock()
 		lg.inflight = sealedPage{}
 		lg.spare = append(lg.spare, sp.pending[:0])
-		lg.gcRetry() // the page's block may just have become collectible
+		lg.space.gcRetry() // the page's block may just have become collectible
 		lg.mu.Unlock()
 	}
 }
@@ -830,50 +713,13 @@ func (d *Device) swing(ns uint32, key uint64, from, to location) bool {
 	return true
 }
 
-// creditValid adds a record's footprint to its block's valid counter, and
-// its length to the block's longest, locking the owning log internally.
-// Callers must hold no log mutex.
-func (d *Device) creditValid(loc location) {
-	lg, lc, b := d.blockOf(loc.ppn())
-	if lc == nil {
-		return
-	}
-	lg.mu.Lock()
-	bm := &lc.blocks[b]
-	bm.validBytes += int64(loc.nchunks() * chunkSize)
-	bm.maxChunks = max(bm.maxChunks, loc.nchunks())
-	lg.mu.Unlock()
-}
-
-// discountValid removes a record's footprint from its block's counter.
-// Locations carry their chunk count, so the accounting is exact. Callers
-// must hold no log mutex.
-func (d *Device) discountValid(loc location) {
-	lg, lc, b := d.blockOf(loc.ppn())
-	if lc == nil {
-		return
-	}
-	lg.mu.Lock()
-	lc.blocks[b].validBytes -= int64(loc.nchunks() * chunkSize)
-	if lc.blocks[b].validBytes < 0 {
-		lc.blocks[b].validBytes = 0
-	}
-	lc.blocks[b].noGain = false
-	lg.gcRetry() // the block may just have become worth collecting
-	lg.mu.Unlock()
-}
-
 // blockOf maps a PPN to its owning log, chip, and block. Pure address
-// arithmetic — callers touching the returned blockMeta must hold that
-// log's mutex.
+// arithmetic: log i holds the array's chips i, i+NumLogs, ... in order
+// (buildLogs). Callers touching the returned blockMeta must hold that log's
+// mutex.
 func (d *Device) blockOf(ppn flash.PPN) (*logState, *logChip, int) {
 	addr := d.arr.Decode(ppn)
 	global := addr.Channel*d.fc.ChipsPerChannel + addr.Chip
 	lg := d.logs[global%len(d.logs)]
-	for _, lc := range lg.chips {
-		if lc.global == global {
-			return lg, lc, addr.Block
-		}
-	}
-	return nil, nil, 0
+	return lg, lg.chips[global/len(d.logs)], addr.Block
 }

@@ -2,6 +2,7 @@ package kamlssd
 
 import (
 	"strconv"
+	"time"
 
 	"github.com/kaml-ssd/kaml/internal/telemetry"
 )
@@ -39,10 +40,8 @@ type counters struct {
 	// block on their chip when the collector picked them (victim).
 	gcVictimsHost, gcVictimsOther telemetry.Counter
 
-	// Host-stream pages placed at a log's free-block reserve (nextPPN): blocks
-	// opened from the reserve's second block while the victim was covered,
-	// and pages put in the other host stream's open block. Counted only while
-	// telemetry is on.
+	// Host-stream takes at a log's reserve (nextPPN): covered blocks opened,
+	// and pages shared. Counted only while telemetry is on.
 	reserveCovered, reserveShared telemetry.Counter
 }
 
@@ -52,8 +51,8 @@ type counters struct {
 // metric surface (the CI smoke test depends on that). The histograms exist
 // only while a registry does: with Config.DisableTelemetry they stay nil
 // (a nil histogram drops its samples) and the timestamp reads feeding them
-// are skipped behind d.tel != nil (see execPut / installFlashLoc / hostPPN /
-// flusherLoop / collector.loop / collectBlock).
+// are skipped behind d.tel != nil (telNow, since, and installFlashLoc /
+// flusherLoop).
 //
 // Command latencies (Get/Put/Snapshot, per lifecycle stage) are recorded
 // by the pipeline itself — kaml_cmdq_stage_seconds{op,stage} — because the
@@ -127,5 +126,21 @@ func (d *Device) export(r *telemetry.Registry) {
 		for c := range lg.sealed {
 			r.AdoptCounter(&lg.sealed[c], "kaml_ssd_pages_sealed_total", "log", lbl, "cause", sealCauseNames[c])
 		}
+	}
+}
+
+// telNow is the virtual time while telemetry is on, unread and zero while it
+// is off: the start of a span that since observes.
+func (d *Device) telNow() time.Duration {
+	if d.tel == nil {
+		return 0
+	}
+	return d.eng.NowCheap()
+}
+
+// since observes in h the virtual time from start, while telemetry is on.
+func (d *Device) since(h *telemetry.Histogram, start time.Duration) {
+	if d.tel != nil {
+		h.ObserveDuration(d.eng.NowCheap() - start)
 	}
 }

@@ -207,9 +207,7 @@ func (d *Device) VersionStats(nsID uint32) (keys, versions, maxChain int, err er
 		}
 		keys++
 		versions += l
-		if l > maxChain {
-			maxChain = l
-		}
+		maxChain = max(maxChain, l)
 		return true
 	})
 	return keys, versions, maxChain, nil

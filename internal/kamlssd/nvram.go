@@ -141,9 +141,7 @@ func (nv *NVRAM) beginBatch(n int) (batch, firstSeq uint64) {
 func (nv *NVRAM) settledSeq() uint64 {
 	ts := nv.nvSeq
 	for _, first := range nv.open {
-		if first-1 < ts {
-			ts = first - 1
-		}
+		ts = min(ts, first-1)
 	}
 	return ts
 }
@@ -213,24 +211,16 @@ func (nv *NVRAM) commitBatch(batch uint64) {
 
 // abortBatch rolls back an uncommitted batch: its values are dropped and
 // their sequences remembered as aborted so copies that already reached
-// flash are never resurrected by recovery.
-func (nv *NVRAM) abortBatch(batch uint64) {
+// flash are never resurrected by recovery. An uncommitted batch keeps every
+// value it staged until it commits or aborts (an install leaves a marker),
+// so the staged seqs of its range are exactly the ones present; the rest
+// were never staged, and nothing of theirs can be on flash. Returns how many
+// values it dropped.
+func (nv *NVRAM) abortBatch(batch uint64) (dropped int) {
 	b, ok := nv.batches[batch]
 	if !ok {
-		return
+		return 0
 	}
-	nv.discard(b)
-	delete(nv.batches, batch)
-	delete(nv.open, batch)
-}
-
-// discard drops the staged values of uncommitted batch b and marks their
-// seqs aborted, returning how many it dropped. An uncommitted batch keeps
-// every value it staged until it commits or aborts (an install leaves a
-// marker), so the staged seqs of its range are exactly the ones present;
-// the rest were never staged, and nothing of theirs can be on flash.
-func (nv *NVRAM) discard(b nvBatch) int {
-	dropped := 0
 	for seq := b.first; seq < b.first+b.n; seq++ {
 		if e, ok := nv.values[seq]; ok {
 			nv.release(seq, e)
@@ -238,6 +228,8 @@ func (nv *NVRAM) discard(b nvBatch) int {
 			dropped++
 		}
 	}
+	delete(nv.batches, batch)
+	delete(nv.open, batch)
 	return dropped
 }
 
@@ -297,15 +289,11 @@ func (nv *NVRAM) isAborted(seq uint64) bool {
 // committed (recovery's first step: a cut mid-Put means the host was never
 // acknowledged, so the batch must vanish atomically). Returns how many
 // values were dropped.
-func (nv *NVRAM) dropUncommitted() int {
-	dropped := 0
+func (nv *NVRAM) dropUncommitted() (dropped int) {
 	for id, b := range nv.batches {
-		if b.committed {
-			continue
+		if !b.committed {
+			dropped += nv.abortBatch(id)
 		}
-		dropped += nv.discard(b)
-		delete(nv.batches, id)
-		delete(nv.open, id)
 	}
 	return dropped
 }

@@ -217,10 +217,7 @@ func (d *Device) execPut(batch []PutRecord, merged int) (uint64, error) {
 		d.nv.stage(seq, r.Namespace, r.Key, r.Value, batchID)
 		d.ctr.nvramStaged.Set(int64(len(d.nv.values)))
 		d.nvMu.Unlock()
-		var stagedAt time.Duration
-		if d.tel != nil {
-			stagedAt = d.eng.NowCheap()
-		}
+		stagedAt := d.telNow()
 
 		// One push does the directory lookup (or insert) and publishes the
 		// NVRAM location, in a single probe sequence. The superseded version
@@ -286,11 +283,7 @@ func (d *Device) execPut(batch []PutRecord, merged int) (uint64, error) {
 	d.ctr.versionsPruned.Add(int64(pruned))
 	// A group commit acknowledges every merged Put command at once; Puts
 	// counts logical commands, not commits (CoalescerBatches counts those).
-	cmds := merged
-	if cmds < 1 {
-		cmds = 1
-	}
-	d.ctr.puts.Add(int64(cmds))
+	d.ctr.puts.Add(int64(max(merged, 1)))
 	d.ctr.putRecords.Add(int64(len(batch)))
 	d.ctr.indexProbes.Add(int64(totalProbes))
 	d.ctr.indexEntries.Add(int64(newKeys))

@@ -86,35 +86,17 @@ func scanDevice(arr *flash.Array, ctrl *nvme.Controller, cfg Config, nv *NVRAM) 
 	if cfg.NumLogs <= 0 || cfg.NumLogs > fc.Chips() {
 		return nil, nil, fmt.Errorf("kamlssd: recover with NumLogs %d, need 1..%d", cfg.NumLogs, fc.Chips())
 	}
-	d := &Device{
-		cfg:        cfg,
-		fc:         fc,
-		arr:        arr,
-		ctrl:       ctrl,
-		eng:        arr.Engine(),
-		namespaces: make(map[uint32]*namespace),
-		families:   make(map[uint32]*family),
-		pins:       make(map[uint64]int),
-		nv:         nv,
-	}
-	d.initLocks()
-	d.buildLogs()
+	d := newDevice(arr, ctrl, cfg, nv)
 
 	// 1. Namespaces from the catalog (sorted for determinism; a root's ID
 	// is always smaller than its snapshots', so families exist before their
 	// shells).
 	for _, m := range nv.sortedCatalog() {
-		nLogs := m.numLogs
-		if nLogs <= 0 || nLogs > len(d.logs) {
-			nLogs = len(d.logs)
-		}
 		ns := d.newNamespace(m.id)
 		ns.origin = m.origin
 		ns.readonly = m.readonly
 		ns.cutoff = m.cutoff
-		for i := 0; i < nLogs; i++ {
-			ns.logIDs = append(ns.logIDs, i)
-		}
+		ns.logIDs = d.firstLogs(m.numLogs)
 		if m.origin == 0 {
 			ns.fam = d.newFamily(ns, m.kind, m.capacity, true)
 			d.families[m.id] = ns.fam
@@ -256,7 +238,6 @@ func (d *Device) scanLogs() ([]scanRec, error) {
 	var failed atomic.Bool
 	exited := d.eng.NewWaitGroup()
 	for _, lg := range d.logs {
-		lg.freeBlocks, lg.resume = 0, nil
 		for ci, lc := range lg.chips {
 			programmed, pages := d.rebuildChip(lg, ci)
 			for r := 0; r < readersPerChip; r++ {
@@ -287,39 +268,6 @@ func (d *Device) scanLogs() ([]scanRec, error) {
 		recs = append(recs, rd.recs...)
 	}
 	return recs, nil
-}
-
-// rebuildChip is step 3 for chip ci of lg: a retired block stays out of
-// service, an empty one goes on the free list, a full one is sealed, and a
-// partial one goes on the log's resume list at its first unprogrammed page —
-// NAND programs a block in order from wherever it stopped, so the block is
-// appended to, not padded. Returns the pages programmed per block and their
-// sum.
-func (d *Device) rebuildChip(lg *logState, ci int) (programmed []int, pages int) {
-	lc := lg.chips[ci]
-	ch, chip := lg.chipAddr(ci)
-	lc.free = lc.free[:0]
-	programmed = make([]int, len(lc.blocks))
-	for b := range lc.blocks {
-		lc.blocks[b] = blockMeta{}
-		first := d.arr.BlockPPN(ch, chip, b, 0)
-		if d.nv.isRetired(first) {
-			lc.blocks[b].retired = true
-			continue
-		}
-		n := d.arr.ProgrammedPages(first)
-		switch {
-		case n == 0:
-			lc.free = append(lc.free, b)
-		case n < d.fc.PagesPerBlock:
-			lg.resume = append(lg.resume, appendPoint{chip: ci, block: b, page: n})
-		default:
-			lc.blocks[b].sealed = true
-		}
-		programmed[b], pages = n, pages+n
-	}
-	lg.freeBlocks += len(lc.free)
-	return programmed, pages
 }
 
 // readPages is a reader actor's loop; it returns early, with nothing, once

@@ -449,7 +449,7 @@ func recoveredOf(dev *Device) *recovered {
 		s.resume = append(s.resume, append([]appendPoint{}, lg.resume...))
 		for _, lc := range lg.chips {
 			copy(s.blocks[lc.global*fc.BlocksPerChip:], lc.blocks)
-			s.free[lc.global] = append([]int{}, lc.free...)
+			s.free[lc.global] = append([]int{}, lc.freeList...)
 		}
 		lg.mu.Unlock()
 	}
@@ -798,7 +798,7 @@ func TestFirstSealResumesPartialBlock(t *testing.T) {
 				sealed := lg.pageSeq
 				free := make([][]int, len(lg.chips))
 				for ci, lc := range lg.chips {
-					free[ci] = slices.Clone(lc.free)
+					free[ci] = slices.Clone(lc.freeList)
 				}
 				freeBlocks := lg.freeBlocks
 				lg.mu.Unlock()

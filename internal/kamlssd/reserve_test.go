@@ -1,7 +1,9 @@
 package kamlssd
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/kaml-ssd/kaml/internal/record"
@@ -19,9 +21,10 @@ import (
 // than relocationPages of a block with their bytes and maxChunks m; with
 // records as long as a page the bound is the pairwise one.
 func TestRelocationPagesBoundTheRelocation(t *testing.T) {
-	d := &Device{fc: testFlashConfig()}
-	perPage := d.fc.PageSize / chunkSize
-	value := make([]byte, d.fc.PageSize)
+	fc := testFlashConfig()
+	sp := &space{fc: &fc}
+	perPage := fc.PageSize / chunkSize
+	value := make([]byte, fc.PageSize)
 	rng := rand.New(rand.NewSource(1))
 	var live []gcRecord
 	for m := 1; m <= perPage; m++ {
@@ -34,14 +37,14 @@ func TestRelocationPagesBoundTheRelocation(t *testing.T) {
 				}
 				live = append(live, gcRecord{rec: record.Record{Value: value[:c*chunkSize-record.HeaderSize]}})
 			}
-			pages, bytes := gcPagesNeeded(d, live)
+			pages, bytes := sp.gcPagesNeeded(live)
 			bm := blockMeta{validBytes: bytes, maxChunks: m}
-			bound := d.relocationPages(&bm)
+			bound := sp.relocationPages(&bm)
 			if pages > bound {
 				t.Fatalf("%d records of at most %d chunks (%d B) program %d pages, bound %d",
 					len(live), m, bytes, pages, bound)
 			}
-			if pairwise := int(2*bytes/int64(d.fc.PageSize)) + 1; m == perPage && bound != pairwise {
+			if pairwise := int(2*bytes/int64(fc.PageSize)) + 1; m == perPage && bound != pairwise {
 				t.Fatalf("records up to a page long (%d B): bound %d, want the pairwise %d", bytes, bound, pairwise)
 			}
 		}
@@ -87,18 +90,33 @@ func TestHostStreamsAtTheReserve(t *testing.T) {
 					d, lg := r.dev, r.dev.logs[0]
 					lg.mu.Lock()
 					defer lg.mu.Unlock()
-					// The hot stream's open block is one the test made up, which
-					// no stream opens (openBlock pops from the front of the free
-					// lists).
-					hot := &appendPoint{chip: 1, block: d.fc.BlocksPerChip - 1, page: 3}
-					ch, chip := lg.chipAddr(hot.chip)
-					shared := d.arr.BlockPPN(ch, chip, hot.block, hot.page)
+					// The state is made through the ledger: the hot stream's open
+					// block and the free blocks above tc.free are taken off the
+					// free lists, and go back at the end; a covered victim is
+					// one with nothing to relocate.
+					var taken []appendPoint
+					take := func(ci int) int {
+						b, ok := lg.space.popFree(ci)
+						if ok {
+							taken = append(taken, appendPoint{chip: ci, block: b})
+						}
+						return b
+					}
 					lg.active = [numStreams]*appendPoint{}
+					hot := &appendPoint{chip: 1, page: 3}
 					if tc.other {
+						hot.block = take(hot.chip)
 						lg.active[streamHot] = hot
 					}
-					free := lg.freeBlocks
-					lg.freeBlocks, lg.gcCovered, lg.gcStarved = tc.free, tc.covered, tc.starved
+					ch, chip := lg.chipAddr(hot.chip)
+					shared := d.arr.BlockPPN(ch, chip, hot.block, hot.page)
+					for ci := 0; lg.space.freeBlocks > tc.free; ci = (ci + 1) % len(lg.chips) {
+						take(ci)
+					}
+					if tc.covered {
+						lg.space.cover(&blockMeta{}, &appendPoint{})
+					}
+					lg.space.setStarved(tc.starved)
 					covered0, shared0 := d.ctr.reserveCovered.Value(), d.ctr.reserveShared.Value()
 
 					ppn, err := lg.nextPPN(streamCold)
@@ -107,7 +125,7 @@ func TestHostStreamsAtTheReserve(t *testing.T) {
 					case err != nil:
 					case cold != nil && lg.freeBlocks == tc.free-1:
 						got = open
-						lg.chips[cold.chip].free = append(lg.chips[cold.chip].free, cold.block) // back, for the next test
+						lg.space.pushFree(cold.chip, cold.block) // back, for the next test
 					case cold == nil && ppn == shared && hot.page == 4:
 						got = share
 					default:
@@ -129,7 +147,11 @@ func TestHostStreamsAtTheReserve(t *testing.T) {
 					if n := d.ctr.reserveShared.Value() - shared0; n != wantShared {
 						t.Errorf("%d shared pages counted, want %d", n, wantShared)
 					}
-					lg.freeBlocks, lg.gcCovered, lg.gcStarved = free, false, false
+					for _, ap := range taken {
+						lg.space.pushFree(ap.chip, ap.block)
+					}
+					lg.space.nextVictim() // ends the coverage
+					lg.space.setStarved(false)
 					lg.active = [numStreams]*appendPoint{}
 				})
 			})
@@ -233,4 +255,56 @@ func TestRetirementDuringACoveredCollection(t *testing.T) {
 		w.checkAll(dev2)
 	})
 	r.e.Wait()
+}
+
+// The ledger's geometry check (checkSpace), which a test binary runs after
+// every collection's erase and every recovery rebuild, passes on a device in
+// service and names the log and the block of a misplaced one: an open block
+// put back on a free list, and a retired one.
+func TestLedgerCheckNamesAMisplacedBlock(t *testing.T) {
+	// check runs the check on lg and returns what it panicked with.
+	check := func(lg *logState) (msg any) {
+		defer func() { msg = recover() }()
+		lg.checkSpace()
+		return nil
+	}
+	cases := []struct {
+		name  string
+		place func(t *testing.T, lg *logState) (ci, b int) // misplaces a block of lg
+	}{
+		{"an open block on a free list", func(t *testing.T, lg *logState) (int, int) {
+			if _, err := lg.nextPPN(streamCold); err != nil {
+				t.Fatalf("setup: %v", err)
+			}
+			ap := lg.active[streamCold]
+			lg.space.pushFree(ap.chip, ap.block)
+			return ap.chip, ap.block
+		}},
+		{"a retired block on a free list", func(t *testing.T, lg *logState) (int, int) {
+			b, _ := lg.space.popFree(2)
+			lg.space.reclaim(2, b, false) // its erase failed
+			if msg := check(lg); msg != nil {
+				t.Fatalf("setup: a retired block fails the check: %v", msg)
+			}
+			lg.space.pushFree(2, b)
+			return 2, b
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			withRig(t, testFlashConfig(), func(c *Config) { c.NumLogs = 2 }, func(r *rig) {
+				lg := r.dev.logs[1]
+				lg.mu.Lock()
+				defer lg.mu.Unlock()
+				if msg := check(lg); msg != nil {
+					t.Fatalf("a device in service fails the check: %v", msg)
+				}
+				ci, b := tc.place(t, lg)
+				want := fmt.Sprintf("log 1 chip %d block %d ", ci, b)
+				if msg, _ := check(lg).(string); !strings.Contains(msg, want) {
+					t.Errorf("the check reports %q, want it to name %q", msg, want)
+				}
+			})
+		})
+	}
 }

@@ -285,6 +285,35 @@ func decl(recv, re string) matcher {
 	}
 }
 
+// assigns matches an assignment, an op-assignment or an increment of a field
+// whose name matches the pattern, indexed or not (lc.freeList[0] = b).
+func assigns(re string) matcher {
+	p := regexp.MustCompile(re)
+	field := func(e ast.Expr) bool {
+		for {
+			switch x := e.(type) {
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				return p.MatchString(x.Sel.Name)
+			default:
+				return false
+			}
+		}
+	}
+	return func(_ *ast.FuncDecl, n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.AssignStmt:
+			return slices.ContainsFunc(s.Lhs, field)
+		case *ast.IncDecStmt:
+			return field(s.X)
+		}
+		return false
+	}
+}
+
 func isGo(_ *ast.FuncDecl, n ast.Node) bool { _, ok := n.(*ast.GoStmt); return ok }
 
 func isChan(_ *ast.FuncDecl, n ast.Node) bool { _, ok := n.(*ast.ChanType); return ok }
@@ -646,6 +675,20 @@ var rules = []rule{
 			"package kamlssd\n\nfunc (d *Device) gcProgram(err error) bool { return errors.Is(err, flash.ErrInjectedFailure) }\n")},
 	},
 	{
+		// A log's space state is its ledger's: the rest of the firmware asks
+		// it (wantsGC, take, collectible, cover, gcPagesNeeded) and hands it
+		// blocks (popFree, reclaim, creditValid), never writes it.
+		name: "one-space-ledger",
+		why:  "only the space ledger (space.go) writes the free lists and count, gcCovered, gcStarved, and a block's validBytes, maxChunks and noGain",
+		sc:   scope{paths: []string{"internal/kamlssd"}, noTests: true, except: "space.go"},
+		checks: []check{forbid(assigns(
+			`^(freeList|freeBlocks|gcCovered|gcStarved|validBytes|maxChunks|noGain)$`))},
+		bad: []map[string]string{
+			src("internal/kamlssd/gc.go", "package kamlssd\n\nfunc f(bm *blockMeta) { bm.validBytes = 0 }\n"),
+			src("internal/kamlssd/log.go", "package kamlssd\n\nfunc (lg *logState) f() { lg.freeBlocks-- }\n"),
+		},
+	},
+	{
 		// A page that does not parse keeps its victim, as a failed read does.
 		name: "bad-victim-page-stops-the-scan",
 		why:  "a victim page that does not parse stops the scan (readRecords), it does not panic",
@@ -777,7 +820,7 @@ SubmitOwned( workerLoop SubmitGet SubmitSnapshot AsyncGet stageQueue cmdq-worker
 record.At( func At( hostPPN( spaceCv SwapOutIndex loadIndex ErrSwappedOut pageTypeIndex
 swapPages relocateIndexPages DeserializeVersionChains lockMounted readersPerChip nReaders
 func (c *collector) scan( arr.ProgramPage( arr.ReadPage( progFailed++ ErrInjectedFailure
-GC parse`
+GC parse bm.validBytes = 0 lg.freeBlocks--`
 	var code strings.Builder
 	code.WriteString("// Package fixture names, in comments and strings only:\n")
 	for _, line := range strings.Split(named, "\n") {
