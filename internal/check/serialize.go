@@ -1,7 +1,9 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -180,18 +182,42 @@ func FormatViolations(vs []Violation) string {
 	return b.String()
 }
 
-// edgeSet is adjacency with a human reason per edge (first reason wins).
-type edgeSet map[int]map[int]string
+// arc is one edge of the serialization graph: its target, whether it is
+// forced (see checkGraph), and a human reason.
+type arc struct {
+	to     int
+	hard   bool
+	reason string
+}
 
-func (e edgeSet) add(from, to int, reason string) {
+// graph is the serialization graph's adjacency, indexed by node. While it is
+// built an edge may be added more than once; seal leaves one arc per edge.
+type graph [][]arc
+
+// add appends the edge from -> to unless it is a self-loop or names no node,
+// and reports whether it did.
+func (g graph) add(from, to int, reason string, hard bool) bool {
 	if from == to || from < 0 || to < 0 {
-		return
+		return false
 	}
-	if e[from] == nil {
-		e[from] = make(map[int]string)
-	}
-	if _, ok := e[from][to]; !ok {
-		e[from][to] = reason
+	g[from] = append(g[from], arc{to: to, hard: hard, reason: reason})
+	return true
+}
+
+// seal sorts each node's arcs by target and merges the copies of an edge
+// into the first one added: its reason wins, and it is hard if any copy was.
+func (g graph) seal() {
+	for u, arcs := range g {
+		slices.SortStableFunc(arcs, func(a, b arc) int { return cmp.Compare(a.to, b.to) })
+		out := arcs[:0]
+		for _, a := range arcs {
+			if n := len(out); n > 0 && out[n-1].to == a.to {
+				out[n-1].hard = out[n-1].hard || a.hard
+				continue
+			}
+			out = append(out, a)
+		}
+		g[u] = out
 	}
 }
 
@@ -221,18 +247,10 @@ type edgePin struct {
 // per-key orders, so the check stays slightly incomplete, never unsound.
 func (m *model) checkGraph(witnesses map[nsKey][]int, forcedMaybes map[uint64]struct{}) []Violation {
 	type ekey [2]int
-	edges := make(edgeSet)
-	hard := make(map[ekey]bool)
+	edges := make(graph, len(m.nodes))
 	pins := make(map[ekey][]edgePin)
-	addHard := func(from, to int, reason string) {
-		edges.add(from, to, reason)
-		if from != to && from >= 0 && to >= 0 {
-			hard[ekey{from, to}] = true
-		}
-	}
 	addSoft := func(from, to int, reason string, p edgePin) {
-		edges.add(from, to, reason)
-		if from != to && from >= 0 && to >= 0 {
+		if edges.add(from, to, reason, false) {
 			pins[ekey{from, to}] = append(pins[ekey{from, to}], p)
 		}
 	}
@@ -254,8 +272,8 @@ func (m *model) checkGraph(witnesses map[nsKey][]int, forcedMaybes map[uint64]st
 			if op.read {
 				// A read of tag t identifies its writer uniquely, so WR
 				// edges are observation-forced.
-				addHard(prevWriter, op.node,
-					fmt.Sprintf("WR on ns%d k%d", k.ns, k.key))
+				edges.add(prevWriter, op.node,
+					fmt.Sprintf("WR on ns%d k%d", k.ns, k.key), true)
 				if op.node >= 0 {
 					readers = append(readers, reader{op.node, prevWriterIdx})
 				}
@@ -277,10 +295,11 @@ func (m *model) checkGraph(witnesses map[nsKey][]int, forcedMaybes map[uint64]st
 	for a := range m.nodes {
 		for b := range m.nodes {
 			if a != b && m.nodes[a].end < m.nodes[b].start {
-				addHard(a, b, "real-time order")
+				edges.add(a, b, "real-time order", true)
 			}
 		}
 	}
+	edges.seal()
 
 	// Refutation loop: drop in-SCC edges whose version order is not forced,
 	// until the cycles that remain (if any) consist of forced edges only.
@@ -293,38 +312,35 @@ func (m *model) checkGraph(witnesses map[nsKey][]int, forcedMaybes map[uint64]st
 		}
 		return false
 	}
+	inSCC := make([]bool, len(m.nodes))
+	mark := func(scc []int, in bool) {
+		for _, n := range scc {
+			inSCC[n] = in
+		}
+	}
 	for {
 		dropped := false
-		for _, scc := range tarjanSCC(len(m.nodes), edges) {
+		for _, scc := range tarjanSCC(edges) {
 			if len(scc) < 2 {
 				continue
 			}
 			sort.Ints(scc)
-			inSCC := make(map[int]bool, len(scc))
-			for _, n := range scc {
-				inSCC[n] = true
-			}
+			mark(scc, true)
 			for _, u := range scc {
-				tos := make([]int, 0, len(edges[u]))
-				for to := range edges[u] {
-					if inSCC[to] {
-						tos = append(tos, to)
+				kept := edges[u][:0]
+				for _, a := range edges[u] {
+					if inSCC[a.to] && !a.hard {
+						if !forcedEdge(ekey{u, a.to}) {
+							dropped = true
+							continue
+						}
+						a.hard = true
 					}
+					kept = append(kept, a)
 				}
-				sort.Ints(tos)
-				for _, v := range tos {
-					ek := ekey{u, v}
-					if hard[ek] {
-						continue
-					}
-					if forcedEdge(ek) {
-						hard[ek] = true
-						continue
-					}
-					delete(edges[u], v)
-					dropped = true
-				}
+				edges[u] = kept
 			}
+			mark(scc, false)
 		}
 		if !dropped {
 			break
@@ -332,37 +348,32 @@ func (m *model) checkGraph(witnesses map[nsKey][]int, forcedMaybes map[uint64]st
 	}
 
 	var vs []Violation
-	for _, scc := range tarjanSCC(len(m.nodes), edges) {
+	for _, scc := range tarjanSCC(edges) {
 		if len(scc) < 2 {
 			continue
 		}
 		sort.Ints(scc)
 		var b strings.Builder
 		fmt.Fprintf(&b, "serialization cycle among %d nodes:\n", len(scc))
-		inSCC := make(map[int]bool, len(scc))
-		for _, n := range scc {
-			inSCC[n] = true
-		}
+		mark(scc, true)
 		for _, n := range scc {
 			fmt.Fprintf(&b, "  %s\n", m.describeNode(n))
-			tos := make([]int, 0, len(edges[n]))
-			for to := range edges[n] {
-				if inSCC[to] {
-					tos = append(tos, to)
+			for _, a := range edges[n] {
+				if inSCC[a.to] {
+					fmt.Fprintf(&b, "    -> node(event #%d): %s\n", m.nodes[a.to].ev, a.reason)
 				}
 			}
-			sort.Ints(tos)
-			for _, to := range tos {
-				fmt.Fprintf(&b, "    -> node(event #%d): %s\n", m.nodes[to].ev, edges[n][to])
-			}
 		}
+		mark(scc, false)
 		vs = append(vs, Violation{Kind: "serializability", Detail: b.String()})
 	}
 	return vs
 }
 
-// tarjanSCC returns the strongly connected components of the graph.
-func tarjanSCC(n int, edges edgeSet) [][]int {
+// tarjanSCC returns the strongly connected components of the graph,
+// following each node's arcs in order of their targets.
+func tarjanSCC(edges graph) [][]int {
+	n := len(edges)
 	index := make([]int, n)
 	low := make([]int, n)
 	onStack := make([]bool, n)
@@ -380,12 +391,8 @@ func tarjanSCC(n int, edges edgeSet) [][]int {
 		next++
 		stack = append(stack, v)
 		onStack[v] = true
-		tos := make([]int, 0, len(edges[v]))
-		for to := range edges[v] {
-			tos = append(tos, to)
-		}
-		sort.Ints(tos)
-		for _, w := range tos {
+		for _, a := range edges[v] {
+			w := a.to
 			if index[w] == -1 {
 				strong(w)
 				if low[w] < low[v] {

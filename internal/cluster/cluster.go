@@ -123,9 +123,13 @@ type Config struct {
 	Hedge HedgeConfig
 	// ExpectedKeysPerShard sizes each shard namespace's mapping table.
 	ExpectedKeysPerShard int
-	// Seed perturbs rendezvous placement.
+	// Seed perturbs rendezvous placement and, when Engine is nil, seeds the
+	// schedule of the engine New makes.
 	Seed int64
 	// Engine, when non-nil, runs the cluster on an existing virtual clock.
+	// Nil makes a fresh engine serialized with Seed, so one seed fixes
+	// placement and the actors' interleaving alike; pass sim.NewEngine()
+	// for a free-running one.
 	Engine *sim.Engine
 }
 
@@ -262,8 +266,9 @@ type Cluster struct {
 }
 
 // New builds and initializes a cluster: it opens every device on one
-// shared virtual clock, places shards with rendezvous hashing, and
-// creates each replica's namespace. Safe to call from a plain goroutine.
+// shared virtual clock (serialized with cfg.Seed unless cfg.Engine is set),
+// places shards with rendezvous hashing, and creates each replica's
+// namespace. Safe to call from a plain goroutine.
 func New(cfg Config) (*Cluster, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -271,6 +276,7 @@ func New(cfg Config) (*Cluster, error) {
 	eng := cfg.Engine
 	if eng == nil {
 		eng = sim.NewEngine()
+		eng.Serialize(cfg.Seed)
 	}
 	c := &Cluster{cfg: cfg, eng: eng, reg: telemetry.NewRegistry()}
 	c.mu = eng.NewRWMutex("cluster-topo")

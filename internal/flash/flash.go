@@ -335,7 +335,7 @@ func (c Config) rangeTransfer(off, n int) time.Duration {
 // page transfers to the controller. Readers that need the OOB or every
 // record of a page use it; a reader that wants one record uses ReadRange.
 func (a *Array) ReadPage(p PPN) (data, oob []byte, err error) {
-	return a.read(p, 0, a.cfg.PageSize)
+	return a.read(p, 0, a.cfg.PageSize, true)
 }
 
 // ReadRange reads bytes [off, off+n) of a page's data. It senses the page
@@ -348,7 +348,7 @@ func (a *Array) ReadRange(p PPN, off, n int) ([]byte, error) {
 	if off < 0 || n <= 0 || n > a.cfg.PageSize-off {
 		return nil, fmt.Errorf("%w: bytes [%d, %d) of a %d B page", ErrOutOfRange, off, off+n, a.cfg.PageSize)
 	}
-	data, _, err := a.read(p, off, n)
+	data, _, err := a.read(p, off, n, false)
 	if err != nil {
 		return nil, err
 	}
@@ -356,8 +356,9 @@ func (a *Array) ReadRange(p PPN, off, n int) ([]byte, error) {
 }
 
 // read senses page p and transfers the sectors holding bytes [off, off+n)
-// of it; it returns the whole page, which the caller narrows.
-func (a *Array) read(p PPN, off, n int) (data, oob []byte, err error) {
+// of it; it returns the whole page, which the caller narrows, and the OOB
+// only if withOOB (a ranged read never looks at it).
+func (a *Array) read(p PPN, off, n int, withOOB bool) (data, oob []byte, err error) {
 	if !a.powered.Load() {
 		return nil, nil, fmt.Errorf("%w: read ppn %d", ErrPowerCut, p)
 	}
@@ -381,7 +382,9 @@ func (a *Array) read(p PPN, off, n int) (data, oob []byte, err error) {
 	}
 	a.eng.Sleep(a.cfg.ReadLatency)
 	data = bs.data[addr.Page]
-	oob = bs.oob[addr.Page]
+	if withOOB {
+		oob = bs.oob[addr.Page]
+	}
 	a.reads.Add(1)
 	cs.mu.Unlock()
 	a.channels[addr.Channel].Use(a.cfg.rangeTransfer(off, n))

@@ -188,3 +188,49 @@ func TestActorPanicShowsTheActorsStack(t *testing.T) {
 
 //go:noinline
 func panicInActor() { panic("actor panicked") }
+
+// Counts: a lone sleeper draws itself (a park and a draw, no switch), while
+// two actors that pass a mutex switch at every draw: one to start the
+// spawned actor, one per park that leaves the other to run, and one when
+// its exit wakes the waiter.
+func TestCountsParksDrawsAndSwitches(t *testing.T) {
+	eng := NewEngine()
+	eng.Serialize(1)
+	var lone, pair Counts
+	eng.Go("root", func() {
+		c0 := eng.Counts()
+		for i := 0; i < 3; i++ {
+			eng.Sleep(time.Microsecond)
+		}
+		c1 := eng.Counts()
+		lone = Counts{c1.Parks - c0.Parks, c1.Dispatches - c0.Dispatches, c1.Switches - c0.Switches}
+
+		mu := eng.NewMutex("shared")
+		wg := eng.NewWaitGroup()
+		mu.Lock()
+		wg.Add(1)
+		eng.Go("other", func() {
+			defer wg.Done()
+			mu.Lock() // parks until root unlocks
+			mu.Unlock()
+		})
+		eng.Sleep(time.Microsecond) // other runs and parks on mu
+		mu.Unlock()
+		wg.Wait() // root parks; other takes mu and exits
+		c2 := eng.Counts()
+		pair = Counts{c2.Parks - c1.Parks, c2.Dispatches - c1.Dispatches, c2.Switches - c1.Switches}
+	})
+	eng.Wait()
+	if want := (Counts{Parks: 3, Dispatches: 3}); lone != want {
+		t.Errorf("three lone sleeps: %+v, want %+v", lone, want)
+	}
+	if want := (Counts{Parks: 3, Dispatches: 4, Switches: 4}); pair != want {
+		t.Errorf("a mutex handoff: %+v, want %+v", pair, want)
+	}
+	free := NewEngine()
+	free.Go("sleeper", func() { free.Sleep(time.Microsecond) })
+	free.Wait()
+	if c := free.Counts(); c != (Counts{Parks: 1}) {
+		t.Errorf("free-running sleep: %+v, want one park and no draws", c)
+	}
+}

@@ -57,7 +57,8 @@
 // exits. A Go that finds none pays for a new coroutine (about a dozen
 // allocations in iter.Pull) once per actor alive at the same time. How
 // actors switch never reaches the draws: a seed fixes the schedule, and
-// TestScheduleFingerprint pins it.
+// TestScheduleFingerprint pins it. Engine.Counts says how many parks, draws
+// and switches a piece of work cost.
 package sim
 
 import (
@@ -109,6 +110,8 @@ type Engine struct {
 	hub  func()                    // e.runHub
 	loop func(func(struct{}) bool) // e.runActor: every actor coroutine's body
 
+	counts Counts // what the scheduler has done (Counts)
+
 	idle          chan struct{} // closed & replaced each time actors reaches zero
 	watchdogArmed bool          // a stall watchdog timer is pending
 	onDeadlock    func(string)  // test hook; replaces the deadlock panic
@@ -135,6 +138,24 @@ func (e *Engine) Now() time.Duration {
 // scheduler mutex.
 func (e *Engine) NowCheap() time.Duration {
 	return time.Duration(e.nowCheap.Load())
+}
+
+// Counts is what an engine's scheduler has done since NewEngine. A
+// free-running engine counts only its parks.
+type Counts struct {
+	Parks      uint64 // an actor parked (Sleep, or a wait on a primitive)
+	Dispatches uint64 // serialized: an actor was drawn from the ready queue
+	// Switches counts, serialized, the hub's resumes of a drawn actor; a
+	// parking actor that draws itself runs on without one.
+	Switches uint64
+}
+
+// Counts returns the scheduler's counts so far. Two reads around a piece of
+// work give what it cost the scheduler.
+func (e *Engine) Counts() Counts {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.counts
 }
 
 // Serialize switches the engine into serialized scheduling: at most one
@@ -241,6 +262,7 @@ func (e *Engine) Sleep(d time.Duration) {
 func (e *Engine) parkLocked(tok *parkToken, why string) {
 	tok.why, tok.slot = why, int32(len(e.parked))
 	e.parked = append(e.parked, tok)
+	e.counts.Parks++
 	e.runnable--
 	if e.runnable == 0 {
 		e.unblockLocked()
@@ -310,6 +332,7 @@ func (e *Engine) dispatchLocked() {
 	e.ready = e.ready[:len(e.ready)-1]
 	e.runnable++
 	e.drawn = tok
+	e.counts.Dispatches++
 	if !e.hubUp {
 		e.hubUp = true
 		go e.hub()
@@ -325,6 +348,7 @@ func (e *Engine) takeLocked() *actor {
 	}
 	e.drawn = nil
 	e.running = tok.a
+	e.counts.Switches++
 	return tok.a
 }
 

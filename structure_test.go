@@ -32,23 +32,21 @@ type srcFile struct {
 // scope selects the files a rule reads.
 type scope struct {
 	paths   []string // directory trees or files, relative to the root; none: the whole tree
+	outside []string // directory trees left out of paths
 	noTests bool     // leave _test.go files out
 	except  string   // a file base name left out wherever it is
+}
+
+// under reports whether p is one of trees or lies inside one.
+func under(p string, trees []string) bool {
+	return slices.ContainsFunc(trees, func(q string) bool { return p == q || strings.HasPrefix(p, q+"/") })
 }
 
 func (s scope) has(p string) bool {
 	if s.noTests && strings.HasSuffix(p, "_test.go") || s.except != "" && path.Base(p) == s.except {
 		return false
 	}
-	if len(s.paths) == 0 {
-		return true
-	}
-	for _, q := range s.paths {
-		if p == q || strings.HasPrefix(p, q+"/") {
-			return true
-		}
-	}
-	return false
+	return (len(s.paths) == 0 || under(p, s.paths)) && !under(p, s.outside)
 }
 
 var (
@@ -373,6 +371,26 @@ func loopCalling(re string) matcher {
 	}
 }
 
+// unserializedEngine matches a sim.NewEngine() call outside any function, or
+// in a function that calls no Serialize.
+func unserializedEngine() matcher {
+	isNew, isSerialize := call(`^sim\.NewEngine$`), call(`\.Serialize$`)
+	return func(fn *ast.FuncDecl, n ast.Node) bool {
+		if !isNew(fn, n) {
+			return false
+		}
+		if fn == nil {
+			return true
+		}
+		serialized := false
+		ast.Inspect(fn.Body, func(x ast.Node) bool {
+			serialized = serialized || x != nil && isSerialize(fn, x)
+			return !serialized
+		})
+		return !serialized
+	}
+}
+
 func anyOf(ms ...matcher) matcher {
 	return func(fn *ast.FuncDecl, n ast.Node) bool {
 		return slices.ContainsFunc(ms, func(m matcher) bool { return m(fn, n) })
@@ -689,6 +707,18 @@ var rules = []rule{
 		},
 	},
 	{
+		// A caller that wants a free-running engine makes one and passes it
+		// in (kaml.Options.Engine, cluster.Config.Engine). bench/ is left
+		// out: its wire-cluster control device (runner.clusterControl)
+		// still runs on a free-running engine of its own.
+		name:   "library-engines-are-serialized",
+		why:    "an engine the code makes is serialized by the function that makes it: sim.NewEngine(), then Serialize(seed)",
+		sc:     scope{outside: []string{"internal/sim", "bench"}, noTests: true},
+		checks: []check{forbid(unserializedEngine())},
+		bad: []map[string]string{src("internal/cluster/cluster.go",
+			"package cluster\n\nfunc New(cfg Config) {\n\teng := cfg.Engine\n\tif eng == nil {\n\t\teng = sim.NewEngine()\n\t}\n}\n")},
+	},
+	{
 		// A page that does not parse keeps its victim, as a failed read does.
 		name: "bad-victim-page-stops-the-scan",
 		why:  "a victim page that does not parse stops the scan (readRecords), it does not panic",
@@ -820,7 +850,7 @@ SubmitOwned( workerLoop SubmitGet SubmitSnapshot AsyncGet stageQueue cmdq-worker
 record.At( func At( hostPPN( spaceCv SwapOutIndex loadIndex ErrSwappedOut pageTypeIndex
 swapPages relocateIndexPages DeserializeVersionChains lockMounted readersPerChip nReaders
 func (c *collector) scan( arr.ProgramPage( arr.ReadPage( progFailed++ ErrInjectedFailure
-GC parse bm.validBytes = 0 lg.freeBlocks--`
+GC parse bm.validBytes = 0 lg.freeBlocks-- sim.NewEngine()`
 	var code strings.Builder
 	code.WriteString("// Package fixture names, in comments and strings only:\n")
 	for _, line := range strings.Split(named, "\n") {
