@@ -191,11 +191,14 @@ func (w *schedWorld) services() {
 
 // awaitQuiescent waits, on the wall clock, until every actor of e is
 // parked and no timer is pending: the only instants at which a call from
-// outside the simulation lands at a point the schedule fixes.
+// outside the simulation lands at a point the schedule fixes. It asks under
+// the engine's mutex, and reads the state only once the hub is down: while
+// the hub is up the state is its owner's, and between a park and the next
+// draw no timer may be left while an actor is about to run.
 func awaitQuiescent(e *Engine) {
 	for {
 		e.mu.Lock()
-		q := e.runnable == 0 && len(e.timers) == 0
+		q := !e.hubUp && e.runnable == 0 && len(e.timers) == 0
 		e.mu.Unlock()
 		if q {
 			return

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -232,5 +233,88 @@ func TestCountsParksDrawsAndSwitches(t *testing.T) {
 	free.Wait()
 	if c := free.Counts(); c != (Counts{Parks: 1}) {
 		t.Errorf("free-running sleep: %+v, want one park and no draws", c)
+	}
+}
+
+// Outside callers post to the owner: real goroutines spawn actors and open,
+// ahead, latches that actors wait on, while a serialized engine's actors
+// run. Every spawned actor runs once, every waiter goes through at its
+// latch's instant, Wait returns and the watchdog never fires. A pacer actor
+// sleeps a microsecond at a time until every caller is done, so the clock
+// stays short of the latches' instants (an hour on) while they open.
+func TestOutsideCallersPostToTheOwner(t *testing.T) {
+	old := stallTimeout
+	stallTimeout = 50 * time.Millisecond
+	defer func() { stallTimeout = old }()
+
+	const (
+		callers = 4
+		spawns  = 256 // per caller
+		latches = 32  // per caller
+		waiters = 2   // per latch
+		horizon = time.Hour
+	)
+	e := NewEngine()
+	e.Serialize(1)
+	var fired atomic.Bool
+	e.onDeadlock = func(string) { fired.Store(true) }
+	ran := make([]int, callers*spawns)
+	ls := make([]Latch, callers*latches)
+	woke := make([]time.Duration, len(ls)*waiters)
+	instant := func(i int) time.Duration { return horizon + time.Duration(i)*time.Microsecond }
+	var done atomic.Int32
+	e.Go("pacer", func() {
+		for i := range ls {
+			for w := 0; w < waiters; w++ {
+				e.Go("waiter", func() {
+					ls[i].Wait(e)
+					woke[i*waiters+w] = e.Now()
+				})
+			}
+		}
+		for done.Load() < callers {
+			e.Sleep(time.Microsecond)
+		}
+	})
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < spawns; k++ {
+				id := c*spawns + k
+				e.Go("spawned", func() {
+					ran[id]++
+					e.Sleep(time.Duration(id%3) * time.Microsecond)
+				})
+				if k%(spawns/latches) == 0 {
+					i := c*latches + k/(spawns/latches)
+					ls[i].OpenAt(e, instant(i))
+				}
+			}
+			done.Add(1)
+		}()
+	}
+	wg.Wait()
+	waited := make(chan struct{})
+	go func() { e.Wait(); close(waited) }()
+	select {
+	case <-waited:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Wait did not return")
+	}
+	for id, n := range ran {
+		if n != 1 {
+			t.Errorf("spawned actor %d ran %d times, want once", id, n)
+		}
+	}
+	for j, at := range woke {
+		if want := instant(j / waiters); at != want {
+			t.Errorf("waiter %d of latch %d went through at %v, want its instant %v", j%waiters, j/waiters, at, want)
+		}
+	}
+	time.Sleep(2 * stallTimeout)
+	if fired.Load() {
+		t.Error("the stall watchdog fired")
 	}
 }

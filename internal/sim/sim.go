@@ -59,6 +59,35 @@
 // actors switch never reaches the draws: a seed fixes the schedule, and
 // TestScheduleFingerprint pins it. Engine.Counts says how many parks, draws
 // and switches a piece of work cost.
+//
+// # The owner, the inbox and outside callers
+//
+// A serialized engine's state has one owner at a time, so the actor path
+// takes no lock. While the hub is up, the owner is the hub and the actor it
+// resumed; while the hub is down, it is whoever holds the engine's mutex.
+// Sleep, every park and wake, the draws, an actor's retirement and every
+// primitive (Mutex, RWMutex, Cond, Semaphore, WaitGroup, Latch.Wait) run on
+// the owner's path. A free-running engine's actors run at once, so the same
+// path takes the engine's mutex there (lock and unlock serve both modes).
+//
+// Two calls may come from outside the simulation: Go, and Latch.OpenAt on a
+// latch that has a waiter. Each takes the mutex; with the hub down it applies
+// its work at once, and with the hub up it posts the work to the engine's
+// inbox instead. The owner takes in what was posted, in order, before its
+// next change to the ready queue or the timer heap — in Sleep before the
+// timer push, in a park, a wake, a retirement and a latch wait — and the
+// hub does so under the mutex before it stops. So posted work lands where it
+// would have landed had it waited for the owner's lock, and no draw changes.
+// An actor's own Go and OpenAt post the same way; once the inbox has grown,
+// posting allocates nothing.
+//
+// Everything else is the owner's. An outside caller may set up a primitive
+// before any actor can reach it, read Now (which is NowCheap), and read
+// Counts once Wait has returned; Wait and the stall watchdog look at the
+// engine only while the hub is down. Any other touch from outside is a data
+// race, and the race detector reports it. A method whose name ends in
+// Locked runs with the engine owned: on the owner's path on a serialized
+// engine, under the mutex on a free-running one.
 package sim
 
 import (
@@ -75,6 +104,9 @@ import (
 // Engine owns the virtual clock and the set of registered actors.
 // The zero value is not usable; call NewEngine.
 type Engine struct {
+	// mu guards a free-running engine's state. On a serialized engine it
+	// guards the inbox and hubUp, and the state while the hub is down (see
+	// "The owner, the inbox and outside callers").
 	mu       sync.Mutex
 	now      time.Duration // virtual time since engine start
 	nowCheap atomic.Int64  // mirrors now; lock-free reads (see NowCheap)
@@ -101,7 +133,7 @@ type Engine struct {
 	drawn    *parkToken   // dispatched, not yet taken for a resume
 	running  *actor       // the actor resumed last; set before its resume, read by it
 	handoff  *actor       // what a yielding actor drew, for the hub to resume next
-	hubUp    bool         // a hub goroutine is resuming actors
+	hubUp    bool         // a hub goroutine is resuming actors; written under mu
 	free     waitQueue    // tokens of the actors whose function has ended, for the next Go
 	spare    []actor      // actors not yet made, carved actorBlock at a time
 
@@ -110,11 +142,24 @@ type Engine struct {
 	hub  func()                    // e.runHub
 	loop func(func(struct{}) bool) // e.runActor: every actor coroutine's body
 
+	// The work outside callers posted while the hub was up, in order, under
+	// mu; posted says it is not empty, so the owner checks it without mu.
+	inbox  []post
+	posted atomic.Bool
+
 	counts Counts // what the scheduler has done (Counts)
 
-	idle          chan struct{} // closed & replaced each time actors reaches zero
-	watchdogArmed bool          // a stall watchdog timer is pending
+	idle          chan struct{} // under mu: closed & replaced each time the actors are gone
+	watchdogArmed atomic.Bool   // a stall watchdog timer is pending
 	onDeadlock    func(string)  // test hook; replaces the deadlock panic
+}
+
+// post is a call from outside that the owner applies: a Go (fn), or an
+// opening of latch at instant at.
+type post struct {
+	fn    func()
+	latch *Latch
+	at    time.Duration
 }
 
 // NewEngine returns an engine with the clock at zero and no actors.
@@ -124,18 +169,13 @@ func NewEngine() *Engine {
 	return e
 }
 
-// Now returns the current virtual time.
-func (e *Engine) Now() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.now
-}
+// Now returns the current virtual time. It is NowCheap.
+func (e *Engine) Now() time.Duration { return e.NowCheap() }
 
 // NowCheap returns the current virtual time without taking the engine
 // lock. The clock only advances while every actor is parked, so a running
-// actor always observes a stable, current value — identical to Now().
-// Hot-path telemetry timestamps use this to avoid contending the
-// scheduler mutex.
+// actor always observes a stable, current value; a caller outside the
+// simulation reads the instant the clock last moved to.
 func (e *Engine) NowCheap() time.Duration {
 	return time.Duration(e.nowCheap.Load())
 }
@@ -151,11 +191,67 @@ type Counts struct {
 }
 
 // Counts returns the scheduler's counts so far. Two reads around a piece of
-// work give what it cost the scheduler.
+// work give what it cost the scheduler. On a serialized engine an actor
+// reads them, or a caller outside the simulation once Wait has returned.
 func (e *Engine) Counts() Counts {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.lock()
+	defer e.unlock()
 	return e.counts
+}
+
+// lock takes the engine for an operation on the actor path: a free-running
+// engine's actors share it under e.mu, and a serialized engine's caller owns
+// it already.
+func (e *Engine) lock() {
+	if !e.serial {
+		e.mu.Lock()
+	}
+}
+
+// unlock ends an operation that lock began.
+func (e *Engine) unlock() {
+	if !e.serial {
+		e.mu.Unlock()
+	}
+}
+
+// takeIn applies what outside callers posted. The owner calls it before
+// each change it makes to the ready queue or the timer heap — a Sleep's
+// timer, a park, a wake, a retirement, a latch wait — so posted work lands
+// where it would have landed under the lock. Only those paths call it: an
+// outside caller that sets up a primitive takes nothing in.
+func (e *Engine) takeIn() {
+	if e.posted.Load() {
+		e.drain()
+	}
+}
+
+// drain applies the posted work on the owner's path.
+func (e *Engine) drain() {
+	e.mu.Lock()
+	e.drainLocked()
+	e.mu.Unlock()
+}
+
+// drainLocked applies the posted work in the order it was posted, each call
+// as it would have run under e.mu. Caller holds e.mu and owns the engine.
+func (e *Engine) drainLocked() {
+	for i, p := range e.inbox {
+		e.inbox[i] = post{}
+		if p.latch != nil {
+			p.latch.releaseLocked(e, p.at)
+		} else {
+			e.spawnLocked(p.fn)
+		}
+	}
+	e.inbox = e.inbox[:0]
+	e.posted.Store(false)
+}
+
+// postLocked posts p for the owner. Caller holds e.mu, with the hub up.
+func (e *Engine) postLocked(p post) {
+	e.inbox = append(e.inbox, p)
+	e.posted.Store(true)
 }
 
 // Serialize switches the engine into serialized scheduling: at most one
@@ -179,26 +275,21 @@ func (e *Engine) Serialize(seed int64) {
 
 // Go spawns fn as a new actor. It may be called from inside or outside the
 // simulation. The actor is runnable immediately (in serialized mode it is
-// queued for dispatch like any other wakeup).
+// queued for dispatch like any other wakeup, by the owner if the hub is
+// up).
 func (e *Engine) Go(name string, fn func()) {
 	e.mu.Lock()
-	e.actors++
 	e.spawned = true
 	if e.serial {
-		var a *actor
-		if !e.free.empty() {
-			a = e.free.pop().a
+		if e.hubUp {
+			e.postLocked(post{fn: fn})
 		} else {
-			a = e.newActor()
-		}
-		a.fn = fn
-		e.ready = append(e.ready, &a.tok)
-		if e.runnable == 0 {
-			e.dispatchLocked()
+			e.spawnLocked(fn)
 		}
 		e.mu.Unlock()
 		return
 	}
+	e.actors++
 	e.runnable++
 	e.mu.Unlock()
 	go func() {
@@ -207,6 +298,24 @@ func (e *Engine) Go(name string, fn func()) {
 	}()
 }
 
+// spawnLocked queues fn on a serialized actor for a draw, and draws one if
+// no actor runs. Caller owns the engine.
+func (e *Engine) spawnLocked(fn func()) {
+	e.actors++
+	var a *actor
+	if !e.free.empty() {
+		a = e.free.pop().a
+	} else {
+		a = e.newActor()
+	}
+	a.fn = fn
+	e.ready = append(e.ready, &a.tok)
+	if e.runnable == 0 {
+		e.dispatchLocked()
+	}
+}
+
+// exit retires a free-running actor.
 func (e *Engine) exit() {
 	if r := recover(); r != nil {
 		// Re-panic immediately WITHOUT touching e.mu: the panic may have
@@ -214,7 +323,7 @@ func (e *Engine) exit() {
 		// detection), and the process is about to die anyway.
 		panic(r)
 	}
-	e.mu.Lock()
+	e.lock()
 	e.actors--
 	e.runnable--
 	if e.runnable == 0 && e.actors > 0 {
@@ -224,15 +333,16 @@ func (e *Engine) exit() {
 		close(e.idle)
 		e.idle = make(chan struct{})
 	}
-	e.mu.Unlock()
+	e.unlock()
 }
 
 // Wait blocks the (non-actor) caller until every actor has exited.
 // It is typically called from the test or benchmark goroutine after
-// spawning the workload with Go.
+// spawning the workload with Go. A serialized engine's actors are gone
+// once its hub stops with none left, which closes e.idle.
 func (e *Engine) Wait() {
 	e.mu.Lock()
-	if e.actors == 0 {
+	if !e.hubUp && e.actors == 0 {
 		e.mu.Unlock()
 		return
 	}
@@ -248,7 +358,8 @@ func (e *Engine) Sleep(d time.Duration) {
 		return
 	}
 	tok := e.token()
-	e.mu.Lock()
+	e.lock()
+	e.takeIn()
 	e.seq++
 	e.timers.push(timer{when: e.now + d, seq: e.seq, tok: tok})
 	e.parkLocked(tok, "sleep")
@@ -258,8 +369,9 @@ func (e *Engine) Sleep(d time.Duration) {
 // its waker finds it, and returns once it is woken (and, serialized, drawn).
 // If it was the last runnable actor, the engine first picks what runs next.
 // why is a string the primitive built once, at construction, so a park
-// concatenates nothing. Caller holds e.mu; parkLocked releases it.
+// concatenates nothing. Caller took the engine (lock); parkLocked ends that.
 func (e *Engine) parkLocked(tok *parkToken, why string) {
+	e.takeIn()
 	tok.why, tok.slot = why, int32(len(e.parked))
 	e.parked = append(e.parked, tok)
 	e.counts.Parks++
@@ -275,17 +387,21 @@ func (e *Engine) parkLocked(tok *parkToken, why string) {
 	}
 	if e.drawn == tok { // the draw picked the parking actor: it runs on
 		e.drawn = nil
-		e.mu.Unlock()
 		return
 	}
 	e.handoff = e.takeLocked()
-	e.mu.Unlock()
 	tok.a.yield(struct{}{})
+}
+
+// wake is a primitive's wakeLocked: the owner takes in what was posted
+// first.
+func (e *Engine) wake(tok *parkToken) {
+	e.takeIn()
+	e.wakeLocked(tok)
 }
 
 // wakeLocked transfers a parked actor back to runnable. In serialized mode
 // the actor is only queued; it starts running when dispatchLocked draws it.
-// Caller holds e.mu.
 func (e *Engine) wakeLocked(tok *parkToken) {
 	if tok.idle {
 		tok.idle = false
@@ -306,7 +422,7 @@ func (e *Engine) wakeLocked(tok *parkToken) {
 // unblockLocked runs when no actor is runnable: in serialized mode it
 // dispatches exactly one queued actor (advancing the clock first if the
 // queue is empty); otherwise it advances the clock, waking every actor due
-// at the next instant. Caller holds e.mu.
+// at the next instant.
 func (e *Engine) unblockLocked() {
 	if !e.serial {
 		e.advanceLocked()
@@ -323,7 +439,7 @@ func (e *Engine) unblockLocked() {
 // dispatchLocked draws one actor at seeded-random from the ready queue for
 // the hub to resume, and starts the hub if none runs: a dispatch from
 // outside the simulation (Go, or Latch.OpenAt with every actor parked).
-// Caller holds e.mu; serialized mode only.
+// Serialized mode only.
 func (e *Engine) dispatchLocked() {
 	i := e.schedRng.Intn(len(e.ready))
 	tok := e.ready[i]
@@ -340,7 +456,6 @@ func (e *Engine) dispatchLocked() {
 }
 
 // takeLocked takes the drawn actor, if any, as the one about to run.
-// Caller holds e.mu.
 func (e *Engine) takeLocked() *actor {
 	tok := e.drawn
 	if tok == nil {
@@ -354,8 +469,10 @@ func (e *Engine) takeLocked() *actor {
 
 // runHub resumes the drawn actors until nothing is drawn. A resumed actor runs
 // until it parks or its function ends, and leaves in e.handoff the actor it
-// drew itself, or nil; on nil the hub takes what a call from outside drew
-// since, or ends. The switches order e.handoff's write before its read.
+// drew itself, or nil; on nil the hub takes in, under e.mu, what outside
+// callers posted since, and runs what that drew or ends. Ending, it hands
+// the engine to e.mu's holders, and if no actor is left it wakes Wait. The
+// switches order e.handoff's write before its read.
 func (e *Engine) runHub() {
 	var a *actor
 	defer func() {
@@ -367,9 +484,14 @@ func (e *Engine) runHub() {
 	}()
 	for {
 		e.mu.Lock()
+		e.drainLocked()
 		a = e.takeLocked()
 		if a == nil {
 			e.hubUp = false
+			if e.actors == 0 {
+				close(e.idle)
+				e.idle = make(chan struct{})
+			}
 			e.mu.Unlock()
 			return
 		}
@@ -448,8 +570,7 @@ func (p actorPanic) Error() string {
 // The engine's last actor ends the free coroutines instead, resuming each
 // with no function.
 func (e *Engine) retire(a *actor, returned bool) (freed bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.takeIn()
 	a.fn = nil
 	e.actors--
 	e.runnable--
@@ -457,8 +578,6 @@ func (e *Engine) retire(a *actor, returned bool) (freed bool) {
 		for !e.free.empty() {
 			e.free.pop().a.resume()
 		}
-		close(e.idle)
-		e.idle = make(chan struct{})
 		return false
 	}
 	if e.runnable == 0 {
@@ -473,7 +592,7 @@ func (e *Engine) retire(a *actor, returned bool) (freed bool) {
 }
 
 // advanceLocked pops every timer due at the earliest deadline and wakes its
-// actor. Caller holds e.mu.
+// actor.
 //
 // If no timers exist while an actor is parked in anything but an idle wait,
 // the simulation has stalled (see "Idle is not deadlock" in the package
@@ -490,7 +609,7 @@ func (e *Engine) advanceLocked() {
 		if len(e.parked) == e.idleParked {
 			return // idle, or all actors exited or exiting
 		}
-		e.armWatchdogLocked()
+		e.armWatchdog()
 		return
 	}
 	first := e.timers[0].when
@@ -508,31 +627,39 @@ func (e *Engine) advanceLocked() {
 // real time before it is reported as a deadlock (variable for tests).
 var stallTimeout = 5 * time.Second
 
-// armWatchdogLocked schedules the deadlock report. Caller holds e.mu.
-func (e *Engine) armWatchdogLocked() {
-	if e.watchdogArmed {
+// armWatchdog schedules the deadlock report, unless one is pending.
+func (e *Engine) armWatchdog() {
+	if e.watchdogArmed.CompareAndSwap(false, true) {
+		time.AfterFunc(stallTimeout, e.checkStall)
+	}
+}
+
+// checkStall is the watchdog: it reports the stall if the engine is still
+// stalled. It reads the engine only while the hub is down; a hub that is up
+// has work, so the watchdog looks again stallTimeout later.
+func (e *Engine) checkStall() {
+	e.mu.Lock()
+	if e.hubUp {
+		e.mu.Unlock()
+		time.AfterFunc(stallTimeout, e.checkStall)
 		return
 	}
-	e.watchdogArmed = true
-	time.AfterFunc(stallTimeout, func() {
-		e.mu.Lock()
-		e.watchdogArmed = false
-		stalled := e.runnable == 0 && len(e.timers) == 0 && len(e.ready) == 0 && len(e.parked) > e.idleParked
-		if !stalled {
-			e.mu.Unlock()
-			return
-		}
-		// Release e.mu before panicking: unwinding runs deferred functions
-		// (waitgroup Done, unlocks) that may need the engine lock.
-		msg := "sim: deadlock — all actors parked with no pending timers\n" + e.stateLocked()
-		hook := e.onDeadlock
+	e.watchdogArmed.Store(false)
+	stalled := e.runnable == 0 && len(e.timers) == 0 && len(e.ready) == 0 && len(e.parked) > e.idleParked
+	if !stalled {
 		e.mu.Unlock()
-		if hook != nil {
-			hook(msg)
-			return
-		}
-		panic(msg)
-	})
+		return
+	}
+	// Release e.mu before panicking: unwinding runs deferred functions
+	// (waitgroup Done, unlocks) that may need the engine lock.
+	msg := "sim: deadlock — all actors parked with no pending timers\n" + e.stateLocked()
+	hook := e.onDeadlock
+	e.mu.Unlock()
+	if hook != nil {
+		hook(msg)
+		return
+	}
+	panic(msg)
 }
 
 func (e *Engine) stateLocked() string {
@@ -576,7 +703,7 @@ type parkToken struct {
 	slot int32         // its index in Engine.parked while parked
 	// idle marks a token parked in an idle wait (Cond.WaitIdle): a wait for
 	// work, which an otherwise quiescent simulation may sit in forever. Set
-	// and cleared under Engine.mu, between parkLocked and wakeLocked.
+	// and cleared by the engine's owner, between parkLocked and wakeLocked.
 	idle bool
 }
 

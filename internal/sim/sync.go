@@ -36,11 +36,10 @@ func (q *waitQueue) pop() *parkToken {
 }
 
 // wakeAllLocked wakes every waiter, oldest first, and returns how many.
-// Caller holds e.mu.
 func (q *waitQueue) wakeAllLocked(e *Engine) int {
 	n := 0
 	for ; !q.empty(); n++ {
-		e.wakeLocked(q.pop())
+		e.wake(q.pop())
 	}
 	return n
 }
@@ -65,10 +64,10 @@ func (m *Mutex) name() string { return strings.TrimPrefix(m.why, "mutex:") }
 // Lock blocks the calling actor until the mutex is available.
 func (m *Mutex) Lock() {
 	e := m.e
-	e.mu.Lock()
+	e.lock()
 	if !m.locked {
 		m.locked = true
-		e.mu.Unlock()
+		e.unlock()
 		return
 	}
 	tok := e.token()
@@ -79,20 +78,20 @@ func (m *Mutex) Lock() {
 // Unlock releases the mutex, handing it directly to the oldest waiter.
 func (m *Mutex) Unlock() {
 	e := m.e
-	e.mu.Lock()
+	e.lock()
 	if !m.locked {
-		e.mu.Unlock()
+		e.unlock()
 		panic("sim: unlock of unlocked Mutex " + m.name())
 	}
 	m.unlockLocked()
-	e.mu.Unlock()
+	e.unlock()
 }
 
 // unlockLocked releases a held mutex: ownership transfers to the oldest
-// waiter if there is one. Caller holds e.mu.
+// waiter if there is one.
 func (m *Mutex) unlockLocked() {
 	if !m.waiters.empty() {
-		m.e.wakeLocked(m.waiters.pop()) // lock stays held, ownership transfers
+		m.e.wake(m.waiters.pop()) // lock stays held, ownership transfers
 	} else {
 		m.locked = false
 	}
@@ -130,7 +129,7 @@ func (c *Cond) WaitIdle() { c.wait(true) }
 func (c *Cond) wait(idle bool) {
 	e := c.L.e
 	tok := e.token()
-	e.mu.Lock()
+	e.lock()
 	c.waiters.push(tok)
 	c.L.unlockLocked()
 	if idle {
@@ -144,19 +143,19 @@ func (c *Cond) wait(idle bool) {
 // Signal wakes the oldest waiter, if any. Caller should hold c.L.
 func (c *Cond) Signal() {
 	e := c.L.e
-	e.mu.Lock()
+	e.lock()
 	if !c.waiters.empty() {
-		e.wakeLocked(c.waiters.pop())
+		e.wake(c.waiters.pop())
 	}
-	e.mu.Unlock()
+	e.unlock()
 }
 
 // Broadcast wakes every waiter. Caller should hold c.L.
 func (c *Cond) Broadcast() {
 	e := c.L.e
-	e.mu.Lock()
+	e.lock()
 	c.waiters.wakeAllLocked(e)
-	e.mu.Unlock()
+	e.unlock()
 }
 
 // Semaphore is a counting semaphore with FIFO handoff. It models pools of
@@ -179,10 +178,10 @@ func (e *Engine) NewSemaphore(name string, n int) *Semaphore {
 // Acquire takes one permit, blocking if none are available.
 func (s *Semaphore) Acquire() {
 	e := s.e
-	e.mu.Lock()
+	e.lock()
 	if s.avail > 0 {
 		s.avail--
-		e.mu.Unlock()
+		e.unlock()
 		return
 	}
 	tok := e.token()
@@ -193,13 +192,13 @@ func (s *Semaphore) Acquire() {
 // Release returns one permit, handing it directly to the oldest waiter.
 func (s *Semaphore) Release() {
 	e := s.e
-	e.mu.Lock()
+	e.lock()
 	if !s.waiters.empty() {
-		e.wakeLocked(s.waiters.pop()) // permit transfers to waiter
+		e.wake(s.waiters.pop()) // permit transfers to waiter
 	} else {
 		s.avail++
 	}
-	e.mu.Unlock()
+	e.unlock()
 }
 
 // Use acquires a permit, holds it for d of virtual time, and releases it.
@@ -229,10 +228,10 @@ func (m *RWMutex) name() string { return strings.TrimPrefix(m.rwhy, "rwmutex-r:"
 // RLock acquires a shared lock.
 func (m *RWMutex) RLock() {
 	e := m.e
-	e.mu.Lock()
+	e.lock()
 	if !m.writer && m.writeWaiters.empty() {
 		m.readers++
-		e.mu.Unlock()
+		e.unlock()
 		return
 	}
 	tok := e.token()
@@ -243,25 +242,25 @@ func (m *RWMutex) RLock() {
 // RUnlock releases a shared lock.
 func (m *RWMutex) RUnlock() {
 	e := m.e
-	e.mu.Lock()
+	e.lock()
 	m.readers--
 	if m.readers < 0 {
-		e.mu.Unlock()
+		e.unlock()
 		panic("sim: RUnlock without RLock on " + m.name())
 	}
 	if m.readers == 0 {
 		m.promoteLocked()
 	}
-	e.mu.Unlock()
+	e.unlock()
 }
 
 // Lock acquires the exclusive lock.
 func (m *RWMutex) Lock() {
 	e := m.e
-	e.mu.Lock()
+	e.lock()
 	if !m.writer && m.readers == 0 {
 		m.writer = true
-		e.mu.Unlock()
+		e.unlock()
 		return
 	}
 	tok := e.token()
@@ -272,23 +271,23 @@ func (m *RWMutex) Lock() {
 // Unlock releases the exclusive lock.
 func (m *RWMutex) Unlock() {
 	e := m.e
-	e.mu.Lock()
+	e.lock()
 	if !m.writer {
-		e.mu.Unlock()
+		e.unlock()
 		panic("sim: Unlock of unlocked RWMutex " + m.name())
 	}
 	m.writer = false
 	m.promoteLocked()
-	e.mu.Unlock()
+	e.unlock()
 }
 
 // promoteLocked hands the lock to the next writer, or failing that to all
-// queued readers. Caller holds e.mu and the lock is free.
+// queued readers. The lock is free.
 func (m *RWMutex) promoteLocked() {
 	e := m.e
 	if !m.writeWaiters.empty() {
 		m.writer = true
-		e.wakeLocked(m.writeWaiters.pop())
+		e.wake(m.writeWaiters.pop())
 		return
 	}
 	m.readers += m.readWaiters.wakeAllLocked(e)
@@ -307,16 +306,16 @@ func (e *Engine) NewWaitGroup() *WaitGroup { return &WaitGroup{e: e} }
 // Add adds delta to the counter.
 func (w *WaitGroup) Add(delta int) {
 	e := w.e
-	e.mu.Lock()
+	e.lock()
 	w.n += delta
 	if w.n < 0 {
-		e.mu.Unlock()
+		e.unlock()
 		panic("sim: negative WaitGroup counter")
 	}
 	if w.n == 0 {
 		w.waiters.wakeAllLocked(e)
 	}
-	e.mu.Unlock()
+	e.unlock()
 }
 
 // Done decrements the counter by one.
@@ -325,9 +324,9 @@ func (w *WaitGroup) Done() { w.Add(-1) }
 // Wait parks the calling actor until the counter reaches zero.
 func (w *WaitGroup) Wait() {
 	e := w.e
-	e.mu.Lock()
+	e.lock()
 	if w.n == 0 {
-		e.mu.Unlock()
+		e.unlock()
 		return
 	}
 	tok := e.token()
@@ -349,18 +348,19 @@ func (w *WaitGroup) Wait() {
 // instead of sleeping through the transfer.
 //
 // Opening is lock-free when nobody waits. The two atomics close the race
-// between them: a waiter marks the latch waited on, under the engine lock,
+// between them: a waiter marks the latch waited on, with the engine taken,
 // before it tests open; OpenAt stores the instant and then open before it
 // tests waited. Whichever store comes first in the (sequentially
 // consistent) order, either the waiter sees the latch open, with its
 // instant, and does not queue, or OpenAt sees the mark and takes the engine
-// lock — which the waiter holds until it is queued.
+// lock. On a free-running engine the waiter holds that lock until it is
+// queued; on a serialized one OpenAt posts the opening, and the owner
+// applies it no sooner than the waiter's park, after the waiter is queued.
 type Latch struct {
 	open   atomic.Bool
 	at     atomic.Int64 // the instant the latch opens; stored before open
 	waited atomic.Bool
-	// The actors parked before the latch was opened, guarded by the
-	// engine's lock.
+	// The actors parked before the latch was opened, the engine owner's.
 	waiters waitQueue
 }
 
@@ -374,17 +374,21 @@ func (l *Latch) Wait(e *Engine) {
 	if l.IsOpen(e) {
 		return
 	}
-	e.mu.Lock()
+	e.lock()
+	e.takeIn()
 	l.waited.Store(true)
-	if l.open.Load() && time.Duration(l.at.Load()) <= e.now {
-		e.mu.Unlock()
+	// One look at open: a latch that opens after it must find this waiter
+	// queued, not on a timer of its own.
+	open := l.open.Load()
+	at := time.Duration(l.at.Load())
+	if open && at <= e.now {
+		e.unlock()
 		return
 	}
 	tok := e.token()
-	switch {
-	case l.open.Load():
-		l.wakeAtLocked(e, tok, time.Duration(l.at.Load()))
-	default:
+	if open {
+		l.wakeAtLocked(e, tok, at)
+	} else {
 		l.waiters.push(tok)
 	}
 	e.parkLocked(tok, "latch")
@@ -405,17 +409,28 @@ func (l *Latch) OpenAt(e *Engine, at time.Duration) {
 		return
 	}
 	e.mu.Lock()
-	for !l.waiters.empty() {
-		l.wakeAtLocked(e, l.waiters.pop(), at)
-	}
-	if e.runnable == 0 {
-		e.unblockLocked() // opened from outside with every actor parked
+	if e.hubUp {
+		e.postLocked(post{latch: l, at: at})
+	} else {
+		l.releaseLocked(e, at)
 	}
 	e.mu.Unlock()
 }
 
+// releaseLocked wakes the actors parked on l at instant at, oldest first,
+// and lets the engine pick what runs next if no actor runs: an opening
+// from outside with every actor parked.
+func (l *Latch) releaseLocked(e *Engine, at time.Duration) {
+	for !l.waiters.empty() {
+		l.wakeAtLocked(e, l.waiters.pop(), at)
+	}
+	if e.runnable == 0 {
+		e.unblockLocked()
+	}
+}
+
 // wakeAtLocked wakes a parked (or parking) waiter at instant at: now if it
-// has passed, otherwise on a timer in the engine's heap. Caller holds e.mu.
+// has passed, otherwise on a timer in the engine's heap.
 func (l *Latch) wakeAtLocked(e *Engine, tok *parkToken, at time.Duration) {
 	if at <= e.now {
 		e.wakeLocked(tok)

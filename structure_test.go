@@ -404,9 +404,11 @@ func in(m matcher, fns ...string) matcher {
 	}
 }
 
-// outside narrows m to the nodes outside the named function.
-func outside(m matcher, name string) matcher {
-	return func(fn *ast.FuncDecl, n ast.Node) bool { return !funcIs(fn, name) && m(fn, n) }
+// outside narrows m to the nodes outside the named functions (see funcIs).
+func outside(m matcher, fns ...string) matcher {
+	return func(fn *ast.FuncDecl, n ast.Node) bool {
+		return !slices.ContainsFunc(fns, func(name string) bool { return funcIs(fn, name) }) && m(fn, n)
+	}
 }
 
 // src is a fixture of one file.
@@ -719,6 +721,19 @@ var rules = []rule{
 			"package cluster\n\nfunc New(cfg Config) {\n\teng := cfg.Engine\n\tif eng == nil {\n\t\teng = sim.NewEngine()\n\t}\n}\n")},
 	},
 	{
+		// A serialized engine's owner runs the actor path without a lock;
+		// only outside callers, and the owner taking in what they posted,
+		// take the engine's mutex (package sim's "The owner").
+		name: "engine-lock-at-the-edge",
+		why:  "e.mu is taken only by lock (free-running engines), the outside entry points (Go, Latch.OpenAt, Wait, Serialize, the watchdog), the inbox drain and the hub's stop",
+		sc:   scope{paths: []string{"internal/sim"}, noTests: true},
+		checks: []check{forbid(outside(call(`^e\.mu\.Lock$`),
+			"Engine.lock", "Engine.Go", "Latch.OpenAt", "Engine.Wait", "Engine.Serialize",
+			"Engine.checkStall", "Engine.drain", "Engine.runHub"))},
+		bad: []map[string]string{src("internal/sim/sync.go",
+			"package sim\n\nfunc (s *Semaphore) Acquire() {\n\te := s.e\n\te.mu.Lock()\n\ts.avail--\n\te.mu.Unlock()\n}\n")},
+	},
+	{
 		// A page that does not parse keeps its victim, as a failed read does.
 		name: "bad-victim-page-stops-the-scan",
 		why:  "a victim page that does not parse stops the scan (readRecords), it does not panic",
@@ -850,7 +865,7 @@ SubmitOwned( workerLoop SubmitGet SubmitSnapshot AsyncGet stageQueue cmdq-worker
 record.At( func At( hostPPN( spaceCv SwapOutIndex loadIndex ErrSwappedOut pageTypeIndex
 swapPages relocateIndexPages DeserializeVersionChains lockMounted readersPerChip nReaders
 func (c *collector) scan( arr.ProgramPage( arr.ReadPage( progFailed++ ErrInjectedFailure
-GC parse bm.validBytes = 0 lg.freeBlocks-- sim.NewEngine()`
+GC parse bm.validBytes = 0 lg.freeBlocks-- sim.NewEngine() e.mu.Lock()`
 	var code strings.Builder
 	code.WriteString("// Package fixture names, in comments and strings only:\n")
 	for _, line := range strings.Split(named, "\n") {
