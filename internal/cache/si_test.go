@@ -302,13 +302,12 @@ func TestSIWriterInteroperatesWithSS2PL(t *testing.T) {
 	})
 }
 
-// withSerialCache is withCache on a serialized engine: one actor runs at a
+// withSerialCache is withCache with one table created: one actor runs at a
 // time, so a test can time an operation exactly and place an actor inside
 // another's window.
 func withSerialCache(t *testing.T, fn func(e *sim.Engine, c *Cache, tbl uint32)) {
 	t.Helper()
 	e := sim.NewEngine()
-	e.Serialize(1)
 	c := newCacheOn(e, 1<<20, 1, nil)
 	e.Go("test", func() {
 		defer c.Close()

@@ -127,9 +127,8 @@ type Config struct {
 	// schedule of the engine New makes.
 	Seed int64
 	// Engine, when non-nil, runs the cluster on an existing virtual clock.
-	// Nil makes a fresh engine serialized with Seed, so one seed fixes
-	// placement and the actors' interleaving alike; pass sim.NewEngine()
-	// for a free-running one.
+	// Nil makes a fresh engine seeded with Seed, so one seed fixes
+	// placement and the actors' interleaving alike.
 	Engine *sim.Engine
 }
 
@@ -266,7 +265,7 @@ type Cluster struct {
 }
 
 // New builds and initializes a cluster: it opens every device on one
-// shared virtual clock (serialized with cfg.Seed unless cfg.Engine is set),
+// shared virtual clock (seeded with cfg.Seed unless cfg.Engine is set),
 // places shards with rendezvous hashing, and creates each replica's
 // namespace. Safe to call from a plain goroutine.
 func New(cfg Config) (*Cluster, error) {

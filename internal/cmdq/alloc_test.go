@@ -11,9 +11,6 @@ import (
 // nothing: the future parks on the latch it carries, with no mutex or
 // condition built for it.
 func TestBlockedFutureWaitDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool is lossy under the race detector; the count is exact")
-	}
 	const warmup, runs = 64, 1000
 	eng := sim.NewEngine()
 	futs := make([]*Future, warmup+runs+1) // AllocsPerRun makes one extra call
@@ -53,9 +50,6 @@ func TestBlockedFutureWaitDoesNotAllocate(t *testing.T) {
 // command runs on the future's own copy, so neither the caller's Command nor
 // anything RunDirect touches escapes to the heap.
 func TestDirectSubmitAllocatesOnlyItsFuture(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool is lossy under the race detector; the count is exact")
-	}
 	eng := sim.NewEngine()
 	p := New(eng, Config{}, func(cmd *Command) Result { return Result{Namespace: cmd.Namespace} })
 	var got float64

@@ -60,18 +60,18 @@ func TestBackpressureBoundsOccupancy(t *testing.T) {
 	rec := newRecorder(eng, 100*time.Microsecond)
 	p := New(eng, Config{Depth: 2}, rec.exec)
 	wg := eng.NewWaitGroup()
-	for i := 0; i < 6; i++ {
-		i := i
-		wg.Add(1)
-		eng.Go("sub", func() {
-			defer wg.Done()
-			res := p.Submit(&Command{Op: OpGet, Key: uint64(i)}).Wait()
-			if res.Err != nil {
-				t.Errorf("cmd %d: %v", i, res.Err)
-			}
-		})
-	}
 	eng.Go("main", func() {
+		wg.Add(6)
+		for i := 0; i < 6; i++ {
+			i := i
+			eng.Go("sub", func() {
+				defer wg.Done()
+				res := p.Submit(&Command{Op: OpGet, Key: uint64(i)}).Wait()
+				if res.Err != nil {
+					t.Errorf("cmd %d: %v", i, res.Err)
+				}
+			})
+		}
 		wg.Wait()
 		st := p.Stats()
 		if st.MaxOccupancy > 2 {
@@ -94,20 +94,20 @@ func TestCoalescerMergesConcurrentPuts(t *testing.T) {
 		MaxBatchRecords: 16,
 	}, rec.exec)
 	wg := eng.NewWaitGroup()
-	for i := 0; i < 8; i++ {
-		i := i
-		wg.Add(1)
-		eng.Go("put", func() {
-			defer wg.Done()
-			res := p.Submit(&Command{Op: OpPut, Records: []Record{
-				{Namespace: 1, Key: uint64(i), Value: []byte("v")},
-			}}).Wait()
-			if res.Err != nil {
-				t.Errorf("put %d: %v", i, res.Err)
-			}
-		})
-	}
 	eng.Go("main", func() {
+		wg.Add(8)
+		for i := 0; i < 8; i++ {
+			i := i
+			eng.Go("put", func() {
+				defer wg.Done()
+				res := p.Submit(&Command{Op: OpPut, Records: []Record{
+					{Namespace: 1, Key: uint64(i), Value: []byte("v")},
+				}}).Wait()
+				if res.Err != nil {
+					t.Errorf("put %d: %v", i, res.Err)
+				}
+			})
+		}
 		wg.Wait()
 		st := p.Stats()
 		if st.BatchCommits == 0 {
@@ -291,18 +291,18 @@ func TestCoalescerSplitsDuplicateKeys(t *testing.T) {
 		Depth: 8, CoalesceWindow: 10 * time.Microsecond, MaxBatchRecords: 16,
 	}, rec.exec)
 	wg := eng.NewWaitGroup()
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		eng.Go("put", func() {
-			defer wg.Done()
-			if res := p.Submit(&Command{Op: OpPut, Records: []Record{
-				{Namespace: 1, Key: 42, Value: []byte("same")},
-			}}).Wait(); res.Err != nil {
-				t.Errorf("put: %v", res.Err)
-			}
-		})
-	}
 	eng.Go("main", func() {
+		wg.Add(3)
+		for i := 0; i < 3; i++ {
+			eng.Go("put", func() {
+				defer wg.Done()
+				if res := p.Submit(&Command{Op: OpPut, Records: []Record{
+					{Namespace: 1, Key: 42, Value: []byte("same")},
+				}}).Wait(); res.Err != nil {
+					t.Errorf("put: %v", res.Err)
+				}
+			})
+		}
 		wg.Wait()
 		for _, b := range rec.batches {
 			seen := map[uint64]bool{}

@@ -27,30 +27,29 @@ func TestStageHistogramsTraceLifecycle(t *testing.T) {
 		Registry:        reg,
 	}, rec.exec)
 	wg := eng.NewWaitGroup()
-	for i := 0; i < gets; i++ {
-		i := i
-		wg.Add(1)
-		eng.Go("get", func() {
-			defer wg.Done()
-			if res := p.Submit(&Command{Op: OpGet, Key: uint64(i)}).Wait(); res.Err != nil {
-				t.Errorf("get %d: %v", i, res.Err)
-			}
-		})
-	}
-	for i := 0; i < puts; i++ {
-		i := i
-		wg.Add(1)
-		eng.Go("put", func() {
-			defer wg.Done()
-			res := p.Submit(&Command{Op: OpPut, Records: []Record{
-				{Namespace: 1, Key: uint64(i), Value: []byte("v")},
-			}}).Wait()
-			if res.Err != nil {
-				t.Errorf("put %d: %v", i, res.Err)
-			}
-		})
-	}
 	eng.Go("main", func() {
+		wg.Add(gets + puts)
+		for i := 0; i < gets; i++ {
+			i := i
+			eng.Go("get", func() {
+				defer wg.Done()
+				if res := p.Submit(&Command{Op: OpGet, Key: uint64(i)}).Wait(); res.Err != nil {
+					t.Errorf("get %d: %v", i, res.Err)
+				}
+			})
+		}
+		for i := 0; i < puts; i++ {
+			i := i
+			eng.Go("put", func() {
+				defer wg.Done()
+				res := p.Submit(&Command{Op: OpPut, Records: []Record{
+					{Namespace: 1, Key: uint64(i), Value: []byte("v")},
+				}}).Wait()
+				if res.Err != nil {
+					t.Errorf("put %d: %v", i, res.Err)
+				}
+			})
+		}
 		wg.Wait()
 		p.Close()
 
@@ -102,17 +101,17 @@ func TestBackpressureCounter(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p := New(eng, Config{Depth: 1, Registry: reg}, rec.exec)
 	wg := eng.NewWaitGroup()
-	for i := 0; i < 4; i++ {
-		i := i
-		wg.Add(1)
-		eng.Go("sub", func() {
-			defer wg.Done()
-			if res := p.Submit(&Command{Op: OpGet, Key: uint64(i)}).Wait(); res.Err != nil {
-				t.Errorf("get %d: %v", i, res.Err)
-			}
-		})
-	}
 	eng.Go("main", func() {
+		wg.Add(4)
+		for i := 0; i < 4; i++ {
+			i := i
+			eng.Go("sub", func() {
+				defer wg.Done()
+				if res := p.Submit(&Command{Op: OpGet, Key: uint64(i)}).Wait(); res.Err != nil {
+					t.Errorf("get %d: %v", i, res.Err)
+				}
+			})
+		}
 		wg.Wait()
 		p.Close()
 		if p.backpressure.Value() == 0 {

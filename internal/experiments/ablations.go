@@ -119,7 +119,6 @@ func AblationCheckpoint(s Scale) *Table {
 		every := intervals[cell]
 		cfg := tpcbConfig(s)
 		eng := sim.NewEngine()
-		eng.Serialize(1)
 		arr := flash.New(eng, oltpFlash())
 		ctrl := nvme.New(eng, nvme.DefaultConfig())
 		dev := blockdev.New(ftl.New(arr, ctrl))

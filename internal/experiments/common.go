@@ -162,7 +162,6 @@ type kamlRig struct {
 
 func newKAMLRig(fc flash.Config, mod func(*kamlssd.Config)) *kamlRig {
 	eng := sim.NewEngine()
-	eng.Serialize(1)
 	arr := flash.New(eng, fc)
 	ctrl := nvme.New(eng, nvme.DefaultConfig())
 	cfg := kamlssd.DefaultConfig(fc)
@@ -182,7 +181,6 @@ type blockRig struct {
 
 func newBlockRig(fc flash.Config) *blockRig {
 	eng := sim.NewEngine()
-	eng.Serialize(1)
 	arr := flash.New(eng, fc)
 	ctrl := nvme.New(eng, nvme.DefaultConfig())
 	return &blockRig{eng: eng, arr: arr, ctrl: ctrl, dev: ftl.New(arr, ctrl)}
@@ -255,7 +253,6 @@ func newOLTPRig(kind engineKind, fc flash.Config, cacheBytes int64, recordsPerLo
 	shoreLockGran int, shorePoolFrames int) *oltpRig {
 
 	eng := sim.NewEngine()
-	eng.Serialize(1)
 	arr := flash.New(eng, fc)
 	ctrl := nvme.New(eng, nvme.DefaultConfig())
 	r := &oltpRig{eng: eng, kind: kind}

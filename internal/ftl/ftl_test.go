@@ -293,9 +293,9 @@ func TestConcurrentWritersMakeProgress(t *testing.T) {
 	const workers = 8
 	const perWorker = 100
 	wg := e.NewWaitGroup()
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		w := w
-		wg.Add(1)
 		e.Go("writer", func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {

@@ -24,9 +24,6 @@ const getAllocBudget = 3
 // this actor's work — the flushers are parked on their work condvars and
 // allocate nothing while the reader runs.
 func TestGetAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the engine's park-token pool is lossy under the race detector; the budget is exact")
-	}
 	const keys = 64
 	e := sim.NewEngine()
 	arr := flash.New(e, testFlashConfig())
@@ -93,8 +90,8 @@ func TestPutBatchAllocBudget(t *testing.T) { testPutAllocs(t, 4, putBatchAllocBu
 // testPutAllocs measures dev.Put of an n-record batch (the batch slice is
 // built outside the measured call, as a caller's would be).
 func testPutAllocs(t *testing.T, n int, budget float64) {
-	if raceEnabled {
-		t.Skip("the engine's park-token pool is lossy under the race detector; the budget is exact")
+	if raceEnabled && n > 1 {
+		t.Skip("a batch Put allocates 10.0 times under the race detector, against the plain build's budget of 7")
 	}
 	const keys = 64
 	e := sim.NewEngine()
@@ -154,7 +151,7 @@ const coalescedPutAllocBudget = 3.3
 // on every goroutine is charged to the Puts it ran.
 func TestCoalescedPutAllocBudget(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the engine's park-token pool is lossy under the race detector; the budget is exact")
+		t.Skip("a coalesced Put allocates 3.32 times under the race detector, against the plain build's budget of 3.3")
 	}
 	const writers, putsEach = 8, 64
 	e := sim.NewEngine()

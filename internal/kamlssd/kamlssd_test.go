@@ -35,9 +35,9 @@ func newRig(fc flash.Config, mod func(*Config)) *rig {
 	return newRigOn(sim.NewEngine(), fc, mod)
 }
 
-// newSerialRig is newRig on a serialized engine: one actor runs at a time,
-// drawn by a PRNG seeded with seed, so virtual-time measurements repeat
-// exactly.
+// newSerialRig is newRig on an engine seeded with seed: one actor runs at a
+// time, drawn by a PRNG seeded with seed, so virtual-time measurements
+// repeat exactly.
 func newSerialRig(seed int64, fc flash.Config, mod func(*Config)) *rig {
 	e := sim.NewEngine()
 	e.Serialize(seed)

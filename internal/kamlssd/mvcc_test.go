@@ -182,7 +182,6 @@ func TestGetAtClampsToSnapshotCutoff(t *testing.T) {
 func TestPinFloorKeepsVersionBehindUnsettledBatch(t *testing.T) {
 	fc := testFlashConfig()
 	e := sim.NewEngine()
-	e.Serialize(1)
 	arr := flash.New(e, fc)
 	ctrl := nvme.New(e, nvme.DefaultConfig())
 	cfg := DefaultConfig(fc)

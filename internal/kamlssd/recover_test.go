@@ -28,8 +28,8 @@ import (
 // partial blocks are resumed, not padded, and a second crash after one is
 // recovered like the first; and recovery leaks nothing and loses nothing when
 // power is cut again mid-recovery, and rides out read faults. Most tests run
-// at eight, two and one chips per log, on a free-running engine among others:
-// under -race that is the check that readers share nothing they write.
+// at eight, two and one chips per log, on engines of several seeds: under
+// -race that is the check that readers share nothing they write.
 
 var scanNumLogs = []int{1, 4, 8}
 
@@ -145,25 +145,18 @@ func cloneNVRAM(nv *NVRAM) *NVRAM {
 	return c
 }
 
-// onEngine runs fn as the only root actor of a fresh engine — serialized
-// with seed, or free-running when seed is 0 — and returns when the engine has
-// no actor left: a reader that outlived its Recover would hang it (and the
-// engine would say who, five seconds later).
+// onEngine runs fn as the only root actor of a fresh engine seeded with
+// seed, and returns when the engine has no actor left: a reader that
+// outlived its Recover would hang it (and the engine would say who, five
+// seconds later).
 func onEngine(seed int64, fn func(e *sim.Engine)) {
 	e := sim.NewEngine()
-	if seed != 0 {
-		e.Serialize(seed)
-	}
+	e.Serialize(seed)
 	e.Go("test", func() { fn(e) })
 	e.Wait()
 }
 
-func scheduleName(seed int64) string {
-	if seed == 0 {
-		return "free-running"
-	}
-	return fmt.Sprintf("serialized seed %d", seed)
-}
+func scheduleName(seed int64) string { return fmt.Sprintf("serialized seed %d", seed) }
 
 // cutImage is the ordinary crash: most of the load flushed, the last tail
 // puts still in NVRAM or on their way to flash when the power goes.

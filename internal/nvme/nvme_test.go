@@ -33,12 +33,14 @@ func TestQueueDepthLimitsConcurrentTransfers(t *testing.T) {
 	cfg.CompletionLatency = 0
 	c := New(e, cfg)
 	var ends []time.Duration
-	for i := 0; i < 4; i++ {
-		e.Go("cmd", func() {
-			c.Submission()
-			ends = append(ends, e.Now())
-		})
-	}
+	e.Go("root", func() {
+		for i := 0; i < 4; i++ {
+			e.Go("cmd", func() {
+				c.Submission()
+				ends = append(ends, e.Now())
+			})
+		}
+	})
 	e.Wait()
 	var at1, at2 int
 	for _, d := range ends {
@@ -67,12 +69,14 @@ func TestSlotNotHeldAcrossDeviceWork(t *testing.T) {
 	cfg.CompletionLatency = 0
 	c := New(e, cfg)
 	var ends []time.Duration
-	for i := 0; i < 2; i++ {
-		e.Go("cmd", func() {
-			c.Submit(func() { e.Sleep(time.Millisecond) })
-			ends = append(ends, e.Now())
-		})
-	}
+	e.Go("root", func() {
+		for i := 0; i < 2; i++ {
+			e.Go("cmd", func() {
+				c.Submit(func() { e.Sleep(time.Millisecond) })
+				ends = append(ends, e.Now())
+			})
+		}
+	})
 	e.Wait()
 	for _, d := range ends {
 		if d != time.Millisecond {

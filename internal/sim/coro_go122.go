@@ -2,6 +2,6 @@
 
 package sim
 
-// A serialized engine runs its actors as coroutines (iter.Pull, coro.go),
-// which Go 1.23 added: build this module with Go 1.23 or later.
+// The engine runs its actors as coroutines (iter.Pull, coro.go), which
+// Go 1.23 added: build this module with Go 1.23 or later.
 var _ = sim_needs_go1_23_for_iter_Pull

@@ -22,7 +22,7 @@ var scheduleFingerprints = [20]uint64{
 	0x9a0d66f3a2392f4, 0xf4d2f3ddc20b6668, 0xa5565b971f79e788, 0x799ac25dc26fcc4,
 }
 
-// The serialized engine's draw order is pinned: seeded random actor
+// The engine's draw order is pinned: seeded random actor
 // programs that use every primitive, spawned from inside and outside the
 // simulation, must produce the recorded (actor, instant) sequence.
 func TestScheduleFingerprint(t *testing.T) {
@@ -37,8 +37,7 @@ func TestScheduleFingerprint(t *testing.T) {
 func us(n int) time.Duration { return time.Duration(n) * time.Microsecond }
 
 // schedWorld is the shared state of one fingerprint run. Its actors run
-// one at a time (the engine is serialized), so they touch it without a
-// lock of their own.
+// one at a time, so they touch it without a lock of their own.
 type schedWorld struct {
 	e      *Engine
 	seed   int64

@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// serialTrace runs a small contended workload on a serialized engine and
-// returns the order in which actors got to touch the shared counter.
+// serialTrace runs a small contended workload on an engine seeded with
+// seed and returns the order in which actors got to touch the shared counter.
 func serialTrace(seed int64) []string {
 	eng := NewEngine()
 	eng.Serialize(seed)
@@ -81,75 +81,65 @@ func TestSerializeAfterSpawnPanics(t *testing.T) {
 }
 
 // An actor that ends in runtime.Goexit (t.FailNow from an actor does) runs
-// its defers, and the engine carries on with the others, in either mode.
+// its defers, and the engine carries on with the others.
 func TestActorGoexitRunsDefersAndTheEngineCarriesOn(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			e := NewEngine()
-			if serial {
-				e.Serialize(1)
-			}
-			var deferred int
-			var last time.Duration
-			together(e, func() {
-				for i := 0; i < 3; i++ {
-					e.Go("goexit", func() {
-						defer func() { deferred++ }()
-						e.Sleep(time.Duration(i) * time.Microsecond)
-						runtime.Goexit()
-					})
-				}
-				e.Go("after", func() {
-					e.Sleep(5 * time.Microsecond)
-					last = e.Now()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e := NewEngine()
+		var deferred int
+		var last time.Duration
+		together(e, func() {
+			for i := 0; i < 3; i++ {
+				e.Go("goexit", func() {
+					defer func() { deferred++ }()
+					e.Sleep(time.Duration(i) * time.Microsecond)
+					runtime.Goexit()
 				})
+			}
+			e.Go("after", func() {
+				e.Sleep(5 * time.Microsecond)
+				last = e.Now()
 			})
-			if deferred != 3 || last != 5*time.Microsecond {
-				t.Errorf("serial=%v: %d of 3 defers ran and the last actor ended at %v, want all and 5µs", serial, deferred, last)
-			}
-			// The engine still serves a spawn from outside.
-			ran := false
-			e.Go("later", func() { e.Sleep(time.Microsecond); ran = true })
-			e.Wait()
-			if !ran {
-				t.Errorf("serial=%v: an actor spawned after the Goexits did not run", serial)
-			}
-		}()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("serial=%v: the engine hung after an actor's Goexit", serial)
+		})
+		if deferred != 3 || last != 5*time.Microsecond {
+			t.Errorf("%d of 3 defers ran and the last actor ended at %v, want all and 5µs", deferred, last)
 		}
+		// The engine still serves a spawn from outside.
+		ran := false
+		e.Go("later", func() { e.Sleep(time.Microsecond); ran = true })
+		e.Wait()
+		if !ran {
+			t.Error("an actor spawned after the Goexits did not run")
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the engine hung after an actor's Goexit")
 	}
 }
 
 // Once Wait returns, none of the engine's goroutines is left: not its
-// actors, not the ones a serialized engine keeps for its next spawn.
+// hub, not the actors' coroutines it keeps for its next spawn.
 func TestWaitLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
-	for _, serial := range []bool{false, true} {
-		e := NewEngine()
-		if serial {
-			e.Serialize(1)
-		}
-		for session := 0; session < 2; session++ {
-			together(e, func() {
-				wg := e.NewWaitGroup()
-				for i := 0; i < 32; i++ {
-					wg.Add(1)
-					e.Go("worker", func() {
-						defer wg.Done()
-						e.Sleep(time.Duration(i%5) * time.Microsecond)
-						if i%4 == 0 {
-							e.Go("child", func() { e.Sleep(time.Microsecond) })
-						}
-					})
-				}
-				wg.Wait()
-			})
-		}
+	e := NewEngine()
+	for session := 0; session < 2; session++ {
+		together(e, func() {
+			wg := e.NewWaitGroup()
+			for i := 0; i < 32; i++ {
+				wg.Add(1)
+				e.Go("worker", func() {
+					defer wg.Done()
+					e.Sleep(time.Duration(i%5) * time.Microsecond)
+					if i%4 == 0 {
+						e.Go("child", func() { e.Sleep(time.Microsecond) })
+					}
+				})
+			}
+			wg.Wait()
+		})
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base {
@@ -160,13 +150,12 @@ func TestWaitLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// A panic in a serialized actor reaches the hub that resumed it, and the
-// hub's stack says nothing of where it began: the crash must still show the
-// actor's. The panic ends the process, so the test runs it in a child.
+// A panic in an actor reaches the hub that resumed it, and the hub's stack
+// says nothing of where it began: the crash must still show the actor's.
+// The panic ends the process, so the test runs it in a child.
 func TestActorPanicShowsTheActorsStack(t *testing.T) {
 	if os.Getenv("SIM_PANIC_HELPER") == "1" {
 		e := NewEngine()
-		e.Serialize(1)
 		e.Go("panicker", func() {
 			e.Sleep(time.Microsecond)
 			panicInActor()
@@ -196,7 +185,6 @@ func panicInActor() { panic("actor panicked") }
 // its exit wakes the waiter.
 func TestCountsParksDrawsAndSwitches(t *testing.T) {
 	eng := NewEngine()
-	eng.Serialize(1)
 	var lone, pair Counts
 	eng.Go("root", func() {
 		c0 := eng.Counts()
@@ -228,17 +216,10 @@ func TestCountsParksDrawsAndSwitches(t *testing.T) {
 	if want := (Counts{Parks: 3, Dispatches: 4, Switches: 4}); pair != want {
 		t.Errorf("a mutex handoff: %+v, want %+v", pair, want)
 	}
-	free := NewEngine()
-	free.Go("sleeper", func() { free.Sleep(time.Microsecond) })
-	free.Wait()
-	if c := free.Counts(); c != (Counts{Parks: 1}) {
-		t.Errorf("free-running sleep: %+v, want one park and no draws", c)
-	}
 }
 
 // Outside callers post to the owner: real goroutines spawn actors and open,
-// ahead, latches that actors wait on, while a serialized engine's actors
-// run. Every spawned actor runs once, every waiter goes through at its
+// ahead, latches that actors wait on, while the engine's actors run. Every spawned actor runs once, every waiter goes through at its
 // latch's instant, Wait returns and the watchdog never fires. A pacer actor
 // sleeps a microsecond at a time until every caller is done, so the clock
 // stays short of the latches' instants (an hour on) while they open.
@@ -255,7 +236,6 @@ func TestOutsideCallersPostToTheOwner(t *testing.T) {
 		horizon = time.Hour
 	)
 	e := NewEngine()
-	e.Serialize(1)
 	var fired atomic.Bool
 	e.onDeadlock = func(string) { fired.Store(true) }
 	ran := make([]int, callers*spawns)

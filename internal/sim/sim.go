@@ -3,13 +3,14 @@
 // Everything in this repository that has a notion of time — flash chips,
 // NVMe transport, firmware CPUs, host "threads" running transactions —
 // executes on the virtual clock owned by an Engine. An actor is a function
-// the engine runs on a stack of its own (Go): an ordinary goroutine on a
-// free-running engine, a coroutine on a serialized one (below). Whenever
-// every actor is blocked in a sim primitive (Sleep, Mutex, Cond, Semaphore,
-// ...) the engine advances the clock to the earliest pending timer and wakes
-// the actors due at that instant. Because no actor ever blocks on real I/O
-// or real time, the whole simulation is deterministic and runs as fast as
-// the host CPU allows.
+// the engine runs on a coroutine of its own (Go). At most one actor runs at
+// a time. Whenever the running actor blocks in a sim primitive (Sleep,
+// Mutex, Cond, Semaphore, ...) the engine draws the next actor from those
+// ready to run at the current instant with a seeded PRNG; when none is
+// ready it advances the clock to the earliest pending timer and wakes the
+// actors due then. Because no actor ever blocks on real I/O or real time,
+// the whole simulation is deterministic — a seed fixes the schedule — and
+// runs as fast as one host CPU allows.
 //
 // The one rule actors must follow: any blocking interaction between actors
 // must go through a sim primitive. Blocking on a plain channel or sync.Mutex
@@ -33,42 +34,41 @@
 // # Parking allocates nothing
 //
 // Every simulated request parks and wakes a handful of times, so a park is
-// on the host's hot path. None allocates: park tokens are pooled (a
-// serialized actor has its own), a Sleep's timer lives by value in the
-// engine's heap once the heap has grown, each primitive's wait queue is
-// linked through its waiters' tokens, the reason a parked actor gives the
-// stall dump is a string its primitive built once, and a one-shot event
-// (Latch) parks a completion's waiter with no mutex or condition of its own.
+// on the host's hot path. None allocates: an actor parks on a token of its
+// own, a Sleep's timer lives by value in the engine's heap once the heap has
+// grown, each primitive's wait queue is linked through its waiters' tokens,
+// the reason a parked actor gives the stall dump is a string its primitive
+// built once, and a one-shot event (Latch) parks a completion's waiter with
+// no mutex or condition of its own.
 //
-// # Serialized actors are coroutines
+// # Actors are coroutines
 //
-// A serialized engine (Serialize) runs one actor at a time, so handing the
-// CPU from one actor to the next needs no scheduler: each actor is a
-// coroutine (iter.Pull), and one hub goroutine per engine resumes the actor
-// the seeded draw picked. A parking actor draws its successor and yields it
-// to the hub, which resumes it at once — a direct switch, not a channel send
-// through the Go scheduler's run queue. When the draw picks the parking
-// actor itself (a lone sleeper whose timer is next), it returns without any
-// switch. The hub is started by a dispatch from outside the simulation (Go,
-// or Latch.OpenAt with every actor parked) and ends when nothing is drawn.
-// An actor's coroutine outlives its function: it waits in the engine's pool
-// and runs the next spawned function, so a Go that finds one allocates
-// nothing, and the pool's coroutines end when the engine's last actor
-// exits. A Go that finds none pays for a new coroutine (about a dozen
-// allocations in iter.Pull) once per actor alive at the same time. How
-// actors switch never reaches the draws: a seed fixes the schedule, and
-// TestScheduleFingerprint pins it. Engine.Counts says how many parks, draws
-// and switches a piece of work cost.
+// One actor runs at a time, so handing the CPU from one actor to the next
+// needs no scheduler: each actor is a coroutine (iter.Pull), and one hub
+// goroutine per engine resumes the actor the seeded draw picked. A parking
+// actor draws its successor and yields it to the hub, which resumes it at
+// once — a direct switch, not a channel send through the Go scheduler's run
+// queue. When the draw picks the parking actor itself (a lone sleeper whose
+// timer is next), it returns without any switch. The hub is started by a
+// dispatch from outside the simulation (Go, or Latch.OpenAt with every actor
+// parked) and ends when nothing is drawn. An actor's coroutine outlives its
+// function: it waits in the engine's pool and runs the next spawned
+// function, so a Go that finds one allocates nothing, and the pool's
+// coroutines end when the engine's last actor exits. A Go that finds none
+// pays for a new coroutine (about a dozen allocations in iter.Pull) once per
+// actor alive at the same time. How actors switch never reaches the draws:
+// a seed fixes the schedule, and TestScheduleFingerprint pins it.
+// Engine.Counts says how many parks, draws and switches a piece of work
+// cost.
 //
 // # The owner, the inbox and outside callers
 //
-// A serialized engine's state has one owner at a time, so the actor path
-// takes no lock. While the hub is up, the owner is the hub and the actor it
-// resumed; while the hub is down, it is whoever holds the engine's mutex.
-// Sleep, every park and wake, the draws, an actor's retirement and every
-// primitive (Mutex, RWMutex, Cond, Semaphore, WaitGroup, Latch.Wait) run on
-// the owner's path. A free-running engine's actors run at once, so the same
-// path takes the engine's mutex there (lock and unlock serve both modes).
+// The engine's state has one owner at a time, so the actor path takes no
+// lock. While the hub is up, the owner is the hub and the actor it resumed;
+// while the hub is down, it is whoever holds the engine's mutex. Sleep,
+// every park and wake, the draws, an actor's retirement and every primitive
+// (Mutex, RWMutex, Cond, Semaphore, WaitGroup, Latch.Wait) run on the
+// owner's path.
 //
 // Two calls may come from outside the simulation: Go, and Latch.OpenAt on a
 // latch that has a waiter. Each takes the mutex; with the hub down it applies
@@ -77,8 +77,8 @@
 // next change to the ready queue or the timer heap — in Sleep before the
 // timer push, in a park, a wake, a retirement and a latch wait — and the
 // hub does so under the mutex before it stops. So posted work lands where it
-// would have landed had it waited for the owner's lock, and no draw changes.
-// An actor's own Go and OpenAt post the same way; once the inbox has grown,
+// would have landed had it waited for the owner, and no draw changes. An
+// actor's own Go and OpenAt post the same way; once the inbox has grown,
 // posting allocates nothing.
 //
 // Everything else is the owner's. An outside caller may set up a primitive
@@ -86,8 +86,7 @@
 // Counts once Wait has returned; Wait and the stall watchdog look at the
 // engine only while the hub is down. Any other touch from outside is a data
 // race, and the race detector reports it. A method whose name ends in
-// Locked runs with the engine owned: on the owner's path on a serialized
-// engine, under the mutex on a free-running one.
+// Locked runs with the engine owned.
 package sim
 
 import (
@@ -104,9 +103,8 @@ import (
 // Engine owns the virtual clock and the set of registered actors.
 // The zero value is not usable; call NewEngine.
 type Engine struct {
-	// mu guards a free-running engine's state. On a serialized engine it
-	// guards the inbox and hubUp, and the state while the hub is down (see
-	// "The owner, the inbox and outside callers").
+	// mu guards the inbox and hubUp, and the state while the hub is down
+	// (see "The owner, the inbox and outside callers").
 	mu       sync.Mutex
 	now      time.Duration // virtual time since engine start
 	nowCheap atomic.Int64  // mirrors now; lock-free reads (see NowCheap)
@@ -122,11 +120,10 @@ type Engine struct {
 	parked     []*parkToken
 	idleParked int
 
-	// Serialized scheduling (see Serialize): at most one actor executes at
-	// a time and every wakeup is deferred into ready, from which the next
-	// actor is drawn by the seeded schedRng once the current one parks.
-	// Each actor is a coroutine (see "Serialized actors are coroutines").
-	serial   bool
+	// At most one actor executes at a time and every wakeup is deferred
+	// into ready, from which the next actor is drawn by the seeded schedRng
+	// once the current one parks. Each actor is a coroutine (see "Actors
+	// are coroutines").
 	schedRng *rand.Rand
 	ready    []*parkToken // woken (or freshly spawned) actors awaiting dispatch
 	spawned  bool         // any actor ever started (guards late Serialize)
@@ -162,9 +159,10 @@ type post struct {
 	at    time.Duration
 }
 
-// NewEngine returns an engine with the clock at zero and no actors.
+// NewEngine returns an engine with the clock at zero, no actors and its
+// schedule seeded with 1 (see Serialize).
 func NewEngine() *Engine {
-	e := &Engine{idle: make(chan struct{})}
+	e := &Engine{idle: make(chan struct{}), schedRng: rand.New(rand.NewSource(1))}
 	e.hub, e.loop = e.runHub, e.runActor
 	return e
 }
@@ -180,46 +178,25 @@ func (e *Engine) NowCheap() time.Duration {
 	return time.Duration(e.nowCheap.Load())
 }
 
-// Counts is what an engine's scheduler has done since NewEngine. A
-// free-running engine counts only its parks.
+// Counts is what an engine's scheduler has done since NewEngine.
 type Counts struct {
 	Parks      uint64 // an actor parked (Sleep, or a wait on a primitive)
-	Dispatches uint64 // serialized: an actor was drawn from the ready queue
-	// Switches counts, serialized, the hub's resumes of a drawn actor; a
-	// parking actor that draws itself runs on without one.
+	Dispatches uint64 // an actor was drawn from the ready queue
+	// Switches counts the hub's resumes of a drawn actor; a parking actor
+	// that draws itself runs on without one.
 	Switches uint64
 }
 
 // Counts returns the scheduler's counts so far. Two reads around a piece of
-// work give what it cost the scheduler. On a serialized engine an actor
-// reads them, or a caller outside the simulation once Wait has returned.
-func (e *Engine) Counts() Counts {
-	e.lock()
-	defer e.unlock()
-	return e.counts
-}
-
-// lock takes the engine for an operation on the actor path: a free-running
-// engine's actors share it under e.mu, and a serialized engine's caller owns
-// it already.
-func (e *Engine) lock() {
-	if !e.serial {
-		e.mu.Lock()
-	}
-}
-
-// unlock ends an operation that lock began.
-func (e *Engine) unlock() {
-	if !e.serial {
-		e.mu.Unlock()
-	}
-}
+// work give what it cost the scheduler. An actor reads them, or a caller
+// outside the simulation once Wait has returned.
+func (e *Engine) Counts() Counts { return e.counts }
 
 // takeIn applies what outside callers posted. The owner calls it before
 // each change it makes to the ready queue or the timer heap — a Sleep's
 // timer, a park, a wake, a retirement, a latch wait — so posted work lands
-// where it would have landed under the lock. Only those paths call it: an
-// outside caller that sets up a primitive takes nothing in.
+// where it would have landed had it waited for the owner. Only those paths
+// call it: an outside caller that sets up a primitive takes nothing in.
 func (e *Engine) takeIn() {
 	if e.posted.Load() {
 		e.drain()
@@ -254,13 +231,13 @@ func (e *Engine) postLocked(p post) {
 	e.posted.Store(true)
 }
 
-// Serialize switches the engine into serialized scheduling: at most one
-// actor executes at any moment, and whenever several actors are eligible to
-// run at the same virtual instant the next one is chosen by a PRNG seeded
-// with seed. Two engines serialized with the same seed and driven by the
-// same workload make identical scheduling decisions, which is what lets the
-// model checker replay a failing schedule from nothing but its seed — and
-// lets different seeds explore different interleavings of the same instant.
+// Serialize re-seeds the engine's schedule: whenever several actors are
+// eligible to run at the same virtual instant, the next one is chosen by a
+// PRNG seeded with seed (1 unless re-seeded). Two engines with the same seed
+// driven by the same workload make identical scheduling decisions, which is
+// what lets the model checker replay a failing schedule from nothing but its
+// seed — and lets different seeds explore different interleavings of the
+// same instant.
 //
 // Must be called before any actor is spawned.
 func (e *Engine) Serialize(seed int64) {
@@ -269,37 +246,25 @@ func (e *Engine) Serialize(seed int64) {
 	if e.spawned {
 		panic("sim: Serialize called after actors were spawned")
 	}
-	e.serial = true
 	e.schedRng = rand.New(rand.NewSource(seed))
 }
 
 // Go spawns fn as a new actor. It may be called from inside or outside the
-// simulation. The actor is runnable immediately (in serialized mode it is
-// queued for dispatch like any other wakeup, by the owner if the hub is
-// up).
+// simulation. The actor is queued for dispatch like any other wakeup, by
+// the owner if the hub is up.
 func (e *Engine) Go(name string, fn func()) {
 	e.mu.Lock()
 	e.spawned = true
-	if e.serial {
-		if e.hubUp {
-			e.postLocked(post{fn: fn})
-		} else {
-			e.spawnLocked(fn)
-		}
-		e.mu.Unlock()
-		return
+	if e.hubUp {
+		e.postLocked(post{fn: fn})
+	} else {
+		e.spawnLocked(fn)
 	}
-	e.actors++
-	e.runnable++
 	e.mu.Unlock()
-	go func() {
-		defer e.exit()
-		fn()
-	}()
 }
 
-// spawnLocked queues fn on a serialized actor for a draw, and draws one if
-// no actor runs. Caller owns the engine.
+// spawnLocked queues fn on an actor for a draw, and draws one if no actor
+// runs. Caller owns the engine.
 func (e *Engine) spawnLocked(fn func()) {
 	e.actors++
 	var a *actor
@@ -315,31 +280,10 @@ func (e *Engine) spawnLocked(fn func()) {
 	}
 }
 
-// exit retires a free-running actor.
-func (e *Engine) exit() {
-	if r := recover(); r != nil {
-		// Re-panic immediately WITHOUT touching e.mu: the panic may have
-		// been raised inside a primitive that still holds it (deadlock
-		// detection), and the process is about to die anyway.
-		panic(r)
-	}
-	e.lock()
-	e.actors--
-	e.runnable--
-	if e.runnable == 0 && e.actors > 0 {
-		e.unblockLocked()
-	}
-	if e.actors == 0 {
-		close(e.idle)
-		e.idle = make(chan struct{})
-	}
-	e.unlock()
-}
-
 // Wait blocks the (non-actor) caller until every actor has exited.
 // It is typically called from the test or benchmark goroutine after
-// spawning the workload with Go. A serialized engine's actors are gone
-// once its hub stops with none left, which closes e.idle.
+// spawning the workload with Go. The actors are gone once the hub stops
+// with none left, which closes e.idle.
 func (e *Engine) Wait() {
 	e.mu.Lock()
 	if !e.hubUp && e.actors == 0 {
@@ -351,14 +295,13 @@ func (e *Engine) Wait() {
 	<-ch
 }
 
-// Sleep parks the calling actor for d of virtual time. d <= 0 yields
-// without advancing the clock (the actor is immediately re-runnable).
+// Sleep parks the calling actor for d of virtual time. d <= 0 returns at
+// once, without a park.
 func (e *Engine) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	tok := e.token()
-	e.lock()
 	e.takeIn()
 	e.seq++
 	e.timers.push(timer{when: e.now + d, seq: e.seq, tok: tok})
@@ -366,10 +309,10 @@ func (e *Engine) Sleep(d time.Duration) {
 }
 
 // parkLocked parks the calling actor on tok, which the caller has put where
-// its waker finds it, and returns once it is woken (and, serialized, drawn).
-// If it was the last runnable actor, the engine first picks what runs next.
-// why is a string the primitive built once, at construction, so a park
-// concatenates nothing. Caller took the engine (lock); parkLocked ends that.
+// its waker finds it, and returns once it is woken and drawn. If it was the
+// last runnable actor, the engine first picks what runs next. why is a
+// string the primitive built once, at construction, so a park concatenates
+// nothing.
 func (e *Engine) parkLocked(tok *parkToken, why string) {
 	e.takeIn()
 	tok.why, tok.slot = why, int32(len(e.parked))
@@ -378,12 +321,6 @@ func (e *Engine) parkLocked(tok *parkToken, why string) {
 	e.runnable--
 	if e.runnable == 0 {
 		e.unblockLocked()
-	}
-	if !e.serial {
-		e.mu.Unlock()
-		<-tok.ch
-		parkTokenPool.Put(tok)
-		return
 	}
 	if e.drawn == tok { // the draw picked the parking actor: it runs on
 		e.drawn = nil
@@ -400,8 +337,8 @@ func (e *Engine) wake(tok *parkToken) {
 	e.wakeLocked(tok)
 }
 
-// wakeLocked transfers a parked actor back to runnable. In serialized mode
-// the actor is only queued; it starts running when dispatchLocked draws it.
+// wakeLocked transfers a parked actor back to runnable. The actor is only
+// queued; it starts running when dispatchLocked draws it.
 func (e *Engine) wakeLocked(tok *parkToken) {
 	if tok.idle {
 		tok.idle = false
@@ -411,23 +348,12 @@ func (e *Engine) wakeLocked(tok *parkToken) {
 	e.parked[tok.slot], last.slot = last, tok.slot
 	e.parked[len(e.parked)-1] = nil
 	e.parked = e.parked[:len(e.parked)-1]
-	if e.serial {
-		e.ready = append(e.ready, tok)
-		return
-	}
-	e.runnable++
-	tok.ch <- struct{}{}
+	e.ready = append(e.ready, tok)
 }
 
-// unblockLocked runs when no actor is runnable: in serialized mode it
-// dispatches exactly one queued actor (advancing the clock first if the
-// queue is empty); otherwise it advances the clock, waking every actor due
-// at the next instant.
+// unblockLocked runs when no actor is runnable: it dispatches exactly one
+// queued actor, advancing the clock first if the queue is empty.
 func (e *Engine) unblockLocked() {
-	if !e.serial {
-		e.advanceLocked()
-		return
-	}
 	if len(e.ready) == 0 {
 		e.advanceLocked() // due timers feed e.ready via wakeLocked
 	}
@@ -439,7 +365,6 @@ func (e *Engine) unblockLocked() {
 // dispatchLocked draws one actor at seeded-random from the ready queue for
 // the hub to resume, and starts the hub if none runs: a dispatch from
 // outside the simulation (Go, or Latch.OpenAt with every actor parked).
-// Serialized mode only.
 func (e *Engine) dispatchLocked() {
 	i := e.schedRng.Intn(len(e.ready))
 	tok := e.ready[i]
@@ -503,8 +428,7 @@ func (e *Engine) runHub() {
 	}
 }
 
-// actor is an actor of a serialized engine: a coroutine that the hub
-// resumes and that yields back to it when it parks or its function ends.
+// actor is a coroutine that the hub resumes and that yields back to it when it parks or its function ends.
 // An actor whose function has ended waits in the engine's free list to run
 // the next spawned one; those coroutines end when the engine's last actor
 // exits.
@@ -541,8 +465,8 @@ func (e *Engine) run(a *actor) (freed bool) {
 	defer func() {
 		if !ended {
 			if r := recover(); r != nil {
-				// As in exit: no e.mu. iter.Pull re-panics on the hub,
-				// whose stack says nothing of where the panic began.
+				// iter.Pull re-panics on the hub, whose stack says
+				// nothing of where the panic began.
 				panic(actorPanic{r, debug.Stack()})
 			}
 			a.goexited = true
@@ -554,7 +478,7 @@ func (e *Engine) run(a *actor) (freed bool) {
 	return
 }
 
-// actorPanic is a serialized actor's panic value with the actor's stack.
+// actorPanic is an actor's panic value with the actor's stack.
 type actorPanic struct {
 	v     any
 	stack []byte
@@ -685,41 +609,24 @@ func (e *Engine) stateLocked() string {
 	return b.String()
 }
 
-// parkToken is the rendezvous for one parked actor. A serialized actor has
-// one token of its own (actor.tok), which the hub resumes it by. A
-// free-running actor parks on a pooled token: a wakeup is a buffered send
-// on ch (not a close), so a token and its channel are reusable the moment
-// the parked actor has received the wakeup. Every park would otherwise
-// allocate a fresh channel — on the hot path (each virtual sleep, each
-// contended primitive) that is the single largest allocation source in the
-// whole simulator. Each token receives exactly one wakeup per park: every
+// parkToken is the rendezvous for one parked actor: each actor has one
+// token of its own (actor.tok), which the hub resumes it by, so a park
+// allocates none. Each token receives exactly one wakeup per park: every
 // wake path (timer pop, mutex handoff, cond signal) removes the token from
 // its wait structure before it wakes it.
 type parkToken struct {
-	ch   chan struct{} // free-running only
-	a    *actor        // serialized only
-	why  string        // what the token is parked on
-	next *parkToken    // the next in its wait queue (waitQueue)
-	slot int32         // its index in Engine.parked while parked
+	a    *actor     // the actor that parks on it
+	why  string     // what the token is parked on
+	next *parkToken // the next in its wait queue (waitQueue)
+	slot int32      // its index in Engine.parked while parked
 	// idle marks a token parked in an idle wait (Cond.WaitIdle): a wait for
 	// work, which an otherwise quiescent simulation may sit in forever. Set
 	// and cleared by the engine's owner, between parkLocked and wakeLocked.
 	idle bool
 }
 
-var parkTokenPool = sync.Pool{
-	New: func() any { return &parkToken{ch: make(chan struct{}, 1)} },
-}
-
-// token returns the token the calling actor parks on: its own when the
-// engine is serialized, one from the pool otherwise. Callers must not touch
-// it once the park returns.
-func (e *Engine) token() *parkToken {
-	if e.serial {
-		return &e.running.tok
-	}
-	return parkTokenPool.Get().(*parkToken)
-}
+// token returns the token the calling actor parks on: its own.
+func (e *Engine) token() *parkToken { return &e.running.tok }
 
 type timer struct {
 	when time.Duration

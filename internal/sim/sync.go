@@ -63,33 +63,20 @@ func (m *Mutex) name() string { return strings.TrimPrefix(m.why, "mutex:") }
 
 // Lock blocks the calling actor until the mutex is available.
 func (m *Mutex) Lock() {
-	e := m.e
-	e.lock()
 	if !m.locked {
 		m.locked = true
-		e.unlock()
 		return
 	}
-	tok := e.token()
+	tok := m.e.token()
 	m.waiters.push(tok)
-	e.parkLocked(tok, m.why)
+	m.e.parkLocked(tok, m.why)
 }
 
 // Unlock releases the mutex, handing it directly to the oldest waiter.
 func (m *Mutex) Unlock() {
-	e := m.e
-	e.lock()
 	if !m.locked {
-		e.unlock()
 		panic("sim: unlock of unlocked Mutex " + m.name())
 	}
-	m.unlockLocked()
-	e.unlock()
-}
-
-// unlockLocked releases a held mutex: ownership transfers to the oldest
-// waiter if there is one.
-func (m *Mutex) unlockLocked() {
 	if !m.waiters.empty() {
 		m.e.wake(m.waiters.pop()) // lock stays held, ownership transfers
 	} else {
@@ -129,9 +116,8 @@ func (c *Cond) WaitIdle() { c.wait(true) }
 func (c *Cond) wait(idle bool) {
 	e := c.L.e
 	tok := e.token()
-	e.lock()
 	c.waiters.push(tok)
-	c.L.unlockLocked()
+	c.L.Unlock()
 	if idle {
 		tok.idle = true
 		e.idleParked++
@@ -142,21 +128,13 @@ func (c *Cond) wait(idle bool) {
 
 // Signal wakes the oldest waiter, if any. Caller should hold c.L.
 func (c *Cond) Signal() {
-	e := c.L.e
-	e.lock()
 	if !c.waiters.empty() {
-		e.wake(c.waiters.pop())
+		c.L.e.wake(c.waiters.pop())
 	}
-	e.unlock()
 }
 
 // Broadcast wakes every waiter. Caller should hold c.L.
-func (c *Cond) Broadcast() {
-	e := c.L.e
-	e.lock()
-	c.waiters.wakeAllLocked(e)
-	e.unlock()
-}
+func (c *Cond) Broadcast() { c.waiters.wakeAllLocked(c.L.e) }
 
 // Semaphore is a counting semaphore with FIFO handoff. It models pools of
 // identical servers such as controller CPU cores or DMA engines.
@@ -177,28 +155,22 @@ func (e *Engine) NewSemaphore(name string, n int) *Semaphore {
 
 // Acquire takes one permit, blocking if none are available.
 func (s *Semaphore) Acquire() {
-	e := s.e
-	e.lock()
 	if s.avail > 0 {
 		s.avail--
-		e.unlock()
 		return
 	}
-	tok := e.token()
+	tok := s.e.token()
 	s.waiters.push(tok)
-	e.parkLocked(tok, s.why)
+	s.e.parkLocked(tok, s.why)
 }
 
 // Release returns one permit, handing it directly to the oldest waiter.
 func (s *Semaphore) Release() {
-	e := s.e
-	e.lock()
 	if !s.waiters.empty() {
-		e.wake(s.waiters.pop()) // permit transfers to waiter
+		s.e.wake(s.waiters.pop()) // permit transfers to waiter
 	} else {
 		s.avail++
 	}
-	e.unlock()
 }
 
 // Use acquires a permit, holds it for d of virtual time, and releases it.
@@ -227,58 +199,44 @@ func (m *RWMutex) name() string { return strings.TrimPrefix(m.rwhy, "rwmutex-r:"
 
 // RLock acquires a shared lock.
 func (m *RWMutex) RLock() {
-	e := m.e
-	e.lock()
 	if !m.writer && m.writeWaiters.empty() {
 		m.readers++
-		e.unlock()
 		return
 	}
-	tok := e.token()
+	tok := m.e.token()
 	m.readWaiters.push(tok)
-	e.parkLocked(tok, m.rwhy)
+	m.e.parkLocked(tok, m.rwhy)
 }
 
 // RUnlock releases a shared lock.
 func (m *RWMutex) RUnlock() {
-	e := m.e
-	e.lock()
 	m.readers--
 	if m.readers < 0 {
-		e.unlock()
 		panic("sim: RUnlock without RLock on " + m.name())
 	}
 	if m.readers == 0 {
 		m.promoteLocked()
 	}
-	e.unlock()
 }
 
 // Lock acquires the exclusive lock.
 func (m *RWMutex) Lock() {
-	e := m.e
-	e.lock()
 	if !m.writer && m.readers == 0 {
 		m.writer = true
-		e.unlock()
 		return
 	}
-	tok := e.token()
+	tok := m.e.token()
 	m.writeWaiters.push(tok)
-	e.parkLocked(tok, m.wwhy)
+	m.e.parkLocked(tok, m.wwhy)
 }
 
 // Unlock releases the exclusive lock.
 func (m *RWMutex) Unlock() {
-	e := m.e
-	e.lock()
 	if !m.writer {
-		e.unlock()
 		panic("sim: Unlock of unlocked RWMutex " + m.name())
 	}
 	m.writer = false
 	m.promoteLocked()
-	e.unlock()
 }
 
 // promoteLocked hands the lock to the next writer, or failing that to all
@@ -305,17 +263,13 @@ func (e *Engine) NewWaitGroup() *WaitGroup { return &WaitGroup{e: e} }
 
 // Add adds delta to the counter.
 func (w *WaitGroup) Add(delta int) {
-	e := w.e
-	e.lock()
 	w.n += delta
 	if w.n < 0 {
-		e.unlock()
 		panic("sim: negative WaitGroup counter")
 	}
 	if w.n == 0 {
-		w.waiters.wakeAllLocked(e)
+		w.waiters.wakeAllLocked(w.e)
 	}
-	e.unlock()
 }
 
 // Done decrements the counter by one.
@@ -323,15 +277,12 @@ func (w *WaitGroup) Done() { w.Add(-1) }
 
 // Wait parks the calling actor until the counter reaches zero.
 func (w *WaitGroup) Wait() {
-	e := w.e
-	e.lock()
 	if w.n == 0 {
-		e.unlock()
 		return
 	}
-	tok := e.token()
+	tok := w.e.token()
 	w.waiters.push(tok)
-	e.parkLocked(tok, "waitgroup")
+	w.e.parkLocked(tok, "waitgroup")
 }
 
 // Latch is a one-shot event: Wait parks the calling actor until the latch
@@ -348,14 +299,13 @@ func (w *WaitGroup) Wait() {
 // instead of sleeping through the transfer.
 //
 // Opening is lock-free when nobody waits. The two atomics close the race
-// between them: a waiter marks the latch waited on, with the engine taken,
+// between them: a waiter marks the latch waited on, on the owner's path,
 // before it tests open; OpenAt stores the instant and then open before it
 // tests waited. Whichever store comes first in the (sequentially
 // consistent) order, either the waiter sees the latch open, with its
 // instant, and does not queue, or OpenAt sees the mark and takes the engine
-// lock. On a free-running engine the waiter holds that lock until it is
-// queued; on a serialized one OpenAt posts the opening, and the owner
-// applies it no sooner than the waiter's park, after the waiter is queued.
+// lock. With the hub up, OpenAt posts the opening, and the owner applies it
+// no sooner than the waiter's park, after the waiter is queued.
 type Latch struct {
 	open   atomic.Bool
 	at     atomic.Int64 // the instant the latch opens; stored before open
@@ -374,7 +324,6 @@ func (l *Latch) Wait(e *Engine) {
 	if l.IsOpen(e) {
 		return
 	}
-	e.lock()
 	e.takeIn()
 	l.waited.Store(true)
 	// One look at open: a latch that opens after it must find this waiter
@@ -382,7 +331,6 @@ func (l *Latch) Wait(e *Engine) {
 	open := l.open.Load()
 	at := time.Duration(l.at.Load())
 	if open && at <= e.now {
-		e.unlock()
 		return
 	}
 	tok := e.token()

@@ -14,12 +14,10 @@
 // must happen on a simulation actor — start one with Device.Go and wait
 // with Device.Wait (see the examples/ directory).
 //
-// The engine Open makes is serialized (sim.Engine.Serialize, seed 1): its
-// actors run one at a time, each a coroutine resumed by one goroutine, in a
-// seeded order, so the same calls from the same actors end the same way on
-// every run. A caller that wants the free-running mode instead — each actor
-// a goroutine of its own, interleaved by the Go scheduler — makes the
-// engine itself with sim.NewEngine() and passes it in Options.Engine.
+// The engine's actors run one at a time, each a coroutine resumed by one
+// goroutine, in an order drawn from a seeded PRNG (seed 1 for the engine
+// Open makes; see sim.Engine.Serialize), so the same calls from the same
+// actors end the same way on every run.
 //
 // # Quick start
 //
@@ -98,12 +96,11 @@ type Options struct {
 	// power cut at a chosen point. Crash-consistency tests sweep its seed.
 	Faults *FaultPlan
 	// Engine, when non-nil, runs the device on an existing virtual clock
-	// instead of a fresh one. Nil makes a fresh engine serialized with seed
-	// 1. The model checker passes an engine it serialized with its own seed
-	// and runs Open itself on a simulation actor, which makes the whole
-	// device lifecycle — including the background actors Open spawns —
-	// deterministic for that seed; passing sim.NewEngine() unserialized
-	// runs the device free-running.
+	// instead of a fresh one. Nil makes a fresh engine seeded with 1. The
+	// model checker passes an engine it seeded with its own seed and runs
+	// Open itself on a simulation actor, which makes the whole device
+	// lifecycle — including the background actors Open spawns —
+	// deterministic for that seed.
 	Engine *sim.Engine
 }
 
@@ -236,8 +233,7 @@ type Device struct {
 // before issuing operations; the tap survives Crash/Reopen.
 func (d *Device) SetHistoryTap(t HistoryTap) { d.tap = t }
 
-// Open builds a device on a fresh, serialized virtual clock (or on
-// opts.Engine).
+// Open builds a device on a fresh virtual clock (or on opts.Engine).
 func Open(opts Options) (*Device, error) {
 	if err := opts.Flash.Validate(); err != nil {
 		return nil, err
@@ -245,7 +241,6 @@ func Open(opts Options) (*Device, error) {
 	eng := opts.Engine
 	if eng == nil {
 		eng = sim.NewEngine()
-		eng.Serialize(1)
 	}
 	arr := flash.New(eng, opts.Flash)
 	var plan *faultinject.Plan

@@ -32,7 +32,6 @@ type srcFile struct {
 // scope selects the files a rule reads.
 type scope struct {
 	paths   []string // directory trees or files, relative to the root; none: the whole tree
-	outside []string // directory trees left out of paths
 	noTests bool     // leave _test.go files out
 	except  string   // a file base name left out wherever it is
 }
@@ -46,7 +45,7 @@ func (s scope) has(p string) bool {
 	if s.noTests && strings.HasSuffix(p, "_test.go") || s.except != "" && path.Base(p) == s.except {
 		return false
 	}
-	return (len(s.paths) == 0 || under(p, s.paths)) && !under(p, s.outside)
+	return len(s.paths) == 0 || under(p, s.paths)
 }
 
 var (
@@ -371,26 +370,6 @@ func loopCalling(re string) matcher {
 	}
 }
 
-// unserializedEngine matches a sim.NewEngine() call outside any function, or
-// in a function that calls no Serialize.
-func unserializedEngine() matcher {
-	isNew, isSerialize := call(`^sim\.NewEngine$`), call(`\.Serialize$`)
-	return func(fn *ast.FuncDecl, n ast.Node) bool {
-		if !isNew(fn, n) {
-			return false
-		}
-		if fn == nil {
-			return true
-		}
-		serialized := false
-		ast.Inspect(fn.Body, func(x ast.Node) bool {
-			serialized = serialized || x != nil && isSerialize(fn, x)
-			return !serialized
-		})
-		return !serialized
-	}
-}
-
 func anyOf(ms ...matcher) matcher {
 	return func(fn *ast.FuncDecl, n ast.Node) bool {
 		return slices.ContainsFunc(ms, func(m matcher) bool { return m(fn, n) })
@@ -709,26 +688,27 @@ var rules = []rule{
 		},
 	},
 	{
-		// A caller that wants a free-running engine makes one and passes it
-		// in (kaml.Options.Engine, cluster.Config.Engine). bench/ is left
-		// out: its wire-cluster control device (runner.clusterControl)
-		// still runs on a free-running engine of its own.
-		name:   "library-engines-are-serialized",
-		why:    "an engine the code makes is serialized by the function that makes it: sim.NewEngine(), then Serialize(seed)",
-		sc:     scope{outside: []string{"internal/sim", "bench"}, noTests: true},
-		checks: []check{forbid(unserializedEngine())},
-		bad: []map[string]string{src("internal/cluster/cluster.go",
-			"package cluster\n\nfunc New(cfg Config) {\n\teng := cfg.Engine\n\tif eng == nil {\n\t\teng = sim.NewEngine()\n\t}\n}\n")},
+		// Every engine runs one actor at a time, drawn by its seeded
+		// schedule: no flag picks a second mode, and no pool serves
+		// actors that park in parallel.
+		name:   "one-scheduler-mode",
+		why:    "the sim engine has one scheduler: no serial flag, no sync.Pool",
+		sc:     scope{paths: []string{"internal/sim"}, noTests: true},
+		checks: []check{forbid(anyOf(ident(`^serial$`), selector(`sync\.Pool`)))},
+		bad: []map[string]string{
+			src("internal/sim/fixture.go", "package sim\n\ntype Engine struct {\n\tserial bool\n}\n"),
+			src("internal/sim/fixture.go", "package sim\n\nvar tokens sync.Pool\n"),
+		},
 	},
 	{
-		// A serialized engine's owner runs the actor path without a lock;
-		// only outside callers, and the owner taking in what they posted,
-		// take the engine's mutex (package sim's "The owner").
+		// The engine's owner runs the actor path without a lock; only
+		// outside callers, and the owner taking in what they posted, take
+		// the engine's mutex (package sim's "The owner").
 		name: "engine-lock-at-the-edge",
-		why:  "e.mu is taken only by lock (free-running engines), the outside entry points (Go, Latch.OpenAt, Wait, Serialize, the watchdog), the inbox drain and the hub's stop",
+		why:  "e.mu is taken only by the outside entry points (Go, Latch.OpenAt, Wait, Serialize, the watchdog), the inbox drain and the hub's stop",
 		sc:   scope{paths: []string{"internal/sim"}, noTests: true},
 		checks: []check{forbid(outside(call(`^e\.mu\.Lock$`),
-			"Engine.lock", "Engine.Go", "Latch.OpenAt", "Engine.Wait", "Engine.Serialize",
+			"Engine.Go", "Latch.OpenAt", "Engine.Wait", "Engine.Serialize",
 			"Engine.checkStall", "Engine.drain", "Engine.runHub"))},
 		bad: []map[string]string{src("internal/sim/sync.go",
 			"package sim\n\nfunc (s *Semaphore) Acquire() {\n\te := s.e\n\te.mu.Lock()\n\ts.avail--\n\te.mu.Unlock()\n}\n")},
@@ -865,7 +845,7 @@ SubmitOwned( workerLoop SubmitGet SubmitSnapshot AsyncGet stageQueue cmdq-worker
 record.At( func At( hostPPN( spaceCv SwapOutIndex loadIndex ErrSwappedOut pageTypeIndex
 swapPages relocateIndexPages DeserializeVersionChains lockMounted readersPerChip nReaders
 func (c *collector) scan( arr.ProgramPage( arr.ReadPage( progFailed++ ErrInjectedFailure
-GC parse bm.validBytes = 0 lg.freeBlocks-- sim.NewEngine() e.mu.Lock()`
+GC parse bm.validBytes = 0 lg.freeBlocks-- serial bool e.mu.Lock()`
 	var code strings.Builder
 	code.WriteString("// Package fixture names, in comments and strings only:\n")
 	for _, line := range strings.Split(named, "\n") {
