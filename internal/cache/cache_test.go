@@ -21,11 +21,6 @@ func newCache(capacity int64, gran int) (*sim.Engine, *Cache) {
 // newCacheOver is newCache with a hook to adjust the firmware config.
 func newCacheOver(capacity int64, gran int, mod func(*kamlssd.Config)) (*sim.Engine, *Cache) {
 	e := sim.NewEngine()
-	return e, newCacheOn(e, capacity, gran, mod)
-}
-
-// newCacheOn is newCacheOver on a given engine.
-func newCacheOn(e *sim.Engine, capacity int64, gran int, mod func(*kamlssd.Config)) *Cache {
 	fc := flash.DefaultConfig()
 	fc.Channels = 4
 	fc.ChipsPerChannel = 2
@@ -39,7 +34,7 @@ func newCacheOn(e *sim.Engine, capacity int64, gran int, mod func(*kamlssd.Confi
 		mod(&cfg)
 	}
 	dev := kamlssd.New(arr, ctrl, cfg)
-	return New(dev, Config{CapacityBytes: capacity, RecordsPerLock: gran})
+	return e, New(dev, Config{CapacityBytes: capacity, RecordsPerLock: gran})
 }
 
 func withCache(t *testing.T, capacity int64, gran int, fn func(e *sim.Engine, c *Cache)) {

@@ -302,22 +302,14 @@ func TestSIWriterInteroperatesWithSS2PL(t *testing.T) {
 	})
 }
 
-// withSerialCache is withCache with one table created: one actor runs at a
-// time, so a test can time an operation exactly and place an actor inside
-// another's window.
-func withSerialCache(t *testing.T, fn func(e *sim.Engine, c *Cache, tbl uint32)) {
+// newTable creates the one table the SI read tests write.
+func newTable(t *testing.T, c *Cache) uint32 {
 	t.Helper()
-	e := sim.NewEngine()
-	c := newCacheOn(e, 1<<20, 1, nil)
-	e.Go("test", func() {
-		defer c.Close()
-		tbl, err := c.CreateTable("t", storage.TableHint{ExpectedRows: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fn(e, c, tbl)
-	})
-	e.Wait()
+	tbl, err := c.CreateTable("t", storage.TableHint{ExpectedRows: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
 }
 
 // commitValue writes key = v through an SS2PL transaction.
@@ -336,7 +328,8 @@ func commitValue(t *testing.T, c *Cache, tbl uint32, key uint64, v string) {
 // An SI read of a cached value committed at or before its snapshot is a
 // DRAM probe: the host's per-operation cost and no device Get.
 func TestSIReadOfACachedVersionSkipsTheDevice(t *testing.T) {
-	withSerialCache(t, func(e *sim.Engine, c *Cache, tbl uint32) {
+	withCache(t, 1<<20, 1, func(e *sim.Engine, c *Cache) {
+		tbl := newTable(t, c)
 		commitValue(t, c, tbl, 1, "v1")
 		si := c.BeginSI()
 		defer si.Free()
@@ -358,7 +351,8 @@ func TestSIReadOfACachedVersionSkipsTheDevice(t *testing.T) {
 // A snapshot older than the cached version cannot use it: the read goes to
 // the device and returns the version the snapshot sees.
 func TestSIReadOlderThanTheCachedVersionReadsTheDevice(t *testing.T) {
-	withSerialCache(t, func(e *sim.Engine, c *Cache, tbl uint32) {
+	withCache(t, 1<<20, 1, func(e *sim.Engine, c *Cache) {
+		tbl := newTable(t, c)
 		commitValue(t, c, tbl, 1, "v1")
 		si := c.BeginSI()
 		defer si.Free()
@@ -383,7 +377,8 @@ func TestSIReadOlderThanTheCachedVersionReadsTheDevice(t *testing.T) {
 // transaction that begins inside that window must read the new value from
 // the device, not the old one from the cache.
 func TestSIReadInsideAWritersCompletionSeesTheCommit(t *testing.T) {
-	withSerialCache(t, func(e *sim.Engine, c *Cache, tbl uint32) {
+	withCache(t, 1<<20, 1, func(e *sim.Engine, c *Cache) {
+		tbl := newTable(t, c)
 		commitValue(t, c, tbl, 1, "v1")
 		old, err := c.Device().LatestCommittedSeq(tbl, 1)
 		if err != nil {

@@ -29,8 +29,9 @@
 // error. Completions signal the queue-space condition, so waiters resume in
 // FIFO order and throughput degrades gracefully instead of failing.
 //
-// Occupancy itself is an atomic counter, not mutex-guarded state: while the
-// pipeline has room, acceptance is one CAS and completion one subtract, and
+// Occupancy itself is a plain counter, not mutex-guarded state: the engine
+// runs one actor at a time and the running actor owns the pipeline, so while
+// it has room, acceptance is one increment and completion one subtract, and
 // the pipeline lock is touched only to hand a write to its coalescer shard.
 // A direct command therefore meets no pipeline-induced parking at all below
 // Depth (see RunDirect).
@@ -284,21 +285,15 @@ type Pipeline struct {
 	notFull    *sim.Cond // occupancy < Depth
 	inlineIdle *sim.Cond // no RunDirect execution in flight (shutdown drain)
 
-	// occ is the current occupancy. It is atomic — not guarded by p.mu —
-	// so the direct path (RunDirect) can reserve and release slots with a
-	// CAS instead of a sim-mutex round-trip; p.mu still serializes the
+	// occ is the current occupancy, bpWaiters the actors parked on notFull
+	// and inline the RunDirect executions in flight. They are plain fields
+	// outside p.mu, owned by the running actor, so the direct path reserves
+	// and releases a slot without a sim-mutex round-trip; p.mu orders the
 	// backpressure slow path (parking on notFull) and the coalescer shards.
-	occ atomic.Int64
-	// bpWaiters counts actors registered for a queue-space wakeup. A waiter
-	// registers BEFORE each claim attempt and stays registered across its
-	// park, so a lock-free release that reads zero here is guaranteed the
-	// waiter's own (later) claim attempt will see the freed slot.
-	bpWaiters atomic.Int64
-	inline    atomic.Int64 // RunDirect executions in flight
+	occ, bpWaiters, inline int64
 
-	closing  bool        // no new submissions; drain what was accepted
-	closingA atomic.Bool // mirrors closing for the lock-free RunDirect entry
-	poison   error       // non-nil: fail pending writes instead of executing them
+	closing bool  // no new submissions; drain what was accepted
+	poison  error // non-nil: fail pending writes instead of executing them
 
 	shards []*coalescer   // indexed by shardOf
 	wg     *sim.WaitGroup // the shard actors
@@ -383,17 +378,13 @@ func (p *Pipeline) Submit(cmd *Command) *Future {
 // calling actor and returns its result; it is the one executor of direct
 // commands, Submit's included. The command counts against Depth and honors
 // backpressure and shutdown like a write, but on an open, non-full pipeline
-// acceptance is a single atomic CAS and completion a single atomic subtract
-// — no handoff, no future, no sim primitive beyond what exec itself
-// performs. A read's only engine traffic is therefore the flash access, and
-// concurrent readers share nothing hotter than the occupancy counter.
+// acceptance is a single increment and completion a single subtract — no
+// handoff, no future, no sim primitive beyond what exec itself performs. A
+// read's only engine traffic is therefore the flash access.
 func (p *Pipeline) RunDirect(cmd *Command) Result {
-	// The inline registration is ordered before the closingA check, so a
-	// shutdown that does not observe this execution in drainInline is one
-	// whose closing flag this op observed — it bails out without executing.
-	p.inline.Add(1)
+	p.inline++
 	defer p.inlineDone()
-	if p.closingA.Load() || !p.reserveFast() {
+	if p.closing || !p.reserveFast() {
 		// Full or closing: park under the lock exactly like Submit.
 		p.mu.Lock()
 		err := p.reserveLocked()
@@ -420,7 +411,8 @@ func (p *Pipeline) RunDirect(cmd *Command) Result {
 // inlineDone retires one inline execution and, during shutdown, wakes a
 // Close/Join parked on the drain.
 func (p *Pipeline) inlineDone() {
-	if p.inline.Add(-1) == 0 && p.closingA.Load() {
+	p.inline--
+	if p.inline == 0 && p.closing {
 		p.mu.Lock()
 		p.inlineIdle.Broadcast()
 		p.mu.Unlock()
@@ -428,10 +420,10 @@ func (p *Pipeline) inlineDone() {
 }
 
 // drainInline parks until no RunDirect execution is in flight. Runs after
-// shutdown broadcast (closingA set), which arms inlineDone's wakeup.
+// the shutdown broadcast (closing set), which arms inlineDone's wakeup.
 func (p *Pipeline) drainInline() {
 	p.mu.Lock()
-	for p.inline.Load() > 0 {
+	for p.inline > 0 {
 		p.inlineIdle.Wait()
 	}
 	p.mu.Unlock()
@@ -468,56 +460,34 @@ func (p *Pipeline) shutdownErrLocked() error {
 	return p.cfg.ClosedErr
 }
 
-// reserveFast claims one occupancy slot with a CAS if the pipeline is below
-// Depth, recording the occupancy stats on success. Lock-free; callable with
-// or without p.mu held.
+// reserveFast claims one occupancy slot if the pipeline is below Depth,
+// recording the occupancy stats on success. Callable with or without p.mu
+// held.
 func (p *Pipeline) reserveFast() bool {
-	depth := int64(p.cfg.Depth)
-	for {
-		c := p.occ.Load()
-		if c >= depth {
-			return false
-		}
-		if !p.occ.CompareAndSwap(c, c+1) {
-			continue
-		}
-		c++
-		p.submitted.Add(1)
-		for {
-			m := p.maxOcc.Load()
-			if c <= m || p.maxOcc.CompareAndSwap(m, c) {
-				break
-			}
-		}
-		p.occSum.Add(c)
-		p.occSamples.Add(1)
-		p.depth.Set(c)
-		return true
+	if p.occ >= int64(p.cfg.Depth) {
+		return false
 	}
+	p.occ++
+	p.submitted.Add(1)
+	if p.occ > p.maxOcc.Load() {
+		p.maxOcc.Store(p.occ)
+	}
+	p.occSum.Add(p.occ)
+	p.occSamples.Add(1)
+	p.depth.Set(p.occ)
+	return true
 }
 
 // reserveLocked claims one occupancy slot, parking the caller on queue space
-// while the pipeline is full (counted once per parked command). The
-// bpWaiters registration brackets each claim attempt AND the park that
-// follows a failed one, which closes the race with the lock-free release: a
-// release that reads bpWaiters == 0 did so before this waiter registered, so
-// the waiter's own claim attempt — ordered after its registration — observes
-// the freed slot. Caller holds p.mu. It returns the shutdown error when the
-// pipeline is closing.
+// while the pipeline is full (counted once per parked command). Caller holds
+// p.mu. It returns the shutdown error when the pipeline is closing.
 func (p *Pipeline) reserveLocked() error {
 	waited := false
-	for {
-		if p.closing {
-			break
-		}
-		p.bpWaiters.Add(1)
-		if p.reserveFast() {
-			p.bpWaiters.Add(-1)
-			break
-		}
+	for !p.closing && !p.reserveFast() {
 		waited = true
+		p.bpWaiters++
 		p.notFull.Wait()
-		p.bpWaiters.Add(-1)
+		p.bpWaiters--
 	}
 	if waited {
 		p.backpressure.Inc()
@@ -554,17 +524,14 @@ func (p *Pipeline) completeAll(tasks []*Future, results []Result) {
 
 // release frees n occupancy slots and delivers the batch's queue-space
 // wakeup — one Signal when a single slot freed, one Broadcast otherwise —
-// instead of one broadcast per command. Entirely lock-free unless a
-// submitter is actually parked: bpWaiters registration precedes every claim
-// attempt and park, so a waiter this release fails to see is one whose own
-// claim attempt will see the freed slot. The commands were counted completed
-// before their results were published (completeAll). Called WITHOUT p.mu
-// held.
+// instead of one broadcast per command. It takes p.mu only when a submitter
+// is parked on queue space. The commands were counted completed before
+// their results were published (completeAll). Called WITHOUT p.mu held.
 func (p *Pipeline) release(n int) {
-	now := p.occ.Add(-int64(n))
-	p.depth.Set(now)
+	p.occ -= int64(n)
+	p.depth.Set(p.occ)
 	p.completionFlocks.Inc()
-	if p.bpWaiters.Load() > 0 {
+	if p.bpWaiters > 0 {
 		p.mu.Lock()
 		if n == 1 {
 			p.notFull.Signal()
@@ -635,7 +602,7 @@ func (c *coalescer) loop() {
 					break
 				}
 				wait := deadline - now
-				if p.occ.Load() == int64(len(c.pend)) {
+				if p.occ == int64(len(c.pend)) {
 					// Every outstanding command is already pending on this
 					// shard: no in-flight command elsewhere can complete and
 					// feed another write into this batch, so holding the full
@@ -804,7 +771,6 @@ func (p *Pipeline) broadcastShutdown(poison error) {
 		p.poison = poison
 	}
 	p.closing = true
-	p.closingA.Store(true)
 	p.notFull.Broadcast()
 	for _, c := range p.shards {
 		c.cv.Broadcast()

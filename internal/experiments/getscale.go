@@ -37,7 +37,6 @@ type GetScaleResult struct {
 	// host scheduling effects.
 	VirtGetsPerSec float64 `json:"virt_gets_per_sec"`
 	AllocsPerGet   float64 `json:"allocs_per_get"`
-	ReadRetries    int64   `json:"index_read_retries"`
 }
 
 // GetScaleRaw runs one cell per worker count and returns wall-clock gets/s
@@ -135,7 +134,6 @@ func getScaleCell(workers, total int) GetScaleResult {
 		res.GetsPerSec = median(res.Samples)
 		res.VirtGetsPerSec = float64(done) / virtElapsed.Seconds()
 		res.AllocsPerGet = float64(after.Mallocs-before.Mallocs) / float64(done*(getScaleTrials-1))
-		res.ReadRetries = r.dev.Stats().IndexReadRetries
 	})
 	r.eng.Wait()
 	return res
@@ -157,11 +155,10 @@ func median(xs []float64) float64 {
 }
 
 // GetScale measures how concurrent read-only throughput scales with the
-// number of reader actors — the workload the lock-free (seqlock) index
-// read path exists for. Before it, every Get serialized on the namespace's
-// reader-writer lock (itself serialized on the simulation engine's global
-// mutex), and wall-clock gets/s DEGRADED as readers were added; with the
-// lock-free path the curve must stay flat or rise. gets/s is wall-clock,
+// number of reader actors. A Get takes no namespace lock and shares no
+// pipeline lock with other readers, so the virtual-time curve rises with
+// every reader added (a Get that serialized on a shared lock would flatten
+// it), and the wall-clock curve must stay flat or rise. gets/s is wall-clock,
 // not virtual time: virtual-time throughput is identical by construction
 // (determinism), so real contention only shows up on the real clock.
 func GetScale(s Scale) *Table {
@@ -170,13 +167,12 @@ func GetScale(s Scale) *Table {
 		ID: "getscale",
 		Title: fmt.Sprintf("concurrent Get scaling: %d B values, %d keys/namespace, one namespace per reader",
 			getScaleValueSize, getScaleKeysPerNS),
-		Header: []string{"workers", "gets_per_sec", "speedup_vs_1", "virt_gets_per_sec", "allocs_per_get", "read_retries"},
+		Header: []string{"workers", "gets_per_sec", "speedup_vs_1", "virt_gets_per_sec", "allocs_per_get"},
 		Notes: []string{
 			fmt.Sprintf("gets_per_sec is wall-clock (real time, whole process), median of %d trials; cells run serially and ignore -parallel", getScaleTrials),
 			"virt_gets_per_sec is against the simulated clock: deterministic, host-independent device scaling",
 			"on a single-core host the 1-worker cell is privileged: a lone actor self-wakes with zero goroutine switches, so wall-clock comparisons of 1 vs N>=2 mix in scheduler cost that virt_gets_per_sec excludes",
 			"allocs_per_get is runtime.MemStats.Mallocs across the measured window / completed Gets",
-			"read_retries counts seqlock re-reads on the lock-free index path (expect 0 for read-only load)",
 		},
 	}
 	for _, c := range cells {
@@ -190,7 +186,6 @@ func GetScale(s Scale) *Table {
 			speedup,
 			f2(c.VirtGetsPerSec),
 			f2(c.AllocsPerGet),
-			fmt.Sprintf("%d", c.ReadRetries),
 		})
 	}
 	return t

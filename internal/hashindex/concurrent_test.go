@@ -3,9 +3,10 @@ package hashindex
 import (
 	"errors"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
+
+	"github.com/kaml-ssd/kaml/internal/sim"
 )
 
 // TestConcurrentMatchesMap drives a randomized op stream through a
@@ -54,8 +55,7 @@ func TestConcurrentMatchesMap(t *testing.T) {
 
 // checkVal derives the value a writer stores for (key, version): the low
 // 32 bits carry the version, the high 32 a checksum binding key and
-// version together. A torn read — a val from one write paired with a key
-// or version from another — fails the checksum.
+// version together, so a value read under the wrong key fails it.
 func checkVal(key uint64, version uint32) uint64 {
 	return (hash(key^uint64(version)) << 32) | uint64(version)
 }
@@ -64,220 +64,160 @@ func checkValOK(key, val uint64) bool {
 	return val == checkVal(key, uint32(val))
 }
 
-// TestConcurrentRace races lock-free Gets against mutating writers and a
-// mutex-guarded reference map (run under -race in CI). Readers assert two
-// properties: no Get ever returns a torn key/val pair (checksum), and no
-// Get ever returns a version older than one the reference map had already
-// acknowledged before the read began (no lost updates on the read path).
+// TestConcurrentRace interleaves writer and reader actors on one simulated
+// engine, the way the firmware's commands share a mapping table: each actor
+// sleeps a few random microseconds between its operations, so the running
+// actor owns the table and the others' operations fall between its own.
+// Writers own disjoint keys and put checksummed values or delete; readers
+// check every Get against the acknowledged reference exactly (a hit carries
+// the key's current value, a miss is a key the reference lacks). The table
+// starts small, so it grows while the actors run, and each seed draws
+// another interleaving.
 func TestConcurrentRace(t *testing.T) {
-	ct := NewConcurrent(64, true) // small start: forces grows mid-race
 	const (
-		keySpace   = 256
-		numWriters = 4
-		numReaders = 4
-		opsPerG    = 8000
+		keySpace    = 256
+		numWriters  = 4
+		numReaders  = 4
+		opsPerActor = 2000
 	)
-	var (
-		refMu sync.Mutex
-		ref   = make(map[uint64]uint64) // acknowledged (key → version floor)
-	)
-	var wg sync.WaitGroup
-	var torn, stale atomic.Int64
-	// Each writer owns the keys congruent to its number: two writers racing
-	// on one key could leave the map and the table in opposite orders (a
-	// Put acknowledged after the other writer's Delete of the same key),
-	// and the final comparison would blame the table.
-	for w := 0; w < numWriters; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(100 + w)))
-			for i := 0; i < opsPerG; i++ {
-				key := uint64(rng.Intn(keySpace/numWriters)*numWriters + w)
-				if rng.Intn(8) == 0 {
-					refMu.Lock()
-					delete(ref, key)
-					refMu.Unlock()
-					ct.Delete(key)
-					continue
-				}
-				version := uint32(rng.Uint64())
-				ct.Put(key, checkVal(key, version))
-				// Acknowledge AFTER the table write: any read that starts
-				// after this sees at least some complete write for key.
-				refMu.Lock()
-				ref[key] = uint64(version)
-				refMu.Unlock()
-			}
-		}(w)
-	}
-	for r := 0; r < numReaders; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < opsPerG; i++ {
-				key := uint64(rng.Intn(keySpace))
-				refMu.Lock()
-				_, acked := ref[key]
-				refMu.Unlock()
-				val, _, err := ct.Get(key)
-				if err != nil {
-					if !errors.Is(err, ErrNotFound) {
-						t.Errorf("Get(%d): %v", key, err)
-						return
-					}
-					continue // concurrent delete may race the ack check
-				}
-				if !checkValOK(key, val) {
-					torn.Add(1)
-					t.Errorf("torn read: key %d returned val %#x failing checksum", key, val)
-					return
-				}
-				// acked means at least one complete write existed before the
-				// read started; a successful Get must then return SOME
-				// complete write (checksum above), which it did. A miss when
-				// acked is legal only via a racing delete, handled above.
-				_ = acked
-			}
-		}(int64(200 + r))
-	}
-	wg.Wait()
-	if torn.Load() > 0 || stale.Load() > 0 {
-		t.Fatalf("torn=%d stale=%d", torn.Load(), stale.Load())
-	}
-	// The table must still agree with the reference for all surviving keys.
-	refMu.Lock()
-	defer refMu.Unlock()
-	for key := range ref {
-		val, _, err := ct.Get(key)
-		if err != nil {
-			t.Fatalf("post-race: key %d acknowledged but missing: %v", key, err)
-		}
-		if !checkValOK(key, val) {
-			t.Fatalf("post-race: key %d torn val %#x", key, val)
-		}
-	}
-}
-
-// TestOrderedInsertNeverHidesAKey races lock-free Gets against inserts that
-// shift runs of a dense stripe (run under -race in CI). In each round,
-// writers insert fresh keys into stripe 0 of a fresh fixed table, up to
-// load 0.9 of its 64 slots, so nearly every insert moves a long run;
-// readers Get keys whose insert was acknowledged before the read began, and
-// every one must be found with its value. A shift that copied left to
-// right would hide the key it had not yet re-written.
-func TestOrderedInsertNeverHidesAKey(t *testing.T) {
-	const (
-		stripeSlots = 64
-		numWriters  = 2
-		numReaders  = 2
-		perWriter   = stripeSlots * 9 / 10 / numWriters
-		rounds      = 100
-	)
-	var keys [numWriters][]uint64
-	for k, w := uint64(0), 0; len(keys[numWriters-1]) < perWriter; k++ {
-		if hash(k)>>stripeShift != 0 {
-			continue
-		}
-		if len(keys[w]) < perWriter {
-			keys[w] = append(keys[w], k)
-		}
-		w = (w + 1) % numWriters
-	}
-	for round := 0; round < rounds && !t.Failed(); round++ {
-		ct := NewConcurrent(numStripes*stripeSlots, false) // never grows: no epoch swap
-		var acked [numWriters]atomic.Int64                 // keys[w][:acked[w]] are in the table
-		var wg sync.WaitGroup
-		var done atomic.Int32
+	for _, seed := range []int64{1, 2, 3} {
+		e := sim.NewEngine()
+		e.Serialize(seed)
+		ct := NewConcurrent(64, true)
+		ref := make(map[uint64]uint64) // acknowledged key → value
+		pause := func(rng *rand.Rand) { e.Sleep(time.Duration(1+rng.Intn(4)) * time.Microsecond) }
 		for w := 0; w < numWriters; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				defer done.Add(1)
-				for i, k := range keys[w] {
-					if _, _, err := ct.Put(k, k*3+1); err != nil {
-						t.Errorf("Put(%d): %v", k, err)
-						return
-					}
-					acked[w].Store(int64(i + 1))
-				}
-			}(w)
-		}
-		for r := 0; r < numReaders; r++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed))
-				for done.Load() < numWriters {
-					w := rng.Intn(numWriters)
-					hi := acked[w].Load()
-					if hi == 0 {
+			e.Go("writer", func() {
+				rng := rand.New(rand.NewSource(seed*100 + int64(w)))
+				for i := 0; i < opsPerActor; i++ {
+					pause(rng)
+					key := uint64(rng.Intn(keySpace/numWriters)*numWriters + w)
+					if rng.Intn(8) == 0 {
+						_, err := ct.Delete(key)
+						if _, acked := ref[key]; (err == nil) != acked {
+							t.Errorf("seed %d: Delete(%d) = %v, reference has it: %v", seed, key, err, acked)
+							return
+						}
+						delete(ref, key)
 						continue
 					}
-					k := keys[w][rng.Int63n(hi)]
-					v, _, err := ct.Get(k)
-					if err != nil || v != k*3+1 {
-						t.Errorf("round %d: key %d acknowledged before the read: Get = (%d, %v)", round, k, v, err)
+					val := checkVal(key, uint32(rng.Uint64()))
+					if _, _, err := ct.Put(key, val); err != nil {
+						t.Errorf("seed %d: Put(%d): %v", seed, key, err)
+						return
+					}
+					ref[key] = val
+				}
+			})
+		}
+		for r := 0; r < numReaders; r++ {
+			e.Go("reader", func() {
+				rng := rand.New(rand.NewSource(seed*100 + 50 + int64(r)))
+				for i := 0; i < opsPerActor; i++ {
+					pause(rng)
+					key := uint64(rng.Intn(keySpace))
+					want, acked := ref[key]
+					val, _, err := ct.Get(key)
+					switch {
+					case acked && (err != nil || val != want || !checkValOK(key, val)):
+						t.Errorf("seed %d: Get(%d) = (%#x, %v), acknowledged %#x", seed, key, val, err, want)
+						return
+					case !acked && !errors.Is(err, ErrNotFound):
+						t.Errorf("seed %d: Get(%d) = (%#x, %v) of a key the reference lacks", seed, key, val, err)
 						return
 					}
 				}
-			}(int64(round*numReaders + r))
+			})
 		}
-		wg.Wait()
+		e.Wait()
+		if ct.Len() != len(ref) {
+			t.Fatalf("seed %d: Len = %d, reference has %d keys", seed, ct.Len(), len(ref))
+		}
+		if ct.Capacity() <= NewConcurrent(64, true).Capacity() {
+			t.Fatalf("seed %d: the table never grew; growth between the actors' operations went untested", seed)
+		}
 		checkOrder(t, ct)
 	}
 }
 
-// TestConcurrentGrowUnderReaders hammers one stripe-growing table with
-// readers while a single writer fills it far past its initial capacity:
-// every acknowledged key must remain continuously readable through every
-// epoch swap.
+// TestOrderedInsertNeverHidesAKey fills stripe 0 of a fixed table to load
+// 0.9 of its 64 slots, so nearly every insert shifts a long run right, and
+// after every insert reads back every key inserted before it: each must be
+// found with its value, and every cluster must stay ordered. A shift that
+// dropped or overwrote a slot of its run would hide a key. Each round
+// inserts the keys in another order.
+func TestOrderedInsertNeverHidesAKey(t *testing.T) {
+	const (
+		stripeSlots = 64
+		rounds      = 20
+	)
+	var keys []uint64
+	for k := uint64(0); len(keys) < stripeSlots*9/10; k++ {
+		if hash(k)>>stripeShift == 0 {
+			keys = append(keys, k)
+		}
+	}
+	for round := 0; round < rounds; round++ {
+		rng := rand.New(rand.NewSource(int64(round)))
+		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		ct := NewConcurrent(numStripes*stripeSlots, false) // never grows
+		for i, k := range keys {
+			if _, _, err := ct.Put(k, k*3+1); err != nil {
+				t.Fatalf("round %d: Put(%d): %v", round, k, err)
+			}
+			for _, prev := range keys[:i+1] {
+				if v, _, err := ct.Get(prev); err != nil || v != prev*3+1 {
+					t.Fatalf("round %d: key %d inserted before key %d: Get = (%d, %v)", round, prev, k, v, err)
+				}
+			}
+			checkOrder(t, ct)
+		}
+		if got := len(ct.stripes[0].slot); got != stripeSlots {
+			t.Fatalf("round %d: stripe 0 has %d slots, want %d", round, got, stripeSlots)
+		}
+	}
+}
+
+// TestConcurrentGrowUnderReaders fills a growing table from 8 slots a
+// stripe far past that, reading between the writes as the firmware's
+// readers do: after every insert that grew a stripe, every key written so
+// far is read back, and after every other insert a few random ones are,
+// so no growth may lose or misplace a key.
 func TestConcurrentGrowUnderReaders(t *testing.T) {
 	ct := NewConcurrent(8, true)
 	const totalKeys = 4096
-	var written atomic.Uint64 // keys [0, written) are acknowledged
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				hi := written.Load()
-				if hi == 0 {
-					continue
-				}
-				key := rng.Uint64() % hi
-				val, _, err := ct.Get(key)
-				if err != nil {
-					t.Errorf("key %d acknowledged but Get failed: %v", key, err)
-					return
-				}
-				if val != key*3+1 {
-					t.Errorf("key %d: got %d, want %d", key, val, key*3+1)
-					return
-				}
-			}
-		}(int64(300 + r))
+	rng := rand.New(rand.NewSource(300))
+	read := func(key uint64) {
+		t.Helper()
+		val, _, err := ct.Get(key)
+		if err != nil || val != key*3+1 {
+			t.Fatalf("key %d written before: Get = (%d, %v), want %d", key, val, err, key*3+1)
+		}
 	}
+	grows := 0
 	for k := uint64(0); k < totalKeys; k++ {
+		before := ct.Capacity()
 		if _, _, err := ct.Put(k, k*3+1); err != nil {
 			t.Fatalf("Put(%d): %v", k, err)
 		}
-		written.Store(k + 1)
+		if ct.Capacity() != before {
+			grows++
+			for key := uint64(0); key <= k; key++ {
+				read(key)
+			}
+			continue
+		}
+		for r := 0; r < 3; r++ {
+			read(rng.Uint64() % (k + 1))
+		}
 	}
-	close(stop)
-	wg.Wait()
 	if ct.Len() != totalKeys {
 		t.Fatalf("Len = %d, want %d", ct.Len(), totalKeys)
 	}
+	if grows < numStripes {
+		t.Fatalf("%d growths, want every stripe to grow at least once", grows)
+	}
+	checkOrder(t, ct)
 }
 
 // TestConcurrentFixedCapacityFull checks ErrFull semantics without
@@ -336,11 +276,7 @@ func BenchmarkConcurrentTableGet(b *testing.B) {
 		ct.Put(k, k)
 	}
 	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		k := uint64(0)
-		for pb.Next() {
-			ct.Get(k & (1<<15 - 1))
-			k++
-		}
-	})
+	for k := uint64(0); k < uint64(b.N); k++ {
+		ct.Get(k & (1<<15 - 1))
+	}
 }

@@ -8,10 +8,11 @@
 // (paper Fig. 5a). Capacity is fixed at construction unless AutoGrow is set,
 // mirroring the paper's fixed 1024 MB table experiments.
 //
-// ConcurrentTable is the hash table: striped sub-tables with per-slot
-// sequence counters (seqlock), giving lock-free Gets that race mutations
-// safely, and ordered (Robin Hood) linear probing, which keeps plain linear
-// probing's slots and mean probe count but cuts its probe tail.
+// ConcurrentTable is the hash table: striped sub-tables with ordered (Robin
+// Hood) linear probing, which keeps plain linear probing's slots and mean
+// probe count but cuts its probe tail. Every structure here is plain memory
+// with one owner — the firmware's engine runs one actor at a time — so none
+// takes a lock or uses an atomic.
 // VersionChains (versions.go) is the namespace's one mapping table: a
 // Directory — a ConcurrentTable by default — from key to the key's chain of
 // retained versions, newest first.

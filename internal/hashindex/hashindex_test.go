@@ -15,23 +15,23 @@ import (
 func checkOrder(t *testing.T, ct *ConcurrentTable) {
 	t.Helper()
 	for si := range ct.stripes {
-		arr := ct.stripes[si].arr.Load()
-		for i := range arr.slot {
-			a, b := &arr.slot[i], &arr.slot[(uint64(i)+1)&arr.mask]
-			if b.state.Load() == slotEmpty {
+		s := &ct.stripes[si]
+		for i := range s.slot {
+			a, b := &s.slot[i], &s.slot[(uint64(i)+1)&s.mask]
+			if b.state == slotEmpty {
 				continue
 			}
-			j := (uint64(i) + 1) & arr.mask
-			kb := b.key.Load()
-			db := (j - hash(kb)) & arr.mask
-			if a.state.Load() == slotEmpty {
+			j := (uint64(i) + 1) & s.mask
+			kb := b.key
+			db := (j - hash(kb)) & s.mask
+			if a.state == slotEmpty {
 				if db != 0 {
 					t.Fatalf("stripe %d slot %d: key %d opens a cluster %d slots from home", si, j, kb, db)
 				}
 				continue
 			}
-			ka := a.key.Load()
-			da := (uint64(i) - hash(ka)) & arr.mask
+			ka := a.key
+			da := (uint64(i) - hash(ka)) & s.mask
 			if db > da+1 || (db == da+1 && kb < ka) {
 				t.Fatalf("stripe %d slots %d,%d: key %d (distance %d) after key %d (distance %d) breaks the order",
 					si, i, j, kb, db, ka, da)
@@ -220,16 +220,14 @@ func TestGrowDropsTombstones(t *testing.T) {
 	}
 	for si := range tb.stripes {
 		s := &tb.stripes[si]
-		s.mu.Lock()
-		s.grow(len(s.arr.Load().slot))
-		s.mu.Unlock()
+		s.grow(len(s.slot))
 		if s.ghosts != 0 {
 			t.Fatalf("stripe %d: ghosts=%d after grow", si, s.ghosts)
 		}
 	}
 	for si := range tb.stripes {
-		for i := range tb.stripes[si].arr.Load().slot {
-			if tb.stripes[si].arr.Load().slot[i].state.Load() == slotTombstone {
+		for i, sl := range tb.stripes[si].slot {
+			if sl.state == slotTombstone {
 				t.Fatalf("stripe %d slot %d: tombstone survived the grow", si, i)
 			}
 		}
@@ -345,13 +343,13 @@ func TestOrderedLayoutIsTheKeySetsAlone(t *testing.T) {
 	slices.Sort(sorted)
 	a, b := build(keys), build(sorted)
 	for si := range a.stripes {
-		sa, sb := a.stripes[si].arr.Load().slot, b.stripes[si].arr.Load().slot
+		sa, sb := a.stripes[si].slot, b.stripes[si].slot
 		if len(sa) != len(sb) {
 			t.Fatalf("stripe %d: %d vs %d slots", si, len(sa), len(sb))
 		}
 		for i := range sa {
-			if sa[i].state.Load() != sb[i].state.Load() || sa[i].key.Load() != sb[i].key.Load() {
-				t.Fatalf("stripe %d slot %d: key %d vs %d", si, i, sa[i].key.Load(), sb[i].key.Load())
+			if sa[i].state != sb[i].state || sa[i].key != sb[i].key {
+				t.Fatalf("stripe %d slot %d: key %d vs %d", si, i, sa[i].key, sb[i].key)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 )
 
 // This file is the version-aware mapping table, in the style of
@@ -14,29 +13,27 @@ import (
 // one Directory, to a small singly-linked chain of (commitTS, location)
 // nodes, newest first. The head is the key's current location; snapshot and
 // time-travel reads resolve "the value as of timestamp T" by walking on from
-// it, without cloning tables and without taking any lock.
+// it, without cloning tables.
 //
-// Concurrency contract — the same split the rest of the package uses:
+// Ownership contract. The chains are plain memory with one owner: the
+// firmware's engine runs one actor at a time, so no read overlaps a
+// mutation, and nothing here is atomic. Mutations (Push, Commit, Abort,
+// Prune) are ordered by the caller (the firmware holds the family root's
+// ns.mu); reads (Head, AtOrBefore, LatestCommitted, VersionAtLoc, Range)
+// take no lock of the caller's. A read that parks between two steps (the
+// firmware's optimistic read holds a node across its flash read) may
+// resume after mutations, so:
 //
-//   - Mutations (Push, Commit, Abort, Prune) are serialized by the caller
-//     (the firmware holds the family root's ns.mu), exactly like
-//     ConcurrentTable mutations.
-//   - Reads (Head, AtOrBefore, LatestCommitted, VersionAtLoc, Range)
-//     take no lock of the caller's: the Directory's Get is safe against a
-//     racing mutation, its values number cells in a grow-only arena
-//     published through an atomic slice header, and every cell and node
-//     field a reader consults is atomic. Chain heads are published with a
-//     single atomic store, so a reader always sees a fully-linked chain.
+//   - unlinked (pruned or aborted) nodes keep their prev pointers, so a
+//     reader holding one walks a slightly stale chain, and the firmware's
+//     read re-resolves if the location it fetched was reclaimed meanwhile;
+//   - a kept Chain checks that its cell still belongs to its key (cells
+//     are recycled).
 //
-// Unlinked (pruned or aborted) nodes keep their prev pointers, so a reader
-// that raced a prune simply walks a slightly stale chain; the firmware's
-// optimistic read loop re-resolves if the location it fetched turns out to
-// have been reclaimed. Nodes are reclaimed by Go's GC once the last racing
-// reader drops them.
+// Nodes are reclaimed by Go's GC once the last reader drops them.
 
-// Directory is the key → chain-cell map under a VersionChains. Get must be
-// safe against a concurrent mutation; LoadOrStore and Delete are serialized
-// by the VersionChains' caller. probes counts the entries scanned, which the
+// Directory is the key → chain-cell map under a VersionChains, with the
+// same single owner. probes counts the entries scanned, which the
 // firmware charges as controller time. A fixed-capacity implementation
 // reports ErrFull from LoadOrStore.
 type Directory interface {
@@ -73,29 +70,29 @@ const (
 // as the record migrates (NVRAM → flash install, GC relocation).
 type Version struct {
 	Seq   uint64
-	loc   atomic.Uint64
-	state atomic.Uint32
-	prev  atomic.Pointer[Version]
+	loc   uint64
+	state VersionState
+	prev  *Version
 }
 
 // Loc returns the node's current packed location.
-func (v *Version) Loc() uint64 { return v.loc.Load() }
+func (v *Version) Loc() uint64 { return v.loc }
 
-// SetLoc publishes a new physical location (flash install, GC relocation).
-func (v *Version) SetLoc(loc uint64) { v.loc.Store(loc) }
+// SetLoc sets a new physical location (flash install, GC relocation).
+func (v *Version) SetLoc(loc uint64) { v.loc = loc }
 
 // State returns the node's lifecycle state.
-func (v *Version) State() VersionState { return VersionState(v.state.Load()) }
+func (v *Version) State() VersionState { return v.state }
 
 // Prev returns the next-older node, or nil at the chain's tail.
-func (v *Version) Prev() *Version { return v.prev.Load() }
+func (v *Version) Prev() *Version { return v.prev }
 
 // Per-entry DRAM cost constants. VersionChains.MemoryBytes is built from
 // these instead of magic numbers so the index reports an honest footprint.
 const (
-	// ConcurrentEntryBytes is one ConcurrentTable slot: the seqlock counter
-	// adds 8B and the state field pads to a word (8+8+8+8).
-	ConcurrentEntryBytes = 32
+	// ConcurrentEntryBytes is one ConcurrentTable slot: key and value, and
+	// the state field padded to a word (8+8+8).
+	ConcurrentEntryBytes = 24
 	// VersionNodeBytes is one chain node: seq + loc + state (padded) + prev.
 	VersionNodeBytes = 32
 	// chainCellBytes is one arena cell: the head pointer, the owning key and
@@ -104,58 +101,56 @@ const (
 )
 
 // cellChunk is the number of cells per arena chunk. The arena grows a chunk
-// at a time and never moves a cell, so readers index it without a lock.
+// at a time and never moves a cell, so a reader may hold a cell across a
+// park.
 const cellChunk = 256
 
 // chainCell anchors one key's chain. Cells are recycled when a chain empties
 // (an aborted first write), so a reader that found the cell through a stale
 // directory entry could be looking at another key's chain; key lets it tell.
-// A writer stores key before it publishes the cell in the directory, and
-// head only after that.
 //
 // first is the storage of the first version ever pushed onto the cell. A key
 // written once — every key of a read-mostly store — then resolves slot →
 // cell and finds its node on the cell's own cache lines, and costs no heap
 // object. It is written once in the cell's lifetime and never reused (a
-// recycled cell takes its nodes from the heap), so a racing reader may hold
-// it as long as it likes, the same as any unlinked node.
+// recycled cell takes its nodes from the heap), so a reader may hold it as
+// long as it likes, the same as any unlinked node.
 type chainCell struct {
-	head  atomic.Pointer[Version]
-	key   atomic.Uint64
+	head  *Version
+	key   uint64
 	first Version
 }
 
 // headFor returns the cell's chain head if the cell (still) belongs to key,
 // else nil: the reader's half of the recycling protocol.
 func (c *chainCell) headFor(key uint64) *Version {
-	h := c.head.Load()
-	if c.key.Load() != key {
+	if c.key != key {
 		return nil // recycled after key's only version aborted
 	}
-	return h
+	return c.head
 }
 
 // VersionChains maps keys to version chains. The zero value is not usable;
 // call NewVersionChains or NewVersionChainsOver.
 type VersionChains struct {
 	dir    Directory // key -> cell number
-	chunks atomic.Pointer[[]*[cellChunk]chainCell]
+	chunks []*[cellChunk]chainCell
 	cells  uint64   // arena high-water mark: cell numbers handed out so far
 	free   []uint64 // recycled cell numbers
-	nodes  atomic.Int64
-	inline atomic.Int64 // linked nodes living in their cell (chainCell.first)
+	nodes  int
+	inline int // linked nodes living in their cell (chainCell.first)
 
 	// dirty tracks keys whose chains hold more than one node, i.e. the only
 	// chains a prune pass could possibly shorten. The GC's per-cycle
 	// PruneAll visits just these instead of ranging over every key — under
 	// a steady single-version workload the pass is a no-op, not an O(keys)
-	// scan. Like cells and free it is maintained by the mutation paths, so
-	// it shares their serialization contract; readers never touch it.
+	// scan. Like cells and free it is maintained by the mutation paths;
+	// readers never touch it.
 	dirty map[uint64]struct{}
 }
 
-// NewVersionChains returns an empty chain set over an auto-growing seqlock
-// table sized for capacity keys.
+// NewVersionChains returns an empty chain set over an auto-growing
+// ConcurrentTable sized for capacity keys.
 func NewVersionChains(capacity int) *VersionChains {
 	if capacity < 8 {
 		capacity = 8
@@ -167,15 +162,12 @@ func NewVersionChains(capacity int) *VersionChains {
 // dir, which must be empty. The directory's capacity is the mapping table's:
 // a fixed-capacity dir makes Push of a new key fail with ErrFull.
 func NewVersionChainsOver(dir Directory) *VersionChains {
-	vc := &VersionChains{dir: dir, dirty: make(map[uint64]struct{})}
-	vc.chunks.Store(new([]*[cellChunk]chainCell))
-	return vc
+	return &VersionChains{dir: dir, dirty: make(map[uint64]struct{})}
 }
 
 // noteDepth refreshes key's dirty-set membership from its chain depth.
-// Caller serializes (same contract as the mutation that changed the chain).
 func (vc *VersionChains) noteDepth(key uint64, c *chainCell) {
-	if h := c.head.Load(); h != nil && h.prev.Load() != nil {
+	if h := c.head; h != nil && h.prev != nil {
 		vc.dirty[key] = struct{}{}
 	} else {
 		delete(vc.dirty, key)
@@ -184,11 +176,10 @@ func (vc *VersionChains) noteDepth(key uint64, c *chainCell) {
 
 // cellAt returns arena cell ci, or nil when ci is out of range.
 func (vc *VersionChains) cellAt(ci uint64) *chainCell {
-	chunks := *vc.chunks.Load()
-	if ci/cellChunk >= uint64(len(chunks)) {
+	if ci/cellChunk >= uint64(len(vc.chunks)) {
 		return nil
 	}
-	return &chunks[ci/cellChunk][ci%cellChunk]
+	return &vc.chunks[ci/cellChunk][ci%cellChunk]
 }
 
 // spareCell returns the number of a cell no key owns — a recycled one, else
@@ -198,11 +189,8 @@ func (vc *VersionChains) spareCell() (ci uint64, fresh bool) {
 	if n := len(vc.free); n > 0 {
 		return vc.free[n-1], false
 	}
-	if old := *vc.chunks.Load(); vc.cells == uint64(len(old))*cellChunk {
-		// Appending never moves a chunk, and readers only index below the
-		// length they loaded, so sharing the backing array is safe.
-		chunks := append(old, new([cellChunk]chainCell))
-		vc.chunks.Store(&chunks)
+	if vc.cells == uint64(len(vc.chunks))*cellChunk {
+		vc.chunks = append(vc.chunks, new([cellChunk]chainCell))
 	}
 	return vc.cells, true
 }
@@ -235,7 +223,6 @@ type Chain struct {
 }
 
 // Lookup resolves key's chain anchor, with the directory probes it cost.
-// Lock-free.
 func (vc *VersionChains) Lookup(key uint64) (Chain, int) {
 	c, _, probes := vc.find(key)
 	return Chain{c: c, key: key}, probes
@@ -256,9 +243,9 @@ func (ch Chain) Head() *Version {
 
 // dropIfEmpty frees key's directory entry and recycles its cell once the
 // chain holds no node, so an aborted first write gives its slot back to a
-// fixed-capacity directory. Caller serializes.
+// fixed-capacity directory.
 func (vc *VersionChains) dropIfEmpty(key uint64, c *chainCell, ci uint64) {
-	if c.head.Load() != nil {
+	if c.head != nil {
 		return
 	}
 	if _, err := vc.dir.Delete(key); err == nil {
@@ -269,17 +256,16 @@ func (vc *VersionChains) dropIfEmpty(key uint64, c *chainCell, ci uint64) {
 
 // unlinked accounts for node n having left c's chain.
 func (vc *VersionChains) unlinked(c *chainCell, n *Version) {
-	vc.nodes.Add(-1)
+	vc.nodes--
 	if n == &c.first {
-		vc.inline.Add(-1)
+		vc.inline--
 	}
 }
 
 // Push links a new pending version (seq, loc) at the head of key's chain
 // and returns the node. seq must exceed every seq already in the chain
 // (per-key writes are serialized by the firmware's key locks, and seqs are
-// drawn from a monotone oracle, so this holds by construction). Mutation:
-// caller serializes.
+// drawn from a monotone oracle, so this holds by construction).
 func (vc *VersionChains) Push(key, seq, loc uint64) (*Version, error) {
 	v, _, _, err := vc.PushProbed(key, seq, loc)
 	return v, err
@@ -291,11 +277,9 @@ func (vc *VersionChains) Push(key, seq, loc uint64) (*Version, error) {
 // full fixed-capacity directory fails a new key with ErrFull and leaves the
 // chains untouched.
 func (vc *VersionChains) PushProbed(key, seq, loc uint64) (v *Version, probes int, isNew bool, err error) {
-	// A resident key keeps its cell; only a new key takes the spare one,
-	// which must carry the key before the directory can lead a reader to it.
+	// A resident key keeps its cell; only a new key takes the spare one.
 	ci, fresh := vc.spareCell()
 	c := vc.cellAt(ci)
-	c.key.Store(key)
 	actual, probes, loaded, err := vc.dir.LoadOrStore(key, ci)
 	if err != nil {
 		return nil, probes, false, fmt.Errorf("hashindex: version directory: %w", err)
@@ -306,49 +290,51 @@ func (vc *VersionChains) PushProbed(key, seq, loc uint64) (v *Version, probes in
 		v = new(Version)
 	case fresh:
 		vc.takeSpare()
+		c.key = key
 		v = &c.first
-		vc.inline.Add(1)
+		vc.inline++
 	default:
 		vc.takeSpare()
+		c.key = key
 		v = new(Version)
 	}
 	v.Seq = seq
-	v.loc.Store(loc)
-	h := c.head.Load()
+	v.loc = loc
+	h := c.head
 	if h != nil {
 		if h.Seq >= seq {
 			return nil, probes, false, fmt.Errorf("hashindex: version seq %d not newer than head %d for key %d", seq, h.Seq, key)
 		}
-		v.prev.Store(h)
+		v.prev = h
 	}
-	c.head.Store(v) // single atomic publish: readers see a complete chain
-	vc.nodes.Add(1)
+	c.head = v
+	vc.nodes++
 	vc.noteDepth(key, c)
 	return v, probes, h == nil, nil
 }
 
 // Commit marks v visible. Called after the owning batch's NVRAM commit
 // marker is written.
-func (vc *VersionChains) Commit(v *Version) { v.state.Store(uint32(VersionCommitted)) }
+func (vc *VersionChains) Commit(v *Version) { v.state = VersionCommitted }
 
 // Abort marks v dead and unlinks it from key's chain. Rollback pops in
 // reverse staging order, so v is normally the head, but the walk handles
 // interior nodes too. Aborting a key's only version removes the key
-// (directory entry and cell). Mutation: caller serializes.
+// (directory entry and cell).
 func (vc *VersionChains) Abort(key uint64, v *Version) {
-	v.state.Store(uint32(VersionAborted))
+	v.state = VersionAborted
 	c, ci, _ := vc.find(key)
 	if c == nil {
 		return
 	}
-	// v keeps its own prev pointer for racing readers.
-	if c.head.Load() == v {
-		c.head.Store(v.prev.Load())
+	// v keeps its own prev pointer for readers that hold it.
+	if c.head == v {
+		c.head = v.prev
 		vc.unlinked(c, v)
 	} else {
-		for n := c.head.Load(); n != nil; n = n.prev.Load() {
-			if n.prev.Load() == v {
-				n.prev.Store(v.prev.Load())
+		for n := c.head; n != nil; n = n.prev {
+			if n.prev == v {
+				n.prev = v.prev
 				vc.unlinked(c, v)
 				break
 			}
@@ -371,31 +357,31 @@ var ErrPendingVersion = errors.New("hashindex: version pending commit")
 
 // AtOrBefore resolves a chain as of timestamp ts, starting at its head v
 // (nil is the empty chain): the newest committed version with Seq <= ts.
-// hops counts the chain nodes visited. Lock-free. Returns ErrNotFound when
+// hops counts the chain nodes visited. Returns ErrNotFound when
 // no version <= ts exists, or ErrPendingVersion when an undecided version
 // <= ts blocks the answer.
 func (v *Version) AtOrBefore(ts uint64) (loc uint64, hops int, err error) {
-	for n := v; n != nil; n = n.prev.Load() {
+	for n := v; n != nil; n = n.prev {
 		hops++
 		if n.Seq > ts {
 			continue
 		}
-		switch VersionState(n.state.Load()) {
+		switch n.state {
 		case VersionCommitted:
-			return n.loc.Load(), hops, nil
+			return n.loc, hops, nil
 		case VersionPending:
 			return 0, hops, ErrPendingVersion
-		default: // aborted: racing reader on an unlinked node; skip
+		default: // aborted: a reader holding an unlinked node; skip
 		}
 	}
 	return 0, hops, ErrNotFound
 }
 
 // LatestCommitted returns the newest committed version of key, or nil.
-// Lock-free; used for first-committer-wins validation.
+// Used for first-committer-wins validation.
 func (vc *VersionChains) LatestCommitted(key uint64) *Version {
-	for n := vc.Head(key); n != nil; n = n.prev.Load() {
-		if VersionState(n.state.Load()) == VersionCommitted {
+	for n := vc.Head(key); n != nil; n = n.prev {
+		if n.state == VersionCommitted {
 			return n
 		}
 	}
@@ -406,8 +392,8 @@ func (vc *VersionChains) LatestCommitted(key uint64) *Version {
 // GC uses it for liveness ("is this flash record referenced by any live
 // version?") and relocation.
 func (vc *VersionChains) VersionAtLoc(key, loc uint64) *Version {
-	for n := vc.Head(key); n != nil; n = n.prev.Load() {
-		if n.loc.Load() == loc && VersionState(n.state.Load()) != VersionAborted {
+	for n := vc.Head(key); n != nil; n = n.prev {
+		if n.loc == loc && n.state != VersionAborted {
 			return n
 		}
 	}
@@ -417,7 +403,7 @@ func (vc *VersionChains) VersionAtLoc(key, loc uint64) *Version {
 // ChainLen returns the number of linked nodes in key's chain.
 func (vc *VersionChains) ChainLen(key uint64) int {
 	n := 0
-	for v := vc.Head(key); v != nil; v = v.prev.Load() {
+	for v := vc.Head(key); v != nil; v = v.prev {
 		n++
 	}
 	return n
@@ -427,7 +413,7 @@ func (vc *VersionChains) ChainLen(key uint64) int {
 func (vc *VersionChains) Keys() int { return vc.dir.Len() }
 
 // Nodes returns the number of linked version nodes across all chains.
-func (vc *VersionChains) Nodes() int { return int(vc.nodes.Load()) }
+func (vc *VersionChains) Nodes() int { return vc.nodes }
 
 // LoadFactor returns keys / directory capacity.
 func (vc *VersionChains) LoadFactor() float64 {
@@ -439,23 +425,15 @@ func (vc *VersionChains) LoadFactor() float64 {
 // constant.
 func (vc *VersionChains) MemoryBytes() int {
 	return vc.dir.Capacity()*ConcurrentEntryBytes +
-		len(*vc.chunks.Load())*cellChunk*chainCellBytes +
-		(vc.Nodes()-int(vc.inline.Load()))*VersionNodeBytes
+		len(vc.chunks)*cellChunk*chainCellBytes +
+		(vc.nodes-vc.inline)*VersionNodeBytes
 }
 
 // Range calls fn with each key and its current chain head until fn returns
-// false. Like ConcurrentTable.Range, the scan is not an atomic snapshot.
+// false. fn must not mutate the chains.
 func (vc *VersionChains) Range(fn func(key uint64, head *Version) bool) {
 	vc.dir.Range(func(key, ci uint64) bool {
-		c := vc.cellAt(ci)
-		if c == nil {
-			return true
-		}
-		h := c.headFor(key)
-		if h == nil {
-			return true // raced an abort of the key's only version
-		}
-		return fn(key, h)
+		return fn(key, vc.cellAt(ci).head)
 	})
 }
 
@@ -481,8 +459,7 @@ func (vc *VersionChains) Prune(key uint64, pins []uint64, keepNewest bool, onDea
 // snapshots still reference the chain) even the newest version dies unless
 // a pin sees it. Pending nodes are never touched. onDead is called once per
 // unlinked node with its (seq, loc) so the firmware can release the flash
-// space. Returns the number of versions reclaimed. Mutation: caller
-// serializes.
+// space. Returns the number of versions reclaimed.
 func (vc *VersionChains) PruneBelow(key uint64, pins []uint64, floor uint64, keepNewest bool, onDead func(seq, loc uint64)) int {
 	c, ci, _ := vc.find(key)
 	if c == nil {
@@ -493,12 +470,12 @@ func (vc *VersionChains) PruneBelow(key uint64, pins []uint64, floor uint64, kee
 	var keep *Version             // last kept node, the unlink anchor
 	seenNewest := false           // newest committed node handled
 	floorSeen := floor == NoFloor // the version floor sees is handled (or there is no floor)
-	n := c.head.Load()
+	n := c.head
 	for n != nil {
-		next := n.prev.Load()
+		next := n.prev
 		switch {
-		case VersionState(n.state.Load()) != VersionCommitted:
-			keep = n // pending (or racing abort): leave alone
+		case n.state != VersionCommitted:
+			keep = n // pending: leave alone
 		default:
 			visible := n.Seq > floor
 			if !floorSeen && !visible {
@@ -512,14 +489,14 @@ func (vc *VersionChains) PruneBelow(key uint64, pins []uint64, floor uint64, kee
 				keep = n
 			} else {
 				if keep == nil {
-					c.head.Store(next)
+					c.head = next
 				} else {
-					keep.prev.Store(next)
+					keep.prev = next
 				}
 				vc.unlinked(c, n)
 				pruned++
 				if onDead != nil {
-					onDead(n.Seq, n.loc.Load())
+					onDead(n.Seq, n.loc)
 				}
 			}
 			seenNewest = true
@@ -534,7 +511,6 @@ func (vc *VersionChains) PruneBelow(key uint64, pins []uint64, floor uint64, kee
 // PruneAll prunes chains against pins and floor; see PruneBelow. Returns
 // total versions reclaimed. onChain, when non-nil, observes each visited
 // chain's length after pruning (the chain-length telemetry histogram).
-// Mutation: caller serializes.
 //
 // With keepNewest set (a live namespace) only dirty chains — those holding
 // more than one node — can shed anything, so the pass walks a sorted

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 )
 
@@ -231,64 +230,52 @@ func TestPruneNeverTouchesPending(t *testing.T) {
 	}
 }
 
-// TestConcurrentSnapshotReads races lock-free timestamp reads against
-// pushes, commits, and prunes — the exact interleaving the firmware's
-// snapshot read path relies on. Run with -race.
+// TestConcurrentSnapshotReads interleaves snapshot readers pinned at ts 1
+// with pushes, commits and prunes, the way the firmware's snapshot read
+// meets its writers: a reader takes a key's head, parks on its flash read
+// while the writers go on, and resumes from the node it holds. Each reader
+// keeps the head it took for a few writer steps; after every step the kept
+// head and a fresh Head must both resolve ts 1 to the seed version, however
+// much was pushed over it or pruned around it.
 func TestConcurrentSnapshotReads(t *testing.T) {
 	vc := NewVersionChains(64)
 	const keys = 16
-	var mu sync.Mutex // stands in for ns.mu: serializes mutations
-
-	// Seed one committed version per key at seq 1.
 	for k := uint64(0); k < keys; k++ {
 		vc.Commit(mustPush(t, vc, k, 1, k+1))
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // writer: push+commit new versions, prune with a pin at 1
-		defer wg.Done()
-		seq := uint64(1)
-		rng := rand.New(rand.NewSource(1))
-		for i := 0; i < 4000; i++ {
-			seq++
-			k := uint64(rng.Intn(keys))
-			mu.Lock()
-			v, err := vc.Push(k, seq, seq*10)
-			if err != nil {
-				mu.Unlock()
-				t.Error(err)
-				return
-			}
-			vc.Commit(v)
-			if i%64 == 0 {
-				vc.Prune(k, []uint64{1}, true, nil)
-			}
-			mu.Unlock()
-		}
-		close(stop)
-	}()
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) { // readers pinned at ts=1 must always see the seed
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for k := uint64(0); k < keys; k++ {
-					loc, _, err := vc.Head(k).AtOrBefore(1)
-					if err != nil || loc != k+1 {
-						t.Errorf("pinned read key %d: (%d, %v)", k, loc, err)
-						return
-					}
-				}
-			}
-		}(r)
+	type reader struct {
+		key   uint64
+		head  *Version
+		steps int // writer steps the kept head has lived through
+		keep  int
 	}
-	wg.Wait()
+	readers := make([]reader, 4)
+	rng := rand.New(rand.NewSource(1))
+	seq := uint64(1)
+	for i := 0; i < 4000; i++ {
+		for r := range readers {
+			rd := &readers[r]
+			if rd.steps == rd.keep {
+				rd.key, rd.steps, rd.keep = uint64(rng.Intn(keys)), 0, 1+rng.Intn(32)
+				rd.head = vc.Head(rd.key)
+			}
+			if loc, _, err := rd.head.AtOrBefore(1); err != nil || loc != rd.key+1 {
+				t.Fatalf("step %d: reader %d kept key %d's head across %d writes: (%d, %v)", i, r, rd.key, rd.steps, loc, err)
+			}
+			rd.steps++
+		}
+		seq++
+		k := uint64(rng.Intn(keys))
+		vc.Commit(mustPush(t, vc, k, seq, seq*10))
+		if i%8 == 0 {
+			vc.Prune(k, []uint64{1}, true, nil)
+		}
+		for k := uint64(0); k < keys; k++ {
+			if loc, _, err := vc.Head(k).AtOrBefore(1); err != nil || loc != k+1 {
+				t.Fatalf("step %d: pinned read of key %d: (%d, %v)", i, k, loc, err)
+			}
+		}
+	}
 }
 
 func TestPruneAllVisitsOnlyDeepChains(t *testing.T) {
@@ -362,10 +349,11 @@ type modelVersion struct{ seq, loc uint64 }
 // TestVersionChainsModel drives random batches (push, then commit or abort
 // the lot), location swings and prunes against a fixed-capacity directory and checks every step against a reference map —
 // including that an aborted first write gives its directory slot back and
-// that a batch overflowing the directory rolls back completely — while
-// lock-free readers race the mutations. A location carries its key in the
-// high bits, so a reader can tell if it was ever handed another key's
-// version (cells are recycled). Run with -race.
+// that a batch overflowing the directory rolls back completely. After every
+// step a few random keys are read at random timestamps: each read must give
+// what the model's versions give, and a location carries its key in the
+// high bits, so a read handed another key's version (cells are recycled)
+// says so.
 func TestVersionChainsModel(t *testing.T) {
 	const (
 		capacity = 48
@@ -375,32 +363,27 @@ func TestVersionChainsModel(t *testing.T) {
 	vc := NewVersionChainsOver(NewConcurrent(capacity, false))
 	model := map[uint64][]modelVersion{} // key -> committed versions, oldest first
 	locOf := func(key, n uint64) uint64 { return key<<32 | n }
-
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		readers.Add(1)
-		go func(seed int64) {
-			defer readers.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				key := uint64(rng.Intn(keySpace))
-				loc, _, err := vc.Head(key).AtOrBefore(rng.Uint64())
-				if err == nil && loc>>32 != key {
-					t.Errorf("reader of key %d was handed location %#x", key, loc)
-					return
-				}
-			}
-		}(int64(r))
-	}
+	rng := rand.New(rand.NewSource(11))
+	var seq uint64
 
 	check := func(step int, what string) {
 		t.Helper()
+		for r := 0; r < 4; r++ {
+			key, ts := uint64(rng.Intn(keySpace)), uint64(rng.Int63n(int64(seq)+2))
+			loc, _, err := vc.Head(key).AtOrBefore(ts)
+			if err == nil && loc>>32 != key {
+				t.Fatalf("step %d (%s): reader of key %d was handed location %#x", step, what, key, loc)
+			}
+			want, wantErr := uint64(0), ErrNotFound
+			for _, v := range model[key] {
+				if v.seq <= ts {
+					want, wantErr = v.loc, nil
+				}
+			}
+			if loc != want || !errors.Is(err, wantErr) {
+				t.Fatalf("step %d (%s): key %d at %d: (%#x, %v), model has (%#x, %v)", step, what, key, ts, loc, err, want, wantErr)
+			}
+		}
 		if vc.Keys() != len(model) {
 			t.Fatalf("step %d (%s): %d directory entries, model has %d keys", step, what, vc.Keys(), len(model))
 		}
@@ -425,13 +408,11 @@ func TestVersionChainsModel(t *testing.T) {
 		if vc.Nodes() != nodes {
 			t.Fatalf("step %d (%s): Nodes() = %d, model has %d", step, what, vc.Nodes(), nodes)
 		}
-		if got := int(vc.inline.Load()); got != inline {
+		if got := vc.inline; got != inline {
 			t.Fatalf("step %d (%s): %d nodes accounted as living in their cell, %d do", step, what, got, inline)
 		}
 	}
 
-	rng := rand.New(rand.NewSource(11))
-	var seq uint64
 	overflows := 0
 	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(9); {
@@ -518,8 +499,6 @@ func TestVersionChainsModel(t *testing.T) {
 			check(step, "prune")
 		}
 	}
-	close(stop)
-	readers.Wait()
 	if overflows == 0 {
 		t.Fatal("no batch ever overflowed the directory; the rollback path went untested")
 	}

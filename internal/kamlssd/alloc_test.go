@@ -258,7 +258,7 @@ func TestGCCollectionByteBudget(t *testing.T) {
 		t.Skip("the race detector's shadow allocations would be counted")
 	}
 	collectorsOff(t)
-	r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = 1 })
+	r := newRig(testFlashConfig(), func(c *Config) { c.NumLogs = 1 })
 	r.e.Go("test", func() {
 		d := r.dev
 		w := newScanLoad(t, d)
@@ -303,7 +303,7 @@ func TestRecoveryScanByteBudget(t *testing.T) {
 	}
 	type cost struct{ scanBytes, joinBytes, joinAllocs, pages, records int64 }
 	recoverAfter := func(pages int) (c cost) {
-		r := newSerialRig(1, testFlashConfig(), nil)
+		r := newRig(testFlashConfig(), nil)
 		r.e.Go("test", func() {
 			w := newScanLoad(t, r.dev)
 			w.put(pages * 8)

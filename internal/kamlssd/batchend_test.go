@@ -38,7 +38,7 @@ func TestBatchEndWakesItsWaiters(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			collectorsOff(t)
-			r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = 2 })
+			r := newRig(testFlashConfig(), func(c *Config) { c.NumLogs = 2 })
 			r.e.Go("test", func() {
 				d := r.dev
 				defer d.Close()

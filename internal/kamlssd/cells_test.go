@@ -37,11 +37,6 @@ func TestOneCellPerEvent(t *testing.T) {
 						}
 					}
 				}
-				// A seqlock read retry needs a real read/write collision on one
-				// table slot, which no deterministic schedule produces: fire the
-				// cell the directory's OnRetry hook is bound to (index.go).
-				r.dev.ctr.indexReadRetries.Add(3)
-
 				st, reg := r.dev.Stats(), r.dev.Telemetry()
 				if (reg == nil) != disabled {
 					t.Fatalf("Telemetry() = %v with DisableTelemetry=%v", reg, disabled)
@@ -54,7 +49,6 @@ func TestOneCellPerEvent(t *testing.T) {
 					name          string
 					stats, series int64
 				}{
-					{"IndexReadRetries", st.IndexReadRetries, reg.Counter("kaml_ssd_index_read_retries_total").Value()},
 					{"VersionsPruned", st.VersionsPruned, reg.Counter("kaml_mvcc_versions_pruned_total").Value()},
 					{"GCErases", st.GCErases, erases},
 					{"CoalescerBatches", st.CoalescerBatches, reg.Counter("kaml_cmdq_batch_commits_total").Value()},

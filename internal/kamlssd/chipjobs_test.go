@@ -200,7 +200,7 @@ func TestScanFailureKeepsTheVictim(t *testing.T) {
 		for _, page := range []int{0, 4} {
 			t.Run(fmt.Sprintf("cut=%v/page=%d", cut, page), func(t *testing.T) {
 				collectorsOff(t)
-				r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = 2 })
+				r := newRig(testFlashConfig(), func(c *Config) { c.NumLogs = 2 })
 				r.e.Go("test", func() {
 					d := r.dev
 					w := newScanLoad(t, d)
@@ -266,7 +266,7 @@ func TestScanFailureKeepsTheVictim(t *testing.T) {
 				fc := testFlashConfig()
 				fc.PagesPerBlock = 32
 				page := fc.PagesPerBlock - back
-				r := newSerialRig(1, fc, func(c *Config) { c.NumLogs = 2 })
+				r := newRig(fc, func(c *Config) { c.NumLogs = 2 })
 				r.e.Go("test", func() {
 					d := r.dev
 					w := newScanLoad(t, d)
@@ -408,7 +408,7 @@ func TestRelocationOverlapsTheScan(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			collectorsOff(t)
-			r := newSerialRig(1, fc, func(c *Config) { c.NumLogs = tc.logs })
+			r := newRig(fc, func(c *Config) { c.NumLogs = tc.logs })
 			r.e.Go("test", func() {
 				d := r.dev
 				defer d.Close()
@@ -546,7 +546,7 @@ func TestFlushersProgramThroughGC(t *testing.T) {
 	)
 	fc := flash.DefaultConfig()
 	fc.BlocksPerChip, fc.PagesPerBlock = 16, 32
-	r := newSerialRig(1, fc, func(c *Config) { c.NumLogs = fc.Channels }) // DefaultConfig's 4 chips a log
+	r := newRig(fc, func(c *Config) { c.NumLogs = fc.Channels }) // DefaultConfig's 4 chips a log
 	var share float64
 	var waits [numWaitCauses + 1]time.Duration // by cause, then free-block waits
 	r.e.Go("test", func() {

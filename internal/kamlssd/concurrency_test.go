@@ -192,9 +192,8 @@ func stressValOK(v []byte, ns uint32, key uint64, rounds int) bool {
 }
 
 // BenchmarkConcurrentGets measures wall-clock scaling of read-only traffic
-// spread across namespaces — the workload the per-namespace read locks
-// exist for. Each worker count runs the same total number of Gets; before
-// the lock decomposition every Get serialized on one device mutex.
+// spread across namespaces: each worker count runs the same total number of
+// Gets, none of which takes a namespace lock.
 // Telemetry is on (the default); compare against
 // BenchmarkConcurrentGetsTelemetryOff for the instrumentation overhead,
 // which must stay under 5%.

@@ -48,11 +48,11 @@
 // record at a time; valid-byte credits lock the owning log internally).
 // The key-lock table and the closed/crashed flags sit outside the
 // hierarchy: key locks are acquired with no other lock held, and the flags
-// are atomics. Three plain (non-simulation) mutexes are leaves: d.pinMu, the
-// hash directory's stripe locks and a tree directory's treeDir.mu guard pure
-// memory operations, may be taken under any lock above, and are never held
-// across another lock, a flash operation or a sleep. No actor holds ns.mu while waiting for queue space or free
-// blocks — that is what lets the flusher take ns.mu to install flash
+// are atomics. The firmware takes no host lock: its engine runs one actor at
+// a time, and the running actor owns the mapping tables, the pins and every
+// other piece of plain memory, so the locks above order actors across their
+// parks and nothing else. No actor holds ns.mu while waiting for queue space
+// or free blocks — that is what lets the flusher take ns.mu to install flash
 // locations while a Put is blocked on backpressure.
 //
 // # The read contract
@@ -62,21 +62,21 @@
 // family's mapping table as of a timestamp (noCutoff for a root Get), fetch
 // the value from NVRAM or flash with no firmware lock held, and resolve
 // again to catch a record that moved mid-read. The resolution acquires no
-// firmware lock: the directory probe runs under the seqlock protocol of
-// internal/hashindex (a reader can never observe a torn entry, only a fully
-// published state from before or after a racing write; a tree directory
-// guards itself with a plain memory lock), and the chain walk reads atomic
-// node fields. ns.mu therefore does not order reads against writes; it
-// orders mutators against each other, which the valid-byte accounting
-// depends on. A family's table is built once, when the family is, and is
-// never replaced: every mapping-table mutation goes through it in place.
+// firmware lock and cannot meet a half-done write: it runs without a park,
+// and only the running actor touches the table, so it sees the table as the
+// last mutation left it. The fetch parks, and mutations run meanwhile; the
+// second resolution is what catches them (a pruned or aborted node keeps
+// its links, and a recycled chain cell names its new key). ns.mu therefore
+// does not order reads against writes; it orders mutators against each
+// other across their parks, which the valid-byte accounting depends on. A
+// family's table is built once, when the family is, and is never replaced:
+// every mapping-table mutation goes through it in place.
 package kamlssd
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -188,10 +188,9 @@ type Device struct {
 
 	// pins holds transient commit-timestamp pins (SI transactions, GetAt
 	// readers) as ts -> refcount. Version pruning keeps every version
-	// visible at a pinned timestamp. pinMu is a plain mutex (pure memory
-	// ops, like the index stripe locks) and nests inside everything.
-	pinMu sync.Mutex
-	pins  map[uint64]int
+	// visible at a pinned timestamp. Plain memory, like the mapping tables:
+	// the running actor owns it.
+	pins map[uint64]int
 
 	chainLenObs func(int)
 
@@ -273,9 +272,9 @@ type Stats struct {
 	// sequence of a Get or of a Put's version push (one per record), and the
 	// chain hops of a read at an explicit timestamp.
 	IndexProbes int64
-	// IndexReadRetries counts seqlock re-reads and epoch restarts on the
-	// lock-free Get path — a direct measure of read/write collision on the
-	// mapping tables (zero under a read-only load).
+	// IndexReadRetries is always 0: a mapping-table read has one owner and
+	// never retries. The field stays because the benchmark's per-layer
+	// ledger (bench/layers.go) still reads it.
 	IndexReadRetries  int64
 	BytesWritten      int64 // host payload bytes accepted
 	FlashBytesWritten int64 // pages programmed x page size (write amp)
@@ -514,7 +513,6 @@ func (d *Device) Stats() Stats {
 		Programs:           c.programs.Value(),
 		GCCopies:           c.gcCopies.Value(),
 		IndexProbes:        c.indexProbes.Value(),
-		IndexReadRetries:   c.indexReadRetries.Value(),
 		BytesWritten:       c.bytesWritten.Value(),
 		FlashBytesWritten:  c.flashBytes.Value(),
 		ProgramRetries:     c.programRetries.Value(),

@@ -109,7 +109,7 @@ func awaitHighWater(t *testing.T, r *rig, dev *Device, nLogs int, bound time.Dur
 // the last one fell.
 func reclaimTime(t *testing.T, nLogs int) time.Duration {
 	var took time.Duration
-	r := newSerialRig(1, testFlashConfig(), nil)
+	r := newRig(testFlashConfig(), nil)
 	r.e.Go("test", func() {
 		defer r.dev.Close()
 		_, firstLow := churnUntilLow(t, r, nLogs)
@@ -147,7 +147,7 @@ func TestLogsReclaimInParallel(t *testing.T) {
 // opens a block then, so nobody signals the collector — it has to test its
 // predicate before its first wait.
 func TestRecoveredLogCollectsUnprompted(t *testing.T) {
-	r := newSerialRig(1, testFlashConfig(), nil)
+	r := newRig(testFlashConfig(), nil)
 	r.e.Go("test", func() {
 		c, _ := churnUntilLow(t, r, 1)
 		dev2, err := powerCycle(r.dev, r.arr, r.ctrl)
@@ -295,7 +295,7 @@ func (c *churner) fillOpenBlock() {
 // collectors outlive the flushers, so the block arrives, the last flusher out
 // tells the collectors, and Close returns.
 func TestCloseWhileFlusherWaitsForFreeBlock(t *testing.T) {
-	r := newSerialRig(1, slowEraseConfig(), nil)
+	r := newRig(slowEraseConfig(), nil)
 	r.e.Go("test", func() {
 		c, _ := churnUntilLow(t, r, 1)
 		c.fillOpenBlock()
@@ -321,7 +321,7 @@ func TestCloseWhileFlusherWaitsForFreeBlock(t *testing.T) {
 // collectors — one mid-victim, three parked — exit, and the device halts and
 // recovers.
 func TestPowerCutWakesFreeBlockAndCollectorWaits(t *testing.T) {
-	r := newSerialRig(1, slowEraseConfig(), nil)
+	r := newRig(slowEraseConfig(), nil)
 	r.e.Go("test", func() {
 		c, _ := churnUntilLow(t, r, 1)
 		c.fillOpenBlock()
@@ -514,7 +514,7 @@ func TestEveryCollectionFreesAPage(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%d logs x %d B at %.0f%%", tc.logs, tc.value, 100*tc.fill), func(t *testing.T) {
 			fc := testFlashConfig()
-			r := newSerialRig(1, fc, func(c *Config) { c.NumLogs = tc.logs })
+			r := newRig(fc, func(c *Config) { c.NumLogs = tc.logs })
 			r.e.Go("test", func() {
 				d := r.dev
 				defer d.Close()
@@ -653,7 +653,7 @@ func (r *readsIn) Decide(op flash.Op, p flash.PPN, _ time.Duration) flash.Verdic
 func TestUnparsablePageKeepsTheVictim(t *testing.T) {
 	collectorsOff(t)
 	const bad = 4
-	r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = 2 })
+	r := newRig(testFlashConfig(), func(c *Config) { c.NumLogs = 2 })
 	r.e.Go("test", func() {
 		d := r.dev
 		w := newScanLoad(t, d)
@@ -731,7 +731,7 @@ func TestGCProgramFailureRetiresItsBlock(t *testing.T) {
 	collectorsOff(t)
 	fc := testFlashConfig()
 	fc.PagesPerBlock = 16 // a victim's sixteen cold keys relocate into two pages at least
-	r := newSerialRig(1, fc, func(c *Config) { c.NumLogs = 2 })
+	r := newRig(fc, func(c *Config) { c.NumLogs = 2 })
 	r.e.Go("test", func() {
 		d := r.dev
 		w := newScanLoad(t, d)

@@ -1,8 +1,6 @@
 package kamlssd
 
 import (
-	"sync"
-
 	"github.com/kaml-ssd/kaml/internal/btree"
 	"github.com/kaml-ssd/kaml/internal/hashindex"
 )
@@ -32,32 +30,23 @@ func (k IndexKind) String() string {
 }
 
 // newDirectory builds the empty key directory under a family's version
-// chains. The hash kind is the seqlock table at the namespace's
-// capacity, so ErrIndexFull and the load-factor probe curve come from it;
-// its read retries feed the device's counters.
+// chains. The hash kind is the ordered hash table at the namespace's
+// capacity, so ErrIndexFull and the load-factor probe curve come from it.
 func (d *Device) newDirectory(kind IndexKind, capacity int) hashindex.Directory {
 	if kind == IndexTree {
 		return &treeDir{t: btree.New()}
 	}
-	t := hashindex.NewConcurrent(capacity, d.cfg.AutoGrowIndex)
-	t.OnRetry(d.ctr.indexReadRetries.Add)
-	return t
+	return hashindex.NewConcurrent(capacity, d.cfg.AutoGrowIndex)
 }
 
 // treeDir adapts btree.Tree to hashindex.Directory. Probe counts are the
-// tree depth (each level is one DRAM node access). The tree itself is not
-// safe for concurrent use, so the adapter carries a plain RWMutex — pure
-// memory operations under it, the counterpart of the hash table's stripe
-// locks and, like them, a leaf of the lock hierarchy (device.go) — which is
-// what lets chain readers treat both kinds alike.
+// tree depth (each level is one DRAM node access). Like the hash table, the
+// tree has one owner, the running actor (device.go, "The read contract").
 type treeDir struct {
-	mu sync.RWMutex
-	t  *btree.Tree
+	t *btree.Tree
 }
 
 func (td *treeDir) Get(key uint64) (uint64, int, error) {
-	td.mu.RLock()
-	defer td.mu.RUnlock()
 	v, err := td.t.Get(key)
 	if err != nil {
 		return 0, td.t.Depth(), hashindex.ErrNotFound
@@ -66,8 +55,6 @@ func (td *treeDir) Get(key uint64) (uint64, int, error) {
 }
 
 func (td *treeDir) LoadOrStore(key, val uint64) (uint64, int, bool, error) {
-	td.mu.Lock()
-	defer td.mu.Unlock()
 	if cur, err := td.t.Get(key); err == nil {
 		return cur, td.t.Depth(), true, nil
 	}
@@ -76,27 +63,16 @@ func (td *treeDir) LoadOrStore(key, val uint64) (uint64, int, bool, error) {
 }
 
 func (td *treeDir) Delete(key uint64) (int, error) {
-	td.mu.Lock()
-	defer td.mu.Unlock()
 	if err := td.t.Delete(key); err != nil {
 		return td.t.Depth(), hashindex.ErrNotFound
 	}
 	return td.t.Depth(), nil
 }
 
-// Range visits the entries in key order under the read lock: fn must not
-// call back into the directory or block on a simulation primitive.
-func (td *treeDir) Range(fn func(key, val uint64) bool) {
-	td.mu.RLock()
-	defer td.mu.RUnlock()
-	td.t.Ascend(fn)
-}
+// Range visits the entries in key order: fn must not mutate the directory.
+func (td *treeDir) Range(fn func(key, val uint64) bool) { td.t.Ascend(fn) }
 
-func (td *treeDir) Len() int {
-	td.mu.RLock()
-	defer td.mu.RUnlock()
-	return td.t.Len()
-}
+func (td *treeDir) Len() int { return td.t.Len() }
 
 // Capacity is the entry count: a tree occupies what it holds.
 func (td *treeDir) Capacity() int { return td.Len() }

@@ -31,20 +31,10 @@ type rig struct {
 	dev  *Device
 }
 
+// newRig builds a device on a fresh engine. Every engine draws its actors
+// from a PRNG seeded with 1, so virtual-time measurements repeat exactly.
 func newRig(fc flash.Config, mod func(*Config)) *rig {
-	return newRigOn(sim.NewEngine(), fc, mod)
-}
-
-// newSerialRig is newRig on an engine seeded with seed: one actor runs at a
-// time, drawn by a PRNG seeded with seed, so virtual-time measurements
-// repeat exactly.
-func newSerialRig(seed int64, fc flash.Config, mod func(*Config)) *rig {
 	e := sim.NewEngine()
-	e.Serialize(seed)
-	return newRigOn(e, fc, mod)
-}
-
-func newRigOn(e *sim.Engine, fc flash.Config, mod func(*Config)) *rig {
 	arr := flash.New(e, fc)
 	ctrl := nvme.New(e, nvme.DefaultConfig())
 	cfg := DefaultConfig(fc)

@@ -18,7 +18,6 @@ type counters struct {
 	nvramHits                telemetry.Counter
 	programs, gcCopies       telemetry.Counter
 	indexProbes              telemetry.Counter
-	indexReadRetries         telemetry.Counter // seqlock read retries on the lock-free Get path
 	bytesWritten, flashBytes telemetry.Counter
 	programRetries           telemetry.Counter
 	readRetries              telemetry.Counter
@@ -62,7 +61,6 @@ type counters struct {
 func (d *Device) export(r *telemetry.Registry) {
 	r.Help("kaml_ssd_nvram_staged_values", "Values staged in battery-backed NVRAM awaiting flash install.")
 	r.Help("kaml_ssd_index_entries", "Live mapping-table entries across all namespaces.")
-	r.Help("kaml_ssd_index_read_retries_total", "Seqlock re-reads and epoch restarts on the lock-free index read path.")
 	r.Help("kaml_ssd_flash_install_seconds", "Per-record latency from NVRAM staging to the flash index swing (virtual time).")
 	r.Help("kaml_ssd_pages_sealed_total", "Record pages that left the NVRAM packer for the program queue, per log and cause (full, nofit, drain, close).")
 	r.Help("kaml_ssd_sealed_page_chunks", "Chunks holding records in each sealed page (of PageSize/ChunkSize).")
@@ -90,7 +88,6 @@ func (d *Device) export(r *telemetry.Registry) {
 	r.Help("kaml_wear_erase_max", "Maximum block erase count observed in the log at the last victim scan.")
 	r.AdoptGauge(&d.ctr.nvramStaged, "kaml_ssd_nvram_staged_values")
 	r.AdoptGauge(&d.ctr.indexEntries, "kaml_ssd_index_entries")
-	r.AdoptCounter(&d.ctr.indexReadRetries, "kaml_ssd_index_read_retries_total")
 	d.flashInstall = r.Histogram("kaml_ssd_flash_install_seconds", telemetry.UnitSeconds)
 	d.freeBlockWait = r.Histogram("kaml_ssd_free_block_wait_seconds", telemetry.UnitSeconds)
 	d.logFullWait = r.Histogram("kaml_ssd_log_full_wait_seconds", telemetry.UnitSeconds)

@@ -55,24 +55,18 @@ func (d *Device) PinCurrent() uint64 {
 }
 
 // pinTS registers a transient pin at ts (refcounted).
-func (d *Device) pinTS(ts uint64) {
-	d.pinMu.Lock()
-	d.pins[ts]++
-	d.pinMu.Unlock()
-}
+func (d *Device) pinTS(ts uint64) { d.pins[ts]++ }
 
 // ReleasePin drops one reference to a transient pin taken by PinCurrent
 // (or internally by a read at a timestamp, execGet). Once a timestamp has
 // no pin and no snapshot cutoff, the versions only it could see become
 // prunable.
 func (d *Device) ReleasePin(ts uint64) {
-	d.pinMu.Lock()
 	if n := d.pins[ts]; n <= 1 {
 		delete(d.pins, ts)
 	} else {
 		d.pins[ts] = n - 1
 	}
-	d.pinMu.Unlock()
 }
 
 // pinsAppend gathers into pins (overwritten from the start, so steady-state
@@ -95,11 +89,9 @@ func (d *Device) pinsAppend(pins []uint64) ([]uint64, uint64) {
 	// registers under the same lock (see there).
 	d.nvMu.Lock()
 	floor := d.nv.settledSeq()
-	d.pinMu.Lock()
 	for ts := range d.pins {
 		pins = append(pins, ts)
 	}
-	d.pinMu.Unlock()
 	d.nvMu.Unlock()
 	slices.Sort(pins)
 	return slices.Compact(pins), floor

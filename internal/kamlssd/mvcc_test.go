@@ -256,7 +256,7 @@ func TestPinFloorKeepsVersionBehindUnsettledBatch(t *testing.T) {
 // (from NVRAM and from flash alike), and a merged group commit its newest
 // record's, which is at least each merged record's own.
 func TestCompletionCarriesTheCommitSeq(t *testing.T) {
-	r := newSerialRig(1, testFlashConfig(), nil)
+	r := newRig(testFlashConfig(), nil)
 	r.e.Go("test", func() {
 		defer r.dev.Close()
 		ns, err := r.dev.CreateNamespace(NamespaceAttrs{})
@@ -312,7 +312,7 @@ func TestCompletionCarriesTheCommitSeq(t *testing.T) {
 // probes).
 func TestGetAtRunsAsAGet(t *testing.T) {
 	nc := nvme.DefaultConfig()
-	r := newSerialRig(1, testFlashConfig(), nil)
+	r := newRig(testFlashConfig(), nil)
 	r.e.Go("test", func() {
 		defer r.dev.Close()
 		ns, err := r.dev.CreateNamespace(NamespaceAttrs{})

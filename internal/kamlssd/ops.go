@@ -263,7 +263,7 @@ func (d *Device) execPut(batch []PutRecord, merged int) (uint64, error) {
 	d.nvMu.Lock()
 	d.nv.commitBatch(batchID)
 	d.nvMu.Unlock()
-	// Stamp every staged version committed (lock-free state stores — the
+	// Stamp every staged version committed (plain state stores — the
 	// key locks are still held, so no competing mutation can interleave),
 	// then prune each touched chain: versions superseded by this batch die
 	// now unless a snapshot, a transaction pin or the settled floor still
@@ -316,7 +316,7 @@ func nsIndex(nss []nsSlot, id uint32) int {
 // a batch whose later record failed (mapping table full, power cut): each
 // staged version is popped off its chain, which re-exposes the version it
 // superseded — or, for a key the batch introduced, frees the key's table
-// slot. Racing chain walkers skip aborted nodes and re-resolve. Records
+// slot. A reader parked mid-read skips aborted nodes and re-resolves. Records
 // already routed to a packer become garbage automatically because the
 // flusher finds no chain node to install, and the caller's abortBatch marks
 // their sequences so recovery never resurrects flash copies. The superseded

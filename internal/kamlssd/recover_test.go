@@ -164,7 +164,7 @@ func cutImage(t *testing.T, nLogs, tail int) (*crashImage, *scanLoad) {
 	t.Helper()
 	var img *crashImage
 	var w *scanLoad
-	r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = nLogs })
+	r := newRig(testFlashConfig(), func(c *Config) { c.NumLogs = nLogs })
 	r.e.Go("test", func() {
 		w = newScanLoad(t, r.dev)
 		w.put(200 * 8)
@@ -186,7 +186,7 @@ func cutImage(t *testing.T, nLogs, tail int) (*crashImage, *scanLoad) {
 // chip left the chip idle through each transfer, 1.2-1.3 times the floor.)
 func TestRecoveryRunsAtArrayBandwidth(t *testing.T) {
 	fc := testFlashConfig()
-	r := newSerialRig(1, fc, nil)
+	r := newRig(fc, nil)
 	r.e.Go("test", func() {
 		w := newScanLoad(t, r.dev)
 		w.put(150 * 8)
@@ -288,7 +288,7 @@ func (f *firstProgram) Decide(op flash.Op, _ flash.PPN, _ time.Duration) flash.V
 // page's fails it too.
 func TestTornAndFailedPagesFailCheckOOB(t *testing.T) {
 	for _, v := range []flash.Verdict{flash.VerdictFail, flash.VerdictPowerCutTorn} {
-		r := newSerialRig(1, testFlashConfig(), nil)
+		r := newRig(testFlashConfig(), nil)
 		r.e.Go("test", func() {
 			d := r.dev
 			p := record.NewPacker(d.fc.PageSize, chunkSize)
@@ -334,7 +334,7 @@ func relocationCutImage(t *testing.T, nLogs int) *crashImage {
 	t.Helper()
 	var img *crashImage
 	collectorsOff(t)
-	r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = nLogs })
+	r := newRig(testFlashConfig(), func(c *Config) { c.NumLogs = nLogs })
 	r.e.Go("test", func() {
 		d := r.dev
 		w := newScanLoad(t, d)
@@ -847,7 +847,7 @@ func resumedCutImage(t *testing.T, nLogs int) (*crashImage, *scanLoad) {
 	var img *crashImage
 	var w *scanLoad
 	collectorsOff(t)
-	r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = nLogs })
+	r := newRig(testFlashConfig(), func(c *Config) { c.NumLogs = nLogs })
 	r.e.Go("test", func() {
 		w = newScanLoad(t, r.dev)
 		w.put(100 * 8)

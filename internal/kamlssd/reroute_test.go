@@ -92,7 +92,7 @@ func sealedSince(lg *logState, seq uint64) uint64 {
 func TestFullLogDoesNotStallTheNamespace(t *testing.T) {
 	const puts = 200
 	collectorsOff(t)
-	r := newSerialRig(1, testFlashConfig(), nil)
+	r := newRig(testFlashConfig(), nil)
 	r.e.Go("test", func() {
 		d, lg := r.dev, r.dev.logs[0]
 		defer d.Close()
@@ -174,7 +174,7 @@ func TestFullLogDoesNotStallTheNamespace(t *testing.T) {
 func TestAllLogsFullIsBackpressure(t *testing.T) {
 	const writers = 4
 	collectorsOff(t)
-	r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = 2 })
+	r := newRig(testFlashConfig(), func(c *Config) { c.NumLogs = 2 })
 	cfg := r.dev.Config()
 	bound := int64(cfg.NumLogs*(numHostStreams+cfg.QueueDepthPerLog+1)*8 + writers)
 	r.e.Go("test", func() {
@@ -231,7 +231,7 @@ func TestWriterWakesOnFirstLogWithRoom(t *testing.T) {
 	for room := range 2 {
 		t.Run(fmt.Sprintf("room on log %d", room), func(t *testing.T) {
 			collectorsOff(t)
-			r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = 2 })
+			r := newRig(testFlashConfig(), func(c *Config) { c.NumLogs = 2 })
 			r.e.Go("test", func() {
 				d := r.dev
 				defer d.Close()

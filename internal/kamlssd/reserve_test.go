@@ -167,7 +167,7 @@ func TestHostStreamsAtTheReserve(t *testing.T) {
 // power cycle.
 func TestRetirementDuringACoveredCollection(t *testing.T) {
 	setGCWater(t, 0, 1<<20) // the collectors stay parked; pick never stops at the high watermark
-	r := newSerialRig(1, testFlashConfig(), func(c *Config) { c.NumLogs = 2 })
+	r := newRig(testFlashConfig(), func(c *Config) { c.NumLogs = 2 })
 	r.e.Go("test", func() {
 		d := r.dev
 		P := d.fc.PagesPerBlock

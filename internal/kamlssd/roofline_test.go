@@ -39,7 +39,7 @@ func TestPutsReachTheProgramRoofline(t *testing.T) {
 	fc.BlocksPerChip, fc.PagesPerBlock = 16, 32
 	for _, logs := range []int{16, 64} {
 		t.Run(fmt.Sprintf("%d logs", logs), func(t *testing.T) {
-			r := newSerialRig(1, fc, func(c *Config) { c.NumLogs = logs })
+			r := newRig(fc, func(c *Config) { c.NumLogs = logs })
 			var ops int64
 			r.e.Go("test", func() {
 				d := r.dev

@@ -92,7 +92,7 @@ func hotOpen(d *Device) bool {
 // at 1 600 keys; the split measures 9 570). A drain empties both open pages,
 // and the layout recovers.
 func TestRewritesGoHotAndDieThere(t *testing.T) {
-	r := newSerialRig(1, testFlashConfig(), nil)
+	r := newRig(testFlashConfig(), nil)
 	r.e.Go("test", func() {
 		live := r.dev // the device to close on the way out
 		defer func() {
@@ -157,7 +157,7 @@ func TestRewritesGoHotAndDieThere(t *testing.T) {
 // block there shares the other's open block, so the split completes the
 // churn that one host stream per log completed.
 func TestSplitKeepsTheParentsCapacity(t *testing.T) {
-	r := newSerialRig(1, testFlashConfig(), nil)
+	r := newRig(testFlashConfig(), nil)
 	r.e.Go("test", func() {
 		defer r.dev.Close()
 		c := newSkewChurn(t, r.dev, 3000)

@@ -44,11 +44,11 @@ const (
 // A park allocates nothing in steady state: not a Sleep's timer, not the
 // queue slot of a contended lock or a condition wait, not the reason the
 // stall dump would print, and not a one-shot event's wait, whether the
-// latch opens now or ahead (the waits of TestLatchOpenAt). A spawn
-// allocates at most what it did while every actor was a goroutine of its
-// own.
+// latch opens now or ahead (parked before OpenAt, or waiting after it). A
+// spawn allocates at most what it did while every actor was a goroutine of
+// its own.
 func TestParksDoNotAllocate(t *testing.T) {
-	for _, tc := range append(parks[:len(parks):len(parks)], openAtParks...) {
+	for _, tc := range parks {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := parkAllocs(t, tc.setup); got != 0 {
 				t.Errorf("%s allocates %.2f times per call, want 0", tc.name, got)
@@ -76,7 +76,7 @@ func TestParksDoNotAllocate(t *testing.T) {
 // re-seeded: a different seed draws a different interleaving of the measured
 // actor and its partner, and no draw may reach a path that allocates.
 func TestSerializedParksDoNotAllocate(t *testing.T) {
-	for _, tc := range append(parks[:len(parks):len(parks)], openAtParks...) {
+	for _, tc := range parks {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, seed := range reseeds {
 				if got := parkAllocs(t, reseeded(seed, tc.setup)); got != 0 {
@@ -119,7 +119,7 @@ func reseeded(seed int64, setup func(e *Engine, stop *atomic.Bool) (op, partner 
 // its own: the goroutine's closure.
 const spawnAllocs = 1.0
 
-// parks are the waits of TestParksDoNotAllocate beside openAtParks.
+// parks are the waits of TestParksDoNotAllocate.
 var parks = []struct {
 	name  string
 	setup func(e *Engine, stop *atomic.Bool) (op, partner func())
@@ -174,6 +174,33 @@ var parks = []struct {
 				}
 			}
 	}},
+	// The two ways to wait on a latch opened ahead: parked before OpenAt
+	// (the partner opens each latch a microsecond ahead, after the measured
+	// actor has parked on it, and the parked waiter moves to a timer), and
+	// arriving after it (the measured actor opens each latch a microsecond
+	// ahead and then waits on it, sleeping on a timer of its own).
+	{"parked before OpenAt", func(e *Engine, _ *atomic.Bool) (op, partner func()) {
+		latches := make([]Latch, parkCalls)
+		next := 0
+		return func() {
+				latches[next].Wait(e)
+				next++
+			}, func() {
+				for i := range latches {
+					e.Sleep(time.Microsecond)
+					latches[i].OpenAt(e, e.Now()+time.Microsecond)
+				}
+			}
+	}},
+	{"waiting after OpenAt", func(e *Engine, _ *atomic.Bool) (op, partner func()) {
+		latches := make([]Latch, parkCalls)
+		next := 0
+		return func() {
+			latches[next].OpenAt(e, e.Now()+time.Microsecond)
+			latches[next].Wait(e)
+			next++
+		}, nil
+	}},
 }
 
 // A latch parks every waiter until it opens, wakes them all at the instant
@@ -212,103 +239,81 @@ func TestLatch(t *testing.T) {
 	}
 }
 
-// A latch opened at a later instant stays closed until it: the waiters
-// parked before the call and those that arrive between the call and the
-// instant all go through at the instant, a wait after it returns at once,
-// and the opener does not wait at all.
+// A latch opened at a later instant stays closed until it. Parked before
+// OpenAt: the waiters parked before the call and those that arrive between
+// the call and the instant all go through at the instant, and the opener
+// does not wait at all. Waiting after OpenAt: the opener's own wait returns
+// at the instant, and a wait after it returns at once.
 func TestLatchOpenAt(t *testing.T) {
-	e := NewEngine()
-	var l Latch
 	const ahead = 8 * time.Microsecond
-	early := make([]time.Duration, 3) // parked before OpenAt
-	between := make([]time.Duration, 2)
-	var called, at, opener, late time.Duration
-	together(e, func() {
-		for i := range early {
-			e.Go("early", func() {
-				l.Wait(e)
-				early[i] = e.Now()
-			})
-		}
-		e.Sleep(time.Millisecond)
-		called = e.Now()
-		at = called + ahead
-		l.OpenAt(e, at)
-		opener = e.Now()
-		if l.IsOpen(e) {
-			t.Error("latch open before its instant")
-		}
-		for i := range between {
-			e.Go("between", func() {
-				e.Sleep(time.Duration(i+1) * time.Microsecond)
-				if l.IsOpen(e) {
-					t.Errorf("latch open %v before its instant", at-e.Now())
-				}
-				l.Wait(e)
-				between[i] = e.Now()
-			})
-		}
-		e.Sleep(ahead - time.Nanosecond)
-		if l.IsOpen(e) {
-			t.Error("latch open a nanosecond before its instant")
-		}
-		e.Sleep(time.Nanosecond)
-		if !l.IsOpen(e) {
-			t.Error("latch still closed at its instant")
-		}
-		e.Sleep(time.Microsecond)
-		l.Wait(e)
-		late = e.Now()
-	})
-	if opener != called {
-		t.Errorf("OpenAt took %v of the opener's time, want none", opener-called)
-	}
-	for i, w := range append(early, between...) {
-		if w != at {
-			t.Errorf("waiter %d went through at %v, want the latch's instant %v", i, w, at)
-		}
-	}
-	if late != at+time.Microsecond {
-		t.Errorf("a wait after the instant returned at %v, want at once (%v)", late, at+time.Microsecond)
-	}
-	for _, tc := range openAtParks {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := parkAllocs(t, tc.setup); got != 0 {
-				t.Errorf("a latch wait %s allocates %.2f times per call, want 0", tc.name, got)
+	t.Run("parked before OpenAt", func(t *testing.T) {
+		e := NewEngine()
+		var l Latch
+		early := make([]time.Duration, 3) // parked before OpenAt
+		between := make([]time.Duration, 2)
+		var called, at, opener time.Duration
+		together(e, func() {
+			for i := range early {
+				e.Go("early", func() {
+					l.Wait(e)
+					early[i] = e.Now()
+				})
+			}
+			e.Sleep(time.Millisecond)
+			called = e.Now()
+			at = called + ahead
+			l.OpenAt(e, at)
+			opener = e.Now()
+			if l.IsOpen(e) {
+				t.Error("latch open before its instant")
+			}
+			for i := range between {
+				e.Go("between", func() {
+					e.Sleep(time.Duration(i+1) * time.Microsecond)
+					if l.IsOpen(e) {
+						t.Errorf("latch open %v before its instant", at-e.Now())
+					}
+					l.Wait(e)
+					between[i] = e.Now()
+				})
+			}
+			e.Sleep(ahead - time.Nanosecond)
+			if l.IsOpen(e) {
+				t.Error("latch open a nanosecond before its instant")
+			}
+			e.Sleep(time.Nanosecond)
+			if !l.IsOpen(e) {
+				t.Error("latch still closed at its instant")
 			}
 		})
-	}
-}
-
-// The two ways to wait on a latch opened ahead, neither of which allocates:
-// parked before OpenAt (the partner opens each latch a microsecond ahead,
-// after the measured actor has parked on it, and the parked waiter moves to
-// a timer), and arriving after it (the measured actor opens each latch a
-// microsecond ahead and then waits on it, sleeping on a timer of its own).
-var openAtParks = []struct {
-	name  string
-	setup func(e *Engine, stop *atomic.Bool) (op, partner func())
-}{
-	{"parked before OpenAt", func(e *Engine, _ *atomic.Bool) (op, partner func()) {
-		latches := make([]Latch, parkCalls)
-		next := 0
-		return func() {
-				latches[next].Wait(e)
-				next++
-			}, func() {
-				for i := range latches {
-					e.Sleep(time.Microsecond)
-					latches[i].OpenAt(e, e.Now()+time.Microsecond)
-				}
+		if opener != called {
+			t.Errorf("OpenAt took %v of the opener's time, want none", opener-called)
+		}
+		for i, w := range append(early, between...) {
+			if w != at {
+				t.Errorf("waiter %d went through at %v, want the latch's instant %v", i, w, at)
 			}
-	}},
-	{"waiting after OpenAt", func(e *Engine, _ *atomic.Bool) (op, partner func()) {
-		latches := make([]Latch, parkCalls)
-		next := 0
-		return func() {
-			latches[next].OpenAt(e, e.Now()+time.Microsecond)
-			latches[next].Wait(e)
-			next++
-		}, nil
-	}},
+		}
+	})
+	t.Run("waiting after OpenAt", func(t *testing.T) {
+		e := NewEngine()
+		var l Latch
+		var at, own, late time.Duration
+		together(e, func() {
+			e.Sleep(time.Millisecond)
+			at = e.Now() + ahead
+			l.OpenAt(e, at)
+			l.Wait(e)
+			own = e.Now()
+			e.Sleep(time.Microsecond)
+			l.Wait(e)
+			late = e.Now()
+		})
+		if own != at {
+			t.Errorf("the opener's wait returned at %v, want the latch's instant %v", own, at)
+		}
+		if late != at+time.Microsecond {
+			t.Errorf("a wait after the instant returned at %v, want at once (%v)", late, at+time.Microsecond)
+		}
+	})
 }

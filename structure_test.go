@@ -109,6 +109,13 @@ func where(f srcFile, n ast.Node) string {
 	return fmt.Sprintf("%s:%d", f.path, f.fset.Position(n.Pos()).Line)
 }
 
+// only narrows c to the files of its rule's scope under dir.
+func only(dir string, c check) check {
+	return func(fs []srcFile) []string {
+		return c(slices.DeleteFunc(slices.Clone(fs), func(f srcFile) bool { return !under(f.path, []string{dir}) }))
+	}
+}
+
 // forbid flags every node that m matches.
 func forbid(m matcher) check {
 	return func(fs []srcFile) []string {
@@ -714,6 +721,27 @@ var rules = []rule{
 			"package sim\n\nfunc (s *Semaphore) Acquire() {\n\te := s.e\n\te.mu.Lock()\n\ts.avail--\n\te.mu.Unlock()\n}\n")},
 	},
 	{
+		// The engine runs one actor at a time and the running actor owns
+		// the mapping tables, the pins and the pipeline's occupancy: a host
+		// lock, an atomic or a CAS there guards a race that cannot happen.
+		name: "one-owner-no-host-locks",
+		why:  "one actor runs at a time: internal/hashindex imports no sync, sync/atomic or runtime, internal/kamlssd declares no sync.Mutex or sync.RWMutex, internal/cmdq calls no CompareAndSwap",
+		sc:   scope{paths: []string{"internal/hashindex", "internal/kamlssd", "internal/cmdq"}, noTests: true},
+		checks: []check{
+			only("internal/hashindex", forbid(anyOf(imports("sync"), imports("sync/atomic"), imports("runtime")))),
+			only("internal/kamlssd", forbid(selector(`^sync\.(RW)?Mutex$`))),
+			only("internal/cmdq", forbid(call(`CompareAndSwap$`))),
+		},
+		bad: []map[string]string{
+			src("internal/hashindex/concurrent.go", "package hashindex\n\nimport \"sync\"\n\nvar mu sync.Mutex\n"),
+			src("internal/hashindex/versions.go", "package hashindex\n\nimport \"sync/atomic\"\n\nvar nodes atomic.Int64\n"),
+			src("internal/hashindex/concurrent.go", "package hashindex\n\nimport \"runtime\"\n\nfunc f() { runtime.Gosched() }\n"),
+			src("internal/kamlssd/index.go", "package kamlssd\n\ntype treeDir struct {\n\tmu sync.RWMutex\n}\n"),
+			src("internal/kamlssd/device.go", "package kamlssd\n\ntype Device struct {\n\tpinMu sync.Mutex\n}\n"),
+			src("internal/cmdq/cmdq.go", "package cmdq\n\nfunc (p *Pipeline) reserveFast() bool { return p.occ.CompareAndSwap(0, 1) }\n"),
+		},
+	},
+	{
 		// A page that does not parse keeps its victim, as a failed read does.
 		name: "bad-victim-page-stops-the-scan",
 		why:  "a victim page that does not parse stops the scan (readRecords), it does not panic",
@@ -845,7 +873,8 @@ SubmitOwned( workerLoop SubmitGet SubmitSnapshot AsyncGet stageQueue cmdq-worker
 record.At( func At( hostPPN( spaceCv SwapOutIndex loadIndex ErrSwappedOut pageTypeIndex
 swapPages relocateIndexPages DeserializeVersionChains lockMounted readersPerChip nReaders
 func (c *collector) scan( arr.ProgramPage( arr.ReadPage( progFailed++ ErrInjectedFailure
-GC parse bm.validBytes = 0 lg.freeBlocks-- serial bool e.mu.Lock()`
+GC parse bm.validBytes = 0 lg.freeBlocks-- serial bool e.mu.Lock() sync.Mutex
+sync.RWMutex CompareAndSwap( "sync/atomic" runtime.Gosched()`
 	var code strings.Builder
 	code.WriteString("// Package fixture names, in comments and strings only:\n")
 	for _, line := range strings.Split(named, "\n") {
