@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"sync/atomic"
 
 	kaml "github.com/kaml-ssd/kaml"
 )
@@ -70,8 +69,7 @@ func runWorkload(m mix) (opsPerSec, hitRatio float64) {
 
 		start := dev.Now()
 		wg := dev.NewWaitGroup()
-		var inserted atomic.Uint64
-		inserted.Store(records)
+		inserted := uint64(records) // the workers are actors: one runs at a time
 		for w := 0; w < workers; w++ {
 			w := w
 			wg.Add(1)
@@ -93,7 +91,7 @@ func runWorkload(m mix) (opsPerSec, hitRatio float64) {
 }
 
 // runOp draws one operation from the mix and retries wait-die aborts.
-func runOp(cache *kaml.Cache, tbl kaml.Namespace, m mix, rng *rand.Rand, inserted *atomic.Uint64) {
+func runOp(cache *kaml.Cache, tbl kaml.Namespace, m mix, rng *rand.Rand, inserted *uint64) {
 	r := rng.Float64()
 	key := zipfish(rng)
 	for {
@@ -105,7 +103,8 @@ func runOp(cache *kaml.Cache, tbl kaml.Namespace, m mix, rng *rand.Rand, inserte
 		case r < m.read+m.update:
 			err = tx.Update(tbl, key, value(key))
 		case r < m.read+m.update+m.insert:
-			k := inserted.Add(1)
+			*inserted++
+			k := *inserted
 			err = tx.Insert(tbl, k, value(k))
 		default: // read-modify-write
 			if _, err = tx.Read(tbl, key); err == nil {

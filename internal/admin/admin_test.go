@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	kaml "github.com/kaml-ssd/kaml"
@@ -49,6 +50,76 @@ func runWorkload(t *testing.T) *kaml.Device {
 		dev.Wait()
 	})
 	return dev
+}
+
+// The admin endpoints, Stats and the registry are scraped from plain
+// goroutines while the device's actors run Puts, Gets, a Flush and enough
+// overwrites for the collectors to erase victims: under -race this fails on
+// any state those paths read that is not an atomic telemetry cell.
+func TestScrapeWhileTheDeviceRuns(t *testing.T) {
+	dev, err := kaml.Open(kaml.SmallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(admin.Handler(dev))
+	defer srv.Close()
+	stop := make(chan struct{})
+	var scrapers sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		scrapers.Add(1)
+		go func() {
+			defer scrapers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, path := range []string{"/metrics", "/statusz"} {
+					res, err := srv.Client().Get(srv.URL + path)
+					if err != nil {
+						t.Errorf("GET %s: %v", path, err)
+						return
+					}
+					_, _ = io.Copy(io.Discard, res.Body)
+					res.Body.Close()
+				}
+				_ = dev.Stats()
+				_ = dev.Telemetry().Snapshot()
+			}
+		}()
+	}
+	var erases int64
+	dev.Go(func() {
+		defer close(stop)
+		ns, err := dev.CreateNamespace(kaml.NamespaceOptions{ExpectedKeys: 256})
+		if err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		val := make([]byte, 4000)
+		for i := uint64(0); i < 20000 && erases == 0; i++ {
+			val[0] = byte(i)
+			if err := dev.Put(ns, i%256, val); err != nil {
+				t.Errorf("put %d: %v", i, err)
+				return
+			}
+			if i%64 == 63 {
+				if _, err := dev.Get(ns, i%256); err != nil {
+					t.Errorf("get %d: %v", i%256, err)
+					return
+				}
+				erases = dev.Stats().GCErases
+			}
+		}
+		dev.Flush()
+		dev.Close()
+	})
+	dev.Wait()
+	scrapers.Wait()
+	if erases == 0 {
+		t.Error("the collectors erased no victim")
+	}
 }
 
 func TestMetricsEndpoint(t *testing.T) {

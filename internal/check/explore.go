@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	kaml "github.com/kaml-ssd/kaml"
@@ -279,16 +278,15 @@ func runScenario(sc *Scenario, eng *sim.Engine, rec *Recorder, res *RunResult) e
 		}
 	}
 
-	// Power-loss tracking shared by the workers (brief critical sections
-	// only — never held across a sim primitive).
-	var mu sync.Mutex
+	// Power-loss tracking shared by the workers, which are actors of one
+	// engine and run one at a time.
 	crashed := false
-	markDead := func() { mu.Lock(); crashed = true; mu.Unlock() }
-	dead := func() bool { mu.Lock(); defer mu.Unlock(); return crashed }
+	markDead := func() { crashed = true }
+	dead := func() bool { return crashed }
 	// fatal records a harness-level failure (a bug in the harness or an
 	// unexpected device error class), which fails the run loudly.
 	var fatalErr error
-	fatal := func(err error) { mu.Lock(); fatalErr = err; crashed = true; mu.Unlock() }
+	fatal := func(err error) { fatalErr, crashed = err, true }
 
 	// expected classifies errors a worker may legitimately see mid-workload.
 	expected := func(err error) bool {
@@ -509,7 +507,7 @@ func runScenario(sc *Scenario, eng *sim.Engine, rec *Recorder, res *RunResult) e
 			})
 		}
 		wg.Wait()
-		if fe := func() error { mu.Lock(); defer mu.Unlock(); return fatalErr }(); fe != nil {
+		if fe := fatalErr; fe != nil {
 			dev.PowerCut() // stop background actors before bailing out
 			dev.Crash()
 			return fe
@@ -524,9 +522,7 @@ func runScenario(sc *Scenario, eng *sim.Engine, rec *Recorder, res *RunResult) e
 				return rerr
 			}
 			dev = re
-			mu.Lock()
 			crashed = false
-			mu.Unlock()
 		}
 	}
 

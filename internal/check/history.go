@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	kaml "github.com/kaml-ssd/kaml"
@@ -108,10 +107,9 @@ type Event struct {
 }
 
 // Recorder implements kaml.HistoryTap: it timestamps every operation on the
-// virtual clock and keeps the full history for the checkers. Safe for
-// concurrent use by simulation actors.
+// virtual clock and keeps the full history for the checkers. Only the
+// actors of the device's engine, which run one at a time, may call it.
 type Recorder struct {
-	mu      sync.Mutex
 	clock   func() time.Duration
 	nextTxn uint64
 	events  []Event
@@ -130,8 +128,6 @@ func (r *Recorder) OpInvoked(op kaml.Op, txn uint64, records []kaml.Record) uint
 		tag, _ := DecodeTag(rec.Value)
 		recs[i] = Rec{NS: rec.Namespace, Key: rec.Key, Tag: tag, VLen: len(rec.Value)}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	id := uint64(len(r.events) + 1)
 	r.events = append(r.events, Event{
 		ID: id, Op: op, Txn: txn, Recs: recs,
@@ -143,8 +139,6 @@ func (r *Recorder) OpInvoked(op kaml.Op, txn uint64, records []kaml.Record) uint
 // OpCompleted implements kaml.HistoryTap.
 func (r *Recorder) OpCompleted(id uint64, ns kaml.Namespace, value []byte, err error) {
 	now := r.clock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if id == 0 || id > uint64(len(r.events)) {
 		return
 	}
@@ -163,16 +157,12 @@ func (r *Recorder) OpCompleted(id uint64, ns kaml.Namespace, value []byte, err e
 
 // TxnBegan implements kaml.HistoryTap.
 func (r *Recorder) TxnBegan() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.nextTxn++
 	return r.nextTxn
 }
 
 // Events returns a copy of the history in invocation order.
 func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Event, len(r.events))
 	copy(out, r.events)
 	return out

@@ -258,8 +258,9 @@ type Cluster struct {
 	met metrics
 	tap kaml.HistoryTap
 
-	hedgeDelayNs atomic.Int64 // cached clamp(p95); 0 = use InitDelay
-	reads        atomic.Int64
+	// Only read actors, which run one at a time, touch these two.
+	hedgeDelayNs int64 // cached clamp(p95); 0 = use InitDelay
+	reads        int64
 
 	closed atomic.Bool
 }

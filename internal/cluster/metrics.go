@@ -67,7 +67,7 @@ func (c *Cluster) observeGet(shardID int, d time.Duration) {
 	if !c.cfg.Hedge.Enabled {
 		return
 	}
-	if n := c.reads.Add(1); n%hedgeRefreshEvery == 0 {
+	if c.reads++; c.reads%hedgeRefreshEvery == 0 {
 		snap := c.met.getAll.Snapshot()
 		if snap.N < hedgeMinSamples {
 			return
@@ -79,13 +79,13 @@ func (c *Cluster) observeGet(shardID int, d time.Duration) {
 		if delay > hedgeMaxDelay {
 			delay = hedgeMaxDelay
 		}
-		c.hedgeDelayNs.Store(int64(delay))
+		c.hedgeDelayNs = int64(delay)
 	}
 }
 
 // hedgeDelay returns the current hedge trigger delay.
 func (c *Cluster) hedgeDelay() time.Duration {
-	if v := c.hedgeDelayNs.Load(); v > 0 {
+	if v := c.hedgeDelayNs; v > 0 {
 		return time.Duration(v)
 	}
 	return c.cfg.Hedge.InitDelay

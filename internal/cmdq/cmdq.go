@@ -49,7 +49,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"github.com/kaml-ssd/kaml/internal/sim"
@@ -301,10 +300,10 @@ type Pipeline struct {
 	// Counted events, one cell each: Stats() reads them without a sim lock
 	// (final-report paths run outside the simulation), and the cells with a
 	// series name are the ones the registry exports (see export).
-	submitted, completed        atomic.Int64
-	batchRecs                   atomic.Int64
-	maxOcc                      atomic.Int64
-	occSum, occSamples          atomic.Int64
+	submitted, completed        telemetry.Counter
+	batchRecs                   telemetry.Counter
+	occSum, occSamples          telemetry.Counter
+	maxOcc                      telemetry.Gauge   // highest occupancy reserved
 	depth                       telemetry.Gauge   // occupancy as last reserved/released
 	backpressure                telemetry.Counter // Submits that parked on a full pipeline
 	batchCommits, coalescedPuts telemetry.Counter
@@ -403,7 +402,7 @@ func (p *Pipeline) RunDirect(cmd *Command) Result {
 	} else {
 		res = p.exec(cmd)
 	}
-	p.completed.Add(1)
+	p.completed.Inc()
 	p.release(1)
 	return res
 }
@@ -468,12 +467,10 @@ func (p *Pipeline) reserveFast() bool {
 		return false
 	}
 	p.occ++
-	p.submitted.Add(1)
-	if p.occ > p.maxOcc.Load() {
-		p.maxOcc.Store(p.occ)
-	}
+	p.submitted.Inc()
+	p.maxOcc.SetMax(p.occ)
 	p.occSum.Add(p.occ)
-	p.occSamples.Add(1)
+	p.occSamples.Inc()
 	p.depth.Set(p.occ)
 	return true
 }
@@ -785,20 +782,20 @@ func (p *Pipeline) Join() {
 	p.drainInline()
 }
 
-// Stats returns a snapshot of pipeline counters. Lock-free, so it is safe
-// to call from outside the simulation (final reports after the engine has
-// drained).
+// Stats returns a snapshot of pipeline counters. It reads only telemetry
+// cells, so it is safe to call from a plain goroutine while the engine runs
+// (admin's /statusz, final reports).
 func (p *Pipeline) Stats() Stats {
 	s := Stats{
-		Submitted:     p.submitted.Load(),
-		Completed:     p.completed.Load(),
+		Submitted:     p.submitted.Value(),
+		Completed:     p.completed.Value(),
 		CoalescedPuts: p.coalescedPuts.Value(),
 		BatchCommits:  p.batchCommits.Value(),
-		BatchRecords:  p.batchRecs.Load(),
-		MaxOccupancy:  p.maxOcc.Load(),
+		BatchRecords:  p.batchRecs.Value(),
+		MaxOccupancy:  p.maxOcc.Value(),
 	}
-	if n := p.occSamples.Load(); n > 0 {
-		s.MeanOccupancy = float64(p.occSum.Load()) / float64(n)
+	if n := p.occSamples.Value(); n > 0 {
+		s.MeanOccupancy = float64(p.occSum.Value()) / float64(n)
 	}
 	return s
 }

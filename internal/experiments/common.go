@@ -192,9 +192,8 @@ func newBlockRig(fc flash.Config) *blockRig {
 func measure(eng *sim.Engine, workers int, warmup, window time.Duration,
 	op func(worker int, rng *rand.Rand) bool) int64 {
 
-	var counting atomic.Bool
-	var stop atomic.Bool
-	var ops atomic.Int64
+	counting, stop := false, false
+	var ops int64
 	wg := eng.NewWaitGroup()
 	for w := 0; w < workers; w++ {
 		w := w
@@ -202,26 +201,26 @@ func measure(eng *sim.Engine, workers int, warmup, window time.Duration,
 		eng.Go(fmt.Sprintf("bench-w%d", w), func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)*7919 + 13))
-			for !stop.Load() {
+			for !stop {
 				if !op(w, rng) {
 					return
 				}
-				if counting.Load() {
-					ops.Add(1)
+				if counting {
+					ops++
 				}
 			}
 		})
 	}
 	eng.Go("bench-clock", func() {
 		eng.Sleep(warmup)
-		counting.Store(true)
+		counting = true
 		eng.Sleep(window)
-		counting.Store(false)
-		stop.Store(true)
+		counting = false
+		stop = true
 	})
 	wg.Wait()
-	opsDone.Add(ops.Load())
-	return ops.Load()
+	opsDone.Add(ops)
+	return ops
 }
 
 // mbps converts (ops x bytesPerOp) over window to MB/s.

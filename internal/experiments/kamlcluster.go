@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	kaml "github.com/kaml-ssd/kaml"
@@ -33,17 +32,17 @@ const (
 	kcReadFrac  = 0.92 // read-heavy serving mix
 )
 
-// kcCell is one cluster run's harvest. The op counters are atomics:
-// open-loop ops run as concurrent simulation actors.
+// kcCell is one cluster run's harvest. The open-loop ops that bump its
+// counters are actors of one engine, which run one at a time.
 type kcCell struct {
 	hedged     bool
 	getAll     telemetry.HistSnapshot
 	getShard   []telemetry.HistSnapshot
 	status     cluster.Status
 	violations []check.Violation
-	gets, puts atomic.Int64
-	maybes     atomic.Int64 // power-class ("maybe applied") write outcomes
-	failures   atomic.Int64 // any other op failure
+	gets, puts int64
+	maybes     int64 // power-class ("maybe applied") write outcomes
+	failures   int64 // any other op failure
 }
 
 // kamlClusterCell runs one full scenario on a fresh virtual clock.
@@ -80,7 +79,7 @@ func kamlClusterCell(s Scale, hedged bool) *kcCell {
 		// set to copy.
 		for k := 0; k < keys; k++ {
 			if err := c.Put(uint64(k), check.EncodeValue(uint64(k)+1, kcValueSize)); err != nil {
-				cell.failures.Add(1)
+				cell.failures++
 			}
 		}
 
@@ -101,7 +100,7 @@ func kamlClusterCell(s Scale, hedged bool) *kcCell {
 			for to := 0; to < c.NumNodes(); to++ {
 				if !holds[to] {
 					if err := c.Migrate(0, from, to); err != nil {
-						cell.failures.Add(1)
+						cell.failures++
 					}
 					break
 				}
@@ -131,19 +130,19 @@ func kamlClusterCell(s Scale, hedged bool) *kcCell {
 				defer inflight.Done()
 				if isRead {
 					if _, err := c.Get(key); err == nil || errors.Is(err, kaml.ErrKeyNotFound) {
-						cell.gets.Add(1)
+						cell.gets++
 					} else {
-						cell.failures.Add(1)
+						cell.failures++
 					}
 					return
 				}
 				switch err := c.Put(key, check.EncodeValue(opTag, kcValueSize)); {
 				case err == nil:
-					cell.puts.Add(1)
+					cell.puts++
 				case errors.Is(err, kaml.ErrPowerLoss):
-					cell.maybes.Add(1)
+					cell.maybes++
 				default:
-					cell.failures.Add(1)
+					cell.failures++
 				}
 			})
 		}
@@ -205,7 +204,7 @@ func KamlCluster(s Scale) *Table {
 		}
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"%s: gets=%d puts=%d maybe-writes=%d failures=%d; hedges issued=%d won=%d; failovers=%d migrations=%d retries=%d epoch=%d; linearizability violations=%d",
-			mode, cell.gets.Load(), cell.puts.Load(), cell.maybes.Load(), cell.failures.Load(),
+			mode, cell.gets, cell.puts, cell.maybes, cell.failures,
 			cell.status.HedgesIssued, cell.status.HedgesWon,
 			cell.status.Failovers, cell.status.Migrations, cell.status.Retries,
 			cell.status.Epoch, len(cell.violations)))

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"github.com/kaml-ssd/kaml/internal/ftl"
@@ -216,7 +215,8 @@ func blockBandwidth(size, n int, warm, window time.Duration, kind string) float6
 			default: // insert: fresh records, one sector region each;
 				// workers append into disjoint preconditioned regions as
 				// independent streams would.
-				k := int64(n) + int64(w)*int64(n)/4 + atomicAdd(&insertCursors[w], 1)
+				insertCursors[w]++
+				k := int64(n) + int64(w)*int64(n)/4 + insertCursors[w]
 				return blockRecordIO(r, k, size, true, true, buf) == nil
 			}
 		})
@@ -271,7 +271,8 @@ func kamlBandwidth(size, n int, load float64, warm, window time.Duration) (get, 
 		}
 		var cursor int64
 		ops := measure(r2.eng, bandwidthWorkers, warm, window, func(w int, rng *rand.Rand) bool {
-			k := atomicAdd(&cursor, 1) + int64(pre)
+			cursor++
+			k := cursor + int64(pre)
 			return r2.dev.Put([]kamlssd.PutRecord{{Namespace: ns, Key: uint64(k), Value: val}}) == nil
 		})
 		insert = mbps(ops, size, window)
@@ -519,6 +520,3 @@ func Fig8(s Scale) *Table {
 	t.Notes = append(t.Notes, "paper: 16 -> 64 logs raises throughput ~5.8x")
 	return t
 }
-
-// atomicAdd is a tiny helper for insert cursors shared across workers.
-func atomicAdd(p *int64, d int64) int64 { return atomic.AddInt64(p, d) }

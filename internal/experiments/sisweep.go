@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"github.com/kaml-ssd/kaml/internal/storage"
@@ -48,9 +47,9 @@ func siWindows(s Scale) (warm, window time.Duration) {
 // siCounters are one measurement window's outcomes, counted only while the
 // window is open.
 type siCounters struct {
-	commits atomic.Int64
-	aborts  atomic.Int64
-	scans   atomic.Int64
+	commits int64
+	aborts  int64
+	scans   int64
 }
 
 // siBench runs writers (and optionally readers) against a fresh KAML cache
@@ -84,8 +83,7 @@ func siBench(s Scale, si bool, hotKeys, writers, readers int) *siCounters {
 			}
 			return c.Begin()
 		}
-		var counting atomic.Bool
-		var stop atomic.Bool
+		counting, stop := false, false
 		wg := rig.eng.NewWaitGroup()
 		for w := 0; w < writers; w++ {
 			w := w
@@ -93,19 +91,19 @@ func siBench(s Scale, si bool, hotKeys, writers, readers int) *siCounters {
 			rig.eng.Go(fmt.Sprintf("rmw-%d", w), func() {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(w)*7919 + 13))
-				for gen := uint64(1); !stop.Load(); gen++ {
+				for gen := uint64(1); !stop; gen++ {
 					k := uint64(rng.Intn(hotKeys))
 					tx := begin()
 					err := siRMW(tx, tbl, k, gen)
 					tx.Free()
 					switch {
 					case err == nil:
-						if counting.Load() {
-							ctr.commits.Add(1)
+						if counting {
+							ctr.commits++
 						}
 					case errors.Is(err, storage.ErrAborted):
-						if counting.Load() {
-							ctr.aborts.Add(1)
+						if counting {
+							ctr.aborts++
 						}
 					default:
 						return
@@ -118,18 +116,18 @@ func siBench(s Scale, si bool, hotKeys, writers, readers int) *siCounters {
 			wg.Add(1)
 			rig.eng.Go(fmt.Sprintf("scan-%d", r), func() {
 				defer wg.Done()
-				for !stop.Load() {
+				for !stop {
 					tx := begin()
 					err := siScan(tx, tbl)
 					tx.Free()
 					switch {
 					case err == nil:
-						if counting.Load() {
-							ctr.scans.Add(1)
+						if counting {
+							ctr.scans++
 						}
 					case errors.Is(err, storage.ErrAborted):
-						if counting.Load() {
-							ctr.aborts.Add(1)
+						if counting {
+							ctr.aborts++
 						}
 					default:
 						return
@@ -139,13 +137,13 @@ func siBench(s Scale, si bool, hotKeys, writers, readers int) *siCounters {
 		}
 		rig.eng.Go("clock", func() {
 			rig.eng.Sleep(warm)
-			counting.Store(true)
+			counting = true
 			rig.eng.Sleep(window)
-			counting.Store(false)
-			stop.Store(true)
+			counting = false
+			stop = true
 		})
 		wg.Wait()
-		opsDone.Add(ctr.commits.Load() + ctr.scans.Load())
+		opsDone.Add(ctr.commits + ctr.scans)
 	})
 	rig.eng.Wait()
 	return ctr
@@ -212,19 +210,19 @@ func siRMWTable(s Scale) *Table {
 		}
 	})
 	rate := func(c *siCounters) string {
-		total := c.commits.Load() + c.aborts.Load()
+		total := c.commits + c.aborts
 		if total == 0 {
 			return "0.000"
 		}
-		return fmt.Sprintf("%.3f", float64(c.aborts.Load())/float64(total))
+		return fmt.Sprintf("%.3f", float64(c.aborts)/float64(total))
 	}
 	for hi, hot := range hotSets {
 		c := cells[hi]
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", hot),
-			fmt.Sprintf("%.0f", float64(c.ss.commits.Load())/window.Seconds()),
+			fmt.Sprintf("%.0f", float64(c.ss.commits)/window.Seconds()),
 			rate(c.ss),
-			fmt.Sprintf("%.0f", float64(c.si.commits.Load())/window.Seconds()),
+			fmt.Sprintf("%.0f", float64(c.si.commits)/window.Seconds()),
 			rate(c.si),
 		})
 	}
@@ -249,14 +247,14 @@ func siReaderTable(s Scale) *Table {
 	})
 	for i, mode := range []string{"ss2pl", "si"} {
 		c := cells[i]
-		total := c.commits.Load() + c.scans.Load() + c.aborts.Load()
+		total := c.commits + c.scans + c.aborts
 		rate := 0.0
 		if total > 0 {
-			rate = float64(c.aborts.Load()) / float64(total)
+			rate = float64(c.aborts) / float64(total)
 		}
 		t.Rows = append(t.Rows, []string{mode,
-			fmt.Sprintf("%.0f", float64(c.commits.Load())/window.Seconds()),
-			fmt.Sprintf("%.0f", float64(c.scans.Load())/window.Seconds()),
+			fmt.Sprintf("%.0f", float64(c.commits)/window.Seconds()),
+			fmt.Sprintf("%.0f", float64(c.scans)/window.Seconds()),
 			fmt.Sprintf("%.3f", rate),
 		})
 	}

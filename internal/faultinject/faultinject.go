@@ -12,7 +12,6 @@ package faultinject
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 
 	"github.com/kaml-ssd/kaml/internal/flash"
@@ -46,9 +45,9 @@ type Config struct {
 }
 
 // Plan is a live fault plan; install it with flash.Array.SetInjector.
-// Safe for concurrent use by simulation actors.
+// Like the array, it is used only by the actors of the array's engine,
+// which run one at a time, so it needs no lock.
 type Plan struct {
-	mu       sync.Mutex
 	cfg      Config
 	rng      *rand.Rand
 	programs int  // program attempts seen so far
@@ -68,8 +67,6 @@ func New(cfg Config) *Plan {
 // Probability draws keep consuming the same seeded PRNG stream, so two
 // runs applying the same SetProbs schedule stay deterministic.
 func (p *Plan) SetProbs(read, program, erase float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.cfg.ReadFailProb = read
 	p.cfg.ProgramFailProb = program
 	p.cfg.EraseFailProb = erase
@@ -84,16 +81,12 @@ func (p *Plan) SetProbs(read, program, erase float64) {
 // (scripted or configured) is re-armed, so a scenario can crash a device
 // repeatedly across recoveries.
 func (p *Plan) CutNow(torn bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.cut = false
 	p.cutNow, p.cutTorn = true, torn
 }
 
 // Decide implements flash.Injector.
 func (p *Plan) Decide(op flash.Op, ppn flash.PPN, now time.Duration) flash.Verdict {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if !p.cut && p.cutNow {
 		p.cut, p.cutNow = true, false
 		if op == flash.OpProgram && p.cutTorn {
@@ -135,14 +128,10 @@ func (p *Plan) Decide(op flash.Op, ppn flash.PPN, now time.Duration) flash.Verdi
 
 // Programs returns how many program attempts the plan has observed.
 func (p *Plan) Programs() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.programs
 }
 
 // Cut reports whether the plan has delivered its power cut.
 func (p *Plan) Cut() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.cut
 }

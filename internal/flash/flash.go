@@ -27,8 +27,6 @@ package flash
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/kaml-ssd/kaml/internal/sim"
@@ -168,7 +166,10 @@ type Addr struct {
 }
 
 // Array is a simulated flash array. All operations charge virtual time on
-// the owning sim.Engine and are safe for concurrent use by actors.
+// the owning sim.Engine. Only that engine's actors, which run one at a
+// time, may call them: the array's state is plain memory its running actor
+// owns, and the chip and channel mutexes model the hardware's arbitration,
+// not host threads.
 type Array struct {
 	cfg      Config
 	eng      *sim.Engine
@@ -178,16 +179,15 @@ type Array struct {
 	// powered is false after a (simulated) power cut; every operation fails
 	// with ErrPowerCut until PowerOn. The array's contents survive — that is
 	// the whole point of crash-recovery testing.
-	powered atomic.Bool
+	powered bool
 
 	// inj, when set, is consulted before every operation.
-	injMu sync.Mutex
-	inj   Injector
+	inj Injector
 
-	// Stats counters; atomic because woken actors may run in parallel.
-	reads    atomic.Int64
-	programs atomic.Int64
-	erases   atomic.Int64
+	// Stats counters.
+	reads    int64
+	programs int64
+	erases   int64
 }
 
 type chipState struct {
@@ -196,11 +196,8 @@ type chipState struct {
 }
 
 type blockState struct {
-	// erases and nextPage are atomics: ProgrammedPages and EraseCount are
-	// lock-free metadata queries that firmware actors (GC victim scoring)
-	// issue while another actor programs the same chip under cs.mu.
-	erases      atomic.Int32
-	nextPage    atomic.Int32 // next programmable page index; PagesPerBlock when full
+	erases      int
+	nextPage    int // next programmable page index; PagesPerBlock when full
 	data        [][]byte
 	oob         [][]byte
 	failedErase bool // error injection: next erase fails
@@ -212,8 +209,7 @@ func New(e *sim.Engine, cfg Config) *Array {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	a := &Array{cfg: cfg, eng: e}
-	a.powered.Store(true)
+	a := &Array{cfg: cfg, eng: e, powered: true}
 	a.channels = make([]*sim.Mutex, cfg.Channels)
 	for i := range a.channels {
 		a.channels[i] = e.NewMutex(fmt.Sprintf("flash-ch%d", i))
@@ -240,34 +236,29 @@ func (a *Array) Config() Config { return a.cfg }
 
 // SetInjector installs (or, with nil, removes) a fault injector.
 func (a *Array) SetInjector(inj Injector) {
-	a.injMu.Lock()
 	a.inj = inj
-	a.injMu.Unlock()
 }
 
 // Powered reports whether the array currently has power.
-func (a *Array) Powered() bool { return a.powered.Load() }
+func (a *Array) Powered() bool { return a.powered }
 
 // PowerOff simulates an external power cut: every subsequent operation
 // fails with ErrPowerCut. Stored pages survive.
-func (a *Array) PowerOff() { a.powered.Store(false) }
+func (a *Array) PowerOff() { a.powered = false }
 
 // PowerOn restores power after a cut (the recovery path calls this before
 // scanning the logs).
-func (a *Array) PowerOn() { a.powered.Store(true) }
+func (a *Array) PowerOn() { a.powered = true }
 
 // decide consults the installed injector, applying power-cut verdicts to
 // the array's power state.
 func (a *Array) decide(op Op, p PPN) Verdict {
-	a.injMu.Lock()
-	inj := a.inj
-	a.injMu.Unlock()
-	if inj == nil {
+	if a.inj == nil {
 		return VerdictOK
 	}
-	v := inj.Decide(op, p, a.eng.NowCheap())
+	v := a.inj.Decide(op, p, a.eng.NowCheap())
 	if v == VerdictPowerCut || v == VerdictPowerCutTorn {
-		a.powered.Store(false)
+		a.powered = false
 	}
 	return v
 }
@@ -359,7 +350,7 @@ func (a *Array) ReadRange(p PPN, off, n int) ([]byte, error) {
 // of it; it returns the whole page, which the caller narrows, and the OOB
 // only if withOOB (a ranged read never looks at it).
 func (a *Array) read(p PPN, off, n int, withOOB bool) (data, oob []byte, err error) {
-	if !a.powered.Load() {
+	if !a.powered {
 		return nil, nil, fmt.Errorf("%w: read ppn %d", ErrPowerCut, p)
 	}
 	cs, bs, addr, err := a.locate(p)
@@ -385,7 +376,7 @@ func (a *Array) read(p PPN, off, n int, withOOB bool) (data, oob []byte, err err
 	if withOOB {
 		oob = bs.oob[addr.Page]
 	}
-	a.reads.Add(1)
+	a.reads++
 	cs.mu.Unlock()
 	a.channels[addr.Channel].Use(a.cfg.rangeTransfer(off, n))
 	return data, oob, nil
@@ -410,7 +401,7 @@ func (a *Array) ProgramPage(p PPN, data, oob []byte) error {
 		return fmt.Errorf("flash: program size %d+%d exceeds page %d+%d",
 			len(data), len(oob), a.cfg.PageSize, a.cfg.OOBSize)
 	}
-	if !a.powered.Load() {
+	if !a.powered {
 		return fmt.Errorf("%w: program ppn %d", ErrPowerCut, p)
 	}
 	cs, bs, addr, err := a.locate(p)
@@ -420,15 +411,15 @@ func (a *Array) ProgramPage(p PPN, data, oob []byte) error {
 	a.channels[addr.Channel].Use(a.cfg.TransferTime(a.cfg.PageSize + a.cfg.OOBSize))
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if a.cfg.EraseEndurance > 0 && int(bs.erases.Load()) > a.cfg.EraseEndurance {
+	if a.cfg.EraseEndurance > 0 && bs.erases > a.cfg.EraseEndurance {
 		return fmt.Errorf("%w: chip %d/%d block %d", ErrWornOut, addr.Channel, addr.Chip, addr.Block)
 	}
 	if bs.data[addr.Page] != nil {
 		return fmt.Errorf("%w: ppn %d", ErrPageWritten, p)
 	}
-	if addr.Page != int(bs.nextPage.Load()) {
+	if addr.Page != bs.nextPage {
 		return fmt.Errorf("%w: block %d expects page %d, got %d",
-			ErrProgramOrder, addr.Block, bs.nextPage.Load(), addr.Page)
+			ErrProgramOrder, addr.Block, bs.nextPage, addr.Page)
 	}
 	switch a.decide(OpProgram, p) {
 	case VerdictFail:
@@ -438,7 +429,7 @@ func (a *Array) ProgramPage(p PPN, data, oob []byte) error {
 		a.eng.Sleep(a.cfg.ProgramLatency)
 		bs.data[addr.Page] = make([]byte, a.cfg.PageSize)
 		bs.oob[addr.Page] = make([]byte, a.cfg.OOBSize)
-		bs.nextPage.Add(1)
+		bs.nextPage++
 		return fmt.Errorf("%w: program ppn %d", ErrInjectedFailure, p)
 	case VerdictPowerCut:
 		// Power died before the cells committed; the page stays unwritten.
@@ -449,7 +440,7 @@ func (a *Array) ProgramPage(p PPN, data, oob []byte) error {
 		copy(stored, data[:len(data)/2])
 		bs.data[addr.Page] = stored
 		bs.oob[addr.Page] = make([]byte, a.cfg.OOBSize)
-		bs.nextPage.Add(1)
+		bs.nextPage++
 		return fmt.Errorf("%w: torn program ppn %d", ErrPowerCut, p)
 	}
 	a.eng.Sleep(a.cfg.ProgramLatency)
@@ -461,15 +452,15 @@ func (a *Array) ProgramPage(p PPN, data, oob []byte) error {
 	// Full-length, capacity-capped views: nothing can append through them.
 	bs.data[addr.Page] = data[:a.cfg.PageSize:a.cfg.PageSize]
 	bs.oob[addr.Page] = oob[:len(oob):len(oob)]
-	bs.nextPage.Add(1)
-	a.programs.Add(1)
+	bs.nextPage++
+	a.programs++
 	return nil
 }
 
 // EraseBlock erases the block containing PPN p (its page component is
 // ignored). Timing: chip busy for EraseLatency.
 func (a *Array) EraseBlock(p PPN) error {
-	if !a.powered.Load() {
+	if !a.powered {
 		return fmt.Errorf("%w: erase ppn %d", ErrPowerCut, p)
 	}
 	cs, bs, addr, err := a.locate(p)
@@ -492,8 +483,8 @@ func (a *Array) EraseBlock(p PPN) error {
 		bs.failedErase = false
 		return fmt.Errorf("%w: erase of chip %d/%d block %d", ErrInjectedFailure, addr.Channel, addr.Chip, addr.Block)
 	}
-	bs.erases.Add(1)
-	if a.cfg.EraseEndurance > 0 && int(bs.erases.Load()) > a.cfg.EraseEndurance {
+	bs.erases++
+	if a.cfg.EraseEndurance > 0 && bs.erases > a.cfg.EraseEndurance {
 		return fmt.Errorf("%w: chip %d/%d block %d", ErrWornOut, addr.Channel, addr.Chip, addr.Block)
 	}
 	// Drop (never zero) the page buffers: readers that fetched a slice
@@ -502,31 +493,31 @@ func (a *Array) EraseBlock(p PPN) error {
 		bs.data[i] = nil
 		bs.oob[i] = nil
 	}
-	bs.nextPage.Store(0)
-	a.erases.Add(1)
+	bs.nextPage = 0
+	a.erases++
 	return nil
 }
 
 // ProgrammedPages returns how many pages of the block containing p have
 // been programmed since the last erase (metadata query; no timing cost).
 // Recovery code uses it to re-synchronize append points after a crash.
-// Lock-free: safe to call while other actors operate on the chip.
+// It takes no chip lock, so it never waits on an operation in flight.
 func (a *Array) ProgrammedPages(p PPN) int {
 	_, bs, _, err := a.locate(p)
 	if err != nil {
 		return -1
 	}
-	return int(bs.nextPage.Load())
+	return bs.nextPage
 }
 
 // EraseCount returns how many times the block containing p has been erased.
-// Lock-free: safe to call while other actors operate on the chip.
+// Like ProgrammedPages it takes no chip lock and costs no time.
 func (a *Array) EraseCount(p PPN) int {
 	_, bs, _, err := a.locate(p)
 	if err != nil {
 		return -1
 	}
-	return int(bs.erases.Load())
+	return bs.erases
 }
 
 // InjectEraseFailure makes the next erase of the block containing p fail,
@@ -545,5 +536,5 @@ type Stats struct {
 
 // Stats returns a snapshot of the array's counters.
 func (a *Array) Stats() Stats {
-	return Stats{Reads: a.reads.Load(), Programs: a.programs.Load(), Erases: a.erases.Load()}
+	return Stats{Reads: a.reads, Programs: a.programs, Erases: a.erases}
 }

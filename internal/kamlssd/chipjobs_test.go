@@ -236,8 +236,8 @@ func TestScanFailureKeepsTheVictim(t *testing.T) {
 					if inj.fired.Load() == 0 {
 						t.Fatalf("setup: page %d of the victim was never read", page)
 					}
-					if d.crashed.Load() != cut {
-						t.Errorf("after the scan the device is crashed=%v, want %v", d.crashed.Load(), cut)
+					if d.crashed != cut {
+						t.Errorf("after the scan the device is crashed=%v, want %v", d.crashed, cut)
 					}
 					if cut {
 						r.arr.PowerOn()
@@ -297,8 +297,8 @@ func TestScanFailureKeepsTheVictim(t *testing.T) {
 					if inj.relocated.Load() == 0 {
 						t.Fatalf("setup: no relocation page was programmed before page %d was read", page)
 					}
-					if d.crashed.Load() != cut {
-						t.Errorf("after the scan the device is crashed=%v, want %v", d.crashed.Load(), cut)
+					if d.crashed != cut {
+						t.Errorf("after the scan the device is crashed=%v, want %v", d.crashed, cut)
 					}
 					if cut {
 						r.arr.PowerOn()

@@ -48,12 +48,14 @@
 // record at a time; valid-byte credits lock the owning log internally).
 // The key-lock table and the closed/crashed flags sit outside the
 // hierarchy: key locks are acquired with no other lock held, and the flags
-// are atomics. The firmware takes no host lock: its engine runs one actor at
-// a time, and the running actor owns the mapping tables, the pins and every
-// other piece of plain memory, so the locks above order actors across their
-// parks and nothing else. No actor holds ns.mu while waiting for queue space
-// or free blocks — that is what lets the flusher take ns.mu to install flash
-// locations while a Put is blocked on backpressure.
+// are plain booleans. The firmware takes no host lock, and its only atomics
+// are the telemetry cells behind Stats, which plain goroutines read: its
+// engine runs one actor at a time, and the running actor owns the mapping
+// tables, the pins, the flags and every other piece of plain memory, so the
+// locks above order actors across their parks and nothing else. No actor
+// holds ns.mu while waiting for queue space or free blocks — that is what
+// lets the flusher take ns.mu to install flash locations while a Put is
+// blocked on backpressure.
 //
 // # The read contract
 //
@@ -77,7 +79,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"github.com/kaml-ssd/kaml/internal/cmdq"
@@ -200,7 +201,7 @@ type Device struct {
 	// markers, the namespace catalog, and the bad-block table. It is the
 	// only firmware state that survives a power cut (see recover.go).
 	// nvMu is the innermost lock of the hierarchy; the NVRAM structure
-	// itself is lock-free because it must survive device teardown.
+	// itself holds no lock because it must survive device teardown.
 	nv     *NVRAM
 	nvMu   *sim.Mutex
 	keyLks *keyLockTable
@@ -208,7 +209,7 @@ type Device struct {
 	// drainers counts Flush callers waiting on drainCv (on nvMu) for
 	// nv.unflushed() to reach zero. While it is non-zero the flushers seal
 	// open pages as soon as they hold a record (log.go).
-	drainers atomic.Int64
+	drainers int
 	drainCv  *sim.Cond
 
 	// room is where a writer that met every log of its namespace full
@@ -231,8 +232,9 @@ type Device struct {
 	// ctr holds the firmware's counted events, one cell each (metrics.go).
 	// tel is the device's telemetry registry — a directory of those cells
 	// plus the histograms below, all nil when Config.DisableTelemetry.
-	// Everything is pure atomics — safe to scrape from plain goroutines
-	// outside the simulation without stalling the virtual clock.
+	// The cells are the device's one host-synchronised state: Stats and the
+	// registry are read from plain goroutines outside the simulation (an
+	// HTTP handler, a bench reporter) without stalling the virtual clock.
 	ctr          counters
 	tel          *telemetry.Registry
 	flashInstall *telemetry.Histogram // NVRAM stage -> flash index swing, per record
@@ -253,16 +255,15 @@ type Device struct {
 	gcPhase      [numGCPhases]*telemetry.Histogram
 	recoveryTime *telemetry.Histogram // one Recover, log scan to actors started
 
-	closed       atomic.Bool
-	crashed      atomic.Bool  // power-cut: actors exit without draining
-	closeBegun   atomic.Bool  // Close entered; pipeline drain in progress
-	flushersLive atomic.Int64 // flusher actors still running; the collectors outlive them
+	closed       bool
+	crashed      bool // power-cut: actors exit without draining
+	closeBegun   bool // Close entered; pipeline drain in progress
+	flushersLive int  // flusher actors still running; the collectors outlive them
 	stopped      *sim.WaitGroup
 }
 
 // Stats is a snapshot of firmware activity: a view of the device's counter
-// cells (metrics.go), which actors woken at the same virtual instant bump
-// in parallel.
+// cells (metrics.go), which a plain goroutine may read while actors run.
 type Stats struct {
 	Gets, Puts, PutRecords int64
 	NVRAMHits              int64 // Gets served from NVRAM
@@ -347,9 +348,9 @@ type namespace struct {
 	logIDs []int
 	// rr is the cursor over logIDs: the namespace appends to
 	// logIDs[rr%len] until a record of its seals that log's page, then moves
-	// on (appendRecord). Atomic because it advances under the log lock,
-	// which nests inside mu.
-	rr atomic.Uint64
+	// on (appendRecord). It advances under the log lock, not mu, and only
+	// from the value its writer routed on, which a park may have made stale.
+	rr uint64
 	// origin is the family root whose records this namespace references
 	// (non-zero only for snapshots); readonly marks snapshots.
 	origin   uint32
@@ -370,7 +371,7 @@ type namespace struct {
 	// but not yet committed or aborted. SnapshotNamespace waits for zero so
 	// a snapshot never pins a half-staged batch (batch atomicity would
 	// otherwise leak into the snapshot's point-in-time view).
-	pendingBatches atomic.Int64
+	pendingBatches int
 }
 
 // newFamily builds an empty mapping table of the given shape for root.
@@ -440,7 +441,7 @@ func (d *Device) startActors() {
 		Registry:        d.tel,
 	}, d.execCommand)
 	d.stopped = d.eng.NewWaitGroup()
-	d.flushersLive.Store(int64(len(d.logs)))
+	d.flushersLive = len(d.logs)
 	for _, lg := range d.logs {
 		lg := lg
 		d.stopped.Add(2)
@@ -610,10 +611,10 @@ func (d *Device) AwaitHalt() {
 // Idempotent. Callers must not hold any log mutex (the broadcast takes each
 // in turn so parked waiters cannot miss the wakeup).
 func (d *Device) noticePowerLoss() {
-	if d.crashed.Swap(true) {
+	if d.crashed {
 		return
 	}
-	d.closed.Store(true)
+	d.crashed, d.closed = true, true
 	for _, lg := range d.logs {
 		lg.wakeAll()
 	}
@@ -634,22 +635,22 @@ func (d *Device) noticePowerLoss() {
 
 // event is one firmware event that actors wait for by count: a waiter reads
 // seen before it tests what it waits for, and await parks it until an
-// occurrence after that one. Raising it costs an atomic add and load while
+// occurrence after that one. Raising it costs an add and a test while
 // nobody waits; it takes the condition's lock only for a registered waiter,
 // so a run where nobody waits keeps its schedule.
 type event struct {
 	cv      *sim.Cond // on nvMu
-	n       atomic.Uint64
-	waiters atomic.Int64
+	n       uint64
+	waiters int
 }
 
 // seen returns how many times the event has occurred.
-func (e *event) seen() uint64 { return e.n.Load() }
+func (e *event) seen() uint64 { return e.n }
 
 // raise records an occurrence and wakes every registered waiter.
 func (e *event) raise() {
-	e.n.Add(1)
-	if e.waiters.Load() > 0 {
+	e.n++
+	if e.waiters > 0 {
 		e.cv.L.Lock()
 		e.cv.Broadcast()
 		e.cv.L.Unlock()
@@ -659,23 +660,23 @@ func (e *event) raise() {
 // await parks until an occurrence after the seen-th or a power cut
 // (noticePowerLoss broadcasts every event's condition). Called with no lock
 // held.
-func (e *event) await(seen uint64, crashed *atomic.Bool) {
+func (e *event) await(seen uint64, crashed *bool) {
 	e.cv.L.Lock()
 	// Registered before the test, as cmdq's queue-space waiters are: a
 	// raiser that reads no waiter counted its occurrence before this test,
 	// which then sees it.
-	e.waiters.Add(1)
-	for e.n.Load() == seen && !crashed.Load() {
+	e.waiters++
+	for e.n == seen && !*crashed {
 		e.cv.Wait()
 	}
-	e.waiters.Add(-1)
+	e.waiters--
 	e.cv.L.Unlock()
 }
 
 // closedErr returns the right error for an operation arriving after the
 // device stopped.
 func (d *Device) closedErr() error {
-	if d.crashed.Load() {
+	if d.crashed {
 		return ErrPowerLoss
 	}
 	return ErrClosed
@@ -686,16 +687,18 @@ func (d *Device) closedErr() error {
 // coalescer flushes pending writes immediately); commands submitted after
 // fail with ErrClosed.
 func (d *Device) Close() {
-	if d.closeBegun.Swap(true) {
+	if d.closeBegun {
 		return
 	}
+	d.closeBegun = true
 	// Drain the pipeline first — d.closed stays false so queued commands
 	// execute rather than bounce, and the flushers stay alive to absorb
 	// the writes the drain stages.
 	d.pipe.Close()
-	if d.closed.Swap(true) {
+	if d.closed {
 		return // power was cut during the drain; actors are already exiting
 	}
+	d.closed = true
 	for _, lg := range d.logs {
 		lg.wakeAll()
 	}
@@ -713,7 +716,7 @@ func (d *Device) CreateNamespace(attrs NamespaceAttrs) (uint32, error) {
 	var err error
 	d.ctrl.Submit(func() {
 		d.ctrl.ComputeProbes(0)
-		if d.closed.Load() {
+		if d.closed {
 			err = d.closedErr()
 			return
 		}
@@ -812,7 +815,7 @@ func (d *Device) SetNamespaceLogs(id uint32, n int) error {
 	n = min(max(n, 1), len(d.logs))
 	ns.mu.Lock()
 	ns.logIDs = d.firstLogs(n)
-	ns.rr.Store(0)
+	ns.rr = 0
 	ns.mu.Unlock()
 	d.nvMu.Lock()
 	if m := d.nv.catalog[id]; m != nil {

@@ -70,7 +70,7 @@ func newCollector(d *Device, lg *logState) *collector {
 // freed — so the last flusher to exit wakes them (flusherLoop); a crash stops
 // them at once.
 func (d *Device) gcStopped() bool {
-	return d.crashed.Load() || (d.closed.Load() && d.flushersLive.Load() == 0)
+	return d.crashed || (d.closed && d.flushersLive == 0)
 }
 
 // loop is the collector actor. Nothing in it ticks: it blocks on the log's
@@ -123,7 +123,7 @@ func (c *collector) loop() {
 func (c *collector) pick() (chipIdx, block int, ok bool) {
 	d, lg := c.d, c.lg
 	lg.victimChip = noChip
-	if !lg.space.nextVictim() || d.crashed.Load() {
+	if !lg.space.nextVictim() || d.crashed {
 		return 0, 0, false
 	}
 	chipIdx, block, ok = d.victim(lg)

@@ -689,7 +689,7 @@ func TestUnparsablePageKeepsTheVictim(t *testing.T) {
 		if n := reads.n.Load(); n != 0 {
 			t.Errorf("the scan read %d pages after the one that does not parse", n)
 		}
-		if d.crashed.Load() {
+		if d.crashed {
 			t.Error("the device crashed")
 		}
 		if n := r.arr.EraseCount(first); n != erases || r.arr.ProgrammedPages(first) != d.fc.PagesPerBlock {

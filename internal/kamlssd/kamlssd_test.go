@@ -430,7 +430,7 @@ func TestBatchAcrossManyNamespaces(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if n := ns.pendingBatches.Load(); n != 0 {
+				if n := ns.pendingBatches; n != 0 {
 					t.Fatalf("%s: ns %d still has %d batches marked in flight", when, id, n)
 				}
 			}

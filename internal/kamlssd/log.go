@@ -337,7 +337,7 @@ func (lg *logState) hostPPN(stream int) (flash.PPN, bool) {
 	start := d.telNow()
 	for err != nil {
 		lg.freeCv.Wait()
-		if d.crashed.Load() {
+		if d.crashed {
 			return 0, false
 		}
 		ppn, err = lg.nextPPN(stream)
@@ -366,7 +366,7 @@ func (d *Device) awaitRoom(seen uint64) error {
 	start := d.telNow()
 	d.room.await(seen, &d.crashed)
 	d.since(d.logFullWait, start)
-	if d.crashed.Load() {
+	if d.crashed {
 		return ErrPowerLoss
 	}
 	return nil
@@ -449,7 +449,7 @@ func (lg *logState) streamFor(seq, prev uint64) int {
 // route returns the log ns is appending to right now and the cursor value
 // that chose it. Called with ns.mu held (logIDs).
 func (d *Device) route(ns *namespace) (*logState, uint64) {
-	cur := ns.rr.Load()
+	cur := ns.rr
 	return d.logs[ns.logIDs[cur%uint64(len(ns.logIDs))]], cur
 }
 
@@ -479,7 +479,9 @@ func (d *Device) appendRecord(ns *namespace, lg *logState, cur uint64, rec recor
 	lg.mu.Lock()
 	s := lg.streamFor(rec.Seq, prev)
 	for !lg.open[s].packer.Fits(size) {
-		ns.rr.CompareAndSwap(cur, cur+1)
+		if ns.rr == cur {
+			ns.rr++
+		}
 		if lg.sealOrLeave(s, sealNoFit) {
 			continue
 		}
@@ -516,9 +518,11 @@ func (d *Device) appendRecord(ns *namespace, lg *logState, cur uint64, rec recor
 	})
 	switch {
 	case op.packer.FreeChunks() == 0:
-		ns.rr.CompareAndSwap(cur, cur+1)
+		if ns.rr == cur {
+			ns.rr++
+		}
 		lg.sealOrLeave(s, sealFull)
-	case d.drainers.Load() > 0:
+	case d.drainers > 0:
 		lg.workCv.Signal() // a Flush is waiting for this record too
 	}
 	lg.mu.Unlock()
@@ -538,7 +542,7 @@ func (d *Device) appendRecord(ns *namespace, lg *logState, cur uint64, rec recor
 // a Flush is waiting (d.drainers) or at Close.
 func (d *Device) flusherLoop(lg *logState) {
 	defer func() {
-		if d.flushersLive.Add(-1) == 0 {
+		if d.flushersLive--; d.flushersLive == 0 {
 			// The collectors outlive the flushers (gcStopped); the last one
 			// out tells them there is nobody left to free blocks for.
 			for _, l := range d.logs {
@@ -548,18 +552,18 @@ func (d *Device) flusherLoop(lg *logState) {
 		d.stopped.Done()
 	}()
 	for {
-		if d.crashed.Load() {
+		if d.crashed {
 			return
 		}
 		lg.mu.Lock()
 		// Idle: block until there is a sealed page to program, a drain request
 		// for a non-empty open page, or shutdown. An open page by itself is not
 		// work — its records are durable where they are.
-		for len(lg.sealedQueue) == 0 && !d.closed.Load() &&
-			(lg.openEmpty() || d.drainers.Load() == 0) {
+		for len(lg.sealedQueue) == 0 && !d.closed &&
+			(lg.openEmpty() || d.drainers == 0) {
 			lg.workCv.WaitIdle()
 		}
-		if d.crashed.Load() {
+		if d.crashed {
 			lg.mu.Unlock()
 			return
 		}
@@ -569,7 +573,7 @@ func (d *Device) flusherLoop(lg *logState) {
 				return // closed and fully drained
 			}
 			cause := sealDrain
-			if d.closed.Load() {
+			if d.closed {
 				cause = sealClose
 			}
 			s := streamCold
@@ -645,7 +649,7 @@ func (d *Device) flusherLoop(lg *logState) {
 			d.installFlashLoc(pr, sp.ppn)
 		}
 		d.mu.RUnlock()
-		if d.drainers.Load() > 0 {
+		if d.drainers > 0 {
 			d.nvMu.Lock()
 			d.wakeDrainedLocked()
 			d.nvMu.Unlock()

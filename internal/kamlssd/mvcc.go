@@ -244,7 +244,7 @@ func (d *Device) nvFetch(loc location) (v []byte, hit bool, err error) {
 // looked at the batch. execPut ends every batch it begins, by its commit or
 // its rollback, so the wait is bounded. Fails on a power cut.
 func (d *Device) awaitBatchEnd(seen uint64) error {
-	if d.crashed.Load() || !d.arr.Powered() {
+	if d.crashed || !d.arr.Powered() {
 		d.noticePowerLoss()
 		return ErrPowerLoss
 	}

@@ -2,7 +2,6 @@ package kamlssd
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"github.com/kaml-ssd/kaml/internal/flash"
 )
@@ -44,13 +43,6 @@ type NVRAM struct {
 	nextNSID  uint32
 	nvSeq     uint64
 	nextBatch uint64
-
-	// staged tracks len(values) atomically so the read path can answer
-	// "is anything staged at all?" without taking nvMu: zero means every
-	// valueState probe would miss, which is exactly the hot case of a
-	// read-mostly workload (all values flushed to flash). Every site that
-	// inserts into or deletes from the values map must keep it in step.
-	staged atomic.Int64
 
 	values  map[uint64]nvEntry // staged values by sequence
 	batches map[uint64]nvBatch
@@ -151,7 +143,6 @@ func (nv *NVRAM) settledSeq() uint64 {
 // in the timestamp space.
 func (nv *NVRAM) stage(seq uint64, ns uint32, key uint64, val []byte, batch uint64) {
 	nv.values[seq] = nvEntry{ns: ns, key: key, val: nv.copyIn(val), batch: batch}
-	nv.staged.Add(1)
 	b := nv.batches[batch]
 	b.remaining++
 	nv.batches[batch] = b
@@ -177,7 +168,6 @@ func (nv *NVRAM) copyIn(val []byte) []byte {
 // caller accounts for it in e's batch.
 func (nv *NVRAM) release(seq uint64, e nvEntry) {
 	delete(nv.values, seq)
-	nv.staged.Add(-1)
 	nv.free = append(nv.free, e.val[:0])
 }
 
@@ -313,12 +303,13 @@ func (nv *NVRAM) finish(seq uint64) {
 	}
 }
 
-// hasStaged reports, without any lock, whether any value is staged. False
-// is definitive — the values map is empty, so any valueState probe would
-// miss; readers use this to skip nvMu entirely on flushed working sets. A
-// true result says nothing about a particular sequence and callers must
-// still probe under nvMu.
-func (nv *NVRAM) hasStaged() bool { return nv.staged.Load() != 0 }
+// hasStaged reports, without taking nvMu, whether any value is staged.
+// False is definitive — the values map is empty, so any valueState probe
+// would miss, which is the hot case of a read-mostly workload (all values
+// flushed to flash); readers use this to skip nvMu entirely. A true result
+// says nothing about a particular sequence and callers must still probe
+// under nvMu.
+func (nv *NVRAM) hasStaged() bool { return len(nv.values) != 0 }
 
 // putNS records (or updates) a namespace catalog entry.
 func (nv *NVRAM) putNS(m nsMeta) {

@@ -134,8 +134,6 @@ func (m *nvModel) diff(nv *NVRAM) string {
 		return "open batches"
 	case !maps.Equal(nv.aborted, m.aborted):
 		return "aborted seqs"
-	case nv.staged.Load() != int64(len(m.values)):
-		return "staged count"
 	case len(nv.values) != len(m.values):
 		return "staged values"
 	case len(nv.batches) != len(m.batches):

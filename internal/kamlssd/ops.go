@@ -70,7 +70,7 @@ func (d *Device) GetVersion(nsID uint32, key, ts uint64) ([]byte, uint64, error)
 // resolves from under the flash read — the same routine every way
 // (readVersion, mvcc.go), and no firmware lock on the way (§V-D).
 func (d *Device) execGet(nsID uint32, key, ts uint64) ([]byte, uint64, error) {
-	if d.closed.Load() {
+	if d.closed {
 		return nil, 0, d.closedErr()
 	}
 	ns, lerr := d.lookupNS(nsID)
@@ -124,7 +124,7 @@ func (d *Device) execPut(batch []PutRecord, merged int) (uint64, error) {
 		return 0, err
 	}
 
-	if d.closed.Load() {
+	if d.closed {
 		return 0, d.closedErr()
 	}
 	// Resolve and validate every namespace up front, and mark one
@@ -142,7 +142,7 @@ func (d *Device) execPut(batch []PutRecord, merged int) (uint64, error) {
 	defer func() {
 		for _, s := range nss {
 			if s.ns != nil {
-				s.ns.pendingBatches.Add(-1)
+				s.ns.pendingBatches--
 			}
 		}
 		// The batch's end for a snapshot waiting on its namespaces, and for
@@ -165,7 +165,7 @@ func (d *Device) execPut(batch []PutRecord, merged int) (uint64, error) {
 		// write-locks it, then either sees the mark or takes its cutoff
 		// before this batch reserves a sequence.
 		ns.mu.RLock()
-		ns.pendingBatches.Add(1)
+		ns.pendingBatches++
 		ns.mu.RUnlock()
 		slot.ns = ns
 	}
@@ -205,7 +205,7 @@ func (d *Device) execPut(batch []PutRecord, merged int) (uint64, error) {
 		// this batch after the cut would break crash consistency, so
 		// re-check before every record and again before the commit
 		// marker.
-		if d.crashed.Load() || !d.arr.Powered() {
+		if d.crashed || !d.arr.Powered() {
 			d.noticePowerLoss()
 			return 0, abort(ErrPowerLoss)
 		}
@@ -254,7 +254,7 @@ func (d *Device) execPut(batch []PutRecord, merged int) (uint64, error) {
 		}
 		d.ctr.bytesWritten.Add(int64(len(r.Value)))
 	}
-	if d.crashed.Load() || !d.arr.Powered() {
+	if d.crashed || !d.arr.Powered() {
 		d.noticePowerLoss()
 		return 0, abort(ErrPowerLoss)
 	}
@@ -340,18 +340,18 @@ func (d *Device) rollbackStaged(undo []undoEntry) {
 // use it to settle the flash layout — after a preload, before measuring
 // reads from flash. Returns early on a power cut.
 func (d *Device) Flush() {
-	d.drainers.Add(1)
+	d.drainers++
 	for _, lg := range d.logs {
 		lg.mu.Lock()
 		lg.workCv.Signal()
 		lg.mu.Unlock()
 	}
 	d.nvMu.Lock()
-	for d.nv.unflushed() > 0 && !d.crashed.Load() {
+	for d.nv.unflushed() > 0 && !d.crashed {
 		d.drainCv.Wait()
 	}
 	d.nvMu.Unlock()
-	d.drainers.Add(-1)
+	d.drainers--
 }
 
 // wakeDrainedLocked wakes the Flush callers once nothing staged still awaits
@@ -359,7 +359,7 @@ func (d *Device) Flush() {
 // non-zero calls it: the flusher after installing a page, a Put batch that
 // aborts. Called with nvMu held.
 func (d *Device) wakeDrainedLocked() {
-	if d.drainers.Load() > 0 && d.nv.unflushed() == 0 {
+	if d.drainers > 0 && d.nv.unflushed() == 0 {
 		d.drainCv.Broadcast()
 	}
 }
@@ -373,7 +373,7 @@ func (d *Device) wakeDrainedLocked() {
 // writes keep flowing to the origin (internal/cluster). Controller time is
 // charged proportional to the keys returned.
 func (d *Device) NamespaceKeys(nsID uint32) ([]uint64, error) {
-	if d.closed.Load() {
+	if d.closed {
 		return nil, d.closedErr()
 	}
 	ns, lerr := d.lookupNS(nsID)

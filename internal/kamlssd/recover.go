@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"github.com/kaml-ssd/kaml/internal/flash"
 	"github.com/kaml-ssd/kaml/internal/nvme"
@@ -43,8 +42,7 @@ import (
 // actor owns everything — tables, allocator, NVRAM — and takes no lock, with
 // one exception: while the readers of step 4 run it only waits for them. A
 // reader writes nothing but its own pageReader; the NVRAM maps it consults
-// (aborted sequences) are read-only until the join, and the counter cells it
-// bumps are atomics.
+// (aborted sequences) are read-only until the join.
 //
 // The configuration and flash geometry must match the pre-crash device.
 // Call from a simulation actor.
@@ -235,7 +233,7 @@ type pageReader struct {
 // reader has exited, with the first error in scan order.
 func (d *Device) scanLogs() ([]scanRec, error) {
 	var readers []*pageReader
-	var failed atomic.Bool
+	failed := false
 	exited := d.eng.NewWaitGroup()
 	for _, lg := range d.logs {
 		for ci, lc := range lg.chips {
@@ -249,7 +247,7 @@ func (d *Device) scanLogs() ([]scanRec, error) {
 				d.eng.Go(fmt.Sprintf("kaml-scan%d.%d", lc.global, r), func() {
 					defer exited.Done()
 					if rd.err = d.readPages(rd, &failed); rd.err != nil {
-						failed.Store(true)
+						failed = true
 					}
 				})
 			}
@@ -272,7 +270,7 @@ func (d *Device) scanLogs() ([]scanRec, error) {
 
 // readPages is a reader actor's loop; it returns early, with nothing, once
 // another reader has failed.
-func (d *Device) readPages(rd *pageReader, failed *atomic.Bool) error {
+func (d *Device) readPages(rd *pageReader, failed *bool) error {
 	i := 0 // the chip's programmed pages, counted in scan order
 	for b, n := range rd.programmed {
 		for page := 0; page < n; page++ {
@@ -281,7 +279,7 @@ func (d *Device) readPages(rd *pageReader, failed *atomic.Bool) error {
 			if !mine {
 				continue
 			}
-			if failed.Load() {
+			if *failed {
 				return nil
 			}
 			if err := d.scanPage(rd, d.arr.BlockPPN(rd.ch, rd.chip, b, page)); err != nil {

@@ -130,7 +130,6 @@ func (img *crashImage) load(t *testing.T, e *sim.Engine) (*flash.Array, *nvme.Co
 func cloneNVRAM(nv *NVRAM) *NVRAM {
 	c := NewNVRAM()
 	c.nextNSID, c.nvSeq, c.nextBatch = nv.nextNSID, nv.nvSeq, nv.nextBatch
-	c.staged.Store(nv.staged.Load())
 	for seq, e := range nv.values {
 		e.val = slices.Clone(e.val)
 		c.values[seq] = e
@@ -366,9 +365,9 @@ func relocationCutImage(t *testing.T, nLogs int) *crashImage {
 		}
 		r.arr.SetInjector(&cutOnErase{})
 		newCollector(d, lg).collectBlock(victimChip, victimBlock)
-		if !d.crashed.Load() || d.Stats().GCCopies == 0 {
+		if !d.crashed || d.Stats().GCCopies == 0 {
 			t.Fatalf("setup: collecting the victim copied %d records and crashed=%v, want a cut at its erase",
-				d.Stats().GCCopies, d.crashed.Load())
+				d.Stats().GCCopies, d.crashed)
 		}
 		d.AwaitHalt()
 		img = captureImage(t, d, r.arr)
@@ -972,7 +971,6 @@ func TestNVRAMValueAlreadyOnFlashIsFinished(t *testing.T) {
 					continue
 				}
 				nv.values[v.seq] = nvEntry{ns: v.root, key: v.key, val: slices.Clone(w.last[v.key])}
-				nv.staged.Add(1)
 			}
 			staged := len(nv.values)
 			if staged == 0 {

@@ -253,9 +253,9 @@ func TestWriterWakesOnFirstLogWithRoom(t *testing.T) {
 					done = r.e.Now()
 				})
 				r.e.Sleep(time.Millisecond)
-				if done != 0 || d.room.waiters.Load() != 1 {
+				if done != 0 || d.room.waiters != 1 {
 					t.Errorf("setup: the writer finished (%v) or is not waiting for room (%d waiters)",
-						done, d.room.waiters.Load())
+						done, d.room.waiters)
 					return
 				}
 				parked := r.e.Now()

@@ -39,7 +39,7 @@ func (d *Device) SnapshotNamespace(nsID uint32) (uint32, error) {
 
 // execSnapshot is the firmware's snapshot handler; it runs on the caller.
 func (d *Device) execSnapshot(nsID uint32) (uint32, error) {
-	if d.closed.Load() {
+	if d.closed {
 		return 0, d.closedErr()
 	}
 	if _, lerr := d.lookupNS(nsID); lerr != nil {
@@ -56,7 +56,7 @@ func (d *Device) execSnapshot(nsID uint32) (uint32, error) {
 			d.mu.Unlock()
 			return 0, fmt.Errorf("%w: %d", ErrNoNamespace, nsID)
 		}
-		if src.pendingBatches.Load() > 0 {
+		if src.pendingBatches > 0 {
 			// A Put batch has staged some but possibly not all of its
 			// records. Wait for its end — execPut raises batchEnd as it
 			// releases the namespace, committed or aborted — without
@@ -69,7 +69,7 @@ func (d *Device) execSnapshot(nsID uint32) (uint32, error) {
 			continue
 		}
 		src.mu.Lock()
-		if src.pendingBatches.Load() > 0 {
+		if src.pendingBatches > 0 {
 			// A batch slipped in between the check above and the lock;
 			// with src.mu now held it can stage nothing further, but it
 			// may already have staged a prefix — retry.

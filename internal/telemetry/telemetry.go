@@ -1,14 +1,13 @@
-// Package telemetry is the repository's runtime-observability core: sharded
-// atomic counters, gauges, and log-bucketed (HDR-style) latency histograms,
+// Package telemetry is the repository's runtime-observability core: atomic
+// counters, gauges, and log-bucketed (HDR-style) latency histograms,
 // collected in a Registry that renders Prometheus exposition text and JSON
 // snapshots.
 //
 // The package is designed to be cheap enough to leave on in the firmware's
 // hot path:
 //
-//   - Recording is allocation-free: a counter add is one atomic add on a
-//     cache-line-padded shard, a histogram observation is one atomic add on
-//     a pre-allocated bucket. No maps, no locks, no time formatting.
+//   - Recording is allocation-free: a counter add is one atomic add, a
+//     histogram observation is one atomic add on a pre-allocated bucket. No maps, no locks, no time formatting.
 //   - Instruments are resolved ONCE at construction time (device startup)
 //     and held as struct fields; the registry's name→instrument map is never
 //     touched per operation.
@@ -35,7 +34,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"github.com/kaml-ssd/kaml/internal/stats"
 )
@@ -50,32 +48,11 @@ const (
 	KindHistogram
 )
 
-// counterShards is the stripe count of a Counter. Power of two; 8 shards
-// (one cache line each) keep a hot counter from becoming a coherence
-// hotspot across worker actors without bloating every metric.
-const counterShards = 8
-
-// pad64 pads a shard to its own cache line so two shards never share one.
-type pad64 struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing sharded atomic counter.
+// Counter is a monotonically increasing atomic counter. Its writers are
+// the actors of one engine, which run one at a time, so one cell takes
+// every add; it is atomic for the plain goroutines that scrape it.
 type Counter struct {
-	shards [counterShards]pad64
-}
-
-// shardIdx picks a stripe from the address of a caller stack slot. Distinct
-// goroutines run on distinct stacks, so concurrent writers spread across
-// shards; the same goroutine keeps hitting the same (cache-hot) shard. This
-// is a heuristic, not a guarantee — correctness never depends on the
-// spread, only contention does.
-//
-//go:nosplit
-func shardIdx() int {
-	var x byte
-	return int(uintptr(unsafe.Pointer(&x))>>10) & (counterShards - 1)
+	v atomic.Int64
 }
 
 // Add increments the counter by n. Safe for any goroutine; no-op on nil.
@@ -83,7 +60,7 @@ func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	c.shards[shardIdx()].v.Add(n)
+	c.v.Add(n)
 }
 
 // Inc increments the counter by one.
@@ -94,11 +71,7 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var sum int64
-	for i := range c.shards {
-		sum += c.shards[i].v.Load()
-	}
-	return sum
+	return c.v.Load()
 }
 
 // Gauge is an instantaneous value (queue depth, occupancy, watermark).

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	kaml "github.com/kaml-ssd/kaml"
@@ -25,11 +24,9 @@ const (
 	opSITxn
 )
 
-// phaseStats accumulates one phase's measurements. A plain mutex (not a
-// sim primitive) is correct here: holders never block on the virtual
-// clock, and the race detector wants real synchronization.
+// phaseStats accumulates one phase's measurements. The actors that record
+// into it run one at a time, so it needs no lock.
 type phaseStats struct {
-	mu            sync.Mutex
 	issued        int64
 	completed     int64
 	errors        int64
@@ -42,8 +39,6 @@ type phaseStats struct {
 }
 
 func (st *phaseStats) record(latUS int64, err error, kind opKind) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.completed++
 	st.latUS = append(st.latUS, latUS)
 	switch {
@@ -82,9 +77,9 @@ type runner struct {
 	t0     time.Duration // virtual time of phase 0's start (preload done)
 	endNow time.Duration // virtual time after quiesce
 
-	// Device target. dev/cache/txnNS swap on crash recovery; dmu guards
-	// the pointers (never held across virtual-clock waits).
-	dmu    sync.Mutex
+	// Device target. dev/cache/txnNS swap on crash recovery. Like every
+	// field below, they are owned by the running actor: the scenario's
+	// actors run one at a time on one engine.
 	dev    *kaml.Device
 	cache  *kaml.Cache
 	mainNS kaml.Namespace
@@ -96,12 +91,11 @@ type runner struct {
 	cl *cluster.Cluster
 
 	// Client-side event state (stall / partition windows).
-	cmu        sync.Mutex
 	stallUntil time.Duration
 	partUntil  time.Duration
 	partFrac   float64
 
-	// Counters shared across actors; cmu guards them too.
+	// Counters shared across actors.
 	nextTag          uint64
 	ackedWrites      int64
 	maybeWrites      int64
@@ -234,24 +228,18 @@ func (r *runner) rebuildCache(dev *kaml.Device) error {
 	if err != nil {
 		return fmt.Errorf("txn table: %w", err)
 	}
-	r.dmu.Lock()
 	r.cache, r.txnNS = c, ns
-	r.dmu.Unlock()
 	return nil
 }
 
 // tag returns the next unique value tag.
 func (r *runner) tag() uint64 {
-	r.cmu.Lock()
-	defer r.cmu.Unlock()
 	t := r.nextTag
 	r.nextTag++
 	return t
 }
 
 func (r *runner) countWrite(err error) {
-	r.cmu.Lock()
-	defer r.cmu.Unlock()
 	switch {
 	case err == nil:
 		r.ackedWrites++
@@ -263,8 +251,6 @@ func (r *runner) countWrite(err error) {
 // currentDev returns the device pointers as of now. Ops racing a crash
 // simply fail on the powered-off device — exactly what real clients see.
 func (r *runner) currentDev() (*kaml.Device, *kaml.Cache, kaml.Namespace, kaml.Namespace) {
-	r.dmu.Lock()
-	defer r.dmu.Unlock()
 	return r.dev, r.cache, r.mainNS, r.txnNS
 }
 
@@ -376,16 +362,12 @@ func (r *runner) fire(ev Event) {
 	switch ev.Kind {
 	case EventClientStall:
 		until := r.eng.Now() + time.Duration(ev.DurationMS)*time.Millisecond
-		r.cmu.Lock()
 		if until > r.stallUntil {
 			r.stallUntil = until
 		}
-		r.cmu.Unlock()
 	case EventClientPartition:
 		until := r.eng.Now() + time.Duration(ev.DurationMS)*time.Millisecond
-		r.cmu.Lock()
 		r.partUntil, r.partFrac = until, ev.Fraction
-		r.cmu.Unlock()
 	case EventPowerCut:
 		if r.cl != nil {
 			r.killClusterNode(ev)
@@ -417,9 +399,7 @@ func (r *runner) killClusterNode(ev Event) {
 	if node < 0 || node >= r.cl.NumNodes() || r.cl.Node(node).Down() {
 		return
 	}
-	r.cmu.Lock()
 	r.powerCuts++
-	r.cmu.Unlock()
 	r.cl.KillNode(node)
 }
 
@@ -461,16 +441,11 @@ func (r *runner) migrateShard(shardID int) {
 // power while aging faults are active. Traffic keeps flowing the whole
 // time; ops in the window fail with power-loss errors.
 func (r *runner) devicePowerCut(torn bool) {
-	r.dmu.Lock()
 	if r.dead {
-		r.dmu.Unlock()
 		return
 	}
 	dev := r.dev
-	r.dmu.Unlock()
-	r.cmu.Lock()
 	r.powerCuts++
-	r.cmu.Unlock()
 
 	dev.TriggerPowerCut(torn)
 	if torn {
@@ -500,29 +475,21 @@ func (r *runner) devicePowerCut(torn bool) {
 		dev.SetFaultProbs(0, 0, 0)
 		nd, err = kaml.Reopen(img)
 	}
-	r.cmu.Lock()
 	r.recoveryTime += r.eng.Now() - began
 	if err != nil {
 		r.recoveryFailures++
 	} else {
 		r.recoveries++
 	}
-	r.cmu.Unlock()
 	if err != nil {
-		r.dmu.Lock()
 		r.dead = true
-		r.dmu.Unlock()
 		return
 	}
-	r.dmu.Lock()
 	r.dev = nd
 	r.gen++
-	r.dmu.Unlock()
 	if r.sc.usesTxns() {
 		if cerr := r.rebuildCache(nd); cerr != nil {
-			r.cmu.Lock()
 			r.recoveryFailures++
-			r.cmu.Unlock()
 		}
 	}
 }
@@ -623,12 +590,10 @@ func (r *runner) issueOp(rng *rand.Rand, ph *Phase, chooser workload.KeyChooser,
 	// Client-side event state, decided deterministically at arrival.
 	var holdUntil time.Duration
 	retried := false
-	r.cmu.Lock()
 	if r.stallUntil > arrival {
 		holdUntil = r.stallUntil
 	}
 	partUntil, frac := r.partUntil, r.partFrac
-	r.cmu.Unlock()
 	if partUntil > arrival && rng.Float64() < frac {
 		// The client's first attempt dies inside the partition; it
 		// retries with backoff once connectivity returns.
@@ -639,12 +604,10 @@ func (r *runner) issueOp(rng *rand.Rand, ph *Phase, chooser workload.KeyChooser,
 		retried = true
 	}
 
-	st.mu.Lock()
 	st.issued++
 	if retried {
 		st.clientRetries++
 	}
-	st.mu.Unlock()
 
 	r.inflight.Add(1)
 	r.eng.Go("traffic-op", func() {
@@ -748,15 +711,11 @@ func (r *runner) snapTelemetry() {
 	if r.cl != nil {
 		snap = r.cl.Telemetry().Snapshot()
 	} else {
-		r.dmu.Lock()
 		dev, g := r.dev, r.gen
-		r.dmu.Unlock()
 		snap = dev.Telemetry().Snapshot()
 		gen = g
 	}
-	r.cmu.Lock()
 	r.tele = append(r.tele, teleSnap{gen: gen, snap: snap})
-	r.cmu.Unlock()
 }
 
 // quiesce waits out in-flight work, disarms fault injection, reads every
@@ -773,16 +732,12 @@ func (r *runner) quiesce() {
 		}
 		r.snapTelemetry()
 		st := r.cl.Status()
-		r.cmu.Lock()
 		r.clFinal = &st
-		r.cmu.Unlock()
 		r.cl.Close()
 		return
 	}
 	dev, _, main, _ := r.currentDev()
-	r.dmu.Lock()
 	dead := r.dead
-	r.dmu.Unlock()
 	if !dead {
 		for key := uint64(0); key < ks.Keys; key += ks.SampleEvery {
 			_, _ = dev.Get(main, key)
@@ -797,17 +752,13 @@ func (r *runner) quiesce() {
 // run's totals.
 func (r *runner) tallyFaults(dev *kaml.Device) {
 	st := dev.Stats()
-	r.cmu.Lock()
 	r.programRetries += st.ProgramRetries
 	r.tornPages += st.TornPagesSkipped
-	r.cmu.Unlock()
 }
 
 // setFaultProbsQuiet is setFaultProbs tolerant of a dead device.
 func (r *runner) setFaultProbsQuiet(read, prog float64) {
-	r.dmu.Lock()
 	dead := r.dead
-	r.dmu.Unlock()
 	if dead {
 		return
 	}
@@ -826,7 +777,6 @@ func (r *runner) buildReport() *Report {
 	for pi := range r.sc.Phases {
 		ph := &r.sc.Phases[pi]
 		st := r.stats[pi]
-		st.mu.Lock()
 		pr := PhaseReport{
 			Name:          ph.Name,
 			StartMS:       int64(r.starts[pi] / time.Millisecond),
@@ -841,7 +791,6 @@ func (r *runner) buildReport() *Report {
 			ClientRetries: st.clientRetries,
 			LatencyUS:     summarizeLatencies(st.latUS),
 		}
-		st.mu.Unlock()
 		if r.cl != nil {
 			a, b := r.clStart[pi], r.clEnd[pi]
 			pr.Cluster = &ClusterPhase{
@@ -854,7 +803,6 @@ func (r *runner) buildReport() *Report {
 		}
 		rep.Phases = append(rep.Phases, pr)
 	}
-	r.cmu.Lock()
 	rep.Final = FinalReport{
 		AckedWrites:      r.ackedWrites,
 		MaybeWrites:      r.maybeWrites,
@@ -875,7 +823,6 @@ func (r *runner) buildReport() *Report {
 		}
 	}
 	tele := append([]teleSnap(nil), r.tele...)
-	r.cmu.Unlock()
 
 	events := r.rec.Events()
 	rep.Final.SampledEvents = len(events)

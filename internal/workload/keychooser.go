@@ -7,7 +7,6 @@ package workload
 import (
 	"math"
 	"math/rand"
-	"sync/atomic"
 )
 
 // KeyChooser picks keys from [0, n).
@@ -103,33 +102,28 @@ func fnvHash64(v uint64) uint64 {
 }
 
 // Latest favors recently-inserted keys (YCSB workload D). Inserting
-// workers advance the bound with SetMax; accesses are atomic because
-// several worker actors share one chooser.
+// workers advance the bound with SetMax; the worker actors that share one
+// chooser run one at a time, so the bound is plain memory.
 type Latest struct {
 	z   *Zipfian
-	max atomic.Uint64 // exclusive upper bound; most recent key = max-1
+	max uint64 // exclusive upper bound; most recent key = max-1
 }
 
 // NewLatest builds a latest-distribution chooser over [0, max).
 func NewLatest(max uint64) *Latest {
-	l := &Latest{z: NewZipfian(max, YCSBTheta)}
-	l.max.Store(max)
-	return l
+	return &Latest{z: NewZipfian(max, YCSBTheta), max: max}
 }
 
 // SetMax advances the insertion horizon.
 func (l *Latest) SetMax(max uint64) {
-	for {
-		cur := l.max.Load()
-		if max <= cur || l.max.CompareAndSwap(cur, max) {
-			return
-		}
+	if max > l.max {
+		l.max = max
 	}
 }
 
 // Next implements KeyChooser.
 func (l *Latest) Next(rng *rand.Rand) uint64 {
-	max := l.max.Load()
+	max := l.max
 	off := l.z.Next(rng)
 	if off >= max {
 		off = max - 1

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"github.com/kaml-ssd/kaml/internal/storage"
 )
@@ -42,7 +41,7 @@ type TPCB struct {
 	brch uint32
 	hist uint32
 
-	histSeq atomic.Uint64
+	histSeq uint64
 }
 
 // NewTPCB creates the four tables.
@@ -139,7 +138,8 @@ func (t *TPCB) AccountUpdate(rng *rand.Rand) error {
 		if err := t.addBalance(tx, t.brch, branch, delta); err != nil {
 			return err
 		}
-		hid := t.histSeq.Add(1)
+		t.histSeq++
+		hid := t.histSeq
 		hrow := make([]byte, t.cfg.ValueSize)
 		binary.LittleEndian.PutUint64(hrow[0:8], account)
 		binary.LittleEndian.PutUint64(hrow[8:16], uint64(delta))

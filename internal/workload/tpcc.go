@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
-	"sync/atomic"
 
 	"github.com/kaml-ssd/kaml/internal/storage"
 )
@@ -53,8 +52,8 @@ type TPCC struct {
 	newOrder  uint32
 	history   uint32
 
-	orderSeq atomic.Uint64
-	histSeq  atomic.Uint64
+	orderSeq uint64
+	histSeq  uint64
 }
 
 // Key packing: composite TPC-C keys become 64-bit KAML keys.
@@ -217,7 +216,8 @@ func (t *TPCC) NewOrder(rng *rand.Rand) error {
 			}
 		}
 		// Order + new-order + order lines.
-		oid := t.orderSeq.Add(1)
+		t.orderSeq++
+		oid := t.orderSeq
 		if err := tx.Insert(t.orders, oid, row(t.cfg.RowSize, int64(nLines))); err != nil {
 			return err
 		}
@@ -258,7 +258,8 @@ func (t *TPCC) Payment(rng *rand.Rand) error {
 		if err := bump(t.customer, t.cKey(w, d, c), t.cfg.CustomerRowSize, -amount); err != nil {
 			return err
 		}
-		hid := t.histSeq.Add(1)
+		t.histSeq++
+		hid := t.histSeq
 		if err := tx.Insert(t.history, hid, row(t.cfg.RowSize, amount)); err != nil {
 			return err
 		}

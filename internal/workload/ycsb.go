@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"github.com/kaml-ssd/kaml/internal/storage"
 )
@@ -42,8 +41,8 @@ type YCSB struct {
 	table uint32
 
 	chooser  KeyChooser
-	latest   *Latest       // workload d
-	inserted atomic.Uint64 // next key for inserts (workers share the driver)
+	latest   *Latest // workload d
+	inserted uint64  // last key inserted; the workers sharing the driver run one at a time
 }
 
 // NewYCSB creates the driver and its table (does not load data).
@@ -60,8 +59,7 @@ func NewYCSB(eng storage.Engine, cfg YCSBConfig) (*YCSB, error) {
 	if err != nil {
 		return nil, err
 	}
-	y := &YCSB{cfg: cfg, mix: mix, eng: eng, table: table}
-	y.inserted.Store(uint64(cfg.Records))
+	y := &YCSB{cfg: cfg, mix: mix, eng: eng, table: table, inserted: uint64(cfg.Records)}
 	switch {
 	case cfg.Uniform:
 		y.chooser = Uniform{N: uint64(cfg.Records)}
@@ -148,7 +146,8 @@ func (y *YCSB) doUpdate(rng *rand.Rand) error {
 }
 
 func (y *YCSB) doInsert(rng *rand.Rand) error {
-	key := y.inserted.Add(1)
+	y.inserted++
+	key := y.inserted
 	if y.latest != nil {
 		y.latest.SetMax(key)
 	}

@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/kaml-ssd/kaml/internal/cache"
@@ -225,7 +224,6 @@ type Device struct {
 	dev  *kamlssd.Device
 	opts Options
 	tap  HistoryTap
-	mu   sync.Mutex // guards lazy fault-plan install
 	plan *faultinject.Plan
 }
 
@@ -265,8 +263,6 @@ func Open(opts Options) (*Device, error) {
 // ensurePlan installs an initially-benign fault plan on the flash array if
 // none was configured at Open, so fault knobs can be turned at run time.
 func (d *Device) ensurePlan() *faultinject.Plan {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.plan == nil {
 		seed := int64(0)
 		if d.opts.Faults != nil {
@@ -323,10 +319,7 @@ func (d *Device) Crash() *CrashImage {
 	}
 	d.dev.PowerFail()
 	d.dev.AwaitHalt()
-	d.mu.Lock()
-	plan := d.plan
-	d.mu.Unlock()
-	return &CrashImage{eng: d.eng, arr: d.arr, nv: d.dev.NVRAM(), opts: d.opts, tap: d.tap, plan: plan}
+	return &CrashImage{eng: d.eng, arr: d.arr, nv: d.dev.NVRAM(), opts: d.opts, tap: d.tap, plan: d.plan}
 }
 
 // PowerCut cuts power without waiting for the device to halt — use it from
@@ -531,14 +524,15 @@ type PutFuture struct {
 	f    *cmdq.Future
 	tap  HistoryTap
 	id   uint64
-	once sync.Once
+	done bool // the tap has seen the completion
 }
 
 // Wait blocks (on the virtual clock) until the write is acknowledged.
 func (f *PutFuture) Wait() error {
 	err := f.f.Wait().Err
-	if f.tap != nil {
-		f.once.Do(func() { f.tap.OpCompleted(f.id, 0, nil, err) })
+	if f.tap != nil && !f.done {
+		f.done = true
+		f.tap.OpCompleted(f.id, 0, nil, err)
 	}
 	return err
 }
