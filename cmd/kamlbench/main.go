@@ -6,7 +6,6 @@
 //	kamlbench                  # run everything at the default scale
 //	kamlbench -run fig5,fig9   # specific experiments
 //	kamlbench -scale 2         # larger working sets / longer windows
-//	kamlbench -parallel 8      # figure-cell worker pool (default GOMAXPROCS)
 //	kamlbench -json out.json   # also write the tables as JSON ("-" = stdout)
 //	kamlbench -cpuprofile cpu.pprof -memprofile mem.pprof
 //	kamlbench -list            # list experiment IDs and scenarios
@@ -16,7 +15,7 @@
 //	kamlbench -scenario diurnal -json -      # canonical report JSON on stdout
 //
 // Experiment IDs: fig5 fig6 fig7 fig8 fig9 fig10 conflicts ablations qdsweep
-// sisweep getscale kamlcluster
+// sisweep getscale traffic
 //
 // Scenario mode replays a declarative production-traffic scenario
 // (phased arrival curves, hot-key storms, fault ramps, power cuts, node
@@ -26,8 +25,8 @@
 // failing assertion named on stderr.
 //
 // Each figure cell is an independent simulation on its own virtual clock,
-// so -parallel changes wall-clock time only: the tables are identical at
-// any worker count.
+// and the cells run on up to GOMAXPROCS host goroutines: the tables are
+// identical at any core count.
 package main
 
 import (
@@ -62,7 +61,6 @@ type jsonExperiment struct {
 // jsonReport is the top-level -json document.
 type jsonReport struct {
 	Scale       float64          `json:"scale"`
-	Parallel    int              `json:"parallel"`
 	Cores       int              `json:"cores"`
 	Experiments []jsonExperiment `json:"experiments"`
 }
@@ -70,7 +68,6 @@ type jsonReport struct {
 func main() {
 	runFlag := flag.String("run", "", "comma-separated experiment IDs (default: all)")
 	scale := flag.Float64("scale", 1.0, "working-set / window scale factor")
-	parallel := flag.Int("parallel", 0, "figure-cell worker pool size (0 = GOMAXPROCS)")
 	jsonPath := flag.String("json", "", "write experiment tables as JSON to this path (\"-\" = stdout)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this path at exit")
@@ -98,8 +95,6 @@ func main() {
 	if *scenario != "" {
 		os.Exit(runScenario(*scenario, *jsonPath, os.Stdout, os.Stderr))
 	}
-
-	experiments.SetParallelism(*parallel)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -142,9 +137,8 @@ func main() {
 	}
 
 	report := jsonReport{
-		Scale:    *scale,
-		Parallel: experiments.Parallelism(),
-		Cores:    runtime.NumCPU(),
+		Scale: *scale,
+		Cores: runtime.NumCPU(),
 	}
 	for _, e := range cat {
 		if len(want) > 0 && !want[e.ID] {

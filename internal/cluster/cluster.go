@@ -505,8 +505,8 @@ func (c *Cluster) markDown(node int) {
 }
 
 // KillNode cuts power to a node's device and immediately fails it out of
-// the topology — the forced-failover lever used by tests and the
-// kamlcluster experiment. (Without the explicit markDown the cluster
+// the topology — the forced-failover lever used by tests and by traffic
+// scenarios' kill_node events. (Without the explicit markDown the cluster
 // would still converge: the first operation to hit the dead device
 // observes its power-loss error and fails the node out organically.)
 // Call from a simulation actor.

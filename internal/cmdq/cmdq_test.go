@@ -3,7 +3,6 @@ package cmdq
 import (
 	"errors"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,7 +16,7 @@ type execRecorder struct {
 	cost    time.Duration
 	mu      *sim.Mutex
 	batches [][]Record
-	calls   atomic.Int64
+	calls   int64
 }
 
 func newRecorder(eng *sim.Engine, cost time.Duration) *execRecorder {
@@ -25,7 +24,7 @@ func newRecorder(eng *sim.Engine, cost time.Duration) *execRecorder {
 }
 
 func (r *execRecorder) exec(cmd *Command) Result {
-	r.calls.Add(1)
+	r.calls++
 	if r.cost > 0 {
 		r.eng.Sleep(r.cost)
 	}
@@ -134,10 +133,10 @@ func TestMergedCommitFailureIsolated(t *testing.T) {
 	errBad := errors.New("read-only namespace")
 	const badKey = 666
 	eng := sim.NewEngine()
-	var sawMerged atomic.Bool
+	var sawMerged bool
 	exec := func(cmd *Command) Result {
 		if len(cmd.Records) > 1 {
-			sawMerged.Store(true)
+			sawMerged = true
 		}
 		for _, r := range cmd.Records {
 			if r.Key == badKey {
@@ -168,7 +167,7 @@ func TestMergedCommitFailureIsolated(t *testing.T) {
 		}
 	})
 	eng.Wait()
-	if !sawMerged.Load() {
+	if !sawMerged {
 		t.Fatal("commands never shared a batch; the failure path was not exercised")
 	}
 	if st := p.Stats(); st.Completed != 2 {
@@ -396,8 +395,8 @@ func TestFailPoisonsQueuedCommands(t *testing.T) {
 		}
 	})
 	eng.Wait()
-	if n := rec.calls.Load(); n != 1 {
-		t.Errorf("exec ran %d times, want 1 (only the command in flight at Fail)", n)
+	if rec.calls != 1 {
+		t.Errorf("exec ran %d times, want 1 (only the command in flight at Fail)", rec.calls)
 	}
 }
 

@@ -143,7 +143,7 @@ func AblationCheckpoint(s Scale) *Table {
 			if err := engine.Checkpoint(); err != nil {
 				return
 			}
-			ops := measure(eng, oltpWorkers, warm, window, func(w int, rng *rand.Rand) bool {
+			ops := measure(eng, oltpWorkers, warm, window, func(w int, rng *rand.Rand, _ func() bool) bool {
 				return b.AccountUpdate(rng) == nil
 			})
 			tps = float64(ops) / window.Seconds()
@@ -194,7 +194,7 @@ func AblationGranularity(s Scale) *Table {
 			if err := b.Load(); err != nil {
 				return
 			}
-			ops := measure(rig.eng, oltpWorkers, warm, window, func(w int, rng *rand.Rand) bool {
+			ops := measure(rig.eng, oltpWorkers, warm, window, func(w int, rng *rand.Rand, _ func() bool) bool {
 				return b.AccountUpdate(rng) == nil
 			})
 			tps = float64(ops) / window.Seconds()

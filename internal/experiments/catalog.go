@@ -24,7 +24,6 @@ func Catalog() []Experiment {
 		{"qdsweep", "queue-depth sweep: pipelined Get/Put scaling and Put coalescing", wrap1(QDSweep)},
 		{"sisweep", "isolation sweep: SS2PL vs snapshot isolation, hot-key RMW abort rate and reader coexistence", SISweep},
 		{"getscale", "concurrent Get scaling: wall-clock gets/s and allocs per Get vs reader count", wrap1(GetScale)},
-		{"kamlcluster", "sharded replicated cluster: per-shard Get SLO with hedged reads, live migration, forced failover", wrap1(KamlCluster)},
 		{"traffic", "production traffic scenarios: all checked-in scenarios with per-phase stats and assertion verdicts", wrap1(TrafficScenarios)},
 	}
 }

@@ -72,38 +72,13 @@ func (t *Table) Render() string {
 // benchmark size (seconds per figure); tests use smaller values.
 type Scale float64
 
-// cellParallelism caps how many figure cells — independent simulations,
-// each on its own sim.Engine and virtual clock — run on host goroutines at
-// once. 0 means GOMAXPROCS.
-var cellParallelism atomic.Int64
-
-// SetParallelism sets the cell worker-pool size. n <= 0 restores the
-// default (GOMAXPROCS). Virtual-time results are unaffected: every cell is
-// a self-contained simulation, so the pool changes only wall-clock time.
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	cellParallelism.Store(int64(n))
-}
-
-// Parallelism reports the effective cell worker-pool size.
-func Parallelism() int {
-	if p := int(cellParallelism.Load()); p > 0 {
-		return p
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// runCells executes fn(0..n-1) on up to Parallelism() workers. Callers
-// write each cell's result into an index-addressed slot and assemble rows
-// after the pool drains, so table contents never depend on scheduling
-// order.
+// runCells executes fn(0..n-1) on up to GOMAXPROCS host goroutines. Each
+// cell is an independent simulation on its own sim.Engine and virtual clock,
+// so the pool changes only wall-clock time. Callers write each cell's result
+// into an index-addressed slot and assemble rows after the pool drains, so
+// table contents never depend on scheduling order.
 func runCells(n int, fn func(i int)) {
-	p := Parallelism()
-	if p > n {
-		p = n
-	}
+	p := min(runtime.GOMAXPROCS(0), n)
 	if p <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -188,11 +163,15 @@ func newBlockRig(fc flash.Config) *blockRig {
 
 // measure runs `op` on `workers` concurrent actors for a warmup plus a
 // measurement window of virtual time, and returns completed operations in
-// the window. op returns false to stop its worker early (fatal error).
+// the window. op returns false to stop its worker early (fatal error). open
+// reports whether the window is open; an op that counts more than its
+// completions (sisweep's aborts) calls it after the work it counts, the
+// instant measure reads it for the op itself.
 func measure(eng *sim.Engine, workers int, warmup, window time.Duration,
-	op func(worker int, rng *rand.Rand) bool) int64 {
+	op func(worker int, rng *rand.Rand, open func() bool) bool) int64 {
 
 	counting, stop := false, false
+	open := func() bool { return counting }
 	var ops int64
 	wg := eng.NewWaitGroup()
 	for w := 0; w < workers; w++ {
@@ -202,7 +181,7 @@ func measure(eng *sim.Engine, workers int, warmup, window time.Duration,
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)*7919 + 13))
 			for !stop {
-				if !op(w, rng) {
+				if !op(w, rng, open) {
 					return
 				}
 				if counting {

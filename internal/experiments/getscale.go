@@ -3,10 +3,11 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/kaml-ssd/kaml/internal/kamlssd"
+	"github.com/kaml-ssd/kaml/internal/stats"
 )
 
 // getScaleWorkers is the reader-count ladder for the read-scaling sweep.
@@ -41,9 +42,9 @@ type GetScaleResult struct {
 
 // GetScaleRaw runs one cell per worker count and returns wall-clock gets/s
 // plus heap allocations per Get. Unlike the virtual-time experiments, the
-// cells run strictly serially and ignore the -parallel pool: each cell
-// times the real clock and reads process-wide allocation counters, so it
-// must own the machine while it runs.
+// cells run strictly serially, outside the cell pool: each cell times the
+// real clock and reads process-wide allocation counters, so it must own the
+// machine while it runs.
 func GetScaleRaw(s Scale, workers []int) []GetScaleResult {
 	total := int(40000 * float64(s))
 	if total < 4096 {
@@ -131,27 +132,14 @@ func getScaleCell(workers, total int) GetScaleResult {
 		}
 		runtime.ReadMemStats(&after)
 		opsDone.Add(int64(done * getScaleTrials))
-		res.GetsPerSec = median(res.Samples)
+		sorted := slices.Clone(res.Samples)
+		slices.Sort(sorted)
+		res.GetsPerSec = sorted[stats.NearestRank(0.5, len(sorted))]
 		res.VirtGetsPerSec = float64(done) / virtElapsed.Seconds()
 		res.AllocsPerGet = float64(after.Mallocs-before.Mallocs) / float64(done*(getScaleTrials-1))
 	})
 	r.eng.Wait()
 	return res
-}
-
-// median returns the middle value of xs (mean of the middle two for even
-// lengths) without mutating the caller's slice.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
 }
 
 // GetScale measures how concurrent read-only throughput scales with the
@@ -169,7 +157,7 @@ func GetScale(s Scale) *Table {
 			getScaleValueSize, getScaleKeysPerNS),
 		Header: []string{"workers", "gets_per_sec", "speedup_vs_1", "virt_gets_per_sec", "allocs_per_get"},
 		Notes: []string{
-			fmt.Sprintf("gets_per_sec is wall-clock (real time, whole process), median of %d trials; cells run serially and ignore -parallel", getScaleTrials),
+			fmt.Sprintf("gets_per_sec is wall-clock (real time, whole process), median of %d trials; cells run serially", getScaleTrials),
 			"virt_gets_per_sec is against the simulated clock: deterministic, host-independent device scaling",
 			"on a single-core host the 1-worker cell is privileged: a lone actor self-wakes with zero goroutine switches, so wall-clock comparisons of 1 vs N>=2 mix in scheduler cost that virt_gets_per_sec excludes",
 			"allocs_per_get is runtime.MemStats.Mallocs across the measured window / completed Gets",

@@ -205,7 +205,7 @@ func blockBandwidth(size, n int, warm, window time.Duration, kind string) float6
 			return
 		}
 		insertCursors := make([]int64, bandwidthWorkers)
-		ops := measure(r.eng, bandwidthWorkers, warm, window, func(w int, rng *rand.Rand) bool {
+		ops := measure(r.eng, bandwidthWorkers, warm, window, func(w int, rng *rand.Rand, _ func() bool) bool {
 			buf := make([]byte, ftl.SectorSize)
 			switch kind {
 			case "fetch":
@@ -237,12 +237,12 @@ func kamlBandwidth(size, n int, load float64, warm, window time.Duration) (get, 
 			return
 		}
 		val := make([]byte, size)
-		ops := measure(r.eng, bandwidthWorkers, warm, window, func(w int, rng *rand.Rand) bool {
+		ops := measure(r.eng, bandwidthWorkers, warm, window, func(w int, rng *rand.Rand, _ func() bool) bool {
 			_, err := r.dev.Get(ns, uint64(rng.Intn(keys)))
 			return err == nil
 		})
 		get = mbps(ops, size, window)
-		ops = measure(r.eng, bandwidthWorkers, warm, window, func(w int, rng *rand.Rand) bool {
+		ops = measure(r.eng, bandwidthWorkers, warm, window, func(w int, rng *rand.Rand, _ func() bool) bool {
 			return r.dev.Put([]kamlssd.PutRecord{{Namespace: ns, Key: uint64(rng.Intn(keys)), Value: val}}) == nil
 		})
 		put = mbps(ops, size, window)
@@ -270,7 +270,7 @@ func kamlBandwidth(size, n int, load float64, warm, window time.Duration) (get, 
 			}
 		}
 		var cursor int64
-		ops := measure(r2.eng, bandwidthWorkers, warm, window, func(w int, rng *rand.Rand) bool {
+		ops := measure(r2.eng, bandwidthWorkers, warm, window, func(w int, rng *rand.Rand, _ func() bool) bool {
 			cursor++
 			k := cursor + int64(pre)
 			return r2.dev.Put([]kamlssd.PutRecord{{Namespace: ns, Key: uint64(k), Value: val}}) == nil
@@ -432,7 +432,7 @@ func Fig7(s Scale) []*Table {
 				return
 			}
 			val := make([]byte, size)
-			ops := measure(r.eng, bandwidthWorkers, warm, window, func(w int, rng *rand.Rand) bool {
+			ops := measure(r.eng, bandwidthWorkers, warm, window, func(w int, rng *rand.Rand, _ func() bool) bool {
 				// Distinct keys per batch (a batch may not contain the same
 				// key twice; the firmware rejects it).
 				recs := make([]kamlssd.PutRecord, 0, b)
@@ -506,7 +506,7 @@ func Fig8(s Scale) *Table {
 			// Plenty of outstanding commands so the append points, not the
 			// host, are the bottleneck ("more logs can support more
 			// concurrent commands").
-			ops := measure(r.eng, 64, warm, window, func(w int, rng *rand.Rand) bool {
+			ops := measure(r.eng, 64, warm, window, func(w int, rng *rand.Rand, _ func() bool) bool {
 				return r.dev.Put([]kamlssd.PutRecord{{Namespace: ns, Key: uint64(rng.Intn(keys)), Value: val}}) == nil
 			})
 			bw = mbps(ops, size, window)

@@ -118,7 +118,7 @@ func runTPCB(v oltpVariant, s Scale, warm, window time.Duration) float64 {
 		if err := b.Load(); err != nil {
 			return
 		}
-		ops := measure(rig.eng, oltpWorkers, warm, window, func(w int, rng *rand.Rand) bool {
+		ops := measure(rig.eng, oltpWorkers, warm, window, func(w int, rng *rand.Rand, _ func() bool) bool {
 			return b.AccountUpdate(rng) == nil
 		})
 		tps = float64(ops) / window.Seconds()
@@ -160,7 +160,7 @@ func runTPCC(v oltpVariant, s Scale, warm, window time.Duration, txn string) flo
 		if err := c.Load(); err != nil {
 			return
 		}
-		ops := measure(rig.eng, oltpWorkers, warm, window, func(w int, rng *rand.Rand) bool {
+		ops := measure(rig.eng, oltpWorkers, warm, window, func(w int, rng *rand.Rand, _ func() bool) bool {
 			if txn == "neworder" {
 				return c.NewOrder(rng) == nil
 			}
@@ -209,7 +209,7 @@ func Fig10(s Scale) *Table {
 			if err := y.Load(rand.New(rand.NewSource(3)), 32); err != nil {
 				return
 			}
-			ops := measure(rig.eng, oltpWorkers, warm, window, func(w int, rng *rand.Rand) bool {
+			ops := measure(rig.eng, oltpWorkers, warm, window, func(w int, rng *rand.Rand, _ func() bool) bool {
 				_, err := y.Op(rng)
 				return err == nil
 			})

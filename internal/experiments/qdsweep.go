@@ -38,7 +38,7 @@ func qdSweepRaw(s Scale, depths []int) (getOps, putOps []int64, recsPerBatch []f
 				if err != nil {
 					return
 				}
-				getOps[i] = measure(r.eng, qd, warm, window, func(w int, rng *rand.Rand) bool {
+				getOps[i] = measure(r.eng, qd, warm, window, func(w int, rng *rand.Rand, _ func() bool) bool {
 					_, err := r.dev.Get(ns, uint64(rng.Intn(keys)))
 					return err == nil
 				})
@@ -56,7 +56,7 @@ func qdSweepRaw(s Scale, depths []int) (getOps, putOps []int64, recsPerBatch []f
 					return
 				}
 				val := make([]byte, qdValueSize)
-				putOps[i] = measure(r.eng, qd, warm, window, func(w int, rng *rand.Rand) bool {
+				putOps[i] = measure(r.eng, qd, warm, window, func(w int, rng *rand.Rand, _ func() bool) bool {
 					k := uint64(w)<<32 | uint64(rng.Intn(4096))
 					return r.dev.Put([]kamlssd.PutRecord{{Namespace: ns, Key: k, Value: val}}) == nil
 				})

@@ -53,8 +53,11 @@ type siCounters struct {
 }
 
 // siBench runs writers (and optionally readers) against a fresh KAML cache
-// rig and returns the window's counters. Writers run hot-key RMW
-// transactions; readers scan the whole table in one transaction per pass.
+// rig and returns the window's counters. Writers are measure's workers
+// 0..writers-1 and run hot-key RMW transactions; the readers follow them and
+// scan the whole table in one transaction per pass. One measured op is one
+// committed transaction: its aborted attempts are retried inside the op and
+// counted while the window is open.
 func siBench(s Scale, si bool, hotKeys, writers, readers int) *siCounters {
 	warm, window := siWindows(s)
 	rig := newOLTPRig(engineKAML, oltpFlash(), int64(siTotalKeys*siValueSize*2), 1, 1, 0)
@@ -83,67 +86,34 @@ func siBench(s Scale, si bool, hotKeys, writers, readers int) *siCounters {
 			}
 			return c.Begin()
 		}
-		counting, stop := false, false
-		wg := rig.eng.NewWaitGroup()
-		for w := 0; w < writers; w++ {
-			w := w
-			wg.Add(1)
-			rig.eng.Go(fmt.Sprintf("rmw-%d", w), func() {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(w)*7919 + 13))
-				for gen := uint64(1); !stop; gen++ {
-					k := uint64(rng.Intn(hotKeys))
-					tx := begin()
-					err := siRMW(tx, tbl, k, gen)
-					tx.Free()
-					switch {
-					case err == nil:
-						if counting {
-							ctr.commits++
-						}
-					case errors.Is(err, storage.ErrAborted):
-						if counting {
-							ctr.aborts++
-						}
-					default:
-						return
+		gens := make([]uint64, writers)
+		measure(rig.eng, writers+readers, warm, window, func(w int, rng *rand.Rand, open func() bool) bool {
+			for {
+				tx := begin()
+				var err error
+				if w < writers {
+					gens[w]++
+					err = siRMW(tx, tbl, uint64(rng.Intn(hotKeys)), gens[w])
+				} else {
+					err = siScan(tx, tbl)
+				}
+				tx.Free()
+				if errors.Is(err, storage.ErrAborted) {
+					if open() {
+						ctr.aborts++
+					}
+					continue
+				}
+				if err == nil && open() {
+					if w < writers {
+						ctr.commits++
+					} else {
+						ctr.scans++
 					}
 				}
-			})
-		}
-		for r := 0; r < readers; r++ {
-			r := r
-			wg.Add(1)
-			rig.eng.Go(fmt.Sprintf("scan-%d", r), func() {
-				defer wg.Done()
-				for !stop {
-					tx := begin()
-					err := siScan(tx, tbl)
-					tx.Free()
-					switch {
-					case err == nil:
-						if counting {
-							ctr.scans++
-						}
-					case errors.Is(err, storage.ErrAborted):
-						if counting {
-							ctr.aborts++
-						}
-					default:
-						return
-					}
-				}
-			})
-		}
-		rig.eng.Go("clock", func() {
-			rig.eng.Sleep(warm)
-			counting = true
-			rig.eng.Sleep(window)
-			counting = false
-			stop = true
+				return err == nil
+			}
 		})
-		wg.Wait()
-		opsDone.Add(ctr.commits + ctr.scans)
 	})
 	rig.eng.Wait()
 	return ctr

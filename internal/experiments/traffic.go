@@ -14,6 +14,8 @@ import (
 // and a FAIL here means an SLO or invariant in the declarative assertion
 // block did not hold. Scale is ignored — scenario length is part of the
 // scenario file (and of its golden report), so it must not be rescaled.
+// Each phase's completed ops count toward OpsCompleted, like a figure's
+// measured ops.
 func TrafficScenarios(Scale) *Table {
 	t := &Table{
 		ID:    "traffic",
@@ -33,6 +35,7 @@ func TrafficScenarios(Scale) *Table {
 			continue
 		}
 		for _, ph := range rep.Phases {
+			opsDone.Add(ph.OpsCompleted)
 			t.Rows = append(t.Rows, []string{
 				name, ph.Name,
 				fmt.Sprintf("%d", ph.OpsIssued),

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,14 +173,14 @@ func TestVictimScanReadsOnePageAtATime(t *testing.T) {
 type failRead struct {
 	ppn   flash.PPN
 	cut   bool
-	fired atomic.Int64
+	fired int64
 }
 
 func (f *failRead) Decide(op flash.Op, p flash.PPN, _ time.Duration) flash.Verdict {
 	if op != flash.OpRead || p != f.ppn {
 		return flash.VerdictOK
 	}
-	f.fired.Add(1)
+	f.fired++
 	if f.cut {
 		return flash.VerdictPowerCut
 	}
@@ -233,7 +232,7 @@ func TestScanFailureKeepsTheVictim(t *testing.T) {
 					r.arr.SetInjector(inj)
 					newCollector(d, lg).collectBlock(vc, vb)
 					r.arr.SetInjector(nil)
-					if inj.fired.Load() == 0 {
+					if inj.fired == 0 {
 						t.Fatalf("setup: page %d of the victim was never read", page)
 					}
 					if d.crashed != cut {
@@ -291,10 +290,10 @@ func TestScanFailureKeepsTheVictim(t *testing.T) {
 					r.arr.SetInjector(inj)
 					newCollector(d, lg).collectBlock(vc, vb)
 					r.arr.SetInjector(nil)
-					if inj.fired.Load() == 0 {
+					if inj.fired == 0 {
 						t.Fatalf("setup: page %d of the victim was never read", page)
 					}
-					if inj.relocated.Load() == 0 {
+					if inj.relocated == 0 {
 						t.Fatalf("setup: no relocation page was programmed before page %d was read", page)
 					}
 					if d.crashed != cut {
@@ -326,7 +325,7 @@ func TestScanFailureKeepsTheVictim(t *testing.T) {
 							}
 						}
 					}
-					t.Logf("%d records moved in %d relocation pages before page %d failed", moved, inj.relocated.Load(), page)
+					t.Logf("%d records moved in %d relocation pages before page %d failed", moved, inj.relocated, page)
 					dev2, err := powerCycle(d, r.arr, r.ctrl)
 					if err != nil {
 						t.Fatalf("recover: %v", err)
@@ -346,12 +345,12 @@ type lateFailRead struct {
 	failRead
 	arr       *flash.Array
 	gc        flash.PPN
-	relocated atomic.Int64
+	relocated int
 }
 
 func (f *lateFailRead) Decide(op flash.Op, p flash.PPN, at time.Duration) flash.Verdict {
-	if op == flash.OpRead && p == f.ppn && f.fired.Load() == 0 {
-		f.relocated.Store(int64(f.arr.ProgrammedPages(f.gc)))
+	if op == flash.OpRead && p == f.ppn && f.fired == 0 {
+		f.relocated = f.arr.ProgrammedPages(f.gc)
 	}
 	return f.failRead.Decide(op, p, at)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -635,12 +634,12 @@ func TestNoGainVictimIsScannedOnce(t *testing.T) {
 // readsIn counts the reads of pages [from, to).
 type readsIn struct {
 	from, to flash.PPN
-	n        atomic.Int64
+	n        int64
 }
 
 func (r *readsIn) Decide(op flash.Op, p flash.PPN, _ time.Duration) flash.Verdict {
 	if op == flash.OpRead && p >= r.from && p < r.to {
-		r.n.Add(1)
+		r.n++
 	}
 	return flash.VerdictOK
 }
@@ -686,8 +685,8 @@ func TestUnparsablePageKeepsTheVictim(t *testing.T) {
 		r.arr.SetInjector(reads)
 		newCollector(d, lg).collectBlock(vc, vb)
 		r.arr.SetInjector(nil)
-		if n := reads.n.Load(); n != 0 {
-			t.Errorf("the scan read %d pages after the one that does not parse", n)
+		if reads.n != 0 {
+			t.Errorf("the scan read %d pages after the one that does not parse", reads.n)
 		}
 		if d.crashed {
 			t.Error("the device crashed")
@@ -712,11 +711,12 @@ func TestUnparsablePageKeepsTheVictim(t *testing.T) {
 // failProgramOf fails the first program of one page.
 type failProgramOf struct {
 	ppn   flash.PPN
-	fired atomic.Bool
+	fired bool
 }
 
 func (f *failProgramOf) Decide(op flash.Op, p flash.PPN, _ time.Duration) flash.Verdict {
-	if op == flash.OpProgram && p == f.ppn && !f.fired.Swap(true) {
+	if op == flash.OpProgram && p == f.ppn && !f.fired {
+		f.fired = true
 		return flash.VerdictFail
 	}
 	return flash.VerdictOK
@@ -754,7 +754,7 @@ func TestGCProgramFailureRetiresItsBlock(t *testing.T) {
 		r.arr.SetInjector(inj)
 		c.collectBlock(vc, vb)
 		r.arr.SetInjector(nil)
-		if !inj.fired.Load() {
+		if !inj.fired {
 			t.Fatal("setup: the relocation programmed fewer than two pages")
 		}
 		if n := d.Stats().ProgramRetries - before.ProgramRetries; n != 1 {

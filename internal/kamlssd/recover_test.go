@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -257,10 +256,11 @@ func TestRecoveryRunsAtArrayBandwidth(t *testing.T) {
 
 // cutOnErase cuts power at the first erase: after a collector has programmed
 // its victim's live records somewhere else, before the victim is gone.
-type cutOnErase struct{ fired atomic.Bool }
+type cutOnErase struct{ fired bool }
 
 func (c *cutOnErase) Decide(op flash.Op, _ flash.PPN, _ time.Duration) flash.Verdict {
-	if op == flash.OpErase && !c.fired.Swap(true) {
+	if op == flash.OpErase && !c.fired {
+		c.fired = true
 		return flash.VerdictPowerCut
 	}
 	return flash.VerdictOK
@@ -269,11 +269,12 @@ func (c *cutOnErase) Decide(op flash.Op, _ flash.PPN, _ time.Duration) flash.Ver
 // firstProgram gives the array's first program the verdict v.
 type firstProgram struct {
 	v     flash.Verdict
-	fired atomic.Bool
+	fired bool
 }
 
 func (f *firstProgram) Decide(op flash.Op, _ flash.PPN, _ time.Duration) flash.Verdict {
-	if op == flash.OpProgram && !f.fired.Swap(true) {
+	if op == flash.OpProgram && !f.fired {
+		f.fired = true
 		return f.v
 	}
 	return flash.VerdictOK
@@ -713,12 +714,12 @@ func TestRecoveryScanRidesOutReadFaults(t *testing.T) {
 // opCount counts the operations the array is asked for, by kind, and hands
 // each to next (nil: every one succeeds).
 type opCount struct {
-	n    [3]atomic.Int64 // by flash.Op
+	n    [3]int64 // by flash.Op
 	next flash.Injector
 }
 
 func (c *opCount) Decide(op flash.Op, p flash.PPN, now time.Duration) flash.Verdict {
-	c.n[op].Add(1)
+	c.n[op]++
 	if c.next == nil {
 		return flash.VerdictOK
 	}
@@ -742,7 +743,7 @@ func TestRecoveryWritesNothing(t *testing.T) {
 					}
 					arr.SetInjector(ops)
 					dev, err := Recover(arr, ctrl, img.cfg, nv)
-					reads, programs, erases := ops.n[flash.OpRead].Load(), ops.n[flash.OpProgram].Load(), ops.n[flash.OpErase].Load()
+					reads, programs, erases := ops.n[flash.OpRead], ops.n[flash.OpProgram], ops.n[flash.OpErase]
 					if err == nil {
 						defer dev.Close()
 					}

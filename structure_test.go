@@ -761,6 +761,17 @@ var rules = []rule{
 		},
 	},
 	{
+		// The suite drives load in one closed loop, measure's warm-up and
+		// window; an open loop over a cluster is a traffic scenario, and
+		// internal/traffic is the open-loop driver.
+		name:   "one-closed-loop",
+		why:    "internal/experiments has one load loop: only measure calls Sleep, and nothing builds a cluster (cluster.New)",
+		sc:     scope{paths: []string{"internal/experiments"}, noTests: true},
+		checks: []check{forbid(anyOf(outside(call(`Sleep$`), "measure"), call(`^cluster\.New$`)))},
+		bad: []map[string]string{src("internal/experiments/sisweep.go",
+			"package experiments\n\nfunc siBench(rig *oltpRig, warm time.Duration) {\n\trig.eng.Go(\"clock\", func() { rig.eng.Sleep(warm) })\n}\n")},
+	},
+	{
 		// A page that does not parse keeps its victim, as a failed read does.
 		name: "bad-victim-page-stops-the-scan",
 		why:  "a victim page that does not parse stops the scan (readRecords), it does not panic",
@@ -893,7 +904,7 @@ record.At( func At( hostPPN( spaceCv SwapOutIndex loadIndex ErrSwappedOut pageTy
 swapPages relocateIndexPages DeserializeVersionChains lockMounted readersPerChip nReaders
 func (c *collector) scan( arr.ProgramPage( arr.ReadPage( progFailed++ ErrInjectedFailure
 GC parse bm.validBytes = 0 lg.freeBlocks-- serial bool e.mu.Lock() sync.Mutex
-sync.RWMutex CompareAndSwap( "sync/atomic" runtime.Gosched()`
+sync.RWMutex CompareAndSwap( "sync/atomic" runtime.Gosched() cluster.New(`
 	var code strings.Builder
 	code.WriteString("// Package fixture names, in comments and strings only:\n")
 	for _, line := range strings.Split(named, "\n") {
