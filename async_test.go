@@ -52,9 +52,6 @@ func TestPutBatchRejectsEmpty(t *testing.T) {
 		if err := dev.PutBatch([]kaml.Record{}); !errors.Is(err, kaml.ErrEmptyBatch) {
 			t.Fatalf("empty batch: %v", err)
 		}
-		if err := dev.AsyncPutBatch(nil).Wait(); !errors.Is(err, kaml.ErrEmptyBatch) {
-			t.Fatalf("async empty batch: %v", err)
-		}
 	})
 }
 
@@ -81,9 +78,6 @@ func TestPutBatchRejectsDuplicateKeys(t *testing.T) {
 		}
 		if err := dev.PutBatch(ok); err != nil {
 			t.Fatalf("cross-namespace same key: %v", err)
-		}
-		if err := dev.AsyncPutBatch(dup).Wait(); !errors.Is(err, kaml.ErrDuplicateKey) {
-			t.Fatalf("async duplicate batch: %v", err)
 		}
 	})
 }

@@ -15,7 +15,7 @@
 //	kamlbench -scenario diurnal -json -      # canonical report JSON on stdout
 //
 // Experiment IDs: fig5 fig6 fig7 fig8 fig9 fig10 conflicts ablations qdsweep
-// sisweep getscale traffic
+// sisweep traffic
 //
 // Scenario mode replays a declarative production-traffic scenario
 // (phased arrival curves, hot-key storms, fault ramps, power cuts, node

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	kaml "github.com/kaml-ssd/kaml"
+	"github.com/kaml-ssd/kaml/internal/cmdq"
 	"github.com/kaml-ssd/kaml/internal/flash"
-	"github.com/kaml-ssd/kaml/internal/kamlssd"
 )
 
 // Edge-case tests the model checker's exploration motivated: each pins one
@@ -99,11 +99,11 @@ func TestCutBetweenCommitAndInstall(t *testing.T) {
 	}
 }
 
-// TestDuplicateBatchRacingMergedCommit races a duplicate-key batch against
-// valid writes flowing through the coalescer. The duplicate batch must fail
-// with its own verdict — at the host layer (kaml validation) and at the
-// device layer (cmdq validation before coalescing) — and must never drag a
-// coalesced neighbor down with it or corrupt the key it names twice.
+// TestDuplicateBatchRacingMergedCommit races duplicate-key batches against
+// valid writes flowing through the coalescer. Each duplicate batch must fail
+// with its own verdict, ErrDuplicateKey from the firmware's check on
+// submission, and must never drag a coalesced neighbor down with it or
+// corrupt the key it names twice.
 func TestDuplicateBatchRacingMergedCommit(t *testing.T) {
 	dev, err := kaml.Open(kaml.SmallOptions())
 	if err != nil {
@@ -122,29 +122,27 @@ func TestDuplicateBatchRacingMergedCommit(t *testing.T) {
 
 			// All in flight together so the coalescer can merge the valid
 			// traffic while the duplicate batches are being rejected.
-			neighbor := dev.AsyncPutBatch([]kaml.Record{
+			neighbor := dev.Raw().SubmitPut([]kaml.Record{
 				{Namespace: ns, Key: 1, Value: []byte("new-1")},
 				{Namespace: ns, Key: 2, Value: []byte("new-2")},
 			})
-			hostDup := dev.AsyncPutBatch([]kaml.Record{
+			dupA := dev.Raw().SubmitPut([]kaml.Record{
 				{Namespace: ns, Key: 3, Value: []byte("dup-a")},
 				{Namespace: ns, Key: 3, Value: []byte("dup-b")},
 			})
-			// Bypass host validation to prove the device rejects it too.
-			devDup := dev.Raw().SubmitPut([]kamlssd.PutRecord{
-				{Namespace: uint32(ns), Key: 3, Value: []byte("dup-c")},
-				{Namespace: uint32(ns), Key: 3, Value: []byte("dup-d")},
+			dupB := dev.Raw().SubmitPut([]kaml.Record{
+				{Namespace: ns, Key: 3, Value: []byte("dup-c")},
+				{Namespace: ns, Key: 3, Value: []byte("dup-d")},
 			})
 			single := dev.AsyncPut(ns, 4, []byte("new-4"))
 
-			if err := neighbor.Wait(); err != nil {
+			if err := neighbor.Wait().Err; err != nil {
 				return fmt.Errorf("neighbor batch failed: %w", err)
 			}
-			if err := hostDup.Wait(); !errors.Is(err, kaml.ErrDuplicateKey) {
-				return fmt.Errorf("host-level duplicate batch: got %v, want ErrDuplicateKey", err)
-			}
-			if res := devDup.Wait(); res.Err == nil {
-				return errors.New("device-level duplicate batch was accepted")
+			for i, dup := range []*cmdq.Future{dupA, dupB} {
+				if err := dup.Wait().Err; !errors.Is(err, kaml.ErrDuplicateKey) {
+					return fmt.Errorf("duplicate batch %d: got %v, want ErrDuplicateKey", i, err)
+				}
 			}
 			if err := single.Wait(); err != nil {
 				return fmt.Errorf("single put failed: %w", err)
@@ -203,9 +201,9 @@ func TestSnapshotDuringGroupCommit(t *testing.T) {
 						Value: []byte(fmt.Sprintf("new-%d", base+i)),
 					})
 				}
-				fut := dev.AsyncPutBatch(batch)
+				fut := dev.Raw().SubmitPut(batch)
 				snap, serr := dev.Snapshot(ns)
-				if werr := fut.Wait(); werr != nil {
+				if werr := fut.Wait().Err; werr != nil {
 					return fmt.Errorf("round %d: batch: %w", round, werr)
 				}
 				if serr != nil {

@@ -31,27 +31,6 @@ func ExpectedConflictsUniform(n, k, l int) float64 {
 	return float64(n) - bins*(1-math.Pow(1-pBin, float64(n)))
 }
 
-// ExpectedConflicts evaluates the general form for an arbitrary key
-// distribution p (len(p) = K, summing to 1), with l keys per lock.
-func ExpectedConflicts(p []float64, l int) func(n int) float64 {
-	k := len(p)
-	if l < 1 {
-		l = 1
-	}
-	bins := (k + l - 1) / l
-	q := make([]float64, bins)
-	for i, pi := range p {
-		q[i/l] += pi
-	}
-	return func(n int) float64 {
-		e := float64(n)
-		for _, qj := range q {
-			e -= 1 - math.Pow(1-qj, float64(n))
-		}
-		return e
-	}
-}
-
 // SimulateConflictsUniform estimates the same quantity by Monte Carlo:
 // draw N keys uniformly, count requests beyond the first in each lock
 // unit, averaged over trials.

@@ -36,40 +36,6 @@ func TestConflictsGrowWithGranularity(t *testing.T) {
 	}
 }
 
-func TestGeneralFormReducesToUniform(t *testing.T) {
-	k := 512
-	p := make([]float64, k)
-	for i := range p {
-		p[i] = 1.0 / float64(k)
-	}
-	f := ExpectedConflicts(p, 8)
-	for _, n := range []int{1, 8, 64} {
-		a := f(n)
-		b := ExpectedConflictsUniform(n, k, 8)
-		if math.Abs(a-b) > 1e-9 {
-			t.Errorf("n=%d: general=%f uniform=%f", n, a, b)
-		}
-	}
-}
-
-func TestSkewedDistributionConflictsMore(t *testing.T) {
-	k := 1024
-	uniform := make([]float64, k)
-	for i := range uniform {
-		uniform[i] = 1.0 / float64(k)
-	}
-	skewed := make([]float64, k)
-	skewed[0] = 0.5
-	rest := 0.5 / float64(k-1)
-	for i := 1; i < k; i++ {
-		skewed[i] = rest
-	}
-	n := 16
-	if ExpectedConflicts(skewed, 1)(n) <= ExpectedConflicts(uniform, 1)(n) {
-		t.Fatal("skew should increase conflicts")
-	}
-}
-
 func TestEdgeCases(t *testing.T) {
 	if ExpectedConflictsUniform(0, 100, 1) != 0 {
 		t.Fatal("zero requests")

@@ -104,8 +104,5 @@ func (d *Device) WritePrefix(pageNo int, data []byte) error {
 // battery-backed (power-safe at write acknowledgement).
 func (d *Device) Flush() { d.ftl.Flush() }
 
-// Drain waits for the write buffer to fully reach flash (tests, shutdown).
-func (d *Device) Drain() { d.ftl.Drain() }
-
 // Close shuts down the underlying FTL.
 func (d *Device) Close() { d.ftl.Close() }

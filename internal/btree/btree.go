@@ -172,28 +172,6 @@ func (t *Tree) Ascend(fn func(key, val uint64) bool) {
 	}
 }
 
-// Range calls fn for every key in [lo, hi] in order until fn returns false.
-func (t *Tree) Range(lo, hi uint64, fn func(key, val uint64) bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n.keys, lo)]
-	}
-	for n != nil {
-		for i := range n.keys {
-			if n.keys[i] < lo {
-				continue
-			}
-			if n.keys[i] > hi {
-				return
-			}
-			if !fn(n.keys[i], n.vals[i]) {
-				return
-			}
-		}
-		n = n.next
-	}
-}
-
 // Depth returns the tree height (one DRAM node access per level).
 func (t *Tree) Depth() int {
 	d := 1

@@ -149,32 +149,6 @@ func TestAscendEarlyStop(t *testing.T) {
 	}
 }
 
-func TestRange(t *testing.T) {
-	tr := New()
-	for i := uint64(0); i < 1000; i += 3 {
-		tr.Put(i, i)
-	}
-	var got []uint64
-	tr.Range(100, 200, func(k, v uint64) bool {
-		got = append(got, k)
-		return true
-	})
-	for _, k := range got {
-		if k < 100 || k > 200 || k%3 != 0 {
-			t.Fatalf("out-of-range key %d", k)
-		}
-	}
-	want := 0
-	for i := uint64(0); i < 1000; i += 3 {
-		if i >= 100 && i <= 200 {
-			want++
-		}
-	}
-	if len(got) != want {
-		t.Fatalf("got %d keys want %d", len(got), want)
-	}
-}
-
 func TestQuickModelEquivalence(t *testing.T) {
 	type op struct {
 		Kind uint8

@@ -74,8 +74,8 @@ func New(dev *blockdev.Device, eng *sim.Engine, frames int, force ForceFunc) *Po
 	return p
 }
 
-// Stats reports hit/miss/writeback counters.
-func (p *Pool) Stats() (hits, misses, writebacks int64) {
+// stats reports hit/miss/writeback counters.
+func (p *Pool) stats() (hits, misses, writebacks int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.hits, p.misses, p.writebacks

@@ -60,7 +60,7 @@ func TestNewPageModifyEvictRefetch(t *testing.T) {
 			t.Fatalf("%q %v", v, err)
 		}
 		p.Unpin(f2)
-		if _, _, wb := p.Stats(); wb == 0 {
+		if _, _, wb := p.stats(); wb == 0 {
 			t.Fatal("no writebacks despite eviction of dirty page")
 		}
 	})
@@ -114,7 +114,7 @@ func TestFetchHitVsMiss(t *testing.T) {
 		p.Unpin(f)
 		f, _ = p.Fetch(1)
 		p.Unpin(f)
-		hits, misses, _ := p.Stats()
+		hits, misses, _ := p.stats()
 		if hits != 1 || misses != 0 {
 			t.Fatalf("hits=%d misses=%d", hits, misses)
 		}

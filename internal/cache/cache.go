@@ -62,12 +62,14 @@ type Cache struct {
 	// true outside the model checker's lost-update self-test. Guarded by mu.
 	siValidate bool
 
-	// The cache's counted events, one cell each: Stats() is a view of them,
-	// and the device's registry (when it has one) lists the three SI cells.
-	// siAborts covers every SI abort — wait-die, validation kill and explicit
-	// Abort alike; validation kills additionally count in siValFails.
+	// The cache's counted events, one cell each: Stats() is a view of them
+	// and of the lock manager's backoff cell (every wait-die kill backs off
+	// once), and the device's registry (when it has one) lists the three SI
+	// cells. siAborts covers every SI abort — wait-die, validation kill and
+	// explicit Abort alike; validation kills additionally count in
+	// siValFails.
 	hits, misses, evictions         telemetry.Counter
-	commits, aborts, dies           telemetry.Counter
+	commits, aborts                 telemetry.Counter
 	siCommits, siAborts, siValFails telemetry.Counter
 }
 
@@ -137,14 +139,11 @@ func New(dev *kamlssd.Device, cfg Config) *Cache {
 	return c
 }
 
-// Device returns the underlying KAML SSD.
-func (c *Cache) Device() *kamlssd.Device { return c.dev }
-
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits: c.hits.Value(), Misses: c.misses.Value(), Evictions: c.evictions.Value(),
-		Commits: c.commits.Value(), Aborts: c.aborts.Value(), Dies: c.dies.Value(),
+		Commits: c.commits.Value(), Aborts: c.aborts.Value(), Dies: c.lm.Backoffs(),
 		SICommits: c.siCommits.Value(), SIAborts: c.siAborts.Value(),
 		SIValidationFails: c.siValFails.Value(),
 	}
@@ -395,7 +394,6 @@ func (t *Txn) die() {
 	t.order = nil
 	t.c.lm.ReleaseAll(t.lt)
 	t.c.aborts.Inc()
-	t.c.dies.Inc()
 	t.c.lm.Backoff()
 }
 

@@ -165,9 +165,9 @@ func TestCacheHitAvoidsDevice(t *testing.T) {
 		tx.Insert(tbl, 1, []byte("cached"))
 		tx.Commit()
 		tx.Free()
-		c.Device().Flush()
+		c.dev.Flush()
 
-		before := c.Device().Stats().Gets
+		before := c.dev.Stats().Gets
 		for i := 0; i < 5; i++ {
 			tx := c.Begin()
 			if _, err := tx.Read(tbl, 1); err != nil {
@@ -176,7 +176,7 @@ func TestCacheHitAvoidsDevice(t *testing.T) {
 			tx.Commit()
 			tx.Free()
 		}
-		if got := c.Device().Stats().Gets; got != before {
+		if got := c.dev.Stats().Gets; got != before {
 			t.Fatalf("cache hits issued %d device Gets", got-before)
 		}
 		if c.Stats().Hits < 5 {
@@ -212,7 +212,7 @@ func TestEvictionBoundsMemoryAndMissesRefill(t *testing.T) {
 			tx.Commit()
 			tx.Free()
 		}
-		if c.Device().Stats().Gets == 0 {
+		if c.dev.Stats().Gets == 0 {
 			t.Fatal("expected device Gets after eviction")
 		}
 	})
@@ -332,10 +332,10 @@ func TestCommittedDataSurvivesDeviceFlushAndColdCache(t *testing.T) {
 			tx.Free()
 			want[k] = v
 		}
-		c.Device().Flush()
+		c.dev.Flush()
 		// Simulate a cold cache by building a second caching layer over the
 		// same device.
-		c2 := New(c.Device(), Config{CapacityBytes: 1 << 20, RecordsPerLock: 1})
+		c2 := New(c.dev, Config{CapacityBytes: 1 << 20, RecordsPerLock: 1})
 		for k, v := range want {
 			tx := c2.Begin()
 			got, err := tx.Read(tbl, k)

@@ -196,7 +196,6 @@ func (t *SITxn) finish(backoff bool) {
 	t.c.aborts.Inc()
 	t.c.siAborts.Inc()
 	if backoff {
-		t.c.dies.Inc()
 		t.c.lm.Backoff()
 	}
 }

@@ -125,18 +125,21 @@ func TestSIFirstCommitterWins(t *testing.T) {
 	withCache(t, 1<<20, 1, func(_ *sim.Engine, c *Cache) { lostUpdateAttempt(t, c) })
 }
 
-// TestOneCellPerEvent checks that the three SI events with both a Stats()
-// field and a registry series are one cell each: after the lost-update
-// schedule the two names read the same non-zero value, and Stats() still
-// counts over a device with telemetry disabled. (The firmware's and the
-// pipeline's five such events have the same test in internal/kamlssd.)
+// TestOneCellPerEvent checks that the events with both a Stats() field and a
+// registry series are one cell each: the three SI events, and the wait-die
+// kills, which Stats() reads from the lock manager's backoff cell. After the
+// lost-update schedule and one kill the two names read the same non-zero
+// value, and Stats() still counts over a device with telemetry disabled.
+// (The firmware's and the pipeline's such events have the same test in
+// internal/kamlssd, the lock manager's in internal/lockmgr.)
 func TestOneCellPerEvent(t *testing.T) {
 	for _, disabled := range []bool{false, true} {
 		e, c := newCacheOver(1<<20, 1, func(cfg *kamlssd.Config) { cfg.DisableTelemetry = disabled })
 		e.Go("test", func() {
 			defer c.Close()
 			lostUpdateAttempt(t, c)
-			st, reg := c.Stats(), c.Device().Telemetry()
+			dieOnce(t, c)
+			st, reg := c.Stats(), c.dev.Telemetry()
 			if (reg == nil) != disabled {
 				t.Fatalf("Telemetry() = %v with DisableTelemetry=%v", reg, disabled)
 			}
@@ -147,6 +150,7 @@ func TestOneCellPerEvent(t *testing.T) {
 				{"SICommits", st.SICommits, reg.Counter("kaml_si_commits_total").Value()},
 				{"SIAborts", st.SIAborts, reg.Counter("kaml_si_aborts_total").Value()},
 				{"SIValidationFails", st.SIValidationFails, reg.Counter("kaml_si_validation_failures_total").Value()},
+				{"Dies", st.Dies, reg.Counter("kaml_lockmgr_backoffs_total").Value()},
 			} {
 				if ev.stats == 0 {
 					t.Errorf("DisableTelemetry=%v: Stats().%s = 0", disabled, ev.name)
@@ -158,6 +162,27 @@ func TestOneCellPerEvent(t *testing.T) {
 		})
 		e.Wait()
 	}
+}
+
+// dieOnce has a younger SS2PL writer meet an older one's X-lock: it dies
+// (wait-die).
+func dieOnce(t *testing.T, c *Cache) {
+	tbl, err := c.CreateTable("die", storage.TableHint{ExpectedRows: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	older, younger := c.Begin(), c.Begin()
+	if err := older.Insert(tbl, 1, []byte("older")); err != nil {
+		t.Fatal(err)
+	}
+	if err := younger.Insert(tbl, 1, []byte("younger")); !errors.Is(err, storage.ErrAborted) {
+		t.Fatalf("younger writer against a held X-lock: %v, want ErrAborted", err)
+	}
+	younger.Free()
+	if err := older.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	older.Free()
 }
 
 // lostUpdateAttempt runs the classic lost-update schedule — two SI
@@ -333,13 +358,13 @@ func TestSIReadOfACachedVersionSkipsTheDevice(t *testing.T) {
 		commitValue(t, c, tbl, 1, "v1")
 		si := c.BeginSI()
 		defer si.Free()
-		gets, st := c.Device().Stats().Gets, c.Stats()
+		gets, st := c.dev.Stats().Gets, c.Stats()
 		start := e.Now()
 		v, err := si.Read(tbl, 1)
 		if took := e.Now() - start; err != nil || string(v) != "v1" || took != DefaultHostOpCost {
 			t.Fatalf("SI read = %q, %v in %v; want v1 in %v", v, err, took, DefaultHostOpCost)
 		}
-		if n := c.Device().Stats().Gets - gets; n != 0 {
+		if n := c.dev.Stats().Gets - gets; n != 0 {
 			t.Fatalf("SI read of a cached version issued %d device Gets, want 0", n)
 		}
 		if after := c.Stats(); after.Hits != st.Hits+1 || after.Misses != st.Misses {
@@ -357,12 +382,12 @@ func TestSIReadOlderThanTheCachedVersionReadsTheDevice(t *testing.T) {
 		si := c.BeginSI()
 		defer si.Free()
 		commitValue(t, c, tbl, 1, "v2") // cached, with a seq above si's snapshot
-		gets, st := c.Device().Stats().Gets, c.Stats()
+		gets, st := c.dev.Stats().Gets, c.Stats()
 		v, err := si.Read(tbl, 1)
 		if err != nil || string(v) != "v1" {
 			t.Fatalf("SI read = %q, %v; want the snapshot's v1", v, err)
 		}
-		if n := c.Device().Stats().Gets - gets; n != 1 {
+		if n := c.dev.Stats().Gets - gets; n != 1 {
 			t.Fatalf("SI read of a newer cached version issued %d device Gets, want 1", n)
 		}
 		if after := c.Stats(); after.Misses != st.Misses+1 || after.Hits != st.Hits {
@@ -380,7 +405,7 @@ func TestSIReadInsideAWritersCompletionSeesTheCommit(t *testing.T) {
 	withCache(t, 1<<20, 1, func(e *sim.Engine, c *Cache) {
 		tbl := newTable(t, c)
 		commitValue(t, c, tbl, 1, "v1")
-		old, err := c.Device().LatestCommittedSeq(tbl, 1)
+		old, err := c.dev.LatestCommittedSeq(tbl, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +419,7 @@ func TestSIReadInsideAWritersCompletionSeesTheCommit(t *testing.T) {
 		})
 		// Poll until the writer's group commit lands on the device.
 		for {
-			seq, err := c.Device().LatestCommittedSeq(tbl, 1)
+			seq, err := c.dev.LatestCommittedSeq(tbl, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

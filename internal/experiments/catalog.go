@@ -23,7 +23,6 @@ func Catalog() []Experiment {
 		{"ablations", "extra ablations: checkpoint interference, lock-granularity sweep, write amplification", Ablations},
 		{"qdsweep", "queue-depth sweep: pipelined Get/Put scaling and Put coalescing", wrap1(QDSweep)},
 		{"sisweep", "isolation sweep: SS2PL vs snapshot isolation, hot-key RMW abort rate and reader coexistence", SISweep},
-		{"getscale", "concurrent Get scaling: wall-clock gets/s and allocs per Get vs reader count", wrap1(GetScale)},
 		{"traffic", "production traffic scenarios: all checked-in scenarios with per-phase stats and assertion verdicts", wrap1(TrafficScenarios)},
 	}
 }

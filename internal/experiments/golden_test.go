@@ -4,15 +4,13 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 )
 
 // The suite's golden: every table kamlbench prints at goldenScale, in catalog
-// order, rendered as kamlbench renders it, without the columns measured on
-// the host's clock. Every engine in the suite is serialized, so everything
-// else repeats exactly. Regenerate it with
+// order, rendered as kamlbench renders it. Every engine in the suite is
+// serialized, so every cell repeats exactly. Regenerate it with
 //
 //	go test ./internal/experiments -run TestSuiteMatchesGolden -update
 //
@@ -24,10 +22,6 @@ var (
 	update     = flag.Bool("update", false, "rewrite "+goldenFile+" from this run")
 )
 
-// wallClockColumns are getscale's gets/s and its ratio to one reader: the
-// only cells two runs of one commit disagree on.
-var wallClockColumns = []string{"gets_per_sec", "speedup_vs_1"}
-
 // suiteText runs the whole suite at goldenScale and renders its tables.
 func suiteText() string {
 	var b strings.Builder
@@ -36,31 +30,10 @@ func suiteText() string {
 			if b.Len() > 0 {
 				b.WriteString("\n")
 			}
-			b.WriteString(withoutWallClock(tb).Render())
+			b.WriteString(tb.Render())
 		}
 	}
 	return b.String()
-}
-
-// withoutWallClock returns tb without its wallClockColumns.
-func withoutWallClock(tb *Table) *Table {
-	out := *tb
-	out.Header, out.Rows = nil, nil
-	var keep []int
-	for i, h := range tb.Header {
-		if !slices.Contains(wallClockColumns, h) {
-			keep = append(keep, i)
-			out.Header = append(out.Header, h)
-		}
-	}
-	for _, row := range tb.Rows {
-		var r []string
-		for _, i := range keep {
-			r = append(r, row[i])
-		}
-		out.Rows = append(out.Rows, r)
-	}
-	return &out
 }
 
 // Two runs of the suite print the same tables, and this commit prints the

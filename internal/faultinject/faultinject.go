@@ -125,13 +125,3 @@ func (p *Plan) Decide(op flash.Op, ppn flash.PPN, now time.Duration) flash.Verdi
 	}
 	return flash.VerdictOK
 }
-
-// Programs returns how many program attempts the plan has observed.
-func (p *Plan) Programs() int {
-	return p.programs
-}
-
-// Cut reports whether the plan has delivered its power cut.
-func (p *Plan) Cut() bool {
-	return p.cut
-}

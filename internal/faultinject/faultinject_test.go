@@ -93,7 +93,7 @@ func TestCutNowInterruptsNextOpAndRearms(t *testing.T) {
 	if v := p.Decide(flash.OpRead, 0, 0); v != flash.VerdictPowerCut {
 		t.Fatalf("armed cut: verdict %v", v)
 	}
-	if !p.Cut() {
+	if !p.cut {
 		t.Fatalf("cut not latched")
 	}
 	if v := p.Decide(flash.OpProgram, 0, 0); v != flash.VerdictOK {

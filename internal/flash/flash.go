@@ -154,9 +154,6 @@ func (c Config) TransferTime(n int) time.Duration {
 // Layout: chip-major, so consecutive PPNs within a block stay on one chip.
 type PPN uint32
 
-// InvalidPPN is a sentinel that never addresses a real page.
-const InvalidPPN = PPN(^uint32(0))
-
 // Addr is a decoded physical page address.
 type Addr struct {
 	Channel int

@@ -100,10 +100,11 @@ type Device struct {
 
 	// Telemetry. The baseline exposes its GC economics so the paper's
 	// KAML-vs-block-SSD comparisons can be watched live next to the kamlssd
-	// series.
+	// series. The GC's two counts are one cell each, which the registry
+	// lists and Stats() reads.
 	tel        *telemetry.Registry
-	gcCopied   *telemetry.Counter   // valid sectors relocated by GC
-	gcErased   *telemetry.Counter   // GC block erases
+	gcCopies   telemetry.Counter    // valid sectors relocated by GC
+	gcErases   telemetry.Counter    // GC block erases
 	gcPause    *telemetry.Histogram // one victim collection (virtual time)
 	freeBlocks *telemetry.Gauge     // allocator free-block count
 }
@@ -173,8 +174,8 @@ func New(arr *flash.Array, ctrl *nvme.Controller) *Device {
 	d.tel.Help("ftl_gc_erases_total", "GC block erases.")
 	d.tel.Help("ftl_gc_pause_seconds", "Duration of one GC victim collection (virtual time).")
 	d.tel.Help("ftl_free_blocks", "Allocator free-block count.")
-	d.gcCopied = d.tel.Counter("ftl_gc_copied_sectors_total")
-	d.gcErased = d.tel.Counter("ftl_gc_erases_total")
+	d.tel.AdoptCounter(&d.gcCopies, "ftl_gc_copied_sectors_total")
+	d.tel.AdoptCounter(&d.gcErases, "ftl_gc_erases_total")
 	d.gcPause = d.tel.Histogram("ftl_gc_pause_seconds", telemetry.UnitSeconds)
 	d.freeBlocks = d.tel.Gauge("ftl_free_blocks")
 	d.pendingByBlock = make(map[int]int)
@@ -218,17 +219,13 @@ func (d *Device) Close() {
 func (d *Device) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.stats
+	st := d.stats
+	st.GCErases, st.GCCopies = d.gcErases.Value(), d.gcCopies.Value()
+	return st
 }
-
-// Telemetry returns the device's metrics registry.
-func (d *Device) Telemetry() *telemetry.Registry { return d.tel }
 
 // Capacity returns the number of exposed 4 KB sectors.
 func (d *Device) Capacity() int { return d.numLBAs }
-
-// Engine returns the owning simulation engine.
-func (d *Device) Engine() *sim.Engine { return d.eng }
 
 func (d *Device) rangeLock(lba int) *sim.Mutex {
 	return d.rangeLocks[lba>>rangeLockShift]

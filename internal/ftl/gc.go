@@ -125,9 +125,8 @@ func (d *Device) collectBlock(chipIdx, block int) {
 	// Pass 3: erase and reclaim (or retire on failure).
 	erasePPN := d.arr.BlockPPN(ca.channel, ca.chip, block, 0)
 	err := d.arr.EraseBlock(erasePPN)
-	d.gcErased.Inc()
+	d.gcErases.Inc()
 	d.mu.Lock()
-	d.stats.GCErases++
 	if err != nil {
 		d.alloc.retire(chipIdx, block)
 	} else {
@@ -169,9 +168,8 @@ func (d *Device) relocateGroup(group []liveSector) {
 	if perr := d.arr.ProgramPage(ppn, page, oob); perr != nil {
 		panic(fmt.Sprintf("ftl: GC program %d: %v", ppn, perr))
 	}
-	d.gcCopied.Add(int64(len(lbas)))
+	d.gcCopies.Add(int64(len(lbas)))
 	d.mu.Lock()
-	d.stats.GCCopies += int64(len(lbas))
 	d.stats.Programs++
 	for i, lba := range lbas {
 		newLoc := location(int64(ppn)*int64(d.spp) + int64(i))

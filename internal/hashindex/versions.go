@@ -81,9 +81,6 @@ func (v *Version) Loc() uint64 { return v.loc }
 // SetLoc sets a new physical location (flash install, GC relocation).
 func (v *Version) SetLoc(loc uint64) { v.loc = loc }
 
-// State returns the node's lifecycle state.
-func (v *Version) State() VersionState { return v.state }
-
 // Prev returns the next-older node, or nil at the chain's tail.
 func (v *Version) Prev() *Version { return v.prev }
 
@@ -411,9 +408,6 @@ func (vc *VersionChains) ChainLen(key uint64) int {
 
 // Keys returns the number of keys with at least one linked version.
 func (vc *VersionChains) Keys() int { return vc.dir.Len() }
-
-// Nodes returns the number of linked version nodes across all chains.
-func (vc *VersionChains) Nodes() int { return vc.nodes }
 
 // LoadFactor returns keys / directory capacity.
 func (vc *VersionChains) LoadFactor() float64 {

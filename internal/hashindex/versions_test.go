@@ -51,8 +51,8 @@ func TestVersionChainBasics(t *testing.T) {
 	if lc := vc.LatestCommitted(1); lc == nil || lc.Seq != 30 {
 		t.Fatalf("LatestCommitted: %+v", lc)
 	}
-	if vc.ChainLen(1) != 3 || vc.Nodes() != 3 || vc.Keys() != 1 {
-		t.Fatalf("stats: len=%d nodes=%d keys=%d", vc.ChainLen(1), vc.Nodes(), vc.Keys())
+	if vc.ChainLen(1) != 3 || vc.nodes != 3 || vc.Keys() != 1 {
+		t.Fatalf("stats: len=%d nodes=%d keys=%d", vc.ChainLen(1), vc.nodes, vc.Keys())
 	}
 	if got := vc.VersionAtLoc(1, 2000); got != v2 {
 		t.Fatalf("VersionAtLoc(2000) = %v", got)
@@ -165,7 +165,7 @@ func TestFirstNodeLivesInItsCell(t *testing.T) {
 	if c3, _, _ := vc.find(3); c3 != c2 || w == &c2.first {
 		t.Fatal("the recycled cell's new owner reused its first-node storage")
 	}
-	if v.Seq != 30 || v.State() != VersionAborted {
+	if v.Seq != 30 || v.state != VersionAborted {
 		t.Fatalf("the aborted in-cell node changed under its reader: %+v", v)
 	}
 }
@@ -316,8 +316,8 @@ func TestPruneAllVisitsOnlyDeepChains(t *testing.T) {
 	}
 	// Deleted-root pruning (keepNewest=false) still ranges every chain and
 	// reclaims shallow ones.
-	if n := vc.PruneAll(nil, NoFloor, false, nil, nil); n != 17 || vc.Nodes() != 0 {
-		t.Fatalf("orphan prune: pruned %d, %d nodes left", n, vc.Nodes())
+	if n := vc.PruneAll(nil, NoFloor, false, nil, nil); n != 17 || vc.nodes != 0 {
+		t.Fatalf("orphan prune: pruned %d, %d nodes left", n, vc.nodes)
 	}
 }
 
@@ -393,7 +393,7 @@ func TestVersionChainsModel(t *testing.T) {
 			c, _, _ := vc.find(key)
 			n := vc.Head(key)
 			for i := len(want) - 1; i >= 0; i-- {
-				if n == nil || n.Seq != want[i].seq || n.Loc() != want[i].loc || n.State() != VersionCommitted {
+				if n == nil || n.Seq != want[i].seq || n.Loc() != want[i].loc || n.state != VersionCommitted {
 					t.Fatalf("step %d (%s): key %d version %d: got %+v, want %+v", step, what, key, i, n, want[i])
 				}
 				if n == &c.first {
@@ -405,8 +405,8 @@ func TestVersionChainsModel(t *testing.T) {
 				t.Fatalf("step %d (%s): key %d chain longer than the model's %d", step, what, key, len(want))
 			}
 		}
-		if vc.Nodes() != nodes {
-			t.Fatalf("step %d (%s): Nodes() = %d, model has %d", step, what, vc.Nodes(), nodes)
+		if vc.nodes != nodes {
+			t.Fatalf("step %d (%s): nodes = %d, model has %d", step, what, vc.nodes, nodes)
 		}
 		if got := vc.inline; got != inline {
 			t.Fatalf("step %d (%s): %d nodes accounted as living in their cell, %d do", step, what, got, inline)

@@ -12,9 +12,6 @@ import (
 	"fmt"
 )
 
-// PageSize is the database page size.
-const PageSize = 8192
-
 // Header layout:
 //
 //	0..8   pageLSN

@@ -8,8 +8,11 @@ import (
 	"testing/quick"
 )
 
+// pageSize is the Shore-MT baseline's page (blockdev.PageSize).
+const pageSize = 8192
+
 func newPage() []byte {
-	buf := make([]byte, PageSize)
+	buf := make([]byte, pageSize)
 	Init(buf)
 	return buf
 }
@@ -128,7 +131,7 @@ func TestPageFillsAndCompacts(t *testing.T) {
 
 func TestTooLargeRejected(t *testing.T) {
 	p := newPage()
-	if _, err := Insert(p, make([]byte, PageSize)); !errors.Is(err, ErrTooLarge) {
+	if _, err := Insert(p, make([]byte, pageSize)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err=%v", err)
 	}
 }

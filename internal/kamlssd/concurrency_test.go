@@ -1,24 +1,20 @@
 package kamlssd
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
-
-	"github.com/kaml-ssd/kaml/internal/flash"
-	"github.com/kaml-ssd/kaml/internal/nvme"
-	"github.com/kaml-ssd/kaml/internal/sim"
 )
 
-// Stress for the decomposed lock hierarchy: many namespaces with a private
+// Stress for the firmware's interleavings: many namespaces with a private
 // writer each, readers racing the writers, snapshots cut mid-stream, and
 // the small test geometry keeping the garbage collector busy throughout.
-// The sim engine wakes every actor due at the same virtual instant on its
-// own goroutine, so under -race this exercises namespace-, log-, and
-// NVRAM-lock interleavings that the single-actor tests never hit.
+// The engine runs one actor at a time and draws among those due at the
+// same virtual instant by its seeded schedule, so writers, readers,
+// snapshots and collectors interleave in ways the single-actor tests
+// never reach.
 func TestConcurrentStress(t *testing.T) {
 	const (
 		numNS   = 6
@@ -189,91 +185,4 @@ func stressValOK(v []byte, ns uint32, key uint64, rounds int) bool {
 		}
 	}
 	return false
-}
-
-// BenchmarkConcurrentGets measures wall-clock scaling of read-only traffic
-// spread across namespaces: each worker count runs the same total number of
-// Gets, none of which takes a namespace lock.
-// Telemetry is on (the default); compare against
-// BenchmarkConcurrentGetsTelemetryOff for the instrumentation overhead,
-// which must stay under 5%.
-func BenchmarkConcurrentGets(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchConcurrentGets(b, workers, false)
-		})
-	}
-}
-
-// BenchmarkConcurrentGetsTelemetryOff is the same workload with the
-// metrics registry disabled (nil instruments, timestamp reads skipped) —
-// the baseline for the telemetry overhead budget.
-func BenchmarkConcurrentGetsTelemetryOff(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchConcurrentGets(b, workers, true)
-		})
-	}
-}
-
-func benchConcurrentGets(b *testing.B, workers int, disableTelemetry bool) {
-	const keys = 256
-	e := sim.NewEngine()
-	arr := flash.New(e, testFlashConfig())
-	ctrl := nvme.New(e, nvme.DefaultConfig())
-	cfg := DefaultConfig(testFlashConfig())
-	cfg.NumLogs = 4
-	cfg.DisableTelemetry = disableTelemetry
-	dev := New(arr, ctrl, cfg)
-	nsIDs := make([]uint32, workers)
-	total := b.N * 512
-	var wall time.Duration
-	e.Go("bench-main", func() {
-		defer dev.Close()
-		for i := range nsIDs {
-			ns, err := dev.CreateNamespace(NamespaceAttrs{})
-			if err != nil {
-				b.Errorf("create: %v", err)
-				return
-			}
-			nsIDs[i] = ns
-			for k := uint64(0); k < keys; k++ {
-				if err := dev.Put(one(ns, k, val(k, 256))); err != nil {
-					b.Errorf("put: %v", err)
-					return
-				}
-			}
-		}
-		dev.Flush()
-
-		start := time.Now()
-		wg := e.NewWaitGroup()
-		for w := 0; w < workers; w++ {
-			w := w
-			wg.Add(1)
-			e.Go(fmt.Sprintf("bench-reader-%d", w), func() {
-				defer wg.Done()
-				ns := nsIDs[w]
-				n := total / workers
-				for i := 0; i < n; i++ {
-					got, err := dev.Get(ns, uint64(i)%keys)
-					if err != nil {
-						b.Errorf("get: %v", err)
-						return
-					}
-					if !bytes.Equal(got, val(uint64(i)%keys, 256)) {
-						b.Error("value mismatch")
-						return
-					}
-				}
-			})
-		}
-		wg.Wait()
-		wall = time.Since(start)
-	})
-	e.Wait()
-	if b.Failed() {
-		return
-	}
-	b.ReportMetric(float64(total)/wall.Seconds(), "gets/s")
 }

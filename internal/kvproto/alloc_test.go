@@ -65,7 +65,7 @@ func TestClientRoundTripAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ns, err := c.CreateNamespace(1024)
+	ns, err := c.createNamespace(1024)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -295,13 +295,6 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// Err returns the sticky transport error, if the client is poisoned.
-func (c *Client) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
 func u32Payload(v uint32) []byte {
 	var p [4]byte
 	binary.BigEndian.PutUint32(p[:], v)
@@ -379,8 +372,8 @@ func (c *Client) Put(ns uint32, key uint64, val []byte) error {
 	return f.Wait()
 }
 
-// CreateNamespace asks the server for a new namespace.
-func (c *Client) CreateNamespace(expectedKeys int) (uint32, error) {
+// createNamespace asks the server for a new namespace.
+func (c *Client) createNamespace(expectedKeys int) (uint32, error) {
 	ch, err := c.start(reqCreate, u32Payload(uint32(expectedKeys)))
 	if err != nil {
 		return 0, err
@@ -395,18 +388,8 @@ func (c *Client) CreateNamespace(expectedKeys int) (uint32, error) {
 	return binary.BigEndian.Uint32(pl), nil
 }
 
-// DeleteNamespace destroys a namespace.
-func (c *Client) DeleteNamespace(ns uint32) error {
-	ch, err := c.start(reqDelete, u32Payload(ns))
-	if err != nil {
-		return err
-	}
-	_, err = await(ch)
-	return err
-}
-
-// Snapshot asks the server to snapshot a namespace.
-func (c *Client) Snapshot(ns uint32) (uint32, error) {
+// snapshot asks the server to snapshot a namespace.
+func (c *Client) snapshot(ns uint32) (uint32, error) {
 	ch, err := c.start(reqSnapshot, u32Payload(ns))
 	if err != nil {
 		return 0, err

@@ -387,8 +387,8 @@ func (c *ClusterClient) Put(key uint64, val []byte) error {
 	return err
 }
 
-// Stats fetches one node's device counters.
-func (c *ClusterClient) Stats(node int) (string, error) {
+// stats fetches one node's device counters.
+func (c *ClusterClient) stats(node int) (string, error) {
 	cl, err := c.conn(node)
 	if err != nil {
 		return "", err

@@ -67,7 +67,7 @@ func TestClusterClientRoundTrip(t *testing.T) {
 	if _, err := cc.Get(1 << 40); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing key: err %v, want ErrNotFound", err)
 	}
-	if st, err := cc.Stats(0); err != nil || !strings.HasPrefix(st, "STATS ") {
+	if st, err := cc.stats(0); err != nil || !strings.HasPrefix(st, "STATS ") {
 		t.Fatalf("stats: %q %v", st, err)
 	}
 }
@@ -114,8 +114,8 @@ func TestClusterMovedRedirect(t *testing.T) {
 	if _, err := c.Get(7, key); err == nil || errors.As(err, &moved) {
 		t.Fatalf("nonzero namespace accepted: %v", err)
 	}
-	if _, err := c.CreateNamespace(10); err == nil {
-		t.Fatal("CreateNamespace accepted in cluster mode")
+	if _, err := c.createNamespace(10); err == nil {
+		t.Fatal("createNamespace accepted in cluster mode")
 	}
 }
 
@@ -178,7 +178,7 @@ func TestRetryableBranding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns, err := c.CreateNamespace(10)
+	ns, err := c.createNamespace(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestWriteErrorIsRetryable(t *testing.T) {
 		name string
 		do   func(c *Client) error
 	}{
-		{"create", func(c *Client) error { _, err := c.CreateNamespace(10); return err }},
+		{"create", func(c *Client) error { _, err := c.createNamespace(10); return err }},
 		{"put", func(c *Client) error { return c.Put(1, 1, []byte("x")) }},
 	} {
 		c := &Client{conn: brokenPipe{}, w: bufio.NewWriterSize(brokenPipe{}, 16), pending: make(map[uint64]chan rframe)}

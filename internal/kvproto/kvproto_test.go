@@ -45,7 +45,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 
-	ns, err := c.CreateNamespace(100)
+	ns, err := c.createNamespace(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 	}
 
 	// Snapshot over the wire.
-	snap, err := c.Snapshot(ns)
+	snap, err := c.snapshot(ns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns, err := setup.CreateNamespace(1000)
+	ns, err := setup.createNamespace(1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestClientDisconnectMidCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer setup.Close()
-	ns, err := setup.CreateNamespace(100)
+	ns, err := setup.createNamespace(100)
 	if err != nil {
 		t.Fatal(err)
 	}

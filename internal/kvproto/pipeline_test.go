@@ -19,7 +19,7 @@ func TestPipelinedOutstanding(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ns, err := c.CreateNamespace(256)
+	ns, err := c.createNamespace(256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSharedClientConcurrentGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ns, err := c.CreateNamespace(1024)
+	ns, err := c.createNamespace(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,10 +235,13 @@ func TestMidPipelineDisconnectPoisonsClient(t *testing.T) {
 	if _, err := c.GetAsync(1, 99); err == nil {
 		t.Fatal("submit after poison accepted")
 	}
-	if c.Err() == nil {
+	c.mu.Lock()
+	sticky := c.err
+	c.mu.Unlock()
+	if sticky == nil {
 		t.Fatal("no sticky error recorded")
 	}
-	if _, err := c.Get(1, 100); !errors.Is(err, c.Err()) {
+	if _, err := c.Get(1, 100); !errors.Is(err, sticky) {
 		t.Fatalf("sync call after poison: %v", err)
 	}
 }

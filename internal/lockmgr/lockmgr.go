@@ -36,14 +36,12 @@ const DieBackoff = 5 * time.Microsecond
 
 // Backoff parks the calling actor for the wait-die retry backoff.
 func (m *Manager) Backoff() {
-	m.mu.Lock()
-	c := m.cBackoffs
-	m.mu.Unlock()
-	if c != nil {
-		c.Inc()
-	}
+	m.backoffs.Inc()
 	m.eng.Sleep(DieBackoff)
 }
+
+// Backoffs returns how many retry backoffs killed transactions have taken.
+func (m *Manager) Backoffs() int64 { return m.backoffs.Value() }
 
 // Mode is a lock mode.
 type Mode int
@@ -79,35 +77,26 @@ type Manager struct {
 	locks          map[LockID]*lockState
 	free           []*lockState // released lock records, both maps empty
 
-	acquires, waits, dies int64
-
-	// Telemetry instruments, nil until Instrument is called (scrape-free
-	// workloads pay nothing). Guarded by m.mu.
-	cAcquires, cWaits, cDies, cBackoffs *telemetry.Counter
+	// The manager's counted events, one cell each, which Instrument lists
+	// in a registry.
+	acquires, waits, dies, backoffs telemetry.Counter
 }
 
-// Instrument registers the lock manager's counters in r and starts
-// exporting: kaml_lockmgr_acquires_total, kaml_lockmgr_waits_total,
+// Instrument lists the lock manager's cells in r:
+// kaml_lockmgr_acquires_total, kaml_lockmgr_waits_total,
 // kaml_lockmgr_dies_total (wait-die kills), and
-// kaml_lockmgr_backoffs_total (post-die retry backoffs). Counts accumulated
-// before the call are exported retroactively. A nil registry is a no-op.
+// kaml_lockmgr_backoffs_total (post-die retry backoffs). The series read
+// the cells, counts from before the call included. A nil registry is a
+// no-op.
 func (m *Manager) Instrument(r *telemetry.Registry) {
-	if r == nil {
-		return
-	}
 	r.Help("kaml_lockmgr_acquires_total", "Lock acquisitions requested (includes re-acquires and upgrades).")
 	r.Help("kaml_lockmgr_waits_total", "Acquire passes that parked waiting for a conflicting holder.")
 	r.Help("kaml_lockmgr_dies_total", "Wait-die aborts: younger requesters killed by an older holder.")
 	r.Help("kaml_lockmgr_backoffs_total", "Retry backoffs taken by killed transactions before re-running.")
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cAcquires = r.Counter("kaml_lockmgr_acquires_total")
-	m.cWaits = r.Counter("kaml_lockmgr_waits_total")
-	m.cDies = r.Counter("kaml_lockmgr_dies_total")
-	m.cBackoffs = r.Counter("kaml_lockmgr_backoffs_total")
-	m.cAcquires.Add(m.acquires)
-	m.cWaits.Add(m.waits)
-	m.cDies.Add(m.dies)
+	r.AdoptCounter(&m.acquires, "kaml_lockmgr_acquires_total")
+	r.AdoptCounter(&m.waits, "kaml_lockmgr_waits_total")
+	r.AdoptCounter(&m.dies, "kaml_lockmgr_dies_total")
+	r.AdoptCounter(&m.backoffs, "kaml_lockmgr_backoffs_total")
 }
 
 type lockState struct {
@@ -137,9 +126,6 @@ func New(e *sim.Engine, recordsPerLock int) *Manager {
 	m.cv = e.NewCond(m.mu)
 	return m
 }
-
-// RecordsPerLock returns the configured granularity.
-func (m *Manager) RecordsPerLock() int { return int(m.recordsPerLock) }
 
 // id maps a record to its lock unit.
 func (m *Manager) id(table uint32, key uint64) LockID {
@@ -171,10 +157,7 @@ func (m *Manager) Acquire(t *Txn, table uint32, key uint64, mode Mode) error {
 	id := m.id(table, key)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.acquires++
-	if m.cAcquires != nil {
-		m.cAcquires.Inc()
-	}
+	m.acquires.Inc()
 
 	if have, ok := t.held[id]; ok {
 		if have == Exclusive || mode == Shared {
@@ -242,16 +225,10 @@ func (m *Manager) Acquire(t *Txn, table uint32, key uint64, mode Mode) error {
 			return nil
 		}
 		if mustDie {
-			m.dies++
-			if m.cDies != nil {
-				m.cDies.Inc()
-			}
+			m.dies.Inc()
 			return fmt.Errorf("%w: ts %d on %v/%s", ErrDie, t.TS, id, mode)
 		}
-		m.waits++
-		if m.cWaits != nil {
-			m.cWaits.Inc()
-		}
+		m.waits.Inc()
 		if !registered {
 			ls.waiting[t.TS] = mode
 			registered = true
@@ -306,14 +283,4 @@ func (m *Manager) ReleaseAll(t *Txn) {
 	}
 	clear(t.held)
 	m.cv.Broadcast()
-}
-
-// Held reports the modes currently held (diagnostics).
-func (t *Txn) Held() int { return len(t.held) }
-
-// Stats reports cumulative acquire/wait/die counts.
-func (m *Manager) Stats() (acquires, waits, dies int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.acquires, m.waits, m.dies
 }

@@ -173,8 +173,8 @@ func TestReacquireAfterReleaseAll(t *testing.T) {
 		t1 := m.NewTxn(1)
 		m.Acquire(t1, 0, 1, Exclusive)
 		m.ReleaseAll(t1)
-		if t1.Held() != 0 {
-			t.Errorf("held=%d after release", t1.Held())
+		if len(t1.held) != 0 {
+			t.Errorf("held=%d after release", len(t1.held))
 		}
 		// Reuse of the same txn handle (wait-die retry pattern).
 		if err := m.Acquire(t1, 0, 1, Exclusive); err != nil {
@@ -216,21 +216,5 @@ func TestWarmAcquireReleaseDoesNotAllocate(t *testing.T) {
 	e.Wait()
 	if got != 0 {
 		t.Fatalf("a warm Acquire + ReleaseAll cycle allocates %.2f times, want 0", got)
-	}
-}
-
-func TestStatsCount(t *testing.T) {
-	e := sim.NewEngine()
-	m := New(e, 1)
-	e.Go("test", func() {
-		older, younger := m.NewTxn(1), m.NewTxn(2)
-		m.Acquire(older, 0, 1, Exclusive)
-		m.Acquire(younger, 0, 1, Exclusive) // dies
-		m.ReleaseAll(older)
-	})
-	e.Wait()
-	acq, _, dies := m.Stats()
-	if acq != 2 || dies != 1 {
-		t.Fatalf("acq=%d dies=%d", acq, dies)
 	}
 }

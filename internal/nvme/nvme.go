@@ -69,9 +69,6 @@ func New(e *sim.Engine, cfg Config) *Controller {
 // Config returns the transport configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// Engine returns the owning simulation engine.
-func (c *Controller) Engine() *sim.Engine { return c.eng }
-
 // Submission charges the host-side cost of issuing one command: host
 // software time plus the submission transfer, with a queue-pair slot held
 // across the combined segment. The slot bounds concurrent DMA into the

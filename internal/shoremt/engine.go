@@ -76,8 +76,6 @@ type Engine struct {
 
 	closed  bool
 	stopped *sim.WaitGroup
-
-	commits, aborts int64
 }
 
 type table struct {
@@ -124,22 +122,6 @@ func New(dev *blockdev.Device, eng *sim.Engine, cfg Config) *Engine {
 		eng.Go("shoremt-ckpt", e.checkpointLoop)
 	}
 	return e
-}
-
-// Log exposes the WAL (stats, tests).
-func (e *Engine) Log() *wal.Log { return e.log }
-
-// Pool exposes the buffer pool (stats, tests).
-func (e *Engine) Pool() *bufferpool.Pool { return e.pool }
-
-// Device exposes the block device (stats, tests).
-func (e *Engine) Device() *blockdev.Device { return e.dev }
-
-// Commits returns the number of committed transactions.
-func (e *Engine) Commits() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.commits
 }
 
 // CreateTable implements storage.Engine. The creation is logged and
@@ -222,7 +204,7 @@ func decodeRow(row []byte) (uint64, []byte, error) {
 // record with the catalog and active-transaction table, updates the master
 // record, and truncates the log. This background copying is the
 // "checkpointing ... can interfere with foreground activity" effect. The
-// closed check follows the sleep: a Crash or Close that arrived meanwhile
+// closed check follows the sleep: a crash or Close that arrived meanwhile
 // must find the device as it was, not freshly checkpointed.
 func (e *Engine) checkpointLoop() {
 	defer e.stopped.Done()

@@ -14,27 +14,27 @@ import (
 	"github.com/kaml-ssd/kaml/internal/wal"
 )
 
-// Crash simulates a host power failure: the buffer pool's volatile contents
+// crash simulates a host power failure: the buffer pool's volatile contents
 // vanish; the device (whose write buffer is battery-backed) and the durable
 // portion of the log survive. The engine becomes unusable; recover with
-// Recover over the same device.
-func (e *Engine) Crash() {
+// restart over the same device.
+func (e *Engine) crash() {
 	e.mu.Lock()
 	e.closed = true
 	e.mu.Unlock()
 	e.stopped.Wait()
 	e.pool.DropAll()
 	// Note: the WAL's volatile tail page is also lost; only records below
-	// FlushedLSN are recoverable, exactly as on real hardware.
+	// its flushed horizon are recoverable, exactly as on real hardware.
 }
 
-// Recover runs ARIES restart over a device that hosted a shoremt engine:
+// restart runs ARIES restart over a device that hosted a shoremt engine:
 // analysis from the last checkpoint, redo of all logged actions whose
 // effects are missing from pages, and undo of loser transactions with
 // CLRs. Indexes are rebuilt by scanning heap pages (a documented
 // simplification: Shore-MT logs index operations; here rows carry their
 // keys, so a scan reproduces the same trees).
-func Recover(dev *blockdev.Device, eng *sim.Engine, cfg Config) (*Engine, error) {
+func restart(dev *blockdev.Device, eng *sim.Engine, cfg Config) (*Engine, error) {
 	if cfg.LogPages < 2 {
 		return nil, errors.New("shoremt: bad log config")
 	}

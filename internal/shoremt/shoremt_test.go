@@ -314,7 +314,7 @@ func TestCrashWritesNothingAfterPowerFailure(t *testing.T) {
 		t.Fatal("the default config must run the checkpointer")
 	}
 	e.Go("main", func() {
-		defer eng.Device().Close()
+		defer eng.dev.Close()
 		tbl, err := eng.CreateTable("t", storage.TableHint{})
 		if err != nil {
 			t.Error(err)
@@ -329,9 +329,9 @@ func TestCrashWritesNothingAfterPowerFailure(t *testing.T) {
 			}
 			tx.Free()
 		}
-		before := eng.Device().FTL().Stats().Writes
-		eng.Crash()
-		if after := eng.Device().FTL().Stats().Writes; after != before {
+		before := eng.dev.FTL().Stats().Writes
+		eng.crash()
+		if after := eng.dev.FTL().Stats().Writes; after != before {
 			t.Errorf("the device took %d sector writes after the power failure", after-before)
 		}
 	})
@@ -387,10 +387,10 @@ func TestCrashRecoveryCommittedSurvivesLoserRollsBack(t *testing.T) {
 		loser.Insert(tbl, 999, []byte("UNCOMMITTED-INSERT"))
 		// Force the loser's dirt to disk via eviction pressure so redo/undo
 		// both have work: flush everything, simulating steal.
-		eng.Pool().FlushAll()
+		eng.pool.FlushAll()
 
-		eng.Crash()
-		eng2, err := Recover(dev, e, cfg)
+		eng.crash()
+		eng2, err := restart(dev, e, cfg)
 		if err != nil {
 			t.Errorf("recover: %v", err)
 			return
@@ -439,7 +439,7 @@ func TestCommitLatencyIncludesLogForce(t *testing.T) {
 		if lat < 20*time.Microsecond {
 			t.Fatalf("commit suspiciously fast: %v", lat)
 		}
-		_, forces, _ := eng.Log().Stats()
+		_, forces, _ := eng.log.Stats()
 		if forces == 0 {
 			t.Fatal("commit did not force the log")
 		}
@@ -453,12 +453,12 @@ func TestReadOnlyCommitSkipsForce(t *testing.T) {
 		tx.Insert(tbl, 1, []byte("x"))
 		tx.Commit()
 		tx.Free()
-		_, before, _ := eng.Log().Stats()
+		_, before, _ := eng.log.Stats()
 		ro := eng.Begin()
 		ro.Read(tbl, 1)
 		ro.Commit()
 		ro.Free()
-		_, after, _ := eng.Log().Stats()
+		_, after, _ := eng.log.Stats()
 		if after != before {
 			t.Fatal("read-only txn forced the log")
 		}

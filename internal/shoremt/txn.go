@@ -298,7 +298,7 @@ func (tx *Txn) Commit() error {
 			return err
 		}
 	}
-	tx.finish(true)
+	tx.finish()
 	return nil
 }
 
@@ -309,7 +309,7 @@ func (tx *Txn) Abort() {
 		return
 	}
 	tx.rollback()
-	tx.finish(false)
+	tx.finish()
 }
 
 // dieAbort is the wait-die kill path. The backoff happens after locks are
@@ -319,7 +319,7 @@ func (tx *Txn) dieAbort() {
 		return
 	}
 	tx.rollback()
-	tx.finish(false)
+	tx.finish()
 	tx.e.lm.Backoff()
 }
 
@@ -410,16 +410,11 @@ func (tx *Txn) undoInsert(rec wal.Record) {
 }
 
 // finish releases locks and retires the transaction.
-func (tx *Txn) finish(committed bool) {
+func (tx *Txn) finish() {
 	tx.done = true
 	tx.e.lm.ReleaseAll(tx.lt)
 	tx.e.mu.Lock()
 	delete(tx.e.active, tx.id)
-	if committed {
-		tx.e.commits++
-	} else {
-		tx.e.aborts++
-	}
 	tx.e.mu.Unlock()
 }
 

@@ -170,7 +170,7 @@ var parks = []struct {
 			}, func() {
 				for i := range latches {
 					e.Sleep(time.Microsecond)
-					latches[i].Open(e)
+					latches[i].OpenAt(e, 0)
 				}
 			}
 	}},
@@ -219,11 +219,11 @@ func TestLatch(t *testing.T) {
 		}
 		e.Sleep(time.Millisecond)
 		if l.IsOpen(e) {
-			t.Error("latch open before Open")
+			t.Error("latch open before OpenAt")
 		}
 		opened = e.Now()
-		l.Open(e)
-		l.Open(e) // idempotent
+		l.OpenAt(e, 0)
+		l.OpenAt(e, 0) // idempotent
 		e.Go("late", func() {
 			l.Wait(e)
 			late = e.Now()

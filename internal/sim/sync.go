@@ -342,14 +342,10 @@ func (l *Latch) Wait(e *Engine) {
 	e.parkLocked(tok, "latch")
 }
 
-// Open opens the latch now and wakes every actor parked on it, oldest first.
-// Idempotent; callable from inside or outside the simulation.
-func (l *Latch) Open(e *Engine) { l.OpenAt(e, 0) }
-
 // OpenAt opens the latch at virtual instant at — now, if at has passed. The
 // actors parked on it wake at that instant, oldest first, each on a timer
-// of its own. A latch opens once: call OpenAt (or Open, any number of
-// times) on it, not both. Callable from inside or outside the simulation.
+// of its own. A latch opens once: call OpenAt with one instant, any number
+// of times. Callable from inside or outside the simulation.
 func (l *Latch) OpenAt(e *Engine, at time.Duration) {
 	l.at.Store(int64(at))
 	l.open.Store(true)

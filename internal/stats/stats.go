@@ -1,10 +1,9 @@
 // Package stats provides small latency/throughput measurement helpers for
 // the experiment harness: an exact-quantile reservoir for the moderate
-// sample counts the simulations produce, plus helpers for formatting.
+// sample counts the simulations produce.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -23,15 +22,6 @@ func (h *Histogram) Add(d time.Duration) {
 	h.samples = append(h.samples, d)
 	h.sorted = false
 }
-
-// Merge folds other's samples into h.
-func (h *Histogram) Merge(other *Histogram) {
-	h.samples = append(h.samples, other.samples...)
-	h.sorted = false
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int { return len(h.samples) }
 
 func (h *Histogram) sort() {
 	if !h.sorted {
@@ -77,11 +67,4 @@ func (h *Histogram) Max() time.Duration {
 	}
 	h.sort()
 	return h.samples[len(h.samples)-1]
-}
-
-// Summary formats mean/p50/p99/max in microseconds.
-func (h *Histogram) Summary() string {
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-	return fmt.Sprintf("mean=%.1fus p50=%.1fus p99=%.1fus max=%.1fus",
-		us(h.Mean()), us(h.Quantile(0.5)), us(h.Quantile(0.99)), us(h.Max()))
 }

@@ -286,13 +286,6 @@ func (l *Log) Force(lsn LSN) error {
 	return nil
 }
 
-// FlushedLSN returns the durable horizon.
-func (l *Log) FlushedLSN() LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.flushed
-}
-
 // TailLSN returns the LSN the next Append will receive.
 func (l *Log) TailLSN() LSN {
 	l.mu.Lock()

@@ -166,12 +166,12 @@ func TestReadAtVolatileAndDurable(t *testing.T) {
 func TestForceDurabilityHorizon(t *testing.T) {
 	withLog(t, 64, func(e *sim.Engine, l *Log) {
 		lsn, _ := l.Append(&Record{Type: TypeCommit, TxnID: 1})
-		if l.FlushedLSN() > lsn {
+		if l.flushed > lsn {
 			t.Fatal("flushed before force")
 		}
 		l.Force(lsn)
-		if l.FlushedLSN() <= lsn {
-			t.Fatalf("flushed=%d <= lsn=%d", l.FlushedLSN(), lsn)
+		if l.flushed <= lsn {
+			t.Fatalf("flushed=%d <= lsn=%d", l.flushed, lsn)
 		}
 	})
 }

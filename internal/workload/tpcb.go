@@ -162,8 +162,8 @@ func (t *TPCB) addBalance(tx storage.Tx, table uint32, key uint64, delta int64) 
 	return tx.Update(table, key, t.balanceRow(bal+delta))
 }
 
-// TotalBalance sums a table's balances (consistency checks in tests).
-func (t *TPCB) TotalBalance(table uint32, n int) (int64, error) {
+// totalBalance sums a table's balances (consistency checks in tests).
+func (t *TPCB) totalBalance(table uint32, n int) (int64, error) {
 	var total int64
 	tx := t.eng.Begin()
 	defer tx.Free()
@@ -180,12 +180,3 @@ func (t *TPCB) TotalBalance(table uint32, n int) (int64, error) {
 	}
 	return total, tx.Commit()
 }
-
-// AccountTable / TellerTable / BranchTable expose table IDs for checks.
-func (t *TPCB) AccountTable() uint32 { return t.acct }
-
-// TellerTable returns the teller table ID.
-func (t *TPCB) TellerTable() uint32 { return t.tell }
-
-// BranchTable returns the branch table ID.
-func (t *TPCB) BranchTable() uint32 { return t.brch }

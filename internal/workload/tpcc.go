@@ -266,6 +266,3 @@ func (t *TPCC) Payment(rng *rand.Rand) error {
 		return tx.Commit()
 	})
 }
-
-// OrdersTable returns the orders table ID.
-func (t *TPCC) OrdersTable() uint32 { return t.orders }

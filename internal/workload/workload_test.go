@@ -249,15 +249,15 @@ func TestTPCBConservation(t *testing.T) {
 		}
 		wg.Wait()
 		// TPC-B invariant: sum(accounts) == sum(tellers) == sum(branches).
-		aSum, err := b.TotalBalance(b.AccountTable(), b.Accounts())
+		aSum, err := b.totalBalance(b.acct, b.Accounts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		tSum, err := b.TotalBalance(b.TellerTable(), cfg.Branches*cfg.TellersPerBranch)
+		tSum, err := b.totalBalance(b.tell, cfg.Branches*cfg.TellersPerBranch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		brSum, err := b.TotalBalance(b.BranchTable(), cfg.Branches)
+		brSum, err := b.totalBalance(b.brch, cfg.Branches)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestTPCCNewOrderAndPayment(t *testing.T) {
 		}
 		// Orders exist.
 		tx := eng.Begin()
-		if _, err := tx.Read(c.OrdersTable(), 1); err != nil {
+		if _, err := tx.Read(c.orders, 1); err != nil {
 			t.Fatalf("order 1 missing: %v", err)
 		}
 		tx.Commit()

@@ -72,9 +72,6 @@ func NewYCSB(eng storage.Engine, cfg YCSBConfig) (*YCSB, error) {
 	return y, nil
 }
 
-// Table returns the backing table ID.
-func (y *YCSB) Table() uint32 { return y.table }
-
 // value builds a deterministic record body.
 func (y *YCSB) value(key uint64, rng *rand.Rand) []byte {
 	v := make([]byte, y.cfg.ValueSize)

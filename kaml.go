@@ -519,7 +519,7 @@ func (d *Device) PutBatch(records []Record) error {
 	return err
 }
 
-// PutFuture is an in-flight AsyncPut or AsyncPutBatch.
+// PutFuture is an in-flight AsyncPut.
 type PutFuture struct {
 	f    *cmdq.Future
 	tap  HistoryTap
@@ -551,20 +551,6 @@ func (d *Device) AsyncPut(ns Namespace, key uint64, value []byte) *PutFuture {
 		fut.id = fut.tap.OpInvoked(OpPut, 0, recs)
 	}
 	fut.f = d.dev.SubmitPut(recs)
-	return fut
-}
-
-// AsyncPutBatch submits an atomic multi-record write and returns a future.
-// Validation failures (ErrEmptyBatch, ErrDuplicateKey) surface through the
-// future's Wait, never through a neighboring command. The device copies the
-// records before this returns, so the slice may be reused at once; the
-// values it names must stay unmodified until Wait has returned.
-func (d *Device) AsyncPutBatch(records []Record) *PutFuture {
-	fut := &PutFuture{tap: d.tap}
-	if fut.tap != nil {
-		fut.id = fut.tap.OpInvoked(OpPutBatch, 0, slices.Clone(records))
-	}
-	fut.f = d.dev.SubmitPut(records)
 	return fut
 }
 

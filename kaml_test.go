@@ -200,6 +200,62 @@ func TestSnapshots(t *testing.T) {
 	})
 }
 
+// TestQuickStartTimeTravel runs README's quick start on its default device:
+// after the "newer" overwrite, the snapshot and GetAt at the pinned
+// timestamp still read "hello", and every write advances CommitTS.
+func TestQuickStartTimeTravel(t *testing.T) {
+	dev, err := kaml.Open(kaml.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Go(func() {
+		defer dev.Close()
+		users, err := dev.CreateNamespace(kaml.NamespaceOptions{ExpectedKeys: 10_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := dev.CommitTS()
+		advanced := func(op string, err error) {
+			if err != nil {
+				t.Fatalf("%s: %v", op, err)
+			}
+			if now := dev.CommitTS(); now <= ts {
+				t.Errorf("CommitTS after %s = %d, want past %d", op, now, ts)
+			}
+			ts = dev.CommitTS()
+		}
+		advanced("Put hello", dev.Put(users, 42, []byte("hello")))
+		if v, err := dev.Get(users, 42); err != nil || string(v) != "hello" {
+			t.Fatalf("Get = %q, %v; want hello", v, err)
+		}
+		advanced("PutBatch", dev.PutBatch([]kaml.Record{
+			{Namespace: users, Key: 1, Value: []byte("a")},
+			{Namespace: users, Key: 2, Value: []byte("b")},
+		}))
+		snap, err := dev.Snapshot(users)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pin := dev.PinCurrent()
+		advanced("Put newer", dev.Put(users, 42, []byte("newer")))
+		for _, read := range []struct {
+			name string
+			get  func() ([]byte, error)
+			want string
+		}{
+			{"Get(snap, 42)", func() ([]byte, error) { return dev.Get(snap, 42) }, "hello"},
+			{"GetAt(users, 42, pin)", func() ([]byte, error) { return dev.GetAt(users, 42, pin) }, "hello"},
+			{"Get(users, 42)", func() ([]byte, error) { return dev.Get(users, 42) }, "newer"},
+		} {
+			if v, err := read.get(); err != nil || string(v) != read.want {
+				t.Errorf("%s = %q, %v; want %q", read.name, v, err, read.want)
+			}
+		}
+		dev.ReleasePin(pin)
+	})
+	dev.Wait()
+}
+
 func TestTreeIndexOption(t *testing.T) {
 	withDevice(t, func(dev *kaml.Device) {
 		ns, err := dev.CreateNamespace(kaml.NamespaceOptions{TreeIndex: true})

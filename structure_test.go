@@ -772,6 +772,18 @@ var rules = []rule{
 			"package experiments\n\nfunc siBench(rig *oltpRig, warm time.Duration) {\n\trig.eng.Go(\"clock\", func() { rig.eng.Sleep(warm) })\n}\n")},
 	},
 	{
+		// The suite's results are computed on the virtual clock, so only
+		// the command-line tools and the benchmark read the host's. The
+		// sim watchdog's timer and the wire client's backoff wait on it,
+		// at the edge; they read no time.
+		name:   "one-clock",
+		why:    "non-test Go outside bench/ and cmd/ reads no wall clock: no time.Now, no time.Since",
+		sc:     nonTest,
+		checks: []check{besides(forbid(selector(`^time\.(Now|Since)$`)), "bench", "cmd")},
+		bad: []map[string]string{src("internal/experiments/qdsweep.go",
+			"package experiments\n\nfunc cell() time.Duration {\n\tstart := time.Now()\n\treturn time.Since(start)\n}\n")},
+	},
+	{
 		// A page that does not parse keeps its victim, as a failed read does.
 		name: "bad-victim-page-stops-the-scan",
 		why:  "a victim page that does not parse stops the scan (readRecords), it does not panic",
@@ -797,6 +809,7 @@ func parse(p, code string) (srcFile, error) {
 
 var tree struct {
 	once  sync.Once
+	fset  *token.FileSet
 	files []srcFile
 	err   error
 }
@@ -807,6 +820,7 @@ func repoFiles(t *testing.T) []srcFile {
 	t.Helper()
 	tree.once.Do(func() {
 		fset := token.NewFileSet()
+		tree.fset = fset
 		tree.err = filepath.WalkDir(".", func(p string, e fs.DirEntry, err error) error {
 			if err != nil {
 				return err
@@ -904,7 +918,8 @@ record.At( func At( hostPPN( spaceCv SwapOutIndex loadIndex ErrSwappedOut pageTy
 swapPages relocateIndexPages DeserializeVersionChains lockMounted readersPerChip nReaders
 func (c *collector) scan( arr.ProgramPage( arr.ReadPage( progFailed++ ErrInjectedFailure
 GC parse bm.validBytes = 0 lg.freeBlocks-- serial bool e.mu.Lock() sync.Mutex
-sync.RWMutex CompareAndSwap( "sync/atomic" runtime.Gosched() cluster.New(`
+sync.RWMutex CompareAndSwap( "sync/atomic" runtime.Gosched() cluster.New(
+time.Now() time.Since(`
 	var code strings.Builder
 	code.WriteString("// Package fixture names, in comments and strings only:\n")
 	for _, line := range strings.Split(named, "\n") {
